@@ -10,9 +10,8 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use olive_bench::synthetic_updates;
-use olive_core::aggregation::oram::{aggregate_oram_into, build_aggregation_oram};
-use olive_core::aggregation::{aggregate, AggregatorKind};
-use olive_core::cell::concat_cells;
+use olive_core::aggregation::oram::OramStreamer;
+use olive_core::aggregation::{aggregate, Aggregator, AggregatorKind};
 use olive_memsim::NullTracer;
 use olive_oram::PosMapKind;
 
@@ -55,26 +54,29 @@ fn bench_aggregation(c: &mut Criterion) {
             // Paper-faithful ORAM cost per aggregation *round* on the
             // recursive (deployment-realistic) position map: the ORAM is
             // a long-lived structure, so its O(d) construction is
-            // amortized out of the timed loop (aggregate_oram_into resets
+            // amortized out of the timed loop (OramStreamer::drain resets
             // slots as it reads them back, so every iteration computes a
-            // fresh aggregate). d = 10 000 runs by default since the
+            // fresh aggregate over the same ORAM). d = 10 000 runs by default since the
             // batched kernel landed; d = 100 000 stays behind
             // OLIVE_BENCH_FULL=1 (it is ~1M ORAM accesses per iteration).
-            let cells = concat_cells(&updates);
-            let mut oram = build_aggregation_oram(d, PosMapKind::Recursive);
-            group.bench_with_input(BenchmarkId::new("path_oram", d), &d, |b, &d| {
-                b.iter(|| aggregate_oram_into(&mut oram, &cells, d, n, &mut NullTracer))
+            let mut oram = OramStreamer::init(d, PosMapKind::Recursive);
+            group.bench_with_input(BenchmarkId::new("path_oram", d), &d, |b, _| {
+                b.iter(|| {
+                    oram.ingest(&updates, &mut NullTracer);
+                    oram.drain(&mut NullTracer)
+                })
             });
             // One measured round against a fresh ORAM (deterministic
             // counters — bench iterations above would skew them) emits
             // the machine-readable `oram_round:` record on both
             // channels: the telemetry stream and the legacy stdout line.
-            let mut fresh = build_aggregation_oram(d, PosMapKind::Recursive);
+            let mut fresh = OramStreamer::init(d, PosMapKind::Recursive);
             let start = std::time::Instant::now();
-            let out = aggregate_oram_into(&mut fresh, &cells, d, n, &mut NullTracer);
+            fresh.ingest(&updates, &mut NullTracer);
+            let out = fresh.drain(&mut NullTracer);
             let ns = start.elapsed().as_nanos() as u64;
             std::hint::black_box(out);
-            let stats = fresh.stats();
+            let stats = fresh.oram_stats();
             let kernel = match olive_oram::oram_kernel() {
                 olive_oram::OramKernel::Scalar => "scalar",
                 olive_oram::OramKernel::Batched => "batched",

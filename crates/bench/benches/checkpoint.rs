@@ -21,17 +21,19 @@
 //!   this worst case sits far above the bar by construction; it is
 //!   reported to keep the absolute seal cost visible.
 //!
-//! Before timing, each configuration prints one machine-readable line:
+//! Before timing, each configuration emits one `checkpoint_overhead`
+//! bench record on the telemetry stream (`OLIVE_METRICS`):
 //!
 //! ```text
-//! checkpoint_overhead: {"agg":"grouped","n":1000,...,"chunk":64,"plain_ns":...,"ckpt_ns":...,"overhead_pct":...}
+//! {"record":"bench","name":"checkpoint_overhead","deterministic":{"agg":"grouped","n":1000,
+//!  ...,"chunk":64},"wall":{"ingest_ns":...,"ckpt_ns":...,"overhead_pct":...}}
 //! ```
 //!
 //! `restore/64` is the recovery path: unseal, rewind replay floors,
 //! rebuild the aggregator.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use olive_bench::ingest::IngestionRig;
+use criterion::{criterion_group, criterion_main, BenchmarkGroup, BenchmarkId, Criterion};
+use olive_bench::ingest::{IngestionRig, PassConfig};
 use olive_core::aggregation::AggregatorKind;
 use std::cell::RefCell;
 
@@ -47,26 +49,24 @@ fn kind_name(kind: AggregatorKind) -> &'static str {
     }
 }
 
-/// Median-of-5 overhead of the per-chunk checkpoint, printed as one JSON
-/// line so CI logs carry the ratio directly. Both phases are timed
-/// *inside the same pass* (`ingest_ns` = open + fold + finalize,
-/// `ckpt_ns` = state/floor snapshot + seal): comparing two separate
-/// passes wall-clock to wall-clock lets ±10% run-to-run jitter drown a
-/// few-percent effect, while the in-pass ratio is stable.
+/// Median-of-5 overhead of the per-chunk checkpoint, emitted as one bench
+/// record so the metrics stream carries the ratio directly. Both phases
+/// are timed *inside the same pass* (`ingest_ns` = open + fold +
+/// finalize, `ckpt_ns` = state/floor snapshot + seal): comparing two
+/// separate passes wall-clock to wall-clock lets ±10% run-to-run jitter
+/// drown a few-percent effect, while the in-pass ratio is stable.
 fn overhead_report(rig: &mut IngestionRig, kind: AggregatorKind, chunk: usize) {
     let mut runs = Vec::new();
     for _ in 0..5 {
         let msgs = rig.seal_round();
-        let (_, _, ingest_ns, ckpt_ns) = rig.streaming_pass_checkpointed_timed(&msgs, kind, chunk);
-        runs.push((ckpt_ns as f64 / ingest_ns as f64, ingest_ns, ckpt_ns));
+        let cfg = PassConfig { checkpoint: true, ..PassConfig::streaming(kind, chunk) };
+        let pass = rig.pass(&msgs, cfg, None);
+        runs.push((pass.ckpt_ns as f64 / pass.ingest_ns as f64, pass.ingest_ns, pass.ckpt_ns));
     }
     runs.sort_by(|a, b| a.0.total_cmp(&b.0));
     let (ratio, ingest_ns, ckpt_ns) = runs[2];
     let overhead = ratio * 100.0;
     let agg = kind_name(kind);
-    // Telemetry is the canonical machine-readable stream now
-    // (`OLIVE_METRICS`); the println prefix below is a compat shim for
-    // existing log scrapers, kept for one release.
     olive_telemetry::Telemetry::from_env().bench(
         "checkpoint_overhead",
         &[
@@ -82,10 +82,27 @@ fn overhead_report(rig: &mut IngestionRig, kind: AggregatorKind, chunk: usize) {
             ("overhead_pct", overhead.into()),
         ],
     );
-    println!(
-        "checkpoint_overhead: {{\"agg\":\"{agg}\",\"n\":{N},\"k\":{K},\"d\":{D},\"chunk\":{chunk},\
-         \"ingest_ns\":{ingest_ns},\"ckpt_ns\":{ckpt_ns},\"overhead_pct\":{overhead:.2}}}"
-    );
+}
+
+/// Times the same pass with checkpointing off (`labels.0`) and on
+/// (`labels.1`).
+fn bench_on_off(
+    group: &mut BenchmarkGroup<'_>,
+    rig: &RefCell<IngestionRig>,
+    labels: (&str, &str),
+    kind: AggregatorKind,
+    chunk: usize,
+) {
+    for (label, checkpoint) in [(labels.0, false), (labels.1, true)] {
+        let cfg = PassConfig { checkpoint, ..PassConfig::streaming(kind, chunk) };
+        group.bench_with_input(BenchmarkId::new(label, chunk), &cfg, |b, &cfg| {
+            b.iter(|| {
+                let mut rig = rig.borrow_mut();
+                let msgs = rig.seal_round();
+                rig.pass(&msgs, cfg, None).delta
+            })
+        });
+    }
 }
 
 fn bench_checkpoint(c: &mut Criterion) {
@@ -97,46 +114,21 @@ fn bench_checkpoint(c: &mut Criterion) {
     // chunk, checkpointing on vs off.
     let prod = AggregatorKind::Grouped { h: 64 };
     overhead_report(&mut rig.borrow_mut(), prod, 64);
-    for (label, on) in [("grouped_off", false), ("grouped_on", true)] {
-        group.bench_with_input(BenchmarkId::new(label, 64usize), &on, |b, &on| {
-            b.iter(|| {
-                let mut rig = rig.borrow_mut();
-                let msgs = rig.seal_round();
-                if on {
-                    rig.streaming_pass_checkpointed(&msgs, prod, 64).0
-                } else {
-                    rig.streaming_pass(&msgs, prod, 64, true, None)
-                }
-            })
-        });
-    }
+    bench_on_off(&mut group, &rig, ("grouped_off", "grouped_on"), prod, 64);
 
     // Worst-case stress: the linear fold across chunk sizes.
     let linear = AggregatorKind::NonOblivious;
     for &chunk in &[1usize, 7, 64] {
         overhead_report(&mut rig.borrow_mut(), linear, chunk);
-        group.bench_with_input(BenchmarkId::new("ckpt_off", chunk), &chunk, |b, &ch| {
-            b.iter(|| {
-                let mut rig = rig.borrow_mut();
-                let msgs = rig.seal_round();
-                rig.streaming_pass(&msgs, linear, ch, true, None)
-            })
-        });
-        group.bench_with_input(BenchmarkId::new("ckpt_on", chunk), &chunk, |b, &ch| {
-            b.iter(|| {
-                let mut rig = rig.borrow_mut();
-                let msgs = rig.seal_round();
-                rig.streaming_pass_checkpointed(&msgs, linear, ch)
-            })
-        });
+        bench_on_off(&mut group, &rig, ("ckpt_off", "ckpt_on"), linear, chunk);
     }
 
     // The recovery path, on a blob from a full round at the default chunk.
     let blob = {
         let mut rig = rig.borrow_mut();
         let msgs = rig.seal_round();
-        let (_, blob) = rig.streaming_pass_checkpointed(&msgs, linear, 64);
-        blob
+        let cfg = PassConfig { checkpoint: true, ..PassConfig::streaming(linear, 64) };
+        rig.pass(&msgs, cfg, None).last_checkpoint
     };
     group.bench_with_input(BenchmarkId::new("restore", 64usize), &blob, |b, blob| {
         b.iter(|| rig.borrow_mut().restore_checkpoint(blob, linear))

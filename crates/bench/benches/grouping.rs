@@ -11,8 +11,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use olive_bench::synthetic_updates;
-use olive_core::aggregation::grouped::aggregate_grouped_with_threads;
-use olive_core::aggregation::{aggregate, AggregatorKind};
+use olive_core::aggregation::{aggregate, aggregate_with_threads, AggregatorKind};
 use olive_memsim::NullTracer;
 
 fn bench_grouping(c: &mut Criterion) {
@@ -45,7 +44,8 @@ fn bench_grouping_threads(c: &mut Criterion) {
     counts.retain(|&t| t <= max.max(2));
     for threads in counts {
         group.bench_with_input(BenchmarkId::from_parameter(threads), &threads, |b, &threads| {
-            b.iter(|| aggregate_grouped_with_threads(&updates, d, h, threads, &mut NullTracer))
+            let kind = AggregatorKind::Grouped { h };
+            b.iter(|| aggregate_with_threads(kind, &updates, d, threads, &mut NullTracer))
         });
     }
     group.finish();

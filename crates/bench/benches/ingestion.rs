@@ -9,23 +9,25 @@
 //! streaming pipeline peaks at O(chunk·k + d) ≈ a quarter MiB. The
 //! working-set report below makes that machine-readable.
 //!
-//! Before timing, each configuration runs once under [`WorkingSet`]
-//! accounting (charged exactly as `OliveSystem::run_round` charges the
-//! EPC budget) and prints one line per config:
+//! Before timing, each configuration runs once for its EPC peak (charged
+//! by the round engine's ledger, exactly as `OliveSystem::run_round`
+//! charges the EPC budget) and emits one `ingestion_ws` bench record per
+//! config on the telemetry stream (`OLIVE_METRICS`):
 //!
 //! ```text
-//! ingestion_ws: {"config":"streaming_batch","n":100000,...,"peak_bytes":...,"would_page":false}
+//! {"record":"bench","name":"ingestion_ws","deterministic":{"config":"streaming_batch",
+//!  "n":100000,...,"peak_bytes":...,"epc_limit":...,"would_page":false}}
 //! ```
 //!
 //! The shard sweep (S ∈ {1, 2, 4, 8}) runs the same round through a
-//! provisioned shard plane: the `Advanced` working-set pass prints one
-//! `ingestion_ws:` line **per shard** with that shard's *measured* EPC
+//! provisioned shard plane: the `Advanced` working-set pass emits one
+//! `ingestion_ws` record **per shard** with that shard's *measured* EPC
 //! peak (`"config":"sharded_advanced"`, keyed by `"shards"` and
 //! `"shard"`), demonstrating the Figure-10 cliff dissolving as S grows;
 //! the timed `sharded_s{S}` benches (NonOblivious fold, like the other
 //! timed configs) price the tunnel transport itself.
 //!
-//! At n = 10k the sweep also prints one `recovery_overhead:` line —
+//! At n = 10k the sweep also emits one `recovery_overhead` record —
 //! the cost of the per-chunk stripe checkpoint (sharded vs
 //! checkpointed-sharded, S = 4) and of one full mid-round shard
 //! failover (scripted kill at chunk 20 → relaunch, re-attest, restore
@@ -37,53 +39,40 @@
 //! like every other bench.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use olive_bench::ingest::IngestionRig;
+use olive_bench::ingest::{IngestionRig, PassConfig};
 use olive_core::aggregation::AggregatorKind;
-use olive_memsim::{FaultPlan, WorkingSet};
+use olive_memsim::FaultPlan;
 use std::cell::RefCell;
+use std::time::Instant;
 
 const K: usize = 128;
 const D: usize = 16_384;
 const CHUNK: usize = 256;
 
-fn ws_report(rig: &mut IngestionRig, config: &str, chunk: Option<usize>) {
-    let kind = AggregatorKind::NonOblivious;
-    let msgs = rig.seal_round();
-    let mut ws = WorkingSet::default();
-    match chunk {
-        Some(c) => {
-            rig.streaming_pass(&msgs, kind, c, true, Some(&mut ws));
-        }
-        None => {
-            rig.materialize_pass(&msgs, kind, true, Some(&mut ws));
-        }
-    }
+/// One `ingestion_ws` bench record: a measured EPC peak against the
+/// enclave's limit, keyed by the config (plus `extra` shard coordinates).
+fn ws_record(rig: &IngestionRig, config: &str, chunk: usize, extra: &[(&str, u64)], peak: u64) {
     let limit = rig.epc_limit();
-    // Telemetry is the canonical machine-readable stream now
-    // (`OLIVE_METRICS`); the println prefix below is a compat shim for
-    // existing log scrapers, kept for one release.
-    olive_telemetry::Telemetry::from_env().bench(
-        "ingestion_ws",
-        &[
-            ("config", config.into()),
-            ("n", (rig.n() as u64).into()),
-            ("k", (K as u64).into()),
-            ("d", (D as u64).into()),
-            ("chunk", (chunk.unwrap_or_else(|| rig.n()) as u64).into()),
-            ("peak_bytes", ws.peak.into()),
-            ("epc_limit", limit.into()),
-            ("would_page", (ws.peak > limit).into()),
-        ],
-        &[],
-    );
-    println!(
-        "ingestion_ws: {{\"config\":\"{config}\",\"n\":{},\"k\":{K},\"d\":{D},\"chunk\":{},\
-         \"peak_bytes\":{},\"epc_limit\":{limit},\"would_page\":{}}}",
-        rig.n(),
-        chunk.map_or_else(|| rig.n().to_string(), |c| c.to_string()),
-        ws.peak,
-        ws.peak > limit,
-    );
+    let mut fields = vec![
+        ("config", config.into()),
+        ("n", (rig.n() as u64).into()),
+        ("k", (K as u64).into()),
+        ("d", (D as u64).into()),
+        ("chunk", (chunk as u64).into()),
+    ];
+    fields.extend(extra.iter().map(|&(name, v)| (name, v.into())));
+    fields.extend([
+        ("peak_bytes", peak.into()),
+        ("epc_limit", limit.into()),
+        ("would_page", (peak > limit).into()),
+    ]);
+    olive_telemetry::Telemetry::from_env().bench("ingestion_ws", &fields, &[]);
+}
+
+fn ws_report(rig: &mut IngestionRig, config: &str, chunk: usize) {
+    let msgs = rig.seal_round();
+    let pass = rig.pass(&msgs, PassConfig::streaming(AggregatorKind::NonOblivious, chunk), None);
+    ws_record(rig, config, chunk, &[], pass.peak_bytes);
 }
 
 fn bench_ingestion(c: &mut Criterion) {
@@ -97,38 +86,24 @@ fn bench_ingestion(c: &mut Criterion) {
     for &n in sizes {
         let rig = RefCell::new(IngestionRig::new(n, K, D, 42));
         // The memory story, printed once per configuration before timing.
-        ws_report(&mut rig.borrow_mut(), "streaming_batch", Some(CHUNK));
-        ws_report(&mut rig.borrow_mut(), "materialize_all", None);
+        ws_report(&mut rig.borrow_mut(), "streaming_batch", CHUNK);
+        ws_report(&mut rig.borrow_mut(), "materialize_all", n);
 
-        let kind = AggregatorKind::NonOblivious;
-        group.bench_with_input(BenchmarkId::new("streaming_batch", n), &n, |b, _| {
-            b.iter(|| {
-                let mut rig = rig.borrow_mut();
-                let msgs = rig.seal_round();
-                rig.streaming_pass(&msgs, kind, CHUNK, true, None)
-            })
-        });
-        group.bench_with_input(BenchmarkId::new("streaming_serial", n), &n, |b, _| {
-            b.iter(|| {
-                let mut rig = rig.borrow_mut();
-                let msgs = rig.seal_round();
-                rig.streaming_pass(&msgs, kind, CHUNK, false, None)
-            })
-        });
-        group.bench_with_input(BenchmarkId::new("materialize_batch", n), &n, |b, _| {
-            b.iter(|| {
-                let mut rig = rig.borrow_mut();
-                let msgs = rig.seal_round();
-                rig.materialize_pass(&msgs, kind, true, None)
-            })
-        });
-        group.bench_with_input(BenchmarkId::new("materialize_serial", n), &n, |b, _| {
-            b.iter(|| {
-                let mut rig = rig.borrow_mut();
-                let msgs = rig.seal_round();
-                rig.materialize_pass(&msgs, kind, false, None)
-            })
-        });
+        let streaming = PassConfig::streaming(AggregatorKind::NonOblivious, CHUNK);
+        for (label, cfg) in [
+            ("streaming_batch", streaming),
+            ("streaming_serial", PassConfig { batch_open: false, ..streaming }),
+            ("materialize_batch", PassConfig { chunk: n, ..streaming }),
+            ("materialize_serial", PassConfig { chunk: n, batch_open: false, ..streaming }),
+        ] {
+            group.bench_with_input(BenchmarkId::new(label, n), &n, |b, _| {
+                b.iter(|| {
+                    let mut rig = rig.borrow_mut();
+                    let msgs = rig.seal_round();
+                    rig.pass(&msgs, cfg, None).delta
+                })
+            });
+        }
 
         // The shard sweep: measured per-shard peaks under the Advanced
         // aggregator (the kind whose sort working set overflows a 96 MiB
@@ -138,33 +113,11 @@ fn bench_ingestion(c: &mut Criterion) {
                 let mut rig = rig.borrow_mut();
                 let rt = rig.provision_shards(shards);
                 let msgs = rig.seal_round();
-                let (_, peaks, rt) =
-                    rig.sharded_streaming_pass(&msgs, AggregatorKind::Advanced, CHUNK, rt);
-                let limit = rig.epc_limit();
-                let tel = olive_telemetry::Telemetry::from_env();
-                for (i, &peak) in peaks.iter().enumerate() {
-                    tel.bench(
-                        "ingestion_ws",
-                        &[
-                            ("config", "sharded_advanced".into()),
-                            ("n", (n as u64).into()),
-                            ("k", (K as u64).into()),
-                            ("d", (D as u64).into()),
-                            ("chunk", (CHUNK as u64).into()),
-                            ("shards", (shards as u64).into()),
-                            ("shard", (i as u64).into()),
-                            ("peak_bytes", peak.into()),
-                            ("epc_limit", limit.into()),
-                            ("would_page", (peak > limit).into()),
-                        ],
-                        &[],
-                    );
-                    println!(
-                        "ingestion_ws: {{\"config\":\"sharded_advanced\",\"n\":{n},\"k\":{K},\
-                         \"d\":{D},\"chunk\":{CHUNK},\"shards\":{shards},\"shard\":{i},\
-                         \"peak_bytes\":{peak},\"epc_limit\":{limit},\"would_page\":{}}}",
-                        peak > limit,
-                    );
+                let advanced = PassConfig::streaming(AggregatorKind::Advanced, CHUNK);
+                let rt = rig.pass(&msgs, advanced, Some(rt)).shards.expect("the plane comes back");
+                for (i, &peak) in rt.peaks().iter().enumerate() {
+                    let site = [("shards", shards as u64), ("shard", i as u64)];
+                    ws_record(&rig, "sharded_advanced", CHUNK, &site, peak);
                 }
                 rt
             };
@@ -176,21 +129,21 @@ fn bench_ingestion(c: &mut Criterion) {
                     b.iter(|| {
                         let mut rig = rig.borrow_mut();
                         let msgs = rig.seal_round();
-                        let live = rt.borrow_mut().take().expect("runtime shuttles between iters");
-                        let (delta, _, back) = rig.sharded_streaming_pass(&msgs, kind, CHUNK, live);
-                        *rt.borrow_mut() = Some(back);
-                        delta
+                        let live = rt.borrow_mut().take();
+                        let pass = rig.pass(&msgs, streaming, live);
+                        *rt.borrow_mut() = pass.shards;
+                        pass.delta
                     })
                 },
             );
         }
 
-        // The recovery-cost story, printed once at n = 10k: what the
+        // The recovery-cost story, recorded once at n = 10k: what the
         // per-chunk stripe checkpoint costs on top of the plain sharded
         // pass, and what one full mid-round shard failover costs on top
         // of that. All three configurations run in the same pass set and
         // the recovered delta is asserted bitwise against the fault-free
-        // one, so the line prices *recovery*, not drift.
+        // one, so the record prices *recovery*, not drift.
         if n == 10_000 {
             const REPS: u32 = 3;
             let shards = 4usize;
@@ -204,12 +157,15 @@ fn bench_ingestion(c: &mut Criterion) {
                     [(false, false), (true, false), (true, true)].iter().enumerate()
                 {
                     let msgs = rig.seal_round();
-                    let plan =
-                        faulted.then(|| FaultPlan::parse(kill_site).expect("well-formed script"));
-                    let (delta, ns, back) =
-                        rig.sharded_pass_timed(&msgs, kind, CHUNK, rt, ckpt, plan);
-                    rt = back;
-                    let bits: Vec<u32> = delta.iter().map(|v| v.to_bits()).collect();
+                    rt.set_checkpointing(ckpt);
+                    if faulted {
+                        rt.set_fault_plan(FaultPlan::parse(kill_site).expect("well-formed script"));
+                    }
+                    let t0 = Instant::now();
+                    let pass = rig.pass(&msgs, streaming, Some(rt));
+                    let ns = t0.elapsed().as_nanos() as u64;
+                    rt = pass.shards.expect("the plane comes back");
+                    let bits: Vec<u32> = pass.delta.iter().map(|v| v.to_bits()).collect();
                     if rep == 0 {
                         reference = bits; // warm-up pass: discard the timing
                     } else {
@@ -237,17 +193,6 @@ fn bench_ingestion(c: &mut Criterion) {
                     ("checkpointed_ns", (totals[1] / REPS as u64).into()),
                     ("failover_ns", (totals[2] / REPS as u64).into()),
                 ],
-            );
-            println!(
-                "recovery_overhead: {{\"n\":{n},\"k\":{K},\"d\":{D},\"chunk\":{CHUNK},\
-                 \"shards\":{shards},\"fault\":\"{kill_site}\",\"reps\":{REPS},\
-                 \"sharded_ns\":{},\"checkpointed_ns\":{},\"failover_ns\":{},\
-                 \"relaunches\":{},\"sim_backoff_ms\":{}}}",
-                totals[0] / REPS as u64,
-                totals[1] / REPS as u64,
-                totals[2] / REPS as u64,
-                stats.relaunches,
-                stats.backoff_ms,
             );
         }
     }

@@ -8,10 +8,20 @@
 //! Already seconds-scale; `--quick` trims the printed access prefix.
 
 use olive_bench::perf::PerfMode;
-use olive_core::aggregation::linear::{aggregate_dense_linear, aggregate_sparse_linear};
-use olive_core::cell::make_cell;
+use olive_core::aggregation::linear::aggregate_dense_linear;
+use olive_core::aggregation::{aggregate, AggregatorKind};
 use olive_core::regions::{REGION_G, REGION_G_STAR};
+use olive_fl::SparseGradient;
 use olive_memsim::{Granularity, RecordingTracer};
+
+/// Two users over d = 4, each transmitting k = 2 cells of value 0.5.
+fn two_users(a: [u32; 2], b: [u32; 2]) -> [SparseGradient; 2] {
+    [a, b].map(|indices| SparseGradient {
+        dense_dim: 4,
+        indices: indices.to_vec(),
+        values: vec![0.5; 2],
+    })
+}
 
 fn show(events: &[olive_memsim::Access], limit: usize) {
     for a in events.iter().take(limit) {
@@ -41,14 +51,14 @@ fn main() {
     );
 
     println!("\n=== Figure 3: sparse gradients → biased, index-revealing pattern ===");
-    let sparse_a = [make_cell(0, 0.5), make_cell(3, 0.5), make_cell(3, 0.5), make_cell(1, 0.5)];
+    let sparse_a = two_users([0, 3], [3, 1]);
     let mut tr = RecordingTracer::with_events(Granularity::Element);
-    aggregate_sparse_linear(&sparse_a, 4, 2, &mut tr);
+    aggregate(AggregatorKind::NonOblivious, &sparse_a, 4, &mut tr);
     show(tr.events().unwrap(), shown);
     let da = tr.digest();
-    let sparse_b = [make_cell(2, 0.5), make_cell(1, 0.5), make_cell(0, 0.5), make_cell(2, 0.5)];
+    let sparse_b = two_users([2, 1], [0, 2]);
     let mut tr = RecordingTracer::with_events(Granularity::Element);
-    aggregate_sparse_linear(&sparse_b, 4, 2, &mut tr);
+    aggregate(AggregatorKind::NonOblivious, &sparse_b, 4, &mut tr);
     println!(
         "  digest(input A) == digest(input B): {}  (Proposition 3.2: NOT oblivious — the\n\
          \x20 G* offsets above are exactly the users' secret top-k indices)",

@@ -1,31 +1,80 @@
 //! Round-ingestion rig: drives the enclave upload path (seal → open →
 //! decode → fold) at production client counts without the FL training
-//! loop, for the `ingestion` bench and its EPC working-set report.
+//! loop, for the `ingestion` and `checkpoint` benches and their EPC
+//! working-set reports.
 //!
-//! Two pipelines are compared:
+//! Every pass runs the sealed uploads through the same
+//! [`RoundEngine`] `OliveSystem::run_round` drives, so timings and EPC
+//! peaks are the production round's; a [`PassConfig`] picks the shape:
 //!
-//! * **streaming** — the PR-5 round pipeline: uploads are opened in
-//!   chunks ([`Enclave::open_upload_batch`]) and folded through the
-//!   [`StreamingAggregator`]; the enclave holds O(chunk·k) staged cells;
-//! * **materialize-all** — the historical shape: every upload is opened
-//!   and decoded into a `Vec<SparseGradient>` (O(n·k) enclave bytes)
-//!   before a single one-shot aggregation.
+//! * **streaming** — uploads are opened in chunks and folded through the
+//!   engine; the enclave holds O(chunk·k) staged cells;
+//! * **materialize-all** — the historical shape, as the one-chunk case
+//!   (`chunk = n`): every upload is opened and decoded (O(n·k) enclave
+//!   bytes) before a single fold;
+//! * batched or per-message (`serial`) opening, isolating the
+//!   `open_upload_batch` amortization from the memory story;
+//! * per-chunk checkpoint sealing on or off, and an optional shard plane.
 //!
-//! Both run with batched or per-message (`serial`) opening, isolating the
-//! `open_upload_batch` amortization from the memory story. The aggregator
-//! is `NonOblivious` (the O(nk) linear fold) so the timings measure
-//! *ingestion* — session lookup, AEAD verification, decode, fold — rather
-//! than oblivious-sort cost, which the `aggregation`/`grouping` benches
-//! already cover.
+//! The timed configs use `NonOblivious` (the O(nk) linear fold) so they
+//! measure *ingestion* — session lookup, AEAD verification, decode, fold
+//! — rather than oblivious-sort cost, which the `aggregation`/`grouping`
+//! benches already cover.
 
-use olive_core::aggregation::{
-    Aggregator, AggregatorKind, ShardRuntime, ShardedAggregator, StreamingAggregator,
-};
-use olive_core::olive::{open_and_decode, staged_chunk_bytes};
+use olive_core::aggregation::{Aggregator, AggregatorKind, ShardRuntime, StreamingAggregator};
+use olive_core::olive::{open_and_decode, provision_clients, staged_chunk_bytes};
+use olive_core::round::{Ledger, RoundEngine};
 use olive_fl::SparseGradient;
-use olive_memsim::{FaultPlan, NullTracer, StateReader, StateWriter, WorkingSet};
+use olive_memsim::{NullTracer, StateReader, StateWriter};
 use olive_tee::{AttestationService, ClientSession, Enclave, EnclaveConfig, SealedMessage};
+use olive_telemetry::Telemetry;
 use std::time::Instant;
+
+/// The shape of one ingestion pass.
+#[derive(Clone, Copy, Debug)]
+pub struct PassConfig {
+    /// Aggregation algorithm.
+    pub kind: AggregatorKind,
+    /// Clients opened, decoded and folded per step (`n` = materialize-all).
+    pub chunk: usize,
+    /// `Enclave::open_upload_batch` per chunk, or one `open_upload` per
+    /// message.
+    pub batch_open: bool,
+    /// Seal the production round's crash-safe checkpoint after every
+    /// folded chunk (aggregator state + replay-floor snapshot under the
+    /// `"round-ckpt"` label) — the per-chunk overhead
+    /// `OliveSystem::run_round` pays by default.
+    pub checkpoint: bool,
+}
+
+impl PassConfig {
+    /// Batched opening, no checkpoints.
+    pub fn streaming(kind: AggregatorKind, chunk: usize) -> Self {
+        PassConfig { kind, chunk, batch_open: true, checkpoint: false }
+    }
+}
+
+/// What one pass produced and cost.
+pub struct Pass {
+    /// The round's averaged update.
+    pub delta: Vec<f32>,
+    /// The coordinator's EPC peak, charged by the engine's ledger exactly
+    /// as `OliveSystem::run_round` charges it.
+    pub peak_bytes: u64,
+    /// The shard plane the pass ran over (reusable for the next pass);
+    /// `ShardRuntime::peaks` holds each shard's measured EPC peak.
+    pub shards: Option<ShardRuntime>,
+    /// The newest sealed checkpoint (empty without checkpointing).
+    pub last_checkpoint: Vec<u8>,
+    /// Nanoseconds of ingestion work (open + fold + finalize). Timing
+    /// both phases inside one pass keeps the overhead ratio immune to the
+    /// run-to-run jitter that drowns a few-percent effect when two
+    /// separate passes are compared wall-clock to wall-clock.
+    pub ingest_ns: u64,
+    /// Nanoseconds of checkpoint machinery (state snapshot + floor
+    /// snapshot + seal).
+    pub ckpt_ns: u64,
+}
 
 /// A provisioned enclave + n attested client sessions + fixed payloads.
 pub struct IngestionRig {
@@ -50,24 +99,10 @@ impl IngestionRig {
         seed_bytes[..8].copy_from_slice(&seed.to_be_bytes());
         let service = AttestationService::new(seed_bytes);
         let mut enclave = Enclave::launch(&EnclaveConfig::default(), seed_bytes);
-        let quote = enclave.attest(&service, b"olive-ingestion-bench");
-        let measurement = enclave.measurement();
         let users: Vec<u32> = (0..n as u32).collect();
-        let sessions: Vec<ClientSession> = users
-            .iter()
-            .map(|&u| {
-                let mut cs = seed_bytes;
-                cs[24..28].copy_from_slice(&u.to_be_bytes());
-                cs[28] ^= 0xC1;
-                let session =
-                    ClientSession::establish(u, service.public_key(), &measurement, &quote, cs)
-                        .expect("attestation must succeed in the rig");
-                enclave
-                    .register_client(u, session.dh_public())
-                    .expect("rig attests before registering");
-                session
-            })
-            .collect();
+        let context = b"olive-ingestion-bench";
+        let sessions =
+            provision_clients(&service, &mut enclave, context, seed_bytes, users.iter().copied());
         let payloads: Vec<Vec<u8>> = crate::synthetic_updates(n, k, d, seed ^ 0xBEEF)
             .iter()
             .map(SparseGradient::encode)
@@ -120,171 +155,69 @@ impl IngestionRig {
         self.enclave.epc.limit
     }
 
-    /// Streaming pipeline: open (batched or serial) and fold chunk by
-    /// chunk. When `ws` is given, every enclave allocation is charged to
-    /// it exactly as `OliveSystem::run_round` charges the EPC budget.
-    pub fn streaming_pass(
+    /// One round of enclave-side upload processing through the
+    /// [`RoundEngine`], over `shards` when given (chunks broadcast
+    /// through the attested tunnels, the finalized delta striped out with
+    /// receipts — the full `OLIVE_SHARDS` round shape; arm fault scripts
+    /// and the stripe-checkpoint toggle on the runtime beforehand).
+    pub fn pass(
         &mut self,
         msgs: &[SealedMessage],
-        kind: AggregatorKind,
-        chunk: usize,
-        batch_open: bool,
-        mut ws: Option<&mut WorkingSet>,
-    ) -> Vec<f32> {
-        let mut agg = StreamingAggregator::new(kind, self.d, 1);
-        let mut resident = agg.resident_bytes();
-        if let Some(ws) = ws.as_deref_mut() {
-            ws.alloc(resident);
-        }
-        for msg_chunk in msgs.chunks(chunk) {
-            let staged_bytes = staged_chunk_bytes(msg_chunk);
-            let scratch = agg.ingest_scratch_bytes(msg_chunk.len(), self.k);
-            if let Some(ws) = ws.as_deref_mut() {
-                ws.alloc(staged_bytes + scratch);
-            }
-            let staged = self.open_chunk(msg_chunk, batch_open);
-            agg.ingest(&staged, &mut NullTracer);
-            if let Some(ws) = ws.as_deref_mut() {
-                ws.free(staged_bytes + scratch);
-                let now = agg.resident_bytes();
-                ws.resize(resident, now);
-                resident = now;
-            }
-        }
-        if let Some(ws) = ws {
-            ws.alloc(agg.finalize_scratch_bytes());
-        }
-        agg.finalize(&mut NullTracer)
-    }
-
-    /// Streaming pipeline over a shard plane: chunks are opened by the
-    /// coordinator, broadcast through the attested tunnels, and the
-    /// finalized delta is striped out to the shards with receipts — the
-    /// full `OLIVE_SHARDS` round shape. Returns the delta, each shard's
-    /// measured EPC peak, and the runtime (reusable for the next pass).
-    pub fn sharded_streaming_pass(
-        &mut self,
-        msgs: &[SealedMessage],
-        kind: AggregatorKind,
-        chunk: usize,
-        rt: ShardRuntime,
-    ) -> (Vec<f32>, Vec<u64>, ShardRuntime) {
-        let mut agg = ShardedAggregator::new(kind, self.d, 1, rt);
-        for msg_chunk in msgs.chunks(chunk) {
-            let staged = self.open_chunk(msg_chunk, true);
-            agg.ingest(&staged, &mut NullTracer);
-        }
-        agg.finalize_with_peaks(&mut NullTracer).expect("bench rounds run without faults")
-    }
-
-    /// [`Self::sharded_streaming_pass`] with a wall-clock timer and the
-    /// chaos controls the `recovery_overhead:` report sweeps: the
-    /// per-chunk stripe checkpoint can be disabled (isolating its cost)
-    /// and a [`FaultPlan`] can be armed (measuring a full mid-round shard
-    /// failover — kill, relaunch, re-attest, checkpoint restore, resume).
-    /// Returns the delta, elapsed nanoseconds, and the runtime.
-    pub fn sharded_pass_timed(
-        &mut self,
-        msgs: &[SealedMessage],
-        kind: AggregatorKind,
-        chunk: usize,
-        mut rt: ShardRuntime,
-        checkpointing: bool,
-        faults: Option<FaultPlan>,
-    ) -> (Vec<f32>, u64, ShardRuntime) {
-        rt.set_checkpointing(checkpointing);
-        if let Some(plan) = faults {
-            rt.set_fault_plan(plan);
-        }
-        let t0 = Instant::now();
-        let mut agg = ShardedAggregator::new(kind, self.d, 1, rt);
-        for msg_chunk in msgs.chunks(chunk) {
-            let staged = self.open_chunk(msg_chunk, true);
-            agg.ingest(&staged, &mut NullTracer);
-        }
-        let (delta, _peaks, rt) =
-            agg.finalize_with_peaks(&mut NullTracer).expect("bench fault scripts stay recoverable");
-        (delta, t0.elapsed().as_nanos() as u64, rt)
-    }
-
-    /// Materialize-all pipeline: decode the entire round into enclave
-    /// memory, then aggregate once (the pre-streaming round shape).
-    pub fn materialize_pass(
-        &mut self,
-        msgs: &[SealedMessage],
-        kind: AggregatorKind,
-        batch_open: bool,
-        mut ws: Option<&mut WorkingSet>,
-    ) -> Vec<f32> {
-        let staged_bytes = staged_chunk_bytes(msgs);
-        let updates = self.open_chunk(msgs, batch_open);
-        let mut agg = StreamingAggregator::new(kind, self.d, 1);
-        if let Some(ws) = ws.as_deref_mut() {
-            ws.alloc(staged_bytes);
-            ws.alloc(agg.resident_bytes() + agg.ingest_scratch_bytes(updates.len(), self.k));
-        }
-        agg.ingest(&updates, &mut NullTracer);
-        if let Some(ws) = ws {
-            ws.alloc(agg.finalize_scratch_bytes());
-        }
-        agg.finalize(&mut NullTracer)
-    }
-
-    /// Streaming pass with the production round's crash-safe
-    /// checkpointing: after every folded chunk the aggregator's
-    /// serialized state plus the replay-floor snapshot is sealed under
-    /// the `"round-ckpt"` label — the per-chunk overhead
-    /// `OliveSystem::run_round` pays by default. Returns the delta and
-    /// the newest sealed blob (for the restore bench).
-    pub fn streaming_pass_checkpointed(
-        &mut self,
-        msgs: &[SealedMessage],
-        kind: AggregatorKind,
-        chunk: usize,
-    ) -> (Vec<f32>, Vec<u8>) {
-        let (delta, blob, _, _) = self.streaming_pass_checkpointed_timed(msgs, kind, chunk);
-        (delta, blob)
-    }
-
-    /// [`Self::streaming_pass_checkpointed`] with in-pass phase timers:
-    /// also returns `(ingest_ns, ckpt_ns)` — nanoseconds spent on the
-    /// round's ingestion work (open + fold + finalize) vs on the
-    /// checkpoint machinery (state snapshot + floor snapshot + seal).
-    /// Timing both phases inside one pass keeps the overhead ratio
-    /// immune to the run-to-run jitter that drowns a few-percent effect
-    /// when two separate passes are compared wall-clock to wall-clock.
-    pub fn streaming_pass_checkpointed_timed(
-        &mut self,
-        msgs: &[SealedMessage],
-        kind: AggregatorKind,
-        chunk: usize,
-    ) -> (Vec<f32>, Vec<u8>, u64, u64) {
-        let mut agg = StreamingAggregator::new(kind, self.d, 1);
-        let mut last = Vec::new();
+        cfg: PassConfig,
+        shards: Option<ShardRuntime>,
+    ) -> Pass {
+        let ledger = Ledger::new(self.enclave.epc, shards, Telemetry::off());
+        let agg = StreamingAggregator::new(cfg.kind, self.d, 1);
+        let mut engine = RoundEngine::new(agg, self.k, 1, 0, ledger);
+        let chunks: Vec<&[SealedMessage]> = msgs.chunks(cfg.chunk).collect();
         let (mut ingest_ns, mut ckpt_ns) = (0u64, 0u64);
-        for (i, msg_chunk) in msgs.chunks(chunk).enumerate() {
-            let t0 = Instant::now();
-            let staged = self.open_chunk(msg_chunk, true);
-            agg.ingest(&staged, &mut NullTracer);
-            ingest_ns += t0.elapsed().as_nanos() as u64;
-            let t0 = Instant::now();
-            let mut w = StateWriter::new();
-            w.put_u64(self.round);
-            w.put_usize(i + 1);
-            let floors = self.enclave.replay_floors();
-            w.put_usize(floors.len());
-            for (u, c) in floors {
-                w.put_u32(u);
-                w.put_u64(c);
+        let mut last_checkpoint = Vec::new();
+        // `None` past the last chunk: nothing left to open.
+        let open = |enclave: &mut Enclave, msgs: Option<&[SealedMessage]>| {
+            msgs.map_or_else(Vec::new, |msgs| open_chunk(enclave, msgs, cfg.batch_open))
+        };
+        let first = chunks.first().copied();
+        let mut staged = timed(&mut ingest_ns, || open(&mut self.enclave, first));
+        for i in 0..chunks.len() {
+            let next = chunks.get(i + 1).copied();
+            let enclave = &mut self.enclave;
+            let folded = timed(&mut ingest_ns, || {
+                let next_bytes = next.map_or(0, staged_chunk_bytes);
+                engine.fold(&staged, next_bytes, || open(enclave, next), &mut NullTracer)
+            });
+            staged = folded.expect("bench fault scripts stay recoverable");
+            if cfg.checkpoint {
+                last_checkpoint = timed(&mut ckpt_ns, || self.seal_checkpoint(&mut engine));
             }
-            w.put_bytes(&agg.save_state());
-            last = self.enclave.seal(&w.into_bytes(), b"round-ckpt");
-            ckpt_ns += t0.elapsed().as_nanos() as u64;
         }
-        let t0 = Instant::now();
-        let delta = agg.finalize(&mut NullTracer);
-        ingest_ns += t0.elapsed().as_nanos() as u64;
-        (delta, last, ingest_ns, ckpt_ns)
+        let (delta, end) = timed(&mut ingest_ns, || engine.finish(&mut NullTracer));
+        self.enclave.epc = end.coordinator;
+        Pass {
+            delta: delta.expect("bench fault scripts stay recoverable"),
+            peak_bytes: end.coordinator.peak,
+            shards: end.shards,
+            last_checkpoint,
+            ingest_ns,
+            ckpt_ns,
+        }
+    }
+
+    /// Seals the rig's round checkpoint: round counter, chunk progress,
+    /// replay-floor snapshot, aggregator state.
+    fn seal_checkpoint(&mut self, engine: &mut RoundEngine) -> Vec<u8> {
+        let mut w = StateWriter::new();
+        w.put_u64(self.round);
+        w.put_usize(engine.chunks_done());
+        let floors = self.enclave.replay_floors();
+        w.put_usize(floors.len());
+        for (u, c) in floors {
+            w.put_u32(u);
+            w.put_u64(c);
+        }
+        w.put_bytes(&engine.checkpoint_state());
+        let plain = w.into_bytes();
+        let enclave = &mut self.enclave;
+        engine.ledger_mut().transient(plain.len() as u64, || enclave.seal(&plain, b"round-ckpt"))
     }
 
     /// The restore path's enclave-side work: unseal the blob, rewind the
@@ -305,18 +238,31 @@ impl IngestionRig {
         agg.load_state(r.get_bytes().expect("aggregator state")).expect("same-config state");
         agg.clients()
     }
+}
 
-    fn open_chunk(&mut self, msgs: &[SealedMessage], batch_open: bool) -> Vec<SparseGradient> {
-        if batch_open {
-            open_and_decode(&mut self.enclave, msgs)
-        } else {
-            msgs.iter()
-                .map(|m| {
-                    let plain = self.enclave.open_upload(m).expect("rig uploads must verify");
-                    SparseGradient::decode(&plain).expect("well-formed encoding")
-                })
-                .collect()
-        }
+/// Runs `f`, adding its wall time in nanoseconds to `slot`.
+fn timed<T>(slot: &mut u64, f: impl FnOnce() -> T) -> T {
+    let t0 = Instant::now();
+    let out = f();
+    *slot += t0.elapsed().as_nanos() as u64;
+    out
+}
+
+/// Opens and decodes one chunk, batched or message by message.
+fn open_chunk(
+    enclave: &mut Enclave,
+    msgs: &[SealedMessage],
+    batch_open: bool,
+) -> Vec<SparseGradient> {
+    if batch_open {
+        open_and_decode(enclave, msgs)
+    } else {
+        msgs.iter()
+            .map(|m| {
+                let plain = enclave.open_upload(m).expect("rig uploads must verify");
+                SparseGradient::decode(&plain).expect("well-formed encoding")
+            })
+            .collect()
     }
 }
 
@@ -324,42 +270,45 @@ impl IngestionRig {
 mod tests {
     use super::*;
 
+    fn same_bits(a: &[f32], b: &[f32]) -> bool {
+        a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
+    }
+
     #[test]
     fn streaming_and_materialize_agree_and_ws_separates() {
         let mut rig = IngestionRig::new(40, 8, 256, 3);
         let kind = AggregatorKind::NonOblivious;
         let msgs = rig.seal_round();
-        let mut ws_stream = WorkingSet::default();
-        let a = rig.streaming_pass(&msgs, kind, 4, true, Some(&mut ws_stream));
+        let stream = rig.pass(&msgs, PassConfig::streaming(kind, 4), None);
         let msgs = rig.seal_round();
-        let mut ws_mat = WorkingSet::default();
-        let b = rig.materialize_pass(&msgs, kind, true, Some(&mut ws_mat));
-        assert_eq!(a.len(), 256);
-        let same = a.iter().zip(b.iter()).all(|(x, y)| x.to_bits() == y.to_bits());
-        assert!(same, "pipelines must agree bitwise");
+        let mat = rig.pass(&msgs, PassConfig::streaming(kind, rig.n()), None);
+        assert_eq!(stream.delta.len(), 256);
+        assert!(same_bits(&stream.delta, &mat.delta), "pipelines must agree bitwise");
         assert!(
-            ws_stream.peak < ws_mat.peak,
+            stream.peak_bytes < mat.peak_bytes,
             "streaming peak {} must undercut materialize-all peak {}",
-            ws_stream.peak,
-            ws_mat.peak
+            stream.peak_bytes,
+            mat.peak_bytes
         );
     }
 
     #[test]
     fn sharded_pass_matches_monolithic_and_balances() {
         let mut rig = IngestionRig::new(30, 6, 128, 21);
-        let kind = AggregatorKind::NonOblivious;
+        let cfg = PassConfig::streaming(AggregatorKind::NonOblivious, 4);
         let msgs = rig.seal_round();
-        let reference = rig.streaming_pass(&msgs, kind, 4, true, None);
+        let reference = rig.pass(&msgs, cfg, None).delta;
         let mut rt = rig.provision_shards(4);
         for _ in 0..2 {
             let msgs = rig.seal_round();
-            let (delta, peaks, back) = rig.sharded_streaming_pass(&msgs, kind, 4, rt);
-            rt = back;
-            let same = delta.iter().zip(reference.iter()).all(|(x, y)| x.to_bits() == y.to_bits());
-            assert!(same, "sharded pass must agree bitwise with the monolithic pass");
-            assert_eq!(peaks.len(), 4);
-            assert!(peaks.iter().all(|&p| p > 0), "every shard does real work");
+            let pass = rig.pass(&msgs, cfg, Some(rt));
+            rt = pass.shards.expect("the plane comes back");
+            assert!(
+                same_bits(&pass.delta, &reference),
+                "sharded pass must agree bitwise with the monolithic pass"
+            );
+            assert_eq!(rt.peaks().len(), 4);
+            assert!(rt.peaks().iter().all(|&p| p > 0), "every shard does real work");
             assert!(rt.live().iter().all(|&b| b == 0), "shard budgets balance per pass");
         }
     }
@@ -367,12 +316,25 @@ mod tests {
     #[test]
     fn serial_and_batch_open_agree() {
         let mut rig = IngestionRig::new(10, 4, 64, 9);
-        let kind = AggregatorKind::NonOblivious;
+        let batch = PassConfig::streaming(AggregatorKind::NonOblivious, 3);
         let msgs = rig.seal_round();
-        let a = rig.streaming_pass(&msgs, kind, 3, true, None);
+        let a = rig.pass(&msgs, batch, None).delta;
         let msgs = rig.seal_round();
-        let b = rig.streaming_pass(&msgs, kind, 3, false, None);
-        let same = a.iter().zip(b.iter()).all(|(x, y)| x.to_bits() == y.to_bits());
-        assert!(same);
+        let b = rig.pass(&msgs, PassConfig { batch_open: false, ..batch }, None).delta;
+        assert!(same_bits(&a, &b));
+    }
+
+    #[test]
+    fn checkpointed_pass_restores_the_folded_aggregator() {
+        let mut rig = IngestionRig::new(12, 4, 64, 5);
+        let kind = AggregatorKind::Grouped { h: 3 };
+        let msgs = rig.seal_round();
+        let plain = rig.pass(&msgs, PassConfig::streaming(kind, 5), None);
+        let msgs = rig.seal_round();
+        let cfg = PassConfig { checkpoint: true, ..PassConfig::streaming(kind, 5) };
+        let ckpt = rig.pass(&msgs, cfg, None);
+        assert!(same_bits(&plain.delta, &ckpt.delta), "checkpointing must not change the round");
+        assert!(ckpt.peak_bytes >= plain.peak_bytes, "the sealed plaintext is a charged transient");
+        assert_eq!(rig.restore_checkpoint(&ckpt.last_checkpoint, kind), 12);
     }
 }

@@ -6,7 +6,6 @@ use olive_core::olive::working_set_bytes;
 use olive_fl::SparseGradient;
 use olive_memsim::NullTracer;
 
-use crate::synthetic_updates;
 use crate::time_once;
 
 /// The three run scales of the experiment binaries (`DESIGN.md` §5),
@@ -60,28 +59,10 @@ impl PerfMode {
     }
 }
 
-/// Times one aggregation of `n` clients × `k` cells into dimension `d`
-/// with the given algorithm (untraced, i.e. the enclave's real compute;
-/// the paper's Figure 9 methodology). Returns `(seconds, working-set
-/// bytes)`.
-pub fn time_aggregation(
-    kind: AggregatorKind,
-    n: usize,
-    k: usize,
-    d: usize,
-    seed: u64,
-) -> (f64, u64) {
-    let updates = synthetic_updates(n, k, d, seed);
-    let mut sink = 0.0f32;
-    let secs = time_once(|| {
-        let out = aggregate(kind, &updates, d, &mut NullTracer);
-        sink += out[0];
-    });
-    std::hint::black_box(sink);
-    (secs, working_set_bytes(kind, n, k, d))
-}
-
-/// Same, but with pre-built updates (amortizes generation across kinds).
+/// Times one aggregation of `updates` into dimension `d` with the given
+/// algorithm (untraced, i.e. the enclave's real compute; the paper's
+/// Figure 9 methodology) — pre-built updates, so generation amortizes
+/// across kinds. Returns `(seconds, working-set bytes)`.
 pub fn time_aggregation_prebuilt(
     kind: AggregatorKind,
     updates: &[SparseGradient],
@@ -101,6 +82,7 @@ pub fn time_aggregation_prebuilt(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::synthetic_updates;
 
     #[test]
     fn perf_mode_selects_tables() {
@@ -118,13 +100,14 @@ mod tests {
 
     #[test]
     fn timing_runs_for_every_kind() {
+        let updates = synthetic_updates(8, 16, 256, 1);
         for kind in [
             AggregatorKind::NonOblivious,
             AggregatorKind::Baseline { cacheline_weights: 16 },
             AggregatorKind::Advanced,
             AggregatorKind::Grouped { h: 4 },
         ] {
-            let (t, ws) = time_aggregation(kind, 8, 16, 256, 1);
+            let (t, ws) = time_aggregation_prebuilt(kind, &updates, 256);
             assert!(t > 0.0);
             assert!(ws > 0);
         }

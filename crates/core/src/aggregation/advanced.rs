@@ -21,16 +21,19 @@
 //! Worked example (the paper's Appendix E, n=3, k=2, d=4):
 //!
 //! ```
-//! use olive_core::aggregation::advanced::aggregate_advanced;
-//! use olive_core::cell::make_cell;
+//! use olive_core::aggregation::{aggregate, AggregatorKind};
+//! use olive_fl::SparseGradient;
 //! use olive_memsim::NullTracer;
 //! // user1: (1, 0.3), (3, 0.5); user2: (1, 0.8), (2, 0.9); user3: (0, 0.4), (1, 0.1)
-//! let g = [
-//!     make_cell(1, 0.3), make_cell(3, 0.5),
-//!     make_cell(1, 0.8), make_cell(2, 0.9),
-//!     make_cell(0, 0.4), make_cell(1, 0.1),
+//! let user = |indices: Vec<u32>, values: Vec<f32>| {
+//!     SparseGradient { dense_dim: 4, indices, values }
+//! };
+//! let updates = [
+//!     user(vec![1, 3], vec![0.3, 0.5]),
+//!     user(vec![1, 2], vec![0.8, 0.9]),
+//!     user(vec![0, 1], vec![0.4, 0.1]),
 //! ];
-//! let avg = aggregate_advanced(&g, 4, 3, &mut NullTracer);
+//! let avg = aggregate(AggregatorKind::Advanced, &updates, 4, &mut NullTracer);
 //! let sums: Vec<f32> = avg.iter().map(|v| v * 3.0).collect(); // undo the 1/n averaging
 //! assert!((sums[0] - 0.4).abs() < 1e-6);
 //! assert!((sums[1] - 1.2).abs() < 1e-6);
@@ -38,16 +41,17 @@
 //! assert!((sums[3] - 0.5).abs() < 1e-6);
 //! ```
 
-use olive_memsim::{Tracer, TrackedBuf};
+use olive_fl::SparseGradient;
+use olive_memsim::{ParallelTracer, StateError, StateReader, StateWriter, Tracer, TrackedBuf};
 use olive_oblivious::primitives::Oblivious;
 use olive_oblivious::sort::next_pow2;
 use olive_oblivious::sort_kernel::bitonic_sort_u64_pow2_with_threads;
 
 use crate::cell::{cell_index, cell_value, dummy_cell, make_cell};
-use crate::parallel::default_threads;
 use crate::regions::{REGION_G_STAR, REGION_SCRATCH};
 
 use super::linear::average_in_place;
+use super::streaming::Aggregator;
 
 /// Computes the **un-averaged** dense sums via Algorithm 4, writing them
 /// into a fresh `G*` buffer which is returned for further (oblivious)
@@ -113,39 +117,18 @@ pub(crate) fn sum_advanced<TR: Tracer>(
     gstar
 }
 
-/// Algorithm 4 end-to-end: oblivious sums followed by the oblivious
-/// averaging pass. Returns the averaged dense update. The sorts use the
-/// process-default thread count ([`default_threads`]).
-pub fn aggregate_advanced<TR: Tracer>(cells: &[u64], d: usize, n: usize, tr: &mut TR) -> Vec<f32> {
-    aggregate_advanced_with_threads(cells, d, n, default_threads(), tr)
-}
-
-/// [`aggregate_advanced`] with an explicit worker-thread count for the
-/// intra-sort stage parallelism. Output and trace are identical at every
+/// Algorithm 4 end-to-end as a streamer: oblivious sums followed by the
+/// oblivious averaging pass, with output and trace identical at every
 /// thread count.
-pub fn aggregate_advanced_with_threads<TR: Tracer>(
-    cells: &[u64],
-    d: usize,
-    n: usize,
-    threads: usize,
-    tr: &mut TR,
-) -> Vec<f32> {
-    let mut gstar = sum_advanced(cells, d, threads, tr);
-    average_in_place(&mut gstar, n, tr);
-    gstar.into_inner()
-}
-
-/// Streaming form of [`aggregate_advanced_with_threads`].
 ///
 /// Algorithm 4 is *inherently monolithic*: its obliviousness proof rests
 /// on one Batcher sort over the whole `nk + d` vector, so incoming chunks
-/// can only be **staged** (an untraced linear copy, exactly like the
-/// one-shot path's `concat_cells`) and the sort/fold/sort runs at
-/// [`AdvancedStreamer::finalize`]. Chunk boundaries therefore change
+/// can only be **staged** (an untraced linear copy of the cells) and the
+/// sort/fold/sort runs at finalize. Chunk boundaries therefore change
 /// neither the output bits nor the trace — but the enclave working set
 /// still grows with O(nk + d), which is exactly the paper's Figure 10
 /// cliff and the reason the Grouped streamer exists. The EPC accounting
-/// reports this honestly via [`AdvancedStreamer::resident_bytes`].
+/// reports this honestly via [`Aggregator::resident_bytes`].
 pub struct AdvancedStreamer {
     cells: Vec<u64>,
     d: usize,
@@ -158,47 +141,51 @@ impl AdvancedStreamer {
     pub fn init(d: usize, threads: usize) -> Self {
         AdvancedStreamer { cells: Vec::new(), d, threads, n: 0 }
     }
+}
 
-    /// Stages one chunk of client updates (cells buffered until finalize).
-    pub fn ingest(&mut self, chunk: &[olive_fl::SparseGradient]) {
-        for u in chunk {
-            assert_eq!(u.dense_dim, self.d, "update dimension mismatch");
-            self.n += 1;
-            for (&i, &v) in u.indices.iter().zip(u.values.iter()) {
-                self.cells.push(make_cell(i, v));
-            }
-        }
+/// Stages one chunk's cells behind `cells` (shared by the two staged
+/// kinds, Advanced and DiffOblivious).
+pub(crate) fn stage_cells(cells: &mut Vec<u64>, chunk: &[SparseGradient], d: usize) {
+    for u in chunk {
+        assert_eq!(u.dense_dim, d, "update dimension mismatch");
+        cells.extend(u.indices.iter().zip(u.values.iter()).map(|(&i, &v)| make_cell(i, v)));
+    }
+}
+
+impl Aggregator for AdvancedStreamer {
+    /// Stages the chunk (cells buffered until finalize).
+    fn ingest<TR: ParallelTracer>(&mut self, chunk: &[SparseGradient], _tr: &mut TR) {
+        stage_cells(&mut self.cells, chunk, self.d);
+        self.n += chunk.len();
     }
 
-    /// Runs Algorithm 4 over everything staged and returns the averaged
-    /// dense update.
-    pub fn finalize<TR: Tracer>(self, tr: &mut TR) -> Vec<f32> {
+    /// Runs Algorithm 4 over everything staged.
+    fn finalize<TR: ParallelTracer>(self, tr: &mut TR) -> Vec<f32> {
         assert!(self.n > 0, "no updates to aggregate");
-        aggregate_advanced_with_threads(&self.cells, self.d, self.n, self.threads, tr)
+        let mut gstar = sum_advanced(&self.cells, self.d, self.threads, tr);
+        average_in_place(&mut gstar, self.n, tr);
+        gstar.into_inner()
     }
 
-    /// Clients staged so far.
-    pub fn clients(&self) -> usize {
+    fn clients(&self) -> usize {
         self.n
     }
 
-    /// Persistent enclave bytes: the staged cell buffer (grows with the
-    /// round — the O(nk) this algorithm cannot avoid).
-    pub fn resident_bytes(&self) -> u64 {
+    /// The staged cell buffer (grows with the round — the O(nk) this
+    /// algorithm cannot avoid).
+    fn resident_bytes(&self) -> u64 {
         self.cells.len() as u64 * 8
     }
 
-    /// Transient bytes finalize will allocate: the padded sort vector plus
-    /// the dense output.
-    pub fn finalize_scratch_bytes(&self) -> u64 {
+    /// The padded sort vector plus the dense output.
+    fn finalize_scratch_bytes(&self) -> u64 {
         next_pow2(self.cells.len() + self.d) as u64 * 8 + self.d as u64 * 4
     }
 
-    /// Serializes the streamer for a sealed mid-round checkpoint. The
-    /// staged cells are sealed honestly — the checkpoint is O(nk), the
-    /// same EPC-cliff footprint this algorithm already carries.
-    pub fn save_state(&self) -> Vec<u8> {
-        let mut w = olive_memsim::StateWriter::new();
+    /// The staged cells are sealed honestly — the checkpoint is O(nk),
+    /// the same EPC-cliff footprint this algorithm already carries.
+    fn save_state(&self) -> Vec<u8> {
+        let mut w = StateWriter::new();
         w.put_usize(self.d);
         w.put_usize(self.threads);
         w.put_usize(self.n);
@@ -206,12 +193,10 @@ impl AdvancedStreamer {
         w.into_bytes()
     }
 
-    /// Restores an [`AdvancedStreamer::save_state`] snapshot into a
-    /// freshly initialized streamer of the same configuration.
-    pub fn load_state(&mut self, bytes: &[u8]) -> Result<(), olive_memsim::StateError> {
-        let mut r = olive_memsim::StateReader::new(bytes);
+    fn load_state(&mut self, bytes: &[u8]) -> Result<(), StateError> {
+        let mut r = StateReader::new(bytes);
         if r.get_usize()? != self.d || r.get_usize()? != self.threads {
-            return Err(olive_memsim::StateError::Mismatch);
+            return Err(StateError::Mismatch);
         }
         self.n = r.get_usize()?;
         self.cells = r.get_u64s()?;
@@ -222,10 +207,19 @@ impl AdvancedStreamer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::aggregation::reference_average;
     use crate::aggregation::test_support::*;
-    use crate::cell::concat_cells;
+    use crate::aggregation::{aggregate_with_threads, reference_average, AggregatorKind};
     use olive_memsim::{assert_oblivious, Granularity, NullTracer};
+
+    /// One-shot Advanced at an explicit thread count.
+    fn advanced<TR: ParallelTracer>(
+        updates: &[SparseGradient],
+        d: usize,
+        threads: usize,
+        tr: &mut TR,
+    ) -> Vec<f32> {
+        aggregate_with_threads(AggregatorKind::Advanced, updates, d, threads, tr)
+    }
 
     #[test]
     fn paper_running_example_appendix_e() {
@@ -250,10 +244,9 @@ mod tests {
         // genuinely run the barrier path for this test to mean anything.
         let d = 4000;
         let updates = random_updates(8, 16, d, 77);
-        let cells = concat_cells(&updates);
         let run = |threads: usize| {
             let mut tr = RecordingTracer::new(Granularity::Element);
-            let out = aggregate_advanced_with_threads(&cells, d, 8, threads, &mut tr);
+            let out = advanced(&updates, d, threads, &mut tr);
             (out, tr.digest())
         };
         let (ref_out, ref_digest) = run(1);
@@ -269,19 +262,17 @@ mod tests {
     fn matches_reference_on_random_inputs() {
         for seed in 0..5 {
             let updates = random_updates(6, 8, 40, seed);
-            let cells = concat_cells(&updates);
-            let got = aggregate_advanced(&cells, 40, 6, &mut NullTracer);
+            let got = advanced(&updates, 40, 1, &mut NullTracer);
             assert_close(&got, &reference_average(&updates, 40), 1e-4);
         }
     }
 
     #[test]
     fn all_clients_same_index_collapses_to_one_run() {
-        use olive_fl::SparseGradient;
         let updates: Vec<SparseGradient> = (0..5)
             .map(|i| SparseGradient { dense_dim: 8, indices: vec![3], values: vec![i as f32] })
             .collect();
-        let got = aggregate_advanced(&concat_cells(&updates), 8, 5, &mut NullTracer);
+        let got = advanced(&updates, 8, 1, &mut NullTracer);
         assert!((got[3] - 2.0).abs() < 1e-6); // (0+1+2+3+4)/5
         assert!(got.iter().enumerate().all(|(j, &v)| j == 3 || v == 0.0));
     }
@@ -291,15 +282,15 @@ mod tests {
     #[test]
     fn prop_5_2_fully_oblivious() {
         let inputs = vec![
-            concat_cells(&random_updates(4, 6, 64, 10)),
-            concat_cells(&random_updates(4, 6, 64, 11)),
-            concat_cells(&random_updates(4, 6, 64, 12)),
+            random_updates(4, 6, 64, 10),
+            random_updates(4, 6, 64, 11),
+            random_updates(4, 6, 64, 12),
         ];
-        assert_oblivious(Granularity::Element, &inputs, |cells, tr| {
-            aggregate_advanced(cells, 64, 4, tr);
+        assert_oblivious(Granularity::Element, &inputs, |updates, tr| {
+            advanced(updates, 64, 1, tr);
         });
-        assert_oblivious(Granularity::Cacheline, &inputs, |cells, tr| {
-            aggregate_advanced(cells, 64, 4, tr);
+        assert_oblivious(Granularity::Cacheline, &inputs, |updates, tr| {
+            advanced(updates, 64, 1, tr);
         });
     }
 
@@ -307,16 +298,15 @@ mod tests {
     /// index multiplicities produce identical traces.
     #[test]
     fn fold_hides_index_histogram() {
-        use olive_fl::SparseGradient;
         // Input A: all 8 cells hit index 0. Input B: 8 distinct indices.
         let a = SparseGradient { dense_dim: 16, indices: vec![0; 8], values: vec![1.0; 8] };
         let b = SparseGradient { dense_dim: 16, indices: (0..8).collect(), values: vec![1.0; 8] };
         // (Duplicate indices within one client do not occur in top-k, but
         // the aggregate over clients routinely repeats indices; a single
         // update with repeats models the worst-case skew compactly.)
-        let inputs = vec![concat_cells(&[a]), concat_cells(&[b])];
-        assert_oblivious(Granularity::Element, &inputs, |cells, tr| {
-            aggregate_advanced(cells, 16, 1, tr);
+        let inputs = vec![vec![a], vec![b]];
+        assert_oblivious(Granularity::Element, &inputs, |updates, tr| {
+            advanced(updates, 16, 1, tr);
         });
     }
 
@@ -326,7 +316,7 @@ mod tests {
         let t = |n: usize, k: usize, d: usize| {
             let updates = random_updates(n, k, d, 3);
             let mut tr = RecordingTracer::new(Granularity::Element);
-            aggregate_advanced(&concat_cells(&updates), d, n, &mut tr);
+            advanced(&updates, d, 1, &mut tr);
             tr.stats().total()
         };
         // The sort vector pads to a power of two, so compare across a

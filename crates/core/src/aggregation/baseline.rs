@@ -13,59 +13,22 @@
 //! disjoint), so the scan splits `G*` into contiguous ranges across
 //! `OLIVE_THREADS` workers, each applying every cell to its own range in
 //! cell order. Like the sort kernel, the trace is emitted canonically by
-//! the caller ([`Tracer::touch_rw_stripe`] block events that expand to the
+//! the caller ([`olive_memsim::Tracer::touch_rw_stripe`] block events that expand to the
 //! serial read/write sequence), decoupled from the physical data movement,
 //! so output **and trace** are invariant across thread counts.
 
 use olive_fl::SparseGradient;
-use olive_memsim::{Op, StateError, StateReader, StateWriter, Tracer, TrackedBuf};
+use olive_memsim::{ParallelTracer, StateError, StateReader, StateWriter, TrackedBuf};
 use olive_oblivious::o_select;
 
 use crate::cell::{cell_index, cell_value, concat_cells};
-use crate::parallel::default_threads;
-use crate::regions::{REGION_G, REGION_G_STAR};
+use crate::regions::REGION_G_STAR;
 
-use super::linear::average_in_place;
-
-/// Bytes of one packed `(index, value)` cell in `G`.
-const CELL_BYTES: usize = core::mem::size_of::<u64>();
+use super::linear::{average_in_place, read_next_g_cell};
+use super::streaming::Aggregator;
 
 /// Bytes of one dense weight in `G*`.
 const WEIGHT_BYTES: usize = core::mem::size_of::<f32>();
-
-/// Baseline aggregation over the concatenated cells. `cacheline_weights`
-/// is `c`: 1 = element-level oblivious full scan, 16 = the paper's
-/// cacheline optimization for f32 weights. Uses the process-default
-/// worker-thread count ([`default_threads`]).
-pub fn aggregate_baseline<TR: Tracer>(
-    cells: &[u64],
-    d: usize,
-    n: usize,
-    cacheline_weights: usize,
-    tr: &mut TR,
-) -> Vec<f32> {
-    aggregate_baseline_with_threads(cells, d, n, cacheline_weights, default_threads(), tr)
-}
-
-/// [`aggregate_baseline`] with an explicit worker-thread count. Every
-/// thread count produces the bitwise-identical output (each `G*` slot is
-/// owned by exactly one worker, which applies cells in order) and the
-/// byte-identical trace (emitted canonically before the data movement).
-///
-/// Implemented as the single-chunk case of [`BaselineStreamer`], so the
-/// one-shot and streaming paths cannot drift.
-pub fn aggregate_baseline_with_threads<TR: Tracer>(
-    cells: &[u64],
-    d: usize,
-    n: usize,
-    cacheline_weights: usize,
-    threads: usize,
-    tr: &mut TR,
-) -> Vec<f32> {
-    let mut streamer = BaselineStreamer::init(d, cacheline_weights, threads);
-    streamer.ingest_cells(cells, n, tr);
-    streamer.finalize(tr)
-}
 
 /// Applies every cell's stripe update to the `G*` range
 /// `[base, base + chunk.len())`: for each cell, visit the range's slots
@@ -87,12 +50,18 @@ fn scan_cells(cells: &[u64], d: usize, c: usize, chunk: &mut [f32], base: usize)
     }
 }
 
-/// Streaming form of [`aggregate_baseline_with_threads`]: the padded `G*`
-/// buffer persists across chunks; each chunk's cells are traced (the
-/// canonical per-cell `G` read + stripe sweep, with global `G` offsets
-/// continuing across chunks) and then physically applied with the same
-/// fixed worker split. The unit of work is one cell, so chunk boundaries
-/// change neither the output bits nor the trace.
+/// Algorithm 3 as a streaming fold. `cacheline_weights` is `c`: 1 =
+/// element-level oblivious full scan, 16 = the paper's cacheline
+/// optimization for f32 weights.
+///
+/// The padded `G*` buffer persists across chunks; each chunk's cells are
+/// traced (the canonical per-cell `G` read + stripe sweep, with global
+/// `G` offsets continuing across chunks) and then physically applied with
+/// a fixed worker split. The unit of work is one cell, so chunk
+/// boundaries change neither the output bits nor the trace; and every
+/// thread count produces the bitwise-identical output (each `G*` slot is
+/// owned by exactly one worker, which applies cells in order) and the
+/// byte-identical trace (emitted canonically before the data movement).
 pub struct BaselineStreamer {
     gstar: TrackedBuf<f32>,
     d: usize,
@@ -122,28 +91,23 @@ impl BaselineStreamer {
             n: 0,
         }
     }
+}
 
-    /// Folds one chunk of client updates into the accumulator.
-    pub fn ingest<TR: Tracer>(&mut self, chunk: &[SparseGradient], tr: &mut TR) {
-        for u in chunk {
-            assert_eq!(u.dense_dim, self.d, "update dimension mismatch");
-        }
-        let cells = concat_cells(chunk);
-        self.ingest_cells(&cells, chunk.len(), tr);
-    }
-
-    /// Cell-level fold shared by the trait path and the one-shot API:
-    /// `cells` is `clients` clients' worth of concatenated `G` cells.
+impl Aggregator for BaselineStreamer {
     /// Emits the canonical trace (one `G` read at the *global* running
     /// offset + one full stripe sweep per cell — exactly the serial
     /// access sequence, independent of how the data movement is
     /// scheduled), then applies the cells with the fixed worker split.
-    pub(crate) fn ingest_cells<TR: Tracer>(&mut self, cells: &[u64], clients: usize, tr: &mut TR) {
-        self.n += clients;
+    fn ingest<TR: ParallelTracer>(&mut self, chunk: &[SparseGradient], tr: &mut TR) {
+        for u in chunk {
+            assert_eq!(u.dense_dim, self.d, "update dimension mismatch");
+        }
+        let staged = concat_cells(chunk);
+        let cells = staged.as_slice();
+        self.n += chunk.len();
         let slots = (self.padded / self.c) as u64;
         for &cell in cells {
-            tr.touch(REGION_G, (self.next_cell * CELL_BYTES) as u64, CELL_BYTES as u32, Op::Read);
-            self.next_cell += 1;
+            read_next_g_cell(&mut self.next_cell, tr);
             let idx = cell_index(cell) as usize;
             debug_assert!(idx < self.d, "cell index out of range");
             tr.touch_rw_stripe(
@@ -178,7 +142,7 @@ impl BaselineStreamer {
     }
 
     /// Averages and returns the dense update (truncated back to `d`).
-    pub fn finalize<TR: Tracer>(mut self, tr: &mut TR) -> Vec<f32> {
+    fn finalize<TR: ParallelTracer>(mut self, tr: &mut TR) -> Vec<f32> {
         assert!(self.n > 0, "no updates to aggregate");
         average_in_place(&mut self.gstar, self.n, tr);
         let mut out = self.gstar.into_inner();
@@ -186,18 +150,21 @@ impl BaselineStreamer {
         out
     }
 
-    /// Clients folded in so far.
-    pub fn clients(&self) -> usize {
+    fn clients(&self) -> usize {
         self.n
     }
 
-    /// Persistent enclave bytes: the padded dense accumulator.
-    pub fn resident_bytes(&self) -> u64 {
+    /// The padded dense accumulator.
+    fn resident_bytes(&self) -> u64 {
         self.padded as u64 * WEIGHT_BYTES as u64
     }
 
-    /// Serializes the streamer for a sealed mid-round checkpoint.
-    pub fn save_state(&self) -> Vec<u8> {
+    /// The chunk's staged cell copy built for the stripe scans.
+    fn ingest_scratch_bytes(&self, chunk_clients: usize, k: usize) -> u64 {
+        (chunk_clients * k) as u64 * 8
+    }
+
+    fn save_state(&self) -> Vec<u8> {
         let mut w = StateWriter::new();
         w.put_usize(self.d);
         w.put_usize(self.c);
@@ -208,9 +175,7 @@ impl BaselineStreamer {
         w.into_bytes()
     }
 
-    /// Restores a [`BaselineStreamer::save_state`] snapshot into a
-    /// freshly initialized streamer of the same configuration.
-    pub fn load_state(&mut self, bytes: &[u8]) -> Result<(), StateError> {
+    fn load_state(&mut self, bytes: &[u8]) -> Result<(), StateError> {
         let mut r = StateReader::new(bytes);
         if r.get_usize()? != self.d || r.get_usize()? != self.c || r.get_usize()? != self.threads {
             return Err(StateError::Mismatch);
@@ -229,30 +194,40 @@ impl BaselineStreamer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::aggregation::reference_average;
     use crate::aggregation::test_support::*;
-    use crate::cell::concat_cells;
+    use crate::aggregation::{aggregate_with_threads, reference_average, AggregatorKind};
+    use crate::regions::REGION_G;
     use olive_memsim::{
         assert_not_oblivious, assert_oblivious, Granularity, NullTracer, RecordingTracer,
     };
 
+    /// One-shot Baseline with `c` weights per cacheline.
+    fn baseline<TR: ParallelTracer>(
+        updates: &[SparseGradient],
+        d: usize,
+        c: usize,
+        threads: usize,
+        tr: &mut TR,
+    ) -> Vec<f32> {
+        let kind = AggregatorKind::Baseline { cacheline_weights: c };
+        aggregate_with_threads(kind, updates, d, threads, tr)
+    }
+
     #[test]
     fn correct_for_all_c() {
         let updates = random_updates(4, 6, 50, 11);
-        let cells = concat_cells(&updates);
         let expected = reference_average(&updates, 50);
         for c in [1usize, 4, 16, 64] {
-            let got = aggregate_baseline(&cells, 50, 4, c, &mut NullTracer);
+            let got = baseline(&updates, 50, c, 1, &mut NullTracer);
             assert_close(&got, &expected, 1e-5);
         }
     }
 
     #[test]
     fn handles_duplicate_indices_across_clients() {
-        use olive_fl::SparseGradient;
         let u = |v: f32| SparseGradient { dense_dim: 8, indices: vec![2, 5], values: vec![v, -v] };
         let updates = vec![u(1.0), u(3.0)];
-        let got = aggregate_baseline(&concat_cells(&updates), 8, 2, 16, &mut NullTracer);
+        let got = baseline(&updates, 8, 16, 1, &mut NullTracer);
         assert_eq!(got[2], 2.0);
         assert_eq!(got[5], -2.0);
     }
@@ -262,15 +237,15 @@ mod tests {
     #[test]
     fn prop_5_1_obliviousness() {
         let inputs = vec![
-            concat_cells(&random_updates(3, 5, 128, 1)),
-            concat_cells(&random_updates(3, 5, 128, 2)),
-            concat_cells(&random_updates(3, 5, 128, 3)),
+            random_updates(3, 5, 128, 1),
+            random_updates(3, 5, 128, 2),
+            random_updates(3, 5, 128, 3),
         ];
-        assert_oblivious(Granularity::Cacheline, &inputs, |cells, tr| {
-            aggregate_baseline(cells, 128, 3, 16, tr);
+        assert_oblivious(Granularity::Cacheline, &inputs, |updates, tr| {
+            baseline(updates, 128, 16, 1, tr);
         });
-        assert_oblivious(Granularity::Element, &inputs, |cells, tr| {
-            aggregate_baseline(cells, 128, 3, 1, tr);
+        assert_oblivious(Granularity::Element, &inputs, |updates, tr| {
+            baseline(updates, 128, 1, 1, tr);
         });
     }
 
@@ -279,13 +254,12 @@ mod tests {
     /// the paper states Proposition 5.1 at cacheline granularity.
     #[test]
     fn c16_leaks_at_element_granularity() {
-        use olive_fl::SparseGradient;
         let mk = |idx: u32| {
             vec![SparseGradient { dense_dim: 64, indices: vec![idx], values: vec![1.0] }]
         };
-        let inputs = vec![concat_cells(&mk(0)), concat_cells(&mk(1))];
-        assert_not_oblivious(Granularity::Element, &inputs, |cells, tr| {
-            aggregate_baseline(cells, 64, 1, 16, tr);
+        let inputs = vec![mk(0), mk(1)];
+        assert_not_oblivious(Granularity::Element, &inputs, |updates, tr| {
+            baseline(updates, 64, 16, 1, tr);
         });
     }
 
@@ -294,9 +268,8 @@ mod tests {
         // nk cells × ceil(d/c) stripe slots × (read+write) + nk G-reads +
         // averaging 2·padded.
         let updates = random_updates(2, 3, 64, 5);
-        let cells = concat_cells(&updates);
         let mut tr = RecordingTracer::new(Granularity::Element);
-        aggregate_baseline(&cells, 64, 2, 16, &mut tr);
+        baseline(&updates, 64, 16, 1, &mut tr);
         let nk = 6u64;
         let stripes = 4u64; // 64/16
         let expected = nk + nk * stripes * 2 + 2 * 64;
@@ -306,11 +279,9 @@ mod tests {
     #[test]
     fn non_multiple_d_padding_keeps_stripes_equal() {
         // d = 50, c = 16 → padded 64; all stripes have 4 slots.
-        let updates = random_updates(2, 4, 50, 6);
-        let cells = concat_cells(&updates);
-        let inputs = vec![cells.clone(), concat_cells(&random_updates(2, 4, 50, 7))];
-        assert_oblivious(Granularity::Cacheline, &inputs, |cells, tr| {
-            aggregate_baseline(cells, 50, 2, 16, tr);
+        let inputs = vec![random_updates(2, 4, 50, 6), random_updates(2, 4, 50, 7)];
+        assert_oblivious(Granularity::Cacheline, &inputs, |updates, tr| {
+            baseline(updates, 50, 16, 1, tr);
         });
     }
 
@@ -319,14 +290,13 @@ mod tests {
     #[test]
     fn thread_count_invariant_output_and_trace() {
         let updates = random_updates(3, 7, 100, 21);
-        let cells = concat_cells(&updates);
         for c in [1usize, 16] {
             for granularity in [Granularity::Element, Granularity::Cacheline] {
                 let mut ref_tr = RecordingTracer::new(granularity);
-                let reference = aggregate_baseline_with_threads(&cells, 100, 3, c, 1, &mut ref_tr);
+                let reference = baseline(&updates, 100, c, 1, &mut ref_tr);
                 for threads in [2usize, 8] {
                     let mut tr = RecordingTracer::new(granularity);
-                    let got = aggregate_baseline_with_threads(&cells, 100, 3, c, threads, &mut tr);
+                    let got = baseline(&updates, 100, c, threads, &mut tr);
                     assert_eq!(tr.digest(), ref_tr.digest(), "c={c} threads={threads}");
                     assert_eq!(reference.len(), got.len());
                     for (i, (a, b)) in reference.iter().zip(got.iter()).enumerate() {
@@ -367,7 +337,7 @@ mod tests {
             }
             for threads in [1usize, 4] {
                 let mut tr = RecordingTracer::new(granularity);
-                aggregate_baseline_with_threads(&cells, d, n, c, threads, &mut tr);
+                baseline(&updates, d, c, threads, &mut tr);
                 assert_eq!(tr.digest(), href.digest(), "{granularity:?} threads={threads}");
                 assert_eq!(tr.stats(), href.stats());
             }

@@ -13,16 +13,18 @@
 //! **per index**, so the padding volume scales with `d·(k/ε)·ln(1/δ)`,
 //! which for ML-scale `d` exceeds the nk + d working set of Algorithm 4.
 
-use olive_memsim::{Tracer, TrackedBuf};
+use olive_fl::SparseGradient;
+use olive_memsim::{ParallelTracer, StateError, StateReader, StateWriter, TrackedBuf};
 use olive_oblivious::shuffle::oblivious_shuffle_with_threads;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 use crate::cell::{cell_index, cell_value, make_cell};
-use crate::parallel::default_threads;
 use crate::regions::{REGION_G, REGION_G_STAR};
 
+use super::advanced::stage_cells;
 use super::linear::average_in_place;
+use super::streaming::Aggregator;
 
 /// Laplace sample via inverse CDF.
 fn laplace<R: Rng>(scale: f64, rng: &mut R) -> f64 {
@@ -40,77 +42,24 @@ pub fn dummies_per_index<R: Rng>(k: usize, epsilon: f64, delta: f64, rng: &mut R
     (shift + laplace(scale, rng)).round().max(0.0) as usize
 }
 
-/// DO aggregation: pad, obliviously shuffle, linear-update, average. The
-/// shuffle's sorting network uses the process-default thread count.
-pub fn aggregate_dobliv<TR: Tracer>(
-    cells: &[u64],
-    d: usize,
-    n: usize,
-    epsilon: f64,
-    delta: f64,
-    seed: u64,
-    tr: &mut TR,
-) -> Vec<f32> {
-    aggregate_dobliv_with_threads(cells, d, n, epsilon, delta, seed, default_threads(), tr)
-}
-
-/// [`aggregate_dobliv`] with an explicit worker-thread count for the
-/// shuffle's intra-sort stage parallelism. Output and trace are identical
-/// at every thread count.
-#[allow(clippy::too_many_arguments)]
-pub fn aggregate_dobliv_with_threads<TR: Tracer>(
-    cells: &[u64],
-    d: usize,
-    n: usize,
-    epsilon: f64,
-    delta: f64,
-    seed: u64,
-    threads: usize,
-    tr: &mut TR,
-) -> Vec<f32> {
-    assert!(epsilon > 0.0 && delta > 0.0 && delta < 1.0);
-    let k = cells.len() / n.max(1);
-    let mut rng = SmallRng::seed_from_u64(seed ^ 0xD0B1_1F0D);
-    // Padding: dummy cells are bit-identical in role to real zero-valued
-    // cells, so after the shuffle the adversary cannot attribute any
-    // individual access to a real client.
-    let mut padded = cells.to_vec();
-    for j in 0..d as u32 {
-        let m = dummies_per_index(k, epsilon, delta, &mut rng);
-        padded.extend(std::iter::repeat_n(make_cell(j, 0.0), m));
-    }
-    let shuffled = oblivious_shuffle_with_threads(REGION_G, padded, &mut rng, threads, tr);
-
-    // The now-DP-protected linear pass.
-    let g = TrackedBuf::new(REGION_G, shuffled);
-    let mut gstar = TrackedBuf::<f32>::zeroed(REGION_G_STAR, d);
-    for i in 0..g.len() {
-        let cell = g.read(i, tr);
-        let idx = cell_index(cell) as usize;
-        let cur = gstar.read(idx, tr);
-        gstar.write(idx, cur + cell_value(cell), tr);
-    }
-    average_in_place(&mut gstar, n, tr);
-    gstar.into_inner()
-}
-
 /// Expected padding volume (cells) for given parameters — the cost model
 /// quoted in Section 5.4's "noise is proportional to kd" argument.
 pub fn expected_padding(d: usize, k: usize, epsilon: f64, delta: f64) -> f64 {
     d as f64 * (k as f64 / epsilon) * (1.0 / (2.0 * delta)).ln()
 }
 
-/// Streaming form of [`aggregate_dobliv`].
+/// DO aggregation: pad, obliviously shuffle, linear-update, average —
+/// output and trace identical at every thread count (the shuffle's
+/// sorting network is thread-count-invariant).
 ///
 /// The DO guarantee is over the *round's* access histogram: the padded
 /// dummies and the oblivious shuffle must cover all n clients' cells at
 /// once, or the per-index Laplace shift would be paid once per chunk and
 /// the padding volume would blow up by n/chunk. So, like the Advanced
-/// streamer, chunks are **staged** (untraced linear copy, exactly what
-/// the one-shot path's `concat_cells` does) and the pad/shuffle/scan runs
-/// at finalize — chunk boundaries change neither the output bits nor the
-/// trace, and the O(nk + padding) working set is reported honestly by
-/// [`DoblivStreamer::resident_bytes`].
+/// streamer, chunks are **staged** (an untraced linear copy) and the
+/// pad/shuffle/scan runs at finalize — chunk boundaries change neither
+/// the output bits nor the trace, and the O(nk + padding) working set is
+/// reported honestly by [`Aggregator::resident_bytes`].
 pub struct DoblivStreamer {
     cells: Vec<u64>,
     d: usize,
@@ -128,58 +77,66 @@ impl DoblivStreamer {
         assert!(epsilon > 0.0 && delta > 0.0 && delta < 1.0);
         DoblivStreamer { cells: Vec::new(), d, epsilon, delta, seed, threads, n: 0 }
     }
+}
 
-    /// Stages one chunk of client updates (cells buffered until finalize).
-    pub fn ingest(&mut self, chunk: &[olive_fl::SparseGradient]) {
-        for u in chunk {
-            assert_eq!(u.dense_dim, self.d, "update dimension mismatch");
-            self.n += 1;
-            for (&i, &v) in u.indices.iter().zip(u.values.iter()) {
-                self.cells.push(make_cell(i, v));
-            }
-        }
+impl Aggregator for DoblivStreamer {
+    /// Stages the chunk (cells buffered until finalize).
+    fn ingest<TR: ParallelTracer>(&mut self, chunk: &[SparseGradient], _tr: &mut TR) {
+        stage_cells(&mut self.cells, chunk, self.d);
+        self.n += chunk.len();
     }
 
     /// Pads, shuffles, scans and averages everything staged.
-    pub fn finalize<TR: Tracer>(self, tr: &mut TR) -> Vec<f32> {
+    fn finalize<TR: ParallelTracer>(self, tr: &mut TR) -> Vec<f32> {
         assert!(self.n > 0, "no updates to aggregate");
-        aggregate_dobliv_with_threads(
-            &self.cells,
-            self.d,
-            self.n,
-            self.epsilon,
-            self.delta,
-            self.seed,
-            self.threads,
-            tr,
-        )
+        let k = self.cells.len() / self.n;
+        let mut rng = SmallRng::seed_from_u64(self.seed ^ 0xD0B1_1F0D);
+        // Padding: dummy cells are bit-identical in role to real zero-valued
+        // cells, so after the shuffle the adversary cannot attribute any
+        // individual access to a real client.
+        let mut padded = self.cells;
+        for j in 0..self.d as u32 {
+            let m = dummies_per_index(k, self.epsilon, self.delta, &mut rng);
+            padded.extend(std::iter::repeat_n(make_cell(j, 0.0), m));
+        }
+        let shuffled = oblivious_shuffle_with_threads(REGION_G, padded, &mut rng, self.threads, tr);
+
+        // The now-DP-protected linear pass.
+        let g = TrackedBuf::new(REGION_G, shuffled);
+        let mut gstar = TrackedBuf::<f32>::zeroed(REGION_G_STAR, self.d);
+        for i in 0..g.len() {
+            let cell = g.read(i, tr);
+            let idx = cell_index(cell) as usize;
+            let cur = gstar.read(idx, tr);
+            gstar.write(idx, cur + cell_value(cell), tr);
+        }
+        average_in_place(&mut gstar, self.n, tr);
+        gstar.into_inner()
     }
 
-    /// Clients staged so far.
-    pub fn clients(&self) -> usize {
+    fn clients(&self) -> usize {
         self.n
     }
 
-    /// Persistent enclave bytes: the staged cell buffer.
-    pub fn resident_bytes(&self) -> u64 {
+    /// The staged cell buffer.
+    fn resident_bytes(&self) -> u64 {
         self.cells.len() as u64 * 8
     }
 
-    /// Transient bytes finalize will allocate: the padded + shuffled cell
-    /// vectors (expected volume) plus the dense output.
-    pub fn finalize_scratch_bytes(&self) -> u64 {
+    /// The padded + shuffled cell vectors (expected volume) plus the
+    /// dense output.
+    fn finalize_scratch_bytes(&self) -> u64 {
         let k = self.cells.len() / self.n.max(1);
         let padded =
             self.cells.len() as f64 + expected_padding(self.d, k, self.epsilon, self.delta);
         (padded * 2.0 * 8.0) as u64 + self.d as u64 * 4
     }
 
-    /// Serializes the streamer for a sealed mid-round checkpoint. The
-    /// staged cells are sealed honestly (O(nk), like Advanced); the
-    /// padding/shuffle seed travels with them so finalize draws the
-    /// same dummies after a restore.
-    pub fn save_state(&self) -> Vec<u8> {
-        let mut w = olive_memsim::StateWriter::new();
+    /// The staged cells are sealed honestly (O(nk), like Advanced); the
+    /// padding/shuffle seed travels with them so finalize draws the same
+    /// dummies after a restore.
+    fn save_state(&self) -> Vec<u8> {
+        let mut w = StateWriter::new();
         w.put_usize(self.d);
         w.put_f64(self.epsilon);
         w.put_f64(self.delta);
@@ -190,17 +147,15 @@ impl DoblivStreamer {
         w.into_bytes()
     }
 
-    /// Restores a [`DoblivStreamer::save_state`] snapshot into a freshly
-    /// initialized streamer of the same configuration.
-    pub fn load_state(&mut self, bytes: &[u8]) -> Result<(), olive_memsim::StateError> {
-        let mut r = olive_memsim::StateReader::new(bytes);
+    fn load_state(&mut self, bytes: &[u8]) -> Result<(), StateError> {
+        let mut r = StateReader::new(bytes);
         if r.get_usize()? != self.d
             || r.get_f64()?.to_bits() != self.epsilon.to_bits()
             || r.get_f64()?.to_bits() != self.delta.to_bits()
             || r.get_u64()? != self.seed
             || r.get_usize()? != self.threads
         {
-            return Err(olive_memsim::StateError::Mismatch);
+            return Err(StateError::Mismatch);
         }
         self.n = r.get_usize()?;
         self.cells = r.get_u64s()?;
@@ -211,15 +166,16 @@ impl DoblivStreamer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::aggregation::reference_average;
     use crate::aggregation::test_support::*;
+    use crate::aggregation::{aggregate, reference_average, AggregatorKind};
     use crate::cell::concat_cells;
     use olive_memsim::{Granularity, NullTracer, RecordingTracer};
 
     #[test]
     fn correct_despite_padding() {
         let updates = random_updates(4, 5, 24, 40);
-        let got = aggregate_dobliv(&concat_cells(&updates), 24, 4, 1.0, 1e-3, 7, &mut NullTracer);
+        let kind = AggregatorKind::DiffOblivious { epsilon: 1.0, delta: 1e-3, seed: 7 };
+        let got = aggregate(kind, &updates, 24, &mut NullTracer);
         assert_close(&got, &reference_average(&updates, 24), 1e-4);
     }
 
@@ -253,7 +209,8 @@ mod tests {
             true_hist[cell_index(c) as usize] += 1;
         }
         let mut tr = RecordingTracer::with_events(Granularity::Element);
-        aggregate_dobliv(&cells, 16, 3, 1.0, 1e-3, 3, &mut tr);
+        let kind = AggregatorKind::DiffOblivious { epsilon: 1.0, delta: 1e-3, seed: 3 };
+        aggregate(kind, &updates, 16, &mut tr);
         // Count observed G* reads per offset during accumulation (exclude
         // the trailing averaging pass of exactly d reads + d writes).
         let events = tr.events().unwrap();

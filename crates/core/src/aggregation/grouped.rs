@@ -35,17 +35,17 @@
 //!   the serial set of (region, offset, op) events.
 //!
 //! The default thread count comes from `OLIVE_THREADS` /
-//! `available_parallelism().min(8)` (see [`crate::parallel`]).
+//! `available_parallelism().min(8)` (see [`olive_memsim::threads`]).
 
 use olive_fl::SparseGradient;
 use olive_memsim::{ParallelTracer, StateError, StateReader, StateWriter, Tracer, TrackedBuf};
 
 use crate::cell::concat_cells;
-use crate::parallel::default_threads;
 use crate::regions::REGION_G_STAR;
 
 use super::advanced::sum_advanced;
 use super::linear::average_in_place;
+use super::streaming::Aggregator;
 
 /// Oblivious carry: the fixed linear read-add-write sweep that folds one
 /// group's partial sums into the running total (Section 5.3 step 3).
@@ -57,40 +57,8 @@ fn carry_into<TR: Tracer>(partial: &TrackedBuf<f32>, total: &mut TrackedBuf<f32>
     }
 }
 
-/// Grouped-Advanced aggregation with `h` clients per group, using the
-/// process-default thread count ([`default_threads`]).
-pub fn aggregate_grouped<TR: ParallelTracer>(
-    updates: &[SparseGradient],
-    d: usize,
-    h: usize,
-    tr: &mut TR,
-) -> Vec<f32> {
-    aggregate_grouped_with_threads(updates, d, h, default_threads(), tr)
-}
-
-/// Grouped-Advanced aggregation with an explicit worker-thread count.
-///
-/// `threads = 1` (or a single group) runs the serial path and reproduces
-/// the exact pre-parallel trace. Any `threads >= 2` runs groups on scoped
-/// worker threads; the output is bitwise identical to serial for every
-/// thread count, and the merged trace is deterministic for a fixed
-/// `(shape, threads)` pair.
-pub fn aggregate_grouped_with_threads<TR: ParallelTracer>(
-    updates: &[SparseGradient],
-    d: usize,
-    h: usize,
-    threads: usize,
-    tr: &mut TR,
-) -> Vec<f32> {
-    let mut streamer = GroupedStreamer::init(d, h, threads);
-    streamer.ingest(updates, tr);
-    streamer.finalize(tr)
-}
-
 /// Runs one wave of up to `threads` groups on scoped worker threads,
-/// joining traces and folding partials strictly in group order (the
-/// parallel schedule of the one-shot path, shared verbatim by the
-/// streamer).
+/// joining traces and folding partials strictly in group order.
 fn run_wave<TR: ParallelTracer>(
     wave: &[SparseGradient],
     d: usize,
@@ -127,17 +95,22 @@ fn run_wave<TR: ParallelTracer>(
     }
 }
 
-/// Streaming form of the grouped aggregation — the bounded-EPC workhorse
-/// of the chunked round pipeline.
+/// The grouped aggregation with `h` clients per group — the bounded-EPC
+/// workhorse of the chunked round pipeline.
+///
+/// `threads = 1` (or a single group) runs the serial schedule and
+/// reproduces the exact pre-parallel trace. Any `threads >= 2` runs groups
+/// on scoped worker threads; the output is bitwise identical to serial for
+/// every thread count, and the merged trace is deterministic for a fixed
+/// `(shape, threads)` pair.
 ///
 /// The running total persists in the enclave; incoming clients buffer
 /// until a full **processing unit** is available — one group of `h`
 /// clients under a serial budget, one wave of `h·threads` clients under a
-/// parallel budget — which then runs through exactly the same code as the
-/// one-shot path ([`run_wave`] / the serial group loop). Because the
-/// processing schedule is a function of the *arrival count* only, chunk
-/// boundaries change neither the output bits nor the trace: streaming at
-/// any chunk size reproduces [`aggregate_grouped_with_threads`]
+/// parallel budget — which then runs (`run_wave` / the serial group
+/// loop). Because the processing schedule is a function of the *arrival
+/// count* only, chunk boundaries change neither the output bits nor the
+/// trace: streaming at any chunk size reproduces the single-chunk run
 /// byte-for-byte. Peak memory is O(h·threads·k) buffered cells +
 /// O(threads·(hk + d)) sort scratch + O(d) for the total — independent of
 /// the round size n.
@@ -167,10 +140,12 @@ impl GroupedStreamer {
             n: 0,
         }
     }
+}
 
+impl Aggregator for GroupedStreamer {
     /// Buffers one chunk of client updates, draining every complete
     /// processing unit (group or wave) as it fills.
-    pub fn ingest<TR: ParallelTracer>(&mut self, chunk: &[SparseGradient], tr: &mut TR) {
+    fn ingest<TR: ParallelTracer>(&mut self, chunk: &[SparseGradient], tr: &mut TR) {
         for u in chunk {
             assert_eq!(u.dense_dim, self.d, "update dimension mismatch");
         }
@@ -191,8 +166,8 @@ impl GroupedStreamer {
             // Waves of `threads` consecutive groups: bounds partial-buffer
             // memory at O(threads·d) and keeps the carry order serial. A
             // partial trailing unit stays pending — only at finalize is
-            // the total count known, and the one-shot path's schedule
-            // (serial if n <= h, a short wave otherwise) depends on it.
+            // the total count known, and the final schedule (serial if
+            // n <= h, a short wave otherwise) depends on it.
             let wave_len = self.h * self.threads;
             while self.pending.len() >= wave_len {
                 let wave: Vec<SparseGradient> = self.pending.drain(..wave_len).collect();
@@ -203,11 +178,11 @@ impl GroupedStreamer {
 
     /// Drains the final partial unit, averages, and returns the dense
     /// update.
-    pub fn finalize<TR: ParallelTracer>(mut self, tr: &mut TR) -> Vec<f32> {
+    fn finalize<TR: ParallelTracer>(mut self, tr: &mut TR) -> Vec<f32> {
         assert!(self.n > 0, "no updates to aggregate");
         if !self.pending.is_empty() {
             if self.threads == 1 || self.n <= self.h {
-                // The one-shot serial schedule: every group gets the whole
+                // The serial schedule: every group gets the whole
                 // intra-sort thread budget (what makes a single huge group
                 // n <= h scale).
                 let pending = std::mem::take(&mut self.pending);
@@ -226,29 +201,27 @@ impl GroupedStreamer {
         self.total.into_inner()
     }
 
-    /// Clients accepted so far.
-    pub fn clients(&self) -> usize {
+    fn clients(&self) -> usize {
         self.n
     }
 
-    /// Persistent enclave bytes: the running total plus buffered cells.
-    pub fn resident_bytes(&self) -> u64 {
+    /// The running total plus buffered cells.
+    fn resident_bytes(&self) -> u64 {
         let pending_cells: usize = self.pending.iter().map(|u| u.k()).sum();
         self.d as u64 * 4 + pending_cells as u64 * 8
     }
 
-    /// Transient bytes one drained wave allocates: per in-flight group,
-    /// the padded sort vector plus its dense partial.
-    pub fn wave_scratch_bytes(&self, k: usize) -> u64 {
+    /// What one drained wave allocates: per in-flight group, the padded
+    /// sort vector plus its dense partial.
+    fn ingest_scratch_bytes(&self, _chunk_clients: usize, k: usize) -> u64 {
         let group_cells = olive_oblivious::sort::next_pow2(self.h * k + self.d) as u64;
         let in_flight = if self.threads == 1 { 1 } else { self.threads } as u64;
         in_flight * (group_cells * 8 + self.d as u64 * 4)
     }
 
-    /// Serializes the streamer for a sealed mid-round checkpoint: the
-    /// running total's bits plus the buffered partial unit (pending
+    /// The running total's bits plus the buffered partial unit (pending
     /// updates that have not yet filled a group/wave).
-    pub fn save_state(&self) -> Vec<u8> {
+    fn save_state(&self) -> Vec<u8> {
         let mut w = StateWriter::new();
         w.put_usize(self.d);
         w.put_usize(self.h);
@@ -262,9 +235,7 @@ impl GroupedStreamer {
         w.into_bytes()
     }
 
-    /// Restores a [`GroupedStreamer::save_state`] snapshot into a freshly
-    /// initialized streamer of the same configuration.
-    pub fn load_state(&mut self, bytes: &[u8]) -> Result<(), StateError> {
+    fn load_state(&mut self, bytes: &[u8]) -> Result<(), StateError> {
         let mut r = StateReader::new(bytes);
         if r.get_usize()? != self.d || r.get_usize()? != self.h || r.get_usize()? != self.threads {
             return Err(StateError::Mismatch);
@@ -291,16 +262,28 @@ impl GroupedStreamer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::aggregation::reference_average;
     use crate::aggregation::test_support::*;
+    use crate::aggregation::{aggregate_with_threads, reference_average, AggregatorKind};
+    use olive_memsim::default_threads;
     use olive_memsim::{assert_oblivious, Granularity, NullTracer, RecordingTracer};
+
+    /// One-shot Grouped with `h` clients per group.
+    fn grouped<TR: ParallelTracer>(
+        updates: &[SparseGradient],
+        d: usize,
+        h: usize,
+        threads: usize,
+        tr: &mut TR,
+    ) -> Vec<f32> {
+        aggregate_with_threads(AggregatorKind::Grouped { h }, updates, d, threads, tr)
+    }
 
     #[test]
     fn matches_reference_for_all_h() {
         let updates = random_updates(10, 5, 48, 20);
         let expected = reference_average(&updates, 48);
         for h in [1usize, 2, 3, 5, 10, 99] {
-            let got = aggregate_grouped(&updates, 48, h, &mut NullTracer);
+            let got = grouped(&updates, 48, h, default_threads(), &mut NullTracer);
             assert_close(&got, &expected, 1e-4);
         }
     }
@@ -309,7 +292,7 @@ mod tests {
     fn uneven_last_group_handled() {
         // 10 clients, h = 4 → groups of 4, 4, 2.
         let updates = random_updates(10, 3, 32, 21);
-        let got = aggregate_grouped(&updates, 32, 4, &mut NullTracer);
+        let got = grouped(&updates, 32, 4, default_threads(), &mut NullTracer);
         assert_close(&got, &reference_average(&updates, 32), 1e-4);
     }
 
@@ -322,7 +305,7 @@ mod tests {
         ];
         for threads in [1usize, 2, 4] {
             assert_oblivious(Granularity::Element, &inputs, |updates, tr| {
-                aggregate_grouped_with_threads(updates, 32, 2, threads, tr);
+                grouped(updates, 32, 2, threads, tr);
             });
         }
     }
@@ -332,9 +315,9 @@ mod tests {
         // The fixed left-fold carry must make f32 rounding independent of
         // the worker count — bit-exact, not approximately equal.
         let updates = random_updates(11, 6, 64, 9);
-        let serial = aggregate_grouped_with_threads(&updates, 64, 3, 1, &mut NullTracer);
+        let serial = grouped(&updates, 64, 3, 1, &mut NullTracer);
         for threads in [2usize, 3, 8] {
-            let par = aggregate_grouped_with_threads(&updates, 64, 3, threads, &mut NullTracer);
+            let par = grouped(&updates, 64, 3, threads, &mut NullTracer);
             let same = serial.iter().zip(par.iter()).all(|(a, b)| a.to_bits() == b.to_bits());
             assert!(same, "threads={threads} changed the f32 bits");
         }
@@ -345,7 +328,7 @@ mod tests {
         let updates = random_updates(9, 4, 40, 17);
         let events = |threads: usize| {
             let mut tr = RecordingTracer::with_events(Granularity::Element);
-            aggregate_grouped_with_threads(&updates, 40, 2, threads, &mut tr);
+            grouped(&updates, 40, 2, threads, &mut tr);
             let mut ev: Vec<_> = tr
                 .events()
                 .unwrap()
@@ -368,7 +351,7 @@ mod tests {
         let updates = random_updates(8, 4, 32, 23);
         let digest = || {
             let mut tr = RecordingTracer::new(Granularity::Element);
-            aggregate_grouped_with_threads(&updates, 32, 2, 4, &mut tr);
+            grouped(&updates, 32, 2, 4, &mut tr);
             tr.digest()
         };
         assert_eq!(digest(), digest());
@@ -383,7 +366,7 @@ mod tests {
         let updates = random_updates(8, 4, 256, 5);
         let trace_len = |h: usize| {
             let mut tr = RecordingTracer::new(Granularity::Element);
-            aggregate_grouped(&updates, 256, h, &mut tr);
+            grouped(&updates, 256, h, default_threads(), &mut tr);
             tr.stats().total()
         };
         assert!(trace_len(8) < trace_len(1));

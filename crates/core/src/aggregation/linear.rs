@@ -8,10 +8,11 @@
 //! implemented here; the sparse variant is the attack surface.
 
 use olive_fl::SparseGradient;
-use olive_memsim::{Op, StateError, StateReader, StateWriter, Tracer, TrackedBuf};
+use olive_memsim::{Op, ParallelTracer, StateError, StateReader, StateWriter, Tracer, TrackedBuf};
 
-use crate::cell::{cell_index, cell_value};
 use crate::regions::{REGION_G, REGION_G_STAR};
+
+use super::streaming::Aggregator;
 
 /// Averages (and optionally later perturbs) `G*` by a linear pass —
 /// Algorithm 5 lines 7–9, fully oblivious.
@@ -21,6 +22,16 @@ pub(crate) fn average_in_place<TR: Tracer>(gstar: &mut TrackedBuf<f32>, n: usize
         let v = gstar.read(i, tr);
         gstar.write(i, v * inv, tr);
     }
+}
+
+/// The traced read of the next cell of the round's logical `G` buffer —
+/// `next_cell` is the global running position, continuing across chunks —
+/// shared by the per-cell streamers (Linear, Baseline, PathORAM).
+pub(crate) fn read_next_g_cell<TR: Tracer>(next_cell: &mut usize, tr: &mut TR) {
+    /// Bytes of one packed `(index, value)` cell in `G`.
+    const CELL_BYTES: usize = core::mem::size_of::<u64>();
+    tr.touch(REGION_G, (*next_cell * CELL_BYTES) as u64, CELL_BYTES as u32, Op::Read);
+    *next_cell += 1;
 }
 
 /// Dense-gradient aggregation: each client sends all `d` values in index
@@ -45,28 +56,14 @@ pub fn aggregate_dense_linear<TR: Tracer>(
     gstar.into_inner()
 }
 
-/// Sparse-gradient aggregation — **the leaky path**. The `G*` accesses
+/// Sparse-gradient aggregation — **the leaky path**: the `G*` accesses
 /// reveal every transmitted index to the trace.
 ///
-/// Implemented as the single-chunk case of [`LinearStreamer`], so the
-/// one-shot and streaming paths cannot drift.
-pub fn aggregate_sparse_linear<TR: Tracer>(
-    cells: &[u64],
-    d: usize,
-    n: usize,
-    tr: &mut TR,
-) -> Vec<f32> {
-    let mut streamer = LinearStreamer::init(d);
-    streamer.ingest_cells(cells, n, tr);
-    streamer.finalize(tr)
-}
-
-/// Streaming form of [`aggregate_sparse_linear`]: the dense accumulator
-/// `G*` persists across chunks and each incoming cell is applied exactly
-/// as the one-shot loop applies it, with the `G` offsets continuing from
-/// the previous chunk. Because the unit of work is a single cell, chunk
-/// boundaries change neither the output bits nor the trace — the one-shot
-/// path *is* the single-chunk special case.
+/// The dense accumulator `G*` persists across chunks and each incoming
+/// cell is applied with the `G` offsets continuing from the previous
+/// chunk. Because the unit of work is a single cell, chunk boundaries
+/// change neither the output bits nor the trace — the one-shot
+/// [`aggregate`](super::aggregate) *is* the single-chunk special case.
 pub struct LinearStreamer {
     gstar: TrackedBuf<f32>,
     /// Global position in the round's logical `G` buffer (cells).
@@ -76,68 +73,45 @@ pub struct LinearStreamer {
 }
 
 impl LinearStreamer {
-    /// Bytes of one packed `(index, value)` cell in `G`.
-    const CELL_BYTES: usize = core::mem::size_of::<u64>();
-
     /// Fresh streamer over dimension `d`.
     pub fn init(d: usize) -> Self {
         LinearStreamer { gstar: TrackedBuf::zeroed(REGION_G_STAR, d), next_cell: 0, n: 0, d }
     }
+}
 
-    /// Folds one chunk of client updates into the accumulator.
-    pub fn ingest<TR: Tracer>(&mut self, chunk: &[SparseGradient], tr: &mut TR) {
+impl Aggregator for LinearStreamer {
+    /// One cell at a time: a traced `G` read at the global running
+    /// offset, then the secret-indexed `G*` read-modify-write (the
+    /// Proposition 3.2 leak).
+    fn ingest<TR: ParallelTracer>(&mut self, chunk: &[SparseGradient], tr: &mut TR) {
         for u in chunk {
             assert_eq!(u.dense_dim, self.d, "update dimension mismatch");
             self.n += 1;
             for (&i, &v) in u.indices.iter().zip(u.values.iter()) {
-                self.fold_cell(i as usize, v, tr);
+                read_next_g_cell(&mut self.next_cell, tr);
+                let cur = self.gstar.read(i as usize, tr);
+                self.gstar.write(i as usize, cur + v, tr);
             }
         }
     }
 
-    /// Cell-level fold shared by the trait path and the one-shot API:
-    /// `cells` is `clients` clients' worth of concatenated `G` cells.
-    pub(crate) fn ingest_cells<TR: Tracer>(&mut self, cells: &[u64], clients: usize, tr: &mut TR) {
-        self.n += clients;
-        for &cell in cells {
-            self.fold_cell(cell_index(cell) as usize, cell_value(cell), tr);
-        }
-    }
-
-    /// One cell: a traced `G` read at the global running offset, then the
-    /// secret-indexed `G*` read-modify-write (the Proposition 3.2 leak).
-    fn fold_cell<TR: Tracer>(&mut self, idx: usize, val: f32, tr: &mut TR) {
-        tr.touch(
-            REGION_G,
-            (self.next_cell * Self::CELL_BYTES) as u64,
-            Self::CELL_BYTES as u32,
-            Op::Read,
-        );
-        self.next_cell += 1;
-        let cur = self.gstar.read(idx, tr);
-        self.gstar.write(idx, cur + val, tr);
-    }
-
-    /// Averages and returns the dense update.
-    pub fn finalize<TR: Tracer>(mut self, tr: &mut TR) -> Vec<f32> {
+    fn finalize<TR: ParallelTracer>(mut self, tr: &mut TR) -> Vec<f32> {
         assert!(self.n > 0, "no updates to aggregate");
         average_in_place(&mut self.gstar, self.n, tr);
         self.gstar.into_inner()
     }
 
-    /// Clients folded in so far.
-    pub fn clients(&self) -> usize {
+    fn clients(&self) -> usize {
         self.n
     }
 
-    /// Persistent enclave bytes: the dense accumulator.
-    pub fn resident_bytes(&self) -> u64 {
+    /// The dense accumulator.
+    fn resident_bytes(&self) -> u64 {
         self.d as u64 * 4
     }
 
-    /// Serializes the streamer for a sealed mid-round checkpoint: the
-    /// accumulator bits, the global `G` offset, and the client count.
-    pub fn save_state(&self) -> Vec<u8> {
+    /// The accumulator bits, the global `G` offset, and the client count.
+    fn save_state(&self) -> Vec<u8> {
         let mut w = StateWriter::new();
         w.put_usize(self.d);
         w.put_usize(self.next_cell);
@@ -146,9 +120,7 @@ impl LinearStreamer {
         w.into_bytes()
     }
 
-    /// Restores a [`LinearStreamer::save_state`] snapshot into a freshly
-    /// initialized streamer of the same dimension.
-    pub fn load_state(&mut self, bytes: &[u8]) -> Result<(), StateError> {
+    fn load_state(&mut self, bytes: &[u8]) -> Result<(), StateError> {
         let mut r = StateReader::new(bytes);
         if r.get_usize()? != self.d {
             return Err(StateError::Mismatch);
@@ -167,10 +139,11 @@ impl LinearStreamer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::aggregation::reference_average;
     use crate::aggregation::test_support::*;
-    use crate::cell::concat_cells;
+    use crate::aggregation::{aggregate, reference_average, AggregatorKind};
     use olive_memsim::{assert_not_oblivious, assert_oblivious, Granularity, NullTracer};
+
+    const LINEAR: AggregatorKind = AggregatorKind::NonOblivious;
 
     #[test]
     fn dense_linear_correct() {
@@ -183,8 +156,7 @@ mod tests {
     #[test]
     fn sparse_linear_correct() {
         let updates = random_updates(5, 4, 32, 3);
-        let cells = concat_cells(&updates);
-        let got = aggregate_sparse_linear(&cells, 32, 5, &mut NullTracer);
+        let got = aggregate(LINEAR, &updates, 32, &mut NullTracer);
         assert_close(&got, &reference_average(&updates, 32), 1e-5);
     }
 
@@ -212,12 +184,12 @@ mod tests {
     fn prop_3_2_sparse_is_not_oblivious() {
         let a = random_updates(3, 5, 256, 1);
         let b = random_updates(3, 5, 256, 2);
-        let inputs = vec![concat_cells(&a), concat_cells(&b)];
-        assert_not_oblivious(Granularity::Element, &inputs, |cells, tr| {
-            aggregate_sparse_linear(cells, 256, 3, tr);
+        let inputs = vec![a, b];
+        assert_not_oblivious(Granularity::Element, &inputs, |updates, tr| {
+            aggregate(LINEAR, updates, 256, tr);
         });
-        assert_not_oblivious(Granularity::Cacheline, &inputs, |cells, tr| {
-            aggregate_sparse_linear(cells, 256, 3, tr);
+        assert_not_oblivious(Granularity::Cacheline, &inputs, |updates, tr| {
+            aggregate(LINEAR, updates, 256, tr);
         });
     }
 
@@ -227,9 +199,8 @@ mod tests {
     fn sparse_linear_leaks_exact_indices() {
         use olive_memsim::RecordingTracer;
         let updates = random_updates(2, 6, 64, 7);
-        let cells = concat_cells(&updates);
         let mut tr = RecordingTracer::with_events(Granularity::Element);
-        aggregate_sparse_linear(&cells, 64, 2, &mut tr);
+        aggregate(LINEAR, &updates, 64, &mut tr);
         let touched = tr.touched_offsets(crate::regions::REGION_G_STAR);
         let touched_idx: std::collections::BTreeSet<u32> =
             touched.iter().map(|&b| (b / 4) as u32).collect();

@@ -1,11 +1,13 @@
 //! Server-side aggregation algorithms over sparsified gradients.
 //!
-//! Every function here consumes the concatenated cell buffer `G` (nk cells
-//! of `(index, value)`) plus the dense dimension `d` and the participant
-//! count `n`, and returns the **averaged** dense update
-//! `Δ̃ = (1/n) Σᵢ Δᵢ` (Algorithm 1 line 12). All adversary-visible state
-//! lives in [`TrackedBuf`]s so the supplied [`Tracer`] observes the exact
-//! access sequence the paper's threat model grants the server.
+//! Every algorithm here folds the clients' sparse updates (logically the
+//! concatenated cell buffer `G`: nk cells of `(index, value)`) over the
+//! dense dimension `d` and returns the **averaged** dense update
+//! `Δ̃ = (1/n) Σᵢ Δᵢ` (Algorithm 1 line 12). Each exists once, as an
+//! [`Aggregator`] streamer; [`aggregate_with_threads`] runs any of them
+//! one-shot. All adversary-visible state lives in [`TrackedBuf`]s so the
+//! supplied [`Tracer`] observes the exact access sequence the paper's
+//! threat model grants the server.
 //!
 //! [`TrackedBuf`]: olive_memsim::TrackedBuf
 //! [`Tracer`]: olive_memsim::Tracer
@@ -20,12 +22,10 @@ pub mod sharded;
 pub mod streaming;
 
 use olive_fl::SparseGradient;
-use olive_memsim::ParallelTracer;
+use olive_memsim::{default_threads, ParallelTracer};
 use olive_oram::PosMapKind;
 
-use crate::parallel::default_threads;
-
-pub use sharded::{ShardError, ShardFailure, ShardRuntime, ShardedAggregator, SHARD_CODE_IDENTITY};
+pub use sharded::{ShardError, ShardFailure, ShardRuntime, SHARD_CODE_IDENTITY};
 pub use streaming::{Aggregator, StreamingAggregator};
 
 /// Which aggregation algorithm the enclave runs (Section 5's lineup).
@@ -89,12 +89,10 @@ pub fn aggregate<TR: ParallelTracer>(
 /// sort-kernel trace is thread-count-invariant by construction, so for
 /// Advanced/DiffOblivious every thread count does).
 ///
-/// Since the streaming refactor this is a thin wrapper over the
-/// [`Aggregator`] trait — one `ingest` of the whole round followed by
-/// `finalize`. The streaming contract (chunk boundaries are invisible to
-/// output and trace) makes this *definitionally* equal to any chunked
-/// schedule, so figure binaries and tests built on the one-shot API keep
-/// their historical behaviour bit-for-bit.
+/// This is the one one-shot entry point: one `ingest` of the whole round
+/// followed by `finalize` on the kind's streamer. The streaming contract
+/// (chunk boundaries are invisible to output and trace) makes it
+/// *definitionally* equal to any chunked schedule.
 pub fn aggregate_with_threads<TR: ParallelTracer>(
     kind: AggregatorKind,
     updates: &[SparseGradient],
@@ -126,13 +124,48 @@ pub fn reference_average(updates: &[SparseGradient], d: usize) -> Vec<f32> {
 
 #[cfg(test)]
 pub(crate) mod test_support {
+    use super::{AggregatorKind, ShardRuntime};
     use olive_fl::SparseGradient;
+    use olive_tee::{AttestationService, Enclave, EnclaveConfig};
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
 
+    /// One of every aggregator kind (both Baseline granularities, two
+    /// group sizes).
+    pub(crate) fn all_kinds() -> Vec<AggregatorKind> {
+        vec![
+            AggregatorKind::NonOblivious,
+            AggregatorKind::Baseline { cacheline_weights: 16 },
+            AggregatorKind::Baseline { cacheline_weights: 1 },
+            AggregatorKind::Advanced,
+            AggregatorKind::Grouped { h: 2 },
+            AggregatorKind::Grouped { h: 5 },
+            AggregatorKind::PathOram { posmap: olive_oram::PosMapKind::LinearScan },
+            AggregatorKind::DiffOblivious { epsilon: 1.0, delta: 1e-3, seed: 5 },
+        ]
+    }
+
+    /// A provisioned `shards`-way shard plane over dimension `d`, around
+    /// a throwaway attested coordinator.
+    pub(crate) fn shard_runtime(d: usize, shards: usize, seed: u8) -> ShardRuntime {
+        let service = AttestationService::new([seed; 32]);
+        let mut coordinator = Enclave::launch(&EnclaveConfig::default(), [seed ^ 1; 32]);
+        coordinator.attest(&service, b"sharded-test");
+        ShardRuntime::provision(
+            &service,
+            &mut coordinator,
+            b"sharded-test",
+            [seed ^ 2; 32],
+            96 << 20,
+            d,
+            shards,
+        )
+        .expect("provisioning succeeds in the simulation")
+    }
+
     /// Random sparse updates: n clients, k of d coordinates each,
     /// duplicate indices across clients guaranteed possible.
-    pub fn random_updates(n: usize, k: usize, d: usize, seed: u64) -> Vec<SparseGradient> {
+    pub(crate) fn random_updates(n: usize, k: usize, d: usize, seed: u64) -> Vec<SparseGradient> {
         let mut rng = SmallRng::seed_from_u64(seed);
         (0..n)
             .map(|_| {
@@ -149,7 +182,7 @@ pub(crate) mod test_support {
             .collect()
     }
 
-    pub fn assert_close(a: &[f32], b: &[f32], tol: f32) {
+    pub(crate) fn assert_close(a: &[f32], b: &[f32], tol: f32) {
         assert_eq!(a.len(), b.len());
         for (i, (x, y)) in a.iter().zip(b.iter()).enumerate() {
             assert!((x - y).abs() <= tol, "coordinate {i}: {x} vs {y}");

@@ -8,75 +8,18 @@
 //! SGX model) position-map work, the constant factor that Figure 9 shows
 //! dwarfing the task-specific Advanced algorithm.
 
-use olive_memsim::{Tracer, TrackedBuf};
+use olive_fl::SparseGradient;
+use olive_memsim::{ParallelTracer, StateError, StateReader, StateWriter, TrackedBuf};
 use olive_oram::{PathOram, PathOramConfig, PosMapKind};
 
-use crate::cell::{cell_index, cell_value};
-use crate::regions::{REGION_G, REGION_G_STAR, REGION_ORAM_BASE};
+use crate::regions::{REGION_G_STAR, REGION_ORAM_BASE};
 
-use super::linear::average_in_place;
+use super::linear::{average_in_place, read_next_g_cell};
+use super::streaming::Aggregator;
 
-/// Builds the `d`-slot aggregation ORAM with the paper's Section 5.5
-/// configuration (Z = 4, stash limit 20). Exposed so benchmarks can
-/// amortize the O(d) setup out of their timed loops.
-pub fn build_aggregation_oram(d: usize, posmap: PosMapKind) -> PathOram<u64> {
-    PathOram::<u64>::new(
-        PathOramConfig {
-            capacity: d,
-            stash_limit: 20, // the paper's Section 5.5 configuration
-            posmap,
-            region_base: REGION_ORAM_BASE,
-        },
-        0xA11CE,
-    )
-}
-
-/// Aggregates via a PathORAM over the `d` aggregate slots.
-pub fn aggregate_oram<TR: Tracer>(
-    cells: &[u64],
-    d: usize,
-    n: usize,
-    posmap: PosMapKind,
-    tr: &mut TR,
-) -> Vec<f32> {
-    let mut oram = build_aggregation_oram(d, posmap);
-    aggregate_oram_into(&mut oram, cells, d, n, tr)
-}
-
-/// The accumulation + read-back phases of [`aggregate_oram`] against a
-/// caller-supplied (already constructed) ORAM. Slots are reset to zero as
-/// they are read back, so repeated calls against one ORAM each compute a
-/// fresh aggregate — exactly what a long-lived deployment (or a bench
-/// loop with setup amortized out) does.
-pub fn aggregate_oram_into<TR: Tracer>(
-    oram: &mut PathOram<u64>,
-    cells: &[u64],
-    d: usize,
-    n: usize,
-    tr: &mut TR,
-) -> Vec<f32> {
-    assert!(oram.capacity() >= d, "ORAM holds {} slots, need {d}", oram.capacity());
-    let g = TrackedBuf::new(REGION_G, cells.to_vec());
-    for i in 0..g.len() {
-        let cell = g.read(i, tr);
-        let idx = cell_index(cell);
-        let val = cell_value(cell);
-        // Oblivious fetch-add: values are stored as f32 bits in the u64.
-        oram.update(idx, move |old| (f32::from_bits(old as u32) + val).to_bits() as u64, tr);
-    }
-    let mut gstar = TrackedBuf::<f32>::zeroed(REGION_G_STAR, d);
-    for j in 0..d {
-        // Fused read-and-clear: one path walk returns the sum and zeroes
-        // the slot, keeping the ORAM reusable for the next round.
-        let bits = oram.take(j as u32, tr);
-        gstar.write(j, f32::from_bits(bits as u32), tr);
-    }
-    average_in_place(&mut gstar, n, tr);
-    gstar.into_inner()
-}
-
-/// Streaming form of [`aggregate_oram`]: the `d`-slot ORAM persists
-/// across chunks and each incoming cell is applied as one oblivious
+/// The ORAM comparator as a streamer: the `d`-slot ORAM (the paper's
+/// Section 5.5 configuration: Z = 4, stash limit 20) persists across
+/// chunks and each incoming cell is applied as one oblivious
 /// read-modify-write, with the `G` offsets continuing from the previous
 /// chunk. The unit of work is a single cell and the ORAM's path
 /// randomness is a function of the access *sequence* (fixed construction
@@ -93,45 +36,25 @@ pub struct OramStreamer {
 }
 
 impl OramStreamer {
-    /// Bytes of one packed `(index, value)` cell in `G`.
-    const CELL_BYTES: usize = core::mem::size_of::<u64>();
-
-    /// Fresh streamer over dimension `d`.
+    /// Fresh streamer over dimension `d` (builds the ORAM: O(d) setup).
     pub fn init(d: usize, posmap: PosMapKind) -> Self {
-        OramStreamer { oram: Box::new(build_aggregation_oram(d, posmap)), next_cell: 0, n: 0, d }
+        let config = PathOramConfig {
+            capacity: d,
+            stash_limit: 20, // the paper's Section 5.5 configuration
+            posmap,
+            region_base: REGION_ORAM_BASE,
+        };
+        let oram = Box::new(PathOram::<u64>::new(config, 0xA11CE));
+        OramStreamer { oram, next_cell: 0, n: 0, d }
     }
 
-    /// Folds one chunk of client updates into the ORAM slots.
-    ///
-    /// Contract: every cell index must lie in `0..d` (validated upstream
-    /// when updates are decoded). A violation surfaces as the ORAM's
-    /// structured `OramError` rendered through the panicking accessor —
-    /// the streaming [`Aggregator`](super::streaming::Aggregator) trait
-    /// has no fallible ingest path.
-    pub fn ingest<TR: Tracer>(&mut self, chunk: &[olive_fl::SparseGradient], tr: &mut TR) {
-        for u in chunk {
-            assert_eq!(u.dense_dim, self.d, "update dimension mismatch");
-            self.n += 1;
-            for (&i, &v) in u.indices.iter().zip(u.values.iter()) {
-                tr.touch(
-                    REGION_G,
-                    (self.next_cell * Self::CELL_BYTES) as u64,
-                    Self::CELL_BYTES as u32,
-                    olive_memsim::Op::Read,
-                );
-                self.next_cell += 1;
-                self.oram.update(
-                    i,
-                    move |old| (f32::from_bits(old as u32) + v).to_bits() as u64,
-                    tr,
-                );
-            }
-        }
-    }
-
-    /// Reads back (and clears) the `d` slots, averages, and returns the
-    /// dense update.
-    pub fn finalize<TR: Tracer>(mut self, tr: &mut TR) -> Vec<f32> {
+    /// Reads back (and clears) the `d` slots, averages, returns the dense
+    /// update — and rewinds the streamer to its fresh state *keeping the
+    /// ORAM*: slots are zeroed as they are read, so the next round folds
+    /// into the same long-lived structure. This is [`Aggregator::finalize`]
+    /// for a deployment (or a bench loop) that pays the O(d) construction
+    /// once rather than per round.
+    pub fn drain<TR: ParallelTracer>(&mut self, tr: &mut TR) -> Vec<f32> {
         assert!(self.n > 0, "no updates to aggregate");
         let mut gstar = TrackedBuf::<f32>::zeroed(REGION_G_STAR, self.d);
         for j in 0..self.d {
@@ -141,19 +64,9 @@ impl OramStreamer {
             gstar.write(j, f32::from_bits(bits as u32), tr);
         }
         average_in_place(&mut gstar, self.n, tr);
+        self.next_cell = 0;
+        self.n = 0;
         gstar.into_inner()
-    }
-
-    /// Clients folded in so far.
-    pub fn clients(&self) -> usize {
-        self.n
-    }
-
-    /// Persistent enclave bytes: the full ORAM working set — tree, stash,
-    /// position map (recursively), and access scratch — per the Section
-    /// 5.5 memory model. Independent of the number of clients folded in.
-    pub fn resident_bytes(&self) -> u64 {
-        self.oram.resident_bytes()
     }
 
     /// The underlying ORAM's usage counters (accesses, stash high-water
@@ -162,18 +75,55 @@ impl OramStreamer {
     pub fn oram_stats(&self) -> olive_oram::OramStats {
         self.oram.stats()
     }
+}
 
-    /// Transient bytes finalize allocates: the dense read-back buffer.
-    pub fn finalize_scratch_bytes(&self) -> u64 {
+impl Aggregator for OramStreamer {
+    /// Contract: every cell index must lie in `0..d` (validated upstream
+    /// when updates are decoded). A violation surfaces as the ORAM's
+    /// structured `OramError` rendered through the panicking accessor —
+    /// the trait has no fallible ingest path.
+    fn ingest<TR: ParallelTracer>(&mut self, chunk: &[SparseGradient], tr: &mut TR) {
+        for u in chunk {
+            assert_eq!(u.dense_dim, self.d, "update dimension mismatch");
+            self.n += 1;
+            for (&i, &v) in u.indices.iter().zip(u.values.iter()) {
+                read_next_g_cell(&mut self.next_cell, tr);
+                // Oblivious fetch-add: values are stored as f32 bits in
+                // the u64.
+                self.oram.update(
+                    i,
+                    move |old| (f32::from_bits(old as u32) + v).to_bits() as u64,
+                    tr,
+                );
+            }
+        }
+    }
+
+    fn finalize<TR: ParallelTracer>(mut self, tr: &mut TR) -> Vec<f32> {
+        self.drain(tr)
+    }
+
+    fn clients(&self) -> usize {
+        self.n
+    }
+
+    /// The full ORAM working set — tree, stash, position map
+    /// (recursively), and access scratch — per the Section 5.5 memory
+    /// model. Independent of the number of clients folded in.
+    fn resident_bytes(&self) -> u64 {
+        self.oram.resident_bytes()
+    }
+
+    /// The dense read-back buffer.
+    fn finalize_scratch_bytes(&self) -> u64 {
         self.d as u64 * 4
     }
 
-    /// Serializes the streamer for a sealed mid-round checkpoint. The
-    /// ORAM snapshot includes tree, stash, position map and the path
+    /// The ORAM snapshot includes tree, stash, position map and the path
     /// RNG, so a restored streamer continues the exact random path
     /// sequence of the snapshotted one.
-    pub fn save_state(&self) -> Vec<u8> {
-        let mut w = olive_memsim::StateWriter::new();
+    fn save_state(&self) -> Vec<u8> {
+        let mut w = StateWriter::new();
         w.put_usize(self.d);
         w.put_usize(self.next_cell);
         w.put_usize(self.n);
@@ -181,12 +131,10 @@ impl OramStreamer {
         w.into_bytes()
     }
 
-    /// Restores an [`OramStreamer::save_state`] snapshot into a freshly
-    /// initialized streamer of the same configuration.
-    pub fn load_state(&mut self, bytes: &[u8]) -> Result<(), olive_memsim::StateError> {
-        let mut r = olive_memsim::StateReader::new(bytes);
+    fn load_state(&mut self, bytes: &[u8]) -> Result<(), StateError> {
+        let mut r = StateReader::new(bytes);
         if r.get_usize()? != self.d {
-            return Err(olive_memsim::StateError::Mismatch);
+            return Err(StateError::Mismatch);
         }
         self.next_cell = r.get_usize()?;
         self.n = r.get_usize()?;
@@ -198,9 +146,8 @@ impl OramStreamer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::aggregation::reference_average;
     use crate::aggregation::test_support::*;
-    use crate::cell::concat_cells;
+    use crate::aggregation::{aggregate, reference_average, AggregatorKind};
     use olive_memsim::{Granularity, NullTracer, RecordingTracer};
 
     #[test]
@@ -208,7 +155,8 @@ mod tests {
         let updates = random_updates(4, 5, 32, 30);
         let expected = reference_average(&updates, 32);
         for posmap in [PosMapKind::Trusted, PosMapKind::LinearScan, PosMapKind::Recursive] {
-            let got = aggregate_oram(&concat_cells(&updates), 32, 4, posmap, &mut NullTracer);
+            let kind = AggregatorKind::PathOram { posmap };
+            let got = aggregate(kind, &updates, 32, &mut NullTracer);
             assert_close(&got, &expected, 1e-4);
         }
     }
@@ -220,7 +168,8 @@ mod tests {
         let count = |seed: u64| {
             let updates = random_updates(3, 4, 16, seed);
             let mut tr = RecordingTracer::new(Granularity::Element);
-            aggregate_oram(&concat_cells(&updates), 16, 3, PosMapKind::LinearScan, &mut tr);
+            let kind = AggregatorKind::PathOram { posmap: PosMapKind::LinearScan };
+            aggregate(kind, &updates, 16, &mut tr);
             (tr.stats().reads, tr.stats().writes)
         };
         assert_eq!(count(1), count(2));
@@ -232,23 +181,23 @@ mod tests {
         // next round (the amortized-setup bench depends on this).
         let updates_a = random_updates(3, 4, 16, 60);
         let updates_b = random_updates(3, 4, 16, 61);
-        let mut oram = build_aggregation_oram(16, PosMapKind::LinearScan);
-        let got_a =
-            aggregate_oram_into(&mut oram, &concat_cells(&updates_a), 16, 3, &mut NullTracer);
-        let got_b =
-            aggregate_oram_into(&mut oram, &concat_cells(&updates_b), 16, 3, &mut NullTracer);
+        let mut streamer = OramStreamer::init(16, PosMapKind::LinearScan);
+        streamer.ingest(&updates_a, &mut NullTracer);
+        let got_a = streamer.drain(&mut NullTracer);
+        assert_eq!(streamer.clients(), 0, "drain rewinds the streamer");
+        streamer.ingest(&updates_b, &mut NullTracer);
+        let got_b = streamer.drain(&mut NullTracer);
         assert_close(&got_a, &reference_average(&updates_a, 16), 1e-4);
         assert_close(&got_b, &reference_average(&updates_b, 16), 1e-4);
     }
 
     #[test]
     fn repeated_index_accumulates() {
-        use olive_fl::SparseGradient;
         let updates: Vec<SparseGradient> = (0..3)
             .map(|_| SparseGradient { dense_dim: 8, indices: vec![1], values: vec![2.0] })
             .collect();
-        let got =
-            aggregate_oram(&concat_cells(&updates), 8, 3, PosMapKind::LinearScan, &mut NullTracer);
+        let kind = AggregatorKind::PathOram { posmap: PosMapKind::LinearScan };
+        let got = aggregate(kind, &updates, 8, &mut NullTracer);
         assert!((got[1] - 2.0).abs() < 1e-6);
     }
 }

@@ -30,10 +30,11 @@
 //!   canonical delta bit for bit;
 //! * every dimension-proportional EPC charge of the canonical schedule is
 //!   mirrored onto the shard budgets as its stripe-weighted share
-//!   ([`ShardPlan::split_charge`], an exact telescoping split), plus the
-//!   transport transients above. The coordinator's own accounting is
-//!   untouched — it is what the round report and the bitwise invariants
-//!   are defined over.
+//!   ([`ShardPlan::split_charge`], an exact telescoping split) by the
+//!   round engine's ledger ([`crate::round::Ledger`]), plus the transport
+//!   transients above. The coordinator's own accounting is untouched — it
+//!   is what the round report and the bitwise invariants are defined
+//!   over.
 //!
 //! Because the canonical schedule never changes, the round output,
 //! signature and trace digest are bitwise identical at every shard count
@@ -72,17 +73,16 @@
 
 use olive_fl::SparseGradient;
 use olive_memsim::{
-    FaultEvent, FaultKind, FaultPlan, ParallelTracer, RecoveryStats, RetryPolicy, ShardPlan,
-    StateError, StateReader, StateWriter, EGRESS_CHUNK,
+    FaultEvent, FaultKind, FaultPlan, RecoveryStats, RetryPolicy, ShardPlan, StateError,
+    StateReader, StateWriter, EGRESS_CHUNK,
 };
 use olive_tee::attestation::Measurement;
 use olive_tee::{
-    attestation::digest, AttestationService, Enclave, EnclaveConfig, Quote, ShardTunnel, TeeError,
-    TunnelAnchor, TunnelError, TunnelRole,
+    attestation::digest, AttestationService, Enclave, EnclaveConfig, EpcBudget, Quote, ShardTunnel,
+    TeeError, TunnelAnchor, TunnelError, TunnelRole,
 };
 use olive_telemetry::Telemetry;
 
-use crate::aggregation::{Aggregator, AggregatorKind, StreamingAggregator};
 use crate::cell::{cell_index, concat_cells, DUMMY_INDEX};
 
 /// Code identity every shard enclave must measure to (what the
@@ -292,7 +292,6 @@ impl ShardRuntime {
         epc_bytes: u64,
         plan: ShardPlan,
     ) -> Result<Self, ShardError> {
-        let shards = plan.shards();
         let coord_quote = coordinator.attest(service, coordinator_context);
         let coord_measurement = coordinator.measurement();
         let anchor = TunnelAnchor::capture(coordinator).map_err(|e| ShardError {
@@ -301,43 +300,9 @@ impl ShardRuntime {
             failure: ShardFailure::Tunnel(e),
         })?;
         let shard_cfg = EnclaveConfig { code_identity: SHARD_CODE_IDENTITY.to_string(), epc_bytes };
-        let mut states = Vec::with_capacity(shards);
-        for i in 0..shards {
-            let mut seed = seed_bytes;
-            seed[16..20].copy_from_slice(&(i as u32).to_be_bytes());
-            seed[20] ^= 0x5D;
-            let mut enclave = Enclave::launch(&shard_cfg, seed);
-            let shard_quote = enclave.attest(service, SHARD_ATTEST_CONTEXT);
-            let fail =
-                |e| ShardError { shard: i as u32, attempts: 1, failure: ShardFailure::Tunnel(e) };
-            let coord_end = anchor
-                .establish(service.public_key(), &enclave.measurement(), &shard_quote, i as u32)
-                .map_err(fail)?;
-            let shard_end = ShardTunnel::establish(
-                TunnelRole::Shard,
-                &enclave,
-                service.public_key(),
-                &coord_measurement,
-                &coord_quote,
-                i as u32,
-            )
-            .map_err(fail)?;
-            states.push(ShardState {
-                enclave,
-                coord_end,
-                shard_end,
-                routed_cells: 0,
-                chunks_done: 0,
-                seed,
-                dh_epoch: 0,
-                ckpt_store: None,
-                ckpt_prev: None,
-                ckpt_floor: 0,
-            });
-        }
-        Ok(ShardRuntime {
+        let mut rt = ShardRuntime {
+            shards: Vec::with_capacity(plan.shards()),
             plan,
-            shards: states,
             service: service.clone(),
             coord_quote,
             coord_measurement,
@@ -350,7 +315,56 @@ impl ShardRuntime {
             retry: RetryPolicy::default(),
             stats: RecoveryStats::default(),
             telemetry: Telemetry::off(),
-        })
+        };
+        for shard in 0..rt.plan.shards() as u32 {
+            let mut seed = seed_bytes;
+            seed[16..20].copy_from_slice(&shard.to_be_bytes());
+            seed[20] ^= 0x5D;
+            let (enclave, coord_end, shard_end) = rt
+                .launch_shard(shard, seed, 0)
+                .map_err(|failure| ShardError { shard, attempts: 1, failure })?;
+            rt.shards.push(ShardState {
+                enclave,
+                coord_end,
+                shard_end,
+                routed_cells: 0,
+                chunks_done: 0,
+                seed,
+                dh_epoch: 0,
+                ckpt_store: None,
+                ckpt_prev: None,
+                ckpt_floor: 0,
+            });
+        }
+        Ok(rt)
+    }
+
+    /// Launches shard `shard`'s enclave at DH epoch `dh_epoch` (0 = first
+    /// incarnation), attests it under the shard-plane context, and brings
+    /// up both ends of its coordinator tunnel — fresh keys on both sides,
+    /// the anchor supplying the coordinator half.
+    fn launch_shard(
+        &self,
+        shard: u32,
+        seed: [u8; 32],
+        dh_epoch: u32,
+    ) -> Result<(Enclave, ShardTunnel, ShardTunnel), ShardFailure> {
+        let mut enclave = Enclave::launch_with_dh_epoch(&self.shard_cfg, seed, dh_epoch);
+        let quote = enclave.attest(&self.service, SHARD_ATTEST_CONTEXT);
+        let coord_end = self
+            .anchor
+            .establish(self.service.public_key(), &enclave.measurement(), &quote, shard)
+            .map_err(ShardFailure::Tunnel)?;
+        let shard_end = ShardTunnel::establish(
+            TunnelRole::Shard,
+            &enclave,
+            self.service.public_key(),
+            &self.coord_measurement,
+            &self.coord_quote,
+            shard,
+        )
+        .map_err(ShardFailure::Tunnel)?;
+        Ok((enclave, coord_end, shard_end))
     }
 
     /// Arms side-band telemetry on the whole shard plane: the runtime
@@ -394,6 +408,12 @@ impl ShardRuntime {
         self.faults = plan;
     }
 
+    /// The armed script — the round engine fires its coordinator-level
+    /// events from the same plan the transport hooks consume.
+    pub(crate) fn faults_mut(&mut self) -> &mut FaultPlan {
+        &mut self.faults
+    }
+
     /// Recovery work done over this runtime's lifetime.
     pub fn recovery_stats(&self) -> RecoveryStats {
         self.stats
@@ -409,7 +429,7 @@ impl ShardRuntime {
     /// Re-aligns the absolute chunk cursor after a coordinator restore,
     /// so fault events keep firing at their scripted absolute chunk
     /// indices in the resumed half of the round.
-    pub fn skip_to_chunk(&mut self, chunks_done: usize) {
+    pub(crate) fn skip_to_chunk(&mut self, chunks_done: usize) {
         self.chunk_cursor = chunks_done as u32;
     }
 
@@ -436,27 +456,24 @@ impl ShardRuntime {
 
     /// Mirrors a coordinator allocation of `bytes` onto the shard
     /// budgets, each charged its stripe-weighted share.
-    pub fn alloc_split(&mut self, bytes: u64) {
-        let armed = self.telemetry.is_armed();
-        for (i, (sh, part)) in self.shards.iter_mut().zip(self.plan.split_charge(bytes)).enumerate()
-        {
-            if armed {
-                self.telemetry.count("epc_charge_bytes", &format!("shard{i}"), part);
-            }
-            sh.enclave.epc.alloc(part);
-        }
+    pub(crate) fn alloc_split(&mut self, bytes: u64) {
+        self.split(bytes, "epc_charge_bytes", EpcBudget::alloc);
     }
 
     /// Mirrors a coordinator release of `bytes` (the split is
     /// deterministic, so alloc/free always balance exactly).
-    pub fn free_split(&mut self, bytes: u64) {
+    pub(crate) fn free_split(&mut self, bytes: u64) {
+        self.split(bytes, "epc_free_bytes", EpcBudget::free);
+    }
+
+    fn split(&mut self, bytes: u64, counter: &str, apply: fn(&mut EpcBudget, u64)) {
         let armed = self.telemetry.is_armed();
         for (i, (sh, part)) in self.shards.iter_mut().zip(self.plan.split_charge(bytes)).enumerate()
         {
             if armed {
-                self.telemetry.count("epc_free_bytes", &format!("shard{i}"), part);
+                self.telemetry.count(counter, &format!("shard{i}"), part);
             }
-            sh.enclave.epc.free(part);
+            apply(&mut sh.enclave.epc, part);
         }
     }
 
@@ -488,7 +505,10 @@ impl ShardRuntime {
             ],
         );
         for i in 0..self.shards.len() {
-            self.deliver_with_recovery(i, chunk, &payload)?;
+            self.with_recovery(i, "in", chunk, |rt| rt.try_deliver(i, chunk, &payload))?;
+            if self.checkpointing {
+                self.checkpoint_shard(i);
+            }
         }
         self.chunk_cursor += 1;
         Ok(())
@@ -515,20 +535,24 @@ impl ShardRuntime {
             for v in stripe {
                 bytes.extend_from_slice(&v.to_bits().to_le_bytes());
             }
-            let held = self.egress_with_recovery(i, &bytes)?;
+            let held = self.with_recovery(i, "eg", EGRESS_CHUNK, |rt| rt.try_egress(i, &bytes))?;
             out.extend_from_slice(&held);
             self.shards[i].routed_cells = 0;
         }
         Ok(out)
     }
 
-    /// One shard's chunk delivery under the retry/failover loop.
-    fn deliver_with_recovery(
+    /// One shard operation (`phase` = `"in"` delivery / `"eg"` egress, at
+    /// fault coordinate `chunk`) under the retry/failover loop: a scripted
+    /// kill relaunches the shard first, a failed attempt is retried with
+    /// simulated backoff, and an exhausted budget is a [`ShardError`].
+    fn with_recovery<T>(
         &mut self,
         i: usize,
+        phase: &str,
         chunk: u32,
-        payload: &[u8],
-    ) -> Result<(), ShardError> {
+        mut attempt: impl FnMut(&mut Self) -> Result<T, ShardFailure>,
+    ) -> Result<T, ShardError> {
         let shard = i as u32;
         let mut attempts = 0u32;
         loop {
@@ -537,7 +561,7 @@ impl ShardRuntime {
                 self.stats.retries += 1;
                 let backoff = self.retry.backoff_ms(attempts);
                 self.stats.backoff_ms += backoff;
-                self.note_retry("in", chunk, shard, attempts, backoff);
+                self.note_retry(phase, chunk, shard, attempts, backoff);
             }
             if self.faults.fire(FaultKind::ShardKill, chunk, shard) {
                 note_fault(&self.telemetry, FaultKind::ShardKill, chunk, shard);
@@ -547,28 +571,30 @@ impl ShardRuntime {
                     failure,
                 })?;
             }
-            match self.try_deliver(i, chunk, payload) {
-                Ok(()) => {
-                    if self.checkpointing {
-                        self.checkpoint_shard(i);
-                    }
-                    return Ok(());
+            match attempt(self) {
+                Ok(done) => return Ok(done),
+                Err(failure) if attempts >= self.retry.max_attempts => {
+                    return Err(ShardError { shard, attempts, failure });
                 }
-                Err(failure) => {
-                    if attempts >= self.retry.max_attempts {
-                        return Err(ShardError { shard, attempts, failure });
-                    }
-                }
+                Err(_) => {}
             }
         }
     }
 
-    /// One delivery attempt: seal, (faultable) transport, open, scan.
-    fn try_deliver(&mut self, i: usize, chunk: u32, payload: &[u8]) -> Result<(), ShardFailure> {
+    /// Coordinator → shard over the (faultable) wire: seals `payload`,
+    /// applies a scripted drop or tamper, and opens it inside the shard —
+    /// whose budget holds the `payload.len()` decrypted bytes until the
+    /// caller, done with them, frees the transient.
+    fn send_down(
+        &mut self,
+        i: usize,
+        chunk: u32,
+        kind: u8,
+        payload: &[u8],
+    ) -> Result<Vec<u8>, ShardFailure> {
         let shard = i as u32;
-        let range = self.plan.range(i);
         let sh = &mut self.shards[i];
-        let mut msg = sh.coord_end.seal(MSG_CELLS, payload);
+        let mut msg = sh.coord_end.seal(kind, payload);
         if self.faults.fire(FaultKind::TunnelDrop, chunk, shard) {
             // The frame never arrives; the send sequence number is
             // burned, which the receiver's floor tolerates as a gap.
@@ -581,13 +607,16 @@ impl ShardRuntime {
         }
         let transient = payload.len() as u64;
         sh.enclave.epc.alloc(transient);
-        let plain = match sh.shard_end.open(&msg) {
-            Ok(p) => p,
-            Err(e) => {
-                sh.enclave.epc.free(transient);
-                return Err(ShardFailure::Tunnel(e));
-            }
-        };
+        sh.shard_end.open(&msg).map_err(|e| {
+            sh.enclave.epc.free(transient);
+            ShardFailure::Tunnel(e)
+        })
+    }
+
+    /// One delivery attempt: seal, (faultable) transport, open, scan.
+    fn try_deliver(&mut self, i: usize, chunk: u32, payload: &[u8]) -> Result<(), ShardFailure> {
+        let plain = self.send_down(i, chunk, MSG_CELLS, payload)?;
+        let range = self.plan.range(i);
         let mut routed = 0u64;
         for cell_bytes in plain.chunks_exact(8) {
             let cell = u64::from_le_bytes(cell_bytes.try_into().expect("8-byte cell"));
@@ -597,93 +626,36 @@ impl ShardRuntime {
             let keep = (idx != DUMMY_INDEX) & range.contains(&(idx as usize));
             routed += u64::from(keep);
         }
+        let sh = &mut self.shards[i];
         sh.routed_cells += routed;
         sh.chunks_done += 1;
-        sh.enclave.epc.free(transient);
+        sh.enclave.epc.free(payload.len() as u64);
         Ok(())
-    }
-
-    /// One shard's stripe egress under the retry/failover loop.
-    fn egress_with_recovery(&mut self, i: usize, bytes: &[u8]) -> Result<Vec<f32>, ShardError> {
-        let shard = i as u32;
-        let mut attempts = 0u32;
-        loop {
-            attempts += 1;
-            if attempts > 1 {
-                self.stats.retries += 1;
-                let backoff = self.retry.backoff_ms(attempts);
-                self.stats.backoff_ms += backoff;
-                self.note_retry("eg", EGRESS_CHUNK, shard, attempts, backoff);
-            }
-            if self.faults.fire(FaultKind::ShardKill, EGRESS_CHUNK, shard) {
-                note_fault(&self.telemetry, FaultKind::ShardKill, EGRESS_CHUNK, shard);
-                self.relaunch_shard(i).map_err(|failure| ShardError {
-                    shard,
-                    attempts,
-                    failure,
-                })?;
-            }
-            match self.try_egress(i, bytes) {
-                Ok(held) => return Ok(held),
-                Err(failure) => {
-                    if attempts >= self.retry.max_attempts {
-                        return Err(ShardError { shard, attempts, failure });
-                    }
-                }
-            }
-        }
     }
 
     /// One egress attempt: stripe down, receipt up, hash check.
     fn try_egress(&mut self, i: usize, bytes: &[u8]) -> Result<Vec<f32>, ShardFailure> {
-        let shard = i as u32;
+        let held = self.send_down(i, EGRESS_CHUNK, MSG_STRIPE, bytes)?;
         let sh = &mut self.shards[i];
-        let mut down = sh.coord_end.seal(MSG_STRIPE, bytes);
-        if self.faults.fire(FaultKind::TunnelDrop, EGRESS_CHUNK, shard) {
-            note_fault(&self.telemetry, FaultKind::TunnelDrop, EGRESS_CHUNK, shard);
-            return Err(ShardFailure::Dropped);
-        }
-        if self.faults.fire(FaultKind::TunnelTamper, EGRESS_CHUNK, shard) {
-            note_fault(&self.telemetry, FaultKind::TunnelTamper, EGRESS_CHUNK, shard);
-            down.tamper();
-        }
-        let transient = bytes.len() as u64;
-        sh.enclave.epc.alloc(transient);
-        let held = match sh.shard_end.open(&down) {
-            Ok(p) => p,
-            Err(e) => {
-                sh.enclave.epc.free(transient);
-                return Err(ShardFailure::Tunnel(e));
-            }
-        };
         let mut receipt = digest(&held).to_vec();
         receipt.extend_from_slice(&sh.routed_cells.to_be_bytes());
         // A receipt-corruption fault models a faulty shard *computing* the
         // wrong receipt: the frame authenticates, the content is wrong, and
         // the coordinator's hash compare catches it. (Frame-level tampering
         // is TunnelTamper's job and dies at the AEAD instead.)
-        if self.faults.fire(FaultKind::ReceiptCorrupt, EGRESS_CHUNK, shard) {
-            note_fault(&self.telemetry, FaultKind::ReceiptCorrupt, EGRESS_CHUNK, shard);
+        if self.faults.fire(FaultKind::ReceiptCorrupt, EGRESS_CHUNK, i as u32) {
+            note_fault(&self.telemetry, FaultKind::ReceiptCorrupt, EGRESS_CHUNK, i as u32);
             receipt[0] ^= 0x01;
         }
         let up = sh.shard_end.seal(MSG_RECEIPT, &receipt);
-        let opened = match sh.coord_end.open(&up) {
-            Ok(p) => p,
-            Err(e) => {
-                sh.enclave.epc.free(transient);
-                return Err(ShardFailure::Tunnel(e));
-            }
-        };
-        if opened[..32] != digest(bytes)[..] {
-            sh.enclave.epc.free(transient);
+        let opened = sh.coord_end.open(&up);
+        // The receipt is out: the shard no longer needs the plaintext.
+        sh.enclave.epc.free(bytes.len() as u64);
+        if opened.map_err(ShardFailure::Tunnel)?[..32] != digest(bytes)[..] {
             return Err(ShardFailure::ReceiptMismatch);
         }
-        let mut out = Vec::with_capacity(bytes.len() / 4);
-        for v in held.chunks_exact(4) {
-            out.push(f32::from_bits(u32::from_le_bytes(v.try_into().expect("4-byte f32"))));
-        }
-        sh.enclave.epc.free(transient);
-        Ok(out)
+        let word = |v: &[u8]| f32::from_bits(u32::from_le_bytes(v.try_into().expect("4-byte f32")));
+        Ok(held.chunks_exact(4).map(word).collect())
     }
 
     /// Seals the shard's stripe state (`round_epoch`, `chunks_done`,
@@ -718,54 +690,35 @@ impl ShardRuntime {
     fn relaunch_shard(&mut self, i: usize) -> Result<(), ShardFailure> {
         self.stats.relaunches += 1;
         let shard = i as u32;
-        let sh = &mut self.shards[i];
-        sh.dh_epoch += 1;
+        self.shards[i].dh_epoch += 1;
+        let (seed, dh_epoch) = (self.shards[i].seed, self.shards[i].dh_epoch);
         let _span = self
             .telemetry
-            .span("shard_relaunch", &[("shard", shard.into()), ("dh_epoch", sh.dh_epoch.into())]);
-        let mut enclave = Enclave::launch_with_dh_epoch(&self.shard_cfg, sh.seed, sh.dh_epoch);
-        let shard_quote = enclave.attest(&self.service, SHARD_ATTEST_CONTEXT);
-        let coord_end = self
-            .anchor
-            .establish(self.service.public_key(), &enclave.measurement(), &shard_quote, shard)
-            .map_err(ShardFailure::Tunnel)?;
-        let shard_end = ShardTunnel::establish(
-            TunnelRole::Shard,
-            &enclave,
-            self.service.public_key(),
-            &self.coord_measurement,
-            &self.coord_quote,
-            shard,
-        )
-        .map_err(ShardFailure::Tunnel)?;
+            .span("shard_relaunch", &[("shard", shard.into()), ("dh_epoch", dh_epoch.into())]);
+        let (mut enclave, coord_end, shard_end) = self.launch_shard(shard, seed, dh_epoch)?;
+        let sh = &mut self.shards[i];
         // Restore the stripe state. The untrusted store may serve a
         // rolled-back blob (the StaleSeal fault); the pinned floor
         // catches it and recovery falls back to the genuine newest.
         let (chunks_done, routed_cells) = if let Some(newest) = sh.ckpt_store.as_ref() {
-            let stale_served = sh.ckpt_prev.is_some()
-                && self.faults.fire(FaultKind::StaleSeal, EGRESS_CHUNK, shard);
-            if stale_served {
-                note_fault(&self.telemetry, FaultKind::StaleSeal, EGRESS_CHUNK, shard);
-            }
-            let floor = sh.ckpt_floor;
-            let epoch = self.round_epoch;
-            let restored = if stale_served {
-                let prev = sh.ckpt_prev.as_ref().expect("stale_served implies a prev blob");
-                match restore_ckpt(&mut enclave, prev, floor, epoch) {
-                    Err(ShardFailure::Seal(TeeError::StaleSeal)) => {
-                        // Rollback detected: count the extra fetch of the
-                        // genuine blob as one recovery retry.
-                        self.stats.retries += 1;
-                        self.stats.backoff_ms += self.retry.backoff_ms(2);
-                        None
+            let (floor, epoch) = (sh.ckpt_floor, self.round_epoch);
+            let mut restored = None;
+            if let Some(prev) = sh.ckpt_prev.as_ref() {
+                if self.faults.fire(FaultKind::StaleSeal, EGRESS_CHUNK, shard) {
+                    note_fault(&self.telemetry, FaultKind::StaleSeal, EGRESS_CHUNK, shard);
+                    match restore_ckpt(&mut enclave, prev, floor, epoch) {
+                        Err(ShardFailure::Seal(TeeError::StaleSeal)) => {
+                            // Rollback detected: count the extra fetch of the
+                            // genuine blob as one recovery retry.
+                            self.stats.retries += 1;
+                            self.stats.backoff_ms += self.retry.backoff_ms(2);
+                        }
+                        other => restored = Some(other?),
                     }
-                    other => Some(other),
                 }
-            } else {
-                None
-            };
+            }
             match restored {
-                Some(done) => done?,
+                Some(state) => state,
                 None => restore_ckpt(&mut enclave, newest, floor, epoch)?,
             }
         } else if sh.chunks_done > 0 {
@@ -874,152 +827,34 @@ fn restore_ckpt(
 /// Emits one `fault_fired` telemetry event for a consumed fault-plan
 /// event, labeled with the `kind@chunk.shard` site grammar shared with
 /// `OLIVE_FAULTS` scripts.
-fn note_fault(telemetry: &Telemetry, kind: FaultKind, chunk: u32, shard: u32) {
+pub(crate) fn note_fault(telemetry: &Telemetry, kind: FaultKind, chunk: u32, shard: u32) {
     if telemetry.is_armed() {
         let site = FaultEvent { kind, chunk, shard }.render();
         telemetry.event("fault_fired", &[("site", site.as_str().into())]);
     }
 }
 
-/// A [`StreamingAggregator`] wrapped in the shard plane: same canonical
-/// compute and trace, plus tunnel transport and per-shard EPC accounting
-/// on every chunk — the [`Aggregator`]-seam face of sharding. The round
-/// driver (`OliveSystem`) threads the same [`ShardRuntime`] machinery
-/// through its own richer charge schedule; this wrapper is the
-/// self-contained form for benches and equivalence tests.
-///
-/// Transport failures surface at the seam's edges: a [`ShardError`] from
-/// ingress is latched (further transport is skipped — the round is
-/// already lost) and returned by [`ShardedAggregator::finalize_with_peaks`];
-/// the trait's infallible [`Aggregator::finalize`] panics on a latched
-/// fault and is for fault-free use only.
-pub struct ShardedAggregator {
-    inner: StreamingAggregator,
-    rt: ShardRuntime,
-    resident: u64,
-    fault: Option<ShardError>,
-}
-
-impl ShardedAggregator {
-    /// Wraps a fresh aggregator of `kind` over an already provisioned
-    /// shard runtime, charging the initial resident state to the shard
-    /// budgets.
-    pub fn new(kind: AggregatorKind, d: usize, threads: usize, mut rt: ShardRuntime) -> Self {
-        assert_eq!(rt.plan().d(), d, "shard plan dimension must match the aggregator");
-        let inner = StreamingAggregator::new(kind, d, threads);
-        let resident = inner.resident_bytes();
-        rt.begin_round();
-        rt.alloc_split(resident);
-        ShardedAggregator { inner, rt, resident, fault: None }
-    }
-
-    /// Arms a fault script on the underlying runtime.
-    pub fn set_fault_plan(&mut self, plan: FaultPlan) {
-        self.rt.set_fault_plan(plan);
-    }
-
-    /// [`Aggregator::finalize`] that also hands back the per-shard EPC
-    /// peaks (and the runtime, for reuse across rounds) — or the latched
-    /// / egress [`ShardError`] when the transport plane failed.
-    pub fn finalize_with_peaks<TR: ParallelTracer>(
-        self,
-        tr: &mut TR,
-    ) -> Result<(Vec<f32>, Vec<u64>, ShardRuntime), ShardError> {
-        let ShardedAggregator { inner, mut rt, resident, fault } = self;
-        if let Some(e) = fault {
-            return Err(e);
-        }
-        let fin_scratch = inner.finalize_scratch_bytes();
-        rt.alloc_split(fin_scratch);
-        let delta = inner.finalize(tr);
-        let out = rt.egress_round(&delta)?;
-        rt.free_split(fin_scratch);
-        rt.free_split(resident);
-        let peaks = rt.peaks();
-        Ok((out, peaks, rt))
-    }
-}
-
-impl Aggregator for ShardedAggregator {
-    fn ingest<TR: ParallelTracer>(&mut self, chunk: &[SparseGradient], tr: &mut TR) {
-        if self.fault.is_none() {
-            let k = chunk.iter().map(|u| u.k()).max().unwrap_or(0);
-            let scratch = self.inner.ingest_scratch_bytes(chunk.len(), k);
-            self.rt.alloc_split(scratch);
-            if let Err(e) = self.rt.ingress_chunk(chunk) {
-                self.fault = Some(e);
-            }
-            self.rt.free_split(scratch);
-        }
-        // Canonical compute continues regardless: it defines the trace
-        // and output the bitwise invariants speak about, and a latched
-        // fault is surfaced at finalize time.
-        self.inner.ingest(chunk, tr);
-        if self.fault.is_none() {
-            let now = self.inner.resident_bytes();
-            self.rt.free_split(self.resident);
-            self.rt.alloc_split(now);
-            self.resident = now;
-        }
-    }
-
-    /// # Panics
-    /// On a latched transport fault — this trait face is infallible and
-    /// serves the fault-free equivalence suites; fallible callers use
-    /// [`ShardedAggregator::finalize_with_peaks`].
-    fn finalize<TR: ParallelTracer>(self, tr: &mut TR) -> Vec<f32> {
-        self.finalize_with_peaks(tr).expect("fault-free round").0
-    }
-
-    fn clients(&self) -> usize {
-        self.inner.clients()
-    }
-
-    fn resident_bytes(&self) -> u64 {
-        self.inner.resident_bytes()
-    }
-
-    fn ingest_scratch_bytes(&self, chunk_clients: usize, k: usize) -> u64 {
-        self.inner.ingest_scratch_bytes(chunk_clients, k)
-    }
-
-    fn finalize_scratch_bytes(&self) -> u64 {
-        self.inner.finalize_scratch_bytes()
-    }
-
-    // Checkpoint blobs stay shard-agnostic: the canonical aggregator
-    // state is the round's whole restorable truth, so a round sealed at
-    // S=4 restores at S=1 (and vice versa) — shard topology is runtime
-    // configuration, not persisted state.
-    fn save_state(&self) -> Vec<u8> {
-        self.inner.save_state()
-    }
-
-    fn load_state(&mut self, bytes: &[u8]) -> Result<(), StateError> {
-        self.inner.load_state(bytes)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::aggregation::test_support::random_updates;
+    use crate::aggregation::test_support::{random_updates, shard_runtime as runtime};
+    use crate::aggregation::{Aggregator, AggregatorKind, StreamingAggregator};
+    use crate::round::{Ledger, RoundEngine, RoundError};
     use olive_memsim::{FaultEvent, NullTracer};
+    use olive_tee::EpcBudget;
 
-    fn runtime(d: usize, shards: usize, seed: u8) -> ShardRuntime {
-        let service = AttestationService::new([seed; 32]);
-        let mut coordinator = Enclave::launch(&EnclaveConfig::default(), [seed ^ 1; 32]);
-        coordinator.attest(&service, b"sharded-test");
-        ShardRuntime::provision(
-            &service,
-            &mut coordinator,
-            b"sharded-test",
-            [seed ^ 2; 32],
-            96 << 20,
-            d,
-            shards,
-        )
-        .expect("provisioning succeeds in the simulation")
+    /// A single-threaded round engine of `kind` over the shard plane `rt`.
+    fn engine(kind: AggregatorKind, d: usize, k: usize, rt: ShardRuntime) -> RoundEngine {
+        let ledger = Ledger::new(EpcBudget::default(), Some(rt), Telemetry::off());
+        RoundEngine::new(StreamingAggregator::new(kind, d, 1), k, 1, 0, ledger)
+    }
+
+    /// The shard-plane error behind a failed engine call.
+    fn shard_error(e: RoundError) -> ShardError {
+        match e {
+            RoundError::Shard(e) => e,
+            other => panic!("expected a shard error, got {other:?}"),
+        }
     }
 
     #[test]
@@ -1032,15 +867,13 @@ mod tests {
         }
         let want = mono.finalize(&mut NullTracer);
         for shards in [1usize, 2, 4, 8] {
-            let mut agg =
-                ShardedAggregator::new(AggregatorKind::Advanced, d, 1, runtime(d, shards, 3));
-            for chunk in updates.chunks(5) {
-                agg.ingest(chunk, &mut NullTracer);
-            }
-            let (got, peaks, rt) =
-                agg.finalize_with_peaks(&mut NullTracer).expect("fault-free round");
-            assert_eq!(peaks.len(), shards);
+            let (got, end) = engine(AggregatorKind::Advanced, d, k, runtime(d, shards, 3))
+                .run(updates.chunks(5), &mut NullTracer);
+            let got = got.expect("fault-free round");
+            let rt = end.shards.expect("the plane comes back");
+            assert_eq!(rt.peaks().len(), shards);
             assert!(rt.live().iter().all(|&b| b == 0), "S={shards}: budgets must balance");
+            assert_eq!(end.coordinator.live, 0, "S={shards}: coordinator must balance");
             let same = want.iter().zip(&got).all(|(a, b)| a.to_bits() == b.to_bits());
             assert!(same, "S={shards} changed the round output");
         }
@@ -1050,9 +883,9 @@ mod tests {
     fn routing_partitions_every_real_cell() {
         let (d, n, k) = (64, 10, 4);
         let updates = random_updates(n, k, d, 5);
-        let mut agg = ShardedAggregator::new(AggregatorKind::NonOblivious, d, 1, runtime(d, 4, 7));
-        agg.ingest(&updates, &mut NullTracer);
-        let routed = agg.rt.routed_cells();
+        let mut eng = engine(AggregatorKind::NonOblivious, d, k, runtime(d, 4, 7));
+        eng.fold(&updates, 0, || (), &mut NullTracer).expect("fault-free chunk");
+        let routed = eng.shards().expect("sharded").routed_cells();
         let real: u64 = updates
             .iter()
             .flat_map(|u| u.to_cells())
@@ -1065,11 +898,10 @@ mod tests {
     fn shard_budgets_track_stripe_share_plus_transport() {
         let (d, n, k) = (1000, 40, 8);
         let updates = random_updates(n, k, d, 9);
-        let mut agg = ShardedAggregator::new(AggregatorKind::Advanced, d, 1, runtime(d, 4, 2));
-        for chunk in updates.chunks(10) {
-            agg.ingest(chunk, &mut NullTracer);
-        }
-        let (_, peaks, _) = agg.finalize_with_peaks(&mut NullTracer).expect("fault-free round");
+        let (out, end) = engine(AggregatorKind::Advanced, d, k, runtime(d, 4, 2))
+            .run(updates.chunks(10), &mut NullTracer);
+        out.expect("fault-free round");
+        let peaks = end.shards.expect("the plane comes back").peaks();
         // Each stripe's share of the monolithic working set is ~1/4; the
         // broadcast transient adds the full chunk segment. Peaks must be
         // far below the monolithic footprint but nonzero.
@@ -1084,21 +916,25 @@ mod tests {
         }
     }
 
+    /// Checkpoint blobs stay shard-agnostic: the canonical aggregator
+    /// state is the round's whole restorable truth, so a round sealed at
+    /// S=4 restores at S=1 (and vice versa) — shard topology is runtime
+    /// configuration, not persisted state.
     #[test]
     fn state_blob_is_shard_agnostic() {
         let (d, n, k) = (64, 12, 4);
         let updates = random_updates(n, k, d, 13);
-        let mut sharded =
-            ShardedAggregator::new(AggregatorKind::Grouped { h: 3 }, d, 1, runtime(d, 4, 4));
-        sharded.ingest(&updates[..6], &mut NullTracer);
-        let blob = sharded.save_state();
+        let kind = AggregatorKind::Grouped { h: 3 };
+        let mut sharded = engine(kind, d, k, runtime(d, 4, 4));
+        sharded.fold(&updates[..6], 0, || (), &mut NullTracer).expect("fault-free chunk");
+        let blob = sharded.checkpoint_state();
         // A monolithic aggregator resumes from the sharded blob.
-        let mut mono = StreamingAggregator::new(AggregatorKind::Grouped { h: 3 }, d, 1);
+        let mut mono = StreamingAggregator::new(kind, d, 1);
         mono.load_state(&blob).expect("shard topology must not enter the blob");
         mono.ingest(&updates[6..], &mut NullTracer);
         let want = mono.finalize(&mut NullTracer);
-        sharded.ingest(&updates[6..], &mut NullTracer);
-        let got = sharded.finalize(&mut NullTracer);
+        sharded.fold(&updates[6..], 0, || (), &mut NullTracer).expect("fault-free chunk");
+        let got = sharded.finish(&mut NullTracer).0.expect("fault-free round");
         let same = want.iter().zip(&got).all(|(a, b)| a.to_bits() == b.to_bits());
         assert!(same, "sharded and monolithic continuations must agree bitwise");
     }
@@ -1112,14 +948,15 @@ mod tests {
         let (d, n, k) = (96, 24, 6);
         let updates = random_updates(n, k, d, 17);
         let run = |plan: FaultPlan| {
-            let mut agg = ShardedAggregator::new(AggregatorKind::Advanced, d, 1, runtime(d, 4, 5));
-            agg.set_fault_plan(plan);
+            let mut eng = engine(AggregatorKind::Advanced, d, k, runtime(d, 4, 5));
+            eng.set_fault_plan(plan);
             for chunk in updates.chunks(5) {
-                agg.ingest(chunk, &mut NullTracer);
+                eng.fold(chunk, 0, || (), &mut NullTracer).expect("recovers");
             }
-            let routed = agg.rt.routed_cells();
-            let (out, _, rt) = agg.finalize_with_peaks(&mut NullTracer).expect("recovers");
-            (out, routed, rt.recovery_stats())
+            let routed = eng.shards().expect("sharded").routed_cells();
+            let (out, end) = eng.finish(&mut NullTracer);
+            let stats = end.shards.expect("the plane comes back").recovery_stats();
+            (out.expect("recovers"), routed, stats)
         };
         let (want, routed_clean, _) = run(FaultPlan::empty());
         let plan = FaultPlan::parse(
@@ -1144,41 +981,49 @@ mod tests {
     fn shard_seal_counter_continuity_across_relaunch() {
         let (d, n, k) = (64, 16, 4);
         let updates = random_updates(n, k, d, 19);
-        let mut agg = ShardedAggregator::new(AggregatorKind::NonOblivious, d, 1, runtime(d, 2, 6));
+        let mut eng = engine(AggregatorKind::NonOblivious, d, k, runtime(d, 2, 6));
         // Two kills of shard 0, the second served a rolled-back blob.
-        agg.set_fault_plan(
+        eng.set_fault_plan(
             FaultPlan::parse("kill@2.0,kill@3.0,stale@e.0").expect("well-formed script"),
         );
         let mut floors_seen = vec![0u64];
         for chunk in updates.chunks(4) {
-            agg.ingest(chunk, &mut NullTracer);
-            let f = agg.rt.ckpt_counters()[0];
+            eng.fold(chunk, 0, || (), &mut NullTracer).expect("recovers");
+            let f = eng.shards().expect("sharded").ckpt_counters()[0];
             assert!(
                 f > *floors_seen.last().expect("seeded"),
                 "checkpoint counter must advance strictly past {floors_seen:?}"
             );
             floors_seen.push(f);
         }
-        let (_, _, rt) = agg.finalize_with_peaks(&mut NullTracer).expect("recovers");
-        let stats = rt.recovery_stats();
+        let (out, end) = eng.finish(&mut NullTracer);
+        out.expect("recovers");
+        let stats = end.shards.expect("the plane comes back").recovery_stats();
         assert_eq!(stats.relaunches, 2);
         assert!(stats.retries >= 1, "the stale blob costs one recovery retry");
     }
 
     /// Exhausting the retry budget yields a structured error naming the
-    /// shard, the attempts, and the terminal failure — never a panic.
+    /// shard, the attempts, and the terminal failure — never a panic —
+    /// and leaves every budget balanced.
     #[test]
     fn recovery_exhaustion_is_a_structured_error() {
         let (d, n, k) = (64, 8, 4);
         let updates = random_updates(n, k, d, 23);
-        let stacked = vec![
-            FaultEvent { kind: FaultKind::TunnelTamper, chunk: 0, shard: 1 };
-            RetryPolicy::MAX_ATTEMPTS as usize
-        ];
-        let mut agg = ShardedAggregator::new(AggregatorKind::NonOblivious, d, 1, runtime(d, 2, 8));
-        agg.set_fault_plan(FaultPlan::from_events(stacked));
-        agg.ingest(&updates, &mut NullTracer);
-        let err = agg.finalize_with_peaks(&mut NullTracer).expect_err("budget exhausted");
+        let exhaust = |event: FaultEvent, seed: u8| {
+            let mut rt = runtime(d, 2, seed);
+            rt.set_fault_plan(FaultPlan::from_events(vec![
+                event;
+                RetryPolicy::MAX_ATTEMPTS as usize
+            ]));
+            let (out, end) = engine(AggregatorKind::NonOblivious, d, k, rt)
+                .run([updates.as_slice()], &mut NullTracer);
+            let rt = end.shards.expect("the plane comes back");
+            assert!(rt.live().iter().all(|&b| b == 0), "an aborted round must balance");
+            assert_eq!(end.coordinator.live, 0, "an aborted round must balance");
+            shard_error(out.expect_err("budget exhausted"))
+        };
+        let err = exhaust(FaultEvent { kind: FaultKind::TunnelTamper, chunk: 0, shard: 1 }, 8);
         assert_eq!(
             err,
             ShardError {
@@ -1188,14 +1033,8 @@ mod tests {
             }
         );
         // Drops exhaust to their own terminal failure.
-        let dropped = vec![
-            FaultEvent { kind: FaultKind::TunnelDrop, chunk: EGRESS_CHUNK, shard: 0 };
-            RetryPolicy::MAX_ATTEMPTS as usize
-        ];
-        let mut agg = ShardedAggregator::new(AggregatorKind::NonOblivious, d, 1, runtime(d, 2, 9));
-        agg.set_fault_plan(FaultPlan::from_events(dropped));
-        agg.ingest(&updates, &mut NullTracer);
-        let err = agg.finalize_with_peaks(&mut NullTracer).expect_err("egress exhausted");
+        let err =
+            exhaust(FaultEvent { kind: FaultKind::TunnelDrop, chunk: EGRESS_CHUNK, shard: 0 }, 9);
         assert_eq!(err.failure, ShardFailure::Dropped);
         assert_eq!(err.shard, 0);
     }
@@ -1206,31 +1045,20 @@ mod tests {
     fn kill_without_checkpoints_reports_state_lost() {
         let (d, n, k) = (64, 8, 4);
         let updates = random_updates(n, k, d, 29);
-        let mut rt = runtime(d, 2, 10);
-        rt.set_checkpointing(false);
-        let mut agg = ShardedAggregator::new(AggregatorKind::NonOblivious, d, 1, rt);
-        agg.set_fault_plan(FaultPlan::from_events(vec![FaultEvent {
-            kind: FaultKind::ShardKill,
-            chunk: 1,
-            shard: 0,
-        }]));
-        for chunk in updates.chunks(4) {
-            agg.ingest(chunk, &mut NullTracer);
-        }
-        let err = agg.finalize_with_peaks(&mut NullTracer).expect_err("unrecoverable");
+        let kill_at = |chunk: u32, seed: u8| {
+            let mut rt = runtime(d, 2, seed);
+            rt.set_checkpointing(false);
+            let mut eng = engine(AggregatorKind::NonOblivious, d, k, rt);
+            eng.set_fault_plan(FaultPlan::from_events(vec![FaultEvent {
+                kind: FaultKind::ShardKill,
+                chunk,
+                shard: 0,
+            }]));
+            eng.run(updates.chunks(4), &mut NullTracer).0
+        };
+        let err = shard_error(kill_at(1, 10).expect_err("unrecoverable"));
         assert_eq!(err.failure, ShardFailure::StateLost);
         // A kill before any chunk needs no checkpoint: fully recoverable.
-        let mut rt = runtime(d, 2, 11);
-        rt.set_checkpointing(false);
-        let mut agg = ShardedAggregator::new(AggregatorKind::NonOblivious, d, 1, rt);
-        agg.set_fault_plan(FaultPlan::from_events(vec![FaultEvent {
-            kind: FaultKind::ShardKill,
-            chunk: 0,
-            shard: 0,
-        }]));
-        for chunk in updates.chunks(4) {
-            agg.ingest(chunk, &mut NullTracer);
-        }
-        assert!(agg.finalize_with_peaks(&mut NullTracer).is_ok());
+        assert!(kill_at(0, 11).is_ok());
     }
 }

@@ -1,10 +1,11 @@
 //! The streaming [`Aggregator`] trait: chunked, EPC-bounded ingestion.
 //!
-//! The one-shot API (`aggregate_with_threads`) forces the enclave to hold
-//! **all** n decrypted uploads before any aggregation work starts — peak
-//! memory O(nk + d), which caps a round at thousands of clients on a
-//! 96 MiB EPC. This module turns every aggregation algorithm into an
-//! incremental consumer:
+//! Aggregating a round in one shot forces the enclave to hold **all** n
+//! decrypted uploads before any aggregation work starts — peak memory
+//! O(nk + d), which caps a round at thousands of clients on a 96 MiB EPC.
+//! So every aggregation algorithm *is* an incremental consumer — each
+//! streamer implements this trait directly, and the one-shot helper
+//! (`aggregate_with_threads`) is its single-chunk special case:
 //!
 //! ```text
 //! init(d, threads) ──▶ ingest(chunk₁) ──▶ … ──▶ ingest(chunkₘ) ──▶ finalize() → Δ̃
@@ -21,17 +22,17 @@
 //! # The invariant: chunk boundaries are invisible
 //!
 //! Every implementation guarantees that streaming at *any* chunk size is
-//! **bitwise output- and trace-identical** to the one-shot path (which is
-//! the single-chunk special case). Three strategies deliver this:
+//! **bitwise output- and trace-identical** to the single-chunk run.
+//! Three strategies deliver this:
 //!
-//! * **per-cell incremental** (Linear, Baseline, PathORAM): the one-shot
-//!   algorithms are already left-to-right folds over the cell stream, so
-//!   the streamer simply persists the accumulator and continues the
-//!   logical `G` offsets across chunks;
+//! * **per-cell incremental** (Linear, Baseline, PathORAM): the
+//!   algorithms are left-to-right folds over the cell stream, so the
+//!   streamer persists the accumulator and continues the logical `G`
+//!   offsets across chunks;
 //! * **unit-buffered** (Grouped): clients buffer until a full processing
 //!   unit — a group of h (serial) or a wave of h·threads (parallel) — is
-//!   available, then run through exactly the one-shot schedule; memory
-//!   stays O(h·threads·k + d·threads);
+//!   available, and the unit schedule is a function of the arrival count
+//!   only; memory stays O(h·threads·k + d·threads);
 //! * **staged** (Advanced, DiffOblivious): the algorithm is inherently
 //!   monolithic (one sort / one shuffle over the whole round is what its
 //!   security argument is about), so chunks stage into the cell buffer
@@ -64,7 +65,7 @@ use super::AggregatorKind;
 ///   chunks does not;
 /// * `finalize` completes the round and returns the averaged dense update
 ///   of length d; it panics with "no updates to aggregate" if nothing was
-///   ingested (mirroring the one-shot API);
+///   ingested;
 /// * the trace emitted through `tr` is a function of public quantities
 ///   only (shape, chunk schedule, threads) for the oblivious kinds;
 /// * the byte-accounting methods describe the enclave-resident footprint
@@ -115,183 +116,6 @@ pub trait Aggregator: Sized {
     /// [`StateError::Mismatch`] if the blob describes a different
     /// configuration (dimension, group size, thread budget, kind).
     fn load_state(&mut self, bytes: &[u8]) -> Result<(), StateError>;
-}
-
-impl Aggregator for LinearStreamer {
-    fn ingest<TR: ParallelTracer>(&mut self, chunk: &[SparseGradient], tr: &mut TR) {
-        LinearStreamer::ingest(self, chunk, tr);
-    }
-
-    fn finalize<TR: ParallelTracer>(self, tr: &mut TR) -> Vec<f32> {
-        LinearStreamer::finalize(self, tr)
-    }
-
-    fn clients(&self) -> usize {
-        LinearStreamer::clients(self)
-    }
-
-    fn resident_bytes(&self) -> u64 {
-        LinearStreamer::resident_bytes(self)
-    }
-
-    fn save_state(&self) -> Vec<u8> {
-        LinearStreamer::save_state(self)
-    }
-
-    fn load_state(&mut self, bytes: &[u8]) -> Result<(), StateError> {
-        LinearStreamer::load_state(self, bytes)
-    }
-}
-
-impl Aggregator for BaselineStreamer {
-    fn ingest<TR: ParallelTracer>(&mut self, chunk: &[SparseGradient], tr: &mut TR) {
-        BaselineStreamer::ingest(self, chunk, tr);
-    }
-
-    fn finalize<TR: ParallelTracer>(self, tr: &mut TR) -> Vec<f32> {
-        BaselineStreamer::finalize(self, tr)
-    }
-
-    fn clients(&self) -> usize {
-        BaselineStreamer::clients(self)
-    }
-
-    fn resident_bytes(&self) -> u64 {
-        BaselineStreamer::resident_bytes(self)
-    }
-
-    fn ingest_scratch_bytes(&self, chunk_clients: usize, k: usize) -> u64 {
-        // The chunk's staged cell copy built for the stripe scans.
-        (chunk_clients * k) as u64 * 8
-    }
-
-    fn save_state(&self) -> Vec<u8> {
-        BaselineStreamer::save_state(self)
-    }
-
-    fn load_state(&mut self, bytes: &[u8]) -> Result<(), StateError> {
-        BaselineStreamer::load_state(self, bytes)
-    }
-}
-
-impl Aggregator for AdvancedStreamer {
-    fn ingest<TR: ParallelTracer>(&mut self, chunk: &[SparseGradient], _tr: &mut TR) {
-        AdvancedStreamer::ingest(self, chunk);
-    }
-
-    fn finalize<TR: ParallelTracer>(self, tr: &mut TR) -> Vec<f32> {
-        AdvancedStreamer::finalize(self, tr)
-    }
-
-    fn clients(&self) -> usize {
-        AdvancedStreamer::clients(self)
-    }
-
-    fn resident_bytes(&self) -> u64 {
-        AdvancedStreamer::resident_bytes(self)
-    }
-
-    fn finalize_scratch_bytes(&self) -> u64 {
-        AdvancedStreamer::finalize_scratch_bytes(self)
-    }
-
-    fn save_state(&self) -> Vec<u8> {
-        AdvancedStreamer::save_state(self)
-    }
-
-    fn load_state(&mut self, bytes: &[u8]) -> Result<(), StateError> {
-        AdvancedStreamer::load_state(self, bytes)
-    }
-}
-
-impl Aggregator for GroupedStreamer {
-    fn ingest<TR: ParallelTracer>(&mut self, chunk: &[SparseGradient], tr: &mut TR) {
-        GroupedStreamer::ingest(self, chunk, tr);
-    }
-
-    fn finalize<TR: ParallelTracer>(self, tr: &mut TR) -> Vec<f32> {
-        GroupedStreamer::finalize(self, tr)
-    }
-
-    fn clients(&self) -> usize {
-        GroupedStreamer::clients(self)
-    }
-
-    fn resident_bytes(&self) -> u64 {
-        GroupedStreamer::resident_bytes(self)
-    }
-
-    fn ingest_scratch_bytes(&self, _chunk_clients: usize, k: usize) -> u64 {
-        self.wave_scratch_bytes(k)
-    }
-
-    fn save_state(&self) -> Vec<u8> {
-        GroupedStreamer::save_state(self)
-    }
-
-    fn load_state(&mut self, bytes: &[u8]) -> Result<(), StateError> {
-        GroupedStreamer::load_state(self, bytes)
-    }
-}
-
-impl Aggregator for OramStreamer {
-    fn ingest<TR: ParallelTracer>(&mut self, chunk: &[SparseGradient], tr: &mut TR) {
-        OramStreamer::ingest(self, chunk, tr);
-    }
-
-    fn finalize<TR: ParallelTracer>(self, tr: &mut TR) -> Vec<f32> {
-        OramStreamer::finalize(self, tr)
-    }
-
-    fn clients(&self) -> usize {
-        OramStreamer::clients(self)
-    }
-
-    fn resident_bytes(&self) -> u64 {
-        OramStreamer::resident_bytes(self)
-    }
-
-    fn finalize_scratch_bytes(&self) -> u64 {
-        OramStreamer::finalize_scratch_bytes(self)
-    }
-
-    fn save_state(&self) -> Vec<u8> {
-        OramStreamer::save_state(self)
-    }
-
-    fn load_state(&mut self, bytes: &[u8]) -> Result<(), StateError> {
-        OramStreamer::load_state(self, bytes)
-    }
-}
-
-impl Aggregator for DoblivStreamer {
-    fn ingest<TR: ParallelTracer>(&mut self, chunk: &[SparseGradient], _tr: &mut TR) {
-        DoblivStreamer::ingest(self, chunk);
-    }
-
-    fn finalize<TR: ParallelTracer>(self, tr: &mut TR) -> Vec<f32> {
-        DoblivStreamer::finalize(self, tr)
-    }
-
-    fn clients(&self) -> usize {
-        DoblivStreamer::clients(self)
-    }
-
-    fn resident_bytes(&self) -> u64 {
-        DoblivStreamer::resident_bytes(self)
-    }
-
-    fn finalize_scratch_bytes(&self) -> u64 {
-        DoblivStreamer::finalize_scratch_bytes(self)
-    }
-
-    fn save_state(&self) -> Vec<u8> {
-        DoblivStreamer::save_state(self)
-    }
-
-    fn load_state(&mut self, bytes: &[u8]) -> Result<(), StateError> {
-        DoblivStreamer::load_state(self, bytes)
-    }
 }
 
 /// Runtime-dispatched streaming aggregator: one variant per
@@ -423,19 +247,6 @@ mod tests {
     use crate::aggregation::{aggregate_with_threads, reference_average};
     use olive_memsim::{Granularity, NullTracer, RecordingTracer};
 
-    fn all_kinds() -> Vec<AggregatorKind> {
-        vec![
-            AggregatorKind::NonOblivious,
-            AggregatorKind::Baseline { cacheline_weights: 16 },
-            AggregatorKind::Baseline { cacheline_weights: 1 },
-            AggregatorKind::Advanced,
-            AggregatorKind::Grouped { h: 2 },
-            AggregatorKind::Grouped { h: 5 },
-            AggregatorKind::PathOram { posmap: olive_oram::PosMapKind::LinearScan },
-            AggregatorKind::DiffOblivious { epsilon: 1.0, delta: 1e-3, seed: 5 },
-        ]
-    }
-
     /// Core invariant at unit scale: streaming at chunk sizes 1, 3 and n
     /// is bitwise output- and trace-identical to the one-shot wrapper.
     #[test]
@@ -457,54 +268,6 @@ mod tests {
                 assert!(bits_eq, "{kind:?} chunk={chunk}: output bits drifted");
                 assert_eq!(tr.digest(), one_tr.digest(), "{kind:?} chunk={chunk}: trace drifted");
             }
-        }
-    }
-
-    /// Anchor the streamers to the *historical cell-level* entry points
-    /// (not just to `aggregate_with_threads`, which is itself
-    /// streamer-backed since the refactor): a single-chunk streaming run
-    /// must reproduce each legacy implementation's bits and trace. Linear
-    /// and Baseline delegate to the streamers by construction; ORAM,
-    /// Advanced and DiffOblivious keep independent bodies, so this pin is
-    /// what catches drift between the copies.
-    #[test]
-    fn single_chunk_streaming_pins_legacy_cell_level_paths() {
-        use crate::aggregation::{advanced, baseline, dobliv, linear, oram};
-        use crate::cell::concat_cells;
-        let d = 48;
-        let updates = random_updates(6, 5, d, 13);
-        let cells = concat_cells(&updates);
-        let n = updates.len();
-        type Legacy = fn(&[u64], usize, usize, &mut RecordingTracer) -> Vec<f32>;
-        let legacy: Vec<(AggregatorKind, Legacy)> = vec![
-            (AggregatorKind::NonOblivious, |c, d, n, tr| {
-                linear::aggregate_sparse_linear(c, d, n, tr)
-            }),
-            (AggregatorKind::Baseline { cacheline_weights: 16 }, |c, d, n, tr| {
-                baseline::aggregate_baseline_with_threads(c, d, n, 16, 1, tr)
-            }),
-            (AggregatorKind::Advanced, |c, d, n, tr| {
-                advanced::aggregate_advanced_with_threads(c, d, n, 1, tr)
-            }),
-            (
-                AggregatorKind::PathOram { posmap: olive_oram::PosMapKind::LinearScan },
-                |c, d, n, tr| oram::aggregate_oram(c, d, n, olive_oram::PosMapKind::LinearScan, tr),
-            ),
-            (
-                AggregatorKind::DiffOblivious { epsilon: 1.0, delta: 1e-3, seed: 5 },
-                |c, d, n, tr| dobliv::aggregate_dobliv_with_threads(c, d, n, 1.0, 1e-3, 5, 1, tr),
-            ),
-        ];
-        for (kind, f) in legacy {
-            let mut legacy_tr = RecordingTracer::new(Granularity::Element);
-            let want = f(&cells, d, n, &mut legacy_tr);
-            let mut tr = RecordingTracer::new(Granularity::Element);
-            let mut agg = StreamingAggregator::new(kind, d, 1);
-            agg.ingest(&updates, &mut tr);
-            let got = agg.finalize(&mut tr);
-            let bits_eq = want.iter().zip(got.iter()).all(|(a, b)| a.to_bits() == b.to_bits());
-            assert!(bits_eq, "{kind:?}: streamer drifted from the legacy output");
-            assert_eq!(tr.digest(), legacy_tr.digest(), "{kind:?}: trace drifted from legacy");
         }
     }
 

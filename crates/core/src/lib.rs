@@ -3,7 +3,7 @@
 //! The paper's primary contribution: **Olive**, oblivious federated
 //! learning on a (simulated) server-side TEE.
 //!
-//! Two halves:
+//! Three parts:
 //!
 //! * [`aggregation`] — the server-side aggregation algorithms over
 //!   sparsified gradients, each instrumented for memory-access tracing:
@@ -18,11 +18,15 @@
 //!     (Proposition 5.2), O((nk+d)·log²(nk+d));
 //!   - [`aggregation::grouped`]: the Section 5.3 optimization — process
 //!     clients in groups of `h` so the sort working set fits cache/EPC;
-//!     groups run in parallel across threads ([`parallel`]) since the
+//!     groups run in parallel across threads ([`default_threads`]) since the
 //!     group schedule is public;
 //!   - [`aggregation::oram`]: the PathORAM/ZeroTrace comparator;
 //!   - [`aggregation::dobliv`]: the Section 5.4 differentially-oblivious
 //!     relaxation (dummy padding + oblivious shuffle + linear pass);
+//! * [`round`] — the enclave-side round as one engine: a single
+//!   chunk-fold driver over the streaming aggregator with a single EPC
+//!   ledger (coordinator budget + shard plane), behind `run_round`,
+//!   `restore_round`, the shard equivalence suites and the bench rig;
 //! * [`olive`] — the full system of Algorithm 1 / Algorithm 6: remote
 //!   attestation, encrypted gradient upload, in-enclave verification and
 //!   decryption, oblivious aggregation, optional central-DP noising, and
@@ -34,8 +38,8 @@
 pub mod aggregation;
 pub mod cell;
 pub mod olive;
-pub mod parallel;
 pub mod regions;
+pub mod round;
 
 pub use aggregation::{
     aggregate, aggregate_with_threads, Aggregator, AggregatorKind, ShardError, ShardFailure,
@@ -43,4 +47,5 @@ pub use aggregation::{
 };
 pub use cell::{cell_index, cell_value, make_cell, DUMMY_INDEX};
 pub use olive::{OliveConfig, OliveSystem, RoundError, RoundReport};
-pub use parallel::default_threads;
+pub use olive_memsim::default_threads;
+pub use round::{Ledger, RoundEngine};

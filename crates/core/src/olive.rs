@@ -10,12 +10,11 @@
 //! 4. the enclave verifies membership and authenticity, decrypts
 //!    (lines 8–11), and aggregates **obliviously** (line 12) — under the
 //!    chosen [`AggregatorKind`], with every adversary-visible access
-//!    reported to the caller's [`Tracer`]. Since the streaming refactor
-//!    this runs as a *chunked pipeline*: uploads are opened in batches
-//!    ([`Enclave::open_upload_batch`]) and folded incrementally through
-//!    the [`StreamingAggregator`], bounding the enclave working set at
-//!    O(chunk·k + d·threads) and overlapping decryption of chunk i+1
-//!    with aggregation of chunk i;
+//!    reported to the caller's [`ParallelTracer`]. This is the
+//!    [`RoundEngine`]'s *chunked pipeline*: uploads are opened in batches
+//!    ([`Enclave::open_upload_batch`]) and folded incrementally, bounding
+//!    the enclave working set at O(chunk·k + d·threads) and overlapping
+//!    decryption of chunk i+1 with aggregation of chunk i;
 //! 5. in DP mode the enclave perturbs the aggregate with Gaussian noise
 //!    calibrated to (σ, C) before it leaves the enclave (Algorithm 6
 //!    line 12), and the RDP accountant tracks the spent budget;
@@ -23,13 +22,14 @@
 //!    result so clients can detect server-side tampering (Section 5.6).
 
 use std::collections::BTreeMap;
+use std::sync::OnceLock;
 
 use olive_data::ClientData;
 use olive_dp::{GaussianMechanism, RdpAccountant};
 use olive_fl::{local_update, sample_clients, ClientConfig, FedAvgServer, SparseGradient};
 use olive_memsim::{
-    FaultPlan, ParallelTracer, RecoveryStats, ShardPlan, StateError, StateReader, StateWriter,
-    WorkingSet,
+    default_threads, positive_env, FaultPlan, ParallelTracer, RecoveryStats, ShardPlan, StateError,
+    StateReader, StateWriter,
 };
 use olive_nn::Model;
 use olive_tee::{
@@ -39,10 +39,10 @@ use olive_telemetry::Telemetry;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
-use crate::aggregation::{
-    Aggregator, AggregatorKind, ShardError, ShardRuntime, StreamingAggregator,
-};
-use crate::parallel::default_threads;
+use crate::aggregation::{Aggregator, AggregatorKind, ShardRuntime, StreamingAggregator};
+use crate::round::{Ledger, RoundEngine};
+
+pub use crate::round::RoundError;
 
 /// Sealing label for mid-round checkpoints. One label, one monotonic
 /// nonce counter: every checkpoint of every round draws from the same
@@ -54,45 +54,6 @@ const CKPT_VERSION: u8 = 1;
 
 /// Attestation user data binding the enclave quote to the FL protocol.
 const ATTEST_CONTEXT: &[u8] = b"olive-fl-v1";
-
-/// Why a round could not run (or resume) to completion. Every variant is
-/// recoverable state, not a panic: the interrupted round stays pending
-/// ([`OliveSystem::interrupted`]) and [`OliveSystem::restore_round`] can
-/// finish it once the cause is repaired — bitwise identical to an
-/// uninterrupted round.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum RoundError {
-    /// The sealed round checkpoint failed to restore: tampered blob
-    /// ([`TeeError::AuthFailure`]) or a rollback below the pinned counter
-    /// floor ([`TeeError::StaleSeal`]).
-    Checkpoint(TeeError),
-    /// The shard transport plane failed after its retry/failover budget
-    /// was exhausted (which shard, how many attempts, terminal failure).
-    Shard(ShardError),
-}
-
-impl core::fmt::Display for RoundError {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        match self {
-            RoundError::Checkpoint(e) => write!(f, "checkpoint restore failed: {e:?}"),
-            RoundError::Shard(e) => write!(f, "shard plane failed: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for RoundError {}
-
-impl From<TeeError> for RoundError {
-    fn from(e: TeeError) -> Self {
-        RoundError::Checkpoint(e)
-    }
-}
-
-impl From<ShardError> for RoundError {
-    fn from(e: ShardError) -> Self {
-        RoundError::Shard(e)
-    }
-}
 
 /// Central-DP configuration (Algorithm 6).
 #[derive(Clone, Copy, Debug)]
@@ -208,9 +169,10 @@ pub struct OliveSystem {
     /// share a (key, label, nonce-counter) triple with different
     /// plaintexts — an AES-GCM nonce reuse.
     shard_provision_epoch: u32,
-    /// A fault script awaiting the next provisioned shard runtime
-    /// ([`OliveSystem::set_fault_plan`] may be called before the plane
-    /// exists; armed — `take()`n — once it does).
+    /// A fault script awaiting the next round's engine
+    /// ([`OliveSystem::set_fault_plan`]; armed — `take()`n — when the
+    /// engine starts, and an unsharded round's unfired remainder comes
+    /// back when it ends).
     pending_faults: Option<FaultPlan>,
     /// Seal a restorable checkpoint after every folded chunk (default on;
     /// [`OliveSystem::set_checkpointing`] is the escape hatch).
@@ -258,26 +220,11 @@ struct PendingRound {
     rng_after_prepare: [u64; 4],
 }
 
-/// Enclave-side ingestion state threaded through [`OliveSystem`]'s
-/// chunked fold — the part a crash destroys and a checkpoint restores.
-struct IngestState {
-    agg: StreamingAggregator,
-    ws: WorkingSet,
-    next_chunk: usize,
-    chunk_size: usize,
-    threads: usize,
-    /// ORAM eviction count already reported to the `oram_evicted_blocks`
-    /// counter (the ORAM reports a running total; telemetry wants
-    /// per-chunk deltas). Zero for non-ORAM kinds and after a restore —
-    /// a restored ORAM restarts its non-serialized eviction counter.
-    oram_evicted_seen: u64,
-}
-
-/// Decoded checkpoint payload (the sealed blob's plaintext).
+/// Where ingestion (re)starts: a decoded checkpoint (the sealed blob's
+/// plaintext), or — for a round that died before its first checkpoint —
+/// the state right after [`OliveSystem::prepare_round`].
 struct Checkpoint {
     chunks_done: usize,
-    chunk_size: usize,
-    threads: usize,
     rng_state: [u64; 4],
     floors: Vec<(UserId, u64)>,
     agg_state: Vec<u8>,
@@ -290,19 +237,8 @@ struct Checkpoint {
 /// contract) — the knob trades enclave working set against per-chunk
 /// overhead.
 pub fn default_chunk() -> usize {
-    use std::sync::OnceLock;
     static CHUNK: OnceLock<usize> = OnceLock::new();
-    *CHUNK.get_or_init(|| {
-        if let Ok(v) = std::env::var("OLIVE_CHUNK") {
-            if let Ok(n) = v.trim().parse::<usize>() {
-                if n >= 1 {
-                    return n;
-                }
-            }
-            eprintln!("OLIVE_CHUNK={v:?} is not a positive integer; using default");
-        }
-        64
-    })
+    *CHUNK.get_or_init(|| positive_env("OLIVE_CHUNK", "default").unwrap_or(64))
 }
 
 /// Process-default shard count: `OLIVE_SHARDS` if set to a positive
@@ -312,19 +248,8 @@ pub fn default_chunk() -> usize {
 /// compute schedule is untouched) — the knob splits the enclave memory
 /// plane into per-stripe EPC budgets.
 pub fn default_shards() -> usize {
-    use std::sync::OnceLock;
     static SHARDS: OnceLock<usize> = OnceLock::new();
-    *SHARDS.get_or_init(|| {
-        if let Ok(v) = std::env::var("OLIVE_SHARDS") {
-            if let Ok(n) = v.trim().parse::<usize>() {
-                if n >= 1 {
-                    return n;
-                }
-            }
-            eprintln!("OLIVE_SHARDS={v:?} is not a positive integer; using default");
-        }
-        1
-    })
+    *SHARDS.get_or_init(|| positive_env("OLIVE_SHARDS", "default").unwrap_or(1))
 }
 
 impl OliveSystem {
@@ -353,29 +278,12 @@ impl OliveSystem {
         let service = AttestationService::new(seed_bytes);
         let mut enclave = Enclave::launch(&enclave_cfg, seed_bytes);
         enclave.set_telemetry(telemetry.clone());
-        let quote = enclave.attest(&service, ATTEST_CONTEXT);
-        let measurement = enclave.measurement();
-        let sessions: Vec<ClientSession> = clients
-            .iter()
-            .map(|c| {
-                let mut cs = seed_bytes;
-                cs[24..28].copy_from_slice(&c.user.to_be_bytes());
-                cs[28] ^= 0xC1;
-                let mut session = ClientSession::establish(
-                    c.user,
-                    service.public_key(),
-                    &measurement,
-                    &quote,
-                    cs,
-                )
-                .expect("attestation must succeed in the simulation");
-                session.set_telemetry(telemetry.clone());
-                enclave
-                    .register_client(c.user, session.dh_public())
-                    .expect("the enclave attested above, so registration is permitted");
-                session
-            })
-            .collect();
+        let users = clients.iter().map(|c| c.user);
+        let mut sessions =
+            provision_clients(&service, &mut enclave, ATTEST_CONTEXT, seed_bytes, users);
+        for session in &mut sessions {
+            session.set_telemetry(telemetry.clone());
+        }
         let scratch = model.clone();
         let server = FedAvgServer::new(model, cfg.server_lr);
         let rng = SmallRng::seed_from_u64(cfg.seed ^ 0x011F_E5EED);
@@ -518,25 +426,22 @@ impl OliveSystem {
         Ok(())
     }
 
-    /// Arms a deterministic fault script for the next sharded round(s)
-    /// (on the monolithic path there is no transport plane to fault and
-    /// the plan is simply never consumed). Composes with `OLIVE_FAULTS`:
-    /// an explicit plan wins; the environment plan re-arms whenever no
-    /// script is active ([`ShardRuntime::begin_round`]).
+    /// Arms a deterministic fault script for the next round(s). Shard
+    /// transport faults need a shard plane (on the monolithic path they
+    /// are simply never consumed); a coordinator crash (`crash@<chunk>`)
+    /// fires on any round. Composes with `OLIVE_FAULTS`: an explicit plan
+    /// wins; the environment plan re-arms whenever no script is active
+    /// ([`ShardRuntime::begin_round`]).
     pub fn set_fault_plan(&mut self, plan: FaultPlan) {
-        if let Some(rt) = self.shard_rt.as_mut() {
-            rt.set_fault_plan(plan);
-        } else {
-            self.pending_faults = Some(plan);
-        }
+        self.pending_faults = Some(plan);
     }
 
-    /// Recovery work (retries, relaunches, simulated backoff) the current
-    /// shard plane has performed; `None` on the monolithic path.
-    #[deprecated(note = "read `RoundReport::telemetry.recovery` instead — it is always \
-                populated (zeroed when unsharded) and scoped to the round")]
-    pub fn shard_recovery_stats(&self) -> Option<RecoveryStats> {
-        self.shard_rt.as_ref().map(|rt| rt.recovery_stats())
+    /// Live EPC bytes on the coordinator's budget followed by every shard
+    /// budget, in stripe order — all zero between rounds, *also* after an
+    /// aborted one (the engine's ledger releases on abort).
+    pub fn epc_live(&self) -> Vec<u64> {
+        let shards = self.shard_rt.as_ref().map(|rt| rt.live()).unwrap_or_default();
+        std::iter::once(self.enclave.epc.live).chain(shards).collect()
     }
 
     /// The current global parameters θ_t.
@@ -558,83 +463,48 @@ impl OliveSystem {
     /// Runs one full round (Algorithm 1 lines 4–14 / Algorithm 6),
     /// reporting the enclave's memory accesses during aggregation to `tr`.
     ///
-    /// Since the streaming refactor the enclave never materializes the
-    /// whole round: uploads are opened, decoded and folded into the
-    /// [`StreamingAggregator`] in chunks of [`OliveSystem::chunk`]
-    /// clients, the EPC budget is charged per chunk (staged plaintext +
-    /// aggregator-resident state + transient scratch), and — with a
-    /// worker-thread budget ≥ 2 — chunk i+1 is opened/decoded on a spare
-    /// thread while chunk i aggregates. The round output and the
-    /// aggregation trace are bitwise identical at every chunk size (the
-    /// streaming contract), so this changes memory and throughput, never
-    /// results.
+    /// The enclave never materializes the whole round: the sealed uploads
+    /// go through the [`RoundEngine`] in chunks of [`OliveSystem::chunk`]
+    /// clients (its ledger charging the EPC budget per chunk; with a
+    /// worker-thread budget ≥ 2, chunk i+1 is opened on a spare thread
+    /// while chunk i aggregates). The round output and the aggregation
+    /// trace are bitwise identical at every chunk size (the streaming
+    /// contract), so this changes memory and throughput, never results.
     ///
     /// Rounds are **crash-safe**: after every folded chunk the enclave
     /// seals a restore point (round counter, aggregator state, replay
-    /// floors, RNG state) under [`CKPT_LABEL`], so a crashed round
-    /// resumes via [`OliveSystem::restore_round`] instead of restarting —
-    /// bitwise identical in output and trace to an uninterrupted run.
+    /// floors, RNG state) under `"round-ckpt"`, so a crashed round — a
+    /// scripted `crash@<chunk>` fault surfaces as
+    /// [`RoundError::CoordinatorKilled`] — resumes via
+    /// [`OliveSystem::restore_round`] instead of restarting, bitwise
+    /// identical in output and trace to an uninterrupted run.
     /// [`OliveSystem::set_checkpointing`] turns the sealing off.
     ///
     /// Sharded rounds (S > 1) are additionally **fault-tolerant**: shard
     /// deaths and tunnel corruption recover in-band (bounded retries,
     /// mid-round shard relaunch + re-attestation + checkpoint restore)
     /// without perturbing output, signature or trace. Only *exhausted*
-    /// recovery surfaces, as [`RoundError::Shard`] — the round stays
-    /// pending and [`OliveSystem::restore_round`] finishes it.
+    /// recovery surfaces, as [`RoundError::Shard`].
+    ///
+    /// On any `Err` the round stays pending ([`OliveSystem::interrupted`])
+    /// with every EPC budget balanced, and
+    /// [`OliveSystem::restore_round`] finishes it.
     pub fn run_round<TR: ParallelTracer>(
         &mut self,
         tr: &mut TR,
     ) -> Result<RoundReport, RoundError> {
-        self.run_round_inner(None, tr)
-            .map(|r| r.expect("round completes when no kill point is injected"))
-    }
-
-    /// [`OliveSystem::run_round`] with a simulated crash injected after
-    /// chunk `kill_after` (0-based) has been folded and checkpointed: the
-    /// enclave is torn down and relaunched cold — aggregator, staged
-    /// plaintexts, replay floors and seal counters all gone — and `None`
-    /// is returned. [`OliveSystem::restore_round`] then resumes from the
-    /// sealed checkpoint. A `kill_after` at or past the last chunk lets
-    /// the round complete normally (`Some(report)`).
-    pub fn run_round_kill_after<TR: ParallelTracer>(
-        &mut self,
-        kill_after: usize,
-        tr: &mut TR,
-    ) -> Result<Option<RoundReport>, RoundError> {
-        assert!(self.checkpoint, "kill testing requires checkpointing to be enabled");
-        self.run_round_inner(Some(kill_after), tr)
-    }
-
-    fn run_round_inner<TR: ParallelTracer>(
-        &mut self,
-        kill_after: Option<usize>,
-        tr: &mut TR,
-    ) -> Result<Option<RoundReport>, RoundError> {
         assert!(
             self.pending.is_none(),
             "an interrupted round must be restored (restore_round) before starting a new one"
         );
         self.ensure_shard_runtime()?;
-        if let Some(rt) = self.shard_rt.as_mut() {
-            if let Some(plan) = self.pending_faults.take() {
-                rt.set_fault_plan(plan);
-            }
-        }
         let _round_span = self.telemetry.span("round", &[("round", self.round.into())]);
         let pending = self.prepare_round();
         if pending.sampled.is_empty() {
-            return Ok(Some(self.finish_empty_round(pending.t)));
+            return Ok(self.finish_empty_round(pending.t));
         }
-        let st = IngestState {
-            agg: StreamingAggregator::new(self.cfg.aggregator, self.server.dim(), pending.threads),
-            ws: WorkingSet::default(),
-            next_chunk: 0,
-            chunk_size: pending.chunk_size,
-            threads: pending.threads,
-            oram_evicted_seen: 0,
-        };
-        self.resume_ingestion(pending, st, kill_after, tr)
+        let agg = StreamingAggregator::new(self.cfg.aggregator, self.server.dim(), pending.threads);
+        self.drive(pending, agg, 0, tr)
     }
 
     /// Algorithm 1 lines 4–7 + 15–23: sample, train, sparsify, encrypt.
@@ -649,9 +519,6 @@ impl OliveSystem {
             &[("round", t.into()), ("participants", (sampled.len() as u64).into())],
         );
         self.enclave.begin_round(t, sampled.clone());
-        if let Some(rt) = self.shard_rt.as_mut() {
-            rt.begin_round();
-        }
         let base_floors = self.enclave.replay_floors();
 
         // Lines 7 + 15–23: local training, sparsify, clip, encrypt.
@@ -701,7 +568,8 @@ impl OliveSystem {
             epsilon_spent: self.cfg.dp.map(|dp| self.accountant.epsilon(dp.delta)),
             working_set_bytes: 0,
             would_page: false,
-            shard_peaks: self.shard_rt.as_ref().map(|rt| rt.peaks()).unwrap_or_default(),
+            // No engine ran, so no shard was charged anything.
+            shard_peaks: self.shard_rt.as_ref().map(|rt| vec![0; rt.shards()]).unwrap_or_default(),
             model_signature,
             telemetry: RoundTelemetry::default(),
         };
@@ -709,229 +577,65 @@ impl OliveSystem {
         report
     }
 
-    /// Lines 8–12 (+ Algorithm 6 line 12 and line 14): chunked
-    /// verify/decrypt/fold under the adversary's tracer with per-chunk
-    /// EPC accounting, then finalize, noise, apply, sign. Entered at
-    /// chunk 0 by a fresh round and at `st.next_chunk` by
-    /// [`OliveSystem::restore_round`]; returns `Ok(None)` only when
-    /// `kill_after` injects a crash, and `Err` when the shard plane
-    /// exhausts its recovery budget — in both cases the round stays
-    /// pending and restorable.
-    fn resume_ingestion<TR: ParallelTracer>(
+    /// Lines 8–12 (+ Algorithm 6 line 12 and line 14): the sealed uploads
+    /// through the [`RoundEngine`] under the adversary's tracer, then
+    /// noise, apply, sign. Entered at chunk 0 by a fresh round and at the
+    /// checkpoint's `chunks_done` by [`OliveSystem::restore_round`].
+    ///
+    /// The engine takes the coordinator's budget and the shard plane for
+    /// the round and hands both back when it ends — so there is one exit
+    /// for every abort (exhausted shard recovery at ingress or egress, a
+    /// scripted coordinator crash): the round goes back to pending, the
+    /// invocation's counters are flushed, and the error surfaces.
+    fn drive<TR: ParallelTracer>(
         &mut self,
         pending: PendingRound,
-        mut st: IngestState,
-        kill_after: Option<usize>,
+        agg: StreamingAggregator,
+        chunks_done: usize,
         tr: &mut TR,
-    ) -> Result<Option<RoundReport>, RoundError> {
+    ) -> Result<RoundReport, RoundError> {
         let t = pending.t;
-        let k = pending.k;
-        let threads = st.threads;
-        // The shard plane rides alongside the canonical schedule: every
-        // coordinator charge below is mirrored stripe-weighted onto the
-        // shard budgets, and each staged chunk is broadcast through the
-        // tunnels before it folds. Taken out of `self` for the loop so
-        // the opener thread's enclave borrow stays exclusive.
-        let mut rt = self.shard_rt.take();
+        let ledger = Ledger::new(self.enclave.epc, self.shard_rt.take(), self.telemetry.clone());
+        let mut engine = RoundEngine::new(agg, pending.k, pending.threads, chunks_done, ledger);
+        if let Some(plan) = self.pending_faults.take() {
+            engine.set_fault_plan(plan);
+        }
         // The round's recovery delta is the runtime's monotone counters
         // minus this snapshot; unsharded rounds keep the explicit zeroes.
-        let recovery_base = rt.as_ref().map(|rt| rt.recovery_stats()).unwrap_or_default();
+        let recovery_base = engine.shards().map(|rt| rt.recovery_stats()).unwrap_or_default();
         let mut round_tel = RoundTelemetry::default();
-        let mut resident = st.agg.resident_bytes();
-        st.ws.alloc_counted(resident, &self.telemetry, "coordinator");
-        self.enclave.epc.alloc(resident);
-        if let Some(rt) = rt.as_mut() {
-            rt.alloc_split(resident);
-        }
-
-        let msg_chunks: Vec<&[SealedMessage]> = pending.sealed.chunks(st.chunk_size).collect();
-        let mut staged: Vec<SparseGradient> = Vec::new();
-        let mut staged_bytes = 0u64;
-        if let Some(first) = msg_chunks.get(st.next_chunk) {
-            staged_bytes = staged_chunk_bytes(first);
-            st.ws.alloc_counted(staged_bytes, &self.telemetry, "coordinator");
-            self.enclave.epc.alloc(staged_bytes);
-            if let Some(rt) = rt.as_mut() {
-                rt.alloc_split(staged_bytes);
-            }
-            staged = open_and_decode(&mut self.enclave, first);
-        }
-        for i in st.next_chunk..msg_chunks.len() {
-            let _chunk_span = self.telemetry.span(
-                "ingest_chunk",
-                &[("chunk", (i as u64).into()), ("clients", (msg_chunks[i].len() as u64).into())],
-            );
-            // Charge the transient ingest scratch, and — when
-            // double-buffering — the next chunk's staging, both live
-            // while this chunk folds.
-            let scratch = st.agg.ingest_scratch_bytes(staged.len(), k);
-            st.ws.alloc_counted(scratch, &self.telemetry, "coordinator");
-            self.enclave.epc.alloc(scratch);
-            let next_msgs = msg_chunks.get(i + 1).copied();
-            let next_bytes = next_msgs.map(staged_chunk_bytes).unwrap_or(0);
-            st.ws.alloc_counted(next_bytes, &self.telemetry, "coordinator");
-            self.enclave.epc.alloc(next_bytes);
-            if let Some(rt2) = rt.as_mut() {
-                rt2.alloc_split(scratch);
-                rt2.alloc_split(next_bytes);
-                // Broadcast the chunk's cell segment to every shard
-                // before it folds (fixed shape: a pure function of the
-                // public chunk schedule, so the transport leaks nothing
-                // the schedule doesn't already reveal). Recovery from
-                // shard faults happens inside this call; only exhausted
-                // recovery aborts the round — with every outstanding
-                // charge unwound and chunk i unfolded, so the sealed
-                // checkpoint of chunk i−1 (or the untrusted round
-                // material, if i = 0) restores it exactly.
-                if let Err(e) = rt2.ingress_chunk(&staged) {
-                    self.enclave.epc.free(scratch);
-                    self.enclave.epc.free(next_bytes);
-                    self.enclave.epc.free(staged_bytes);
-                    self.enclave.epc.free(resident);
-                    rt2.free_split(scratch);
-                    rt2.free_split(next_bytes);
-                    rt2.free_split(staged_bytes);
-                    rt2.free_split(resident);
-                    self.shard_rt = rt;
-                    self.pending = Some(pending);
-                    return Err(RoundError::Shard(e));
+        let folded = self.fold_chunks(&pending, &mut engine, &mut round_tel, tr);
+        round_tel.chunks = engine.chunks_folded();
+        let fin_span =
+            folded.is_ok().then(|| self.telemetry.span("finalize", &[("round", t.into())]));
+        let (delta, end) = match folded {
+            Ok(()) => engine.finish(tr),
+            Err(e) => (Err(e), engine.abort()),
+        };
+        self.enclave.epc = end.coordinator;
+        self.shard_rt = end.shards;
+        self.pending_faults = Some(end.faults).filter(|plan| !plan.is_empty());
+        let mut delta = match delta {
+            Ok(delta) => delta,
+            Err(e) => {
+                drop(fin_span);
+                if let RoundError::CoordinatorKilled { .. } = e {
+                    // The simulated crash: enclave memory — aggregator
+                    // state, staged plaintexts, session keys, replay
+                    // floors, seal counters — vanishes with the dying
+                    // enclave. What survives is untrusted storage (the
+                    // round's ciphertexts and the sealed checkpoint) plus
+                    // the rollback-protected counter floor. The shard
+                    // enclaves model separate machines and outlive the
+                    // crash; the restore path re-provisions their tunnels
+                    // against the relaunched coordinator.
+                    self.relaunch_enclave();
                 }
-            }
-            let next = if let Some(msgs) = next_msgs {
-                if threads >= 2 {
-                    // Pipeline: open/decode chunk i+1 on an extra worker
-                    // while chunk i aggregates on this thread. Opening
-                    // touches only the enclave's session/replay state,
-                    // which the aggregation does not. The opener rides
-                    // *on top of* the aggregation's thread budget (up to
-                    // threads+1 runnable threads): shrinking the
-                    // aggregation to threads−1 workers would change the
-                    // Grouped wave schedule and break the bitwise
-                    // chunk-invariance contract, and the opener is
-                    // crypto-bound while the sorts are memory-bound, so
-                    // the deliberate oversubscription overlaps well.
-                    let enclave = &mut self.enclave;
-                    let agg = &mut st.agg;
-                    std::thread::scope(|scope| {
-                        let opener = scope.spawn(move || open_and_decode(enclave, msgs));
-                        agg.ingest(&staged, tr);
-                        opener.join().expect("upload opener thread must not panic")
-                    })
-                } else {
-                    st.agg.ingest(&staged, tr);
-                    open_and_decode(&mut self.enclave, msgs)
-                }
-            } else {
-                st.agg.ingest(&staged, tr);
-                Vec::new()
-            };
-            st.ws.free_counted(scratch, &self.telemetry, "coordinator");
-            self.enclave.epc.free(scratch);
-            st.ws.free_counted(staged_bytes, &self.telemetry, "coordinator");
-            self.enclave.epc.free(staged_bytes);
-            if let Some(rt) = rt.as_mut() {
-                rt.free_split(scratch);
-                rt.free_split(staged_bytes);
-            }
-            staged_bytes = next_bytes;
-            staged = next;
-            let now_resident = st.agg.resident_bytes();
-            // The aggregator's persistent state grew (or shrank) in
-            // place: one resize event, so the peak never counts both
-            // generations of the same state.
-            st.ws.resize_counted(resident, now_resident, &self.telemetry, "coordinator");
-            self.enclave.epc.free(resident);
-            self.enclave.epc.alloc(now_resident);
-            if let Some(rt) = rt.as_mut() {
-                rt.free_split(resident);
-                rt.alloc_split(now_resident);
-            }
-            resident = now_resident;
-            // ORAM comparator rounds expose the stash high-water mark and
-            // eviction volume on the side-band counters (deterministic
-            // values: both kernels count identically).
-            if let Some(stats) = st.agg.oram_stats() {
-                self.telemetry.observe(
-                    "oram_stash_occupancy",
-                    "max",
-                    stats.max_stash_occupancy as u64,
-                );
-                let evicted_delta = stats.evicted_blocks - st.oram_evicted_seen;
-                st.oram_evicted_seen = stats.evicted_blocks;
-                self.telemetry.count("oram_evicted_blocks", "coordinator", evicted_delta);
-            }
-            round_tel.chunks += 1;
-
-            // Chunk i is folded: seal the restore point. Sealing touches
-            // only enclave-private state (seal counter, sealing key), so
-            // it emits no adversary-visible trace events — checkpoint
-            // cadence cannot perturb the bitwise trace contract.
-            if self.checkpoint {
-                let blob_bytes = self.seal_checkpoint(
-                    &pending,
-                    &st.agg,
-                    &mut st.ws,
-                    st.chunk_size,
-                    threads,
-                    i + 1,
-                );
-                round_tel.ckpt_seals += 1;
-                round_tel.ckpt_bytes += blob_bytes;
-            }
-            if kill_after == Some(i) {
-                // The simulated crash: enclave memory — aggregator state,
-                // staged plaintexts, session keys, replay floors, seal
-                // counters — vanishes with the dying enclave. What
-                // survives is untrusted storage (the round's ciphertexts
-                // and the sealed checkpoint) plus the rollback-protected
-                // counter floor.
-                self.enclave = Enclave::launch(&self.enclave_cfg, self.seed_bytes);
-                self.enclave.set_telemetry(self.telemetry.clone());
-                // The shard enclaves model separate machines and outlive
-                // the coordinator crash; the restore path re-provisions
-                // their tunnels against the relaunched coordinator.
-                self.shard_rt = rt;
                 self.pending = Some(pending);
-                return Ok(None);
+                self.telemetry.flush_stats();
+                return Err(e);
             }
-        }
-
-        let fin_span = self.telemetry.span("finalize", &[("round", t.into())]);
-        let fin_scratch = st.agg.finalize_scratch_bytes();
-        st.ws.alloc_counted(fin_scratch, &self.telemetry, "coordinator");
-        self.enclave.epc.alloc(fin_scratch);
-        if let Some(rt) = rt.as_mut() {
-            rt.alloc_split(fin_scratch);
-        }
-        let mut delta = st.agg.finalize(tr);
-        if let Some(rt2) = rt.as_mut() {
-            // Stripe the finalized delta out to the shards and fold the
-            // shard-held stripes back in ascending shard order — the
-            // deterministic merge, bitwise the canonical delta. An
-            // exhausted egress recovery aborts with charges unwound; the
-            // final checkpoint (all chunks folded) restores the round at
-            // the finalize step.
-            match rt2.egress_round(&delta) {
-                Ok(merged) => delta = merged,
-                Err(e) => {
-                    self.enclave.epc.free(fin_scratch);
-                    self.enclave.epc.free(resident);
-                    rt2.free_split(fin_scratch);
-                    rt2.free_split(resident);
-                    self.shard_rt = rt;
-                    self.pending = Some(pending);
-                    return Err(RoundError::Shard(e));
-                }
-            }
-        }
-        st.ws.free_counted(fin_scratch, &self.telemetry, "coordinator");
-        self.enclave.epc.free(fin_scratch);
-        st.ws.free_counted(resident, &self.telemetry, "coordinator");
-        self.enclave.epc.free(resident);
-        if let Some(rt) = rt.as_mut() {
-            rt.free_split(fin_scratch);
-            rt.free_split(resident);
-        }
+        };
 
         // Algorithm 6 line 12: enclave-side Gaussian perturbation. The
         // finalize() above divides by the realized n; Algorithm 6 scales
@@ -960,30 +664,69 @@ impl OliveSystem {
         // weight. The floor stays pinned forever — monotone across rounds,
         // so no stale blob can ever replay into a later round.
         self.ckpt_store = None;
-        let shard_peaks = rt.as_ref().map(|rt| rt.peaks()).unwrap_or_default();
-        let would_page = match rt.as_ref() {
-            Some(rt) => rt.any_would_page(),
-            None => st.ws.peak > self.enclave.epc.limit,
-        };
+        let rt = self.shard_rt.as_ref();
         round_tel.recovery =
-            rt.as_ref().map(|rt| rt.recovery_stats().since(recovery_base)).unwrap_or_default();
-        self.shard_rt = rt;
+            rt.map(|rt| rt.recovery_stats().since(recovery_base)).unwrap_or_default();
+        let report = RoundReport {
+            round: t,
+            processed_users: pending.sampled,
+            k_per_user: pending.k,
+            epsilon_spent,
+            working_set_bytes: self.enclave.epc.peak,
+            would_page: rt.map_or(self.enclave.epc.would_page(), |rt| rt.any_would_page()),
+            shard_peaks: rt.map(|rt| rt.peaks()).unwrap_or_default(),
+            model_signature,
+            telemetry: round_tel,
+        };
         drop(fin_span);
         // Drain the accumulated counters/histograms at the round
         // boundary — a deterministic point, so the stream's record order
         // is reproducible run to run.
         self.telemetry.flush_stats();
-        Ok(Some(RoundReport {
-            round: t,
-            processed_users: pending.sampled,
-            k_per_user: k,
-            epsilon_spent,
-            working_set_bytes: st.ws.peak,
-            would_page,
-            shard_peaks,
-            model_signature,
-            telemetry: round_tel,
-        }))
+        Ok(report)
+    }
+
+    /// The ingestion loop: every remaining chunk opened, decoded, folded,
+    /// checkpointed, and offered to the crash hook — chunk i+1 being
+    /// opened while chunk i folds. Opening touches only the enclave's
+    /// session/replay state, which the aggregation does not.
+    fn fold_chunks<TR: ParallelTracer>(
+        &mut self,
+        pending: &PendingRound,
+        engine: &mut RoundEngine,
+        round_tel: &mut RoundTelemetry,
+        tr: &mut TR,
+    ) -> Result<(), RoundError> {
+        let msg_chunks: Vec<&[SealedMessage]> = pending.sealed.chunks(pending.chunk_size).collect();
+        let first = engine.chunks_done();
+        let mut staged = match msg_chunks.get(first) {
+            Some(msgs) => open_and_decode(&mut self.enclave, msgs),
+            None => Vec::new(),
+        };
+        for (i, msgs) in msg_chunks.iter().enumerate().skip(first) {
+            let _chunk_span = self.telemetry.span(
+                "ingest_chunk",
+                &[("chunk", (i as u64).into()), ("clients", (msgs.len() as u64).into())],
+            );
+            let next_msgs = msg_chunks.get(i + 1).copied();
+            let enclave = &mut self.enclave;
+            staged = engine.fold(
+                &staged,
+                next_msgs.map_or(0, staged_chunk_bytes),
+                move || next_msgs.map_or_else(Vec::new, |msgs| open_and_decode(enclave, msgs)),
+                tr,
+            )?;
+            // Chunk i is folded: seal the restore point. Sealing touches
+            // only enclave-private state (seal counter, sealing key), so
+            // it emits no adversary-visible trace events — checkpoint
+            // cadence cannot perturb the bitwise trace contract.
+            if self.checkpoint {
+                round_tel.ckpt_bytes += self.seal_checkpoint(pending, engine);
+                round_tel.ckpt_seals += 1;
+            }
+            engine.crash_point()?;
+        }
+        Ok(())
     }
 
     /// Serializes and seals the round's restore point under
@@ -998,15 +741,8 @@ impl OliveSystem {
     /// instead of being misclassified as replays. That
     /// opened-but-not-folded gap was the crash-unsafety this checkpoint
     /// scheme exists to fix.
-    fn seal_checkpoint(
-        &mut self,
-        pending: &PendingRound,
-        agg: &StreamingAggregator,
-        ws: &mut WorkingSet,
-        chunk_size: usize,
-        threads: usize,
-        chunks_done: usize,
-    ) -> u64 {
+    fn seal_checkpoint(&mut self, pending: &PendingRound, engine: &mut RoundEngine) -> u64 {
+        let chunks_done = engine.chunks_done();
         let mut span =
             self.telemetry.span("checkpoint_seal", &[("chunks_done", (chunks_done as u64).into())]);
         let mut w = StateWriter::new();
@@ -1014,8 +750,8 @@ impl OliveSystem {
         w.put_u64(pending.t);
         w.put_usize(chunks_done);
         w.put_usize(pending.sealed.len());
-        w.put_usize(chunk_size);
-        w.put_usize(threads);
+        w.put_usize(pending.chunk_size);
+        w.put_usize(pending.threads);
         w.put_usize(pending.k);
         // The DP/sampling generator is enclave state too: the post-restore
         // noise draw must be the exact draw the uninterrupted round would
@@ -1023,7 +759,7 @@ impl OliveSystem {
         for word in self.rng.state() {
             w.put_u64(word);
         }
-        let folded = (chunks_done * chunk_size).min(pending.sealed.len());
+        let folded = (chunks_done * pending.chunk_size).min(pending.sealed.len());
         let mut floors: BTreeMap<UserId, u64> = pending.base_floors.iter().copied().collect();
         for m in &pending.sealed[..folded] {
             floors.insert(m.user, m.nonce_counter);
@@ -1033,17 +769,14 @@ impl OliveSystem {
             w.put_u32(u);
             w.put_u64(c);
         }
-        w.put_bytes(&agg.save_state());
+        w.put_bytes(&engine.checkpoint_state());
         let plain = w.into_bytes();
 
         // The serialized state is enclave-resident while it is built and
         // sealed; charge it like any other transient.
-        let transient = plain.len() as u64;
-        ws.alloc_counted(transient, &self.telemetry, "coordinator");
-        self.enclave.epc.alloc(transient);
-        let sealed = self.enclave.seal(&plain, CKPT_LABEL);
-        ws.free_counted(transient, &self.telemetry, "coordinator");
-        self.enclave.epc.free(transient);
+        let enclave = &mut self.enclave;
+        let sealed =
+            engine.ledger_mut().transient(plain.len() as u64, || enclave.seal(&plain, CKPT_LABEL));
 
         let blob_bytes = sealed.len() as u64;
         span.field("blob_bytes", blob_bytes.into());
@@ -1054,7 +787,7 @@ impl OliveSystem {
         blob_bytes
     }
 
-    /// Whether a killed round is awaiting [`OliveSystem::restore_round`].
+    /// Whether an aborted round is awaiting [`OliveSystem::restore_round`].
     pub fn interrupted(&self) -> bool {
         self.pending.is_some()
     }
@@ -1078,6 +811,13 @@ impl OliveSystem {
         self.ckpt_store = Some(blob);
     }
 
+    /// Cold (re)launch of the coordinator enclave: same platform seed ⇒
+    /// same sealing key and DH keypair, everything in enclave memory gone.
+    fn relaunch_enclave(&mut self) {
+        self.enclave = Enclave::launch(&self.enclave_cfg, self.seed_bytes);
+        self.enclave.set_telemetry(self.telemetry.clone());
+    }
+
     /// Recovers an interrupted round from the newest sealed checkpoint
     /// and runs it to completion.
     ///
@@ -1096,45 +836,21 @@ impl OliveSystem {
     /// shard fault, or egress failure with checkpointing off) has no blob
     /// and is restarted whole from the untrusted round material — nothing
     /// was folded, so that too is exact. Output and trace are bitwise
-    /// identical to the uninterrupted round. On error the interrupted
-    /// round stays pending, so the caller can repair storage and retry.
+    /// identical to the uninterrupted round. On error — including a
+    /// further scripted crash — the interrupted round stays pending, so
+    /// the caller can repair storage and retry.
     pub fn restore_round<TR: ParallelTracer>(
         &mut self,
         tr: &mut TR,
     ) -> Result<RoundReport, RoundError> {
-        self.restore_round_inner(None, tr)
-            .map(|r| r.expect("restore completes when no kill point is injected"))
-    }
-
-    /// [`OliveSystem::restore_round`] with another crash injected after
-    /// chunk `kill_after` — lets tests exercise repeated kill/restore
-    /// cycles within one round. Returns `Ok(None)` when the kill fired.
-    pub fn restore_round_kill_after<TR: ParallelTracer>(
-        &mut self,
-        kill_after: usize,
-        tr: &mut TR,
-    ) -> Result<Option<RoundReport>, RoundError> {
-        self.restore_round_inner(Some(kill_after), tr)
-    }
-
-    fn restore_round_inner<TR: ParallelTracer>(
-        &mut self,
-        kill_after: Option<usize>,
-        tr: &mut TR,
-    ) -> Result<Option<RoundReport>, RoundError> {
-        assert!(self.pending.is_some(), "restore_round requires an interrupted round");
+        let t = self.pending.as_ref().expect("restore_round requires an interrupted round").t;
         let _span = self.telemetry.span(
             "round_restore",
-            &[
-                ("round", self.pending.as_ref().expect("checked above").t.into()),
-                ("has_checkpoint", self.ckpt_store.is_some().into()),
-            ],
+            &[("round", t.into()), ("has_checkpoint", self.ckpt_store.is_some().into())],
         );
-        let blob = self.ckpt_store.clone();
 
         // Cold relaunch + re-provisioning.
-        self.enclave = Enclave::launch(&self.enclave_cfg, self.seed_bytes);
-        self.enclave.set_telemetry(self.telemetry.clone());
+        self.relaunch_enclave();
         self.enclave.attest(&self.service, ATTEST_CONTEXT);
         for s in &self.sessions {
             self.enclave
@@ -1148,96 +864,48 @@ impl OliveSystem {
         self.shard_rt = None;
         self.ensure_shard_runtime()?;
 
-        let restored = match &blob {
+        let pending = self.pending.as_ref().expect("checked above");
+        let mut agg =
+            StreamingAggregator::new(self.cfg.aggregator, self.server.dim(), pending.threads);
+        let ckpt = match &self.ckpt_store {
             Some(blob) => {
                 // Unseal against the pinned floor: stale (rolled-back)
                 // blobs and tampered blobs both fail here, leaving the
                 // round pending.
                 let plain = self.enclave.unseal_with_floor(blob, CKPT_LABEL, self.ckpt_floor)?;
-                let ckpt = decode_checkpoint(&plain, self.pending.as_ref().expect("checked above"))
-                    // An authenticated blob that decodes to the wrong
-                    // shape means it was sealed for a different round
-                    // than the pending one — treat it like any other
-                    // unusable blob.
-                    .map_err(|_| RoundError::Checkpoint(TeeError::AuthFailure))?;
-                let mut agg =
-                    StreamingAggregator::new(self.cfg.aggregator, self.server.dim(), ckpt.threads);
-                agg.load_state(&ckpt.agg_state)
-                    .map_err(|_| RoundError::Checkpoint(TeeError::AuthFailure))?;
-                Some((agg, ckpt))
+                // An authenticated blob that decodes to the wrong shape
+                // means it was sealed for a different round than the
+                // pending one — treat it like any other unusable blob.
+                let unusable = |_| RoundError::Checkpoint(TeeError::AuthFailure);
+                let ckpt = decode_checkpoint(&plain, pending).map_err(unusable)?;
+                agg.load_state(&ckpt.agg_state).map_err(unusable)?;
+                ckpt
             }
             // No checkpoint was ever sealed for this round: nothing was
             // folded before the abort, so the exact pre-crash state is a
             // fresh aggregator over the untrusted round material.
-            None => None,
+            None => Checkpoint {
+                chunks_done: 0,
+                rng_state: pending.rng_after_prepare,
+                floors: pending.base_floors.clone(),
+                agg_state: Vec::new(),
+            },
         };
 
         let mut pending = self.pending.take().expect("checked above");
-        let st = match restored {
-            Some((agg, ckpt)) => {
-                self.rng = SmallRng::from_state(ckpt.rng_state);
-                self.enclave.begin_round(pending.t, pending.sampled.clone());
-                if let Some(rt) = self.shard_rt.as_mut() {
-                    if let Some(plan) = self.pending_faults.take() {
-                        rt.set_fault_plan(plan);
-                    }
-                    rt.begin_round();
-                    // Keep scripted fault coordinates absolute: the
-                    // resumed half of the round continues the original
-                    // chunk numbering.
-                    rt.skip_to_chunk(ckpt.chunks_done);
-                }
-                self.enclave.restore_replay_floors(&ckpt.floors);
-                // Future checkpoints of this round rebuild their
-                // snapshots from the restored floors: unfolded users
-                // still carry their base entries there, folded users'
-                // overrides are permanent.
-                pending.base_floors = ckpt.floors;
-                IngestState {
-                    agg,
-                    ws: WorkingSet::default(),
-                    next_chunk: ckpt.chunks_done,
-                    chunk_size: ckpt.chunk_size,
-                    threads: ckpt.threads,
-                    oram_evicted_seen: 0,
-                }
-            }
-            None => {
-                self.rng = SmallRng::from_state(pending.rng_after_prepare);
-                self.enclave.begin_round(pending.t, pending.sampled.clone());
-                if let Some(rt) = self.shard_rt.as_mut() {
-                    if let Some(plan) = self.pending_faults.take() {
-                        rt.set_fault_plan(plan);
-                    }
-                    rt.begin_round();
-                }
-                self.enclave.restore_replay_floors(&pending.base_floors);
-                IngestState {
-                    agg: StreamingAggregator::new(
-                        self.cfg.aggregator,
-                        self.server.dim(),
-                        pending.threads,
-                    ),
-                    ws: WorkingSet::default(),
-                    next_chunk: 0,
-                    chunk_size: pending.chunk_size,
-                    threads: pending.threads,
-                    oram_evicted_seen: 0,
-                }
-            }
-        };
-        self.resume_ingestion(pending, st, kill_after, tr)
+        self.rng = SmallRng::from_state(ckpt.rng_state);
+        self.enclave.begin_round(pending.t, pending.sampled.clone());
+        self.enclave.restore_replay_floors(&ckpt.floors);
+        // Future checkpoints of this round rebuild their snapshots from
+        // the restored floors: unfolded users still carry their base
+        // entries there, folded users' overrides are permanent.
+        pending.base_floors = ckpt.floors;
+        self.drive(pending, agg, ckpt.chunks_done, tr)
     }
 
     /// Signs `t ∥ θ` with the enclave's output key (Section 5.6).
     fn sign_params(&mut self, t: u64) -> [u8; 32] {
-        let new_params = self.server.params();
-        let mut payload = Vec::with_capacity(new_params.len() * 4 + 8);
-        payload.extend_from_slice(&t.to_be_bytes());
-        for p in &new_params {
-            payload.extend_from_slice(&p.to_bits().to_le_bytes());
-        }
-        self.enclave.sign_output(&payload)
+        self.enclave.sign_output(&signed_payload(t, &self.server.params()))
     }
 
     /// Local training for the sampled users, parallelized across threads
@@ -1250,24 +918,15 @@ impl OliveSystem {
         round: u64,
     ) -> Vec<SparseGradient> {
         let n_threads = self.threads();
+        let (clients, seed) = (&self.clients, self.cfg.seed);
+        let train = |model: &mut Model, user: UserId| {
+            let data = &clients[user as usize].dataset;
+            local_update(model, global, data, client_cfg, seed ^ (round << 20) ^ user as u64)
+        };
         if sampled.len() < 4 || n_threads == 1 {
-            return sampled
-                .iter()
-                .map(|&user| {
-                    let data = &self.clients[user as usize].dataset;
-                    local_update(
-                        &mut self.scratch,
-                        global,
-                        data,
-                        client_cfg,
-                        self.cfg.seed ^ (round << 20) ^ user as u64,
-                    )
-                })
-                .collect();
+            return sampled.iter().map(|&user| train(&mut self.scratch, user)).collect();
         }
-        let clients = &self.clients;
         let template = &self.scratch;
-        let seed = self.cfg.seed;
         let mut results: Vec<Option<SparseGradient>> = vec![None; sampled.len()];
         let chunk = sampled.len().div_ceil(n_threads);
         std::thread::scope(|scope| {
@@ -1275,14 +934,7 @@ impl OliveSystem {
                 scope.spawn(move || {
                     let mut model = template.clone();
                     for (slot, &user) in slot_chunk.iter_mut().zip(user_chunk.iter()) {
-                        let data = &clients[user as usize].dataset;
-                        *slot = Some(local_update(
-                            &mut model,
-                            global,
-                            data,
-                            client_cfg,
-                            seed ^ (round << 20) ^ user as u64,
-                        ));
+                        *slot = Some(train(&mut model, user));
                     }
                 });
             }
@@ -1292,34 +944,64 @@ impl OliveSystem {
 
     /// Verifies an enclave model signature (what a client would do).
     pub fn verify_model_signature(&self, round: u64, params: &[f32], sig: &[u8; 32]) -> bool {
-        let mut payload = Vec::with_capacity(params.len() * 4 + 8);
-        payload.extend_from_slice(&round.to_be_bytes());
-        for p in params {
-            payload.extend_from_slice(&p.to_bits().to_le_bytes());
-        }
-        self.enclave.verify_output(&payload, sig)
+        self.enclave.verify_output(&signed_payload(round, params), sig)
     }
+}
+
+/// The byte string the enclave signs for round `t`: `t ∥ θ`.
+fn signed_payload(t: u64, params: &[f32]) -> Vec<u8> {
+    let mut payload = Vec::with_capacity(params.len() * 4 + 8);
+    payload.extend_from_slice(&t.to_be_bytes());
+    for p in params {
+        payload.extend_from_slice(&p.to_bits().to_le_bytes());
+    }
+    payload
+}
+
+/// Algorithm 1 line 1 for a set of clients: the enclave attests under
+/// `context`, and every user verifies the quote, derives its session key
+/// (seeded per user from `seed_bytes`) and is registered with the enclave.
+/// Panics if a client rejects the enclave — in the simulation that
+/// indicates a harness bug.
+pub fn provision_clients(
+    service: &AttestationService,
+    enclave: &mut Enclave,
+    context: &[u8],
+    seed_bytes: [u8; 32],
+    users: impl Iterator<Item = UserId>,
+) -> Vec<ClientSession> {
+    let quote = enclave.attest(service, context);
+    let measurement = enclave.measurement();
+    users
+        .map(|user| {
+            let mut cs = seed_bytes;
+            cs[24..28].copy_from_slice(&user.to_be_bytes());
+            cs[28] ^= 0xC1;
+            let session =
+                ClientSession::establish(user, service.public_key(), &measurement, &quote, cs)
+                    .expect("attestation must succeed in the simulation");
+            enclave
+                .register_client(user, session.dh_public())
+                .expect("the enclave attested above, so registration is permitted");
+            session
+        })
+        .collect()
 }
 
 /// Parses a checkpoint blob's plaintext and validates it against the
 /// pending round it claims to resume: version, round counter, upload
-/// count and per-client k must all match, and the chunk geometry must be
-/// internally consistent.
+/// count, chunk geometry and per-client k must all match.
 fn decode_checkpoint(plain: &[u8], pending: &PendingRound) -> Result<Checkpoint, StateError> {
     let mut r = StateReader::new(plain);
-    if r.get_u8()? != CKPT_VERSION {
-        return Err(StateError::Mismatch);
-    }
-    if r.get_u64()? != pending.t {
+    if r.get_u8()? != CKPT_VERSION || r.get_u64()? != pending.t {
         return Err(StateError::Mismatch);
     }
     let chunks_done = r.get_usize()?;
-    if r.get_usize()? != pending.sealed.len() {
-        return Err(StateError::Mismatch);
-    }
-    let chunk_size = r.get_usize()?;
-    let threads = r.get_usize()?;
-    if r.get_usize()? != pending.k {
+    if r.get_usize()? != pending.sealed.len()
+        || r.get_usize()? != pending.chunk_size
+        || r.get_usize()? != pending.threads
+        || r.get_usize()? != pending.k
+    {
         return Err(StateError::Mismatch);
     }
     let mut rng_state = [0u64; 4];
@@ -1333,10 +1015,10 @@ fn decode_checkpoint(plain: &[u8], pending: &PendingRound) -> Result<Checkpoint,
     }
     let agg_state = r.get_bytes()?.to_vec();
     r.expect_end()?;
-    if chunk_size == 0 || threads == 0 || chunks_done > pending.sealed.len().div_ceil(chunk_size) {
+    if chunks_done > pending.sealed.len().div_ceil(pending.chunk_size) {
         return Err(StateError::Corrupt);
     }
-    Ok(Checkpoint { chunks_done, chunk_size, threads, rng_state, floors, agg_state })
+    Ok(Checkpoint { chunks_done, rng_state, floors, agg_state })
 }
 
 /// Enclave-resident bytes of one *staged* upload chunk: the decoded
@@ -1348,12 +1030,11 @@ pub fn staged_chunk_bytes(msgs: &[SealedMessage]) -> u64 {
 }
 
 /// Opens one chunk of uploads through [`Enclave::open_upload_batch`] and
-/// decodes the plaintext gradient encodings — the per-chunk enclave work
-/// of the streaming round pipeline ([`OliveSystem::run_round`]), shared
-/// with the ingestion benchmarks. Panics on any invalid upload (the
-/// simulation's clients are honest; a deployment would drop the slot and
-/// continue, which [`Enclave::open_upload_batch`]'s per-message `Result`s
-/// support).
+/// decodes the plaintext gradient encodings — the `prefetch` half of a
+/// [`RoundEngine::fold`], shared with the ingestion benchmarks. Panics on
+/// any invalid upload (the simulation's clients are honest; a deployment
+/// would drop the slot and continue, which
+/// [`Enclave::open_upload_batch`]'s per-message `Result`s support).
 pub fn open_and_decode(enclave: &mut Enclave, msgs: &[SealedMessage]) -> Vec<SparseGradient> {
     enclave
         .open_upload_batch(msgs)
@@ -1368,8 +1049,23 @@ pub fn open_and_decode(enclave: &mut Enclave, msgs: &[SealedMessage]) -> Vec<Spa
 /// Scratch working-set estimate (bytes) for each aggregator — what the
 /// enclave allocates beyond the d-cell output (drives the EPC/grouping
 /// analysis of Sections 5.3 and 5.5, e.g. the paper's 122 MB at N = 10⁴).
-/// `n` is the participant count and `k` the per-client cell count.
+/// `n` is the participant count and `k` the per-client cell count; the
+/// serial (`threads = 1`) case of [`working_set_bytes_threaded`].
 pub fn working_set_bytes(kind: AggregatorKind, n: usize, k: usize, d: usize) -> u64 {
+    working_set_bytes_threaded(kind, n, k, d, 1)
+}
+
+/// [`working_set_bytes`] under a worker-thread budget: the grouped
+/// algorithm keeps up to `threads` group sort vectors (plus their partial
+/// sums) in flight per wave, so its enclave footprint scales with the
+/// worker count. Serial algorithms are unaffected.
+pub fn working_set_bytes_threaded(
+    kind: AggregatorKind,
+    n: usize,
+    k: usize,
+    d: usize,
+    threads: usize,
+) -> u64 {
     let cell = 8u64;
     let nk = n * k;
     match kind {
@@ -1379,12 +1075,14 @@ pub fn working_set_bytes(kind: AggregatorKind, n: usize, k: usize, d: usize) -> 
         }
         AggregatorKind::Advanced => ((nk + d).next_power_of_two() as u64) * cell + d as u64 * 4,
         AggregatorKind::Grouped { h } => {
-            // One group's sort vector in flight at a time + the running
-            // total (Section 5.3: this is exactly what the optimization
-            // shrinks below cache/EPC size).
+            // Per in-flight group: one sort vector + one d-sized partial;
+            // shared: the running total (Section 5.3: this is exactly
+            // what the optimization shrinks below cache/EPC size).
             let hk = h.max(1).min(n) * k;
             let group_cells = (hk + d).next_power_of_two() as u64;
-            group_cells * cell + 2 * d as u64 * 4
+            let groups = n.div_ceil(h.max(1)).max(1);
+            let in_flight = threads.clamp(1, groups) as u64;
+            in_flight * (group_cells * cell + d as u64 * 4) + d as u64 * 4
         }
         AggregatorKind::PathOram { posmap } => {
             // The full ORAM working set — tree, stash, position map
@@ -1393,34 +1091,6 @@ pub fn working_set_bytes(kind: AggregatorKind, n: usize, k: usize, d: usize) -> 
             olive_oram::predicted_resident_bytes(d.max(1), 20, 16, posmap) + nk as u64 * cell
         }
         AggregatorKind::DiffOblivious { .. } => nk as u64 * cell * 2 + d as u64 * 4,
-    }
-}
-
-/// [`working_set_bytes`] adjusted for parallel execution: the grouped
-/// algorithm keeps up to `threads` group sort vectors (plus their partial
-/// sums) in flight per wave, so its enclave footprint scales with the
-/// worker count. Serial algorithms are unaffected; `threads = 1` equals
-/// the serial estimate.
-pub fn working_set_bytes_threaded(
-    kind: AggregatorKind,
-    n: usize,
-    k: usize,
-    d: usize,
-    threads: usize,
-) -> u64 {
-    match kind {
-        AggregatorKind::Grouped { h } => {
-            let cell = 8u64;
-            let hk = h.max(1).min(n) * k;
-            let group_cells = (hk + d).next_power_of_two() as u64;
-            let groups = n.div_ceil(h.max(1)).max(1);
-            let in_flight = threads.clamp(1, groups) as u64;
-            // Per worker: one sort vector + one d-sized partial; shared:
-            // the running total (cf. the serial formula's 2·d term =
-            // one partial + the total).
-            in_flight * (group_cells * cell + d as u64 * 4) + d as u64 * 4
-        }
-        _ => working_set_bytes(kind, n, k, d),
     }
 }
 
@@ -1450,7 +1120,11 @@ mod tests {
     use olive_memsim::NullTracer;
     use olive_nn::zoo::mlp;
 
-    fn tiny_system(aggregator: AggregatorKind, dp: Option<DpConfig>) -> OliveSystem {
+    /// The unit-test federation: 8 clients, top-10% sparsified MLP.
+    fn tiny_parts(
+        aggregator: AggregatorKind,
+        dp: Option<DpConfig>,
+    ) -> (Model, Vec<ClientData>, OliveConfig) {
         let gen = Generator::new(SyntheticConfig::tiny(12, 4), 3);
         let clients = partition(&gen, 8, LabelAssignment::Fixed(2), 10, 1);
         let model = mlp(12, 6, 4, 0.0, 5);
@@ -1470,6 +1144,11 @@ mod tests {
             dp,
             seed: 77,
         };
+        (model, clients, cfg)
+    }
+
+    fn tiny_system(aggregator: AggregatorKind, dp: Option<DpConfig>) -> OliveSystem {
+        let (model, clients, cfg) = tiny_parts(aggregator, dp);
         OliveSystem::new(model, clients, cfg)
     }
 
@@ -1659,25 +1338,9 @@ mod tests {
     /// leave the model bit-identical, sign it, and spend no extra ε.
     #[test]
     fn empty_sampled_round_is_a_finite_noop() {
-        let gen = Generator::new(SyntheticConfig::tiny(12, 4), 3);
-        let clients = partition(&gen, 8, LabelAssignment::Fixed(2), 10, 1);
-        let model = mlp(12, 6, 4, 0.0, 5);
-        let d = model.param_count();
-        let cfg = OliveConfig {
-            n_clients: 8,
-            sample_rate: 0.01, // ≈92% of rounds sample nobody
-            client: ClientConfig {
-                epochs: 1,
-                batch_size: 5,
-                lr: 0.1,
-                sparsifier: Sparsifier::TopK(d / 10),
-                clip: None,
-            },
-            aggregator: AggregatorKind::Advanced,
-            server_lr: 1.0,
-            dp: Some(DpConfig { sigma: 1.12, clip: 0.5, delta: 1e-5 }),
-            seed: 77,
-        };
+        let dp = DpConfig { sigma: 1.12, clip: 0.5, delta: 1e-5 };
+        let (model, clients, mut cfg) = tiny_parts(AggregatorKind::Advanced, Some(dp));
+        cfg.sample_rate = 0.01; // ≈92% of rounds sample nobody
         let mut sys = OliveSystem::new(model, clients, cfg);
         let mut saw_empty = false;
         for _ in 0..12 {
@@ -1703,25 +1366,7 @@ mod tests {
     /// hardcoded constant.
     #[test]
     fn would_page_uses_configured_epc_budget() {
-        let gen = Generator::new(SyntheticConfig::tiny(12, 4), 3);
-        let clients = partition(&gen, 8, LabelAssignment::Fixed(2), 10, 1);
-        let model = mlp(12, 6, 4, 0.0, 5);
-        let d = model.param_count();
-        let cfg = OliveConfig {
-            n_clients: 8,
-            sample_rate: 0.5,
-            client: ClientConfig {
-                epochs: 1,
-                batch_size: 5,
-                lr: 0.1,
-                sparsifier: Sparsifier::TopK(d / 10),
-                clip: None,
-            },
-            aggregator: AggregatorKind::Advanced,
-            server_lr: 1.0,
-            dp: None,
-            seed: 77,
-        };
+        let (model, clients, cfg) = tiny_parts(AggregatorKind::Advanced, None);
         let tiny_epc = olive_tee::EnclaveConfig {
             epc_bytes: 64, // far below any real round's working set
             ..Default::default()

@@ -75,95 +75,6 @@ impl EpcSim {
     }
 }
 
-/// Byte-level live/peak accounting for an enclave working set.
-///
-/// The streaming round pipeline charges every transient (a staged upload
-/// chunk, an aggregator's scratch) and resident (the dense accumulator,
-/// buffered cells) allocation here, so the *peak* — the number the EPC
-/// limit is compared against — reflects what is simultaneously live, not
-/// what a whole round touches in total. Freeing more than is live is a
-/// bug in the caller's pairing, so [`WorkingSet::free`] saturates and
-/// debug-asserts.
-#[derive(Default, Clone, Copy, Debug, PartialEq, Eq)]
-pub struct WorkingSet {
-    /// Currently live bytes.
-    pub live: u64,
-    /// High-water mark over the accounting window.
-    pub peak: u64,
-}
-
-impl WorkingSet {
-    /// Records an allocation of `bytes`.
-    pub fn alloc(&mut self, bytes: u64) {
-        self.live += bytes;
-        self.peak = self.peak.max(self.live);
-    }
-
-    /// Records a release of `bytes`.
-    pub fn free(&mut self, bytes: u64) {
-        debug_assert!(bytes <= self.live, "freeing {bytes} bytes with {} live", self.live);
-        self.live = self.live.saturating_sub(bytes);
-    }
-
-    /// Starts a new accounting epoch: the peak is rewound to the live
-    /// set, so subsequent highs answer "what peaked *since* this point"
-    /// (e.g. per round) instead of over the whole lifetime.
-    pub fn begin_epoch(&mut self) {
-        self.peak = self.live;
-    }
-
-    /// Adjusts the live set to a new size for a buffer that grew or shrank
-    /// in place (an accumulator that buffers cells across chunks): frees
-    /// `old` and allocates `new` as one event, so the peak never counts
-    /// both generations of the same buffer.
-    pub fn resize(&mut self, old: u64, new: u64) {
-        self.free(old);
-        self.alloc(new);
-    }
-
-    /// [`WorkingSet::alloc`] that also feeds the side-band telemetry
-    /// plane: adds `bytes` to the `epc_charge_bytes` counter under
-    /// `budget` (e.g. `"coordinator"`, `"shard2"`). The accounting
-    /// itself is unchanged — telemetry reads, never perturbs.
-    pub fn alloc_counted(
-        &mut self,
-        bytes: u64,
-        telemetry: &olive_telemetry::Telemetry,
-        budget: &str,
-    ) {
-        telemetry.count("epc_charge_bytes", budget, bytes);
-        self.alloc(bytes);
-    }
-
-    /// [`WorkingSet::free`] mirrored onto the `epc_free_bytes` counter.
-    pub fn free_counted(
-        &mut self,
-        bytes: u64,
-        telemetry: &olive_telemetry::Telemetry,
-        budget: &str,
-    ) {
-        telemetry.count("epc_free_bytes", budget, bytes);
-        self.free(bytes);
-    }
-
-    /// [`WorkingSet::resize`] with both sides mirrored onto the
-    /// counters: `epc_free_bytes` gains `old`, `epc_charge_bytes` gains
-    /// `new` — the same two events a `free_counted` + `alloc_counted`
-    /// pair emits, so the telemetry stream is unchanged while the peak
-    /// never counts both generations of the same buffer.
-    pub fn resize_counted(
-        &mut self,
-        old: u64,
-        new: u64,
-        telemetry: &olive_telemetry::Telemetry,
-        budget: &str,
-    ) {
-        telemetry.count("epc_free_bytes", budget, old);
-        telemetry.count("epc_charge_bytes", budget, new);
-        self.resize(old, new);
-    }
-}
-
 /// Latency constants (nanoseconds) for converting hit/miss/fault counts into
 /// an estimated execution-time contribution.
 ///
@@ -293,48 +204,6 @@ mod tests {
             est.estimated_ns()
         };
         assert!(run(16) > run(4) * 2.0);
-    }
-
-    #[test]
-    fn working_set_tracks_peak_not_total() {
-        let mut ws = WorkingSet::default();
-        ws.alloc(100);
-        ws.free(100);
-        ws.alloc(60);
-        assert_eq!(ws.peak, 100, "peak is simultaneous-live, not cumulative");
-        assert_eq!(ws.live, 60);
-        ws.resize(60, 90);
-        assert_eq!(ws.live, 90);
-        assert_eq!(ws.peak, 100, "resize must not double-count the old buffer");
-        ws.resize(90, 150);
-        assert_eq!(ws.peak, 150);
-    }
-
-    #[test]
-    fn resize_counted_emits_free_then_charge_without_double_peak() {
-        let t = olive_telemetry::Telemetry::to_buffer();
-        let mut ws = WorkingSet::default();
-        ws.alloc_counted(100, &t, "coordinator");
-        ws.resize_counted(100, 140, &t, "coordinator");
-        assert_eq!(ws.live, 140);
-        assert_eq!(ws.peak, 140, "resize must not count both generations");
-        t.flush_stats();
-        let out = t.buffer_contents().unwrap();
-        assert!(out.contains("\"epc_charge_bytes\""), "charge counter missing: {out}");
-        assert!(out.contains("\"epc_free_bytes\""), "free counter missing: {out}");
-    }
-
-    #[test]
-    fn working_set_epoch_rewinds_peak_to_live() {
-        let mut ws = WorkingSet::default();
-        ws.alloc(100);
-        ws.free(80);
-        ws.begin_epoch();
-        assert_eq!(ws.peak, 20, "epoch peak starts at the surviving live set");
-        ws.alloc(30);
-        ws.free(30);
-        assert_eq!(ws.peak, 50, "peak now answers per-epoch, not lifetime");
-        assert_eq!(ws.live, 20);
     }
 
     #[test]

@@ -5,10 +5,11 @@
 //! simulation's *chaos plane*: a [`FaultPlan`] scripts exactly which
 //! transport-layer failures fire at which (chunk, shard) site — shard
 //! enclave kill, tunnel frame tamper/drop, stripe-receipt corruption,
-//! stale sealed checkpoint served on restore — and the shard runtime
-//! consults it at every injection hook. Everything is seeded and
-//! replayable: the same plan against the same round produces the same
-//! failure sequence, the same recovery actions, and (the hard invariant
+//! stale sealed checkpoint served on restore — plus a crash of the
+//! coordinator enclave itself after a given chunk, and the round engine
+//! and shard runtime consult it at every injection hook. Everything is
+//! seeded and replayable: the same plan against the same round produces
+//! the same failure sequence, the same recovery actions, and (the hard invariant
 //! the tests pin) the same bitwise round output and trace digest as the
 //! fault-free round, because recovery lives entirely in the side-band
 //! transport plane and never touches canonical compute.
@@ -25,14 +26,18 @@
 //! ```text
 //! OLIVE_FAULTS="kill@2.0,tamper@5.3,drop@0.1,receipt@e.2,stale@1.0"
 //! OLIVE_FAULTS="seed:1337x5@6.4"        # 5 scripted events, chunks<6, shards<4
+//! OLIVE_FAULTS="crash@3"                # coordinator dies after chunk 3
 //! ```
 //!
 //! Each explicit event is `kind@chunk.shard` with kind one of `kill`,
 //! `tamper`, `drop`, `receipt`, `stale`; `chunk` is a 0-based chunk
 //! index, or `e`/`egress` for the stripe-egress phase after the last
 //! chunk. `receipt` and `stale` events are egress/restore-phase faults,
-//! so their chunk is canonicalized to egress. Events at sites the round
-//! never reaches (chunk beyond the stream, shard ≥ S) simply never fire.
+//! so their chunk is canonicalized to egress. `crash@<chunk>` names no
+//! shard: it kills the *coordinator* enclave once chunk `chunk` is folded
+//! and checkpointed, and is never emitted by the seeded generator.
+//! Events at sites the round never reaches (chunk beyond the stream,
+//! shard ≥ S) simply never fire.
 //!
 //! There is no wall clock anywhere: retry backoff is *simulated* — the
 //! [`RetryPolicy`] computes a deterministic schedule and the runtime
@@ -66,9 +71,24 @@ pub enum FaultKind {
     /// instead of the newest one — the rollback attack the per-label
     /// monotonic floor must catch as [`StaleSeal`](enum@FaultKind).
     StaleSeal,
+    /// The *coordinator* enclave dies right after the event's chunk was
+    /// folded and checkpointed: aggregator, staged plaintexts, session
+    /// keys, replay floors and seal counters are gone, and the round
+    /// resumes from its sealed checkpoint. Explicit scripts only —
+    /// [`FaultPlan::scripted`] never draws it.
+    CoordinatorKill,
 }
 
 impl FaultKind {
+    /// The shard-plane kinds, in the seeded generator's draw order.
+    const SHARD_KINDS: [FaultKind; 5] = [
+        FaultKind::ShardKill,
+        FaultKind::TunnelTamper,
+        FaultKind::TunnelDrop,
+        FaultKind::ReceiptCorrupt,
+        FaultKind::StaleSeal,
+    ];
+
     fn token(self) -> &'static str {
         match self {
             FaultKind::ShardKill => "kill",
@@ -76,7 +96,14 @@ impl FaultKind {
             FaultKind::TunnelDrop => "drop",
             FaultKind::ReceiptCorrupt => "receipt",
             FaultKind::StaleSeal => "stale",
+            FaultKind::CoordinatorKill => "crash",
         }
+    }
+
+    /// A delivery failure (retried in place), as opposed to a kill or a
+    /// stale restore — the kinds whose stacking can exhaust a retry budget.
+    fn is_delivery(self) -> bool {
+        matches!(self, FaultKind::TunnelTamper | FaultKind::TunnelDrop | FaultKind::ReceiptCorrupt)
     }
 }
 
@@ -93,13 +120,17 @@ pub struct FaultEvent {
 }
 
 impl FaultEvent {
-    /// Renders this event in the explicit `kind@chunk.shard` grammar —
+    /// Renders this event in the explicit `kind@chunk.shard` grammar
+    /// (`crash@chunk` for a coordinator kill, which names no shard) —
     /// the fault-site label telemetry records carry, and the per-event
     /// form of [`FaultPlan::render`].
     pub fn render(&self) -> String {
         let chunk =
             if self.chunk == EGRESS_CHUNK { "e".to_string() } else { self.chunk.to_string() };
-        format!("{}@{}.{}", self.kind.token(), chunk, self.shard)
+        match self.kind {
+            FaultKind::CoordinatorKill => format!("{}@{chunk}", self.kind.token()),
+            _ => format!("{}@{chunk}.{}", self.kind.token(), self.shard),
+        }
     }
 }
 
@@ -141,16 +172,11 @@ impl FaultPlan {
                 rest.split_once('@').ok_or_else(|| format!("missing '@<chunks>' in {spec:?}"))?;
             let (chunks_s, shards_s) =
                 rest.split_once('.').ok_or_else(|| format!("missing '.<shards>' in {spec:?}"))?;
-            let seed: u64 =
-                seed_s.parse().map_err(|_| format!("bad seed {seed_s:?} in {spec:?}"))?;
-            let count: usize =
-                count_s.parse().map_err(|_| format!("bad count {count_s:?} in {spec:?}"))?;
-            let chunks: u32 = chunks_s
-                .parse()
-                .map_err(|_| format!("bad chunk bound {chunks_s:?} in {spec:?}"))?;
-            let shards: u32 = shards_s
-                .parse()
-                .map_err(|_| format!("bad shard bound {shards_s:?} in {spec:?}"))?;
+            let bad = |what: &str, s: &str| format!("bad {what} {s:?} in {spec:?}");
+            let seed: u64 = seed_s.parse().map_err(|_| bad("seed", seed_s))?;
+            let count: usize = count_s.parse().map_err(|_| bad("count", count_s))?;
+            let chunks: u32 = chunks_s.parse().map_err(|_| bad("chunk bound", chunks_s))?;
+            let shards: u32 = shards_s.parse().map_err(|_| bad("shard bound", shards_s))?;
             if chunks == 0 || shards == 0 {
                 return Err(format!("chunk/shard bounds must be positive in {spec:?}"));
             }
@@ -164,14 +190,21 @@ impl FaultPlan {
             }
             let (kind_s, site) =
                 tok.split_once('@').ok_or_else(|| format!("missing '@' in event {tok:?}"))?;
-            let kind = match kind_s.trim() {
-                "kill" => FaultKind::ShardKill,
-                "tamper" => FaultKind::TunnelTamper,
-                "drop" => FaultKind::TunnelDrop,
-                "receipt" => FaultKind::ReceiptCorrupt,
-                "stale" => FaultKind::StaleSeal,
-                other => return Err(format!("unknown fault kind {other:?} in {tok:?}")),
-            };
+            if kind_s.trim() == "crash" {
+                // The coordinator is one enclave: a chunk, no shard, and
+                // no egress form (a crash after the last chunk *is* the
+                // crash before egress).
+                let chunk = site
+                    .trim()
+                    .parse()
+                    .map_err(|_| format!("bad chunk {site:?} in event {tok:?}"))?;
+                events.push(FaultEvent { kind: FaultKind::CoordinatorKill, chunk, shard: 0 });
+                continue;
+            }
+            let kind = FaultKind::SHARD_KINDS
+                .into_iter()
+                .find(|kind| kind.token() == kind_s.trim())
+                .ok_or_else(|| format!("unknown fault kind {:?} in {tok:?}", kind_s.trim()))?;
             let (chunk_s, shard_s) = site
                 .split_once('.')
                 .ok_or_else(|| format!("missing '.<shard>' in event {tok:?}"))?;
@@ -207,13 +240,7 @@ impl FaultPlan {
         let mut attempts = 0usize;
         while events.len() < count && attempts < count * 32 {
             attempts += 1;
-            let kind = match rng.gen_range(0u32..5) {
-                0 => FaultKind::ShardKill,
-                1 => FaultKind::TunnelTamper,
-                2 => FaultKind::TunnelDrop,
-                3 => FaultKind::ReceiptCorrupt,
-                _ => FaultKind::StaleSeal,
-            };
+            let kind = FaultKind::SHARD_KINDS[rng.gen_range(0u32..5) as usize];
             let chunk = match kind {
                 FaultKind::ReceiptCorrupt | FaultKind::StaleSeal => EGRESS_CHUNK,
                 _ => {
@@ -225,23 +252,14 @@ impl FaultPlan {
                 }
             };
             let shard = rng.gen_range(0..shards);
-            let delivery = matches!(
-                kind,
-                FaultKind::TunnelTamper | FaultKind::TunnelDrop | FaultKind::ReceiptCorrupt
-            );
             let at_site = |e: &&FaultEvent| e.chunk == chunk && e.shard == shard;
-            let site_delivery = events
-                .iter()
-                .filter(at_site)
-                .filter(|e| {
-                    matches!(
-                        e.kind,
-                        FaultKind::TunnelTamper | FaultKind::TunnelDrop | FaultKind::ReceiptCorrupt
-                    )
-                })
-                .count();
-            let site_same_kind = events.iter().filter(at_site).filter(|e| e.kind == kind).count();
-            let ok = if delivery { site_delivery < 2 } else { site_same_kind < 1 };
+            let site_delivery = events.iter().filter(at_site).filter(|e| e.kind.is_delivery());
+            let site_same_kind = events.iter().filter(at_site).filter(|e| e.kind == kind);
+            let ok = if kind.is_delivery() {
+                site_delivery.count() < 2
+            } else {
+                site_same_kind.count() < 1
+            };
             if ok {
                 events.push(FaultEvent { kind, chunk, shard });
             }
@@ -405,13 +423,33 @@ mod tests {
         assert_eq!(plan.events()[0].render(), "kill@2.0");
         assert_eq!(plan.events()[3].render(), "receipt@e.2");
         assert_eq!(plan.events()[4].render(), "stale@e.0");
+        // A coordinator crash names a chunk and no shard, and composes
+        // with shard events in one script.
+        let plan = FaultPlan::parse("kill@2.0, crash@3 ,drop@0.1").expect("well-formed spec");
+        assert_eq!(
+            plan.events()[1],
+            FaultEvent { kind: FaultKind::CoordinatorKill, chunk: 3, shard: 0 }
+        );
+        assert_eq!(plan.render(), "kill@2.0,crash@3,drop@0.1");
+        assert_eq!(FaultPlan::parse(&plan.render()).expect("render is parseable"), plan);
     }
 
     #[test]
     fn parse_rejects_malformed() {
-        for bad in
-            ["boom@1.0", "kill@x.0", "kill@1", "kill1.0", "seed:7x3@4", "seed:7@4.2", "kill@1.z"]
-        {
+        for bad in [
+            "boom@1.0",
+            "kill@x.0",
+            "kill@1",
+            "kill1.0",
+            "seed:7x3@4",
+            "seed:7@4.2",
+            "kill@1.z",
+            "crash@",
+            "crash@x",
+            "crash@e",
+            "crash@1.0",
+            "crash3",
+        ] {
             assert!(FaultPlan::parse(bad).is_err(), "{bad:?} must be rejected");
         }
         assert_eq!(FaultPlan::parse("").expect("empty is a no-op"), FaultPlan::empty());
@@ -430,6 +468,21 @@ mod tests {
         assert_ne!(a, FaultPlan::scripted(1338, 5, 6, 4), "seed must matter");
     }
 
+    /// The CI chaos script, byte for byte: adding a fault kind must not
+    /// shift the seeded generator's draws (and it never emits a
+    /// coordinator crash — that would abort every seeded CI round).
+    #[test]
+    fn ci_script_renders_exactly_as_before_coordinator_kill() {
+        assert_eq!(
+            FaultPlan::scripted(1337, 5, 6, 4).render(),
+            "drop@4.2,stale@e.1,kill@5.1,receipt@e.3,receipt@e.1"
+        );
+        for seed in 0..50u64 {
+            let plan = FaultPlan::scripted(seed, 12, 5, 3);
+            assert!(plan.events().iter().all(|e| e.kind != FaultKind::CoordinatorKill));
+        }
+    }
+
     #[test]
     fn scripted_sites_stay_recoverable() {
         // Any scripted plan must keep every site under the retry budget:
@@ -439,23 +492,10 @@ mod tests {
             for e in plan.events() {
                 let at_site =
                     plan.events().iter().filter(|x| x.chunk == e.chunk && x.shard == e.shard);
-                let delivery = at_site
-                    .clone()
-                    .filter(|x| {
-                        matches!(
-                            x.kind,
-                            FaultKind::TunnelTamper
-                                | FaultKind::TunnelDrop
-                                | FaultKind::ReceiptCorrupt
-                        )
-                    })
-                    .count();
+                let delivery = at_site.clone().filter(|x| x.kind.is_delivery()).count();
                 let same_kind = at_site.filter(|x| x.kind == e.kind).count();
                 assert!(delivery <= 2, "seed {seed}: {} delivery faults at one site", delivery);
-                if !matches!(
-                    e.kind,
-                    FaultKind::TunnelTamper | FaultKind::TunnelDrop | FaultKind::ReceiptCorrupt
-                ) {
+                if !e.kind.is_delivery() {
                     assert!(same_kind <= 1, "seed {seed}: stacked {:?}", e.kind);
                 }
             }

@@ -43,10 +43,10 @@ pub use cache::{CacheConfig, CacheSim, CacheStats};
 pub use check::{assert_not_oblivious, assert_oblivious, trace_of};
 pub use codec::{StateError, StateReader, StateWriter};
 pub use digest::TraceDigest;
-pub use epc::{CostModel, EpcSim, EpcStats, SgxCostEstimate, WorkingSet};
+pub use epc::{CostModel, EpcSim, EpcStats, SgxCostEstimate};
 pub use faults::{FaultEvent, FaultKind, FaultPlan, RecoveryStats, RetryPolicy, EGRESS_CHUNK};
 pub use shard::ShardPlan;
-pub use threads::default_threads;
+pub use threads::{default_threads, positive_env};
 pub use tracer::{
     Access, Granularity, NullTracer, Op, ParallelTracer, RecordingTracer, RegionId, Tracer,
     TracerStats,

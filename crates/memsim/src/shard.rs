@@ -122,7 +122,6 @@ impl ShardPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::WorkingSet;
 
     #[test]
     fn even_plan_covers_dimension() {
@@ -195,20 +194,18 @@ mod tests {
     #[test]
     fn split_alloc_free_balances_shard_budgets() {
         let p = ShardPlan::even(1000, 3);
-        let mut ws: Vec<WorkingSet> = (0..3).map(|_| WorkingSet::default()).collect();
+        let mut live = [0u64; 3];
         for bytes in [17u64, 999, 123_456] {
-            for (w, part) in ws.iter_mut().zip(p.split_charge(bytes)) {
-                w.alloc(part);
+            for (l, part) in live.iter_mut().zip(p.split_charge(bytes)) {
+                *l += part;
             }
         }
         for bytes in [17u64, 999, 123_456] {
-            for (w, part) in ws.iter_mut().zip(p.split_charge(bytes)) {
-                w.free(part);
+            for (l, part) in live.iter_mut().zip(p.split_charge(bytes)) {
+                *l -= part;
             }
         }
-        for w in &ws {
-            assert_eq!(w.live, 0, "mirrored alloc/free must balance exactly");
-        }
+        assert_eq!(live, [0; 3], "mirrored alloc/free must balance exactly");
     }
 
     #[test]

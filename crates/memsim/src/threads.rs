@@ -19,6 +19,22 @@ use std::sync::OnceLock;
 /// Hard cap on the default worker count (explicit parameters may exceed it).
 const MAX_DEFAULT_THREADS: usize = 8;
 
+/// The `OLIVE_*` knob convention for positive-integer variables: `name`
+/// parsed as an integer ≥ 1, or `None` when unset — and when set to
+/// anything else, after one warning on stderr naming the `fallback`
+/// about to be used instead. Callers cache the result (the environment
+/// is read once per process).
+pub fn positive_env(name: &str, fallback: &str) -> Option<usize> {
+    let v = std::env::var(name).ok()?;
+    match v.trim().parse::<usize>() {
+        Ok(n) if n >= 1 => Some(n),
+        _ => {
+            eprintln!("{name}={v:?} is not a positive integer; using {fallback}");
+            None
+        }
+    }
+}
+
 /// The process-wide default worker count for parallel oblivious regions:
 /// `OLIVE_THREADS` if set to a positive integer, else
 /// `available_parallelism().min(8)`. Read once and cached — changing the
@@ -27,15 +43,10 @@ const MAX_DEFAULT_THREADS: usize = 8;
 pub fn default_threads() -> usize {
     static THREADS: OnceLock<usize> = OnceLock::new();
     *THREADS.get_or_init(|| {
-        if let Ok(v) = std::env::var("OLIVE_THREADS") {
-            if let Ok(n) = v.trim().parse::<usize>() {
-                if n >= 1 {
-                    return n;
-                }
-            }
-            eprintln!("OLIVE_THREADS={v:?} is not a positive integer; using auto default");
-        }
-        std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1).min(MAX_DEFAULT_THREADS)
+        positive_env("OLIVE_THREADS", "auto default").unwrap_or_else(|| {
+            let cores = std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1);
+            cores.min(MAX_DEFAULT_THREADS)
+        })
     })
 }
 

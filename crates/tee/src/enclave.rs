@@ -14,6 +14,7 @@ use olive_telemetry::Telemetry;
 
 use crate::attestation::{measure, AttestationService, Measurement, Quote, Report};
 use crate::channel::{SealedMessage, AAD_CAPACITY};
+use crate::epc::EpcBudget;
 use crate::UserId;
 
 /// Errors surfaced by enclave operations.
@@ -77,63 +78,6 @@ impl Default for EnclaveConfig {
             code_identity: "olive-oblivious-aggregator-v1".to_string(),
             epc_bytes: 96 << 20,
         }
-    }
-}
-
-/// Tracks the enclave's scratch working set against the EPC limit.
-///
-/// The aggregation algorithms report their buffer sizes here; Section 5.3's
-/// grouping optimization exists precisely to keep this under `limit`.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct EpcBudget {
-    /// Configured usable EPC bytes.
-    pub limit: u64,
-    /// Current live scratch bytes.
-    pub live: u64,
-    /// High-water mark.
-    pub peak: u64,
-}
-
-impl EpcBudget {
-    /// Records an allocation. Never fails — exceeding EPC is *legal* (the
-    /// OS pages), just slow; callers compare `peak` to `limit` to predict
-    /// paging, and [`EpcBudget::would_page`] answers it directly.
-    pub fn alloc(&mut self, bytes: u64) {
-        self.live += bytes;
-        self.peak = self.peak.max(self.live);
-    }
-
-    /// Records a release.
-    pub fn free(&mut self, bytes: u64) {
-        self.live = self.live.saturating_sub(bytes);
-    }
-
-    /// [`EpcBudget::alloc`] that also feeds the side-band telemetry
-    /// plane: adds `bytes` to the `epc_charge_bytes` counter under
-    /// `budget` (e.g. `"coordinator"`). The accounting itself is
-    /// unchanged — telemetry reads, never perturbs.
-    pub fn alloc_counted(&mut self, bytes: u64, telemetry: &Telemetry, budget: &str) {
-        telemetry.count("epc_charge_bytes", budget, bytes);
-        self.alloc(bytes);
-    }
-
-    /// [`EpcBudget::free`] mirrored onto the `epc_free_bytes` counter.
-    pub fn free_counted(&mut self, bytes: u64, telemetry: &Telemetry, budget: &str) {
-        telemetry.count("epc_free_bytes", budget, bytes);
-        self.free(bytes);
-    }
-
-    /// True if the recorded peak exceeds the EPC limit, i.e. the kernel
-    /// would have had to page encrypted memory (the Figure 10 cliff).
-    pub fn would_page(&self) -> bool {
-        self.peak > self.limit
-    }
-
-    /// Starts a new accounting epoch: rewinds the peak to the live set,
-    /// so `peak`/[`EpcBudget::would_page`] answer "since this point"
-    /// (per round, via [`Enclave::begin_round`]) instead of lifetime.
-    pub fn begin_epoch(&mut self) {
-        self.peak = self.live;
     }
 }
 

@@ -16,7 +16,7 @@
 //! * **secure channel** — real Diffie–Hellman → HKDF → AES-GCM key
 //!   schedule, so the gradient payload path uses genuine authenticated
 //!   encryption end-to-end;
-//! * **EPC accounting** — an [`enclave::EpcBudget`] records the enclave's
+//! * **EPC accounting** — an [`epc::EpcBudget`] records the enclave's
 //!   working-set high-water mark against the 96 MB usable EPC, which is
 //!   the quantity Section 5.3's grouping optimization manages.
 //!
@@ -32,11 +32,13 @@
 pub mod attestation;
 pub mod channel;
 pub mod enclave;
+pub mod epc;
 pub mod shard;
 
 pub use attestation::{AttestationError, AttestationService, Quote, Report};
 pub use channel::{ClientSession, SealedMessage};
-pub use enclave::{Enclave, EnclaveConfig, EpcBudget, TeeError};
+pub use enclave::{Enclave, EnclaveConfig, TeeError};
+pub use epc::EpcBudget;
 pub use shard::{ShardId, ShardTunnel, TunnelAnchor, TunnelError, TunnelMessage, TunnelRole};
 
 /// User identifier type used across the FL protocol.

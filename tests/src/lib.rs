@@ -11,11 +11,13 @@
 
 use std::sync::OnceLock;
 
-use olive_core::aggregation::AggregatorKind;
-use olive_core::olive::{DpConfig, OliveConfig, OliveSystem};
+use olive_core::aggregation::{AggregatorKind, ShardRuntime, StreamingAggregator};
+use olive_core::olive::{DpConfig, OliveConfig, OliveSystem, RoundError};
+use olive_core::round::{Ledger, RoundEngine};
 use olive_data::synthetic::{Dataset, Generator, SyntheticConfig};
 use olive_data::{partition, ClientData, LabelAssignment};
 use olive_fl::{local_update, ClientConfig, SparseGradient, Sparsifier};
+use olive_memsim::ParallelTracer;
 use olive_nn::zoo::mlp;
 use olive_nn::Model;
 use rand::rngs::SmallRng;
@@ -96,4 +98,26 @@ pub fn canonical_updates() -> &'static [SparseGradient] {
             })
             .collect()
     })
+}
+
+/// One whole round of pre-decoded `updates` through a single-threaded
+/// [`RoundEngine`] over the shard plane `rt`, in chunks of `chunk`: the
+/// delta (or the error that aborted the round) and the plane as the
+/// round left it. Completed or aborted, the coordinator's budget must
+/// balance.
+pub fn engine_round<TR: ParallelTracer>(
+    kind: AggregatorKind,
+    updates: &[SparseGradient],
+    d: usize,
+    chunk: usize,
+    rt: ShardRuntime,
+    tr: &mut TR,
+) -> (Result<Vec<f32>, RoundError>, ShardRuntime) {
+    let k = updates.iter().map(|u| u.k()).max().unwrap_or(0);
+    let budget = olive_tee::EpcBudget::default();
+    let ledger = Ledger::new(budget, Some(rt), olive_telemetry::Telemetry::off());
+    let engine = RoundEngine::new(StreamingAggregator::new(kind, d, 1), k, 1, 0, ledger);
+    let (out, end) = engine.run(updates.chunks(chunk), tr);
+    assert_eq!(end.coordinator.live, 0, "{kind:?}: the coordinator budget must balance");
+    (out, end.shards.expect("the plane comes back"))
 }

@@ -7,12 +7,28 @@
 //! trace digest — to the same round run uninterrupted. One
 //! `RecordingTracer` spans the kill and the restore, so any extra or
 //! missing adversary-visible access would break the digest.
+//!
+//! Kills are scripted through the fault plane: a `crash@<chunk>` event
+//! ([`FaultKind::CoordinatorKill`](olive_memsim::FaultKind)) tears the
+//! coordinator enclave down right after that chunk is folded and
+//! checkpointed, surfacing as [`RoundError::CoordinatorKilled`].
 
 use olive_core::aggregation::AggregatorKind;
 use olive_core::olive::{DpConfig, OliveSystem, RoundError, RoundReport};
 use olive_integration_tests::small_system;
-use olive_memsim::{Granularity, RecordingTracer, TraceDigest};
+use olive_memsim::{FaultPlan, Granularity, RecordingTracer, TraceDigest};
 use olive_tee::TeeError;
+
+/// Arms a coordinator crash right after chunk `chunk` (0-based) is
+/// folded and checkpointed.
+fn crash_after(sys: &mut OliveSystem, chunk: usize) {
+    sys.set_fault_plan(FaultPlan::parse(&format!("crash@{chunk}")).expect("well-formed script"));
+}
+
+/// The structured error a crash scripted after chunk `chunk` surfaces as.
+fn killed(chunk: usize) -> RoundError {
+    RoundError::CoordinatorKilled { after_chunk: chunk }
+}
 
 /// Runs one uninterrupted round and returns (params, digest, report).
 fn uninterrupted(
@@ -76,12 +92,12 @@ fn kill_and_restore_is_bitwise_identical() {
             kill_points.retain(|&kp| kp < n_chunks);
             kill_points.dedup();
             for kp in kill_points {
-                let ctx = format!("kind={kind:?} chunk={chunk} kill_after={kp}");
+                let ctx = format!("kind={kind:?} chunk={chunk} crash_after={kp}");
                 let mut sys = fresh(kind, None, seed, chunk, threads);
                 let mut tr = RecordingTracer::new(Granularity::Element);
-                let killed =
-                    sys.run_round_kill_after(kp, &mut tr).expect("kill injection is not a fault");
-                assert!(killed.is_none(), "{ctx}: kill point must interrupt the round");
+                crash_after(&mut sys, kp);
+                let err = sys.run_round(&mut tr).expect_err("the crash must interrupt the round");
+                assert_eq!(err, killed(kp), "{ctx}: kill point must interrupt the round");
                 assert!(sys.interrupted(), "{ctx}: round must be pending");
                 let report = sys.restore_round(&mut tr).expect("restore must succeed");
                 assert!(!sys.interrupted(), "{ctx}: restore clears the pending round");
@@ -106,7 +122,8 @@ fn kill_and_restore_preserves_dp_noise_bits() {
     let (ref_params, ref_digest, ref_report) = uninterrupted(kind, dp, 13, 2, 1);
     let mut sys = fresh(kind, dp, 13, 2, 1);
     let mut tr = RecordingTracer::new(Granularity::Element);
-    assert!(sys.run_round_kill_after(0, &mut tr).expect("no shard faults").is_none());
+    crash_after(&mut sys, 0);
+    assert_eq!(sys.run_round(&mut tr).unwrap_err(), killed(0));
     let report = sys.restore_round(&mut tr).expect("restore must succeed");
     assert_bitwise_eq(&sys.global_params(), &ref_params, "dp restore");
     assert_eq!(tr.digest(), ref_digest);
@@ -121,7 +138,8 @@ fn tampered_checkpoint_is_rejected_and_recoverable() {
     let (ref_params, ref_digest, _) = uninterrupted(kind, None, 5, 3, 1);
     let mut sys = fresh(kind, None, 5, 3, 1);
     let mut tr = RecordingTracer::new(Granularity::Element);
-    assert!(sys.run_round_kill_after(1, &mut tr).expect("no shard faults").is_none());
+    crash_after(&mut sys, 1);
+    assert_eq!(sys.run_round(&mut tr).unwrap_err(), killed(1));
     let good = sys.checkpoint_blob().expect("a killed round leaves a blob").to_vec();
 
     let mut evil = good.clone();
@@ -154,9 +172,11 @@ fn rolled_back_checkpoint_is_rejected() {
 
     // Kill after chunk 0 → blob A; restore and kill again after chunk 1
     // → blob B with a strictly larger counter.
-    assert!(sys.run_round_kill_after(0, &mut tr).expect("no shard faults").is_none());
+    crash_after(&mut sys, 0);
+    assert_eq!(sys.run_round(&mut tr).unwrap_err(), killed(0));
     let blob_a = sys.checkpoint_blob().unwrap().to_vec();
-    assert!(sys.restore_round_kill_after(1, &mut tr).expect("restore succeeds").is_none());
+    crash_after(&mut sys, 1);
+    assert_eq!(sys.restore_round(&mut tr).unwrap_err(), killed(1));
     let blob_b = sys.checkpoint_blob().unwrap().to_vec();
     assert!(
         counter_of(&blob_b) > counter_of(&blob_a),
@@ -178,7 +198,8 @@ fn rolled_back_checkpoint_is_rejected() {
     sys.set_checkpoint_blob(blob_b.clone());
     let report = sys.restore_round(&mut tr).expect("newest blob restores");
     assert_eq!(report.round, 0);
-    assert!(sys.run_round_kill_after(0, &mut tr).expect("no shard faults").is_none());
+    crash_after(&mut sys, 0);
+    assert_eq!(sys.run_round(&mut tr).unwrap_err(), killed(0));
     let blob_c = sys.checkpoint_blob().unwrap().to_vec();
     assert!(counter_of(&blob_c) > counter_of(&blob_b), "counters climb across rounds");
     let report = sys.restore_round(&mut tr).expect("round 1 restores too");

@@ -16,6 +16,7 @@ use olive_core::ShardError;
 use olive_integration_tests::small_system;
 use olive_memsim::{FaultPlan, Granularity, RecordingTracer, RetryPolicy, TraceDigest};
 use olive_tee::TunnelError;
+use olive_telemetry::Telemetry;
 
 /// A fault script touching every fault kind, with shard targets folded
 /// into the `shards` actually provisioned. The stale-seal event rides on
@@ -225,4 +226,79 @@ fn ci_chaos_spec_recovers_bitwise() {
     assert_eq!(bits, ref_bits, "CI chaos spec changed the global model");
     assert_eq!(digest, ref_digest, "CI chaos spec changed the trace digest");
     assert_eq!(report.model_signature, ref_report.model_signature);
+}
+
+/// Per-budget `(charged, freed)` EPC byte totals of every flushed stats
+/// block in a telemetry stream (a block = one invocation's consecutive
+/// counter records).
+fn epc_blocks(stream: &str) -> Vec<std::collections::BTreeMap<String, (u64, u64)>> {
+    let field = |line: &str, key: &str| -> Option<String> {
+        let rest = &line[line.find(&format!("\"{key}\":"))? + key.len() + 3..];
+        Some(rest.trim_start_matches('"').split(['"', '}', ',']).next()?.to_string())
+    };
+    let mut blocks = Vec::new();
+    let mut current = std::collections::BTreeMap::<String, (u64, u64)>::new();
+    for line in stream.lines() {
+        if !line.contains("\"record\":\"counter\"") {
+            if !current.is_empty() {
+                blocks.push(std::mem::take(&mut current));
+            }
+            continue;
+        }
+        let (name, key) = (field(line, "name").unwrap(), field(line, "key").unwrap());
+        let total: u64 = field(line, "total").unwrap().parse().unwrap();
+        match name.as_str() {
+            "epc_charge_bytes" => current.entry(key).or_insert((0, 0)).0 = total,
+            "epc_free_bytes" => current.entry(key).or_insert((0, 0)).1 = total,
+            _ => {}
+        }
+    }
+    blocks.extend((!current.is_empty()).then_some(current));
+    blocks
+}
+
+/// Regression pin for the unbalanced-abort bug: exhausted ingress or
+/// egress recovery used to free the enclave budgets but neither the
+/// telemetry working set nor the stats flush, so the aborted
+/// invocation's `epc_charge_bytes` ≠ `epc_free_bytes` and its counters
+/// bled into the restoring round's flush. With the engine's ledger
+/// releasing on abort, every invocation — aborted or restored — flushes
+/// its own block with charge == free on every budget, and every budget
+/// is empty after each `Err`.
+#[test]
+fn aborted_rounds_balance_every_epc_budget_and_flush_their_own_stats() {
+    let kind = AggregatorKind::Grouped { h: 3 };
+    let (ref_bits, _, ref_report, _) = run_round(kind, None, 1, None);
+    let budget = RetryPolicy::MAX_ATTEMPTS as usize;
+    for site in ["drop@0.1", "tamper@2.3", "receipt@e.2"] {
+        let (mut sys, _) = small_system(kind, None, 97);
+        sys.set_threads(1);
+        sys.set_chunk(3);
+        sys.set_shards(4);
+        let telemetry = Telemetry::to_buffer();
+        sys.set_telemetry(telemetry.clone());
+        sys.set_fault_plan(FaultPlan::parse(&vec![site; budget].join(",")).expect("script"));
+        let mut tr = RecordingTracer::new(Granularity::Element);
+        let err = sys.run_round(&mut tr).expect_err("the stacked faults must exhaust recovery");
+        assert!(matches!(err, RoundError::Shard(_)), "{site}: {err:?}");
+        assert!(sys.interrupted(), "{site}: the aborted round must stay pending");
+        assert_eq!(sys.epc_live(), vec![0; 5], "{site}: every budget is empty after the abort");
+        let aborted = epc_blocks(&telemetry.buffer_contents().expect("buffer sink"));
+        assert_eq!(aborted.len(), 1, "{site}: the aborted invocation flushes its own stats");
+
+        let report = sys.restore_round(&mut tr).expect("the aborted round restores");
+        assert_eq!(sys.epc_live(), vec![0; 5], "{site}: every budget is empty after the restore");
+        let bits: Vec<u32> = sys.global_params().iter().map(|v| v.to_bits()).collect();
+        assert_eq!(bits, ref_bits, "{site}: restored round changed the global model");
+        assert_eq!(report.model_signature, ref_report.model_signature, "{site}");
+        let blocks = epc_blocks(&telemetry.buffer_contents().expect("buffer sink"));
+        assert_eq!(blocks.len(), 2, "{site}: one stats block per invocation");
+        for (i, block) in blocks.iter().enumerate() {
+            assert_eq!(block.len(), 5, "{site} block {i}: coordinator + four shards");
+            for (key, (charged, freed)) in block {
+                assert!(*charged > 0, "{site} block {i}: {key} saw no charges");
+                assert_eq!(charged, freed, "{site} block {i}: {key} charge != free");
+            }
+        }
+    }
 }

@@ -2,7 +2,7 @@
 //! (Definition 2.1, Propositions 3.1/3.2/5.1/5.2), at both observation
 //! granularities, over randomized inputs.
 
-use olive_core::aggregation::{aggregate, AggregatorKind};
+use olive_core::aggregation::{aggregate, aggregate_with_threads, AggregatorKind};
 use olive_fl::SparseGradient;
 use olive_memsim::{assert_not_oblivious, assert_oblivious, Granularity};
 use rand::rngs::SmallRng;
@@ -83,12 +83,11 @@ fn grouped_fully_oblivious() {
 /// the input shape, at both observation granularities.
 #[test]
 fn grouped_parallel_oblivious_at_every_thread_count() {
-    use olive_core::aggregation::grouped::aggregate_grouped_with_threads;
     let ins = inputs(&[17, 18, 19]);
     for threads in [2usize, 4, 8] {
         for granularity in [Granularity::Element, Granularity::Cacheline] {
             assert_oblivious(granularity, &ins, |ups, tr| {
-                aggregate_grouped_with_threads(ups, 96, 2, threads, tr);
+                aggregate_with_threads(AggregatorKind::Grouped { h: 2 }, ups, 96, threads, tr);
             });
         }
     }

@@ -1,10 +1,10 @@
 //! Property-based tests over the core invariants, spanning crates.
 
-use olive_core::aggregation::grouped::aggregate_grouped_with_threads;
 use olive_core::aggregation::{
-    aggregate, aggregate_with_threads, reference_average, Aggregator, AggregatorKind,
-    StreamingAggregator,
+    aggregate, aggregate_with_threads, reference_average, Aggregator, AggregatorKind, ShardError,
+    ShardRuntime, StreamingAggregator,
 };
+use olive_core::olive::RoundError;
 use olive_fl::SparseGradient;
 use olive_memsim::{trace_of, Granularity, NullTracer, RecordingTracer, TrackedBuf};
 use olive_oblivious::sort::bitonic_sort_by_key;
@@ -25,6 +25,24 @@ fn updates_strategy(max_n: usize, d: usize) -> impl Strategy<Value = Vec<SparseG
         }),
         1..=max_n,
     )
+}
+
+/// [`olive_integration_tests::engine_round`] for rounds only the shard
+/// plane can fail: the delta, or the shard error that exhausted recovery.
+fn engine_round(
+    kind: AggregatorKind,
+    updates: &[SparseGradient],
+    d: usize,
+    chunk: usize,
+    rt: ShardRuntime,
+    tr: &mut RecordingTracer,
+) -> (Result<Vec<f32>, ShardError>, ShardRuntime) {
+    let (out, rt) = olive_integration_tests::engine_round(kind, updates, d, chunk, rt, tr);
+    let out = out.map_err(|e| match e {
+        RoundError::Shard(e) => e,
+        other => panic!("only the shard plane can fail this round, got {other:?}"),
+    });
+    (out, rt)
 }
 
 proptest! {
@@ -92,7 +110,8 @@ proptest! {
         let d = 48;
         let run = |threads: usize| {
             let mut tr = RecordingTracer::with_events(Granularity::Element);
-            let out = aggregate_grouped_with_threads(&updates, d, h, threads, &mut tr);
+            let kind = AggregatorKind::Grouped { h };
+            let out = aggregate_with_threads(kind, &updates, d, threads, &mut tr);
             let mut ev: Vec<(u32, u64, bool)> = tr
                 .events()
                 .unwrap()
@@ -156,7 +175,6 @@ proptest! {
         bounds in vec(1usize..32, 0..5),
         chunk in 1usize..7,
     ) {
-        use olive_core::aggregation::{ShardRuntime, ShardedAggregator};
         use olive_memsim::ShardPlan;
         use olive_tee::{AttestationService, Enclave, EnclaveConfig};
         let d = 32;
@@ -179,11 +197,8 @@ proptest! {
                 plan.clone(),
             ).expect("provisioning succeeds in the simulation");
             let mut tr = RecordingTracer::new(Granularity::Element);
-            let mut agg = ShardedAggregator::new(kind, d, 1, rt);
-            for c in updates.chunks(chunk) {
-                agg.ingest(c, &mut tr);
-            }
-            let (got, _peaks, rt) = agg.finalize_with_peaks(&mut tr).expect("fault-free round");
+            let (got, rt) = engine_round(kind, &updates, d, chunk, rt, &mut tr);
+            let got = got.expect("fault-free round");
             prop_assert!(rt.live().iter().all(|&b| b == 0),
                 "{:?} bounds={:?}: shard budgets must balance", kind, interior);
             let one_bits: Vec<u32> = one.iter().map(|v| v.to_bits()).collect();
@@ -209,7 +224,7 @@ proptest! {
         shards_sel in 0usize..3,
         chunk in 1usize..7,
     ) {
-        use olive_core::aggregation::{ShardFailure, ShardRuntime, ShardedAggregator};
+        use olive_core::aggregation::ShardFailure;
         use olive_memsim::{FaultEvent, FaultKind, FaultPlan, RetryPolicy, EGRESS_CHUNK};
         use olive_tee::{AttestationService, Enclave, EnclaveConfig};
         let d = 32;
@@ -246,14 +261,12 @@ proptest! {
             ).expect("provisioning succeeds in the simulation");
             rt.set_fault_plan(FaultPlan::from_events(events.clone()));
             let mut tr = RecordingTracer::new(Granularity::Element);
-            let mut agg = ShardedAggregator::new(kind, d, 1, rt);
-            for c in updates.chunks(chunk) {
-                agg.ingest(c, &mut tr);
-            }
-            match agg.finalize_with_peaks(&mut tr) {
-                Ok((got, _peaks, rt)) => {
-                    prop_assert!(rt.live().iter().all(|&b| b == 0),
-                        "{:?} events={:?}: shard budgets must balance", kind, events);
+            let (got, rt) = engine_round(kind, &updates, d, chunk, rt, &mut tr);
+            // Recovered or aborted, the ledger leaves every budget empty.
+            prop_assert!(rt.live().iter().all(|&b| b == 0),
+                "{:?} events={:?}: shard budgets must balance", kind, events);
+            match got {
+                Ok(got) => {
                     let one_bits: Vec<u32> = one.iter().map(|v| v.to_bits()).collect();
                     let got_bits: Vec<u32> = got.iter().map(|v| v.to_bits()).collect();
                     prop_assert_eq!(got_bits, one_bits,
@@ -291,7 +304,7 @@ proptest! {
         fail_sel in 0usize..3,
         chunk in 1usize..5,
     ) {
-        use olive_core::aggregation::{ShardFailure, ShardRuntime, ShardedAggregator};
+        use olive_core::aggregation::ShardFailure;
         use olive_memsim::{FaultEvent, FaultKind, FaultPlan, RetryPolicy, EGRESS_CHUNK};
         use olive_tee::{AttestationService, Enclave, EnclaveConfig};
         let d = 32;
@@ -315,11 +328,9 @@ proptest! {
         ).expect("provisioning succeeds in the simulation");
         rt.set_fault_plan(FaultPlan::from_events(events));
         let mut tr = RecordingTracer::new(Granularity::Element);
-        let mut agg = ShardedAggregator::new(AggregatorKind::Advanced, d, 1, rt);
-        for c in updates.chunks(chunk) {
-            agg.ingest(c, &mut tr);
-        }
-        let e = agg.finalize_with_peaks(&mut tr).expect_err("the stacked script must exhaust");
+        let (got, rt) = engine_round(AggregatorKind::Advanced, &updates, d, chunk, rt, &mut tr);
+        let e = got.expect_err("the stacked script must exhaust");
+        prop_assert!(rt.live().iter().all(|&b| b == 0), "an aborted round must balance");
         prop_assert_eq!(e.shard, site_shard % 4);
         prop_assert_eq!(e.attempts, RetryPolicy::MAX_ATTEMPTS);
         match fault {

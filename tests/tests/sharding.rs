@@ -5,13 +5,11 @@
 //! (S, chunk) combination — while each shard's own EPC budget sees only
 //! its stripe share of the footprint.
 
-use olive_core::aggregation::{
-    Aggregator, AggregatorKind, ShardRuntime, ShardedAggregator, StreamingAggregator,
-};
-use olive_core::olive::{sharded_working_set_bytes, working_set_bytes};
+use olive_core::aggregation::{Aggregator, AggregatorKind, ShardRuntime, StreamingAggregator};
+use olive_core::olive::{sharded_working_set_bytes, working_set_bytes, RoundError};
 use olive_fl::SparseGradient;
-use olive_integration_tests::small_system;
-use olive_memsim::{Granularity, RecordingTracer, TraceDigest};
+use olive_integration_tests::{engine_round, small_system};
+use olive_memsim::{FaultPlan, Granularity, RecordingTracer, TraceDigest};
 use olive_tee::{AttestationService, Enclave, EnclaveConfig};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -72,17 +70,13 @@ fn stream_sharded(
     shards: usize,
 ) -> (Vec<u32>, TraceDigest, Vec<u64>) {
     let mut tr = RecordingTracer::new(Granularity::Element);
-    let mut agg = ShardedAggregator::new(kind, d, 1, runtime(d, shards, 5));
-    for c in updates.chunks(chunk) {
-        agg.ingest(c, &mut tr);
-    }
-    assert_eq!(agg.clients(), updates.len());
-    let (out, peaks, rt) = agg.finalize_with_peaks(&mut tr).expect("fault-free round");
+    let (out, rt) = engine_round(kind, updates, d, chunk, runtime(d, shards, 5), &mut tr);
+    let out = out.expect("fault-free round");
     assert!(
         rt.live().iter().all(|&b| b == 0),
         "{kind:?} S={shards} chunk={chunk}: shard budgets must balance to zero"
     );
-    (out.iter().map(|v| v.to_bits()).collect(), tr.digest(), peaks)
+    (out.iter().map(|v| v.to_bits()).collect(), tr.digest(), rt.peaks())
 }
 
 /// The acceptance matrix: every aggregator kind × S ∈ {1, 2, 4, 8} ×
@@ -170,8 +164,10 @@ fn kill_and_restore_composes_with_sharding() {
         sys.set_chunk(2);
         sys.set_shards(4);
         let mut tr = RecordingTracer::new(Granularity::Element);
-        let killed = sys.run_round_kill_after(1, &mut tr).expect("kill injection is not a fault");
-        assert!(killed.is_none() && sys.interrupted(), "kill point must fire");
+        sys.set_fault_plan(FaultPlan::parse("crash@1").expect("well-formed script"));
+        let err = sys.run_round(&mut tr).expect_err("the scripted crash must fire");
+        assert_eq!(err, RoundError::CoordinatorKilled { after_chunk: 1 });
+        assert!(sys.interrupted(), "kill point must fire");
         sys.set_shards(restore_shards);
         let report = sys.restore_round(&mut tr).expect("genuine checkpoint restores");
         let ctx = format!("restore at S={restore_shards}");
@@ -200,15 +196,12 @@ fn paper_scale_advanced_round_fits_sharded_epc() {
         assert!(p < epc);
     }
     let updates = random_updates(n, k, d, 2024);
-    let mut agg = ShardedAggregator::new(AggregatorKind::Advanced, d, 1, runtime(d, shards, 9));
-    for c in updates.chunks(256) {
-        agg.ingest(c, &mut olive_memsim::NullTracer);
-    }
-    let (out, peaks, rt) =
-        agg.finalize_with_peaks(&mut olive_memsim::NullTracer).expect("fault-free round");
-    assert_eq!(out.len(), d);
+    let rt = runtime(d, shards, 9);
+    let (out, rt) =
+        engine_round(AggregatorKind::Advanced, &updates, d, 256, rt, &mut olive_memsim::NullTracer);
+    assert_eq!(out.expect("fault-free round").len(), d);
     assert!(rt.live().iter().all(|&b| b == 0), "budgets balance at scale");
-    for (i, &p) in peaks.iter().enumerate() {
+    for (i, &p) in rt.peaks().iter().enumerate() {
         assert!(
             p < epc,
             "shard {i}: measured peak {:.1} MiB must stay under 96 MiB",
