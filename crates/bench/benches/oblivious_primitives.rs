@@ -4,8 +4,8 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use olive_memsim::{NullTracer, TrackedBuf};
-use olive_oblivious::sort::bitonic_sort_pow2;
-use olive_oblivious::sort_kernel::{bitonic_sort_u64_pow2_with, SortKernel};
+use olive_oblivious::sort::bitonic_sort;
+use olive_oblivious::sort_kernel::{bitonic_sort_u64_with, SortKernel};
 use olive_oblivious::{o_scan_read, o_select};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -46,7 +46,7 @@ fn bench_sort(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("bitonic_oblivious", n), &n, |b, _| {
             b.iter(|| {
                 let mut buf = TrackedBuf::new(0, data.clone());
-                olive_oblivious::bitonic_sort_u64_pow2_with_threads(&mut buf, 1, &mut NullTracer);
+                olive_oblivious::bitonic_sort_u64_with_threads(&mut buf, 1, &mut NullTracer);
                 buf.into_inner()
             })
         });
@@ -63,22 +63,25 @@ fn bench_sort(c: &mut Criterion) {
 
 /// The sort-kernel matrix: scalar reference vs batched (1 thread) vs
 /// batched + threads (`batched_threads`, at the process-default
-/// `OLIVE_THREADS` count), at n ∈ {2¹², 2¹⁶, 2²⁰}. The scalar reference
-/// is skipped at 2²⁰ unless `OLIVE_BENCH_FULL=1` (it alone would
-/// dominate the bench wall-clock ~20×).
+/// `OLIVE_THREADS` count), at n ∈ {2¹², 2¹⁶, 2²⁰} and just above a power
+/// of two — 2¹⁶ + 1, and the 2 109 210 cells of the whole-round
+/// benchmark's `adv_sort` — where a padded network would do twice the
+/// work. The scalar reference is skipped past 2¹⁶ + 1 unless
+/// `OLIVE_BENCH_FULL=1` (it alone would dominate the bench wall-clock
+/// ~20×).
 fn bench_sort_kernels(c: &mut Criterion) {
     let full = std::env::var("OLIVE_BENCH_FULL").as_deref() == Ok("1");
     let threads = olive_memsim::default_threads();
     let mut group = c.benchmark_group("sort_kernel");
     group.sample_size(10);
-    for n in [1usize << 12, 1 << 16, 1 << 20] {
+    for n in [1usize << 12, 1 << 16, (1 << 16) + 1, 1 << 20, 2_109_210] {
         let mut rng = SmallRng::seed_from_u64(1);
         let data: Vec<u64> = (0..n).map(|_| rng.gen()).collect();
-        if n <= 1 << 16 || full {
+        if n <= (1 << 16) + 1 || full {
             group.bench_with_input(BenchmarkId::new("scalar", n), &n, |b, _| {
                 b.iter(|| {
                     let mut buf = TrackedBuf::new(0, data.clone());
-                    bitonic_sort_pow2(&mut buf, |x| *x, &mut NullTracer);
+                    bitonic_sort(&mut buf, |x| *x, &mut NullTracer);
                     buf.into_inner()
                 })
             });
@@ -91,7 +94,7 @@ fn bench_sort_kernels(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("batched_t1", n), &n, |b, _| {
             b.iter(|| {
                 let mut buf = TrackedBuf::new(0, data.clone());
-                bitonic_sort_u64_pow2_with(&mut buf, SortKernel::Batched, 1, &mut NullTracer);
+                bitonic_sort_u64_with(&mut buf, SortKernel::Batched, 1, &mut NullTracer);
                 buf.into_inner()
             })
         });
@@ -101,12 +104,7 @@ fn bench_sort_kernels(c: &mut Criterion) {
             group.bench_with_input(BenchmarkId::new("batched_threads", n), &n, |b, _| {
                 b.iter(|| {
                     let mut buf = TrackedBuf::new(0, data.clone());
-                    bitonic_sort_u64_pow2_with(
-                        &mut buf,
-                        SortKernel::Batched,
-                        threads,
-                        &mut NullTracer,
-                    );
+                    bitonic_sort_u64_with(&mut buf, SortKernel::Batched, threads, &mut NullTracer);
                     buf.into_inner()
                 })
             });

@@ -5,8 +5,10 @@
 //!
 //! 1. **initialization**: append one zero-valued cell per index `0..d`, so
 //!    every index is guaranteed present (and the output histogram of
-//!    indices is fixed);
-//! 2. **oblivious sort** by index (Batcher bitonic network);
+//!    indices is fixed) — `nk + d` cells, and nothing else: the network
+//!    sorts any length, so the vector is not padded;
+//! 2. **oblivious sort** by index (the bitonic network of
+//!    `olive_oblivious::sort`, truncated at `nk + d`);
 //! 3. **oblivious folding**: one linear pass accumulating runs of equal
 //!    indices; every position is rewritten — either with the finalized
 //!    `(index, sum)` of a completed run or with the dummy `(M₀, 0)` — via
@@ -44,8 +46,7 @@
 use olive_fl::SparseGradient;
 use olive_memsim::{ParallelTracer, StateError, StateReader, StateWriter, Tracer, TrackedBuf};
 use olive_oblivious::primitives::Oblivious;
-use olive_oblivious::sort::next_pow2;
-use olive_oblivious::sort_kernel::bitonic_sort_u64_pow2_with_threads;
+use olive_oblivious::sort_kernel::bitonic_sort_u64_with_threads;
 
 use crate::cell::{cell_index, cell_value, dummy_cell, make_cell};
 use crate::regions::{REGION_G_STAR, REGION_SCRATCH};
@@ -53,32 +54,35 @@ use crate::regions::{REGION_G_STAR, REGION_SCRATCH};
 use super::linear::average_in_place;
 use super::streaming::Aggregator;
 
-/// Computes the **un-averaged** dense sums via Algorithm 4, writing them
-/// into a fresh `G*` buffer which is returned for further (oblivious)
+/// Enclave bytes one run of Algorithm 4 over `cells` uploaded cells holds
+/// at its peak: the `cells + d` sort vector plus the dense output. The one
+/// place the sort-vector length is written down — the streamers' ledger
+/// charges and the closed-form `working_set_bytes` all come here.
+pub(crate) fn sum_advanced_bytes(cells: usize, d: usize) -> u64 {
+    (cells + d) as u64 * 8 + d as u64 * 4
+}
+
+/// Computes the **un-averaged** dense sums via Algorithm 4 over the
+/// caller's cell vector — extended by the `d` initialization cells and
+/// sorted in place, so the uploads are never copied — writing them into a
+/// fresh `G*` buffer which is returned for further (oblivious)
 /// processing. The trace depends only on `(cells.len(), d)` — the sorts
 /// run the process-default kernel (`OLIVE_SORT_KERNEL`), whose trace and
 /// output are identical to the scalar reference at every `threads` value
 /// (`olive_oblivious::sort_kernel`).
 pub(crate) fn sum_advanced<TR: Tracer>(
-    cells: &[u64],
+    mut cells: Vec<u64>,
     d: usize,
     threads: usize,
     tr: &mut TR,
 ) -> TrackedBuf<f32> {
-    // Step 1: initialization — g ← g ∥ {(j, 0)} for j ∈ [d], then pad to a
-    // power of two with dummy cells (which carry the maximal index and
-    // sort behind everything real).
-    let total = cells.len() + d;
-    let padded = next_pow2(total);
-    let mut v = Vec::with_capacity(padded);
-    v.extend_from_slice(cells);
-    v.extend((0..d as u32).map(|j| make_cell(j, 0.0)));
-    v.resize(padded, dummy_cell());
-    let mut g = TrackedBuf::new(REGION_SCRATCH, v);
+    // Step 1: initialization — g ← g ∥ {(j, 0)} for j ∈ [d].
+    cells.extend((0..d as u32).map(|j| make_cell(j, 0.0)));
+    let mut g = TrackedBuf::new(REGION_SCRATCH, cells);
 
     // Step 2: oblivious sort by index (the packed u64 is index-major, so
     // sorting by raw value is sorting by index).
-    bitonic_sort_u64_pow2_with_threads(&mut g, threads, tr);
+    bitonic_sort_u64_with_threads(&mut g, threads, tr);
 
     // Step 3: oblivious folding (Algorithm 4 lines 6–14). The accumulator
     // lives in registers; every pass writes position i−1 exactly once.
@@ -101,7 +105,7 @@ pub(crate) fn sum_advanced<TR: Tracer>(
     g.write(last, make_cell(acc_idx, acc_val), tr);
 
     // Step 4: oblivious sort again; the d real survivors lead.
-    bitonic_sort_u64_pow2_with_threads(&mut g, threads, tr);
+    bitonic_sort_u64_with_threads(&mut g, threads, tr);
 
     // Emit G*: a fixed in-order read of the first d cells and write-out.
     let mut gstar = TrackedBuf::<f32>::zeroed(REGION_G_STAR, d);
@@ -162,7 +166,7 @@ impl Aggregator for AdvancedStreamer {
     /// Runs Algorithm 4 over everything staged.
     fn finalize<TR: ParallelTracer>(self, tr: &mut TR) -> Vec<f32> {
         assert!(self.n > 0, "no updates to aggregate");
-        let mut gstar = sum_advanced(&self.cells, self.d, self.threads, tr);
+        let mut gstar = sum_advanced(self.cells, self.d, self.threads, tr);
         average_in_place(&mut gstar, self.n, tr);
         gstar.into_inner()
     }
@@ -177,9 +181,10 @@ impl Aggregator for AdvancedStreamer {
         self.cells.len() as u64 * 8
     }
 
-    /// The padded sort vector plus the dense output.
+    /// What Algorithm 4 holds beyond the staged cells it sorts in place:
+    /// the `d` initialization cells and the dense output.
     fn finalize_scratch_bytes(&self) -> u64 {
-        next_pow2(self.cells.len() + self.d) as u64 * 8 + self.d as u64 * 4
+        sum_advanced_bytes(self.cells.len(), self.d) - self.resident_bytes()
     }
 
     /// The staged cells are sealed honestly — the checkpoint is O(nk),
@@ -232,16 +237,17 @@ mod tests {
             make_cell(0, 0.4),
             make_cell(1, 0.1),
         ];
-        let sums = sum_advanced(&g, 4, 1, &mut NullTracer).into_inner();
+        let sums = sum_advanced(g.to_vec(), 4, 1, &mut NullTracer).into_inner();
         assert_close(&sums, &[0.4, 1.2, 0.9, 0.5], 1e-6);
     }
 
     #[test]
     fn output_and_trace_invariant_across_thread_counts() {
         use olive_memsim::RecordingTracer;
-        // 128 cells + d = 4000 pads the sort vector to 8192, past the
-        // kernel's internal parallelism threshold — threads ∈ {2, 8} must
-        // genuinely run the barrier path for this test to mean anything.
+        // 128 cells + d = 4000 make a 4128-cell sort vector: past the
+        // kernel's internal parallelism threshold (threads ∈ {2, 8} must
+        // genuinely run the barrier path for this test to mean anything),
+        // past one private block, and not a power of two.
         let d = 4000;
         let updates = random_updates(8, 16, d, 77);
         let run = |threads: usize| {
@@ -319,12 +325,49 @@ mod tests {
             advanced(&updates, d, 1, &mut tr);
             tr.stats().total()
         };
-        // The sort vector pads to a power of two, so compare across a
-        // padding boundary: 16+64 → 128 cells vs 200+64 → 512 cells.
-        assert!(t(1, 16, 64) < t(4, 50, 64));
-        assert!(t(1, 16, 64) < t(1, 16, 256));
-        // Within one padding bucket the trace is *identical* — shape, not
-        // content: 16+64 and 32+64 both pad to 128 cells.
-        assert_eq!(t(1, 16, 64), t(2, 16, 64));
+        // Nothing is padded, so the trace grows strictly with every cell
+        // of nk + d — one more client, one more cell per client, one more
+        // dimension — including across a power of two (80 → 128 → 129).
+        assert!(t(1, 16, 64) < t(2, 16, 64));
+        assert!(t(2, 16, 64) < t(2, 17, 64));
+        assert!(t(2, 17, 64) < t(2, 17, 65));
+        assert!(t(4, 16, 64) < t(4, 16, 65));
+        // Shape, not content: a different seed leaves the count alone.
+        let other = |seed| {
+            let mut tr = RecordingTracer::new(Granularity::Element);
+            advanced(&random_updates(2, 16, 64, seed), 64, 1, &mut tr);
+            tr.stats().total()
+        };
+        assert_eq!(other(3), other(4));
+    }
+
+    const PINNED_ELEMENT: &str =
+        "TraceDigest { lane0: 7782993381635614178, lane1: 8899804604775101325, count: 3452834 }";
+    const PINNED_CACHELINE: &str =
+        "TraceDigest { lane0: 17354058421736565451, lane1: 14479643937297201572, count: 3452834 }";
+
+    /// The CI kernel passes meet here: an Advanced run whose sort vector
+    /// is just above a power of two (nk + d = 2¹³ + 5) must produce this
+    /// trace under `OLIVE_SORT_KERNEL=scalar` and under the batched
+    /// default alike, on one worker and on several — the digest below is
+    /// the scalar network's.
+    #[test]
+    fn trace_just_above_a_power_of_two_is_pinned_across_kernels() {
+        use olive_memsim::RecordingTracer;
+        let (n, k, d) = (7, 171, 7000);
+        assert_eq!(n * k + d, (1 << 13) + 5);
+        let updates = random_updates(n, k, d, 5);
+        for threads in [1usize, 2, 3] {
+            for granularity in [Granularity::Element, Granularity::Cacheline] {
+                let mut tr = RecordingTracer::new(granularity);
+                let got = advanced(&updates, d, threads, &mut tr);
+                assert_close(&got, &reference_average(&updates, d), 1e-4);
+                let want = match granularity {
+                    Granularity::Element => PINNED_ELEMENT,
+                    Granularity::Cacheline => PINNED_CACHELINE,
+                };
+                assert_eq!(format!("{:?}", tr.digest()), want, "{granularity:?} threads={threads}");
+            }
+        }
     }
 }

@@ -43,7 +43,7 @@ use olive_memsim::{ParallelTracer, StateError, StateReader, StateWriter, Tracer,
 use crate::cell::concat_cells;
 use crate::regions::REGION_G_STAR;
 
-use super::advanced::sum_advanced;
+use super::advanced::{sum_advanced, sum_advanced_bytes};
 use super::linear::average_in_place;
 use super::streaming::Aggregator;
 
@@ -79,8 +79,7 @@ fn run_wave<TR: ParallelTracer>(
         for (slot, group) in slots.iter_mut().zip(groups) {
             let mut wtr = tr.fork_worker();
             scope.spawn(move || {
-                let cells = concat_cells(group);
-                let partial = sum_advanced(&cells, d, intra, &mut wtr);
+                let partial = sum_advanced(concat_cells(group), d, intra, &mut wtr);
                 *slot = Some((partial, wtr));
             });
         }
@@ -158,8 +157,7 @@ impl Aggregator for GroupedStreamer {
             // reproduces the serial trace byte-for-byte.
             while self.pending.len() >= self.h {
                 let group: Vec<SparseGradient> = self.pending.drain(..self.h).collect();
-                let cells = concat_cells(&group);
-                let partial = sum_advanced(&cells, self.d, 1, tr);
+                let partial = sum_advanced(concat_cells(&group), self.d, 1, tr);
                 carry_into(&partial, &mut self.total, tr);
             }
         } else {
@@ -187,8 +185,7 @@ impl Aggregator for GroupedStreamer {
                 // n <= h scale).
                 let pending = std::mem::take(&mut self.pending);
                 for group in pending.chunks(self.h) {
-                    let cells = concat_cells(group);
-                    let partial = sum_advanced(&cells, self.d, self.threads, tr);
+                    let partial = sum_advanced(concat_cells(group), self.d, self.threads, tr);
                     carry_into(&partial, &mut self.total, tr);
                 }
             } else {
@@ -211,12 +208,11 @@ impl Aggregator for GroupedStreamer {
         self.d as u64 * 4 + pending_cells as u64 * 8
     }
 
-    /// What one drained wave allocates: per in-flight group, the padded
-    /// sort vector plus its dense partial.
+    /// What one drained wave allocates: per in-flight group, one run of
+    /// Algorithm 4 — the group's concatenated cells, sorted where they
+    /// were gathered, and its dense partial.
     fn ingest_scratch_bytes(&self, _chunk_clients: usize, k: usize) -> u64 {
-        let group_cells = olive_oblivious::sort::next_pow2(self.h * k + self.d) as u64;
-        let in_flight = if self.threads == 1 { 1 } else { self.threads } as u64;
-        in_flight * (group_cells * 8 + self.d as u64 * 4)
+        self.threads as u64 * sum_advanced_bytes(self.h * k, self.d)
     }
 
     /// The running total's bits plus the buffered partial unit (pending

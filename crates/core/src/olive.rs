@@ -39,6 +39,7 @@ use olive_telemetry::Telemetry;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
+use crate::aggregation::advanced::sum_advanced_bytes;
 use crate::aggregation::{Aggregator, AggregatorKind, ShardRuntime, StreamingAggregator};
 use crate::round::{Ledger, RoundEngine};
 
@@ -1046,11 +1047,16 @@ pub fn open_and_decode(enclave: &mut Enclave, msgs: &[SealedMessage]) -> Vec<Spa
         .collect()
 }
 
-/// Scratch working-set estimate (bytes) for each aggregator — what the
-/// enclave allocates beyond the d-cell output (drives the EPC/grouping
-/// analysis of Sections 5.3 and 5.5, e.g. the paper's 122 MB at N = 10⁴).
-/// `n` is the participant count and `k` the per-client cell count; the
-/// serial (`threads = 1`) case of [`working_set_bytes_threaded`].
+/// Working-set estimate (bytes) for each aggregator in closed form — what
+/// the enclave holds at the round's peak (drives the EPC/grouping analysis
+/// of Sections 5.3 and 5.5, e.g. the paper's 122 MB at n = 3000 on the
+/// MNIST MLP). `n` is the participant count and `k` the per-client cell
+/// count; the serial (`threads = 1`) case of
+/// [`working_set_bytes_threaded`]. For Advanced this is to the byte the
+/// `RoundReport::working_set_bytes` of a round without checkpointing; for
+/// Grouped it leaves out the O(chunk·k) plaintext staged around a fold
+/// (the chunk being folded and the look-ahead chunk), which a measured
+/// round carries on top.
 pub fn working_set_bytes(kind: AggregatorKind, n: usize, k: usize, d: usize) -> u64 {
     working_set_bytes_threaded(kind, n, k, d, 1)
 }
@@ -1073,16 +1079,15 @@ pub fn working_set_bytes_threaded(
         AggregatorKind::Baseline { cacheline_weights } => {
             nk as u64 * cell + (d.div_ceil(cacheline_weights) * cacheline_weights) as u64 * 4
         }
-        AggregatorKind::Advanced => ((nk + d).next_power_of_two() as u64) * cell + d as u64 * 4,
+        AggregatorKind::Advanced => sum_advanced_bytes(nk, d),
         AggregatorKind::Grouped { h } => {
             // Per in-flight group: one sort vector + one d-sized partial;
             // shared: the running total (Section 5.3: this is exactly
             // what the optimization shrinks below cache/EPC size).
             let hk = h.max(1).min(n) * k;
-            let group_cells = (hk + d).next_power_of_two() as u64;
             let groups = n.div_ceil(h.max(1)).max(1);
             let in_flight = threads.clamp(1, groups) as u64;
-            in_flight * (group_cells * cell + d as u64 * 4) + d as u64 * 4
+            in_flight * sum_advanced_bytes(hk, d) + d as u64 * 4
         }
         AggregatorKind::PathOram { posmap } => {
             // The full ORAM working set — tree, stash, position map
@@ -1271,6 +1276,40 @@ mod tests {
         assert_eq!(stripes.iter().sum::<u64>(), mono, "stripe shares partition the footprint");
         for (i, &p) in stripes.iter().enumerate() {
             assert!(p < epc, "shard {i} share {p} must fit the 96 MiB EPC");
+        }
+    }
+
+    /// The closed form and the ledger agree to the byte at a shape that is
+    /// not a power of two (they share `sum_advanced_bytes`). Advanced
+    /// peaks at finalize, holding exactly the closed form. A Grouped round
+    /// peaks in a fold, holding the closed form plus the plaintext the
+    /// closed form leaves out (as it does the broadcast segment of
+    /// `sharded_working_set_bytes`): the chunk being folded and the
+    /// look-ahead chunk opened beside it, `chunk · k` cells each.
+    /// Checkpoint plaintext is a transient of its own and is switched off.
+    #[test]
+    fn closed_form_working_set_matches_the_measured_round() {
+        let round = |kind: AggregatorKind, threads: usize, chunk: usize| {
+            let (model, clients, mut cfg) = tiny_parts(kind, None);
+            cfg.sample_rate = 1.0;
+            let mut sys = OliveSystem::new(model, clients, cfg);
+            sys.set_threads(threads);
+            sys.set_chunk(chunk);
+            sys.set_checkpointing(false);
+            let report = sys.run_round(&mut NullTracer).expect("round");
+            (report.working_set_bytes, report.processed_users.len(), report.k_per_user, sys.dim())
+        };
+        let (measured, n, k, d) = round(AggregatorKind::Advanced, 1, 3);
+        assert_eq!((n, k, d), (8, 10, 106), "nk + d = 186 is not a power of two");
+        assert_eq!(measured, working_set_bytes(AggregatorKind::Advanced, n, k, d));
+        for threads in [1usize, 2] {
+            // One processing unit (h · threads clients) per chunk.
+            let kind = AggregatorKind::Grouped { h: 2 };
+            let chunk = 2 * threads;
+            let (measured, ..) = round(kind, threads, chunk);
+            let staged = 2 * (chunk * k) as u64 * 8;
+            let closed = working_set_bytes_threaded(kind, n, k, d, threads);
+            assert_eq!(measured, closed + staged, "threads={threads}");
         }
     }
 

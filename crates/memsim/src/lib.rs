@@ -48,8 +48,8 @@ pub use faults::{FaultEvent, FaultKind, FaultPlan, RecoveryStats, RetryPolicy, E
 pub use shard::ShardPlan;
 pub use threads::{default_threads, positive_env};
 pub use tracer::{
-    Access, Granularity, NullTracer, Op, ParallelTracer, RecordingTracer, RegionId, Tracer,
-    TracerStats,
+    truncated_stage_len, Access, Granularity, NullTracer, Op, ParallelTracer, RecordingTracer,
+    RegionId, Tracer, TracerStats,
 };
 
 /// Cacheline size assumed throughout the paper and this reproduction (bytes).

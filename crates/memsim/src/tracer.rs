@@ -54,6 +54,34 @@ impl Granularity {
     }
 }
 
+/// The footprint of one compare-exchange of elements `i < l`.
+#[inline(always)]
+fn touch_comparator<TR: Tracer + ?Sized>(
+    tr: &mut TR,
+    region: RegionId,
+    elem_bytes: u32,
+    i: u64,
+    l: u64,
+) {
+    let eb = elem_bytes as u64;
+    tr.touch(region, i * eb, elem_bytes, Op::Read);
+    tr.touch(region, l * eb, elem_bytes, Op::Read);
+    tr.touch(region, i * eb, elem_bytes, Op::Write);
+    tr.touch(region, l * eb, elem_bytes, Op::Write);
+}
+
+/// Comparators one stage of the sorting network keeps when it is truncated
+/// at length `n`: the stage pairs the lower half of every `span`-aligned
+/// block with its upper half (`span = 2 · stride` for a stride stage,
+/// `span = k` for the flip stage of round `k`), and a comparator survives
+/// iff its upper element is below `n`. Whole blocks keep `span / 2` each;
+/// the partial block keeps one per element past its midpoint.
+#[inline]
+pub fn truncated_stage_len(n: u64, span: u64) -> u64 {
+    debug_assert!(span.is_power_of_two() && span >= 2);
+    (n / span) * (span / 2) + (n % span).saturating_sub(span / 2)
+}
+
 /// The instrumentation hook. Algorithms call [`Tracer::touch`] for every
 /// access to adversary-visible memory.
 pub trait Tracer {
@@ -61,12 +89,13 @@ pub trait Tracer {
     /// `region`.
     fn touch(&mut self, region: RegionId, byte_off: u64, len: u32, op: Op);
 
-    /// Records a contiguous run of bitonic compare-exchanges as **one
-    /// block event** (the sort kernel's batched trace API).
+    /// Records a contiguous run of **stride-stage** compare-exchanges of
+    /// the sorting network as one block event (the sort kernel's batched
+    /// trace API).
     ///
-    /// The run covers comparators `first .. first + count` of a bitonic
-    /// stage with partner distance `stride` (a power of two) over
-    /// `elem_bytes`-sized elements. Comparator `t` exchanges elements
+    /// The run covers comparators `first .. first + count` of a stage with
+    /// partner distance `stride` (a power of two) over `elem_bytes`-sized
+    /// elements. Comparator `t` exchanges elements
     ///
     /// ```text
     /// i = ((t & !(stride - 1)) << 1) | (t & (stride - 1)),   l = i + stride
@@ -74,14 +103,16 @@ pub trait Tracer {
     ///
     /// and its memory footprint is, by definition, `read i, read l,
     /// write i, write l` — exactly what the scalar network performs via
-    /// `read_pair`/`write_pair`. The event is therefore a pure function of
-    /// its arguments; the default implementation *expands* it into those
-    /// per-element [`Tracer::touch`] calls, so recording tracers absorb a
-    /// digest **identical** to the scalar network's at every granularity
-    /// (the expansion rule — the block event's digest semantics). Tracers
-    /// that discard events ([`NullTracer`]) override this with a no-op, so
-    /// the batched kernel pays one virtual-call-free inlined no-op per
-    /// block instead of four dispatches per comparator.
+    /// `read_pair`/`write_pair`. `l` grows with `t`, so the comparators a
+    /// network truncated at length `n` keeps (`l < n`) are the prefix
+    /// `t < `[`truncated_stage_len`]`(n, 2 * stride)`. The event is a pure
+    /// function of its arguments; the default implementation *expands* it
+    /// into those per-element [`Tracer::touch`] calls, so recording
+    /// tracers absorb a digest **identical** to the scalar network's at
+    /// every granularity, and any contiguous split of a span expands to
+    /// the same sequence. Tracers that discard events ([`NullTracer`])
+    /// override this with a no-op, so the batched kernel pays one inlined
+    /// no-op per stage instead of four dispatches per comparator.
     #[inline]
     fn touch_cex_span(
         &mut self,
@@ -92,14 +123,41 @@ pub trait Tracer {
         count: u64,
     ) {
         debug_assert!(stride.is_power_of_two(), "comparator stride must be a power of two");
-        let eb = elem_bytes as u64;
         for t in first..first + count {
             let i = ((t & !(stride - 1)) << 1) | (t & (stride - 1));
-            let l = i + stride;
-            self.touch(region, i * eb, elem_bytes, Op::Read);
-            self.touch(region, l * eb, elem_bytes, Op::Read);
-            self.touch(region, i * eb, elem_bytes, Op::Write);
-            self.touch(region, l * eb, elem_bytes, Op::Write);
+            touch_comparator(self, region, elem_bytes, i, i + stride);
+        }
+    }
+
+    /// Records a contiguous run of **flip-stage** compare-exchanges as one
+    /// block event: the stage that opens round `k` (a power of two) of the
+    /// all-ascending network by pairing each element of a `k`-aligned
+    /// block with its mirror image. Comparator `t` exchanges elements
+    ///
+    /// ```text
+    /// i = ((t & !(k/2 - 1)) << 1) | (t & (k/2 - 1)),   l = i ^ (k - 1)
+    /// ```
+    ///
+    /// with the same `read i, read l, write i, write l` footprint, the same
+    /// expansion rule and the same split invariance as
+    /// [`Tracer::touch_cex_span`]. Here `l` *falls* as `t` walks a block,
+    /// so a network truncated at `n` keeps every comparator of the whole
+    /// blocks and the **last** [`truncated_stage_len`]`(n, k) mod k/2`
+    /// comparators of the partial one.
+    #[inline]
+    fn touch_flip_span(
+        &mut self,
+        region: RegionId,
+        elem_bytes: u32,
+        k: u64,
+        first: u64,
+        count: u64,
+    ) {
+        debug_assert!(k.is_power_of_two() && k >= 2, "flip round must be a power of two");
+        let half = k / 2;
+        for t in first..first + count {
+            let i = ((t & !(half - 1)) << 1) | (t & (half - 1));
+            touch_comparator(self, region, elem_bytes, i, i ^ (k - 1));
         }
     }
 
@@ -180,6 +238,9 @@ impl Tracer for NullTracer {
 
     #[inline(always)]
     fn touch_cex_span(&mut self, _r: RegionId, _eb: u32, _stride: u64, _first: u64, _count: u64) {}
+
+    #[inline(always)]
+    fn touch_flip_span(&mut self, _r: RegionId, _eb: u32, _k: u64, _first: u64, _count: u64) {}
 
     #[inline(always)]
     fn touch_rw_stripe(&mut self, _r: RegionId, _eb: u32, _first: u64, _stride: u64, _count: u64) {}
@@ -562,6 +623,62 @@ mod tests {
     }
 
     #[test]
+    fn flip_span_expands_to_mirrored_comparator_sequence() {
+        // Round k pairs element i of a k-aligned block with its mirror
+        // image i ^ (k − 1), lower halves in ascending order.
+        let mut t = RecordingTracer::with_events(Granularity::Element);
+        t.touch_flip_span(3, 1, 4, 0, 4);
+        let offsets: Vec<u64> = t.events().unwrap().iter().map(|a| a.offset).collect();
+        assert_eq!(offsets, [0, 3, 0, 3, 1, 2, 1, 2, 4, 7, 4, 7, 5, 6, 5, 6]);
+        let ops: Vec<Op> = t.events().unwrap().iter().map(|a| a.op).collect();
+        assert_eq!(ops[..4], [Op::Read, Op::Read, Op::Write, Op::Write]);
+        assert_eq!(t.stats(), TracerStats { reads: 8, writes: 8 });
+        // k = 2 is the stride-1 stage.
+        let mut flip = RecordingTracer::new(Granularity::Cacheline);
+        flip.touch_flip_span(1, 8, 2, 3, 40);
+        let mut cex = RecordingTracer::new(Granularity::Cacheline);
+        cex.touch_cex_span(1, 8, 1, 3, 40);
+        assert_eq!(flip.digest(), cex.digest());
+    }
+
+    #[test]
+    fn flip_span_splitting_is_associative() {
+        for granularity in [Granularity::Element, Granularity::Cacheline] {
+            let whole = {
+                let mut t = RecordingTracer::new(granularity);
+                t.touch_flip_span(0, 8, 8, 0, 16);
+                t.digest()
+            };
+            let split = {
+                let mut t = RecordingTracer::new(granularity);
+                t.touch_flip_span(0, 8, 8, 0, 5);
+                t.touch_flip_span(0, 8, 8, 5, 3);
+                t.touch_flip_span(0, 8, 8, 8, 8);
+                t.digest()
+            };
+            assert_eq!(whole, split, "{granularity:?}");
+        }
+    }
+
+    #[test]
+    fn truncated_stage_len_counts_comparators_below_n() {
+        for n in 0..70u64 {
+            for span in [2u64, 4, 8, 16, 64] {
+                let half = span / 2;
+                let padded = n.next_multiple_of(span);
+                let stride = (0..padded / 2)
+                    .filter(|t| (((t & !(half - 1)) << 1) | (t & (half - 1))) + half < n)
+                    .count() as u64;
+                let flip = (0..padded / 2)
+                    .filter(|t| ((((t & !(half - 1)) << 1) | (t & (half - 1))) ^ (span - 1)) < n)
+                    .count() as u64;
+                assert_eq!(truncated_stage_len(n, span), stride, "n={n} span={span}");
+                assert_eq!(truncated_stage_len(n, span), flip, "n={n} span={span} (flip)");
+            }
+        }
+    }
+
+    #[test]
     fn rw_stripe_expands_to_serial_scan_sequence() {
         // The block event must be digest-identical to the per-access trace
         // of the serial read/write stripe scan it summarizes.
@@ -583,6 +700,7 @@ mod tests {
     fn null_tracer_cex_span_is_silent() {
         let mut t = NullTracer;
         t.touch_cex_span(0, 8, 2, 0, 100);
+        t.touch_flip_span(0, 8, 4, 0, 100);
         assert!(!t.is_recording());
     }
 

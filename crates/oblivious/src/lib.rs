@@ -14,13 +14,15 @@
 //!   and `o_swap`, Listing 2), implemented with inline `cmov` assembly on
 //!   x86-64 and branch-free mask arithmetic elsewhere, over all the cell
 //!   types the aggregation algorithms use;
-//! * [`sort`] — Batcher's bitonic sorting network (the paper's oblivious
-//!   sort, used twice by Algorithm 4), operating on [`TrackedBuf`]s so the
-//!   comparator schedule is visible to the trace checker;
+//! * [`sort`] — the bitonic sorting network, truncated at the real length
+//!   (the paper's oblivious sort, used twice by Algorithm 4), operating on
+//!   [`TrackedBuf`]s so the comparator schedule is visible to the trace
+//!   checker; its module docs state the canonical trace;
 //! * [`sort_kernel`] — the batched, SIMD-friendly implementation of the
-//!   same network (precomputed keys, block-granular trace events,
-//!   branchless min/max sweeps, per-stage thread parallelism);
-//!   `OLIVE_SORT_KERNEL=scalar` falls back to the reference in [`sort`];
+//!   same network (precomputed keys, per-stage trace events, branchless
+//!   min/max sweeps over cache-sized private blocks, per-pass thread
+//!   parallelism); `OLIVE_SORT_KERNEL=scalar` falls back to the reference
+//!   in [`sort`];
 //! * [`scan`] — oblivious linear-scan read/write of a secret index
 //!   (ZeroTrace's trusted-storage emulation, used by the ORAM stash and
 //!   position map);
@@ -45,9 +47,8 @@ pub mod sort_kernel;
 pub use primitives::{o_select, o_select_u64, o_swap, Oblivious};
 pub use scan::{o_scan_read, o_scan_update, o_scan_write};
 pub use shuffle::{oblivious_shuffle, oblivious_shuffle_with_threads};
-pub use sort::{bitonic_sort_by_key, bitonic_sort_pow2, next_pow2};
+pub use sort::{bitonic_sort, bitonic_sort_by_key};
 pub use sort_kernel::{
-    bitonic_sort_keyed_pow2, bitonic_sort_keyed_pow2_with, bitonic_sort_u64_pow2,
-    bitonic_sort_u64_pow2_with, bitonic_sort_u64_pow2_with_threads, sort_kernel, InlinePayload,
-    SortKernel,
+    bitonic_sort_keyed, bitonic_sort_keyed_with, bitonic_sort_u64, bitonic_sort_u64_with,
+    bitonic_sort_u64_with_threads, sort_kernel, InlinePayload, SortKernel,
 };

@@ -15,8 +15,7 @@
 use olive_memsim::{default_threads, Tracer, TrackedBuf};
 use rand::Rng;
 
-use crate::sort::next_pow2;
-use crate::sort_kernel::{bitonic_sort_tagged_pow2_with, sort_kernel, InlinePayload, SortKernel};
+use crate::sort_kernel::{bitonic_sort_tagged_with, sort_kernel, InlinePayload, SortKernel};
 
 /// Uniformly shuffles `data` with an oblivious (bitonic) permutation
 /// network using the process-default kernel and thread count; the memory
@@ -62,25 +61,18 @@ where
     R: Rng,
     TR: Tracer,
 {
-    let n = data.len();
-    if n <= 1 {
+    if data.len() <= 1 {
         return data;
     }
-    // Tag every element with a random key; tag padding with u64::MAX so it
-    // sorts to the back and truncates away. Key collisions among real
-    // elements merely make the tie order deterministic, a negligible bias
-    // at 63 bits.
-    let mut tagged: Vec<u128> = data
+    // Tag every element with a random key. Key collisions merely make the
+    // tie order deterministic, a negligible bias at 63 bits.
+    let tagged: Vec<u128> = data
         .into_iter()
         .map(|v| (((rng.gen::<u64>() >> 1) as u128) << 64) | v.to_word() as u128)
         .collect();
-    let pad = ((u64::MAX as u128) << 64) | (tagged[0] & u64::MAX as u128);
-    tagged.resize(next_pow2(n), pad);
     let mut buf = TrackedBuf::new(region, tagged);
-    bitonic_sort_tagged_pow2_with(&mut buf, kernel, threads, tr);
-    let mut out = buf.into_inner();
-    out.truncate(n);
-    out.into_iter().map(|w| T::from_word(w as u64)).collect()
+    bitonic_sort_tagged_with(&mut buf, kernel, threads, tr);
+    buf.into_inner().into_iter().map(|w| T::from_word(w as u64)).collect()
 }
 
 #[cfg(test)]
@@ -122,8 +114,8 @@ mod tests {
 
     #[test]
     fn kernels_agree_bitwise_at_every_thread_count() {
-        // 5000 elements pad to 8192, past the kernel's parallelism
-        // threshold, so threads ∈ {2, 8} exercise the barrier path.
+        // 5000 elements are past the kernel's parallelism threshold, so
+        // threads ∈ {2, 8} exercise the barrier path.
         let data: Vec<u64> = (0..5000).map(|i| i * 31).collect();
         let run = |kernel, threads| {
             let mut rng = Rng::seed_from_u64(77);

@@ -1,18 +1,28 @@
 //! Differential properties of the batched sort kernel against the scalar
 //! reference network: bitwise-identical outputs and digest-identical
-//! traces at every thread count and observation granularity, plus the
-//! Batcher comparator-count identity under block trace events.
+//! traces at every length, thread count and observation granularity, plus
+//! the comparator-count identities under block trace events.
 
-use olive_memsim::{assert_oblivious, Granularity, NullTracer, RecordingTracer, TrackedBuf};
-use olive_oblivious::sort_kernel::{
-    bitonic_sort_keyed_pow2_with, bitonic_sort_tagged_pow2_with, bitonic_sort_u64_pow2_with,
-    SortKernel,
+use olive_memsim::{
+    assert_oblivious, truncated_stage_len, Granularity, NullTracer, RecordingTracer, TraceDigest,
+    TrackedBuf,
 };
-use olive_oblivious::{bitonic_sort_pow2, o_select};
+use olive_oblivious::sort_kernel::{
+    bitonic_sort_keyed_with, bitonic_sort_tagged_with, bitonic_sort_u64_with, SortKernel,
+};
+use olive_oblivious::{bitonic_sort, o_select};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
+const THREAD_COUNTS: [usize; 4] = [1, 2, 3, 8];
+const GRANULARITIES: [Granularity; 2] = [Granularity::Element, Granularity::Cacheline];
+
+/// The kernel's private block is 2¹² cells. Lengths on both sides of a
+/// register window (8), of the parallelism threshold and one block (4096)
+/// and of the first global round (8192), with the powers of two — the
+/// degenerate, untruncated network — between them.
+const LENGTHS: [usize; 16] =
+    [0, 1, 2, 3, 7, 8, 9, 100, 1024, 4095, 4096, 4097, 5000, 8191, 8192, 8201];
 
 fn random_words(n: usize, seed: u64) -> Vec<u64> {
     let mut rng = SmallRng::seed_from_u64(seed);
@@ -26,25 +36,30 @@ fn clustered_words(n: usize, seed: u64) -> Vec<u64> {
     (0..n).map(|_| (rng.gen_range(0..16u64) << 32) | rng.gen::<u32>() as u64).collect()
 }
 
+/// Runs `sort` on a copy of `data` in region 9 under a recording tracer.
+fn traced<T: Copy>(
+    data: &[T],
+    granularity: Granularity,
+    sort: impl FnOnce(&mut TrackedBuf<T>, &mut RecordingTracer),
+) -> (Vec<T>, TraceDigest) {
+    let mut tr = RecordingTracer::new(granularity);
+    let mut buf = TrackedBuf::new(9, data.to_vec());
+    sort(&mut buf, &mut tr);
+    (buf.into_inner(), tr.digest())
+}
+
 #[test]
 fn outputs_bitwise_identical_u64() {
-    // 8192 comfortably exceeds the kernel's internal parallelism
-    // threshold, so threads ∈ {2, 8} genuinely run the barrier path.
-    for n in [1usize, 2, 4, 32, 256, 1024, 8192] {
+    for n in LENGTHS {
         for (seed, gen) in
             [(1u64, random_words as fn(usize, u64) -> Vec<u64>), (2, clustered_words)]
         {
             let data = gen(n, seed ^ n as u64);
             let mut scalar = TrackedBuf::new(0, data.clone());
-            bitonic_sort_u64_pow2_with(&mut scalar, SortKernel::Scalar, 1, &mut NullTracer);
+            bitonic_sort_u64_with(&mut scalar, SortKernel::Scalar, 1, &mut NullTracer);
             for threads in THREAD_COUNTS {
                 let mut batched = TrackedBuf::new(0, data.clone());
-                bitonic_sort_u64_pow2_with(
-                    &mut batched,
-                    SortKernel::Batched,
-                    threads,
-                    &mut NullTracer,
-                );
+                bitonic_sort_u64_with(&mut batched, SortKernel::Batched, threads, &mut NullTracer);
                 assert_eq!(
                     scalar.as_slice_untraced(),
                     batched.as_slice_untraced(),
@@ -57,26 +72,17 @@ fn outputs_bitwise_identical_u64() {
 
 #[test]
 fn digests_identical_at_both_granularities_and_every_thread_count() {
-    for n in [64usize, 1024, 8192] {
+    for n in LENGTHS {
         let data = random_words(n, 11);
-        for granularity in [Granularity::Element, Granularity::Cacheline] {
-            let mut scalar_tr = RecordingTracer::new(granularity);
-            let mut scalar = TrackedBuf::new(9, data.clone());
-            bitonic_sort_u64_pow2_with(&mut scalar, SortKernel::Scalar, 1, &mut scalar_tr);
+        for granularity in GRANULARITIES {
+            let scalar = traced(&data, granularity, |buf, tr| {
+                bitonic_sort_u64_with(buf, SortKernel::Scalar, 1, tr)
+            });
             for threads in THREAD_COUNTS {
-                let mut batched_tr = RecordingTracer::new(granularity);
-                let mut batched = TrackedBuf::new(9, data.clone());
-                bitonic_sort_u64_pow2_with(
-                    &mut batched,
-                    SortKernel::Batched,
-                    threads,
-                    &mut batched_tr,
-                );
-                assert_eq!(
-                    batched_tr.digest(),
-                    scalar_tr.digest(),
-                    "n={n} {granularity:?} threads={threads}"
-                );
+                let batched = traced(&data, granularity, |buf, tr| {
+                    bitonic_sort_u64_with(buf, SortKernel::Batched, threads, tr)
+                });
+                assert_eq!(batched, scalar, "n={n} {granularity:?} threads={threads}");
             }
         }
     }
@@ -84,35 +90,28 @@ fn digests_identical_at_both_granularities_and_every_thread_count() {
 
 #[test]
 fn keyed_kernel_outputs_and_digests_match_scalar() {
-    let mut rng = SmallRng::seed_from_u64(5);
-    // (u32, f32) pairs keyed by the index half, with heavy key collisions.
-    let data: Vec<(u32, f32)> =
-        (0..4096).map(|_| (rng.gen_range(0..32), rng.gen_range(-4.0..4.0))).collect();
+    // (u32, f32) pairs keyed by the index half, with heavy key collisions:
+    // a tie must stay where the scalar network leaves it.
     let key = |c: &(u32, f32)| c.0 as u64;
-    for granularity in [Granularity::Element, Granularity::Cacheline] {
-        let mut scalar_tr = RecordingTracer::new(granularity);
-        let mut scalar = TrackedBuf::new(2, data.clone());
-        bitonic_sort_pow2(&mut scalar, key, &mut scalar_tr);
-        for threads in THREAD_COUNTS {
-            let mut batched_tr = RecordingTracer::new(granularity);
-            let mut batched = TrackedBuf::new(2, data.clone());
-            bitonic_sort_keyed_pow2_with(
-                &mut batched,
-                key,
-                SortKernel::Batched,
-                threads,
-                &mut batched_tr,
-            );
-            let a = scalar.as_slice_untraced();
-            let b = batched.as_slice_untraced();
-            let bitwise_equal = a.len() == b.len()
-                && a.iter().zip(b).all(|(x, y)| x.0 == y.0 && x.1.to_bits() == y.1.to_bits());
-            assert!(bitwise_equal, "{granularity:?} threads={threads}: keyed outputs diverged");
-            assert_eq!(
-                batched_tr.digest(),
-                scalar_tr.digest(),
-                "{granularity:?} threads={threads}"
-            );
+    let bits = |v: Vec<(u32, f32)>| v.into_iter().map(|c| (c.0, c.1.to_bits())).collect::<Vec<_>>();
+    let mut rng = SmallRng::seed_from_u64(5);
+    for n in LENGTHS {
+        let data: Vec<(u32, f32)> =
+            (0..n).map(|_| (rng.gen_range(0..32), rng.gen_range(-4.0..4.0))).collect();
+        for granularity in GRANULARITIES {
+            let (want, want_digest) =
+                traced(&data, granularity, |buf, tr| bitonic_sort(buf, key, tr));
+            for threads in THREAD_COUNTS {
+                let (got, digest) = traced(&data, granularity, |buf, tr| {
+                    bitonic_sort_keyed_with(buf, key, SortKernel::Batched, threads, tr)
+                });
+                assert_eq!(
+                    bits(got),
+                    bits(want.clone()),
+                    "n={n} {granularity:?} threads={threads}"
+                );
+                assert_eq!(digest, want_digest, "n={n} {granularity:?} threads={threads}");
+            }
         }
     }
 }
@@ -123,32 +122,20 @@ fn tagged_kernel_digests_match_scalar_at_both_granularities() {
     // elements identically to the scalar network over the same packed
     // words — a regression in its trace emission (e.g. the wrong element
     // size) would silently shift every shuffle trace.
-    let data: Vec<u128> = (0..4096u128)
-        .map(|i| ((i.wrapping_mul(0x9e37_79b9) % 64) << 64) | (i & u64::MAX as u128))
-        .collect();
-    for granularity in [Granularity::Element, Granularity::Cacheline] {
-        let mut scalar_tr = RecordingTracer::new(granularity);
-        let mut scalar = TrackedBuf::new(4, data.clone());
-        bitonic_sort_tagged_pow2_with(&mut scalar, SortKernel::Scalar, 1, &mut scalar_tr);
-        for threads in THREAD_COUNTS {
-            let mut batched_tr = RecordingTracer::new(granularity);
-            let mut batched = TrackedBuf::new(4, data.clone());
-            bitonic_sort_tagged_pow2_with(
-                &mut batched,
-                SortKernel::Batched,
-                threads,
-                &mut batched_tr,
-            );
-            assert_eq!(
-                batched_tr.digest(),
-                scalar_tr.digest(),
-                "{granularity:?} threads={threads}"
-            );
-            assert_eq!(
-                scalar.as_slice_untraced(),
-                batched.as_slice_untraced(),
-                "{granularity:?} threads={threads}: tagged outputs diverged"
-            );
+    for n in LENGTHS {
+        let data: Vec<u128> = (0..n as u128)
+            .map(|i| ((i.wrapping_mul(0x9e37_79b9) % 64) << 64) | (i & u64::MAX as u128))
+            .collect();
+        for granularity in GRANULARITIES {
+            let scalar = traced(&data, granularity, |buf, tr| {
+                bitonic_sort_tagged_with(buf, SortKernel::Scalar, 1, tr)
+            });
+            for threads in THREAD_COUNTS {
+                let batched = traced(&data, granularity, |buf, tr| {
+                    bitonic_sort_tagged_with(buf, SortKernel::Batched, threads, tr)
+                });
+                assert_eq!(batched, scalar, "n={n} {granularity:?} threads={threads}");
+            }
         }
     }
 }
@@ -157,52 +144,69 @@ fn tagged_kernel_digests_match_scalar_at_both_granularities() {
 fn batched_kernel_is_oblivious_at_both_granularities() {
     // Definition 2.1 with δ=0, directly on the batched kernel: identical
     // traces for any same-length input, at element and cacheline
-    // granularity, serial and threaded.
-    // 4096 is exactly the kernel's parallelism threshold, so threads = 4
-    // runs the barrier path here.
-    let inputs: Vec<Vec<u64>> = vec![
-        (0..4096).collect(),
-        (0..4096).rev().collect(),
-        vec![42; 4096],
-        (0..4096).map(|i| i * 7919 % 4096).collect(),
-    ];
-    for granularity in [Granularity::Element, Granularity::Cacheline] {
-        for threads in [1usize, 4] {
-            assert_oblivious(granularity, &inputs, |input, tr| {
-                let mut buf = TrackedBuf::new(1, input.clone());
-                bitonic_sort_u64_pow2_with(&mut buf, SortKernel::Batched, threads, tr);
-            });
+    // granularity, serial and threaded (both lengths are past the
+    // parallelism threshold, so threads = 4 runs the barrier path) — at a
+    // power of two and at a length that truncates every round.
+    for n in [4096u64, 4099] {
+        let inputs: Vec<Vec<u64>> = vec![
+            (0..n).collect(),
+            (0..n).rev().collect(),
+            vec![42; n as usize],
+            (0..n).map(|i| i * 7919 % n).collect(),
+        ];
+        for granularity in GRANULARITIES {
+            for threads in [1usize, 4] {
+                assert_oblivious(granularity, &inputs, |input, tr| {
+                    let mut buf = TrackedBuf::new(1, input.clone());
+                    bitonic_sort_u64_with(&mut buf, SortKernel::Batched, threads, tr);
+                });
+            }
         }
     }
 }
 
 #[test]
 fn comparator_count_matches_batcher_under_block_events() {
-    // Batcher's network has n/2 · log(n) · (log(n)+1) / 2 comparators,
-    // each 2 reads + 2 writes. The batched kernel reports block events;
-    // their expansion must land on exactly the same counters.
-    for n in [64u64, 1024, 8192] {
-        let logn = n.trailing_zeros() as u64;
-        let comparators = n / 2 * logn * (logn + 1) / 2;
+    // At n = 2^m the network has n/2 · m(m+1)/2 comparators (Batcher's
+    // count), each 2 reads + 2 writes; at any n, each stage keeps
+    // `truncated_stage_len` of them. The batched kernel reports block
+    // events; their expansion must land on exactly the same counters.
+    for n in [64u64, 1024, 8192, 8197, 2 * 8192 - 1] {
+        let rounds = n.next_power_of_two().trailing_zeros() as u64;
+        let comparators: u64 = (1..=rounds)
+            .map(|r| (1..=r).map(|s| truncated_stage_len(n, 1 << s)).sum::<u64>())
+            .sum();
+        if n.is_power_of_two() {
+            assert_eq!(comparators, n / 2 * rounds * (rounds + 1) / 2);
+        }
         for threads in [1usize, 4] {
             let mut tr = RecordingTracer::new(Granularity::Element);
             let mut buf = TrackedBuf::new(0, (0..n).collect::<Vec<u64>>());
-            bitonic_sort_u64_pow2_with(&mut buf, SortKernel::Batched, threads, &mut tr);
+            bitonic_sort_u64_with(&mut buf, SortKernel::Batched, threads, &mut tr);
             assert_eq!(tr.stats().reads, comparators * 2, "n={n} threads={threads}");
             assert_eq!(tr.stats().writes, comparators * 2, "n={n} threads={threads}");
         }
     }
+    // Just above a power of two the truncated network does about half the
+    // work of the next power's — the padding this kernel no longer pays.
+    let count = |n: u64| {
+        let mut tr = RecordingTracer::new(Granularity::Element);
+        let mut buf = TrackedBuf::new(0, vec![0u64; n as usize]);
+        bitonic_sort_u64_with(&mut buf, SortKernel::Batched, 1, &mut tr);
+        tr.stats().total()
+    };
+    assert!(count(8197) * 100 < count(16384) * 55);
 }
 
 #[test]
 fn default_entry_points_sort_correctly() {
     // The env-dispatched wrappers (whatever OLIVE_SORT_KERNEL says) must
     // sort; this is the path production aggregation takes.
-    let data = clustered_words(2048, 3);
+    let data = clustered_words(2051, 3);
     let mut expected = data.clone();
     expected.sort_unstable();
     let mut buf = TrackedBuf::new(0, data);
-    olive_oblivious::bitonic_sort_u64_pow2(&mut buf, &mut NullTracer);
+    olive_oblivious::bitonic_sort_u64(&mut buf, &mut NullTracer);
     assert_eq!(buf.into_inner(), expected);
 
     // Sanity: o_select remains the tie-free primitive underneath the

@@ -46,7 +46,7 @@ fn bitonic_sort_sorts_random_inputs_of_every_small_length() {
         let data: Vec<u64> = (0..len).map(|_| rng.gen_range(0..1_000)).collect();
         let mut expected = data.clone();
         expected.sort_unstable();
-        let got = bitonic_sort_by_key(0, data, u64::MAX, |x| *x, &mut NullTracer);
+        let got = bitonic_sort_by_key(0, data, |x| *x, &mut NullTracer);
         assert_eq!(got, expected, "length {len}");
     }
 }
@@ -59,7 +59,7 @@ fn bitonic_sort_trace_is_fixed_per_length() {
         for _ in 0..4 {
             let data: Vec<u64> = (0..len).map(|_| rng.gen()).collect();
             digests.push(trace_of(Granularity::Element, |tr| {
-                bitonic_sort_by_key(0, data.clone(), u64::MAX, |x| *x, tr);
+                bitonic_sort_by_key(0, data.clone(), |x| *x, tr);
             }));
         }
         assert!(
@@ -69,10 +69,10 @@ fn bitonic_sort_trace_is_fixed_per_length() {
     }
     // Different lengths must differ (the trace encodes the schedule).
     let a = trace_of(Granularity::Element, |tr| {
-        bitonic_sort_by_key(0, vec![1u64, 2, 3], u64::MAX, |x| *x, tr);
+        bitonic_sort_by_key(0, vec![1u64, 2, 3], |x| *x, tr);
     });
     let b = trace_of(Granularity::Element, |tr| {
-        bitonic_sort_by_key(0, vec![1u64, 2, 3, 4, 5], u64::MAX, |x| *x, tr);
+        bitonic_sort_by_key(0, vec![1u64, 2, 3, 4, 5], |x| *x, tr);
     });
     assert_ne!(a, b);
 }

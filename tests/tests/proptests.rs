@@ -346,8 +346,47 @@ proptest! {
     fn bitonic_sort_matches_std(data in vec(0u64..1_000_000, 0..200)) {
         let mut expected = data.clone();
         expected.sort_unstable();
-        let got = bitonic_sort_by_key(0, data, u64::MAX, |x| *x, &mut NullTracer);
+        let got = bitonic_sort_by_key(0, data, |x| *x, &mut NullTracer);
         prop_assert_eq!(got, expected);
+    }
+
+    /// The batched kernel sorts every length up to two private blocks
+    /// (2 · 2¹² cells) and a register window more — raw cells, keyed
+    /// pairs and tagged words — bitwise as the scalar network does, with
+    /// its trace, on any number of workers.
+    #[test]
+    fn sort_kernel_matches_scalar_at_any_length(
+        n in 0usize..=2 * 4096 + 9,
+        near in (0usize..3).prop_map(|i| [8usize, 4096, 8192][i]),
+        offset in 0usize..3,
+        threads in (0usize..4).prop_map(|i| [1usize, 2, 3, 8][i]),
+        seed in any::<u64>(),
+    ) {
+        use olive_oblivious::sort_kernel::{
+            bitonic_sort_keyed_with, bitonic_sort_tagged_with, bitonic_sort_u64_with, SortKernel,
+        };
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::SmallRng::seed_from_u64(seed);
+        // A uniform length and one within ±1 of a window or block boundary.
+        for n in [n, near + offset - 1] {
+            let cells: Vec<u64> = (0..n).map(|_| rng.gen_range(0..4 * n as u64 + 1)).collect();
+            let pairs: Vec<(u32, u32)> = cells.iter().map(|&c| (c as u32 / 8, c as u32)).collect();
+            let tagged: Vec<u128> = cells.iter().map(|&c| ((c as u128 / 8) << 64) | c as u128).collect();
+            let key = |p: &(u32, u32)| p.0 as u64;
+            let run = |kernel, threads| {
+                let mut tr = RecordingTracer::new(Granularity::Cacheline);
+                let mut c = TrackedBuf::new(1, cells.clone());
+                bitonic_sort_u64_with(&mut c, kernel, threads, &mut tr);
+                let mut p = TrackedBuf::new(2, pairs.clone());
+                bitonic_sort_keyed_with(&mut p, key, kernel, threads, &mut tr);
+                let mut t = TrackedBuf::new(3, tagged.clone());
+                bitonic_sort_tagged_with(&mut t, kernel, threads, &mut tr);
+                (c.into_inner(), p.into_inner(), t.into_inner(), tr.digest())
+            };
+            let batched = run(SortKernel::Batched, threads);
+            prop_assert!(batched.0.windows(2).all(|w| w[0] <= w[1]), "n={} unsorted", n);
+            prop_assert_eq!(batched, run(SortKernel::Scalar, 1), "n={}", n);
+        }
     }
 
     /// Sparse encode/decode round-trips arbitrary well-formed gradients.
