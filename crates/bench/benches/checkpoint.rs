@@ -3,12 +3,12 @@
 //! clients (k = 128, d = 16384).
 //!
 //! `ckpt_off/{chunk}` is the plain streaming pass; `ckpt_on/{chunk}`
-//! additionally seals the round checkpoint (aggregator state +
-//! replay-floor snapshot, `"round-ckpt"` label) after every folded
-//! chunk, exactly as `OliveSystem::run_round` does by default. The gap
-//! between the two is the crash-safety tax.
+//! additionally seals the round checkpoint (`olive_core::round::Checkpoint`
+//! under the `"round-ckpt"` label) after every folded chunk, exactly as
+//! `OliveSystem::run_round` does by default. The gap between the two is
+//! the crash-safety tax.
 //!
-//! Two aggregators bracket that tax:
+//! Three aggregators bracket that tax:
 //!
 //! * `grouped` — the production oblivious pipeline (group size = chunk).
 //!   Each chunk pays an oblivious group sort, so the one extra seal per
@@ -20,6 +20,10 @@
 //!   as many bytes through AES-GCM as opening the uploads themselves, so
 //!   this worst case sits far above the bar by construction; it is
 //!   reported to keep the absolute seal cost visible.
+//! * `advanced` — Algorithm 4, the *staged* kind whose checkpoints used
+//!   to carry every staged cell (16 growing blobs, ≈ 8.7 MB sealed per
+//!   round at this shape) and now carry a descriptor: the tax is the
+//!   header and the replay floors, the same few percent as Grouped's.
 //!
 //! Before timing, each configuration emits one `checkpoint_overhead`
 //! bench record on the telemetry stream (`OLIVE_METRICS`):
@@ -29,8 +33,11 @@
 //!  ...,"chunk":64},"wall":{"ingest_ns":...,"ckpt_ns":...,"overhead_pct":...}}
 //! ```
 //!
-//! `restore/64` is the recovery path: unseal, rewind replay floors,
-//! rebuild the aggregator.
+//! `restore/64` is the recovery path of an accumulating kind: unseal,
+//! decode, rebuild the aggregator, set the replay floors.
+//! `restore_advanced/64` is the staged kind's: the same, plus re-opening
+//! and re-staging all n folded uploads — what a restore pays once per
+//! crash for what every round no longer seals.
 
 use criterion::{criterion_group, criterion_main, BenchmarkGroup, BenchmarkId, Criterion};
 use olive_bench::ingest::{IngestionRig, PassConfig};
@@ -45,6 +52,7 @@ fn kind_name(kind: AggregatorKind) -> &'static str {
     match kind {
         AggregatorKind::NonOblivious => "linear",
         AggregatorKind::Grouped { .. } => "grouped",
+        AggregatorKind::Advanced => "advanced",
         _ => "other",
     }
 }
@@ -116,6 +124,12 @@ fn bench_checkpoint(c: &mut Criterion) {
     overhead_report(&mut rig.borrow_mut(), prod, 64);
     bench_on_off(&mut group, &rig, ("grouped_off", "grouped_on"), prod, 64);
 
+    // The staged kind: a descriptor-sized checkpoint under a monolithic
+    // sort at finalize.
+    let advanced = AggregatorKind::Advanced;
+    overhead_report(&mut rig.borrow_mut(), advanced, 64);
+    bench_on_off(&mut group, &rig, ("advanced_off", "advanced_on"), advanced, 64);
+
     // Worst-case stress: the linear fold across chunk sizes.
     let linear = AggregatorKind::NonOblivious;
     for &chunk in &[1usize, 7, 64] {
@@ -123,16 +137,21 @@ fn bench_checkpoint(c: &mut Criterion) {
         bench_on_off(&mut group, &rig, ("ckpt_off", "ckpt_on"), linear, chunk);
     }
 
-    // The recovery path, on a blob from a full round at the default chunk.
-    let blob = {
-        let mut rig = rig.borrow_mut();
-        let msgs = rig.seal_round();
-        let cfg = PassConfig { checkpoint: true, ..PassConfig::streaming(linear, 64) };
-        rig.pass(&msgs, cfg, None).last_checkpoint
-    };
-    group.bench_with_input(BenchmarkId::new("restore", 64usize), &blob, |b, blob| {
-        b.iter(|| rig.borrow_mut().restore_checkpoint(blob, linear))
-    });
+    // The recovery path, on the last blob of a full round at the default
+    // chunk: whole after `load_state` (linear), or with all n uploads to
+    // re-open and re-stage (advanced).
+    for (label, kind) in [("restore", linear), ("restore_advanced", advanced)] {
+        let cfg = PassConfig { checkpoint: true, ..PassConfig::streaming(kind, 64) };
+        let (msgs, blob) = {
+            let mut rig = rig.borrow_mut();
+            let msgs = rig.seal_round();
+            let blob = rig.pass(&msgs, cfg, None).last_checkpoint;
+            (msgs, blob)
+        };
+        group.bench_with_input(BenchmarkId::new(label, 64usize), &blob, |b, blob| {
+            b.iter(|| rig.borrow_mut().restore_checkpoint(blob, &msgs, cfg).chunks_done())
+        });
+    }
     group.finish();
 }
 

@@ -22,10 +22,12 @@
 //! benches already cover.
 
 use olive_core::aggregation::{Aggregator, AggregatorKind, ShardRuntime, StreamingAggregator};
-use olive_core::olive::{open_and_decode, provision_clients, staged_chunk_bytes};
-use olive_core::round::{Ledger, RoundEngine};
+use olive_core::olive::provision_clients;
+use olive_core::round::{
+    open_and_decode, staged_chunk_bytes, Checkpoint, Ledger, RoundEngine, RoundShape, CKPT_LABEL,
+};
 use olive_fl::SparseGradient;
-use olive_memsim::{NullTracer, StateReader, StateWriter};
+use olive_memsim::NullTracer;
 use olive_tee::{AttestationService, ClientSession, Enclave, EnclaveConfig, SealedMessage};
 use olive_telemetry::Telemetry;
 use std::time::Instant;
@@ -41,7 +43,7 @@ pub struct PassConfig {
     /// message.
     pub batch_open: bool,
     /// Seal the production round's crash-safe checkpoint after every
-    /// folded chunk (aggregator state + replay-floor snapshot under the
+    /// folded chunk (`olive_core::round::Checkpoint` under the
     /// `"round-ckpt"` label) — the per-chunk overhead
     /// `OliveSystem::run_round` pays by default.
     pub checkpoint: bool,
@@ -71,7 +73,7 @@ pub struct Pass {
     /// run-to-run jitter that drowns a few-percent effect when two
     /// separate passes are compared wall-clock to wall-clock.
     pub ingest_ns: u64,
-    /// Nanoseconds of checkpoint machinery (state snapshot + floor
+    /// Nanoseconds of checkpoint machinery (floor update + state
     /// snapshot + seal).
     pub ckpt_ns: u64,
 }
@@ -85,6 +87,8 @@ pub struct IngestionRig {
     users: Vec<u32>,
     payloads: Vec<Vec<u8>>,
     round: u64,
+    /// Replay floors as of the newest `seal_round` (before any open).
+    base_floors: Vec<(u32, u64)>,
     /// Model dimension.
     pub d: usize,
     /// Transmitted cells per client.
@@ -107,7 +111,18 @@ impl IngestionRig {
             .iter()
             .map(SparseGradient::encode)
             .collect();
-        IngestionRig { service, enclave, seed_bytes, sessions, users, payloads, round: 0, d, k }
+        IngestionRig {
+            service,
+            enclave,
+            seed_bytes,
+            sessions,
+            users,
+            payloads,
+            round: 0,
+            base_floors: Vec::new(),
+            d,
+            k,
+        }
     }
 
     /// Provisions a shard plane of `shards` enclaves around this rig's
@@ -142,6 +157,7 @@ impl IngestionRig {
     pub fn seal_round(&mut self) -> Vec<SealedMessage> {
         self.round += 1;
         self.enclave.begin_round(self.round, self.users.clone());
+        self.base_floors = self.enclave.replay_floors();
         let round = self.round;
         self.sessions
             .iter_mut()
@@ -171,6 +187,10 @@ impl IngestionRig {
         let mut engine = RoundEngine::new(agg, self.k, 1, 0, ledger);
         let chunks: Vec<&[SealedMessage]> = msgs.chunks(cfg.chunk).collect();
         let (mut ingest_ns, mut ckpt_ns) = (0u64, 0u64);
+        let mut ckpt = timed(&mut ckpt_ns, || {
+            let start = || Checkpoint::start(self.shape(msgs, cfg), [0; 4], &self.base_floors);
+            cfg.checkpoint.then(start)
+        });
         let mut last_checkpoint = Vec::new();
         // `None` past the last chunk: nothing left to open.
         let open = |enclave: &mut Enclave, msgs: Option<&[SealedMessage]>| {
@@ -186,8 +206,11 @@ impl IngestionRig {
                 engine.fold(&staged, next_bytes, || open(enclave, next), &mut NullTracer)
             });
             staged = folded.expect("bench fault scripts stay recoverable");
-            if cfg.checkpoint {
-                last_checkpoint = timed(&mut ckpt_ns, || self.seal_checkpoint(&mut engine));
+            if let Some(ckpt) = ckpt.as_mut() {
+                last_checkpoint = timed(&mut ckpt_ns, || {
+                    ckpt.advance(chunks[i]);
+                    ckpt.seal(&mut engine, &mut self.enclave)
+                });
             }
         }
         let (delta, end) = timed(&mut ingest_ns, || engine.finish(&mut NullTracer));
@@ -202,41 +225,32 @@ impl IngestionRig {
         }
     }
 
-    /// Seals the rig's round checkpoint: round counter, chunk progress,
-    /// replay-floor snapshot, aggregator state.
-    fn seal_checkpoint(&mut self, engine: &mut RoundEngine) -> Vec<u8> {
-        let mut w = StateWriter::new();
-        w.put_u64(self.round);
-        w.put_usize(engine.chunks_done());
-        let floors = self.enclave.replay_floors();
-        w.put_usize(floors.len());
-        for (u, c) in floors {
-            w.put_u32(u);
-            w.put_u64(c);
-        }
-        w.put_bytes(&engine.checkpoint_state());
-        let plain = w.into_bytes();
-        let enclave = &mut self.enclave;
-        engine.ledger_mut().transient(plain.len() as u64, || enclave.seal(&plain, b"round-ckpt"))
+    /// The public shape of the round `msgs` makes under `cfg`.
+    fn shape(&self, msgs: &[SealedMessage], cfg: PassConfig) -> RoundShape {
+        let (round, uploads) = (self.round, msgs.len());
+        RoundShape { round, uploads, chunk_size: cfg.chunk, threads: 1, k: self.k }
     }
 
-    /// The restore path's enclave-side work: unseal the blob, rewind the
-    /// replay floors, rebuild the aggregator from its serialized state.
-    /// Returns the client count the restored aggregator had folded.
-    pub fn restore_checkpoint(&mut self, sealed: &[u8], kind: AggregatorKind) -> usize {
-        let plain = self.enclave.unseal(sealed, b"round-ckpt").expect("genuine blob");
-        let mut r = StateReader::new(&plain);
-        let _round = r.get_u64().expect("round counter");
-        let _chunks_done = r.get_usize().expect("chunk progress");
-        let n = r.get_usize().expect("floor count");
-        let mut floors = Vec::with_capacity(n);
-        for _ in 0..n {
-            floors.push((r.get_u32().expect("user"), r.get_u64().expect("counter")));
-        }
-        self.enclave.restore_replay_floors(&floors);
-        let mut agg = StreamingAggregator::new(kind, self.d, 1);
-        agg.load_state(r.get_bytes().expect("aggregator state")).expect("same-config state");
-        agg.clients()
+    /// The restore path's enclave-side work, as `restore_round` does it:
+    /// unseal and decode the blob, rebuild the aggregator from its
+    /// serialized state, and resume — which for a staged kind re-opens
+    /// and re-stages the folded prefix of `msgs` (the round the blob was
+    /// sealed in, run under `cfg`). Returns the engine, level with the
+    /// checkpoint and ready to fold the next chunk.
+    pub fn restore_checkpoint(
+        &mut self,
+        sealed: &[u8],
+        msgs: &[SealedMessage],
+        cfg: PassConfig,
+    ) -> RoundEngine {
+        let plain = self.enclave.unseal(sealed, CKPT_LABEL).expect("genuine blob");
+        let ckpt = Checkpoint::decode(&plain, self.shape(msgs, cfg)).expect("this round's blob");
+        let mut agg = StreamingAggregator::new(cfg.kind, self.d, 1);
+        agg.load_state(ckpt.agg_state()).expect("same-config state");
+        let ledger = Ledger::new(self.enclave.epc, None, Telemetry::off());
+        let mut engine = RoundEngine::new(agg, self.k, 1, ckpt.chunks_done(), ledger);
+        engine.resume(&mut self.enclave, msgs, &self.base_floors, &ckpt).expect("genuine prefix");
+        engine
     }
 }
 
@@ -324,17 +338,29 @@ mod tests {
         assert!(same_bits(&a, &b));
     }
 
+    /// Checkpointing changes nothing about the round, and the last blob
+    /// — sealed with every chunk folded — restores an engine that
+    /// finishes on the pass's own bits, for an accumulating kind (whole
+    /// after `load_state`) and a staged one (prefix re-staged) alike.
     #[test]
     fn checkpointed_pass_restores_the_folded_aggregator() {
         let mut rig = IngestionRig::new(12, 4, 64, 5);
-        let kind = AggregatorKind::Grouped { h: 3 };
-        let msgs = rig.seal_round();
-        let plain = rig.pass(&msgs, PassConfig::streaming(kind, 5), None);
-        let msgs = rig.seal_round();
-        let cfg = PassConfig { checkpoint: true, ..PassConfig::streaming(kind, 5) };
-        let ckpt = rig.pass(&msgs, cfg, None);
-        assert!(same_bits(&plain.delta, &ckpt.delta), "checkpointing must not change the round");
-        assert!(ckpt.peak_bytes >= plain.peak_bytes, "the sealed plaintext is a charged transient");
-        assert_eq!(rig.restore_checkpoint(&ckpt.last_checkpoint, kind), 12);
+        for kind in [AggregatorKind::Grouped { h: 3 }, AggregatorKind::Advanced] {
+            let msgs = rig.seal_round();
+            let plain = rig.pass(&msgs, PassConfig::streaming(kind, 5), None);
+            let msgs = rig.seal_round();
+            let cfg = PassConfig { checkpoint: true, ..PassConfig::streaming(kind, 5) };
+            let ckpt = rig.pass(&msgs, cfg, None);
+            assert!(
+                same_bits(&plain.delta, &ckpt.delta),
+                "checkpointing must not change the round"
+            );
+            assert!(ckpt.peak_bytes >= plain.peak_bytes, "the sealed plaintext is charged");
+            let restored = rig.restore_checkpoint(&ckpt.last_checkpoint, &msgs, cfg);
+            assert_eq!(restored.chunks_done(), 3);
+            let (delta, end) = restored.finish(&mut NullTracer);
+            assert!(same_bits(&delta.expect("fault-free"), &ckpt.delta), "{kind:?}");
+            assert_eq!(end.coordinator.live, 0, "{kind:?}: the restore's charges balance");
+        }
     }
 }

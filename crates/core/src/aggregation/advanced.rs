@@ -121,6 +121,95 @@ pub(crate) fn sum_advanced<TR: Tracer>(
     gstar
 }
 
+/// The cell buffer of the two *staged* kinds (Advanced, DiffOblivious).
+///
+/// Staging is an untraced linear copy of decoded uploads, so the buffer
+/// after chunk i is a pure function of uploads `[0, i]` — ciphertexts
+/// untrusted storage already holds, authenticated under the clients'
+/// session keys. A checkpoint therefore carries only a constant-size
+/// descriptor (`n`, cell count); a restored buffer **owes** that many
+/// cells, and the round driver pays them back by re-opening the folded
+/// prefix and handing it to [`StagedCells::restage`] before anything else
+/// may touch the buffer.
+pub(crate) struct StagedCells {
+    cells: Vec<u64>,
+    /// Clients staged (a restored buffer already counts the owed prefix).
+    n: usize,
+    /// Cells a loaded descriptor promised that have not been re-staged.
+    owed: usize,
+}
+
+/// Panic message of any use of a buffer that still owes cells.
+const OWED: &str = "staged cells are still owed: restage the folded prefix first";
+
+impl StagedCells {
+    pub(crate) fn new() -> Self {
+        StagedCells { cells: Vec::new(), n: 0, owed: 0 }
+    }
+
+    fn push(&mut self, chunk: &[SparseGradient]) {
+        for u in chunk {
+            self.cells.extend(u.indices.iter().zip(&u.values).map(|(&i, &v)| make_cell(i, v)));
+        }
+    }
+
+    /// Appends one chunk's cells and counts its clients.
+    pub(crate) fn stage(&mut self, chunk: &[SparseGradient], d: usize) {
+        assert_eq!(self.owed, 0, "{OWED}");
+        assert!(chunk.iter().all(|u| u.dense_dim == d), "update dimension mismatch");
+        self.push(chunk);
+        self.n += chunk.len();
+    }
+
+    /// Pays back owed cells with a chunk of the folded prefix, without
+    /// counting its clients again. Fails — leaving the buffer untouched —
+    /// on a chunk the descriptor cannot have covered (more cells than
+    /// owed, or the wrong dimension).
+    pub(crate) fn restage(&mut self, chunk: &[SparseGradient], d: usize) -> Result<(), StateError> {
+        let cells: usize = chunk.iter().map(SparseGradient::k).sum();
+        if cells > self.owed || chunk.iter().any(|u| u.dense_dim != d) {
+            return Err(StateError::Mismatch);
+        }
+        self.push(chunk);
+        self.owed -= cells;
+        Ok(())
+    }
+
+    pub(crate) fn clients(&self) -> usize {
+        self.n
+    }
+
+    pub(crate) fn owed(&self) -> usize {
+        self.owed
+    }
+
+    pub(crate) fn len(&self) -> usize {
+        self.cells.len()
+    }
+
+    pub(crate) fn resident_bytes(&self) -> u64 {
+        self.cells.len() as u64 * 8
+    }
+
+    /// The descriptor: client count and staged cell count.
+    pub(crate) fn save(&self, w: &mut StateWriter) {
+        w.put_usize(self.n);
+        w.put_usize(self.cells.len() + self.owed);
+    }
+
+    pub(crate) fn load(&mut self, r: &mut StateReader) -> Result<(), StateError> {
+        *self = StagedCells { cells: Vec::new(), n: r.get_usize()?, owed: r.get_usize()? };
+        r.expect_end()
+    }
+
+    /// The whole round's cells, for finalize.
+    pub(crate) fn into_cells(self) -> Vec<u64> {
+        assert!(self.n > 0, "no updates to aggregate");
+        assert_eq!(self.owed, 0, "{OWED}");
+        self.cells
+    }
+}
+
 /// Algorithm 4 end-to-end as a streamer: oblivious sums followed by the
 /// oblivious averaging pass, with output and trace identical at every
 /// thread count.
@@ -134,67 +223,54 @@ pub(crate) fn sum_advanced<TR: Tracer>(
 /// cliff and the reason the Grouped streamer exists. The EPC accounting
 /// reports this honestly via [`Aggregator::resident_bytes`].
 pub struct AdvancedStreamer {
-    cells: Vec<u64>,
+    staged: StagedCells,
     d: usize,
     threads: usize,
-    n: usize,
 }
 
 impl AdvancedStreamer {
     /// Fresh streamer over dimension `d`.
     pub fn init(d: usize, threads: usize) -> Self {
-        AdvancedStreamer { cells: Vec::new(), d, threads, n: 0 }
-    }
-}
-
-/// Stages one chunk's cells behind `cells` (shared by the two staged
-/// kinds, Advanced and DiffOblivious).
-pub(crate) fn stage_cells(cells: &mut Vec<u64>, chunk: &[SparseGradient], d: usize) {
-    for u in chunk {
-        assert_eq!(u.dense_dim, d, "update dimension mismatch");
-        cells.extend(u.indices.iter().zip(u.values.iter()).map(|(&i, &v)| make_cell(i, v)));
+        AdvancedStreamer { staged: StagedCells::new(), d, threads }
     }
 }
 
 impl Aggregator for AdvancedStreamer {
     /// Stages the chunk (cells buffered until finalize).
     fn ingest<TR: ParallelTracer>(&mut self, chunk: &[SparseGradient], _tr: &mut TR) {
-        stage_cells(&mut self.cells, chunk, self.d);
-        self.n += chunk.len();
+        self.staged.stage(chunk, self.d);
     }
 
     /// Runs Algorithm 4 over everything staged.
     fn finalize<TR: ParallelTracer>(self, tr: &mut TR) -> Vec<f32> {
-        assert!(self.n > 0, "no updates to aggregate");
-        let mut gstar = sum_advanced(self.cells, self.d, self.threads, tr);
-        average_in_place(&mut gstar, self.n, tr);
+        let n = self.staged.clients();
+        let mut gstar = sum_advanced(self.staged.into_cells(), self.d, self.threads, tr);
+        average_in_place(&mut gstar, n, tr);
         gstar.into_inner()
     }
 
     fn clients(&self) -> usize {
-        self.n
+        self.staged.clients()
     }
 
     /// The staged cell buffer (grows with the round — the O(nk) this
     /// algorithm cannot avoid).
     fn resident_bytes(&self) -> u64 {
-        self.cells.len() as u64 * 8
+        self.staged.resident_bytes()
     }
 
     /// What Algorithm 4 holds beyond the staged cells it sorts in place:
     /// the `d` initialization cells and the dense output.
     fn finalize_scratch_bytes(&self) -> u64 {
-        sum_advanced_bytes(self.cells.len(), self.d) - self.resident_bytes()
+        sum_advanced_bytes(self.staged.len(), self.d) - self.resident_bytes()
     }
 
-    /// The staged cells are sealed honestly — the checkpoint is O(nk),
-    /// the same EPC-cliff footprint this algorithm already carries.
+    /// Configuration plus the [`StagedCells`] descriptor — constant size.
     fn save_state(&self) -> Vec<u8> {
         let mut w = StateWriter::new();
         w.put_usize(self.d);
         w.put_usize(self.threads);
-        w.put_usize(self.n);
-        w.put_u64s(&self.cells);
+        self.staged.save(&mut w);
         w.into_bytes()
     }
 
@@ -203,9 +279,15 @@ impl Aggregator for AdvancedStreamer {
         if r.get_usize()? != self.d || r.get_usize()? != self.threads {
             return Err(StateError::Mismatch);
         }
-        self.n = r.get_usize()?;
-        self.cells = r.get_u64s()?;
-        r.expect_end()
+        self.staged.load(&mut r)
+    }
+
+    fn owed_cells(&self) -> usize {
+        self.staged.owed()
+    }
+
+    fn restage(&mut self, chunk: &[SparseGradient]) -> Result<(), StateError> {
+        self.staged.restage(chunk, self.d)
     }
 }
 

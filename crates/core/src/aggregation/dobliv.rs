@@ -22,7 +22,7 @@ use rand::{Rng, SeedableRng};
 use crate::cell::{cell_index, cell_value, make_cell};
 use crate::regions::{REGION_G, REGION_G_STAR};
 
-use super::advanced::stage_cells;
+use super::advanced::StagedCells;
 use super::linear::average_in_place;
 use super::streaming::Aggregator;
 
@@ -61,13 +61,12 @@ pub fn expected_padding(d: usize, k: usize, epsilon: f64, delta: f64) -> f64 {
 /// the output bits nor the trace, and the O(nk + padding) working set is
 /// reported honestly by [`Aggregator::resident_bytes`].
 pub struct DoblivStreamer {
-    cells: Vec<u64>,
+    staged: StagedCells,
     d: usize,
     epsilon: f64,
     delta: f64,
     seed: u64,
     threads: usize,
-    n: usize,
 }
 
 impl DoblivStreamer {
@@ -75,26 +74,29 @@ impl DoblivStreamer {
     /// budget `(epsilon, delta)` and the padding/shuffle `seed`.
     pub fn init(d: usize, epsilon: f64, delta: f64, seed: u64, threads: usize) -> Self {
         assert!(epsilon > 0.0 && delta > 0.0 && delta < 1.0);
-        DoblivStreamer { cells: Vec::new(), d, epsilon, delta, seed, threads, n: 0 }
+        DoblivStreamer { staged: StagedCells::new(), d, epsilon, delta, seed, threads }
+    }
+
+    /// Cells per client (public: ciphertext length reveals it).
+    fn k(&self) -> usize {
+        self.staged.len() / self.staged.clients().max(1)
     }
 }
 
 impl Aggregator for DoblivStreamer {
     /// Stages the chunk (cells buffered until finalize).
     fn ingest<TR: ParallelTracer>(&mut self, chunk: &[SparseGradient], _tr: &mut TR) {
-        stage_cells(&mut self.cells, chunk, self.d);
-        self.n += chunk.len();
+        self.staged.stage(chunk, self.d);
     }
 
     /// Pads, shuffles, scans and averages everything staged.
     fn finalize<TR: ParallelTracer>(self, tr: &mut TR) -> Vec<f32> {
-        assert!(self.n > 0, "no updates to aggregate");
-        let k = self.cells.len() / self.n;
+        let (n, k) = (self.staged.clients(), self.k());
         let mut rng = SmallRng::seed_from_u64(self.seed ^ 0xD0B1_1F0D);
         // Padding: dummy cells are bit-identical in role to real zero-valued
         // cells, so after the shuffle the adversary cannot attribute any
         // individual access to a real client.
-        let mut padded = self.cells;
+        let mut padded = self.staged.into_cells();
         for j in 0..self.d as u32 {
             let m = dummies_per_index(k, self.epsilon, self.delta, &mut rng);
             padded.extend(std::iter::repeat_n(make_cell(j, 0.0), m));
@@ -110,31 +112,30 @@ impl Aggregator for DoblivStreamer {
             let cur = gstar.read(idx, tr);
             gstar.write(idx, cur + cell_value(cell), tr);
         }
-        average_in_place(&mut gstar, self.n, tr);
+        average_in_place(&mut gstar, n, tr);
         gstar.into_inner()
     }
 
     fn clients(&self) -> usize {
-        self.n
+        self.staged.clients()
     }
 
     /// The staged cell buffer.
     fn resident_bytes(&self) -> u64 {
-        self.cells.len() as u64 * 8
+        self.staged.resident_bytes()
     }
 
     /// The padded + shuffled cell vectors (expected volume) plus the
     /// dense output.
     fn finalize_scratch_bytes(&self) -> u64 {
-        let k = self.cells.len() / self.n.max(1);
         let padded =
-            self.cells.len() as f64 + expected_padding(self.d, k, self.epsilon, self.delta);
+            self.staged.len() as f64 + expected_padding(self.d, self.k(), self.epsilon, self.delta);
         (padded * 2.0 * 8.0) as u64 + self.d as u64 * 4
     }
 
-    /// The staged cells are sealed honestly (O(nk), like Advanced); the
-    /// padding/shuffle seed travels with them so finalize draws the same
-    /// dummies after a restore.
+    /// Configuration plus the [`StagedCells`] descriptor — constant size.
+    /// The padding/shuffle seed is configuration, so finalize draws the
+    /// same dummies after a restore.
     fn save_state(&self) -> Vec<u8> {
         let mut w = StateWriter::new();
         w.put_usize(self.d);
@@ -142,8 +143,7 @@ impl Aggregator for DoblivStreamer {
         w.put_f64(self.delta);
         w.put_u64(self.seed);
         w.put_usize(self.threads);
-        w.put_usize(self.n);
-        w.put_u64s(&self.cells);
+        self.staged.save(&mut w);
         w.into_bytes()
     }
 
@@ -157,9 +157,15 @@ impl Aggregator for DoblivStreamer {
         {
             return Err(StateError::Mismatch);
         }
-        self.n = r.get_usize()?;
-        self.cells = r.get_u64s()?;
-        r.expect_end()
+        self.staged.load(&mut r)
+    }
+
+    fn owed_cells(&self) -> usize {
+        self.staged.owed()
+    }
+
+    fn restage(&mut self, chunk: &[SparseGradient]) -> Result<(), StateError> {
+        self.staged.restage(chunk, self.d)
     }
 }
 

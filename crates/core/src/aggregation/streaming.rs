@@ -39,7 +39,9 @@
 //!   and the real work runs at finalize. Memory remains O(nk) — reported
 //!   honestly through [`Aggregator::resident_bytes`]; this is precisely
 //!   the paper's Figure 10 EPC cliff, and why production rounds use the
-//!   Grouped streamer.
+//!   Grouped streamer. Their checkpoints do *not* grow: staged cells are
+//!   recomputable from the round's sealed uploads, so `save_state` is a
+//!   constant-size descriptor and a restore re-stages the folded prefix.
 //!
 //! The `tests/` crate asserts the invariant for every kind at chunk sizes
 //! {1, 7, n} × threads {1, 2, 8}, plus a proptest over arbitrary chunk
@@ -102,20 +104,44 @@ pub trait Aggregator: Sized {
         0
     }
 
-    /// Serializes the aggregator's persistent state for a sealed
-    /// mid-round checkpoint. Loading the blob (`load_state`) into a
-    /// freshly initialized aggregator of the same configuration
-    /// reproduces the snapshotted instance exactly: ingesting the
-    /// remaining chunks yields the same output bits and the same trace
-    /// as an uninterrupted run. The staged kinds (Advanced,
-    /// DiffOblivious) serialize their whole cell buffer — the honest
-    /// O(nk) cost their security argument already implies.
+    /// Serializes what a sealed mid-round checkpoint must carry of this
+    /// aggregator: everything that cannot be recomputed from the round's
+    /// own sealed uploads. The accumulating kinds snapshot their whole
+    /// state, and loading the blob (`load_state`) into a freshly
+    /// initialized aggregator of the same configuration reproduces the
+    /// instance exactly. The staged kinds (Advanced, DiffOblivious) write
+    /// a constant-size descriptor — configuration, client count, staged
+    /// cell count: their state *is* the decoded folded prefix, which
+    /// untrusted storage already holds as authenticated ciphertexts, so a
+    /// loaded streamer reports the right `clients()` but **owes** its
+    /// cells ([`Aggregator::owed_cells`]) until the driver re-stages that
+    /// prefix ([`Aggregator::restage`]). Either way, ingesting the
+    /// remaining chunks then yields the same output bits and the same
+    /// trace as an uninterrupted run.
     fn save_state(&self) -> Vec<u8>;
 
     /// Restores state captured by [`Aggregator::save_state`]. Fails with
     /// [`StateError::Mismatch`] if the blob describes a different
     /// configuration (dimension, group size, thread budget, kind).
     fn load_state(&mut self, bytes: &[u8]) -> Result<(), StateError>;
+
+    /// Cells a loaded descriptor promised that have not been re-staged
+    /// yet; zero for a fresh aggregator and always for the accumulating
+    /// kinds. `ingest` and `finalize` panic while cells are owed rather
+    /// than aggregate a partial round.
+    fn owed_cells(&self) -> usize {
+        0
+    }
+
+    /// Hands a chunk of the already-folded prefix back to a restored
+    /// staged aggregator: appends its cells (untraced, like the staged
+    /// `ingest`) without counting its clients again. Fails with
+    /// [`StateError::Mismatch`] on more cells than are owed, and always
+    /// on an accumulating kind (nothing to re-stage).
+    fn restage(&mut self, chunk: &[SparseGradient]) -> Result<(), StateError> {
+        let _ = chunk;
+        Err(StateError::Mismatch)
+    }
 }
 
 /// Runtime-dispatched streaming aggregator: one variant per
@@ -238,6 +264,14 @@ impl Aggregator for StreamingAggregator {
         }
         dispatch!(self, s => Aggregator::load_state(s, rest))
     }
+
+    fn owed_cells(&self) -> usize {
+        dispatch!(self, s => Aggregator::owed_cells(s))
+    }
+
+    fn restage(&mut self, chunk: &[SparseGradient]) -> Result<(), StateError> {
+        dispatch!(self, s => Aggregator::restage(s, chunk))
+    }
 }
 
 #[cfg(test)]
@@ -313,10 +347,7 @@ mod tests {
                 "{kind:?} must be n-independent"
             );
         }
-        for kind in [
-            AggregatorKind::Advanced,
-            AggregatorKind::DiffOblivious { epsilon: 1.0, delta: 1e-3, seed: 5 },
-        ] {
+        for kind in staged_kinds() {
             assert!(
                 resident_after(kind, 4) < resident_after(kind, 16),
                 "{kind:?} stages the whole round"
@@ -324,13 +355,22 @@ mod tests {
         }
     }
 
+    fn staged_kinds() -> [AggregatorKind; 2] {
+        [
+            AggregatorKind::Advanced,
+            AggregatorKind::DiffOblivious { epsilon: 1.0, delta: 1e-3, seed: 5 },
+        ]
+    }
+
     /// The checkpoint contract at unit scale: for every kind, snapshot
-    /// after a mid-stream chunk, load into a fresh same-config streamer,
-    /// finish both — output bits AND the *remaining* trace must match.
+    /// after a mid-stream chunk, load into a fresh same-config streamer —
+    /// a staged kind then owes its cells and gets the folded prefix
+    /// re-staged, an accumulating kind owes nothing — and finish both:
+    /// output bits AND the *remaining* trace must match.
     #[test]
     fn state_roundtrip_is_invisible_for_every_kind() {
-        let d = 48;
-        let updates = random_updates(7, 5, d, 55);
+        let (d, k) = (48, 5);
+        let updates = random_updates(7, k, d, 55);
         for kind in all_kinds() {
             let mut a = StreamingAggregator::new(kind, d, 1);
             a.ingest(&updates[..4], &mut NullTracer);
@@ -338,6 +378,17 @@ mod tests {
             let mut b = StreamingAggregator::new(kind, d, 1);
             b.load_state(&blob).unwrap_or_else(|e| panic!("{kind:?}: load failed: {e}"));
             assert_eq!(b.clients(), 4, "{kind:?}: client count not restored");
+            let staged =
+                matches!(kind, AggregatorKind::Advanced | AggregatorKind::DiffOblivious { .. });
+            assert_eq!(b.owed_cells(), if staged { 4 * k } else { 0 }, "{kind:?}");
+            if staged {
+                // Re-staged in two steps: the prefix's own chunking is free.
+                b.restage(&updates[..1]).expect("one owed client");
+                b.restage(&updates[1..4]).expect("the rest of the prefix");
+                assert_eq!((b.owed_cells(), b.clients()), (0, 4), "{kind:?}: clients counted once");
+                assert_eq!(b.resident_bytes(), a.resident_bytes(), "{kind:?}");
+            }
+            assert_eq!(b.restage(&updates[4..5]), Err(StateError::Mismatch), "{kind:?}: not owed");
             let mut tra = RecordingTracer::new(Granularity::Element);
             let mut trb = RecordingTracer::new(Granularity::Element);
             a.ingest(&updates[4..], &mut tra);
@@ -350,10 +401,55 @@ mod tests {
         }
     }
 
+    /// A staged kind's checkpoint share is a descriptor: the same bytes
+    /// however many clients are staged, where its resident state grows —
+    /// and a descriptor that promises more than a chunk re-stages keeps
+    /// the rest owed, rejecting a chunk of the wrong dimension untouched.
+    #[test]
+    fn staged_state_is_a_constant_size_descriptor() {
+        let (d, k) = (64, 4);
+        let updates = random_updates(16, k, d, 9);
+        for kind in staged_kinds() {
+            let state_after = |n: usize| {
+                let mut agg = StreamingAggregator::new(kind, d, 1);
+                agg.ingest(&updates[..n], &mut NullTracer);
+                agg.save_state()
+            };
+            let blob = state_after(16);
+            assert_eq!(state_after(2).len(), blob.len(), "{kind:?}: state must not grow with n");
+            let mut agg = StreamingAggregator::new(kind, d, 1);
+            agg.load_state(&blob).expect("same configuration");
+            let mut wrong_dim = updates[0].clone();
+            wrong_dim.dense_dim = d + 1;
+            assert_eq!(agg.restage(&[wrong_dim]), Err(StateError::Mismatch));
+            assert_eq!(
+                (agg.owed_cells(), agg.resident_bytes()),
+                (16 * k, 0),
+                "{kind:?}: untouched"
+            );
+            agg.restage(&updates[..10]).expect("within what is owed");
+            assert_eq!(agg.owed_cells(), 6 * k);
+            // A descriptor saved while owing still describes the whole prefix.
+            assert_eq!(agg.save_state(), blob, "{kind:?}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "staged cells are still owed")]
+    fn finalize_while_cells_are_owed_panics() {
+        let updates = random_updates(3, 4, 16, 2);
+        let mut agg = StreamingAggregator::new(AggregatorKind::Advanced, 16, 1);
+        agg.ingest(&updates, &mut NullTracer);
+        let blob = agg.save_state();
+        let mut restored = StreamingAggregator::new(AggregatorKind::Advanced, 16, 1);
+        restored.load_state(&blob).expect("same configuration");
+        restored.restage(&updates[..2]).expect("part of the prefix");
+        restored.finalize(&mut NullTracer);
+    }
+
     /// Cross-kind and cross-config loads are rejected, never absorbed.
     #[test]
     fn state_blob_mismatches_rejected() {
-        use olive_memsim::StateError;
         let d = 48;
         let updates = random_updates(4, 5, d, 21);
         let mut a = StreamingAggregator::new(AggregatorKind::Grouped { h: 2 }, d, 1);

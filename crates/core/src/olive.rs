@@ -21,15 +21,13 @@
 //! 6. the update is applied to the global model and the enclave signs the
 //!    result so clients can detect server-side tampering (Section 5.6).
 
-use std::collections::BTreeMap;
 use std::sync::OnceLock;
 
 use olive_data::ClientData;
 use olive_dp::{GaussianMechanism, RdpAccountant};
 use olive_fl::{local_update, sample_clients, ClientConfig, FedAvgServer, SparseGradient};
 use olive_memsim::{
-    default_threads, positive_env, FaultPlan, ParallelTracer, RecoveryStats, ShardPlan, StateError,
-    StateReader, StateWriter,
+    default_threads, positive_env, FaultPlan, ParallelTracer, RecoveryStats, ShardPlan,
 };
 use olive_nn::Model;
 use olive_tee::{
@@ -41,17 +39,11 @@ use rand::SeedableRng;
 
 use crate::aggregation::advanced::sum_advanced_bytes;
 use crate::aggregation::{Aggregator, AggregatorKind, ShardRuntime, StreamingAggregator};
-use crate::round::{Ledger, RoundEngine};
+use crate::round::{
+    open_and_decode, staged_chunk_bytes, Checkpoint, Ledger, RoundEngine, RoundShape, CKPT_LABEL,
+};
 
 pub use crate::round::RoundError;
-
-/// Sealing label for mid-round checkpoints. One label, one monotonic
-/// nonce counter: every checkpoint of every round draws from the same
-/// sequence, which is what makes the rollback floor a single u64.
-const CKPT_LABEL: &[u8] = b"round-ckpt";
-
-/// Checkpoint blob format version (bump on any layout change).
-const CKPT_VERSION: u8 = 1;
 
 /// Attestation user data binding the enclave quote to the FL protocol.
 const ATTEST_CONTEXT: &[u8] = b"olive-fl-v1";
@@ -207,7 +199,9 @@ struct PendingRound {
     sealed: Vec<SealedMessage>,
     k: usize,
     /// Replay floors as of round start (before any upload was opened):
-    /// the base the per-chunk floor snapshots are computed from.
+    /// the base the running floor snapshot starts from, and what a
+    /// restore of a staged kind rewinds to before it re-opens the folded
+    /// prefix — kept as they were across any number of restores.
     base_floors: Vec<(UserId, u64)>,
     /// Chunk geometry the round started with, so a round that dies
     /// *before its first checkpoint* (e.g. a chunk-0 shard fault) can be
@@ -221,14 +215,24 @@ struct PendingRound {
     rng_after_prepare: [u64; 4],
 }
 
-/// Where ingestion (re)starts: a decoded checkpoint (the sealed blob's
-/// plaintext), or — for a round that died before its first checkpoint —
-/// the state right after [`OliveSystem::prepare_round`].
-struct Checkpoint {
-    chunks_done: usize,
-    rng_state: [u64; 4],
-    floors: Vec<(UserId, u64)>,
-    agg_state: Vec<u8>,
+impl PendingRound {
+    /// What a checkpoint must agree with this round on to resume it.
+    fn shape(&self) -> RoundShape {
+        RoundShape {
+            round: self.t,
+            uploads: self.sealed.len(),
+            chunk_size: self.chunk_size,
+            threads: self.threads,
+            k: self.k,
+        }
+    }
+
+    /// Where ingestion starts when nothing is folded — a fresh round, or
+    /// one that died before its first checkpoint: the state right after
+    /// [`OliveSystem::prepare_round`].
+    fn start(&self) -> Checkpoint {
+        Checkpoint::start(self.shape(), self.rng_after_prepare, &self.base_floors)
+    }
 }
 
 /// Process-default ingestion chunk size: `OLIVE_CHUNK` if set to a
@@ -473,9 +477,10 @@ impl OliveSystem {
     /// contract), so this changes memory and throughput, never results.
     ///
     /// Rounds are **crash-safe**: after every folded chunk the enclave
-    /// seals a restore point (round counter, aggregator state, replay
-    /// floors, RNG state) under `"round-ckpt"`, so a crashed round — a
-    /// scripted `crash@<chunk>` fault surfaces as
+    /// seals a restore point (round counter, replay floors, RNG state,
+    /// and whatever of the aggregator cannot be recomputed from the
+    /// round's own sealed uploads) under `"round-ckpt"`, so a crashed
+    /// round — a scripted `crash@<chunk>` fault surfaces as
     /// [`RoundError::CoordinatorKilled`] — resumes via
     /// [`OliveSystem::restore_round`] instead of restarting, bitwise
     /// identical in output and trace to an uninterrupted run.
@@ -505,7 +510,8 @@ impl OliveSystem {
             return Ok(self.finish_empty_round(pending.t));
         }
         let agg = StreamingAggregator::new(self.cfg.aggregator, self.server.dim(), pending.threads);
-        self.drive(pending, agg, 0, tr)
+        let start = pending.start();
+        self.drive(pending, agg, start, false, tr)
     }
 
     /// Algorithm 1 lines 4–7 + 15–23: sample, train, sparsify, encrypt.
@@ -580,24 +586,29 @@ impl OliveSystem {
 
     /// Lines 8–12 (+ Algorithm 6 line 12 and line 14): the sealed uploads
     /// through the [`RoundEngine`] under the adversary's tracer, then
-    /// noise, apply, sign. Entered at chunk 0 by a fresh round and at the
-    /// checkpoint's `chunks_done` by [`OliveSystem::restore_round`].
+    /// noise, apply, sign. Entered at chunk 0 by a fresh round and — with
+    /// `restored` set, which first brings the engine level with `ckpt`
+    /// ([`RoundEngine::resume`]) — at the checkpoint's `chunks_done` by
+    /// [`OliveSystem::restore_round`].
     ///
     /// The engine takes the coordinator's budget and the shard plane for
     /// the round and hands both back when it ends — so there is one exit
-    /// for every abort (exhausted shard recovery at ingress or egress, a
-    /// scripted coordinator crash): the round goes back to pending, the
-    /// invocation's counters are flushed, and the error surfaces.
+    /// for every abort (stored material that does not resume, exhausted
+    /// shard recovery at ingress or egress, a scripted coordinator crash):
+    /// the round goes back to pending, the invocation's counters are
+    /// flushed, and the error surfaces.
     fn drive<TR: ParallelTracer>(
         &mut self,
         pending: PendingRound,
         agg: StreamingAggregator,
-        chunks_done: usize,
+        mut ckpt: Checkpoint,
+        restored: bool,
         tr: &mut TR,
     ) -> Result<RoundReport, RoundError> {
         let t = pending.t;
         let ledger = Ledger::new(self.enclave.epc, self.shard_rt.take(), self.telemetry.clone());
-        let mut engine = RoundEngine::new(agg, pending.k, pending.threads, chunks_done, ledger);
+        let mut engine =
+            RoundEngine::new(agg, pending.k, pending.threads, ckpt.chunks_done(), ledger);
         if let Some(plan) = self.pending_faults.take() {
             engine.set_fault_plan(plan);
         }
@@ -605,7 +616,13 @@ impl OliveSystem {
         // minus this snapshot; unsharded rounds keep the explicit zeroes.
         let recovery_base = engine.shards().map(|rt| rt.recovery_stats()).unwrap_or_default();
         let mut round_tel = RoundTelemetry::default();
-        let folded = self.fold_chunks(&pending, &mut engine, &mut round_tel, tr);
+        let resumed = if restored {
+            engine.resume(&mut self.enclave, &pending.sealed, &pending.base_floors, &ckpt)
+        } else {
+            Ok(())
+        };
+        let folded = resumed
+            .and_then(|()| self.fold_chunks(&pending, &mut engine, &mut ckpt, &mut round_tel, tr));
         round_tel.chunks = engine.chunks_folded();
         let fin_span =
             folded.is_ok().then(|| self.telemetry.span("finalize", &[("round", t.into())]));
@@ -695,6 +712,7 @@ impl OliveSystem {
         &mut self,
         pending: &PendingRound,
         engine: &mut RoundEngine,
+        ckpt: &mut Checkpoint,
         round_tel: &mut RoundTelemetry,
         tr: &mut TR,
     ) -> Result<(), RoundError> {
@@ -722,7 +740,8 @@ impl OliveSystem {
             // it emits no adversary-visible trace events — checkpoint
             // cadence cannot perturb the bitwise trace contract.
             if self.checkpoint {
-                round_tel.ckpt_bytes += self.seal_checkpoint(pending, engine);
+                ckpt.advance(msgs);
+                round_tel.ckpt_bytes += self.seal_checkpoint(ckpt, engine);
                 round_tel.ckpt_seals += 1;
             }
             engine.crash_point()?;
@@ -730,55 +749,15 @@ impl OliveSystem {
         Ok(())
     }
 
-    /// Serializes and seals the round's restore point under
-    /// [`CKPT_LABEL`], pins the rollback floor to its seal counter, and
-    /// parks the blob in (simulated) untrusted storage.
-    ///
-    /// The replay-floor snapshot covers the base floors plus exactly the
-    /// uploads of the `chunks_done` *folded* chunks. The double-buffered
-    /// opener may already have advanced the live enclave's floors past
-    /// chunk `chunks_done` (opened, not yet folded) — those uploads get
-    /// no entry, so after a restore their re-sends are accepted again
-    /// instead of being misclassified as replays. That
-    /// opened-but-not-folded gap was the crash-unsafety this checkpoint
-    /// scheme exists to fix.
-    fn seal_checkpoint(&mut self, pending: &PendingRound, engine: &mut RoundEngine) -> u64 {
-        let chunks_done = engine.chunks_done();
+    /// Seals the round's restore point ([`Checkpoint::seal`]), pins the
+    /// rollback floor to its seal counter, and parks the blob in
+    /// (simulated) untrusted storage.
+    fn seal_checkpoint(&mut self, ckpt: &mut Checkpoint, engine: &mut RoundEngine) -> u64 {
+        let chunks_done = ckpt.chunks_done() as u64;
         let mut span =
-            self.telemetry.span("checkpoint_seal", &[("chunks_done", (chunks_done as u64).into())]);
-        let mut w = StateWriter::new();
-        w.put_u8(CKPT_VERSION);
-        w.put_u64(pending.t);
-        w.put_usize(chunks_done);
-        w.put_usize(pending.sealed.len());
-        w.put_usize(pending.chunk_size);
-        w.put_usize(pending.threads);
-        w.put_usize(pending.k);
-        // The DP/sampling generator is enclave state too: the post-restore
-        // noise draw must be the exact draw the uninterrupted round would
-        // have made.
-        for word in self.rng.state() {
-            w.put_u64(word);
-        }
-        let folded = (chunks_done * pending.chunk_size).min(pending.sealed.len());
-        let mut floors: BTreeMap<UserId, u64> = pending.base_floors.iter().copied().collect();
-        for m in &pending.sealed[..folded] {
-            floors.insert(m.user, m.nonce_counter);
-        }
-        w.put_usize(floors.len());
-        for (u, c) in floors {
-            w.put_u32(u);
-            w.put_u64(c);
-        }
-        w.put_bytes(&engine.checkpoint_state());
-        let plain = w.into_bytes();
-
-        // The serialized state is enclave-resident while it is built and
-        // sealed; charge it like any other transient.
-        let enclave = &mut self.enclave;
-        let sealed =
-            engine.ledger_mut().transient(plain.len() as u64, || enclave.seal(&plain, CKPT_LABEL));
-
+            self.telemetry.span("checkpoint_seal", &[("chunks_done", chunks_done.into())]);
+        ckpt.rng_state = self.rng.state();
+        let sealed = ckpt.seal(engine, &mut self.enclave);
         let blob_bytes = sealed.len() as u64;
         span.field("blob_bytes", blob_bytes.into());
         self.telemetry.observe("ckpt_blob_bytes", "coordinator", blob_bytes);
@@ -830,16 +809,22 @@ impl OliveSystem {
     /// sealing keys via the provisioning epoch).
     /// Then the checkpoint is unsealed against the rollback-protected
     /// floor ([`TeeError::StaleSeal`] for an older genuine blob,
-    /// [`TeeError::AuthFailure`] for a tampered one), replay floors are
-    /// rewound to cover only *folded* uploads, the aggregator is rebuilt
-    /// from its serialized state, and ingestion continues from the next
-    /// chunk. A round that died *before its first checkpoint* (a chunk-0
-    /// shard fault, or egress failure with checkpointing off) has no blob
-    /// and is restarted whole from the untrusted round material — nothing
-    /// was folded, so that too is exact. Output and trace are bitwise
-    /// identical to the uninterrupted round. On error — including a
-    /// further scripted crash — the interrupted round stays pending, so
-    /// the caller can repair storage and retry.
+    /// [`TeeError::AuthFailure`] for a tampered one), the aggregator is
+    /// rebuilt from its serialized state, and [`RoundEngine::resume`]
+    /// rewinds the replay floors to cover only *folded* uploads — for a
+    /// staged kind (Advanced, DiffOblivious) by re-opening and re-staging
+    /// the folded prefix of the round's own sealed uploads, which must
+    /// land on exactly the floors and cell count the checkpoint sealed
+    /// ([`TeeError::AuthFailure`] otherwise: a flipped, dropped or
+    /// substituted upload never yields a different aggregate). Ingestion
+    /// then continues from the next chunk. A round that died *before its
+    /// first checkpoint* (a chunk-0 shard fault, or egress failure with
+    /// checkpointing off) has no blob and is restarted whole from the
+    /// untrusted round material — nothing was folded, so that too is
+    /// exact. Output and trace are bitwise identical to the uninterrupted
+    /// round. On error — including a further scripted crash — the
+    /// interrupted round stays pending, so the caller can repair storage
+    /// and retry.
     pub fn restore_round<TR: ParallelTracer>(
         &mut self,
         tr: &mut TR,
@@ -878,30 +863,20 @@ impl OliveSystem {
                 // means it was sealed for a different round than the
                 // pending one — treat it like any other unusable blob.
                 let unusable = |_| RoundError::Checkpoint(TeeError::AuthFailure);
-                let ckpt = decode_checkpoint(&plain, pending).map_err(unusable)?;
-                agg.load_state(&ckpt.agg_state).map_err(unusable)?;
+                let ckpt = Checkpoint::decode(&plain, pending.shape()).map_err(unusable)?;
+                agg.load_state(ckpt.agg_state()).map_err(unusable)?;
                 ckpt
             }
             // No checkpoint was ever sealed for this round: nothing was
             // folded before the abort, so the exact pre-crash state is a
             // fresh aggregator over the untrusted round material.
-            None => Checkpoint {
-                chunks_done: 0,
-                rng_state: pending.rng_after_prepare,
-                floors: pending.base_floors.clone(),
-                agg_state: Vec::new(),
-            },
+            None => pending.start(),
         };
 
-        let mut pending = self.pending.take().expect("checked above");
+        let pending = self.pending.take().expect("checked above");
         self.rng = SmallRng::from_state(ckpt.rng_state);
         self.enclave.begin_round(pending.t, pending.sampled.clone());
-        self.enclave.restore_replay_floors(&ckpt.floors);
-        // Future checkpoints of this round rebuild their snapshots from
-        // the restored floors: unfolded users still carry their base
-        // entries there, folded users' overrides are permanent.
-        pending.base_floors = ckpt.floors;
-        self.drive(pending, agg, ckpt.chunks_done, tr)
+        self.drive(pending, agg, ckpt, true, tr)
     }
 
     /// Signs `t ∥ θ` with the enclave's output key (Section 5.6).
@@ -989,74 +964,20 @@ pub fn provision_clients(
         .collect()
 }
 
-/// Parses a checkpoint blob's plaintext and validates it against the
-/// pending round it claims to resume: version, round counter, upload
-/// count, chunk geometry and per-client k must all match.
-fn decode_checkpoint(plain: &[u8], pending: &PendingRound) -> Result<Checkpoint, StateError> {
-    let mut r = StateReader::new(plain);
-    if r.get_u8()? != CKPT_VERSION || r.get_u64()? != pending.t {
-        return Err(StateError::Mismatch);
-    }
-    let chunks_done = r.get_usize()?;
-    if r.get_usize()? != pending.sealed.len()
-        || r.get_usize()? != pending.chunk_size
-        || r.get_usize()? != pending.threads
-        || r.get_usize()? != pending.k
-    {
-        return Err(StateError::Mismatch);
-    }
-    let mut rng_state = [0u64; 4];
-    for word in &mut rng_state {
-        *word = r.get_u64()?;
-    }
-    let n_floors = r.get_usize()?;
-    let mut floors = Vec::with_capacity(n_floors.min(plain.len() / 12 + 1));
-    for _ in 0..n_floors {
-        floors.push((r.get_u32()?, r.get_u64()?));
-    }
-    let agg_state = r.get_bytes()?.to_vec();
-    r.expect_end()?;
-    if chunks_done > pending.sealed.len().div_ceil(pending.chunk_size) {
-        return Err(StateError::Corrupt);
-    }
-    Ok(Checkpoint { chunks_done, rng_state, floors, agg_state })
-}
-
-/// Enclave-resident bytes of one *staged* upload chunk: the decoded
-/// `(index, value)` pairs (8 B per transmitted cell, read off the public
-/// ciphertext lengths: payload = 8-byte header + 8k, ciphertext =
-/// payload + 16-byte tag).
-pub fn staged_chunk_bytes(msgs: &[SealedMessage]) -> u64 {
-    msgs.iter().map(|m| m.ciphertext.len().saturating_sub(8 + 16) as u64).sum()
-}
-
-/// Opens one chunk of uploads through [`Enclave::open_upload_batch`] and
-/// decodes the plaintext gradient encodings — the `prefetch` half of a
-/// [`RoundEngine::fold`], shared with the ingestion benchmarks. Panics on
-/// any invalid upload (the simulation's clients are honest; a deployment
-/// would drop the slot and continue, which
-/// [`Enclave::open_upload_batch`]'s per-message `Result`s support).
-pub fn open_and_decode(enclave: &mut Enclave, msgs: &[SealedMessage]) -> Vec<SparseGradient> {
-    enclave
-        .open_upload_batch(msgs)
-        .into_iter()
-        .map(|r| {
-            let plain = r.expect("sampled, registered, fresh uploads must verify");
-            SparseGradient::decode(&plain).expect("well-formed client encoding")
-        })
-        .collect()
-}
-
 /// Working-set estimate (bytes) for each aggregator in closed form — what
 /// the enclave holds at the round's peak (drives the EPC/grouping analysis
 /// of Sections 5.3 and 5.5, e.g. the paper's 122 MB at n = 3000 on the
 /// MNIST MLP). `n` is the participant count and `k` the per-client cell
 /// count; the serial (`threads = 1`) case of
 /// [`working_set_bytes_threaded`]. For Advanced this is to the byte the
-/// `RoundReport::working_set_bytes` of a round without checkpointing; for
-/// Grouped it leaves out the O(chunk·k) plaintext staged around a fold
-/// (the chunk being folded and the look-ahead chunk), which a measured
-/// round carries on top.
+/// `RoundReport::working_set_bytes` of a round — finalize is its peak,
+/// and a checkpointed round can exceed it by at most the plaintext being
+/// sealed beside the staged cells (header + 12 B per replay floor + a
+/// descriptor — and not at all once that is below the 12·d bytes
+/// finalize adds). For Grouped it leaves out the O(chunk·k) plaintext
+/// staged around a fold (the chunk being folded and the look-ahead
+/// chunk), which a measured round carries on top — as it does the
+/// checkpoint plaintext (header + floors + the d-sized running total).
 pub fn working_set_bytes(kind: AggregatorKind, n: usize, k: usize, d: usize) -> u64 {
     working_set_bytes_threaded(kind, n, k, d, 1)
 }
@@ -1286,30 +1207,112 @@ mod tests {
     /// closed form leaves out (as it does the broadcast segment of
     /// `sharded_working_set_bytes`): the chunk being folded and the
     /// look-ahead chunk opened beside it, `chunk · k` cells each.
-    /// Checkpoint plaintext is a transient of its own and is switched off.
+    /// Checkpointing adds one transient on top of a fold's resident state
+    /// — the plaintext being sealed, header + floors + aggregator state —
+    /// which for Advanced (a descriptor) is the only thing a checkpointed
+    /// round's peak may exceed the closed form by.
     #[test]
     fn closed_form_working_set_matches_the_measured_round() {
-        let round = |kind: AggregatorKind, threads: usize, chunk: usize| {
+        let round = |kind: AggregatorKind, threads: usize, chunk: usize, checkpoint: bool| {
             let (model, clients, mut cfg) = tiny_parts(kind, None);
             cfg.sample_rate = 1.0;
             let mut sys = OliveSystem::new(model, clients, cfg);
             sys.set_threads(threads);
             sys.set_chunk(chunk);
-            sys.set_checkpointing(false);
+            sys.set_checkpointing(checkpoint);
             let report = sys.run_round(&mut NullTracer).expect("round");
             (report.working_set_bytes, report.processed_users.len(), report.k_per_user, sys.dim())
         };
-        let (measured, n, k, d) = round(AggregatorKind::Advanced, 1, 3);
+        let (measured, n, k, d) = round(AggregatorKind::Advanced, 1, 3, false);
         assert_eq!((n, k, d), (8, 10, 106), "nk + d = 186 is not a power of two");
-        assert_eq!(measured, working_set_bytes(AggregatorKind::Advanced, n, k, d));
+        let closed = working_set_bytes(AggregatorKind::Advanced, n, k, d);
+        assert_eq!(measured, closed);
+        let (checkpointed, ..) = round(AggregatorKind::Advanced, 1, 3, true);
+        // Header (version, round, five sizes, generator, two length
+        // prefixes), one 12-byte floor per client, the 33-byte descriptor.
+        let ckpt_plain = (1 + 8 + 5 * 8 + 32 + 2 * 8) + 12 * n as u64 + 33;
+        assert!(
+            (closed..=closed + ckpt_plain).contains(&checkpointed),
+            "{checkpointed} vs closed form {closed} + at most {ckpt_plain}"
+        );
         for threads in [1usize, 2] {
             // One processing unit (h · threads clients) per chunk.
             let kind = AggregatorKind::Grouped { h: 2 };
             let chunk = 2 * threads;
-            let (measured, ..) = round(kind, threads, chunk);
+            let (measured, ..) = round(kind, threads, chunk, false);
             let staged = 2 * (chunk * k) as u64 * 8;
             let closed = working_set_bytes_threaded(kind, n, k, d, threads);
             assert_eq!(measured, closed + staged, "threads={threads}");
+        }
+    }
+
+    /// A checkpoint commits to the folded prefix it leaves in untrusted
+    /// storage: a staged round killed after three chunks must refuse to
+    /// resume over a prefix with one ciphertext bit-flipped, one upload
+    /// dropped, or one upload replaced by a *genuine* second upload of
+    /// the same user under a later nonce — each a structured error with
+    /// the round still pending and every budget balanced, never a
+    /// different aggregate — and then restore bitwise from the genuine
+    /// material, one tracer spanning every attempt.
+    #[test]
+    fn restore_rejects_any_prefix_but_the_sealed_one() {
+        use olive_memsim::{Granularity, RecordingTracer};
+        let staged = [
+            AggregatorKind::Advanced,
+            AggregatorKind::DiffOblivious { epsilon: 8.0, delta: 0.01, seed: 3 },
+        ];
+        for (kind, shards) in staged.into_iter().flat_map(|kind| [(kind, 1), (kind, 4)]) {
+            let system = || {
+                let (model, clients, mut cfg) = tiny_parts(kind, None);
+                cfg.sample_rate = 1.0;
+                let mut sys = OliveSystem::new(model, clients, cfg);
+                sys.set_threads(1);
+                sys.set_chunk(2);
+                sys.set_shards(shards);
+                sys
+            };
+            let mut reference = system();
+            let mut ref_tr = RecordingTracer::new(Granularity::Element);
+            let ref_report = reference.run_round(&mut ref_tr).expect("round");
+
+            let mut sys = system();
+            let mut tr = RecordingTracer::new(Granularity::Element);
+            sys.set_fault_plan(FaultPlan::parse("crash@2").expect("well-formed script"));
+            let killed = RoundError::CoordinatorKilled { after_chunk: 2 };
+            assert_eq!(sys.run_round(&mut tr).unwrap_err(), killed);
+            let genuine = sys.pending.as_ref().expect("pending").sealed.clone();
+            let (t, victim) = (genuine[3].round, genuine[3].user);
+
+            let mut flipped = genuine.clone();
+            flipped[3].ciphertext[9] ^= 0x10;
+            let mut dropped = genuine.clone();
+            dropped.remove(3);
+            let mut substituted = genuine.clone();
+            let other = SparseGradient {
+                dense_dim: sys.dim(),
+                indices: (0..ref_report.k_per_user as u32).collect(),
+                values: vec![1.0; ref_report.k_per_user],
+            };
+            substituted[3] = sys.sessions[victim as usize].seal_upload(t, &other.encode());
+            assert!(substituted[3].nonce_counter > genuine[3].nonce_counter);
+
+            for (what, stored) in [("flip", flipped), ("drop", dropped), ("swap", substituted)] {
+                sys.pending.as_mut().expect("pending").sealed = stored;
+                assert_eq!(
+                    sys.restore_round(&mut tr).unwrap_err(),
+                    RoundError::Checkpoint(TeeError::AuthFailure),
+                    "{kind:?} S={shards} {what}"
+                );
+                assert!(sys.interrupted(), "{what}: the round stays pending");
+                assert!(sys.epc_live().iter().all(|&b| b == 0), "{what}: budgets balance");
+            }
+
+            sys.pending.as_mut().expect("pending").sealed = genuine;
+            let report = sys.restore_round(&mut tr).expect("genuine material restores");
+            assert_eq!(sys.global_params(), reference.global_params(), "{kind:?} S={shards}");
+            assert_eq!(report.model_signature, ref_report.model_signature);
+            assert_eq!(tr.digest(), ref_tr.digest(), "{kind:?} S={shards}: trace digest");
+            assert!(sys.epc_live().iter().all(|&b| b == 0));
         }
     }
 

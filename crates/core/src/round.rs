@@ -8,7 +8,7 @@
 //! ```text
 //! RoundEngine::new(aggregator, k, threads, chunks_done, ledger)
 //!     ── fold(chunk₁) ─▶ … ─▶ fold(chunkₘ) ── finish() → Δ̃
-//!          │  checkpoint_state() + crash_point() after every chunk
+//!          │  Checkpoint::{advance, seal} + crash_point() after every chunk
 //! ```
 //!
 //! [`OliveSystem::run_round`] and [`OliveSystem::restore_round`] drive it
@@ -34,12 +34,26 @@
 //! folds, because it is being opened concurrently), then one resize of
 //! the aggregator's persistent state.
 //!
+//! # The checkpoint
+//!
+//! [`Checkpoint`] is the one codec of a sealed restore point — what
+//! `OliveSystem` and the bench rig both seal after every fold and decode
+//! on restore. It holds only what cannot be recomputed from the round's
+//! own sealed uploads: the round's public shape, chunk progress, the
+//! DP/sampling generator, the replay floors of the folded prefix (kept as
+//! one running snapshot, updated with each chunk's entries) and the
+//! aggregator's [`Aggregator::save_state`]. For the staged kinds that
+//! state is a descriptor and [`RoundEngine::resume`] rebuilds the cells
+//! by re-opening the folded prefix — with the floor snapshot as the
+//! commitment to the exact ciphertexts (an AEAD nonce is used once, so
+//! equal floors mean the same uploads).
+//!
 //! [`OliveSystem::run_round`]: crate::olive::OliveSystem::run_round
 //! [`OliveSystem::restore_round`]: crate::olive::OliveSystem::restore_round
 
 use olive_fl::SparseGradient;
-use olive_memsim::{FaultKind, FaultPlan, ParallelTracer};
-use olive_tee::{EpcBudget, TeeError};
+use olive_memsim::{FaultKind, FaultPlan, ParallelTracer, StateError, StateReader, StateWriter};
+use olive_tee::{Enclave, EpcBudget, SealedMessage, TeeError, UserId};
 use olive_telemetry::Telemetry;
 
 use crate::aggregation::sharded::note_fault;
@@ -47,6 +61,15 @@ use crate::aggregation::{Aggregator, ShardError, ShardRuntime, StreamingAggregat
 
 /// Telemetry key of the coordinator enclave's budget.
 const COORDINATOR: &str = "coordinator";
+
+/// Sealing label for mid-round checkpoints. One label, one monotonic
+/// nonce counter: every checkpoint of every round draws from the same
+/// sequence, which is what makes the rollback floor a single u64.
+pub const CKPT_LABEL: &[u8] = b"round-ckpt";
+
+/// Checkpoint plaintext format version (bump on any layout change).
+/// v2: the staged kinds' aggregator state is a descriptor, not cells.
+const CKPT_VERSION: u8 = 2;
 
 /// Why a round could not run (or resume) to completion. Every variant is
 /// recoverable state, not a panic: the interrupted round stays pending
@@ -56,9 +79,10 @@ const COORDINATOR: &str = "coordinator";
 /// uninterrupted round.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum RoundError {
-    /// The sealed round checkpoint failed to restore: tampered blob
-    /// ([`TeeError::AuthFailure`]) or a rollback below the pinned counter
-    /// floor ([`TeeError::StaleSeal`]).
+    /// The stored round material failed to restore: a tampered blob, a
+    /// blob of another round, or a folded prefix that is not the one the
+    /// checkpoint committed to ([`TeeError::AuthFailure`]); or a rollback
+    /// below the pinned counter floor ([`TeeError::StaleSeal`]).
     Checkpoint(TeeError),
     /// The shard transport plane failed after its retry/failover budget
     /// was exhausted (which shard, how many attempts, terminal failure).
@@ -174,12 +198,185 @@ impl Ledger {
     /// coordinator-only transient (the checkpoint plaintext while it is
     /// built and sealed: it never exists on a shard, so it is not
     /// striped).
-    pub fn transient<T>(&mut self, bytes: u64, work: impl FnOnce() -> T) -> T {
+    fn transient<T>(&mut self, bytes: u64, work: impl FnOnce() -> T) -> T {
         self.coordinator.alloc_counted(bytes, &self.telemetry, COORDINATOR);
         let out = work();
         self.coordinator.free_counted(bytes, &self.telemetry, COORDINATOR);
         out
     }
+}
+
+/// The public shape of one round — everything a checkpoint must agree
+/// with the pending round on before it may resume it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct RoundShape {
+    /// Round counter t.
+    pub round: u64,
+    /// Sealed uploads in the round.
+    pub uploads: usize,
+    /// Uploads opened, decoded and folded per chunk.
+    pub chunk_size: usize,
+    /// Worker-thread budget the aggregator was built with.
+    pub threads: usize,
+    /// Cells per upload.
+    pub k: usize,
+}
+
+/// A round's restore point (module docs): a fresh round starts one with
+/// [`Checkpoint::start`], advances and seals it after every fold, and a
+/// restore decodes the newest sealed one and carries on from it.
+///
+/// Plaintext layout (v2), via `StateWriter`:
+///
+/// ```text
+/// u8 version ‖ u64 round ‖ chunks_done ‖ uploads ‖ chunk_size ‖ threads ‖ k
+///   ‖ 4 × u64 generator state
+///   ‖ n_floors ‖ n_floors × (u32 user, u64 nonce counter)   — sorted by user
+///   ‖ bytes StreamingAggregator::save_state()
+/// ```
+pub struct Checkpoint {
+    shape: RoundShape,
+    chunks_done: usize,
+    /// The enclave's DP/sampling generator: the post-restore noise draw
+    /// must be the exact draw the uninterrupted round would have made.
+    pub rng_state: [u64; 4],
+    /// Round-start floors overridden by exactly the uploads of the
+    /// `chunks_done` *folded* chunks, sorted by user. Uploads the
+    /// double-buffered opener had opened but not folded get no entry, so
+    /// after a restore they are accepted again, not taken for replays.
+    floors: Vec<(UserId, u64)>,
+    agg_state: Vec<u8>,
+}
+
+impl Checkpoint {
+    /// The restore point of a round nothing is folded of yet:
+    /// `base_floors` are the replay floors as of round start.
+    pub fn start(shape: RoundShape, rng_state: [u64; 4], base_floors: &[(UserId, u64)]) -> Self {
+        let mut floors = base_floors.to_vec();
+        floors.sort_unstable_by_key(|&(user, _)| user);
+        Checkpoint { shape, chunks_done: 0, rng_state, floors, agg_state: Vec::new() }
+    }
+
+    /// Chunks folded as of this restore point.
+    pub fn chunks_done(&self) -> usize {
+        self.chunks_done
+    }
+
+    /// The aggregator state sealed in (empty before the first seal).
+    pub fn agg_state(&self) -> &[u8] {
+        &self.agg_state
+    }
+
+    /// Records the next chunk — the uploads `msgs` — as folded: only its
+    /// ≤ `chunk_size` floor entries are touched, never all N users.
+    pub fn advance(&mut self, msgs: &[SealedMessage]) {
+        let known = self.floors.len();
+        for m in msgs {
+            match self.floors[..known].binary_search_by_key(&m.user, |&(user, _)| user) {
+                Ok(at) => self.floors[at].1 = m.nonce_counter,
+                Err(_) => self.floors.push((m.user, m.nonce_counter)),
+            }
+        }
+        if self.floors.len() > known {
+            // First uploads of users the enclave had no floor for yet.
+            self.floors.sort_unstable_by_key(|&(user, _)| user);
+        }
+        self.chunks_done += 1;
+    }
+
+    /// Seals this restore point under [`CKPT_LABEL`] with the engine's
+    /// current aggregator state. The plaintext is enclave-resident while
+    /// it is built and sealed, and charged like any other transient.
+    pub fn seal(&mut self, engine: &mut RoundEngine, enclave: &mut Enclave) -> Vec<u8> {
+        debug_assert_eq!(self.chunks_done, engine.chunks_done);
+        self.agg_state = engine.checkpoint_state();
+        let plain = self.encode();
+        engine.ledger.transient(plain.len() as u64, || enclave.seal(&plain, CKPT_LABEL))
+    }
+
+    fn encode(&self) -> Vec<u8> {
+        let mut w = StateWriter::new();
+        w.put_u8(CKPT_VERSION);
+        w.put_u64(self.shape.round);
+        w.put_usize(self.chunks_done);
+        w.put_usize(self.shape.uploads);
+        w.put_usize(self.shape.chunk_size);
+        w.put_usize(self.shape.threads);
+        w.put_usize(self.shape.k);
+        for word in self.rng_state {
+            w.put_u64(word);
+        }
+        w.put_usize(self.floors.len());
+        for &(user, counter) in &self.floors {
+            w.put_u32(user);
+            w.put_u64(counter);
+        }
+        w.put_bytes(&self.agg_state);
+        w.into_bytes()
+    }
+
+    /// Parses an unsealed checkpoint and validates it against the round
+    /// it is asked to resume: version and every field of `shape` must
+    /// match, and the progress must fit the round.
+    pub fn decode(plain: &[u8], shape: RoundShape) -> Result<Self, StateError> {
+        let mut r = StateReader::new(plain);
+        if r.get_u8()? != CKPT_VERSION || r.get_u64()? != shape.round {
+            return Err(StateError::Mismatch);
+        }
+        let chunks_done = r.get_usize()?;
+        if r.get_usize()? != shape.uploads
+            || r.get_usize()? != shape.chunk_size
+            || r.get_usize()? != shape.threads
+            || r.get_usize()? != shape.k
+        {
+            return Err(StateError::Mismatch);
+        }
+        let mut rng_state = [0u64; 4];
+        for word in &mut rng_state {
+            *word = r.get_u64()?;
+        }
+        let n_floors = r.get_usize()?;
+        let mut floors = Vec::with_capacity(n_floors.min(plain.len() / 12 + 1));
+        for _ in 0..n_floors {
+            floors.push((r.get_u32()?, r.get_u64()?));
+        }
+        let agg_state = r.get_bytes()?.to_vec();
+        r.expect_end()?;
+        if chunks_done > shape.uploads.div_ceil(shape.chunk_size) {
+            return Err(StateError::Corrupt);
+        }
+        Ok(Checkpoint { shape, chunks_done, rng_state, floors, agg_state })
+    }
+}
+
+/// Enclave-resident bytes of one *staged* upload chunk: the decoded
+/// `(index, value)` pairs (8 B per transmitted cell, read off the public
+/// ciphertext lengths: payload = 8-byte header + 8k, ciphertext =
+/// payload + 16-byte tag).
+pub fn staged_chunk_bytes(msgs: &[SealedMessage]) -> u64 {
+    msgs.iter().map(|m| m.ciphertext.len().saturating_sub(8 + 16) as u64).sum()
+}
+
+/// Opens one chunk of uploads through [`Enclave::open_upload_batch`] and
+/// decodes the plaintext gradient encodings; the first upload that fails
+/// to verify or decode fails the chunk (a malformed encoding under a
+/// valid tag reads as [`TeeError::AuthFailure`]).
+fn try_open_and_decode(
+    enclave: &mut Enclave,
+    msgs: &[SealedMessage],
+) -> Result<Vec<SparseGradient>, TeeError> {
+    let decode = |plain: Vec<u8>| SparseGradient::decode(&plain).ok_or(TeeError::AuthFailure);
+    enclave.open_upload_batch(msgs).into_iter().map(|r| r.and_then(decode)).collect()
+}
+
+/// Opens and decodes one chunk on the forward path — the `prefetch` half
+/// of a [`RoundEngine::fold`], shared with the ingestion benchmarks.
+/// Panics on any invalid upload (the simulation's clients are honest; a
+/// deployment would drop the slot and continue, which
+/// [`Enclave::open_upload_batch`]'s per-message `Result`s support). The
+/// restore path re-opens *stored* material and uses the fallible form.
+pub fn open_and_decode(enclave: &mut Enclave, msgs: &[SealedMessage]) -> Vec<SparseGradient> {
+    try_open_and_decode(enclave, msgs).expect("sampled, registered, fresh, well-formed uploads")
 }
 
 /// What the engine hands back when the round ends, completed or aborted:
@@ -324,9 +521,7 @@ impl RoundEngine {
         self.ledger.release(scratch);
         self.ledger.release(self.staged_bytes);
         self.staged_bytes = next_bytes;
-        let resident = self.agg.resident_bytes();
-        self.ledger.resize(self.resident, resident);
-        self.resident = resident;
+        self.resize_resident();
         // ORAM comparator rounds expose the stash high-water mark and
         // eviction volume on the side-band counters (deterministic
         // values: both kernels count identically).
@@ -343,10 +538,76 @@ impl RoundEngine {
     }
 
     /// The aggregator's serialized state — the engine's share of a sealed
-    /// round checkpoint (the driver adds what only it knows: round
-    /// counter, RNG state, replay floors).
-    pub fn checkpoint_state(&self) -> Vec<u8> {
+    /// round checkpoint ([`Checkpoint::seal`] adds the rest).
+    pub(crate) fn checkpoint_state(&self) -> Vec<u8> {
         self.agg.save_state()
+    }
+
+    /// Brings an engine built over a checkpoint-loaded aggregator level
+    /// with `ckpt`, and the enclave's replay floors with it.
+    ///
+    /// An accumulating kind is whole after `load_state`: the floors are
+    /// set to the sealed folded-prefix snapshot and that is all. A staged
+    /// kind owes its cells, so the floors are rewound to `base_floors`
+    /// (round start) and chunks `[0, chunks_done)` of `uploads` are
+    /// re-opened, decoded and re-staged — untraced, like the staging they
+    /// repeat, away from the shard plane (shards keep their own
+    /// progress), and charged through the ledger like the resident growth
+    /// they are. Two sealed values then decide whether that was the
+    /// prefix the checkpoint was taken over: no cell may be owed, and the
+    /// enclave's floors must equal the sealed snapshot entry for entry —
+    /// a missing, swapped, substituted or unverifiable upload fails one
+    /// of them (or the open itself). Any failure releases every charge
+    /// and surfaces as [`RoundError::Checkpoint`]; the caller then tears
+    /// the engine down with [`RoundEngine::abort`].
+    pub fn resume(
+        &mut self,
+        enclave: &mut Enclave,
+        uploads: &[SealedMessage],
+        base_floors: &[(UserId, u64)],
+        ckpt: &Checkpoint,
+    ) -> Result<(), RoundError> {
+        let owed = self.agg.owed_cells();
+        if owed == 0 {
+            enclave.restore_replay_floors(&ckpt.floors);
+            return Ok(());
+        }
+        let _span = self.ledger.telemetry.span(
+            "restage_prefix",
+            &[("chunks", (ckpt.chunks_done as u64).into()), ("cells", (owed as u64).into())],
+        );
+        enclave.restore_replay_floors(base_floors);
+        let chunk_size = ckpt.shape.chunk_size;
+        let folded = (ckpt.chunks_done * chunk_size).min(uploads.len());
+        let restaged =
+            uploads[..folded].chunks(chunk_size).all(|msgs| self.restage_chunk(enclave, msgs));
+        if restaged && self.agg.owed_cells() == 0 && enclave.replay_floors() == ckpt.floors {
+            return Ok(());
+        }
+        self.ledger.release_all();
+        Err(RoundError::Checkpoint(TeeError::AuthFailure))
+    }
+
+    /// Re-opens one folded chunk and appends its cells to the restored
+    /// aggregator; `false` if an upload does not verify or the cells do
+    /// not fit what is owed.
+    fn restage_chunk(&mut self, enclave: &mut Enclave, msgs: &[SealedMessage]) -> bool {
+        let Ok(chunk) = try_open_and_decode(enclave, msgs) else {
+            return false;
+        };
+        let staged = staged_chunk_bytes(msgs);
+        self.ledger.charge(staged);
+        let appended = self.agg.restage(&chunk).is_ok();
+        self.ledger.release(staged);
+        self.resize_resident();
+        appended
+    }
+
+    /// One ledger resize to the aggregator's current persistent state.
+    fn resize_resident(&mut self) {
+        let resident = self.agg.resident_bytes();
+        self.ledger.resize(self.resident, resident);
+        self.resident = resident;
     }
 
     /// The crash hook, called once the chunk just folded is checkpointed:
@@ -407,11 +668,6 @@ impl RoundEngine {
         debug_assert!(self.ledger.outstanding.is_empty(), "abort follows an engine error");
         let Ledger { coordinator, shards, .. } = self.ledger;
         RoundEnd { coordinator, shards, faults: self.faults }
-    }
-
-    /// The round's ledger, for coordinator-only transients.
-    pub fn ledger_mut(&mut self) -> &mut Ledger {
-        &mut self.ledger
     }
 
     /// The shard plane this round runs over, if any.
@@ -497,7 +753,7 @@ mod tests {
         eng.fold(&updates[3..], 0, || (), &mut NullTracer).expect("fault-free");
         assert_eq!(eng.ledger.coordinator.live, resident);
         // A coordinator-only transient is live exactly while its work runs.
-        assert_eq!(eng.ledger_mut().transient(100, || 42), 42);
+        assert_eq!(eng.ledger.transient(100, || 42), 42);
         assert_eq!(eng.ledger.coordinator.live, resident);
         let (out, end) = eng.finish(&mut NullTracer);
         out.expect("fault-free");
@@ -525,6 +781,134 @@ mod tests {
             assert!(end.shards.iter().all(|rt| rt.live().iter().all(|&b| b == 0)));
             // The unreached event stays armed where the engine found it.
             assert_eq!(end.faults.remaining(), usize::from(!sharded));
+        }
+    }
+
+    /// A provisioned enclave in round 3 and that round's `n` sealed uploads.
+    fn sealed_round(n: usize, k: usize, d: usize) -> (Enclave, Vec<SealedMessage>) {
+        let seed = [7u8; 32];
+        let service = olive_tee::AttestationService::new(seed);
+        let mut enclave = Enclave::launch(&olive_tee::EnclaveConfig::default(), seed);
+        let users = 0..n as UserId;
+        let mut sessions =
+            crate::olive::provision_clients(&service, &mut enclave, b"t", seed, users.clone());
+        enclave.begin_round(3, users.collect());
+        let updates = random_updates(n, k, d, 17);
+        let sealed =
+            sessions.iter_mut().zip(&updates).map(|(s, u)| s.seal_upload(3, &u.encode())).collect();
+        (enclave, sealed)
+    }
+
+    fn shape(uploads: usize, chunk_size: usize, k: usize) -> RoundShape {
+        RoundShape { round: 3, uploads, chunk_size, threads: 1, k }
+    }
+
+    /// The running floor snapshot is the per-checkpoint rebuild it
+    /// replaces (round-start floors overridden by every folded upload,
+    /// sorted by user) whether or not the enclave knew the users before;
+    /// the codec round-trips it; and no shape mismatch, version drift or
+    /// truncation decodes.
+    #[test]
+    fn checkpoint_codec_roundtrips_and_rejects_what_it_was_not_sealed_for() {
+        let (_, sealed) = sealed_round(7, 2, 16);
+        let base = [(5, 40), (2, 9), (11, 1)]; // user 11 is not in the round
+        let shape = shape(7, 3, 2);
+        let mut ckpt = Checkpoint::start(shape, [1, 2, 3, 4], &base);
+        for (i, msgs) in sealed.chunks(3).take(2).enumerate() {
+            ckpt.advance(msgs);
+            let mut want: std::collections::BTreeMap<UserId, u64> = base.into_iter().collect();
+            want.extend(sealed[..3 * (i + 1)].iter().map(|m| (m.user, m.nonce_counter)));
+            assert_eq!(ckpt.floors, want.into_iter().collect::<Vec<_>>(), "after chunk {i}");
+        }
+        ckpt.agg_state = vec![9, 8, 7];
+        let plain = ckpt.encode();
+        let back = Checkpoint::decode(&plain, shape).expect("sealed for this shape");
+        assert_eq!(
+            (back.chunks_done(), back.rng_state, back.agg_state()),
+            (2, [1, 2, 3, 4], &[9u8, 8, 7][..])
+        );
+        assert_eq!(back.floors, ckpt.floors);
+        assert_eq!(back.encode(), plain);
+
+        for wrong in [
+            RoundShape { round: 4, ..shape },
+            RoundShape { uploads: 8, ..shape },
+            RoundShape { chunk_size: 2, ..shape },
+            RoundShape { threads: 2, ..shape },
+            RoundShape { k: 3, ..shape },
+        ] {
+            assert_eq!(Checkpoint::decode(&plain, wrong).err(), Some(StateError::Mismatch));
+        }
+        let mut v1 = plain.clone();
+        v1[0] = 1;
+        assert_eq!(Checkpoint::decode(&v1, shape).err(), Some(StateError::Mismatch));
+        for cut in 0..plain.len() {
+            assert!(Checkpoint::decode(&plain[..cut], shape).is_err(), "truncated at {cut}");
+        }
+        ckpt.chunks_done = 4; // 7 uploads in chunks of 3 make 3 chunks
+        assert_eq!(Checkpoint::decode(&ckpt.encode(), shape).err(), Some(StateError::Corrupt));
+    }
+
+    /// Resume at engine level, on the ledger: an accumulating kind takes
+    /// the sealed floors as they are; a staged kind re-opens the folded
+    /// prefix, its cells land on the budget as resident growth, and the
+    /// engine then finishes on the uninterrupted round's bits. A prefix
+    /// that opens but is not the sealed one fails with every charge
+    /// released.
+    #[test]
+    fn resume_restages_a_staged_prefix_on_the_ledger() {
+        let (d, n, k, chunk) = (32, 6, 4, 2);
+        for kind in [AggregatorKind::Grouped { h: 2 }, AggregatorKind::Advanced] {
+            let (mut enclave, sealed) = sealed_round(n, k, d);
+            let base = enclave.replay_floors();
+            let mut ckpt = Checkpoint::start(shape(n, chunk, k), [0; 4], &base);
+            let mut eng = engine(kind, d, k, 1, monolithic());
+            for msgs in sealed.chunks(chunk).take(2) {
+                let updates = open_and_decode(&mut enclave, msgs);
+                eng.fold(&updates, 0, || (), &mut NullTracer).expect("fault-free");
+                ckpt.advance(msgs);
+            }
+            let blob = ckpt.seal(&mut eng, &mut enclave);
+            let last = open_and_decode(&mut enclave, &sealed[2 * chunk..]);
+            eng.fold(&last, 0, || (), &mut NullTracer).expect("fault-free");
+            let want = eng.finish(&mut NullTracer).0.expect("fault-free");
+
+            let restored = |enclave: &mut Enclave| {
+                let plain = enclave.unseal(&blob, CKPT_LABEL).expect("genuine blob");
+                let ckpt = Checkpoint::decode(&plain, shape(n, chunk, k)).expect("this round's");
+                let mut agg = StreamingAggregator::new(kind, d, 1);
+                agg.load_state(ckpt.agg_state()).expect("same configuration");
+                (RoundEngine::new(agg, k, 1, ckpt.chunks_done(), monolithic()), ckpt)
+            };
+            let (mut eng, ckpt) = restored(&mut enclave);
+            eng.resume(&mut enclave, &sealed, &base, &ckpt).expect("genuine prefix");
+            assert_eq!(enclave.replay_floors(), ckpt.floors, "{kind:?}: floors cover the prefix");
+            assert_eq!(eng.ledger.coordinator.live, eng.agg.resident_bytes(), "{kind:?}");
+            if kind == AggregatorKind::Advanced {
+                let cells = (2 * chunk * k) as u64 * 8;
+                assert_eq!(eng.ledger.coordinator.live, cells, "re-staged cells are charged");
+                // Charged as a fold charges it: the staged chunk is released
+                // before the resident state it was copied into is resized.
+                assert_eq!(eng.ledger.coordinator.peak, cells);
+            }
+            let last = open_and_decode(&mut enclave, &sealed[2 * chunk..]);
+            eng.fold(&last, 0, || (), &mut NullTracer).expect("fault-free");
+            let got = eng.finish(&mut NullTracer).0.expect("fault-free");
+            assert!(want.iter().zip(&got).all(|(a, b)| a.to_bits() == b.to_bits()), "{kind:?}");
+
+            // An unfolded upload swapped into the prefix opens and pays the
+            // owed cells back in full: only the floor commitment tells it
+            // from the prefix the checkpoint was sealed over.
+            let mut swapped = sealed.clone();
+            swapped.swap(1, 2 * chunk);
+            let (mut eng, ckpt) = restored(&mut enclave);
+            let resumed = eng.resume(&mut enclave, &swapped, &base, &ckpt);
+            if kind == AggregatorKind::Advanced {
+                assert_eq!(resumed, Err(RoundError::Checkpoint(TeeError::AuthFailure)));
+                assert_eq!(eng.abort().coordinator.live, 0, "a failed resume releases everything");
+            } else {
+                resumed.expect("an accumulating kind never reads the prefix");
+            }
         }
     }
 }

@@ -30,6 +30,10 @@ fn killed(chunk: usize) -> RoundError {
     RoundError::CoordinatorKilled { after_chunk: chunk }
 }
 
+/// The DO relaxation at a padding volume that keeps the matrix quick.
+const DIFF_OBLIVIOUS: AggregatorKind =
+    AggregatorKind::DiffOblivious { epsilon: 8.0, delta: 0.01, seed: 9 };
+
 /// Runs one uninterrupted round and returns (params, digest, report).
 fn uninterrupted(
     kind: AggregatorKind,
@@ -38,9 +42,7 @@ fn uninterrupted(
     chunk: usize,
     threads: usize,
 ) -> (Vec<f32>, TraceDigest, RoundReport) {
-    let (mut sys, _) = small_system(kind, dp, seed);
-    sys.set_threads(threads);
-    sys.set_chunk(chunk);
+    let mut sys = fresh(kind, dp, seed, chunk, threads);
     let mut tr = RecordingTracer::new(Granularity::Element);
     let report = sys.run_round(&mut tr).expect("round");
     (sys.global_params(), tr.digest(), report)
@@ -66,9 +68,13 @@ fn assert_bitwise_eq(a: &[f32], b: &[f32], ctx: &str) {
     }
 }
 
-/// Kill after chunk i ∈ {0, 1, mid, last} × three aggregator kinds ×
-/// chunk sizes {1, 7, 64}. Restored rounds must match the uninterrupted
-/// round bitwise in output, signature, and trace digest.
+/// Kill after chunk i ∈ {0, 1, mid, last} × four aggregator kinds —
+/// two accumulating, whose checkpoints snapshot their state, and the two
+/// staged ones, whose restore re-stages the folded prefix — × chunk sizes
+/// {1, 7, 64} × S ∈ {1, 4}. Restored rounds must match the uninterrupted
+/// (monolithic) round bitwise in output, signature, and trace digest,
+/// and leave every EPC budget — the coordinator's and each shard's —
+/// balanced.
 ///
 /// This matrix also exercises replay-floor rewinding implicitly: with the
 /// double-buffered opener, the chunk after the kill point was already
@@ -80,9 +86,12 @@ fn assert_bitwise_eq(a: &[f32], b: &[f32], ctx: &str) {
 fn kill_and_restore_is_bitwise_identical() {
     let seed = 41;
     let threads = 2; // double-buffered opening: the historical crash bug
-    for kind in
-        [AggregatorKind::NonOblivious, AggregatorKind::Grouped { h: 3 }, AggregatorKind::Advanced]
-    {
+    for kind in [
+        AggregatorKind::NonOblivious,
+        AggregatorKind::Grouped { h: 3 },
+        AggregatorKind::Advanced,
+        DIFF_OBLIVIOUS,
+    ] {
         for chunk in [1usize, 7, 64] {
             let (ref_params, ref_digest, ref_report) =
                 uninterrupted(kind, None, seed, chunk, threads);
@@ -91,9 +100,10 @@ fn kill_and_restore_is_bitwise_identical() {
             let mut kill_points = vec![0, 1, n_chunks / 2, n_chunks - 1];
             kill_points.retain(|&kp| kp < n_chunks);
             kill_points.dedup();
-            for kp in kill_points {
-                let ctx = format!("kind={kind:?} chunk={chunk} crash_after={kp}");
+            for (kp, shards) in kill_points.into_iter().flat_map(|kp| [(kp, 1), (kp, 4)]) {
+                let ctx = format!("kind={kind:?} chunk={chunk} S={shards} crash_after={kp}");
                 let mut sys = fresh(kind, None, seed, chunk, threads);
+                sys.set_shards(shards);
                 let mut tr = RecordingTracer::new(Granularity::Element);
                 crash_after(&mut sys, kp);
                 let err = sys.run_round(&mut tr).expect_err("the crash must interrupt the round");
@@ -107,8 +117,63 @@ fn kill_and_restore_is_bitwise_identical() {
                 assert_eq!(report.processed_users, ref_report.processed_users, "{ctx}");
                 assert_eq!(report.k_per_user, ref_report.k_per_user, "{ctx}");
                 assert_eq!(report.model_signature, ref_report.model_signature, "{ctx}");
+                assert!(sys.epc_live().iter().all(|&b| b == 0), "{ctx}: EPC charges balance");
             }
         }
+    }
+}
+
+/// Two crashes in one round: killed after chunk 1, killed again — the
+/// script armed on the restore — after chunk 3, restored a second time.
+/// The second restore of a staged kind rewinds to the *round-start*
+/// floors once more and re-stages a prefix twice as long; one tracer
+/// spans all three legs.
+#[test]
+fn double_kill_and_restore_is_bitwise_identical() {
+    let (seed, chunk) = (41, 2);
+    for kind in [AggregatorKind::Advanced, DIFF_OBLIVIOUS] {
+        let (ref_params, ref_digest, ref_report) = uninterrupted(kind, None, seed, chunk, 1);
+        assert!(ref_report.processed_users.len().div_ceil(chunk) > 4, "chunk 3 is not the last");
+        for shards in [1usize, 4] {
+            let ctx = format!("kind={kind:?} S={shards}");
+            let mut sys = fresh(kind, None, seed, chunk, 1);
+            sys.set_shards(shards);
+            let mut tr = RecordingTracer::new(Granularity::Element);
+            crash_after(&mut sys, 1);
+            assert_eq!(sys.run_round(&mut tr).unwrap_err(), killed(1), "{ctx}");
+            crash_after(&mut sys, 3);
+            assert_eq!(sys.restore_round(&mut tr).unwrap_err(), killed(3), "{ctx}");
+            assert!(sys.interrupted(), "{ctx}: still pending after the second crash");
+            assert!(sys.epc_live().iter().all(|&b| b == 0), "{ctx}: a crash releases the restage");
+            let report = sys.restore_round(&mut tr).expect("second restore must succeed");
+            assert_bitwise_eq(&sys.global_params(), &ref_params, &ctx);
+            assert_eq!(tr.digest(), ref_digest, "{ctx}: trace digest diverged");
+            assert_eq!(report.model_signature, ref_report.model_signature, "{ctx}");
+            assert!(sys.epc_live().iter().all(|&b| b == 0), "{ctx}: EPC charges balance");
+        }
+    }
+}
+
+/// A staged kind's checkpoints stay small however much is staged: every
+/// blob is a header, 12 B per replay floor, the aggregator's descriptor
+/// and the seal's counter and tag, so a round's sealed bytes are linear
+/// in its chunk count — at one client per chunk too, where the O(nk)
+/// blobs this replaces summed to O(n²k).
+#[test]
+fn advanced_checkpoint_bytes_are_linear_in_chunks() {
+    for chunk in [1usize, 4] {
+        let (_, _, report) = uninterrupted(AggregatorKind::Advanced, None, 23, chunk, 1);
+        let (n, k) = (report.processed_users.len() as u64, report.k_per_user as u64);
+        let chunks = n.div_ceil(chunk as u64);
+        assert_eq!((report.telemetry.chunks, report.telemetry.ckpt_seals), (chunks, chunks));
+        let header = 1 + 8 + 5 * 8 + 32 + 2 * 8; // version … generator, two length prefixes
+        let per_blob = header + 12 * 16 + 33 + (8 + 16); // ≤ 16 registered clients
+        assert!(
+            report.telemetry.ckpt_bytes <= chunks * per_blob,
+            "chunk={chunk}: {} sealed bytes for {chunks} checkpoints",
+            report.telemetry.ckpt_bytes
+        );
+        assert!(per_blob < n * k * 8, "the bound is below even one blob of staged cells");
     }
 }
 
