@@ -33,15 +33,16 @@ use std::process::ExitCode;
 /// Benches stable enough to gate on: small, arithmetic-bound kernels with
 /// no allocator churn. Prefix match against the `group/name/param` key.
 /// Reviewed for PR 8: `round_ingestion/sharded_*` stays informational
-/// (transport-plane timings are allocator-noisy at the smoke budget),
-/// and the `recovery_overhead:` report is a println side channel — it
-/// never enters the criterion JSON, so it is never gated.
+/// (transport-plane timings are allocator-noisy at the smoke budget).
 /// Reviewed for PR 10: the `path_oram_access/*` entries (including the
 /// fast-path recursive ones) and `aggregation_vs_model_size/path_oram/*`
 /// stay informational — even batched, an ORAM access is pointer-chasing
 /// over a tree plus RNG, not arithmetic-bound, and its smoke-budget mean
 /// jitters well past the 30% threshold on shared runners. The speedup
 /// story is pinned by the committed `pr10-bench.json` snapshot instead.
+/// Reviewed for PR 15: `local_training/*` stays informational — a client
+/// step is a few microseconds over buffers that just fit L1/L2, so its
+/// smoke-budget mean moves with the allocator and with what ran before it.
 const STABLE_PREFIXES: &[&str] = &["aes_gcm/", "hmac/", "sha256/", "sort/", "sort_kernel/"];
 
 /// Default allowed regression, percent.

@@ -277,6 +277,7 @@ impl OliveSystem {
         enclave_cfg: EnclaveConfig,
     ) -> Self {
         assert_eq!(clients.len(), cfg.n_clients, "client shards vs n_clients mismatch");
+        assert!(cfg.client.batch_size > 0, "client batch size must be positive");
         let mut seed_bytes = [0u8; 32];
         seed_bytes[..8].copy_from_slice(&cfg.seed.to_be_bytes());
         let telemetry = Telemetry::from_env();
@@ -1076,6 +1077,14 @@ mod tests {
     fn tiny_system(aggregator: AggregatorKind, dp: Option<DpConfig>) -> OliveSystem {
         let (model, clients, cfg) = tiny_parts(aggregator, dp);
         OliveSystem::new(model, clients, cfg)
+    }
+
+    #[test]
+    #[should_panic(expected = "batch size must be positive")]
+    fn zero_client_batch_size_is_rejected_at_provisioning() {
+        let (model, clients, mut cfg) = tiny_parts(AggregatorKind::NonOblivious, None);
+        cfg.client.batch_size = 0;
+        OliveSystem::new(model, clients, cfg);
     }
 
     #[test]

@@ -49,9 +49,11 @@ impl SparseGradient {
                 let k = k.min(d);
                 let mut order: Vec<u32> = (0..d as u32).collect();
                 // Partial selection by |value| descending: O(d + k log k).
-                order.select_nth_unstable_by(k.saturating_sub(1).min(d - 1), |&a, &b| {
-                    dense[b as usize].abs().total_cmp(&dense[a as usize].abs())
-                });
+                if k > 0 {
+                    order.select_nth_unstable_by(k - 1, |&a, &b| {
+                        dense[b as usize].abs().total_cmp(&dense[a as usize].abs())
+                    });
+                }
                 order.truncate(k);
                 order
             }
@@ -185,6 +187,17 @@ mod tests {
         let dense = vec![1.0f32, 2.0];
         let sg = SparseGradient::from_dense(&dense, Sparsifier::TopK(10), &mut rng());
         assert_eq!(sg.k(), 2);
+    }
+
+    #[test]
+    fn empty_input_and_zero_k_give_the_empty_gradient() {
+        let policies = [Sparsifier::TopK(3), Sparsifier::RandomK(3), Sparsifier::Threshold(0.5)];
+        for policy in policies.into_iter().chain([Sparsifier::TopK(0), Sparsifier::RandomK(0)]) {
+            let sg = SparseGradient::from_dense(&[], policy, &mut rng());
+            assert_eq!((sg.dense_dim, sg.k()), (0, 0), "{policy:?} on the empty vector");
+        }
+        let sg = SparseGradient::from_dense(&[1.0, -2.0], Sparsifier::TopK(0), &mut rng());
+        assert_eq!((sg.dense_dim, sg.k()), (2, 0));
     }
 
     #[test]

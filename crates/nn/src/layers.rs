@@ -1,14 +1,33 @@
 //! Layer implementations: Dense, ReLU, Dropout, Conv2d, MaxPool2d.
 //!
 //! Every layer owns its parameters, gradients, and whatever activation
-//! cache its backward pass needs. Data flows as flat `Vec<f32>` batches:
-//! a batch of `n` inputs of `d` features is a `n*d` vector in row-major
+//! cache its backward pass needs. Data flows as flat `f32` batches: a
+//! batch of `n` inputs of `d` features is a `n*d` vector in row-major
 //! order; conv layers interpret features as `(channels, height, width)`.
+//!
+//! Each layer implements the buffer-reusing `Pass` trait; [`Layer::forward`] /
+//! [`Layer::backward`] are the allocating calls on top of it, and
+//! [`crate::Model`] drives the `_into` forms over buffers it owns, so a
+//! training step allocates nothing once its buffers have grown.
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 use crate::init::{he_uniform, xavier_uniform};
+use crate::kernels::{self, Op};
+
+/// One layer's passes over caller-owned buffers.
+trait Pass {
+    /// Writes the layer output for the `n`-sample batch `x` into `out`
+    /// (resized to fit) and caches what the backward pass needs.
+    fn forward_into(&mut self, x: &[f32], n: usize, train: bool, out: &mut Vec<f32>);
+
+    /// Accumulates parameter gradients from `gout`; with `gin` given, also
+    /// writes the gradient with respect to the layer input into it. `None`
+    /// is the parameters-only pass of a first layer, whose input gradient
+    /// nobody reads.
+    fn backward_into(&mut self, gout: &[f32], n: usize, gin: Option<&mut Vec<f32>>);
+}
 
 /// A fully connected layer: `y = W x + b` with `W` stored row-major
 /// `(out_dim, in_dim)`.
@@ -23,6 +42,8 @@ pub struct Dense {
     grad_w: Vec<f32>,
     grad_b: Vec<f32>,
     input_cache: Vec<f32>,
+    /// Kernel scratch: the input transposed (lanes = samples).
+    input_t: Vec<f32>,
 }
 
 impl Dense {
@@ -36,48 +57,34 @@ impl Dense {
             grad_w: vec![0.0; in_dim * out_dim],
             grad_b: vec![0.0; out_dim],
             input_cache: Vec::new(),
+            input_t: Vec::new(),
         }
     }
+}
 
-    fn forward(&mut self, x: &[f32], n: usize, _train: bool) -> Vec<f32> {
-        debug_assert_eq!(x.len(), n * self.in_dim);
+impl Pass for Dense {
+    fn forward_into(&mut self, x: &[f32], n: usize, _train: bool, out: &mut Vec<f32>) {
+        assert_eq!(x.len(), n * self.in_dim, "dense input shape mismatch");
         self.input_cache.clear();
         self.input_cache.extend_from_slice(x);
-        let mut out = vec![0.0f32; n * self.out_dim];
-        for s in 0..n {
-            let xs = &x[s * self.in_dim..(s + 1) * self.in_dim];
-            let os = &mut out[s * self.out_dim..(s + 1) * self.out_dim];
-            for (o, ov) in os.iter_mut().enumerate() {
-                let row = &self.w[o * self.in_dim..(o + 1) * self.in_dim];
-                let mut acc = self.b[o];
-                for (wv, xv) in row.iter().zip(xs.iter()) {
-                    acc += wv * xv;
-                }
-                *ov = acc;
-            }
-        }
-        out
+        out.resize(n * self.out_dim, 0.0);
+        kernels::run(Op::Forward { w: &self.w, b: &self.b, x, xt: &mut self.input_t, out });
     }
 
-    fn backward(&mut self, gout: &[f32], n: usize) -> Vec<f32> {
-        debug_assert_eq!(gout.len(), n * self.out_dim);
-        let x = &self.input_cache;
-        let mut gin = vec![0.0f32; n * self.in_dim];
-        for s in 0..n {
-            let xs = &x[s * self.in_dim..(s + 1) * self.in_dim];
-            let gs = &gout[s * self.out_dim..(s + 1) * self.out_dim];
-            let gis = &mut gin[s * self.in_dim..(s + 1) * self.in_dim];
-            for (o, &g) in gs.iter().enumerate() {
-                self.grad_b[o] += g;
-                let wrow = &self.w[o * self.in_dim..(o + 1) * self.in_dim];
-                let gwrow = &mut self.grad_w[o * self.in_dim..(o + 1) * self.in_dim];
-                for i in 0..self.in_dim {
-                    gwrow[i] += g * xs[i];
-                    gis[i] += g * wrow[i];
-                }
-            }
-        }
-        gin
+    fn backward_into(&mut self, gout: &[f32], n: usize, gin: Option<&mut Vec<f32>>) {
+        assert_eq!(gout.len(), n * self.out_dim, "dense gradient shape mismatch");
+        assert_eq!(self.input_cache.len(), n * self.in_dim, "backward without a matching forward");
+        let input_grad = gin.map(|gin| {
+            gin.resize(n * self.in_dim, 0.0);
+            (&self.w[..], &mut gin[..])
+        });
+        kernels::run(Op::Backward {
+            x: &self.input_cache,
+            gout,
+            grad_w: &mut self.grad_w,
+            grad_b: &mut self.grad_b,
+            input_grad,
+        });
     }
 }
 
@@ -92,14 +99,20 @@ impl Relu {
     pub fn new() -> Self {
         Relu::default()
     }
+}
 
-    fn forward(&mut self, x: &[f32], _n: usize, _train: bool) -> Vec<f32> {
-        self.mask = x.iter().map(|&v| v > 0.0).collect();
-        x.iter().map(|&v| v.max(0.0)).collect()
+impl Pass for Relu {
+    fn forward_into(&mut self, x: &[f32], _n: usize, _train: bool, out: &mut Vec<f32>) {
+        self.mask.clear();
+        self.mask.extend(x.iter().map(|&v| v > 0.0));
+        out.clear();
+        out.extend(x.iter().map(|&v| v.max(0.0)));
     }
 
-    fn backward(&mut self, gout: &[f32], _n: usize) -> Vec<f32> {
-        gout.iter().zip(self.mask.iter()).map(|(&g, &m)| if m { g } else { 0.0 }).collect()
+    fn backward_into(&mut self, gout: &[f32], _n: usize, gin: Option<&mut Vec<f32>>) {
+        let Some(gin) = gin else { return };
+        gin.clear();
+        gin.extend(gout.iter().zip(&self.mask).map(|(&g, &m)| if m { g } else { 0.0 }));
     }
 }
 
@@ -119,23 +132,30 @@ impl Dropout {
         assert!((0.0..1.0).contains(&p), "dropout p must be in [0,1)");
         Dropout { p, rng: SmallRng::seed_from_u64(seed), mask: Vec::new() }
     }
+}
 
-    fn forward(&mut self, x: &[f32], _n: usize, train: bool) -> Vec<f32> {
-        if !train || self.p == 0.0 {
-            self.mask.clear();
-            return x.to_vec();
+impl Pass for Dropout {
+    fn forward_into(&mut self, x: &[f32], _n: usize, train: bool, out: &mut Vec<f32>) {
+        let Dropout { p, rng, mask } = self;
+        mask.clear();
+        out.clear();
+        if !train || *p == 0.0 {
+            out.extend_from_slice(x);
+            return;
         }
-        let scale = 1.0 / (1.0 - self.p);
-        self.mask =
-            x.iter().map(|_| if self.rng.gen::<f32>() < self.p { 0.0 } else { scale }).collect();
-        x.iter().zip(self.mask.iter()).map(|(&v, &m)| v * m).collect()
+        let scale = 1.0 / (1.0 - *p);
+        mask.extend(x.iter().map(|_| if rng.gen::<f32>() < *p { 0.0 } else { scale }));
+        out.extend(x.iter().zip(mask.iter()).map(|(&v, &m)| v * m));
     }
 
-    fn backward(&mut self, gout: &[f32], _n: usize) -> Vec<f32> {
+    fn backward_into(&mut self, gout: &[f32], _n: usize, gin: Option<&mut Vec<f32>>) {
+        let Some(gin) = gin else { return };
+        gin.clear();
         if self.mask.is_empty() {
-            return gout.to_vec();
+            gin.extend_from_slice(gout);
+        } else {
+            gin.extend(gout.iter().zip(&self.mask).map(|(&g, &m)| g * m));
         }
-        gout.iter().zip(self.mask.iter()).map(|(&g, &m)| g * m).collect()
     }
 }
 
@@ -195,13 +215,52 @@ impl Conv2d {
         self.w_dim - self.k + 1
     }
 
-    fn forward(&mut self, x: &[f32], n: usize, _train: bool) -> Vec<f32> {
+    /// The direct backward loops; `INPUT_GRAD = false` skips the input
+    /// gradient (`gin` is then unused and may be empty).
+    fn backward_loops<const INPUT_GRAD: bool>(&mut self, gout: &[f32], n: usize, gin: &mut [f32]) {
+        let (c, h, w, k) = (self.in_ch, self.h, self.w_dim, self.k);
+        let (oh, ow) = (self.out_h(), self.out_w());
+        debug_assert_eq!(gout.len(), n * self.out_ch * oh * ow);
+        let x = &self.input_cache;
+        for s in 0..n {
+            let xs = &x[s * c * h * w..(s + 1) * c * h * w];
+            let gis =
+                if INPUT_GRAD { &mut gin[s * c * h * w..(s + 1) * c * h * w] } else { &mut [] };
+            for oc in 0..self.out_ch {
+                let wout = &self.weights[oc * c * k * k..(oc + 1) * c * k * k];
+                let gwout = &mut self.grad_w[oc * c * k * k..(oc + 1) * c * k * k];
+                let base = (s * self.out_ch + oc) * oh * ow;
+                for oy in 0..oh {
+                    for ox in 0..ow {
+                        let g = gout[base + oy * ow + ox];
+                        self.grad_b[oc] += g;
+                        for ci in 0..c {
+                            for ky in 0..k {
+                                for kx in 0..k {
+                                    let xi = ci * h * w + (oy + ky) * w + ox + kx;
+                                    let wi = ci * k * k + ky * k + kx;
+                                    gwout[wi] += g * xs[xi];
+                                    if INPUT_GRAD {
+                                        gis[xi] += g * wout[wi];
+                                    }
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+impl Pass for Conv2d {
+    fn forward_into(&mut self, x: &[f32], n: usize, _train: bool, out: &mut Vec<f32>) {
         let (c, h, w, k) = (self.in_ch, self.h, self.w_dim, self.k);
         let (oh, ow) = (self.out_h(), self.out_w());
         debug_assert_eq!(x.len(), n * c * h * w);
         self.input_cache.clear();
         self.input_cache.extend_from_slice(x);
-        let mut out = vec![0.0f32; n * self.out_ch * oh * ow];
+        out.resize(n * self.out_ch * oh * ow, 0.0);
         for s in 0..n {
             let xs = &x[s * c * h * w..(s + 1) * c * h * w];
             for oc in 0..self.out_ch {
@@ -226,41 +285,17 @@ impl Conv2d {
                 }
             }
         }
-        out
     }
 
-    fn backward(&mut self, gout: &[f32], n: usize) -> Vec<f32> {
-        let (c, h, w, k) = (self.in_ch, self.h, self.w_dim, self.k);
-        let (oh, ow) = (self.out_h(), self.out_w());
-        debug_assert_eq!(gout.len(), n * self.out_ch * oh * ow);
-        let x = &self.input_cache;
-        let mut gin = vec![0.0f32; n * c * h * w];
-        for s in 0..n {
-            let xs = &x[s * c * h * w..(s + 1) * c * h * w];
-            let gis = &mut gin[s * c * h * w..(s + 1) * c * h * w];
-            for oc in 0..self.out_ch {
-                let wout = &self.weights[oc * c * k * k..(oc + 1) * c * k * k];
-                let gwout = &mut self.grad_w[oc * c * k * k..(oc + 1) * c * k * k];
-                let base = (s * self.out_ch + oc) * oh * ow;
-                for oy in 0..oh {
-                    for ox in 0..ow {
-                        let g = gout[base + oy * ow + ox];
-                        self.grad_b[oc] += g;
-                        for ci in 0..c {
-                            for ky in 0..k {
-                                for kx in 0..k {
-                                    let xi = ci * h * w + (oy + ky) * w + ox + kx;
-                                    let wi = ci * k * k + ky * k + kx;
-                                    gwout[wi] += g * xs[xi];
-                                    gis[xi] += g * wout[wi];
-                                }
-                            }
-                        }
-                    }
-                }
+    fn backward_into(&mut self, gout: &[f32], n: usize, gin: Option<&mut Vec<f32>>) {
+        match gin {
+            Some(gin) => {
+                gin.clear();
+                gin.resize(n * self.in_ch * self.h * self.w_dim, 0.0);
+                self.backward_loops::<true>(gout, n, gin);
             }
+            None => self.backward_loops::<false>(gout, n, &mut []),
         }
-        gin
     }
 }
 
@@ -285,13 +320,15 @@ impl MaxPool2d {
         );
         MaxPool2d { ch, h, w, argmax: Vec::new() }
     }
+}
 
-    fn forward(&mut self, x: &[f32], n: usize, _train: bool) -> Vec<f32> {
+impl Pass for MaxPool2d {
+    fn forward_into(&mut self, x: &[f32], n: usize, _train: bool, out: &mut Vec<f32>) {
         let (c, h, w) = (self.ch, self.h, self.w);
         let (oh, ow) = (h / 2, w / 2);
         debug_assert_eq!(x.len(), n * c * h * w);
-        let mut out = vec![0.0f32; n * c * oh * ow];
-        self.argmax = vec![0usize; out.len()];
+        out.resize(n * c * oh * ow, 0.0);
+        self.argmax.resize(out.len(), 0);
         for s in 0..n {
             for ci in 0..c {
                 let xch = &x[(s * c + ci) * h * w..(s * c + ci + 1) * h * w];
@@ -315,16 +352,15 @@ impl MaxPool2d {
                 }
             }
         }
-        out
     }
 
-    fn backward(&mut self, gout: &[f32], n: usize) -> Vec<f32> {
-        let gin_len = n * self.ch * self.h * self.w;
-        let mut gin = vec![0.0f32; gin_len];
+    fn backward_into(&mut self, gout: &[f32], n: usize, gin: Option<&mut Vec<f32>>) {
+        let Some(gin) = gin else { return };
+        gin.clear();
+        gin.resize(n * self.ch * self.h * self.w, 0.0);
         for (o, &g) in gout.iter().enumerate() {
             gin[self.argmax[o]] += g;
         }
-        gin
     }
 }
 
@@ -347,24 +383,39 @@ pub enum Layer {
 impl Layer {
     /// Batched forward pass. `train` toggles dropout.
     pub fn forward(&mut self, x: &[f32], n: usize, train: bool) -> Vec<f32> {
-        match self {
-            Layer::Dense(l) => l.forward(x, n, train),
-            Layer::Relu(l) => l.forward(x, n, train),
-            Layer::Dropout(l) => l.forward(x, n, train),
-            Layer::Conv2d(l) => l.forward(x, n, train),
-            Layer::MaxPool2d(l) => l.forward(x, n, train),
-        }
+        let mut out = Vec::new();
+        self.forward_into(x, n, train, &mut out);
+        out
     }
 
     /// Batched backward pass; accumulates parameter gradients and returns
     /// the gradient with respect to the layer input.
     pub fn backward(&mut self, gout: &[f32], n: usize) -> Vec<f32> {
+        let mut gin = Vec::new();
+        self.backward_into(gout, n, Some(&mut gin));
+        gin
+    }
+
+    /// [`Layer::forward`] into a reused buffer.
+    pub(crate) fn forward_into(&mut self, x: &[f32], n: usize, train: bool, out: &mut Vec<f32>) {
         match self {
-            Layer::Dense(l) => l.backward(gout, n),
-            Layer::Relu(l) => l.backward(gout, n),
-            Layer::Dropout(l) => l.backward(gout, n),
-            Layer::Conv2d(l) => l.backward(gout, n),
-            Layer::MaxPool2d(l) => l.backward(gout, n),
+            Layer::Dense(l) => l.forward_into(x, n, train, out),
+            Layer::Relu(l) => l.forward_into(x, n, train, out),
+            Layer::Dropout(l) => l.forward_into(x, n, train, out),
+            Layer::Conv2d(l) => l.forward_into(x, n, train, out),
+            Layer::MaxPool2d(l) => l.forward_into(x, n, train, out),
+        }
+    }
+
+    /// [`Layer::backward`] into a reused buffer, or — with `gin = None` —
+    /// the parameters-only pass that skips the input gradient.
+    pub(crate) fn backward_into(&mut self, gout: &[f32], n: usize, gin: Option<&mut Vec<f32>>) {
+        match self {
+            Layer::Dense(l) => l.backward_into(gout, n, gin),
+            Layer::Relu(l) => l.backward_into(gout, n, gin),
+            Layer::Dropout(l) => l.backward_into(gout, n, gin),
+            Layer::Conv2d(l) => l.backward_into(gout, n, gin),
+            Layer::MaxPool2d(l) => l.backward_into(gout, n, gin),
         }
     }
 
@@ -474,6 +525,22 @@ impl Layer {
 mod tests {
     use super::*;
     use rand::SeedableRng;
+
+    /// [`Layer`]'s allocating calls on a bare layer struct.
+    trait Alloc: Pass {
+        fn forward(&mut self, x: &[f32], n: usize, train: bool) -> Vec<f32> {
+            let mut out = Vec::new();
+            self.forward_into(x, n, train, &mut out);
+            out
+        }
+
+        fn backward(&mut self, gout: &[f32], n: usize) -> Vec<f32> {
+            let mut gin = Vec::new();
+            self.backward_into(gout, n, Some(&mut gin));
+            gin
+        }
+    }
+    impl<T: Pass> Alloc for T {}
 
     #[test]
     fn dense_forward_known_values() {

@@ -15,13 +15,24 @@
 //! Design choices: plain `Vec<f32>` storage, explicit batched
 //! forward/backward per layer, enum dispatch (no trait objects), flat
 //! parameter/gradient views for FL (get/set the whole model as one vector —
-//! the unit the paper sparsifies). Correctness is pinned by
-//! finite-difference gradient checks in the test suite.
+//! the unit the paper sparsifies). A training step reuses buffers the
+//! [`Model`] and its layers own, so it allocates nothing once they have
+//! grown to the batch shape, and the first layer skips the input gradient
+//! nobody reads. The Dense passes run at the CPU's vector width (portable,
+//! AVX2 or AVX-512, detected once; no knob) under one rule: every
+//! accumulation chain keeps the order of the scalar loops — multiply then
+//! add, never fused, lanes only ever independent chains — so every width
+//! returns the scalar result bit for bit. Unsafe code is denied crate-wide
+//! and allowed only on the one function that calls into the
+//! `#[target_feature]` monomorphizations. Correctness is pinned by
+//! finite-difference gradient checks and by a differential suite against
+//! the scalar loops, which survive as the `#[cfg(test)]` oracle.
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod init;
+mod kernels;
 pub mod layers;
 pub mod loss;
 pub mod model;

@@ -11,26 +11,42 @@ pub fn softmax_cross_entropy(
     labels: &[usize],
     num_classes: usize,
 ) -> (f32, Vec<f32>) {
+    let mut grad = Vec::new();
+    let loss = softmax_cross_entropy_into(logits, labels, num_classes, &mut grad);
+    (loss, grad)
+}
+
+/// [`softmax_cross_entropy`] with the gradient written into a reused
+/// buffer (resized to `logits.len()`); returns the mean loss.
+pub(crate) fn softmax_cross_entropy_into(
+    logits: &[f32],
+    labels: &[usize],
+    num_classes: usize,
+    grad: &mut Vec<f32>,
+) -> f32 {
     let n = labels.len();
     assert_eq!(logits.len(), n * num_classes, "logits shape mismatch");
-    let mut grad = vec![0.0f32; logits.len()];
+    grad.resize(logits.len(), 0.0);
     let mut loss = 0.0f64;
     for s in 0..n {
         let row = &logits[s * num_classes..(s + 1) * num_classes];
         let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-        let exp: Vec<f32> = row.iter().map(|&v| (v - max).exp()).collect();
-        let sum: f32 = exp.iter().sum();
+        // The row of `grad` holds the exponentials until they are normalised.
+        let g = &mut grad[s * num_classes..(s + 1) * num_classes];
+        for (e, &v) in g.iter_mut().zip(row) {
+            *e = (v - max).exp();
+        }
+        let sum: f32 = g.iter().sum();
         let label = labels[s];
         assert!(label < num_classes, "label {label} out of range");
-        let p_label = exp[label] / sum;
+        let p_label = g[label] / sum;
         loss += -(p_label.max(1e-12) as f64).ln();
-        let g = &mut grad[s * num_classes..(s + 1) * num_classes];
-        for c in 0..num_classes {
-            let p = exp[c] / sum;
-            g[c] = (p - if c == label { 1.0 } else { 0.0 }) / n as f32;
+        for (c, e) in g.iter_mut().enumerate() {
+            let p = *e / sum;
+            *e = (p - if c == label { 1.0 } else { 0.0 }) / n as f32;
         }
     }
-    ((loss / n as f64) as f32, grad)
+    (loss / n as f64) as f32
 }
 
 /// Softmax probabilities for one batch of logits (used by the attacker to

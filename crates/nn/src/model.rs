@@ -6,7 +6,7 @@
 //! all layer parameters in construction order.
 
 use crate::layers::Layer;
-use crate::loss::{softmax, softmax_cross_entropy};
+use crate::loss::{softmax, softmax_cross_entropy_into};
 
 /// A feed-forward network as an ordered list of layers.
 #[derive(Clone, Debug)]
@@ -14,12 +14,17 @@ pub struct Model {
     layers: Vec<Layer>,
     /// Number of classes (output dimension of the last dense layer).
     pub num_classes: usize,
+    /// The current activation (after [`Model::run_forward`], the logits) or
+    /// gradient, and the buffer the next layer writes; swapped per layer
+    /// and reused across batches.
+    cur: Vec<f32>,
+    next: Vec<f32>,
 }
 
 impl Model {
     /// Builds a model from layers; `num_classes` is the logit dimension.
     pub fn new(layers: Vec<Layer>, num_classes: usize) -> Self {
-        Model { layers, num_classes }
+        Model { layers, num_classes, cur: Vec::new(), next: Vec::new() }
     }
 
     /// Total trainable parameter count `d`.
@@ -29,20 +34,38 @@ impl Model {
 
     /// Batched forward pass returning logits.
     pub fn forward(&mut self, x: &[f32], n: usize, train: bool) -> Vec<f32> {
-        let mut cur = x.to_vec();
-        for layer in &mut self.layers {
-            cur = layer.forward(&cur, n, train);
+        self.run_forward(x, n, train).to_vec()
+    }
+
+    /// The forward pass over the model's own buffers; the logits borrow
+    /// `self.cur`.
+    fn run_forward(&mut self, x: &[f32], n: usize, train: bool) -> &[f32] {
+        let Model { layers, cur, next, .. } = self;
+        let Some((first, rest)) = layers.split_first_mut() else {
+            cur.clear();
+            cur.extend_from_slice(x);
+            return cur;
+        };
+        first.forward_into(x, n, train, cur);
+        for layer in rest {
+            layer.forward_into(cur, n, train, next);
+            std::mem::swap(cur, next);
         }
         cur
     }
 
     /// Forward + loss + backward; accumulates parameter gradients and
-    /// returns the batch loss.
+    /// returns the batch loss. The first layer runs its parameters-only
+    /// backward: nothing reads the gradient with respect to the batch.
     pub fn train_batch(&mut self, x: &[f32], labels: &[usize]) -> f32 {
-        let logits = self.forward(x, labels.len(), true);
-        let (loss, mut grad) = softmax_cross_entropy(&logits, labels, self.num_classes);
-        for layer in self.layers.iter_mut().rev() {
-            grad = layer.backward(&grad, labels.len());
+        let n = labels.len();
+        self.run_forward(x, n, true);
+        let Model { layers, num_classes, cur, next } = self;
+        let loss = softmax_cross_entropy_into(cur, labels, *num_classes, next);
+        std::mem::swap(cur, next);
+        for (idx, layer) in layers.iter_mut().enumerate().rev() {
+            layer.backward_into(cur, n, (idx > 0).then_some(&mut *next));
+            std::mem::swap(cur, next);
         }
         loss
     }
@@ -93,9 +116,9 @@ impl Model {
 
     /// Predicted class per sample.
     pub fn predict(&mut self, x: &[f32], n: usize) -> Vec<usize> {
-        let logits = self.forward(x, n, false);
-        logits
-            .chunks_exact(self.num_classes)
+        let num_classes = self.num_classes;
+        self.run_forward(x, n, false)
+            .chunks_exact(num_classes)
             .map(|row| {
                 row.iter()
                     .enumerate()
@@ -108,8 +131,8 @@ impl Model {
 
     /// Class-probability rows for a batch (softmax over logits).
     pub fn predict_proba(&mut self, x: &[f32], n: usize) -> Vec<f32> {
-        let logits = self.forward(x, n, false);
-        softmax(&logits, self.num_classes)
+        let num_classes = self.num_classes;
+        softmax(self.run_forward(x, n, false), num_classes)
     }
 
     /// Mean loss and accuracy over a labelled set, evaluated in chunks.
@@ -121,10 +144,11 @@ impl Model {
         let mut s = 0;
         while s < n {
             let e = (s + batch).min(n);
-            let logits = self.forward(&x[s * feat..e * feat], e - s, false);
-            let (loss, _) = softmax_cross_entropy(&logits, &labels[s..e], self.num_classes);
+            self.run_forward(&x[s * feat..e * feat], e - s, false);
+            let Model { num_classes, cur: logits, next, .. } = self;
+            let loss = softmax_cross_entropy_into(logits, &labels[s..e], *num_classes, next);
             total_loss += loss as f64 * (e - s) as f64;
-            for (row, &label) in logits.chunks_exact(self.num_classes).zip(&labels[s..e]) {
+            for (row, &label) in logits.chunks_exact(*num_classes).zip(&labels[s..e]) {
                 let pred = row
                     .iter()
                     .enumerate()
@@ -145,8 +169,9 @@ impl Model {
 mod tests {
     use super::*;
     use crate::layers::{Dense, Relu};
+    use crate::loss::softmax_cross_entropy;
     use rand::rngs::SmallRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
 
     fn tiny_mlp(seed: u64) -> Model {
         let mut rng = SmallRng::seed_from_u64(seed);
@@ -241,6 +266,43 @@ mod tests {
                 "param {i}: finite-diff {fd} vs analytic {}",
                 analytic[i]
             );
+        }
+    }
+
+    /// `train_batch` runs the first layer's parameters-only backward; the
+    /// gradients it leaves must be bitwise those of the full backward
+    /// through every layer, for an MLP and for the attack experiments'
+    /// Conv → Dense stack, accumulated over two batches.
+    #[test]
+    fn parameters_only_first_layer_leaves_the_full_backward_grads() {
+        use crate::layers::{Conv2d, MaxPool2d};
+        let mut rng = SmallRng::seed_from_u64(11);
+        let cnn = Model::new(
+            vec![
+                Layer::Conv2d(Conv2d::new(3, 4, 5, 16, 16, &mut rng)),
+                Layer::Relu(Relu::new()),
+                Layer::MaxPool2d(MaxPool2d::new(4, 12, 12)),
+                Layer::Dense(Dense::new(4 * 6 * 6, 32, &mut rng)),
+                Layer::Relu(Relu::new()),
+                Layer::Dense(Dense::new(32, 10, &mut rng)),
+            ],
+            10,
+        );
+        for (mut fast, feat) in [(crate::zoo::mlp(64, 128, 10, 0.5, 7), 64), (cnn, 3 * 16 * 16)] {
+            let mut full = fast.clone();
+            for n in [10usize, 3] {
+                let x: Vec<f32> = (0..n * feat).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
+                let labels: Vec<usize> = (0..n).map(|s| s % 10).collect();
+                fast.train_batch(&x, &labels);
+                let logits = full.forward(&x, n, true);
+                let (_, mut grad) = softmax_cross_entropy(&logits, &labels, 10);
+                for layer in full.layers.iter_mut().rev() {
+                    grad = layer.backward(&grad, n);
+                }
+            }
+            let (fast, full) = (fast.get_grads(), full.get_grads());
+            assert!(fast.iter().any(|g| *g != 0.0));
+            assert!(fast.iter().zip(&full).all(|(a, b)| a.to_bits() == b.to_bits()));
         }
     }
 
