@@ -77,10 +77,7 @@ fn bench_aggregation(c: &mut Criterion) {
             let ns = start.elapsed().as_nanos() as u64;
             std::hint::black_box(out);
             let stats = fresh.oram_stats();
-            let kernel = match olive_oram::oram_kernel() {
-                olive_oram::OramKernel::Scalar => "scalar",
-                olive_oram::OramKernel::Batched => "batched",
-            };
+            let kernel = "batched";
             let resident = fresh.resident_bytes();
             olive_telemetry::Telemetry::from_env().bench(
                 "oram_round",

@@ -20,12 +20,13 @@
 //! ```
 //!
 //! The shard sweep (S ∈ {1, 2, 4, 8}) runs the same round through a
-//! provisioned shard plane: the `Advanced` working-set pass emits one
-//! `ingestion_ws` record **per shard** with that shard's *measured* EPC
-//! peak (`"config":"sharded_advanced"`, keyed by `"shards"` and
-//! `"shard"`), demonstrating the Figure-10 cliff dissolving as S grows;
-//! the timed `sharded_s{S}` benches (NonOblivious fold, like the other
-//! timed configs) price the tunnel transport itself.
+//! provisioned shard plane: the `Advanced` pass emits one `ingestion_ws`
+//! record **per shard** with that shard's measured *transport* peak
+//! (`"config":"sharded_advanced_transport"`, keyed by `"shards"` and
+//! `"shard"`) — the broadcast segment or its egress stripe, whichever is
+//! larger; the Advanced working set itself stays in the coordinator at
+//! every S. The timed `sharded_s{S}` benches (NonOblivious fold, like the
+//! other timed configs) price the tunnel transport itself.
 //!
 //! At n = 10k the sweep also emits one `recovery_overhead` record —
 //! the cost of the per-chunk stripe checkpoint (sharded vs
@@ -76,7 +77,7 @@ fn ws_report(rig: &mut IngestionRig, config: &str, chunk: usize) {
 }
 
 fn bench_ingestion(c: &mut Criterion) {
-    let full = std::env::var("OLIVE_BENCH_FULL").is_ok();
+    let full = std::env::var("OLIVE_BENCH_FULL").as_deref() == Ok("1");
     let sizes: &[usize] = if full { &[1_000, 10_000, 100_000] } else { &[1_000, 10_000] };
     if !full {
         println!("ingestion: n = 100000 skipped (set OLIVE_BENCH_FULL=1 to include it)");
@@ -105,9 +106,8 @@ fn bench_ingestion(c: &mut Criterion) {
             });
         }
 
-        // The shard sweep: measured per-shard peaks under the Advanced
-        // aggregator (the kind whose sort working set overflows a 96 MiB
-        // EPC at n = 100k), then the transport-cost timing.
+        // The shard sweep: each shard's measured transport peak under an
+        // Advanced round, then the transport-cost timing.
         for shards in [1usize, 2, 4, 8] {
             let rt = {
                 let mut rig = rig.borrow_mut();
@@ -117,7 +117,7 @@ fn bench_ingestion(c: &mut Criterion) {
                 let rt = rig.pass(&msgs, advanced, Some(rt)).shards.expect("the plane comes back");
                 for (i, &peak) in rt.peaks().iter().enumerate() {
                     let site = [("shards", shards as u64), ("shard", i as u64)];
-                    ws_record(&rig, "sharded_advanced", CHUNK, &site, peak);
+                    ws_record(&rig, "sharded_advanced_transport", CHUNK, &site, peak);
                 }
                 rt
             };

@@ -40,13 +40,13 @@ fn bench_sort(c: &mut Criterion) {
     for n in [1usize << 12, 1 << 16] {
         let mut rng = SmallRng::seed_from_u64(1);
         let data: Vec<u64> = (0..n).map(|_| rng.gen()).collect();
-        // The historical headline number: the process-default kernel
-        // (batched unless OLIVE_SORT_KERNEL=scalar), single-threaded —
-        // comparable against the PR 1 baselines in CHANGES.md.
+        // The historical headline number: the default (batched) kernel,
+        // single-threaded — comparable against the PR 1 baselines in
+        // CHANGES.md.
         group.bench_with_input(BenchmarkId::new("bitonic_oblivious", n), &n, |b, _| {
             b.iter(|| {
                 let mut buf = TrackedBuf::new(0, data.clone());
-                olive_oblivious::bitonic_sort_u64_with_threads(&mut buf, 1, &mut NullTracer);
+                bitonic_sort_u64_with(&mut buf, SortKernel::Batched, 1, &mut NullTracer);
                 buf.into_inner()
             })
         });

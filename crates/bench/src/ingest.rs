@@ -64,7 +64,7 @@ pub struct Pass {
     /// as `OliveSystem::run_round` charges it.
     pub peak_bytes: u64,
     /// The shard plane the pass ran over (reusable for the next pass);
-    /// `ShardRuntime::peaks` holds each shard's measured EPC peak.
+    /// `ShardRuntime::peaks` holds each shard's measured transport peak.
     pub shards: Option<ShardRuntime>,
     /// The newest sealed checkpoint (empty without checkpointing).
     pub last_checkpoint: Vec<u8>,

@@ -46,7 +46,7 @@
 use olive_fl::SparseGradient;
 use olive_memsim::{ParallelTracer, StateError, StateReader, StateWriter, Tracer, TrackedBuf};
 use olive_oblivious::primitives::Oblivious;
-use olive_oblivious::sort_kernel::bitonic_sort_u64_with_threads;
+use olive_oblivious::sort_kernel::{bitonic_sort_u64_with, sort_kernel, SortKernel};
 
 use crate::cell::{cell_index, cell_value, dummy_cell, make_cell};
 use crate::regions::{REGION_G_STAR, REGION_SCRATCH};
@@ -67,12 +67,24 @@ pub(crate) fn sum_advanced_bytes(cells: usize, d: usize) -> u64 {
 /// sorted in place, so the uploads are never copied — writing them into a
 /// fresh `G*` buffer which is returned for further (oblivious)
 /// processing. The trace depends only on `(cells.len(), d)` — the sorts
-/// run the process-default kernel (`OLIVE_SORT_KERNEL`), whose trace and
-/// output are identical to the scalar reference at every `threads` value
+/// run the batched kernel, whose trace and output are identical to the
+/// scalar reference network's at every `threads` value
 /// (`olive_oblivious::sort_kernel`).
 pub(crate) fn sum_advanced<TR: Tracer>(
+    cells: Vec<u64>,
+    d: usize,
+    threads: usize,
+    tr: &mut TR,
+) -> TrackedBuf<f32> {
+    sum_advanced_with(cells, d, sort_kernel(), threads, tr)
+}
+
+/// [`sum_advanced`] with the sort kernel explicit: how the pinned-trace
+/// test runs Algorithm 4 over the scalar reference network.
+fn sum_advanced_with<TR: Tracer>(
     mut cells: Vec<u64>,
     d: usize,
+    kernel: SortKernel,
     threads: usize,
     tr: &mut TR,
 ) -> TrackedBuf<f32> {
@@ -82,7 +94,7 @@ pub(crate) fn sum_advanced<TR: Tracer>(
 
     // Step 2: oblivious sort by index (the packed u64 is index-major, so
     // sorting by raw value is sorting by index).
-    bitonic_sort_u64_with_threads(&mut g, threads, tr);
+    bitonic_sort_u64_with(&mut g, kernel, threads, tr);
 
     // Step 3: oblivious folding (Algorithm 4 lines 6–14). The accumulator
     // lives in registers; every pass writes position i−1 exactly once.
@@ -105,7 +117,7 @@ pub(crate) fn sum_advanced<TR: Tracer>(
     g.write(last, make_cell(acc_idx, acc_val), tr);
 
     // Step 4: oblivious sort again; the d real survivors lead.
-    bitonic_sort_u64_with_threads(&mut g, threads, tr);
+    bitonic_sort_u64_with(&mut g, kernel, threads, tr);
 
     // Emit G*: a fixed in-order read of the first d cells and write-out.
     let mut gstar = TrackedBuf::<f32>::zeroed(REGION_G_STAR, d);
@@ -428,26 +440,30 @@ mod tests {
     const PINNED_CACHELINE: &str =
         "TraceDigest { lane0: 17354058421736565451, lane1: 14479643937297201572, count: 3452834 }";
 
-    /// The CI kernel passes meet here: an Advanced run whose sort vector
-    /// is just above a power of two (nk + d = 2¹³ + 5) must produce this
-    /// trace under `OLIVE_SORT_KERNEL=scalar` and under the batched
-    /// default alike, on one worker and on several — the digest below is
-    /// the scalar network's.
+    /// An Advanced run whose sort vector is just above a power of two
+    /// (nk + d = 2¹³ + 5) must produce this trace over the scalar reference
+    /// network — whose digest the constants are — and over the batched
+    /// kernel alike, on one worker and on several.
     #[test]
     fn trace_just_above_a_power_of_two_is_pinned_across_kernels() {
         use olive_memsim::RecordingTracer;
         let (n, k, d) = (7, 171, 7000);
         assert_eq!(n * k + d, (1 << 13) + 5);
         let updates = random_updates(n, k, d, 5);
-        for threads in [1usize, 2, 3] {
-            for granularity in [Granularity::Element, Granularity::Cacheline] {
+        for granularity in [Granularity::Element, Granularity::Cacheline] {
+            let want = match granularity {
+                Granularity::Element => PINNED_ELEMENT,
+                Granularity::Cacheline => PINNED_CACHELINE,
+            };
+            let mut tr = RecordingTracer::new(granularity);
+            let cells = crate::cell::concat_cells(&updates);
+            let mut gstar = sum_advanced_with(cells, d, SortKernel::Scalar, 1, &mut tr);
+            average_in_place(&mut gstar, n, &mut tr);
+            assert_eq!(format!("{:?}", tr.digest()), want, "{granularity:?} scalar network");
+            for threads in [1usize, 2, 3] {
                 let mut tr = RecordingTracer::new(granularity);
                 let got = advanced(&updates, d, threads, &mut tr);
                 assert_close(&got, &reference_average(&updates, d), 1e-4);
-                let want = match granularity {
-                    Granularity::Element => PINNED_ELEMENT,
-                    Granularity::Cacheline => PINNED_CACHELINE,
-                };
                 assert_eq!(format!("{:?}", tr.digest()), want, "{granularity:?} threads={threads}");
             }
         }

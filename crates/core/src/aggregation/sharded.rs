@@ -1,18 +1,16 @@
 //! Sharded multi-enclave aggregation: the `G`-region dimension split into
-//! `S` contiguous stripes, one shard enclave per stripe, each under its
-//! own [`olive_tee::EpcBudget`] — ROADMAP item 1, the structural answer to
-//! the Figure 10 cliff (the monolithic O(nk) sort working set blowing the
-//! 96 MiB EPC). TENNOR makes the same move for oblivious NN inference:
-//! bound each enclave's oblivious working set by partitioning the
-//! computation.
+//! `S` contiguous stripes, one mutually attested shard enclave per stripe:
+//! the transport, failover and receipted-egress plane a partitioned
+//! aggregation (TENNOR makes that move for oblivious NN inference) would
+//! run over, with the compute still in the coordinator.
 //!
 //! ## Topology and invariants
 //!
 //! The **coordinator** enclave (the one clients attest and upload to)
 //! remains the round's canonical compute site: every upload is opened,
 //! every cell folded, and the adversary-visible trace emitted there,
-//! exactly as in the monolithic path. Sharding adds a *memory and
-//! transport* plane around that schedule:
+//! exactly as in the monolithic path. Sharding adds a *transport* plane
+//! around that schedule:
 //!
 //! * every shard runs in its own enclave, mutually attested to the
 //!   coordinator through a [`ShardTunnel`] (measurement pinned both ways);
@@ -28,18 +26,22 @@
 //!   hash, and the coordinator folds the shard-held stripes back together
 //!   in ascending shard order — a deterministic fold that reproduces the
 //!   canonical delta bit for bit;
-//! * every dimension-proportional EPC charge of the canonical schedule is
-//!   mirrored onto the shard budgets as its stripe-weighted share
-//!   ([`ShardPlan::split_charge`], an exact telescoping split) by the
-//!   round engine's ledger ([`crate::round::Ledger`]), plus the transport
-//!   transients above. The coordinator's own accounting is untouched — it
-//!   is what the round report and the bitwise invariants are defined
-//!   over.
+//! * each shard's [`olive_tee::EpcBudget`] is charged what that enclave
+//!   decrypts and holds, where it happens: the `chunk·k·8`-byte segment
+//!   for the duration of the scan, and its `4·|stripe|`-byte stripe from
+//!   the egress open until the receipt is out (both counted under
+//!   `shard{i}` on the telemetry stream). Nothing else lands on a shard
+//!   budget: the staged cells, the sort scratch and the resident state
+//!   live in the coordinator, whose budget the round engine's ledger
+//!   ([`crate::round::Ledger`]) charges in full at every S.
 //!
 //! Because the canonical schedule never changes, the round output,
 //! signature and trace digest are bitwise identical at every shard count
-//! — the repo's hard invariant — while the per-shard budgets model what
-//! each enclave of the sharded deployment must hold.
+//! — the repo's hard invariant. What the plane does **not** do is shrink
+//! the Advanced working set: every cell is still staged and sorted in one
+//! enclave. Per-shard Advanced capacity needs cells *routed* to their
+//! stripe's shard with the per-shard counts hidden (ROADMAP item 4), which
+//! nobody has built.
 //!
 //! ## Faults and recovery
 //!
@@ -78,8 +80,8 @@ use olive_memsim::{
 };
 use olive_tee::attestation::Measurement;
 use olive_tee::{
-    attestation::digest, AttestationService, Enclave, EnclaveConfig, EpcBudget, Quote, ShardTunnel,
-    TeeError, TunnelAnchor, TunnelError, TunnelRole,
+    attestation::digest, AttestationService, Enclave, EnclaveConfig, Quote, ShardTunnel, TeeError,
+    TunnelAnchor, TunnelError, TunnelRole,
 };
 use olive_telemetry::Telemetry;
 
@@ -173,6 +175,8 @@ impl std::error::Error for ShardError {}
 /// lives side by side; a real deployment holds one end per machine).
 struct ShardState {
     enclave: Enclave,
+    /// Telemetry key of this shard's budget and blobs (`shard{i}`).
+    key: String,
     coord_end: ShardTunnel,
     shard_end: ShardTunnel,
     /// Cells routed into this shard's stripe so far this round (learned
@@ -202,7 +206,7 @@ struct ShardState {
 }
 
 /// The provisioned shard plane: `S` shard enclaves, their tunnels, the
-/// stripe plan that maps coordinates and charges onto them, and the
+/// stripe plan that maps coordinates onto them, and the
 /// failover machinery (attestation handle, tunnel anchor, fault plan,
 /// retry policy) that keeps the plane serving across shard deaths.
 pub struct ShardRuntime {
@@ -325,6 +329,7 @@ impl ShardRuntime {
                 .map_err(|failure| ShardError { shard, attempts: 1, failure })?;
             rt.shards.push(ShardState {
                 enclave,
+                key: format!("shard{shard}"),
                 coord_end,
                 shard_end,
                 routed_cells: 0,
@@ -451,29 +456,6 @@ impl ShardRuntime {
         }
         if self.faults.is_empty() {
             self.faults = FaultPlan::from_env();
-        }
-    }
-
-    /// Mirrors a coordinator allocation of `bytes` onto the shard
-    /// budgets, each charged its stripe-weighted share.
-    pub(crate) fn alloc_split(&mut self, bytes: u64) {
-        self.split(bytes, "epc_charge_bytes", EpcBudget::alloc);
-    }
-
-    /// Mirrors a coordinator release of `bytes` (the split is
-    /// deterministic, so alloc/free always balance exactly).
-    pub(crate) fn free_split(&mut self, bytes: u64) {
-        self.split(bytes, "epc_free_bytes", EpcBudget::free);
-    }
-
-    fn split(&mut self, bytes: u64, counter: &str, apply: fn(&mut EpcBudget, u64)) {
-        let armed = self.telemetry.is_armed();
-        for (i, (sh, part)) in self.shards.iter_mut().zip(self.plan.split_charge(bytes)).enumerate()
-        {
-            if armed {
-                self.telemetry.count(counter, &format!("shard{i}"), part);
-            }
-            apply(&mut sh.enclave.epc, part);
         }
     }
 
@@ -606,9 +588,9 @@ impl ShardRuntime {
             msg.tamper();
         }
         let transient = payload.len() as u64;
-        sh.enclave.epc.alloc(transient);
+        sh.enclave.epc.alloc_counted(transient, &self.telemetry, &sh.key);
         sh.shard_end.open(&msg).map_err(|e| {
-            sh.enclave.epc.free(transient);
+            sh.enclave.epc.free_counted(transient, &self.telemetry, &sh.key);
             ShardFailure::Tunnel(e)
         })
     }
@@ -629,7 +611,7 @@ impl ShardRuntime {
         let sh = &mut self.shards[i];
         sh.routed_cells += routed;
         sh.chunks_done += 1;
-        sh.enclave.epc.free(payload.len() as u64);
+        sh.enclave.epc.free_counted(payload.len() as u64, &self.telemetry, &sh.key);
         Ok(())
     }
 
@@ -650,7 +632,7 @@ impl ShardRuntime {
         let up = sh.shard_end.seal(MSG_RECEIPT, &receipt);
         let opened = sh.coord_end.open(&up);
         // The receipt is out: the shard no longer needs the plaintext.
-        sh.enclave.epc.free(bytes.len() as u64);
+        sh.enclave.epc.free_counted(bytes.len() as u64, &self.telemetry, &sh.key);
         if opened.map_err(ShardFailure::Tunnel)?[..32] != digest(bytes)[..] {
             return Err(ShardFailure::ReceiptMismatch);
         }
@@ -671,9 +653,7 @@ impl ShardRuntime {
         w.put_u64(sh.chunks_done);
         w.put_u64(sh.routed_cells);
         let blob = sh.enclave.seal(&w.into_bytes(), SHARD_CKPT_LABEL);
-        if self.telemetry.is_armed() {
-            self.telemetry.observe("ckpt_blob_bytes", &format!("shard{i}"), blob.len() as u64);
-        }
+        self.telemetry.observe("ckpt_blob_bytes", &sh.key, blob.len() as u64);
         let counter = u64::from_be_bytes(blob[..8].try_into().expect("8-byte counter prefix"));
         sh.ckpt_floor = sh.ckpt_floor.max(counter);
         sh.ckpt_prev = sh.ckpt_store.take();
@@ -894,25 +874,44 @@ mod tests {
         assert_eq!(routed.iter().sum::<u64>(), real, "stripes partition the coordinates");
     }
 
+    /// A shard budget carries exactly what the shard decrypts and holds —
+    /// the broadcast segment during a scan, its stripe at egress — so a
+    /// completed round peaks at the larger of the two (the segment at
+    /// S = 4, the stripe at S = 1 here), and every budget is empty after a
+    /// completed, an aborted and a `crash@`-killed round alike.
     #[test]
     fn shard_budgets_track_stripe_share_plus_transport() {
-        let (d, n, k) = (1000, 40, 8);
+        let (d, n, k, chunk) = (1000, 40, 8, 20);
         let updates = random_updates(n, k, d, 9);
-        let (out, end) = engine(AggregatorKind::Advanced, d, k, runtime(d, 4, 2))
-            .run(updates.chunks(10), &mut NullTracer);
-        out.expect("fault-free round");
-        let peaks = end.shards.expect("the plane comes back").peaks();
-        // Each stripe's share of the monolithic working set is ~1/4; the
-        // broadcast transient adds the full chunk segment. Peaks must be
-        // far below the monolithic footprint but nonzero.
-        let mono = {
-            let mut m = StreamingAggregator::new(AggregatorKind::Advanced, d, 1);
-            m.ingest(&updates, &mut NullTracer);
-            m.resident_bytes() + m.finalize_scratch_bytes()
-        };
-        for (i, &p) in peaks.iter().enumerate() {
-            assert!(p > 0, "shard {i} must see charges");
-            assert!(p < mono, "shard {i} peak {p} must undercut the monolithic {mono}");
+        let segment = (chunk * k * 8) as u64;
+        let tamper = FaultEvent { kind: FaultKind::TunnelTamper, chunk: 1, shard: 0 };
+        let exhausting = FaultPlan::from_events(vec![tamper; RetryPolicy::MAX_ATTEMPTS as usize]);
+        let crash = FaultPlan::parse("crash@0").expect("well-formed script");
+        for shards in [1usize, 4] {
+            for (plan, completes) in
+                [(FaultPlan::empty(), true), (exhausting.clone(), false), (crash.clone(), false)]
+            {
+                let mut eng = engine(AggregatorKind::Advanced, d, k, runtime(d, shards, 2));
+                eng.set_fault_plan(plan);
+                let folded = updates.chunks(chunk).try_for_each(|c| {
+                    eng.fold(c, 0, || (), &mut NullTracer)?;
+                    eng.crash_point()
+                });
+                let (out, end) = match folded {
+                    Ok(()) => eng.finish(&mut NullTracer),
+                    Err(e) => (Err(e), eng.abort()),
+                };
+                assert_eq!(out.is_ok(), completes, "S={shards}: {out:?}");
+                let rt = end.shards.expect("the plane comes back");
+                assert!(rt.live().iter().all(|&b| b == 0), "S={shards}: shard budgets balance");
+                assert_eq!(end.coordinator.live, 0, "S={shards}: the coordinator balances");
+                if completes {
+                    let want: Vec<u64> = (0..shards)
+                        .map(|i| segment.max(4 * rt.plan().range(i).len() as u64))
+                        .collect();
+                    assert_eq!(rt.peaks(), want, "S={shards}");
+                }
+            }
         }
     }
 

@@ -26,9 +26,7 @@ use std::sync::OnceLock;
 use olive_data::ClientData;
 use olive_dp::{GaussianMechanism, RdpAccountant};
 use olive_fl::{local_update, sample_clients, ClientConfig, FedAvgServer, SparseGradient};
-use olive_memsim::{
-    default_threads, positive_env, FaultPlan, ParallelTracer, RecoveryStats, ShardPlan,
-};
+use olive_memsim::{default_threads, positive_env, FaultPlan, ParallelTracer, RecoveryStats};
 use olive_nn::Model;
 use olive_tee::{
     AttestationService, ClientSession, Enclave, EnclaveConfig, SealedMessage, TeeError, UserId,
@@ -114,14 +112,16 @@ pub struct RoundReport {
     /// chunked ingestion + aggregation (staged chunks, aggregator-resident
     /// state and transient scratch, charged per chunk).
     pub working_set_bytes: u64,
-    /// Whether the round would page encrypted memory: monolithically
-    /// (S = 1), the working-set peak against the enclave's *configured*
-    /// EPC budget (`EnclaveConfig::epc_bytes` — not a hardcoded
-    /// constant); sharded (S > 1), whether *any* shard enclave's own peak
-    /// exceeded its own budget.
+    /// Whether the round would page encrypted memory: the coordinator's
+    /// working-set peak against the enclave's *configured* EPC budget
+    /// (`EnclaveConfig::epc_bytes` — not a hardcoded constant), or any
+    /// shard enclave's own peak against its own.
     pub would_page: bool,
-    /// Per-shard EPC peaks (bytes) observed this round, in stripe order —
-    /// empty when the round ran monolithically (S = 1).
+    /// Per-shard EPC peaks (bytes) observed this round, in stripe order:
+    /// the larger of the biggest broadcast segment and the shard's egress
+    /// stripe — what a shard enclave decrypts, not a share of the
+    /// coordinator's working set. Empty when the round ran monolithically
+    /// (S = 1).
     pub shard_peaks: Vec<u64>,
     /// Enclave signature over the updated global parameters.
     pub model_signature: [u8; 32],
@@ -692,7 +692,7 @@ impl OliveSystem {
             k_per_user: pending.k,
             epsilon_spent,
             working_set_bytes: self.enclave.epc.peak,
-            would_page: rt.map_or(self.enclave.epc.would_page(), |rt| rt.any_would_page()),
+            would_page: self.enclave.epc.would_page() || rt.is_some_and(|rt| rt.any_would_page()),
             shard_peaks: rt.map(|rt| rt.peaks()).unwrap_or_default(),
             model_signature,
             telemetry: round_tel,
@@ -1021,23 +1021,6 @@ pub fn working_set_bytes_threaded(
     }
 }
 
-/// Per-shard stripe share of [`working_set_bytes`] under an even
-/// `shards`-way plan — the resident EPC footprint each shard enclave of
-/// the sharded deployment must hold (the transient broadcast segment,
-/// O(chunk·k) bytes, rides on top but is orders of magnitude smaller at
-/// production chunk sizes). This is the Section 5.3-style capacity math
-/// behind choosing S: the monolithic Advanced working set crosses the
-/// 96 MiB EPC near n = 10⁵ (the Figure 10 cliff); striping divides it.
-pub fn sharded_working_set_bytes(
-    kind: AggregatorKind,
-    n: usize,
-    k: usize,
-    d: usize,
-    shards: usize,
-) -> Vec<u64> {
-    ShardPlan::even(d, shards).split_charge(working_set_bytes(kind, n, k, d))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1159,8 +1142,8 @@ mod tests {
 
     /// The sharding contract at round level: the shard count is public
     /// topology that must change neither the global model bits, nor the
-    /// signature, nor the aggregation trace — only the per-shard memory
-    /// accounting the report carries.
+    /// signature, nor the aggregation trace, nor the coordinator's working
+    /// set — it only adds the per-shard transport peaks to the report.
     #[test]
     fn shard_count_does_not_change_the_round() {
         use olive_memsim::{Granularity, RecordingTracer};
@@ -1192,30 +1175,12 @@ mod tests {
         }
     }
 
-    /// The capacity math the shard count is chosen by: at the paper's
-    /// production scale the monolithic Advanced working set overflows the
-    /// 96 MiB EPC (the Figure 10 cliff), and a 4-way stripe plan brings
-    /// every shard's resident share back under it.
-    #[test]
-    fn sharding_brings_paper_scale_advanced_under_epc() {
-        let (n, k, d) = (100_000, 128, 16_384);
-        let epc = 96u64 << 20;
-        let mono = working_set_bytes(AggregatorKind::Advanced, n, k, d);
-        assert!(mono > epc, "monolithic Advanced at n=1e5 must exceed the EPC ({mono} bytes)");
-        let stripes = sharded_working_set_bytes(AggregatorKind::Advanced, n, k, d, 4);
-        assert_eq!(stripes.iter().sum::<u64>(), mono, "stripe shares partition the footprint");
-        for (i, &p) in stripes.iter().enumerate() {
-            assert!(p < epc, "shard {i} share {p} must fit the 96 MiB EPC");
-        }
-    }
-
     /// The closed form and the ledger agree to the byte at a shape that is
     /// not a power of two (they share `sum_advanced_bytes`). Advanced
     /// peaks at finalize, holding exactly the closed form. A Grouped round
     /// peaks in a fold, holding the closed form plus the plaintext the
-    /// closed form leaves out (as it does the broadcast segment of
-    /// `sharded_working_set_bytes`): the chunk being folded and the
-    /// look-ahead chunk opened beside it, `chunk · k` cells each.
+    /// closed form leaves out: the chunk being folded and the look-ahead
+    /// chunk opened beside it, `chunk · k` cells each.
     /// Checkpointing adds one transient on top of a fold's resident state
     /// — the plaintext being sealed, header + floors + aggregator state —
     /// which for Advanced (a descriptor) is the only thing a checkpointed
@@ -1414,21 +1379,33 @@ mod tests {
     }
 
     /// `would_page` compares against the *configured* EPC budget, not a
-    /// hardcoded constant.
+    /// hardcoded constant — and, sharded, it still asks the coordinator,
+    /// the one enclave that holds the whole working set: a budget below
+    /// the Advanced peak pages at S = 4 although every shard's own
+    /// transport peak fits it many times over.
     #[test]
     fn would_page_uses_configured_epc_budget() {
         let (model, clients, cfg) = tiny_parts(AggregatorKind::Advanced, None);
-        let tiny_epc = olive_tee::EnclaveConfig {
-            epc_bytes: 64, // far below any real round's working set
-            ..Default::default()
+        let round = |epc_bytes: u64, shards: usize| {
+            let enclave_cfg = olive_tee::EnclaveConfig { epc_bytes, ..Default::default() };
+            let mut sys = OliveSystem::with_enclave_config(
+                model.clone(),
+                clients.clone(),
+                cfg.clone(),
+                enclave_cfg,
+            );
+            sys.set_shards(shards);
+            sys.run_round(&mut NullTracer).expect("round")
         };
-        let mut sys =
-            OliveSystem::with_enclave_config(model.clone(), clients.clone(), cfg.clone(), tiny_epc);
-        let report = sys.run_round(&mut NullTracer).expect("round");
-        assert!(report.would_page, "a 64-byte EPC must page");
-        let mut roomy = OliveSystem::new(model, clients, cfg);
-        let report = roomy.run_round(&mut NullTracer).expect("round");
-        assert!(!report.would_page, "a tiny round fits the default 96 MiB EPC");
+        assert!(round(64, 1).would_page, "a 64-byte EPC must page");
+        let roomy = round(96 << 20, 1);
+        assert!(!roomy.would_page, "a tiny round fits the default 96 MiB EPC");
+        let tight = roomy.working_set_bytes * 6 / 10;
+        let sharded = round(tight, 4);
+        assert_eq!(sharded.working_set_bytes, roomy.working_set_bytes);
+        assert!(sharded.shard_peaks.iter().all(|&p| p < tight), "{:?}", sharded.shard_peaks);
+        assert!(sharded.would_page, "the coordinator is over budget at every S");
+        assert!(!round(roomy.working_set_bytes, 4).would_page, "an exact fit does not page");
     }
 
     #[test]

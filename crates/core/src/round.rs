@@ -18,15 +18,18 @@
 //!
 //! # The ledger
 //!
-//! [`Ledger`] is the only place an EPC charge, release or resize is
-//! written. Each event lands on the coordinator's [`EpcBudget`] (and the
+//! [`Ledger`] is the only place a charge, release or resize of the
+//! *coordinator's* [`EpcBudget`] is written (mirrored on the
 //! `epc_charge_bytes` / `epc_free_bytes` telemetry counters under
-//! `"coordinator"`) and, when the round is sharded, stripe-weighted on
-//! every shard budget (`ShardRuntime::alloc_split`). It remembers what
-//! is outstanding, so when a fold or the egress fails — or the scripted
-//! coordinator crash fires — *everything* still charged is released
-//! before the error surfaces: after any `Err` from the engine every
-//! budget is back at `live == 0` and every counter pair balances.
+//! `"coordinator"`). The coordinator is the one enclave that holds the
+//! staged cells, the scratch and the resident state, at every shard
+//! count; a shard's own budget carries only what the shard decrypts, and
+//! the shard transport charges that itself (`aggregation::sharded`). The
+//! ledger keeps the running total of what is charged, so when a fold or
+//! the egress fails — or the scripted coordinator crash fires —
+//! *everything* still charged is released before the error surfaces:
+//! after any `Err` from the engine every budget is back at `live == 0`
+//! and every counter pair balances.
 //!
 //! The charge schedule per chunk is a pure function of the public chunk
 //! schedule: the chunk's staged plaintext, the aggregator's transient
@@ -123,85 +126,52 @@ impl From<ShardError> for RoundError {
     }
 }
 
-/// The round's EPC ledger (module docs): one coordinator budget, the
-/// optional shard plane mirroring it, and the list of charges not yet
-/// released.
+/// The round's EPC ledger (module docs): the coordinator's budget, the
+/// running total charged to it, and — carried for the round, never
+/// charged from here — the shard plane.
 pub struct Ledger {
     coordinator: EpcBudget,
     shards: Option<ShardRuntime>,
     telemetry: Telemetry,
-    /// One entry per live charge. Released one by one on abort: the
-    /// stripe split is per amount (`split(a) + split(b) ≠ split(a + b)`
-    /// under integer rounding), so a lump-sum release would not balance
-    /// the shard budgets to the byte.
-    outstanding: Vec<u64>,
+    /// Bytes charged and not yet released.
+    outstanding: u64,
 }
 
 impl Ledger {
     /// A ledger over the coordinator's budget (as the enclave holds it at
     /// round start) and, for a sharded round, the provisioned shard plane.
     pub fn new(coordinator: EpcBudget, shards: Option<ShardRuntime>, telemetry: Telemetry) -> Self {
-        Ledger { coordinator, shards, telemetry, outstanding: Vec::new() }
+        Ledger { coordinator, shards, telemetry, outstanding: 0 }
     }
 
     fn charge(&mut self, bytes: u64) {
         self.coordinator.alloc_counted(bytes, &self.telemetry, COORDINATOR);
-        if let Some(rt) = self.shards.as_mut() {
-            rt.alloc_split(bytes);
-        }
-        self.track(bytes);
+        self.outstanding += bytes;
     }
 
     fn release(&mut self, bytes: u64) {
-        self.untrack(bytes);
         self.coordinator.free_counted(bytes, &self.telemetry, COORDINATOR);
-        if let Some(rt) = self.shards.as_mut() {
-            rt.free_split(bytes);
-        }
+        self.outstanding -= bytes;
     }
 
-    /// A buffer that grew (or shrank) in place: one event, so no budget's
-    /// peak ever counts both generations of the same state.
+    /// A buffer that grew (or shrank) in place: one event, so the peak
+    /// never counts both generations of the same state.
     fn resize(&mut self, old: u64, new: u64) {
-        self.untrack(old);
-        self.track(new);
         self.coordinator.resize_counted(old, new, &self.telemetry, COORDINATOR);
-        if let Some(rt) = self.shards.as_mut() {
-            rt.free_split(old);
-            rt.alloc_split(new);
-        }
+        self.outstanding = self.outstanding - old + new;
     }
 
-    // Empty charges (no next chunk to stage, a kind without scratch) have
-    // nothing to release on abort and are not tracked.
-    fn track(&mut self, bytes: u64) {
-        if bytes > 0 {
-            self.outstanding.push(bytes);
-        }
-    }
-
-    fn untrack(&mut self, bytes: u64) {
-        if bytes > 0 {
-            let at = self.outstanding.iter().position(|&b| b == bytes);
-            self.outstanding.swap_remove(at.expect("release of a charge that is not outstanding"));
-        }
-    }
-
-    /// The abort path: releases every outstanding charge.
+    /// The abort path: releases everything still charged.
     fn release_all(&mut self) {
-        while let Some(&bytes) = self.outstanding.last() {
-            self.release(bytes);
-        }
+        self.release(self.outstanding);
     }
 
-    /// Charges `bytes` to the coordinator for the duration of `work` — a
-    /// coordinator-only transient (the checkpoint plaintext while it is
-    /// built and sealed: it never exists on a shard, so it is not
-    /// striped).
+    /// Charges `bytes` for the duration of `work` (the checkpoint
+    /// plaintext while it is built and sealed).
     fn transient<T>(&mut self, bytes: u64, work: impl FnOnce() -> T) -> T {
-        self.coordinator.alloc_counted(bytes, &self.telemetry, COORDINATOR);
+        self.charge(bytes);
         let out = work();
-        self.coordinator.free_counted(bytes, &self.telemetry, COORDINATOR);
+        self.release(bytes);
         out
     }
 }
@@ -665,7 +635,7 @@ impl RoundEngine {
     /// Tears down an engine whose round was aborted (the failed call
     /// already released every charge).
     pub fn abort(self) -> RoundEnd {
-        debug_assert!(self.ledger.outstanding.is_empty(), "abort follows an engine error");
+        debug_assert_eq!(self.ledger.outstanding, 0, "abort follows an engine error");
         let Ledger { coordinator, shards, .. } = self.ledger;
         RoundEnd { coordinator, shards, faults: self.faults }
     }

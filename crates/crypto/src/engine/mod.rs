@@ -4,8 +4,8 @@
 //! The enclave's threat model is data-dependent memory access (Section
 //! 2.3 of the paper), and the original table-based AES/GHASH is exactly
 //! that — S-box and field-multiply lookups indexed by secret bytes. This
-//! module selects between three backends at process start, mirroring the
-//! sort kernel's ISA dispatch (`OLIVE_SORT_KERNEL`):
+//! module holds three backends, two of which the process-wide decision
+//! can land on:
 //!
 //! | backend | AES-CTR | GHASH | SHA-256 | constant time | needs |
 //! |---------|---------|-------|---------|---------------|-------|
@@ -13,11 +13,13 @@
 //! | `ct`    | bitsliced ×4 | branchless shift/xor | software | yes (construction) | nothing |
 //! | `table` | S-box lookups | bit loop with branches | software | **no** | nothing |
 //!
-//! `OLIVE_CRYPTO=hw|ct|table` pins the backend; unset picks `hw` when the
-//! CPU supports it and `ct` otherwise (the portable default — `table`
-//! survives only as the differential reference). All three produce
-//! bitwise-identical ciphertexts, tags and digests, asserted by the
-//! vector and proptest suites in `tests/engine_vectors.rs`.
+//! `OLIVE_CRYPTO=hw|ct` pins the backend; unset picks `hw` when the CPU
+//! supports it and `ct` otherwise (the portable default). `table` is not
+//! constant-time, so the environment cannot put it on the trusted path:
+//! it survives only as the differential reference, built explicitly with
+//! [`CryptoEngine::with_backend`]. All three produce bitwise-identical
+//! ciphertexts, tags and digests, asserted by the vector and proptest
+//! suites in `tests/engine_vectors.rs`.
 //!
 //! The decision is read once and cached ([`crypto_backend`]); everything
 //! that builds an [`AesGcm`], [`Sha256`] or [`HmacSha256`] without an
@@ -50,7 +52,7 @@ pub enum CryptoBackend {
     /// Bitsliced constant-time software (portable default).
     Ct,
     /// The original lookup-table code — **not** cache-timing-safe; kept as
-    /// the differential reference behind `OLIVE_CRYPTO=table`.
+    /// the differential reference, never selected by [`crypto_backend`].
     Table,
 }
 
@@ -91,9 +93,9 @@ pub fn available_backends() -> Vec<CryptoBackend> {
         .collect()
 }
 
-/// Process-wide backend selection: `OLIVE_CRYPTO=hw|ct|table` pins it
-/// (falling back with a warning if the CPU lacks the requested ISA),
-/// anything else (or unset) auto-detects `hw`, then `ct`. Read once and
+/// Process-wide backend selection: `OLIVE_CRYPTO=hw|ct` pins it (falling
+/// back with a warning if the CPU lacks the requested ISA), anything else
+/// — `table` included — or unset auto-detects `hw`, then `ct`. Read once and
 /// cached; code that needs several backends in one process uses the
 /// `*_with_backend` constructors instead.
 pub fn crypto_backend() -> CryptoBackend {
@@ -102,9 +104,8 @@ pub fn crypto_backend() -> CryptoBackend {
         let requested = match std::env::var("OLIVE_CRYPTO").as_deref() {
             Ok("hw") => Some(CryptoBackend::Hw),
             Ok("ct") => Some(CryptoBackend::Ct),
-            Ok("table") => Some(CryptoBackend::Table),
             Ok(other) => {
-                eprintln!("OLIVE_CRYPTO={other:?} is not \"hw\", \"ct\" or \"table\"; using auto");
+                eprintln!("OLIVE_CRYPTO={other:?} is not \"hw\" or \"ct\"; using auto");
                 None
             }
             Err(_) => None,
@@ -208,9 +209,10 @@ mod tests {
     #[test]
     fn env_knob_pins_backend() {
         // The cached process-wide selection honors OLIVE_CRYPTO when the
-        // suite was launched with it (the CI differential passes).
+        // suite was launched with it (the CI `ct` pass) — and whatever
+        // it says, never lands on the non-constant-time reference.
+        assert_ne!(crypto_backend(), CryptoBackend::Table);
         match std::env::var("OLIVE_CRYPTO").as_deref() {
-            Ok("table") => assert_eq!(crypto_backend(), CryptoBackend::Table),
             Ok("ct") => assert_eq!(crypto_backend(), CryptoBackend::Ct),
             Ok("hw") if CryptoBackend::Hw.is_available() => {
                 assert_eq!(crypto_backend(), CryptoBackend::Hw)

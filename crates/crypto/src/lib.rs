@@ -27,9 +27,9 @@
 //!
 //! Since PR 4 the symmetric primitives run on a runtime-dispatched
 //! [`engine`]: hardware ISA extensions (AES-NI/VAES, PCLMULQDQ, SHA-NI),
-//! a bitsliced constant-time software fallback, or the original
-//! lookup-table code kept as the differential reference
-//! (`OLIVE_CRYPTO=hw|ct|table`). Unsafe code is denied crate-wide and
+//! or a bitsliced constant-time software fallback (`OLIVE_CRYPTO=hw|ct`);
+//! the original lookup-table code is kept as the differential reference
+//! only. Unsafe code is denied crate-wide and
 //! allowed only in the intrinsics-backed `engine::hw` module.
 
 #![deny(unsafe_code)]

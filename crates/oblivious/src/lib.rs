@@ -21,8 +21,8 @@
 //! * [`sort_kernel`] — the batched, SIMD-friendly implementation of the
 //!   same network (precomputed keys, per-stage trace events, branchless
 //!   min/max sweeps over cache-sized private blocks, per-pass thread
-//!   parallelism); `OLIVE_SORT_KERNEL=scalar` falls back to the reference
-//!   in [`sort`];
+//!   parallelism), differentially tested against the reference in
+//!   [`sort`];
 //! * [`scan`] — oblivious linear-scan read/write of a secret index
 //!   (ZeroTrace's trusted-storage emulation, used by the ORAM stash and
 //!   position map);
@@ -50,5 +50,5 @@ pub use shuffle::{oblivious_shuffle, oblivious_shuffle_with_threads};
 pub use sort::{bitonic_sort, bitonic_sort_by_key};
 pub use sort_kernel::{
     bitonic_sort_keyed, bitonic_sort_keyed_with, bitonic_sort_u64, bitonic_sort_u64_with,
-    bitonic_sort_u64_with_threads, sort_kernel, InlinePayload, SortKernel,
+    sort_kernel, InlinePayload, SortKernel,
 };

@@ -8,9 +8,9 @@
 //!
 //! The tag and payload are packed key-major into one `u128`
 //! (`tag << 64 | payload`) so the batched sort kernel compare-exchanges
-//! whole words; `OLIVE_SORT_KERNEL=scalar` runs the reference network over
-//! the same packed words with a bitwise-identical result (the kernels
-//! share one swap rule, including on tag ties).
+//! whole words; the scalar reference network (`SortKernel::Scalar`, the
+//! test oracle) sorts the same packed words to a bitwise-identical result
+//! (the kernels share one swap rule, including on tag ties).
 
 use olive_memsim::{default_threads, Tracer, TrackedBuf};
 use rand::Rng;
@@ -46,8 +46,8 @@ where
     oblivious_shuffle_with(region, data, rng, sort_kernel(), threads, tr)
 }
 
-/// [`oblivious_shuffle`] with every knob explicit (differential tests
-/// compare kernels in one process, bypassing the env cache).
+/// [`oblivious_shuffle`] with every knob explicit (how the differential
+/// tests reach the scalar reference network).
 pub fn oblivious_shuffle_with<T, R, TR>(
     region: u32,
     data: Vec<T>,

@@ -58,9 +58,9 @@
 //! Nothing is padded: the schedule and every sweep stop at `n`, like the
 //! network they implement.
 //!
-//! `OLIVE_SORT_KERNEL=scalar` forces every entry point here back onto the
-//! scalar reference network for differential testing; the CI tier-1 job
-//! runs the whole suite that way.
+//! The scalar reference network stays reachable through the `*_with`
+//! entry points (`SortKernel::Scalar`): it is the oracle the differential
+//! suites compare this kernel against, and nothing selects it at run time.
 
 use std::sync::{Barrier, OnceLock};
 
@@ -84,26 +84,14 @@ const MIN_PARALLEL_N: usize = 1 << 12;
 pub enum SortKernel {
     /// The readable per-comparator reference network of [`crate::sort`].
     Scalar,
-    /// The batched stage kernel of this module (default).
+    /// The batched stage kernel of this module.
     Batched,
 }
 
-/// Process-wide kernel selection: `OLIVE_SORT_KERNEL=scalar` pins the
-/// reference network, anything else (or unset) selects the batched
-/// kernel. Read once and cached; tests that need both in one process use
-/// the `*_with` entry points instead.
+/// The kernel the default entry points run: always the batched one.
+/// (A function because run headers print it.)
 pub fn sort_kernel() -> SortKernel {
-    static KERNEL: OnceLock<SortKernel> = OnceLock::new();
-    *KERNEL.get_or_init(|| match std::env::var("OLIVE_SORT_KERNEL").as_deref() {
-        Ok("scalar") => SortKernel::Scalar,
-        Ok("batched") | Err(_) => SortKernel::Batched,
-        Ok(other) => {
-            eprintln!(
-                "OLIVE_SORT_KERNEL={other:?} is not \"scalar\" or \"batched\"; using batched"
-            );
-            SortKernel::Batched
-        }
-    })
+    SortKernel::Batched
 }
 
 /// Payloads the batched keyed kernel can carry inline beside their 64-bit
@@ -658,17 +646,8 @@ pub fn bitonic_sort_u64<TR: Tracer>(buf: &mut TrackedBuf<u64>, tr: &mut TR) {
     bitonic_sort_u64_with(buf, sort_kernel(), default_threads(), tr)
 }
 
-/// [`bitonic_sort_u64`] with an explicit worker-thread count.
-pub fn bitonic_sort_u64_with_threads<TR: Tracer>(
-    buf: &mut TrackedBuf<u64>,
-    threads: usize,
-    tr: &mut TR,
-) {
-    bitonic_sort_u64_with(buf, sort_kernel(), threads, tr)
-}
-
-/// [`bitonic_sort_u64`] with every knob explicit (differential tests
-/// compare kernels in one process, bypassing the env cache).
+/// [`bitonic_sort_u64`] with every knob explicit (how the differential
+/// tests reach the scalar reference network).
 ///
 /// Both kernels produce bitwise-identical outputs and digest-identical
 /// traces at every length, thread count and granularity.
@@ -887,16 +866,5 @@ mod tests {
         assert_eq!(i64::from_word((-5i64).to_word()), -5);
         assert_eq!(u32::from_word(9u32.to_word()), 9);
         assert_eq!(f32::from_word(2.5f32.to_word()), 2.5);
-    }
-
-    #[test]
-    fn kernel_env_default_is_batched() {
-        // The cached process-wide selection: unless the suite was launched
-        // with OLIVE_SORT_KERNEL=scalar (the CI differential pass), the
-        // batched kernel is the default.
-        match std::env::var("OLIVE_SORT_KERNEL").as_deref() {
-            Ok("scalar") => assert_eq!(sort_kernel(), SortKernel::Scalar),
-            _ => assert_eq!(sort_kernel(), SortKernel::Batched),
-        }
     }
 }

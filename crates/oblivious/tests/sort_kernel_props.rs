@@ -200,8 +200,8 @@ fn comparator_count_matches_batcher_under_block_events() {
 
 #[test]
 fn default_entry_points_sort_correctly() {
-    // The env-dispatched wrappers (whatever OLIVE_SORT_KERNEL says) must
-    // sort; this is the path production aggregation takes.
+    // The default wrappers must sort; this is the path production
+    // aggregation takes.
     let data = clustered_words(2051, 3);
     let mut expected = data.clone();
     expected.sort_unstable();

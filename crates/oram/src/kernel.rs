@@ -30,52 +30,17 @@
 //!    block's deepest eligible level, replacing the scalar path's
 //!    per-bucket-slot full-stash `path_node` re-derivations.
 //!
-//! `OLIVE_ORAM_KERNEL=scalar` forces every ORAM built afterwards onto
-//! the scalar reference path for differential testing (mirroring
-//! `OLIVE_SORT_KERNEL`); the CI tier-1 job runs the ORAM suites that
-//! way. Tests that need both kernels in one process use
-//! [`crate::PathOram::set_kernel`] instead.
-
-use std::sync::OnceLock;
+//! Every ORAM is built on the batched kernel. The scalar path stays as
+//! the oracle the differential suites compare it against, reached per
+//! instance through [`crate::PathOram::set_kernel`].
 
 /// Which implementation of the PathORAM access runs.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum OramKernel {
     /// The readable per-slot reference path (traced `o_select` sweeps).
     Scalar,
-    /// The batched meta-scan kernel (default). Bitwise-identical state,
-    /// outputs, and trace digests to [`OramKernel::Scalar`].
+    /// The batched meta-scan kernel ([`crate::PathOram::new`] builds
+    /// this one). Bitwise-identical state, outputs, and trace digests to
+    /// [`OramKernel::Scalar`].
     Batched,
-}
-
-/// Process-wide kernel selection: `OLIVE_ORAM_KERNEL=scalar` pins the
-/// reference path, anything else (or unset) selects the batched kernel.
-/// Read once and cached; both kernels produce bitwise-identical state,
-/// outputs, and trace digests, so the knob only trades speed for
-/// single-stepping readability.
-pub fn oram_kernel() -> OramKernel {
-    static KERNEL: OnceLock<OramKernel> = OnceLock::new();
-    *KERNEL.get_or_init(|| match std::env::var("OLIVE_ORAM_KERNEL").as_deref() {
-        Ok("scalar") => OramKernel::Scalar,
-        Ok("batched") | Err(_) => OramKernel::Batched,
-        Ok(other) => {
-            eprintln!(
-                "OLIVE_ORAM_KERNEL={other:?} is not \"scalar\" or \"batched\"; using batched"
-            );
-            OramKernel::Batched
-        }
-    })
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn kernel_env_default_is_batched() {
-        match std::env::var("OLIVE_ORAM_KERNEL").as_deref() {
-            Ok("scalar") => assert_eq!(oram_kernel(), OramKernel::Scalar),
-            _ => assert_eq!(oram_kernel(), OramKernel::Batched),
-        }
-    }
 }

@@ -21,8 +21,8 @@
 //! * [`kernel`] — the access-kernel split: a batched fast path (canonical
 //!   trace emission + `olive-oblivious::meta_scan` branchless sweeps over
 //!   the packed meta words) that is bitwise state-, output-, and
-//!   trace-digest-identical to the scalar reference, selected per process
-//!   with `OLIVE_ORAM_KERNEL` (mirroring `OLIVE_SORT_KERNEL`);
+//!   trace-digest-identical to the scalar reference, which stays as the
+//!   test oracle behind [`PathOram::set_kernel`];
 //! * stash-occupancy and eviction instrumentation to validate the
 //!   stash-size ≤ 20 configuration the paper uses and feed the telemetry
 //!   counters.
@@ -37,7 +37,7 @@ pub mod kernel;
 pub mod path_oram;
 pub mod posmap;
 
-pub use kernel::{oram_kernel, OramKernel};
+pub use kernel::OramKernel;
 pub use path_oram::{
     predicted_resident_bytes, BlockCodec, OramError, OramStats, PathOram, PathOramConfig,
     BUCKET_SIZE, INVALID_KEY,

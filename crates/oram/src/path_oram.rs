@@ -15,7 +15,7 @@ use olive_oblivious::primitives::Oblivious;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use crate::kernel::{oram_kernel, OramKernel};
+use crate::kernel::OramKernel;
 use crate::posmap::{PosMap, PosMapKind, POS_BLOCK_FANOUT};
 
 /// Fixed-width serialization for ORAM block values, so a whole ORAM
@@ -201,7 +201,7 @@ impl<V: Oblivious + Default> PathOram<V> {
             config,
             rng,
             stats: OramStats::default(),
-            kernel: oram_kernel(),
+            kernel: OramKernel::Batched,
             scratch,
         }
     }
@@ -216,14 +216,9 @@ impl<V: Oblivious + Default> PathOram<V> {
         self.stats
     }
 
-    /// The active access kernel.
-    pub fn kernel(&self) -> OramKernel {
-        self.kernel
-    }
-
     /// Overrides the access kernel for this instance and, recursively,
-    /// its position-map ORAMs (in-process differential tests compare
-    /// kernels without touching the `OLIVE_ORAM_KERNEL` process knob).
+    /// its position-map ORAMs: how the differential tests reach the
+    /// scalar oracle ([`PathOram::new`] always builds the batched kernel).
     pub fn set_kernel(&mut self, kernel: OramKernel) {
         self.kernel = kernel;
         self.posmap.set_kernel(kernel);

@@ -1,9 +1,9 @@
 //! The simulated enclave: lifecycle, key store, sealing, EPC accounting.
 //!
 //! All symmetric crypto on the trusted path goes through one
-//! [`CryptoEngine`] chosen at launch (AES-NI/SHA-NI, bitsliced
-//! constant-time, or the table reference — `OLIVE_CRYPTO`), so the whole
-//! deployment runs on a single dispatch decision.
+//! [`CryptoEngine`] chosen at launch (AES-NI/SHA-NI or bitsliced
+//! constant-time — `OLIVE_CRYPTO`), so the whole deployment runs on a
+//! single dispatch decision.
 
 use std::collections::{HashMap, HashSet};
 

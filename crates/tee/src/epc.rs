@@ -3,9 +3,11 @@
 //! Every enclave — the coordinator and each shard — owns one
 //! [`EpcBudget`]. The round engine's ledger (`olive_core::round`) charges
 //! every transient (a staged upload chunk, an aggregator's scratch) and
-//! resident (the dense accumulator, buffered cells) allocation to it, so
-//! the *peak* — the number the EPC limit is compared against — reflects
-//! what is simultaneously live, not what a whole round touches in total.
+//! resident (the dense accumulator, buffered cells) allocation to the
+//! coordinator's, and the shard transport charges what a shard decrypts
+//! to that shard's, so the *peak* — the number the EPC limit is compared
+//! against — reflects what is simultaneously live in that enclave, not
+//! what a whole round touches in total.
 
 use olive_telemetry::Telemetry;
 
@@ -32,9 +34,8 @@ impl EpcBudget {
         self.peak = self.peak.max(self.live);
     }
 
-    /// Records a release. Saturates: a shard enclave relaunched mid-round
-    /// starts a fresh budget, and the releases of charges its dead
-    /// predecessor took must not underflow it.
+    /// Records a release. Saturates, so an unmatched release can never
+    /// wrap the live count.
     pub fn free(&mut self, bytes: u64) {
         self.live = self.live.saturating_sub(bytes);
     }
