@@ -20,20 +20,18 @@
 //! ```
 //!
 //! The shard sweep (S ∈ {1, 2, 4, 8}) runs the same round through a
-//! provisioned shard plane: the `Advanced` pass emits one `ingestion_ws`
-//! record **per shard** with that shard's measured *transport* peak
-//! (`"config":"sharded_advanced_transport"`, keyed by `"shards"` and
-//! `"shard"`) — the broadcast segment or its egress stripe, whichever is
-//! larger; the Advanced working set itself stays in the coordinator at
-//! every S. The timed `sharded_s{S}` benches (NonOblivious fold, like the
-//! other timed configs) price the tunnel transport itself.
+//! provisioned shard plane: the timed `sharded_s{S}` benches (NonOblivious
+//! fold, like the other timed configs) price the tunnel transport — per
+//! chunk and shard one 24-byte descriptor frame and one sealed shard
+//! checkpoint, then the receipted stripe egress. (A shard's EPC peak is
+//! the closed form `max(24, 4·|stripe|)`, pinned by a unit test, so there
+//! is no per-shard working-set record.)
 //!
-//! At n = 10k the sweep also emits one `recovery_overhead` record —
-//! the cost of the per-chunk stripe checkpoint (sharded vs
-//! checkpointed-sharded, S = 4) and of one full mid-round shard
-//! failover (scripted kill at chunk 20 → relaunch, re-attest, restore
-//! from the sealed stripe checkpoint, resume), with the recovered
-//! delta asserted bitwise against the fault-free pass in-bench.
+//! At n = 10k the sweep also emits one `recovery_overhead` record — the
+//! cost of one full mid-round shard failover at S = 4 (scripted kill at
+//! chunk 20 → relaunch, re-attest, restore from the sealed shard
+//! checkpoint, resume) on top of the fault-free sharded pass, with the
+//! recovered delta asserted bitwise against the fault-free one in-bench.
 //!
 //! `OLIVE_BENCH_FULL=1` includes n = 100k; the default sweep stops at
 //! 10k so the CI smoke job stays fast. Timings land in `OLIVE_BENCH_JSON`
@@ -50,30 +48,23 @@ const K: usize = 128;
 const D: usize = 16_384;
 const CHUNK: usize = 256;
 
-/// One `ingestion_ws` bench record: a measured EPC peak against the
-/// enclave's limit, keyed by the config (plus `extra` shard coordinates).
-fn ws_record(rig: &IngestionRig, config: &str, chunk: usize, extra: &[(&str, u64)], peak: u64) {
-    let limit = rig.epc_limit();
-    let mut fields = vec![
+/// One `ingestion_ws` bench record: the config's measured EPC peak
+/// against the enclave's limit.
+fn ws_report(rig: &mut IngestionRig, config: &str, chunk: usize) {
+    let msgs = rig.seal_round();
+    let pass = rig.pass(&msgs, PassConfig::streaming(AggregatorKind::NonOblivious, chunk), None);
+    let (peak, limit) = (pass.peak_bytes, rig.epc_limit());
+    let fields = [
         ("config", config.into()),
         ("n", (rig.n() as u64).into()),
         ("k", (K as u64).into()),
         ("d", (D as u64).into()),
         ("chunk", (chunk as u64).into()),
-    ];
-    fields.extend(extra.iter().map(|&(name, v)| (name, v.into())));
-    fields.extend([
         ("peak_bytes", peak.into()),
         ("epc_limit", limit.into()),
         ("would_page", (peak > limit).into()),
-    ]);
+    ];
     olive_telemetry::Telemetry::from_env().bench("ingestion_ws", &fields, &[]);
-}
-
-fn ws_report(rig: &mut IngestionRig, config: &str, chunk: usize) {
-    let msgs = rig.seal_round();
-    let pass = rig.pass(&msgs, PassConfig::streaming(AggregatorKind::NonOblivious, chunk), None);
-    ws_record(rig, config, chunk, &[], pass.peak_bytes);
 }
 
 fn bench_ingestion(c: &mut Criterion) {
@@ -106,22 +97,9 @@ fn bench_ingestion(c: &mut Criterion) {
             });
         }
 
-        // The shard sweep: each shard's measured transport peak under an
-        // Advanced round, then the transport-cost timing.
+        // The shard sweep: the transport-cost timing.
         for shards in [1usize, 2, 4, 8] {
-            let rt = {
-                let mut rig = rig.borrow_mut();
-                let rt = rig.provision_shards(shards);
-                let msgs = rig.seal_round();
-                let advanced = PassConfig::streaming(AggregatorKind::Advanced, CHUNK);
-                let rt = rig.pass(&msgs, advanced, Some(rt)).shards.expect("the plane comes back");
-                for (i, &peak) in rt.peaks().iter().enumerate() {
-                    let site = [("shards", shards as u64), ("shard", i as u64)];
-                    ws_record(&rig, "sharded_advanced_transport", CHUNK, &site, peak);
-                }
-                rt
-            };
-            let rt = RefCell::new(Some(rt));
+            let rt = RefCell::new(Some(rig.borrow_mut().provision_shards(shards)));
             group.bench_with_input(
                 BenchmarkId::new(&format!("sharded_s{shards}"), n),
                 &n,
@@ -138,12 +116,11 @@ fn bench_ingestion(c: &mut Criterion) {
             );
         }
 
-        // The recovery-cost story, recorded once at n = 10k: what the
-        // per-chunk stripe checkpoint costs on top of the plain sharded
-        // pass, and what one full mid-round shard failover costs on top
-        // of that. All three configurations run in the same pass set and
-        // the recovered delta is asserted bitwise against the fault-free
-        // one, so the record prices *recovery*, not drift.
+        // The recovery-cost story, recorded once at n = 10k: what one
+        // full mid-round shard failover costs on top of the fault-free
+        // sharded pass. Both run in the same pass set and the recovered
+        // delta is asserted bitwise against the fault-free one, so the
+        // record prices *recovery*, not drift.
         if n == 10_000 {
             const REPS: u32 = 3;
             let shards = 4usize;
@@ -151,13 +128,10 @@ fn bench_ingestion(c: &mut Criterion) {
             let mut rig = rig.borrow_mut();
             let mut rt = rig.provision_shards(shards);
             let mut reference: Vec<u32> = Vec::new();
-            let mut totals = [0u64; 3]; // [sharded, checkpointed, failover]
+            let mut totals = [0u64; 2]; // [sharded, failover]
             for rep in 0..=REPS {
-                for (slot, &(ckpt, faulted)) in
-                    [(false, false), (true, false), (true, true)].iter().enumerate()
-                {
+                for faulted in [false, true] {
                     let msgs = rig.seal_round();
-                    rt.set_checkpointing(ckpt);
                     if faulted {
                         rt.set_fault_plan(FaultPlan::parse(kill_site).expect("well-formed script"));
                     }
@@ -169,7 +143,7 @@ fn bench_ingestion(c: &mut Criterion) {
                     if rep == 0 {
                         reference = bits; // warm-up pass: discard the timing
                     } else {
-                        totals[slot] += ns;
+                        totals[usize::from(faulted)] += ns;
                         assert_eq!(bits, reference, "recovered delta must match bitwise");
                     }
                 }
@@ -190,8 +164,7 @@ fn bench_ingestion(c: &mut Criterion) {
                 ],
                 &[
                     ("sharded_ns", (totals[0] / REPS as u64).into()),
-                    ("checkpointed_ns", (totals[1] / REPS as u64).into()),
-                    ("failover_ns", (totals[2] / REPS as u64).into()),
+                    ("failover_ns", (totals[1] / REPS as u64).into()),
                 ],
             );
         }

@@ -3,7 +3,7 @@
 //! stable bench regresses by more than the threshold (default 30%).
 //!
 //! ```text
-//! bench_gate --baseline crates/bench/baselines/pr7-bench.json \
+//! bench_gate --baseline crates/bench/baselines/pr10-bench.json \
 //!            --current bench-results.json [--threshold 30]
 //! ```
 //!

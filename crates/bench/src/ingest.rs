@@ -172,10 +172,10 @@ impl IngestionRig {
     }
 
     /// One round of enclave-side upload processing through the
-    /// [`RoundEngine`], over `shards` when given (chunks broadcast
+    /// [`RoundEngine`], over `shards` when given (chunk descriptors
     /// through the attested tunnels, the finalized delta striped out with
     /// receipts — the full `OLIVE_SHARDS` round shape; arm fault scripts
-    /// and the stripe-checkpoint toggle on the runtime beforehand).
+    /// on the runtime beforehand).
     pub fn pass(
         &mut self,
         msgs: &[SealedMessage],
@@ -269,7 +269,7 @@ fn open_chunk(
     batch_open: bool,
 ) -> Vec<SparseGradient> {
     if batch_open {
-        open_and_decode(enclave, msgs)
+        open_and_decode(enclave, msgs, 0).expect("rig uploads must verify")
     } else {
         msgs.iter()
             .map(|m| {

@@ -14,24 +14,25 @@
 //!
 //! * every shard runs in its own enclave, mutually attested to the
 //!   coordinator through a [`ShardTunnel`] (measurement pinned both ways);
-//! * **ingress** broadcasts each staged chunk's cell segment to every
-//!   shard over its tunnel. The segment shape is a pure function of the
-//!   public chunk schedule (every upload pads to k cells), so the
-//!   transport pattern is identical for all inputs — per-shard routed
-//!   counts are data-dependent and therefore must never appear on the
-//!   wire. Each shard scans the whole segment inside the enclave
-//!   (fixed-shape routing) and keeps only its stripe's cells;
+//! * **ingress** hands every shard what it keeps of a staged chunk: the
+//!   chunk's 24-byte public descriptor (absolute chunk index, clients,
+//!   cells), a pure function of the chunk schedule. The sparse index sets
+//!   are the secret (§3), and a shard has no compute that reads them, so
+//!   no client cell ever leaves the coordinator: an enclave that never
+//!   holds them has nothing to leak. Each shard advances its chunk count
+//!   and a running cell tally, and seals both after every chunk;
 //! * **egress** seals each shard's stripe of the finalized delta through
 //!   its tunnel; the shard answers with a receipt carrying the stripe
-//!   hash, and the coordinator folds the shard-held stripes back together
-//!   in ascending shard order — a deterministic fold that reproduces the
+//!   hash and its cell tally, the coordinator checks both against what it
+//!   sent — a chunk lost across a failover fails the round instead of
+//!   passing unnoticed — and folds the shard-held stripes back together
+//!   in ascending shard order, a deterministic fold that reproduces the
 //!   canonical delta bit for bit;
 //! * each shard's [`olive_tee::EpcBudget`] is charged what that enclave
-//!   decrypts and holds, where it happens: the `chunk·k·8`-byte segment
-//!   for the duration of the scan, and its `4·|stripe|`-byte stripe from
-//!   the egress open until the receipt is out (both counted under
-//!   `shard{i}` on the telemetry stream). Nothing else lands on a shard
-//!   budget: the staged cells, the sort scratch and the resident state
+//!   decrypts and holds, where it happens: the descriptor while it is
+//!   tallied, and its `4·|stripe|`-byte stripe from the egress open until
+//!   the receipt is out (both counted under `shard{i}` on the telemetry
+//!   stream). The staged cells, the sort scratch and the resident state
 //!   live in the coordinator, whose budget the round engine's ledger
 //!   ([`crate::round::Ledger`]) charges in full at every S.
 //!
@@ -39,9 +40,10 @@
 //! signature and trace digest are bitwise identical at every shard count
 //! — the repo's hard invariant. What the plane does **not** do is shrink
 //! the Advanced working set: every cell is still staged and sorted in one
-//! enclave. Per-shard Advanced capacity needs cells *routed* to their
-//! stripe's shard with the per-shard counts hidden (ROADMAP item 4), which
-//! nobody has built.
+//! enclave. Per-shard compute needs cells *routed* to their stripe's
+//! shard with the per-shard counts hidden (ROADMAP item 4), which nobody
+//! has built; a cell payload comes back together with the compute that
+//! reads it.
 //!
 //! ## Faults and recovery
 //!
@@ -57,8 +59,8 @@
 //!   the enclave under a fresh DH epoch (fresh tunnel keys — the dead
 //!   instance's AEAD nonce sequence can never be continued), re-attests
 //!   it under [`SHARD_CODE_IDENTITY`], rebuilds both tunnel ends via the
-//!   provisioning-time [`TunnelAnchor`], restores the shard's stripe
-//!   state from its newest sealed `"shard-ckpt"` blob, and resumes the
+//!   provisioning-time [`TunnelAnchor`], restores the shard's chunk
+//!   tally from its newest sealed `"shard-ckpt"` blob, and resumes the
 //!   chunk stream. The checkpoint's monotonic counter floor is pinned
 //!   coordinator-side (standing in for rollback-protected NV storage),
 //!   so a rolled-back blob — the [`FaultKind::StaleSeal`] fault — is
@@ -85,8 +87,6 @@ use olive_tee::{
 };
 use olive_telemetry::Telemetry;
 
-use crate::cell::{cell_index, concat_cells, DUMMY_INDEX};
-
 /// Code identity every shard enclave must measure to (what the
 /// coordinator pins when it verifies a shard's quote, and vice versa the
 /// shards pin the coordinator's measurement).
@@ -99,12 +99,12 @@ pub const SHARD_CODE_IDENTITY: &str = "olive-shard-aggregator-v1";
 const SHARD_ATTEST_CONTEXT: &[u8] = b"olive-shard-plane-v1";
 
 /// Tunnel message kinds.
-const MSG_CELLS: u8 = 1;
+const MSG_CHUNK: u8 = 1;
 const MSG_STRIPE: u8 = 2;
 const MSG_RECEIPT: u8 = 3;
 
-/// Sealing label for per-shard stripe checkpoints (the shard-plane
-/// sibling of the coordinator's `"round-ckpt"` label).
+/// Sealing label for per-shard checkpoints (the shard-plane sibling of
+/// the coordinator's `"round-ckpt"` label).
 const SHARD_CKPT_LABEL: &[u8] = b"shard-ckpt";
 
 /// Version byte leading every shard checkpoint blob.
@@ -123,11 +123,9 @@ pub enum ShardFailure {
     /// A tunnel frame was dropped in flight (the receiver never saw it).
     Dropped,
     /// A shard's egress receipt authenticated but named a stripe hash
-    /// other than the one the coordinator sealed.
+    /// other than the one the coordinator sealed, or a cell tally other
+    /// than that of the chunks the coordinator delivered.
     ReceiptMismatch,
-    /// A killed shard had delivered chunks but no checkpoint to restore
-    /// them from (checkpointing disabled): its stripe state is gone.
-    StateLost,
 }
 
 impl core::fmt::Display for ShardFailure {
@@ -136,8 +134,7 @@ impl core::fmt::Display for ShardFailure {
             ShardFailure::Tunnel(e) => write!(f, "tunnel failure: {e}"),
             ShardFailure::Seal(e) => write!(f, "checkpoint failure: {e}"),
             ShardFailure::Dropped => write!(f, "tunnel frame dropped"),
-            ShardFailure::ReceiptMismatch => write!(f, "stripe receipt hash mismatch"),
-            ShardFailure::StateLost => write!(f, "shard state lost (no checkpoint to restore)"),
+            ShardFailure::ReceiptMismatch => write!(f, "stripe receipt mismatch"),
         }
     }
 }
@@ -179,20 +176,19 @@ struct ShardState {
     key: String,
     coord_end: ShardTunnel,
     shard_end: ShardTunnel,
-    /// Cells routed into this shard's stripe so far this round (learned
-    /// inside the shard enclave by the fixed-shape scan; reported back in
-    /// the egress receipt, never on the ingress wire).
-    routed_cells: u64,
-    /// Chunks this shard has scanned this round (coordinator-side mirror
-    /// of the public chunk schedule — *not* of any private state).
+    /// Chunks this shard was handed this round (sealed into its
+    /// checkpoints next to `cells`).
     chunks_done: u64,
+    /// Cells those chunks' descriptors named — the public tally the
+    /// shard's egress receipt reports.
+    cells: u64,
     /// The per-shard platform seed, kept so a relaunch rebuilds the same
     /// sealing key (checkpoints must unseal across the restart).
     seed: [u8; 32],
     /// DH epoch of the current enclave incarnation; bumped on every
     /// relaunch so each incarnation presents a fresh tunnel key share.
     dh_epoch: u32,
-    /// Newest sealed stripe checkpoint, held in untrusted storage
+    /// Newest sealed shard checkpoint, held in untrusted storage
     /// (coordinator-side in the simulation).
     ckpt_store: Option<Vec<u8>>,
     /// The previous generation's blob — what a rollback attack (the
@@ -229,9 +225,9 @@ pub struct ShardRuntime {
     /// events are addressed by (kept absolute across a coordinator
     /// restore via [`ShardRuntime::skip_to_chunk`]).
     chunk_cursor: u32,
-    /// Whether shards seal a stripe checkpoint after every chunk
-    /// (default on; the bench toggles it to price the overhead).
-    checkpointing: bool,
+    /// Cells of the chunks delivered this round — what every shard's
+    /// egress receipt must tally to.
+    cells_sent: u64,
     faults: FaultPlan,
     retry: RetryPolicy,
     stats: RecoveryStats,
@@ -248,7 +244,6 @@ impl core::fmt::Debug for ShardRuntime {
             .field("shards", &self.shards.len())
             .field("round_epoch", &self.round_epoch)
             .field("chunk_cursor", &self.chunk_cursor)
-            .field("checkpointing", &self.checkpointing)
             .field("stats", &self.stats)
             .finish_non_exhaustive()
     }
@@ -262,7 +257,7 @@ impl ShardRuntime {
     /// context so its transcript — which every client session key is
     /// bound to — is unchanged; shard quotes use the shard-plane context.
     /// Both directions of every tunnel pin the peer's measurement, so a
-    /// shard enclave only ever accepts cells from the verified
+    /// shard enclave only ever accepts frames from the verified
     /// coordinator and the coordinator only accepts receipts from
     /// verified shards.
     pub fn provision(
@@ -314,7 +309,7 @@ impl ShardRuntime {
             shard_cfg,
             round_epoch: 0,
             chunk_cursor: 0,
-            checkpointing: true,
+            cells_sent: 0,
             faults: FaultPlan::empty(),
             retry: RetryPolicy::default(),
             stats: RecoveryStats::default(),
@@ -332,8 +327,8 @@ impl ShardRuntime {
                 key: format!("shard{shard}"),
                 coord_end,
                 shard_end,
-                routed_cells: 0,
                 chunks_done: 0,
+                cells: 0,
                 seed,
                 dh_epoch: 0,
                 ckpt_store: None,
@@ -402,11 +397,6 @@ impl ShardRuntime {
         self.shards.len()
     }
 
-    /// The stripe plan.
-    pub fn plan(&self) -> &ShardPlan {
-        &self.plan
-    }
-
     /// Arms an explicit fault script for the rounds that follow
     /// (replacing whatever plan — scripted or environmental — was armed).
     pub fn set_fault_plan(&mut self, plan: FaultPlan) {
@@ -424,13 +414,6 @@ impl ShardRuntime {
         self.stats
     }
 
-    /// Enables/disables the per-chunk stripe checkpoint (on by default;
-    /// with it off, a mid-stream shard kill is unrecoverable — the bench
-    /// uses the toggle to price the checkpoint overhead).
-    pub fn set_checkpointing(&mut self, on: bool) {
-        self.checkpointing = on;
-    }
-
     /// Re-aligns the absolute chunk cursor after a coordinator restore,
     /// so fault events keep firing at their scripted absolute chunk
     /// indices in the resumed half of the round.
@@ -446,10 +429,11 @@ impl ShardRuntime {
     pub fn begin_round(&mut self) {
         self.round_epoch += 1;
         self.chunk_cursor = 0;
+        self.cells_sent = 0;
         for sh in &mut self.shards {
             sh.enclave.epc.begin_epoch();
-            sh.routed_cells = 0;
             sh.chunks_done = 0;
+            sh.cells = 0;
             // Checkpoint blobs are per-round; the pinned floor is not.
             sh.ckpt_store = None;
             sh.ckpt_prev = None;
@@ -459,48 +443,44 @@ impl ShardRuntime {
         }
     }
 
-    /// Broadcasts one staged chunk's cell segment to every shard through
-    /// its tunnel. The segment has the same public shape for every shard
-    /// and every input of that shape; each shard scans all of it inside
-    /// the enclave and keeps its stripe's cells, so per-shard counts stay
-    /// enclave-private. The decrypted segment is a transient EPC charge
-    /// on each shard for the duration of the scan.
+    /// Hands every shard one staged chunk's public descriptor — absolute
+    /// chunk index, clients, cells; the cells themselves stay in the
+    /// coordinator — through its tunnel, and has the shard seal its
+    /// advanced tally. The frame is a transient EPC charge on the shard
+    /// while it is tallied.
     ///
     /// Every delivery runs under the fault plan and retry policy; a shard
     /// kill triggers mid-round failover (relaunch, re-attest, rekey,
     /// restore from checkpoint). Exhausted recovery returns a
-    /// [`ShardError`]; the chunk cursor then stays put, so the round can
-    /// be restored and the chunk re-broadcast.
+    /// [`ShardError`]; the chunk cursor then stays put, and the round is
+    /// restorable over a re-provisioned plane.
     pub fn ingress_chunk(&mut self, staged: &[SparseGradient]) -> Result<(), ShardError> {
-        let cells = concat_cells(staged);
-        let mut payload = Vec::with_capacity(cells.len() * 8);
-        for c in &cells {
-            payload.extend_from_slice(&c.to_le_bytes());
-        }
         let chunk = self.chunk_cursor;
+        let cells: u64 = staged.iter().map(|u| u.k() as u64).sum();
+        let descriptor = [u64::from(chunk), staged.len() as u64, cells];
+        let frame: Vec<u8> = descriptor.iter().flat_map(|w| w.to_le_bytes()).collect();
         let _span = self.telemetry.span(
             "shard_ingress",
             &[
                 ("chunk", chunk.into()),
                 ("shards", (self.shards.len() as u64).into()),
-                ("segment_bytes", (payload.len() as u64).into()),
+                ("frame_bytes", (frame.len() as u64).into()),
             ],
         );
         for i in 0..self.shards.len() {
-            self.with_recovery(i, "in", chunk, |rt| rt.try_deliver(i, chunk, &payload))?;
-            if self.checkpointing {
-                self.checkpoint_shard(i);
-            }
+            self.with_recovery(i, "in", chunk, |rt| rt.try_deliver(i, chunk, &frame))?;
+            self.checkpoint_shard(i);
         }
         self.chunk_cursor += 1;
+        self.cells_sent += cells;
         Ok(())
     }
 
     /// Distributes the finalized delta stripewise to the shards and folds
     /// the shard-held stripes back in ascending shard order — the
     /// deterministic merge. Each shard's receipt carries the hash of the
-    /// stripe it holds (plus its routed-cell count); the coordinator
-    /// verifies every receipt against the stripe it sealed, so the
+    /// stripe it holds and its cell tally; the coordinator verifies both
+    /// against the stripe it sealed and the chunks it delivered, so the
     /// reassembled delta is bitwise the canonical one by construction.
     ///
     /// Egress-phase faults (kill/tamper/drop at [`EGRESS_CHUNK`], receipt
@@ -519,7 +499,6 @@ impl ShardRuntime {
             }
             let held = self.with_recovery(i, "eg", EGRESS_CHUNK, |rt| rt.try_egress(i, &bytes))?;
             out.extend_from_slice(&held);
-            self.shards[i].routed_cells = 0;
         }
         Ok(out)
     }
@@ -595,32 +574,23 @@ impl ShardRuntime {
         })
     }
 
-    /// One delivery attempt: seal, (faultable) transport, open, scan.
-    fn try_deliver(&mut self, i: usize, chunk: u32, payload: &[u8]) -> Result<(), ShardFailure> {
-        let plain = self.send_down(i, chunk, MSG_CELLS, payload)?;
-        let range = self.plan.range(i);
-        let mut routed = 0u64;
-        for cell_bytes in plain.chunks_exact(8) {
-            let cell = u64::from_le_bytes(cell_bytes.try_into().expect("8-byte cell"));
-            let idx = cell_index(cell);
-            // Branch-free keep decision: every shard touches every
-            // cell of the segment regardless of ownership.
-            let keep = (idx != DUMMY_INDEX) & range.contains(&(idx as usize));
-            routed += u64::from(keep);
-        }
+    /// One delivery attempt: seal, (faultable) transport, open, tally.
+    fn try_deliver(&mut self, i: usize, chunk: u32, frame: &[u8]) -> Result<(), ShardFailure> {
+        let plain = self.send_down(i, chunk, MSG_CHUNK, frame)?;
+        // The descriptor's third word.
+        let cells = plain[16..].try_into().expect("an authenticated 24-byte descriptor");
         let sh = &mut self.shards[i];
-        sh.routed_cells += routed;
         sh.chunks_done += 1;
-        sh.enclave.epc.free_counted(payload.len() as u64, &self.telemetry, &sh.key);
+        sh.cells += u64::from_le_bytes(cells);
+        sh.enclave.epc.free_counted(frame.len() as u64, &self.telemetry, &sh.key);
         Ok(())
     }
 
-    /// One egress attempt: stripe down, receipt up, hash check.
+    /// One egress attempt: stripe down, receipt up, hash and tally check.
     fn try_egress(&mut self, i: usize, bytes: &[u8]) -> Result<Vec<f32>, ShardFailure> {
         let held = self.send_down(i, EGRESS_CHUNK, MSG_STRIPE, bytes)?;
         let sh = &mut self.shards[i];
-        let mut receipt = digest(&held).to_vec();
-        receipt.extend_from_slice(&sh.routed_cells.to_be_bytes());
+        let mut receipt = stripe_receipt(&held, sh.cells);
         // A receipt-corruption fault models a faulty shard *computing* the
         // wrong receipt: the frame authenticates, the content is wrong, and
         // the coordinator's hash compare catches it. (Frame-level tampering
@@ -633,25 +603,25 @@ impl ShardRuntime {
         let opened = sh.coord_end.open(&up);
         // The receipt is out: the shard no longer needs the plaintext.
         sh.enclave.epc.free_counted(bytes.len() as u64, &self.telemetry, &sh.key);
-        if opened.map_err(ShardFailure::Tunnel)?[..32] != digest(bytes)[..] {
+        if opened.map_err(ShardFailure::Tunnel)? != stripe_receipt(bytes, self.cells_sent) {
             return Err(ShardFailure::ReceiptMismatch);
         }
         let word = |v: &[u8]| f32::from_bits(u32::from_le_bytes(v.try_into().expect("4-byte f32")));
         Ok(held.chunks_exact(4).map(word).collect())
     }
 
-    /// Seals the shard's stripe state (`round_epoch`, `chunks_done`,
-    /// `routed_cells`) under the `"shard-ckpt"` label inside the shard
-    /// enclave and parks the blob in untrusted storage, advancing the
-    /// pinned counter floor. The previous blob is kept around as the
-    /// rollback-attack corpus for the [`FaultKind::StaleSeal`] fault.
+    /// Seals the shard's state (`round_epoch`, `chunks_done`, `cells`)
+    /// under the `"shard-ckpt"` label inside the shard enclave and parks
+    /// the blob in untrusted storage, advancing the pinned counter floor.
+    /// The previous blob is kept around as the rollback-attack corpus for
+    /// the [`FaultKind::StaleSeal`] fault.
     fn checkpoint_shard(&mut self, i: usize) {
         let sh = &mut self.shards[i];
         let mut w = StateWriter::new();
         w.put_u64(SHARD_CKPT_VERSION);
         w.put_u64(self.round_epoch);
         w.put_u64(sh.chunks_done);
-        w.put_u64(sh.routed_cells);
+        w.put_u64(sh.cells);
         let blob = sh.enclave.seal(&w.into_bytes(), SHARD_CKPT_LABEL);
         self.telemetry.observe("ckpt_blob_bytes", &sh.key, blob.len() as u64);
         let counter = u64::from_be_bytes(blob[..8].try_into().expect("8-byte counter prefix"));
@@ -663,7 +633,7 @@ impl ShardRuntime {
     /// Mid-round shard failover: relaunch the enclave under the next DH
     /// epoch, re-attest it, rebuild both tunnel ends (fresh keys on both
     /// sides — the anchor supplies the coordinator half), and restore the
-    /// stripe state from the newest checkpoint under the pinned floor.
+    /// shard's tally from the newest checkpoint under the pinned floor.
     /// A stale blob served by the untrusted store is rejected
     /// ([`TeeError::StaleSeal`]) and the genuine newest one loaded
     /// instead — one extra (counted, backed-off) recovery step.
@@ -677,10 +647,11 @@ impl ShardRuntime {
             .span("shard_relaunch", &[("shard", shard.into()), ("dh_epoch", dh_epoch.into())]);
         let (mut enclave, coord_end, shard_end) = self.launch_shard(shard, seed, dh_epoch)?;
         let sh = &mut self.shards[i];
-        // Restore the stripe state. The untrusted store may serve a
+        // Restore the tally (there is no blob before the round's first
+        // chunk, and nothing to restore). The untrusted store may serve a
         // rolled-back blob (the StaleSeal fault); the pinned floor
         // catches it and recovery falls back to the genuine newest.
-        let (chunks_done, routed_cells) = if let Some(newest) = sh.ckpt_store.as_ref() {
+        let (chunks_done, cells) = if let Some(newest) = sh.ckpt_store.as_ref() {
             let (floor, epoch) = (sh.ckpt_floor, self.round_epoch);
             let mut restored = None;
             if let Some(prev) = sh.ckpt_prev.as_ref() {
@@ -701,10 +672,6 @@ impl ShardRuntime {
                 Some(state) => state,
                 None => restore_ckpt(&mut enclave, newest, floor, epoch)?,
             }
-        } else if sh.chunks_done > 0 {
-            // Chunks were delivered but never checkpointed: the stripe
-            // state died with the enclave.
-            return Err(ShardFailure::StateLost);
         } else {
             (0, 0)
         };
@@ -712,7 +679,7 @@ impl ShardRuntime {
         sh.coord_end = coord_end;
         sh.shard_end = shard_end;
         sh.chunks_done = chunks_done;
-        sh.routed_cells = routed_cells;
+        sh.cells = cells;
         // The fresh incarnation carries fresh handles: re-thread telemetry
         // into the relaunched enclave and both rebuilt tunnel ends.
         sh.enclave.set_telemetry(self.telemetry.clone());
@@ -723,7 +690,7 @@ impl ShardRuntime {
             &[
                 ("shard", shard.into()),
                 ("chunks_done", chunks_done.into()),
-                ("routed_cells", routed_cells.into()),
+                ("cells", cells.into()),
             ],
         );
         Ok(())
@@ -766,19 +733,12 @@ impl ShardRuntime {
     pub fn any_would_page(&self) -> bool {
         self.shards.iter().any(|sh| sh.enclave.epc.would_page())
     }
+}
 
-    /// Cells each shard routed into its stripe so far this round (test
-    /// hook; enclave-private in a deployment, reported via receipts).
-    pub fn routed_cells(&self) -> Vec<u64> {
-        self.shards.iter().map(|sh| sh.routed_cells).collect()
-    }
-
-    /// Each shard's newest checkpoint counter (test hook for the
-    /// seal-counter continuity regression: counters must be strictly
-    /// monotone across relaunches, or a reseal would reuse a nonce).
-    pub fn ckpt_counters(&self) -> Vec<u64> {
-        self.shards.iter().map(|sh| sh.ckpt_floor).collect()
-    }
+/// An egress receipt: `stripe hash ‖ cell tally` — what the shard answers
+/// with, and what the coordinator expects from what it sent.
+fn stripe_receipt(stripe: &[u8], cells: u64) -> Vec<u8> {
+    [&digest(stripe)[..], &cells.to_be_bytes()].concat()
 }
 
 /// Unseals and decodes one shard checkpoint inside `enclave`, enforcing
@@ -799,9 +759,7 @@ fn restore_ckpt(
         // Genuine blob, wrong generation: a cross-round rollback.
         return Err(ShardFailure::Seal(TeeError::StaleSeal));
     }
-    let chunks_done = r.get_u64().map_err(corrupt)?;
-    let routed_cells = r.get_u64().map_err(corrupt)?;
-    Ok((chunks_done, routed_cells))
+    Ok((r.get_u64().map_err(corrupt)?, r.get_u64().map_err(corrupt)?))
 }
 
 /// Emits one `fault_fired` telemetry event for a consumed fault-plan
@@ -859,31 +817,16 @@ mod tests {
         }
     }
 
-    #[test]
-    fn routing_partitions_every_real_cell() {
-        let (d, n, k) = (64, 10, 4);
-        let updates = random_updates(n, k, d, 5);
-        let mut eng = engine(AggregatorKind::NonOblivious, d, k, runtime(d, 4, 7));
-        eng.fold(&updates, 0, || (), &mut NullTracer).expect("fault-free chunk");
-        let routed = eng.shards().expect("sharded").routed_cells();
-        let real: u64 = updates
-            .iter()
-            .flat_map(|u| u.to_cells())
-            .filter(|&c| cell_index(c) != DUMMY_INDEX)
-            .count() as u64;
-        assert_eq!(routed.iter().sum::<u64>(), real, "stripes partition the coordinates");
-    }
-
     /// A shard budget carries exactly what the shard decrypts and holds —
-    /// the broadcast segment during a scan, its stripe at egress — so a
-    /// completed round peaks at the larger of the two (the segment at
-    /// S = 4, the stripe at S = 1 here), and every budget is empty after a
-    /// completed, an aborted and a `crash@`-killed round alike.
+    /// a chunk descriptor while it is tallied, its stripe at egress — so a
+    /// completed round peaks at the larger of the two (the 24-byte frame
+    /// at S = 4, the stripe at S = 1 here), and every budget is empty after
+    /// a completed, an aborted and a `crash@`-killed round alike.
     #[test]
     fn shard_budgets_track_stripe_share_plus_transport() {
-        let (d, n, k, chunk) = (1000, 40, 8, 20);
+        let (d, n, k, chunk) = (20, 40, 8, 20);
         let updates = random_updates(n, k, d, 9);
-        let segment = (chunk * k * 8) as u64;
+        let frame = 24u64;
         let tamper = FaultEvent { kind: FaultKind::TunnelTamper, chunk: 1, shard: 0 };
         let exhausting = FaultPlan::from_events(vec![tamper; RetryPolicy::MAX_ATTEMPTS as usize]);
         let crash = FaultPlan::parse("crash@0").expect("well-formed script");
@@ -906,9 +849,8 @@ mod tests {
                 assert!(rt.live().iter().all(|&b| b == 0), "S={shards}: shard budgets balance");
                 assert_eq!(end.coordinator.live, 0, "S={shards}: the coordinator balances");
                 if completes {
-                    let want: Vec<u64> = (0..shards)
-                        .map(|i| segment.max(4 * rt.plan().range(i).len() as u64))
-                        .collect();
+                    let want: Vec<u64> =
+                        (0..shards).map(|i| frame.max(4 * rt.plan.range(i).len() as u64)).collect();
                     assert_eq!(rt.peaks(), want, "S={shards}");
                 }
             }
@@ -940,8 +882,9 @@ mod tests {
 
     /// A faulted round — kills, tampers, drops, receipt corruption, a
     /// stale-seal rollback on restore — recovers to the *bitwise* same
-    /// output as the fault-free round, and the routed-cell partition
-    /// stays exact (the shard checkpoints carry it across relaunches).
+    /// output as the fault-free round. That it finishes at all says the
+    /// shard checkpoints carried every tally across the relaunches: the
+    /// egress receipts would not match otherwise.
     #[test]
     fn scripted_faults_recover_bitwise() {
         let (d, n, k) = (96, 24, 6);
@@ -952,18 +895,16 @@ mod tests {
             for chunk in updates.chunks(5) {
                 eng.fold(chunk, 0, || (), &mut NullTracer).expect("recovers");
             }
-            let routed = eng.shards().expect("sharded").routed_cells();
             let (out, end) = eng.finish(&mut NullTracer);
             let stats = end.shards.expect("the plane comes back").recovery_stats();
-            (out.expect("recovers"), routed, stats)
+            (out.expect("recovers"), stats)
         };
-        let (want, routed_clean, _) = run(FaultPlan::empty());
+        let (want, _) = run(FaultPlan::empty());
         let plan = FaultPlan::parse(
             "kill@2.1,stale@e.1,tamper@1.0,drop@3.2,tamper@e.3,receipt@e.0,kill@e.2",
         )
         .expect("well-formed script");
-        let (got, routed_faulted, stats) = run(plan);
-        assert_eq!(routed_faulted, routed_clean, "checkpoints must carry routed counts");
+        let (got, stats) = run(plan);
         let same = want.iter().zip(&got).all(|(a, b)| a.to_bits() == b.to_bits());
         assert!(same, "recovered round must be bitwise the fault-free one");
         assert_eq!(stats.relaunches, 2, "both kills trigger failover");
@@ -988,7 +929,7 @@ mod tests {
         let mut floors_seen = vec![0u64];
         for chunk in updates.chunks(4) {
             eng.fold(chunk, 0, || (), &mut NullTracer).expect("recovers");
-            let f = eng.shards().expect("sharded").ckpt_counters()[0];
+            let f = eng.shards().expect("sharded").shards[0].ckpt_floor;
             assert!(
                 f > *floors_seen.last().expect("seeded"),
                 "checkpoint counter must advance strictly past {floors_seen:?}"
@@ -1038,26 +979,23 @@ mod tests {
         assert_eq!(err.shard, 0);
     }
 
-    /// A mid-stream kill with checkpointing disabled is honest about the
-    /// loss: structured `StateLost`, not silently wrong routed counts.
+    /// The receipt's second half: a shard whose tally is one chunk short
+    /// of what the coordinator delivered — what a failover that lost a
+    /// chunk would leave behind — fails egress with a structured
+    /// `ReceiptMismatch` on every attempt, never a delta.
     #[test]
-    fn kill_without_checkpoints_reports_state_lost() {
-        let (d, n, k) = (64, 8, 4);
-        let updates = random_updates(n, k, d, 29);
-        let kill_at = |chunk: u32, seed: u8| {
-            let mut rt = runtime(d, 2, seed);
-            rt.set_checkpointing(false);
-            let mut eng = engine(AggregatorKind::NonOblivious, d, k, rt);
-            eng.set_fault_plan(FaultPlan::from_events(vec![FaultEvent {
-                kind: FaultKind::ShardKill,
-                chunk,
-                shard: 0,
-            }]));
-            eng.run(updates.chunks(4), &mut NullTracer).0
-        };
-        let err = shard_error(kill_at(1, 10).expect_err("unrecoverable"));
-        assert_eq!(err.failure, ShardFailure::StateLost);
-        // A kill before any chunk needs no checkpoint: fully recoverable.
-        assert!(kill_at(0, 11).is_ok());
+    fn a_shard_tally_one_chunk_short_fails_egress() {
+        let (d, k) = (64, 4);
+        let updates = random_updates(8, k, d, 29);
+        // Straight from provisioning: no round begun, so no plan armed.
+        let mut rt = runtime(d, 2, 10);
+        for chunk in updates.chunks(4) {
+            rt.ingress_chunk(chunk).expect("fault-free delivery");
+        }
+        rt.shards[1].cells -= 4 * k as u64;
+        let err = rt.egress_round(&vec![0.5; d]).expect_err("the tally is short");
+        let (attempts, failure) = (RetryPolicy::MAX_ATTEMPTS, ShardFailure::ReceiptMismatch);
+        assert_eq!(err, ShardError { shard: 1, attempts, failure });
+        assert!(rt.live().iter().all(|&b| b == 0), "a refused egress still balances");
     }
 }

@@ -118,7 +118,7 @@ pub struct RoundReport {
     /// shard enclave's own peak against its own.
     pub would_page: bool,
     /// Per-shard EPC peaks (bytes) observed this round, in stripe order:
-    /// the larger of the biggest broadcast segment and the shard's egress
+    /// the larger of a 24-byte chunk descriptor and the shard's egress
     /// stripe — what a shard enclave decrypts, not a share of the
     /// coordinator's working set. Empty when the round ran monolithically
     /// (S = 1).
@@ -164,8 +164,8 @@ pub struct OliveSystem {
     shard_provision_epoch: u32,
     /// A fault script awaiting the next round's engine
     /// ([`OliveSystem::set_fault_plan`]; armed — `take()`n — when the
-    /// engine starts, and an unsharded round's unfired remainder comes
-    /// back when it ends).
+    /// engine starts, and its unfired remainder comes back when the
+    /// engine ends, so one script spans a round's restores).
     pending_faults: Option<FaultPlan>,
     /// Seal a restorable checkpoint after every folded chunk (default on;
     /// [`OliveSystem::set_checkpointing`] is the escape hatch).
@@ -493,6 +493,10 @@ impl OliveSystem {
     /// without perturbing output, signature or trace. Only *exhausted*
     /// recovery surfaces, as [`RoundError::Shard`].
     ///
+    /// An upload the enclave refuses (tampered, replayed, malformed) ends
+    /// the round with [`RoundError::Upload`] naming its slot — after the
+    /// chunks before it are folded and checkpointed, never a panic.
+    ///
     /// On any `Err` the round stays pending ([`OliveSystem::interrupted`])
     /// with every EPC budget balanced, and
     /// [`OliveSystem::restore_round`] finishes it.
@@ -594,8 +598,9 @@ impl OliveSystem {
     ///
     /// The engine takes the coordinator's budget and the shard plane for
     /// the round and hands both back when it ends — so there is one exit
-    /// for every abort (stored material that does not resume, exhausted
-    /// shard recovery at ingress or egress, a scripted coordinator crash):
+    /// for every abort (stored material that does not resume, a refused
+    /// upload, exhausted shard recovery at ingress or egress, a scripted
+    /// coordinator crash):
     /// the round goes back to pending, the invocation's counters are
     /// flushed, and the error surfaces.
     fn drive<TR: ParallelTracer>(
@@ -718,24 +723,21 @@ impl OliveSystem {
         tr: &mut TR,
     ) -> Result<(), RoundError> {
         let msg_chunks: Vec<&[SealedMessage]> = pending.sealed.chunks(pending.chunk_size).collect();
-        let first = engine.chunks_done();
-        let mut staged = match msg_chunks.get(first) {
-            Some(msgs) => open_and_decode(&mut self.enclave, msgs),
-            None => Vec::new(),
+        // Chunk `i` opened and decoded; nothing past the last one.
+        let open = |enclave: &mut Enclave, i: usize| match msg_chunks.get(i) {
+            Some(msgs) => open_and_decode(enclave, msgs, i * pending.chunk_size),
+            None => Ok(Vec::new()),
         };
+        let first = engine.chunks_done();
+        let mut staged = open(&mut self.enclave, first)?;
         for (i, msgs) in msg_chunks.iter().enumerate().skip(first) {
             let _chunk_span = self.telemetry.span(
                 "ingest_chunk",
                 &[("chunk", (i as u64).into()), ("clients", (msgs.len() as u64).into())],
             );
-            let next_msgs = msg_chunks.get(i + 1).copied();
+            let next_bytes = msg_chunks.get(i + 1).map_or(0, |msgs| staged_chunk_bytes(msgs));
             let enclave = &mut self.enclave;
-            staged = engine.fold(
-                &staged,
-                next_msgs.map_or(0, staged_chunk_bytes),
-                move || next_msgs.map_or_else(Vec::new, |msgs| open_and_decode(enclave, msgs)),
-                tr,
-            )?;
+            let next = engine.fold(&staged, next_bytes, move || open(enclave, i + 1), tr)?;
             // Chunk i is folded: seal the restore point. Sealing touches
             // only enclave-private state (seal counter, sealing key), so
             // it emits no adversary-visible trace events — checkpoint
@@ -746,6 +748,9 @@ impl OliveSystem {
                 round_tel.ckpt_seals += 1;
             }
             engine.crash_point()?;
+            // Only now may a refused upload of chunk i+1 end the round:
+            // the restore point above already covers chunk i.
+            staged = next?;
         }
         Ok(())
     }
@@ -1062,6 +1067,17 @@ mod tests {
         OliveSystem::new(model, clients, cfg)
     }
 
+    /// A tiny system that samples every client, in chunks of two.
+    fn full_sample_system(kind: AggregatorKind, threads: usize, shards: usize) -> OliveSystem {
+        let (model, clients, mut cfg) = tiny_parts(kind, None);
+        cfg.sample_rate = 1.0;
+        let mut sys = OliveSystem::new(model, clients, cfg);
+        sys.set_threads(threads);
+        sys.set_chunk(2);
+        sys.set_shards(shards);
+        sys
+    }
+
     #[test]
     #[should_panic(expected = "batch size must be positive")]
     fn zero_client_batch_size_is_rejected_at_provisioning() {
@@ -1236,15 +1252,7 @@ mod tests {
             AggregatorKind::DiffOblivious { epsilon: 8.0, delta: 0.01, seed: 3 },
         ];
         for (kind, shards) in staged.into_iter().flat_map(|kind| [(kind, 1), (kind, 4)]) {
-            let system = || {
-                let (model, clients, mut cfg) = tiny_parts(kind, None);
-                cfg.sample_rate = 1.0;
-                let mut sys = OliveSystem::new(model, clients, cfg);
-                sys.set_threads(1);
-                sys.set_chunk(2);
-                sys.set_shards(shards);
-                sys
-            };
+            let system = || full_sample_system(kind, 1, shards);
             let mut reference = system();
             let mut ref_tr = RecordingTracer::new(Granularity::Element);
             let ref_report = reference.run_round(&mut ref_tr).expect("round");
@@ -1287,6 +1295,37 @@ mod tests {
             assert_eq!(report.model_signature, ref_report.model_signature);
             assert_eq!(tr.digest(), ref_tr.digest(), "{kind:?} S={shards}: trace digest");
             assert!(sys.epc_live().iter().all(|&b| b == 0));
+        }
+    }
+
+    /// One upload the enclave cannot authenticate (it holds a wrong key
+    /// for the user: to the enclave, a tampered ciphertext) ends `run_round`
+    /// with the slot named, the round pending and every budget balanced, on
+    /// one thread and across the opener thread alike. The chunks before it
+    /// are checkpointed, so once the slot verifies (a restore re-registers
+    /// every session) the round finishes bitwise, one tracer over both legs.
+    #[test]
+    fn a_refused_upload_leaves_the_round_pending_and_restorable() {
+        use olive_memsim::{Granularity, RecordingTracer};
+        for (threads, shards) in [(1usize, 1usize), (2, 4)] {
+            let system = || full_sample_system(AggregatorKind::Advanced, threads, shards);
+            let mut reference = system();
+            let mut ref_tr = RecordingTracer::new(Granularity::Element);
+            let ref_report = reference.run_round(&mut ref_tr).expect("round");
+            let slot = 5;
+            let victim = ref_report.processed_users[slot];
+
+            let mut sys = system();
+            let mut tr = RecordingTracer::new(Granularity::Element);
+            sys.enclave.register_client(victim, 0xBAD).expect("attested at provisioning");
+            let refused = RoundError::Upload { slot, error: TeeError::AuthFailure };
+            assert_eq!(sys.run_round(&mut tr).unwrap_err(), refused, "threads={threads}");
+            assert!(sys.interrupted(), "the round stays pending");
+            assert!(sys.epc_live().iter().all(|&b| b == 0), "S={shards}: budgets balance");
+            let report = sys.restore_round(&mut tr).expect("the slot verifies now");
+            assert_eq!(sys.global_params(), reference.global_params(), "S={shards}");
+            assert_eq!(report.model_signature, ref_report.model_signature);
+            assert_eq!(tr.digest(), ref_tr.digest(), "S={shards}: chunks 0-1 folded once");
         }
     }
 

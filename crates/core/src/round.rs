@@ -25,11 +25,12 @@
 //! staged cells, the scratch and the resident state, at every shard
 //! count; a shard's own budget carries only what the shard decrypts, and
 //! the shard transport charges that itself (`aggregation::sharded`). The
-//! ledger keeps the running total of what is charged, so when a fold or
-//! the egress fails — or the scripted coordinator crash fires —
-//! *everything* still charged is released before the error surfaces:
-//! after any `Err` from the engine every budget is back at `live == 0`
-//! and every counter pair balances.
+//! ledger keeps the running total of what is charged, so however a round
+//! ends — finished, or aborted on a failed fold, upload, egress or the
+//! scripted coordinator crash — [`RoundEngine::finish`] /
+//! [`RoundEngine::abort`] release *everything* still charged: every
+//! budget they hand back is at `live == 0` and every counter pair
+//! balances.
 //!
 //! The charge schedule per chunk is a pure function of the public chunk
 //! schedule: the chunk's staged plaintext, the aggregator's transient
@@ -90,6 +91,16 @@ pub enum RoundError {
     /// The shard transport plane failed after its retry/failover budget
     /// was exhausted (which shard, how many attempts, terminal failure).
     Shard(ShardError),
+    /// The upload in position `slot` of the round failed to verify or
+    /// decode (tampered, replayed, stale, from an unsampled user, or a
+    /// malformed encoding under a valid tag). Nothing of its chunk is
+    /// folded; the round resumes once a genuine upload is in the slot.
+    Upload {
+        /// 0-based position among the round's uploads.
+        slot: usize,
+        /// Why the enclave refused it.
+        error: TeeError,
+    },
     /// The coordinator enclave died right after chunk `after_chunk` was
     /// folded and checkpointed (a scripted [`FaultKind::CoordinatorKill`]):
     /// aggregator, staged plaintexts, session keys, replay floors and
@@ -105,6 +116,7 @@ impl core::fmt::Display for RoundError {
         match self {
             RoundError::Checkpoint(e) => write!(f, "checkpoint restore failed: {e:?}"),
             RoundError::Shard(e) => write!(f, "shard plane failed: {e}"),
+            RoundError::Upload { slot, error } => write!(f, "upload {slot} refused: {error:?}"),
             RoundError::CoordinatorKilled { after_chunk } => {
                 write!(f, "coordinator enclave killed after chunk {after_chunk}")
             }
@@ -161,9 +173,17 @@ impl Ledger {
         self.outstanding = self.outstanding - old + new;
     }
 
-    /// The abort path: releases everything still charged.
-    fn release_all(&mut self) {
+    /// The end of a round, finished or aborted: releases everything still
+    /// charged and hands the borrowed pieces back. `faults` is an
+    /// unsharded round's script; a sharded round's is taken back from the
+    /// runtime it was armed on.
+    fn end(mut self, faults: FaultPlan) -> RoundEnd {
         self.release(self.outstanding);
+        let faults = match self.shards.as_mut() {
+            Some(rt) => std::mem::take(rt.faults_mut()),
+            None => faults,
+        };
+        RoundEnd { coordinator: self.coordinator, shards: self.shards, faults }
     }
 
     /// Charges `bytes` for the duration of `work` (the checkpoint
@@ -327,26 +347,22 @@ pub fn staged_chunk_bytes(msgs: &[SealedMessage]) -> u64 {
     msgs.iter().map(|m| m.ciphertext.len().saturating_sub(8 + 16) as u64).sum()
 }
 
-/// Opens one chunk of uploads through [`Enclave::open_upload_batch`] and
-/// decodes the plaintext gradient encodings; the first upload that fails
-/// to verify or decode fails the chunk (a malformed encoding under a
-/// valid tag reads as [`TeeError::AuthFailure`]).
-fn try_open_and_decode(
+/// Opens one chunk of uploads — `msgs`, positions `first_slot..` of the
+/// round — through [`Enclave::open_upload_batch`] and decodes the
+/// plaintext gradient encodings: the `prefetch` half of a
+/// [`RoundEngine::fold`], the restore path's re-open, and the ingestion
+/// benchmarks' opener. The first upload that fails to verify or decode
+/// fails the chunk with [`RoundError::Upload`] (a malformed encoding
+/// under a valid tag reads as [`TeeError::AuthFailure`]).
+pub fn open_and_decode(
     enclave: &mut Enclave,
     msgs: &[SealedMessage],
-) -> Result<Vec<SparseGradient>, TeeError> {
+    first_slot: usize,
+) -> Result<Vec<SparseGradient>, RoundError> {
     let decode = |plain: Vec<u8>| SparseGradient::decode(&plain).ok_or(TeeError::AuthFailure);
-    enclave.open_upload_batch(msgs).into_iter().map(|r| r.and_then(decode)).collect()
-}
-
-/// Opens and decodes one chunk on the forward path — the `prefetch` half
-/// of a [`RoundEngine::fold`], shared with the ingestion benchmarks.
-/// Panics on any invalid upload (the simulation's clients are honest; a
-/// deployment would drop the slot and continue, which
-/// [`Enclave::open_upload_batch`]'s per-message `Result`s support). The
-/// restore path re-opens *stored* material and uses the fallible form.
-pub fn open_and_decode(enclave: &mut Enclave, msgs: &[SealedMessage]) -> Vec<SparseGradient> {
-    try_open_and_decode(enclave, msgs).expect("sampled, registered, fresh, well-formed uploads")
+    let refused = |slot, error| RoundError::Upload { slot, error };
+    let opened = enclave.open_upload_batch(msgs).into_iter().zip(first_slot..);
+    opened.map(|(plain, slot)| plain.and_then(decode).map_err(|e| refused(slot, e))).collect()
 }
 
 /// What the engine hands back when the round ends, completed or aborted:
@@ -357,8 +373,8 @@ pub struct RoundEnd {
     pub coordinator: EpcBudget,
     /// The shard plane, reusable for the next round.
     pub shards: Option<ShardRuntime>,
-    /// The unfired remainder of a fault script armed on an *unsharded*
-    /// engine (a sharded engine keeps its script in the shard runtime).
+    /// The unfired remainder of the round's fault script, at every S —
+    /// what the next engine (a restore's included) re-arms.
     pub faults: FaultPlan,
 }
 
@@ -367,7 +383,8 @@ pub struct RoundEngine {
     agg: StreamingAggregator,
     ledger: Ledger,
     /// Fault script of an unsharded round; a sharded round's script lives
-    /// in its [`ShardRuntime`], next to the transport hooks that fire it.
+    /// in its [`ShardRuntime`], next to the transport hooks that fire it,
+    /// for as long as the round runs.
     faults: FaultPlan,
     threads: usize,
     /// Per-client transmitted cells (public: ciphertext length reveals it).
@@ -439,14 +456,15 @@ impl RoundEngine {
     /// plaintext is `next_bytes` — overlapped on a spare thread when the
     /// thread budget allows, and returns what `prefetch` produced.
     ///
-    /// A sharded round first broadcasts the chunk's cell segment to every
-    /// shard (fixed shape: a pure function of the public chunk schedule,
-    /// so the transport leaks nothing the schedule doesn't already
-    /// reveal). Recovery from shard faults happens inside that call; only
-    /// *exhausted* recovery fails the fold — with every charge released
-    /// and the chunk unfolded, so the sealed checkpoint of the previous
-    /// chunk (or the untrusted round material, at chunk 0) restores the
-    /// round exactly.
+    /// A sharded round first hands every shard the chunk's public
+    /// descriptor (a pure function of the chunk schedule; no cell leaves
+    /// the coordinator). Recovery from shard faults happens inside that
+    /// call; only *exhausted* recovery fails the fold — with the chunk
+    /// unfolded, so the sealed checkpoint of the previous chunk (or the
+    /// untrusted round material, at chunk 0) restores the round exactly.
+    /// A `prefetch` that can fail hands its own `Result` back through
+    /// `T`: by then this chunk *is* folded, so the driver checkpoints it
+    /// before it looks.
     pub fn fold<TR: ParallelTracer, T: Send>(
         &mut self,
         chunk: &[SparseGradient],
@@ -464,10 +482,7 @@ impl RoundEngine {
         self.ledger.charge(scratch);
         self.ledger.charge(next_bytes);
         if let Some(rt) = self.ledger.shards.as_mut() {
-            if let Err(e) = rt.ingress_chunk(chunk) {
-                self.ledger.release_all();
-                return Err(e.into());
-            }
+            rt.ingress_chunk(chunk)?;
         }
         let next = if self.threads >= 2 && next_bytes > 0 {
             // Pipeline: the prefetch (crypto-bound) runs on an extra
@@ -527,9 +542,9 @@ impl RoundEngine {
     /// prefix the checkpoint was taken over: no cell may be owed, and the
     /// enclave's floors must equal the sealed snapshot entry for entry —
     /// a missing, swapped, substituted or unverifiable upload fails one
-    /// of them (or the open itself). Any failure releases every charge
-    /// and surfaces as [`RoundError::Checkpoint`]; the caller then tears
-    /// the engine down with [`RoundEngine::abort`].
+    /// of them (or the open itself). Any failure surfaces as
+    /// [`RoundError::Checkpoint`]; the caller then tears the engine down
+    /// with [`RoundEngine::abort`].
     pub fn resume(
         &mut self,
         enclave: &mut Enclave,
@@ -554,7 +569,6 @@ impl RoundEngine {
         if restaged && self.agg.owed_cells() == 0 && enclave.replay_floors() == ckpt.floors {
             return Ok(());
         }
-        self.ledger.release_all();
         Err(RoundError::Checkpoint(TeeError::AuthFailure))
     }
 
@@ -562,7 +576,7 @@ impl RoundEngine {
     /// aggregator; `false` if an upload does not verify or the cells do
     /// not fit what is owed.
     fn restage_chunk(&mut self, enclave: &mut Enclave, msgs: &[SealedMessage]) -> bool {
-        let Ok(chunk) = try_open_and_decode(enclave, msgs) else {
+        let Ok(chunk) = open_and_decode(enclave, msgs, 0) else {
             return false;
         };
         let staged = staged_chunk_bytes(msgs);
@@ -581,16 +595,15 @@ impl RoundEngine {
     }
 
     /// The crash hook, called once the chunk just folded is checkpointed:
-    /// fires a scripted [`FaultKind::CoordinatorKill`] at that chunk.
-    /// Enclave memory dies with the coordinator, so every charge is
-    /// released before [`RoundError::CoordinatorKilled`] surfaces.
+    /// fires a scripted [`FaultKind::CoordinatorKill`] at that chunk
+    /// ([`RoundError::CoordinatorKilled`]; enclave memory dies with the
+    /// coordinator, and [`RoundEngine::abort`] releases its charges).
     pub fn crash_point(&mut self) -> Result<(), RoundError> {
         let after_chunk = self.chunks_done - 1;
         if !self.faults_mut().fire(FaultKind::CoordinatorKill, after_chunk as u32, 0) {
             return Ok(());
         }
         note_fault(&self.ledger.telemetry, FaultKind::CoordinatorKill, after_chunk as u32, 0);
-        self.ledger.release_all();
         Err(RoundError::CoordinatorKilled { after_chunk })
     }
 
@@ -598,8 +611,8 @@ impl RoundEngine {
     /// stripes the delta out to the shards and folds the shard-held
     /// stripes back in ascending shard order (the deterministic merge,
     /// bitwise the canonical delta). An exhausted egress recovery fails
-    /// with every charge released; the final checkpoint (all chunks
-    /// folded) restores the round at this step.
+    /// the round; the final checkpoint (all chunks folded) restores it at
+    /// this step.
     pub fn finish<TR: ParallelTracer>(
         mut self,
         tr: &mut TR,
@@ -611,9 +624,7 @@ impl RoundEngine {
             Some(rt) => rt.egress_round(&canonical).map_err(RoundError::from),
             None => Ok(canonical),
         };
-        self.ledger.release_all();
-        let Ledger { coordinator, shards, .. } = self.ledger;
-        (delta, RoundEnd { coordinator, shards, faults: self.faults })
+        (delta, self.ledger.end(self.faults))
     }
 
     /// Folds pre-decoded chunks back to back (nothing to prefetch) and
@@ -632,12 +643,10 @@ impl RoundEngine {
         self.finish(tr)
     }
 
-    /// Tears down an engine whose round was aborted (the failed call
-    /// already released every charge).
+    /// Tears down an engine whose round will not finish here — a call
+    /// failed, or an upload did — releasing whatever is still charged.
     pub fn abort(self) -> RoundEnd {
-        debug_assert_eq!(self.ledger.outstanding, 0, "abort follows an engine error");
-        let Ledger { coordinator, shards, .. } = self.ledger;
-        RoundEnd { coordinator, shards, faults: self.faults }
+        self.ledger.end(self.faults)
     }
 
     /// The shard plane this round runs over, if any.
@@ -745,12 +754,11 @@ mod tests {
             eng.crash_point().expect("chunk 0 is not scripted");
             eng.fold(&updates[2..4], 0, || (), &mut NullTracer).expect("fault-free");
             assert_eq!(eng.crash_point(), Err(RoundError::CoordinatorKilled { after_chunk: 1 }));
-            let sharded = eng.shards().is_some();
             let end = eng.abort();
             assert_eq!(end.coordinator.live, 0);
             assert!(end.shards.iter().all(|rt| rt.live().iter().all(|&b| b == 0)));
-            // The unreached event stays armed where the engine found it.
-            assert_eq!(end.faults.remaining(), usize::from(!sharded));
+            // The unreached event comes back for the restore, at every S.
+            assert_eq!(end.faults.remaining(), 1);
         }
     }
 
@@ -819,6 +827,42 @@ mod tests {
         assert_eq!(Checkpoint::decode(&ckpt.encode(), shape).err(), Some(StateError::Corrupt));
     }
 
+    /// A refused upload on the forward path is a structured error, never a
+    /// panic — in the chunk about to be folded (nothing folds) and in the
+    /// prefetched one (its predecessor is folded first; on two threads the
+    /// refusal crosses the opener thread's join) — and aborting releases
+    /// everything, the look-ahead staging included, at every S.
+    #[test]
+    fn a_refused_upload_is_an_error_with_every_budget_balanced() {
+        let (d, n, k, chunk) = (32, 6, 4, 2);
+        for (threads, bad, shards) in [(1usize, 1usize, 1usize), (2, 1, 4), (1, 3, 4), (2, 3, 1)] {
+            let (mut enclave, mut sealed) = sealed_round(n, k, d);
+            sealed[bad].ciphertext[9] ^= 0x10;
+            let ledger = if shards > 1 { sharded(d, shards) } else { monolithic() };
+            let mut eng = engine(AggregatorKind::Advanced, d, k, threads, ledger);
+            let refused = Err(RoundError::Upload { slot: bad, error: TeeError::AuthFailure });
+            let first = open_and_decode(&mut enclave, &sealed[..chunk], 0);
+            if bad < chunk {
+                assert_eq!(first, refused, "threads={threads}");
+            } else {
+                let staged = first.expect("chunk 0 is genuine");
+                let next = &sealed[chunk..2 * chunk];
+                let fetched = eng.fold(
+                    &staged,
+                    staged_chunk_bytes(next),
+                    || open_and_decode(&mut enclave, next, chunk),
+                    &mut NullTracer,
+                );
+                assert_eq!(fetched.expect("the fold itself succeeds"), refused);
+                assert_eq!(eng.chunks_done(), 1, "chunk 0 is folded all the same");
+                assert!(eng.ledger.outstanding > eng.agg.resident_bytes(), "look-ahead staged");
+            }
+            let end = eng.abort();
+            assert_eq!(end.coordinator.live, 0, "threads={threads} bad={bad}");
+            assert!(end.shards.iter().all(|rt| rt.live().iter().all(|&b| b == 0)));
+        }
+    }
+
     /// Resume at engine level, on the ledger: an accumulating kind takes
     /// the sealed floors as they are; a staged kind re-opens the folded
     /// prefix, its cells land on the budget as resident growth, and the
@@ -834,12 +878,12 @@ mod tests {
             let mut ckpt = Checkpoint::start(shape(n, chunk, k), [0; 4], &base);
             let mut eng = engine(kind, d, k, 1, monolithic());
             for msgs in sealed.chunks(chunk).take(2) {
-                let updates = open_and_decode(&mut enclave, msgs);
+                let updates = open_and_decode(&mut enclave, msgs, 0).expect("genuine");
                 eng.fold(&updates, 0, || (), &mut NullTracer).expect("fault-free");
                 ckpt.advance(msgs);
             }
             let blob = ckpt.seal(&mut eng, &mut enclave);
-            let last = open_and_decode(&mut enclave, &sealed[2 * chunk..]);
+            let last = open_and_decode(&mut enclave, &sealed[2 * chunk..], 0).expect("genuine");
             eng.fold(&last, 0, || (), &mut NullTracer).expect("fault-free");
             let want = eng.finish(&mut NullTracer).0.expect("fault-free");
 
@@ -861,7 +905,7 @@ mod tests {
                 // before the resident state it was copied into is resized.
                 assert_eq!(eng.ledger.coordinator.peak, cells);
             }
-            let last = open_and_decode(&mut enclave, &sealed[2 * chunk..]);
+            let last = open_and_decode(&mut enclave, &sealed[2 * chunk..], 0).expect("genuine");
             eng.fold(&last, 0, || (), &mut NullTracer).expect("fault-free");
             let got = eng.finish(&mut NullTracer).0.expect("fault-free");
             assert!(want.iter().zip(&got).all(|(a, b)| a.to_bits() == b.to_bits()), "{kind:?}");

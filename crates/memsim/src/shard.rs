@@ -2,11 +2,10 @@
 //! enclaves.
 //!
 //! A [`ShardPlan`] is a sorted list of stripe boundaries over `0..d`. It
-//! decides two things and nothing else: which coordinates of the
-//! finalized delta a shard is sent at egress, and which cells of a
-//! broadcast segment it counts as its own. No EPC charge is derived from
-//! it — a shard's budget carries what the shard actually decrypts (the
-//! whole segment, then its stripe), charged where that happens
+//! decides one thing and nothing else: which coordinates of the
+//! finalized delta a shard is sent at egress. No EPC charge is derived
+//! from it — a shard's budget carries what the shard actually decrypts
+//! (a chunk descriptor, then its stripe), charged where that happens
 //! (`olive_core::aggregation::sharded`).
 
 /// A partition of the model dimension `0..d` into `S` contiguous stripes.

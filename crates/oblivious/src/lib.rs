@@ -48,7 +48,4 @@ pub use primitives::{o_select, o_select_u64, o_swap, Oblivious};
 pub use scan::{o_scan_read, o_scan_update, o_scan_write};
 pub use shuffle::{oblivious_shuffle, oblivious_shuffle_with_threads};
 pub use sort::{bitonic_sort, bitonic_sort_by_key};
-pub use sort_kernel::{
-    bitonic_sort_keyed, bitonic_sort_keyed_with, bitonic_sort_u64, bitonic_sort_u64_with,
-    sort_kernel, InlinePayload, SortKernel,
-};
+pub use sort_kernel::{bitonic_sort_u64_with, sort_kernel, InlinePayload, SortKernel};

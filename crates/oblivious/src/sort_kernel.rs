@@ -18,14 +18,12 @@
 //!    sequence of the scalar network, so digests agree at every
 //!    granularity — and, because the emission is independent of the
 //!    physical execution, they agree at **every thread count** too.
-//! 2. **Keys can be computed once.** Instead of re-evaluating the `key`
-//!    closure twice per comparator per stage, the keyed kernel packs
-//!    `(key, inline cell)` into one `u128` word up front and
-//!    compare-exchanges whole words. Payloads ride *inside* the sorted
-//!    word — an index-permutation epilogue would be a data-dependent
-//!    gather (an access-pattern leak in a real enclave), so only types
-//!    whose payload fits beside the key ([`InlinePayload`]) take this
-//!    path; everything else keeps the scalar reference network.
+//! 2. **Keys ride in the word.** The tagged path (the oblivious shuffle)
+//!    takes `(tag << 64) | payload` words packed up front and
+//!    compare-exchanges them whole, by tag only. The payload
+//!    ([`InlinePayload`]) rides *inside* the sorted word — an
+//!    index-permutation epilogue would be a data-dependent gather (an
+//!    access-pattern leak in a real enclave).
 //! 3. **Comparators within a stage are independent.** A stage
 //!    compare-exchanges disjoint element pairs, so the inner loop is a
 //!    branchless min/max (or mask-select) sweep over contiguous runs that
@@ -64,9 +62,8 @@
 
 use std::sync::{Barrier, OnceLock};
 
-use olive_memsim::{default_threads, truncated_stage_len, Tracer, TrackedBuf};
+use olive_memsim::{truncated_stage_len, Tracer, TrackedBuf};
 
-use crate::primitives::Oblivious;
 use crate::sort::bitonic_sort;
 
 /// Cells per private block of the pass schedule (a power of two, at least
@@ -94,8 +91,8 @@ pub fn sort_kernel() -> SortKernel {
     SortKernel::Batched
 }
 
-/// Payloads the batched keyed kernel can carry inline beside their 64-bit
-/// sort key (packed `(key << 64) | payload` and compare-exchanged as one
+/// Payloads the tagged kernel can carry inline beside their 64-bit sort
+/// tag (packed `(tag << 64) | payload` and compare-exchanged as one
 /// `u128`). The round-trip must be lossless; the payload bits never
 /// influence comparisons.
 pub trait InlinePayload: Copy {
@@ -113,72 +110,6 @@ impl InlinePayload for u64 {
     #[inline(always)]
     fn from_word(w: u64) -> Self {
         w
-    }
-}
-
-impl InlinePayload for u32 {
-    #[inline(always)]
-    fn to_word(self) -> u64 {
-        self as u64
-    }
-    #[inline(always)]
-    fn from_word(w: u64) -> Self {
-        w as u32
-    }
-}
-
-impl InlinePayload for i64 {
-    #[inline(always)]
-    fn to_word(self) -> u64 {
-        self as u64
-    }
-    #[inline(always)]
-    fn from_word(w: u64) -> Self {
-        w as i64
-    }
-}
-
-impl InlinePayload for f32 {
-    #[inline(always)]
-    fn to_word(self) -> u64 {
-        self.to_bits() as u64
-    }
-    #[inline(always)]
-    fn from_word(w: u64) -> Self {
-        f32::from_bits(w as u32)
-    }
-}
-
-impl InlinePayload for f64 {
-    #[inline(always)]
-    fn to_word(self) -> u64 {
-        self.to_bits()
-    }
-    #[inline(always)]
-    fn from_word(w: u64) -> Self {
-        f64::from_bits(w)
-    }
-}
-
-impl InlinePayload for (u32, u32) {
-    #[inline(always)]
-    fn to_word(self) -> u64 {
-        ((self.0 as u64) << 32) | self.1 as u64
-    }
-    #[inline(always)]
-    fn from_word(w: u64) -> Self {
-        ((w >> 32) as u32, w as u32)
-    }
-}
-
-impl InlinePayload for (u32, f32) {
-    #[inline(always)]
-    fn to_word(self) -> u64 {
-        ((self.0 as u64) << 32) | self.1.to_bits() as u64
-    }
-    #[inline(always)]
-    fn from_word(w: u64) -> Self {
-        ((w >> 32) as u32, f32::from_bits(w as u32))
     }
 }
 
@@ -641,13 +572,8 @@ fn sort_words_on<W: Word>(v: &mut [W], workers: usize, block: usize, run: PassFn
 
 /// Sorts packed `u64` cells (any length) ascending by their **raw value**
 /// (the aggregation hot path: cells are index-major, so raw order is index
-/// order) with the process-default kernel and thread count.
-pub fn bitonic_sort_u64<TR: Tracer>(buf: &mut TrackedBuf<u64>, tr: &mut TR) {
-    bitonic_sort_u64_with(buf, sort_kernel(), default_threads(), tr)
-}
-
-/// [`bitonic_sort_u64`] with every knob explicit (how the differential
-/// tests reach the scalar reference network).
+/// order), every knob explicit (how the differential tests reach the
+/// scalar reference network).
 ///
 /// Both kernels produce bitwise-identical outputs and digest-identical
 /// traces at every length, thread count and granularity.
@@ -662,47 +588,6 @@ pub fn bitonic_sort_u64_with<TR: Tracer>(
         SortKernel::Batched => {
             emit_network_trace(buf, tr);
             sort_words(buf.as_mut_slice_untraced(), threads, BLOCK, run_pass_u64);
-        }
-    }
-}
-
-/// Sorts `buf` ascending by `key` with the batched keyed kernel: the key
-/// is evaluated **once per element**, packed key-major beside the inline
-/// payload, and the packed words are compare-exchanged by key only —
-/// bitwise-identical output and trace to the scalar [`bitonic_sort`] with
-/// the same `key`.
-pub fn bitonic_sort_keyed<T, K, TR>(buf: &mut TrackedBuf<T>, key: K, tr: &mut TR)
-where
-    T: Oblivious + InlinePayload,
-    K: Fn(&T) -> u64,
-    TR: Tracer,
-{
-    bitonic_sort_keyed_with(buf, key, sort_kernel(), default_threads(), tr)
-}
-
-/// [`bitonic_sort_keyed`] with every knob explicit.
-pub fn bitonic_sort_keyed_with<T, K, TR>(
-    buf: &mut TrackedBuf<T>,
-    key: K,
-    kernel: SortKernel,
-    threads: usize,
-    tr: &mut TR,
-) where
-    T: Oblivious + InlinePayload,
-    K: Fn(&T) -> u64,
-    TR: Tracer,
-{
-    match kernel {
-        SortKernel::Scalar => bitonic_sort(buf, key, tr),
-        SortKernel::Batched => {
-            emit_network_trace(buf, tr);
-            let data = buf.as_mut_slice_untraced();
-            let mut packed: Vec<u128> =
-                data.iter().map(|x| ((key(x) as u128) << 64) | x.to_word() as u128).collect();
-            sort_words(&mut packed, threads, BLOCK, run_pass_u128);
-            for (dst, w) in data.iter_mut().zip(packed) {
-                *dst = T::from_word(w as u64);
-            }
         }
     }
 }
@@ -729,6 +614,7 @@ pub fn bitonic_sort_tagged_with<TR: Tracer>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::primitives::Oblivious;
     use olive_memsim::{Granularity, NullTracer, RecordingTracer};
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
@@ -823,28 +709,6 @@ mod tests {
     }
 
     #[test]
-    fn keyed_kernel_matches_scalar_on_pairs() {
-        let mut rng = SmallRng::seed_from_u64(3);
-        let data: Vec<(u32, f32)> =
-            (0..515).map(|_| (rng.gen_range(0..64), rng.gen_range(-1.0..1.0))).collect();
-        let mut scalar = TrackedBuf::new(0, data.clone());
-        bitonic_sort(&mut scalar, |c| c.0 as u64, &mut NullTracer);
-        for threads in [1usize, 4] {
-            let mut batched = TrackedBuf::new(0, data.clone());
-            bitonic_sort_keyed_with(
-                &mut batched,
-                |c| c.0 as u64,
-                SortKernel::Batched,
-                threads,
-                &mut NullTracer,
-            );
-            // Bitwise equality including tie order: key ties must follow
-            // the scalar swap rule, not payload order.
-            assert_eq!(scalar.as_slice_untraced(), batched.into_inner());
-        }
-    }
-
-    #[test]
     fn tagged_kernel_matches_scalar_u128() {
         let mut rng = SmallRng::seed_from_u64(4);
         // Force plenty of tag collisions so the tie rule is exercised.
@@ -860,11 +724,6 @@ mod tests {
     #[test]
     fn inline_payload_round_trips() {
         assert_eq!(u64::from_word(0xdead_beefu64.to_word()), 0xdead_beef);
-        assert_eq!(<(u32, f32)>::from_word((7u32, -1.5f32).to_word()), (7, -1.5));
-        assert_eq!(<(u32, u32)>::from_word((1u32, 2u32).to_word()), (1, 2));
-        assert_eq!(f64::from_word((-0.0f64).to_word()).to_bits(), (-0.0f64).to_bits());
-        assert_eq!(i64::from_word((-5i64).to_word()), -5);
-        assert_eq!(u32::from_word(9u32.to_word()), 9);
-        assert_eq!(f32::from_word(2.5f32.to_word()), 2.5);
+        assert_eq!(u64::from_word(u64::MAX.to_word()), u64::MAX);
     }
 }

@@ -7,10 +7,10 @@ use olive_memsim::{
     assert_oblivious, truncated_stage_len, Granularity, NullTracer, RecordingTracer, TraceDigest,
     TrackedBuf,
 };
+use olive_oblivious::o_select;
 use olive_oblivious::sort_kernel::{
-    bitonic_sort_keyed_with, bitonic_sort_tagged_with, bitonic_sort_u64_with, SortKernel,
+    bitonic_sort_tagged_with, bitonic_sort_u64_with, sort_kernel, SortKernel,
 };
-use olive_oblivious::{bitonic_sort, o_select};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -83,34 +83,6 @@ fn digests_identical_at_both_granularities_and_every_thread_count() {
                     bitonic_sort_u64_with(buf, SortKernel::Batched, threads, tr)
                 });
                 assert_eq!(batched, scalar, "n={n} {granularity:?} threads={threads}");
-            }
-        }
-    }
-}
-
-#[test]
-fn keyed_kernel_outputs_and_digests_match_scalar() {
-    // (u32, f32) pairs keyed by the index half, with heavy key collisions:
-    // a tie must stay where the scalar network leaves it.
-    let key = |c: &(u32, f32)| c.0 as u64;
-    let bits = |v: Vec<(u32, f32)>| v.into_iter().map(|c| (c.0, c.1.to_bits())).collect::<Vec<_>>();
-    let mut rng = SmallRng::seed_from_u64(5);
-    for n in LENGTHS {
-        let data: Vec<(u32, f32)> =
-            (0..n).map(|_| (rng.gen_range(0..32), rng.gen_range(-4.0..4.0))).collect();
-        for granularity in GRANULARITIES {
-            let (want, want_digest) =
-                traced(&data, granularity, |buf, tr| bitonic_sort(buf, key, tr));
-            for threads in THREAD_COUNTS {
-                let (got, digest) = traced(&data, granularity, |buf, tr| {
-                    bitonic_sort_keyed_with(buf, key, SortKernel::Batched, threads, tr)
-                });
-                assert_eq!(
-                    bits(got),
-                    bits(want.clone()),
-                    "n={n} {granularity:?} threads={threads}"
-                );
-                assert_eq!(digest, want_digest, "n={n} {granularity:?} threads={threads}");
             }
         }
     }
@@ -200,13 +172,13 @@ fn comparator_count_matches_batcher_under_block_events() {
 
 #[test]
 fn default_entry_points_sort_correctly() {
-    // The default wrappers must sort; this is the path production
+    // The default kernel must sort; this is the path production
     // aggregation takes.
     let data = clustered_words(2051, 3);
     let mut expected = data.clone();
     expected.sort_unstable();
     let mut buf = TrackedBuf::new(0, data);
-    olive_oblivious::bitonic_sort_u64(&mut buf, &mut NullTracer);
+    bitonic_sort_u64_with(&mut buf, sort_kernel(), 2, &mut NullTracer);
     assert_eq!(buf.into_inner(), expected);
 
     // Sanity: o_select remains the tie-free primitive underneath the

@@ -18,10 +18,12 @@ use olive_data::synthetic::{Dataset, Generator, SyntheticConfig};
 use olive_data::{partition, ClientData, LabelAssignment};
 use olive_fl::{local_update, ClientConfig, SparseGradient, Sparsifier};
 use olive_memsim::ParallelTracer;
+use olive_memsim::ShardPlan;
 use olive_nn::zoo::mlp;
 use olive_nn::Model;
+use olive_tee::{AttestationService, Enclave, EnclaveConfig};
 use rand::rngs::SmallRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 /// Seed of the canonical deployment's *data* (clients, model init, pool).
 /// Per-test seeds only steer the protocol on top of this fixed world.
@@ -120,4 +122,54 @@ pub fn engine_round<TR: ParallelTracer>(
     let (out, end) = engine.run(updates.chunks(chunk), tr);
     assert_eq!(end.coordinator.live, 0, "{kind:?}: the coordinator budget must balance");
     (out, end.shards.expect("the plane comes back"))
+}
+
+/// Random sparse updates for the engine-level suites: `n` clients, `k` of
+/// `d` coordinates each (sorted, distinct within a client, colliding
+/// across clients), values in (−1, 1).
+pub fn random_updates(n: usize, k: usize, d: usize, seed: u64) -> Vec<SparseGradient> {
+    let mut rng = SmallRng::seed_from_u64(seed);
+    (0..n)
+        .map(|_| {
+            let mut idxs: Vec<u32> = (0..d as u32).collect();
+            for t in 0..k {
+                let j = rng.gen_range(t..d);
+                idxs.swap(t, j);
+            }
+            let mut indices: Vec<u32> = idxs[..k].to_vec();
+            indices.sort_unstable();
+            let values = (0..k).map(|_| rng.gen_range(-1.0..1.0)).collect();
+            SparseGradient { dense_dim: d, indices, values }
+        })
+        .collect()
+}
+
+/// One of every aggregator kind (both Baseline granularities).
+pub fn all_kinds() -> Vec<AggregatorKind> {
+    vec![
+        AggregatorKind::NonOblivious,
+        AggregatorKind::Baseline { cacheline_weights: 16 },
+        AggregatorKind::Baseline { cacheline_weights: 1 },
+        AggregatorKind::Advanced,
+        AggregatorKind::Grouped { h: 3 },
+        AggregatorKind::PathOram { posmap: olive_oram::PosMapKind::LinearScan },
+        AggregatorKind::DiffOblivious { epsilon: 1.0, delta: 1e-3, seed: 11 },
+    ]
+}
+
+/// A shard plane provisioned over `plan`, around a throwaway attested
+/// coordinator.
+pub fn shard_runtime(plan: ShardPlan) -> ShardRuntime {
+    let service = AttestationService::new([7; 32]);
+    let mut coordinator = Enclave::launch(&EnclaveConfig::default(), [8; 32]);
+    coordinator.attest(&service, b"shard-suites");
+    ShardRuntime::provision_with_plan(
+        &service,
+        &mut coordinator,
+        b"shard-suites",
+        [9; 32],
+        96 << 20,
+        plan,
+    )
+    .expect("provisioning succeeds in the simulation")
 }

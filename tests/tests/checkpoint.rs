@@ -123,25 +123,33 @@ fn kill_and_restore_is_bitwise_identical() {
     }
 }
 
-/// Two crashes in one round: killed after chunk 1, killed again — the
-/// script armed on the restore — after chunk 3, restored a second time.
-/// The second restore of a staged kind rewinds to the *round-start*
-/// floors once more and re-stages a prefix twice as long; one tracer
-/// spans all three legs.
+/// Two crashes in one round: killed after chunk 1, killed again after
+/// chunk 3, restored a second time — with the second crash armed on the
+/// restore, or both in one script armed once, whose unfired remainder
+/// must survive the first restore's re-provisioning at every S. The
+/// second restore of a staged kind rewinds to the *round-start* floors
+/// once more and re-stages a prefix twice as long; one tracer spans all
+/// three legs.
 #[test]
 fn double_kill_and_restore_is_bitwise_identical() {
     let (seed, chunk) = (41, 2);
     for kind in [AggregatorKind::Advanced, DIFF_OBLIVIOUS] {
         let (ref_params, ref_digest, ref_report) = uninterrupted(kind, None, seed, chunk, 1);
         assert!(ref_report.processed_users.len().div_ceil(chunk) > 4, "chunk 3 is not the last");
-        for shards in [1usize, 4] {
-            let ctx = format!("kind={kind:?} S={shards}");
+        for (shards, one_script) in [(1usize, false), (4, false), (1, true), (4, true)] {
+            let ctx = format!("kind={kind:?} S={shards} one_script={one_script}");
             let mut sys = fresh(kind, None, seed, chunk, 1);
             sys.set_shards(shards);
             let mut tr = RecordingTracer::new(Granularity::Element);
-            crash_after(&mut sys, 1);
+            if one_script {
+                sys.set_fault_plan(FaultPlan::parse("crash@1,crash@3").expect("well-formed"));
+            } else {
+                crash_after(&mut sys, 1);
+            }
             assert_eq!(sys.run_round(&mut tr).unwrap_err(), killed(1), "{ctx}");
-            crash_after(&mut sys, 3);
+            if !one_script {
+                crash_after(&mut sys, 3);
+            }
             assert_eq!(sys.restore_round(&mut tr).unwrap_err(), killed(3), "{ctx}");
             assert!(sys.interrupted(), "{ctx}: still pending after the second crash");
             assert!(sys.epc_live().iter().all(|&b| b == 0), "{ctx}: a crash releases the restage");

@@ -4,29 +4,8 @@
 
 use olive_core::aggregation::{aggregate, aggregate_with_threads, AggregatorKind};
 use olive_fl::SparseGradient;
+use olive_integration_tests::random_updates;
 use olive_memsim::{assert_not_oblivious, assert_oblivious, Granularity};
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
-
-fn random_updates(n: usize, k: usize, d: usize, seed: u64) -> Vec<SparseGradient> {
-    let mut rng = SmallRng::seed_from_u64(seed);
-    (0..n)
-        .map(|_| {
-            let mut idxs: Vec<u32> = (0..d as u32).collect();
-            for t in 0..k {
-                let j = rng.gen_range(t..d);
-                idxs.swap(t, j);
-            }
-            let mut indices: Vec<u32> = idxs[..k].to_vec();
-            indices.sort_unstable();
-            SparseGradient {
-                dense_dim: d,
-                indices,
-                values: (0..k).map(|_| rng.gen_range(-1.0..1.0)).collect(),
-            }
-        })
-        .collect()
-}
 
 fn inputs(seeds: &[u64]) -> Vec<Vec<SparseGradient>> {
     seeds.iter().map(|&s| random_updates(4, 6, 96, s)).collect()

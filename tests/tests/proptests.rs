@@ -6,6 +6,7 @@ use olive_core::aggregation::{
 };
 use olive_core::olive::RoundError;
 use olive_fl::SparseGradient;
+use olive_integration_tests::shard_runtime;
 use olive_memsim::{trace_of, Granularity, NullTracer, RecordingTracer, TrackedBuf};
 use olive_oblivious::sort::bitonic_sort_by_key;
 use proptest::collection::vec;
@@ -176,7 +177,6 @@ proptest! {
         chunk in 1usize..7,
     ) {
         use olive_memsim::ShardPlan;
-        use olive_tee::{AttestationService, Enclave, EnclaveConfig};
         let d = 32;
         let mut interior = bounds;
         interior.sort_unstable();
@@ -185,17 +185,7 @@ proptest! {
         for kind in [AggregatorKind::Advanced, AggregatorKind::Grouped { h: 2 }] {
             let mut one_tr = RecordingTracer::new(Granularity::Element);
             let one = aggregate_with_threads(kind, &updates, d, 1, &mut one_tr);
-            let service = AttestationService::new([7u8; 32]);
-            let mut coordinator = Enclave::launch(&EnclaveConfig::default(), [8u8; 32]);
-            coordinator.attest(&service, b"shard-proptest");
-            let rt = ShardRuntime::provision_with_plan(
-                &service,
-                &mut coordinator,
-                b"shard-proptest",
-                [9u8; 32],
-                96 << 20,
-                plan.clone(),
-            ).expect("provisioning succeeds in the simulation");
+            let rt = shard_runtime(plan.clone());
             let mut tr = RecordingTracer::new(Granularity::Element);
             let (got, rt) = engine_round(kind, &updates, d, chunk, rt, &mut tr);
             let got = got.expect("fault-free round");
@@ -225,8 +215,7 @@ proptest! {
         chunk in 1usize..7,
     ) {
         use olive_core::aggregation::ShardFailure;
-        use olive_memsim::{FaultEvent, FaultKind, FaultPlan, RetryPolicy, EGRESS_CHUNK};
-        use olive_tee::{AttestationService, Enclave, EnclaveConfig};
+        use olive_memsim::{FaultEvent, FaultKind, FaultPlan, RetryPolicy, ShardPlan, EGRESS_CHUNK};
         let d = 32;
         let shards = [1usize, 2, 4][shards_sel];
         const KINDS: [FaultKind; 5] = [
@@ -247,18 +236,7 @@ proptest! {
         for kind in [AggregatorKind::Advanced, AggregatorKind::Grouped { h: 2 }] {
             let mut one_tr = RecordingTracer::new(Granularity::Element);
             let one = aggregate_with_threads(kind, &updates, d, 1, &mut one_tr);
-            let service = AttestationService::new([7u8; 32]);
-            let mut coordinator = Enclave::launch(&EnclaveConfig::default(), [8u8; 32]);
-            coordinator.attest(&service, b"fault-proptest");
-            let mut rt = ShardRuntime::provision(
-                &service,
-                &mut coordinator,
-                b"fault-proptest",
-                [9u8; 32],
-                96 << 20,
-                d,
-                shards,
-            ).expect("provisioning succeeds in the simulation");
+            let mut rt = shard_runtime(ShardPlan::even(d, shards));
             rt.set_fault_plan(FaultPlan::from_events(events.clone()));
             let mut tr = RecordingTracer::new(Granularity::Element);
             let (got, rt) = engine_round(kind, &updates, d, chunk, rt, &mut tr);
@@ -277,7 +255,7 @@ proptest! {
                 Err(e) => {
                     // Recovery only gives up when a site stacks enough
                     // delivery failures to exhaust the whole retry budget
-                    // (checkpointing is on, so kills are always absorbed).
+                    // (shards checkpoint every chunk, so kills are absorbed).
                     prop_assert_eq!(e.attempts, RetryPolicy::MAX_ATTEMPTS,
                         "{:?} events={:?}: gave up early: {}", kind, events, e);
                     prop_assert!((e.shard as usize) < shards);
@@ -305,8 +283,7 @@ proptest! {
         chunk in 1usize..5,
     ) {
         use olive_core::aggregation::ShardFailure;
-        use olive_memsim::{FaultEvent, FaultKind, FaultPlan, RetryPolicy, EGRESS_CHUNK};
-        use olive_tee::{AttestationService, Enclave, EnclaveConfig};
+        use olive_memsim::{FaultEvent, FaultKind, FaultPlan, RetryPolicy, ShardPlan, EGRESS_CHUNK};
         let d = 32;
         let n_chunks = updates.len().div_ceil(chunk) as u32;
         prop_assume!(site_chunk < n_chunks);
@@ -320,12 +297,7 @@ proptest! {
             FaultEvent { kind: fault, chunk: site_chunk, shard: site_shard % 4 };
             RetryPolicy::MAX_ATTEMPTS as usize
         ];
-        let service = AttestationService::new([7u8; 32]);
-        let mut coordinator = Enclave::launch(&EnclaveConfig::default(), [8u8; 32]);
-        coordinator.attest(&service, b"fault-proptest");
-        let mut rt = ShardRuntime::provision(
-            &service, &mut coordinator, b"fault-proptest", [9u8; 32], 96 << 20, d, 4,
-        ).expect("provisioning succeeds in the simulation");
+        let mut rt = shard_runtime(ShardPlan::even(d, 4));
         rt.set_fault_plan(FaultPlan::from_events(events));
         let mut tr = RecordingTracer::new(Granularity::Element);
         let (got, rt) = engine_round(AggregatorKind::Advanced, &updates, d, chunk, rt, &mut tr);
@@ -351,9 +323,9 @@ proptest! {
     }
 
     /// The batched kernel sorts every length up to two private blocks
-    /// (2 · 2¹² cells) and a register window more — raw cells, keyed
-    /// pairs and tagged words — bitwise as the scalar network does, with
-    /// its trace, on any number of workers.
+    /// (2 · 2¹² cells) and a register window more — raw cells and tagged
+    /// words — bitwise as the scalar network does, with its trace, on any
+    /// number of workers.
     #[test]
     fn sort_kernel_matches_scalar_at_any_length(
         n in 0usize..=2 * 4096 + 9,
@@ -363,25 +335,21 @@ proptest! {
         seed in any::<u64>(),
     ) {
         use olive_oblivious::sort_kernel::{
-            bitonic_sort_keyed_with, bitonic_sort_tagged_with, bitonic_sort_u64_with, SortKernel,
+            bitonic_sort_tagged_with, bitonic_sort_u64_with, SortKernel,
         };
         use rand::{Rng, SeedableRng};
         let mut rng = rand::rngs::SmallRng::seed_from_u64(seed);
         // A uniform length and one within ±1 of a window or block boundary.
         for n in [n, near + offset - 1] {
             let cells: Vec<u64> = (0..n).map(|_| rng.gen_range(0..4 * n as u64 + 1)).collect();
-            let pairs: Vec<(u32, u32)> = cells.iter().map(|&c| (c as u32 / 8, c as u32)).collect();
             let tagged: Vec<u128> = cells.iter().map(|&c| ((c as u128 / 8) << 64) | c as u128).collect();
-            let key = |p: &(u32, u32)| p.0 as u64;
             let run = |kernel, threads| {
                 let mut tr = RecordingTracer::new(Granularity::Cacheline);
                 let mut c = TrackedBuf::new(1, cells.clone());
                 bitonic_sort_u64_with(&mut c, kernel, threads, &mut tr);
-                let mut p = TrackedBuf::new(2, pairs.clone());
-                bitonic_sort_keyed_with(&mut p, key, kernel, threads, &mut tr);
                 let mut t = TrackedBuf::new(3, tagged.clone());
                 bitonic_sort_tagged_with(&mut t, kernel, threads, &mut tr);
-                (c.into_inner(), p.into_inner(), t.into_inner(), tr.digest())
+                (c.into_inner(), t.into_inner(), tr.digest())
             };
             let batched = run(SortKernel::Batched, threads);
             prop_assert!(batched.0.windows(2).all(|w| w[0] <= w[1]), "n={} unsorted", n);

@@ -5,62 +5,13 @@
 //! (S, chunk) combination — while each shard's own EPC budget carries
 //! only the transport it decrypts, and balances to zero.
 
-use olive_core::aggregation::{Aggregator, AggregatorKind, ShardRuntime, StreamingAggregator};
+use olive_core::aggregation::{Aggregator, AggregatorKind, StreamingAggregator};
 use olive_core::olive::RoundError;
 use olive_fl::SparseGradient;
-use olive_integration_tests::{engine_round, small_system};
-use olive_memsim::{FaultPlan, Granularity, RecordingTracer, TraceDigest};
-use olive_tee::{AttestationService, Enclave, EnclaveConfig};
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
-
-fn random_updates(n: usize, k: usize, d: usize, seed: u64) -> Vec<SparseGradient> {
-    let mut rng = SmallRng::seed_from_u64(seed);
-    (0..n)
-        .map(|_| {
-            let mut idxs: Vec<u32> = (0..d as u32).collect();
-            for t in 0..k {
-                let j = rng.gen_range(t..d);
-                idxs.swap(t, j);
-            }
-            let mut indices: Vec<u32> = idxs[..k].to_vec();
-            indices.sort_unstable();
-            SparseGradient {
-                dense_dim: d,
-                indices,
-                values: (0..k).map(|_| rng.gen_range(-1.0..1.0)).collect(),
-            }
-        })
-        .collect()
-}
-
-fn all_kinds() -> Vec<AggregatorKind> {
-    vec![
-        AggregatorKind::NonOblivious,
-        AggregatorKind::Baseline { cacheline_weights: 16 },
-        AggregatorKind::Baseline { cacheline_weights: 1 },
-        AggregatorKind::Advanced,
-        AggregatorKind::Grouped { h: 3 },
-        AggregatorKind::PathOram { posmap: olive_oram::PosMapKind::LinearScan },
-        AggregatorKind::DiffOblivious { epsilon: 1.0, delta: 1e-3, seed: 11 },
-    ]
-}
-
-fn runtime(d: usize, shards: usize, seed: u8) -> ShardRuntime {
-    let service = AttestationService::new([seed; 32]);
-    let mut coordinator = Enclave::launch(&EnclaveConfig::default(), [seed ^ 1; 32]);
-    coordinator.attest(&service, b"sharding-suite");
-    ShardRuntime::provision(
-        &service,
-        &mut coordinator,
-        b"sharding-suite",
-        [seed ^ 2; 32],
-        96 << 20,
-        d,
-        shards,
-    )
-    .expect("provisioning succeeds in the simulation")
-}
+use olive_integration_tests::{
+    all_kinds, engine_round, random_updates, shard_runtime, small_system,
+};
+use olive_memsim::{FaultPlan, Granularity, RecordingTracer, ShardPlan, TraceDigest};
 
 fn stream_sharded(
     kind: AggregatorKind,
@@ -70,7 +21,8 @@ fn stream_sharded(
     shards: usize,
 ) -> (Vec<u32>, TraceDigest, Vec<u64>) {
     let mut tr = RecordingTracer::new(Granularity::Element);
-    let (out, rt) = engine_round(kind, updates, d, chunk, runtime(d, shards, 5), &mut tr);
+    let rt = shard_runtime(ShardPlan::even(d, shards));
+    let (out, rt) = engine_round(kind, updates, d, chunk, rt, &mut tr);
     let out = out.expect("fault-free round");
     assert!(
         rt.live().iter().all(|&b| b == 0),

@@ -9,41 +9,8 @@ use olive_core::aggregation::{
     aggregate_with_threads, reference_average, Aggregator, AggregatorKind, StreamingAggregator,
 };
 use olive_fl::SparseGradient;
+use olive_integration_tests::{all_kinds, random_updates};
 use olive_memsim::{assert_oblivious, Granularity, NullTracer, RecordingTracer, TraceDigest};
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
-
-fn random_updates(n: usize, k: usize, d: usize, seed: u64) -> Vec<SparseGradient> {
-    let mut rng = SmallRng::seed_from_u64(seed);
-    (0..n)
-        .map(|_| {
-            let mut idxs: Vec<u32> = (0..d as u32).collect();
-            for t in 0..k {
-                let j = rng.gen_range(t..d);
-                idxs.swap(t, j);
-            }
-            let mut indices: Vec<u32> = idxs[..k].to_vec();
-            indices.sort_unstable();
-            SparseGradient {
-                dense_dim: d,
-                indices,
-                values: (0..k).map(|_| rng.gen_range(-1.0..1.0)).collect(),
-            }
-        })
-        .collect()
-}
-
-fn all_kinds() -> Vec<AggregatorKind> {
-    vec![
-        AggregatorKind::NonOblivious,
-        AggregatorKind::Baseline { cacheline_weights: 16 },
-        AggregatorKind::Baseline { cacheline_weights: 1 },
-        AggregatorKind::Advanced,
-        AggregatorKind::Grouped { h: 3 },
-        AggregatorKind::PathOram { posmap: olive_oram::PosMapKind::LinearScan },
-        AggregatorKind::DiffOblivious { epsilon: 1.0, delta: 1e-3, seed: 11 },
-    ]
-}
 
 fn stream(
     kind: AggregatorKind,
