@@ -12,8 +12,9 @@ use olive_crypto::hmac::HmacSha256;
 use olive_crypto::sha256::Sha256;
 use olive_crypto::{available_backends, CryptoBackend};
 
-/// The slow software backends skip multi-MiB payloads unless the full
-/// sweep is requested (a 4 MiB `ct` seal is ~0.4 s per iteration).
+/// The software backends skip multi-MiB payloads unless the full sweep is
+/// requested (a 4 MiB seal is ~0.06 s per iteration on `ct`, ~0.12 s on
+/// `table`: a handful of iterations would eat the smoke job's window).
 fn sizes_for(backend: CryptoBackend) -> Vec<usize> {
     let full =
         std::env::var("OLIVE_BENCH_FULL").as_deref() == Ok("1") || backend == CryptoBackend::Hw;

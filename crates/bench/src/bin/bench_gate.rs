@@ -3,7 +3,7 @@
 //! stable bench regresses by more than the threshold (default 30%).
 //!
 //! ```text
-//! bench_gate --baseline crates/bench/baselines/pr10-bench.json \
+//! bench_gate --baseline crates/bench/baselines/pr18-bench.json \
 //!            --current bench-results.json [--threshold 30]
 //! ```
 //!
@@ -39,7 +39,7 @@ use std::process::ExitCode;
 /// stay informational — even batched, an ORAM access is pointer-chasing
 /// over a tree plus RNG, not arithmetic-bound, and its smoke-budget mean
 /// jitters well past the 30% threshold on shared runners. The speedup
-/// story is pinned by the committed `pr10-bench.json` snapshot instead.
+/// story is pinned by the committed `pr18-bench.json` snapshot instead.
 /// Reviewed for PR 15: `local_training/*` stays informational — a client
 /// step is a few microseconds over buffers that just fit L1/L2, so its
 /// smoke-budget mean moves with the allocator and with what ran before it.

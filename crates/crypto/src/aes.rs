@@ -208,7 +208,7 @@ fn inv_sub_bytes(block: &mut [u8; 16]) {
     }
 }
 
-fn shift_rows(block: &mut [u8; 16]) {
+pub(crate) fn shift_rows(block: &mut [u8; 16]) {
     let orig = *block;
     for row in 1..4 {
         for col in 0..4 {
@@ -226,7 +226,7 @@ fn inv_shift_rows(block: &mut [u8; 16]) {
     }
 }
 
-fn mix_columns(block: &mut [u8; 16]) {
+pub(crate) fn mix_columns(block: &mut [u8; 16]) {
     for col in 0..4 {
         let c = [block[4 * col], block[4 * col + 1], block[4 * col + 2], block[4 * col + 3]];
         block[4 * col] = gmul(c[0], 2) ^ gmul(c[1], 3) ^ c[2] ^ c[3];

@@ -10,7 +10,7 @@
 //! | backend | AES-CTR | GHASH | SHA-256 | constant time | needs |
 //! |---------|---------|-------|---------|---------------|-------|
 //! | `hw`    | AES-NI, VAES×16 when available | PCLMULQDQ | SHA-NI | yes (ISA) | x86-64 + aes+pclmulqdq(+sha) |
-//! | `ct`    | bitsliced ×4 | branchless shift/xor | software | yes (construction) | nothing |
+//! | `ct`    | bitsliced ×4, Boyar–Peralta S-box circuit | carry-less products from masked integer multiplies | software | yes (construction; assumes a constant-time integer multiplier) | nothing |
 //! | `table` | S-box lookups | bit loop with branches | software | **no** | nothing |
 //!
 //! `OLIVE_CRYPTO=hw|ct` pins the backend; unset picks `hw` when the CPU

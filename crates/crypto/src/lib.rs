@@ -46,7 +46,7 @@ pub mod sha256;
 
 pub use aes::Aes;
 pub use engine::{available_backends, crypto_backend, CryptoBackend, CryptoEngine};
-pub use gcm::{open, seal, AesGcm, GcmError, NONCE_LEN, TAG_LEN};
+pub use gcm::{AesGcm, NONCE_LEN, TAG_LEN};
 pub use hkdf::{hkdf_expand, hkdf_extract, Hkdf};
 pub use hmac::HmacSha256;
 pub use sha256::{sha256, Sha256};

@@ -8,6 +8,13 @@
 //! patterns, rather than using them "safely". Implementation code is
 //! scanned up to its `#[cfg(test)]` module (tests are free to index the
 //! S-box — they verify against it).
+//!
+//! `engine/ct.rs` is held to more than the shared rules: its
+//! implementation is straight-line code over fixed-trip `for` loops, so
+//! `if`, `match`, `while`, `loop`, division and remainder are banned there
+//! outright — public or secret operand alike (division is variable-time on
+//! most cores). `engine/hw.rs` keeps the shared list: it has CPU-feature
+//! and length checks.
 
 use std::path::Path;
 
@@ -38,11 +45,10 @@ fn assert_clean(name: &str, src: &str) {
              constant-time backends"
         );
     }
-    // Secret-conditioned branching: the shift/xor GHASH and the bitsliced
-    // S-box must select with masks, never `if bit == 1`. Public-structure
-    // conditionals in these modules are length/feature checks, which are
-    // written as matches/guards on lengths — `if` on a masked bit value is
-    // the telltale pattern of the table code.
+    // Secret-conditioned branching: the backends select with masks, never
+    // `if bit == 1`. The conditionals `hw.rs` does have are length and
+    // CPU-feature checks — `if` on a masked bit value is the telltale
+    // pattern of the table code.
     for forbidden in ["& 1 == 1", "& 1 != 0", "== 1 {"] {
         assert!(
             !src.contains(forbidden),
@@ -52,12 +58,30 @@ fn assert_clean(name: &str, src: &str) {
     }
 }
 
+/// The control-flow keywords (as whole words — `shift_rows` contains an
+/// `if`) and variable-time operators `src` uses, of the six `engine/ct.rs`
+/// may not contain. rustfmt puts binary operators between spaces.
+fn control_flow_in(src: &str) -> Vec<&'static str> {
+    let words: Vec<&str> = src.split(|c: char| !(c.is_alphanumeric() || c == '_')).collect();
+    let keywords = ["if", "match", "while", "loop"].into_iter().filter(|k| words.contains(k));
+    let operators = [" / ", " % "].into_iter().filter(|op| src.contains(op));
+    keywords.chain(operators).collect()
+}
+
 #[test]
 fn ct_backend_has_no_secret_indexed_lookups_or_branches() {
     let src = implementation_of("ct.rs");
     assert_clean("engine/ct.rs", &src);
+    let found = control_flow_in(&src);
+    assert!(
+        found.is_empty(),
+        "engine/ct.rs: found {found:?} — the ct backend is straight-line code; select with masks \
+         and index with shifts and ANDs"
+    );
     // Sanity: the scan actually covered the implementation.
-    assert!(src.contains("bs_sbox"), "scan target drifted — bitsliced S-box not found");
+    for anchor in ["sbox_circuit", "bmul64"] {
+        assert!(src.contains(anchor), "scan target drifted — `{anchor}` not found");
+    }
 }
 
 #[test]
@@ -77,5 +101,10 @@ fn table_backend_still_triggers_the_lint() {
     assert!(
         implementation.contains("SBOX") && implementation.contains("as usize]"),
         "table backend no longer matches the lint patterns; update ct_lint.rs"
+    );
+    let found = control_flow_in(implementation);
+    assert!(
+        ["if", "match", "while", " % "].iter().all(|c| found.contains(c)),
+        "table backend no longer trips the ct.rs control-flow rule (found {found:?})"
     );
 }
