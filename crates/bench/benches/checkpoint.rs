@@ -2,11 +2,11 @@
 //! streaming ingestion path, and what a restore costs, at n = 1000
 //! clients (k = 128, d = 16384).
 //!
-//! `ckpt_off/{chunk}` is the plain streaming pass; `ckpt_on/{chunk}`
-//! additionally seals the round checkpoint (`olive_core::round::Checkpoint`
-//! under the `"round-ckpt"` label) after every folded chunk, exactly as
-//! `OliveSystem::run_round` does by default. The gap between the two is
-//! the crash-safety tax.
+//! Both legs are the sealed-round driver (`RoundEngine::open` → `ingest`
+//! → `finish`): `ckpt_off/{chunk}` hands it no checkpoint store,
+//! `ckpt_on/{chunk}` the store `OliveSystem::run_round` always hands it,
+//! so the restore point is sealed under `"round-ckpt"` after every
+//! folded chunk. The gap between the two is the crash-safety tax.
 //!
 //! Three aggregators bracket that tax:
 //!
@@ -33,8 +33,9 @@
 //!  ...,"chunk":64},"wall":{"ingest_ns":...,"ckpt_ns":...,"overhead_pct":...}}
 //! ```
 //!
-//! `restore/64` is the recovery path of an accumulating kind: unseal,
-//! decode, rebuild the aggregator, set the replay floors.
+//! `restore/64` is the recovery path of an accumulating kind —
+//! `RoundEngine::open` over a full round's store: unseal against the
+//! pinned floor, decode, rebuild the aggregator, set the replay floors.
 //! `restore_advanced/64` is the staged kind's: the same, plus re-opening
 //! and re-staging all n folded uploads — what a restore pays once per
 //! crash for what every round no longer seals.
@@ -42,6 +43,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkGroup, BenchmarkId, Criterion};
 use olive_bench::ingest::{IngestionRig, PassConfig};
 use olive_core::aggregation::AggregatorKind;
+use olive_telemetry::Telemetry;
 use std::cell::RefCell;
 
 const N: usize = 1_000;
@@ -59,10 +61,11 @@ fn kind_name(kind: AggregatorKind) -> &'static str {
 
 /// Median-of-5 overhead of the per-chunk checkpoint, emitted as one bench
 /// record so the metrics stream carries the ratio directly. Both phases
-/// are timed *inside the same pass* (`ingest_ns` = open + fold +
-/// finalize, `ckpt_ns` = state/floor snapshot + seal): comparing two
-/// separate passes wall-clock to wall-clock lets ±10% run-to-run jitter
-/// drown a few-percent effect, while the in-pass ratio is stable.
+/// come from *the same pass* (`ckpt_ns` = the driver's own
+/// `checkpoint_seal` spans: state snapshot + encode + seal; `ingest_ns` =
+/// the rest of the pass: open + fold + finalize): comparing two separate
+/// passes wall-clock to wall-clock lets ±10% run-to-run jitter drown a
+/// few-percent effect, while the in-pass ratio is stable.
 fn overhead_report(rig: &mut IngestionRig, kind: AggregatorKind, chunk: usize) {
     let mut runs = Vec::new();
     for _ in 0..5 {
@@ -75,7 +78,7 @@ fn overhead_report(rig: &mut IngestionRig, kind: AggregatorKind, chunk: usize) {
     let (ratio, ingest_ns, ckpt_ns) = runs[2];
     let overhead = ratio * 100.0;
     let agg = kind_name(kind);
-    olive_telemetry::Telemetry::from_env().bench(
+    Telemetry::from_env().bench(
         "checkpoint_overhead",
         &[
             ("agg", agg.into()),
@@ -137,19 +140,21 @@ fn bench_checkpoint(c: &mut Criterion) {
         bench_on_off(&mut group, &rig, ("ckpt_off", "ckpt_on"), linear, chunk);
     }
 
-    // The recovery path, on the last blob of a full round at the default
-    // chunk: whole after `load_state` (linear), or with all n uploads to
+    // The recovery path, on the store a full round at the default chunk
+    // leaves: whole after `load_state` (linear), or with all n uploads to
     // re-open and re-stage (advanced).
     for (label, kind) in [("restore", linear), ("restore_advanced", advanced)] {
         let cfg = PassConfig { checkpoint: true, ..PassConfig::streaming(kind, 64) };
-        let (msgs, blob) = {
+        let (msgs, store) = {
             let mut rig = rig.borrow_mut();
             let msgs = rig.seal_round();
-            let blob = rig.pass(&msgs, cfg, None).last_checkpoint;
-            (msgs, blob)
+            let store = rig.pass(&msgs, cfg, None).checkpoints;
+            (msgs, store)
         };
-        group.bench_with_input(BenchmarkId::new(label, 64usize), &blob, |b, blob| {
-            b.iter(|| rig.borrow_mut().restore_checkpoint(blob, &msgs, cfg).chunks_done())
+        group.bench_with_input(BenchmarkId::new(label, 64usize), &store, |b, store| {
+            b.iter(|| {
+                rig.borrow_mut().open(&msgs, cfg, store, None, Telemetry::off()).chunks_done()
+            })
         });
     }
     group.finish();

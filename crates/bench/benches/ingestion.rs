@@ -1,9 +1,11 @@
-//! Round-ingestion bench: streaming vs materialize-all, batched vs
-//! serial `open_upload`, at n ∈ {1k, 10k, 100k} clients.
+//! Round-ingestion bench: streaming vs materialize-all at
+//! n ∈ {1k, 10k, 100k} clients.
 //!
 //! Each iteration is one full round of enclave-side upload processing —
-//! seal (client side, unavoidable: GCM nonces are single-use), open,
-//! decode, fold — with k = 128 cells per client and d = 16384, so at
+//! seal (client side, unavoidable: GCM nonces are single-use), then the
+//! sealed-round driver `OliveSystem::run_round` runs (`RoundEngine::open`
+//! → `ingest` → `finish`: open, decode, fold) — with k = 128 cells per
+//! client and d = 16384, so at
 //! n = 100k the materialize-all pipeline stages n·k·8 ≈ 102 MiB of cells
 //! inside the enclave: **over the 96 MiB EPC budget**, while the
 //! streaming pipeline peaks at O(chunk·k + d) ≈ a quarter MiB. The
@@ -84,9 +86,7 @@ fn bench_ingestion(c: &mut Criterion) {
         let streaming = PassConfig::streaming(AggregatorKind::NonOblivious, CHUNK);
         for (label, cfg) in [
             ("streaming_batch", streaming),
-            ("streaming_serial", PassConfig { batch_open: false, ..streaming }),
             ("materialize_batch", PassConfig { chunk: n, ..streaming }),
-            ("materialize_serial", PassConfig { chunk: n, batch_open: false, ..streaming }),
         ] {
             group.bench_with_input(BenchmarkId::new(label, n), &n, |b, _| {
                 b.iter(|| {

@@ -3,32 +3,35 @@
 //! loop, for the `ingestion` and `checkpoint` benches and their EPC
 //! working-set reports.
 //!
-//! Every pass runs the sealed uploads through the same
-//! [`RoundEngine`] `OliveSystem::run_round` drives, so timings and EPC
-//! peaks are the production round's; a [`PassConfig`] picks the shape:
+//! The rig is provisioning, [`IngestionRig::seal_round`], and the
+//! sealed-round driver `OliveSystem::run_round` makes its round with —
+//! [`RoundEngine::open`] → `ingest` → `finish` — so the protocol, the
+//! timings and the EPC peaks are the production round's; a
+//! [`PassConfig`] picks the shape:
 //!
 //! * **streaming** — uploads are opened in chunks and folded through the
 //!   engine; the enclave holds O(chunk·k) staged cells;
 //! * **materialize-all** — the historical shape, as the one-chunk case
 //!   (`chunk = n`): every upload is opened and decoded (O(n·k) enclave
 //!   bytes) before a single fold;
-//! * batched or per-message (`serial`) opening, isolating the
-//!   `open_upload_batch` amortization from the memory story;
 //! * per-chunk checkpoint sealing on or off, and an optional shard plane.
+//!
+//! A checkpointing pass splits its own wall time from the driver's
+//! `checkpoint_seal` spans: the program times itself, the rig reads it.
 //!
 //! The timed configs use `NonOblivious` (the O(nk) linear fold) so they
 //! measure *ingestion* — session lookup, AEAD verification, decode, fold
 //! — rather than oblivious-sort cost, which the `aggregation`/`grouping`
 //! benches already cover.
 
-use olive_core::aggregation::{Aggregator, AggregatorKind, ShardRuntime, StreamingAggregator};
+use olive_core::aggregation::{AggregatorKind, ShardRuntime, StreamingAggregator};
 use olive_core::olive::provision_clients;
-use olive_core::round::{
-    open_and_decode, staged_chunk_bytes, Checkpoint, Ledger, RoundEngine, RoundShape, CKPT_LABEL,
-};
+use olive_core::round::{Ledger, RoundEngine, RoundShape, SealedRound};
 use olive_fl::SparseGradient;
 use olive_memsim::NullTracer;
-use olive_tee::{AttestationService, ClientSession, Enclave, EnclaveConfig, SealedMessage};
+use olive_tee::{
+    AttestationService, ClientSession, Enclave, EnclaveConfig, SealedMessage, SealedStore,
+};
 use olive_telemetry::Telemetry;
 use std::time::Instant;
 
@@ -39,20 +42,15 @@ pub struct PassConfig {
     pub kind: AggregatorKind,
     /// Clients opened, decoded and folded per step (`n` = materialize-all).
     pub chunk: usize,
-    /// `Enclave::open_upload_batch` per chunk, or one `open_upload` per
-    /// message.
-    pub batch_open: bool,
-    /// Seal the production round's crash-safe checkpoint after every
-    /// folded chunk (`olive_core::round::Checkpoint` under the
-    /// `"round-ckpt"` label) — the per-chunk overhead
-    /// `OliveSystem::run_round` pays by default.
+    /// Seal the round's restore point after every folded chunk — the
+    /// per-chunk overhead `OliveSystem::run_round` pays.
     pub checkpoint: bool,
 }
 
 impl PassConfig {
-    /// Batched opening, no checkpoints.
+    /// No checkpoints.
     pub fn streaming(kind: AggregatorKind, chunk: usize) -> Self {
-        PassConfig { kind, chunk, batch_open: true, checkpoint: false }
+        PassConfig { kind, chunk, checkpoint: false }
     }
 }
 
@@ -66,15 +64,17 @@ pub struct Pass {
     /// The shard plane the pass ran over (reusable for the next pass);
     /// `ShardRuntime::peaks` holds each shard's measured transport peak.
     pub shards: Option<ShardRuntime>,
-    /// The newest sealed checkpoint (empty without checkpointing).
-    pub last_checkpoint: Vec<u8>,
-    /// Nanoseconds of ingestion work (open + fold + finalize). Timing
-    /// both phases inside one pass keeps the overhead ratio immune to the
-    /// run-to-run jitter that drowns a few-percent effect when two
-    /// separate passes are compared wall-clock to wall-clock.
+    /// Untrusted checkpoint storage as the pass left it: the newest
+    /// restore point under its pinned floor (empty without checkpointing).
+    pub checkpoints: SealedStore,
+    /// Nanoseconds of ingestion work (open + fold + finalize): the pass's
+    /// wall time minus `ckpt_ns`. Splitting one pass keeps the overhead
+    /// ratio immune to the run-to-run jitter that drowns a few-percent
+    /// effect when two separate passes are compared wall-clock to
+    /// wall-clock.
     pub ingest_ns: u64,
-    /// Nanoseconds of checkpoint machinery (floor update + state
-    /// snapshot + seal).
+    /// Nanoseconds inside the driver's `checkpoint_seal` spans (state
+    /// snapshot + encode + seal); zero without checkpointing.
     pub ckpt_ns: u64,
 }
 
@@ -171,8 +171,35 @@ impl IngestionRig {
         self.enclave.epc.limit
     }
 
+    /// Opens the engine of the newest sealed round — `msgs`, run under
+    /// `cfg` — from `store`. Over an empty store that is chunk 0; over the
+    /// store a checkpointing pass left it is the restore path's
+    /// enclave-side work, as `restore_round` does it: unseal against the
+    /// pinned floor, decode, rebuild the aggregator, and for a staged kind
+    /// re-open and re-stage the folded prefix — the engine comes back level
+    /// with the checkpoint and ready to ingest the next chunk.
+    pub fn open(
+        &mut self,
+        msgs: &[SealedMessage],
+        cfg: PassConfig,
+        store: &SealedStore,
+        shards: Option<ShardRuntime>,
+        telemetry: Telemetry,
+    ) -> RoundEngine {
+        let ledger = Ledger::new(self.enclave.epc, shards, telemetry);
+        let round = SealedRound {
+            shape: RoundShape { round: self.round, chunk_size: cfg.chunk, threads: 1, k: self.k },
+            uploads: msgs,
+            base_floors: &self.base_floors,
+            rng_state: [0; 4],
+        };
+        let agg = StreamingAggregator::new(cfg.kind, self.d, 1);
+        RoundEngine::open(agg, &round, &mut self.enclave, Some(store), ledger)
+            .unwrap_or_else(|(e, _)| panic!("the rig's own material must open: {e}"))
+    }
+
     /// One round of enclave-side upload processing through the
-    /// [`RoundEngine`], over `shards` when given (chunk descriptors
+    /// sealed-round driver, over `shards` when given (chunk descriptors
     /// through the attested tunnels, the finalized delta striped out with
     /// receipts — the full `OLIVE_SHARDS` round shape; arm fault scripts
     /// on the runtime beforehand).
@@ -182,102 +209,45 @@ impl IngestionRig {
         cfg: PassConfig,
         shards: Option<ShardRuntime>,
     ) -> Pass {
-        let ledger = Ledger::new(self.enclave.epc, shards, Telemetry::off());
-        let agg = StreamingAggregator::new(cfg.kind, self.d, 1);
-        let mut engine = RoundEngine::new(agg, self.k, 1, 0, ledger);
-        let chunks: Vec<&[SealedMessage]> = msgs.chunks(cfg.chunk).collect();
-        let (mut ingest_ns, mut ckpt_ns) = (0u64, 0u64);
-        let mut ckpt = timed(&mut ckpt_ns, || {
-            let start = || Checkpoint::start(self.shape(msgs, cfg), [0; 4], &self.base_floors);
-            cfg.checkpoint.then(start)
-        });
-        let mut last_checkpoint = Vec::new();
-        // `None` past the last chunk: nothing left to open.
-        let open = |enclave: &mut Enclave, msgs: Option<&[SealedMessage]>| {
-            msgs.map_or_else(Vec::new, |msgs| open_chunk(enclave, msgs, cfg.batch_open))
-        };
-        let first = chunks.first().copied();
-        let mut staged = timed(&mut ingest_ns, || open(&mut self.enclave, first));
-        for i in 0..chunks.len() {
-            let next = chunks.get(i + 1).copied();
-            let enclave = &mut self.enclave;
-            let folded = timed(&mut ingest_ns, || {
-                let next_bytes = next.map_or(0, staged_chunk_bytes);
-                engine.fold(&staged, next_bytes, || open(enclave, next), &mut NullTracer)
-            });
-            staged = folded.expect("bench fault scripts stay recoverable");
-            if let Some(ckpt) = ckpt.as_mut() {
-                last_checkpoint = timed(&mut ckpt_ns, || {
-                    ckpt.advance(chunks[i]);
-                    ckpt.seal(&mut engine, &mut self.enclave)
-                });
-            }
-        }
-        let (delta, end) = timed(&mut ingest_ns, || engine.finish(&mut NullTracer));
+        // Armed only to read the seal spans back: an un-checkpointed pass
+        // has none, and pays for no sink.
+        let telemetry = if cfg.checkpoint { Telemetry::to_buffer() } else { Telemetry::off() };
+        let mut checkpoints = SealedStore::default();
+        let t0 = Instant::now();
+        let (delta, end) = self
+            .open(msgs, cfg, &checkpoints, shards, telemetry.clone())
+            .ingest(
+                msgs,
+                &mut self.enclave,
+                cfg.checkpoint.then_some(&mut checkpoints),
+                &mut NullTracer,
+            )
+            .unwrap_or_else(|(e, _)| panic!("bench fault scripts stay recoverable: {e}"))
+            .finish(&mut NullTracer);
+        let wall_ns = t0.elapsed().as_nanos() as u64;
+        let ckpt_ns =
+            span_wall_ns(&telemetry.buffer_contents().unwrap_or_default(), "checkpoint_seal");
         self.enclave.epc = end.coordinator;
         Pass {
             delta: delta.expect("bench fault scripts stay recoverable"),
             peak_bytes: end.coordinator.peak,
             shards: end.shards,
-            last_checkpoint,
-            ingest_ns,
+            checkpoints,
+            ingest_ns: wall_ns - ckpt_ns,
             ckpt_ns,
         }
     }
-
-    /// The public shape of the round `msgs` makes under `cfg`.
-    fn shape(&self, msgs: &[SealedMessage], cfg: PassConfig) -> RoundShape {
-        let (round, uploads) = (self.round, msgs.len());
-        RoundShape { round, uploads, chunk_size: cfg.chunk, threads: 1, k: self.k }
-    }
-
-    /// The restore path's enclave-side work, as `restore_round` does it:
-    /// unseal and decode the blob, rebuild the aggregator from its
-    /// serialized state, and resume — which for a staged kind re-opens
-    /// and re-stages the folded prefix of `msgs` (the round the blob was
-    /// sealed in, run under `cfg`). Returns the engine, level with the
-    /// checkpoint and ready to fold the next chunk.
-    pub fn restore_checkpoint(
-        &mut self,
-        sealed: &[u8],
-        msgs: &[SealedMessage],
-        cfg: PassConfig,
-    ) -> RoundEngine {
-        let plain = self.enclave.unseal(sealed, CKPT_LABEL).expect("genuine blob");
-        let ckpt = Checkpoint::decode(&plain, self.shape(msgs, cfg)).expect("this round's blob");
-        let mut agg = StreamingAggregator::new(cfg.kind, self.d, 1);
-        agg.load_state(ckpt.agg_state()).expect("same-config state");
-        let ledger = Ledger::new(self.enclave.epc, None, Telemetry::off());
-        let mut engine = RoundEngine::new(agg, self.k, 1, ckpt.chunks_done(), ledger);
-        engine.resume(&mut self.enclave, msgs, &self.base_floors, &ckpt).expect("genuine prefix");
-        engine
-    }
 }
 
-/// Runs `f`, adding its wall time in nanoseconds to `slot`.
-fn timed<T>(slot: &mut u64, f: impl FnOnce() -> T) -> T {
-    let t0 = Instant::now();
-    let out = f();
-    *slot += t0.elapsed().as_nanos() as u64;
-    out
-}
-
-/// Opens and decodes one chunk, batched or message by message.
-fn open_chunk(
-    enclave: &mut Enclave,
-    msgs: &[SealedMessage],
-    batch_open: bool,
-) -> Vec<SparseGradient> {
-    if batch_open {
-        open_and_decode(enclave, msgs, 0).expect("rig uploads must verify")
-    } else {
-        msgs.iter()
-            .map(|m| {
-                let plain = enclave.open_upload(m).expect("rig uploads must verify");
-                SparseGradient::decode(&plain).expect("well-formed encoding")
-            })
-            .collect()
-    }
+/// Total wall nanoseconds of the `name` spans in a telemetry stream
+/// (`"wall":{"ns":…}` is the last key of a span record).
+fn span_wall_ns(stream: &str, name: &str) -> u64 {
+    let tag = format!("\"record\":\"span\",\"name\":\"{name}\"");
+    let ns = |line: &str| {
+        let wall = line.rsplit_once("\"wall\":{\"ns\":")?.1;
+        wall.trim_end_matches('}').parse::<u64>().ok()
+    };
+    stream.lines().filter(|line| line.contains(&tag)).filter_map(ns).sum()
 }
 
 #[cfg(test)]
@@ -327,19 +297,9 @@ mod tests {
         }
     }
 
-    #[test]
-    fn serial_and_batch_open_agree() {
-        let mut rig = IngestionRig::new(10, 4, 64, 9);
-        let batch = PassConfig::streaming(AggregatorKind::NonOblivious, 3);
-        let msgs = rig.seal_round();
-        let a = rig.pass(&msgs, batch, None).delta;
-        let msgs = rig.seal_round();
-        let b = rig.pass(&msgs, PassConfig { batch_open: false, ..batch }, None).delta;
-        assert!(same_bits(&a, &b));
-    }
-
-    /// Checkpointing changes nothing about the round, and the last blob
-    /// — sealed with every chunk folded — restores an engine that
+    /// Checkpointing changes nothing about the round, its cost is read
+    /// off the driver's own spans, and the store the pass leaves — the
+    /// last blob, sealed with every chunk folded — opens an engine that
     /// finishes on the pass's own bits, for an accumulating kind (whole
     /// after `load_state`) and a staged one (prefix re-staged) alike.
     #[test]
@@ -348,6 +308,7 @@ mod tests {
         for kind in [AggregatorKind::Grouped { h: 3 }, AggregatorKind::Advanced] {
             let msgs = rig.seal_round();
             let plain = rig.pass(&msgs, PassConfig::streaming(kind, 5), None);
+            assert_eq!(plain.ckpt_ns, 0, "nothing sealed, nothing timed");
             let msgs = rig.seal_round();
             let cfg = PassConfig { checkpoint: true, ..PassConfig::streaming(kind, 5) };
             let ckpt = rig.pass(&msgs, cfg, None);
@@ -356,7 +317,8 @@ mod tests {
                 "checkpointing must not change the round"
             );
             assert!(ckpt.peak_bytes >= plain.peak_bytes, "the sealed plaintext is charged");
-            let restored = rig.restore_checkpoint(&ckpt.last_checkpoint, &msgs, cfg);
+            assert!(ckpt.ckpt_ns > 0 && ckpt.ingest_ns > 0, "three seal spans were read back");
+            let restored = rig.open(&msgs, cfg, &ckpt.checkpoints, None, Telemetry::off());
             assert_eq!(restored.chunks_done(), 3);
             let (delta, end) = restored.finish(&mut NullTracer);
             assert!(same_bits(&delta.expect("fault-free"), &ckpt.delta), "{kind:?}");

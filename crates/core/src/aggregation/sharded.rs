@@ -82,8 +82,8 @@ use olive_memsim::{
 };
 use olive_tee::attestation::Measurement;
 use olive_tee::{
-    attestation::digest, AttestationService, Enclave, EnclaveConfig, Quote, ShardTunnel, TeeError,
-    TunnelAnchor, TunnelError, TunnelRole,
+    attestation::digest, AttestationService, Enclave, EnclaveConfig, Quote, SealedStore,
+    ShardTunnel, TeeError, TunnelAnchor, TunnelError, TunnelRole,
 };
 use olive_telemetry::Telemetry;
 
@@ -189,16 +189,14 @@ struct ShardState {
     /// relaunch so each incarnation presents a fresh tunnel key share.
     dh_epoch: u32,
     /// Newest sealed shard checkpoint, held in untrusted storage
-    /// (coordinator-side in the simulation).
-    ckpt_store: Option<Vec<u8>>,
+    /// (coordinator-side in the simulation), under the pinned floor for
+    /// `"shard-ckpt"` blobs: it survives the enclave's death, so a
+    /// relaunched shard rejects every blob older than the newest and —
+    /// after unsealing — can never reseal with a reused nonce.
+    ckpt: SealedStore,
     /// The previous generation's blob — what a rollback attack (the
     /// [`FaultKind::StaleSeal`] fault) serves a relaunched shard.
     ckpt_prev: Option<Vec<u8>>,
-    /// Pinned monotonic floor for `"shard-ckpt"` blobs, standing in for
-    /// rollback-protected NV storage: it survives the enclave's death,
-    /// so a relaunched shard rejects every blob older than the newest
-    /// and — after unsealing — can never reseal with a reused nonce.
-    ckpt_floor: u64,
 }
 
 /// The provisioned shard plane: `S` shard enclaves, their tunnels, the
@@ -331,9 +329,8 @@ impl ShardRuntime {
                 cells: 0,
                 seed,
                 dh_epoch: 0,
-                ckpt_store: None,
+                ckpt: SealedStore::default(),
                 ckpt_prev: None,
-                ckpt_floor: 0,
             });
         }
         Ok(rt)
@@ -397,8 +394,9 @@ impl ShardRuntime {
         self.shards.len()
     }
 
-    /// Arms an explicit fault script for the rounds that follow
-    /// (replacing whatever plan — scripted or environmental — was armed).
+    /// Arms a fault script on the plane, where it stays until it fires
+    /// or is replaced — by the next call, or by a round's own script
+    /// ([`crate::round::Ledger::arm`]).
     pub fn set_fault_plan(&mut self, plan: FaultPlan) {
         self.faults = plan;
     }
@@ -422,10 +420,10 @@ impl ShardRuntime {
     }
 
     /// Opens a fresh per-round accounting epoch on every shard budget
-    /// (mirrors [`Enclave::begin_round`]'s epoch on the coordinator),
-    /// resets the per-round transport state, and — when no explicit
-    /// fault script is armed — arms the `OLIVE_FAULTS` environment plan
-    /// for the new round (the CI chaos pass's entry point).
+    /// (mirrors [`Enclave::begin_round`]'s epoch on the coordinator) and
+    /// resets the per-round transport state. The armed fault script is
+    /// left as it is: a round's script is armed where the round starts
+    /// (`OliveSystem::run_round`), not here.
     pub fn begin_round(&mut self) {
         self.round_epoch += 1;
         self.chunk_cursor = 0;
@@ -435,11 +433,8 @@ impl ShardRuntime {
             sh.chunks_done = 0;
             sh.cells = 0;
             // Checkpoint blobs are per-round; the pinned floor is not.
-            sh.ckpt_store = None;
+            sh.ckpt.newest = None;
             sh.ckpt_prev = None;
-        }
-        if self.faults.is_empty() {
-            self.faults = FaultPlan::from_env();
         }
     }
 
@@ -624,10 +619,7 @@ impl ShardRuntime {
         w.put_u64(sh.cells);
         let blob = sh.enclave.seal(&w.into_bytes(), SHARD_CKPT_LABEL);
         self.telemetry.observe("ckpt_blob_bytes", &sh.key, blob.len() as u64);
-        let counter = u64::from_be_bytes(blob[..8].try_into().expect("8-byte counter prefix"));
-        sh.ckpt_floor = sh.ckpt_floor.max(counter);
-        sh.ckpt_prev = sh.ckpt_store.take();
-        sh.ckpt_store = Some(blob);
+        sh.ckpt_prev = sh.ckpt.put(blob);
     }
 
     /// Mid-round shard failover: relaunch the enclave under the next DH
@@ -651,8 +643,8 @@ impl ShardRuntime {
         // chunk, and nothing to restore). The untrusted store may serve a
         // rolled-back blob (the StaleSeal fault); the pinned floor
         // catches it and recovery falls back to the genuine newest.
-        let (chunks_done, cells) = if let Some(newest) = sh.ckpt_store.as_ref() {
-            let (floor, epoch) = (sh.ckpt_floor, self.round_epoch);
+        let (chunks_done, cells) = if let Some(newest) = sh.ckpt.newest.as_deref() {
+            let (floor, epoch) = (sh.ckpt.floor(), self.round_epoch);
             let mut restored = None;
             if let Some(prev) = sh.ckpt_prev.as_ref() {
                 if self.faults.fire(FaultKind::StaleSeal, EGRESS_CHUNK, shard) {
@@ -784,7 +776,7 @@ mod tests {
     /// A single-threaded round engine of `kind` over the shard plane `rt`.
     fn engine(kind: AggregatorKind, d: usize, k: usize, rt: ShardRuntime) -> RoundEngine {
         let ledger = Ledger::new(EpcBudget::default(), Some(rt), Telemetry::off());
-        RoundEngine::new(StreamingAggregator::new(kind, d, 1), k, 1, 0, ledger)
+        RoundEngine::new(StreamingAggregator::new(kind, d, 1), k, 1, ledger)
     }
 
     /// The shard-plane error behind a failed engine call.
@@ -834,8 +826,9 @@ mod tests {
             for (plan, completes) in
                 [(FaultPlan::empty(), true), (exhausting.clone(), false), (crash.clone(), false)]
             {
-                let mut eng = engine(AggregatorKind::Advanced, d, k, runtime(d, shards, 2));
-                eng.set_fault_plan(plan);
+                let mut rt = runtime(d, shards, 2);
+                rt.set_fault_plan(plan);
+                let mut eng = engine(AggregatorKind::Advanced, d, k, rt);
                 let folded = updates.chunks(chunk).try_for_each(|c| {
                     eng.fold(c, 0, || (), &mut NullTracer)?;
                     eng.crash_point()
@@ -890,8 +883,9 @@ mod tests {
         let (d, n, k) = (96, 24, 6);
         let updates = random_updates(n, k, d, 17);
         let run = |plan: FaultPlan| {
-            let mut eng = engine(AggregatorKind::Advanced, d, k, runtime(d, 4, 5));
-            eng.set_fault_plan(plan);
+            let mut rt = runtime(d, 4, 5);
+            rt.set_fault_plan(plan);
+            let mut eng = engine(AggregatorKind::Advanced, d, k, rt);
             for chunk in updates.chunks(5) {
                 eng.fold(chunk, 0, || (), &mut NullTracer).expect("recovers");
             }
@@ -921,24 +915,23 @@ mod tests {
     fn shard_seal_counter_continuity_across_relaunch() {
         let (d, n, k) = (64, 16, 4);
         let updates = random_updates(n, k, d, 19);
-        let mut eng = engine(AggregatorKind::NonOblivious, d, k, runtime(d, 2, 6));
+        let mut rt = runtime(d, 2, 6);
         // Two kills of shard 0, the second served a rolled-back blob.
-        eng.set_fault_plan(
+        rt.set_fault_plan(
             FaultPlan::parse("kill@2.0,kill@3.0,stale@e.0").expect("well-formed script"),
         );
         let mut floors_seen = vec![0u64];
         for chunk in updates.chunks(4) {
-            eng.fold(chunk, 0, || (), &mut NullTracer).expect("recovers");
-            let f = eng.shards().expect("sharded").shards[0].ckpt_floor;
+            rt.ingress_chunk(chunk).expect("recovers");
+            let f = rt.shards[0].ckpt.floor();
             assert!(
                 f > *floors_seen.last().expect("seeded"),
                 "checkpoint counter must advance strictly past {floors_seen:?}"
             );
             floors_seen.push(f);
         }
-        let (out, end) = eng.finish(&mut NullTracer);
-        out.expect("recovers");
-        let stats = end.shards.expect("the plane comes back").recovery_stats();
+        rt.egress_round(&vec![0.5; d]).expect("recovers");
+        let stats = rt.recovery_stats();
         assert_eq!(stats.relaunches, 2);
         assert!(stats.retries >= 1, "the stale blob costs one recovery retry");
     }
@@ -987,7 +980,6 @@ mod tests {
     fn a_shard_tally_one_chunk_short_fails_egress() {
         let (d, k) = (64, 4);
         let updates = random_updates(8, k, d, 29);
-        // Straight from provisioning: no round begun, so no plan armed.
         let mut rt = runtime(d, 2, 10);
         for chunk in updates.chunks(4) {
             rt.ingress_chunk(chunk).expect("fault-free delivery");

@@ -23,10 +23,11 @@
 //!   - [`aggregation::oram`]: the PathORAM/ZeroTrace comparator;
 //!   - [`aggregation::dobliv`]: the Section 5.4 differentially-oblivious
 //!     relaxation (dummy padding + oblivious shuffle + linear pass);
-//! * [`round`] — the enclave-side round as one engine: a single
-//!   chunk-fold driver over the streaming aggregator with a single EPC
-//!   ledger (coordinator budget + shard plane), behind `run_round`,
-//!   `restore_round`, the shard equivalence suites and the bench rig;
+//! * [`round`] — the enclave-side round as one engine that owns its
+//!   restore point: the one driver over sealed uploads (open from the
+//!   checkpoint store → ingest → finish) with a single EPC ledger, behind
+//!   `run_round`, `restore_round` and the bench rig, and its fold loop on
+//!   its own for the pre-decoded shard equivalence suites;
 //! * [`olive`] — the full system of Algorithm 1 / Algorithm 6: remote
 //!   attestation, encrypted gradient upload, in-enclave verification and
 //!   decryption, oblivious aggregation, optional central-DP noising, and

@@ -11,7 +11,10 @@
 //!    (lines 8–11), and aggregates **obliviously** (line 12) — under the
 //!    chosen [`AggregatorKind`], with every adversary-visible access
 //!    reported to the caller's [`ParallelTracer`]. This is the
-//!    [`RoundEngine`]'s *chunked pipeline*: uploads are opened in batches
+//!    [`RoundEngine`]'s sealed-round driver (`open` from the checkpoint
+//!    store → `ingest` → `finish`; this module only supplies the preamble
+//!    — sample–train–seal, or after a crash relaunch–re-attest–
+//!    re-provision): uploads are opened in batches
 //!    ([`Enclave::open_upload_batch`]) and folded incrementally, bounding
 //!    the enclave working set at O(chunk·k + d·threads) and overlapping
 //!    decryption of chunk i+1 with aggregation of chunk i;
@@ -26,22 +29,20 @@ use std::sync::OnceLock;
 use olive_data::ClientData;
 use olive_dp::{GaussianMechanism, RdpAccountant};
 use olive_fl::{local_update, sample_clients, ClientConfig, FedAvgServer, SparseGradient};
-use olive_memsim::{default_threads, positive_env, FaultPlan, ParallelTracer, RecoveryStats};
+use olive_memsim::{default_threads, positive_env, FaultPlan, ParallelTracer};
 use olive_nn::Model;
 use olive_tee::{
-    AttestationService, ClientSession, Enclave, EnclaveConfig, SealedMessage, TeeError, UserId,
+    AttestationService, ClientSession, Enclave, EnclaveConfig, SealedMessage, SealedStore, UserId,
 };
 use olive_telemetry::Telemetry;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
 use crate::aggregation::advanced::sum_advanced_bytes;
-use crate::aggregation::{Aggregator, AggregatorKind, ShardRuntime, StreamingAggregator};
-use crate::round::{
-    open_and_decode, staged_chunk_bytes, Checkpoint, Ledger, RoundEngine, RoundShape, CKPT_LABEL,
-};
+use crate::aggregation::{AggregatorKind, ShardRuntime, StreamingAggregator};
+use crate::round::{Ledger, RoundEngine, RoundShape, SealedRound};
 
-pub use crate::round::RoundError;
+pub use crate::round::{RoundError, RoundTelemetry};
 
 /// Attestation user data binding the enclave quote to the FL protocol.
 const ATTEST_CONTEXT: &[u8] = b"olive-fl-v1";
@@ -74,26 +75,6 @@ pub struct OliveConfig {
     pub dp: Option<DpConfig>,
     /// Master seed (sampling, training batch order, DP noise).
     pub seed: u64,
-}
-
-/// Deterministic per-round telemetry summary embedded in every
-/// [`RoundReport`]. Always populated — armed or not, it is plain
-/// accounting over the round's schedule, not sink output — and zeroed
-/// for empty/monolithic aspects that did not occur (an unsharded round
-/// reports an explicit all-zero [`RecoveryStats`], never an absence).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct RoundTelemetry {
-    /// Ingestion chunks folded by the completing invocation (a restored
-    /// round counts the chunks folded after the restore point).
-    pub chunks: u64,
-    /// Coordinator round checkpoints sealed during those chunks.
-    pub ckpt_seals: u64,
-    /// Total bytes of the sealed coordinator checkpoint blobs.
-    pub ckpt_bytes: u64,
-    /// Shard-plane recovery work (retries, relaunches, simulated
-    /// backoff) performed during this round; zeroed on the monolithic
-    /// path and for fault-free sharded rounds.
-    pub recovery: RecoveryStats,
 }
 
 /// What one round produced — including everything the *adversary* gets
@@ -162,24 +143,20 @@ pub struct OliveSystem {
     /// share a (key, label, nonce-counter) triple with different
     /// plaintexts — an AES-GCM nonce reuse.
     shard_provision_epoch: u32,
-    /// A fault script awaiting the next round's engine
-    /// ([`OliveSystem::set_fault_plan`]; armed — `take()`n — when the
-    /// engine starts, and its unfired remainder comes back when the
-    /// engine ends, so one script spans a round's restores).
+    /// The fault script the next call that drives a round arms: an
+    /// explicit one ([`OliveSystem::set_fault_plan`]), or what an
+    /// interrupted round left unfired — `Some`, even when empty, so its
+    /// restore arms that and not the environment's.
     pending_faults: Option<FaultPlan>,
-    /// Seal a restorable checkpoint after every folded chunk (default on;
-    /// [`OliveSystem::set_checkpointing`] is the escape hatch).
-    checkpoint: bool,
     /// The interrupted round awaiting [`OliveSystem::restore_round`]:
     /// untrusted server-side material (public sample, ciphertexts) that
     /// survives an enclave crash.
     pending: Option<PendingRound>,
-    /// Newest sealed checkpoint, as *untrusted* storage would hold it.
-    ckpt_store: Option<Vec<u8>>,
-    /// Rollback-protected pin of the newest checkpoint's seal counter
-    /// (simulating platform NV storage that survives enclave death):
-    /// [`OliveSystem::restore_round`] refuses any blob sealed earlier.
-    ckpt_floor: u64,
+    /// Untrusted checkpoint storage: the newest sealed restore point of
+    /// the round in flight, and the rollback-protected pin of its seal
+    /// counter — [`OliveSystem::restore_round`] refuses any blob sealed
+    /// earlier.
+    ckpts: SealedStore,
     /// The system-wide side-band metrics handle (armed from
     /// `OLIVE_METRICS` at provisioning; [`OliveSystem::set_telemetry`]
     /// overrides). Threaded through the enclave, every client session,
@@ -194,45 +171,20 @@ pub struct OliveSystem {
 /// nonce counters already visible on the wire — integrity of all of it is
 /// enforced by the sealed checkpoint, not by this struct.
 struct PendingRound {
-    t: u64,
     sampled: Vec<UserId>,
     sealed: Vec<SealedMessage>,
-    k: usize,
-    /// Replay floors as of round start (before any upload was opened):
-    /// the base the running floor snapshot starts from, and what a
-    /// restore of a staged kind rewinds to before it re-opens the folded
-    /// prefix — kept as they were across any number of restores.
+    /// Round counter, per-client k, and the chunk geometry and thread
+    /// budget the round started with — so a restore, also of a round
+    /// that died *before its first checkpoint* (e.g. a chunk-0 shard
+    /// fault), runs the same schedule.
+    shape: RoundShape,
+    /// Replay floors as of round start (before any upload was opened) —
+    /// kept as they were across any number of restores.
     base_floors: Vec<(UserId, u64)>,
-    /// Chunk geometry the round started with, so a round that dies
-    /// *before its first checkpoint* (e.g. a chunk-0 shard fault) can be
-    /// restarted from the untrusted material with the same schedule.
-    chunk_size: usize,
-    threads: usize,
-    /// DP/sampling generator state right after the sample was drawn —
-    /// the no-checkpoint restart's RNG restore point (training seeds are
-    /// derived per-user, not drawn from this stream, so post-prepare the
-    /// next draw is the finalize-time noise).
+    /// DP/sampling generator state right after the sample was drawn
+    /// (training seeds are derived per-user, not drawn from this stream,
+    /// so post-prepare the next draw is the finalize-time noise).
     rng_after_prepare: [u64; 4],
-}
-
-impl PendingRound {
-    /// What a checkpoint must agree with this round on to resume it.
-    fn shape(&self) -> RoundShape {
-        RoundShape {
-            round: self.t,
-            uploads: self.sealed.len(),
-            chunk_size: self.chunk_size,
-            threads: self.threads,
-            k: self.k,
-        }
-    }
-
-    /// Where ingestion starts when nothing is folded — a fresh round, or
-    /// one that died before its first checkpoint: the state right after
-    /// [`OliveSystem::prepare_round`].
-    fn start(&self) -> Checkpoint {
-        Checkpoint::start(self.shape(), self.rng_after_prepare, &self.base_floors)
-    }
 }
 
 /// Process-default ingestion chunk size: `OLIVE_CHUNK` if set to a
@@ -312,10 +264,8 @@ impl OliveSystem {
             shard_rt: None,
             shard_provision_epoch: 0,
             pending_faults: None,
-            checkpoint: true,
             pending: None,
-            ckpt_store: None,
-            ckpt_floor: 0,
+            ckpts: SealedStore::default(),
             telemetry,
         }
     }
@@ -432,12 +382,21 @@ impl OliveSystem {
         Ok(())
     }
 
-    /// Arms a deterministic fault script for the next round(s). Shard
-    /// transport faults need a shard plane (on the monolithic path they
-    /// are simply never consumed); a coordinator crash (`crash@<chunk>`)
-    /// fires on any round. Composes with `OLIVE_FAULTS`: an explicit plan
-    /// wins; the environment plan re-arms whenever no script is active
-    /// ([`ShardRuntime::begin_round`]).
+    /// Arms a deterministic fault script for the next [`run_round`] — or,
+    /// while a round is interrupted, for its next [`restore_round`]
+    /// (replacing what is left of that round's script). Shard transport
+    /// faults need a shard plane (on the monolithic path they are simply
+    /// never consumed); a coordinator crash (`crash@<chunk>`) fires at
+    /// every S.
+    ///
+    /// The one arming rule: a fresh round arms this script if one is
+    /// pending, else the `OLIVE_FAULTS` environment plan; what has not
+    /// fired when the round is interrupted spans its restores; whatever
+    /// is left when the round completes is dropped with it, so the next
+    /// fresh round arms afresh.
+    ///
+    /// [`run_round`]: OliveSystem::run_round
+    /// [`restore_round`]: OliveSystem::restore_round
     pub fn set_fault_plan(&mut self, plan: FaultPlan) {
         self.pending_faults = Some(plan);
     }
@@ -485,7 +444,6 @@ impl OliveSystem {
     /// [`RoundError::CoordinatorKilled`] — resumes via
     /// [`OliveSystem::restore_round`] instead of restarting, bitwise
     /// identical in output and trace to an uninterrupted run.
-    /// [`OliveSystem::set_checkpointing`] turns the sealing off.
     ///
     /// Sharded rounds (S > 1) are additionally **fault-tolerant**: shard
     /// deaths and tunnel corruption recover in-band (bounded retries,
@@ -512,11 +470,11 @@ impl OliveSystem {
         let _round_span = self.telemetry.span("round", &[("round", self.round.into())]);
         let pending = self.prepare_round();
         if pending.sampled.is_empty() {
-            return Ok(self.finish_empty_round(pending.t));
+            return Ok(self.finish_empty_round(pending.shape.round));
         }
-        let agg = StreamingAggregator::new(self.cfg.aggregator, self.server.dim(), pending.threads);
-        let start = pending.start();
-        self.drive(pending, agg, start, false, tr)
+        // The arming rule (`set_fault_plan`), at every S.
+        self.pending_faults.get_or_insert_with(FaultPlan::from_env);
+        self.drive(pending, tr)
     }
 
     /// Algorithm 1 lines 4–7 + 15–23: sample, train, sparsify, encrypt.
@@ -550,16 +508,8 @@ impl OliveSystem {
             .map(|(&user, sparse)| self.sessions[user as usize].seal_upload(t, &sparse.encode()))
             .collect();
         let k = local_results.first().map(|u| u.k()).unwrap_or(0);
-        PendingRound {
-            t,
-            sampled,
-            sealed,
-            k,
-            base_floors,
-            chunk_size: self.chunk(),
-            threads: self.threads(),
-            rng_after_prepare: self.rng.state(),
-        }
+        let shape = RoundShape { round: t, chunk_size: self.chunk(), threads: self.threads(), k };
+        PendingRound { sampled, sealed, shape, base_floors, rng_after_prepare: self.rng.state() }
     }
 
     /// An honest Poisson sample is empty with probability `(1−q)^N`.
@@ -590,55 +540,51 @@ impl OliveSystem {
     }
 
     /// Lines 8–12 (+ Algorithm 6 line 12 and line 14): the sealed uploads
-    /// through the [`RoundEngine`] under the adversary's tracer, then
-    /// noise, apply, sign. Entered at chunk 0 by a fresh round and — with
-    /// `restored` set, which first brings the engine level with `ckpt`
-    /// ([`RoundEngine::resume`]) — at the checkpoint's `chunks_done` by
-    /// [`OliveSystem::restore_round`].
+    /// through the [`RoundEngine`] under the adversary's tracer — opened
+    /// from the checkpoint store, ingested, finished — then noise, apply,
+    /// sign. A fresh round finds the store empty and starts at chunk 0; a
+    /// restore finds the interrupted round's newest restore point. Either
+    /// way it is the same two calls.
     ///
-    /// The engine takes the coordinator's budget and the shard plane for
-    /// the round and hands both back when it ends — so there is one exit
-    /// for every abort (stored material that does not resume, a refused
-    /// upload, exhausted shard recovery at ingress or egress, a scripted
-    /// coordinator crash):
-    /// the round goes back to pending, the invocation's counters are
-    /// flushed, and the error surfaces.
+    /// The engine takes the coordinator's budget, the shard plane and the
+    /// round's fault script for the round and hands them back when it
+    /// ends — so there is one exit for every abort (stored material that
+    /// does not resume, a refused upload, exhausted shard recovery at
+    /// ingress or egress, a scripted coordinator crash): the round goes
+    /// back to pending, the invocation's counters are flushed, and the
+    /// error surfaces.
     fn drive<TR: ParallelTracer>(
         &mut self,
         pending: PendingRound,
-        agg: StreamingAggregator,
-        mut ckpt: Checkpoint,
-        restored: bool,
         tr: &mut TR,
     ) -> Result<RoundReport, RoundError> {
-        let t = pending.t;
-        let ledger = Ledger::new(self.enclave.epc, self.shard_rt.take(), self.telemetry.clone());
-        let mut engine =
-            RoundEngine::new(agg, pending.k, pending.threads, ckpt.chunks_done(), ledger);
-        if let Some(plan) = self.pending_faults.take() {
-            engine.set_fault_plan(plan);
-        }
-        // The round's recovery delta is the runtime's monotone counters
-        // minus this snapshot; unsharded rounds keep the explicit zeroes.
-        let recovery_base = engine.shards().map(|rt| rt.recovery_stats()).unwrap_or_default();
-        let mut round_tel = RoundTelemetry::default();
-        let resumed = if restored {
-            engine.resume(&mut self.enclave, &pending.sealed, &pending.base_floors, &ckpt)
-        } else {
-            Ok(())
+        let t = pending.shape.round;
+        let agg =
+            StreamingAggregator::new(self.cfg.aggregator, self.server.dim(), pending.shape.threads);
+        let mut ledger =
+            Ledger::new(self.enclave.epc, self.shard_rt.take(), self.telemetry.clone());
+        ledger.arm(self.pending_faults.take().unwrap_or_default());
+        let round = SealedRound {
+            shape: pending.shape,
+            uploads: &pending.sealed,
+            base_floors: &pending.base_floors,
+            rng_state: pending.rng_after_prepare,
         };
-        let folded = resumed
-            .and_then(|()| self.fold_chunks(&pending, &mut engine, &mut ckpt, &mut round_tel, tr));
-        round_tel.chunks = engine.chunks_folded();
+        let ingested = RoundEngine::open(agg, &round, &mut self.enclave, Some(&self.ckpts), ledger)
+            .and_then(|engine| {
+                engine.ingest(round.uploads, &mut self.enclave, Some(&mut self.ckpts), tr)
+            });
         let fin_span =
-            folded.is_ok().then(|| self.telemetry.span("finalize", &[("round", t.into())]));
-        let (delta, end) = match folded {
-            Ok(()) => engine.finish(tr),
-            Err(e) => (Err(e), engine.abort()),
+            ingested.is_ok().then(|| self.telemetry.span("finalize", &[("round", t.into())]));
+        let (delta, end) = match ingested {
+            Ok(engine) => engine.finish(tr),
+            Err((e, end)) => (Err(e), *end),
         };
         self.enclave.epc = end.coordinator;
         self.shard_rt = end.shards;
-        self.pending_faults = Some(end.faults).filter(|plan| !plan.is_empty());
+        // The generator lives in the enclave: after a crash it is what the
+        // restore point sealed, not what the dead enclave held.
+        self.rng = SmallRng::from_state(end.rng_state);
         let mut delta = match delta {
             Ok(delta) => delta,
             Err(e) => {
@@ -655,6 +601,7 @@ impl OliveSystem {
                     // against the relaunched coordinator.
                     self.relaunch_enclave();
                 }
+                self.pending_faults = Some(end.faults);
                 self.pending = Some(pending);
                 self.telemetry.flush_stats();
                 return Err(e);
@@ -685,22 +632,19 @@ impl OliveSystem {
 
         self.round += 1;
         // The round is durable in the model now; the checkpoint is dead
-        // weight. The floor stays pinned forever — monotone across rounds,
-        // so no stale blob can ever replay into a later round.
-        self.ckpt_store = None;
+        // weight (and so is what is left of the round's fault script).
+        self.ckpts.newest = None;
         let rt = self.shard_rt.as_ref();
-        round_tel.recovery =
-            rt.map(|rt| rt.recovery_stats().since(recovery_base)).unwrap_or_default();
         let report = RoundReport {
             round: t,
             processed_users: pending.sampled,
-            k_per_user: pending.k,
+            k_per_user: pending.shape.k,
             epsilon_spent,
             working_set_bytes: self.enclave.epc.peak,
             would_page: self.enclave.epc.would_page() || rt.is_some_and(|rt| rt.any_would_page()),
             shard_peaks: rt.map(|rt| rt.peaks()).unwrap_or_default(),
             model_signature,
-            telemetry: round_tel,
+            telemetry: end.telemetry,
         };
         drop(fin_span);
         // Drain the accumulated counters/histograms at the round
@@ -710,91 +654,21 @@ impl OliveSystem {
         Ok(report)
     }
 
-    /// The ingestion loop: every remaining chunk opened, decoded, folded,
-    /// checkpointed, and offered to the crash hook — chunk i+1 being
-    /// opened while chunk i folds. Opening touches only the enclave's
-    /// session/replay state, which the aggregation does not.
-    fn fold_chunks<TR: ParallelTracer>(
-        &mut self,
-        pending: &PendingRound,
-        engine: &mut RoundEngine,
-        ckpt: &mut Checkpoint,
-        round_tel: &mut RoundTelemetry,
-        tr: &mut TR,
-    ) -> Result<(), RoundError> {
-        let msg_chunks: Vec<&[SealedMessage]> = pending.sealed.chunks(pending.chunk_size).collect();
-        // Chunk `i` opened and decoded; nothing past the last one.
-        let open = |enclave: &mut Enclave, i: usize| match msg_chunks.get(i) {
-            Some(msgs) => open_and_decode(enclave, msgs, i * pending.chunk_size),
-            None => Ok(Vec::new()),
-        };
-        let first = engine.chunks_done();
-        let mut staged = open(&mut self.enclave, first)?;
-        for (i, msgs) in msg_chunks.iter().enumerate().skip(first) {
-            let _chunk_span = self.telemetry.span(
-                "ingest_chunk",
-                &[("chunk", (i as u64).into()), ("clients", (msgs.len() as u64).into())],
-            );
-            let next_bytes = msg_chunks.get(i + 1).map_or(0, |msgs| staged_chunk_bytes(msgs));
-            let enclave = &mut self.enclave;
-            let next = engine.fold(&staged, next_bytes, move || open(enclave, i + 1), tr)?;
-            // Chunk i is folded: seal the restore point. Sealing touches
-            // only enclave-private state (seal counter, sealing key), so
-            // it emits no adversary-visible trace events — checkpoint
-            // cadence cannot perturb the bitwise trace contract.
-            if self.checkpoint {
-                ckpt.advance(msgs);
-                round_tel.ckpt_bytes += self.seal_checkpoint(ckpt, engine);
-                round_tel.ckpt_seals += 1;
-            }
-            engine.crash_point()?;
-            // Only now may a refused upload of chunk i+1 end the round:
-            // the restore point above already covers chunk i.
-            staged = next?;
-        }
-        Ok(())
-    }
-
-    /// Seals the round's restore point ([`Checkpoint::seal`]), pins the
-    /// rollback floor to its seal counter, and parks the blob in
-    /// (simulated) untrusted storage.
-    fn seal_checkpoint(&mut self, ckpt: &mut Checkpoint, engine: &mut RoundEngine) -> u64 {
-        let chunks_done = ckpt.chunks_done() as u64;
-        let mut span =
-            self.telemetry.span("checkpoint_seal", &[("chunks_done", chunks_done.into())]);
-        ckpt.rng_state = self.rng.state();
-        let sealed = ckpt.seal(engine, &mut self.enclave);
-        let blob_bytes = sealed.len() as u64;
-        span.field("blob_bytes", blob_bytes.into());
-        self.telemetry.observe("ckpt_blob_bytes", "coordinator", blob_bytes);
-        let counter = u64::from_be_bytes(sealed[..8].try_into().expect("8-byte counter prefix"));
-        self.ckpt_floor = self.ckpt_floor.max(counter);
-        self.ckpt_store = Some(sealed);
-        blob_bytes
-    }
-
     /// Whether an aborted round is awaiting [`OliveSystem::restore_round`].
     pub fn interrupted(&self) -> bool {
         self.pending.is_some()
     }
 
-    /// Disables (or re-enables) per-chunk checkpoint sealing — the escape
-    /// hatch for measuring the overhead it adds, and for deployments that
-    /// prefer to re-run a crashed round from scratch.
-    pub fn set_checkpointing(&mut self, on: bool) {
-        self.checkpoint = on;
-    }
-
     /// The newest sealed checkpoint as untrusted storage holds it (test
     /// hook: what an attacker could copy).
     pub fn checkpoint_blob(&self) -> Option<&[u8]> {
-        self.ckpt_store.as_deref()
+        self.ckpts.newest.as_deref()
     }
 
     /// Replaces the stored checkpoint blob (test hook: the
     /// tamper/rollback attacker writing to untrusted storage).
     pub fn set_checkpoint_blob(&mut self, blob: Vec<u8>) {
-        self.ckpt_store = Some(blob);
+        self.ckpts.newest = Some(blob);
     }
 
     /// Cold (re)launch of the coordinator enclave: same platform seed ⇒
@@ -812,33 +686,32 @@ impl OliveSystem {
     /// seed ⇒ same sealing key and DH keypair, so existing client
     /// sessions stay valid), re-attest, re-register the session keys,
     /// and re-provision the shard plane (fresh tunnels, fresh shard
-    /// sealing keys via the provisioning epoch).
-    /// Then the checkpoint is unsealed against the rollback-protected
-    /// floor ([`TeeError::StaleSeal`] for an older genuine blob,
-    /// [`TeeError::AuthFailure`] for a tampered one), the aggregator is
-    /// rebuilt from its serialized state, and [`RoundEngine::resume`]
-    /// rewinds the replay floors to cover only *folded* uploads — for a
-    /// staged kind (Advanced, DiffOblivious) by re-opening and re-staging
-    /// the folded prefix of the round's own sealed uploads, which must
-    /// land on exactly the floors and cell count the checkpoint sealed
-    /// ([`TeeError::AuthFailure`] otherwise: a flipped, dropped or
-    /// substituted upload never yields a different aggregate). Ingestion
-    /// then continues from the next chunk. A round that died *before its
-    /// first checkpoint* (a chunk-0 shard fault, or egress failure with
-    /// checkpointing off) has no blob and is restarted whole from the
-    /// untrusted round material — nothing was folded, so that too is
-    /// exact. Output and trace are bitwise identical to the uninterrupted
-    /// round. On error — including a further scripted crash — the
-    /// interrupted round stays pending, so the caller can repair storage
-    /// and retry.
+    /// sealing keys via the provisioning epoch). From there it is
+    /// [`OliveSystem::run_round`]'s path: [`RoundEngine::open`] unseals
+    /// the stored blob against the rollback-protected floor, rebuilds the
+    /// aggregator, and rewinds the replay floors to cover only *folded*
+    /// uploads — for a staged kind (Advanced, DiffOblivious) by
+    /// re-opening the folded prefix of the round's own sealed uploads,
+    /// which must be exactly the prefix the checkpoint sealed (a flipped,
+    /// dropped or substituted upload never yields a different aggregate)
+    /// — and ingestion continues from the next chunk. A round that died
+    /// *before its first checkpoint* (a chunk-0 shard fault) has no blob
+    /// and is restarted whole from the untrusted round material — nothing
+    /// was folded, so that too is exact. Output and trace are bitwise
+    /// identical to the uninterrupted round. On error — including a
+    /// further scripted crash — the interrupted round stays pending, so
+    /// the caller can repair storage and retry.
     pub fn restore_round<TR: ParallelTracer>(
         &mut self,
         tr: &mut TR,
     ) -> Result<RoundReport, RoundError> {
-        let t = self.pending.as_ref().expect("restore_round requires an interrupted round").t;
+        let pending = self.pending.as_ref().expect("restore_round requires an interrupted round");
         let _span = self.telemetry.span(
             "round_restore",
-            &[("round", t.into()), ("has_checkpoint", self.ckpt_store.is_some().into())],
+            &[
+                ("round", pending.shape.round.into()),
+                ("has_checkpoint", self.ckpts.newest.is_some().into()),
+            ],
         );
 
         // Cold relaunch + re-provisioning.
@@ -856,33 +729,9 @@ impl OliveSystem {
         self.shard_rt = None;
         self.ensure_shard_runtime()?;
 
-        let pending = self.pending.as_ref().expect("checked above");
-        let mut agg =
-            StreamingAggregator::new(self.cfg.aggregator, self.server.dim(), pending.threads);
-        let ckpt = match &self.ckpt_store {
-            Some(blob) => {
-                // Unseal against the pinned floor: stale (rolled-back)
-                // blobs and tampered blobs both fail here, leaving the
-                // round pending.
-                let plain = self.enclave.unseal_with_floor(blob, CKPT_LABEL, self.ckpt_floor)?;
-                // An authenticated blob that decodes to the wrong shape
-                // means it was sealed for a different round than the
-                // pending one — treat it like any other unusable blob.
-                let unusable = |_| RoundError::Checkpoint(TeeError::AuthFailure);
-                let ckpt = Checkpoint::decode(&plain, pending.shape()).map_err(unusable)?;
-                agg.load_state(ckpt.agg_state()).map_err(unusable)?;
-                ckpt
-            }
-            // No checkpoint was ever sealed for this round: nothing was
-            // folded before the abort, so the exact pre-crash state is a
-            // fresh aggregator over the untrusted round material.
-            None => pending.start(),
-        };
-
         let pending = self.pending.take().expect("checked above");
-        self.rng = SmallRng::from_state(ckpt.rng_state);
-        self.enclave.begin_round(pending.t, pending.sampled.clone());
-        self.drive(pending, agg, ckpt, true, tr)
+        self.enclave.begin_round(pending.shape.round, pending.sampled.clone());
+        self.drive(pending, tr)
     }
 
     /// Signs `t ∥ θ` with the enclave's output key (Section 5.6).
@@ -1034,6 +883,7 @@ mod tests {
     use olive_fl::Sparsifier;
     use olive_memsim::NullTracer;
     use olive_nn::zoo::mlp;
+    use olive_tee::TeeError;
 
     /// The unit-test federation: 8 clients, top-10% sparsified MLP.
     fn tiny_parts(
@@ -1192,32 +1042,40 @@ mod tests {
     }
 
     /// The closed form and the ledger agree to the byte at a shape that is
-    /// not a power of two (they share `sum_advanced_bytes`). Advanced
-    /// peaks at finalize, holding exactly the closed form. A Grouped round
-    /// peaks in a fold, holding the closed form plus the plaintext the
-    /// closed form leaves out: the chunk being folded and the look-ahead
-    /// chunk opened beside it, `chunk · k` cells each.
-    /// Checkpointing adds one transient on top of a fold's resident state
-    /// — the plaintext being sealed, header + floors + aggregator state —
-    /// which for Advanced (a descriptor) is the only thing a checkpointed
-    /// round's peak may exceed the closed form by.
+    /// not a power of two (they share `sum_advanced_bytes`) — measured on
+    /// the engine with nothing sealed. Advanced peaks at finalize, holding
+    /// exactly the closed form. A Grouped round peaks in a fold, holding
+    /// the closed form plus the plaintext the closed form leaves out: the
+    /// chunk being folded and the look-ahead chunk opened beside it,
+    /// `chunk · k` cells each.
+    /// Checkpointing — what `run_round` does — adds one transient on top
+    /// of a fold's resident state: the plaintext being sealed, header +
+    /// floors + aggregator state, which for Advanced (a descriptor) is the
+    /// only thing a round's peak may exceed the closed form by.
     #[test]
     fn closed_form_working_set_matches_the_measured_round() {
-        let round = |kind: AggregatorKind, threads: usize, chunk: usize, checkpoint: bool| {
-            let (model, clients, mut cfg) = tiny_parts(kind, None);
-            cfg.sample_rate = 1.0;
-            let mut sys = OliveSystem::new(model, clients, cfg);
-            sys.set_threads(threads);
-            sys.set_chunk(chunk);
-            sys.set_checkpointing(checkpoint);
-            let report = sys.run_round(&mut NullTracer).expect("round");
-            (report.working_set_bytes, report.processed_users.len(), report.k_per_user, sys.dim())
+        let (n, k, d) = (8, 10, 106);
+        let updates = crate::aggregation::test_support::random_updates(n, k, d, 5);
+        let measured = |kind: AggregatorKind, threads: usize, chunk: usize| {
+            let mut round =
+                crate::round::test_support::Sealed::new(kind, &updates, d, threads, chunk);
+            let ledger = Ledger::new(olive_tee::EpcBudget::default(), None, Telemetry::off());
+            let (delta, end) = round.drive(None, ledger, &mut NullTracer);
+            delta.expect("fault-free");
+            end.coordinator.peak
         };
-        let (measured, n, k, d) = round(AggregatorKind::Advanced, 1, 3, false);
-        assert_eq!((n, k, d), (8, 10, 106), "nk + d = 186 is not a power of two");
         let closed = working_set_bytes(AggregatorKind::Advanced, n, k, d);
-        assert_eq!(measured, closed);
-        let (checkpointed, ..) = round(AggregatorKind::Advanced, 1, 3, true);
+        assert_eq!(
+            measured(AggregatorKind::Advanced, 1, 3),
+            closed,
+            "nk + d = 186: no power of two"
+        );
+        let mut sys = full_sample_system(AggregatorKind::Advanced, 1, 1);
+        sys.set_chunk(3);
+        let report = sys.run_round(&mut NullTracer).expect("round");
+        let shape = (report.processed_users.len(), report.k_per_user, sys.dim());
+        assert_eq!(shape, (n, k, d), "the round the closed form was taken for");
+        let checkpointed = report.working_set_bytes;
         // Header (version, round, five sizes, generator, two length
         // prefixes), one 12-byte floor per client, the 33-byte descriptor.
         let ckpt_plain = (1 + 8 + 5 * 8 + 32 + 2 * 8) + 12 * n as u64 + 33;
@@ -1229,10 +1087,9 @@ mod tests {
             // One processing unit (h · threads clients) per chunk.
             let kind = AggregatorKind::Grouped { h: 2 };
             let chunk = 2 * threads;
-            let (measured, ..) = round(kind, threads, chunk, false);
             let staged = 2 * (chunk * k) as u64 * 8;
             let closed = working_set_bytes_threaded(kind, n, k, d, threads);
-            assert_eq!(measured, closed + staged, "threads={threads}");
+            assert_eq!(measured(kind, threads, chunk), closed + staged, "threads={threads}");
         }
     }
 

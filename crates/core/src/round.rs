@@ -1,20 +1,30 @@
-//! The round engine: Algorithm 1 lines 8–12 as **one** loop with **one**
+//! The round engine: Algorithm 1 lines 8–12 as **one** driver with **one**
 //! EPC ledger.
 //!
-//! The paper's enclave-side round is a single fold — verify, decrypt,
-//! obliviously aggregate chunk by chunk, finalize — and every driver in
-//! this workspace runs it through the same three calls:
+//! The paper's enclave-side round is a single loop — verify, decrypt,
+//! obliviously fold, next — and the protocol around that loop is written
+//! here once, over the round as untrusted server memory holds it
+//! ([`SealedRound`]):
 //!
 //! ```text
-//! RoundEngine::new(aggregator, k, threads, chunks_done, ledger)
-//!     ── fold(chunk₁) ─▶ … ─▶ fold(chunkₘ) ── finish() → Δ̃
-//!          │  Checkpoint::{advance, seal} + crash_point() after every chunk
+//! RoundEngine::open(aggregator, round, enclave, store, ledger)
+//!   │  a blob in the store: unseal against the pinned floor → decode against
+//!   │  the round's shape → load_state → resume (floors, re-staged prefix);
+//!   │  an empty store: chunk 0 from the round-start floors and generator
+//! .ingest(uploads, enclave, store, tracer)     per remaining chunk i:
+//!   │  open chunk i+1 while chunk i folds → advance + seal the restore
+//!   │  point, pin the rollback floor → crash hook → only then look at
+//!   │  chunk i+1's refusal
+//! .finish(tracer) → Δ̃        every failure on the way: (error, RoundEnd)
 //! ```
 //!
-//! [`OliveSystem::run_round`] and [`OliveSystem::restore_round`] drive it
-//! over sealed uploads (opening chunk i+1 on a spare thread while chunk i
-//! folds — the `prefetch` argument of [`RoundEngine::fold`]); the shard
-//! equivalence suites and the bench rig over pre-decoded updates.
+//! A fresh round is the degenerate restore — a store with nothing in it —
+//! so [`OliveSystem::run_round`] and [`OliveSystem::restore_round`] make
+//! the same two calls after their own preambles (sample–train–seal vs.
+//! relaunch–re-attest–re-provision), and the bench rig makes them over its
+//! own sealed uploads. [`RoundEngine::fold`] is the loop body on its own,
+//! for drivers that hold the updates in the clear ([`RoundEngine::run`]:
+//! the shard equivalence suites).
 //!
 //! # The ledger
 //!
@@ -26,11 +36,10 @@
 //! count; a shard's own budget carries only what the shard decrypts, and
 //! the shard transport charges that itself (`aggregation::sharded`). The
 //! ledger keeps the running total of what is charged, so however a round
-//! ends — finished, or aborted on a failed fold, upload, egress or the
-//! scripted coordinator crash — [`RoundEngine::finish`] /
-//! [`RoundEngine::abort`] release *everything* still charged: every
-//! budget they hand back is at `live == 0` and every counter pair
-//! balances.
+//! ends — finished, or aborted on stored material that does not resume, a
+//! failed fold, upload, egress or the scripted coordinator crash — the
+//! [`RoundEnd`] it hands back has every budget at `live == 0` and every
+//! counter pair balanced.
 //!
 //! The charge schedule per chunk is a pure function of the public chunk
 //! schedule: the chunk's staged plaintext, the aggregator's transient
@@ -38,26 +47,26 @@
 //! folds, because it is being opened concurrently), then one resize of
 //! the aggregator's persistent state.
 //!
-//! # The checkpoint
+//! # The restore point
 //!
-//! [`Checkpoint`] is the one codec of a sealed restore point — what
-//! `OliveSystem` and the bench rig both seal after every fold and decode
-//! on restore. It holds only what cannot be recomputed from the round's
-//! own sealed uploads: the round's public shape, chunk progress, the
-//! DP/sampling generator, the replay floors of the folded prefix (kept as
-//! one running snapshot, updated with each chunk's entries) and the
-//! aggregator's [`Aggregator::save_state`]. For the staged kinds that
-//! state is a descriptor and [`RoundEngine::resume`] rebuilds the cells
-//! by re-opening the folded prefix — with the floor snapshot as the
-//! commitment to the exact ciphertexts (an AEAD nonce is used once, so
-//! equal floors mean the same uploads).
+//! The engine owns its restore point: chunk progress, the DP/sampling
+//! generator and the replay floors of the folded prefix (one running
+//! snapshot, updated with each chunk's entries) live in the engine and
+//! nowhere else, and are sealed — with the round's public shape and the
+//! aggregator's [`Aggregator::save_state`] — under `"round-ckpt"` after
+//! every fold. The blob holds only what cannot be recomputed from the
+//! round's own sealed uploads ([`RoundEngine::open`] says how a staged
+//! kind's cells come back). Untrusted storage is a [`SealedStore`]: the
+//! newest blob and the rollback-protected pin of its seal counter.
 //!
 //! [`OliveSystem::run_round`]: crate::olive::OliveSystem::run_round
 //! [`OliveSystem::restore_round`]: crate::olive::OliveSystem::restore_round
 
 use olive_fl::SparseGradient;
-use olive_memsim::{FaultKind, FaultPlan, ParallelTracer, StateError, StateReader, StateWriter};
-use olive_tee::{Enclave, EpcBudget, SealedMessage, TeeError, UserId};
+use olive_memsim::{
+    FaultKind, FaultPlan, ParallelTracer, RecoveryStats, StateError, StateReader, StateWriter,
+};
+use olive_tee::{Enclave, EpcBudget, SealedMessage, SealedStore, TeeError, UserId};
 use olive_telemetry::Telemetry;
 
 use crate::aggregation::sharded::note_fault;
@@ -69,7 +78,7 @@ const COORDINATOR: &str = "coordinator";
 /// Sealing label for mid-round checkpoints. One label, one monotonic
 /// nonce counter: every checkpoint of every round draws from the same
 /// sequence, which is what makes the rollback floor a single u64.
-pub const CKPT_LABEL: &[u8] = b"round-ckpt";
+const CKPT_LABEL: &[u8] = b"round-ckpt";
 
 /// Checkpoint plaintext format version (bump on any layout change).
 /// v2: the staged kinds' aggregator state is a descriptor, not cells.
@@ -138,12 +147,40 @@ impl From<ShardError> for RoundError {
     }
 }
 
-/// The round's EPC ledger (module docs): the coordinator's budget, the
-/// running total charged to it, and — carried for the round, never
-/// charged from here — the shard plane.
+/// Deterministic per-round telemetry summary embedded in every
+/// [`RoundReport`](crate::olive::RoundReport). Always populated — armed
+/// or not, it is plain accounting over the round's schedule, not sink
+/// output — and zeroed for empty/monolithic aspects that did not occur
+/// (an unsharded round reports an explicit all-zero [`RecoveryStats`],
+/// never an absence).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct RoundTelemetry {
+    /// Ingestion chunks folded by the completing invocation (a restored
+    /// round counts the chunks folded after the restore point).
+    pub chunks: u64,
+    /// Coordinator round checkpoints sealed during those chunks.
+    pub ckpt_seals: u64,
+    /// Total bytes of the sealed coordinator checkpoint blobs.
+    pub ckpt_bytes: u64,
+    /// Shard-plane recovery work (retries, relaunches, simulated
+    /// backoff) performed during this round; zeroed on the monolithic
+    /// path and for fault-free sharded rounds.
+    pub recovery: RecoveryStats,
+}
+
+/// What the engine borrows for the round (module docs): the coordinator's
+/// budget with the running total charged to it, and — carried, never
+/// charged from here — the shard plane and the round's fault script.
 pub struct Ledger {
     coordinator: EpcBudget,
     shards: Option<ShardRuntime>,
+    /// The shard plane's monotone recovery counters as the round found
+    /// them; the round's recovery work is what they grow by. Unsharded
+    /// rounds keep the explicit zeroes.
+    recovery_base: RecoveryStats,
+    /// Fault script of an unsharded round; a sharded round's lives in its
+    /// [`ShardRuntime`], next to the transport hooks that fire it.
+    faults: FaultPlan,
     telemetry: Telemetry,
     /// Bytes charged and not yet released.
     outstanding: u64,
@@ -151,9 +188,26 @@ pub struct Ledger {
 
 impl Ledger {
     /// A ledger over the coordinator's budget (as the enclave holds it at
-    /// round start) and, for a sharded round, the provisioned shard plane.
+    /// round start) and, for a sharded round, the provisioned shard plane
+    /// (with whatever fault script is armed on it).
     pub fn new(coordinator: EpcBudget, shards: Option<ShardRuntime>, telemetry: Telemetry) -> Self {
-        Ledger { coordinator, shards, telemetry, outstanding: 0 }
+        let recovery_base = shards.as_ref().map(|rt| rt.recovery_stats()).unwrap_or_default();
+        let faults = FaultPlan::empty();
+        Ledger { coordinator, shards, recovery_base, faults, telemetry, outstanding: 0 }
+    }
+
+    /// Arms the round's fault script at every S, replacing whatever the
+    /// shard plane held; the unfired remainder comes back in
+    /// [`RoundEnd::faults`].
+    pub fn arm(&mut self, plan: FaultPlan) {
+        *self.faults_mut() = plan;
+    }
+
+    fn faults_mut(&mut self) -> &mut FaultPlan {
+        match self.shards.as_mut() {
+            Some(rt) => rt.faults_mut(),
+            None => &mut self.faults,
+        }
     }
 
     fn charge(&mut self, bytes: u64) {
@@ -173,19 +227,6 @@ impl Ledger {
         self.outstanding = self.outstanding - old + new;
     }
 
-    /// The end of a round, finished or aborted: releases everything still
-    /// charged and hands the borrowed pieces back. `faults` is an
-    /// unsharded round's script; a sharded round's is taken back from the
-    /// runtime it was armed on.
-    fn end(mut self, faults: FaultPlan) -> RoundEnd {
-        self.release(self.outstanding);
-        let faults = match self.shards.as_mut() {
-            Some(rt) => std::mem::take(rt.faults_mut()),
-            None => faults,
-        };
-        RoundEnd { coordinator: self.coordinator, shards: self.shards, faults }
-    }
-
     /// Charges `bytes` for the duration of `work` (the checkpoint
     /// plaintext while it is built and sealed).
     fn transient<T>(&mut self, bytes: u64, work: impl FnOnce() -> T) -> T {
@@ -194,29 +235,60 @@ impl Ledger {
         self.release(bytes);
         out
     }
+
+    /// The end of a round, finished or aborted: releases everything still
+    /// charged and hands the borrowed pieces back, with the engine's
+    /// generator state and tallies.
+    fn end(mut self, rng_state: [u64; 4], mut telemetry: RoundTelemetry) -> RoundEnd {
+        self.release(self.outstanding);
+        let faults = std::mem::take(self.faults_mut());
+        let recovery = self.shards.as_ref().map(|rt| rt.recovery_stats().since(self.recovery_base));
+        telemetry.recovery = recovery.unwrap_or_default();
+        RoundEnd {
+            coordinator: self.coordinator,
+            shards: self.shards,
+            faults,
+            rng_state,
+            telemetry,
+        }
+    }
 }
 
-/// The public shape of one round — everything a checkpoint must agree
-/// with the pending round on before it may resume it.
+/// The public shape of one round — what a checkpoint must agree with the
+/// round it is asked to resume on, beside the number of uploads.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct RoundShape {
     /// Round counter t.
     pub round: u64,
-    /// Sealed uploads in the round.
-    pub uploads: usize,
     /// Uploads opened, decoded and folded per chunk.
     pub chunk_size: usize,
     /// Worker-thread budget the aggregator was built with.
     pub threads: usize,
-    /// Cells per upload.
+    /// Cells per upload (public: ciphertext length reveals it).
     pub k: usize,
 }
 
-/// A round's restore point (module docs): a fresh round starts one with
-/// [`Checkpoint::start`], advances and seals it after every fold, and a
-/// restore decodes the newest sealed one and carries on from it.
-///
-/// Plaintext layout (v2), via `StateWriter`:
+/// One round as untrusted server memory holds it — everything outside
+/// the enclave, which therefore survives a crash. The sampled set is
+/// public, the uploads are ciphertexts, and the floors are nonce counters
+/// already visible on the wire: integrity of all of it is enforced by the
+/// sealed restore point, not here.
+pub struct SealedRound<'a> {
+    /// The round's public shape.
+    pub shape: RoundShape,
+    /// The sealed uploads, in processing order.
+    pub uploads: &'a [SealedMessage],
+    /// Replay floors as of round start (before any upload was opened):
+    /// where the floor snapshot starts, and what a restore of a staged
+    /// kind rewinds to before it re-opens the folded prefix.
+    pub base_floors: &'a [(UserId, u64)],
+    /// The enclave's DP/sampling generator as of round start: the restore
+    /// point of a round nothing is folded of yet.
+    pub rng_state: [u64; 4],
+}
+
+/// The engine's restore point (module docs), and the codec of its sealed
+/// form. Plaintext layout (v2), via `StateWriter`:
 ///
 /// ```text
 /// u8 version ‖ u64 round ‖ chunks_done ‖ uploads ‖ chunk_size ‖ threads ‖ k
@@ -224,42 +296,31 @@ pub struct RoundShape {
 ///   ‖ n_floors ‖ n_floors × (u32 user, u64 nonce counter)   — sorted by user
 ///   ‖ bytes StreamingAggregator::save_state()
 /// ```
-pub struct Checkpoint {
-    shape: RoundShape,
+struct Checkpoint {
+    /// Absolute number of chunks folded (a restored engine starts above
+    /// zero), the coordinate fault events are addressed by.
     chunks_done: usize,
     /// The enclave's DP/sampling generator: the post-restore noise draw
     /// must be the exact draw the uninterrupted round would have made.
-    pub rng_state: [u64; 4],
+    rng_state: [u64; 4],
     /// Round-start floors overridden by exactly the uploads of the
-    /// `chunks_done` *folded* chunks, sorted by user. Uploads the
+    /// *folded and sealed* chunks, sorted by user. Uploads the
     /// double-buffered opener had opened but not folded get no entry, so
     /// after a restore they are accepted again, not taken for replays.
     floors: Vec<(UserId, u64)>,
-    agg_state: Vec<u8>,
 }
 
 impl Checkpoint {
-    /// The restore point of a round nothing is folded of yet:
-    /// `base_floors` are the replay floors as of round start.
-    pub fn start(shape: RoundShape, rng_state: [u64; 4], base_floors: &[(UserId, u64)]) -> Self {
+    /// The restore point of a round nothing is folded of yet.
+    fn start(rng_state: [u64; 4], base_floors: &[(UserId, u64)]) -> Self {
         let mut floors = base_floors.to_vec();
         floors.sort_unstable_by_key(|&(user, _)| user);
-        Checkpoint { shape, chunks_done: 0, rng_state, floors, agg_state: Vec::new() }
+        Checkpoint { chunks_done: 0, rng_state, floors }
     }
 
-    /// Chunks folded as of this restore point.
-    pub fn chunks_done(&self) -> usize {
-        self.chunks_done
-    }
-
-    /// The aggregator state sealed in (empty before the first seal).
-    pub fn agg_state(&self) -> &[u8] {
-        &self.agg_state
-    }
-
-    /// Records the next chunk — the uploads `msgs` — as folded: only its
+    /// Covers the chunk just folded — the uploads `msgs`: only its
     /// ≤ `chunk_size` floor entries are touched, never all N users.
-    pub fn advance(&mut self, msgs: &[SealedMessage]) {
+    fn cover(&mut self, msgs: &[SealedMessage]) {
         let known = self.floors.len();
         for m in msgs {
             match self.floors[..known].binary_search_by_key(&m.user, |&(user, _)| user) {
@@ -271,28 +332,17 @@ impl Checkpoint {
             // First uploads of users the enclave had no floor for yet.
             self.floors.sort_unstable_by_key(|&(user, _)| user);
         }
-        self.chunks_done += 1;
     }
 
-    /// Seals this restore point under [`CKPT_LABEL`] with the engine's
-    /// current aggregator state. The plaintext is enclave-resident while
-    /// it is built and sealed, and charged like any other transient.
-    pub fn seal(&mut self, engine: &mut RoundEngine, enclave: &mut Enclave) -> Vec<u8> {
-        debug_assert_eq!(self.chunks_done, engine.chunks_done);
-        self.agg_state = engine.checkpoint_state();
-        let plain = self.encode();
-        engine.ledger.transient(plain.len() as u64, || enclave.seal(&plain, CKPT_LABEL))
-    }
-
-    fn encode(&self) -> Vec<u8> {
+    fn encode(&self, shape: RoundShape, uploads: usize, agg_state: &[u8]) -> Vec<u8> {
         let mut w = StateWriter::new();
         w.put_u8(CKPT_VERSION);
-        w.put_u64(self.shape.round);
+        w.put_u64(shape.round);
         w.put_usize(self.chunks_done);
-        w.put_usize(self.shape.uploads);
-        w.put_usize(self.shape.chunk_size);
-        w.put_usize(self.shape.threads);
-        w.put_usize(self.shape.k);
+        w.put_usize(uploads);
+        w.put_usize(shape.chunk_size);
+        w.put_usize(shape.threads);
+        w.put_usize(shape.k);
         for word in self.rng_state {
             w.put_u64(word);
         }
@@ -301,20 +351,25 @@ impl Checkpoint {
             w.put_u32(user);
             w.put_u64(counter);
         }
-        w.put_bytes(&self.agg_state);
+        w.put_bytes(agg_state);
         w.into_bytes()
     }
 
-    /// Parses an unsealed checkpoint and validates it against the round
-    /// it is asked to resume: version and every field of `shape` must
-    /// match, and the progress must fit the round.
-    pub fn decode(plain: &[u8], shape: RoundShape) -> Result<Self, StateError> {
+    /// Parses an unsealed checkpoint (and the aggregator state sealed in
+    /// it) and validates it against the round it is asked to resume:
+    /// version, every field of `shape` and the upload count must match,
+    /// and the progress must fit the round.
+    fn decode(
+        plain: &[u8],
+        shape: RoundShape,
+        uploads: usize,
+    ) -> Result<(Self, &[u8]), StateError> {
         let mut r = StateReader::new(plain);
         if r.get_u8()? != CKPT_VERSION || r.get_u64()? != shape.round {
             return Err(StateError::Mismatch);
         }
         let chunks_done = r.get_usize()?;
-        if r.get_usize()? != shape.uploads
+        if r.get_usize()? != uploads
             || r.get_usize()? != shape.chunk_size
             || r.get_usize()? != shape.threads
             || r.get_usize()? != shape.k
@@ -330,12 +385,12 @@ impl Checkpoint {
         for _ in 0..n_floors {
             floors.push((r.get_u32()?, r.get_u64()?));
         }
-        let agg_state = r.get_bytes()?.to_vec();
+        let agg_state = r.get_bytes()?;
         r.expect_end()?;
-        if chunks_done > shape.uploads.div_ceil(shape.chunk_size) {
+        if chunks_done > uploads.div_ceil(shape.chunk_size) {
             return Err(StateError::Corrupt);
         }
-        Ok(Checkpoint { shape, chunks_done, rng_state, floors, agg_state })
+        Ok((Checkpoint { chunks_done, rng_state, floors }, agg_state))
     }
 }
 
@@ -343,18 +398,17 @@ impl Checkpoint {
 /// `(index, value)` pairs (8 B per transmitted cell, read off the public
 /// ciphertext lengths: payload = 8-byte header + 8k, ciphertext =
 /// payload + 16-byte tag).
-pub fn staged_chunk_bytes(msgs: &[SealedMessage]) -> u64 {
+fn staged_chunk_bytes(msgs: &[SealedMessage]) -> u64 {
     msgs.iter().map(|m| m.ciphertext.len().saturating_sub(8 + 16) as u64).sum()
 }
 
 /// Opens one chunk of uploads — `msgs`, positions `first_slot..` of the
 /// round — through [`Enclave::open_upload_batch`] and decodes the
-/// plaintext gradient encodings: the `prefetch` half of a
-/// [`RoundEngine::fold`], the restore path's re-open, and the ingestion
-/// benchmarks' opener. The first upload that fails to verify or decode
-/// fails the chunk with [`RoundError::Upload`] (a malformed encoding
-/// under a valid tag reads as [`TeeError::AuthFailure`]).
-pub fn open_and_decode(
+/// plaintext gradient encodings: the prefetch half of a fold and the
+/// restore path's re-open. The first upload that fails to verify or
+/// decode fails the chunk with [`RoundError::Upload`] (a malformed
+/// encoding under a valid tag reads as [`TeeError::AuthFailure`]).
+fn open_and_decode(
     enclave: &mut Enclave,
     msgs: &[SealedMessage],
     first_slot: usize,
@@ -366,7 +420,8 @@ pub fn open_and_decode(
 }
 
 /// What the engine hands back when the round ends, completed or aborted:
-/// the persistent pieces it borrowed for the round.
+/// the persistent pieces it borrowed for the round, and its tallies.
+#[derive(Debug)]
 pub struct RoundEnd {
     /// The coordinator budget as the round left it (`live == 0`; `peak`
     /// is the round's working set).
@@ -374,26 +429,27 @@ pub struct RoundEnd {
     /// The shard plane, reusable for the next round.
     pub shards: Option<ShardRuntime>,
     /// The unfired remainder of the round's fault script, at every S —
-    /// what the next engine (a restore's included) re-arms.
+    /// what an interrupted round's restore re-arms.
     pub faults: FaultPlan,
+    /// The DP/sampling generator as the engine's restore point holds it:
+    /// what the enclave draws the round's noise from.
+    pub rng_state: [u64; 4],
+    /// What this engine folded and sealed, and what recovery cost.
+    pub telemetry: RoundTelemetry,
 }
+
+/// A round that will not finish in this engine: why, and what the engine
+/// hands back — everything released, the round restorable.
+pub type Aborted = (RoundError, Box<RoundEnd>);
 
 /// The enclave-side round (module docs).
 pub struct RoundEngine {
     agg: StreamingAggregator,
     ledger: Ledger,
-    /// Fault script of an unsharded round; a sharded round's script lives
-    /// in its [`ShardRuntime`], next to the transport hooks that fire it,
-    /// for as long as the round runs.
-    faults: FaultPlan,
-    threads: usize,
-    /// Per-client transmitted cells (public: ciphertext length reveals it).
-    k: usize,
-    /// Absolute number of chunks folded into `agg` (a restored engine
-    /// starts above zero), the coordinate fault events are addressed by.
-    chunks_done: usize,
-    /// Chunks folded by *this* engine.
-    folded: u64,
+    shape: RoundShape,
+    ckpt: Checkpoint,
+    /// Chunks folded and checkpoints sealed by *this* engine.
+    tally: RoundTelemetry,
     /// Bytes currently charged for the aggregator's persistent state.
     resident: u64,
     /// Bytes currently charged for the staged (opened, unfolded) chunk.
@@ -406,49 +462,225 @@ pub struct RoundEngine {
 }
 
 impl RoundEngine {
-    /// Starts (or, with a checkpoint-loaded `agg` and `chunks_done > 0`,
-    /// resumes) a round: opens the shard plane's round at chunk
-    /// `chunks_done` and charges the aggregator's resident state.
-    pub fn new(
+    /// An engine for a round whose updates the driver already holds in
+    /// the clear ([`RoundEngine::fold`] / [`RoundEngine::run`]): nothing
+    /// sealed, so nothing to restore from — it starts at chunk 0.
+    pub fn new(agg: StreamingAggregator, k: usize, threads: usize, ledger: Ledger) -> Self {
+        let shape = RoundShape { round: 0, chunk_size: 0, threads, k };
+        let mut engine = Self::assemble(agg, shape, Checkpoint::start([0; 4], &[]), ledger);
+        engine.start();
+        engine
+    }
+
+    fn assemble(
         agg: StreamingAggregator,
-        k: usize,
-        threads: usize,
-        chunks_done: usize,
-        mut ledger: Ledger,
+        shape: RoundShape,
+        ckpt: Checkpoint,
+        ledger: Ledger,
     ) -> Self {
-        if let Some(rt) = ledger.shards.as_mut() {
-            rt.begin_round();
-            // Keep scripted fault coordinates absolute: the resumed half
-            // of a round continues the original chunk numbering.
-            rt.skip_to_chunk(chunks_done);
-        }
-        let resident = agg.resident_bytes();
-        ledger.charge(resident);
         RoundEngine {
             agg,
             ledger,
-            faults: FaultPlan::empty(),
-            threads,
-            k,
-            chunks_done,
-            folded: 0,
-            resident,
+            shape,
+            ckpt,
+            tally: RoundTelemetry::default(),
+            resident: 0,
             staged_bytes: 0,
             oram_evicted_seen: 0,
         }
     }
 
-    /// Arms an explicit fault script for this round (replacing whatever
-    /// plan — scripted or environmental — was armed).
-    pub fn set_fault_plan(&mut self, plan: FaultPlan) {
-        *self.faults_mut() = plan;
+    /// Opens the shard plane's round at the restore point's chunk and
+    /// charges the aggregator's resident state.
+    fn start(&mut self) {
+        if let Some(rt) = self.ledger.shards.as_mut() {
+            rt.begin_round();
+            // Keep scripted fault coordinates absolute: the resumed half
+            // of a round continues the original chunk numbering.
+            rt.skip_to_chunk(self.ckpt.chunks_done);
+        }
+        self.resident = self.agg.resident_bytes();
+        self.ledger.charge(self.resident);
     }
 
-    fn faults_mut(&mut self) -> &mut FaultPlan {
-        match self.ledger.shards.as_mut() {
-            Some(rt) => rt.faults_mut(),
-            None => &mut self.faults,
+    /// Opens the engine of `round` from untrusted storage, over `agg` — a
+    /// fresh aggregator of the round's configuration.
+    ///
+    /// A blob in `store` is unsealed against the store's pinned floor
+    /// ([`TeeError::StaleSeal`] for an older genuine blob,
+    /// [`TeeError::AuthFailure`] for a tampered one), decoded against the
+    /// round's shape (a blob sealed for another round is as unusable as a
+    /// tampered one), and loaded; then the enclave's replay floors are
+    /// brought level with it. An accumulating kind is whole after
+    /// `load_state`: the floors are set to the sealed folded-prefix
+    /// snapshot and that is all. A staged kind owes its cells, so the
+    /// floors are rewound to round start and chunks `[0, chunks_done)` of
+    /// the uploads are re-opened, decoded and re-staged — untraced, like
+    /// the staging they repeat, away from the shard plane (shards keep
+    /// their own progress), and charged through the ledger like the
+    /// resident growth they are. Two sealed values then decide whether
+    /// that was the prefix the checkpoint was taken over: no cell may be
+    /// owed, and the enclave's floors must equal the sealed snapshot entry
+    /// for entry (an AEAD nonce is used once, so equal floors mean the
+    /// same ciphertexts) — a missing, swapped, substituted or unverifiable
+    /// upload fails one of them or the open itself, as
+    /// [`RoundError::Checkpoint`].
+    ///
+    /// An empty store (or none) is the same path with nothing folded: the
+    /// engine starts at chunk 0 from the round-start floors and generator
+    /// — re-installing the floors it was just handed, a no-op.
+    pub fn open(
+        agg: StreamingAggregator,
+        round: &SealedRound<'_>,
+        enclave: &mut Enclave,
+        store: Option<&SealedStore>,
+        ledger: Ledger,
+    ) -> Result<Self, Aborted> {
+        let start = Checkpoint::start(round.rng_state, round.base_floors);
+        Self::assemble(agg, round.shape, start, ledger)
+            .or_abort(|engine| engine.restore(round, enclave, store))
+    }
+
+    /// `step`, or the abort its failure means.
+    fn or_abort(
+        mut self,
+        step: impl FnOnce(&mut Self) -> Result<(), RoundError>,
+    ) -> Result<Self, Aborted> {
+        match step(&mut self) {
+            Ok(()) => Ok(self),
+            Err(e) => Err((e, Box::new(self.abort()))),
         }
+    }
+
+    fn restore(
+        &mut self,
+        round: &SealedRound<'_>,
+        enclave: &mut Enclave,
+        store: Option<&SealedStore>,
+    ) -> Result<(), RoundError> {
+        let sealed = store.and_then(|store| Some((store.newest.as_deref()?, store.floor())));
+        if let Some((blob, floor)) = sealed {
+            let plain = enclave.unseal_with_floor(blob, CKPT_LABEL, floor)?;
+            let unusable = |_| RoundError::Checkpoint(TeeError::AuthFailure);
+            let (ckpt, agg_state) =
+                Checkpoint::decode(&plain, self.shape, round.uploads.len()).map_err(unusable)?;
+            self.agg.load_state(agg_state).map_err(unusable)?;
+            self.ckpt = ckpt;
+        }
+        self.start();
+        let owed = self.agg.owed_cells();
+        if owed == 0 {
+            enclave.restore_replay_floors(&self.ckpt.floors);
+            return Ok(());
+        }
+        let chunks_done = self.ckpt.chunks_done;
+        let _span = self.ledger.telemetry.span(
+            "restage_prefix",
+            &[("chunks", (chunks_done as u64).into()), ("cells", (owed as u64).into())],
+        );
+        enclave.restore_replay_floors(round.base_floors);
+        let chunk_size = self.shape.chunk_size;
+        let folded = (chunks_done * chunk_size).min(round.uploads.len());
+        let restaged = round.uploads[..folded]
+            .chunks(chunk_size)
+            .all(|msgs| self.restage_chunk(enclave, msgs));
+        if restaged && self.agg.owed_cells() == 0 && enclave.replay_floors() == self.ckpt.floors {
+            return Ok(());
+        }
+        Err(RoundError::Checkpoint(TeeError::AuthFailure))
+    }
+
+    /// Re-opens one folded chunk and appends its cells to the restored
+    /// aggregator; `false` if an upload does not verify or the cells do
+    /// not fit what is owed.
+    fn restage_chunk(&mut self, enclave: &mut Enclave, msgs: &[SealedMessage]) -> bool {
+        let Ok(chunk) = open_and_decode(enclave, msgs, 0) else {
+            return false;
+        };
+        let staged = staged_chunk_bytes(msgs);
+        self.ledger.charge(staged);
+        let appended = self.agg.restage(&chunk).is_ok();
+        self.ledger.release(staged);
+        self.resize_resident();
+        appended
+    }
+
+    /// Ingests every chunk of `uploads` past the restore point: opened,
+    /// decoded, folded, checkpointed into `store` (`None` seals nothing),
+    /// and offered to the crash hook — chunk i+1 being opened while
+    /// chunk i folds. Opening touches only the enclave's session/replay
+    /// state, which the aggregation does not.
+    ///
+    /// The order is the protocol: the restore point is advanced, sealed
+    /// and pinned *before* the crash hook and before a refused upload of
+    /// the prefetched chunk may end the round, so whatever ends it, the
+    /// store covers every folded chunk. Sealing touches only
+    /// enclave-private state (seal counter, sealing key), so it emits no
+    /// adversary-visible trace events — checkpoint cadence cannot perturb
+    /// the bitwise trace contract.
+    pub fn ingest<TR: ParallelTracer>(
+        self,
+        uploads: &[SealedMessage],
+        enclave: &mut Enclave,
+        store: Option<&mut SealedStore>,
+        tr: &mut TR,
+    ) -> Result<Self, Aborted> {
+        self.or_abort(|engine| engine.ingest_chunks(uploads, enclave, store, tr))
+    }
+
+    fn ingest_chunks<TR: ParallelTracer>(
+        &mut self,
+        uploads: &[SealedMessage],
+        enclave: &mut Enclave,
+        mut store: Option<&mut SealedStore>,
+        tr: &mut TR,
+    ) -> Result<(), RoundError> {
+        let telemetry = self.ledger.telemetry.clone();
+        let chunk_size = self.shape.chunk_size;
+        let msg_chunks: Vec<&[SealedMessage]> = uploads.chunks(chunk_size).collect();
+        // Chunk `i` opened and decoded; nothing past the last one.
+        let open = |enclave: &mut Enclave, i: usize| match msg_chunks.get(i) {
+            Some(msgs) => open_and_decode(enclave, msgs, i * chunk_size),
+            None => Ok(Vec::new()),
+        };
+        let first = self.ckpt.chunks_done;
+        let mut staged = open(enclave, first)?;
+        for (i, msgs) in msg_chunks.iter().enumerate().skip(first) {
+            let _chunk_span = telemetry.span(
+                "ingest_chunk",
+                &[("chunk", (i as u64).into()), ("clients", (msgs.len() as u64).into())],
+            );
+            let next_bytes = msg_chunks.get(i + 1).map_or(0, |msgs| staged_chunk_bytes(msgs));
+            let next = self.fold(&staged, next_bytes, || open(&mut *enclave, i + 1), tr)?;
+            if let Some(store) = store.as_deref_mut() {
+                self.ckpt.cover(msgs);
+                self.seal(uploads.len(), enclave, store);
+            }
+            self.crash_point()?;
+            // Only now may a refused upload of chunk i+1 end the round:
+            // the restore point above already covers chunk i.
+            staged = next?;
+        }
+        Ok(())
+    }
+
+    /// Seals the restore point with the aggregator's current state under
+    /// `"round-ckpt"` and parks the blob in `store`, which pins the
+    /// rollback floor to its seal counter. The plaintext is
+    /// enclave-resident while it is built and sealed, and charged like
+    /// any other transient.
+    fn seal(&mut self, uploads: usize, enclave: &mut Enclave, store: &mut SealedStore) {
+        let chunks_done = self.ckpt.chunks_done as u64;
+        let mut span =
+            self.ledger.telemetry.span("checkpoint_seal", &[("chunks_done", chunks_done.into())]);
+        let plain = self.ckpt.encode(self.shape, uploads, &self.checkpoint_state());
+        let sealed = self.ledger.transient(plain.len() as u64, || enclave.seal(&plain, CKPT_LABEL));
+        let blob_bytes = sealed.len() as u64;
+        span.field("blob_bytes", blob_bytes.into());
+        self.ledger.telemetry.observe("ckpt_blob_bytes", COORDINATOR, blob_bytes);
+        store.put(sealed);
+        self.tally.ckpt_seals += 1;
+        self.tally.ckpt_bytes += blob_bytes;
     }
 
     /// Folds one chunk of decrypted updates (Algorithm 1 line 12), with
@@ -478,13 +710,13 @@ impl RoundEngine {
             self.staged_bytes = chunk.iter().map(|u| u.k() as u64 * 8).sum();
             self.ledger.charge(self.staged_bytes);
         }
-        let scratch = self.agg.ingest_scratch_bytes(chunk.len(), self.k);
+        let scratch = self.agg.ingest_scratch_bytes(chunk.len(), self.shape.k);
         self.ledger.charge(scratch);
         self.ledger.charge(next_bytes);
         if let Some(rt) = self.ledger.shards.as_mut() {
             rt.ingress_chunk(chunk)?;
         }
-        let next = if self.threads >= 2 && next_bytes > 0 {
+        let next = if self.shape.threads >= 2 && next_bytes > 0 {
             // Pipeline: the prefetch (crypto-bound) runs on an extra
             // worker while the chunk aggregates (memory-bound) on this
             // thread. It rides *on top of* the aggregation's thread
@@ -517,74 +749,15 @@ impl RoundEngine {
             self.oram_evicted_seen = stats.evicted_blocks;
             telemetry.count("oram_evicted_blocks", COORDINATOR, evicted);
         }
-        self.chunks_done += 1;
-        self.folded += 1;
+        self.ckpt.chunks_done += 1;
+        self.tally.chunks += 1;
         Ok(next)
     }
 
-    /// The aggregator's serialized state — the engine's share of a sealed
-    /// round checkpoint ([`Checkpoint::seal`] adds the rest).
+    /// The aggregator's serialized state — its share of a sealed restore
+    /// point.
     pub(crate) fn checkpoint_state(&self) -> Vec<u8> {
         self.agg.save_state()
-    }
-
-    /// Brings an engine built over a checkpoint-loaded aggregator level
-    /// with `ckpt`, and the enclave's replay floors with it.
-    ///
-    /// An accumulating kind is whole after `load_state`: the floors are
-    /// set to the sealed folded-prefix snapshot and that is all. A staged
-    /// kind owes its cells, so the floors are rewound to `base_floors`
-    /// (round start) and chunks `[0, chunks_done)` of `uploads` are
-    /// re-opened, decoded and re-staged — untraced, like the staging they
-    /// repeat, away from the shard plane (shards keep their own
-    /// progress), and charged through the ledger like the resident growth
-    /// they are. Two sealed values then decide whether that was the
-    /// prefix the checkpoint was taken over: no cell may be owed, and the
-    /// enclave's floors must equal the sealed snapshot entry for entry —
-    /// a missing, swapped, substituted or unverifiable upload fails one
-    /// of them (or the open itself). Any failure surfaces as
-    /// [`RoundError::Checkpoint`]; the caller then tears the engine down
-    /// with [`RoundEngine::abort`].
-    pub fn resume(
-        &mut self,
-        enclave: &mut Enclave,
-        uploads: &[SealedMessage],
-        base_floors: &[(UserId, u64)],
-        ckpt: &Checkpoint,
-    ) -> Result<(), RoundError> {
-        let owed = self.agg.owed_cells();
-        if owed == 0 {
-            enclave.restore_replay_floors(&ckpt.floors);
-            return Ok(());
-        }
-        let _span = self.ledger.telemetry.span(
-            "restage_prefix",
-            &[("chunks", (ckpt.chunks_done as u64).into()), ("cells", (owed as u64).into())],
-        );
-        enclave.restore_replay_floors(base_floors);
-        let chunk_size = ckpt.shape.chunk_size;
-        let folded = (ckpt.chunks_done * chunk_size).min(uploads.len());
-        let restaged =
-            uploads[..folded].chunks(chunk_size).all(|msgs| self.restage_chunk(enclave, msgs));
-        if restaged && self.agg.owed_cells() == 0 && enclave.replay_floors() == ckpt.floors {
-            return Ok(());
-        }
-        Err(RoundError::Checkpoint(TeeError::AuthFailure))
-    }
-
-    /// Re-opens one folded chunk and appends its cells to the restored
-    /// aggregator; `false` if an upload does not verify or the cells do
-    /// not fit what is owed.
-    fn restage_chunk(&mut self, enclave: &mut Enclave, msgs: &[SealedMessage]) -> bool {
-        let Ok(chunk) = open_and_decode(enclave, msgs, 0) else {
-            return false;
-        };
-        let staged = staged_chunk_bytes(msgs);
-        self.ledger.charge(staged);
-        let appended = self.agg.restage(&chunk).is_ok();
-        self.ledger.release(staged);
-        self.resize_resident();
-        appended
     }
 
     /// One ledger resize to the aggregator's current persistent state.
@@ -597,10 +770,10 @@ impl RoundEngine {
     /// The crash hook, called once the chunk just folded is checkpointed:
     /// fires a scripted [`FaultKind::CoordinatorKill`] at that chunk
     /// ([`RoundError::CoordinatorKilled`]; enclave memory dies with the
-    /// coordinator, and [`RoundEngine::abort`] releases its charges).
-    pub fn crash_point(&mut self) -> Result<(), RoundError> {
-        let after_chunk = self.chunks_done - 1;
-        if !self.faults_mut().fire(FaultKind::CoordinatorKill, after_chunk as u32, 0) {
+    /// coordinator, and aborting releases its charges).
+    pub(crate) fn crash_point(&mut self) -> Result<(), RoundError> {
+        let after_chunk = self.ckpt.chunks_done - 1;
+        if !self.ledger.faults_mut().fire(FaultKind::CoordinatorKill, after_chunk as u32, 0) {
             return Ok(());
         }
         note_fault(&self.ledger.telemetry, FaultKind::CoordinatorKill, after_chunk as u32, 0);
@@ -624,7 +797,7 @@ impl RoundEngine {
             Some(rt) => rt.egress_round(&canonical).map_err(RoundError::from),
             None => Ok(canonical),
         };
-        (delta, self.ledger.end(self.faults))
+        (delta, self.ledger.end(self.ckpt.rng_state, self.tally))
     }
 
     /// Folds pre-decoded chunks back to back (nothing to prefetch) and
@@ -643,72 +816,169 @@ impl RoundEngine {
         self.finish(tr)
     }
 
-    /// Tears down an engine whose round will not finish here — a call
-    /// failed, or an upload did — releasing whatever is still charged.
+    /// Tears down an engine whose round will not finish here, releasing
+    /// whatever is still charged.
     pub fn abort(self) -> RoundEnd {
-        self.ledger.end(self.faults)
-    }
-
-    /// The shard plane this round runs over, if any.
-    pub fn shards(&self) -> Option<&ShardRuntime> {
-        self.ledger.shards.as_ref()
+        self.ledger.end(self.ckpt.rng_state, self.tally)
     }
 
     /// Absolute number of chunks folded so far.
     pub fn chunks_done(&self) -> usize {
-        self.chunks_done
+        self.ckpt.chunks_done
+    }
+}
+
+#[cfg(test)]
+pub(crate) mod test_support {
+    use super::*;
+    use crate::aggregation::AggregatorKind;
+
+    /// A provisioned enclave in round 3 and that round's sealed uploads,
+    /// as the sealed-round driver's caller holds them.
+    pub(crate) struct Sealed {
+        pub(crate) kind: AggregatorKind,
+        pub(crate) d: usize,
+        pub(crate) shape: RoundShape,
+        pub(crate) enclave: Enclave,
+        pub(crate) uploads: Vec<SealedMessage>,
+        pub(crate) base_floors: Vec<(UserId, u64)>,
     }
 
-    /// Chunks folded by this engine (excludes a restored prefix).
-    pub fn chunks_folded(&self) -> u64 {
-        self.folded
+    impl Sealed {
+        pub(crate) fn new(
+            kind: AggregatorKind,
+            updates: &[SparseGradient],
+            d: usize,
+            threads: usize,
+            chunk_size: usize,
+        ) -> Self {
+            let seed = [7u8; 32];
+            let service = olive_tee::AttestationService::new(seed);
+            let mut enclave = Enclave::launch(&olive_tee::EnclaveConfig::default(), seed);
+            let users = 0..updates.len() as UserId;
+            let mut sessions =
+                crate::olive::provision_clients(&service, &mut enclave, b"t", seed, users.clone());
+            enclave.begin_round(3, users.collect());
+            let base_floors = enclave.replay_floors();
+            let uploads = sessions
+                .iter_mut()
+                .zip(updates)
+                .map(|(s, u)| s.seal_upload(3, &u.encode()))
+                .collect();
+            let shape = RoundShape { round: 3, chunk_size, threads, k: updates[0].k() };
+            Sealed { kind, d, shape, enclave, uploads, base_floors }
+        }
+
+        pub(crate) fn open(
+            &mut self,
+            store: Option<&SealedStore>,
+            ledger: Ledger,
+        ) -> Result<RoundEngine, Aborted> {
+            let round = SealedRound {
+                shape: self.shape,
+                uploads: &self.uploads,
+                base_floors: &self.base_floors,
+                rng_state: [0; 4],
+            };
+            let agg = StreamingAggregator::new(self.kind, self.d, self.shape.threads);
+            RoundEngine::open(agg, &round, &mut self.enclave, store, ledger)
+        }
+
+        /// The driver's whole round — open from `store`, ingest, finish:
+        /// the delta, or what ended the round, and what the engine handed
+        /// back either way.
+        pub(crate) fn drive<TR: ParallelTracer>(
+            &mut self,
+            store: Option<&mut SealedStore>,
+            ledger: Ledger,
+            tr: &mut TR,
+        ) -> (Result<Vec<f32>, RoundError>, RoundEnd) {
+            let ingested = self
+                .open(store.as_deref(), ledger)
+                .and_then(|engine| engine.ingest(&self.uploads, &mut self.enclave, store, tr));
+            match ingested {
+                Ok(engine) => engine.finish(tr),
+                Err((e, end)) => (Err(e), *end),
+            }
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use super::test_support::Sealed;
     use super::*;
     use crate::aggregation::test_support::{all_kinds, random_updates, shard_runtime};
     use crate::aggregation::{aggregate_with_threads, AggregatorKind};
     use olive_memsim::{Granularity, NullTracer, RecordingTracer};
 
     fn engine(kind: AggregatorKind, d: usize, k: usize, t: usize, ledger: Ledger) -> RoundEngine {
-        RoundEngine::new(StreamingAggregator::new(kind, d, t), k, t, 0, ledger)
+        RoundEngine::new(StreamingAggregator::new(kind, d, t), k, t, ledger)
+    }
+
+    /// A ledger over a 1 MiB coordinator budget and, at S > 1, a shard
+    /// plane, with `plan` armed.
+    fn armed(d: usize, shards: usize, plan: &str) -> Ledger {
+        let plane = (shards > 1).then(|| shard_runtime(d, shards, 3));
+        let budget = EpcBudget { limit: 1 << 20, ..Default::default() };
+        let mut ledger = Ledger::new(budget, plane, Telemetry::off());
+        ledger.arm(FaultPlan::parse(plan).expect("well-formed script"));
+        ledger
     }
 
     fn monolithic() -> Ledger {
-        Ledger::new(EpcBudget { limit: 1 << 20, ..Default::default() }, None, Telemetry::off())
+        armed(0, 1, "")
     }
 
-    fn sharded(d: usize, shards: usize) -> Ledger {
-        Ledger::new(EpcBudget::default(), Some(shard_runtime(d, shards, 3)), Telemetry::off())
+    fn same_bits(a: &[f32], b: &[f32]) -> bool {
+        a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
     }
 
-    /// The engine's degenerate case: one fold of the whole round is the
+    fn balanced(end: &RoundEnd) -> bool {
+        end.coordinator.live == 0 && end.shards.iter().all(|rt| rt.live().iter().all(|&b| b == 0))
+    }
+
+    /// The engine's degenerate cases: one fold of the whole round is the
     /// one-shot helper, bit for bit and access for access — monolithic or
-    /// sharded, with or without a spare prefetch thread.
+    /// sharded, with or without a spare prefetch thread — and so is the
+    /// sealed-round driver's fresh round, a restore with nothing folded:
+    /// opened over an empty store (or over none, sealing nothing — a
+    /// checkpoint changes neither bits nor trace) and ingested in chunks.
     #[test]
     fn one_fold_of_the_whole_round_is_the_one_shot_aggregate() {
-        let (d, n, k) = (48, 7, 5);
+        let (d, n, k, chunk) = (48, 7, 5, 3);
         let updates = random_updates(n, k, d, 31);
         for kind in all_kinds() {
-            for threads in [1usize, 2] {
+            for (threads, shards) in [(1usize, 1usize), (1, 4), (2, 1), (2, 4)] {
+                let ctx = format!("{kind:?} threads={threads} S={shards}");
+                let ledger = || armed(d, shards, "");
                 let mut want_tr = RecordingTracer::new(Granularity::Element);
                 let want = aggregate_with_threads(kind, &updates, d, threads, &mut want_tr);
-                for ledger in [monolithic(), sharded(d, 4)] {
+
+                let mut tr = RecordingTracer::new(Granularity::Element);
+                let mut eng = engine(kind, d, k, threads, ledger());
+                // A non-zero look-ahead takes the overlapped path.
+                let fetched = eng.fold(&updates, 8, || 7u8, &mut tr).expect("fault-free");
+                assert_eq!(fetched, 7, "fold hands back what the prefetch produced");
+                assert_eq!((eng.chunks_done(), eng.agg.clients()), (1, n));
+                let (got, end) = eng.finish(&mut tr);
+                assert!(same_bits(&want, &got.expect("fault-free")), "{ctx}: output bits drifted");
+                assert_eq!(tr.digest(), want_tr.digest(), "{ctx}: trace");
+                assert!(balanced(&end), "{ctx}: the ledger balances");
+
+                for sealing in [false, true] {
+                    let mut round = Sealed::new(kind, &updates, d, threads, chunk);
+                    let mut store = SealedStore::default();
                     let mut tr = RecordingTracer::new(Granularity::Element);
-                    let mut eng = engine(kind, d, k, threads, ledger);
-                    // A non-zero look-ahead takes the overlapped path.
-                    let fetched = eng.fold(&updates, 8, || 7u8, &mut tr).expect("fault-free");
-                    assert_eq!(fetched, 7, "fold hands back what the prefetch produced");
-                    assert_eq!((eng.chunks_done(), eng.agg.clients()), (1, n));
-                    let (got, end) = eng.finish(&mut tr);
-                    let got = got.expect("fault-free");
-                    let same = want.iter().zip(&got).all(|(a, b)| a.to_bits() == b.to_bits());
-                    assert!(same, "{kind:?} threads={threads}: output bits drifted");
-                    assert_eq!(tr.digest(), want_tr.digest(), "{kind:?} threads={threads}: trace");
-                    assert_eq!(end.coordinator.live, 0, "{kind:?}: the ledger balances");
-                    assert!(end.shards.iter().all(|rt| rt.live().iter().all(|&b| b == 0)));
+                    let (got, end) = round.drive(sealing.then_some(&mut store), ledger(), &mut tr);
+                    let ctx = format!("{ctx} sealing={sealing}");
+                    assert!(same_bits(&want, &got.expect("fault-free")), "{ctx}: output bits");
+                    assert_eq!(tr.digest(), want_tr.digest(), "{ctx}: trace");
+                    assert!(balanced(&end), "{ctx}: the ledger balances");
+                    let chunks = n.div_ceil(chunk) as u64;
+                    let tally = (end.telemetry.chunks, end.telemetry.ckpt_seals);
+                    assert_eq!(tally, (chunks, if sealing { chunks } else { 0 }), "{ctx}");
+                    assert_eq!(store.newest.is_some(), sealing, "{ctx}");
                 }
             }
         }
@@ -740,45 +1010,46 @@ mod tests {
         assert!(!end.coordinator.would_page());
     }
 
-    /// A scripted coordinator crash fires once, after its chunk, on
-    /// monolithic and sharded engines alike — with every budget released
-    /// — and never on a chunk the script does not name.
+    /// One fault script spans a round's restores, at every S. Armed on
+    /// the ledger it replaces whatever the shard plane held (the explicit
+    /// script wins); each scripted crash fires once, after its chunk is
+    /// sealed, on monolithic and sharded engines alike and with every
+    /// budget released; the unfired remainder comes back to be re-armed
+    /// on the reopened engine; and an event the round never reaches never
+    /// fires. Three legs, one store: the round finishes on the
+    /// uninterrupted bits.
     #[test]
     fn scripted_crash_fires_after_its_chunk_and_releases_every_charge() {
-        let (d, k) = (32, 4);
-        let updates = random_updates(6, k, d, 13);
-        for ledger in [monolithic(), sharded(d, 2)] {
-            let mut eng = engine(AggregatorKind::Advanced, d, k, 1, ledger);
-            eng.set_fault_plan(FaultPlan::parse("crash@1,crash@7").expect("well-formed script"));
-            eng.fold(&updates[..2], 0, || (), &mut NullTracer).expect("fault-free");
-            eng.crash_point().expect("chunk 0 is not scripted");
-            eng.fold(&updates[2..4], 0, || (), &mut NullTracer).expect("fault-free");
-            assert_eq!(eng.crash_point(), Err(RoundError::CoordinatorKilled { after_chunk: 1 }));
-            let end = eng.abort();
-            assert_eq!(end.coordinator.live, 0);
-            assert!(end.shards.iter().all(|rt| rt.live().iter().all(|&b| b == 0)));
-            // The unreached event comes back for the restore, at every S.
-            assert_eq!(end.faults.remaining(), 1);
+        let (d, n, k, chunk) = (32, 10, 4, 2);
+        let updates = random_updates(n, k, d, 13);
+        for shards in [1usize, 4] {
+            let ledger = |plan: FaultPlan| {
+                let mut ledger = armed(d, shards, "");
+                if let Some(rt) = ledger.shards.as_mut() {
+                    rt.set_fault_plan(FaultPlan::parse("crash@0").expect("well-formed script"));
+                }
+                ledger.arm(plan);
+                ledger
+            };
+            let mut round = Sealed::new(AggregatorKind::Advanced, &updates, d, 1, chunk);
+            let (want, _) = round.drive(None, ledger(FaultPlan::empty()), &mut NullTracer);
+            let want = want.expect("the empty script replaced the plane's");
+
+            let mut store = SealedStore::default();
+            let mut plan = FaultPlan::parse("crash@1,crash@3,crash@9").expect("well-formed script");
+            for (after_chunk, remaining) in [(1, 2), (3, 1)] {
+                let (out, end) = round.drive(Some(&mut store), ledger(plan), &mut NullTracer);
+                assert_eq!(out, Err(RoundError::CoordinatorKilled { after_chunk }), "S={shards}");
+                assert!(balanced(&end), "S={shards}: a crash releases every charge");
+                assert_eq!(end.telemetry.ckpt_seals, 2, "chunks {after_chunk} and before, sealed");
+                assert_eq!(end.faults.remaining(), remaining, "S={shards}");
+                plan = end.faults;
+            }
+            let (got, end) = round.drive(Some(&mut store), ledger(plan), &mut NullTracer);
+            assert!(same_bits(&want, &got.expect("no crash left to reach")), "S={shards}");
+            assert_eq!((end.telemetry.chunks, end.faults.remaining()), (1, 1), "S={shards}");
+            assert!(balanced(&end));
         }
-    }
-
-    /// A provisioned enclave in round 3 and that round's `n` sealed uploads.
-    fn sealed_round(n: usize, k: usize, d: usize) -> (Enclave, Vec<SealedMessage>) {
-        let seed = [7u8; 32];
-        let service = olive_tee::AttestationService::new(seed);
-        let mut enclave = Enclave::launch(&olive_tee::EnclaveConfig::default(), seed);
-        let users = 0..n as UserId;
-        let mut sessions =
-            crate::olive::provision_clients(&service, &mut enclave, b"t", seed, users.clone());
-        enclave.begin_round(3, users.collect());
-        let updates = random_updates(n, k, d, 17);
-        let sealed =
-            sessions.iter_mut().zip(&updates).map(|(s, u)| s.seal_upload(3, &u.encode())).collect();
-        (enclave, sealed)
-    }
-
-    fn shape(uploads: usize, chunk_size: usize, k: usize) -> RoundShape {
-        RoundShape { round: 3, uploads, chunk_size, threads: 1, k }
     }
 
     /// The running floor snapshot is the per-checkpoint rebuild it
@@ -788,116 +1059,139 @@ mod tests {
     /// truncation decodes.
     #[test]
     fn checkpoint_codec_roundtrips_and_rejects_what_it_was_not_sealed_for() {
-        let (_, sealed) = sealed_round(7, 2, 16);
+        let kind = AggregatorKind::NonOblivious;
+        let sealed = Sealed::new(kind, &random_updates(7, 2, 16, 17), 16, 1, 3).uploads;
         let base = [(5, 40), (2, 9), (11, 1)]; // user 11 is not in the round
-        let shape = shape(7, 3, 2);
-        let mut ckpt = Checkpoint::start(shape, [1, 2, 3, 4], &base);
+        let shape = RoundShape { round: 3, chunk_size: 3, threads: 1, k: 2 };
+        let mut ckpt = Checkpoint::start([1, 2, 3, 4], &base);
         for (i, msgs) in sealed.chunks(3).take(2).enumerate() {
-            ckpt.advance(msgs);
+            ckpt.cover(msgs);
+            ckpt.chunks_done += 1;
             let mut want: std::collections::BTreeMap<UserId, u64> = base.into_iter().collect();
             want.extend(sealed[..3 * (i + 1)].iter().map(|m| (m.user, m.nonce_counter)));
             assert_eq!(ckpt.floors, want.into_iter().collect::<Vec<_>>(), "after chunk {i}");
         }
-        ckpt.agg_state = vec![9, 8, 7];
-        let plain = ckpt.encode();
-        let back = Checkpoint::decode(&plain, shape).expect("sealed for this shape");
+        let plain = ckpt.encode(shape, 7, &[9, 8, 7]);
+        let (back, agg_state) =
+            Checkpoint::decode(&plain, shape, 7).expect("sealed for this shape");
         assert_eq!(
-            (back.chunks_done(), back.rng_state, back.agg_state()),
+            (back.chunks_done, back.rng_state, agg_state),
             (2, [1, 2, 3, 4], &[9u8, 8, 7][..])
         );
         assert_eq!(back.floors, ckpt.floors);
-        assert_eq!(back.encode(), plain);
+        assert_eq!(back.encode(shape, 7, agg_state), plain);
 
+        let mismatch = |shape, uploads| {
+            assert_eq!(
+                Checkpoint::decode(&plain, shape, uploads).err(),
+                Some(StateError::Mismatch)
+            );
+        };
+        mismatch(shape, 8);
         for wrong in [
             RoundShape { round: 4, ..shape },
-            RoundShape { uploads: 8, ..shape },
             RoundShape { chunk_size: 2, ..shape },
             RoundShape { threads: 2, ..shape },
             RoundShape { k: 3, ..shape },
         ] {
-            assert_eq!(Checkpoint::decode(&plain, wrong).err(), Some(StateError::Mismatch));
+            mismatch(wrong, 7);
         }
         let mut v1 = plain.clone();
         v1[0] = 1;
-        assert_eq!(Checkpoint::decode(&v1, shape).err(), Some(StateError::Mismatch));
+        assert_eq!(Checkpoint::decode(&v1, shape, 7).err(), Some(StateError::Mismatch));
         for cut in 0..plain.len() {
-            assert!(Checkpoint::decode(&plain[..cut], shape).is_err(), "truncated at {cut}");
+            assert!(Checkpoint::decode(&plain[..cut], shape, 7).is_err(), "truncated at {cut}");
         }
         ckpt.chunks_done = 4; // 7 uploads in chunks of 3 make 3 chunks
-        assert_eq!(Checkpoint::decode(&ckpt.encode(), shape).err(), Some(StateError::Corrupt));
+        let overrun = ckpt.encode(shape, 7, &[]);
+        assert_eq!(Checkpoint::decode(&overrun, shape, 7).err(), Some(StateError::Corrupt));
     }
 
     /// A refused upload on the forward path is a structured error, never a
-    /// panic — in the chunk about to be folded (nothing folds) and in the
-    /// prefetched one (its predecessor is folded first; on two threads the
-    /// refusal crosses the opener thread's join) — and aborting releases
-    /// everything, the look-ahead staging included, at every S.
+    /// panic — in the first chunk (nothing folds) and in a prefetched one
+    /// (on two threads the refusal crosses the opener thread's join). The
+    /// ordering rule: every chunk before the refused one is folded *and
+    /// sealed* before the refusal may end the round, so the store restores
+    /// right up to it; and aborting releases everything, the look-ahead
+    /// staging included, at every S.
     #[test]
     fn a_refused_upload_is_an_error_with_every_budget_balanced() {
         let (d, n, k, chunk) = (32, 6, 4, 2);
+        let updates = random_updates(n, k, d, 17);
         for (threads, bad, shards) in [(1usize, 1usize, 1usize), (2, 1, 4), (1, 3, 4), (2, 3, 1)] {
-            let (mut enclave, mut sealed) = sealed_round(n, k, d);
-            sealed[bad].ciphertext[9] ^= 0x10;
-            let ledger = if shards > 1 { sharded(d, shards) } else { monolithic() };
-            let mut eng = engine(AggregatorKind::Advanced, d, k, threads, ledger);
-            let refused = Err(RoundError::Upload { slot: bad, error: TeeError::AuthFailure });
-            let first = open_and_decode(&mut enclave, &sealed[..chunk], 0);
-            if bad < chunk {
-                assert_eq!(first, refused, "threads={threads}");
+            let ctx = format!("threads={threads} bad={bad} S={shards}");
+            let mut round = Sealed::new(AggregatorKind::Advanced, &updates, d, threads, chunk);
+            round.uploads[bad].ciphertext[9] ^= 0x10;
+            let mut store = SealedStore::default();
+            let (out, end) = round.drive(Some(&mut store), armed(d, shards, ""), &mut NullTracer);
+            let refused = RoundError::Upload { slot: bad, error: TeeError::AuthFailure };
+            assert_eq!(out, Err(refused), "{ctx}");
+            let before = (bad / chunk) as u64;
+            assert_eq!((end.telemetry.chunks, end.telemetry.ckpt_seals), (before, before), "{ctx}");
+            assert!(balanced(&end), "{ctx}");
+            if before > 0 {
+                let reopened = round.open(Some(&store), monolithic()).expect("sealed before it");
+                assert_eq!(reopened.chunks_done() as u64, before, "{ctx}");
             } else {
-                let staged = first.expect("chunk 0 is genuine");
-                let next = &sealed[chunk..2 * chunk];
-                let fetched = eng.fold(
-                    &staged,
-                    staged_chunk_bytes(next),
-                    || open_and_decode(&mut enclave, next, chunk),
-                    &mut NullTracer,
-                );
-                assert_eq!(fetched.expect("the fold itself succeeds"), refused);
-                assert_eq!(eng.chunks_done(), 1, "chunk 0 is folded all the same");
-                assert!(eng.ledger.outstanding > eng.agg.resident_bytes(), "look-ahead staged");
+                assert!(store.newest.is_none(), "{ctx}: nothing was folded");
             }
-            let end = eng.abort();
-            assert_eq!(end.coordinator.live, 0, "threads={threads} bad={bad}");
-            assert!(end.shards.iter().all(|rt| rt.live().iter().all(|&b| b == 0)));
         }
     }
 
-    /// Resume at engine level, on the ledger: an accumulating kind takes
-    /// the sealed floors as they are; a staged kind re-opens the folded
-    /// prefix, its cells land on the budget as resident growth, and the
-    /// engine then finishes on the uninterrupted round's bits. A prefix
-    /// that opens but is not the sealed one fails with every charge
-    /// released.
+    /// Kill after chunks 0 and 1, reopen from the store, finish — bitwise
+    /// the uninterrupted run, at every S. An accumulating kind takes the
+    /// sealed floors as they are; a staged kind re-opens the folded prefix
+    /// and its cells land on the budget as resident growth. On the way,
+    /// everything that is not the round's newest restore point is refused
+    /// by the open itself with every budget at `live == 0`: a genuine blob
+    /// from below the pinned floor as a rollback, a blob of another shape
+    /// like a tampered one, and — for the kind that reads it — a prefix
+    /// that opens but is not the sealed one.
     #[test]
     fn resume_restages_a_staged_prefix_on_the_ledger() {
         let (d, n, k, chunk) = (32, 6, 4, 2);
-        for kind in [AggregatorKind::Grouped { h: 2 }, AggregatorKind::Advanced] {
-            let (mut enclave, sealed) = sealed_round(n, k, d);
-            let base = enclave.replay_floors();
-            let mut ckpt = Checkpoint::start(shape(n, chunk, k), [0; 4], &base);
-            let mut eng = engine(kind, d, k, 1, monolithic());
-            for msgs in sealed.chunks(chunk).take(2) {
-                let updates = open_and_decode(&mut enclave, msgs, 0).expect("genuine");
-                eng.fold(&updates, 0, || (), &mut NullTracer).expect("fault-free");
-                ckpt.advance(msgs);
+        let updates = random_updates(n, k, d, 17);
+        let kinds = [AggregatorKind::Grouped { h: 2 }, AggregatorKind::Advanced];
+        for (kind, shards) in kinds.into_iter().flat_map(|kind| [(kind, 1usize), (kind, 4)]) {
+            let ctx = format!("{kind:?} S={shards}");
+            let mut round = Sealed::new(kind, &updates, d, 1, chunk);
+            let want = round.drive(None, monolithic(), &mut NullTracer).0.expect("fault-free");
+            let mut store = SealedStore::default();
+            let mut blobs = Vec::new();
+            for after_chunk in [0, 1] {
+                let ledger = armed(d, shards, &format!("crash@{after_chunk}"));
+                let (killed, _) = round.drive(Some(&mut store), ledger, &mut NullTracer);
+                assert_eq!(killed, Err(RoundError::CoordinatorKilled { after_chunk }), "{ctx}");
+                blobs.push(store.newest.clone().expect("sealed before the crash"));
             }
-            let blob = ckpt.seal(&mut eng, &mut enclave);
-            let last = open_and_decode(&mut enclave, &sealed[2 * chunk..], 0).expect("genuine");
-            eng.fold(&last, 0, || (), &mut NullTracer).expect("fault-free");
-            let want = eng.finish(&mut NullTracer).0.expect("fault-free");
-
-            let restored = |enclave: &mut Enclave| {
-                let plain = enclave.unseal(&blob, CKPT_LABEL).expect("genuine blob");
-                let ckpt = Checkpoint::decode(&plain, shape(n, chunk, k)).expect("this round's");
-                let mut agg = StreamingAggregator::new(kind, d, 1);
-                agg.load_state(ckpt.agg_state()).expect("same configuration");
-                (RoundEngine::new(agg, k, 1, ckpt.chunks_done(), monolithic()), ckpt)
+            let refused = |round: &mut Sealed, store: &SealedStore, why: TeeError| {
+                let (e, end) =
+                    round.open(Some(store), armed(d, shards, "")).err().expect("refused");
+                assert_eq!(e, RoundError::Checkpoint(why), "{ctx}");
+                assert!(balanced(&end), "{ctx}: a failed open releases everything");
             };
-            let (mut eng, ckpt) = restored(&mut enclave);
-            eng.resume(&mut enclave, &sealed, &base, &ckpt).expect("genuine prefix");
-            assert_eq!(enclave.replay_floors(), ckpt.floors, "{kind:?}: floors cover the prefix");
-            assert_eq!(eng.ledger.coordinator.live, eng.agg.resident_bytes(), "{kind:?}");
+            store.newest = Some(blobs[0].clone());
+            refused(&mut round, &store, TeeError::StaleSeal);
+            store.newest = Some(blobs[1].clone());
+            round.shape.chunk_size = 3;
+            refused(&mut round, &store, TeeError::AuthFailure);
+            round.shape.chunk_size = chunk;
+            // An unfolded upload swapped into the prefix opens and pays the
+            // owed cells back in full: only the floor commitment tells it
+            // from the prefix the checkpoint was sealed over.
+            round.uploads.swap(1, 2 * chunk);
+            if kind == AggregatorKind::Advanced {
+                refused(&mut round, &store, TeeError::AuthFailure);
+            } else {
+                let opened = round.open(Some(&store), armed(d, shards, ""));
+                opened.expect("an accumulating kind never reads the prefix").abort();
+            }
+            round.uploads.swap(1, 2 * chunk);
+
+            let eng = round.open(Some(&store), armed(d, shards, "")).expect("genuine prefix");
+            assert_eq!(eng.chunks_done(), 2, "{ctx}");
+            assert_eq!(round.enclave.replay_floors(), eng.ckpt.floors, "{ctx}: floors cover it");
+            assert_eq!(eng.ledger.coordinator.live, eng.agg.resident_bytes(), "{ctx}");
             if kind == AggregatorKind::Advanced {
                 let cells = (2 * chunk * k) as u64 * 8;
                 assert_eq!(eng.ledger.coordinator.live, cells, "re-staged cells are charged");
@@ -905,24 +1199,13 @@ mod tests {
                 // before the resident state it was copied into is resized.
                 assert_eq!(eng.ledger.coordinator.peak, cells);
             }
-            let last = open_and_decode(&mut enclave, &sealed[2 * chunk..], 0).expect("genuine");
-            eng.fold(&last, 0, || (), &mut NullTracer).expect("fault-free");
-            let got = eng.finish(&mut NullTracer).0.expect("fault-free");
-            assert!(want.iter().zip(&got).all(|(a, b)| a.to_bits() == b.to_bits()), "{kind:?}");
-
-            // An unfolded upload swapped into the prefix opens and pays the
-            // owed cells back in full: only the floor commitment tells it
-            // from the prefix the checkpoint was sealed over.
-            let mut swapped = sealed.clone();
-            swapped.swap(1, 2 * chunk);
-            let (mut eng, ckpt) = restored(&mut enclave);
-            let resumed = eng.resume(&mut enclave, &swapped, &base, &ckpt);
-            if kind == AggregatorKind::Advanced {
-                assert_eq!(resumed, Err(RoundError::Checkpoint(TeeError::AuthFailure)));
-                assert_eq!(eng.abort().coordinator.live, 0, "a failed resume releases everything");
-            } else {
-                resumed.expect("an accumulating kind never reads the prefix");
-            }
+            let eng = eng
+                .ingest(&round.uploads, &mut round.enclave, Some(&mut store), &mut NullTracer)
+                .expect("fault-free");
+            let (got, end) = eng.finish(&mut NullTracer);
+            assert!(same_bits(&want, &got.expect("fault-free")), "{ctx}");
+            assert_eq!(end.telemetry.chunks, 1, "{ctx}: only the last chunk was left to fold");
+            assert!(balanced(&end), "{ctx}");
         }
     }
 }

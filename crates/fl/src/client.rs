@@ -85,20 +85,6 @@ pub fn local_update(
     sparse
 }
 
-/// Computes the top-k index set a *hypothetical* client holding exactly the
-/// samples `data` would transmit, without updating any global state — the
-/// attacker's teacher-index computation (Algorithm 2 lines 9–12 computes
-/// gradients of the global model on labelled test data `X_l`).
-pub fn teacher_indices(
-    model: &mut Model,
-    global_params: &[f32],
-    data: &Dataset,
-    cfg: &ClientConfig,
-    seed: u64,
-) -> Vec<u32> {
-    local_update(model, global_params, data, cfg, seed).indices
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

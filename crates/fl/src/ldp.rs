@@ -7,21 +7,10 @@
 //! perturbation so the Table 2 utility comparison (and the paper's
 //! `eval-ldp-sgd` sanity script) can be reproduced.
 
-use olive_dp::mechanism::{clip_l2, gaussian_noise_vec};
+use olive_dp::mechanism::gaussian_noise_vec;
 use rand::Rng;
 
 use crate::sparse::SparseGradient;
-
-/// Client-side LDP randomizer: clip the dense delta to `clip`, then add
-/// `N(0, σ²·clip²)` to *every* coordinate (the client cannot rely on
-/// aggregation to dilute noise — that is exactly the LDP utility penalty).
-pub fn ldp_perturb_dense<R: Rng>(delta: &mut [f32], clip: f32, sigma: f64, rng: &mut R) {
-    clip_l2(delta, clip);
-    let noise = gaussian_noise_vec(delta.len(), sigma * clip as f64, rng);
-    for (d, n) in delta.iter_mut().zip(noise.iter()) {
-        *d += n;
-    }
-}
 
 /// LDP over a sparsified update: noise only the k transmitted values (the
 /// FedSel-style variant, ref. 45; the index choice itself is assumed
@@ -51,15 +40,6 @@ mod tests {
     use super::*;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
-
-    #[test]
-    fn dense_perturbation_noises_every_coordinate() {
-        let mut rng = SmallRng::seed_from_u64(0);
-        let mut delta = vec![0.0f32; 1000];
-        ldp_perturb_dense(&mut delta, 1.0, 1.0, &mut rng);
-        let nonzero = delta.iter().filter(|&&v| v != 0.0).count();
-        assert!(nonzero > 990, "all coordinates must carry noise, got {nonzero}");
-    }
 
     #[test]
     fn sparse_perturbation_preserves_index_set() {

@@ -145,23 +145,6 @@ impl SparseGradient {
         }
         Some(SparseGradient { dense_dim: d, indices, values })
     }
-
-    /// Packs each coordinate into one u64 cell `(index << 32) | value_bits`
-    /// — the 8-byte gradient cell of Section 5.5's memory-size analysis,
-    /// and the unit the oblivious sort operates on.
-    pub fn to_cells(&self) -> Vec<u64> {
-        self.indices
-            .iter()
-            .zip(self.values.iter())
-            .map(|(&i, &v)| ((i as u64) << 32) | v.to_bits() as u64)
-            .collect()
-    }
-}
-
-/// Unpacks a u64 cell into `(index, value)`.
-#[inline]
-pub fn cell_parts(cell: u64) -> (u32, f32) {
-    ((cell >> 32) as u32, f32::from_bits(cell as u32))
 }
 
 #[cfg(test)]
@@ -265,14 +248,6 @@ mod tests {
         let mut sg = SparseGradient { dense_dim: 4, indices: vec![0, 1], values: vec![3.0, 4.0] };
         sg.clip_l2(1.0);
         assert!((sg.l2_norm() - 1.0).abs() < 1e-5);
-    }
-
-    #[test]
-    fn cells_pack_unpack() {
-        let sg = SparseGradient { dense_dim: 100, indices: vec![7, 42], values: vec![-0.25, 3.5] };
-        let cells = sg.to_cells();
-        assert_eq!(cell_parts(cells[0]), (7, -0.25));
-        assert_eq!(cell_parts(cells[1]), (42, 3.5));
     }
 
     #[test]

@@ -65,18 +65,6 @@ impl<T: Copy> TrackedBuf<T> {
         self.data[i] = v;
     }
 
-    /// Traced swap of elements `i` and `j` (reads both, writes both —
-    /// matching what an oblivious compare-exchange does at memory level).
-    #[inline(always)]
-    pub fn swap_elems<TR: Tracer>(&mut self, i: usize, j: usize, tr: &mut TR) {
-        let sz = core::mem::size_of::<T>() as u32;
-        tr.touch(self.region, Self::byte_off(i), sz, Op::Read);
-        tr.touch(self.region, Self::byte_off(j), sz, Op::Read);
-        tr.touch(self.region, Self::byte_off(i), sz, Op::Write);
-        tr.touch(self.region, Self::byte_off(j), sz, Op::Write);
-        self.data.swap(i, j);
-    }
-
     /// Traced read of a pair `(i, j)` in one shot, used by compare-exchange
     /// networks. The trace is identical to two reads.
     #[inline(always)]
@@ -133,18 +121,6 @@ mod tests {
                 Access { region: 7, offset: 16, op: Op::Read },
             ]
         );
-    }
-
-    #[test]
-    fn swap_trace_shape_is_input_independent() {
-        // The trace of swap(i, j) must not depend on the values held.
-        let run = |vals: [u64; 4]| {
-            let mut tr = RecordingTracer::new(Granularity::Element);
-            let mut buf = TrackedBuf::new(1, vals.to_vec());
-            buf.swap_elems(0, 3, &mut tr);
-            tr.digest()
-        };
-        assert_eq!(run([1, 2, 3, 4]), run([9, 9, 9, 9]));
     }
 
     #[test]

@@ -26,11 +26,6 @@ impl CacheConfig {
         CacheConfig { size_bytes: 8 << 20, ways: 16, line_bytes: CACHELINE_BYTES }
     }
 
-    /// The paper's L2: 1 MB, 16-way (the "small waviness" in Figure 11).
-    pub fn paper_l2() -> Self {
-        CacheConfig { size_bytes: 1 << 20, ways: 16, line_bytes: CACHELINE_BYTES }
-    }
-
     fn num_sets(&self) -> usize {
         (self.size_bytes / self.line_bytes) as usize / self.ways
     }

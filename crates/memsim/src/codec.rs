@@ -72,11 +72,6 @@ impl StateWriter {
         self.put_u64(v as u64);
     }
 
-    /// Append an `f32` as its IEEE-754 bit pattern (bitwise-exact restore).
-    pub fn put_f32(&mut self, v: f32) {
-        self.put_u32(v.to_bits());
-    }
-
     /// Append an `f64` as its IEEE-754 bit pattern (bitwise-exact restore).
     pub fn put_f64(&mut self, v: f64) {
         self.put_u64(v.to_bits());
@@ -94,16 +89,6 @@ impl StateWriter {
         let start = self.buf.len();
         self.buf.resize(start + 4 * v.len(), 0);
         for (dst, &x) in self.buf[start..].chunks_exact_mut(4).zip(v) {
-            dst.copy_from_slice(&x.to_le_bytes());
-        }
-    }
-
-    /// Append a length-prefixed `u64` slice.
-    pub fn put_u64s(&mut self, v: &[u64]) {
-        self.put_usize(v.len());
-        let start = self.buf.len();
-        self.buf.resize(start + 8 * v.len(), 0);
-        for (dst, &x) in self.buf[start..].chunks_exact_mut(8).zip(v) {
             dst.copy_from_slice(&x.to_le_bytes());
         }
     }
@@ -163,11 +148,6 @@ impl<'a> StateReader<'a> {
         usize::try_from(self.get_u64()?).map_err(|_| StateError::Corrupt)
     }
 
-    /// Read an `f32` bit pattern.
-    pub fn get_f32(&mut self) -> Result<f32, StateError> {
-        Ok(f32::from_bits(self.get_u32()?))
-    }
-
     /// Read an `f64` bit pattern.
     pub fn get_f64(&mut self) -> Result<f64, StateError> {
         Ok(f64::from_bits(self.get_u64()?))
@@ -186,16 +166,6 @@ impl<'a> StateReader<'a> {
         Ok(raw
             .chunks_exact(4)
             .map(|b| u32::from_le_bytes(b.try_into().expect("4 bytes")))
-            .collect())
-    }
-
-    /// Read a length-prefixed `u64` slice.
-    pub fn get_u64s(&mut self) -> Result<Vec<u64>, StateError> {
-        let n = self.get_usize()?;
-        let raw = self.take(n.checked_mul(8).ok_or(StateError::Truncated)?)?;
-        Ok(raw
-            .chunks_exact(8)
-            .map(|b| u64::from_le_bytes(b.try_into().expect("8 bytes")))
             .collect())
     }
 
@@ -236,12 +206,10 @@ mod tests {
         w.put_u32(0xDEAD_BEEF);
         w.put_u64(u64::MAX - 3);
         w.put_usize(12);
-        w.put_f32(-0.0);
         w.put_f64(f64::NAN);
         w.put_bytes(b"abc");
         w.put_u32s(&[1, 2, 3]);
-        w.put_u64s(&[9]);
-        w.put_f32s(&[1.5, -2.25]);
+        w.put_f32s(&[1.5, -2.25, -0.0]);
         let bytes = w.into_bytes();
 
         let mut r = StateReader::new(&bytes);
@@ -249,14 +217,12 @@ mod tests {
         assert_eq!(r.get_u32().unwrap(), 0xDEAD_BEEF);
         assert_eq!(r.get_u64().unwrap(), u64::MAX - 3);
         assert_eq!(r.get_usize().unwrap(), 12);
-        assert_eq!(r.get_f32().unwrap().to_bits(), (-0.0f32).to_bits());
         assert!(r.get_f64().unwrap().is_nan());
         assert_eq!(r.get_bytes().unwrap(), b"abc");
         assert_eq!(r.get_u32s().unwrap(), vec![1, 2, 3]);
-        assert_eq!(r.get_u64s().unwrap(), vec![9]);
         assert_eq!(
             r.get_f32s().unwrap().iter().map(|f| f.to_bits()).collect::<Vec<_>>(),
-            vec![1.5f32.to_bits(), (-2.25f32).to_bits()]
+            vec![1.5f32.to_bits(), (-2.25f32).to_bits(), (-0.0f32).to_bits()]
         );
         r.expect_end().unwrap();
     }
@@ -279,7 +245,7 @@ mod tests {
         w.put_u64(u64::MAX / 2);
         let bytes = w.into_bytes();
         let mut r = StateReader::new(&bytes);
-        assert_eq!(r.get_u64s().unwrap_err(), StateError::Truncated);
+        assert_eq!(r.get_f32s().unwrap_err(), StateError::Truncated);
     }
 
     #[test]

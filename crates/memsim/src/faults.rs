@@ -39,6 +39,16 @@
 //! Events at sites the round never reaches (chunk beyond the stream,
 //! shard ≥ S) simply never fire.
 //!
+//! # Arming
+//!
+//! One rule, at every shard count (`OliveSystem::run_round`): a fresh
+//! round arms the explicit script if one is pending (`set_fault_plan`),
+//! else the `OLIVE_FAULTS` plan — so `crash@3` ends an unsharded round
+//! too. Events that have not fired when the round is interrupted span its
+//! restores; whatever is left when the round completes is dropped with
+//! it, so the next fresh round arms the environment plan afresh rather
+//! than inherit a remainder.
+//!
 //! There is no wall clock anywhere: retry backoff is *simulated* — the
 //! [`RetryPolicy`] computes a deterministic schedule and the runtime
 //! records the would-be sleep in [`RecoveryStats::backoff_ms`] instead
@@ -268,7 +278,8 @@ impl FaultPlan {
     }
 
     /// The plan scripted by the `OLIVE_FAULTS` environment variable, or
-    /// empty when unset. Parsed once per process; a malformed spec
+    /// empty when unset — a fresh copy per call, so every round that arms
+    /// it gets every event. Parsed once per process; a malformed spec
     /// prints one warning to stderr and behaves as unset, matching the
     /// other `OLIVE_*` knobs.
     pub fn from_env() -> Self {

@@ -93,11 +93,10 @@ pub struct Enclave {
     keystore: HashMap<UserId, [u8; 32]>,
     /// user id → last accepted nonce counter (replay protection).
     last_nonce: HashMap<UserId, u64>,
-    /// Users sampled for the current round (Algorithm 1 line 5).
-    round_sample: Vec<UserId>,
-    /// Hashed view of `round_sample` for O(1) membership checks — at
-    /// production scale (10⁵–10⁶ sampled users) a linear `contains` per
-    /// upload would make verification quadratic in the round size.
+    /// Users sampled for the current round (Algorithm 1 line 5), hashed
+    /// for O(1) membership checks — at production scale (10⁵–10⁶ sampled
+    /// users) a linear `contains` per upload would make verification
+    /// quadratic in the round size.
     round_sample_set: HashSet<UserId>,
     /// The round currently in progress (uploads must name it).
     current_round: u64,
@@ -151,7 +150,6 @@ impl Enclave {
             dh,
             keystore: HashMap::new(),
             last_nonce: HashMap::new(),
-            round_sample: Vec::new(),
             round_sample_set: HashSet::new(),
             current_round: 0,
             sealing_key,
@@ -244,8 +242,7 @@ impl Enclave {
     /// than aggregating over the enclave's lifetime.
     pub fn begin_round(&mut self, round: u64, sampled: Vec<UserId>) {
         self.current_round = round;
-        self.round_sample_set = sampled.iter().copied().collect();
-        self.round_sample = sampled;
+        self.round_sample_set = sampled.into_iter().collect();
         self.epc.begin_epoch();
     }
 
@@ -267,16 +264,6 @@ impl Enclave {
             self.last_nonce.iter().map(|(&u, &c)| (u, c)).collect();
         floors.sort_unstable_by_key(|&(u, _)| u);
         floors
-    }
-
-    /// The current round's sample (read-only).
-    pub fn round_sample(&self) -> &[UserId] {
-        &self.round_sample
-    }
-
-    /// The round counter set by the last [`Enclave::begin_round`].
-    pub fn current_round(&self) -> u64 {
-        self.current_round
     }
 
     /// Verifies and decrypts one client upload (Algorithm 1 lines 8–11):
@@ -361,14 +348,10 @@ impl Enclave {
     /// raised past the blob's counter, so a relaunched enclave that
     /// restores its state before sealing again cannot reuse a nonce.
     pub fn unseal(&mut self, sealed: &[u8], label: &[u8]) -> Result<Vec<u8>, TeeError> {
-        if sealed.len() < 8 {
-            return Err(TeeError::AuthFailure);
-        }
-        let (counter_bytes, ciphertext) = sealed.split_at(8);
-        let counter = u64::from_be_bytes(counter_bytes.try_into().expect("8-byte prefix"));
+        let counter = seal_counter(sealed).ok_or(TeeError::AuthFailure)?;
         let nonce = seal_nonce(label, counter);
         let gcm = self.engine.aes_gcm(&self.sealing_key).expect("32-byte key");
-        let plain = gcm.open(&nonce, ciphertext, label).map_err(|_| TeeError::AuthFailure)?;
+        let plain = gcm.open(&nonce, &sealed[8..], label).map_err(|_| TeeError::AuthFailure)?;
         let floor = self.seal_counters.entry(label.to_vec()).or_insert(0);
         *floor = (*floor).max(counter);
         self.telemetry.count("unsealed_bytes", self.engine.backend().name(), plain.len() as u64);
@@ -390,8 +373,7 @@ impl Enclave {
         floor: u64,
     ) -> Result<Vec<u8>, TeeError> {
         let plain = self.unseal(sealed, label)?;
-        let counter = u64::from_be_bytes(sealed[..8].try_into().expect("checked by unseal"));
-        if counter < floor {
+        if seal_counter(sealed).expect("checked by unseal") < floor {
             return Err(TeeError::StaleSeal);
         }
         Ok(plain)
@@ -409,6 +391,42 @@ impl Enclave {
     /// pair — see Section 5.6 discussion).
     pub fn verify_output(&self, payload: &[u8], tag: &[u8; 32]) -> bool {
         self.engine.verify_mac(&self.sealing_key, payload, tag)
+    }
+}
+
+/// The monotonic counter [`Enclave::seal`] prepends to a blob (`None` for
+/// a blob too short to carry one).
+fn seal_counter(sealed: &[u8]) -> Option<u64> {
+    Some(u64::from_be_bytes(sealed.get(..8)?.try_into().expect("8-byte prefix")))
+}
+
+/// Untrusted storage for one label's sealed blobs, and the pin that keeps
+/// it honest. Unsealing `newest` against [`SealedStore::floor`]
+/// ([`Enclave::unseal_with_floor`]) refuses every genuine-but-older blob.
+#[derive(Default)]
+pub struct SealedStore {
+    /// The newest blob — untrusted, hence public: anyone may copy it,
+    /// replace it, or drop it once what it restores is durable elsewhere.
+    pub newest: Option<Vec<u8>>,
+    /// The highest seal counter parked here, standing in for
+    /// rollback-protected platform NV storage: it survives the enclave's
+    /// death and only ever rises, so no stale blob replays into later
+    /// state.
+    floor: u64,
+}
+
+impl SealedStore {
+    /// Parks a blob fresh from [`Enclave::seal`], raising the pin to its
+    /// counter; returns the blob it replaces.
+    pub fn put(&mut self, blob: Vec<u8>) -> Option<Vec<u8>> {
+        let counter = seal_counter(&blob).expect("a sealed blob leads with its counter");
+        self.floor = self.floor.max(counter);
+        self.newest.replace(blob)
+    }
+
+    /// The pinned seal counter.
+    pub fn floor(&self) -> u64 {
+        self.floor
     }
 }
 

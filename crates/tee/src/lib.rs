@@ -37,7 +37,7 @@ pub mod shard;
 
 pub use attestation::{AttestationError, AttestationService, Quote, Report};
 pub use channel::{ClientSession, SealedMessage};
-pub use enclave::{Enclave, EnclaveConfig, TeeError};
+pub use enclave::{Enclave, EnclaveConfig, SealedStore, TeeError};
 pub use epc::EpcBudget;
 pub use shard::{ShardId, ShardTunnel, TunnelAnchor, TunnelError, TunnelMessage, TunnelRole};
 

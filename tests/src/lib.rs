@@ -118,7 +118,7 @@ pub fn engine_round<TR: ParallelTracer>(
     let k = updates.iter().map(|u| u.k()).max().unwrap_or(0);
     let budget = olive_tee::EpcBudget::default();
     let ledger = Ledger::new(budget, Some(rt), olive_telemetry::Telemetry::off());
-    let engine = RoundEngine::new(StreamingAggregator::new(kind, d, 1), k, 1, 0, ledger);
+    let engine = RoundEngine::new(StreamingAggregator::new(kind, d, 1), k, 1, ledger);
     let (out, end) = engine.run(updates.chunks(chunk), tr);
     assert_eq!(end.coordinator.live, 0, "{kind:?}: the coordinator budget must balance");
     (out, end.shards.expect("the plane comes back"))

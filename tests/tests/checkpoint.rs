@@ -278,20 +278,3 @@ fn rolled_back_checkpoint_is_rejected() {
     let report = sys.restore_round(&mut tr).expect("round 1 restores too");
     assert_eq!(report.round, 1);
 }
-
-/// Checkpointing is a pure overhead knob: turning it off must change
-/// neither the round output nor the trace.
-#[test]
-fn checkpointing_does_not_change_the_round() {
-    let kind = AggregatorKind::Grouped { h: 3 };
-    let (ref_params, ref_digest, _) = uninterrupted(kind, None, 17, 4, 2);
-    let (mut sys, _) = small_system(kind, None, 17);
-    sys.set_threads(2);
-    sys.set_chunk(4);
-    sys.set_checkpointing(false);
-    let mut tr = RecordingTracer::new(Granularity::Element);
-    sys.run_round(&mut tr).expect("round");
-    assert_bitwise_eq(&sys.global_params(), &ref_params, "checkpointing off");
-    assert_eq!(tr.digest(), ref_digest);
-    assert!(sys.checkpoint_blob().is_none(), "no blob is written when disabled");
-}
