@@ -1,12 +1,13 @@
 //! Criterion microbench: the cost of obliviousness at the primitive level
 //! (o_select vs branch; bitonic network vs std unstable sort), plus the
-//! sort-kernel matrix (scalar reference vs batched vs batched+threads).
+//! sort-kernel matrix (scalar reference vs batched vs batched+threads) and
+//! the compaction that follows the one sort of Algorithm 4.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use olive_memsim::{NullTracer, TrackedBuf};
 use olive_oblivious::sort::bitonic_sort;
 use olive_oblivious::sort_kernel::{bitonic_sort_u64_with, SortKernel};
-use olive_oblivious::{o_scan_read, o_select};
+use olive_oblivious::{compact_u64, o_scan_read, o_select};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -118,6 +119,35 @@ fn bench_sort_kernels(c: &mut Criterion) {
     group.finish();
 }
 
+/// Algorithm 4's step 4 beside its step 2 (`sort_kernel/batched_t1/*`), so
+/// the split "one sort + one compaction" reads off one run: a Grouped
+/// group sort's 31 154 cells and `adv_sort`'s 2 109 210. The marks are the
+/// fold's output on a random top-k-shaped input — the last cell of each
+/// run of a sorted index vector survives, the rest are dummies.
+fn bench_compact(c: &mut Criterion) {
+    let mut group = c.benchmark_group("compact");
+    group.sample_size(10);
+    for n in [1usize << 12, 31_154, 2_109_210] {
+        let mut rng = SmallRng::seed_from_u64(1);
+        let mut indices: Vec<u32> = (0..n).map(|_| rng.gen_range(0..4210)).collect();
+        indices.sort_unstable();
+        let data: Vec<u64> = (0..n)
+            .map(|i| {
+                let survives = i + 1 == n || indices[i] != indices[i + 1];
+                (if survives { indices[i] } else { u32::MAX } as u64) << 32 | i as u64
+            })
+            .collect();
+        group.bench_with_input(BenchmarkId::new("u64", n), &n, |b, _| {
+            b.iter(|| {
+                let mut buf = TrackedBuf::new(0, data.clone());
+                compact_u64(&mut buf, |cell| (cell >> 32) as u32 != u32::MAX, &mut NullTracer);
+                buf.into_inner()
+            })
+        });
+    }
+    group.finish();
+}
+
 fn bench_scan(c: &mut Criterion) {
     let buf = TrackedBuf::new(0, (0..4096u64).collect::<Vec<_>>());
     c.bench_function("o_scan_read_4096", |b| {
@@ -125,5 +155,5 @@ fn bench_scan(c: &mut Criterion) {
     });
 }
 
-criterion_group!(benches, bench_select, bench_sort, bench_sort_kernels, bench_scan);
+criterion_group!(benches, bench_select, bench_sort, bench_sort_kernels, bench_compact, bench_scan);
 criterion_main!(benches);

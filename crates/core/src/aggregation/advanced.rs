@@ -13,12 +13,17 @@
 //!    indices; every position is rewritten — either with the finalized
 //!    `(index, sum)` of a completed run or with the dummy `(M₀, 0)` — via
 //!    `o_mov`, so run boundaries (the index histogram!) stay hidden;
-//! 4. **oblivious sort** again: the `d` real survivors (one per index)
-//!    sort to the front in index order; take them.
+//! 4. **oblivious compaction**: the fold leaves the `d` real survivors
+//!    (one per index) in ascending index order among the dummies, so the
+//!    paper's second sort has nothing left to order — an in-place,
+//!    order-preserving compaction (`olive_oblivious::compact`) moves them
+//!    to the front exactly where that sort put them; take them.
 //!
-//! Fully oblivious (Proposition 5.2): both sorts are fixed networks and
-//! the fold is a fixed linear sweep. Complexity O((nk+d) log²(nk+d)) time,
-//! O(nk+d) space — the `k·d` product of the Baseline is gone.
+//! Fully oblivious (Proposition 5.2's argument): one fixed sorting
+//! network, one fixed linear sweep, one fixed swap schedule — each a pure
+//! function of `nk + d`. Complexity, with N = nk + d: O(N log² N) for the
+//! sort + O(N log N) for the compaction, O(N) space — the `k·d` product of
+//! the Baseline is gone.
 //!
 //! Worked example (the paper's Appendix E, n=3, k=2, d=4):
 //!
@@ -45,10 +50,11 @@
 
 use olive_fl::SparseGradient;
 use olive_memsim::{ParallelTracer, StateError, StateReader, StateWriter, Tracer, TrackedBuf};
+use olive_oblivious::compact::compact_u64;
 use olive_oblivious::primitives::Oblivious;
 use olive_oblivious::sort_kernel::{bitonic_sort_u64_with, sort_kernel, SortKernel};
 
-use crate::cell::{cell_index, cell_value, dummy_cell, make_cell};
+use crate::cell::{cell_index, cell_value, dummy_cell, make_cell, DUMMY_INDEX};
 use crate::regions::{REGION_G_STAR, REGION_SCRATCH};
 
 use super::linear::average_in_place;
@@ -66,28 +72,38 @@ pub(crate) fn sum_advanced_bytes(cells: usize, d: usize) -> u64 {
 /// caller's cell vector — extended by the `d` initialization cells and
 /// sorted in place, so the uploads are never copied — writing them into a
 /// fresh `G*` buffer which is returned for further (oblivious)
-/// processing. The trace depends only on `(cells.len(), d)` — the sorts
-/// run the batched kernel, whose trace and output are identical to the
+/// processing. The trace depends only on `(cells.len(), d)` — the sort
+/// runs the batched kernel, whose trace and output are identical to the
 /// scalar reference network's at every `threads` value
-/// (`olive_oblivious::sort_kernel`).
+/// (`olive_oblivious::sort_kernel`); the compaction is serial.
 pub(crate) fn sum_advanced<TR: Tracer>(
     cells: Vec<u64>,
     d: usize,
     threads: usize,
     tr: &mut TR,
 ) -> TrackedBuf<f32> {
-    sum_advanced_with(cells, d, sort_kernel(), threads, tr)
+    let mut g = sort_and_fold(cells, d, sort_kernel(), threads, tr);
+    // Step 4: oblivious compaction; the d real survivors lead, in order.
+    compact_u64(&mut g, is_real, tr);
+    emit_gstar(&g, d, tr)
 }
 
-/// [`sum_advanced`] with the sort kernel explicit: how the pinned-trace
-/// test runs Algorithm 4 over the scalar reference network.
-fn sum_advanced_with<TR: Tracer>(
+/// The compaction's mark: anything but a dummy. (A hostile client cell
+/// carrying `M₀` is a dummy like the fold's own.)
+fn is_real(cell: u64) -> bool {
+    cell_index(cell) != DUMMY_INDEX
+}
+
+/// Steps 1–3 of Algorithm 4, the sort kernel explicit (how the
+/// pinned-trace test runs them over the scalar reference network): the
+/// folded `cells.len() + d` vector, survivors ascending among dummies.
+fn sort_and_fold<TR: Tracer>(
     mut cells: Vec<u64>,
     d: usize,
     kernel: SortKernel,
     threads: usize,
     tr: &mut TR,
-) -> TrackedBuf<f32> {
+) -> TrackedBuf<u64> {
     // Step 1: initialization — g ← g ∥ {(j, 0)} for j ∈ [d].
     cells.extend((0..d as u32).map(|j| make_cell(j, 0.0)));
     let mut g = TrackedBuf::new(REGION_SCRATCH, cells);
@@ -115,11 +131,11 @@ fn sum_advanced_with<TR: Tracer>(
     }
     let last = g.len() - 1;
     g.write(last, make_cell(acc_idx, acc_val), tr);
+    g
+}
 
-    // Step 4: oblivious sort again; the d real survivors lead.
-    bitonic_sort_u64_with(&mut g, kernel, threads, tr);
-
-    // Emit G*: a fixed in-order read of the first d cells and write-out.
+/// Emits `G*`: a fixed in-order read of the first `d` cells and write-out.
+fn emit_gstar<TR: Tracer>(g: &TrackedBuf<u64>, d: usize, tr: &mut TR) -> TrackedBuf<f32> {
     let mut gstar = TrackedBuf::<f32>::zeroed(REGION_G_STAR, d);
     for j in 0..d {
         let cell = g.read(j, tr);
@@ -229,7 +245,7 @@ impl StagedCells {
 /// Algorithm 4 is *inherently monolithic*: its obliviousness proof rests
 /// on one Batcher sort over the whole `nk + d` vector, so incoming chunks
 /// can only be **staged** (an untraced linear copy of the cells) and the
-/// sort/fold/sort runs at finalize. Chunk boundaries therefore change
+/// sort/fold/compaction runs at finalize. Chunk boundaries therefore change
 /// neither the output bits nor the trace — but the enclave working set
 /// still grows with O(nk + d), which is exactly the paper's Figure 10
 /// cliff and the reason the Grouped streamer exists. The EPC accounting
@@ -308,7 +324,30 @@ mod tests {
     use super::*;
     use crate::aggregation::test_support::*;
     use crate::aggregation::{aggregate_with_threads, reference_average, AggregatorKind};
-    use olive_memsim::{assert_oblivious, Granularity, NullTracer};
+    use crate::cell::concat_cells;
+    use olive_memsim::{assert_oblivious, truncated_stage_len, Granularity, NullTracer};
+    use olive_oblivious::compact::compact_swap_count;
+
+    /// Algorithm 4 as the paper states it — step 4 a second oblivious
+    /// sort — over the scalar reference network: the oracle step 4's
+    /// compaction is held to.
+    fn sum_sorting_twice<TR: Tracer>(cells: Vec<u64>, d: usize, tr: &mut TR) -> TrackedBuf<f32> {
+        let mut g = sort_and_fold(cells, d, SortKernel::Scalar, 1, tr);
+        bitonic_sort_u64_with(&mut g, SortKernel::Scalar, 1, tr);
+        emit_gstar(&g, d, tr)
+    }
+
+    /// The production sums over `cells`, as bits.
+    fn sum_bits(cells: &[u64], d: usize) -> Vec<u32> {
+        let sums = sum_advanced(cells.to_vec(), d, 1, &mut NullTracer).into_inner();
+        sums.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// The production sums over `cells` must be the oracle's, bit for bit.
+    fn assert_sums_are_the_oracles(cells: &[u64], d: usize) {
+        let want = sum_sorting_twice(cells.to_vec(), d, &mut NullTracer).into_inner();
+        assert_eq!(sum_bits(cells, d), want.iter().map(|x| x.to_bits()).collect::<Vec<u32>>());
+    }
 
     /// One-shot Advanced at an explicit thread count.
     fn advanced<TR: ParallelTracer>(
@@ -364,6 +403,7 @@ mod tests {
             let updates = random_updates(6, 8, 40, seed);
             let got = advanced(&updates, 40, 1, &mut NullTracer);
             assert_close(&got, &reference_average(&updates, 40), 1e-4);
+            assert_sums_are_the_oracles(&concat_cells(&updates), 40);
         }
     }
 
@@ -375,6 +415,7 @@ mod tests {
         let got = advanced(&updates, 8, 1, &mut NullTracer);
         assert!((got[3] - 2.0).abs() < 1e-6); // (0+1+2+3+4)/5
         assert!(got.iter().enumerate().all(|(j, &v)| j == 3 || v == 0.0));
+        assert_sums_are_the_oracles(&concat_cells(&updates), 8);
     }
 
     /// Proposition 5.2: identical traces for any same-shape input, at both
@@ -408,6 +449,36 @@ mod tests {
         assert_oblivious(Granularity::Element, &inputs, |updates, tr| {
             advanced(updates, 16, 1, tr);
         });
+        for skew in &inputs {
+            assert_sums_are_the_oracles(&concat_cells(skew), 16);
+        }
+    }
+
+    /// Cells no honest client sends — `M₀` with a value, indices at and
+    /// past `d` — sit behind the `d` real survivors whichever way step 4
+    /// runs: the outputs are the honest cells' own, and the trace is that
+    /// of any input of the same shape.
+    #[test]
+    fn hostile_cells_change_neither_the_outputs_nor_the_trace() {
+        use olive_memsim::trace_of;
+        let d = 64;
+        let honest = concat_cells(&random_updates(4, 6, d, 10));
+        let mut hostile = honest.clone();
+        hostile.extend([
+            make_cell(DUMMY_INDEX, 3.5),
+            make_cell(d as u32, 1.0),
+            make_cell(DUMMY_INDEX - 1, -2.0),
+        ]);
+        assert_sums_are_the_oracles(&hostile, d);
+        assert_eq!(sum_bits(&hostile, d), sum_bits(&honest, d));
+        let same_shape = concat_cells(&random_updates(3, 9, d, 11));
+        assert_eq!(same_shape.len(), hostile.len());
+        for granularity in [Granularity::Element, Granularity::Cacheline] {
+            let digest = |cells: &[u64]| {
+                trace_of(granularity, |tr| drop(sum_advanced(cells.to_vec(), d, 1, tr)))
+            };
+            assert_eq!(digest(&hostile), digest(&same_shape), "{granularity:?}");
+        }
     }
 
     #[test]
@@ -436,19 +507,33 @@ mod tests {
     }
 
     const PINNED_ELEMENT: &str =
-        "TraceDigest { lane0: 7782993381635614178, lane1: 8899804604775101325, count: 3452834 }";
+        "TraceDigest { lane0: 15228406175031614799, lane1: 16684607007692618335, count: 1961647 }";
     const PINNED_CACHELINE: &str =
-        "TraceDigest { lane0: 17354058421736565451, lane1: 14479643937297201572, count: 3452834 }";
+        "TraceDigest { lane0: 5531287215747815528, lane1: 8047230492126002354, count: 1961647 }";
 
     /// An Advanced run whose sort vector is just above a power of two
-    /// (nk + d = 2¹³ + 5) must produce this trace over the scalar reference
-    /// network — whose digest the constants are — and over the batched
-    /// kernel alike, on one worker and on several.
+    /// (nk + d = 2¹³ + 5) must produce this trace — sort, fold, compaction,
+    /// `G*` emission, averaging — over the scalar reference network, whose
+    /// digest the constants are, and over the batched kernel alike, on one
+    /// worker and on several. The constants were regenerated on purpose
+    /// when step 4 became the compaction (3 452 834 accesses before).
     #[test]
     fn trace_just_above_a_power_of_two_is_pinned_across_kernels() {
         use olive_memsim::RecordingTracer;
         let (n, k, d) = (7, 171, 7000);
-        assert_eq!(n * k + d, (1 << 13) + 5);
+        let cells = (n * k + d) as u64;
+        assert_eq!(cells, (1 << 13) + 5);
+        // The count from the two closed forms: every stage of the
+        // truncated network and S(N) swaps at four accesses each, the one
+        // bare read of an odd N, the fold's read + write per cell, and a
+        // read + write per dimension for G* and again for the average.
+        let comparators: u64 = (1..=14)
+            .map(|r| (1..=r).map(|s| truncated_stage_len(cells, 1 << s)).sum::<u64>())
+            .sum();
+        let swaps = compact_swap_count(cells);
+        assert_eq!((comparators, swaps), (426_055, 53_258));
+        let accesses = 4 * comparators + 2 * cells + 4 * swaps + cells % 2 + 4 * d as u64;
+        assert_eq!(accesses, 1_961_647);
         let updates = random_updates(n, k, d, 5);
         for granularity in [Granularity::Element, Granularity::Cacheline] {
             let want = match granularity {
@@ -456,9 +541,10 @@ mod tests {
                 Granularity::Cacheline => PINNED_CACHELINE,
             };
             let mut tr = RecordingTracer::new(granularity);
-            let cells = crate::cell::concat_cells(&updates);
-            let mut gstar = sum_advanced_with(cells, d, SortKernel::Scalar, 1, &mut tr);
-            average_in_place(&mut gstar, n, &mut tr);
+            let mut g = sort_and_fold(concat_cells(&updates), d, SortKernel::Scalar, 1, &mut tr);
+            compact_u64(&mut g, is_real, &mut tr);
+            average_in_place(&mut emit_gstar(&g, d, &mut tr), n, &mut tr);
+            assert_eq!(tr.digest().len(), accesses);
             assert_eq!(format!("{:?}", tr.digest()), want, "{granularity:?} scalar network");
             for threads in [1usize, 2, 3] {
                 let mut tr = RecordingTracer::new(granularity);
@@ -467,5 +553,36 @@ mod tests {
                 assert_eq!(format!("{:?}", tr.digest()), want, "{granularity:?} threads={threads}");
             }
         }
+    }
+
+    /// The redefinition, event for event: the new trace is the old one —
+    /// Algorithm 4 sorting twice — with exactly the second network's
+    /// events replaced by the compaction schedule, nothing before or
+    /// after them touched.
+    #[test]
+    fn new_trace_is_the_old_one_with_the_second_network_replaced() {
+        use olive_memsim::RecordingTracer;
+        let (d, cells) = (6, concat_cells(&random_updates(3, 5, 6, 9)));
+        let events = |run: &dyn Fn(&mut RecordingTracer)| {
+            let mut tr = RecordingTracer::with_events(Granularity::Element);
+            run(&mut tr);
+            tr.events().expect("built with events").to_vec()
+        };
+        let old = events(&|tr| drop(sum_sorting_twice(cells.clone(), d, tr)));
+        let new = events(&|tr| drop(sum_advanced(cells.clone(), d, 1, tr)));
+        let scratch = || TrackedBuf::new(REGION_SCRATCH, vec![0u64; cells.len() + d]);
+        let network =
+            events(&|tr| bitonic_sort_u64_with(&mut scratch(), SortKernel::Scalar, 1, tr));
+        let compaction = events(&|tr| {
+            compact_u64(&mut scratch(), is_real, tr);
+        });
+        // Sort 1 and the fold (a read and a write per cell) come first.
+        let before = network.len() + 2 * (cells.len() + d);
+        assert_eq!(old[..before], new[..before]);
+        assert_eq!(old[..network.len()], network[..]);
+        assert_eq!(old[before..before + network.len()], network[..]);
+        assert_eq!(new[before..before + compaction.len()], compaction[..]);
+        assert_eq!(old[before + network.len()..], new[before + compaction.len()..]);
+        assert_eq!(old.len() - before - network.len(), 2 * d, "what follows is G*'s emission");
     }
 }

@@ -8,8 +8,9 @@
 //! per group (working set `hk + d` cells), and accumulate the group sums
 //! into a running total with an oblivious linear pass. Security is
 //! unchanged — every step is oblivious and the group schedule is public.
-//! Complexity O((n/h)·(hk+d)·log²(hk+d)); the optimal `h` balances sort
-//! size against per-group overhead and is data-independent (Figure 11).
+//! Complexity O((n/h)·(hk+d)·log²(hk+d)) — per group one sort plus an
+//! O((hk+d)·log(hk+d)) compaction; the optimal `h` balances sort size
+//! against per-group overhead and is data-independent (Figure 11).
 //!
 //! # Parallelism
 //!

@@ -41,7 +41,7 @@ pub enum AggregatorKind {
         /// Weights per cacheline.
         cacheline_weights: usize,
     },
-    /// Algorithm 4 (sort → fold → sort).
+    /// Algorithm 4 (sort → fold → compaction).
     Advanced,
     /// Section 5.3: Advanced applied to groups of `h` clients with an
     /// oblivious carry accumulation.

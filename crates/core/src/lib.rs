@@ -14,7 +14,7 @@
 //!   - [`aggregation::baseline`]: Algorithm 3, dummy-access-everything,
 //!     cacheline-level fully oblivious (Proposition 5.1), O(nkd/c);
 //!   - [`aggregation::advanced`]: Algorithm 4, zero-seeding + oblivious
-//!     sort + oblivious fold + oblivious sort, fully oblivious
+//!     sort + oblivious fold + oblivious compaction, fully oblivious
 //!     (Proposition 5.2), O((nk+d)·log²(nk+d));
 //!   - [`aggregation::grouped`]: the Section 5.3 optimization — process
 //!     clients in groups of `h` so the sort working set fits cache/EPC;

@@ -161,6 +161,27 @@ pub trait Tracer {
         }
     }
 
+    /// Records a run of **conditional pair swaps** as one block event (the
+    /// oblivious compaction's trace API): swap `t` of `count` exchanges
+    /// elements `lo + t` and `lo + t + stride`, ascending in `t`, with the
+    /// comparator's `read i, read l, write i, write l` footprint whether
+    /// or not it swaps. Unlike [`Tracer::touch_cex_span`] the lower run may
+    /// start anywhere and `stride` is any distance; the same expansion
+    /// rule and split invariance hold, and [`NullTracer`] discards it.
+    #[inline]
+    fn touch_swap_run(
+        &mut self,
+        region: RegionId,
+        elem_bytes: u32,
+        lo: u64,
+        stride: u64,
+        count: u64,
+    ) {
+        for i in lo..lo + count {
+            touch_comparator(self, region, elem_bytes, i, i + stride);
+        }
+    }
+
     /// Records a contiguous run of read-modify-write slot accesses as **one
     /// block event** (the Baseline aggregation's stripe-scan trace API).
     ///
@@ -241,6 +262,9 @@ impl Tracer for NullTracer {
 
     #[inline(always)]
     fn touch_flip_span(&mut self, _r: RegionId, _eb: u32, _k: u64, _first: u64, _count: u64) {}
+
+    #[inline(always)]
+    fn touch_swap_run(&mut self, _r: RegionId, _eb: u32, _lo: u64, _stride: u64, _count: u64) {}
 
     #[inline(always)]
     fn touch_rw_stripe(&mut self, _r: RegionId, _eb: u32, _first: u64, _stride: u64, _count: u64) {}
@@ -661,6 +685,28 @@ mod tests {
     }
 
     #[test]
+    fn swap_run_expands_to_ascending_pairs_from_any_start() {
+        // A run whose lower half starts off any stride boundary, with a
+        // stride that is no power of two: pairs (5, 8), (6, 9).
+        let mut t = RecordingTracer::with_events(Granularity::Element);
+        t.touch_swap_run(3, 1, 5, 3, 2);
+        let offsets: Vec<u64> = t.events().unwrap().iter().map(|a| a.offset).collect();
+        assert_eq!(offsets, [5, 8, 5, 8, 6, 9, 6, 9]);
+        let ops: Vec<Op> = t.events().unwrap().iter().map(|a| a.op).collect();
+        assert_eq!(ops[..4], [Op::Read, Op::Read, Op::Write, Op::Write]);
+        // Where a stride stage can express the run, the two events agree,
+        // and a run splits like a span does.
+        for granularity in [Granularity::Element, Granularity::Cacheline] {
+            let mut cex = RecordingTracer::new(granularity);
+            cex.touch_cex_span(1, 8, 8, 8, 8);
+            let mut run = RecordingTracer::new(granularity);
+            run.touch_swap_run(1, 8, 16, 8, 3);
+            run.touch_swap_run(1, 8, 19, 8, 5);
+            assert_eq!(run.digest(), cex.digest(), "{granularity:?}");
+        }
+    }
+
+    #[test]
     fn truncated_stage_len_counts_comparators_below_n() {
         for n in 0..70u64 {
             for span in [2u64, 4, 8, 16, 64] {
@@ -701,6 +747,7 @@ mod tests {
         let mut t = NullTracer;
         t.touch_cex_span(0, 8, 2, 0, 100);
         t.touch_flip_span(0, 8, 4, 0, 100);
+        t.touch_swap_run(0, 8, 3, 5, 100);
         assert!(!t.is_recording());
     }
 

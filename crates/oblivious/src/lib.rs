@@ -15,7 +15,7 @@
 //!   x86-64 and branch-free mask arithmetic elsewhere, over all the cell
 //!   types the aggregation algorithms use;
 //! * [`sort`] — the bitonic sorting network, truncated at the real length
-//!   (the paper's oblivious sort, used twice by Algorithm 4), operating on
+//!   (the paper's oblivious sort, used once by Algorithm 4), operating on
 //!   [`TrackedBuf`]s so the comparator schedule is visible to the trace
 //!   checker; its module docs state the canonical trace;
 //! * [`sort_kernel`] — the batched, SIMD-friendly implementation of the
@@ -23,6 +23,9 @@
 //!   min/max sweeps over cache-sized private blocks, per-pass thread
 //!   parallelism), differentially tested against the reference in
 //!   [`sort`];
+//! * [`compact`] — order-preserving oblivious compaction in O(n log n)
+//!   conditional swaps (Algorithm 4's last step); its module docs state
+//!   the canonical trace and the no-secret-loop-bound rule;
 //! * [`scan`] — oblivious linear-scan read/write of a secret index
 //!   (ZeroTrace's trusted-storage emulation, used by the ORAM stash and
 //!   position map);
@@ -37,6 +40,8 @@
 
 #![warn(missing_docs)]
 
+pub mod compact;
+mod isa;
 pub mod meta_scan;
 pub mod primitives;
 pub mod scan;
@@ -44,6 +49,7 @@ pub mod shuffle;
 pub mod sort;
 pub mod sort_kernel;
 
+pub use compact::{compact_swap_count, compact_u64};
 pub use primitives::{o_select, o_select_u64, o_swap, Oblivious};
 pub use scan::{o_scan_read, o_scan_update, o_scan_write};
 pub use shuffle::{oblivious_shuffle, oblivious_shuffle_with_threads};

@@ -18,34 +18,7 @@
 //!
 //! [`TrackedBuf`]: olive_memsim::TrackedBuf
 
-use std::sync::OnceLock;
-
-/// Instruction sets the scans are monomorphized for (detected once per
-/// process, exactly like the sort kernel's dispatch).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Isa {
-    Portable,
-    #[cfg(target_arch = "x86_64")]
-    Avx2,
-    #[cfg(target_arch = "x86_64")]
-    Avx512,
-}
-
-fn isa() -> Isa {
-    static LEVEL: OnceLock<Isa> = OnceLock::new();
-    *LEVEL.get_or_init(|| {
-        #[cfg(target_arch = "x86_64")]
-        {
-            if std::arch::is_x86_feature_detected!("avx512f") {
-                return Isa::Avx512;
-            }
-            if std::arch::is_x86_feature_detected!("avx2") {
-                return Isa::Avx2;
-            }
-        }
-        Isa::Portable
-    })
-}
+use crate::isa::{isa, Isa};
 
 // ---------------------------------------------------------------------------
 // Scan bodies (branchless mask-select sweeps)

@@ -60,10 +60,11 @@
 //! entry points (`SortKernel::Scalar`): it is the oracle the differential
 //! suites compare this kernel against, and nothing selects it at run time.
 
-use std::sync::{Barrier, OnceLock};
+use std::sync::Barrier;
 
 use olive_memsim::{truncated_stage_len, Tracer, TrackedBuf};
 
+use crate::isa::{isa, Isa};
 use crate::sort::bitonic_sort;
 
 /// Cells per private block of the pass schedule (a power of two, at least
@@ -426,35 +427,6 @@ unsafe fn run_at<'a, W>(base: *mut W, at: usize, len: usize) -> &'a mut [W] {
 
 /// The signature workers call a monomorphized [`run_pass`] through.
 type PassFn<W> = unsafe fn(*mut W, Shape, Pass, usize, usize);
-
-/// Instruction sets the stage kernels are monomorphized for. Detected once
-/// per process; the portable build is what every tier targets by default,
-/// the wider ones let LLVM use 256-/512-bit compare+select on the same
-/// source loops.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Isa {
-    Portable,
-    #[cfg(target_arch = "x86_64")]
-    Avx2,
-    #[cfg(target_arch = "x86_64")]
-    Avx512,
-}
-
-fn isa() -> Isa {
-    static LEVEL: OnceLock<Isa> = OnceLock::new();
-    *LEVEL.get_or_init(|| {
-        #[cfg(target_arch = "x86_64")]
-        {
-            if std::arch::is_x86_feature_detected!("avx512f") {
-                return Isa::Avx512;
-            }
-            if std::arch::is_x86_feature_detected!("avx2") {
-                return Isa::Avx2;
-            }
-        }
-        Isa::Portable
-    })
-}
 
 macro_rules! isa_monomorphizations {
     ($word:ty, $dispatch:ident, $avx2:ident, $avx512:ident) => {
