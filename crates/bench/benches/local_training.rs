@@ -9,9 +9,9 @@
 //!   end to end: 20 samples × batch 10, d = 9610, top-k 96 with clipping
 //!   (the `train_dp` client) and 4 samples × batch 4, d = 4210, top-k 421
 //!   (the client of the five d = 4210 workloads).
-//! * `from_dense/{9610_k96, 4210_k421}` — the top-k selection alone, on a
-//!   real delta. PR 15 measured two alternative selections and kept this
-//!   one; the entry records the number for whoever tries next.
+//! * `from_dense/{9610_k96, 4210_k421}` — the top-k selection alone, on
+//!   the real deltas of 16 clients in turn: one repeated input would let
+//!   the branch predictor learn its branches, which no round allows.
 //!
 //! The entries are allocator- and cache-sensitive at the 20 ms smoke
 //! window, so `bench_gate` does not gate on them.
@@ -61,16 +61,20 @@ const SHAPES: [Shape; 2] = [
     },
 ];
 
-/// The first client's shard of the benchmark's federation.
-fn client_data(samples: usize) -> Dataset {
+/// Clients whose deltas the `from_dense` entries cycle through.
+const DELTAS: usize = 16;
+
+/// The first `n` clients' shards of a federation of `n`.
+fn client_data(n: usize, samples: usize) -> Vec<Dataset> {
     let generator = Generator::new(SyntheticConfig::tiny(64, 10), SEED);
-    partition(&generator, 1, LabelAssignment::Fixed(2), samples, SEED).remove(0).dataset
+    let clients = partition(&generator, n, LabelAssignment::Fixed(2), samples, SEED);
+    clients.into_iter().map(|client| client.dataset).collect()
 }
 
 fn bench_local_training(c: &mut Criterion) {
     let mut group = c.benchmark_group("local_training");
     for shape in &SHAPES {
-        let data = client_data(shape.samples);
+        let data = client_data(1, shape.samples).remove(0);
         let mut model = mlp(64, shape.hidden, 10, 0.0, SEED);
         let global = model.get_params();
         let cfg = ClientConfig {
@@ -95,12 +99,24 @@ fn bench_local_training(c: &mut Criterion) {
             b.iter(|| local_update(&mut model, black_box(&global), &data, &cfg, SEED))
         });
 
-        // A real delta: what one local update leaves in the parameters.
-        local_update(&mut model, &global, &data, &cfg, SEED);
-        let delta: Vec<f32> = model.get_params().iter().zip(&global).map(|(l, g)| l - g).collect();
+        // Real deltas: what one local update leaves in the parameters.
+        let deltas: Vec<Vec<f32>> = client_data(DELTAS, shape.samples)
+            .iter()
+            .map(|data| {
+                local_update(&mut model, &global, data, &cfg, SEED);
+                model.get_params().iter().zip(&global).map(|(l, g)| l - g).collect()
+            })
+            .collect();
         let mut rng = SmallRng::seed_from_u64(SEED);
+        let mut next = deltas.iter().cycle();
         group.bench_function(shape.from_dense, |b| {
-            b.iter(|| SparseGradient::from_dense(black_box(&delta), cfg.sparsifier, &mut rng))
+            b.iter(|| {
+                SparseGradient::from_dense(
+                    black_box(next.next().unwrap()),
+                    cfg.sparsifier,
+                    &mut rng,
+                )
+            })
         });
     }
     group.finish();
