@@ -64,10 +64,10 @@ fn bench_sort(c: &mut Criterion) {
 
 /// The sort-kernel matrix: scalar reference vs batched (1 thread) vs
 /// batched + threads (`batched_threads`, at the process-default
-/// `OLIVE_THREADS` count), at n ∈ {2¹², 2¹⁶, 2²⁰} and just above a power
-/// of two — 2¹⁶ + 1, and the 2 109 210 cells of the whole-round
-/// benchmark's `adv_sort` — where a padded network would do twice the
-/// work. The scalar reference is skipped past 2¹⁶ + 1 unless
+/// `OLIVE_THREADS` count), at n ∈ {2¹², 2¹⁶, 2²⁰}, at a Grouped group
+/// sort's 31 154 cells, and just above a power of two — 2¹⁶ + 1, and the
+/// 2 109 210 cells of the whole-round benchmark's `adv_sort` — where a
+/// padded network would do twice the work. The scalar reference is skipped past 2¹⁶ + 1 unless
 /// `OLIVE_BENCH_FULL=1` (it alone would dominate the bench wall-clock
 /// ~20×).
 fn bench_sort_kernels(c: &mut Criterion) {
@@ -75,7 +75,7 @@ fn bench_sort_kernels(c: &mut Criterion) {
     let threads = olive_memsim::default_threads();
     let mut group = c.benchmark_group("sort_kernel");
     group.sample_size(10);
-    for n in [1usize << 12, 1 << 16, (1 << 16) + 1, 1 << 20, 2_109_210] {
+    for n in [1usize << 12, 31_154, 1 << 16, (1 << 16) + 1, 1 << 20, 2_109_210] {
         let mut rng = SmallRng::seed_from_u64(1);
         let data: Vec<u64> = (0..n).map(|_| rng.gen()).collect();
         if n <= (1 << 16) + 1 || full {

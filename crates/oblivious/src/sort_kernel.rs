@@ -32,33 +32,63 @@
 //!    Thread count never affects the output (stage results are unique
 //!    regardless of intra-stage execution order) nor the trace (emitted
 //!    canonically by the caller).
-//! 4. **Most stages are local.** Every comparator of a round `k ≤ B`, and
-//!    every stride stage `j < B` of any round, pairs elements of one
-//!    `B`-aligned block. So the kernel does not sweep memory once per
-//!    stage; its **pass schedule** is
+//! 4. **Most stages are local, and stages fuse.** Every comparator of a
+//!    round `k ≤ B`, and every stride stage `j < B` of any round, pairs
+//!    elements of one `B`-aligned block. So the kernel does not sweep
+//!    memory once per stage; its **pass schedule** is
 //!
 //!    * one *sort-blocks* pass that runs all rounds `k ≤ B` on each block
 //!      while it sits in L1/L2, then
-//!    * per round `k = 2B, 4B, …`: the *global* stages (the flip, then
-//!      strides `k/4 … B`), one sweep of memory each, and one
-//!      *merge-blocks* pass that runs strides `B/2 … 1` on each block.
+//!    * per round `k = 2B, 4B, …`: the *global* stages — the flip, then
+//!      strides `k/4 … B` — and one *merge-blocks* pass that runs strides
+//!      `B/2 … 1` on each block. The flip is one sweep of memory; the
+//!      strides go in **radix-8 sweeps**, three consecutive stages
+//!      `j, j/2, j/4 ≥ B` per sweep from the top, and a stride left over
+//!      at the bottom is a sweep of its own.
 //!
-//!    A 2 M-cell sort makes 66 sweeps of memory at `B = 2¹²` where a
-//!    stage-per-sweep schedule makes 209. Inside a block the three
-//!    shortest strides (4, 2, 1) and the three opening rounds (2, 4, 8)
-//!    run on 8-element windows held in registers. Blocked order is
-//!    bitwise the stage order: a block pass only reorders comparators
-//!    that act on *disjoint* blocks, and within a block it keeps them in
-//!    stage order — comparators on disjoint cells commute. Workers split
-//!    a pass (blocks of a block pass, comparator ranges of a global one)
-//!    with one barrier per pass.
+//!    A radix-8 sweep walks *lanes* of 8 elements `j/4` apart
+//!    (`i + q·j/4`, `q = 0 … 7`, for `i` in the low quarter of a
+//!    `2j`-aligned group). Stages `j`, `j/2`, `j/4` pair rows `(q, q+4)`,
+//!    `(q, q+2)`, `(q, q+1)` of a lane and nothing outside it, so the sweep
+//!    runs the 12 comparators of the 8-element stride network on every
+//!    lane, 8 lanes at a time held as eight vector rows. Elements at or
+//!    past `n` are read as a `+∞` pad and never written back: the
+//!    truncated network's omitted comparators are exactly the ones a pad
+//!    never loses. Inside a block the same fusion runs the strides ≥ 64,
+//!    and the strides ≤ 32 and the opening rounds 2, 4, 8 run in
+//!    registers. On AVX-512, `u64` cells go through a **64-cell tile** of
+//!    eight 8-cell rows: strides 32, 16, 8 pair whole rows
+//!    (`vpminuq`/`vpmaxuq`), an 8 × 8 transpose (24 shuffles) turns each
+//!    8-cell window into a column, strides 4, 2, 1 (or rounds 2, 4, 8)
+//!    pair rows again, and a second transpose puts the cells back. Every
+//!    other body runs strides 32, 16, 8 as sweeps and the rest on 8-cell
+//!    windows. A 2.1 M-cell sort makes 42 sweeps of memory at `B = 2¹²`
+//!    (66 with a sweep per global stage, 209 with a sweep per stage).
 //!
-//! Nothing is padded: the schedule and every sweep stop at `n`, like the
-//! network they implement.
+//!    **Every one of these orders is bitwise the stage order.** A block, a
+//!    lane, a tile and a window each take a stage's comparators restricted
+//!    to cells no other block, lane, tile or window of that stage touches,
+//!    and run the stages on them in order; comparators on disjoint cells
+//!    commute, so only the order *among* disjoint comparators changes, and
+//!    every comparator is the scalar rule (`min`/`max` of equal `u64`s is
+//!    the identity; a tagged word swaps on a strict tag inequality only).
+//!    Workers split a pass (blocks of a block pass, comparators or lanes
+//!    of a global one) with one barrier per pass.
+//!
+//! Nothing is padded in memory: the schedule and every sweep stop at `n`,
+//! like the network they implement (a lane or window that straddles `n`
+//! is padded in registers only).
 //!
 //! The scalar reference network stays reachable through the `*_with`
 //! entry points (`SortKernel::Scalar`): it is the oracle the differential
 //! suites compare this kernel against, and nothing selects it at run time.
+//!
+//! `unsafe` here is of three kinds, each block with a `SAFETY:` comment:
+//! workers carve disjoint runs out of one shared base pointer (`run_pass`'s
+//! contract: distinct units of a pass touch disjoint elements); the
+//! `#[target_feature]` bodies are entered only after CPU feature
+//! detection; and the AVX-512 tile loads and stores rows of an in-bounds
+//! 64-cell slice.
 
 use std::sync::Barrier;
 
@@ -72,10 +102,6 @@ use crate::sort::bitonic_sort;
 /// words — L1/L2-resident, and small enough that a 2¹⁵-cell group sort
 /// still has blocks to hand to every worker.
 const BLOCK: usize = 1 << 12;
-
-/// Below this length the per-pass barrier costs more than the passes;
-/// the batched kernel runs on the calling thread.
-const MIN_PARALLEL_N: usize = 1 << 12;
 
 /// Which implementation of the bitonic network runs.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -215,7 +241,9 @@ const SORT8: [(usize, usize); 24] = [
     (0, 1), (2, 3), (4, 5), (6, 7),
 ];
 
-/// Comparators of stride stages 4, 2 and 1 on one 8-element window.
+/// Comparators of stride stages 4, 2 and 1 on one 8-element window — and
+/// of any three consecutive stride stages on a lane of 8 elements spaced
+/// by the smallest of them.
 #[rustfmt::skip]
 const MERGE8: [(usize, usize); 12] = [
     (0, 4), (1, 5), (2, 6), (3, 7),
@@ -232,10 +260,9 @@ fn apply8<W: Word, const C: usize>(w: &mut [W; 8], net: &[(usize, usize); C]) {
     }
 }
 
-/// Runs `net` on every aligned 8-element window of `v`. Strides 4, 2, 1
-/// have runs too short for wide sweeps, and fusing them replaces three
-/// passes over the block with one. The partial last window is run padded
-/// with [`Word::PAD`], which its comparators never move.
+/// Runs `net` on every aligned 8-element window of `v`. The partial last
+/// window is run padded with [`Word::PAD`], which its comparators never
+/// move.
 #[inline(always)]
 fn windows8<W: Word, const C: usize>(v: &mut [W], net: &[(usize, usize); C]) {
     let mut windows = v.chunks_exact_mut(8);
@@ -263,31 +290,343 @@ fn flip_stage<W: Word>(v: &mut [W], k: usize) {
     }
 }
 
-/// Stride stages `j, j/2, …, 1` over a slice that starts `2j`-aligned:
-/// what follows the flip in every round. `j` is 4 or a larger power of two.
+/// Stride stage `j` over a slice that starts `2j`-aligned.
 #[inline(always)]
-fn stride_stages<W: Word>(v: &mut [W], mut j: usize) {
-    while j >= 8 {
-        let mut base = 0;
-        while base + j < v.len() {
-            let len = j.min(v.len() - base - j);
-            let (lo, hi) = v[base..base + j + len].split_at_mut(j);
-            sweep(&mut lo[..len], hi);
-            base += 2 * j;
+fn stride_stage<W: Word>(v: &mut [W], j: usize) {
+    let mut base = 0;
+    while base + j < v.len() {
+        let len = j.min(v.len() - base - j);
+        let (lo, hi) = v[base..base + j + len].split_at_mut(j);
+        sweep(&mut lo[..len], hi);
+        base += 2 * j;
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Radix-8 sweeps: three stride stages per pass over memory
+// ---------------------------------------------------------------------------
+
+/// The lanes of the fused stages `j, j/2, j/4` that hold a comparator
+/// below `n` — a prefix of the lane space, as [`truncated_stage_len`]'s
+/// comparators are of a stage's. Lane `t` starts at
+/// `i = 2j·⌊t / (j/4)⌋ + t mod (j/4)` and keeps a comparator iff its second
+/// element `i + j/4` is below `n`.
+fn radix8_lanes(n: usize, j: usize) -> usize {
+    let s = j / 4;
+    n / (2 * j) * s + (n % (2 * j)).saturating_sub(s).min(s)
+}
+
+/// Runs MERGE8 on lanes `[t0, t1)` of the fused stride stages
+/// `j, j/2, j/4` over `base[0..n]` (see [`radix8_lanes`]): row `q` of lane
+/// `t` is element `i + q·j/4`. Rows at or past `n` are read as
+/// [`Word::PAD`] and not written.
+///
+/// # Safety
+///
+/// `base` must point to `n` initialized words, `j` must be a power of two
+/// `≥ 4`, `t1 <= radix8_lanes(n, j)`, and the caller must have exclusive
+/// access to every element of the lanes `[t0, t1)`.
+#[inline(always)]
+unsafe fn radix8<W: Word>(base: *mut W, n: usize, j: usize, t0: usize, t1: usize) {
+    let s = j / 4;
+    let mut t = t0;
+    while t < t1 {
+        let off = t % s;
+        let i = (t - off) * 8 + off;
+        let len = (s - off).min(t1 - t);
+        // SAFETY: lanes `t .. t + len` own exactly the in-bounds parts of
+        // these eight runs, `s` apart and disjoint because `len <= s`; a
+        // run at or past `n` is empty and starts at most one past the end.
+        let row = |q: usize| unsafe {
+            let at = (i + q * s).min(n);
+            run_at(base, at, len.min(n - at))
+        };
+        merge8_lanes([row(0), row(1), row(2), row(3), row(4), row(5), row(6), row(7)]);
+        t += len;
+    }
+}
+
+/// MERGE8 on every lane of eight row runs whose lengths do not increase
+/// (a run's missing tail is past `n`: [`Word::PAD`]). The lanes every row
+/// holds run as one loop over eight runs, vectorized across lanes like
+/// [`sweep`]; the few that straddle `n` run padded, one at a time.
+#[inline(always)]
+fn merge8_lanes<W: Word>(mut rows: [&mut [W]; 8]) {
+    let full = rows[7].len();
+    let [r0, r1, r2, r3, r4, r5, r6, r7] = &mut rows;
+    let (r0, r1, r2, r3) = (&mut r0[..full], &mut r1[..full], &mut r2[..full], &mut r3[..full]);
+    let (r4, r5, r6, r7) = (&mut r4[..full], &mut r5[..full], &mut r6[..full], &mut r7[..full]);
+    for l in 0..full {
+        let mut w = [r0[l], r1[l], r2[l], r3[l], r4[l], r5[l], r6[l], r7[l]];
+        apply8(&mut w, &MERGE8);
+        [r0[l], r1[l], r2[l], r3[l], r4[l], r5[l], r6[l], r7[l]] = w;
+    }
+    for l in full..rows[0].len() {
+        let mut w = [W::PAD; 8];
+        for (x, row) in w.iter_mut().zip(&rows) {
+            if let Some(&y) = row.get(l) {
+                *x = y;
+            }
         }
+        apply8(&mut w, &MERGE8);
+        for (x, row) in w.iter().zip(&mut rows) {
+            if let Some(y) = row.get_mut(l) {
+                *y = *x;
+            }
+        }
+    }
+}
+
+/// The fused stride stages `j, j/2, j/4` over a slice that starts
+/// `2j`-aligned.
+#[inline(always)]
+fn radix8_stage<W: Word>(v: &mut [W], j: usize) {
+    let n = v.len();
+    // SAFETY: every lane of the sweep over the exclusively borrowed `v`.
+    unsafe { radix8(v.as_mut_ptr(), n, j, 0, radix8_lanes(n, j)) }
+}
+
+// ---------------------------------------------------------------------------
+// In-register tails of the block passes
+// ---------------------------------------------------------------------------
+
+/// The bottom of every block pass, run in registers: the opening rounds
+/// 2, 4, 8 and the stride stages ≤ 32 of every later round.
+trait Tail<W: Word> {
+    /// Rounds 2, 4 and 8 on every aligned 8-element window of `v`.
+    ///
+    /// # Safety
+    ///
+    /// The CPU supports the implementation's instruction set.
+    unsafe fn sort8(v: &mut [W]);
+
+    /// Stride stages `j, j/2, …, 1` (`4 ≤ j ≤ 32`) over a slice that
+    /// starts `2j`-aligned.
+    ///
+    /// # Safety
+    ///
+    /// The CPU supports the implementation's instruction set.
+    unsafe fn strides(v: &mut [W], j: usize);
+}
+
+/// The tail of every body but AVX-512 `u64`: strides 32, 16, 8 as sweeps,
+/// the rest on 8-element windows.
+struct Windows;
+
+impl<W: Word> Tail<W> for Windows {
+    #[inline(always)]
+    unsafe fn sort8(v: &mut [W]) {
+        windows8(v, &SORT8);
+    }
+
+    #[inline(always)]
+    unsafe fn strides(v: &mut [W], j: usize) {
+        window_strides(v, j);
+    }
+}
+
+/// [`Windows`]' stride stages `j … 1` (`4 ≤ j ≤ 32`) over a slice that
+/// starts `2j`-aligned.
+#[inline(always)]
+fn window_strides<W: Word>(v: &mut [W], mut j: usize) {
+    while j >= 8 {
+        stride_stage(v, j);
         j /= 2;
     }
     windows8(v, &MERGE8);
 }
 
-/// Every round `k ≤ B` of the network on one block (`v.len() ≤ B`).
+/// The AVX-512 tail for `u64` cells: whole 64-cell tiles in eight `zmm`
+/// rows, the remainder as [`Windows`] runs it.
+#[cfg(target_arch = "x86_64")]
+mod tile {
+    use core::arch::x86_64::*;
+
+    use super::{window_strides, windows8, Tail, MERGE8, SORT8};
+
+    /// The 64-cell register tile.
+    pub(super) struct Tile;
+
+    impl Tail<u64> for Tile {
+        #[inline(always)]
+        unsafe fn sort8(v: &mut [u64]) {
+            let (tiles, rest) = v.split_at_mut(v.len() / 64 * 64);
+            // SAFETY: the caller's contract — this CPU has AVX-512F.
+            unsafe { sort8_tiles(tiles) };
+            // `rest` starts 64-aligned, so its windows are the network's.
+            windows8(rest, &SORT8);
+        }
+
+        #[inline(always)]
+        unsafe fn strides(v: &mut [u64], j: usize) {
+            let (tiles, rest) = v.split_at_mut(v.len() / 64 * 64);
+            // SAFETY: the caller's contract — this CPU has AVX-512F.
+            unsafe { stride_tiles(tiles, j) };
+            // `rest` starts 64-aligned, so `2j`-aligned.
+            window_strides(rest, j);
+        }
+    }
+
+    /// Rounds 2, 4, 8 on every 64-cell tile of `tiles`: transposed, row
+    /// `c` holds cell `c` of each of the tile's eight windows, so SORT8's
+    /// comparators are row pairs.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    fn sort8_tiles(tiles: &mut [u64]) {
+        for tile in tiles.chunks_exact_mut(64) {
+            let mut r = transpose(load(tile));
+            cex_rows(&mut r, &SORT8);
+            store(tile, transpose(r));
+        }
+    }
+
+    /// Stride stages `j … 1` (`4 ≤ j ≤ 32`) on every 64-cell tile of
+    /// `tiles`. Rows are 8 cells apart, so strides 32, 16, 8 pair rows 4,
+    /// 2, 1 apart — the three stages of MERGE8, row for cell; transposed,
+    /// strides 4, 2, 1 are MERGE8 again.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    fn stride_tiles(tiles: &mut [u64], j: usize) {
+        debug_assert!((4..=32).contains(&j));
+        for tile in tiles.chunks_exact_mut(64) {
+            let mut r = load(tile);
+            if j >= 32 {
+                cex_rows(&mut r, &MERGE8[..4]);
+            }
+            if j >= 16 {
+                cex_rows(&mut r, &MERGE8[4..8]);
+            }
+            if j >= 8 {
+                cex_rows(&mut r, &MERGE8[8..]);
+            }
+            let mut r = transpose(r);
+            cex_rows(&mut r, &MERGE8);
+            store(tile, transpose(r));
+        }
+    }
+
+    /// Compare-exchanges rows `a` and `b`, lane by lane, for each pair.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    fn cex_rows(r: &mut [__m512i; 8], pairs: &[(usize, usize)]) {
+        for &(a, b) in pairs {
+            (r[a], r[b]) = (_mm512_min_epu64(r[a], r[b]), _mm512_max_epu64(r[a], r[b]));
+        }
+    }
+
+    /// Cells `8q … 8q + 7` of a 64-cell tile as row `q`.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    fn load(tile: &[u64]) -> [__m512i; 8] {
+        assert_eq!(tile.len(), 64);
+        let mut r = [_mm512_setzero_si512(); 8];
+        for (q, row) in r.iter_mut().enumerate() {
+            // SAFETY: cells 8q .. 8q + 8 lie in the 64-cell tile; an
+            // unaligned load has no alignment requirement.
+            *row = unsafe { _mm512_loadu_si512(tile.as_ptr().add(8 * q).cast()) };
+        }
+        r
+    }
+
+    /// Row `q` back to cells `8q … 8q + 7` of a 64-cell tile.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    fn store(tile: &mut [u64], r: [__m512i; 8]) {
+        assert_eq!(tile.len(), 64);
+        for (q, row) in r.into_iter().enumerate() {
+            // SAFETY: as in `load`, and `tile` is borrowed exclusively.
+            unsafe { _mm512_storeu_si512(tile.as_mut_ptr().add(8 * q).cast(), row) };
+        }
+    }
+
+    /// Transposes the 8 × 8 matrix of 64-bit cells in eight rows: 8
+    /// unpacks interleave row pairs, then two rounds of 8 shuffles of
+    /// 128-bit blocks gather the pairs. An involution: it also transposes
+    /// back.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    fn transpose(r: [__m512i; 8]) -> [__m512i; 8] {
+        // Block b of `t[2p]` is (r[2p][2b], r[2p+1][2b]); of `t[2p+1]`,
+        // (r[2p][2b+1], r[2p+1][2b+1]).
+        let t = [
+            _mm512_unpacklo_epi64(r[0], r[1]),
+            _mm512_unpackhi_epi64(r[0], r[1]),
+            _mm512_unpacklo_epi64(r[2], r[3]),
+            _mm512_unpackhi_epi64(r[2], r[3]),
+            _mm512_unpacklo_epi64(r[4], r[5]),
+            _mm512_unpackhi_epi64(r[4], r[5]),
+            _mm512_unpacklo_epi64(r[6], r[7]),
+            _mm512_unpackhi_epi64(r[6], r[7]),
+        ];
+        // 0x88 takes blocks 0, 2 of each operand, 0xDD blocks 1, 3: `u[0]`
+        // holds columns 0 and 4 of rows 0–3, `u[1]` columns 2 and 6, `u[2]`
+        // 1 and 5, `u[3]` 3 and 7; `u[4..]` the same of rows 4–7.
+        let u = [
+            _mm512_shuffle_i64x2::<0x88>(t[0], t[2]),
+            _mm512_shuffle_i64x2::<0xDD>(t[0], t[2]),
+            _mm512_shuffle_i64x2::<0x88>(t[1], t[3]),
+            _mm512_shuffle_i64x2::<0xDD>(t[1], t[3]),
+            _mm512_shuffle_i64x2::<0x88>(t[4], t[6]),
+            _mm512_shuffle_i64x2::<0xDD>(t[4], t[6]),
+            _mm512_shuffle_i64x2::<0x88>(t[5], t[7]),
+            _mm512_shuffle_i64x2::<0xDD>(t[5], t[7]),
+        ];
+        [
+            _mm512_shuffle_i64x2::<0x88>(u[0], u[4]),
+            _mm512_shuffle_i64x2::<0x88>(u[2], u[6]),
+            _mm512_shuffle_i64x2::<0x88>(u[1], u[5]),
+            _mm512_shuffle_i64x2::<0x88>(u[3], u[7]),
+            _mm512_shuffle_i64x2::<0xDD>(u[0], u[4]),
+            _mm512_shuffle_i64x2::<0xDD>(u[2], u[6]),
+            _mm512_shuffle_i64x2::<0xDD>(u[1], u[5]),
+            _mm512_shuffle_i64x2::<0xDD>(u[3], u[7]),
+        ]
+    }
+}
+
+#[cfg(target_arch = "x86_64")]
+use tile::Tile;
+
+// ---------------------------------------------------------------------------
+// Block passes
+// ---------------------------------------------------------------------------
+
+/// Stride stages `j, j/2, …, 1` over a slice that starts `2j`-aligned:
+/// what follows the flip in every round. `j` is 4 or a larger power of
+/// two. Strides ≥ 64 go three to a radix-8 sweep from the top, a leftover
+/// one or two by plain sweeps, and `T` runs the strides ≤ 32.
+///
+/// # Safety
+///
+/// The CPU supports `T`'s instruction set.
 #[inline(always)]
-fn sort_block<W: Word>(v: &mut [W]) {
-    windows8(v, &SORT8);
+unsafe fn stride_stages<W: Word, T: Tail<W>>(v: &mut [W], mut j: usize) {
+    while j / 4 >= 64 {
+        radix8_stage(v, j);
+        j /= 8;
+    }
+    while j > 32 {
+        stride_stage(v, j);
+        j /= 2;
+    }
+    // SAFETY: the caller's contract.
+    unsafe { T::strides(v, j) }
+}
+
+/// Every round `k ≤ B` of the network on one block (`v.len() ≤ B`).
+///
+/// # Safety
+///
+/// The CPU supports `T`'s instruction set.
+#[inline(always)]
+unsafe fn sort_block<W: Word, T: Tail<W>>(v: &mut [W]) {
+    // SAFETY: the caller's contract.
+    unsafe { T::sort8(v) };
     let mut k = 16;
     while k / 2 < v.len() {
         flip_stage(v, k);
-        stride_stages(v, k / 4);
+        // SAFETY: the caller's contract.
+        unsafe { stride_stages::<W, T>(v, k / 4) };
         k *= 2;
     }
 }
@@ -297,7 +636,8 @@ fn sort_block<W: Word>(v: &mut [W]) {
 // ---------------------------------------------------------------------------
 
 /// One physical pass: a unit of work between two barriers whose work
-/// units (blocks, or comparators of one stage) touch disjoint elements.
+/// units (blocks, comparators of one stage, or lanes) touch disjoint
+/// elements.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Pass {
     /// All rounds `k ≤ block` on every block. Units: blocks.
@@ -311,6 +651,12 @@ enum Pass {
     /// One stride stage `j ≥ block`. Units: its comparators, ascending.
     Stride {
         /// Partner distance.
+        j: usize,
+    },
+    /// Stride stages `j, j/2, j/4 ≥ block` in one radix-8 sweep. Units:
+    /// its lanes (see [`radix8_lanes`]), ascending.
+    Radix8 {
+        /// The largest partner distance.
         j: usize,
     },
     /// Stride stages `block/2 … 1` on every block. Units: blocks.
@@ -333,6 +679,10 @@ impl Shape {
         while k / 2 < self.n {
             passes.push(Pass::Flip { k });
             let mut j = k / 4;
+            while j / 4 >= self.block {
+                passes.push(Pass::Radix8 { j });
+                j /= 8;
+            }
             while j >= self.block {
                 passes.push(Pass::Stride { j });
                 j /= 2;
@@ -344,27 +694,37 @@ impl Shape {
     }
 
     /// Work units of one pass (the index space split across workers). The
-    /// comparators a truncated stage keeps are a prefix of its unit space.
+    /// comparators or lanes a truncated stage keeps are a prefix of its
+    /// unit space.
     fn units(self, pass: Pass) -> usize {
         match pass {
             Pass::SortBlocks | Pass::MergeBlocks => self.n.div_ceil(self.block),
             Pass::Flip { k } => truncated_stage_len(self.n as u64, k as u64) as usize,
             Pass::Stride { j } => truncated_stage_len(self.n as u64, 2 * j as u64) as usize,
+            Pass::Radix8 { j } => radix8_lanes(self.n, j),
         }
     }
 }
 
-/// Runs work units `[u0, u1)` of `pass` over `base[0..shape.n]`.
+/// Runs work units `[u0, u1)` of `pass` over `base[0..shape.n]`, with `T`
+/// as the in-register tail of the block passes.
 ///
 /// # Safety
 ///
 /// `base` must point to `shape.n` initialized words, `pass` must come from
-/// `shape.passes()`, `u1 <= shape.units(pass)`, and the caller must have
-/// exclusive access to every element the unit range names — distinct units
-/// of one pass touch disjoint elements, so any partition of the unit space
-/// across threads is safe *within* a pass.
+/// `shape.passes()`, `u1 <= shape.units(pass)`, the CPU must support `T`'s
+/// instruction set, and the caller must have exclusive access to every
+/// element the unit range names — distinct units of one pass touch
+/// disjoint elements, so any partition of the unit space across threads is
+/// safe *within* a pass.
 #[inline(always)]
-unsafe fn run_pass<W: Word>(base: *mut W, shape: Shape, pass: Pass, u0: usize, u1: usize) {
+unsafe fn run_pass<W: Word, T: Tail<W>>(
+    base: *mut W,
+    shape: Shape,
+    pass: Pass,
+    u0: usize,
+    u1: usize,
+) {
     let Shape { n, block } = shape;
     match pass {
         Pass::SortBlocks | Pass::MergeBlocks => {
@@ -373,9 +733,11 @@ unsafe fn run_pass<W: Word>(base: *mut W, shape: Shape, pass: Pass, u0: usize, u
                 // and is this caller's alone.
                 let v = unsafe { run_at(base, b * block, block.min(n - b * block)) };
                 if pass == Pass::SortBlocks {
-                    sort_block(v);
+                    // SAFETY: this function's contract covers `T`.
+                    unsafe { sort_block::<W, T>(v) };
                 } else {
-                    stride_stages(v, block / 2);
+                    // SAFETY: as above.
+                    unsafe { stride_stages::<W, T>(v, block / 2) };
                 }
             }
         }
@@ -411,6 +773,8 @@ unsafe fn run_pass<W: Word>(base: *mut W, shape: Shape, pass: Pass, u0: usize, u
                 t += len;
             }
         }
+        // SAFETY: this function's contract, lane for unit.
+        Pass::Radix8 { j } => unsafe { radix8(base, n, j, u0, u1) },
     }
 }
 
@@ -429,7 +793,7 @@ unsafe fn run_at<'a, W>(base: *mut W, at: usize, len: usize) -> &'a mut [W] {
 type PassFn<W> = unsafe fn(*mut W, Shape, Pass, usize, usize);
 
 macro_rules! isa_monomorphizations {
-    ($word:ty, $dispatch:ident, $avx2:ident, $avx512:ident) => {
+    ($word:ty, $tail512:ty, $dispatch:ident, $avx2:ident, $avx512:ident) => {
         /// AVX2 monomorphization (256-bit compare+select).
         ///
         /// # Safety
@@ -438,7 +802,7 @@ macro_rules! isa_monomorphizations {
         #[cfg(target_arch = "x86_64")]
         #[target_feature(enable = "avx2")]
         unsafe fn $avx2(base: *mut $word, shape: Shape, pass: Pass, u0: usize, u1: usize) {
-            unsafe { run_pass(base, shape, pass, u0, u1) }
+            unsafe { run_pass::<$word, Windows>(base, shape, pass, u0, u1) }
         }
 
         /// AVX-512 monomorphization (`vpminuq`/`vpmaxuq` and friends).
@@ -449,7 +813,7 @@ macro_rules! isa_monomorphizations {
         #[cfg(target_arch = "x86_64")]
         #[target_feature(enable = "avx512f")]
         unsafe fn $avx512(base: *mut $word, shape: Shape, pass: Pass, u0: usize, u1: usize) {
-            unsafe { run_pass(base, shape, pass, u0, u1) }
+            unsafe { run_pass::<$word, $tail512>(base, shape, pass, u0, u1) }
         }
 
         /// Runs units `[u0, u1)` of `pass` at the widest instruction set
@@ -462,7 +826,7 @@ macro_rules! isa_monomorphizations {
             match isa() {
                 // SAFETY: the caller's contract is `run_pass`'s; the wider
                 // monomorphizations run only after feature detection.
-                Isa::Portable => unsafe { run_pass(base, shape, pass, u0, u1) },
+                Isa::Portable => unsafe { run_pass::<$word, Windows>(base, shape, pass, u0, u1) },
                 #[cfg(target_arch = "x86_64")]
                 Isa::Avx2 => unsafe { $avx2(base, shape, pass, u0, u1) },
                 #[cfg(target_arch = "x86_64")]
@@ -472,8 +836,8 @@ macro_rules! isa_monomorphizations {
     };
 }
 
-isa_monomorphizations!(u64, run_pass_u64, run_pass_u64_avx2, run_pass_u64_avx512);
-isa_monomorphizations!(u128, run_pass_u128, run_pass_u128_avx2, run_pass_u128_avx512);
+isa_monomorphizations!(u64, Tile, run_pass_u64, run_pass_u64_avx2, run_pass_u64_avx512);
+isa_monomorphizations!(u128, Windows, run_pass_u128, run_pass_u128_avx2, run_pass_u128_avx512);
 
 // ---------------------------------------------------------------------------
 // Pass driver (serial or barrier-synchronized workers)
@@ -491,50 +855,44 @@ unsafe impl<W: Send> Send for SendPtr<W> {}
 unsafe impl<W: Send> Sync for SendPtr<W> {}
 
 /// Runs every pass of the schedule over `v` in `block`-word private
-/// blocks, splitting each pass's unit range across `threads` workers with
-/// a barrier between passes. `run` executes one unit range of one pass.
+/// blocks, splitting each pass's unit range across `threads` workers — the
+/// calling thread and `threads − 1` spawned ones — with a barrier between
+/// passes. A one-pass schedule runs on the caller alone, as does any pass
+/// with fewer units than workers. `run` executes one unit range of one
+/// pass.
 ///
 /// The output is identical for every thread count and block size: pass
 /// results do not depend on intra-pass execution order (units of a pass
 /// touch disjoint elements), and the barrier orders passes.
 fn sort_words<W: Word>(v: &mut [W], threads: usize, block: usize, run: PassFn<W>) {
-    let workers = if v.len() < MIN_PARALLEL_N { 1 } else { threads };
-    sort_words_on(v, workers, block, run)
-}
-
-/// [`sort_words`] on exactly `workers` threads, whatever the length.
-fn sort_words_on<W: Word>(v: &mut [W], workers: usize, block: usize, run: PassFn<W>) {
     assert!(block.is_power_of_two() && block >= 8, "a block holds whole register windows");
     let shape = Shape { n: v.len(), block };
     let passes = shape.passes();
-    if workers <= 1 {
-        for &pass in &passes {
-            // SAFETY: the whole unit range of a scheduled pass over the
-            // exclusively borrowed `v`.
-            unsafe { run(v.as_mut_ptr(), shape, pass, 0, shape.units(pass)) };
-        }
-        return;
-    }
+    let workers = if passes.len() == 1 { 1 } else { threads.max(1) };
     let barrier = Barrier::new(workers);
     let ptr = SendPtr(v.as_mut_ptr());
-    std::thread::scope(|scope| {
-        for w in 0..workers {
-            let (barrier, ptr, passes) = (&barrier, &ptr, &passes);
-            scope.spawn(move || {
-                for &pass in passes {
-                    let units = shape.units(pass);
-                    let (u0, u1) = (units * w / workers, units * (w + 1) / workers);
-                    if u1 > u0 {
-                        // SAFETY: workers take disjoint unit ranges of a
-                        // scheduled pass over `v`, which this scope
-                        // borrows exclusively; the barrier keeps every
-                        // worker in the same pass.
-                        unsafe { run(ptr.0, shape, pass, u0, u1) };
-                    }
-                    barrier.wait();
-                }
-            });
+    let (barrier, ptr, passes) = (&barrier, &ptr, &passes);
+    let work = move |w: usize| {
+        for &pass in passes {
+            let units = shape.units(pass);
+            let parts = if units < workers { 1 } else { workers };
+            if w < parts {
+                let (u0, u1) = (units * w / parts, units * (w + 1) / parts);
+                // SAFETY: workers take disjoint unit ranges of a scheduled
+                // pass over `v`, which this function borrows exclusively;
+                // the barrier keeps every worker in the same pass.
+                unsafe { run(ptr.0, shape, pass, u0, u1) };
+            }
+            if workers > 1 {
+                barrier.wait();
+            }
         }
+    };
+    std::thread::scope(|scope| {
+        for w in 1..workers {
+            scope.spawn(move || work(w));
+        }
+        work(0);
     });
 }
 
@@ -606,12 +964,16 @@ mod tests {
     #[test]
     fn every_length_block_size_and_thread_count_matches_the_reference() {
         // Small private blocks put every boundary the schedule has —
-        // register window, block, first global round, several global
-        // rounds — within reach of an exhaustive sweep over n. Low-entropy
-        // keys make ties (which must stay in place) the common case.
+        // register window, tile, block, first global round, several global
+        // rounds — within reach of an exhaustive sweep over n. At block 8
+        // the sweep runs past the first radix-8 round (k = 16·block), its
+        // partial 2j group and its pad-filled lanes; at block 64 it crosses
+        // tile boundaries at every n mod 64. Low-entropy keys make ties
+        // (which must stay in place) the common case.
+        assert!(Shape { n: 65, block: 8 }.passes().contains(&Pass::Radix8 { j: 32 }));
         let mut rng = SmallRng::seed_from_u64(12);
-        for block in [8usize, 16, 64] {
-            for n in 0..=4 * block + 9 {
+        for (block, last) in [(8usize, 32 * 8 + 9), (16, 4 * 16 + 9), (64, 4 * 64 + 9)] {
+            for n in 0..=last {
                 let cells: Vec<u64> = (0..n).map(|_| rng.gen_range(0..40)).collect();
                 let tagged: Vec<u128> =
                     (0..n).map(|i| ((rng.gen_range(0..9u64) as u128) << 64) | i as u128).collect();
@@ -619,10 +981,8 @@ mod tests {
                 let want_tagged = reference(&tagged, |c| (c >> 64) as u64);
                 for threads in [1usize, 2, 3] {
                     let (mut c, mut t) = (cells.clone(), tagged.clone());
-                    // The driver's own size gate is bypassed so the
-                    // barrier path runs at these lengths too.
-                    sort_words_on(&mut c, threads, block, run_pass_u64);
-                    sort_words_on(&mut t, threads, block, run_pass_u128);
+                    sort_words(&mut c, threads, block, run_pass_u64);
+                    sort_words(&mut t, threads, block, run_pass_u128);
                     assert_eq!(c, want_cells, "u64 n={n} block={block} threads={threads}");
                     assert_eq!(t, want_tagged, "u128 n={n} block={block} threads={threads}");
                 }
@@ -630,11 +990,100 @@ mod tests {
         }
     }
 
+    /// A named body of the kernel, for both word types.
+    type Body = (&'static str, PassFn<u64>, PassFn<u128>);
+
+    /// Every body of the kernel this CPU can run, portable first: the
+    /// dispatcher reaches only the widest.
+    fn bodies() -> Vec<Body> {
+        let mut bodies: Vec<Body> =
+            vec![("portable", run_pass::<u64, Windows>, run_pass::<u128, Windows>)];
+        #[cfg(target_arch = "x86_64")]
+        {
+            if std::arch::is_x86_feature_detected!("avx2") {
+                bodies.push(("avx2", run_pass_u64_avx2, run_pass_u128_avx2));
+            }
+            if std::arch::is_x86_feature_detected!("avx512f") {
+                bodies.push(("avx512", run_pass_u64_avx512, run_pass_u128_avx512));
+            }
+        }
+        bodies
+    }
+
+    #[test]
+    fn every_isa_body_matches_the_scalar_network() {
+        // The same inputs through every body, at the schedule's boundaries:
+        // global radix-8 rounds at block 8 and 64, tiles and their
+        // remainder at 64, and at the real block the in-block radix-8
+        // sweeps (strides ≥ 64) and a global one (n > 8·BLOCK).
+        let bodies = bodies();
+        let names: Vec<&str> = bodies.iter().map(|b| b.0).collect();
+        eprintln!("sort kernel bodies exercised on this CPU: {names:?}");
+        let mut rng = SmallRng::seed_from_u64(22);
+        let shapes: [(usize, &[usize]); 3] = [
+            (8, &[1, 63, 64, 65, 200, 265, 1000]),
+            (64, &[64, 100, 129, 600, 4100]),
+            (BLOCK, &[BLOCK, 5000, 8 * BLOCK + 333]),
+        ];
+        for (block, lengths) in shapes {
+            for &n in lengths {
+                let cells = random_words(n, n as u64);
+                let tagged: Vec<u128> =
+                    (0..n).map(|i| ((rng.gen_range(0..4u64) as u128) << 64) | i as u128).collect();
+                let want_cells = reference(&cells, |c| *c);
+                let want_tagged = reference(&tagged, |c| (c >> 64) as u64);
+                for &(name, run_u64, run_u128) in &bodies {
+                    for threads in [1usize, 2, 3] {
+                        let (mut c, mut t) = (cells.clone(), tagged.clone());
+                        sort_words(&mut c, threads, block, run_u64);
+                        sort_words(&mut t, threads, block, run_u128);
+                        assert!(
+                            c == want_cells,
+                            "{name} u64 n={n} block={block} threads={threads}"
+                        );
+                        assert!(
+                            t == want_tagged,
+                            "{name} u128 n={n} block={block} threads={threads}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn one_block_sorts_and_one_unit_passes_run_on_the_caller() {
+        use std::sync::Mutex;
+        use std::thread::ThreadId;
+        static CALLS: Mutex<Vec<(ThreadId, Pass)>> = Mutex::new(Vec::new());
+        /// The portable body, recording which thread ran which pass.
+        unsafe fn recording(base: *mut u64, shape: Shape, pass: Pass, u0: usize, u1: usize) {
+            CALLS.lock().unwrap().push((std::thread::current().id(), pass));
+            // SAFETY: the caller's contract is `run_pass`'s.
+            unsafe { run_pass::<u64, Windows>(base, shape, pass, u0, u1) }
+        }
+        let caller = std::thread::current().id();
+        let mut v = random_words(BLOCK, 1);
+        sort_words(&mut v, 3, BLOCK, recording);
+        assert!(v.is_sorted());
+        assert_eq!(*CALLS.lock().unwrap(), [(caller, Pass::SortBlocks)], "no worker for one block");
+        CALLS.lock().unwrap().clear();
+        // BLOCK + 1 cells: two blocks, and a flip of one comparator.
+        let mut v = random_words(BLOCK + 1, 2);
+        sort_words(&mut v, 3, BLOCK, recording);
+        assert!(v.is_sorted());
+        let calls = CALLS.lock().unwrap();
+        assert_eq!(calls.len(), 3, "each pass on one thread: {calls:?}");
+        assert!(calls.iter().all(|&(id, _)| id == caller), "{calls:?}");
+    }
+
     #[test]
     fn schedule_sweeps_memory_a_few_dozen_times() {
         let sweeps = |n: usize, block: usize| Shape { n, block }.passes().len();
-        assert_eq!(sweeps(2_109_210, 1 << 12), 66);
-        assert_eq!(sweeps(2_109_210, 1 << 15), 36);
+        // One sweep per flip, per radix-8 triple, per leftover stride and
+        // per block pass: 1 + 2·10 + 21 at 2¹², 1 + 2·7 + 11 at 2¹⁵.
+        assert_eq!(sweeps(2_109_210, 1 << 12), 42);
+        assert_eq!(sweeps(2_109_210, 1 << 15), 26);
         assert_eq!(sweeps(BLOCK, BLOCK), 1, "a sort that fits one block never leaves it");
         assert_eq!(sweeps(BLOCK + 1, BLOCK), 3, "flip, merge");
         assert_eq!(sweeps(0, BLOCK), 1);

@@ -18,9 +18,9 @@ const THREAD_COUNTS: [usize; 4] = [1, 2, 3, 8];
 const GRANULARITIES: [Granularity; 2] = [Granularity::Element, Granularity::Cacheline];
 
 /// The kernel's private block is 2¹² cells. Lengths on both sides of a
-/// register window (8), of the parallelism threshold and one block (4096)
-/// and of the first global round (8192), with the powers of two — the
-/// degenerate, untruncated network — between them.
+/// register window (8), of one block (4096, the longest one-pass schedule,
+/// which runs on the caller) and of the first global round (8192), with
+/// the powers of two — the degenerate, untruncated network — between them.
 const LENGTHS: [usize; 16] =
     [0, 1, 2, 3, 7, 8, 9, 100, 1024, 4095, 4096, 4097, 5000, 8191, 8192, 8201];
 
@@ -116,9 +116,10 @@ fn tagged_kernel_digests_match_scalar_at_both_granularities() {
 fn batched_kernel_is_oblivious_at_both_granularities() {
     // Definition 2.1 with δ=0, directly on the batched kernel: identical
     // traces for any same-length input, at element and cacheline
-    // granularity, serial and threaded (both lengths are past the
-    // parallelism threshold, so threads = 4 runs the barrier path) — at a
-    // power of two and at a length that truncates every round.
+    // granularity, serial and threaded (4096 is one block and runs on the
+    // caller; 4099 is three passes, so threads = 4 spawns workers that meet
+    // at a barrier after each) — at a power of two and at a length that
+    // truncates every round.
     for n in [4096u64, 4099] {
         let inputs: Vec<Vec<u64>> = vec![
             (0..n).collect(),
