@@ -140,7 +140,7 @@ fn bench_compact(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("u64", n), &n, |b, _| {
             b.iter(|| {
                 let mut buf = TrackedBuf::new(0, data.clone());
-                compact_u64(&mut buf, |cell| (cell >> 32) as u32 != u32::MAX, &mut NullTracer);
+                compact_u64(&mut buf, &mut NullTracer);
                 buf.into_inner()
             })
         });

@@ -54,7 +54,7 @@ use olive_oblivious::compact::compact_u64;
 use olive_oblivious::primitives::Oblivious;
 use olive_oblivious::sort_kernel::{bitonic_sort_u64_with, sort_kernel, SortKernel};
 
-use crate::cell::{cell_index, cell_value, dummy_cell, make_cell, DUMMY_INDEX};
+use crate::cell::{cell_index, cell_value, dummy_cell, make_cell};
 use crate::regions::{REGION_G_STAR, REGION_SCRATCH};
 
 use super::linear::average_in_place;
@@ -84,14 +84,11 @@ pub(crate) fn sum_advanced<TR: Tracer>(
 ) -> TrackedBuf<f32> {
     let mut g = sort_and_fold(cells, d, sort_kernel(), threads, tr);
     // Step 4: oblivious compaction; the d real survivors lead, in order.
-    compact_u64(&mut g, is_real, tr);
+    let survivors = compact_u64(&mut g, tr);
+    // Exactly d for honest cells; a hostile cell's index at or past d
+    // survives too, behind them.
+    debug_assert!(survivors >= d, "initialization leaves a survivor per index");
     emit_gstar(&g, d, tr)
-}
-
-/// The compaction's mark: anything but a dummy. (A hostile client cell
-/// carrying `M₀` is a dummy like the fold's own.)
-fn is_real(cell: u64) -> bool {
-    cell_index(cell) != DUMMY_INDEX
 }
 
 /// Steps 1–3 of Algorithm 4, the sort kernel explicit (how the
@@ -324,7 +321,7 @@ mod tests {
     use super::*;
     use crate::aggregation::test_support::*;
     use crate::aggregation::{aggregate_with_threads, reference_average, AggregatorKind};
-    use crate::cell::concat_cells;
+    use crate::cell::{concat_cells, DUMMY_INDEX};
     use olive_memsim::{assert_oblivious, truncated_stage_len, Granularity, NullTracer};
     use olive_oblivious::compact::compact_swap_count;
 
@@ -542,7 +539,7 @@ mod tests {
             };
             let mut tr = RecordingTracer::new(granularity);
             let mut g = sort_and_fold(concat_cells(&updates), d, SortKernel::Scalar, 1, &mut tr);
-            compact_u64(&mut g, is_real, &mut tr);
+            compact_u64(&mut g, &mut tr);
             average_in_place(&mut emit_gstar(&g, d, &mut tr), n, &mut tr);
             assert_eq!(tr.digest().len(), accesses);
             assert_eq!(format!("{:?}", tr.digest()), want, "{granularity:?} scalar network");
@@ -574,7 +571,7 @@ mod tests {
         let network =
             events(&|tr| bitonic_sort_u64_with(&mut scratch(), SortKernel::Scalar, 1, tr));
         let compaction = events(&|tr| {
-            compact_u64(&mut scratch(), is_real, tr);
+            compact_u64(&mut scratch(), tr);
         });
         // Sort 1 and the fold (a read and a write per cell) come first.
         let before = network.len() + 2 * (cells.len() + d);

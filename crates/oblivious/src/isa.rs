@@ -29,3 +29,42 @@ pub(crate) fn isa() -> Isa {
         Isa::Portable
     })
 }
+
+/// One implementation per instruction set, e.g. a kernel's entry points.
+pub(crate) struct PerIsa<F> {
+    pub(crate) portable: F,
+    #[cfg(target_arch = "x86_64")]
+    pub(crate) avx2: F,
+    #[cfg(target_arch = "x86_64")]
+    pub(crate) avx512: F,
+}
+
+impl<F: Copy> PerIsa<F> {
+    /// The implementation for [`isa`]: the widest this CPU runs.
+    pub(crate) fn get(&self) -> F {
+        match isa() {
+            Isa::Portable => self.portable,
+            #[cfg(target_arch = "x86_64")]
+            Isa::Avx2 => self.avx2,
+            #[cfg(target_arch = "x86_64")]
+            Isa::Avx512 => self.avx512,
+        }
+    }
+
+    /// Every implementation this CPU runs, named, portable first — what a
+    /// test calls directly, since [`PerIsa::get`] reaches only the widest.
+    #[cfg(test)]
+    pub(crate) fn runnable(&self) -> Vec<(&'static str, F)> {
+        let mut runnable = vec![("portable", self.portable)];
+        #[cfg(target_arch = "x86_64")]
+        {
+            if std::arch::is_x86_feature_detected!("avx2") {
+                runnable.push(("avx2", self.avx2));
+            }
+            if std::arch::is_x86_feature_detected!("avx512f") {
+                runnable.push(("avx512", self.avx512));
+            }
+        }
+        runnable
+    }
+}

@@ -40,6 +40,8 @@
 
 #![warn(missing_docs)]
 
+#[cfg(target_arch = "x86_64")]
+mod avx512;
 pub mod compact;
 mod isa;
 pub mod meta_scan;

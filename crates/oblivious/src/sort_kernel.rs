@@ -83,12 +83,12 @@
 //! entry points (`SortKernel::Scalar`): it is the oracle the differential
 //! suites compare this kernel against, and nothing selects it at run time.
 //!
-//! `unsafe` here is of three kinds, each block with a `SAFETY:` comment:
+//! `unsafe` here is of two kinds, each block with a `SAFETY:` comment:
 //! workers carve disjoint runs out of one shared base pointer (`run_pass`'s
-//! contract: distinct units of a pass touch disjoint elements); the
+//! contract: distinct units of a pass touch disjoint elements), and the
 //! `#[target_feature]` bodies are entered only after CPU feature
-//! detection; and the AVX-512 tile loads and stores rows of an in-bounds
-//! 64-cell slice.
+//! detection. The AVX-512 tile's row loads, stores and transpose are
+//! `crate::avx512`'s, shared with the compaction.
 
 use std::sync::Barrier;
 
@@ -443,6 +443,7 @@ mod tile {
     use core::arch::x86_64::*;
 
     use super::{window_strides, windows8, Tail, MERGE8, SORT8};
+    use crate::avx512::{load, store, transpose};
 
     /// The 64-cell register tile.
     pub(super) struct Tile;
@@ -473,7 +474,7 @@ mod tile {
     #[inline]
     #[target_feature(enable = "avx512f")]
     fn sort8_tiles(tiles: &mut [u64]) {
-        for tile in tiles.chunks_exact_mut(64) {
+        for tile in tiles.as_chunks_mut::<64>().0 {
             let mut r = transpose(load(tile));
             cex_rows(&mut r, &SORT8);
             store(tile, transpose(r));
@@ -488,7 +489,7 @@ mod tile {
     #[target_feature(enable = "avx512f")]
     fn stride_tiles(tiles: &mut [u64], j: usize) {
         debug_assert!((4..=32).contains(&j));
-        for tile in tiles.chunks_exact_mut(64) {
+        for tile in tiles.as_chunks_mut::<64>().0 {
             let mut r = load(tile);
             if j >= 32 {
                 cex_rows(&mut r, &MERGE8[..4]);
@@ -512,75 +513,6 @@ mod tile {
         for &(a, b) in pairs {
             (r[a], r[b]) = (_mm512_min_epu64(r[a], r[b]), _mm512_max_epu64(r[a], r[b]));
         }
-    }
-
-    /// Cells `8q … 8q + 7` of a 64-cell tile as row `q`.
-    #[inline]
-    #[target_feature(enable = "avx512f")]
-    fn load(tile: &[u64]) -> [__m512i; 8] {
-        assert_eq!(tile.len(), 64);
-        let mut r = [_mm512_setzero_si512(); 8];
-        for (q, row) in r.iter_mut().enumerate() {
-            // SAFETY: cells 8q .. 8q + 8 lie in the 64-cell tile; an
-            // unaligned load has no alignment requirement.
-            *row = unsafe { _mm512_loadu_si512(tile.as_ptr().add(8 * q).cast()) };
-        }
-        r
-    }
-
-    /// Row `q` back to cells `8q … 8q + 7` of a 64-cell tile.
-    #[inline]
-    #[target_feature(enable = "avx512f")]
-    fn store(tile: &mut [u64], r: [__m512i; 8]) {
-        assert_eq!(tile.len(), 64);
-        for (q, row) in r.into_iter().enumerate() {
-            // SAFETY: as in `load`, and `tile` is borrowed exclusively.
-            unsafe { _mm512_storeu_si512(tile.as_mut_ptr().add(8 * q).cast(), row) };
-        }
-    }
-
-    /// Transposes the 8 × 8 matrix of 64-bit cells in eight rows: 8
-    /// unpacks interleave row pairs, then two rounds of 8 shuffles of
-    /// 128-bit blocks gather the pairs. An involution: it also transposes
-    /// back.
-    #[inline]
-    #[target_feature(enable = "avx512f")]
-    fn transpose(r: [__m512i; 8]) -> [__m512i; 8] {
-        // Block b of `t[2p]` is (r[2p][2b], r[2p+1][2b]); of `t[2p+1]`,
-        // (r[2p][2b+1], r[2p+1][2b+1]).
-        let t = [
-            _mm512_unpacklo_epi64(r[0], r[1]),
-            _mm512_unpackhi_epi64(r[0], r[1]),
-            _mm512_unpacklo_epi64(r[2], r[3]),
-            _mm512_unpackhi_epi64(r[2], r[3]),
-            _mm512_unpacklo_epi64(r[4], r[5]),
-            _mm512_unpackhi_epi64(r[4], r[5]),
-            _mm512_unpacklo_epi64(r[6], r[7]),
-            _mm512_unpackhi_epi64(r[6], r[7]),
-        ];
-        // 0x88 takes blocks 0, 2 of each operand, 0xDD blocks 1, 3: `u[0]`
-        // holds columns 0 and 4 of rows 0–3, `u[1]` columns 2 and 6, `u[2]`
-        // 1 and 5, `u[3]` 3 and 7; `u[4..]` the same of rows 4–7.
-        let u = [
-            _mm512_shuffle_i64x2::<0x88>(t[0], t[2]),
-            _mm512_shuffle_i64x2::<0xDD>(t[0], t[2]),
-            _mm512_shuffle_i64x2::<0x88>(t[1], t[3]),
-            _mm512_shuffle_i64x2::<0xDD>(t[1], t[3]),
-            _mm512_shuffle_i64x2::<0x88>(t[4], t[6]),
-            _mm512_shuffle_i64x2::<0xDD>(t[4], t[6]),
-            _mm512_shuffle_i64x2::<0x88>(t[5], t[7]),
-            _mm512_shuffle_i64x2::<0xDD>(t[5], t[7]),
-        ];
-        [
-            _mm512_shuffle_i64x2::<0x88>(u[0], u[4]),
-            _mm512_shuffle_i64x2::<0x88>(u[2], u[6]),
-            _mm512_shuffle_i64x2::<0x88>(u[1], u[5]),
-            _mm512_shuffle_i64x2::<0x88>(u[3], u[7]),
-            _mm512_shuffle_i64x2::<0xDD>(u[0], u[4]),
-            _mm512_shuffle_i64x2::<0xDD>(u[2], u[6]),
-            _mm512_shuffle_i64x2::<0xDD>(u[1], u[5]),
-            _mm512_shuffle_i64x2::<0xDD>(u[3], u[7]),
-        ]
     }
 }
 
