@@ -222,6 +222,9 @@ impl StagedCells {
         w.put_usize(self.cells.len() + self.owed);
     }
 
+    /// Bytes [`StagedCells::save`] writes: two words.
+    pub(crate) const SAVED_LEN: usize = 2 * 8;
+
     pub(crate) fn load(&mut self, r: &mut StateReader) -> Result<(), StateError> {
         *self = StagedCells { cells: Vec::new(), n: r.get_usize()?, owed: r.get_usize()? };
         r.expect_end()
@@ -291,12 +294,14 @@ impl Aggregator for AdvancedStreamer {
     }
 
     /// Configuration plus the [`StagedCells`] descriptor — constant size.
-    fn save_state(&self) -> Vec<u8> {
-        let mut w = StateWriter::new();
+    fn write_state(&self, w: &mut StateWriter) {
         w.put_usize(self.d);
         w.put_usize(self.threads);
-        self.staged.save(&mut w);
-        w.into_bytes()
+        self.staged.save(w);
+    }
+
+    fn state_len(&self) -> usize {
+        2 * 8 + StagedCells::SAVED_LEN
     }
 
     fn load_state(&mut self, bytes: &[u8]) -> Result<(), StateError> {

@@ -164,15 +164,18 @@ impl Aggregator for BaselineStreamer {
         (chunk_clients * k) as u64 * 8
     }
 
-    fn save_state(&self) -> Vec<u8> {
-        let mut w = StateWriter::new();
+    fn write_state(&self, w: &mut StateWriter) {
         w.put_usize(self.d);
         w.put_usize(self.c);
         w.put_usize(self.threads);
         w.put_usize(self.next_cell);
         w.put_usize(self.n);
         w.put_f32s(self.gstar.as_slice_untraced());
-        w.into_bytes()
+    }
+
+    /// Five words, then the length-prefixed padded accumulator.
+    fn state_len(&self) -> usize {
+        5 * 8 + 8 + WEIGHT_BYTES * self.padded
     }
 
     fn load_state(&mut self, bytes: &[u8]) -> Result<(), StateError> {

@@ -136,15 +136,17 @@ impl Aggregator for DoblivStreamer {
     /// Configuration plus the [`StagedCells`] descriptor — constant size.
     /// The padding/shuffle seed is configuration, so finalize draws the
     /// same dummies after a restore.
-    fn save_state(&self) -> Vec<u8> {
-        let mut w = StateWriter::new();
+    fn write_state(&self, w: &mut StateWriter) {
         w.put_usize(self.d);
         w.put_f64(self.epsilon);
         w.put_f64(self.delta);
         w.put_u64(self.seed);
         w.put_usize(self.threads);
-        self.staged.save(&mut w);
-        w.into_bytes()
+        self.staged.save(w);
+    }
+
+    fn state_len(&self) -> usize {
+        5 * 8 + StagedCells::SAVED_LEN
     }
 
     fn load_state(&mut self, bytes: &[u8]) -> Result<(), StateError> {

@@ -217,9 +217,9 @@ impl Aggregator for GroupedStreamer {
     }
 
     /// The running total's bits plus the buffered partial unit (pending
-    /// updates that have not yet filled a group/wave).
-    fn save_state(&self) -> Vec<u8> {
-        let mut w = StateWriter::new();
+    /// updates that have not yet filled a group/wave), each pending update
+    /// encoded straight into the blob as a length-prefixed wire encoding.
+    fn write_state(&self, w: &mut StateWriter) {
         w.put_usize(self.d);
         w.put_usize(self.h);
         w.put_usize(self.threads);
@@ -227,9 +227,14 @@ impl Aggregator for GroupedStreamer {
         w.put_f32s(self.total.as_slice_untraced());
         w.put_usize(self.pending.len());
         for u in &self.pending {
-            w.put_bytes(&u.encode());
+            w.put_usize(u.encoded_len());
+            w.put_with(u.encoded_len(), |out| u.encode_to(out));
         }
-        w.into_bytes()
+    }
+
+    fn state_len(&self) -> usize {
+        let pending: usize = self.pending.iter().map(|u| 8 + u.encoded_len()).sum();
+        4 * 8 + 8 + 4 * self.d + 8 + pending
     }
 
     fn load_state(&mut self, bytes: &[u8]) -> Result<(), StateError> {

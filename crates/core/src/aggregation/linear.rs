@@ -111,13 +111,16 @@ impl Aggregator for LinearStreamer {
     }
 
     /// The accumulator bits, the global `G` offset, and the client count.
-    fn save_state(&self) -> Vec<u8> {
-        let mut w = StateWriter::new();
+    fn write_state(&self, w: &mut StateWriter) {
         w.put_usize(self.d);
         w.put_usize(self.next_cell);
         w.put_usize(self.n);
         w.put_f32s(self.gstar.as_slice_untraced());
-        w.into_bytes()
+    }
+
+    /// Three words, then the length-prefixed accumulator.
+    fn state_len(&self) -> usize {
+        3 * 8 + 8 + 4 * self.d
     }
 
     fn load_state(&mut self, bytes: &[u8]) -> Result<(), StateError> {

@@ -122,13 +122,16 @@ impl Aggregator for OramStreamer {
     /// The ORAM snapshot includes tree, stash, position map and the path
     /// RNG, so a restored streamer continues the exact random path
     /// sequence of the snapshotted one.
-    fn save_state(&self) -> Vec<u8> {
-        let mut w = StateWriter::new();
+    fn write_state(&self, w: &mut StateWriter) {
         w.put_usize(self.d);
         w.put_usize(self.next_cell);
         w.put_usize(self.n);
         w.put_bytes(&self.oram.save_state());
-        w.into_bytes()
+    }
+
+    /// Three words, then the length-prefixed ORAM snapshot.
+    fn state_len(&self) -> usize {
+        3 * 8 + 8 + self.oram.state_len()
     }
 
     fn load_state(&mut self, bytes: &[u8]) -> Result<(), StateError> {

@@ -48,7 +48,7 @@
 //! partitions.
 
 use olive_fl::SparseGradient;
-use olive_memsim::{ParallelTracer, StateError};
+use olive_memsim::{ParallelTracer, StateError, StateWriter};
 
 use super::advanced::AdvancedStreamer;
 use super::baseline::BaselineStreamer;
@@ -104,7 +104,7 @@ pub trait Aggregator: Sized {
         0
     }
 
-    /// Serializes what a sealed mid-round checkpoint must carry of this
+    /// Appends what a sealed mid-round checkpoint must carry of this
     /// aggregator: everything that cannot be recomputed from the round's
     /// own sealed uploads. The accumulating kinds snapshot their whole
     /// state, and loading the blob (`load_state`) into a freshly
@@ -118,7 +118,19 @@ pub trait Aggregator: Sized {
     /// prefix ([`Aggregator::restage`]). Either way, ingesting the
     /// remaining chunks then yields the same output bits and the same
     /// trace as an uninterrupted run.
-    fn save_state(&self) -> Vec<u8>;
+    fn write_state(&self, w: &mut StateWriter);
+
+    /// Bytes [`Aggregator::write_state`] appends, so a restore point is
+    /// allocated once at its final size.
+    fn state_len(&self) -> usize;
+
+    /// [`Aggregator::write_state`] on its own, in a blob of exactly
+    /// [`Aggregator::state_len`] bytes.
+    fn save_state(&self) -> Vec<u8> {
+        let mut w = StateWriter::with_capacity(self.state_len());
+        self.write_state(&mut w);
+        w.into_bytes()
+    }
 
     /// Restores state captured by [`Aggregator::save_state`]. Fails with
     /// [`StateError::Mismatch`] if the blob describes a different
@@ -251,10 +263,13 @@ impl Aggregator for StreamingAggregator {
         dispatch!(self, s => Aggregator::finalize_scratch_bytes(s))
     }
 
-    fn save_state(&self) -> Vec<u8> {
-        let mut out = vec![self.kind_tag()];
-        out.extend(dispatch!(self, s => Aggregator::save_state(s)));
-        out
+    fn write_state(&self, w: &mut StateWriter) {
+        w.put_u8(self.kind_tag());
+        dispatch!(self, s => Aggregator::write_state(s, w))
+    }
+
+    fn state_len(&self) -> usize {
+        1 + dispatch!(self, s => Aggregator::state_len(s))
     }
 
     fn load_state(&mut self, bytes: &[u8]) -> Result<(), StateError> {

@@ -28,7 +28,7 @@ use std::sync::OnceLock;
 
 use olive_data::ClientData;
 use olive_dp::{GaussianMechanism, RdpAccountant};
-use olive_fl::{local_update, sample_clients, ClientConfig, FedAvgServer, SparseGradient};
+use olive_fl::{local_update, sample_clients, ClientConfig, FedAvgServer};
 use olive_memsim::{default_threads, positive_env, FaultPlan, ParallelTracer};
 use olive_nn::Model;
 use olive_tee::{
@@ -40,7 +40,7 @@ use rand::SeedableRng;
 
 use crate::aggregation::advanced::sum_advanced_bytes;
 use crate::aggregation::{AggregatorKind, ShardRuntime, StreamingAggregator};
-use crate::round::{Ledger, RoundEngine, RoundShape, SealedRound};
+use crate::round::{upload_cell_bytes, Ledger, RoundEngine, RoundShape, SealedRound};
 
 pub use crate::round::{RoundError, RoundTelemetry};
 
@@ -491,23 +491,16 @@ impl OliveSystem {
         self.enclave.begin_round(t, sampled.clone());
         let base_floors = self.enclave.replay_floors();
 
-        // Lines 7 + 15–23: local training, sparsify, clip, encrypt.
+        // Lines 7 + 15–23: local training, sparsify, clip, encrypt. The
+        // ciphertexts sit in *untrusted* server memory (no EPC pressure)
+        // until the enclave pulls them in chunk by chunk.
         let global = self.server.params();
         let mut client_cfg = self.cfg.client;
         if let Some(dp) = self.cfg.dp {
             client_cfg.clip = Some(dp.clip);
         }
-        let local_results = self.train_sampled(&sampled, &global, &client_cfg, t);
-
-        // Clients seal their uploads; the ciphertexts sit in *untrusted*
-        // server memory (no EPC pressure) until the enclave pulls them in
-        // chunk by chunk.
-        let sealed: Vec<SealedMessage> = sampled
-            .iter()
-            .zip(local_results.iter())
-            .map(|(&user, sparse)| self.sessions[user as usize].seal_upload(t, &sparse.encode()))
-            .collect();
-        let k = local_results.first().map(|u| u.k()).unwrap_or(0);
+        let sealed = self.train_and_seal(&sampled, &global, &client_cfg, t);
+        let k = sealed.first().map_or(0, |m| upload_cell_bytes(m) / 8);
         let shape = RoundShape { round: t, chunk_size: self.chunk(), threads: self.threads(), k };
         PendingRound { sampled, sealed, shape, base_floors, rng_after_prepare: self.rng.state() }
     }
@@ -739,38 +732,50 @@ impl OliveSystem {
         self.enclave.sign_output(&signed_payload(t, &self.server.params()))
     }
 
-    /// Local training for the sampled users, parallelized across threads
-    /// (client-side compute, outside the enclave).
-    fn train_sampled(
+    /// Each sampled client's whole step — local training, sparsify, clip,
+    /// encode, seal (Algorithm 1 lines 15–23) — parallelized across
+    /// threads (client-side compute, outside the enclave). The sample is
+    /// ascending, so a worker owns the sessions of its own contiguous slice
+    /// of it; it holds one update at a time and reuses one encode buffer.
+    /// The uploads come back in sample order, the same bytes at every
+    /// thread count: each session seals exactly one of them.
+    fn train_and_seal(
         &mut self,
         sampled: &[UserId],
         global: &[f32],
         client_cfg: &ClientConfig,
         round: u64,
-    ) -> Vec<SparseGradient> {
+    ) -> Vec<SealedMessage> {
         let n_threads = self.threads();
         let (clients, seed) = (&self.clients, self.cfg.seed);
-        let train = |model: &mut Model, user: UserId| {
+        let step = |model: &mut Model, buf: &mut Vec<u8>, session: &mut ClientSession| {
+            let user = session.user();
             let data = &clients[user as usize].dataset;
-            local_update(model, global, data, client_cfg, seed ^ (round << 20) ^ user as u64)
+            let update =
+                local_update(model, global, data, client_cfg, seed ^ (round << 20) ^ user as u64);
+            buf.resize(update.encoded_len(), 0);
+            update.encode_to(buf);
+            session.seal_upload(round, buf)
         };
+        let mut sessions = sessions_of(&mut self.sessions, sampled);
         if sampled.len() < 4 || n_threads == 1 {
-            return sampled.iter().map(|&user| train(&mut self.scratch, user)).collect();
+            let (model, mut buf) = (&mut self.scratch, Vec::new());
+            return sessions.into_iter().map(|s| step(model, &mut buf, s)).collect();
         }
-        let template = &self.scratch;
-        let mut results: Vec<Option<SparseGradient>> = vec![None; sampled.len()];
+        let (template, step) = (&self.scratch, &step);
+        let mut uploads: Vec<Option<SealedMessage>> = vec![None; sampled.len()];
         let chunk = sampled.len().div_ceil(n_threads);
         std::thread::scope(|scope| {
-            for (slot_chunk, user_chunk) in results.chunks_mut(chunk).zip(sampled.chunks(chunk)) {
+            for (slots, mine) in uploads.chunks_mut(chunk).zip(sessions.chunks_mut(chunk)) {
                 scope.spawn(move || {
-                    let mut model = template.clone();
-                    for (slot, &user) in slot_chunk.iter_mut().zip(user_chunk.iter()) {
-                        *slot = Some(train(&mut model, user));
+                    let (mut model, mut buf) = (template.clone(), Vec::new());
+                    for (slot, session) in slots.iter_mut().zip(mine) {
+                        *slot = Some(step(&mut model, &mut buf, session));
                     }
                 });
             }
         });
-        results.into_iter().map(|r| r.expect("every slot filled")).collect()
+        uploads.into_iter().map(|u| u.expect("every slot filled")).collect()
     }
 
     /// Verifies an enclave model signature (what a client would do).
@@ -787,6 +792,17 @@ fn signed_payload(t: u64, params: &[f32]) -> Vec<u8> {
         payload.extend_from_slice(&p.to_bits().to_le_bytes());
     }
     payload
+}
+
+/// The sessions of `sampled` — strictly ascending user ids, each its own
+/// session's index — as disjoint mutable borrows, in sample order.
+fn sessions_of<'a>(
+    sessions: &'a mut [ClientSession],
+    sampled: &[UserId],
+) -> Vec<&'a mut ClientSession> {
+    let mut rest = sessions.iter_mut().enumerate();
+    let mut next = |user: UserId| rest.find(|(i, _)| *i == user as usize).expect("ascending");
+    sampled.iter().map(|&user| next(user).1).collect()
 }
 
 /// Algorithm 1 line 1 for a set of clients: the enclave attests under
@@ -880,7 +896,7 @@ mod tests {
     use super::*;
     use olive_data::synthetic::{Generator, SyntheticConfig};
     use olive_data::{partition, LabelAssignment};
-    use olive_fl::Sparsifier;
+    use olive_fl::{SparseGradient, Sparsifier};
     use olive_memsim::NullTracer;
     use olive_nn::zoo::mlp;
     use olive_tee::TeeError;
@@ -997,12 +1013,64 @@ mod tests {
             let mut sys = tiny_system(AggregatorKind::Grouped { h: 2 }, None);
             sys.set_threads(threads);
             assert_eq!(sys.threads(), threads);
-            sys.run_round(&mut NullTracer).expect("round");
-            sys.global_params()
+            let report = sys.run_round(&mut NullTracer).expect("round");
+            (sys.global_params(), report.model_signature)
         };
         let serial = run(1);
         for threads in [2usize, 4] {
-            assert_eq!(serial, run(threads), "threads={threads} changed the global model");
+            let (params, signature) = run(threads);
+            assert_eq!(serial.0, params, "threads={threads} changed the global model");
+            assert_eq!(serial.1, signature, "threads={threads} changed the signed output");
+        }
+    }
+
+    /// Clients seal on their training workers, and no byte depends on how
+    /// many there are: with DP clipping on, every thread count hands the
+    /// enclave the same uploads — user, round, nonce counter, ciphertext —
+    /// and leaves every session's nonce counter where the serial run does
+    /// (the next upload each session seals carries the same counter), for
+    /// a sample split across workers and for a 3-client one, which stays
+    /// serial. The uploads hash to pinned digests.
+    #[test]
+    fn uploads_do_not_depend_on_the_worker_count() {
+        let dp = DpConfig { sigma: 1.0, clip: 0.05, delta: 1e-5 };
+        let pinned = [
+            (8, "36a7be4d26af0f586163c09325e81a57d8496b29e6892573496fa7cbae9e3859"),
+            (3, "201f8767e20f47f7d59ae3da2e424de7b19d05066090158b0fb5be006ff0e701"),
+        ];
+        for (n, digest) in pinned {
+            let run = |threads: usize| {
+                let (model, mut clients, mut cfg) = tiny_parts(AggregatorKind::Advanced, Some(dp));
+                clients.truncate(n);
+                (cfg.n_clients, cfg.sample_rate) = (n, 1.0);
+                let mut sys = OliveSystem::new(model, clients, cfg);
+                sys.set_threads(threads);
+                let sealed = sys.prepare_round().sealed;
+                let next: Vec<u64> =
+                    sys.sessions.iter_mut().map(|s| s.seal_upload(1, &[]).nonce_counter).collect();
+                let fields: Vec<_> = sealed
+                    .into_iter()
+                    .map(|m| (m.user, m.round, m.nonce_counter, m.ciphertext))
+                    .collect();
+                (fields, next)
+            };
+            let (serial, serial_next) = run(1);
+            assert_eq!(serial.len(), n);
+            let mut bytes = Vec::new();
+            for (user, round, counter, ciphertext) in &serial {
+                bytes.extend_from_slice(&user.to_be_bytes());
+                bytes.extend_from_slice(&round.to_be_bytes());
+                bytes.extend_from_slice(&counter.to_be_bytes());
+                bytes.extend_from_slice(ciphertext);
+            }
+            let hex: String =
+                olive_tee::attestation::digest(&bytes).iter().map(|b| format!("{b:02x}")).collect();
+            assert_eq!(hex, digest, "n={n}: the uploads moved");
+            for threads in [2usize, 3] {
+                let (uploads, next) = run(threads);
+                assert_eq!(uploads, serial, "n={n} threads={threads}: uploads differ");
+                assert_eq!(next, serial_next, "n={n} threads={threads}: nonce counters differ");
+            }
         }
     }
 

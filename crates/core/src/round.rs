@@ -84,6 +84,13 @@ const CKPT_LABEL: &[u8] = b"round-ckpt";
 /// v2: the staged kinds' aggregator state is a descriptor, not cells.
 const CKPT_VERSION: u8 = 2;
 
+/// Checkpoint plaintext bytes ahead of the floor entries: version, round,
+/// five sizes, the generator's four words and the floor count.
+const CKPT_HEADER_LEN: usize = 1 + 8 + 5 * 8 + 4 * 8 + 8;
+
+/// Bytes of one replay-floor entry: user, nonce counter.
+const FLOOR_LEN: usize = 4 + 8;
+
 /// Why a round could not run (or resume) to completion. Every variant is
 /// recoverable state, not a panic: the interrupted round stays pending
 /// ([`OliveSystem::interrupted`](crate::olive::OliveSystem::interrupted))
@@ -296,6 +303,9 @@ pub struct SealedRound<'a> {
 ///   ‖ n_floors ‖ n_floors × (u32 user, u64 nonce counter)   — sorted by user
 ///   ‖ bytes StreamingAggregator::save_state()
 /// ```
+///
+/// Everything before the floors is [`CKPT_HEADER_LEN`] bytes, so the
+/// plaintext's size is known before a byte of it is written.
 struct Checkpoint {
     /// Absolute number of chunks folded (a restored engine starts above
     /// zero), the coordinate fault events are addressed by.
@@ -334,8 +344,12 @@ impl Checkpoint {
         }
     }
 
-    fn encode(&self, shape: RoundShape, uploads: usize, agg_state: &[u8]) -> Vec<u8> {
-        let mut w = StateWriter::new();
+    /// The sealed plaintext, written once into a buffer of its exact size:
+    /// the floors in one bulk pass, the aggregator's state straight after
+    /// its length prefix.
+    fn encode(&self, shape: RoundShape, uploads: usize, agg: &StreamingAggregator) -> Vec<u8> {
+        let (floors_len, agg_len) = (FLOOR_LEN * self.floors.len(), agg.state_len());
+        let mut w = StateWriter::with_capacity(CKPT_HEADER_LEN + floors_len + 8 + agg_len);
         w.put_u8(CKPT_VERSION);
         w.put_u64(shape.round);
         w.put_usize(self.chunks_done);
@@ -347,11 +361,14 @@ impl Checkpoint {
             w.put_u64(word);
         }
         w.put_usize(self.floors.len());
-        for &(user, counter) in &self.floors {
-            w.put_u32(user);
-            w.put_u64(counter);
-        }
-        w.put_bytes(agg_state);
+        w.put_with(floors_len, |out| {
+            for (entry, &(user, counter)) in out.chunks_exact_mut(FLOOR_LEN).zip(&self.floors) {
+                entry[..4].copy_from_slice(&user.to_le_bytes());
+                entry[4..].copy_from_slice(&counter.to_le_bytes());
+            }
+        });
+        w.put_usize(agg_len);
+        agg.write_state(&mut w);
         w.into_bytes()
     }
 
@@ -394,12 +411,16 @@ impl Checkpoint {
     }
 }
 
-/// Enclave-resident bytes of one *staged* upload chunk: the decoded
-/// `(index, value)` pairs (8 B per transmitted cell, read off the public
-/// ciphertext lengths: payload = 8-byte header + 8k, ciphertext =
-/// payload + 16-byte tag).
+/// Bytes of one upload's decoded `(index, value)` pairs — 8 per
+/// transmitted cell, read off the public ciphertext length: payload =
+/// 8-byte header + 8k, ciphertext = payload + 16-byte tag.
+pub(crate) fn upload_cell_bytes(msg: &SealedMessage) -> usize {
+    msg.ciphertext.len().saturating_sub(8 + 16)
+}
+
+/// Enclave-resident bytes of one *staged* upload chunk.
 fn staged_chunk_bytes(msgs: &[SealedMessage]) -> u64 {
-    msgs.iter().map(|m| m.ciphertext.len().saturating_sub(8 + 16) as u64).sum()
+    msgs.iter().map(|m| upload_cell_bytes(m) as u64).sum()
 }
 
 /// Opens one chunk of uploads — `msgs`, positions `first_slot..` of the
@@ -673,7 +694,7 @@ impl RoundEngine {
         let chunks_done = self.ckpt.chunks_done as u64;
         let mut span =
             self.ledger.telemetry.span("checkpoint_seal", &[("chunks_done", chunks_done.into())]);
-        let plain = self.ckpt.encode(self.shape, uploads, &self.checkpoint_state());
+        let plain = self.ckpt.encode(self.shape, uploads, &self.agg);
         let sealed = self.ledger.transient(plain.len() as u64, || enclave.seal(&plain, CKPT_LABEL));
         let blob_bytes = sealed.len() as u64;
         span.field("blob_bytes", blob_bytes.into());
@@ -756,6 +777,7 @@ impl RoundEngine {
 
     /// The aggregator's serialized state — its share of a sealed restore
     /// point.
+    #[cfg(test)]
     pub(crate) fn checkpoint_state(&self) -> Vec<u8> {
         self.agg.save_state()
     }
@@ -1071,15 +1093,16 @@ mod tests {
             want.extend(sealed[..3 * (i + 1)].iter().map(|m| (m.user, m.nonce_counter)));
             assert_eq!(ckpt.floors, want.into_iter().collect::<Vec<_>>(), "after chunk {i}");
         }
-        let plain = ckpt.encode(shape, 7, &[9, 8, 7]);
+        let agg = StreamingAggregator::new(kind, 16, 1);
+        let plain = ckpt.encode(shape, 7, &agg);
         let (back, agg_state) =
             Checkpoint::decode(&plain, shape, 7).expect("sealed for this shape");
         assert_eq!(
             (back.chunks_done, back.rng_state, agg_state),
-            (2, [1, 2, 3, 4], &[9u8, 8, 7][..])
+            (2, [1, 2, 3, 4], &agg.save_state()[..])
         );
         assert_eq!(back.floors, ckpt.floors);
-        assert_eq!(back.encode(shape, 7, agg_state), plain);
+        assert_eq!(back.encode(shape, 7, &agg), plain);
 
         let mismatch = |shape, uploads| {
             assert_eq!(
@@ -1103,7 +1126,7 @@ mod tests {
             assert!(Checkpoint::decode(&plain[..cut], shape, 7).is_err(), "truncated at {cut}");
         }
         ckpt.chunks_done = 4; // 7 uploads in chunks of 3 make 3 chunks
-        let overrun = ckpt.encode(shape, 7, &[]);
+        let overrun = ckpt.encode(shape, 7, &agg);
         assert_eq!(Checkpoint::decode(&overrun, shape, 7).err(), Some(StateError::Corrupt));
     }
 

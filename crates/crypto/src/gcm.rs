@@ -203,13 +203,28 @@ impl AesGcm {
     /// Encrypts `plaintext`, authenticating `aad` as well. Returns
     /// `ciphertext || tag`.
     pub fn seal(&self, nonce: &[u8; NONCE_LEN], plaintext: &[u8], aad: &[u8]) -> Vec<u8> {
-        let j0 = self.j0(nonce);
         let mut out = Vec::with_capacity(plaintext.len() + TAG_LEN);
-        out.extend_from_slice(plaintext);
-        self.ctr_xor(&j0, &mut out);
-        let tag = self.tag(&j0, aad, &out);
-        out.extend_from_slice(&tag);
+        self.seal_into(nonce, plaintext, aad, &mut out);
         out
+    }
+
+    /// [`AesGcm::seal`], appending `ciphertext || tag` to `out` (after a
+    /// prefix the caller already wrote): the plaintext is copied once and
+    /// encrypted in place.
+    pub fn seal_into(
+        &self,
+        nonce: &[u8; NONCE_LEN],
+        plaintext: &[u8],
+        aad: &[u8],
+        out: &mut Vec<u8>,
+    ) {
+        let j0 = self.j0(nonce);
+        out.reserve(plaintext.len() + TAG_LEN);
+        let start = out.len();
+        out.extend_from_slice(plaintext);
+        self.ctr_xor(&j0, &mut out[start..]);
+        let tag = self.tag(&j0, aad, &out[start..]);
+        out.extend_from_slice(&tag);
     }
 
     /// Verifies and decrypts `ciphertext || tag` produced by [`Self::seal`].
@@ -396,6 +411,22 @@ mod tests {
             let mut block = j0;
             block[12..].copy_from_slice(&counter.to_be_bytes());
             assert_eq!(stream[16 * i..16 * i + 16], aes.encrypt(block), "block {i}");
+        }
+    }
+
+    /// Sealing after a prefix leaves the prefix alone and appends exactly
+    /// what `seal` returns, on every backend.
+    #[test]
+    fn seal_into_appends_the_sealed_bytes_after_a_prefix() {
+        for backend in crate::engine::available_backends() {
+            let g = AesGcm::with_backend(backend, &[5u8; 32]).unwrap();
+            for len in [0usize, 1, 16, 17, 129, 1000] {
+                let pt: Vec<u8> = (0..len).map(|i| (i * 13 % 256) as u8).collect();
+                let mut out = b"counter!".to_vec();
+                g.seal_into(&[4u8; 12], &pt, b"aad", &mut out);
+                assert_eq!(&out[..8], b"counter!", "{backend}: len {len}");
+                assert_eq!(out[8..], g.seal(&[4u8; 12], &pt, b"aad"), "{backend}: len {len}");
+            }
         }
     }
 

@@ -136,14 +136,27 @@ impl SparseGradient {
     /// Serializes to the wire format the client encrypts:
     /// `d:u32 ‖ k:u32 ‖ (index:u32 ‖ value:f32-bits)×k`, little-endian.
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(8 + self.k() * 8);
-        out.extend_from_slice(&(self.dense_dim as u32).to_le_bytes());
-        out.extend_from_slice(&(self.k() as u32).to_le_bytes());
-        for (&i, &v) in self.indices.iter().zip(self.values.iter()) {
-            out.extend_from_slice(&i.to_le_bytes());
-            out.extend_from_slice(&v.to_bits().to_le_bytes());
-        }
+        let mut out = vec![0; self.encoded_len()];
+        self.encode_to(&mut out);
         out
+    }
+
+    /// Bytes of the wire format: 8 + 8k.
+    pub fn encoded_len(&self) -> usize {
+        8 + 8 * self.k()
+    }
+
+    /// [`SparseGradient::encode`] into a caller's buffer of exactly
+    /// [`SparseGradient::encoded_len`] bytes, in one pass: a cell is one
+    /// 8-byte store, `value bits << 32 | index` little-endian.
+    pub fn encode_to(&self, out: &mut [u8]) {
+        assert_eq!(out.len(), self.encoded_len(), "encode buffer length");
+        let (head, cells) = out.split_at_mut(8);
+        head[..4].copy_from_slice(&(self.dense_dim as u32).to_le_bytes());
+        head[4..].copy_from_slice(&(self.k() as u32).to_le_bytes());
+        for ((dst, &i), &v) in cells.chunks_exact_mut(8).zip(&self.indices).zip(&self.values) {
+            dst.copy_from_slice(&((u64::from(v.to_bits()) << 32) | u64::from(i)).to_le_bytes());
+        }
     }
 
     /// Parses the wire format. Returns `None` on malformed input.
@@ -363,6 +376,17 @@ mod tests {
         let sg = SparseGradient::from_dense(&dense, Sparsifier::TopK(3), &mut rng());
         let bytes = sg.encode();
         assert_eq!(SparseGradient::decode(&bytes).unwrap(), sg);
+    }
+
+    #[test]
+    fn encode_writes_the_documented_wire_format_over_any_buffer() {
+        let sg = SparseGradient { dense_dim: 9, indices: vec![2, 7], values: vec![1.5, -0.0] };
+        let words = [9, 2, 2, 1.5f32.to_bits(), 7, (-0.0f32).to_bits()];
+        let want: Vec<u8> = words.iter().flat_map(|w: &u32| w.to_le_bytes()).collect();
+        assert_eq!((sg.encoded_len(), sg.encode()), (want.len(), want.clone()));
+        let mut reused = vec![0xAA; sg.encoded_len()];
+        sg.encode_to(&mut reused);
+        assert_eq!(reused, want);
     }
 
     #[test]

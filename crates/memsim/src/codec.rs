@@ -39,6 +39,9 @@ impl Error for StateError {}
 #[derive(Default)]
 pub struct StateWriter {
     buf: Vec<u8>,
+    /// The exact size promised by [`StateWriter::with_capacity`], checked
+    /// when the blob is taken.
+    reserved: Option<usize>,
 }
 
 impl StateWriter {
@@ -47,9 +50,28 @@ impl StateWriter {
         Self::default()
     }
 
+    /// Start an empty blob that will be exactly `len` bytes: the buffer is
+    /// allocated once, and [`StateWriter::into_bytes`] debug-asserts that
+    /// the writes filled it to the byte.
+    pub fn with_capacity(len: usize) -> Self {
+        StateWriter { buf: Vec::with_capacity(len), reserved: Some(len) }
+    }
+
     /// Finish and take the serialized bytes.
     pub fn into_bytes(self) -> Vec<u8> {
+        if let Some(len) = self.reserved {
+            debug_assert_eq!(self.buf.len(), len, "a state blob must fill its reservation exactly");
+        }
         self.buf
+    }
+
+    /// Append `len` bytes in one pass: `fill` writes them into a zeroed
+    /// slice of exactly that length (bulk fields — replay floors, encoded
+    /// updates — without a push per element).
+    pub fn put_with(&mut self, len: usize, fill: impl FnOnce(&mut [u8])) {
+        let start = self.buf.len();
+        self.buf.resize(start + len, 0);
+        fill(&mut self.buf[start..]);
     }
 
     /// Append a single byte (used for tags).
@@ -86,21 +108,21 @@ impl StateWriter {
     /// Append a length-prefixed `u32` slice.
     pub fn put_u32s(&mut self, v: &[u32]) {
         self.put_usize(v.len());
-        let start = self.buf.len();
-        self.buf.resize(start + 4 * v.len(), 0);
-        for (dst, &x) in self.buf[start..].chunks_exact_mut(4).zip(v) {
-            dst.copy_from_slice(&x.to_le_bytes());
-        }
+        self.put_with(4 * v.len(), |out| {
+            for (dst, &x) in out.chunks_exact_mut(4).zip(v) {
+                dst.copy_from_slice(&x.to_le_bytes());
+            }
+        });
     }
 
     /// Append a length-prefixed `f32` slice (bit patterns).
     pub fn put_f32s(&mut self, v: &[f32]) {
         self.put_usize(v.len());
-        let start = self.buf.len();
-        self.buf.resize(start + 4 * v.len(), 0);
-        for (dst, &x) in self.buf[start..].chunks_exact_mut(4).zip(v) {
-            dst.copy_from_slice(&x.to_bits().to_le_bytes());
-        }
+        self.put_with(4 * v.len(), |out| {
+            for (dst, &x) in out.chunks_exact_mut(4).zip(v) {
+                dst.copy_from_slice(&x.to_bits().to_le_bytes());
+            }
+        });
     }
 }
 
@@ -225,6 +247,25 @@ mod tests {
             vec![1.5f32.to_bits(), (-2.25f32).to_bits(), (-0.0f32).to_bits()]
         );
         r.expect_end().unwrap();
+    }
+
+    #[test]
+    fn a_reserved_blob_is_allocated_once_and_filled_in_bulk() {
+        let mut w = StateWriter::with_capacity(8 + 6);
+        w.put_u64(3);
+        w.put_with(6, |out| out.copy_from_slice(b"bulk!!"));
+        let bytes = w.into_bytes();
+        assert_eq!((bytes.len(), bytes.capacity()), (14, 14));
+        assert_eq!(&bytes[8..], b"bulk!!");
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "fill its reservation exactly")]
+    fn a_reservation_the_writes_miss_is_caught() {
+        let mut w = StateWriter::with_capacity(9);
+        w.put_u64(3);
+        w.into_bytes();
     }
 
     #[test]

@@ -22,13 +22,17 @@ use crate::posmap::{PosMap, PosMapKind, POS_BLOCK_FANOUT};
 /// (tree, stash, position map, path RNG) can be snapshotted into a
 /// sealed checkpoint and restored bit-exactly.
 pub trait BlockCodec: Sized {
-    /// Append this value's encoding. Must be fixed-width per type.
+    /// Bytes of one encoded value (the width is fixed per type).
+    const ENCODED_LEN: usize;
+    /// Append this value's encoding: exactly [`BlockCodec::ENCODED_LEN`]
+    /// bytes.
     fn encode_into(&self, w: &mut StateWriter);
     /// Decode one value back.
     fn decode_from(r: &mut StateReader<'_>) -> Result<Self, StateError>;
 }
 
 impl BlockCodec for u64 {
+    const ENCODED_LEN: usize = 8;
     fn encode_into(&self, w: &mut StateWriter) {
         w.put_u64(*self);
     }
@@ -606,9 +610,16 @@ impl<V: Oblivious + Default + BlockCodec> PathOram<V> {
     /// (`checkpoint_blob_layout_is_stable_across_versions` pins this
     /// against committed v0 fixture blobs).
     pub fn save_state(&self) -> Vec<u8> {
-        let mut w = StateWriter::new();
+        let mut w = StateWriter::with_capacity(self.state_len());
         self.save_into(&mut w);
         w.into_bytes()
+    }
+
+    /// Bytes [`PathOram::save_state`] writes: the geometry, every tree and
+    /// stash slot, the position map, the path RNG and two counters.
+    pub fn state_len(&self) -> usize {
+        let slots = (self.tree.len() + self.stash.len()) * (8 + V::ENCODED_LEN);
+        8 + 4 + 4 + 2 * 8 + slots + self.posmap.saved_len() + 4 * 8 + 8 + 8
     }
 
     /// Restores state captured by [`PathOram::save_state`] into this

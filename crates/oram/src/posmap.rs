@@ -21,6 +21,7 @@ impl Default for PosBlock {
 }
 
 impl BlockCodec for PosBlock {
+    const ENCODED_LEN: usize = 4 * POS_BLOCK_FANOUT;
     fn encode_into(&self, w: &mut StateWriter) {
         for &x in &self.0 {
             w.put_u32(x);
@@ -140,6 +141,15 @@ impl PosMap {
                 w.put_u8(2);
                 oram.save_into(w);
             }
+        }
+    }
+
+    /// Bytes [`PosMap::save_into`] writes.
+    pub(crate) fn saved_len(&self) -> usize {
+        match self {
+            PosMap::Trusted(v) => 1 + 8 + 4 * v.len(),
+            PosMap::Linear(buf) => 1 + 8 + 4 * buf.len(),
+            PosMap::Recursive(oram) => 1 + oram.state_len(),
         }
     }
 

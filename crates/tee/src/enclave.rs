@@ -8,7 +8,7 @@
 use std::collections::{HashMap, HashSet};
 
 use olive_crypto::dh::DhKeyPair;
-use olive_crypto::gcm::NONCE_LEN;
+use olive_crypto::gcm::{NONCE_LEN, TAG_LEN};
 use olive_crypto::CryptoEngine;
 use olive_telemetry::Telemetry;
 
@@ -332,14 +332,17 @@ impl Enclave {
     /// past every counter it sees, so the supported restart flow — unseal
     /// persisted state, then reseal — never reuses a nonce; a deployment
     /// would pin the floor in rollback-protected storage.
+    ///
+    /// The blob is allocated once at its final size: the counter, then the
+    /// plaintext copied in and encrypted in place, then the tag.
     pub fn seal(&mut self, plaintext: &[u8], label: &[u8]) -> Vec<u8> {
         let counter = self.seal_counters.entry(label.to_vec()).or_insert(0);
         *counter += 1;
         let nonce = seal_nonce(label, *counter);
         let gcm = self.engine.aes_gcm(&self.sealing_key).expect("32-byte key");
-        let mut out = Vec::with_capacity(8 + plaintext.len() + 16);
+        let mut out = Vec::with_capacity(8 + plaintext.len() + TAG_LEN);
         out.extend_from_slice(&counter.to_be_bytes());
-        out.extend_from_slice(&gcm.seal(&nonce, plaintext, label));
+        gcm.seal_into(&nonce, plaintext, label, &mut out);
         self.telemetry.count("sealed_bytes", self.engine.backend().name(), plaintext.len() as u64);
         out
     }

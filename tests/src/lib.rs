@@ -144,6 +144,11 @@ pub fn random_updates(n: usize, k: usize, d: usize, seed: u64) -> Vec<SparseGrad
         .collect()
 }
 
+/// SHA-256 of `bytes` as lowercase hex — the form byte pins are kept in.
+pub fn sha256_hex(bytes: &[u8]) -> String {
+    olive_crypto::sha256(bytes).iter().map(|b| format!("{b:02x}")).collect()
+}
+
 /// One of every aggregator kind (both Baseline granularities).
 pub fn all_kinds() -> Vec<AggregatorKind> {
     vec![

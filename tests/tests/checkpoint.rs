@@ -15,7 +15,7 @@
 
 use olive_core::aggregation::AggregatorKind;
 use olive_core::olive::{DpConfig, OliveSystem, RoundError, RoundReport};
-use olive_integration_tests::small_system;
+use olive_integration_tests::{sha256_hex, small_system};
 use olive_memsim::{FaultPlan, Granularity, RecordingTracer, TraceDigest};
 use olive_tee::TeeError;
 
@@ -182,6 +182,36 @@ fn advanced_checkpoint_bytes_are_linear_in_chunks() {
             report.telemetry.ckpt_bytes
         );
         assert!(per_blob < n * k * 8, "the bound is below even one blob of staged cells");
+    }
+}
+
+/// The sealed restore point pinned byte for byte: the blob a round leaves
+/// in untrusted storage when it is killed after chunk 1 — counter prefix,
+/// ciphertext, tag — hashes to a pinned SHA-256. Grouped on two threads
+/// (parallel clients, a pending partial wave in the state) and Advanced
+/// (a descriptor); one shard, whatever `OLIVE_SHARDS` says.
+#[test]
+fn sealed_round_blob_is_pinned() {
+    let pinned = [
+        (
+            AggregatorKind::Grouped { h: 3 },
+            2,
+            "51a08b1b26178c170a004adc1163a3ac03deb46e6b0fe36c2778cd354f2fdde0",
+        ),
+        (
+            AggregatorKind::Advanced,
+            1,
+            "d16eec50f754e281653f1044f56e4f56d92132be2b5d1d0a2146b17b987956cf",
+        ),
+    ];
+    for (kind, threads, digest) in pinned {
+        let mut sys = fresh(kind, None, 41, 2, threads);
+        sys.set_shards(1);
+        crash_after(&mut sys, 1);
+        let mut tr = RecordingTracer::new(Granularity::Element);
+        assert_eq!(sys.run_round(&mut tr).unwrap_err(), killed(1), "{kind:?}");
+        let blob = sys.checkpoint_blob().expect("sealed before the crash");
+        assert_eq!(sha256_hex(blob), digest, "{kind:?}: the sealed blob moved");
     }
 }
 

@@ -9,7 +9,7 @@ use olive_core::aggregation::{
     aggregate_with_threads, reference_average, Aggregator, AggregatorKind, StreamingAggregator,
 };
 use olive_fl::SparseGradient;
-use olive_integration_tests::{all_kinds, random_updates};
+use olive_integration_tests::{all_kinds, random_updates, sha256_hex};
 use olive_memsim::{assert_oblivious, Granularity, NullTracer, RecordingTracer, TraceDigest};
 
 fn stream(
@@ -101,6 +101,35 @@ fn streaming_is_oblivious_at_fixed_chunk_schedule() {
                 });
             }
         }
+    }
+}
+
+/// Restore-point bytes pinned, not just round-tripped: every kind's share
+/// of a checkpoint after two chunks of a fixed-seed round hashes to a
+/// pinned SHA-256, and is exactly `state_len` bytes. A writer that
+/// reorders, drops or re-encodes a field fails here even when its own
+/// reader would accept the result.
+#[test]
+fn save_state_bytes_are_pinned_for_every_kind() {
+    let pinned = [
+        "e079cf61ca53d7e666bc3cecfb73902315752340d871ee9046e3f86e6d73c0e0",
+        "a046cf9906631977c268c7efe8755cd263ffd9b55c436977fb6b2ed783ac8e99",
+        "cdc2c614adc609b12293419cfa2db4e151aac885f9f1d5f043cdb965171e9abc",
+        "27c37331bd33f767c215874d73004ede7e2230c6f9b079412c8ee621eca68ba7",
+        "1f1afd41669c39c458b649bdc25c29278a055ab89fef80d00069a593f7a7af84",
+        "c4584bd55217bb8c4395d82d34afbeec03f87080511f82c80af87cebda6f4ea3",
+        "3d458de2706a84c1d6e0a2b8510c3a6dd1f1772496ddca635f7cc6baa36a4803",
+    ];
+    let (d, k, chunk) = (96, 6, 5);
+    let updates = random_updates(2 * chunk, k, d, 2024);
+    for (kind, digest) in all_kinds().into_iter().zip(pinned) {
+        let mut agg = StreamingAggregator::new(kind, d, 1);
+        for c in updates.chunks(chunk) {
+            agg.ingest(c, &mut NullTracer);
+        }
+        let state = agg.save_state();
+        assert_eq!(state.len(), agg.state_len(), "{kind:?}");
+        assert_eq!(sha256_hex(&state), digest, "{kind:?}: the state bytes moved");
     }
 }
 
