@@ -124,20 +124,18 @@ impl Aggregator for BaselineStreamer {
         if workers == 1 {
             scan_cells(cells, d, c, data, 0);
         } else {
-            // Contiguous disjoint G* ranges; each worker applies every
-            // cell to its own range, preserving the serial per-slot
-            // accumulation order.
-            std::thread::scope(|scope| {
-                let mut rest = data;
-                let mut lo = 0usize;
-                for w in 0..workers {
-                    let hi = padded * (w + 1) / workers;
-                    let (chunk_slice, tail) = rest.split_at_mut(hi - lo);
-                    rest = tail;
-                    scope.spawn(move || scan_cells(cells, d, c, chunk_slice, lo));
-                    lo = hi;
-                }
-            });
+            // Contiguous disjoint G* ranges; each worker (the caller
+            // first, then pool threads) applies every cell to its own
+            // range, preserving the serial per-slot accumulation order.
+            let mut rest = data;
+            let mut lo = 0usize;
+            olive_oblivious::pool::join((0..workers).map(|w| {
+                let hi = padded * (w + 1) / workers;
+                let (range, tail) = std::mem::take(&mut rest).split_at_mut(hi - lo);
+                rest = tail;
+                let start = std::mem::replace(&mut lo, hi);
+                move || scan_cells(cells, d, c, range, start)
+            }));
         }
     }
 

@@ -15,8 +15,10 @@
 //! # Parallelism
 //!
 //! Groups are independent until the carry, so the per-group sorts (the
-//! dominant cost) run on `threads` worker threads. Three invariants make
-//! this safe and reproducible:
+//! dominant cost) run on `threads` workers of the process's worker pool
+//! (`olive_oblivious::pool`): one group per worker, the calling thread
+//! taking the wave's first group, with no thread started or left waiting
+//! per wave. Three invariants make this safe and reproducible:
 //!
 //! * **Obliviousness is preserved.** Work is split into waves of `threads`
 //!   groups by *position*, each worker traces into its own forked tracer,
@@ -58,8 +60,9 @@ fn carry_into<TR: Tracer>(partial: &TrackedBuf<f32>, total: &mut TrackedBuf<f32>
     }
 }
 
-/// Runs one wave of up to `threads` groups on scoped worker threads,
-/// joining traces and folding partials strictly in group order.
+/// Runs one wave of up to `threads` groups, one per worker — group 0 on
+/// the calling thread, the rest on the pool — joining traces and folding
+/// partials strictly in group order.
 fn run_wave<TR: ParallelTracer>(
     wave: &[SparseGradient],
     d: usize,
@@ -76,15 +79,14 @@ fn run_wave<TR: ParallelTracer>(
     let intra = (threads / groups.len()).max(1);
     let mut slots: Vec<Option<(TrackedBuf<f32>, TR::Worker)>> =
         (0..groups.len()).map(|_| None).collect();
-    std::thread::scope(|scope| {
-        for (slot, group) in slots.iter_mut().zip(groups) {
-            let mut wtr = tr.fork_worker();
-            scope.spawn(move || {
-                let partial = sum_advanced(concat_cells(group), d, intra, &mut wtr);
-                *slot = Some((partial, wtr));
-            });
+    // Worker tracers are forked in group order, each as its task is made.
+    olive_oblivious::pool::join(slots.iter_mut().zip(groups).map(|(slot, group)| {
+        let mut wtr = tr.fork_worker();
+        move || {
+            let partial = sum_advanced(concat_cells(group), d, intra, &mut wtr);
+            *slot = Some((partial, wtr));
         }
-    });
+    }));
     // Join worker traces and fold partials strictly in group
     // order, regardless of which thread finished first.
     let (partials, workers): (Vec<_>, Vec<_>) =
@@ -100,7 +102,7 @@ fn run_wave<TR: ParallelTracer>(
 ///
 /// `threads = 1` (or a single group) runs the serial schedule and
 /// reproduces the exact pre-parallel trace. Any `threads >= 2` runs groups
-/// on scoped worker threads; the output is bitwise identical to serial for
+/// on pool workers; the output is bitwise identical to serial for
 /// every thread count, and the merged trace is deterministic for a fixed
 /// `(shape, threads)` pair.
 ///

@@ -14,10 +14,11 @@
 //!    [`RoundEngine`]'s sealed-round driver (`open` from the checkpoint
 //!    store → `ingest` → `finish`; this module only supplies the preamble
 //!    — sample–train–seal, or after a crash relaunch–re-attest–
-//!    re-provision): uploads are opened in batches
-//!    ([`Enclave::open_upload_batch`]) and folded incrementally, bounding
-//!    the enclave working set at O(chunk·k + d·threads) and overlapping
-//!    decryption of chunk i+1 with aggregation of chunk i;
+//!    re-provision): uploads are opened a chunk at a time (decrypted
+//!    across the round's workers, accepted in upload order — the verdicts
+//!    of [`Enclave::open_upload_batch`]) and folded incrementally,
+//!    bounding the enclave working set at O(chunk·k + d·threads), with
+//!    chunk i+1 staged while chunk i folds;
 //! 5. in DP mode the enclave perturbs the aggregate with Gaussian noise
 //!    calibrated to (σ, C) before it leaves the enclave (Algorithm 6
 //!    line 12), and the RDP accountant tracks the spent budget;
@@ -430,9 +431,9 @@ impl OliveSystem {
     ///
     /// The enclave never materializes the whole round: the sealed uploads
     /// go through the [`RoundEngine`] in chunks of [`OliveSystem::chunk`]
-    /// clients (its ledger charging the EPC budget per chunk; with a
-    /// worker-thread budget ≥ 2, chunk i+1 is opened on a spare thread
-    /// while chunk i aggregates). The round output and the aggregation
+    /// clients (its ledger charging the EPC budget per chunk; each chunk
+    /// folds and then the next one opens, each step on all of the round's
+    /// workers). The round output and the aggregation
     /// trace are bitwise identical at every chunk size (the streaming
     /// contract), so this changes memory and throughput, never results.
     ///
@@ -733,10 +734,11 @@ impl OliveSystem {
     }
 
     /// Each sampled client's whole step — local training, sparsify, clip,
-    /// encode, seal (Algorithm 1 lines 15–23) — parallelized across
-    /// threads (client-side compute, outside the enclave). The sample is
-    /// ascending, so a worker owns the sessions of its own contiguous slice
-    /// of it; it holds one update at a time and reuses one encode buffer.
+    /// encode, seal (Algorithm 1 lines 15–23) — parallelized across the
+    /// round's workers, the caller and pool threads (client-side compute,
+    /// outside the enclave). The sample is ascending, so a worker owns the
+    /// sessions of its own contiguous slice of it; it holds one update at a
+    /// time and reuses one encode buffer.
     /// The uploads come back in sample order, the same bytes at every
     /// thread count: each session seals exactly one of them.
     fn train_and_seal(
@@ -763,19 +765,17 @@ impl OliveSystem {
             return sessions.into_iter().map(|s| step(model, &mut buf, s)).collect();
         }
         let (template, step) = (&self.scratch, &step);
-        let mut uploads: Vec<Option<SealedMessage>> = vec![None; sampled.len()];
         let chunk = sampled.len().div_ceil(n_threads);
-        std::thread::scope(|scope| {
-            for (slots, mine) in uploads.chunks_mut(chunk).zip(sessions.chunks_mut(chunk)) {
-                scope.spawn(move || {
+        let mut parts: Vec<Vec<SealedMessage>> = vec![Vec::new(); sampled.len().div_ceil(chunk)];
+        olive_oblivious::pool::join(parts.iter_mut().zip(sessions.chunks_mut(chunk)).map(
+            |(part, mine)| {
+                move || {
                     let (mut model, mut buf) = (template.clone(), Vec::new());
-                    for (slot, session) in slots.iter_mut().zip(mine) {
-                        *slot = Some(step(&mut model, &mut buf, session));
-                    }
-                });
-            }
-        });
-        uploads.into_iter().map(|u| u.expect("every slot filled")).collect()
+                    part.extend(mine.iter_mut().map(|session| step(&mut model, &mut buf, session)));
+                }
+            },
+        ));
+        parts.into_iter().flatten().collect()
     }
 
     /// Verifies an enclave model signature (what a client would do).
@@ -1226,7 +1226,7 @@ mod tests {
     /// One upload the enclave cannot authenticate (it holds a wrong key
     /// for the user: to the enclave, a tampered ciphertext) ends `run_round`
     /// with the slot named, the round pending and every budget balanced, on
-    /// one thread and across the opener thread alike. The chunks before it
+    /// one worker and across two alike. The chunks before it
     /// are checkpointed, so once the slot verifies (a restore re-registers
     /// every session) the round finishes bitwise, one tracer over both legs.
     #[test]

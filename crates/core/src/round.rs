@@ -12,9 +12,9 @@
 //!   │  the round's shape → load_state → resume (floors, re-staged prefix);
 //!   │  an empty store: chunk 0 from the round-start floors and generator
 //! .ingest(uploads, enclave, store, tracer)     per remaining chunk i:
-//!   │  open chunk i+1 while chunk i folds → advance + seal the restore
-//!   │  point, pin the rollback floor → crash hook → only then look at
-//!   │  chunk i+1's refusal
+//!   │  fold chunk i, then open chunk i+1 (each on all t workers) →
+//!   │  advance + seal the restore point, pin the rollback floor → crash
+//!   │  hook → only then look at chunk i+1's refusal
 //! .finish(tracer) → Δ̃        every failure on the way: (error, RoundEnd)
 //! ```
 //!
@@ -43,9 +43,9 @@
 //!
 //! The charge schedule per chunk is a pure function of the public chunk
 //! schedule: the chunk's staged plaintext, the aggregator's transient
-//! ingest scratch, and the *next* chunk's staging (live while this chunk
-//! folds, because it is being opened concurrently), then one resize of
-//! the aggregator's persistent state.
+//! ingest scratch, and the *next* chunk's staging (live for the whole
+//! fold, Algorithm 1's double buffer), then one resize of the
+//! aggregator's persistent state.
 //!
 //! # The restore point
 //!
@@ -423,21 +423,49 @@ fn staged_chunk_bytes(msgs: &[SealedMessage]) -> u64 {
     msgs.iter().map(|m| upload_cell_bytes(m) as u64).sum()
 }
 
-/// Opens one chunk of uploads — `msgs`, positions `first_slot..` of the
-/// round — through [`Enclave::open_upload_batch`] and decodes the
-/// plaintext gradient encodings: the prefetch half of a fold and the
-/// restore path's re-open. The first upload that fails to verify or
-/// decode fails the chunk with [`RoundError::Upload`] (a malformed
-/// encoding under a valid tag reads as [`TeeError::AuthFailure`]).
+/// Opens one chunk of uploads and decodes the plaintext gradient
+/// encodings, one result per upload: [`Enclave::open_upload_batch`]'s
+/// verdicts, with a malformed encoding under a valid tag read as
+/// [`TeeError::AuthFailure`] (its nonce still raises the floor, as it
+/// would have opened). Decryption and decoding — nearly all of the work —
+/// run on `threads` workers, each over a contiguous slice of the chunk;
+/// the replay checks and floor updates then run on the caller in upload
+/// order ([`Enclave::accept_upload`]).
+fn open_slots(
+    enclave: &mut Enclave,
+    msgs: &[SealedMessage],
+    threads: usize,
+) -> Vec<Result<SparseGradient, TeeError>> {
+    let shared = &*enclave;
+    let per_worker = msgs.len().div_ceil(threads.max(1)).max(1);
+    let mut parts: Vec<Vec<Result<Option<SparseGradient>, TeeError>>> =
+        vec![Vec::new(); msgs.len().div_ceil(per_worker)];
+    olive_oblivious::pool::join(parts.iter_mut().zip(msgs.chunks(per_worker)).map(
+        |(part, mine)| {
+            move || {
+                let decrypt = |m| shared.decrypt_upload(m).map(|p| SparseGradient::decode(&p));
+                part.extend(mine.iter().map(decrypt));
+            }
+        },
+    ));
+    let decrypted = msgs.iter().zip(parts.into_iter().flatten());
+    decrypted.map(|(m, d)| enclave.accept_upload(m, d)?.ok_or(TeeError::AuthFailure)).collect()
+}
+
+/// [`open_slots`] over one chunk — positions `first_slot..` of the round:
+/// the prefetch half of a fold and the restore path's re-open. The first
+/// upload that fails to verify or decode fails the chunk with
+/// [`RoundError::Upload`].
 fn open_and_decode(
     enclave: &mut Enclave,
     msgs: &[SealedMessage],
     first_slot: usize,
+    threads: usize,
 ) -> Result<Vec<SparseGradient>, RoundError> {
-    let decode = |plain: Vec<u8>| SparseGradient::decode(&plain).ok_or(TeeError::AuthFailure);
-    let refused = |slot, error| RoundError::Upload { slot, error };
-    let opened = enclave.open_upload_batch(msgs).into_iter().zip(first_slot..);
-    opened.map(|(plain, slot)| plain.and_then(decode).map_err(|e| refused(slot, e))).collect()
+    let opened = open_slots(enclave, msgs, threads).into_iter().zip(first_slot..);
+    opened
+        .map(|(update, slot)| update.map_err(|error| RoundError::Upload { slot, error }))
+        .collect()
 }
 
 /// What the engine hands back when the round ends, completed or aborted:
@@ -615,7 +643,7 @@ impl RoundEngine {
     /// aggregator; `false` if an upload does not verify or the cells do
     /// not fit what is owed.
     fn restage_chunk(&mut self, enclave: &mut Enclave, msgs: &[SealedMessage]) -> bool {
-        let Ok(chunk) = open_and_decode(enclave, msgs, 0) else {
+        let Ok(chunk) = open_and_decode(enclave, msgs, 0, self.shape.threads) else {
             return false;
         };
         let staged = staged_chunk_bytes(msgs);
@@ -628,9 +656,8 @@ impl RoundEngine {
 
     /// Ingests every chunk of `uploads` past the restore point: opened,
     /// decoded, folded, checkpointed into `store` (`None` seals nothing),
-    /// and offered to the crash hook — chunk i+1 being opened while
-    /// chunk i folds. Opening touches only the enclave's session/replay
-    /// state, which the aggregation does not.
+    /// and offered to the crash hook — chunk i+1 being opened as chunk i's
+    /// fold completes ([`RoundEngine::fold`]).
     ///
     /// The order is the protocol: the restore point is advanced, sealed
     /// and pinned *before* the crash hook and before a refused upload of
@@ -657,11 +684,11 @@ impl RoundEngine {
         tr: &mut TR,
     ) -> Result<(), RoundError> {
         let telemetry = self.ledger.telemetry.clone();
-        let chunk_size = self.shape.chunk_size;
+        let RoundShape { chunk_size, threads, .. } = self.shape;
         let msg_chunks: Vec<&[SealedMessage]> = uploads.chunks(chunk_size).collect();
         // Chunk `i` opened and decoded; nothing past the last one.
         let open = |enclave: &mut Enclave, i: usize| match msg_chunks.get(i) {
-            Some(msgs) => open_and_decode(enclave, msgs, i * chunk_size),
+            Some(msgs) => open_and_decode(enclave, msgs, i * chunk_size, threads),
             None => Ok(Vec::new()),
         };
         let first = self.ckpt.chunks_done;
@@ -704,10 +731,20 @@ impl RoundEngine {
         self.tally.ckpt_bytes += blob_bytes;
     }
 
-    /// Folds one chunk of decrypted updates (Algorithm 1 line 12), with
-    /// `prefetch` — opening and decoding the next chunk, whose staged
-    /// plaintext is `next_bytes` — overlapped on a spare thread when the
-    /// thread budget allows, and returns what `prefetch` produced.
+    /// Folds one chunk of decrypted updates (Algorithm 1 line 12), then
+    /// runs `prefetch` — opening and decoding the next chunk, whose staged
+    /// plaintext is `next_bytes` — and returns what it produced.
+    ///
+    /// The two steps run one after the other, each on all of the round's
+    /// `threads` workers (the caller and pool threads, never more): the
+    /// aggregator parallelizes its own ingest (Grouped's waves, Baseline's
+    /// scan) and the open decrypts across workers. Algorithm 1's overlap of
+    /// opening chunk i+1 with folding chunk i is kept in the ledger — the
+    /// next chunk's staging is charged for the whole fold — while the
+    /// cores are never oversubscribed: running the open beside a
+    /// `threads`-wide fold would put `threads + 1` threads on `threads`
+    /// cores, and shrinking the fold instead would change Grouped's wave
+    /// schedule and with it the trace.
     ///
     /// A sharded round first hands every shard the chunk's public
     /// descriptor (a pure function of the chunk schedule; no cell leaves
@@ -718,11 +755,11 @@ impl RoundEngine {
     /// A `prefetch` that can fail hands its own `Result` back through
     /// `T`: by then this chunk *is* folded, so the driver checkpoints it
     /// before it looks.
-    pub fn fold<TR: ParallelTracer, T: Send>(
+    pub fn fold<TR: ParallelTracer, T>(
         &mut self,
         chunk: &[SparseGradient],
         next_bytes: u64,
-        prefetch: impl FnOnce() -> T + Send,
+        prefetch: impl FnOnce() -> T,
         tr: &mut TR,
     ) -> Result<T, RoundError> {
         if self.staged_bytes == 0 {
@@ -737,25 +774,8 @@ impl RoundEngine {
         if let Some(rt) = self.ledger.shards.as_mut() {
             rt.ingress_chunk(chunk)?;
         }
-        let next = if self.shape.threads >= 2 && next_bytes > 0 {
-            // Pipeline: the prefetch (crypto-bound) runs on an extra
-            // worker while the chunk aggregates (memory-bound) on this
-            // thread. It rides *on top of* the aggregation's thread
-            // budget (up to threads+1 runnable threads): shrinking the
-            // aggregation to threads−1 workers would change the Grouped
-            // wave schedule and break the bitwise chunk-invariance
-            // contract, and the deliberate oversubscription overlaps
-            // well.
-            let agg = &mut self.agg;
-            std::thread::scope(|scope| {
-                let opener = scope.spawn(prefetch);
-                agg.ingest(chunk, tr);
-                opener.join().expect("upload opener thread must not panic")
-            })
-        } else {
-            self.agg.ingest(chunk, tr);
-            prefetch()
-        };
+        self.agg.ingest(chunk, tr);
+        let next = prefetch();
         self.ledger.release(scratch);
         self.ledger.release(self.staged_bytes);
         self.staged_bytes = next_bytes;
@@ -962,10 +982,10 @@ mod tests {
 
     /// The engine's degenerate cases: one fold of the whole round is the
     /// one-shot helper, bit for bit and access for access — monolithic or
-    /// sharded, with or without a spare prefetch thread — and so is the
-    /// sealed-round driver's fresh round, a restore with nothing folded:
-    /// opened over an empty store (or over none, sealing nothing — a
-    /// checkpoint changes neither bits nor trace) and ingested in chunks.
+    /// sharded, on one worker or two — and so is the sealed-round driver's
+    /// fresh round, a restore with nothing folded: opened over an empty
+    /// store (or over none, sealing nothing — a checkpoint changes neither
+    /// bits nor trace) and ingested in chunks.
     #[test]
     fn one_fold_of_the_whole_round_is_the_one_shot_aggregate() {
         let (d, n, k, chunk) = (48, 7, 5, 3);
@@ -979,7 +999,7 @@ mod tests {
 
                 let mut tr = RecordingTracer::new(Granularity::Element);
                 let mut eng = engine(kind, d, k, threads, ledger());
-                // A non-zero look-ahead takes the overlapped path.
+                // A non-zero look-ahead is charged through the fold.
                 let fetched = eng.fold(&updates, 8, || 7u8, &mut tr).expect("fault-free");
                 assert_eq!(fetched, 7, "fold hands back what the prefetch produced");
                 assert_eq!((eng.chunks_done(), eng.agg.clients()), (1, n));
@@ -1132,7 +1152,7 @@ mod tests {
 
     /// A refused upload on the forward path is a structured error, never a
     /// panic — in the first chunk (nothing folds) and in a prefetched one
-    /// (on two threads the refusal crosses the opener thread's join). The
+    /// (on two threads the refusal comes back from the pool's workers). The
     /// ordering rule: every chunk before the refused one is folded *and
     /// sealed* before the refusal may end the round, so the store restores
     /// right up to it; and aborting releases everything, the look-ahead
@@ -1158,6 +1178,85 @@ mod tests {
             } else {
                 assert!(store.newest.is_none(), "{ctx}: nothing was folded");
             }
+        }
+    }
+
+    /// The round's open — decrypt and decode on the pool, accept in upload
+    /// order — is `open_upload_batch` then decode, slot for slot and floor
+    /// for floor, at every worker count, on a hostile chunk: a tampered
+    /// copy before the genuine upload under the same nonce (which is then
+    /// accepted), a replay after an accepted copy, a tampered replay, and
+    /// stale, unsampled and unknown-user messages whose nonces are also
+    /// at or below a floor (the first refusal wins over the replay).
+    #[test]
+    fn the_pooled_open_is_the_serial_open() {
+        let (d, n, k) = (32, 5, 4);
+        let updates = random_updates(n, k, d, 23);
+        let hostile = || {
+            let mut round = Sealed::new(AggregatorKind::Advanced, &updates, d, 1, n);
+            let unknown = n as UserId; // sampled, never registered
+            round.enclave.begin_round(3, (0..=unknown).collect());
+            round.enclave.restore_replay_floors(&[(1, 9), (unknown, 9)]);
+            round
+        };
+        let u = hostile().uploads;
+        let mut tampered = u[0].clone();
+        tampered.ciphertext[3] ^= 2;
+        let mut tampered_replay = u[2].clone();
+        tampered_replay.ciphertext[0] ^= 1;
+        let stale = SealedMessage { round: 2, ..u[2].clone() };
+        let unsampled = SealedMessage { user: n as UserId + 1, ..u[2].clone() };
+        let unknown = SealedMessage { user: n as UserId, ..u[3].clone() };
+        let batch = [
+            tampered,
+            u[0].clone(),
+            u[1].clone(), // below user 1's floor
+            u[2].clone(),
+            u[2].clone(),
+            tampered_replay,
+            stale,
+            unsampled,
+            unknown,
+            u[3].clone(),
+            u[4].clone(),
+        ];
+        let mut serial = hostile();
+        let decode = |plain: Vec<u8>| SparseGradient::decode(&plain).ok_or(TeeError::AuthFailure);
+        let want: Vec<_> = serial
+            .enclave
+            .open_upload_batch(&batch)
+            .into_iter()
+            .map(|opened| opened.and_then(decode))
+            .collect();
+        use TeeError::*;
+        let refusals = [
+            Some(AuthFailure),
+            None,
+            Some(Replay),
+            None,
+            Some(Replay),
+            Some(Replay),
+            Some(WrongRound),
+            Some(NotSampled),
+            Some(UnknownUser),
+            None,
+            None,
+        ];
+        assert_eq!(want.iter().map(|r| r.as_ref().err().copied()).collect::<Vec<_>>(), refusals);
+        assert_eq!(
+            want[1].as_ref().ok(),
+            Some(&updates[0]),
+            "the genuine upload after its forgery"
+        );
+        for threads in [1usize, 2, 3] {
+            let mut pooled = hostile();
+            assert_eq!(open_slots(&mut pooled.enclave, &batch, threads), want, "threads={threads}");
+            assert_eq!(pooled.enclave.replay_floors(), serial.enclave.replay_floors());
+
+            let mut pooled = hostile();
+            let refused = open_and_decode(&mut pooled.enclave, &batch, 40, threads);
+            assert_eq!(refused, Err(RoundError::Upload { slot: 40, error: AuthFailure }));
+            assert_eq!(pooled.enclave.replay_floors(), serial.enclave.replay_floors());
         }
     }
 

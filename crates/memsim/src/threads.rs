@@ -1,4 +1,6 @@
-//! Process-wide thread-count policy for parallel oblivious regions.
+//! Process-wide thread-count policy for parallel regions: how many
+//! workers a region uses. Where they run is `olive_oblivious::pool`, the
+//! one worker pool of the process, with the calling thread as worker 0.
 //!
 //! Lives in `olive-memsim` (rather than `olive-core`) because every layer
 //! that runs a data-parallel oblivious region — the grouped aggregation in

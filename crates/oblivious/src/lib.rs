@@ -34,7 +34,9 @@
 //!   equivalent of the sort kernel's sweeps, with the same runtime
 //!   AVX2/AVX-512 dispatch);
 //! * [`shuffle`] — oblivious random shuffle via random-key sorting (used by
-//!   the differentially-oblivious ablation, Section 5.4).
+//!   the differentially-oblivious ablation, Section 5.4);
+//! * [`pool`] — the process's one worker pool, on which every parallel
+//!   region of the round runs with the calling thread as worker 0.
 //!
 //! [`TrackedBuf`]: olive_memsim::TrackedBuf
 
@@ -45,6 +47,7 @@ mod avx512;
 pub mod compact;
 mod isa;
 pub mod meta_scan;
+pub mod pool;
 pub mod primitives;
 pub mod scan;
 pub mod shuffle;

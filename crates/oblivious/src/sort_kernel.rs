@@ -788,10 +788,11 @@ unsafe impl<W: Send> Sync for SendPtr<W> {}
 
 /// Runs every pass of the schedule over `v` in `block`-word private
 /// blocks, splitting each pass's unit range across `threads` workers — the
-/// calling thread and `threads − 1` spawned ones — with a barrier between
-/// passes. A one-pass schedule runs on the caller alone, as does any pass
-/// with fewer units than workers. `run` executes one unit range of one
-/// pass.
+/// calling thread and `threads − 1` pool threads ([`crate::pool`], which
+/// never queues a task behind a busy thread, so every worker reaches the
+/// barrier) — with a barrier between passes. A one-pass schedule runs on
+/// the caller alone, as does any pass with fewer units than workers. `run`
+/// executes one unit range of one pass.
 ///
 /// The output is identical for every thread count and block size: pass
 /// results do not depend on intra-pass execution order (units of a pass
@@ -820,12 +821,7 @@ fn sort_words<W: Word>(v: &mut [W], threads: usize, block: usize, run: PassFn<W>
             }
         }
     };
-    std::thread::scope(|scope| {
-        for w in 1..workers {
-            scope.spawn(move || work(w));
-        }
-        work(0);
-    });
+    crate::pool::join((0..workers).map(|w| move || work(w)));
 }
 
 // ---------------------------------------------------------------------------

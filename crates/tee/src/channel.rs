@@ -25,24 +25,19 @@ pub struct SealedMessage {
     pub ciphertext: Vec<u8>,
 }
 
-/// Exact byte length of an upload's AAD (domain tag + user + round) —
-/// lets batch verification preallocate one scratch buffer per chunk.
-pub const AAD_CAPACITY: usize = 16 + 4 + 8;
+/// Exact byte length of an upload's AAD (domain tag + user + round).
+pub const AAD_LEN: usize = 16 + 4 + 8;
 
 impl SealedMessage {
-    /// Associated data binding sender identity and round into the AEAD.
-    pub fn aad(&self) -> Vec<u8> {
-        let mut aad = Vec::with_capacity(AAD_CAPACITY);
-        self.write_aad(&mut aad);
+    /// Associated data binding sender identity and round into the AEAD —
+    /// a fixed-size value, so opening an upload on any thread allocates
+    /// nothing for it.
+    pub fn aad(&self) -> [u8; AAD_LEN] {
+        let mut aad = [0u8; AAD_LEN];
+        aad[..16].copy_from_slice(b"olive-upload-v1:");
+        aad[16..20].copy_from_slice(&self.user.to_be_bytes());
+        aad[20..].copy_from_slice(&self.round.to_be_bytes());
         aad
-    }
-
-    /// Appends the AAD to `out` (the allocation-free form the batched
-    /// verification path reuses one buffer for).
-    pub fn write_aad(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(b"olive-upload-v1:");
-        out.extend_from_slice(&self.user.to_be_bytes());
-        out.extend_from_slice(&self.round.to_be_bytes());
     }
 }
 
@@ -284,6 +279,111 @@ mod tests {
         for (msg, got) in msgs.iter().zip(batch) {
             assert_eq!(enclave2.open_upload(msg), got);
         }
+    }
+
+    /// Two enclaves with the same platform seed and attestation transcript
+    /// (hence the same session keys), users 0..4 registered and sampled
+    /// for round 1 — plus user 5, sampled but never registered — with
+    /// users 3 and 5 holding replay floors at 50; and a hostile batch of
+    /// uploads for them.
+    fn hostile_batch() -> (Enclave, Enclave, Vec<SealedMessage>) {
+        let service = AttestationService::new([9u8; 32]);
+        let enclave = || {
+            let mut e = Enclave::launch(&EnclaveConfig::default(), [7u8; 32]);
+            let quote = e.attest(&service, b"test");
+            (e, quote)
+        };
+        let ((mut a, quote), (mut b, _)) = (enclave(), enclave());
+        let m = a.measurement();
+        let mut clients: Vec<ClientSession> = (0..5u32)
+            .map(|u| {
+                let seed = [u as u8 + 1; 32];
+                let c =
+                    ClientSession::establish(u, service.public_key(), &m, &quote, seed).unwrap();
+                a.register_client(u, c.dh_public()).unwrap();
+                b.register_client(u, c.dh_public()).unwrap();
+                c
+            })
+            .collect();
+        for e in [&mut a, &mut b] {
+            e.begin_round(1, vec![0, 1, 2, 3, 5]);
+            e.restore_replay_floors(&[(3, 50), (5, 50)]);
+        }
+        let genuine = clients[0].seal_upload(1, b"g0");
+        let mut tampered = genuine.clone();
+        tampered.ciphertext[1] ^= 4;
+        let accepted = clients[1].seal_upload(1, b"g1");
+        let mut tampered_replay = accepted.clone();
+        tampered_replay.ciphertext[0] ^= 1;
+        // Stale, unsampled and unknown — each also at or below a floor.
+        let mut stale = clients[1].seal_upload(0, b"stale");
+        stale.nonce_counter = 1;
+        let mut unsampled = clients[4].seal_upload(1, b"u");
+        unsampled.nonce_counter = 0;
+        let mut unknown = clients[2].seal_upload(1, b"k");
+        unknown.user = 5;
+        let low = clients[3].seal_upload(1, b"below the floor");
+        let fine = clients[2].seal_upload(1, b"g2");
+        let batch = vec![
+            tampered,
+            genuine,
+            accepted.clone(),
+            accepted,
+            tampered_replay,
+            stale,
+            unsampled,
+            unknown,
+            low,
+            fine,
+        ];
+        (a, b, batch)
+    }
+
+    /// The split open is the serial open: a hostile chunk decrypted on
+    /// several threads at once through the shared half, then accepted in
+    /// upload order, gives slot for slot what `open_upload_batch` gives on
+    /// a twin enclave, and leaves the same replay floors.
+    #[test]
+    fn decrypt_then_accept_is_the_serial_open() {
+        let (_, mut serial, batch) = hostile_batch();
+        let want = serial.open_upload_batch(&batch);
+        assert_eq!(
+            want.iter().map(|r| r.as_ref().err().copied()).collect::<Vec<_>>(),
+            [
+                Some(TeeError::AuthFailure),
+                None,
+                None,
+                Some(TeeError::Replay),
+                Some(TeeError::Replay),
+                Some(TeeError::WrongRound),
+                Some(TeeError::NotSampled),
+                Some(TeeError::UnknownUser),
+                Some(TeeError::Replay),
+                None,
+            ],
+            "the hostile batch exercises every refusal"
+        );
+        for threads in [1usize, 2, 3] {
+            let (mut fresh, _, _) = hostile_batch();
+            let shared = &fresh;
+            let per_thread = batch.len().div_ceil(threads);
+            let decrypted: Vec<Result<Vec<u8>, TeeError>> = std::thread::scope(|s| {
+                let workers: Vec<_> = batch
+                    .chunks(per_thread)
+                    .map(|part| {
+                        s.spawn(move || {
+                            part.iter().map(|m| shared.decrypt_upload(m)).collect::<Vec<_>>()
+                        })
+                    })
+                    .collect();
+                workers.into_iter().flat_map(|w| w.join().unwrap()).collect::<Vec<_>>()
+            });
+            let got: Vec<_> =
+                batch.iter().zip(decrypted).map(|(m, d)| fresh.accept_upload(m, d)).collect();
+            assert_eq!(got, want, "threads={threads}");
+            assert_eq!(fresh.replay_floors(), serial.replay_floors(), "threads={threads}");
+        }
+        assert_eq!(serial.replay_floors(), [(0, 1), (1, 1), (2, 2), (3, 50), (5, 50)]);
     }
 
     #[test]

@@ -13,7 +13,7 @@ use olive_crypto::CryptoEngine;
 use olive_telemetry::Telemetry;
 
 use crate::attestation::{measure, AttestationService, Measurement, Quote, Report};
-use crate::channel::{SealedMessage, AAD_CAPACITY};
+use crate::channel::SealedMessage;
 use crate::epc::EpcBudget;
 use crate::UserId;
 
@@ -269,30 +269,27 @@ impl Enclave {
     /// Verifies and decrypts one client upload (Algorithm 1 lines 8–11):
     /// checks the round and that the user is sampled, fetches the session
     /// key, authenticates, rejects replays, and returns the plaintext
-    /// gradient encoding.
+    /// gradient encoding — [`Enclave::decrypt_upload`] then
+    /// [`Enclave::accept_upload`].
     pub fn open_upload(&mut self, msg: &SealedMessage) -> Result<Vec<u8>, TeeError> {
-        let mut aad = Vec::with_capacity(AAD_CAPACITY);
-        self.open_upload_inner(msg, &mut aad)
+        let decrypted = self.decrypt_upload(msg);
+        self.accept_upload(msg, decrypted)
     }
 
-    /// [`Enclave::open_upload`] over a whole chunk of uploads, the unit the
-    /// streaming round pipeline ingests. Returns one `Result` per message
-    /// in order — a replayed, stale or tampered upload is reported in its
-    /// slot without poisoning the rest of the chunk. The per-round setup
-    /// (the AAD scratch buffer, the borrow of the crypto engine and the
-    /// session/replay tables) is paid once per batch instead of per
-    /// message.
+    /// [`Enclave::open_upload`] over a whole chunk of uploads, in order.
+    /// Returns one `Result` per message — a replayed, stale or tampered
+    /// upload is reported in its slot without poisoning the rest of the
+    /// chunk.
     pub fn open_upload_batch(&mut self, msgs: &[SealedMessage]) -> Vec<Result<Vec<u8>, TeeError>> {
-        let mut aad = Vec::with_capacity(AAD_CAPACITY);
-        msgs.iter().map(|msg| self.open_upload_inner(msg, &mut aad)).collect()
+        msgs.iter().map(|msg| self.open_upload(msg)).collect()
     }
 
-    /// Shared verification path; `aad` is a reusable scratch buffer.
-    fn open_upload_inner(
-        &mut self,
-        msg: &SealedMessage,
-        aad: &mut Vec<u8>,
-    ) -> Result<Vec<u8>, TeeError> {
+    /// The stateless half of [`Enclave::open_upload`]: checks the round,
+    /// that the user is sampled and has a session key, and authenticates
+    /// and decrypts. It reads no replay state and writes nothing, so any
+    /// number of threads may decrypt a chunk at once; what it returns is
+    /// only an upload once [`Enclave::accept_upload`] has passed it.
+    pub fn decrypt_upload(&self, msg: &SealedMessage) -> Result<Vec<u8>, TeeError> {
         if msg.round != self.current_round {
             return Err(TeeError::WrongRound);
         }
@@ -300,17 +297,38 @@ impl Enclave {
             return Err(TeeError::NotSampled);
         }
         let key = self.keystore.get(&msg.user).ok_or(TeeError::UnknownUser)?;
+        let gcm = self.engine.aes_gcm(key).expect("32-byte key");
+        let nonce = nonce_bytes(msg.nonce_counter);
+        gcm.open(&nonce, &msg.ciphertext, &msg.aad()).map_err(|_| TeeError::AuthFailure)
+    }
+
+    /// The stateful half of [`Enclave::open_upload`], called in upload
+    /// order with what [`Enclave::decrypt_upload`] made of `msg` (or any
+    /// value derived from its plaintext, such as the decoded gradient).
+    /// The refusals are [`Enclave::open_upload`]'s, in its precedence:
+    /// a wrong round, an unsampled or unknown user; then a replay (a nonce
+    /// at or below the user's floor — decided before the tag, so a replayed
+    /// copy is a replay even when tampered); then an authentication
+    /// failure. Only an upload that passes all three raises its user's
+    /// floor.
+    pub fn accept_upload<T>(
+        &mut self,
+        msg: &SealedMessage,
+        decrypted: Result<T, TeeError>,
+    ) -> Result<T, TeeError> {
+        if let Err(e @ (TeeError::WrongRound | TeeError::NotSampled | TeeError::UnknownUser)) =
+            decrypted
+        {
+            return Err(e);
+        }
         let last = self.last_nonce.get(&msg.user).copied().unwrap_or(0);
         if msg.nonce_counter <= last {
             return Err(TeeError::Replay);
         }
-        let gcm = self.engine.aes_gcm(key).expect("32-byte key");
-        let nonce = nonce_bytes(msg.nonce_counter);
-        aad.clear();
-        msg.write_aad(aad);
-        let plain = gcm.open(&nonce, &msg.ciphertext, aad).map_err(|_| TeeError::AuthFailure)?;
+        let plain = decrypted?;
         self.last_nonce.insert(msg.user, msg.nonce_counter);
-        self.telemetry.count("opened_bytes", self.engine.backend().name(), plain.len() as u64);
+        let plain_len = msg.ciphertext.len().saturating_sub(TAG_LEN);
+        self.telemetry.count("opened_bytes", self.engine.backend().name(), plain_len as u64);
         Ok(plain)
     }
 
