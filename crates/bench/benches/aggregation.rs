@@ -16,7 +16,7 @@ use olive_memsim::NullTracer;
 use olive_oram::PosMapKind;
 
 fn bench_aggregation(c: &mut Criterion) {
-    let full = std::env::var("OLIVE_BENCH_FULL").as_deref() == Ok("1");
+    let full = olive_bench::bench_full();
     let mut group = c.benchmark_group("aggregation_vs_model_size");
     group.sample_size(10);
     for d in [1_000usize, 10_000, 100_000] {

@@ -1,10 +1,10 @@
 //! Criterion microbench: the secure-channel crypto on the upload path,
-//! swept per engine backend (`hw` / `ct` / `table`, whichever the CPU
-//! offers) so the dispatch decision's cost is visible in GiB/s.
+//! swept per engine backend (`hw` / `ct`, whichever the CPU offers) so the
+//! dispatch decision's cost is visible in GiB/s.
 //!
 //! Payloads: 4 KiB (small sealed state), 40 KiB ≈ one client's α=0.1
 //! MNIST-MLP upload (5089 cells × 8 B), 4 MiB (a large-model shard —
-//! gated behind `OLIVE_BENCH_FULL=1` for the slow software backends).
+//! gated behind `OLIVE_BENCH_FULL=1` for the software backend).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use olive_crypto::gcm::AesGcm;
@@ -12,12 +12,11 @@ use olive_crypto::hmac::HmacSha256;
 use olive_crypto::sha256::Sha256;
 use olive_crypto::{available_backends, CryptoBackend};
 
-/// The software backends skip multi-MiB payloads unless the full sweep is
-/// requested (a 4 MiB seal is ~0.06 s per iteration on `ct`, ~0.12 s on
-/// `table`: a handful of iterations would eat the smoke job's window).
+/// The software backend skips multi-MiB payloads unless the full sweep is
+/// requested (a 4 MiB seal is ~0.06 s per iteration on `ct`: a handful of
+/// iterations would eat the smoke job's window).
 fn sizes_for(backend: CryptoBackend) -> Vec<usize> {
-    let full =
-        std::env::var("OLIVE_BENCH_FULL").as_deref() == Ok("1") || backend == CryptoBackend::Hw;
+    let full = olive_bench::bench_full() || backend == CryptoBackend::Hw;
     let mut sizes = vec![4usize << 10, 40 << 10];
     if full {
         sizes.push(4 << 20);

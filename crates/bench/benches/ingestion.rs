@@ -70,7 +70,7 @@ fn ws_report(rig: &mut IngestionRig, config: &str, chunk: usize) {
 }
 
 fn bench_ingestion(c: &mut Criterion) {
-    let full = std::env::var("OLIVE_BENCH_FULL").as_deref() == Ok("1");
+    let full = olive_bench::bench_full();
     let sizes: &[usize] = if full { &[1_000, 10_000, 100_000] } else { &[1_000, 10_000] };
     if !full {
         println!("ingestion: n = 100000 skipped (set OLIVE_BENCH_FULL=1 to include it)");

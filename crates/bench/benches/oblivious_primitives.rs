@@ -1,12 +1,11 @@
 //! Criterion microbench: the cost of obliviousness at the primitive level
 //! (o_select vs branch; bitonic network vs std unstable sort), plus the
-//! sort-kernel matrix (scalar reference vs batched vs batched+threads) and
-//! the compaction that follows the one sort of Algorithm 4.
+//! sort-kernel matrix (one worker vs the process's threads) and the
+//! compaction that follows the one sort of Algorithm 4.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use olive_memsim::{NullTracer, TrackedBuf};
-use olive_oblivious::sort::bitonic_sort;
-use olive_oblivious::sort_kernel::{bitonic_sort_u64_with, SortKernel};
+use olive_oblivious::sort_kernel::bitonic_sort_u64_with;
 use olive_oblivious::{compact_u64, o_scan_read, o_select};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -41,13 +40,12 @@ fn bench_sort(c: &mut Criterion) {
     for n in [1usize << 12, 1 << 16] {
         let mut rng = SmallRng::seed_from_u64(1);
         let data: Vec<u64> = (0..n).map(|_| rng.gen()).collect();
-        // The historical headline number: the default (batched) kernel,
-        // single-threaded — comparable against the PR 1 baselines in
-        // CHANGES.md.
+        // The historical headline number: the sort kernel, single-threaded
+        // — comparable against the earliest baselines in CHANGES.md.
         group.bench_with_input(BenchmarkId::new("bitonic_oblivious", n), &n, |b, _| {
             b.iter(|| {
                 let mut buf = TrackedBuf::new(0, data.clone());
-                bitonic_sort_u64_with(&mut buf, SortKernel::Batched, 1, &mut NullTracer);
+                bitonic_sort_u64_with(&mut buf, 1, &mut NullTracer);
                 buf.into_inner()
             })
         });
@@ -62,40 +60,23 @@ fn bench_sort(c: &mut Criterion) {
     group.finish();
 }
 
-/// The sort-kernel matrix: scalar reference vs batched (1 thread) vs
-/// batched + threads (`batched_threads`, at the process-default
-/// `OLIVE_THREADS` count), at n ∈ {2¹², 2¹⁶, 2²⁰}, at a Grouped group
-/// sort's 31 154 cells, and just above a power of two — 2¹⁶ + 1, and the
-/// 2 109 210 cells of the whole-round benchmark's `adv_sort` — where a
-/// padded network would do twice the work. The scalar reference is skipped past 2¹⁶ + 1 unless
-/// `OLIVE_BENCH_FULL=1` (it alone would dominate the bench wall-clock
-/// ~20×).
+/// The sort-kernel matrix: one worker (`batched_t1`) vs the
+/// process-default `OLIVE_THREADS` count (`batched_threads`), at
+/// n ∈ {2¹², 2¹⁶, 2²⁰}, at a Grouped group sort's 31 154 cells, and just
+/// above a power of two — 2¹⁶ + 1, and the 2 109 210 cells of the
+/// whole-round benchmark's `adv_sort` — where a padded network would do
+/// twice the work.
 fn bench_sort_kernels(c: &mut Criterion) {
-    let full = std::env::var("OLIVE_BENCH_FULL").as_deref() == Ok("1");
     let threads = olive_memsim::default_threads();
     let mut group = c.benchmark_group("sort_kernel");
     group.sample_size(10);
     for n in [1usize << 12, 31_154, 1 << 16, (1 << 16) + 1, 1 << 20, 2_109_210] {
         let mut rng = SmallRng::seed_from_u64(1);
         let data: Vec<u64> = (0..n).map(|_| rng.gen()).collect();
-        if n <= (1 << 16) + 1 || full {
-            group.bench_with_input(BenchmarkId::new("scalar", n), &n, |b, _| {
-                b.iter(|| {
-                    let mut buf = TrackedBuf::new(0, data.clone());
-                    bitonic_sort(&mut buf, |x| *x, &mut NullTracer);
-                    buf.into_inner()
-                })
-            });
-        } else {
-            println!(
-                "bench: sort_kernel/scalar/{n} ... skipped (set OLIVE_BENCH_FULL=1 to run the \
-                 scalar reference at this size)"
-            );
-        }
         group.bench_with_input(BenchmarkId::new("batched_t1", n), &n, |b, _| {
             b.iter(|| {
                 let mut buf = TrackedBuf::new(0, data.clone());
-                bitonic_sort_u64_with(&mut buf, SortKernel::Batched, 1, &mut NullTracer);
+                bitonic_sort_u64_with(&mut buf, 1, &mut NullTracer);
                 buf.into_inner()
             })
         });
@@ -105,7 +86,7 @@ fn bench_sort_kernels(c: &mut Criterion) {
             group.bench_with_input(BenchmarkId::new("batched_threads", n), &n, |b, _| {
                 b.iter(|| {
                     let mut buf = TrackedBuf::new(0, data.clone());
-                    bitonic_sort_u64_with(&mut buf, SortKernel::Batched, threads, &mut NullTracer);
+                    bitonic_sort_u64_with(&mut buf, threads, &mut NullTracer);
                     buf.into_inner()
                 })
             });

@@ -6,7 +6,7 @@ use olive_memsim::NullTracer;
 use olive_oram::{PathOram, PathOramConfig, PosMapKind};
 
 fn bench_oram(c: &mut Criterion) {
-    let full = std::env::var("OLIVE_BENCH_FULL").as_deref() == Ok("1");
+    let full = olive_bench::bench_full();
     let mut group = c.benchmark_group("path_oram_access");
     group.sample_size(10);
     // 131 072 (the d = 100k aggregation tree rounded up) joins the sweep

@@ -17,6 +17,13 @@ pub mod table;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
+/// `OLIVE_BENCH_FULL=1`: the Criterion benches add their expensive gated
+/// sizes (the 4 MiB software AEAD, PathORAM at d = 100 000, n = 100 000
+/// ingestion), which the default sweep skips with a note saying so.
+pub fn bench_full() -> bool {
+    std::env::var("OLIVE_BENCH_FULL").as_deref() == Ok("1")
+}
+
 /// Simple flag check over `std::env::args` (`--quick`, `--paper-scale`…).
 pub fn has_flag(name: &str) -> bool {
     std::env::args().any(|a| a == name)

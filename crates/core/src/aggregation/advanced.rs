@@ -8,7 +8,7 @@
 //!    indices is fixed) — `nk + d` cells, and nothing else: the network
 //!    sorts any length, so the vector is not padded;
 //! 2. **oblivious sort** by index (the bitonic network of
-//!    `olive_oblivious::sort`, truncated at `nk + d`);
+//!    `olive_oblivious::sort_kernel`, truncated at `nk + d`);
 //! 3. **oblivious folding**: one linear pass accumulating runs of equal
 //!    indices; every position is rewritten — either with the finalized
 //!    `(index, sum)` of a completed run or with the dummy `(M₀, 0)` — via
@@ -52,7 +52,7 @@ use olive_fl::SparseGradient;
 use olive_memsim::{ParallelTracer, StateError, StateReader, StateWriter, Tracer, TrackedBuf};
 use olive_oblivious::compact::compact_u64;
 use olive_oblivious::primitives::Oblivious;
-use olive_oblivious::sort_kernel::{bitonic_sort_u64_with, sort_kernel, SortKernel};
+use olive_oblivious::sort_kernel::bitonic_sort_u64_with;
 
 use crate::cell::{cell_index, cell_value, dummy_cell, make_cell};
 use crate::regions::{REGION_G_STAR, REGION_SCRATCH};
@@ -72,9 +72,8 @@ pub(crate) fn sum_advanced_bytes(cells: usize, d: usize) -> u64 {
 /// caller's cell vector — extended by the `d` initialization cells and
 /// sorted in place, so the uploads are never copied — writing them into a
 /// fresh `G*` buffer which is returned for further (oblivious)
-/// processing. The trace depends only on `(cells.len(), d)` — the sort
-/// runs the batched kernel, whose trace and output are identical to the
-/// scalar reference network's at every `threads` value
+/// processing. The trace depends only on `(cells.len(), d)` — the sort's
+/// trace and output are the same at every `threads` value
 /// (`olive_oblivious::sort_kernel`); the compaction is serial.
 pub(crate) fn sum_advanced<TR: Tracer>(
     cells: Vec<u64>,
@@ -82,7 +81,7 @@ pub(crate) fn sum_advanced<TR: Tracer>(
     threads: usize,
     tr: &mut TR,
 ) -> TrackedBuf<f32> {
-    let mut g = sort_and_fold(cells, d, sort_kernel(), threads, tr);
+    let mut g = sort_and_fold(cells, d, threads, tr);
     // Step 4: oblivious compaction; the d real survivors lead, in order.
     let survivors = compact_u64(&mut g, tr);
     // Exactly d for honest cells; a hostile cell's index at or past d
@@ -91,13 +90,11 @@ pub(crate) fn sum_advanced<TR: Tracer>(
     emit_gstar(&g, d, tr)
 }
 
-/// Steps 1–3 of Algorithm 4, the sort kernel explicit (how the
-/// pinned-trace test runs them over the scalar reference network): the
-/// folded `cells.len() + d` vector, survivors ascending among dummies.
+/// Steps 1–3 of Algorithm 4: the folded `cells.len() + d` vector,
+/// survivors ascending among dummies.
 fn sort_and_fold<TR: Tracer>(
     mut cells: Vec<u64>,
     d: usize,
-    kernel: SortKernel,
     threads: usize,
     tr: &mut TR,
 ) -> TrackedBuf<u64> {
@@ -107,7 +104,7 @@ fn sort_and_fold<TR: Tracer>(
 
     // Step 2: oblivious sort by index (the packed u64 is index-major, so
     // sorting by raw value is sorting by index).
-    bitonic_sort_u64_with(&mut g, kernel, threads, tr);
+    bitonic_sort_u64_with(&mut g, threads, tr);
 
     // Step 3: oblivious folding (Algorithm 4 lines 6–14). The accumulator
     // lives in registers; every pass writes position i−1 exactly once.
@@ -331,11 +328,12 @@ mod tests {
     use olive_oblivious::compact::compact_swap_count;
 
     /// Algorithm 4 as the paper states it — step 4 a second oblivious
-    /// sort — over the scalar reference network: the oracle step 4's
-    /// compaction is held to.
+    /// sort: the oracle step 4's compaction is held to. Both sorts are the
+    /// production network, which `olive-oblivious` holds to the
+    /// one-comparator-at-a-time network event for event.
     fn sum_sorting_twice<TR: Tracer>(cells: Vec<u64>, d: usize, tr: &mut TR) -> TrackedBuf<f32> {
-        let mut g = sort_and_fold(cells, d, SortKernel::Scalar, 1, tr);
-        bitonic_sort_u64_with(&mut g, SortKernel::Scalar, 1, tr);
+        let mut g = sort_and_fold(cells, d, 1, tr);
+        bitonic_sort_u64_with(&mut g, 1, tr);
         emit_gstar(&g, d, tr)
     }
 
@@ -515,10 +513,12 @@ mod tests {
 
     /// An Advanced run whose sort vector is just above a power of two
     /// (nk + d = 2¹³ + 5) must produce this trace — sort, fold, compaction,
-    /// `G*` emission, averaging — over the scalar reference network, whose
-    /// digest the constants are, and over the batched kernel alike, on one
-    /// worker and on several. The constants were regenerated on purpose
-    /// when step 4 became the compaction (3 452 834 accesses before).
+    /// `G*` emission, averaging — step by step and through the aggregator,
+    /// on one worker and on several. The constants are the digests of the
+    /// scalar network's trace, which the batched kernel reproduces event
+    /// for event (`olive-oblivious`'s unit tests); they were regenerated on
+    /// purpose when step 4 became the compaction (3 452 834 accesses
+    /// before).
     #[test]
     fn trace_just_above_a_power_of_two_is_pinned_across_kernels() {
         use olive_memsim::RecordingTracer;
@@ -543,11 +543,11 @@ mod tests {
                 Granularity::Cacheline => PINNED_CACHELINE,
             };
             let mut tr = RecordingTracer::new(granularity);
-            let mut g = sort_and_fold(concat_cells(&updates), d, SortKernel::Scalar, 1, &mut tr);
+            let mut g = sort_and_fold(concat_cells(&updates), d, 1, &mut tr);
             compact_u64(&mut g, &mut tr);
             average_in_place(&mut emit_gstar(&g, d, &mut tr), n, &mut tr);
             assert_eq!(tr.digest().len(), accesses);
-            assert_eq!(format!("{:?}", tr.digest()), want, "{granularity:?} scalar network");
+            assert_eq!(format!("{:?}", tr.digest()), want, "{granularity:?} step by step");
             for threads in [1usize, 2, 3] {
                 let mut tr = RecordingTracer::new(granularity);
                 let got = advanced(&updates, d, threads, &mut tr);
@@ -573,8 +573,7 @@ mod tests {
         let old = events(&|tr| drop(sum_sorting_twice(cells.clone(), d, tr)));
         let new = events(&|tr| drop(sum_advanced(cells.clone(), d, 1, tr)));
         let scratch = || TrackedBuf::new(REGION_SCRATCH, vec![0u64; cells.len() + d]);
-        let network =
-            events(&|tr| bitonic_sort_u64_with(&mut scratch(), SortKernel::Scalar, 1, tr));
+        let network = events(&|tr| bitonic_sort_u64_with(&mut scratch(), 1, tr));
         let compaction = events(&|tr| {
             compact_u64(&mut scratch(), tr);
         });

@@ -21,10 +21,11 @@
 //! A fresh round is the degenerate restore — a store with nothing in it —
 //! so [`OliveSystem::run_round`] and [`OliveSystem::restore_round`] make
 //! the same two calls after their own preambles (sample–train–seal vs.
-//! relaunch–re-attest–re-provision), and the bench rig makes them over its
-//! own sealed uploads. [`RoundEngine::fold`] is the loop body on its own,
-//! for drivers that hold the updates in the clear ([`RoundEngine::run`]:
-//! the shard equivalence suites).
+//! relaunch–re-attest–re-provision), and the bench rig and the
+//! integration suites make them over their own sealed uploads. There is no
+//! other driver: the loop body (`fold`) is crate-private, and the
+//! clear-text driver over pre-decoded updates (`new` → `run`) exists for
+//! this crate's unit tests alone.
 //!
 //! # The ledger
 //!
@@ -511,10 +512,11 @@ pub struct RoundEngine {
 }
 
 impl RoundEngine {
-    /// An engine for a round whose updates the driver already holds in
-    /// the clear ([`RoundEngine::fold`] / [`RoundEngine::run`]): nothing
-    /// sealed, so nothing to restore from — it starts at chunk 0.
-    pub fn new(agg: StreamingAggregator, k: usize, threads: usize, ledger: Ledger) -> Self {
+    /// An engine for a round whose updates the test already holds in the
+    /// clear (`fold` / [`RoundEngine::run`]): nothing sealed, so nothing to
+    /// restore from — it starts at chunk 0.
+    #[cfg(test)]
+    pub(crate) fn new(agg: StreamingAggregator, k: usize, threads: usize, ledger: Ledger) -> Self {
         let shape = RoundShape { round: 0, chunk_size: 0, threads, k };
         let mut engine = Self::assemble(agg, shape, Checkpoint::start([0; 4], &[]), ledger);
         engine.start();
@@ -657,7 +659,7 @@ impl RoundEngine {
     /// Ingests every chunk of `uploads` past the restore point: opened,
     /// decoded, folded, checkpointed into `store` (`None` seals nothing),
     /// and offered to the crash hook — chunk i+1 being opened as chunk i's
-    /// fold completes ([`RoundEngine::fold`]).
+    /// fold completes (`fold`).
     ///
     /// The order is the protocol: the restore point is advanced, sealed
     /// and pinned *before* the crash hook and before a refused upload of
@@ -755,7 +757,7 @@ impl RoundEngine {
     /// A `prefetch` that can fail hands its own `Result` back through
     /// `T`: by then this chunk *is* folded, so the driver checkpoints it
     /// before it looks.
-    pub fn fold<TR: ParallelTracer, T>(
+    pub(crate) fn fold<TR: ParallelTracer, T>(
         &mut self,
         chunk: &[SparseGradient],
         next_bytes: u64,
@@ -782,7 +784,7 @@ impl RoundEngine {
         self.resize_resident();
         // ORAM comparator rounds expose the stash high-water mark and
         // eviction volume on the side-band counters (deterministic
-        // values: both kernels count identically).
+        // values).
         if let Some(stats) = self.agg.oram_stats() {
             let telemetry = &self.ledger.telemetry;
             telemetry.observe("oram_stash_occupancy", "max", stats.max_stash_occupancy as u64);
@@ -843,9 +845,10 @@ impl RoundEngine {
     }
 
     /// Folds pre-decoded chunks back to back (nothing to prefetch) and
-    /// finishes — the whole round for a driver that already holds the
-    /// updates in the clear (equivalence suites, figure harnesses).
-    pub fn run<'a, TR: ParallelTracer>(
+    /// finishes — the whole round for a unit test that already holds the
+    /// updates in the clear.
+    #[cfg(test)]
+    pub(crate) fn run<'a, TR: ParallelTracer>(
         mut self,
         chunks: impl IntoIterator<Item = &'a [SparseGradient]>,
         tr: &mut TR,

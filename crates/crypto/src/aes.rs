@@ -1,13 +1,20 @@
-//! FIPS 197 AES block cipher (128/192/256-bit keys).
+//! FIPS 197 AES block cipher (128/192/256-bit keys) with lookup tables —
+//! the reference cipher the `hw` and `ct` backends are tested against.
 //!
-//! Only the forward and inverse ciphers on single 16-byte blocks live here;
-//! the GCM mode in [`crate::gcm`] builds CTR encryption and GHASH on top.
+//! `SubBytes` indexes the S-box with secret bytes, a cache-timing side
+//! channel of exactly the kind the paper's adversary observes (Section
+//! 2.3), so this module is compiled into test builds only: no release
+//! build contains it, and nothing can select it at run time. The GCM
+//! mode over it is [`crate::gcm::table`].
 //!
 //! The S-box and inverse S-box are derived at compile time from the GF(2^8)
 //! field definition rather than transcribed, which removes a whole class of
 //! copy-paste errors; the FIPS 197 appendix vectors in the tests pin the
-//! result.
+//! result. The key schedule is written out here again rather than shared
+//! with the backends' [`crate::engine::expand_key`], so the differential
+//! suites check that schedule too.
 
+use crate::engine::MAX_ROUND_KEYS;
 use crate::CryptoError;
 
 const fn xtime(a: u8) -> u8 {
@@ -73,24 +80,15 @@ const fn build_inv_sbox(sbox: &[u8; 256]) -> [u8; 256] {
 }
 
 /// The AES substitution box, generated at compile time.
-pub const SBOX: [u8; 256] = build_sbox();
+pub(crate) const SBOX: [u8; 256] = build_sbox();
 /// The inverse substitution box.
-pub const INV_SBOX: [u8; 256] = build_inv_sbox(&SBOX);
+const INV_SBOX: [u8; 256] = build_inv_sbox(&SBOX);
 
 const RCON: [u8; 11] = [0x00, 0x01, 0x02, 0x04, 0x08, 0x10, 0x20, 0x40, 0x80, 0x1b, 0x36];
 
-/// Maximum number of round keys (AES-256: 14 rounds + initial).
-pub(crate) const MAX_ROUND_KEYS: usize = 15;
-
-/// FIPS 197 key expansion, shared by every backend: the schedule differs
-/// only in how `SubWord` is computed (S-box lookup here, bitsliced
-/// circuit in `engine::ct`, `AESENCLAST` in `engine::hw`), so the
-/// Nk/rounds bookkeeping and RCON wiring live exactly once. Returns the
+/// FIPS 197 key expansion with `SubWord` by S-box lookup. Returns the
 /// round keys and the round count for a 16/24/32-byte `key`.
-pub(crate) fn expand_key(
-    key: &[u8],
-    sub_word: fn([u8; 4]) -> [u8; 4],
-) -> Result<([[u8; 16]; MAX_ROUND_KEYS], usize), CryptoError> {
+fn expand_key(key: &[u8]) -> Result<([[u8; 16]; MAX_ROUND_KEYS], usize), CryptoError> {
     let (nk, rounds) = match key.len() {
         16 => (4usize, 10usize),
         24 => (6, 12),
@@ -106,10 +104,10 @@ pub(crate) fn expand_key(
         let mut temp = w[i - 1];
         if i % nk == 0 {
             temp.rotate_left(1);
-            temp = sub_word(temp);
+            temp = sub_word_table(temp);
             temp[0] ^= RCON[i / nk];
         } else if nk > 6 && i % nk == 4 {
-            temp = sub_word(temp);
+            temp = sub_word_table(temp);
         }
         for j in 0..4 {
             w[i][j] = w[i - nk][j] ^ temp[j];
@@ -124,7 +122,7 @@ pub(crate) fn expand_key(
     Ok((round_keys, rounds))
 }
 
-/// `SubWord` via the lookup table (the table backend's primitive).
+/// `SubWord` via the lookup table.
 fn sub_word_table(w: [u8; 4]) -> [u8; 4] {
     w.map(|b| SBOX[b as usize])
 }
@@ -132,8 +130,7 @@ fn sub_word_table(w: [u8; 4]) -> [u8; 4] {
 /// An expanded AES key. Supports 128-, 192- and 256-bit keys.
 ///
 /// The `Debug` impl intentionally omits key material.
-#[derive(Clone)]
-pub struct Aes {
+pub(crate) struct Aes {
     round_keys: [[u8; 16]; MAX_ROUND_KEYS],
     rounds: usize,
 }
@@ -147,13 +144,13 @@ impl core::fmt::Debug for Aes {
 impl Aes {
     /// Expands `key` (16, 24 or 32 bytes). Returns
     /// [`CryptoError::BadLength`] for any other length.
-    pub fn new(key: &[u8]) -> Result<Self, CryptoError> {
-        let (round_keys, rounds) = expand_key(key, sub_word_table)?;
+    pub(crate) fn new(key: &[u8]) -> Result<Self, CryptoError> {
+        let (round_keys, rounds) = expand_key(key)?;
         Ok(Aes { round_keys, rounds })
     }
 
     /// Encrypts a single 16-byte block in place.
-    pub fn encrypt_block(&self, block: &mut [u8; 16]) {
+    pub(crate) fn encrypt_block(&self, block: &mut [u8; 16]) {
         add_round_key(block, &self.round_keys[0]);
         for r in 1..self.rounds {
             sub_bytes(block);
@@ -167,7 +164,7 @@ impl Aes {
     }
 
     /// Decrypts a single 16-byte block in place.
-    pub fn decrypt_block(&self, block: &mut [u8; 16]) {
+    pub(crate) fn decrypt_block(&self, block: &mut [u8; 16]) {
         add_round_key(block, &self.round_keys[self.rounds]);
         inv_shift_rows(block);
         inv_sub_bytes(block);
@@ -181,7 +178,7 @@ impl Aes {
     }
 
     /// Returns the ciphertext of `block` without mutating the input.
-    pub fn encrypt(&self, block: [u8; 16]) -> [u8; 16] {
+    pub(crate) fn encrypt(&self, block: [u8; 16]) -> [u8; 16] {
         let mut b = block;
         self.encrypt_block(&mut b);
         b
@@ -246,7 +243,6 @@ fn inv_mix_columns(block: &mut [u8; 16]) {
     }
 }
 
-#[cfg(test)]
 mod tests {
     use super::*;
 

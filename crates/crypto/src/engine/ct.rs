@@ -1,8 +1,8 @@
 //! The `ct` crypto backend: bitsliced constant-time software AES and a
 //! GHASH built from integer multiplies.
 //!
-//! The table backend ([`crate::aes`]) indexes `SBOX` with secret bytes —
-//! a classic cache-timing side channel, and exactly the class of
+//! Table-based AES indexes `SBOX` with secret bytes — a classic
+//! cache-timing side channel, and exactly the class of
 //! data-dependent memory access Olive's threat model grants the adversary
 //! (Section 2.3). This backend has no secret-indexed lookup and no
 //! secret-conditioned branch; its implementation contains no `if`,
@@ -34,11 +34,11 @@
 //!
 //! Measured on the 2.1 GHz runner: CTR ≈ 120 MiB/s, GHASH ≈ 270 MiB/s,
 //! seal/open ≈ 80 MiB/s, key set-up ≈ 2 µs — between two and three times
-//! the leaky table backend and some thirty times below [`super::hw`], but
+//! the leaky table code and some thirty times below [`super::hw`], but
 //! on every architecture, making it the portable default wherever AES-NI
 //! is absent.
 
-use crate::aes::MAX_ROUND_KEYS;
+use super::MAX_ROUND_KEYS;
 use crate::CryptoError;
 
 // ---------------------------------------------------------------------------
@@ -307,11 +307,11 @@ pub(crate) struct CtAes {
 }
 
 impl CtAes {
-    /// FIPS 197 key expansion ([`crate::aes::expand_key`]) with SubWord
+    /// FIPS 197 key expansion ([`super::expand_key`]) with SubWord
     /// computed through the S-box circuit — the schedule touches key
     /// material, so it must be as lookup-free as the data path.
     pub(crate) fn new(key: &[u8]) -> Result<Self, CryptoError> {
-        let (byte_keys, rounds) = crate::aes::expand_key(key, sub_word)?;
+        let (byte_keys, rounds) = super::expand_key(key, sub_word)?;
         let mut round_keys = [[0u64; 8]; MAX_ROUND_KEYS];
         for (sliced, rk) in round_keys.iter_mut().zip(&byte_keys[..=rounds]) {
             let mut batch = [0u8; 64];
@@ -348,9 +348,9 @@ impl CtAes {
         block.copy_from_slice(&batch[..16]);
     }
 
-    /// CTR keystream XOR, bitwise identical to the table backend's
-    /// [`crate::gcm`] counter mode (32-bit big-endian counter increment in
-    /// the last word of `j0`).
+    /// CTR keystream XOR, bitwise identical to the table reference's
+    /// counter mode (32-bit big-endian counter increment in the last word
+    /// of `j0`).
     pub(crate) fn ctr_xor(&self, j0: &[u8; 16], data: &mut [u8]) {
         let mut counter = u32::from_be_bytes(j0[12..16].try_into().unwrap());
         for chunk in data.chunks_mut(64) {
@@ -433,7 +433,7 @@ impl CtGhash {
 
     /// `x · H` in GF(2¹²⁸), in the SP 800-38D bit-reflected representation
     /// (the `u128` from `from_be_bytes`, bit 127 = coefficient of x⁰) —
-    /// bitwise identical to `gcm::gf_mul(x, h)`.
+    /// bitwise identical to the table reference's `gf_mul(x, h)`.
     ///
     /// The 256-bit carry-less product of the *stored* patterns is the
     /// bit-reversal of the true 255-bit product; shifted left by one, its
@@ -475,7 +475,7 @@ impl CtGhash {
 mod tests {
     use super::*;
     use crate::aes::{Aes, SBOX};
-    use crate::gcm::gf_mul;
+    use crate::gcm::table::gf_mul;
     use proptest::prelude::*;
 
     /// A deterministic byte stream (LCG) for the differential tests.
@@ -531,7 +531,7 @@ mod tests {
     }
 
     /// Runs a sliced round function over a batch and the byte-wise oracle
-    /// from the table backend over its four blocks.
+    /// from the table cipher over its four blocks.
     fn assert_matches_bytewise(sliced: fn(&mut [u64; 8]), oracle: fn(&mut [u8; 16]), name: &str) {
         let mut state = 0x5eed;
         for case in 0..64 {
@@ -563,7 +563,7 @@ mod tests {
         for key_len in [16usize, 24, 32] {
             let key: Vec<u8> = (0..key_len as u8).map(|i| i.wrapping_mul(29) ^ 0xa5).collect();
             let ct = CtAes::new(&key).unwrap();
-            let (byte_keys, rounds) = crate::aes::expand_key(&key, sub_word).unwrap();
+            let (byte_keys, rounds) = crate::engine::expand_key(&key, sub_word).unwrap();
             assert_eq!(ct.rounds, rounds);
             for (r, rk) in byte_keys[..=rounds].iter().enumerate() {
                 let mut batch = [0u8; 64];

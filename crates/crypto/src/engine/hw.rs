@@ -23,7 +23,7 @@
 
 use core::arch::x86_64::*;
 
-use crate::aes::MAX_ROUND_KEYS;
+use super::MAX_ROUND_KEYS;
 use crate::CryptoError;
 
 /// True when the AES-GCM fast path (AES-NI + PCLMULQDQ + the SSE levels
@@ -89,7 +89,7 @@ impl HwAes {
     /// The caller must have checked [`aes_available`].
     pub(crate) fn new(key: &[u8]) -> Result<Self, CryptoError> {
         assert!(aes_available(), "hw backend constructed without AES-NI");
-        let (round_keys, rounds) = crate::aes::expand_key(key, sub_word_hw)?;
+        let (round_keys, rounds) = super::expand_key(key, sub_word_hw)?;
         Ok(HwAes { round_keys, rounds, vaes: vaes_available() })
     }
 
@@ -99,7 +99,7 @@ impl HwAes {
         unsafe { encrypt_block_ni(&self.round_keys, self.rounds, block) }
     }
 
-    /// CTR keystream XOR, bitwise identical to the table backend's counter
+    /// CTR keystream XOR, bitwise identical to the table reference's counter
     /// mode (32-bit big-endian counter increment in the last word of `j0`).
     pub(crate) fn ctr_xor(&self, j0: &[u8; 16], data: &mut [u8]) {
         // SAFETY: feature availability was checked at construction
@@ -231,7 +231,7 @@ fn ctr_xor_vaes(rks: &[[u8; 16]; MAX_ROUND_KEYS], rounds: usize, j0: &[u8; 16], 
 
 /// GF(2^128) multiplication of two blocks in the SP 800-38D bit-reflected
 /// representation (the `u128` from `from_be_bytes`, bit 127 = coefficient
-/// of x^0), bitwise identical to the table backend's `gf_mul`.
+/// of x^0), bitwise identical to the table reference's `gf_mul`.
 ///
 /// Carry-less multiply of the *stored* bit patterns gives the bit-reversal
 /// of the true 255-bit product; shifting the 256-bit result left by one
@@ -531,8 +531,7 @@ mod tests {
         }
         let mut seed = 7u64;
         let key = lcg_bytes(32, &mut seed);
-        let table = crate::gcm::AesGcm::with_backend(crate::engine::CryptoBackend::Table, &key)
-            .expect("table always available");
+        let table = crate::gcm::table::TableGcm::new(&key).unwrap();
         let hw = HwAes::new(&key).unwrap();
         let j0: [u8; 16] = {
             let mut j = [0u8; 16];
@@ -544,7 +543,7 @@ mod tests {
         for len in [0usize, 1, 15, 16, 17, 127, 128, 129, 255, 256, 257, 1000, 4096] {
             let data = lcg_bytes(len, &mut seed);
             let mut expected = data.clone();
-            table.ctr_xor_for_tests(&j0, &mut expected);
+            table.ctr_xor(&j0, &mut expected);
             let mut got = data;
             hw.ctr_xor(&j0, &mut got);
             assert_eq!(got, expected, "len {len}");
@@ -566,7 +565,7 @@ mod tests {
             (0x0388_dace_60b6_a392_f328_c2b9_71b2_fe78, 0x66e9_4bd4_ef8a_2c3b_884c_fa59_ca34_2b2e),
         ];
         for (a, b) in cases {
-            assert_eq!(gf_mul_hw(a, b), crate::gcm::gf_mul(a, b), "{a:#x} * {b:#x}");
+            assert_eq!(gf_mul_hw(a, b), crate::gcm::table::gf_mul(a, b), "{a:#x} * {b:#x}");
         }
         let mut state = 3u128;
         for _ in 0..200 {
@@ -574,7 +573,7 @@ mod tests {
             let a = state;
             state = state.wrapping_mul(0x2545F4914F6CDD1D).wrapping_add(0x9E3779B97F4A7C15);
             let b = state;
-            assert_eq!(gf_mul_hw(a, b), crate::gcm::gf_mul(a, b));
+            assert_eq!(gf_mul_hw(a, b), crate::gcm::table::gf_mul(a, b));
         }
     }
 
@@ -594,15 +593,15 @@ mod tests {
         {
             let aad = lcg_bytes(aad_len, &mut seed);
             let ct = lcg_bytes(ct_len, &mut seed);
-            // Per-block reference on the table backend's gf_mul.
+            // Per-block reference on the table reference's gf_mul.
             let mut y = 0u128;
             for chunk in aad.chunks(16).chain(ct.chunks(16)) {
                 let mut buf = [0u8; 16];
                 buf[..chunk.len()].copy_from_slice(chunk);
-                y = crate::gcm::gf_mul(y ^ u128::from_be_bytes(buf), h);
+                y = crate::gcm::table::gf_mul(y ^ u128::from_be_bytes(buf), h);
             }
             let lens = ((aad.len() as u128 * 8) << 64) | (ct.len() as u128 * 8);
-            let expected = crate::gcm::gf_mul(y ^ lens, h);
+            let expected = crate::gcm::table::gf_mul(y ^ lens, h);
             assert_eq!(gh.ghash(&aad, &ct), expected, "aad {aad_len} ct {ct_len}");
         }
     }

@@ -2,31 +2,30 @@
 //! primitive on the trusted path.
 //!
 //! The enclave's threat model is data-dependent memory access (Section
-//! 2.3 of the paper), and the original table-based AES/GHASH is exactly
-//! that — S-box and field-multiply lookups indexed by secret bytes. This
-//! module holds three backends, two of which the process-wide decision
-//! can land on:
+//! 2.3 of the paper), and the textbook table-based AES/GHASH is exactly
+//! that — S-box and field-multiply lookups indexed by secret bytes. The
+//! process runs one of two backends, neither of which has a
+//! secret-indexed lookup or a secret-conditioned branch:
 //!
 //! | backend | AES-CTR | GHASH | SHA-256 | constant time | needs |
 //! |---------|---------|-------|---------|---------------|-------|
 //! | `hw`    | AES-NI, VAES×16 when available | PCLMULQDQ | SHA-NI | yes (ISA) | x86-64 + aes+pclmulqdq(+sha) |
 //! | `ct`    | bitsliced ×4, Boyar–Peralta S-box circuit | carry-less products from masked integer multiplies | software | yes (construction; assumes a constant-time integer multiplier) | nothing |
-//! | `table` | S-box lookups | bit loop with branches | software | **no** | nothing |
 //!
 //! `OLIVE_CRYPTO=hw|ct` pins the backend; unset picks `hw` when the CPU
-//! supports it and `ct` otherwise (the portable default). `table` is not
-//! constant-time, so the environment cannot put it on the trusted path:
-//! it survives only as the differential reference, built explicitly with
-//! [`CryptoEngine::with_backend`]. All three produce bitwise-identical
-//! ciphertexts, tags and digests, asserted by the vector and proptest
-//! suites in `tests/engine_vectors.rs`.
+//! supports it and `ct` otherwise (the portable default). Both produce
+//! bitwise-identical ciphertexts, tags and digests: the KAT vectors run
+//! on each (`tests/engine_vectors.rs`), and the unit tests hold each to
+//! the lookup-table reference — FIPS 197 table AES and the bit-serial
+//! SP 800-38D multiply — which exists only in test builds, so nothing in
+//! a release build can select it.
 //!
-//! The decision is read once and cached ([`crypto_backend`]); everything
-//! that builds an [`AesGcm`], [`Sha256`] or [`HmacSha256`] without an
-//! explicit backend inherits it, so one knob governs the whole
-//! deployment. [`CryptoEngine`] packages the decision as a value that the
-//! TEE layer threads through enclave sealing, attestation and the client
-//! secure channel.
+//! The decision is read once and cached ([`crypto_backend`]); every
+//! [`AesGcm`], [`Sha256`] and [`HmacSha256`] built without an explicit
+//! backend inherits it, so one knob governs the whole deployment — the
+//! enclave, the client sessions and the shard tunnels all call the plain
+//! constructors. The `with_backend` constructors exist for the
+//! differential suites and benches that compare backends in one process.
 //!
 //! [`AesGcm`]: crate::gcm::AesGcm
 //! [`Sha256`]: crate::sha256::Sha256
@@ -34,9 +33,6 @@
 
 use std::sync::OnceLock;
 
-use crate::gcm::AesGcm;
-use crate::hmac::HmacSha256;
-use crate::sha256::{Sha256, DIGEST_LEN};
 use crate::CryptoError;
 
 pub(crate) mod ct;
@@ -51,9 +47,6 @@ pub enum CryptoBackend {
     Hw,
     /// Bitsliced constant-time software (portable default).
     Ct,
-    /// The original lookup-table code — **not** cache-timing-safe; kept as
-    /// the differential reference, never selected by [`crypto_backend`].
-    Table,
 }
 
 impl CryptoBackend {
@@ -64,16 +57,15 @@ impl CryptoBackend {
             CryptoBackend::Hw => hw::aes_available(),
             #[cfg(not(target_arch = "x86_64"))]
             CryptoBackend::Hw => false,
-            CryptoBackend::Ct | CryptoBackend::Table => true,
+            CryptoBackend::Ct => true,
         }
     }
 
-    /// The knob spelling (`hw`/`ct`/`table`).
+    /// The knob spelling (`hw`/`ct`).
     pub fn name(self) -> &'static str {
         match self {
             CryptoBackend::Hw => "hw",
             CryptoBackend::Ct => "ct",
-            CryptoBackend::Table => "table",
         }
     }
 }
@@ -87,17 +79,14 @@ impl core::fmt::Display for CryptoBackend {
 /// Every backend the current CPU can run, fastest first (what the
 /// differential suites iterate over).
 pub fn available_backends() -> Vec<CryptoBackend> {
-    [CryptoBackend::Hw, CryptoBackend::Ct, CryptoBackend::Table]
-        .into_iter()
-        .filter(|b| b.is_available())
-        .collect()
+    [CryptoBackend::Hw, CryptoBackend::Ct].into_iter().filter(|b| b.is_available()).collect()
 }
 
 /// Process-wide backend selection: `OLIVE_CRYPTO=hw|ct` pins it (falling
 /// back with a warning if the CPU lacks the requested ISA), anything else
-/// — `table` included — or unset auto-detects `hw`, then `ct`. Read once and
-/// cached; code that needs several backends in one process uses the
-/// `*_with_backend` constructors instead.
+/// or unset auto-detects `hw`, then `ct`. Read once and cached; code that
+/// needs several backends in one process uses the `with_backend`
+/// constructors instead.
 pub fn crypto_backend() -> CryptoBackend {
     static BACKEND: OnceLock<CryptoBackend> = OnceLock::new();
     *BACKEND.get_or_init(|| {
@@ -122,77 +111,51 @@ pub fn crypto_backend() -> CryptoBackend {
     })
 }
 
-/// A crypto backend decision packaged as a value.
-///
-/// The TEE layer holds one per enclave / client session so the whole
-/// trusted path — sealing, attestation hashing, session-key derivation,
-/// upload encryption — runs on the same implementation family, and tests
-/// can pin a specific backend end to end.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct CryptoEngine {
-    backend: CryptoBackend,
-}
+const RCON: [u8; 11] = [0x00, 0x01, 0x02, 0x04, 0x08, 0x10, 0x20, 0x40, 0x80, 0x1b, 0x36];
 
-impl Default for CryptoEngine {
-    fn default() -> Self {
-        Self::auto()
-    }
-}
+/// Maximum number of round keys (AES-256: 14 rounds + initial).
+pub(crate) const MAX_ROUND_KEYS: usize = 15;
 
-impl CryptoEngine {
-    /// The process-default engine ([`crypto_backend`]).
-    pub fn auto() -> Self {
-        CryptoEngine { backend: crypto_backend() }
+/// FIPS 197 key expansion, shared by both backends: the schedule differs
+/// only in how `SubWord` is computed (the bitsliced circuit in `ct`,
+/// `AESENCLAST` in `hw`), so the Nk/rounds bookkeeping and RCON wiring
+/// live exactly once. Returns the round keys and the round count for a
+/// 16/24/32-byte `key`.
+pub(crate) fn expand_key(
+    key: &[u8],
+    sub_word: fn([u8; 4]) -> [u8; 4],
+) -> Result<([[u8; 16]; MAX_ROUND_KEYS], usize), CryptoError> {
+    let (nk, rounds) = match key.len() {
+        16 => (4usize, 10usize),
+        24 => (6, 12),
+        32 => (8, 14),
+        _ => return Err(CryptoError::BadLength),
+    };
+    let nwords = 4 * (rounds + 1);
+    let mut w = [[0u8; 4]; 4 * MAX_ROUND_KEYS];
+    for i in 0..nk {
+        w[i].copy_from_slice(&key[4 * i..4 * i + 4]);
     }
-
-    /// An engine pinned to `backend`, or `None` when the CPU can't run it.
-    pub fn with_backend(backend: CryptoBackend) -> Option<Self> {
-        backend.is_available().then_some(CryptoEngine { backend })
+    for i in nk..nwords {
+        let mut temp = w[i - 1];
+        if i % nk == 0 {
+            temp.rotate_left(1);
+            temp = sub_word(temp);
+            temp[0] ^= RCON[i / nk];
+        } else if nk > 6 && i % nk == 4 {
+            temp = sub_word(temp);
+        }
+        for j in 0..4 {
+            w[i][j] = w[i - nk][j] ^ temp[j];
+        }
     }
-
-    /// The backend this engine dispatches to.
-    pub fn backend(self) -> CryptoBackend {
-        self.backend
+    let mut round_keys = [[0u8; 16]; MAX_ROUND_KEYS];
+    for r in 0..=rounds {
+        for c in 0..4 {
+            round_keys[r][4 * c..4 * c + 4].copy_from_slice(&w[4 * r + c]);
+        }
     }
-
-    /// An AES-GCM key (16/24/32 bytes) on this engine's backend.
-    pub fn aes_gcm(self, key: &[u8]) -> Result<AesGcm, CryptoError> {
-        AesGcm::with_backend(self.backend, key)
-    }
-
-    /// A fresh SHA-256 hasher on this engine's backend.
-    pub fn sha256(self) -> Sha256 {
-        Sha256::with_backend(self.backend)
-    }
-
-    /// One-shot SHA-256.
-    pub fn digest(self, data: &[u8]) -> [u8; DIGEST_LEN] {
-        let mut h = self.sha256();
-        h.update(data);
-        h.finalize()
-    }
-
-    /// An HMAC-SHA256 context keyed with `key` on this engine's backend.
-    pub fn hmac(self, key: &[u8]) -> HmacSha256 {
-        HmacSha256::with_backend(self.backend, key)
-    }
-
-    /// One-shot HMAC-SHA256.
-    pub fn mac(self, key: &[u8], data: &[u8]) -> [u8; DIGEST_LEN] {
-        let mut h = self.hmac(key);
-        h.update(data);
-        h.finalize()
-    }
-
-    /// Constant-time MAC verification.
-    pub fn verify_mac(self, key: &[u8], data: &[u8], tag: &[u8]) -> bool {
-        crate::ct::ct_eq(&self.mac(key, data), tag)
-    }
-
-    /// HKDF-SHA256: Expand(Extract(salt, ikm), info, len).
-    pub fn hkdf(self, salt: &[u8], ikm: &[u8], info: &[u8], len: usize) -> Vec<u8> {
-        crate::hkdf::derive_with_backend(self.backend, salt, ikm, info, len)
-    }
+    Ok((round_keys, rounds))
 }
 
 #[cfg(test)]
@@ -201,30 +164,29 @@ mod tests {
 
     #[test]
     fn table_and_ct_always_available() {
-        assert!(CryptoBackend::Table.is_available());
+        // `ct` is the portable production default; the table reference the
+        // unit tests hold both backends to is portable too, at every key
+        // size.
         assert!(CryptoBackend::Ct.is_available());
         assert!(available_backends().contains(&CryptoBackend::Ct));
+        for len in [16, 24, 32] {
+            assert!(crate::aes::Aes::new(&vec![7u8; len]).is_ok());
+            assert!(crate::gcm::table::TableGcm::new(&vec![7u8; len]).is_ok());
+        }
     }
 
     #[test]
     fn env_knob_pins_backend() {
         // The cached process-wide selection honors OLIVE_CRYPTO when the
-        // suite was launched with it (the CI `ct` pass) — and whatever
-        // it says, never lands on the non-constant-time reference.
-        assert_ne!(crypto_backend(), CryptoBackend::Table);
+        // suite was launched with it (the CI `ct` pass), and whatever it
+        // says lands on a backend this CPU runs.
+        let backend = crypto_backend();
+        assert!(matches!(backend, CryptoBackend::Hw | CryptoBackend::Ct));
+        assert!(backend.is_available());
         match std::env::var("OLIVE_CRYPTO").as_deref() {
-            Ok("ct") => assert_eq!(crypto_backend(), CryptoBackend::Ct),
-            Ok("hw") if CryptoBackend::Hw.is_available() => {
-                assert_eq!(crypto_backend(), CryptoBackend::Hw)
-            }
-            _ => assert!(crypto_backend().is_available()),
+            Ok("ct") => assert_eq!(backend, CryptoBackend::Ct),
+            Ok("hw") if CryptoBackend::Hw.is_available() => assert_eq!(backend, CryptoBackend::Hw),
+            _ => {}
         }
-    }
-
-    #[test]
-    fn engine_with_unavailable_backend_is_none() {
-        #[cfg(not(target_arch = "x86_64"))]
-        assert!(CryptoEngine::with_backend(CryptoBackend::Hw).is_none());
-        assert!(CryptoEngine::with_backend(CryptoBackend::Table).is_some());
     }
 }

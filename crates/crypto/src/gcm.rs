@@ -8,11 +8,11 @@
 //! The GCM composition (J0, CTR layout, GHASH over AAD ∥ ciphertext ∥
 //! lengths, tag masking) lives here once; the block cipher and the field
 //! multiplication dispatch to the backend selected by
-//! [`crate::engine::crypto_backend`] — hardware (AES-NI + PCLMULQDQ),
-//! bitsliced constant-time software, or the original lookup tables kept as
-//! the differential reference. All three produce bitwise-identical output.
+//! [`crate::engine::crypto_backend`] — hardware (AES-NI + PCLMULQDQ) or
+//! bitsliced constant-time software. Both produce bitwise-identical
+//! output, and the unit tests hold both to the lookup-table reference in
+//! `gcm::table`, which test builds alone contain.
 
-use crate::aes::Aes;
 use crate::ct::ct_eq;
 use crate::engine::ct::{CtAes, CtGhash};
 #[cfg(target_arch = "x86_64")]
@@ -24,32 +24,6 @@ use crate::CryptoError;
 pub const NONCE_LEN: usize = 12;
 /// GCM authentication tag length in bytes.
 pub const TAG_LEN: usize = 16;
-
-/// The GHASH reduction constant R = 11100001 || 0^120.
-const R: u128 = 0xE100_0000_0000_0000_0000_0000_0000_0000;
-
-/// Multiplication in GF(2^128) as specified in SP 800-38D §6.3 — the
-/// table backend's field multiply and the differential reference the
-/// `ct`/`hw` multiplies are tested against. **Not constant-time** (both
-/// branches key on secret bits).
-///
-/// Blocks are interpreted big-endian with bit 0 the most significant bit of
-/// the first byte.
-pub(crate) fn gf_mul(x: u128, y: u128) -> u128 {
-    let mut z = 0u128;
-    let mut v = x;
-    for i in 0..128 {
-        if (y >> (127 - i)) & 1 == 1 {
-            z ^= v;
-        }
-        let lsb = v & 1;
-        v >>= 1;
-        if lsb == 1 {
-            v ^= R;
-        }
-    }
-    z
-}
 
 fn block_to_u128(b: &[u8]) -> u128 {
     let mut buf = [0u8; 16];
@@ -69,13 +43,12 @@ fn ghash(aad: &[u8], ciphertext: &[u8], mul_h: impl Fn(u128) -> u128) -> u128 {
 }
 
 /// The backend-specific cipher state behind one GCM key. The `ct` arm's
-/// pre-sliced round keys make it 1 KiB against the others' 0.3; a key is
-/// built per message and lives on the caller's stack, so boxing the arm
-/// would buy an allocation per message and nothing else.
+/// pre-sliced round keys make it 1 KiB against the `hw` arm's 0.3; a key
+/// is built per message and lives on the caller's stack, so boxing the
+/// arm would buy an allocation per message and nothing else.
 #[derive(Clone)]
 #[allow(clippy::large_enum_variant)]
 enum GcmImpl {
-    Table(Aes),
     Ct(CtAes, CtGhash),
     #[cfg(target_arch = "x86_64")]
     Hw(HwAes, HwGhash),
@@ -96,17 +69,14 @@ enum GcmImpl {
 #[derive(Clone)]
 pub struct AesGcm {
     imp: GcmImpl,
-    /// Hash subkey H = E_K(0^128).
-    h: u128,
 }
 
 impl core::fmt::Debug for AesGcm {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        // The hash subkey H (and the backends' round keys / H powers) is
-        // key material: H alone enables tag forgery, so Debug prints the
+        // The backends' round keys and hash subkey powers are key
+        // material (H alone enables tag forgery), so Debug prints the
         // backend only.
         let backend = match &self.imp {
-            GcmImpl::Table(_) => CryptoBackend::Table,
             GcmImpl::Ct(..) => CryptoBackend::Ct,
             #[cfg(target_arch = "x86_64")]
             GcmImpl::Hw(..) => CryptoBackend::Hw,
@@ -130,28 +100,22 @@ impl AesGcm {
     /// If `backend` is not available on this CPU (callers gate on
     /// [`CryptoBackend::is_available`]).
     pub fn with_backend(backend: CryptoBackend, key: &[u8]) -> Result<Self, CryptoError> {
-        let mut imp = match backend {
-            CryptoBackend::Table => GcmImpl::Table(Aes::new(key)?),
-            CryptoBackend::Ct => GcmImpl::Ct(CtAes::new(key)?, CtGhash::new(0)),
+        let imp = match backend {
+            CryptoBackend::Ct => {
+                let aes = CtAes::new(key)?;
+                let h = hash_subkey(|b| aes.encrypt_block(b));
+                GcmImpl::Ct(aes, CtGhash::new(h))
+            }
             #[cfg(target_arch = "x86_64")]
             CryptoBackend::Hw => {
                 let aes = HwAes::new(key)?;
-                GcmImpl::Hw(aes, HwGhash::new(0))
+                let h = hash_subkey(|b| aes.encrypt_block(b));
+                GcmImpl::Hw(aes, HwGhash::new(h))
             }
             #[cfg(not(target_arch = "x86_64"))]
             CryptoBackend::Hw => panic!("hw crypto backend requires x86-64"),
         };
-        let mut hb = [0u8; 16];
-        imp_encrypt_block(&imp, &mut hb);
-        let h = u128::from_be_bytes(hb);
-        if let GcmImpl::Ct(_, gh) = &mut imp {
-            *gh = CtGhash::new(h);
-        }
-        #[cfg(target_arch = "x86_64")]
-        if let GcmImpl::Hw(_, gh) = &mut imp {
-            *gh = HwGhash::new(h);
-        }
-        Ok(AesGcm { imp, h })
+        Ok(AesGcm { imp })
     }
 
     fn j0(&self, nonce: &[u8; NONCE_LEN]) -> [u8; 16] {
@@ -163,34 +127,14 @@ impl AesGcm {
 
     fn ctr_xor(&self, j0: &[u8; 16], data: &mut [u8]) {
         match &self.imp {
-            GcmImpl::Table(aes) => {
-                let mut counter = u32::from_be_bytes(j0[12..16].try_into().unwrap());
-                for chunk in data.chunks_mut(16) {
-                    counter = counter.wrapping_add(1);
-                    let mut block = *j0;
-                    block[12..16].copy_from_slice(&counter.to_be_bytes());
-                    aes.encrypt_block(&mut block);
-                    for (b, k) in chunk.iter_mut().zip(block.iter()) {
-                        *b ^= k;
-                    }
-                }
-            }
             GcmImpl::Ct(aes, _) => aes.ctr_xor(j0, data),
             #[cfg(target_arch = "x86_64")]
             GcmImpl::Hw(aes, _) => aes.ctr_xor(j0, data),
         }
     }
 
-    /// Test hook: the raw CTR keystream XOR (differential suites compare
-    /// backends at exact chunk boundaries).
-    #[cfg(test)]
-    pub(crate) fn ctr_xor_for_tests(&self, j0: &[u8; 16], data: &mut [u8]) {
-        self.ctr_xor(j0, data)
-    }
-
     fn tag(&self, j0: &[u8; 16], aad: &[u8], ciphertext: &[u8]) -> [u8; TAG_LEN] {
         let s = match &self.imp {
-            GcmImpl::Table(_) => ghash(aad, ciphertext, |x| gf_mul(x, self.h)),
             GcmImpl::Ct(_, gh) => ghash(aad, ciphertext, |x| gh.mul_h(x)),
             #[cfg(target_arch = "x86_64")]
             GcmImpl::Hw(_, gh) => gh.ghash(aad, ciphertext),
@@ -249,19 +193,104 @@ impl AesGcm {
     }
 }
 
+/// The hash subkey H = E_K(0¹²⁸), under the block cipher `encrypt_block`.
+fn hash_subkey(encrypt_block: impl Fn(&mut [u8; 16])) -> u128 {
+    let mut h = [0u8; 16];
+    encrypt_block(&mut h);
+    u128::from_be_bytes(h)
+}
+
 /// Single-block encryption on whichever backend `imp` wraps.
 fn imp_encrypt_block(imp: &GcmImpl, block: &mut [u8; 16]) {
     match imp {
-        GcmImpl::Table(aes) => aes.encrypt_block(block),
         GcmImpl::Ct(aes, _) => aes.encrypt_block(block),
         #[cfg(target_arch = "x86_64")]
         GcmImpl::Hw(aes, _) => aes.encrypt_block(block),
     }
 }
 
+/// The table backend: FIPS 197 lookup-table AES ([`crate::aes`]) in CTR
+/// mode, and GHASH by the bit-serial field multiply of SP 800-38D §6.3 —
+/// the reference the `hw` and `ct` backends are held to, bit for bit.
+/// Both halves index or branch on secret bits, so only test builds
+/// contain it.
+#[cfg(test)]
+pub(crate) mod table {
+    use super::{ghash, NONCE_LEN};
+    use crate::aes::Aes;
+    use crate::CryptoError;
+
+    /// The GHASH reduction constant R = 11100001 || 0^120.
+    const R: u128 = 0xE100_0000_0000_0000_0000_0000_0000_0000;
+
+    /// Multiplication in GF(2^128) as specified in SP 800-38D §6.3.
+    /// Blocks are interpreted big-endian with bit 0 the most significant
+    /// bit of the first byte.
+    pub(crate) fn gf_mul(x: u128, y: u128) -> u128 {
+        let mut z = 0u128;
+        let mut v = x;
+        for i in 0..128 {
+            if (y >> (127 - i)) & 1 == 1 {
+                z ^= v;
+            }
+            let lsb = v & 1;
+            v >>= 1;
+            if lsb == 1 {
+                v ^= R;
+            }
+        }
+        z
+    }
+
+    /// An AES-GCM key on the table backend.
+    pub(crate) struct TableGcm {
+        aes: Aes,
+        h: u128,
+    }
+
+    impl TableGcm {
+        pub(crate) fn new(key: &[u8]) -> Result<Self, CryptoError> {
+            let aes = Aes::new(key)?;
+            let h = u128::from_be_bytes(aes.encrypt([0; 16]));
+            Ok(TableGcm { aes, h })
+        }
+
+        /// The CTR keystream XOR from counter block `j0`: block i of the
+        /// keystream is E(nonce ‖ counter + 1 + i mod 2³²).
+        pub(crate) fn ctr_xor(&self, j0: &[u8; 16], data: &mut [u8]) {
+            let mut counter = u32::from_be_bytes(j0[12..16].try_into().unwrap());
+            for chunk in data.chunks_mut(16) {
+                counter = counter.wrapping_add(1);
+                let mut block = *j0;
+                block[12..16].copy_from_slice(&counter.to_be_bytes());
+                let keystream = self.aes.encrypt(block);
+                for (b, k) in chunk.iter_mut().zip(keystream.iter()) {
+                    *b ^= k;
+                }
+            }
+        }
+
+        /// `ciphertext || tag`, as [`super::AesGcm::seal`] returns it.
+        pub(crate) fn seal(&self, nonce: &[u8; NONCE_LEN], pt: &[u8], aad: &[u8]) -> Vec<u8> {
+            let mut j0 = [0u8; 16];
+            j0[..NONCE_LEN].copy_from_slice(nonce);
+            j0[15] = 1;
+            let mut out = pt.to_vec();
+            self.ctr_xor(&j0, &mut out);
+            let s = ghash(aad, &out, |x| gf_mul(x, self.h));
+            let tag = s ^ u128::from_be_bytes(self.aes.encrypt(j0));
+            out.extend_from_slice(&tag.to_be_bytes());
+            out
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
+    use super::table::TableGcm;
     use super::*;
+    use proptest::collection::vec;
+    use proptest::prelude::*;
 
     fn from_hex(s: &str) -> Vec<u8> {
         (0..s.len()).step_by(2).map(|i| u8::from_str_radix(&s[i..i + 2], 16).unwrap()).collect()
@@ -382,7 +411,7 @@ mod tests {
     #[test]
     fn ctr_backends_agree_across_the_counter_wrap() {
         let key = [0x3cu8; 32];
-        let table = AesGcm::with_backend(CryptoBackend::Table, &key).unwrap();
+        let table = TableGcm::new(&key).unwrap();
         let starts =
             [0xFFFF_FFF0u32, 0xFFFF_FFFB, 0xFFFF_FFFC, 0xFFFF_FFFD, 0xFFFF_FFFE, u32::MAX, 0];
         let lens = [0usize, 1, 15, 16, 17, 63, 64, 65, 127, 128, 129, 255, 256, 257, 1000, 4096];
@@ -394,19 +423,19 @@ mod tests {
                 for len in lens {
                     let data: Vec<u8> = (0..len).map(|i| (i * 31 % 251) as u8).collect();
                     let mut expected = data.clone();
-                    table.ctr_xor_for_tests(&j0, &mut expected);
+                    table.ctr_xor(&j0, &mut expected);
                     let mut got = data;
-                    g.ctr_xor_for_tests(&j0, &mut got);
+                    g.ctr_xor(&j0, &mut got);
                     assert_eq!(got, expected, "{backend}: counter {start:#x}, len {len}");
                 }
             }
         }
         // The reference itself: block i is E(nonce ‖ start + 1 + i mod 2³²).
-        let aes = Aes::new(&key).unwrap();
+        let aes = crate::aes::Aes::new(&key).unwrap();
         let mut j0 = [0xa7u8; 16];
         j0[12..].copy_from_slice(&0xFFFF_FFFEu32.to_be_bytes());
         let mut stream = [0u8; 48];
-        table.ctr_xor_for_tests(&j0, &mut stream);
+        table.ctr_xor(&j0, &mut stream);
         for (i, counter) in [u32::MAX, 0, 1].into_iter().enumerate() {
             let mut block = j0;
             block[12..].copy_from_slice(&counter.to_be_bytes());
@@ -438,6 +467,34 @@ mod tests {
             let nonce = [len as u8; 12];
             let ct = g.seal(&nonce, &pt, b"aad");
             assert_eq!(g.open(&nonce, &ct, b"aad").unwrap(), pt, "len {len}");
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// `hw == ct == table` for the whole AEAD, bitwise, on random
+        /// keys, nonces, AAD and plaintexts — empty and non-block-aligned
+        /// lengths, key sizes 128/192/256, and payloads crossing the `hw`
+        /// backend's 128-byte (AES-NI), 256-byte (VAES) and 64-byte (GHASH
+        /// aggregation) chunk boundaries — and each backend opens what
+        /// the reference sealed.
+        #[test]
+        fn gcm_backends_match_the_table_reference(
+            key in vec(any::<u8>(), 32),
+            key_len in 0usize..3,
+            nonce in vec(any::<u8>(), 12),
+            aad in vec(any::<u8>(), 0..48),
+            pt in vec(any::<u8>(), 0..600),
+        ) {
+            let key = &key[..[16, 24, 32][key_len]];
+            let nonce: [u8; 12] = nonce.try_into().unwrap();
+            let want = TableGcm::new(key).unwrap().seal(&nonce, &pt, &aad);
+            for backend in crate::engine::available_backends() {
+                let g = AesGcm::with_backend(backend, key).unwrap();
+                prop_assert_eq!(&g.seal(&nonce, &pt, &aad), &want, "backend {}", backend);
+                prop_assert_eq!(g.open(&nonce, &want, &aad).unwrap(), pt.clone());
+            }
         }
     }
 }

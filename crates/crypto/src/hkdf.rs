@@ -4,48 +4,24 @@
 //! and each client derive their AES-GCM session key with
 //! `HKDF(salt = RA transcript hash, ikm = DH shared secret)`.
 
-use crate::engine::{crypto_backend, CryptoBackend};
 use crate::hmac::HmacSha256;
 use crate::sha256::DIGEST_LEN;
 
 /// HKDF-Extract: `PRK = HMAC(salt, ikm)`.
 pub fn hkdf_extract(salt: &[u8], ikm: &[u8]) -> [u8; DIGEST_LEN] {
-    extract_with_backend(crypto_backend(), salt, ikm)
-}
-
-/// HKDF-Expand: derives `len` bytes of output key material (`len <= 255*32`).
-pub fn hkdf_expand(prk: &[u8; DIGEST_LEN], info: &[u8], len: usize) -> Vec<u8> {
-    expand_with_backend(crypto_backend(), prk, info, len)
-}
-
-/// Convenience wrapper combining extract and expand.
-pub struct Hkdf;
-
-impl Hkdf {
-    /// `derive(salt, ikm, info, len)` = Expand(Extract(salt, ikm), info, len).
-    pub fn derive(salt: &[u8], ikm: &[u8], info: &[u8], len: usize) -> Vec<u8> {
-        derive_with_backend(crypto_backend(), salt, ikm, info, len)
-    }
-}
-
-fn extract_with_backend(backend: CryptoBackend, salt: &[u8], ikm: &[u8]) -> [u8; DIGEST_LEN] {
-    let mut h = HmacSha256::with_backend(backend, salt);
+    let mut h = HmacSha256::new(salt);
     h.update(ikm);
     h.finalize()
 }
 
-fn expand_with_backend(
-    backend: CryptoBackend,
-    prk: &[u8; DIGEST_LEN],
-    info: &[u8],
-    len: usize,
-) -> Vec<u8> {
+/// HKDF-Expand: derives `len` bytes of output key material (`len <= 255*32`).
+pub fn hkdf_expand(prk: &[u8; DIGEST_LEN], info: &[u8], len: usize) -> Vec<u8> {
     assert!(len <= 255 * DIGEST_LEN, "HKDF-Expand output too long");
     let mut okm = Vec::with_capacity(len);
     let mut t: Vec<u8> = Vec::new();
     let mut counter = 1u8;
     while okm.len() < len {
-        let mut h = HmacSha256::with_backend(backend, prk);
+        let mut h = HmacSha256::new(prk);
         h.update(&t);
         h.update(info);
         h.update(&[counter]);
@@ -58,17 +34,9 @@ fn expand_with_backend(
     okm
 }
 
-/// HKDF pinned to a specific crypto backend (the engine's entry point;
-/// `HmacSha256` carries the backend through both stages).
-pub(crate) fn derive_with_backend(
-    backend: CryptoBackend,
-    salt: &[u8],
-    ikm: &[u8],
-    info: &[u8],
-    len: usize,
-) -> Vec<u8> {
-    let prk = extract_with_backend(backend, salt, ikm);
-    expand_with_backend(backend, &prk, info, len)
+/// `derive(salt, ikm, info, len)` = Expand(Extract(salt, ikm), info, len).
+pub fn derive(salt: &[u8], ikm: &[u8], info: &[u8], len: usize) -> Vec<u8> {
+    hkdf_expand(&hkdf_extract(salt, ikm), info, len)
 }
 
 #[cfg(test)]
@@ -104,7 +72,7 @@ mod tests {
         let ikm: Vec<u8> = (0x00u8..=0x4f).collect();
         let salt: Vec<u8> = (0x60u8..=0xaf).collect();
         let info: Vec<u8> = (0xb0u8..=0xff).collect();
-        let okm = Hkdf::derive(&salt, &ikm, &info, 82);
+        let okm = derive(&salt, &ikm, &info, 82);
         assert_eq!(
             hex(&okm),
             "b11e398dc80327a1c8e7f78c596a49344f012eda2d4efad8a050cc4c19afa97c\
@@ -116,7 +84,7 @@ mod tests {
     // RFC 5869 Appendix A, test case 3 (zero-length salt and info).
     #[test]
     fn rfc5869_case_3() {
-        let okm = Hkdf::derive(b"", &[0x0b; 22], b"", 42);
+        let okm = derive(b"", &[0x0b; 22], b"", 42);
         assert_eq!(
             hex(&okm),
             "8da4e775a563c18f715f802a063c5a31b8a11f5c5ee1879ec3454e5f3c738d2d9d201395faa4b61a96c8"
@@ -131,8 +99,8 @@ mod tests {
 
     #[test]
     fn distinct_info_distinct_keys() {
-        let a = Hkdf::derive(b"salt", b"shared-secret", b"client-17", 32);
-        let b = Hkdf::derive(b"salt", b"shared-secret", b"client-18", 32);
+        let a = derive(b"salt", b"shared-secret", b"client-17", 32);
+        let b = derive(b"salt", b"shared-secret", b"client-18", 32);
         assert_ne!(a, b);
     }
 }

@@ -12,7 +12,6 @@
 //! * [`mod@sha256`] — FIPS 180-4 SHA-256 (tested against NIST vectors),
 //! * [`hmac`] — RFC 2104 HMAC-SHA256 (tested against RFC 4231 vectors),
 //! * [`hkdf`] — RFC 5869 HKDF-SHA256 (tested against RFC 5869 vectors),
-//! * [`aes`] — FIPS 197 AES-128/192/256 block cipher,
 //! * [`gcm`] — NIST SP 800-38D AES-GCM AEAD (tested against NIST vectors),
 //! * [`ct`] — constant-time byte comparison,
 //! * [`dh`] — **simulation-grade** finite-field Diffie–Hellman and a
@@ -25,17 +24,18 @@
 //! full-strength implementations; only the asymmetric pieces are simulation
 //! stand-ins.
 //!
-//! Since PR 4 the symmetric primitives run on a runtime-dispatched
-//! [`engine`]: hardware ISA extensions (AES-NI/VAES, PCLMULQDQ, SHA-NI),
-//! or a bitsliced constant-time software fallback (`OLIVE_CRYPTO=hw|ct`);
-//! the original lookup-table code is kept as the differential reference
-//! only. Unsafe code is denied crate-wide and
+//! The symmetric primitives run on a runtime-dispatched [`engine`]:
+//! hardware ISA extensions (AES-NI/VAES, PCLMULQDQ, SHA-NI), or a
+//! bitsliced constant-time software fallback (`OLIVE_CRYPTO=hw|ct`). The
+//! textbook lookup-table AES and GHASH they are tested against are
+//! compiled into test builds only. Unsafe code is denied crate-wide and
 //! allowed only in the intrinsics-backed `engine::hw` module.
 
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod aes;
+#[cfg(test)]
+mod aes;
 pub mod ct;
 pub mod dh;
 pub mod engine;
@@ -44,10 +44,9 @@ pub mod hkdf;
 pub mod hmac;
 pub mod sha256;
 
-pub use aes::Aes;
-pub use engine::{available_backends, crypto_backend, CryptoBackend, CryptoEngine};
+pub use engine::{available_backends, crypto_backend, CryptoBackend};
 pub use gcm::{AesGcm, NONCE_LEN, TAG_LEN};
-pub use hkdf::{hkdf_expand, hkdf_extract, Hkdf};
+pub use hkdf::{hkdf_expand, hkdf_extract};
 pub use hmac::HmacSha256;
 pub use sha256::{sha256, Sha256};
 

@@ -8,8 +8,8 @@
 //! dispatches per the backend selected by [`crate::engine::crypto_backend`]
 //! — SHA-NI when the `hw` backend is active and the CPU supports it, the
 //! software compressor otherwise (which is already constant-time: pure
-//! arithmetic, constants indexed by public loop counters only, so the `ct`
-//! and `table` backends share it). Both produce identical digests.
+//! arithmetic, constants indexed by public loop counters only). Both
+//! produce identical digests.
 
 use crate::engine::{crypto_backend, CryptoBackend};
 
@@ -180,8 +180,8 @@ impl Sha256 {
 
 /// The software compression function over whole 64-byte blocks —
 /// constant-time by construction (pure arithmetic; `K` is indexed by the
-/// public loop counter only), shared by the `ct` and `table` backends and
-/// the differential reference for SHA-NI.
+/// public loop counter only): the `ct` backend's, and the differential
+/// reference for SHA-NI.
 pub(crate) fn compress_soft(state: &mut [u32; 8], blocks: &[u8]) {
     debug_assert!(blocks.len().is_multiple_of(BLOCK_LEN));
     for block in blocks.chunks_exact(BLOCK_LEN) {

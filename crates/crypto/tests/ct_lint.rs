@@ -1,7 +1,8 @@
 //! Grep-style lint over the constant-time backend sources: the `ct` and
 //! `hw` engine modules must contain **no secret-indexed table lookups**
 //! (`SBOX[b as usize]`-style) and no secret-conditioned control flow of
-//! the kinds the table backend uses.
+//! the kinds the table reference cipher (`src/aes.rs`, compiled into test
+//! builds only) uses.
 //!
 //! Source scanning is a blunt instrument, so the rules are written to be
 //! mechanically checkable: the backend modules simply never use the
@@ -34,7 +35,7 @@ fn implementation_of(name: &str) -> String {
 }
 
 fn assert_clean(name: &str, src: &str) {
-    // Secret-indexed lookup tables: the table backend's S-box (and any
+    // Secret-indexed lookup tables: the table cipher's S-box (and any
     // lookalike) plus the general `table[byte as usize]` indexing shape.
     // The constant-time modules index only with loop counters, which are
     // already `usize` and never need a cast inside the brackets.
@@ -91,20 +92,28 @@ fn hw_backend_has_no_secret_indexed_lookups_or_branches() {
     assert!(src.contains("_mm_aesenc_si128"), "scan target drifted — AES-NI rounds not found");
 }
 
-/// The table backend is *supposed* to contain the forbidden patterns —
-/// if it stops matching, the lint above has lost its teeth.
+/// The table reference cipher is *supposed* to contain the forbidden
+/// patterns — if it stops matching, the lint above has lost its teeth.
+/// The whole module is test-only (`#[cfg(test)] mod aes` in `lib.rs`), so
+/// its code is everything before its own self-tests.
 #[test]
 fn table_backend_still_triggers_the_lint() {
     let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("src/aes.rs");
     let src = std::fs::read_to_string(path).unwrap();
-    let implementation = src.split("#[cfg(test)]").next().unwrap();
+    let (implementation, _) = src.split_once("\nmod tests {").expect("src/aes.rs has self-tests");
+    assert!(implementation.contains("pub(crate) struct Aes"), "scan target drifted");
     assert!(
         implementation.contains("SBOX") && implementation.contains("as usize]"),
-        "table backend no longer matches the lint patterns; update ct_lint.rs"
+        "table cipher no longer matches the lint patterns; update ct_lint.rs"
     );
     let found = control_flow_in(implementation);
     assert!(
         ["if", "match", "while", " % "].iter().all(|c| found.contains(c)),
-        "table backend no longer trips the ct.rs control-flow rule (found {found:?})"
+        "table cipher no longer trips the ct.rs control-flow rule (found {found:?})"
+    );
+    let lib = std::fs::read_to_string(Path::new(env!("CARGO_MANIFEST_DIR")).join("src/lib.rs"));
+    assert!(
+        lib.unwrap().contains("#[cfg(test)]\nmod aes;"),
+        "the table cipher must stay out of non-test builds"
     );
 }

@@ -14,15 +14,13 @@
 //!   and `o_swap`, Listing 2), implemented with inline `cmov` assembly on
 //!   x86-64 and branch-free mask arithmetic elsewhere, over all the cell
 //!   types the aggregation algorithms use;
-//! * [`sort`] — the bitonic sorting network, truncated at the real length
-//!   (the paper's oblivious sort, used once by Algorithm 4), operating on
-//!   [`TrackedBuf`]s so the comparator schedule is visible to the trace
-//!   checker; its module docs state the canonical trace;
-//! * [`sort_kernel`] — the batched, SIMD-friendly implementation of the
-//!   same network (precomputed keys, per-stage trace events, branchless
-//!   min/max sweeps over cache-sized private blocks, per-pass thread
-//!   parallelism), differentially tested against the reference in
-//!   [`sort`];
+//! * [`mod@sort_kernel`] — the bitonic sorting network, truncated at the real
+//!   length (the paper's oblivious sort, used once by Algorithm 4), over
+//!   [`TrackedBuf`]s: it emits the comparator schedule as per-stage trace
+//!   events and moves the data in branchless min/max sweeps over
+//!   cache-sized private blocks, with per-pass thread parallelism; its
+//!   module docs state the canonical trace, and its unit tests hold it to
+//!   a one-comparator-at-a-time network that only test builds contain;
 //! * [`compact`] — order-preserving oblivious compaction in O(n log n)
 //!   conditional swaps (Algorithm 4's last step); its module docs state
 //!   the canonical trace and the no-secret-loop-bound rule;
@@ -51,12 +49,12 @@ pub mod pool;
 pub mod primitives;
 pub mod scan;
 pub mod shuffle;
-pub mod sort;
+#[cfg(test)]
+mod sort;
 pub mod sort_kernel;
 
 pub use compact::{compact_swap_count, compact_u64};
 pub use primitives::{o_select, o_select_u64, o_swap, Oblivious};
 pub use scan::{o_scan_read, o_scan_update, o_scan_write};
 pub use shuffle::{oblivious_shuffle, oblivious_shuffle_with_threads};
-pub use sort::{bitonic_sort, bitonic_sort_by_key};
 pub use sort_kernel::{bitonic_sort_u64_with, sort_kernel, InlinePayload, SortKernel};

@@ -8,18 +8,18 @@
 //!
 //! The tag and payload are packed key-major into one `u128`
 //! (`tag << 64 | payload`) so the batched sort kernel compare-exchanges
-//! whole words; the scalar reference network (`SortKernel::Scalar`, the
-//! test oracle) sorts the same packed words to a bitwise-identical result
-//! (the kernels share one swap rule, including on tag ties).
+//! whole words; the scalar network (the test oracle) sorts the same
+//! packed words to a bitwise-identical result (both swap on a strict tag
+//! inequality only, so tag ties stay put).
 
 use olive_memsim::{default_threads, Tracer, TrackedBuf};
 use rand::Rng;
 
-use crate::sort_kernel::{bitonic_sort_tagged_with, sort_kernel, InlinePayload, SortKernel};
+use crate::sort_kernel::{bitonic_sort_tagged_with, InlinePayload};
 
 /// Uniformly shuffles `data` with an oblivious (bitonic) permutation
-/// network using the process-default kernel and thread count; the memory
-/// trace depends only on `data.len()`.
+/// network on the process-default thread count; the memory trace depends
+/// only on `data.len()`.
 pub fn oblivious_shuffle<T, R, TR>(region: u32, data: Vec<T>, rng: &mut R, tr: &mut TR) -> Vec<T>
 where
     T: InlinePayload,
@@ -43,36 +43,20 @@ where
     R: Rng,
     TR: Tracer,
 {
-    oblivious_shuffle_with(region, data, rng, sort_kernel(), threads, tr)
-}
-
-/// [`oblivious_shuffle`] with every knob explicit (how the differential
-/// tests reach the scalar reference network).
-pub fn oblivious_shuffle_with<T, R, TR>(
-    region: u32,
-    data: Vec<T>,
-    rng: &mut R,
-    kernel: SortKernel,
-    threads: usize,
-    tr: &mut TR,
-) -> Vec<T>
-where
-    T: InlinePayload,
-    R: Rng,
-    TR: Tracer,
-{
     if data.len() <= 1 {
         return data;
     }
-    // Tag every element with a random key. Key collisions merely make the
-    // tie order deterministic, a negligible bias at 63 bits.
-    let tagged: Vec<u128> = data
-        .into_iter()
-        .map(|v| (((rng.gen::<u64>() >> 1) as u128) << 64) | v.to_word() as u128)
-        .collect();
-    let mut buf = TrackedBuf::new(region, tagged);
-    bitonic_sort_tagged_with(&mut buf, kernel, threads, tr);
+    let mut buf = TrackedBuf::new(region, tag_randomly(data, rng));
+    bitonic_sort_tagged_with(&mut buf, threads, tr);
     buf.into_inner().into_iter().map(|w| T::from_word(w as u64)).collect()
+}
+
+/// Packs every element under a fresh random tag. Tag collisions merely
+/// make the tie order deterministic, a negligible bias at 63 bits.
+fn tag_randomly<T: InlinePayload, R: Rng>(data: Vec<T>, rng: &mut R) -> Vec<u128> {
+    data.into_iter()
+        .map(|v| (((rng.gen::<u64>() >> 1) as u128) << 64) | v.to_word() as u128)
+        .collect()
 }
 
 #[cfg(test)]
@@ -117,13 +101,15 @@ mod tests {
         // 5000 elements are past the kernel's parallelism threshold, so
         // threads ∈ {2, 8} exercise the barrier path.
         let data: Vec<u64> = (0..5000).map(|i| i * 31).collect();
-        let run = |kernel, threads| {
-            let mut rng = Rng::seed_from_u64(77);
-            oblivious_shuffle_with(0, data.clone(), &mut rng, kernel, threads, &mut NullTracer)
-        };
-        let reference = run(SortKernel::Scalar, 1);
+        // The same tags, sorted by the scalar network.
+        let mut buf = TrackedBuf::new(0, tag_randomly(data.clone(), &mut Rng::seed_from_u64(77)));
+        crate::sort::bitonic_sort(&mut buf, |c| (c >> 64) as u64, &mut NullTracer);
+        let reference: Vec<u64> = buf.into_inner().into_iter().map(|w| w as u64).collect();
         for threads in [1usize, 2, 8] {
-            assert_eq!(run(SortKernel::Batched, threads), reference, "threads={threads}");
+            let mut rng = Rng::seed_from_u64(77);
+            let got =
+                oblivious_shuffle_with_threads(0, data.clone(), &mut rng, threads, &mut NullTracer);
+            assert_eq!(got, reference, "threads={threads}");
         }
     }
 

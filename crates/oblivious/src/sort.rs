@@ -1,46 +1,19 @@
-//! The oblivious sort: a bitonic sorting network truncated at the real
-//! length (the paper's oblivious sort, ref.\[8\]).
+//! The scalar bitonic network: the sort of [`crate::sort_kernel`] (whose
+//! module docs define the network and its canonical trace) run one traced
+//! compare-exchange at a time — read both cells, swap them in registers
+//! via [`o_swap`] when the first key is larger, write both back — so its
+//! trace is the canonical one by construction.
 //!
-//! A sorting network performs the same sequence of compare-exchanges
-//! whatever the data; each compare-exchange reads both cells, conditionally
-//! swaps in registers via [`o_swap`], and writes both cells back. The
-//! resulting memory trace is a pure function of the input *length* — the
-//! property Algorithm 4's proof (Proposition 5.2) relies on.
-//!
-//! # The canonical trace
-//!
-//! For a buffer of `n` elements let `N` be the smallest power of two
-//! `≥ n`. The network runs rounds `k = 2, 4, …, N`; round `k` is
-//!
-//! 1. a **flip stage** pairing `i` with `l = i ⊕ (k − 1)` — every element
-//!    of the lower half of a `k`-aligned block with its mirror image in
-//!    the upper half — followed by
-//! 2. **stride stages** `j = k/4, k/8, …, 1` pairing `i` with `l = i + j`
-//!    (for the `i` whose bit `j` is clear).
-//!
-//! Within a stage comparators run in ascending `i`; each one is `read i,
-//! read l, write i, write l` and leaves the minimum at `i` (every
-//! comparator ascends — the flip does the work of the classic network's
-//! alternating directions). Comparators with `l ≥ n` are **omitted**.
-//! That is exact, not an approximation: pad the buffer to `N` with `+∞`
-//! and no ascending comparator ever moves a pad (its partner below is
-//! never strictly larger), so the padded network's action on the first
-//! `n` cells is the truncated network's. The event list is therefore a
-//! pure function of `n`, and equals the `N`-length network's with every
-//! comparator touching an address `≥ n` deleted. At `n = 2ᵐ` nothing is
-//! deleted: `m(m+1)/2` stages of `n/2` comparators, Batcher's count.
-//!
-//! Complexity: O(n log² n) comparators, exactly as cited in Section 5.2 —
-//! on `n` itself, not on `n` rounded up to a power of two.
+//! It is the oracle the batched kernel is held to, output for output and
+//! event for event, and test builds alone contain it.
 
 use olive_memsim::{Tracer, TrackedBuf};
 
 use crate::primitives::{o_swap, Oblivious};
 
-/// Sorts `buf` (any length) ascending by `key` with the reference
-/// network of the module docs, one traced compare-exchange at a time.
-/// Equal keys never swap.
-pub fn bitonic_sort<T, K, TR>(buf: &mut TrackedBuf<T>, key: K, tr: &mut TR)
+/// Sorts `buf` (any length) ascending by `key`, one traced
+/// compare-exchange at a time. Equal keys never swap.
+pub(crate) fn bitonic_sort<T, K, TR>(buf: &mut TrackedBuf<T>, key: K, tr: &mut TR)
 where
     T: Oblivious,
     K: Fn(&T) -> u64,
@@ -75,7 +48,12 @@ where
 
 /// Sorts a vector ascending by `key` in a fresh [`TrackedBuf`] over
 /// `region`. The trace depends only on `data.len()`.
-pub fn bitonic_sort_by_key<T, K, TR>(region: u32, data: Vec<T>, key: K, tr: &mut TR) -> Vec<T>
+pub(crate) fn bitonic_sort_by_key<T, K, TR>(
+    region: u32,
+    data: Vec<T>,
+    key: K,
+    tr: &mut TR,
+) -> Vec<T>
 where
     T: Oblivious,
     K: Fn(&T) -> u64,

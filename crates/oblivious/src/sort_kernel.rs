@@ -1,12 +1,47 @@
-//! The batched sort kernel: the network of [`crate::sort`] run as
-//! SIMD-friendly sweeps over private cache-sized blocks, with intra-sort
-//! parallelism.
+//! The oblivious sort: a bitonic sorting network truncated at the real
+//! length (the paper's oblivious sort, ref.\[8\], used once by Algorithm
+//! 4), run as SIMD-friendly sweeps over private cache-sized blocks with
+//! intra-sort parallelism.
 //!
-//! The scalar network in [`crate::sort`] dispatches four traced accesses
-//! and two `key` evaluations per comparator — correct and readable, but
-//! ~10× slower than `std::sort_unstable` because the per-comparator
-//! bookkeeping defeats vectorization. This module rebuilds the hot path
-//! around four observations:
+//! A sorting network performs the same sequence of compare-exchanges
+//! whatever the data; each compare-exchange reads both cells,
+//! conditionally swaps them, and writes both back. The resulting memory
+//! trace is a pure function of the input *length* — the property
+//! Algorithm 4's proof (Proposition 5.2) relies on.
+//!
+//! # The canonical trace
+//!
+//! For a buffer of `n` elements let `N` be the smallest power of two
+//! `≥ n`. The network runs rounds `k = 2, 4, …, N`; round `k` is
+//!
+//! 1. a **flip stage** pairing `i` with `l = i ⊕ (k − 1)` — every element
+//!    of the lower half of a `k`-aligned block with its mirror image in
+//!    the upper half — followed by
+//! 2. **stride stages** `j = k/4, k/8, …, 1` pairing `i` with `l = i + j`
+//!    (for the `i` whose bit `j` is clear).
+//!
+//! Within a stage comparators run in ascending `i`; each one is `read i,
+//! read l, write i, write l` and leaves the minimum at `i` (every
+//! comparator ascends — the flip does the work of the classic network's
+//! alternating directions). Comparators with `l ≥ n` are **omitted**.
+//! That is exact, not an approximation: pad the buffer to `N` with `+∞`
+//! and no ascending comparator ever moves a pad (its partner below is
+//! never strictly larger), so the padded network's action on the first
+//! `n` cells is the truncated network's. The event list is therefore a
+//! pure function of `n`, and equals the `N`-length network's with every
+//! comparator touching an address `≥ n` deleted. At `n = 2ᵐ` nothing is
+//! deleted: `m(m+1)/2` stages of `n/2` comparators, Batcher's count.
+//!
+//! Complexity: O(n log² n) comparators, exactly as cited in Section 5.2 —
+//! on `n` itself, not on `n` rounded up to a power of two.
+//!
+//! # The kernel
+//!
+//! Run one traced compare-exchange at a time — four traced accesses and
+//! two key evaluations per comparator — the network is correct and
+//! readable, but ~10× slower than `std::sort_unstable`, because the
+//! per-comparator bookkeeping defeats vectorization. This module builds
+//! the network around four observations instead:
 //!
 //! 1. **The trace is a closed-form function of `n`.** A sorting network
 //!    touches the same addresses whatever the data (Proposition 5.2), so
@@ -15,9 +50,9 @@
 //!    ([`Tracer::touch_flip_span`] and [`Tracer::touch_cex_span`], one per
 //!    stage) and performs the data movement separately. Recording tracers
 //!    expand each event deterministically into the exact per-access
-//!    sequence of the scalar network, so digests agree at every
-//!    granularity — and, because the emission is independent of the
-//!    physical execution, they agree at **every thread count** too.
+//!    sequence of the scalar network, so the traces agree event for event
+//!    at every granularity — and, because the emission is independent of
+//!    the physical execution, at **every thread count** too.
 //! 2. **Keys ride in the word.** The tagged path (the oblivious shuffle)
 //!    takes `(tag << 64) | payload` words packed up front and
 //!    compare-exchanges them whole, by tag only. The payload
@@ -79,9 +114,11 @@
 //! like the network they implement (a lane or window that straddles `n`
 //! is padded in registers only).
 //!
-//! The scalar reference network stays reachable through the `*_with`
-//! entry points (`SortKernel::Scalar`): it is the oracle the differential
-//! suites compare this kernel against, and nothing selects it at run time.
+//! The one-comparator-at-a-time network is kept as the test oracle
+//! (`sort.rs`, compiled into test builds only): the unit tests hold every
+//! ISA body of this kernel to its output at every length, block size and
+//! thread count, and the entry points to its trace, event for event, at
+//! every granularity.
 //!
 //! `unsafe` here is of two kinds, each block with a `SAFETY:` comment:
 //! workers carve disjoint runs out of one shared base pointer (`run_pass`'s
@@ -95,7 +132,6 @@ use std::sync::Barrier;
 use olive_memsim::{truncated_stage_len, Tracer, TrackedBuf};
 
 use crate::isa::{isa, Isa};
-use crate::sort::bitonic_sort;
 
 /// Cells per private block of the pass schedule (a power of two, at least
 /// one register window): 32 KiB of `u64` cells, 64 KiB of packed `u128`
@@ -103,17 +139,16 @@ use crate::sort::bitonic_sort;
 /// still has blocks to hand to every worker.
 const BLOCK: usize = 1 << 12;
 
-/// Which implementation of the bitonic network runs.
+/// The implementation of the bitonic network the process runs, as run
+/// headers name it. There is one.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SortKernel {
-    /// The readable per-comparator reference network of [`crate::sort`].
-    Scalar,
     /// The batched stage kernel of this module.
     Batched,
 }
 
-/// The kernel the default entry points run: always the batched one.
-/// (A function because run headers print it.)
+/// The kernel every entry point runs (a function because run headers
+/// print it).
 pub fn sort_kernel() -> SortKernel {
     SortKernel::Batched
 }
@@ -145,7 +180,7 @@ impl InlinePayload for u64 {
 // ---------------------------------------------------------------------------
 
 /// Emits the comparator schedule of the network over `buf` as block
-/// events, in the canonical order of [`crate::sort`]: rounds ascending,
+/// events, in the canonical order of the module docs: rounds ascending,
 /// flip then strides descending, ascending comparators within a stage,
 /// out-of-range comparators omitted.
 fn emit_network_trace<T: Copy, TR: Tracer>(buf: &TrackedBuf<T>, tr: &mut TR) {
@@ -830,50 +865,33 @@ fn sort_words<W: Word>(v: &mut [W], threads: usize, block: usize, run: PassFn<W>
 
 /// Sorts packed `u64` cells (any length) ascending by their **raw value**
 /// (the aggregation hot path: cells are index-major, so raw order is index
-/// order), every knob explicit (how the differential tests reach the
-/// scalar reference network).
-///
-/// Both kernels produce bitwise-identical outputs and digest-identical
-/// traces at every length, thread count and granularity.
-pub fn bitonic_sort_u64_with<TR: Tracer>(
-    buf: &mut TrackedBuf<u64>,
-    kernel: SortKernel,
-    threads: usize,
-    tr: &mut TR,
-) {
-    match kernel {
-        SortKernel::Scalar => bitonic_sort(buf, |c| *c, tr),
-        SortKernel::Batched => {
-            emit_network_trace(buf, tr);
-            sort_words(buf.as_mut_slice_untraced(), threads, BLOCK, run_pass_u64);
-        }
-    }
+/// order) on `threads` workers. The output and the trace are the same at
+/// every thread count and granularity.
+pub fn bitonic_sort_u64_with<TR: Tracer>(buf: &mut TrackedBuf<u64>, threads: usize, tr: &mut TR) {
+    emit_network_trace(buf, tr);
+    sort_words(buf.as_mut_slice_untraced(), threads, BLOCK, run_pass_u64);
 }
 
 /// Sorts pre-packed `(tag << 64) | payload` words ascending by their
-/// **high 64 bits** (the oblivious-shuffle layout). Tag ties are left in
-/// place, so the result is bitwise identical to [`bitonic_sort`] with
-/// `key = |c| (c >> 64) as u64`.
+/// **high 64 bits** (the oblivious-shuffle layout) on `threads` workers.
+/// Tag ties are left where the network leaves them: a comparator swaps on
+/// a strict tag inequality only.
 pub fn bitonic_sort_tagged_with<TR: Tracer>(
     buf: &mut TrackedBuf<u128>,
-    kernel: SortKernel,
     threads: usize,
     tr: &mut TR,
 ) {
-    match kernel {
-        SortKernel::Scalar => bitonic_sort(buf, |c| (c >> 64) as u64, tr),
-        SortKernel::Batched => {
-            emit_network_trace(buf, tr);
-            sort_words(buf.as_mut_slice_untraced(), threads, BLOCK, run_pass_u128);
-        }
-    }
+    emit_network_trace(buf, tr);
+    sort_words(buf.as_mut_slice_untraced(), threads, BLOCK, run_pass_u128);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::primitives::Oblivious;
-    use olive_memsim::{Granularity, NullTracer, RecordingTracer};
+    use crate::sort::bitonic_sort;
+    use olive_memsim::{Access, Granularity, NullTracer, RecordingTracer};
+    use proptest::prelude::*;
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
 
@@ -1024,7 +1042,7 @@ mod tests {
             let mut expected = data.clone();
             expected.sort_unstable();
             let mut buf = TrackedBuf::new(0, data);
-            bitonic_sort_u64_with(&mut buf, SortKernel::Batched, 1, &mut NullTracer);
+            bitonic_sort_u64_with(&mut buf, 1, &mut NullTracer);
             assert_eq!(buf.into_inner(), expected, "n={n}");
         }
     }
@@ -1034,9 +1052,9 @@ mod tests {
         for (n, threads) in [(64usize, 1usize), (257, 2), (8192, 8), (9001, 3)] {
             let data = random_words(n, 7);
             let mut scalar = TrackedBuf::new(0, data.clone());
-            bitonic_sort_u64_with(&mut scalar, SortKernel::Scalar, 1, &mut NullTracer);
+            bitonic_sort(&mut scalar, |c| *c, &mut NullTracer);
             let mut batched = TrackedBuf::new(0, data);
-            bitonic_sort_u64_with(&mut batched, SortKernel::Batched, threads, &mut NullTracer);
+            bitonic_sort_u64_with(&mut batched, threads, &mut NullTracer);
             assert_eq!(scalar.into_inner(), batched.into_inner(), "n={n} threads={threads}");
         }
     }
@@ -1047,11 +1065,11 @@ mod tests {
         for granularity in [Granularity::Element, Granularity::Cacheline] {
             let mut str_ = RecordingTracer::new(granularity);
             let mut sbuf = TrackedBuf::new(5, data.clone());
-            bitonic_sort_u64_with(&mut sbuf, SortKernel::Scalar, 1, &mut str_);
+            bitonic_sort(&mut sbuf, |c| *c, &mut str_);
             for threads in [1usize, 2, 8] {
                 let mut btr = RecordingTracer::new(granularity);
                 let mut bbuf = TrackedBuf::new(5, data.clone());
-                bitonic_sort_u64_with(&mut bbuf, SortKernel::Batched, threads, &mut btr);
+                bitonic_sort_u64_with(&mut bbuf, threads, &mut btr);
                 assert_eq!(btr.digest(), str_.digest(), "{granularity:?} threads={threads}");
             }
         }
@@ -1064,9 +1082,9 @@ mod tests {
         let data: Vec<u128> =
             (0..250).map(|i| ((rng.gen_range(0..32u64) as u128) << 64) | i as u128).collect();
         let mut scalar = TrackedBuf::new(0, data.clone());
-        bitonic_sort_tagged_with(&mut scalar, SortKernel::Scalar, 1, &mut NullTracer);
+        bitonic_sort(&mut scalar, |c| (c >> 64) as u64, &mut NullTracer);
         let mut batched = TrackedBuf::new(0, data);
-        bitonic_sort_tagged_with(&mut batched, SortKernel::Batched, 2, &mut NullTracer);
+        bitonic_sort_tagged_with(&mut batched, 2, &mut NullTracer);
         assert_eq!(scalar.as_slice_untraced(), batched.into_inner());
     }
 
@@ -1074,5 +1092,116 @@ mod tests {
     fn inline_payload_round_trips() {
         assert_eq!(u64::from_word(0xdead_beefu64.to_word()), 0xdead_beef);
         assert_eq!(u64::from_word(u64::MAX.to_word()), u64::MAX);
+    }
+
+    const THREAD_COUNTS: [usize; 4] = [1, 2, 3, 8];
+    const GRANULARITIES: [Granularity; 2] = [Granularity::Element, Granularity::Cacheline];
+
+    /// Lengths on both sides of a register window (8), of one block (4096,
+    /// the longest one-pass schedule, which runs on the caller) and of the
+    /// first global round (8192), with the powers of two — the degenerate,
+    /// untruncated network — between them.
+    const LENGTHS: [usize; 16] =
+        [0, 1, 2, 3, 7, 8, 9, 100, 1024, 4095, 4096, 4097, 5000, 8191, 8192, 8201];
+
+    /// Runs `sort` on a copy of `data` in region 9 under a tracer that
+    /// keeps every event: the sorted words and the trace.
+    fn traced<T: Copy>(
+        data: &[T],
+        granularity: Granularity,
+        sort: impl FnOnce(&mut TrackedBuf<T>, &mut RecordingTracer),
+    ) -> (Vec<T>, Vec<Access>) {
+        let mut tr = RecordingTracer::with_events(granularity);
+        let mut buf = TrackedBuf::new(9, data.to_vec());
+        sort(&mut buf, &mut tr);
+        (buf.into_inner(), tr.events().expect("built with events").to_vec())
+    }
+
+    /// The batched kernel's trace is the scalar network's, event for event
+    /// — not only digest for digest — at every length, granularity and
+    /// thread count, and so are its outputs.
+    #[test]
+    fn traces_identical_event_for_event_at_both_granularities_and_every_thread_count() {
+        for n in LENGTHS {
+            let data = random_words(n, 11);
+            for granularity in GRANULARITIES {
+                let scalar = traced(&data, granularity, |buf, tr| bitonic_sort(buf, |c| *c, tr));
+                for threads in THREAD_COUNTS {
+                    let batched = traced(&data, granularity, |buf, tr| {
+                        bitonic_sort_u64_with(buf, threads, tr)
+                    });
+                    assert!(batched == scalar, "n={n} {granularity:?} threads={threads}");
+                }
+            }
+        }
+    }
+
+    /// The u128 tagged path (the shuffle's layout) must report 16-byte
+    /// elements exactly as the scalar network over the same packed words
+    /// does — a regression in its trace emission (e.g. the wrong element
+    /// size) would silently shift every shuffle trace — and leave tag ties
+    /// where the network leaves them.
+    #[test]
+    fn tagged_kernel_traces_match_scalar_event_for_event() {
+        for n in LENGTHS {
+            let data: Vec<u128> = (0..n as u128)
+                .map(|i| ((i.wrapping_mul(0x9e37_79b9) % 64) << 64) | (i & u64::MAX as u128))
+                .collect();
+            for granularity in GRANULARITIES {
+                let scalar = traced(&data, granularity, |buf, tr| {
+                    bitonic_sort(buf, |c| (c >> 64) as u64, tr)
+                });
+                for threads in THREAD_COUNTS {
+                    let batched = traced(&data, granularity, |buf, tr| {
+                        bitonic_sort_tagged_with(buf, threads, tr)
+                    });
+                    assert!(batched == scalar, "n={n} {granularity:?} threads={threads}");
+                }
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// The batched kernel sorts every length up to two private blocks
+        /// (2 · 2¹² cells) and a register window more — raw cells and
+        /// tagged words — bitwise as the scalar network does, with its
+        /// trace, on any number of workers.
+        #[test]
+        fn sort_kernel_matches_scalar_at_any_length(
+            n in 0usize..=2 * 4096 + 9,
+            near in (0usize..3).prop_map(|i| [8usize, 4096, 8192][i]),
+            offset in 0usize..3,
+            threads in (0usize..4).prop_map(|i| THREAD_COUNTS[i]),
+            seed in any::<u64>(),
+        ) {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            // A uniform length and one within ±1 of a window or block boundary.
+            for n in [n, near + offset - 1] {
+                let cells: Vec<u64> = (0..n).map(|_| rng.gen_range(0..4 * n as u64 + 1)).collect();
+                let tagged: Vec<u128> =
+                    cells.iter().map(|&c| ((c as u128 / 8) << 64) | c as u128).collect();
+                let run = |threads: Option<usize>| {
+                    let mut tr = RecordingTracer::new(Granularity::Cacheline);
+                    let mut c = TrackedBuf::new(1, cells.clone());
+                    let mut t = TrackedBuf::new(3, tagged.clone());
+                    match threads {
+                        Some(threads) => {
+                            bitonic_sort_u64_with(&mut c, threads, &mut tr);
+                            bitonic_sort_tagged_with(&mut t, threads, &mut tr);
+                        }
+                        None => {
+                            bitonic_sort(&mut c, |c| *c, &mut tr);
+                            bitonic_sort(&mut t, |c| (c >> 64) as u64, &mut tr);
+                        }
+                    }
+                    (c.into_inner(), t.into_inner(), tr.digest())
+                };
+                let batched = run(Some(threads));
+                prop_assert!(batched.0.windows(2).all(|w| w[0] <= w[1]), "n={} unsorted", n);
+                prop_assert_eq!(batched, run(None), "n={}", n);
+            }
+        }
     }
 }

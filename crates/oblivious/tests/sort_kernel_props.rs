@@ -1,16 +1,15 @@
-//! Differential properties of the batched sort kernel against the scalar
-//! reference network: bitwise-identical outputs and digest-identical
-//! traces at every length, thread count and observation granularity, plus
-//! the comparator-count identities under block trace events.
+//! Properties of the sort kernel through its public entry points: sorted
+//! outputs at every length and thread count, traces that depend on the
+//! length alone, and the comparator-count identities under block trace
+//! events. The differential suites against the one-comparator-at-a-time
+//! network — outputs and traces, event for event — are the crate's unit
+//! tests (`sort_kernel::tests`): that network exists in test builds only.
 
 use olive_memsim::{
-    assert_oblivious, truncated_stage_len, Granularity, NullTracer, RecordingTracer, TraceDigest,
-    TrackedBuf,
+    assert_oblivious, truncated_stage_len, Granularity, NullTracer, RecordingTracer, TrackedBuf,
 };
 use olive_oblivious::o_select;
-use olive_oblivious::sort_kernel::{
-    bitonic_sort_tagged_with, bitonic_sort_u64_with, sort_kernel, SortKernel,
-};
+use olive_oblivious::sort_kernel::{bitonic_sort_u64_with, sort_kernel, SortKernel};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -29,23 +28,11 @@ fn random_words(n: usize, seed: u64) -> Vec<u64> {
     (0..n).map(|_| rng.gen()).collect()
 }
 
-/// Duplicate-heavy cells: equal-key comparators must take the same swap
-/// decision in both kernels for outputs to match bitwise.
+/// Duplicate-heavy cells: many comparators see equal keys, and swapping
+/// them must still leave the sorted multiset.
 fn clustered_words(n: usize, seed: u64) -> Vec<u64> {
     let mut rng = SmallRng::seed_from_u64(seed);
     (0..n).map(|_| (rng.gen_range(0..16u64) << 32) | rng.gen::<u32>() as u64).collect()
-}
-
-/// Runs `sort` on a copy of `data` in region 9 under a recording tracer.
-fn traced<T: Copy>(
-    data: &[T],
-    granularity: Granularity,
-    sort: impl FnOnce(&mut TrackedBuf<T>, &mut RecordingTracer),
-) -> (Vec<T>, TraceDigest) {
-    let mut tr = RecordingTracer::new(granularity);
-    let mut buf = TrackedBuf::new(9, data.to_vec());
-    sort(&mut buf, &mut tr);
-    (buf.into_inner(), tr.digest())
 }
 
 #[test]
@@ -55,58 +42,18 @@ fn outputs_bitwise_identical_u64() {
             [(1u64, random_words as fn(usize, u64) -> Vec<u64>), (2, clustered_words)]
         {
             let data = gen(n, seed ^ n as u64);
-            let mut scalar = TrackedBuf::new(0, data.clone());
-            bitonic_sort_u64_with(&mut scalar, SortKernel::Scalar, 1, &mut NullTracer);
+            // Raw-value order of u64 cells is unique: a sorted output is
+            // the scalar network's, bit for bit.
+            let mut expected = data.clone();
+            expected.sort_unstable();
             for threads in THREAD_COUNTS {
                 let mut batched = TrackedBuf::new(0, data.clone());
-                bitonic_sort_u64_with(&mut batched, SortKernel::Batched, threads, &mut NullTracer);
+                bitonic_sort_u64_with(&mut batched, threads, &mut NullTracer);
                 assert_eq!(
-                    scalar.as_slice_untraced(),
+                    expected,
                     batched.as_slice_untraced(),
                     "n={n} threads={threads} seed={seed}"
                 );
-            }
-        }
-    }
-}
-
-#[test]
-fn digests_identical_at_both_granularities_and_every_thread_count() {
-    for n in LENGTHS {
-        let data = random_words(n, 11);
-        for granularity in GRANULARITIES {
-            let scalar = traced(&data, granularity, |buf, tr| {
-                bitonic_sort_u64_with(buf, SortKernel::Scalar, 1, tr)
-            });
-            for threads in THREAD_COUNTS {
-                let batched = traced(&data, granularity, |buf, tr| {
-                    bitonic_sort_u64_with(buf, SortKernel::Batched, threads, tr)
-                });
-                assert_eq!(batched, scalar, "n={n} {granularity:?} threads={threads}");
-            }
-        }
-    }
-}
-
-#[test]
-fn tagged_kernel_digests_match_scalar_at_both_granularities() {
-    // The u128 tagged path (the shuffle's layout) must report 16-byte
-    // elements identically to the scalar network over the same packed
-    // words — a regression in its trace emission (e.g. the wrong element
-    // size) would silently shift every shuffle trace.
-    for n in LENGTHS {
-        let data: Vec<u128> = (0..n as u128)
-            .map(|i| ((i.wrapping_mul(0x9e37_79b9) % 64) << 64) | (i & u64::MAX as u128))
-            .collect();
-        for granularity in GRANULARITIES {
-            let scalar = traced(&data, granularity, |buf, tr| {
-                bitonic_sort_tagged_with(buf, SortKernel::Scalar, 1, tr)
-            });
-            for threads in THREAD_COUNTS {
-                let batched = traced(&data, granularity, |buf, tr| {
-                    bitonic_sort_tagged_with(buf, SortKernel::Batched, threads, tr)
-                });
-                assert_eq!(batched, scalar, "n={n} {granularity:?} threads={threads}");
             }
         }
     }
@@ -131,7 +78,7 @@ fn batched_kernel_is_oblivious_at_both_granularities() {
             for threads in [1usize, 4] {
                 assert_oblivious(granularity, &inputs, |input, tr| {
                     let mut buf = TrackedBuf::new(1, input.clone());
-                    bitonic_sort_u64_with(&mut buf, SortKernel::Batched, threads, tr);
+                    bitonic_sort_u64_with(&mut buf, threads, tr);
                 });
             }
         }
@@ -155,7 +102,7 @@ fn comparator_count_matches_batcher_under_block_events() {
         for threads in [1usize, 4] {
             let mut tr = RecordingTracer::new(Granularity::Element);
             let mut buf = TrackedBuf::new(0, (0..n).collect::<Vec<u64>>());
-            bitonic_sort_u64_with(&mut buf, SortKernel::Batched, threads, &mut tr);
+            bitonic_sort_u64_with(&mut buf, threads, &mut tr);
             assert_eq!(tr.stats().reads, comparators * 2, "n={n} threads={threads}");
             assert_eq!(tr.stats().writes, comparators * 2, "n={n} threads={threads}");
         }
@@ -165,7 +112,7 @@ fn comparator_count_matches_batcher_under_block_events() {
     let count = |n: u64| {
         let mut tr = RecordingTracer::new(Granularity::Element);
         let mut buf = TrackedBuf::new(0, vec![0u64; n as usize]);
-        bitonic_sort_u64_with(&mut buf, SortKernel::Batched, 1, &mut tr);
+        bitonic_sort_u64_with(&mut buf, 1, &mut tr);
         tr.stats().total()
     };
     assert!(count(8197) * 100 < count(16384) * 55);
@@ -173,16 +120,18 @@ fn comparator_count_matches_batcher_under_block_events() {
 
 #[test]
 fn default_entry_points_sort_correctly() {
-    // The default kernel must sort; this is the path production
-    // aggregation takes.
+    // The one kernel must sort; this is the path production aggregation
+    // takes, and the one run headers name.
+    assert_eq!(format!("{:?}", sort_kernel()), "Batched");
+    assert_eq!(sort_kernel(), SortKernel::Batched);
     let data = clustered_words(2051, 3);
     let mut expected = data.clone();
     expected.sort_unstable();
     let mut buf = TrackedBuf::new(0, data);
-    bitonic_sort_u64_with(&mut buf, sort_kernel(), 2, &mut NullTracer);
+    bitonic_sort_u64_with(&mut buf, 2, &mut NullTracer);
     assert_eq!(buf.into_inner(), expected);
 
     // Sanity: o_select remains the tie-free primitive underneath the
-    // scalar reference the differential tests compare against.
+    // scalar network the unit tests compare against.
     assert_eq!(o_select(true, 1u64, 2), 1);
 }

@@ -3,9 +3,9 @@
 //! (b) emit a memory trace that is a pure function of the input *shape*
 //! (length), never of the input *values* or of any secret index.
 
-use olive_memsim::{trace_of, Granularity, NullTracer, TrackedBuf};
+use olive_memsim::{trace_of, Granularity, NullTracer, Tracer, TrackedBuf};
 use olive_oblivious::{
-    bitonic_sort_by_key, o_scan_read, o_scan_update, o_scan_write, o_select, o_swap,
+    bitonic_sort_u64_with, o_scan_read, o_scan_update, o_scan_write, o_select, o_swap,
     oblivious_shuffle,
 };
 use rand::rngs::SmallRng;
@@ -39,6 +39,13 @@ fn o_swap_matches_branching_swap() {
     }
 }
 
+/// The oblivious sort over `data` in region 0 on one worker.
+fn bitonic_sort(data: Vec<u64>, tr: &mut impl Tracer) -> Vec<u64> {
+    let mut buf = TrackedBuf::new(0, data);
+    bitonic_sort_u64_with(&mut buf, 1, tr);
+    buf.into_inner()
+}
+
 #[test]
 fn bitonic_sort_sorts_random_inputs_of_every_small_length() {
     let mut rng = SmallRng::seed_from_u64(13);
@@ -46,7 +53,7 @@ fn bitonic_sort_sorts_random_inputs_of_every_small_length() {
         let data: Vec<u64> = (0..len).map(|_| rng.gen_range(0..1_000)).collect();
         let mut expected = data.clone();
         expected.sort_unstable();
-        let got = bitonic_sort_by_key(0, data, |x| *x, &mut NullTracer);
+        let got = bitonic_sort(data, &mut NullTracer);
         assert_eq!(got, expected, "length {len}");
     }
 }
@@ -59,7 +66,7 @@ fn bitonic_sort_trace_is_fixed_per_length() {
         for _ in 0..4 {
             let data: Vec<u64> = (0..len).map(|_| rng.gen()).collect();
             digests.push(trace_of(Granularity::Element, |tr| {
-                bitonic_sort_by_key(0, data.clone(), |x| *x, tr);
+                bitonic_sort(data.clone(), tr);
             }));
         }
         assert!(
@@ -69,10 +76,10 @@ fn bitonic_sort_trace_is_fixed_per_length() {
     }
     // Different lengths must differ (the trace encodes the schedule).
     let a = trace_of(Granularity::Element, |tr| {
-        bitonic_sort_by_key(0, vec![1u64, 2, 3], |x| *x, tr);
+        bitonic_sort(vec![1u64, 2, 3], tr);
     });
     let b = trace_of(Granularity::Element, |tr| {
-        bitonic_sort_by_key(0, vec![1u64, 2, 3, 4, 5], |x| *x, tr);
+        bitonic_sort(vec![1u64, 2, 3, 4, 5], tr);
     });
     assert_ne!(a, b);
 }

@@ -17,12 +17,11 @@
 //!   the client-storage assumption, *invalid* under SGX, kept as an
 //!   ablation), `LinearScan` (ZeroTrace-faithful O(N) oblivious scan),
 //!   and `Recursive` (position map stored in a smaller ORAM, as real
-//!   ZeroTrace deploys);
-//! * [`kernel`] — the access-kernel split: a batched fast path (canonical
-//!   trace emission + `olive-oblivious::meta_scan` branchless sweeps over
-//!   the packed meta words) that is bitwise state-, output-, and
-//!   trace-digest-identical to the scalar reference, which stays as the
-//!   test oracle behind [`PathOram::set_kernel`];
+//!   ZeroTrace deploys). Its access emits the canonical trace as block events and runs every
+//!   stash decision as an `olive-oblivious::meta_scan` branchless sweep
+//!   over the packed meta words; the unit tests hold it, bit for bit in
+//!   state, outputs and trace, to the textbook per-slot access, which only
+//!   test builds contain ([`path_oram`]'s docs);
 //! * stash-occupancy and eviction instrumentation to validate the
 //!   stash-size ≤ 20 configuration the paper uses and feed the telemetry
 //!   counters.
@@ -33,11 +32,9 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod kernel;
 pub mod path_oram;
 pub mod posmap;
 
-pub use kernel::OramKernel;
 pub use path_oram::{
     predicted_resident_bytes, BlockCodec, OramError, OramStats, PathOram, PathOramConfig,
     BUCKET_SIZE, INVALID_KEY,

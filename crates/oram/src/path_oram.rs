@@ -1,13 +1,39 @@
 //! PathORAM with oblivious stash operations (ZeroTrace construction).
 //!
-//! Two access kernels implement the identical abstract machine (see
-//! [`crate::kernel`]): the **scalar** reference path drives every stash
-//! operation through traced per-slot `o_select` sweeps, the **batched**
-//! default emits the canonical trace as block events and runs the
-//! decisions as SIMD-friendly scans over a contiguous mirror of the
-//! packed `(key << 32) | leaf` meta words. State, outputs, and trace
-//! digests are bitwise identical between kernels at every granularity —
-//! the differential suites pin this.
+//! The textbook ZeroTrace access drives every stash operation through
+//! per-slot traced reads and per-slot `o_select` tuple copies — correct
+//! and readable, but the bookkeeping defeats vectorization and costs
+//! `~4·(L+1)·S` tuple-sized select chains per access. The access here
+//! rebuilds the hot path around the same observations as the sort kernel
+//! (`olive_oblivious::sort_kernel`):
+//!
+//! 1. **The trace is a closed-form function of the path.** A PathORAM
+//!    access touches tree buckets along one (public, uniformly random)
+//!    path and sweeps the whole stash a fixed number of times whatever
+//!    the data, so the access emits the canonical schedule (per-bucket
+//!    reads/writes plus `touch_rw_stripe` block events, one per stash
+//!    sweep) and performs the data movement separately on untraced
+//!    slices. Recording tracers expand each stripe into the exact
+//!    per-slot sequence of the textbook access, so digests agree at every
+//!    granularity — and, because emission is independent of the physical
+//!    execution, at every thread count too.
+//! 2. **Decisions live in the packed meta words.** Every stash decision
+//!    reads only the packed `(key << 32) | leaf` u64, never the value
+//!    payload, so the access mirrors the metas into one contiguous
+//!    scratch array and scans *that* with the branchless mask-select
+//!    accumulators of `olive_oblivious::meta_scan` (runtime-dispatched
+//!    AVX2/AVX-512 monomorphizations). Values move at most a handful of
+//!    times per access, by index.
+//! 3. **Eviction depth is computed once per access.** A block with leaf
+//!    `l` can evict into the path-to-`x` bucket at level `d` iff
+//!    `d <= levels − bitlen(l ⊕ x)`; one `lzcnt` sweep yields every
+//!    block's deepest eligible level, replacing the per-bucket-slot
+//!    full-stash `path_node` re-derivations.
+//!
+//! The textbook per-slot access is kept as the test oracle
+//! (`path_oram/scalar.rs`, compiled into test builds only): the unit tests
+//! hold this access to it — state, outputs and trace, at every
+//! granularity and through recursive position maps.
 
 use olive_memsim::{Op, StateError, StateReader, StateWriter, Tracer, TrackedBuf};
 use olive_oblivious::meta_scan;
@@ -15,7 +41,6 @@ use olive_oblivious::primitives::Oblivious;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use crate::kernel::OramKernel;
 use crate::posmap::{PosMap, PosMapKind, POS_BLOCK_FANOUT};
 
 /// Fixed-width serialization for ORAM block values, so a whole ORAM
@@ -55,11 +80,6 @@ fn pack_meta(key: u32, leaf: u32) -> u64 {
 #[inline(always)]
 fn meta_key(meta: u64) -> u32 {
     (meta >> 32) as u32
-}
-
-#[inline(always)]
-fn meta_leaf(meta: u64) -> u32 {
-    meta as u32
 }
 
 /// Heap index (1-based) of the bucket at `level` on the path to `leaf`
@@ -121,13 +141,12 @@ pub struct OramStats {
     /// High-water mark of persistent stash occupancy (post-eviction).
     pub max_stash_occupancy: usize,
     /// Valid blocks written back into tree buckets by evictions.
-    /// Counted identically by both kernels; **not** serialized (the
-    /// checkpoint blob layout predates it), so restored instances
-    /// restart it at zero.
+    /// **Not** serialized (the checkpoint blob layout predates it), so
+    /// restored instances restart it at zero.
     pub evicted_blocks: u64,
 }
 
-/// Reusable per-access scratch — the batched kernel's de-amortization:
+/// Reusable per-access scratch — the access's de-amortization:
 /// nothing is allocated inside `access`. Host-side bookkeeping only:
 /// never serialized, never traced (the canonical trace emission stands
 /// in for the scans that read it).
@@ -171,7 +190,6 @@ pub struct PathOram<V: Oblivious + Default> {
     config: PathOramConfig,
     rng: SmallRng,
     stats: OramStats,
-    kernel: OramKernel,
     scratch: AccessScratch,
 }
 
@@ -205,7 +223,6 @@ impl<V: Oblivious + Default> PathOram<V> {
             config,
             rng,
             stats: OramStats::default(),
-            kernel: OramKernel::Batched,
             scratch,
         }
     }
@@ -218,14 +235,6 @@ impl<V: Oblivious + Default> PathOram<V> {
     /// Usage counters.
     pub fn stats(&self) -> OramStats {
         self.stats
-    }
-
-    /// Overrides the access kernel for this instance and, recursively,
-    /// its position-map ORAMs: how the differential tests reach the
-    /// scalar oracle ([`PathOram::new`] always builds the batched kernel).
-    pub fn set_kernel(&mut self, kernel: OramKernel) {
-        self.kernel = kernel;
-        self.posmap.set_kernel(kernel);
     }
 
     /// Approximate resident bytes of the tree + stash (for EPC accounting).
@@ -251,12 +260,6 @@ impl<V: Oblivious + Default> PathOram<V> {
         self.memory_bytes() + self.posmap.storage_bytes() + self.scratch_bytes()
     }
 
-    /// Heap index (1-based) of the bucket at `level` on the path to `leaf`.
-    #[inline]
-    fn path_node(&self, leaf: u32, level: u32) -> u32 {
-        path_node_at(self.leaves, self.levels, leaf, level)
-    }
-
     /// Oblivious read: returns the block's value (default if never written).
     pub fn read<TR: Tracer>(&mut self, key: u32, tr: &mut TR) -> V {
         self.access(key, |v| v, tr)
@@ -269,8 +272,8 @@ impl<V: Oblivious + Default> PathOram<V> {
 
     /// Oblivious read-modify-write: applies `f` to the current value and
     /// stores the result; returns the *old* value. `f` must be branch-free
-    /// with respect to secret data and pure (the scalar kernel evaluates
-    /// it once per stash slot, the batched kernel once per access).
+    /// with respect to secret data and pure (the access evaluates it once;
+    /// the per-slot test oracle, once per stash slot).
     pub fn update<TR: Tracer, F: Fn(V) -> V + Copy>(&mut self, key: u32, f: F, tr: &mut TR) -> V {
         self.access(key, f, tr)
     }
@@ -315,7 +318,7 @@ impl<V: Oblivious + Default> PathOram<V> {
         self.try_access(key, |_| V::default(), tr)
     }
 
-    /// Kernel dispatch with the documented panic contract ("key out of
+    /// The access with the documented panic contract ("key out of
     /// range") for the infallible entry points.
     fn access<TR: Tracer, F: Fn(V) -> V + Copy>(&mut self, key: u32, f: F, tr: &mut TR) -> V {
         match self.try_access(key, f, tr) {
@@ -325,9 +328,7 @@ impl<V: Oblivious + Default> PathOram<V> {
     }
 
     /// Range-checks `key`, then runs the full PathORAM access — remap,
-    /// read path into stash, scan-update, greedy evict — on the active
-    /// kernel. Both kernels leave bitwise-identical state and emit
-    /// digest-identical traces.
+    /// read path into stash, scan-update, greedy evict.
     fn try_access<TR: Tracer, F: Fn(V) -> V + Copy>(
         &mut self,
         key: u32,
@@ -337,98 +338,16 @@ impl<V: Oblivious + Default> PathOram<V> {
         if key as usize >= self.config.capacity {
             return Err(OramError::KeyOutOfRange { key, capacity: self.config.capacity });
         }
-        Ok(match self.kernel {
-            OramKernel::Scalar => self.access_scalar(key, f, tr),
-            OramKernel::Batched => self.access_batched(key, f, tr),
-        })
-    }
-
-    /// The scalar reference access: every decision runs as a traced,
-    /// branch-free `o_select` sweep over the whole stash.
-    fn access_scalar<TR: Tracer, F: Fn(V) -> V + Copy>(
-        &mut self,
-        key: u32,
-        f: F,
-        tr: &mut TR,
-    ) -> V {
-        let new_leaf = self.rng.gen_range(0..self.leaves);
-        let leaf = self.posmap.get_and_set(key, new_leaf, tr);
-        debug_assert!(leaf < self.leaves, "corrupt position map");
-        let empty = (pack_meta(INVALID_KEY, 0), V::default());
-
-        // Phase 1: move the whole path into the stash.
-        for level in 0..=self.levels {
-            let node = self.path_node(leaf, level);
-            for z in 0..BUCKET_SIZE {
-                let idx = (node as usize - 1) * BUCKET_SIZE + z;
-                let slot = self.tree.read(idx, tr);
-                self.tree.write(idx, empty, tr);
-                self.stash_insert(slot, tr);
-            }
-        }
-
-        // Phase 2: one oblivious sweep: find the block, apply `f`, remap
-        // its leaf; remember whether it existed.
-        let mut old = V::default();
-        let mut found = false;
-        for i in 0..self.stash.len() {
-            let (meta, value) = self.stash.read(i, tr);
-            let hit = meta_key(meta) == key;
-            old = V::o_select(hit, value, old);
-            let new_value = V::o_select(hit, f(value), value);
-            let new_meta = u64::o_select(hit, pack_meta(key, new_leaf), meta);
-            self.stash.write(i, (new_meta, new_value), tr);
-            found |= hit;
-        }
-        // First-ever access: materialize the block (the insert scan runs
-        // unconditionally; an already-found block inserts an empty slot).
-        let fresh = (
-            u64::o_select(found, pack_meta(INVALID_KEY, 0), pack_meta(key, new_leaf)),
-            V::o_select(found, V::default(), f(V::default())),
-        );
-        self.stash_insert(fresh, tr);
-
-        // Phase 3: greedy eviction, deepest bucket first.
-        for level in (0..=self.levels).rev() {
-            let node = self.path_node(leaf, level);
-            for z in 0..BUCKET_SIZE {
-                let idx = (node as usize - 1) * BUCKET_SIZE + z;
-                let mut chosen = empty;
-                let mut chosen_found = false;
-                for i in 0..self.stash.len() {
-                    let (meta, value) = self.stash.read(i, tr);
-                    let valid = meta_key(meta) != INVALID_KEY;
-                    // Eligible iff this bucket lies on the block's own path.
-                    let on_path = valid && self.path_node(meta_leaf(meta), level) == node;
-                    let take = on_path && !chosen_found;
-                    chosen = <(u64, V)>::o_select(take, (meta, value), chosen);
-                    self.stash.write(i, <(u64, V)>::o_select(take, empty, (meta, value)), tr);
-                    chosen_found |= take;
-                }
-                self.tree.write(idx, chosen, tr);
-                self.stats.evicted_blocks += chosen_found as u64;
-            }
-        }
-
-        self.stats.accesses += 1;
-        let occupancy = self.stash_occupancy();
-        self.stats.max_stash_occupancy = self.stats.max_stash_occupancy.max(occupancy);
-        assert!(
-            occupancy <= self.config.stash_limit,
-            "stash overflow: {occupancy} > limit {} after {} accesses",
-            self.config.stash_limit,
-            self.stats.accesses
-        );
-        old
+        Ok(self.access_batched(key, f, tr))
     }
 
     /// The batched access: canonical trace emission (bucket touches +
     /// whole-stash [`Tracer::touch_rw_stripe`] block events, expanding to
-    /// the scalar kernel's exact per-slot sequence) with the data
-    /// movement on untraced slices, driven by the `meta_scan` kernels
-    /// over the contiguous meta mirror.
+    /// the per-slot oracle's exact sequence) with the data movement on
+    /// untraced slices, driven by the `meta_scan` kernels over the
+    /// contiguous meta mirror.
     ///
-    /// State equivalence to the scalar kernel, phase by phase:
+    /// State equivalence to the per-slot oracle, phase by phase:
     /// * phase 1 only fills stash slots, so the scalar "first free slot"
     ///   insert scan consumes exactly the ascending initial free list;
     /// * phase 2's single `f` application equals the scalar per-slot
@@ -535,22 +454,6 @@ impl<V: Oblivious + Default> PathOram<V> {
         old
     }
 
-    /// Inserts a slot into the first free stash position with a fixed
-    /// full-scan trace. Inserting an empty slot is a no-op with the same
-    /// trace. Panics if the slot is valid and the stash is full.
-    fn stash_insert<TR: Tracer>(&mut self, slot: (u64, V), tr: &mut TR) {
-        let valid = meta_key(slot.0) != INVALID_KEY;
-        let mut placed = false;
-        for i in 0..self.stash.len() {
-            let cur = self.stash.read(i, tr);
-            let free = meta_key(cur.0) == INVALID_KEY;
-            let put = valid && free && !placed;
-            self.stash.write(i, <(u64, V)>::o_select(put, slot, cur), tr);
-            placed |= put;
-        }
-        assert!(placed || !valid, "stash insert failed: no free slot");
-    }
-
     /// Current number of occupied stash slots (untraced: diagnostic only).
     pub fn stash_occupancy(&self) -> usize {
         self.stash
@@ -603,8 +506,8 @@ impl<V: Oblivious + Default + BlockCodec> PathOram<V> {
     /// access returns the same value and emits the same trace.
     ///
     /// The blob layout is **version-stable across the fast-path
-    /// rewrite**: both kernels produce bitwise-identical state, the
-    /// batched kernel's scratch is never serialized, and
+    /// rewrite**: the access leaves the per-slot oracle's state bit for
+    /// bit, its scratch is never serialized, and
     /// [`OramStats::evicted_blocks`] is deliberately excluded — so a
     /// round checkpointed by the pre-fast-path seed restores bitwise
     /// (`checkpoint_blob_layout_is_stable_across_versions` pins this
@@ -682,9 +585,14 @@ impl<V: Oblivious + Default + BlockCodec> PathOram<V> {
 }
 
 #[cfg(test)]
+mod scalar;
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use olive_memsim::{Granularity, NullTracer, RecordingTracer};
+    use proptest::collection::vec;
+    use proptest::prelude::*;
     use std::collections::HashMap;
 
     fn oram(capacity: usize, posmap: PosMapKind, seed: u64) -> PathOram<u64> {
@@ -737,20 +645,18 @@ mod tests {
         }
     }
 
-    /// The tentpole invariant at unit scope: both kernels, driven with
-    /// identical operations, produce bitwise-identical values, traces
-    /// (every granularity), stats, and serialized state — across posmap
-    /// kinds and capacities including 1 and non-powers-of-two. (The
-    /// integration proptest fuzzes the same property.)
+    /// The tentpole invariant at unit scope: the access and the per-slot
+    /// oracle, driven with identical operations, produce bitwise-identical
+    /// values, traces (every granularity), stats, and serialized state —
+    /// across posmap kinds and capacities including 1 and non-powers-of-two.
+    /// (`path_oram_kernels_bitwise_identical` fuzzes the same property.)
     #[test]
     fn kernels_agree_bitwise_in_state_trace_and_output() {
         for posmap in [PosMapKind::Trusted, PosMapKind::LinearScan, PosMapKind::Recursive] {
             for capacity in [1usize, 5, 64, 300] {
                 let cfg = PathOramConfig { capacity, stash_limit: 40, posmap, region_base: 10 };
                 let mut a = PathOram::<u64>::new(cfg, 99);
-                a.set_kernel(OramKernel::Scalar);
                 let mut b = PathOram::<u64>::new(cfg, 99);
-                b.set_kernel(OramKernel::Batched);
                 for granularity in [Granularity::Element, Granularity::Cacheline] {
                     let mut tra = RecordingTracer::new(granularity);
                     let mut trb = RecordingTracer::new(granularity);
@@ -760,15 +666,15 @@ mod tests {
                         let (va, vb) = match step % 3 {
                             0 => {
                                 let v = rng.gen::<u64>();
-                                a.write(key, v, &mut tra);
+                                a.access_scalar(key, |_| v, &mut tra);
                                 b.write(key, v, &mut trb);
                                 continue;
                             }
                             1 => (
-                                a.update(key, |v| v ^ 0x5A, &mut tra),
+                                a.access_scalar(key, |v| v ^ 0x5A, &mut tra),
                                 b.update(key, |v| v ^ 0x5A, &mut trb),
                             ),
-                            _ => (a.take(key, &mut tra), b.take(key, &mut trb)),
+                            _ => (a.access_scalar(key, |_| 0, &mut tra), b.take(key, &mut trb)),
                         };
                         assert_eq!(va, vb, "{posmap:?} cap {capacity} step {step}");
                     }
@@ -958,9 +864,9 @@ mod tests {
     /// Cross-version checkpoint compatibility: the committed fixture
     /// blobs were generated by the pre-fast-path scalar implementation
     /// (40 deterministic writes, key = 7j mod 300, value = 1000 + 13j).
-    /// They must restore into today's ORAM — under either kernel — and
-    /// read back every written cell, proving the blob layout stayed
-    /// stable across the kernel rewrite.
+    /// They must restore into today's ORAM and read back every written
+    /// cell — through the access and through the per-slot oracle —
+    /// proving the blob layout stayed stable across the kernel rewrite.
     #[test]
     fn checkpoint_blob_layout_is_stable_across_versions() {
         let fixtures: [(&[u8], PosMapKind, &str); 3] = [
@@ -974,16 +880,19 @@ mod tests {
         ];
         for (blob, posmap, name) in fixtures {
             let cfg = PathOramConfig { capacity: 300, stash_limit: 40, posmap, region_base: 10 };
-            for kernel in [OramKernel::Scalar, OramKernel::Batched] {
+            for scalar in [true, false] {
                 let mut o = PathOram::<u64>::new(cfg, 1);
-                o.set_kernel(kernel);
                 o.load_state(blob).unwrap_or_else(|e| {
-                    panic!("v0 {name} fixture must restore ({kernel:?}): {e:?}")
+                    panic!("v0 {name} fixture must restore (scalar: {scalar}): {e:?}")
                 });
                 assert_eq!(o.stats().accesses, 40, "{name}");
                 for j in 0..40u32 {
-                    let got = o.read((j * 7) % 300, &mut NullTracer);
-                    assert_eq!(got, 1000 + j as u64 * 13, "{name} {kernel:?} write {j}");
+                    let key = (j * 7) % 300;
+                    let got = match scalar {
+                        true => o.access_scalar(key, |v| v, &mut NullTracer),
+                        false => o.read(key, &mut NullTracer),
+                    };
+                    assert_eq!(got, 1000 + j as u64 * 13, "{name} scalar: {scalar} write {j}");
                 }
             }
         }
@@ -1027,4 +936,53 @@ mod tests {
 
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// The fast-path invariant, fuzzed: the access is bitwise output-,
+        /// trace-digest-, and serialized-state-identical to the per-slot
+        /// oracle for arbitrary op sequences (reads, writes, updates,
+        /// read-and-clear takes) across posmap kind × capacity — including
+        /// capacity 1 and non-powers-of-two.
+        #[test]
+        fn path_oram_kernels_bitwise_identical(
+            ops in vec((0u32..97, 0u8..4, 0u64..1000), 1..40),
+            cap_sel in 0usize..4,
+            posmap_sel in 0usize..3,
+        ) {
+            let capacity = [1usize, 7, 64, 97][cap_sel];
+            let posmap =
+                [PosMapKind::Trusted, PosMapKind::LinearScan, PosMapKind::Recursive][posmap_sel];
+            let cfg = PathOramConfig { capacity, stash_limit: 40, posmap, region_base: 0 };
+            let mut scalar = PathOram::<u64>::new(cfg, 23);
+            let mut batched = PathOram::<u64>::new(cfg, 23);
+            let mut tr_s = RecordingTracer::new(Granularity::Element);
+            let mut tr_b = RecordingTracer::new(Granularity::Element);
+            for (key, op, v) in ops {
+                let key = key % capacity as u32;
+                let (a, b) = match op {
+                    0 => {
+                        scalar.access_scalar(key, move |_| v, &mut tr_s);
+                        batched.write(key, v, &mut tr_b);
+                        continue;
+                    }
+                    1 => (scalar.access_scalar(key, |x| x, &mut tr_s), batched.read(key, &mut tr_b)),
+                    2 => (
+                        scalar.access_scalar(key, move |x| x.wrapping_add(v), &mut tr_s),
+                        batched.update(key, move |x| x.wrapping_add(v), &mut tr_b),
+                    ),
+                    _ => (scalar.access_scalar(key, |_| 0, &mut tr_s), batched.take(key, &mut tr_b)),
+                };
+                prop_assert_eq!(a, b, "output divergence at key {}", key);
+            }
+            prop_assert_eq!(tr_s.digest(), tr_b.digest(), "trace digest divergence");
+            prop_assert_eq!(scalar.save_state(), batched.save_state(), "state divergence");
+            prop_assert_eq!(
+                scalar.stats().max_stash_occupancy,
+                batched.stats().max_stash_occupancy
+            );
+            prop_assert_eq!(scalar.stats().evicted_blocks, batched.stats().evicted_blocks);
+        }
+    }
 }

@@ -234,14 +234,6 @@ impl PosMap {
         }
     }
 
-    /// Propagates a kernel override into recursive inner ORAMs (no-op for
-    /// flat maps, whose access path has no kernel split).
-    pub(crate) fn set_kernel(&mut self, kernel: crate::kernel::OramKernel) {
-        if let PosMap::Recursive(oram) = self {
-            oram.set_kernel(kernel);
-        }
-    }
-
     /// Resident storage bytes of the map itself — flat leaf arrays, or
     /// the inner ORAM's tree + stash + its own map, recursively.
     pub(crate) fn storage_bytes(&self) -> u64 {

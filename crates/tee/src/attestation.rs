@@ -8,7 +8,7 @@
 //! reports with a platform key whose public half clients pin.
 
 use olive_crypto::dh::{self, DhKeyPair, Signature};
-use olive_crypto::CryptoEngine;
+use olive_crypto::sha256::Sha256;
 
 /// SHA-256 measurement of the enclave's initial state (code + config),
 /// the simulation's MRENCLAVE.
@@ -40,7 +40,7 @@ impl Report {
     /// Transcript hash used as the HKDF salt for session keys, binding the
     /// derived keys to this exact attestation.
     pub fn transcript_hash(&self) -> [u8; 32] {
-        let mut h = CryptoEngine::auto().sha256();
+        let mut h = Sha256::new();
         h.update(b"olive-ra-transcript-v1");
         h.update(&self.to_bytes());
         h.finalize()
@@ -127,7 +127,7 @@ pub fn verify_quote(
 /// Computes the measurement of an enclave code identity string + config
 /// bytes (what the `Enclave` constructor hashes).
 pub fn measure(code_identity: &str, config_bytes: &[u8]) -> Measurement {
-    let mut h = CryptoEngine::auto().sha256();
+    let mut h = Sha256::new();
     h.update(b"olive-enclave-measurement-v1");
     h.update(code_identity.as_bytes());
     h.update(&(config_bytes.len() as u64).to_be_bytes());
@@ -137,7 +137,7 @@ pub fn measure(code_identity: &str, config_bytes: &[u8]) -> Measurement {
 
 /// Convenience: hash arbitrary bytes (re-exported for enclave sealing).
 pub fn digest(data: &[u8]) -> [u8; 32] {
-    CryptoEngine::auto().digest(data)
+    olive_crypto::sha256(data)
 }
 
 #[cfg(test)]

@@ -5,7 +5,8 @@
 //! sparsified gradient encoding under that key with a monotone nonce.
 
 use olive_crypto::dh::DhKeyPair;
-use olive_crypto::CryptoEngine;
+use olive_crypto::gcm::AesGcm;
+use olive_crypto::{crypto_backend, hkdf};
 use olive_telemetry::Telemetry;
 
 use crate::attestation::{verify_quote, AttestationError, Measurement, Quote};
@@ -47,9 +48,6 @@ pub struct ClientSession {
     key: [u8; 32],
     dh: DhKeyPair,
     nonce_counter: u64,
-    /// The crypto backend sealing this client's uploads (one dispatch
-    /// decision shared with the enclave side via [`CryptoEngine::auto`]).
-    engine: CryptoEngine,
     /// Side-band metrics handle (disarmed by default): sealed upload
     /// payload bytes feed `upload_sealed_bytes` keyed by backend.
     telemetry: Telemetry,
@@ -79,17 +77,16 @@ impl ClientSession {
         seed: [u8; 32],
     ) -> Result<Self, AttestationError> {
         verify_quote(platform_public, expected_measurement, quote)?;
-        let engine = CryptoEngine::auto();
         let mut dh_seed = seed;
         dh_seed[30] ^= user as u8;
         dh_seed[29] ^= (user >> 8) as u8;
         let dh = DhKeyPair::from_seed(&dh_seed);
         let shared = dh.shared_secret(quote.report.enclave_dh_public);
-        let key: [u8; 32] = engine
-            .hkdf(&quote.report.transcript_hash(), &shared, &session_info(user), 32)
-            .try_into()
-            .expect("hkdf returns requested length");
-        Ok(ClientSession { user, key, dh, nonce_counter: 0, engine, telemetry: Telemetry::off() })
+        let key: [u8; 32] =
+            hkdf::derive(&quote.report.transcript_hash(), &shared, &session_info(user), 32)
+                .try_into()
+                .expect("hkdf returns requested length");
+        Ok(ClientSession { user, key, dh, nonce_counter: 0, telemetry: Telemetry::off() })
     }
 
     /// Arms side-band telemetry on this session (sessions come up with a
@@ -110,11 +107,7 @@ impl ClientSession {
 
     /// Encrypts one round's gradient encoding.
     pub fn seal_upload(&mut self, round: u64, payload: &[u8]) -> SealedMessage {
-        self.telemetry.count(
-            "upload_sealed_bytes",
-            self.engine.backend().name(),
-            payload.len() as u64,
-        );
+        self.telemetry.count("upload_sealed_bytes", crypto_backend().name(), payload.len() as u64);
         self.nonce_counter += 1;
         let mut msg = SealedMessage {
             user: self.user,
@@ -122,7 +115,7 @@ impl ClientSession {
             nonce_counter: self.nonce_counter,
             ciphertext: Vec::new(),
         };
-        let gcm = self.engine.aes_gcm(&self.key).expect("32-byte key");
+        let gcm = AesGcm::new(&self.key).expect("32-byte key");
         msg.ciphertext = gcm.seal(&nonce_bytes(self.nonce_counter), payload, &msg.aad());
         msg
     }

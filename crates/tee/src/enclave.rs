@@ -1,15 +1,16 @@
 //! The simulated enclave: lifecycle, key store, sealing, EPC accounting.
 //!
-//! All symmetric crypto on the trusted path goes through one
-//! [`CryptoEngine`] chosen at launch (AES-NI/SHA-NI or bitsliced
-//! constant-time — `OLIVE_CRYPTO`), so the whole deployment runs on a
-//! single dispatch decision.
+//! All symmetric crypto on the trusted path runs on the process's one
+//! crypto backend ([`olive_crypto::crypto_backend`]: AES-NI/SHA-NI or
+//! bitsliced constant-time — `OLIVE_CRYPTO`), so the whole deployment
+//! runs on a single dispatch decision.
 
 use std::collections::{HashMap, HashSet};
 
 use olive_crypto::dh::DhKeyPair;
-use olive_crypto::gcm::{NONCE_LEN, TAG_LEN};
-use olive_crypto::CryptoEngine;
+use olive_crypto::gcm::{AesGcm, NONCE_LEN, TAG_LEN};
+use olive_crypto::hmac::HmacSha256;
+use olive_crypto::{crypto_backend, hkdf};
 use olive_telemetry::Telemetry;
 
 use crate::attestation::{measure, AttestationService, Measurement, Quote, Report};
@@ -107,8 +108,6 @@ pub struct Enclave {
     seal_counters: HashMap<Vec<u8>, u64>,
     /// EPC accounting.
     pub epc: EpcBudget,
-    /// The crypto backend servicing every seal/open/MAC in this enclave.
-    engine: CryptoEngine,
     transcript_salt: [u8; 32],
     /// Set by [`Enclave::attest`]; registration is refused before it so a
     /// session key can never silently bind to the all-zeros salt.
@@ -133,7 +132,6 @@ impl Enclave {
     /// its previous incarnation checkpointed. Epoch 0 is identical to
     /// [`Enclave::launch`].
     pub fn launch_with_dh_epoch(config: &EnclaveConfig, seed: [u8; 32], dh_epoch: u32) -> Self {
-        let engine = CryptoEngine::auto();
         let measurement = measure(&config.code_identity, &config.epc_bytes.to_be_bytes());
         let mut dh_seed = seed;
         dh_seed[31] ^= 0x3C;
@@ -141,8 +139,7 @@ impl Enclave {
             *b ^= e;
         }
         let dh = DhKeyPair::from_seed(&dh_seed);
-        let sealing_key: [u8; 32] = engine
-            .hkdf(&measurement, &seed, b"olive-sealing-v1", 32)
+        let sealing_key: [u8; 32] = hkdf::derive(&measurement, &seed, b"olive-sealing-v1", 32)
             .try_into()
             .expect("hkdf returns requested length");
         Enclave {
@@ -155,7 +152,6 @@ impl Enclave {
             sealing_key,
             seal_counters: HashMap::new(),
             epc: EpcBudget { limit: config.epc_bytes, ..Default::default() },
-            engine,
             transcript_salt: [0u8; 32],
             attested: false,
             telemetry: Telemetry::off(),
@@ -173,12 +169,6 @@ impl Enclave {
     /// The enclave's measurement (what clients must pin).
     pub fn measurement(&self) -> Measurement {
         self.measurement
-    }
-
-    /// The crypto engine this enclave dispatches to (what a deployment
-    /// reports next to its measurement).
-    pub fn crypto_engine(&self) -> CryptoEngine {
-        self.engine
     }
 
     /// The attestation transcript hash this enclave's session keys are
@@ -221,9 +211,7 @@ impl Enclave {
             return Err(TeeError::NotAttested);
         }
         let shared = self.dh.shared_secret(client_dh_public);
-        let key: [u8; 32] = self
-            .engine
-            .hkdf(&self.transcript_salt, &shared, &session_info(user), 32)
+        let key: [u8; 32] = hkdf::derive(&self.transcript_salt, &shared, &session_info(user), 32)
             .try_into()
             .expect("hkdf returns requested length");
         self.keystore.insert(user, key);
@@ -297,7 +285,7 @@ impl Enclave {
             return Err(TeeError::NotSampled);
         }
         let key = self.keystore.get(&msg.user).ok_or(TeeError::UnknownUser)?;
-        let gcm = self.engine.aes_gcm(key).expect("32-byte key");
+        let gcm = AesGcm::new(key).expect("32-byte key");
         let nonce = nonce_bytes(msg.nonce_counter);
         gcm.open(&nonce, &msg.ciphertext, &msg.aad()).map_err(|_| TeeError::AuthFailure)
     }
@@ -328,7 +316,7 @@ impl Enclave {
         let plain = decrypted?;
         self.last_nonce.insert(msg.user, msg.nonce_counter);
         let plain_len = msg.ciphertext.len().saturating_sub(TAG_LEN);
-        self.telemetry.count("opened_bytes", self.engine.backend().name(), plain_len as u64);
+        self.telemetry.count("opened_bytes", crypto_backend().name(), plain_len as u64);
         Ok(plain)
     }
 
@@ -357,11 +345,11 @@ impl Enclave {
         let counter = self.seal_counters.entry(label.to_vec()).or_insert(0);
         *counter += 1;
         let nonce = seal_nonce(label, *counter);
-        let gcm = self.engine.aes_gcm(&self.sealing_key).expect("32-byte key");
+        let gcm = AesGcm::new(&self.sealing_key).expect("32-byte key");
         let mut out = Vec::with_capacity(8 + plaintext.len() + TAG_LEN);
         out.extend_from_slice(&counter.to_be_bytes());
         gcm.seal_into(&nonce, plaintext, label, &mut out);
-        self.telemetry.count("sealed_bytes", self.engine.backend().name(), plaintext.len() as u64);
+        self.telemetry.count("sealed_bytes", crypto_backend().name(), plaintext.len() as u64);
         out
     }
 
@@ -371,11 +359,11 @@ impl Enclave {
     pub fn unseal(&mut self, sealed: &[u8], label: &[u8]) -> Result<Vec<u8>, TeeError> {
         let counter = seal_counter(sealed).ok_or(TeeError::AuthFailure)?;
         let nonce = seal_nonce(label, counter);
-        let gcm = self.engine.aes_gcm(&self.sealing_key).expect("32-byte key");
+        let gcm = AesGcm::new(&self.sealing_key).expect("32-byte key");
         let plain = gcm.open(&nonce, &sealed[8..], label).map_err(|_| TeeError::AuthFailure)?;
         let floor = self.seal_counters.entry(label.to_vec()).or_insert(0);
         *floor = (*floor).max(counter);
-        self.telemetry.count("unsealed_bytes", self.engine.backend().name(), plain.len() as u64);
+        self.telemetry.count("unsealed_bytes", crypto_backend().name(), plain.len() as u64);
         Ok(plain)
     }
 
@@ -404,14 +392,14 @@ impl Enclave {
     /// the aggregated model was produced inside the enclave (the
     /// malicious-server defense discussed in Section 5.6).
     pub fn sign_output(&self, payload: &[u8]) -> [u8; 32] {
-        self.engine.mac(&self.sealing_key, payload)
+        HmacSha256::mac(&self.sealing_key, payload)
     }
 
     /// Verifies an output signature (in the simulation the "public" verify
     /// key equals the sealing MAC key; a deployment would use the Schnorr
     /// pair — see Section 5.6 discussion).
     pub fn verify_output(&self, payload: &[u8], tag: &[u8; 32]) -> bool {
-        self.engine.verify_mac(&self.sealing_key, payload, tag)
+        HmacSha256::verify(&self.sealing_key, payload, tag)
     }
 }
 

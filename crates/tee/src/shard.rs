@@ -29,8 +29,8 @@
 //! replay floor.
 
 use olive_crypto::dh::DhKeyPair;
-use olive_crypto::gcm::NONCE_LEN;
-use olive_crypto::CryptoEngine;
+use olive_crypto::gcm::{AesGcm, NONCE_LEN};
+use olive_crypto::{hkdf, sha256};
 use olive_telemetry::Telemetry;
 
 use crate::attestation::{verify_quote, AttestationError, Measurement, Quote};
@@ -154,7 +154,6 @@ pub struct ShardTunnel {
     shard_id: ShardId,
     role: TunnelRole,
     key: [u8; 32],
-    engine: CryptoEngine,
     /// Last sequence number sealed in this endpoint's send direction.
     send_seq: u64,
     /// Replay floor for the receive direction: opened frames must carry a
@@ -197,7 +196,6 @@ impl ShardTunnel {
             role,
             own.attested_transcript(),
             &own.dh_keypair(),
-            own.crypto_engine(),
             platform_public,
             expected_peer_measurement,
             peer_quote,
@@ -230,7 +228,7 @@ impl ShardTunnel {
         let seq = self.send_seq;
         let nonce = tunnel_nonce(self.role.send_tag(), seq);
         let aad = tunnel_aad(self.shard_id, kind, seq);
-        let gcm = self.engine.aes_gcm(&self.key).expect("32-byte key");
+        let gcm = AesGcm::new(&self.key).expect("32-byte key");
         TunnelMessage {
             shard_id: self.shard_id,
             kind,
@@ -251,7 +249,7 @@ impl ShardTunnel {
         }
         let nonce = tunnel_nonce(self.role.recv_tag(), msg.seq);
         let aad = tunnel_aad(msg.shard_id, msg.kind, msg.seq);
-        let gcm = self.engine.aes_gcm(&self.key).expect("32-byte key");
+        let gcm = AesGcm::new(&self.key).expect("32-byte key");
         let plain =
             gcm.open(&nonce, &msg.ciphertext, &aad).map_err(|_| TunnelError::AuthFailure)?;
         self.recv_floor = msg.seq;
@@ -264,12 +262,10 @@ impl ShardTunnel {
 /// peer must never learn whether we are attested), then require a local
 /// transcript, then derive the tunnel key from both transcripts and the
 /// DH secret.
-#[allow(clippy::too_many_arguments)]
 fn derive(
     role: TunnelRole,
     own_transcript: Option<[u8; 32]>,
     dh: &DhKeyPair,
-    engine: CryptoEngine,
     platform_public: u64,
     expected_peer_measurement: &Measurement,
     peer_quote: &Quote,
@@ -288,32 +284,23 @@ fn derive(
     let mut salt_input = b"olive-shard-tunnel-salt-v1".to_vec();
     salt_input.extend_from_slice(&coord_t);
     salt_input.extend_from_slice(&shard_t);
-    let salt = engine.digest(&salt_input);
+    let salt = sha256(&salt_input);
     let ikm = dh.shared_secret(peer_quote.report.enclave_dh_public);
-    let key: [u8; 32] = engine
-        .hkdf(&salt, &ikm, &tunnel_info(shard_id), 32)
+    let key: [u8; 32] = hkdf::derive(&salt, &ikm, &tunnel_info(shard_id), 32)
         .try_into()
         .expect("hkdf returns requested length");
-    Ok(ShardTunnel {
-        shard_id,
-        role,
-        key,
-        engine,
-        send_seq: 0,
-        recv_floor: 0,
-        telemetry: Telemetry::off(),
-    })
+    Ok(ShardTunnel { shard_id, role, key, send_seq: 0, recv_floor: 0, telemetry: Telemetry::off() })
 }
 
 /// A snapshot of the coordinator enclave's tunnel-establishment identity —
-/// its attestation transcript, DH key pair, and crypto engine — taken at
-/// provisioning time.
+/// its attestation transcript and DH key pair — taken at provisioning
+/// time.
 ///
 /// Mid-round shard failover needs the coordinator end of a *fresh* tunnel
 /// to a relaunched shard, but at that point the shard runtime does not
 /// hold a borrow of the coordinator [`Enclave`] (the round driver owns
 /// it, and is in the middle of ingesting a chunk through it). The anchor
-/// carries exactly the three launch-time-stable values key derivation
+/// carries exactly the two launch-time-stable values key derivation
 /// needs, so [`TunnelAnchor::establish`] can bring up the replacement
 /// tunnel autonomously. The relaunched shard presents a fresh DH share
 /// (new [`Enclave::launch_with_dh_epoch`] epoch) and a fresh quote, so
@@ -322,7 +309,6 @@ fn derive(
 pub struct TunnelAnchor {
     transcript: [u8; 32],
     dh: DhKeyPair,
-    engine: CryptoEngine,
 }
 
 impl core::fmt::Debug for TunnelAnchor {
@@ -338,7 +324,7 @@ impl TunnelAnchor {
     /// unattested coordinator has no transcript to bind tunnel keys to.
     pub fn capture(own: &Enclave) -> Result<Self, TunnelError> {
         let transcript = own.attested_transcript().ok_or(TunnelError::NotAttested)?;
-        Ok(TunnelAnchor { transcript, dh: own.dh_keypair(), engine: own.crypto_engine() })
+        Ok(TunnelAnchor { transcript, dh: own.dh_keypair() })
     }
 
     /// Brings up the coordinator end of a tunnel to a (re)launched shard,
@@ -356,7 +342,6 @@ impl TunnelAnchor {
             TunnelRole::Coordinator,
             Some(self.transcript),
             &self.dh,
-            self.engine,
             platform_public,
             expected_peer_measurement,
             peer_quote,

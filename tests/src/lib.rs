@@ -12,8 +12,8 @@
 use std::sync::OnceLock;
 
 use olive_core::aggregation::{AggregatorKind, ShardRuntime, StreamingAggregator};
-use olive_core::olive::{DpConfig, OliveConfig, OliveSystem, RoundError};
-use olive_core::round::{Ledger, RoundEngine};
+use olive_core::olive::{provision_clients, DpConfig, OliveConfig, OliveSystem, RoundError};
+use olive_core::round::{Ledger, RoundEngine, RoundShape, SealedRound};
 use olive_data::synthetic::{Dataset, Generator, SyntheticConfig};
 use olive_data::{partition, ClientData, LabelAssignment};
 use olive_fl::{local_update, ClientConfig, SparseGradient, Sparsifier};
@@ -21,7 +21,7 @@ use olive_memsim::ParallelTracer;
 use olive_memsim::ShardPlan;
 use olive_nn::zoo::mlp;
 use olive_nn::Model;
-use olive_tee::{AttestationService, Enclave, EnclaveConfig};
+use olive_tee::{AttestationService, Enclave, EnclaveConfig, SealedMessage};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -102,11 +102,14 @@ pub fn canonical_updates() -> &'static [SparseGradient] {
     })
 }
 
-/// One whole round of pre-decoded `updates` through a single-threaded
-/// [`RoundEngine`] over the shard plane `rt`, in chunks of `chunk`: the
-/// delta (or the error that aborted the round) and the plane as the
-/// round left it. Completed or aborted, the coordinator's budget must
-/// balance.
+/// One whole round of `updates` — one client each, sealed to a freshly
+/// provisioned enclave — through the sealed-round driver every round
+/// takes ([`RoundEngine::open`] over an empty store → `ingest` →
+/// `finish`), single-threaded, over the shard plane `rt`, in chunks of
+/// `chunk`: the delta (or the error that aborted the round) and the plane
+/// as the round left it. Opening an upload emits no trace event, so the
+/// trace is the aggregator's alone. Completed or aborted, the
+/// coordinator's budget must balance.
 pub fn engine_round<TR: ParallelTracer>(
     kind: AggregatorKind,
     updates: &[SparseGradient],
@@ -115,11 +118,30 @@ pub fn engine_round<TR: ParallelTracer>(
     rt: ShardRuntime,
     tr: &mut TR,
 ) -> (Result<Vec<f32>, RoundError>, ShardRuntime) {
+    let service = AttestationService::new([5; 32]);
+    let mut enclave = Enclave::launch(&EnclaveConfig::default(), [6; 32]);
+    let users: Vec<u32> = (0..updates.len() as u32).collect();
+    let mut sessions =
+        provision_clients(&service, &mut enclave, b"engine-rounds", [6; 32], users.iter().copied());
+    enclave.begin_round(1, users);
+    let base_floors = enclave.replay_floors();
+    let uploads: Vec<SealedMessage> =
+        sessions.iter_mut().zip(updates).map(|(s, u)| s.seal_upload(1, &u.encode())).collect();
     let k = updates.iter().map(|u| u.k()).max().unwrap_or(0);
-    let budget = olive_tee::EpcBudget::default();
-    let ledger = Ledger::new(budget, Some(rt), olive_telemetry::Telemetry::off());
-    let engine = RoundEngine::new(StreamingAggregator::new(kind, d, 1), k, 1, ledger);
-    let (out, end) = engine.run(updates.chunks(chunk), tr);
+    let round = SealedRound {
+        shape: RoundShape { round: 1, chunk_size: chunk, threads: 1, k },
+        uploads: &uploads,
+        base_floors: &base_floors,
+        rng_state: [0; 4],
+    };
+    let ledger = Ledger::new(enclave.epc, Some(rt), olive_telemetry::Telemetry::off());
+    let agg = StreamingAggregator::new(kind, d, 1);
+    let (out, end) = match RoundEngine::open(agg, &round, &mut enclave, None, ledger)
+        .and_then(|engine| engine.ingest(&uploads, &mut enclave, None, tr))
+    {
+        Ok(engine) => engine.finish(tr),
+        Err((e, end)) => (Err(e), *end),
+    };
     assert_eq!(end.coordinator.live, 0, "{kind:?}: the coordinator budget must balance");
     (out, end.shards.expect("the plane comes back"))
 }

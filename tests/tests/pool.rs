@@ -10,8 +10,8 @@ use std::time::Duration;
 use olive_core::aggregation::AggregatorKind;
 use olive_integration_tests::small_system;
 use olive_memsim::{NullTracer, TrackedBuf};
+use olive_oblivious::bitonic_sort_u64_with;
 use olive_oblivious::pool::{self, threads_started};
-use olive_oblivious::{bitonic_sort_u64_with, SortKernel};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -107,7 +107,7 @@ fn a_three_worker_sort_inside_a_pool_task_completes() {
     pool::join(inputs.iter_mut().map(|v| {
         move || {
             let mut buf = TrackedBuf::new(0, std::mem::take(v));
-            bitonic_sort_u64_with(&mut buf, SortKernel::Batched, 3, &mut NullTracer);
+            bitonic_sort_u64_with(&mut buf, 3, &mut NullTracer);
             *v = buf.into_inner();
         }
     }));

@@ -8,7 +8,7 @@ use olive_core::olive::RoundError;
 use olive_fl::SparseGradient;
 use olive_integration_tests::shard_runtime;
 use olive_memsim::{trace_of, Granularity, NullTracer, RecordingTracer, TrackedBuf};
-use olive_oblivious::sort::bitonic_sort_by_key;
+use olive_oblivious::sort_kernel::bitonic_sort_u64_with;
 use proptest::collection::vec;
 use proptest::prelude::*;
 
@@ -318,43 +318,9 @@ proptest! {
     fn bitonic_sort_matches_std(data in vec(0u64..1_000_000, 0..200)) {
         let mut expected = data.clone();
         expected.sort_unstable();
-        let got = bitonic_sort_by_key(0, data, |x| *x, &mut NullTracer);
-        prop_assert_eq!(got, expected);
-    }
-
-    /// The batched kernel sorts every length up to two private blocks
-    /// (2 · 2¹² cells) and a register window more — raw cells and tagged
-    /// words — bitwise as the scalar network does, with its trace, on any
-    /// number of workers.
-    #[test]
-    fn sort_kernel_matches_scalar_at_any_length(
-        n in 0usize..=2 * 4096 + 9,
-        near in (0usize..3).prop_map(|i| [8usize, 4096, 8192][i]),
-        offset in 0usize..3,
-        threads in (0usize..4).prop_map(|i| [1usize, 2, 3, 8][i]),
-        seed in any::<u64>(),
-    ) {
-        use olive_oblivious::sort_kernel::{
-            bitonic_sort_tagged_with, bitonic_sort_u64_with, SortKernel,
-        };
-        use rand::{Rng, SeedableRng};
-        let mut rng = rand::rngs::SmallRng::seed_from_u64(seed);
-        // A uniform length and one within ±1 of a window or block boundary.
-        for n in [n, near + offset - 1] {
-            let cells: Vec<u64> = (0..n).map(|_| rng.gen_range(0..4 * n as u64 + 1)).collect();
-            let tagged: Vec<u128> = cells.iter().map(|&c| ((c as u128 / 8) << 64) | c as u128).collect();
-            let run = |kernel, threads| {
-                let mut tr = RecordingTracer::new(Granularity::Cacheline);
-                let mut c = TrackedBuf::new(1, cells.clone());
-                bitonic_sort_u64_with(&mut c, kernel, threads, &mut tr);
-                let mut t = TrackedBuf::new(3, tagged.clone());
-                bitonic_sort_tagged_with(&mut t, kernel, threads, &mut tr);
-                (c.into_inner(), t.into_inner(), tr.digest())
-            };
-            let batched = run(SortKernel::Batched, threads);
-            prop_assert!(batched.0.windows(2).all(|w| w[0] <= w[1]), "n={} unsorted", n);
-            prop_assert_eq!(batched, run(SortKernel::Scalar, 1), "n={}", n);
-        }
+        let mut buf = TrackedBuf::new(0, data);
+        bitonic_sort_u64_with(&mut buf, 1, &mut NullTracer);
+        prop_assert_eq!(buf.into_inner(), expected);
     }
 
     /// Sparse encode/decode round-trips arbitrary well-formed gradients.
@@ -401,48 +367,6 @@ proptest! {
                 }
             }
         }
-    }
-
-    /// The PathORAM fast-path invariant, fuzzed: the batched kernel is
-    /// bitwise output-, trace-digest-, and serialized-state-identical to
-    /// the scalar reference for arbitrary op sequences (reads, writes,
-    /// updates, read-and-clear takes) across posmap kind × capacity —
-    /// including capacity 1 and non-powers-of-two.
-    #[test]
-    fn path_oram_kernels_bitwise_identical(
-        ops in vec((0u32..97, 0u8..4, 0u64..1000), 1..40),
-        cap_sel in 0usize..4,
-        posmap_sel in 0usize..3,
-    ) {
-        use olive_oram::{OramKernel, PathOram, PathOramConfig, PosMapKind};
-        let capacity = [1usize, 7, 64, 97][cap_sel];
-        let posmap =
-            [PosMapKind::Trusted, PosMapKind::LinearScan, PosMapKind::Recursive][posmap_sel];
-        let cfg = PathOramConfig { capacity, stash_limit: 40, posmap, region_base: 0 };
-        let mut scalar = PathOram::<u64>::new(cfg, 23);
-        scalar.set_kernel(OramKernel::Scalar);
-        let mut batched = PathOram::<u64>::new(cfg, 23);
-        batched.set_kernel(OramKernel::Batched);
-        let mut tr_s = RecordingTracer::new(Granularity::Element);
-        let mut tr_b = RecordingTracer::new(Granularity::Element);
-        for (key, op, v) in ops {
-            let key = key % capacity as u32;
-            let (a, b) = match op {
-                0 => { scalar.write(key, v, &mut tr_s); batched.write(key, v, &mut tr_b); continue; }
-                1 => (scalar.read(key, &mut tr_s), batched.read(key, &mut tr_b)),
-                2 => (scalar.update(key, move |x| x.wrapping_add(v), &mut tr_s),
-                      batched.update(key, move |x| x.wrapping_add(v), &mut tr_b)),
-                _ => (scalar.take(key, &mut tr_s), batched.take(key, &mut tr_b)),
-            };
-            prop_assert_eq!(a, b, "output divergence at key {}", key);
-        }
-        prop_assert_eq!(tr_s.digest(), tr_b.digest(), "trace digest divergence");
-        prop_assert_eq!(scalar.save_state(), batched.save_state(), "state divergence");
-        prop_assert_eq!(
-            scalar.stats().max_stash_occupancy,
-            batched.stats().max_stash_occupancy
-        );
-        prop_assert_eq!(scalar.stats().evicted_blocks, batched.stats().evicted_blocks);
     }
 
     /// AES-GCM round-trips arbitrary payloads and rejects any bit flip.
