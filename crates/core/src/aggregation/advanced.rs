@@ -54,7 +54,7 @@ use olive_oblivious::compact::compact_u64;
 use olive_oblivious::primitives::Oblivious;
 use olive_oblivious::sort_kernel::bitonic_sort_u64_with;
 
-use crate::cell::{cell_index, cell_value, dummy_cell, make_cell};
+use crate::cell::{cell_index, cell_value, dummy_cell, make_cell, push_cells};
 use crate::regions::{REGION_G_STAR, REGION_SCRATCH};
 
 use super::linear::average_in_place;
@@ -72,22 +72,26 @@ pub(crate) fn sum_advanced_bytes(cells: usize, d: usize) -> u64 {
 /// caller's cell vector — extended by the `d` initialization cells and
 /// sorted in place, so the uploads are never copied — writing them into a
 /// fresh `G*` buffer which is returned for further (oblivious)
-/// processing. The trace depends only on `(cells.len(), d)` — the sort's
-/// trace and output are the same at every `threads` value
+/// processing. `cells` comes back empty with its capacity kept, ready to
+/// stage the next run. The trace depends only on `(cells.len(), d)` — the
+/// sort's trace and output are the same at every `threads` value
 /// (`olive_oblivious::sort_kernel`); the compaction is serial.
 pub(crate) fn sum_advanced<TR: Tracer>(
-    cells: Vec<u64>,
+    cells: &mut Vec<u64>,
     d: usize,
     threads: usize,
     tr: &mut TR,
 ) -> TrackedBuf<f32> {
-    let mut g = sort_and_fold(cells, d, threads, tr);
+    let mut g = sort_and_fold(std::mem::take(cells), d, threads, tr);
     // Step 4: oblivious compaction; the d real survivors lead, in order.
     let survivors = compact_u64(&mut g, tr);
     // Exactly d for honest cells; a hostile cell's index at or past d
     // survives too, behind them.
     debug_assert!(survivors >= d, "initialization leaves a survivor per index");
-    emit_gstar(&g, d, tr)
+    let gstar = emit_gstar(&g, d, tr);
+    *cells = g.into_inner();
+    cells.clear();
+    gstar
 }
 
 /// Steps 1–3 of Algorithm 4: the folded `cells.len() + d` vector,
@@ -162,7 +166,7 @@ pub(crate) struct StagedCells {
 }
 
 /// Panic message of any use of a buffer that still owes cells.
-const OWED: &str = "staged cells are still owed: restage the folded prefix first";
+pub(crate) const OWED: &str = "staged cells are still owed: restage the folded prefix first";
 
 impl StagedCells {
     pub(crate) fn new() -> Self {
@@ -171,7 +175,7 @@ impl StagedCells {
 
     fn push(&mut self, chunk: &[SparseGradient]) {
         for u in chunk {
-            self.cells.extend(u.indices.iter().zip(&u.values).map(|(&i, &v)| make_cell(i, v)));
+            push_cells(&mut self.cells, u);
         }
     }
 
@@ -249,7 +253,7 @@ impl StagedCells {
 /// reports this honestly via [`Aggregator::resident_bytes`].
 pub struct AdvancedStreamer {
     staged: StagedCells,
-    d: usize,
+    pub(super) d: usize,
     threads: usize,
 }
 
@@ -269,7 +273,7 @@ impl Aggregator for AdvancedStreamer {
     /// Runs Algorithm 4 over everything staged.
     fn finalize<TR: ParallelTracer>(self, tr: &mut TR) -> Vec<f32> {
         let n = self.staged.clients();
-        let mut gstar = sum_advanced(self.staged.into_cells(), self.d, self.threads, tr);
+        let mut gstar = sum_advanced(&mut self.staged.into_cells(), self.d, self.threads, tr);
         average_in_place(&mut gstar, n, tr);
         gstar.into_inner()
     }
@@ -339,7 +343,7 @@ mod tests {
 
     /// The production sums over `cells`, as bits.
     fn sum_bits(cells: &[u64], d: usize) -> Vec<u32> {
-        let sums = sum_advanced(cells.to_vec(), d, 1, &mut NullTracer).into_inner();
+        let sums = sum_advanced(&mut cells.to_vec(), d, 1, &mut NullTracer).into_inner();
         sums.iter().map(|x| x.to_bits()).collect()
     }
 
@@ -370,7 +374,7 @@ mod tests {
             make_cell(0, 0.4),
             make_cell(1, 0.1),
         ];
-        let sums = sum_advanced(g.to_vec(), 4, 1, &mut NullTracer).into_inner();
+        let sums = sum_advanced(&mut g.to_vec(), 4, 1, &mut NullTracer).into_inner();
         assert_close(&sums, &[0.4, 1.2, 0.9, 0.5], 1e-6);
     }
 
@@ -475,7 +479,7 @@ mod tests {
         assert_eq!(same_shape.len(), hostile.len());
         for granularity in [Granularity::Element, Granularity::Cacheline] {
             let digest = |cells: &[u64]| {
-                trace_of(granularity, |tr| drop(sum_advanced(cells.to_vec(), d, 1, tr)))
+                trace_of(granularity, |tr| drop(sum_advanced(&mut cells.to_vec(), d, 1, tr)))
             };
             assert_eq!(digest(&hostile), digest(&same_shape), "{granularity:?}");
         }
@@ -571,7 +575,7 @@ mod tests {
             tr.events().expect("built with events").to_vec()
         };
         let old = events(&|tr| drop(sum_sorting_twice(cells.clone(), d, tr)));
-        let new = events(&|tr| drop(sum_advanced(cells.clone(), d, 1, tr)));
+        let new = events(&|tr| drop(sum_advanced(&mut cells.clone(), d, 1, tr)));
         let scratch = || TrackedBuf::new(REGION_SCRATCH, vec![0u64; cells.len() + d]);
         let network = events(&|tr| bitonic_sort_u64_with(&mut scratch(), 1, tr));
         let compaction = events(&|tr| {

@@ -64,7 +64,7 @@ fn scan_cells(cells: &[u64], d: usize, c: usize, chunk: &mut [f32], base: usize)
 /// byte-identical trace (emitted canonically before the data movement).
 pub struct BaselineStreamer {
     gstar: TrackedBuf<f32>,
-    d: usize,
+    pub(super) d: usize,
     c: usize,
     padded: usize,
     threads: usize,

@@ -62,7 +62,7 @@ pub fn expected_padding(d: usize, k: usize, epsilon: f64, delta: f64) -> f64 {
 /// reported honestly by [`Aggregator::resident_bytes`].
 pub struct DoblivStreamer {
     staged: StagedCells,
-    d: usize,
+    pub(super) d: usize,
     epsilon: f64,
     delta: f64,
     seed: u64,

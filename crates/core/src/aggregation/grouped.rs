@@ -39,14 +39,39 @@
 //!
 //! The default thread count comes from `OLIVE_THREADS` /
 //! `available_parallelism().min(8)` (see [`olive_memsim::threads`]).
+//!
+//! # Staging and scratch
+//!
+//! Clients buffer until a full processing unit is available (see
+//! [`GroupedStreamer`]). A client's cells are staged **once**, straight
+//! from its decoded upload into the buffer of its group within the unit —
+//! one buffer per worker, kept for the whole round. When the unit fills,
+//! each group's run of Algorithm 4 appends the `d` initialization cells
+//! and sorts, folds and compacts in that same buffer, which then empties
+//! for the next unit with its capacity intact: a round allocates
+//! `threads` sort vectors, not two per group, and no upload is cloned or
+//! copied between arrival and its group's sort.
+//!
+//! # State and restore
+//!
+//! A checkpoint carries the running total and a descriptor of the pending
+//! unit — its cell count — never the cells. Which clients are pending is
+//! public: the last `n mod h·threads` of the folded prefix. Their cells
+//! are a pure function of uploads untrusted storage already holds as
+//! authenticated ciphertexts, so, like the staged kinds, a restored
+//! streamer **owes** them: the round driver re-opens the folded prefix,
+//! and [`Aggregator::restage`] keeps the pending suffix — the clients
+//! already in the running total pass through untouched. With nothing
+//! pending the count is 0, nothing is owed, and the restore point loads
+//! whole, like an accumulating kind's.
 
 use olive_fl::SparseGradient;
 use olive_memsim::{ParallelTracer, StateError, StateReader, StateWriter, Tracer, TrackedBuf};
 
-use crate::cell::concat_cells;
+use crate::cell::push_cells;
 use crate::regions::REGION_G_STAR;
 
-use super::advanced::{sum_advanced, sum_advanced_bytes};
+use super::advanced::{sum_advanced, sum_advanced_bytes, OWED};
 use super::linear::average_in_place;
 use super::streaming::Aggregator;
 
@@ -60,18 +85,16 @@ fn carry_into<TR: Tracer>(partial: &TrackedBuf<f32>, total: &mut TrackedBuf<f32>
     }
 }
 
-/// Runs one wave of up to `threads` groups, one per worker — group 0 on
-/// the calling thread, the rest on the pool — joining traces and folding
-/// partials strictly in group order.
+/// Runs one wave — one group per staged buffer in `groups`, each on its
+/// own worker (group 0 on the calling thread, the rest on the pool) —
+/// joining traces and folding partials strictly in group order.
 fn run_wave<TR: ParallelTracer>(
-    wave: &[SparseGradient],
+    groups: &mut [Vec<u64>],
     d: usize,
-    h: usize,
     threads: usize,
     total: &mut TrackedBuf<f32>,
     tr: &mut TR,
 ) {
-    let groups: Vec<&[SparseGradient]> = wave.chunks(h).collect();
     // A full wave saturates the budget with one thread per group
     // (intra = 1); a short wave (the tail, or n/h < threads) hands
     // the leftover budget to each group's intra-sort stages. Safe
@@ -80,10 +103,10 @@ fn run_wave<TR: ParallelTracer>(
     let mut slots: Vec<Option<(TrackedBuf<f32>, TR::Worker)>> =
         (0..groups.len()).map(|_| None).collect();
     // Worker tracers are forked in group order, each as its task is made.
-    olive_oblivious::pool::join(slots.iter_mut().zip(groups).map(|(slot, group)| {
+    olive_oblivious::pool::join(slots.iter_mut().zip(groups).map(|(slot, cells)| {
         let mut wtr = tr.fork_worker();
         move || {
-            let partial = sum_advanced(concat_cells(group), d, intra, &mut wtr);
+            let partial = sum_advanced(cells, d, intra, &mut wtr);
             *slot = Some((partial, wtr));
         }
     }));
@@ -109,17 +132,25 @@ fn run_wave<TR: ParallelTracer>(
 /// The running total persists in the enclave; incoming clients buffer
 /// until a full **processing unit** is available — one group of `h`
 /// clients under a serial budget, one wave of `h·threads` clients under a
-/// parallel budget — which then runs (`run_wave` / the serial group
-/// loop). Because the processing schedule is a function of the *arrival
-/// count* only, chunk boundaries change neither the output bits nor the
-/// trace: streaming at any chunk size reproduces the single-chunk run
-/// byte-for-byte. Peak memory is O(h·threads·k) buffered cells +
-/// O(threads·(hk + d)) sort scratch + O(d) for the total — independent of
-/// the round size n.
+/// parallel budget — which then runs (`run_wave` / the serial group).
+/// Because the processing schedule is a function of the *arrival count*
+/// only, chunk boundaries change neither the output bits nor the trace:
+/// streaming at any chunk size reproduces the single-chunk run
+/// byte-for-byte. Peak memory is O(threads·(hk + d)) staged cells and sort
+/// scratch (the same buffers) + O(threads·d) partials + O(d) for the
+/// total — independent of the round size n.
 pub struct GroupedStreamer {
     total: TrackedBuf<f32>,
-    pending: Vec<SparseGradient>,
-    d: usize,
+    /// The pending unit's cells, one buffer per group of the unit (module
+    /// docs): client `i` of the round stages into buffer
+    /// `(i mod h·threads) / h`.
+    groups: Vec<Vec<u64>>,
+    /// Cells a loaded descriptor promised that have not been re-staged.
+    owed: usize,
+    /// Folded clients a restore has still to hand back to
+    /// [`Aggregator::restage`]; zero outside a restore.
+    replay: usize,
+    pub(super) d: usize,
     h: usize,
     threads: usize,
     n: usize,
@@ -135,44 +166,69 @@ impl GroupedStreamer {
         // carry over the result to the next group").
         GroupedStreamer {
             total: TrackedBuf::zeroed(REGION_G_STAR, d),
-            pending: Vec::new(),
+            groups: vec![Vec::new(); threads],
+            owed: 0,
+            replay: 0,
             d,
             h,
             threads,
             n: 0,
         }
     }
+
+    /// Clients per processing unit.
+    fn unit(&self) -> usize {
+        self.h * self.threads
+    }
+
+    /// Appends client `i`'s cells to its group's buffer. A group's first
+    /// client sizes the buffer for the whole run of Algorithm 4 —
+    /// `h` uploads like it plus the `d` initialization cells — once per
+    /// round: after the first unit it already has the room.
+    fn stage(&mut self, i: usize, u: &SparseGradient) {
+        let group = i % self.unit() / self.h;
+        let cells = &mut self.groups[group];
+        if cells.is_empty() {
+            cells.reserve(self.h * u.k() + self.d);
+        }
+        push_cells(cells, u);
+    }
+
+    fn staged_cells(&self) -> usize {
+        self.groups.iter().map(Vec::len).sum()
+    }
 }
 
 impl Aggregator for GroupedStreamer {
-    /// Buffers one chunk of client updates, draining every complete
-    /// processing unit (group or wave) as it fills.
+    /// Stages one chunk of client updates, running every processing unit
+    /// (group or wave) as it fills.
     fn ingest<TR: ParallelTracer>(&mut self, chunk: &[SparseGradient], tr: &mut TR) {
+        assert_eq!(self.owed, 0, "{OWED}");
         for u in chunk {
             assert_eq!(u.dense_dim, self.d, "update dimension mismatch");
         }
-        self.n += chunk.len();
-        self.pending.extend_from_slice(chunk);
-        if self.threads == 1 {
-            // Serial group schedule: spend the whole thread budget
-            // *inside* each group's sorts instead (the intra-sort stage
-            // parallelism of `olive_oblivious::sort_kernel`). threads = 1
-            // reproduces the serial trace byte-for-byte.
-            while self.pending.len() >= self.h {
-                let group: Vec<SparseGradient> = self.pending.drain(..self.h).collect();
-                let partial = sum_advanced(concat_cells(&group), self.d, 1, tr);
-                carry_into(&partial, &mut self.total, tr);
+        for u in chunk {
+            self.stage(self.n, u);
+            self.n += 1;
+            if !self.n.is_multiple_of(self.unit()) {
+                // A partial trailing unit stays pending — only at
+                // finalize is the total count known, and the final
+                // schedule (serial if n <= h, a short wave otherwise)
+                // depends on it.
+                continue;
             }
-        } else {
-            // Waves of `threads` consecutive groups: bounds partial-buffer
-            // memory at O(threads·d) and keeps the carry order serial. A
-            // partial trailing unit stays pending — only at finalize is
-            // the total count known, and the final schedule (serial if
-            // n <= h, a short wave otherwise) depends on it.
-            let wave_len = self.h * self.threads;
-            while self.pending.len() >= wave_len {
-                let wave: Vec<SparseGradient> = self.pending.drain(..wave_len).collect();
-                run_wave(&wave, self.d, self.h, self.threads, &mut self.total, tr);
+            if self.threads == 1 {
+                // Serial group schedule: spend the whole thread budget
+                // *inside* each group's sorts instead (the intra-sort
+                // stage parallelism of `olive_oblivious::sort_kernel`).
+                // threads = 1 reproduces the serial trace byte-for-byte.
+                let partial = sum_advanced(&mut self.groups[0], self.d, 1, tr);
+                carry_into(&partial, &mut self.total, tr);
+            } else {
+                // Waves of `threads` consecutive groups: bounds
+                // partial-buffer memory at O(threads·d) and keeps the
+                // carry order serial.
+                run_wave(&mut self.groups, self.d, self.threads, &mut self.total, tr);
             }
         }
     }
@@ -181,19 +237,18 @@ impl Aggregator for GroupedStreamer {
     /// update.
     fn finalize<TR: ParallelTracer>(mut self, tr: &mut TR) -> Vec<f32> {
         assert!(self.n > 0, "no updates to aggregate");
-        if !self.pending.is_empty() {
+        assert_eq!(self.owed, 0, "{OWED}");
+        let pending = self.n % self.unit();
+        if pending > 0 {
             if self.threads == 1 || self.n <= self.h {
-                // The serial schedule: every group gets the whole
-                // intra-sort thread budget (what makes a single huge group
-                // n <= h scale).
-                let pending = std::mem::take(&mut self.pending);
-                for group in pending.chunks(self.h) {
-                    let partial = sum_advanced(concat_cells(group), self.d, self.threads, tr);
-                    carry_into(&partial, &mut self.total, tr);
-                }
+                // The serial schedule — one group, pending < h or n <= h —
+                // with the whole intra-sort thread budget (what makes a
+                // single huge group n <= h scale).
+                let partial = sum_advanced(&mut self.groups[0], self.d, self.threads, tr);
+                carry_into(&partial, &mut self.total, tr);
             } else {
-                let wave = std::mem::take(&mut self.pending);
-                run_wave(&wave, self.d, self.h, self.threads, &mut self.total, tr);
+                let groups = &mut self.groups[..pending.div_ceil(self.h)];
+                run_wave(groups, self.d, self.threads, &mut self.total, tr);
             }
         }
         // Step 4: average only once, after the last group.
@@ -205,38 +260,33 @@ impl Aggregator for GroupedStreamer {
         self.n
     }
 
-    /// The running total plus buffered cells.
+    /// The running total plus the pending unit's staged cells.
     fn resident_bytes(&self) -> u64 {
-        let pending_cells: usize = self.pending.iter().map(|u| u.k()).sum();
-        self.d as u64 * 4 + pending_cells as u64 * 8
+        self.d as u64 * 4 + self.staged_cells() as u64 * 8
     }
 
-    /// What one drained wave allocates: per in-flight group, one run of
-    /// Algorithm 4 — the group's concatenated cells, sorted where they
-    /// were gathered, and its dense partial.
+    /// What one drained wave works in: per in-flight group, one run of
+    /// Algorithm 4 — the group's cells and initialization cells, sorted in
+    /// its staging buffer, and its dense partial. The buffers keep their
+    /// capacity between units; the ledger charges them while a fold runs,
+    /// where the round's peak is.
     fn ingest_scratch_bytes(&self, _chunk_clients: usize, k: usize) -> u64 {
         self.threads as u64 * sum_advanced_bytes(self.h * k, self.d)
     }
 
-    /// The running total's bits plus the buffered partial unit (pending
-    /// updates that have not yet filled a group/wave), each pending update
-    /// encoded straight into the blob as a length-prefixed wire encoding.
+    /// Configuration, client count, the running total's bits and the
+    /// pending unit's cell count (module docs) — no term in k.
     fn write_state(&self, w: &mut StateWriter) {
         w.put_usize(self.d);
         w.put_usize(self.h);
         w.put_usize(self.threads);
         w.put_usize(self.n);
         w.put_f32s(self.total.as_slice_untraced());
-        w.put_usize(self.pending.len());
-        for u in &self.pending {
-            w.put_usize(u.encoded_len());
-            w.put_with(u.encoded_len(), |out| u.encode_to(out));
-        }
+        w.put_usize(self.staged_cells() + self.owed);
     }
 
     fn state_len(&self) -> usize {
-        let pending: usize = self.pending.iter().map(|u| 8 + u.encoded_len()).sum();
-        4 * 8 + 8 + 4 * self.d + 8 + pending
+        4 * 8 + 8 + 4 * self.d + 8
     }
 
     fn load_state(&mut self, bytes: &[u8]) -> Result<(), StateError> {
@@ -244,22 +294,47 @@ impl Aggregator for GroupedStreamer {
         if r.get_usize()? != self.d || r.get_usize()? != self.h || r.get_usize()? != self.threads {
             return Err(StateError::Mismatch);
         }
-        self.n = r.get_usize()?;
+        let n = r.get_usize()?;
         let total = r.get_f32s()?;
         if total.len() != self.total.len() {
             return Err(StateError::Mismatch);
         }
+        let owed = r.get_usize()?;
+        r.expect_end()?;
         self.total.as_mut_slice_untraced().copy_from_slice(&total);
-        let pending_len = r.get_usize()?;
-        self.pending.clear();
-        for _ in 0..pending_len {
-            let u = SparseGradient::decode(r.get_bytes()?).ok_or(StateError::Corrupt)?;
-            if u.dense_dim != self.d {
-                return Err(StateError::Mismatch);
-            }
-            self.pending.push(u);
+        self.groups.iter_mut().for_each(Vec::clear);
+        // Nothing owed, nothing to hand back: the accumulating-kind restore.
+        let replay = if owed > 0 { n } else { 0 };
+        (self.n, self.owed, self.replay) = (n, owed, replay);
+        Ok(())
+    }
+
+    fn owed_cells(&self) -> usize {
+        self.owed
+    }
+
+    /// Walks a chunk of the folded prefix past the clients already in the
+    /// running total and stages the pending suffix's cells. Fails —
+    /// leaving the streamer untouched — on a chunk the descriptor cannot
+    /// have covered: clients past the folded prefix, more suffix cells
+    /// than are owed, or the wrong dimension.
+    fn restage(&mut self, chunk: &[SparseGradient]) -> Result<(), StateError> {
+        if self.replay == 0 || chunk.len() > self.replay {
+            return Err(StateError::Mismatch);
         }
-        r.expect_end()
+        let first = self.n - self.replay;
+        let suffix = self.n - self.n % self.unit();
+        let skip = suffix.saturating_sub(first).min(chunk.len());
+        let cells: usize = chunk[skip..].iter().map(SparseGradient::k).sum();
+        if cells > self.owed || chunk.iter().any(|u| u.dense_dim != self.d) {
+            return Err(StateError::Mismatch);
+        }
+        for (i, u) in (first..).zip(chunk).skip(skip) {
+            self.stage(i, u);
+        }
+        self.replay -= chunk.len();
+        self.owed -= cells;
+        Ok(())
     }
 }
 
@@ -359,6 +434,70 @@ mod tests {
             tr.digest()
         };
         assert_eq!(digest(), digest());
+    }
+
+    /// The restore contract at unit scale, at every thread count. The
+    /// saved state is the configuration, n, the running total and the
+    /// pending unit's cell count — with nothing pending, the bytes the
+    /// layout that carried pending uploads wrote. A streamer loaded with a
+    /// unit pending owes exactly its cells; handed the whole folded prefix
+    /// back in chunks of four — one spanning the boundary between the
+    /// running total and the pending suffix — it skips the clients already
+    /// in the total and re-stages the rest, and then finishes on the
+    /// uninterrupted bits and trace. A chunk the descriptor cannot have
+    /// covered is refused with the streamer untouched.
+    #[test]
+    fn a_restore_restages_only_the_pending_unit() {
+        let (d, k, h) = (40, 4, 3);
+        let updates = random_updates(20, k, d, 41);
+        let mut wrong_dim = updates[0].clone();
+        wrong_dim.dense_dim = d + 1;
+        let bigger = random_updates(1, 2 * k, d, 7).remove(0);
+        for threads in [1usize, 2, 3] {
+            let unit = h * threads;
+            for folded in [unit, unit + 2, 2 * unit - 1] {
+                let ctx = format!("threads={threads} folded={folded}");
+                let pending = folded % unit;
+                let mut a = GroupedStreamer::init(d, h, threads);
+                a.ingest(&updates[..folded], &mut NullTracer);
+                let blob = a.save_state();
+                let mut w = StateWriter::new();
+                [d, h, threads, folded].into_iter().for_each(|x| w.put_usize(x));
+                w.put_f32s(a.total.as_slice_untraced());
+                w.put_usize(pending * k);
+                assert_eq!(blob, w.into_bytes(), "{ctx}");
+
+                let mut b = GroupedStreamer::init(d, h, threads);
+                b.load_state(&blob).expect("same configuration");
+                assert_eq!((b.clients(), b.owed_cells()), (folded, pending * k), "{ctx}");
+                let mut hostile = updates[..folded].to_vec();
+                if pending > 0 {
+                    for swap in [&wrong_dim, &bigger] {
+                        hostile[folded - 1] = swap.clone();
+                        assert_eq!(b.restage(&hostile), Err(StateError::Mismatch), "{ctx}");
+                    }
+                    let past = &updates[..folded + 1];
+                    assert_eq!(b.restage(past), Err(StateError::Mismatch), "{ctx}: past n");
+                    assert_eq!(b.resident_bytes(), d as u64 * 4, "{ctx}: untouched");
+                    for chunk in updates[..folded].chunks(4) {
+                        b.restage(chunk).expect("a chunk of the folded prefix");
+                    }
+                    assert_eq!(b.owed_cells(), 0, "{ctx}");
+                    assert_eq!(b.resident_bytes(), a.resident_bytes(), "{ctx}");
+                    assert_eq!(b.save_state(), blob, "{ctx}");
+                }
+                let refused = b.restage(&updates[..1]);
+                assert_eq!(refused, Err(StateError::Mismatch), "{ctx}: nothing to hand back");
+
+                let mut tra = RecordingTracer::new(Granularity::Element);
+                let mut trb = RecordingTracer::new(Granularity::Element);
+                a.ingest(&updates[folded..], &mut tra);
+                b.ingest(&updates[folded..], &mut trb);
+                let (va, vb) = (a.finalize(&mut tra), b.finalize(&mut trb));
+                assert!(va.iter().zip(&vb).all(|(x, y)| x.to_bits() == y.to_bits()), "{ctx}");
+                assert_eq!(tra.digest(), trb.digest(), "{ctx}");
+            }
+        }
     }
 
     #[test]

@@ -69,7 +69,7 @@ pub struct LinearStreamer {
     /// Global position in the round's logical `G` buffer (cells).
     next_cell: usize,
     n: usize,
-    d: usize,
+    pub(super) d: usize,
 }
 
 impl LinearStreamer {

@@ -32,7 +32,7 @@ pub struct OramStreamer {
     /// Global position in the round's logical `G` buffer (cells).
     next_cell: usize,
     n: usize,
-    d: usize,
+    pub(super) d: usize,
 }
 
 impl OramStreamer {

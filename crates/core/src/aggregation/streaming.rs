@@ -32,7 +32,10 @@
 //! * **unit-buffered** (Grouped): clients buffer until a full processing
 //!   unit — a group of h (serial) or a wave of h·threads (parallel) — is
 //!   available, and the unit schedule is a function of the arrival count
-//!   only; memory stays O(h·threads·k + d·threads);
+//!   only; each client's cells are staged once, into the buffer its
+//!   group is sorted in, and memory stays O(threads·(hk + d)). Its
+//!   checkpoint is the running total and the pending unit's cell count:
+//!   the pending cells come back as the staged kinds' do;
 //! * **staged** (Advanced, DiffOblivious): the algorithm is inherently
 //!   monolithic (one sort / one shuffle over the whole round is what its
 //!   security argument is about), so chunks stage into the cell buffer
@@ -115,8 +118,11 @@ pub trait Aggregator: Sized {
     /// untrusted storage already holds as authenticated ciphertexts, so a
     /// loaded streamer reports the right `clients()` but **owes** its
     /// cells ([`Aggregator::owed_cells`]) until the driver re-stages that
-    /// prefix ([`Aggregator::restage`]). Either way, ingesting the
-    /// remaining chunks then yields the same output bits and the same
+    /// prefix ([`Aggregator::restage`]). Grouped is both: it snapshots its
+    /// running total and describes its pending partial unit — the last
+    /// `n mod h·threads` clients — by cell count, so it owes exactly those
+    /// cells, and nothing when no unit is pending. Either way, ingesting
+    /// the remaining chunks then yields the same output bits and the same
     /// trace as an uninterrupted run.
     fn write_state(&self, w: &mut StateWriter);
 
@@ -138,18 +144,22 @@ pub trait Aggregator: Sized {
     fn load_state(&mut self, bytes: &[u8]) -> Result<(), StateError>;
 
     /// Cells a loaded descriptor promised that have not been re-staged
-    /// yet; zero for a fresh aggregator and always for the accumulating
-    /// kinds. `ingest` and `finalize` panic while cells are owed rather
-    /// than aggregate a partial round.
+    /// yet: a staged kind's whole prefix, Grouped's pending unit; zero for
+    /// a fresh aggregator and always for the accumulating kinds. `ingest`
+    /// and `finalize` panic while cells are owed rather than aggregate a
+    /// partial round.
     fn owed_cells(&self) -> usize {
         0
     }
 
-    /// Hands a chunk of the already-folded prefix back to a restored
-    /// staged aggregator: appends its cells (untraced, like the staged
-    /// `ingest`) without counting its clients again. Fails with
-    /// [`StateError::Mismatch`] on more cells than are owed, and always
-    /// on an accumulating kind (nothing to re-stage).
+    /// Hands a chunk of the already-folded prefix back, in order, to a
+    /// restored aggregator that owes cells: appends the cells it owes
+    /// (untraced, like the staging `ingest` does) without counting
+    /// clients again — all of them for a staged kind, only the pending
+    /// unit's for Grouped, whose other clients are already in its
+    /// running total. Fails with [`StateError::Mismatch`] on more cells
+    /// than are owed, and always when nothing is owed (an accumulating
+    /// kind, or Grouped with no unit pending: nothing to re-stage).
     fn restage(&mut self, chunk: &[SparseGradient]) -> Result<(), StateError> {
         let _ = chunk;
         Err(StateError::Mismatch)
@@ -172,6 +182,19 @@ pub enum StreamingAggregator {
     PathOram(OramStreamer),
     /// Section 5.4 DO relaxation (staged; monolithic shuffle at finalize).
     DiffOblivious(DoblivStreamer),
+}
+
+macro_rules! dispatch {
+    ($self:expr, $s:ident => $body:expr) => {
+        match $self {
+            StreamingAggregator::Linear($s) => $body,
+            StreamingAggregator::Baseline($s) => $body,
+            StreamingAggregator::Advanced($s) => $body,
+            StreamingAggregator::Grouped($s) => $body,
+            StreamingAggregator::PathOram($s) => $body,
+            StreamingAggregator::DiffOblivious($s) => $body,
+        }
+    };
 }
 
 impl StreamingAggregator {
@@ -211,6 +234,11 @@ impl StreamingAggregator {
         }
     }
 
+    /// The model dimension d every update of the round must have.
+    pub(crate) fn dim(&self) -> usize {
+        dispatch!(self, s => s.d)
+    }
+
     /// One byte naming the variant, prepended to serialized state so a
     /// checkpoint can never be loaded into the wrong algorithm.
     fn kind_tag(&self) -> u8 {
@@ -223,19 +251,6 @@ impl StreamingAggregator {
             StreamingAggregator::DiffOblivious(_) => 5,
         }
     }
-}
-
-macro_rules! dispatch {
-    ($self:expr, $s:ident => $body:expr) => {
-        match $self {
-            StreamingAggregator::Linear($s) => $body,
-            StreamingAggregator::Baseline($s) => $body,
-            StreamingAggregator::Advanced($s) => $body,
-            StreamingAggregator::Grouped($s) => $body,
-            StreamingAggregator::PathOram($s) => $body,
-            StreamingAggregator::DiffOblivious($s) => $body,
-        }
-    };
 }
 
 impl Aggregator for StreamingAggregator {
@@ -379,9 +394,10 @@ mod tests {
 
     /// The checkpoint contract at unit scale: for every kind, snapshot
     /// after a mid-stream chunk, load into a fresh same-config streamer —
-    /// a staged kind then owes its cells and gets the folded prefix
-    /// re-staged, an accumulating kind owes nothing — and finish both:
-    /// output bits AND the *remaining* trace must match.
+    /// a staged kind then owes its cells, Grouped its pending unit's, and
+    /// gets the folded prefix re-staged; an accumulating kind, or Grouped
+    /// with nothing pending, owes nothing — and finish both: output bits
+    /// AND the *remaining* trace must match.
     #[test]
     fn state_roundtrip_is_invisible_for_every_kind() {
         let (d, k) = (48, 5);
@@ -393,10 +409,13 @@ mod tests {
             let mut b = StreamingAggregator::new(kind, d, 1);
             b.load_state(&blob).unwrap_or_else(|e| panic!("{kind:?}: load failed: {e}"));
             assert_eq!(b.clients(), 4, "{kind:?}: client count not restored");
-            let staged =
-                matches!(kind, AggregatorKind::Advanced | AggregatorKind::DiffOblivious { .. });
-            assert_eq!(b.owed_cells(), if staged { 4 * k } else { 0 }, "{kind:?}");
-            if staged {
+            let owed = match kind {
+                AggregatorKind::Advanced | AggregatorKind::DiffOblivious { .. } => 4 * k,
+                AggregatorKind::Grouped { h } => 4 % h * k,
+                _ => 0,
+            };
+            assert_eq!(b.owed_cells(), owed, "{kind:?}");
+            if owed > 0 {
                 // Re-staged in two steps: the prefix's own chunking is free.
                 b.restage(&updates[..1]).expect("one owed client");
                 b.restage(&updates[1..4]).expect("the rest of the prefix");

@@ -35,15 +35,18 @@ pub fn dummy_cell() -> u64 {
     make_cell(DUMMY_INDEX, 0.0)
 }
 
+/// Appends one update's cells to `out`, in upload order.
+pub(crate) fn push_cells(out: &mut Vec<u64>, u: &olive_fl::SparseGradient) {
+    out.extend(u.indices.iter().zip(&u.values).map(|(&i, &v)| make_cell(i, v)));
+}
+
 /// Flattens sparse updates into the concatenated cell buffer `G`
 /// (Algorithm 3/4 input: `g = g₁ ∥ … ∥ gₙ`, nk cells).
 pub fn concat_cells(updates: &[olive_fl::SparseGradient]) -> Vec<u64> {
     let total: usize = updates.iter().map(|u| u.k()).sum();
     let mut out = Vec::with_capacity(total);
     for u in updates {
-        for (&i, &v) in u.indices.iter().zip(u.values.iter()) {
-            out.push(make_cell(i, v));
-        }
+        push_cells(&mut out, u);
     }
     out
 }

@@ -847,8 +847,14 @@ pub fn provision_clients(
 /// descriptor — and not at all once that is below the 12·d bytes
 /// finalize adds). For Grouped it leaves out the O(chunk·k) plaintext
 /// staged around a fold (the chunk being folded and the look-ahead
-/// chunk), which a measured round carries on top — as it does the
-/// checkpoint plaintext (header + floors + the d-sized running total).
+/// chunk) and the pending partial unit resident beside it (fewer than
+/// h·threads clients' cells), which a measured round carries on top — as
+/// it does the checkpoint plaintext (header + floors + the d-sized
+/// running total + one cell count). On the benchmark's `grouped_t2`
+/// (n = 5000, k = 421, d = 4210, h = 64, two threads, chunk 64) the
+/// measured 1,195,640 B is the closed form's 548,984 B plus three
+/// 64-client runs of 215,552 B — the folded chunk, the look-ahead and the
+/// group pending from the chunk before — not two.
 pub fn working_set_bytes(kind: AggregatorKind, n: usize, k: usize, d: usize) -> u64 {
     working_set_bytes_threaded(kind, n, k, d, 1)
 }
@@ -1168,15 +1174,20 @@ mod tests {
     /// the same user under a later nonce — each a structured error with
     /// the round still pending and every budget balanced, never a
     /// different aggregate — and then restore bitwise from the genuine
-    /// material, one tracer spanning every attempt.
+    /// material, one tracer spanning every attempt. Grouped with h = 4 is
+    /// killed with four clients in its running total and two pending: a
+    /// victim in each part, whose cells the restore skips or re-stages.
     #[test]
     fn restore_rejects_any_prefix_but_the_sealed_one() {
         use olive_memsim::{Granularity, RecordingTracer};
-        let staged = [
-            AggregatorKind::Advanced,
-            AggregatorKind::DiffOblivious { epsilon: 8.0, delta: 0.01, seed: 3 },
+        let cases = [
+            (AggregatorKind::Advanced, 3),
+            (AggregatorKind::DiffOblivious { epsilon: 8.0, delta: 0.01, seed: 3 }, 3),
+            (AggregatorKind::Grouped { h: 4 }, 3),
+            (AggregatorKind::Grouped { h: 4 }, 5),
         ];
-        for (kind, shards) in staged.into_iter().flat_map(|kind| [(kind, 1), (kind, 4)]) {
+        for ((kind, slot), shards) in cases.into_iter().flat_map(|case| [(case, 1), (case, 4)]) {
+            let ctx = format!("{kind:?} S={shards} slot={slot}");
             let system = || full_sample_system(kind, 1, shards);
             let mut reference = system();
             let mut ref_tr = RecordingTracer::new(Granularity::Element);
@@ -1188,37 +1199,37 @@ mod tests {
             let killed = RoundError::CoordinatorKilled { after_chunk: 2 };
             assert_eq!(sys.run_round(&mut tr).unwrap_err(), killed);
             let genuine = sys.pending.as_ref().expect("pending").sealed.clone();
-            let (t, victim) = (genuine[3].round, genuine[3].user);
+            let (t, victim) = (genuine[slot].round, genuine[slot].user);
 
             let mut flipped = genuine.clone();
-            flipped[3].ciphertext[9] ^= 0x10;
+            flipped[slot].ciphertext[9] ^= 0x10;
             let mut dropped = genuine.clone();
-            dropped.remove(3);
+            dropped.remove(slot);
             let mut substituted = genuine.clone();
             let other = SparseGradient {
                 dense_dim: sys.dim(),
                 indices: (0..ref_report.k_per_user as u32).collect(),
                 values: vec![1.0; ref_report.k_per_user],
             };
-            substituted[3] = sys.sessions[victim as usize].seal_upload(t, &other.encode());
-            assert!(substituted[3].nonce_counter > genuine[3].nonce_counter);
+            substituted[slot] = sys.sessions[victim as usize].seal_upload(t, &other.encode());
+            assert!(substituted[slot].nonce_counter > genuine[slot].nonce_counter);
 
             for (what, stored) in [("flip", flipped), ("drop", dropped), ("swap", substituted)] {
                 sys.pending.as_mut().expect("pending").sealed = stored;
                 assert_eq!(
                     sys.restore_round(&mut tr).unwrap_err(),
                     RoundError::Checkpoint(TeeError::AuthFailure),
-                    "{kind:?} S={shards} {what}"
+                    "{ctx} {what}"
                 );
-                assert!(sys.interrupted(), "{what}: the round stays pending");
-                assert!(sys.epc_live().iter().all(|&b| b == 0), "{what}: budgets balance");
+                assert!(sys.interrupted(), "{ctx} {what}: the round stays pending");
+                assert!(sys.epc_live().iter().all(|&b| b == 0), "{ctx} {what}: budgets balance");
             }
 
             sys.pending.as_mut().expect("pending").sealed = genuine;
             let report = sys.restore_round(&mut tr).expect("genuine material restores");
-            assert_eq!(sys.global_params(), reference.global_params(), "{kind:?} S={shards}");
+            assert_eq!(sys.global_params(), reference.global_params(), "{ctx}");
             assert_eq!(report.model_signature, ref_report.model_signature);
-            assert_eq!(tr.digest(), ref_tr.digest(), "{kind:?} S={shards}: trace digest");
+            assert_eq!(tr.digest(), ref_tr.digest(), "{ctx}: trace digest");
             assert!(sys.epc_live().iter().all(|&b| b == 0));
         }
     }

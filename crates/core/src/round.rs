@@ -426,8 +426,10 @@ fn staged_chunk_bytes(msgs: &[SealedMessage]) -> u64 {
 
 /// Opens one chunk of uploads and decodes the plaintext gradient
 /// encodings, one result per upload: [`Enclave::open_upload_batch`]'s
-/// verdicts, with a malformed encoding under a valid tag read as
-/// [`TeeError::AuthFailure`] (its nonce still raises the floor, as it
+/// verdicts, with a malformed encoding under a valid tag — or a
+/// well-formed one of any dimension but the round's `d`, whose indices
+/// were only range-checked against the dimension the client wrote — read
+/// as [`TeeError::AuthFailure`] (its nonce still raises the floor, as it
 /// would have opened). Decryption and decoding — nearly all of the work —
 /// run on `threads` workers, each over a contiguous slice of the chunk;
 /// the replay checks and floor updates then run on the caller in upload
@@ -435,18 +437,17 @@ fn staged_chunk_bytes(msgs: &[SealedMessage]) -> u64 {
 fn open_slots(
     enclave: &mut Enclave,
     msgs: &[SealedMessage],
+    d: usize,
     threads: usize,
 ) -> Vec<Result<SparseGradient, TeeError>> {
     let shared = &*enclave;
     let per_worker = msgs.len().div_ceil(threads.max(1)).max(1);
     let mut parts: Vec<Vec<Result<Option<SparseGradient>, TeeError>>> =
         vec![Vec::new(); msgs.len().div_ceil(per_worker)];
+    let decode = |plain: Vec<u8>| SparseGradient::decode(&plain).filter(|u| u.dense_dim == d);
     olive_oblivious::pool::join(parts.iter_mut().zip(msgs.chunks(per_worker)).map(
         |(part, mine)| {
-            move || {
-                let decrypt = |m| shared.decrypt_upload(m).map(|p| SparseGradient::decode(&p));
-                part.extend(mine.iter().map(decrypt));
-            }
+            move || part.extend(mine.iter().map(|m| shared.decrypt_upload(m).map(decode)))
         },
     ));
     let decrypted = msgs.iter().zip(parts.into_iter().flatten());
@@ -461,9 +462,10 @@ fn open_and_decode(
     enclave: &mut Enclave,
     msgs: &[SealedMessage],
     first_slot: usize,
+    d: usize,
     threads: usize,
 ) -> Result<Vec<SparseGradient>, RoundError> {
-    let opened = open_slots(enclave, msgs, threads).into_iter().zip(first_slot..);
+    let opened = open_slots(enclave, msgs, d, threads).into_iter().zip(first_slot..);
     opened
         .map(|(update, slot)| update.map_err(|error| RoundError::Upload { slot, error }))
         .collect()
@@ -645,7 +647,8 @@ impl RoundEngine {
     /// aggregator; `false` if an upload does not verify or the cells do
     /// not fit what is owed.
     fn restage_chunk(&mut self, enclave: &mut Enclave, msgs: &[SealedMessage]) -> bool {
-        let Ok(chunk) = open_and_decode(enclave, msgs, 0, self.shape.threads) else {
+        let (d, threads) = (self.agg.dim(), self.shape.threads);
+        let Ok(chunk) = open_and_decode(enclave, msgs, 0, d, threads) else {
             return false;
         };
         let staged = staged_chunk_bytes(msgs);
@@ -687,10 +690,11 @@ impl RoundEngine {
     ) -> Result<(), RoundError> {
         let telemetry = self.ledger.telemetry.clone();
         let RoundShape { chunk_size, threads, .. } = self.shape;
+        let d = self.agg.dim();
         let msg_chunks: Vec<&[SealedMessage]> = uploads.chunks(chunk_size).collect();
         // Chunk `i` opened and decoded; nothing past the last one.
         let open = |enclave: &mut Enclave, i: usize| match msg_chunks.get(i) {
-            Some(msgs) => open_and_decode(enclave, msgs, i * chunk_size, threads),
+            Some(msgs) => open_and_decode(enclave, msgs, i * chunk_size, d, threads),
             None => Ok(Vec::new()),
         };
         let first = self.ckpt.chunks_done;
@@ -1184,6 +1188,43 @@ mod tests {
         }
     }
 
+    /// An upload sealed under its client's genuine session key but written
+    /// for another dimension — its indices in range only under the forged
+    /// d — is refused at the open like a malformed encoding, never handed
+    /// to an aggregator (whose fold would assert on it): for every kind,
+    /// on one worker and across two, monolithic and sharded, the round
+    /// ends naming the slot with every budget balanced and the chunks
+    /// before it sealed, and it finishes on the uninterrupted bits once
+    /// the genuine upload is back in the slot.
+    #[test]
+    fn a_wrong_dimension_upload_is_refused_at_the_open() {
+        let (d, n, k, chunk, bad) = (32, 6, 4, 2, 3);
+        let updates = random_updates(n, k, d, 19);
+        let mut forged = updates.clone();
+        let indices = (d as u32..(d + k) as u32).collect();
+        forged[bad] = SparseGradient { dense_dim: 2 * d, indices, values: vec![1.0; k] };
+        for kind in all_kinds() {
+            for (threads, shards) in [(1usize, 1usize), (2, 4)] {
+                let ctx = format!("{kind:?} threads={threads} S={shards}");
+                let mut genuine = Sealed::new(kind, &updates, d, threads, chunk);
+                let want = genuine.drive(None, monolithic(), &mut NullTracer).0.expect("genuine");
+                let mut round = Sealed::new(kind, &forged, d, threads, chunk);
+                let mut store = SealedStore::default();
+                let (out, end) =
+                    round.drive(Some(&mut store), armed(d, shards, ""), &mut NullTracer);
+                let refused = RoundError::Upload { slot: bad, error: TeeError::AuthFailure };
+                assert_eq!(out, Err(refused), "{ctx}");
+                assert!(balanced(&end), "{ctx}");
+                assert_eq!(end.telemetry.ckpt_seals, (bad / chunk) as u64, "{ctx}");
+                round.uploads[bad] = genuine.uploads[bad].clone();
+                let (got, end) =
+                    round.drive(Some(&mut store), armed(d, shards, ""), &mut NullTracer);
+                assert!(same_bits(&want, &got.expect("the slot verifies now")), "{ctx}");
+                assert!(balanced(&end), "{ctx}");
+            }
+        }
+    }
+
     /// The round's open — decrypt and decode on the pool, accept in upload
     /// order — is `open_upload_batch` then decode, slot for slot and floor
     /// for floor, at every worker count, on a hostile chunk: a tampered
@@ -1253,11 +1294,12 @@ mod tests {
         );
         for threads in [1usize, 2, 3] {
             let mut pooled = hostile();
-            assert_eq!(open_slots(&mut pooled.enclave, &batch, threads), want, "threads={threads}");
+            let opened = open_slots(&mut pooled.enclave, &batch, d, threads);
+            assert_eq!(opened, want, "threads={threads}");
             assert_eq!(pooled.enclave.replay_floors(), serial.enclave.replay_floors());
 
             let mut pooled = hostile();
-            let refused = open_and_decode(&mut pooled.enclave, &batch, 40, threads);
+            let refused = open_and_decode(&mut pooled.enclave, &batch, 40, d, threads);
             assert_eq!(refused, Err(RoundError::Upload { slot: 40, error: AuthFailure }));
             assert_eq!(pooled.enclave.replay_floors(), serial.enclave.replay_floors());
         }

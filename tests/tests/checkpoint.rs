@@ -123,6 +123,42 @@ fn kill_and_restore_is_bitwise_identical() {
     }
 }
 
+/// Grouped with a partial wave pending at the kill: h = 3 and chunk 4,
+/// which divides no unit of h·threads clients at threads ∈ {1, 2, 3}, so
+/// most boundaries leave clients staged that are not yet in the running
+/// total. The restore point carries only their cell count; the restore
+/// re-opens the folded prefix and re-stages them. Killed after every
+/// chunk, each restore must match the uninterrupted round bitwise in
+/// output, signature and trace digest, one tracer spanning both legs.
+#[test]
+fn grouped_pending_wave_restores_at_every_chunk_boundary() {
+    let (seed, h, chunk) = (41, 3, 4);
+    let kind = AggregatorKind::Grouped { h };
+    for threads in [1usize, 2, 3] {
+        let (ref_params, ref_digest, ref_report) = uninterrupted(kind, None, seed, chunk, threads);
+        let n = ref_report.processed_users.len();
+        let n_chunks = n.div_ceil(chunk);
+        let pending = |kp: usize| (kp + 1) * chunk % (h * threads);
+        assert!(
+            (0..n_chunks - 1).filter(|&kp| pending(kp) > 0).count() >= 2,
+            "threads={threads}: the fixture must leave waves pending mid-round"
+        );
+        for kp in 0..n_chunks {
+            let ctx = format!("threads={threads} crash_after={kp} pending={}", pending(kp));
+            let mut sys = fresh(kind, None, seed, chunk, threads);
+            sys.set_shards(1);
+            let mut tr = RecordingTracer::new(Granularity::Element);
+            crash_after(&mut sys, kp);
+            assert_eq!(sys.run_round(&mut tr).unwrap_err(), killed(kp), "{ctx}");
+            let report = sys.restore_round(&mut tr).expect("restore must succeed");
+            assert_bitwise_eq(&sys.global_params(), &ref_params, &ctx);
+            assert_eq!(tr.digest(), ref_digest, "{ctx}: trace digest diverged");
+            assert_eq!(report.model_signature, ref_report.model_signature, "{ctx}");
+            assert!(sys.epc_live().iter().all(|&b| b == 0), "{ctx}: EPC charges balance");
+        }
+    }
+}
+
 /// Two crashes in one round: killed after chunk 1, killed again after
 /// chunk 3, restored a second time — with the second crash armed on the
 /// restore, or both in one script armed once, whose unfired remainder
@@ -188,15 +224,15 @@ fn advanced_checkpoint_bytes_are_linear_in_chunks() {
 /// The sealed restore point pinned byte for byte: the blob a round leaves
 /// in untrusted storage when it is killed after chunk 1 — counter prefix,
 /// ciphertext, tag — hashes to a pinned SHA-256. Grouped on two threads
-/// (parallel clients, a pending partial wave in the state) and Advanced
-/// (a descriptor); one shard, whatever `OLIVE_SHARDS` says.
+/// (parallel clients, a pending partial wave's descriptor in the state)
+/// and Advanced (a descriptor); one shard, whatever `OLIVE_SHARDS` says.
 #[test]
 fn sealed_round_blob_is_pinned() {
     let pinned = [
         (
             AggregatorKind::Grouped { h: 3 },
             2,
-            "51a08b1b26178c170a004adc1163a3ac03deb46e6b0fe36c2778cd354f2fdde0",
+            "ea8024e92d0b2ca9ed1730fa00795f550616b0e20c2ea15bc425681c3e22bcd3",
         ),
         (
             AggregatorKind::Advanced,

@@ -116,7 +116,7 @@ fn save_state_bytes_are_pinned_for_every_kind() {
         "a046cf9906631977c268c7efe8755cd263ffd9b55c436977fb6b2ed783ac8e99",
         "cdc2c614adc609b12293419cfa2db4e151aac885f9f1d5f043cdb965171e9abc",
         "27c37331bd33f767c215874d73004ede7e2230c6f9b079412c8ee621eca68ba7",
-        "1f1afd41669c39c458b649bdc25c29278a055ab89fef80d00069a593f7a7af84",
+        "aaacdf87e3419b9220c64c5df008b21130a0cec353ad56cb48ff3f8073715bf3",
         "c4584bd55217bb8c4395d82d34afbeec03f87080511f82c80af87cebda6f4ea3",
         "3d458de2706a84c1d6e0a2b8510c3a6dd1f1772496ddca635f7cc6baa36a4803",
     ];
