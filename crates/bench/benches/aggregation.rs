@@ -12,7 +12,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use olive_bench::synthetic_updates;
 use olive_core::aggregation::oram::OramStreamer;
 use olive_core::aggregation::{aggregate, Aggregator, AggregatorKind};
-use olive_memsim::NullTracer;
+use olive_memsim::{NullTracer, RuntimeConfig};
 use olive_oram::PosMapKind;
 
 fn bench_aggregation(c: &mut Criterion) {
@@ -79,7 +79,7 @@ fn bench_aggregation(c: &mut Criterion) {
             let stats = fresh.oram_stats();
             let kernel = "batched";
             let resident = fresh.resident_bytes();
-            olive_telemetry::Telemetry::from_env().bench(
+            RuntimeConfig::process().metrics.bench(
                 "oram_round",
                 &[
                     ("d", (d as u64).into()),

@@ -47,6 +47,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkGroup, BenchmarkId, Criterion};
 use olive_bench::ingest::{IngestionRig, PassConfig};
 use olive_core::aggregation::AggregatorKind;
+use olive_memsim::RuntimeConfig;
 use olive_telemetry::Telemetry;
 use std::cell::RefCell;
 
@@ -82,7 +83,7 @@ fn overhead_report(rig: &mut IngestionRig, kind: AggregatorKind, chunk: usize) {
     let (ratio, ingest_ns, ckpt_ns) = runs[2];
     let overhead = ratio * 100.0;
     let agg = kind_name(kind);
-    Telemetry::from_env().bench(
+    RuntimeConfig::process().metrics.bench(
         "checkpoint_overhead",
         &[
             ("agg", agg.into()),

@@ -1,8 +1,8 @@
 //! Criterion microbench backing Figure 11: the grouped-Advanced U-curve,
 //! plus the thread-scaling sweep for the parallel grouped aggregation.
 //!
-//! The `h` sweep uses the process-default thread count (`OLIVE_THREADS`,
-//! else `available_parallelism().min(8)`), so `OLIVE_THREADS=1 cargo
+//! The `h` sweep uses the process's thread count (`OLIVE_THREADS`, else
+//! `available_parallelism().min(8)`), so `OLIVE_THREADS=1 cargo
 //! bench` reproduces the serial baselines in `CHANGES.md`. The
 //! `threads` sweep pins the count explicitly at the Figure 11 sweet-spot
 //! group size to measure parallel speedup directly: ≥2× at 4 threads on a

@@ -42,7 +42,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use olive_bench::ingest::{IngestionRig, PassConfig};
 use olive_core::aggregation::AggregatorKind;
-use olive_memsim::FaultPlan;
+use olive_memsim::{FaultPlan, RuntimeConfig};
 use std::cell::RefCell;
 use std::time::Instant;
 
@@ -66,7 +66,7 @@ fn ws_report(rig: &mut IngestionRig, config: &str, chunk: usize) {
         ("epc_limit", limit.into()),
         ("would_page", (peak > limit).into()),
     ];
-    olive_telemetry::Telemetry::from_env().bench("ingestion_ws", &fields, &[]);
+    RuntimeConfig::process().metrics.bench("ingestion_ws", &fields, &[]);
 }
 
 fn bench_ingestion(c: &mut Criterion) {
@@ -149,7 +149,7 @@ fn bench_ingestion(c: &mut Criterion) {
                 }
             }
             let stats = rt.recovery_stats();
-            olive_telemetry::Telemetry::from_env().bench(
+            RuntimeConfig::process().metrics.bench(
                 "recovery_overhead",
                 &[
                     ("n", (n as u64).into()),

@@ -4,7 +4,7 @@
 //! compaction that follows the one sort of Algorithm 4.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use olive_memsim::{NullTracer, TrackedBuf};
+use olive_memsim::{NullTracer, RuntimeConfig, TrackedBuf};
 use olive_oblivious::sort_kernel::bitonic_sort_u64_with;
 use olive_oblivious::{compact_u64, o_scan_read, o_select};
 use rand::rngs::SmallRng;
@@ -61,13 +61,13 @@ fn bench_sort(c: &mut Criterion) {
 }
 
 /// The sort-kernel matrix: one worker (`batched_t1`) vs the
-/// process-default `OLIVE_THREADS` count (`batched_threads`), at
+/// process's `OLIVE_THREADS` count (`batched_threads`), at
 /// n ∈ {2¹², 2¹⁶, 2²⁰}, at a Grouped group sort's 31 154 cells, and just
 /// above a power of two — 2¹⁶ + 1, and the 2 109 210 cells of the
 /// whole-round benchmark's `adv_sort` — where a padded network would do
 /// twice the work.
 fn bench_sort_kernels(c: &mut Criterion) {
-    let threads = olive_memsim::default_threads();
+    let threads = RuntimeConfig::process().threads;
     let mut group = c.benchmark_group("sort_kernel");
     group.sample_size(10);
     for n in [1usize << 12, 31_154, 1 << 16, (1 << 16) + 1, 1 << 20, 2_109_210] {

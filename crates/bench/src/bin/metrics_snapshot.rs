@@ -15,19 +15,20 @@
 //! the build.
 //!
 //! Every knob that could vary by host is pinned in-process: the crypto
-//! backend (`OLIVE_CRYPTO=ct` — counter keys embed the backend name),
-//! threads, chunk size, shard count, fault script, and the sink (buffer,
-//! ignoring any ambient `OLIVE_METRICS`). `--quick` is accepted for the
-//! experiments sweep and changes nothing: the snapshot is already one
-//! small round.
+//! backend (`OLIVE_CRYPTO=ct` — counter keys embed the backend name) and
+//! a whole `RuntimeConfig` — threads, chunk size, shard count, no ambient
+//! fault script — with the sink a buffer, whatever `OLIVE_METRICS` says.
+//! `--quick` is accepted for the experiments sweep and changes nothing:
+//! the snapshot is already one small round.
 
 use olive_core::aggregation::AggregatorKind;
 use olive_core::olive::{OliveConfig, OliveSystem};
 use olive_data::synthetic::{Generator, SyntheticConfig};
 use olive_data::{partition, LabelAssignment};
 use olive_fl::{ClientConfig, Sparsifier};
-use olive_memsim::{FaultPlan, NullTracer};
+use olive_memsim::{FaultPlan, NullTracer, RuntimeConfig};
 use olive_nn::zoo::mlp;
+use olive_tee::EnclaveConfig;
 use olive_telemetry::{deterministic_projection, Telemetry};
 
 /// Data seed of the snapshot federation (matches the integration-test
@@ -35,12 +36,10 @@ use olive_telemetry::{deterministic_projection, Telemetry};
 const FIXTURE_SEED: u64 = 7;
 
 fn main() {
-    // Pin the host-dependent knobs before anything reads them. The
-    // backend name is embedded in counter keys ("sealed_bytes"/"ct"),
-    // so hardware AES detection must not steer it.
+    // Pin the crypto backend before anything reads it. The backend name
+    // is embedded in counter keys ("sealed_bytes"/"ct"), so hardware AES
+    // detection must not steer it.
     std::env::set_var("OLIVE_CRYPTO", "ct");
-    std::env::remove_var("OLIVE_METRICS");
-    std::env::remove_var("OLIVE_FAULTS");
 
     let generator = Generator::new(SyntheticConfig::tiny(32, 5), FIXTURE_SEED);
     let clients = partition(&generator, 16, LabelAssignment::Fixed(1), 20, FIXTURE_SEED);
@@ -61,10 +60,17 @@ fn main() {
         dp: None,
         seed: 97,
     };
-    let mut sys = OliveSystem::new(model, clients, cfg);
-    sys.set_threads(1);
-    sys.set_chunk(3);
-    sys.set_shards(4);
+    // Round 2 arms `faults`, so it is empty. The buffer is armed after
+    // provisioning (`set_telemetry` below): the snapshot starts at round 1.
+    let runtime = RuntimeConfig {
+        threads: 1,
+        chunk: 3,
+        shards: 4,
+        faults: FaultPlan::empty(),
+        metrics: Telemetry::off(),
+    };
+    let enclave = EnclaveConfig::default();
+    let mut sys = OliveSystem::with_enclave_config(model, clients, cfg, enclave, runtime);
     sys.set_fault_plan(
         FaultPlan::parse("seed:1337x5@6.4").expect("the CI spec must stay parseable"),
     );

@@ -37,8 +37,9 @@
 //!   but add or drop none, so the combined adversary view touches exactly
 //!   the serial set of (region, offset, op) events.
 //!
-//! The default thread count comes from `OLIVE_THREADS` /
-//! `available_parallelism().min(8)` (see [`olive_memsim::threads`]).
+//! The default thread count is the process's
+//! [`RuntimeConfig::threads`](olive_memsim::RuntimeConfig::threads)
+//! (`OLIVE_THREADS`, else `available_parallelism().min(8)`).
 //!
 //! # Staging and scratch
 //!
@@ -343,8 +344,7 @@ mod tests {
     use super::*;
     use crate::aggregation::test_support::*;
     use crate::aggregation::{aggregate_with_threads, reference_average, AggregatorKind};
-    use olive_memsim::default_threads;
-    use olive_memsim::{assert_oblivious, Granularity, NullTracer, RecordingTracer};
+    use olive_memsim::{assert_oblivious, Granularity, NullTracer, RecordingTracer, RuntimeConfig};
 
     /// One-shot Grouped with `h` clients per group.
     fn grouped<TR: ParallelTracer>(
@@ -362,7 +362,7 @@ mod tests {
         let updates = random_updates(10, 5, 48, 20);
         let expected = reference_average(&updates, 48);
         for h in [1usize, 2, 3, 5, 10, 99] {
-            let got = grouped(&updates, 48, h, default_threads(), &mut NullTracer);
+            let got = grouped(&updates, 48, h, RuntimeConfig::process().threads, &mut NullTracer);
             assert_close(&got, &expected, 1e-4);
         }
     }
@@ -371,7 +371,7 @@ mod tests {
     fn uneven_last_group_handled() {
         // 10 clients, h = 4 → groups of 4, 4, 2.
         let updates = random_updates(10, 3, 32, 21);
-        let got = grouped(&updates, 32, 4, default_threads(), &mut NullTracer);
+        let got = grouped(&updates, 32, 4, RuntimeConfig::process().threads, &mut NullTracer);
         assert_close(&got, &reference_average(&updates, 32), 1e-4);
     }
 
@@ -509,7 +509,7 @@ mod tests {
         let updates = random_updates(8, 4, 256, 5);
         let trace_len = |h: usize| {
             let mut tr = RecordingTracer::new(Granularity::Element);
-            grouped(&updates, 256, h, default_threads(), &mut tr);
+            grouped(&updates, 256, h, RuntimeConfig::process().threads, &mut tr);
             tr.stats().total()
         };
         assert!(trace_len(8) < trace_len(1));

@@ -22,7 +22,7 @@ pub mod sharded;
 pub mod streaming;
 
 use olive_fl::SparseGradient;
-use olive_memsim::{default_threads, ParallelTracer};
+use olive_memsim::{ParallelTracer, RuntimeConfig};
 use olive_oram::PosMapKind;
 
 pub use sharded::{ShardError, ShardFailure, ShardRuntime, SHARD_CODE_IDENTITY};
@@ -73,14 +73,14 @@ pub enum AggregatorKind {
 /// across groups; [`AggregatorKind::Advanced`] and
 /// [`AggregatorKind::DiffOblivious`] inside their sorting networks;
 /// [`AggregatorKind::Baseline`] across its per-cacheline stripe scans) use
-/// the process-default thread count ([`default_threads`]).
+/// the process's thread count ([`RuntimeConfig::threads`]).
 pub fn aggregate<TR: ParallelTracer>(
     kind: AggregatorKind,
     updates: &[SparseGradient],
     d: usize,
     tr: &mut TR,
 ) -> Vec<f32> {
-    aggregate_with_threads(kind, updates, d, default_threads(), tr)
+    aggregate_with_threads(kind, updates, d, RuntimeConfig::process().threads, tr)
 }
 
 /// [`aggregate`] with an explicit worker-thread count for the parallel

@@ -18,8 +18,8 @@
 //!     (Proposition 5.2), O((nk+d)·log²(nk+d));
 //!   - [`aggregation::grouped`]: the Section 5.3 optimization — process
 //!     clients in groups of `h` so the sort working set fits cache/EPC;
-//!     groups run in parallel across threads ([`default_threads`]) since the
-//!     group schedule is public;
+//!     groups run in parallel across [`RuntimeConfig::threads`] workers
+//!     since the group schedule is public;
 //!   - [`aggregation::oram`]: the PathORAM/ZeroTrace comparator;
 //!   - [`aggregation::dobliv`]: the Section 5.4 differentially-oblivious
 //!     relaxation (dummy padding + oblivious shuffle + linear pass);
@@ -48,5 +48,5 @@ pub use aggregation::{
 };
 pub use cell::{cell_index, cell_value, make_cell, DUMMY_INDEX};
 pub use olive::{OliveConfig, OliveSystem, RoundError, RoundReport};
-pub use olive_memsim::default_threads;
+pub use olive_memsim::RuntimeConfig;
 pub use round::{Ledger, RoundEngine};

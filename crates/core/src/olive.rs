@@ -25,12 +25,10 @@
 //! 6. the update is applied to the global model and the enclave signs the
 //!    result so clients can detect server-side tampering (Section 5.6).
 
-use std::sync::OnceLock;
-
 use olive_data::ClientData;
 use olive_dp::{GaussianMechanism, RdpAccountant};
 use olive_fl::{local_update, sample_clients, ClientConfig, FedAvgServer};
-use olive_memsim::{default_threads, positive_env, FaultPlan, ParallelTracer};
+use olive_memsim::{FaultPlan, ParallelTracer, RuntimeConfig};
 use olive_nn::Model;
 use olive_tee::{
     AttestationService, ClientSession, Enclave, EnclaveConfig, SealedMessage, SealedStore, UserId,
@@ -127,9 +125,12 @@ pub struct OliveSystem {
     rng: SmallRng,
     round: u64,
     accountant: RdpAccountant,
-    threads: Option<usize>,
-    chunk: Option<usize>,
-    shards: Option<usize>,
+    /// The round knobs — workers, chunk size, shard count, the fault
+    /// script a fresh round arms by default, and the side-band metrics
+    /// handle — fixed at provisioning, each overridable by its setter.
+    /// The handle is threaded through the enclave, every client session
+    /// and the shard plane, and re-threaded across every relaunch.
+    runtime: RuntimeConfig,
     /// The provisioned shard plane when rounds run sharded (S > 1);
     /// `None` on the monolithic path. Lazily (re)built by
     /// [`OliveSystem::ensure_shard_runtime`] whenever the shard count
@@ -147,7 +148,7 @@ pub struct OliveSystem {
     /// The fault script the next call that drives a round arms: an
     /// explicit one ([`OliveSystem::set_fault_plan`]), or what an
     /// interrupted round left unfired — `Some`, even when empty, so its
-    /// restore arms that and not the environment's.
+    /// restore arms that and not [`RuntimeConfig::faults`].
     pending_faults: Option<FaultPlan>,
     /// The interrupted round awaiting [`OliveSystem::restore_round`]:
     /// untrusted server-side material (public sample, ciphertexts) that
@@ -158,11 +159,6 @@ pub struct OliveSystem {
     /// counter — [`OliveSystem::restore_round`] refuses any blob sealed
     /// earlier.
     ckpts: SealedStore,
-    /// The system-wide side-band metrics handle (armed from
-    /// `OLIVE_METRICS` at provisioning; [`OliveSystem::set_telemetry`]
-    /// overrides). Threaded through the enclave, every client session,
-    /// and the shard plane — and re-threaded across every relaunch.
-    telemetry: Telemetry,
 }
 
 /// The untrusted remainder of an in-flight round: everything that lives
@@ -188,52 +184,39 @@ struct PendingRound {
     rng_after_prepare: [u64; 4],
 }
 
-/// Process-default ingestion chunk size: `OLIVE_CHUNK` if set to a
-/// positive integer, else 64 clients per chunk. Read once and cached;
-/// [`OliveSystem::set_chunk`] overrides per system. Any value produces
-/// the identical round output and aggregation trace (the streaming
-/// contract) — the knob trades enclave working set against per-chunk
-/// overhead.
-pub fn default_chunk() -> usize {
-    static CHUNK: OnceLock<usize> = OnceLock::new();
-    *CHUNK.get_or_init(|| positive_env("OLIVE_CHUNK", "default").unwrap_or(64))
-}
-
-/// Process-default shard count: `OLIVE_SHARDS` if set to a positive
-/// integer, else 1 (monolithic). Read once and cached;
-/// [`OliveSystem::set_shards`] overrides per system. Sharding never
-/// changes the round output or the aggregation trace (the canonical
-/// compute schedule is untouched) — the knob splits the enclave memory
-/// plane into per-stripe EPC budgets.
-pub fn default_shards() -> usize {
-    static SHARDS: OnceLock<usize> = OnceLock::new();
-    *SHARDS.get_or_init(|| positive_env("OLIVE_SHARDS", "default").unwrap_or(1))
-}
-
 impl OliveSystem {
     /// Provisions the system: launches the enclave, runs remote
     /// attestation with every client, and registers the session keys
-    /// (Algorithm 1 line 1). Panics if any client rejects the enclave —
-    /// in the simulation that indicates a harness bug.
+    /// (Algorithm 1 line 1), under the default enclave configuration and
+    /// the process's [`RuntimeConfig`]. Panics if any client rejects the
+    /// enclave — in the simulation that indicates a harness bug.
     pub fn new(model: Model, clients: Vec<ClientData>, cfg: OliveConfig) -> Self {
-        Self::with_enclave_config(model, clients, cfg, EnclaveConfig::default())
+        let runtime = RuntimeConfig::process().clone();
+        Self::with_enclave_config(model, clients, cfg, EnclaveConfig::default(), runtime)
     }
 
-    /// [`OliveSystem::new`] with an explicit enclave configuration — how a
-    /// deployment with a different usable-EPC budget (or code identity) is
-    /// provisioned. [`RoundReport::would_page`] compares the observed
-    /// working-set peak against *this* configuration's `epc_bytes`.
+    /// [`OliveSystem::new`] with an explicit enclave configuration and
+    /// explicit round knobs. The enclave configuration is how a deployment
+    /// with a different usable-EPC budget (or code identity) is
+    /// provisioned: [`RoundReport::would_page`] compares the observed
+    /// working-set peak against *its* `epc_bytes`. `runtime` takes the
+    /// place of the process's [`RuntimeConfig`]; a zero thread, chunk or
+    /// shard count panics, as in the setters.
     pub fn with_enclave_config(
         model: Model,
         clients: Vec<ClientData>,
         cfg: OliveConfig,
         enclave_cfg: EnclaveConfig,
+        runtime: RuntimeConfig,
     ) -> Self {
         assert_eq!(clients.len(), cfg.n_clients, "client shards vs n_clients mismatch");
         assert!(cfg.client.batch_size > 0, "client batch size must be positive");
+        assert!(runtime.threads >= 1, "thread count must be at least 1");
+        assert!(runtime.chunk >= 1, "chunk size must be at least 1");
+        assert!(runtime.shards >= 1, "shard count must be at least 1");
         let mut seed_bytes = [0u8; 32];
         seed_bytes[..8].copy_from_slice(&cfg.seed.to_be_bytes());
-        let telemetry = Telemetry::from_env();
+        let telemetry = &runtime.metrics;
         let service = AttestationService::new(seed_bytes);
         let mut enclave = Enclave::launch(&enclave_cfg, seed_bytes);
         enclave.set_telemetry(telemetry.clone());
@@ -259,15 +242,12 @@ impl OliveSystem {
             rng,
             round: 0,
             accountant: RdpAccountant::new(),
-            threads: None,
-            chunk: None,
-            shards: None,
+            runtime,
             shard_rt: None,
             shard_provision_epoch: 0,
             pending_faults: None,
             pending: None,
             ckpts: SealedStore::default(),
-            telemetry,
         }
     }
 
@@ -277,7 +257,7 @@ impl OliveSystem {
     /// Arming or swapping the sink never perturbs round output,
     /// signature or trace — telemetry is strictly side-band.
     pub fn set_telemetry(&mut self, telemetry: Telemetry) {
-        self.telemetry = telemetry.clone();
+        self.runtime.metrics = telemetry.clone();
         self.enclave.set_telemetry(telemetry.clone());
         for s in &mut self.sessions {
             s.set_telemetry(telemetry.clone());
@@ -288,51 +268,48 @@ impl OliveSystem {
     }
 
     /// Pins the worker-thread count for parallel round work (client-side
-    /// training and the grouped aggregation). Unset, the process default
-    /// applies: `OLIVE_THREADS` or `available_parallelism().min(8)`;
-    /// `1` forces the exact serial code paths and traces.
+    /// training and the grouped aggregation), in place of the
+    /// [`RuntimeConfig::threads`] the system was provisioned with; `1`
+    /// forces the exact serial code paths and traces.
     pub fn set_threads(&mut self, threads: usize) {
         assert!(threads >= 1, "thread count must be at least 1");
-        self.threads = Some(threads);
+        self.runtime.threads = threads;
     }
 
-    /// The worker-thread count rounds will use ([`OliveSystem::set_threads`]
-    /// or the process default).
+    /// The worker-thread count rounds will use.
     pub fn threads(&self) -> usize {
-        self.threads.unwrap_or_else(default_threads)
+        self.runtime.threads
     }
 
     /// Pins the ingestion chunk size (clients opened, decoded and folded
-    /// per step). Unset, the process default applies ([`default_chunk`]:
-    /// `OLIVE_CHUNK` or 64). The chunk size is public and does not affect
-    /// the round output or the aggregation trace — only the enclave's
-    /// peak working set and the open/aggregate overlap granularity.
+    /// per step), in place of [`RuntimeConfig::chunk`]. The chunk size is
+    /// public and does not affect the round output or the aggregation
+    /// trace — only the enclave's peak working set and the open/aggregate
+    /// overlap granularity.
     pub fn set_chunk(&mut self, chunk: usize) {
         assert!(chunk >= 1, "chunk size must be at least 1");
-        self.chunk = Some(chunk);
+        self.runtime.chunk = chunk;
     }
 
-    /// The ingestion chunk size rounds will use ([`OliveSystem::set_chunk`]
-    /// or the process default).
+    /// The ingestion chunk size rounds will use.
     pub fn chunk(&self) -> usize {
-        self.chunk.unwrap_or_else(default_chunk)
+        self.runtime.chunk
     }
 
     /// Pins the shard count (stripes of the `G` dimension, one enclave
-    /// per stripe). Unset, the process default applies
-    /// ([`default_shards`]: `OLIVE_SHARDS` or 1). Sharding is public
-    /// topology and changes neither the round output nor the trace — only
-    /// how the enclave memory plane is partitioned. The effective count
-    /// is clamped to the model dimension (a stripe must be non-empty).
+    /// per stripe), in place of [`RuntimeConfig::shards`]. Sharding is
+    /// public topology and changes neither the round output nor the
+    /// trace — only how the enclave memory plane is partitioned. The
+    /// effective count is clamped to the model dimension (a stripe must
+    /// be non-empty).
     pub fn set_shards(&mut self, shards: usize) {
         assert!(shards >= 1, "shard count must be at least 1");
-        self.shards = Some(shards);
+        self.runtime.shards = shards;
     }
 
-    /// The shard count rounds will use ([`OliveSystem::set_shards`] or
-    /// the process default).
+    /// The shard count rounds will use.
     pub fn shards(&self) -> usize {
-        self.shards.unwrap_or_else(default_shards)
+        self.runtime.shards
     }
 
     /// (Re)provisions the shard plane to match the configured count:
@@ -357,7 +334,7 @@ impl OliveSystem {
             return Ok(());
         }
         self.shard_provision_epoch += 1;
-        let _span = self.telemetry.span(
+        let _span = self.runtime.metrics.span(
             "shard_provision",
             &[
                 ("shards", (s as u64).into()),
@@ -378,7 +355,7 @@ impl OliveSystem {
             self.server.dim(),
             s,
         )?;
-        rt.set_telemetry(self.telemetry.clone());
+        rt.set_telemetry(self.runtime.metrics.clone());
         self.shard_rt = Some(rt);
         Ok(())
     }
@@ -391,7 +368,7 @@ impl OliveSystem {
     /// every S.
     ///
     /// The one arming rule: a fresh round arms this script if one is
-    /// pending, else the `OLIVE_FAULTS` environment plan; what has not
+    /// pending, else [`RuntimeConfig::faults`]; what has not
     /// fired when the round is interrupted spans its restores; whatever
     /// is left when the round completes is dropped with it, so the next
     /// fresh round arms afresh.
@@ -468,13 +445,13 @@ impl OliveSystem {
             "an interrupted round must be restored (restore_round) before starting a new one"
         );
         self.ensure_shard_runtime()?;
-        let _round_span = self.telemetry.span("round", &[("round", self.round.into())]);
+        let _round_span = self.runtime.metrics.span("round", &[("round", self.round.into())]);
         let pending = self.prepare_round();
         if pending.sampled.is_empty() {
             return Ok(self.finish_empty_round(pending.shape.round));
         }
         // The arming rule (`set_fault_plan`), at every S.
-        self.pending_faults.get_or_insert_with(FaultPlan::from_env);
+        self.pending_faults.get_or_insert_with(|| self.runtime.faults.clone());
         self.drive(pending, tr)
     }
 
@@ -485,7 +462,7 @@ impl OliveSystem {
         let t = self.round;
         // Line 5: secure in-enclave sampling.
         let sampled = sample_clients(self.cfg.n_clients, self.cfg.sample_rate, &mut self.rng);
-        let _span = self.telemetry.span(
+        let _span = self.runtime.metrics.span(
             "sample",
             &[("round", t.into()), ("participants", (sampled.len() as u64).into())],
         );
@@ -529,7 +506,7 @@ impl OliveSystem {
             model_signature,
             telemetry: RoundTelemetry::default(),
         };
-        self.telemetry.flush_stats();
+        self.runtime.metrics.flush_stats();
         report
     }
 
@@ -556,7 +533,7 @@ impl OliveSystem {
         let agg =
             StreamingAggregator::new(self.cfg.aggregator, self.server.dim(), pending.shape.threads);
         let mut ledger =
-            Ledger::new(self.enclave.epc, self.shard_rt.take(), self.telemetry.clone());
+            Ledger::new(self.enclave.epc, self.shard_rt.take(), self.runtime.metrics.clone());
         ledger.arm(self.pending_faults.take().unwrap_or_default());
         let round = SealedRound {
             shape: pending.shape,
@@ -569,7 +546,7 @@ impl OliveSystem {
                 engine.ingest(round.uploads, &mut self.enclave, Some(&mut self.ckpts), tr)
             });
         let fin_span =
-            ingested.is_ok().then(|| self.telemetry.span("finalize", &[("round", t.into())]));
+            ingested.is_ok().then(|| self.runtime.metrics.span("finalize", &[("round", t.into())]));
         let (delta, end) = match ingested {
             Ok(engine) => engine.finish(tr),
             Err((e, end)) => (Err(e), *end),
@@ -597,7 +574,7 @@ impl OliveSystem {
                 }
                 self.pending_faults = Some(end.faults);
                 self.pending = Some(pending);
-                self.telemetry.flush_stats();
+                self.runtime.metrics.flush_stats();
                 return Err(e);
             }
         };
@@ -644,7 +621,7 @@ impl OliveSystem {
         // Drain the accumulated counters/histograms at the round
         // boundary — a deterministic point, so the stream's record order
         // is reproducible run to run.
-        self.telemetry.flush_stats();
+        self.runtime.metrics.flush_stats();
         Ok(report)
     }
 
@@ -669,7 +646,7 @@ impl OliveSystem {
     /// same sealing key and DH keypair, everything in enclave memory gone.
     fn relaunch_enclave(&mut self) {
         self.enclave = Enclave::launch(&self.enclave_cfg, self.seed_bytes);
-        self.enclave.set_telemetry(self.telemetry.clone());
+        self.enclave.set_telemetry(self.runtime.metrics.clone());
     }
 
     /// Recovers an interrupted round from the newest sealed checkpoint
@@ -700,7 +677,7 @@ impl OliveSystem {
         tr: &mut TR,
     ) -> Result<RoundReport, RoundError> {
         let pending = self.pending.as_ref().expect("restore_round requires an interrupted round");
-        let _span = self.telemetry.span(
+        let _span = self.runtime.metrics.span(
             "round_restore",
             &[
                 ("round", pending.shape.round.into()),
@@ -1368,6 +1345,7 @@ mod tests {
                 clients.clone(),
                 cfg.clone(),
                 enclave_cfg,
+                RuntimeConfig::process().clone(),
             );
             sys.set_shards(shards);
             sys.run_round(&mut NullTracer).expect("round")

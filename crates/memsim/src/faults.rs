@@ -17,7 +17,8 @@
 //! Plans come from three places:
 //!
 //! * [`FaultPlan::from_events`] — explicit scripts in tests;
-//! * [`FaultPlan::parse`] — the `OLIVE_FAULTS` grammar (see below);
+//! * [`FaultPlan::parse`] — the `OLIVE_FAULTS` grammar (see below), which
+//!   [`RuntimeConfig`](crate::RuntimeConfig) applies to the environment;
 //! * [`FaultPlan::scripted`] — a seeded xoshiro-driven generator used by
 //!   the CI chaos pass (`seed:<u64>x<count>@<chunks>.<shards>`).
 //!
@@ -43,10 +44,13 @@
 //!
 //! One rule, at every shard count (`OliveSystem::run_round`): a fresh
 //! round arms the explicit script if one is pending (`set_fault_plan`),
-//! else the `OLIVE_FAULTS` plan — so `crash@3` ends an unsharded round
-//! too. Events that have not fired when the round is interrupted span its
+//! else a fresh copy of the system's
+//! [`RuntimeConfig::faults`](crate::RuntimeConfig::faults) — by default
+//! the `OLIVE_FAULTS` plan, parsed once per process (a malformed spec
+//! warns and arms nothing) — so `crash@3` ends an unsharded round too.
+//! Events that have not fired when the round is interrupted span its
 //! restores; whatever is left when the round completes is dropped with
-//! it, so the next fresh round arms the environment plan afresh rather
+//! it, so the next fresh round arms the configured plan afresh rather
 //! than inherit a remainder.
 //!
 //! There is no wall clock anywhere: retry backoff is *simulated* — the
@@ -56,7 +60,6 @@
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use std::sync::OnceLock;
 
 /// Chunk index standing for the stripe-egress phase (after the last
 /// ingest chunk) in a [`FaultEvent`]. Also matches the restore phase for
@@ -275,26 +278,6 @@ impl FaultPlan {
             }
         }
         FaultPlan { events }
-    }
-
-    /// The plan scripted by the `OLIVE_FAULTS` environment variable, or
-    /// empty when unset — a fresh copy per call, so every round that arms
-    /// it gets every event. Parsed once per process; a malformed spec
-    /// prints one warning to stderr and behaves as unset, matching the
-    /// other `OLIVE_*` knobs.
-    pub fn from_env() -> Self {
-        static PLAN: OnceLock<FaultPlan> = OnceLock::new();
-        PLAN.get_or_init(|| match std::env::var("OLIVE_FAULTS") {
-            Ok(spec) => match FaultPlan::parse(&spec) {
-                Ok(plan) => plan,
-                Err(e) => {
-                    eprintln!("OLIVE_FAULTS ignored ({e})");
-                    FaultPlan::empty()
-                }
-            },
-            Err(_) => FaultPlan::empty(),
-        })
-        .clone()
     }
 
     /// Injection hook: does a `kind` fault fire at (`chunk`, `shard`)?

@@ -23,6 +23,11 @@
 //!   64 B lines, 4 KiB pages), driving the Figure 10/11 cost analysis.
 //! * [`check`] — test harnesses (`assert_oblivious`, `assert_not_oblivious`)
 //!   that turn Propositions 3.1, 3.2, 5.1 and 5.2 into executable tests.
+//! * [`RuntimeConfig`] — the process's round knobs (`OLIVE_THREADS`,
+//!   `OLIVE_CHUNK`, `OLIVE_SHARDS`, `OLIVE_FAULTS`, `OLIVE_METRICS`),
+//!   parsed from the environment once, in one place, by
+//!   [`RuntimeConfig::process`]; the [`faults`] chaos plane's scripts are
+//!   one of them.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -34,8 +39,8 @@ pub mod codec;
 pub mod digest;
 pub mod epc;
 pub mod faults;
+pub mod runtime;
 pub mod shard;
-pub mod threads;
 pub mod tracer;
 
 pub use buf::TrackedBuf;
@@ -45,8 +50,8 @@ pub use codec::{StateError, StateReader, StateWriter};
 pub use digest::TraceDigest;
 pub use epc::{CostModel, EpcSim, EpcStats, SgxCostEstimate};
 pub use faults::{FaultEvent, FaultKind, FaultPlan, RecoveryStats, RetryPolicy, EGRESS_CHUNK};
+pub use runtime::RuntimeConfig;
 pub use shard::ShardPlan;
-pub use threads::{default_threads, positive_env};
 pub use tracer::{
     truncated_stage_len, Access, Granularity, NullTracer, Op, ParallelTracer, RecordingTracer,
     RegionId, Tracer, TracerStats,

@@ -56,5 +56,5 @@ pub mod sort_kernel;
 pub use compact::{compact_swap_count, compact_u64};
 pub use primitives::{o_select, o_select_u64, o_swap, Oblivious};
 pub use scan::{o_scan_read, o_scan_update, o_scan_write};
-pub use shuffle::{oblivious_shuffle, oblivious_shuffle_with_threads};
+pub use shuffle::oblivious_shuffle_with_threads;
 pub use sort_kernel::{bitonic_sort_u64_with, sort_kernel, InlinePayload, SortKernel};

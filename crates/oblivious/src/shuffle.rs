@@ -12,25 +12,14 @@
 //! packed words to a bitwise-identical result (both swap on a strict tag
 //! inequality only, so tag ties stay put).
 
-use olive_memsim::{default_threads, Tracer, TrackedBuf};
+use olive_memsim::{Tracer, TrackedBuf};
 use rand::Rng;
 
 use crate::sort_kernel::{bitonic_sort_tagged_with, InlinePayload};
 
 /// Uniformly shuffles `data` with an oblivious (bitonic) permutation
-/// network on the process-default thread count; the memory trace depends
-/// only on `data.len()`.
-pub fn oblivious_shuffle<T, R, TR>(region: u32, data: Vec<T>, rng: &mut R, tr: &mut TR) -> Vec<T>
-where
-    T: InlinePayload,
-    R: Rng,
-    TR: Tracer,
-{
-    oblivious_shuffle_with_threads(region, data, rng, default_threads(), tr)
-}
-
-/// [`oblivious_shuffle`] with an explicit worker-thread count for the
-/// intra-sort stage parallelism.
+/// network, splitting each sort stage across `threads` workers; the
+/// memory trace depends only on `data.len()`.
 pub fn oblivious_shuffle_with_threads<T, R, TR>(
     region: u32,
     data: Vec<T>,
@@ -62,7 +51,7 @@ fn tag_randomly<T: InlinePayload, R: Rng>(data: Vec<T>, rng: &mut R) -> Vec<u128
 #[cfg(test)]
 mod tests {
     use super::*;
-    use olive_memsim::{assert_oblivious, Granularity, NullTracer};
+    use olive_memsim::{assert_oblivious, Granularity, NullTracer, RuntimeConfig};
     use rand::SeedableRng;
 
     type Rng = rand::rngs::SmallRng;
@@ -71,7 +60,9 @@ mod tests {
     fn shuffle_is_permutation() {
         let mut rng = Rng::seed_from_u64(1);
         let data: Vec<u64> = (0..100).collect();
-        let mut out = oblivious_shuffle(0, data.clone(), &mut rng, &mut NullTracer);
+        let threads = RuntimeConfig::process().threads;
+        let mut out =
+            oblivious_shuffle_with_threads(0, data.clone(), &mut rng, threads, &mut NullTracer);
         assert_ne!(out, data, "astronomically unlikely to be identity");
         out.sort_unstable();
         assert_eq!(out, data);
@@ -80,8 +71,14 @@ mod tests {
     #[test]
     fn shuffle_trivial_lengths() {
         let mut rng = Rng::seed_from_u64(2);
-        assert_eq!(oblivious_shuffle::<u64, _, _>(0, vec![], &mut rng, &mut NullTracer), vec![]);
-        assert_eq!(oblivious_shuffle(0, vec![5u64], &mut rng, &mut NullTracer), vec![5]);
+        let t = RuntimeConfig::process().threads;
+        let empty: Vec<u64> =
+            oblivious_shuffle_with_threads(0, vec![], &mut rng, t, &mut NullTracer);
+        assert_eq!(empty, vec![]);
+        assert_eq!(
+            oblivious_shuffle_with_threads(0, vec![5u64], &mut rng, t, &mut NullTracer),
+            [5]
+        );
     }
 
     #[test]
@@ -90,9 +87,10 @@ mod tests {
         // in the trace; only the length may matter.
         let inputs: Vec<(u64, Vec<u64>)> =
             vec![(1, (0..60).collect()), (2, (0..60).rev().collect()), (3, vec![7; 60])];
+        let threads = RuntimeConfig::process().threads;
         assert_oblivious(Granularity::Element, &inputs, |(seed, data), tr| {
             let mut rng = Rng::seed_from_u64(*seed);
-            oblivious_shuffle(0, data.clone(), &mut rng, tr);
+            oblivious_shuffle_with_threads(0, data.clone(), &mut rng, threads, tr);
         });
     }
 
@@ -118,9 +116,11 @@ mod tests {
         // Chi-square-ish sanity check: position of element 0 across many
         // shuffles of a length-4 vector should hit each slot.
         let mut counts = [0u32; 4];
+        let threads = RuntimeConfig::process().threads;
         for seed in 0..400 {
             let mut rng = Rng::seed_from_u64(seed);
-            let out = oblivious_shuffle(0, vec![0u64, 1, 2, 3], &mut rng, &mut NullTracer);
+            let data = vec![0u64, 1, 2, 3];
+            let out = oblivious_shuffle_with_threads(0, data, &mut rng, threads, &mut NullTracer);
             let pos = out.iter().position(|&v| v == 0).unwrap();
             counts[pos] += 1;
         }

@@ -3,10 +3,10 @@
 //! (b) emit a memory trace that is a pure function of the input *shape*
 //! (length), never of the input *values* or of any secret index.
 
-use olive_memsim::{trace_of, Granularity, NullTracer, Tracer, TrackedBuf};
+use olive_memsim::{trace_of, Granularity, NullTracer, RuntimeConfig, Tracer, TrackedBuf};
 use olive_oblivious::{
     bitonic_sort_u64_with, o_scan_read, o_scan_update, o_scan_write, o_select, o_swap,
-    oblivious_shuffle,
+    oblivious_shuffle_with_threads,
 };
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -88,14 +88,15 @@ fn bitonic_sort_trace_is_fixed_per_length() {
 fn shuffle_is_a_permutation_and_varies_with_seed() {
     let n = 64usize;
     let data: Vec<u64> = (0..n as u64).collect();
+    let t = RuntimeConfig::process().threads;
     let mut rng1 = SmallRng::seed_from_u64(21);
-    let out1 = oblivious_shuffle(0, data.clone(), &mut rng1, &mut NullTracer);
+    let out1 = oblivious_shuffle_with_threads(0, data.clone(), &mut rng1, t, &mut NullTracer);
     let mut sorted = out1.clone();
     sorted.sort_unstable();
     assert_eq!(sorted, data, "shuffle must preserve the multiset");
 
     let mut rng2 = SmallRng::seed_from_u64(22);
-    let out2 = oblivious_shuffle(0, data.clone(), &mut rng2, &mut NullTracer);
+    let out2 = oblivious_shuffle_with_threads(0, data.clone(), &mut rng2, t, &mut NullTracer);
     assert_ne!(out1, out2, "different seeds should give different orders");
 }
 
@@ -105,11 +106,12 @@ fn shuffle_trace_is_fixed_per_length() {
     // trace: the permutation is applied via a data-independent sorting
     // network over register-held random keys.
     let mut digests = Vec::new();
+    let threads = RuntimeConfig::process().threads;
     for seed in 0..4u64 {
         let data: Vec<u64> = (0..48).map(|i| i * seed).collect();
         digests.push(trace_of(Granularity::Element, |tr| {
             let mut rng = SmallRng::seed_from_u64(seed);
-            oblivious_shuffle(0, data.clone(), &mut rng, tr);
+            oblivious_shuffle_with_threads(0, data.clone(), &mut rng, threads, tr);
         }));
     }
     assert!(

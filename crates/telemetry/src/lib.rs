@@ -28,7 +28,9 @@
 //! input and the armed/disarmed state never changes the computation.
 //!
 //! The exporter is armed by `OLIVE_METRICS=<path|stdout|off>` (default
-//! off). Disarmed, every entry point is a branch on an `Option` — no
+//! off), which `olive_memsim::RuntimeConfig` parses into the process's
+//! one shared handle; [`Telemetry::to_buffer`] and friends build handles
+//! directly. Disarmed, every entry point is a branch on an `Option` — no
 //! clock reads, no locks, no allocation.
 
 #![forbid(unsafe_code)]
@@ -37,7 +39,7 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::io::Write as _;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 /// A field value in a telemetry record.
@@ -249,29 +251,6 @@ impl Telemetry {
     /// back with [`Telemetry::buffer_contents`].
     pub fn to_buffer() -> Telemetry {
         Telemetry { inner: Some(Inner::new(Sink::Buffer(Vec::new()))) }
-    }
-
-    /// The process-wide handle configured by `OLIVE_METRICS`
-    /// (`<path>` | `stdout` | `off`; default off). Parsed once; every
-    /// call returns a clone of the same handle, so all components share
-    /// one stream. A malformed value (unopenable path) warns to stderr
-    /// and disarms, mirroring the other `OLIVE_*` knobs.
-    pub fn from_env() -> Telemetry {
-        static HANDLE: OnceLock<Telemetry> = OnceLock::new();
-        HANDLE
-            .get_or_init(|| match std::env::var("OLIVE_METRICS") {
-                Err(_) => Telemetry::off(),
-                Ok(v) if v.is_empty() || v == "off" => Telemetry::off(),
-                Ok(v) if v == "stdout" => Telemetry::stdout(),
-                Ok(path) => match Telemetry::to_file(&path) {
-                    Ok(t) => t,
-                    Err(e) => {
-                        eprintln!("OLIVE_METRICS={path}: cannot open ({e}); telemetry disarmed");
-                        Telemetry::off()
-                    }
-                },
-            })
-            .clone()
     }
 
     /// Whether this handle writes anywhere. Disarmed handles cost one

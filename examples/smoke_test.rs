@@ -5,9 +5,11 @@
 //! user would run. The examples are already written against tiny
 //! parameters; each should finish in seconds.
 //!
-//! A child process is also the one place a test can set `OLIVE_FAULTS`
-//! (the plan is parsed once per process), so the two cases that pin where
-//! the environment plan is armed live here, on `quickstart`'s 8 rounds.
+//! The two `env_fault_plan_*` cases run `quickstart`'s 8 rounds under a
+//! scripted environment: they check that `RuntimeConfig::process` really
+//! reads `OLIVE_FAULTS` and where the plan it parsed is armed. The
+//! grammars and fallbacks of every knob are tested in-process, against
+//! `RuntimeConfig::parse` (`crates/memsim/src/runtime.rs`).
 
 use std::process::Command;
 
