@@ -3,34 +3,23 @@
 //! dispatch decision's cost is visible in GiB/s.
 //!
 //! Payloads: 4 KiB (small sealed state), 40 KiB ≈ one client's α=0.1
-//! MNIST-MLP upload (5089 cells × 8 B), 4 MiB (a large-model shard —
-//! gated behind `OLIVE_BENCH_FULL=1` for the software backend).
+//! MNIST-MLP upload (5089 cells × 8 B), 4 MiB (a large-model shard).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use olive_crypto::available_backends;
 use olive_crypto::gcm::AesGcm;
 use olive_crypto::hmac::HmacSha256;
 use olive_crypto::sha256::Sha256;
-use olive_crypto::{available_backends, CryptoBackend};
 
-/// The software backend skips multi-MiB payloads unless the full sweep is
-/// requested (a 4 MiB seal is ~0.06 s per iteration on `ct`: a handful of
-/// iterations would eat the smoke job's window).
-fn sizes_for(backend: CryptoBackend) -> Vec<usize> {
-    let full = olive_bench::bench_full() || backend == CryptoBackend::Hw;
-    let mut sizes = vec![4usize << 10, 40 << 10];
-    if full {
-        sizes.push(4 << 20);
-    } else {
-        eprintln!("aes_gcm/{backend}: skipped 4 MiB payload (set OLIVE_BENCH_FULL=1 to run)");
-    }
-    sizes
-}
+/// Every backend seals and opens every payload (a 4 MiB `ct` seal is
+/// ≈ 30 ms on the 2-vCPU AVX-512 runner).
+const SIZES: [usize; 3] = [4 << 10, 40 << 10, 4 << 20];
 
 fn bench_gcm(c: &mut Criterion) {
     let mut group = c.benchmark_group("aes_gcm");
     for backend in available_backends() {
         let key = AesGcm::with_backend(backend, &[7u8; 32]).unwrap();
-        for size in sizes_for(backend) {
+        for size in SIZES {
             let payload = vec![0xabu8; size];
             group.throughput(Throughput::Bytes(size as u64));
             group.bench_with_input(

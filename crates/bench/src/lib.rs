@@ -18,8 +18,8 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 /// `OLIVE_BENCH_FULL=1`: the Criterion benches add their expensive gated
-/// sizes (the 4 MiB software AEAD, PathORAM at d = 100 000, n = 100 000
-/// ingestion), which the default sweep skips with a note saying so.
+/// sizes (PathORAM at d = 100 000, n = 100 000 ingestion), which the
+/// default sweep skips with a note saying so.
 pub fn bench_full() -> bool {
     std::env::var("OLIVE_BENCH_FULL").as_deref() == Ok("1")
 }

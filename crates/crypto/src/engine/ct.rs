@@ -14,6 +14,14 @@
 //!   (four AES blocks) are transposed once into 8 × `u64` planes — plane
 //!   `b`, bit `i` holds bit `b` of byte lane `i` — run through every round
 //!   in that form, and transposed back once.
+//! * **One body, three plane widths** (Käsper and Schwabe, CHES 2009).
+//!   Everything below is written over [`Plane`] and is lane-wise in
+//!   64-bit lanes, so counter mode runs it on `u64` (4 blocks a pass,
+//!   every target) and, on x86-64, on `__m256i` (16 blocks, AVX2) and
+//!   `__m512i` (32 blocks, AVX-512F) planes from `super::ct_x86`: each
+//!   lane of a wide plane is one `u64` body's state, and the `u64` round
+//!   keys are broadcast to every lane. [`CtAes`] records the widest width
+//!   at key set-up; single blocks and the key schedule stay on `u64`.
 //! * **SubBytes** is the Boyar–Peralta straight-line circuit (115
 //!   XOR/XNOR/AND gates, 32 of them AND) over the eight planes, all 64
 //!   lanes at once.
@@ -32,14 +40,82 @@
 //!   x86-64 and AArch64 application cores and does not on some
 //!   microcontrollers (early-terminating multipliers).
 //!
-//! Measured on the 2.1 GHz runner: CTR ≈ 120 MiB/s, GHASH ≈ 270 MiB/s,
-//! seal/open ≈ 80 MiB/s, key set-up ≈ 2 µs — between two and three times
-//! the leaky table code and some thirty times below [`super::hw`], but
-//! on every architecture, making it the portable default wherever AES-NI
-//! is absent.
+//! Measured at 3 376 bytes (one k = 421 upload) on the 2-vCPU AVX-512
+//! runner: CTR ≈ 80–100 MiB/s on `u64` planes, 200–240 on AVX2, 470–540
+//! on AVX-512; GHASH ≈ 165–220 MiB/s; seal ≈ 50–66 / 93–112 / 117–147
+//! MiB/s; key set-up ≈ 2 µs. That is some fifteen times below
+//! [`super::hw`], but on every architecture, making it the portable
+//! default wherever AES-NI is absent.
 
-use super::MAX_ROUND_KEYS;
+use core::ops::{BitAnd, BitOr, BitXor, Not};
+
+use super::{CtWidth, MAX_ROUND_KEYS};
 use crate::CryptoError;
+
+// ---------------------------------------------------------------------------
+// Planes: the register one bit plane lives in
+// ---------------------------------------------------------------------------
+
+/// One bit plane of the sliced state: some number of 64-bit lanes, each
+/// lane holding one bit of 64 bytes — four AES blocks. Every operation of
+/// the cipher below is lane-wise, so a wider plane runs more blocks
+/// through the same instructions. `u64` (one lane) is the body every
+/// target runs; `super::ct_x86` adds the 256- and 512-bit registers.
+pub(crate) trait Plane:
+    Copy + BitAnd<Output = Self> + BitOr<Output = Self> + BitXor<Output = Self> + Not<Output = Self>
+{
+    /// The bytes one pass encrypts: 64 per lane.
+    type Batch: Copy + AsRef<[u8]> + AsMut<[u8]>;
+    /// An all-zero batch.
+    const ZERO: Self::Batch;
+    /// `x` in every lane.
+    fn splat(x: u64) -> Self;
+    /// Every lane shifted left by `N`.
+    fn shl<const N: u32>(self) -> Self;
+    /// Every lane shifted right by `N`.
+    fn shr<const N: u32>(self) -> Self;
+    /// Word `j` of lane `l` is the little-endian `u64` at byte
+    /// `64l + 8j` of the batch.
+    fn load(batch: &Self::Batch) -> [Self; 8];
+    /// Inverse of [`Plane::load`].
+    fn store(words: [Self; 8], batch: &mut Self::Batch);
+}
+
+impl Plane for u64 {
+    type Batch = [u8; 64];
+    const ZERO: [u8; 64] = [0; 64];
+
+    #[inline(always)]
+    fn splat(x: u64) -> u64 {
+        x
+    }
+
+    #[inline(always)]
+    fn shl<const N: u32>(self) -> u64 {
+        self << N
+    }
+
+    #[inline(always)]
+    fn shr<const N: u32>(self) -> u64 {
+        self >> N
+    }
+
+    #[inline(always)]
+    fn load(batch: &[u8; 64]) -> [u64; 8] {
+        let mut words = [0; 8];
+        for (w, bytes) in words.iter_mut().zip(batch.as_chunks().0) {
+            *w = u64::from_le_bytes(*bytes);
+        }
+        words
+    }
+
+    #[inline(always)]
+    fn store(words: [u64; 8], batch: &mut [u8; 64]) {
+        for (w, bytes) in words.iter().zip(batch.as_chunks_mut().0) {
+            *bytes = w.to_le_bytes();
+        }
+    }
+}
 
 // ---------------------------------------------------------------------------
 // Bitslicing: 64 byte lanes <-> 8 bit-plane words
@@ -49,74 +125,74 @@ use crate::CryptoError;
 /// (row `r` = bits `8r..8r+8`): bit `8r + c` ↔ bit `8c + r`. The classic
 /// three-round masked-swap network (an involution).
 #[inline(always)]
-fn transpose8x8(mut x: u64) -> u64 {
-    let t = (x ^ (x >> 7)) & 0x00AA_00AA_00AA_00AA;
-    x ^= t ^ (t << 7);
-    let t = (x ^ (x >> 14)) & 0x0000_CCCC_0000_CCCC;
-    x ^= t ^ (t << 14);
-    let t = (x ^ (x >> 28)) & 0x0000_0000_F0F0_F0F0;
-    x ^= t ^ (t << 28);
-    x
+fn transpose8x8<P: Plane>(mut x: P) -> P {
+    let t = (x ^ x.shr::<7>()) & P::splat(0x00AA_00AA_00AA_00AA);
+    x = x ^ t ^ t.shl::<7>();
+    let t = (x ^ x.shr::<14>()) & P::splat(0x0000_CCCC_0000_CCCC);
+    x = x ^ t ^ t.shl::<14>();
+    let t = (x ^ x.shr::<28>()) & P::splat(0x0000_0000_F0F0_F0F0);
+    x ^ t ^ t.shl::<28>()
 }
 
-/// Swaps the `mask`ed bits of `w[hi]` with the bits `shift` above them in
+/// Swaps the `mask`ed bits of `w[hi]` with the bits `SHIFT` above them in
 /// `w[lo]`.
 #[inline(always)]
-fn swap_between(w: &mut [u64; 8], lo: usize, hi: usize, shift: u32, mask: u64) {
-    let t = ((w[lo] >> shift) ^ w[hi]) & mask;
-    w[hi] ^= t;
-    w[lo] ^= t << shift;
+fn swap_between<P: Plane, const SHIFT: u32>(w: &mut [P; 8], lo: usize, hi: usize, mask: u64) {
+    let t = (w[lo].shr::<SHIFT>() ^ w[hi]) & P::splat(mask);
+    w[hi] = w[hi] ^ t;
+    w[lo] = w[lo] ^ t.shl::<SHIFT>();
 }
 
 /// 8×8 byte-matrix transpose across eight words: byte `c` of `w[j]` ↔ byte
 /// `j` of `w[c]` (the same three-round network one level up).
 #[inline(always)]
-fn transpose_bytes(w: &mut [u64; 8]) {
+fn transpose_bytes<P: Plane>(w: &mut [P; 8]) {
     for j in [0, 2, 4, 6] {
-        swap_between(w, j, j + 1, 8, 0x00FF_00FF_00FF_00FF);
+        swap_between::<P, 8>(w, j, j + 1, 0x00FF_00FF_00FF_00FF);
     }
     for j in [0, 1, 4, 5] {
-        swap_between(w, j, j + 2, 16, 0x0000_FFFF_0000_FFFF);
+        swap_between::<P, 16>(w, j, j + 2, 0x0000_FFFF_0000_FFFF);
     }
     for j in [0, 1, 2, 3] {
-        swap_between(w, j, j + 4, 32, 0x0000_0000_FFFF_FFFF);
+        swap_between::<P, 32>(w, j, j + 4, 0x0000_0000_FFFF_FFFF);
     }
 }
 
-/// Bitslices 64 bytes into 8 bit-plane words: bit `i` of `w[b]` = bit `b`
-/// of `bytes[i]`.
-#[inline]
-fn bitslice(bytes: &[u8; 64]) -> [u64; 8] {
-    let mut w = [0u64; 8];
-    for (wj, chunk) in w.iter_mut().zip(bytes.chunks_exact(8)) {
-        *wj = transpose8x8(u64::from_le_bytes(chunk.try_into().unwrap()));
+/// Bitslices a batch into 8 bit-plane words: in each lane, bit `i` of
+/// `w[b]` = bit `b` of the lane's byte `i`.
+#[inline(always)]
+fn bitslice<P: Plane>(batch: &P::Batch) -> [P; 8] {
+    let mut w = P::load(batch);
+    for x in &mut w {
+        *x = transpose8x8(*x);
     }
     transpose_bytes(&mut w);
     w
 }
 
 /// Inverse of [`bitslice`].
-#[inline]
-fn unbitslice(w: &[u64; 8], bytes: &mut [u8; 64]) {
+#[inline(always)]
+fn unbitslice<P: Plane>(w: &[P; 8], batch: &mut P::Batch) {
     let mut t = *w;
     transpose_bytes(&mut t);
-    for (tj, chunk) in t.iter().zip(bytes.chunks_exact_mut(8)) {
-        chunk.copy_from_slice(&transpose8x8(*tj).to_le_bytes());
+    for x in &mut t {
+        *x = transpose8x8(*x);
     }
+    P::store(t, batch);
 }
 
 // ---------------------------------------------------------------------------
 // The round functions on the sliced state
 // ---------------------------------------------------------------------------
 
-/// The AES S-box on 64 lanes at once: the depth-16 circuit of Boyar and
+/// The AES S-box on every byte lane at once: the depth-16 circuit of Boyar and
 /// Peralta, "A new combinational logic minimization technique with
 /// applications to cryptology" (2010) — a 23-XOR linear layer, the shared
 /// GF(2⁴)-tower inversion with its 32 ANDs, and a 30-gate linear layer
 /// that folds in the affine constant 0x63 as four XNORs. The paper numbers
 /// bits from the top: `x0` / `s0` are plane 7.
 #[inline(always)]
-fn sbox_circuit(q: &mut [u64; 8]) {
+fn sbox_circuit<P: Plane>(q: &mut [P; 8]) {
     let [x7, x6, x5, x4, x3, x2, x1, x0] = *q;
 
     let y14 = x3 ^ x5;
@@ -249,29 +325,32 @@ fn sbox_circuit(q: &mut [u64; 8]) {
 /// ShiftRows: row `r` of every block rotates left by `r` columns, i.e. the
 /// bits under `0x1111 << r` rotate right by `4r` inside their 16-bit group.
 #[inline(always)]
-fn shift_rows(q: &mut [u64; 8]) {
+fn shift_rows<P: Plane>(q: &mut [P; 8]) {
+    let m = P::splat;
     for x in q.iter_mut() {
-        *x = (*x & 0x1111_1111_1111_1111)
-            | ((*x >> 4) & 0x0222_0222_0222_0222)
-            | ((*x << 12) & 0x2000_2000_2000_2000)
-            | ((*x >> 8) & 0x0044_0044_0044_0044)
-            | ((*x << 8) & 0x4400_4400_4400_4400)
-            | ((*x >> 12) & 0x0008_0008_0008_0008)
-            | ((*x << 4) & 0x8880_8880_8880_8880);
+        *x = (*x & m(0x1111_1111_1111_1111))
+            | (x.shr::<4>() & m(0x0222_0222_0222_0222))
+            | (x.shl::<12>() & m(0x2000_2000_2000_2000))
+            | (x.shr::<8>() & m(0x0044_0044_0044_0044))
+            | (x.shl::<8>() & m(0x4400_4400_4400_4400))
+            | (x.shr::<12>() & m(0x0008_0008_0008_0008))
+            | (x.shl::<4>() & m(0x8880_8880_8880_8880));
     }
 }
 
 /// Every column rotated up by one row (row `r` ← row `r + 1`): a rotation
 /// right by one inside each nibble.
 #[inline(always)]
-fn rot1(x: u64) -> u64 {
-    ((x >> 1) & 0x7777_7777_7777_7777) | ((x << 3) & 0x8888_8888_8888_8888)
+fn rot1<P: Plane>(x: P) -> P {
+    (x.shr::<1>() & P::splat(0x7777_7777_7777_7777))
+        | (x.shl::<3>() & P::splat(0x8888_8888_8888_8888))
 }
 
 /// Every column rotated by two rows.
 #[inline(always)]
-fn rot2(x: u64) -> u64 {
-    ((x >> 2) & 0x3333_3333_3333_3333) | ((x << 2) & 0xCCCC_CCCC_CCCC_CCCC)
+fn rot2<P: Plane>(x: P) -> P {
+    (x.shr::<2>() & P::splat(0x3333_3333_3333_3333))
+        | (x.shl::<2>() & P::splat(0xCCCC_CCCC_CCCC_CCCC))
 }
 
 /// MixColumns: row `r` ← 2·a[r] ⊕ 3·a[r+1] ⊕ a[r+2] ⊕ a[r+3], regrouped as
@@ -279,17 +358,26 @@ fn rot2(x: u64) -> u64 {
 /// `xtime` moves plane `b` to `b + 1` and folds plane 7 into planes 0, 1,
 /// 3 and 4 (x⁸ ≡ x⁴ + x³ + x + 1).
 #[inline(always)]
-fn mix_columns(q: &mut [u64; 8]) {
-    let r = q.map(rot1);
-    let t: [u64; 8] = core::array::from_fn(|b| q[b] ^ r[b]);
+fn mix_columns<P: Plane>(q: &mut [P; 8]) {
+    let mut r = *q;
+    for x in &mut r {
+        *x = rot1(*x);
+    }
+    let mut t = *q;
+    for (x, &y) in t.iter_mut().zip(&r) {
+        *x = *x ^ y;
+    }
     let xt = [t[7], t[0] ^ t[7], t[1], t[2] ^ t[7], t[3] ^ t[7], t[4], t[5], t[6]];
-    *q = core::array::from_fn(|b| xt[b] ^ r[b] ^ rot2(t[b]));
+    for (b, x) in q.iter_mut().enumerate() {
+        *x = xt[b] ^ r[b] ^ rot2(t[b]);
+    }
 }
 
+/// XORs a round key's `u64` planes into every lane.
 #[inline(always)]
-fn add_round_key(q: &mut [u64; 8], rk: &[u64; 8]) {
-    for (x, k) in q.iter_mut().zip(rk) {
-        *x ^= k;
+fn add_round_key<P: Plane>(q: &mut [P; 8], rk: &[u64; 8]) {
+    for (x, &k) in q.iter_mut().zip(rk) {
+        *x = *x ^ P::splat(k);
     }
 }
 
@@ -301,16 +389,20 @@ fn add_round_key(q: &mut [u64; 8], rk: &[u64; 8]) {
 /// Forward cipher only — GCM needs nothing else.
 #[derive(Clone)]
 pub(crate) struct CtAes {
-    /// Round key `r`, repeated over the four block groups and bitsliced.
+    /// Round key `r`, repeated over the four block groups of a lane and
+    /// bitsliced; a wider plane broadcasts it to every lane.
     round_keys: [[u64; 8]; MAX_ROUND_KEYS],
     rounds: usize,
+    /// The plane width counter mode runs at.
+    width: CtWidth,
 }
 
 impl CtAes {
     /// FIPS 197 key expansion ([`super::expand_key`]) with SubWord
     /// computed through the S-box circuit — the schedule touches key
-    /// material, so it must be as lookup-free as the data path.
-    pub(crate) fn new(key: &[u8]) -> Result<Self, CryptoError> {
+    /// material, so it must be as lookup-free as the data path. `width`
+    /// is the plane [`CtAes::ctr_xor`] runs on.
+    pub(crate) fn new(key: &[u8], width: CtWidth) -> Result<Self, CryptoError> {
         let (byte_keys, rounds) = super::expand_key(key, sub_word)?;
         let mut round_keys = [[0u64; 8]; MAX_ROUND_KEYS];
         for (sliced, rk) in round_keys.iter_mut().zip(&byte_keys[..=rounds]) {
@@ -318,14 +410,15 @@ impl CtAes {
             for block in batch.chunks_exact_mut(16) {
                 block.copy_from_slice(rk);
             }
-            *sliced = bitslice(&batch);
+            *sliced = bitslice::<u64>(&batch);
         }
-        Ok(CtAes { round_keys, rounds })
+        Ok(CtAes { round_keys, rounds, width })
     }
 
-    /// Encrypts four blocks in place: slice, all rounds, unslice.
-    fn encrypt4(&self, batch: &mut [u8; 64]) {
-        let q = &mut bitslice(batch);
+    /// Encrypts a batch in place: slice, all rounds, unslice.
+    #[inline(always)]
+    fn encrypt<P: Plane>(&self, batch: &mut P::Batch) {
+        let q = &mut bitslice::<P>(batch);
         add_round_key(q, &self.round_keys[0]);
         for rk in &self.round_keys[1..self.rounds] {
             sbox_circuit(q);
@@ -344,24 +437,31 @@ impl CtAes {
     pub(crate) fn encrypt_block(&self, block: &mut [u8; 16]) {
         let mut batch = [0u8; 64];
         batch[..16].copy_from_slice(block);
-        self.encrypt4(&mut batch);
+        self.encrypt::<u64>(&mut batch);
         block.copy_from_slice(&batch[..16]);
     }
 
     /// CTR keystream XOR, bitwise identical to the table reference's
     /// counter mode (32-bit big-endian counter increment in the last word
-    /// of `j0`).
+    /// of `j0`), at the width recorded at key set-up.
     pub(crate) fn ctr_xor(&self, j0: &[u8; 16], data: &mut [u8]) {
+        self.width.ctr_xor(self, j0, data);
+    }
+
+    /// [`CtAes::ctr_xor`] on `P` planes: whole batches, the last one
+    /// computed whole and truncated.
+    #[inline(always)]
+    pub(crate) fn ctr_xor_on<P: Plane>(&self, j0: &[u8; 16], data: &mut [u8]) {
         let mut counter = u32::from_be_bytes(j0[12..16].try_into().unwrap());
-        for chunk in data.chunks_mut(64) {
-            let mut batch = [0u8; 64];
-            for block in batch.chunks_exact_mut(16) {
+        for chunk in data.chunks_mut(core::mem::size_of::<P::Batch>()) {
+            let mut batch = P::ZERO;
+            for block in batch.as_mut().chunks_exact_mut(16) {
                 counter = counter.wrapping_add(1);
                 block[..12].copy_from_slice(&j0[..12]);
                 block[12..].copy_from_slice(&counter.to_be_bytes());
             }
-            self.encrypt4(&mut batch);
-            for (d, k) in chunk.iter_mut().zip(&batch) {
+            self.encrypt::<P>(&mut batch);
+            for (d, k) in chunk.iter_mut().zip(batch.as_ref()) {
                 *d ^= k;
             }
         }
@@ -370,7 +470,10 @@ impl CtAes {
 
 impl core::fmt::Debug for CtAes {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        f.debug_struct("CtAes").field("rounds", &self.rounds).finish_non_exhaustive()
+        f.debug_struct("CtAes")
+            .field("rounds", &self.rounds)
+            .field("width", &self.width)
+            .finish_non_exhaustive()
     }
 }
 
@@ -378,7 +481,7 @@ impl core::fmt::Debug for CtAes {
 fn sub_word(w: [u8; 4]) -> [u8; 4] {
     let mut buf = [0u8; 64];
     buf[..4].copy_from_slice(&w);
-    let mut q = bitslice(&buf);
+    let mut q = bitslice::<u64>(&buf);
     sbox_circuit(&mut q);
     unbitslice(&q, &mut buf);
     [buf[0], buf[1], buf[2], buf[3]]
@@ -475,7 +578,7 @@ impl CtGhash {
 mod tests {
     use super::*;
     use crate::aes::{Aes, SBOX};
-    use crate::gcm::table::gf_mul;
+    use crate::gcm::table::{gf_mul, TableGcm};
     use proptest::prelude::*;
 
     /// A deterministic byte stream (LCG) for the differential tests.
@@ -493,7 +596,7 @@ mod tests {
         let mut state = 11;
         for _ in 0..8 {
             let bytes = lcg_batch(&mut state);
-            let w = bitslice(&bytes);
+            let w = bitslice::<u64>(&bytes);
             // Naive reference: bit i of w[b] = bit b of bytes[i].
             for (b, wb) in w.iter().enumerate() {
                 let mut expect = 0u64;
@@ -519,7 +622,7 @@ mod tests {
                 for (i, b) in bytes.iter_mut().enumerate() {
                     *b = (chunk * 64 + (i + rotation) % 64) as u8;
                 }
-                let mut q = bitslice(&bytes);
+                let mut q = bitslice::<u64>(&bytes);
                 sbox_circuit(&mut q);
                 let mut out = [0u8; 64];
                 unbitslice(&q, &mut out);
@@ -536,7 +639,7 @@ mod tests {
         let mut state = 0x5eed;
         for case in 0..64 {
             let bytes = lcg_batch(&mut state);
-            let mut q = bitslice(&bytes);
+            let mut q = bitslice::<u64>(&bytes);
             sliced(&mut q);
             let mut got = [0u8; 64];
             unbitslice(&q, &mut got);
@@ -562,7 +665,7 @@ mod tests {
     fn presliced_round_keys_are_the_sliced_schedule() {
         for key_len in [16usize, 24, 32] {
             let key: Vec<u8> = (0..key_len as u8).map(|i| i.wrapping_mul(29) ^ 0xa5).collect();
-            let ct = CtAes::new(&key).unwrap();
+            let ct = CtAes::new(&key, CtWidth::U64).unwrap();
             let (byte_keys, rounds) = crate::engine::expand_key(&key, sub_word).unwrap();
             assert_eq!(ct.rounds, rounds);
             for (r, rk) in byte_keys[..=rounds].iter().enumerate() {
@@ -570,7 +673,11 @@ mod tests {
                 for block in batch.chunks_exact_mut(16) {
                     block.copy_from_slice(rk);
                 }
-                assert_eq!(ct.round_keys[r], bitslice(&batch), "key_len {key_len} round {r}");
+                assert_eq!(
+                    ct.round_keys[r],
+                    bitslice::<u64>(&batch),
+                    "key_len {key_len} round {r}"
+                );
             }
         }
     }
@@ -585,7 +692,7 @@ mod tests {
             (24, 0xdda97ca4_864cdfe0_6eaf70a0_ec0d7191),
             (32, 0x8ea2b7ca_516745bf_eafc4990_4b496089),
         ] {
-            let aes = CtAes::new(&key[..key_len]).unwrap();
+            let aes = CtAes::new(&key[..key_len], CtWidth::U64).unwrap();
             let mut block: [u8; 16] = core::array::from_fn(|i| 0x11 * i as u8);
             aes.encrypt_block(&mut block);
             assert_eq!(block, expected.to_be_bytes(), "AES-{}", 8 * key_len);
@@ -598,16 +705,83 @@ mod tests {
         for key_len in [16usize, 24, 32] {
             let key = &lcg_batch(&mut state)[..key_len];
             let table = Aes::new(key).unwrap();
-            let ct = CtAes::new(key).unwrap();
+            let ct = CtAes::new(key, CtWidth::U64).unwrap();
             // Four different blocks per batch: every block group is checked.
             for _ in 0..4 {
                 let mut batch = lcg_batch(&mut state);
                 let blocks = batch;
-                ct.encrypt4(&mut batch);
+                ct.encrypt::<u64>(&mut batch);
                 for (got, block) in batch.chunks_exact(16).zip(blocks.chunks_exact(16)) {
                     assert_eq!(got, table.encrypt(block.try_into().unwrap()), "key_len {key_len}");
                 }
             }
+        }
+    }
+
+    /// `data` under `aes`'s counter mode from `j0`, through `width`.
+    fn ctr_at(width: CtWidth, aes: &CtAes, j0: &[u8; 16], data: &[u8]) -> Vec<u8> {
+        let mut out = data.to_vec();
+        width.ctr_xor(aes, j0, &mut out);
+        out
+    }
+
+    /// Holds every width this CPU runs to the `u64` body, and the `u64`
+    /// body to the table reference, on `data[..len]` for each `len`: the
+    /// reference keystream of the whole of `data` is computed once, and a
+    /// shorter message's is its prefix.
+    fn assert_widths_agree(key: &[u8], j0: &[u8; 16], data: &[u8], lens: &[usize], what: &str) {
+        let aes = CtAes::new(key, CtWidth::U64).unwrap();
+        let mut want = data.to_vec();
+        TableGcm::new(key).unwrap().ctr_xor(j0, &mut want);
+        for &len in lens {
+            let body = ctr_at(CtWidth::U64, &aes, j0, &data[..len]);
+            assert_eq!(body, want[..len], "u64 body vs table: {what}, len {len}");
+            for width in CtWidth::runnable() {
+                let got = ctr_at(width, &aes, j0, &data[..len]);
+                assert_eq!(got, body, "{width:?} vs u64 body: {what}, len {len}");
+            }
+        }
+    }
+
+    fn lcg_bytes(len: usize, state: &mut u64) -> Vec<u8> {
+        (0..len.div_ceil(64)).flat_map(|_| lcg_batch(state)).take(len).collect()
+    }
+
+    #[test]
+    fn ct_width_ctr_matches_u64_body_and_table_at_every_length() {
+        let mut state = 0xc7c7;
+        let key = lcg_bytes(32, &mut state);
+        let j0: [u8; 16] = lcg_bytes(16, &mut state).try_into().unwrap();
+        let data = lcg_bytes(65_536, &mut state);
+        let lens: Vec<usize> = (0..=1_100).chain([3_376, 23_000, 65_536]).collect();
+        assert_widths_agree(&key, &j0, &data, &lens, "AES-256");
+    }
+
+    /// Start counters that put the 32-bit wrap on every block of a 4-,
+    /// 16- and 32-block batch, and just past one.
+    #[test]
+    fn ct_width_ctr_agrees_across_the_counter_wrap() {
+        let mut state = 0x3a3a;
+        let key = lcg_bytes(16, &mut state);
+        let data = lcg_bytes(1_100, &mut state);
+        let lens = [0, 1, 16, 17, 63, 64, 255, 256, 257, 511, 512, 513, 1_024, 1_100];
+        for back in 0..=40u32 {
+            let start = u32::MAX - back;
+            let mut j0 = [0x5cu8; 16];
+            j0[12..].copy_from_slice(&start.to_be_bytes());
+            assert_widths_agree(&key, &j0, &data, &lens, &format!("counter {start:#x}"));
+        }
+    }
+
+    #[test]
+    fn ct_width_ctr_agrees_at_every_key_size() {
+        let mut state = 0x1924;
+        let data = lcg_bytes(3_376, &mut state);
+        let lens = [0, 1, 15, 63, 64, 65, 255, 256, 257, 511, 512, 513, 3_376];
+        for key_len in [16, 24, 32] {
+            let key = lcg_bytes(key_len, &mut state);
+            let j0: [u8; 16] = lcg_bytes(16, &mut state).try_into().unwrap();
+            assert_widths_agree(&key, &j0, &data, &lens, &format!("AES-{}", 8 * key_len));
         }
     }
 

@@ -10,7 +10,7 @@
 //! | backend | AES-CTR | GHASH | SHA-256 | constant time | needs |
 //! |---------|---------|-------|---------|---------------|-------|
 //! | `hw`    | AES-NI, VAES×16 when available | PCLMULQDQ | SHA-NI | yes (ISA) | x86-64 + aes+pclmulqdq(+sha) |
-//! | `ct`    | bitsliced ×4, Boyar–Peralta S-box circuit | carry-less products from masked integer multiplies | software | yes (construction; assumes a constant-time integer multiplier) | nothing |
+//! | `ct`    | bitsliced ×4 (`u64`), ×16 (AVX2), ×32 (AVX-512F); Boyar–Peralta S-box circuit | carry-less products from masked integer multiplies | software | yes (construction; assumes a constant-time integer multiplier) | nothing |
 //!
 //! `OLIVE_CRYPTO=hw|ct` pins the backend; unset picks `hw` when the CPU
 //! supports it and `ct` otherwise (the portable default). Both produce
@@ -36,6 +36,9 @@ use std::sync::OnceLock;
 use crate::CryptoError;
 
 pub(crate) mod ct;
+#[cfg(target_arch = "x86_64")]
+#[allow(unsafe_code)]
+mod ct_x86;
 #[cfg(target_arch = "x86_64")]
 #[allow(unsafe_code)]
 pub(crate) mod hw;
@@ -109,6 +112,90 @@ pub fn crypto_backend() -> CryptoBackend {
             None => CryptoBackend::Ct,
         }
     })
+}
+
+/// The plane widths the `ct` backend's bitsliced counter mode is compiled
+/// for: one generic body ([`ct::Plane`]), three monomorphizations. The
+/// choice is public (it depends on the CPU alone) and moves no output
+/// byte; it lives here because `ct.rs` and `ct_x86.rs` contain no
+/// branches at all.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum CtWidth {
+    /// One `u64` per plane, four blocks a pass: every target.
+    U64,
+    /// `__m256i` planes, sixteen blocks a pass.
+    #[cfg(target_arch = "x86_64")]
+    Avx2,
+    /// `__m512i` planes, thirty-two blocks a pass.
+    #[cfg(target_arch = "x86_64")]
+    Avx512,
+}
+
+impl CtWidth {
+    /// Every width this build knows, narrowest first.
+    #[cfg(test)]
+    pub(crate) const ALL: &'static [CtWidth] = &[
+        CtWidth::U64,
+        #[cfg(target_arch = "x86_64")]
+        CtWidth::Avx2,
+        #[cfg(target_arch = "x86_64")]
+        CtWidth::Avx512,
+    ];
+
+    /// Whether this CPU can run the monomorphization.
+    pub(crate) fn available(self) -> bool {
+        match self {
+            CtWidth::U64 => true,
+            #[cfg(target_arch = "x86_64")]
+            CtWidth::Avx2 => std::arch::is_x86_feature_detected!("avx2"),
+            #[cfg(target_arch = "x86_64")]
+            CtWidth::Avx512 => std::arch::is_x86_feature_detected!("avx512f"),
+        }
+    }
+
+    /// The widest one this CPU runs (std caches the detection).
+    pub(crate) fn best() -> CtWidth {
+        #[cfg(target_arch = "x86_64")]
+        for width in [CtWidth::Avx512, CtWidth::Avx2] {
+            if width.available() {
+                return width;
+            }
+        }
+        CtWidth::U64
+    }
+
+    /// `aes`'s counter mode through this width's body. Panics if the CPU
+    /// lacks it.
+    #[allow(unsafe_code)]
+    pub(crate) fn ctr_xor(self, aes: &ct::CtAes, j0: &[u8; 16], data: &mut [u8]) {
+        assert!(self.available(), "{self:?} ct planes are not supported by this CPU");
+        match self {
+            CtWidth::U64 => aes.ctr_xor_on::<u64>(j0, data),
+            // SAFETY: the only requirement of a `#[target_feature]` function
+            // is that the CPU has the feature, and `available` just
+            // confirmed it.
+            #[cfg(target_arch = "x86_64")]
+            CtWidth::Avx2 => unsafe { ct_x86::ctr_xor_avx2(aes, j0, data) },
+            // SAFETY: as above, for `avx512f`.
+            #[cfg(target_arch = "x86_64")]
+            CtWidth::Avx512 => unsafe { ct_x86::ctr_xor_avx512(aes, j0, data) },
+        }
+    }
+
+    /// The widths this CPU runs, narrowest first; the first call prints
+    /// them and the ones it lacks.
+    #[cfg(test)]
+    pub(crate) fn runnable() -> Vec<CtWidth> {
+        static REPORT: std::sync::Once = std::sync::Once::new();
+        let (ran, skipped): (Vec<CtWidth>, Vec<CtWidth>) =
+            CtWidth::ALL.iter().partition(|w| w.available());
+        REPORT.call_once(|| {
+            println!(
+                "ct AES widths exercised on this CPU: {ran:?}; skipped (CPU lacks them): {skipped:?}"
+            );
+        });
+        ran
+    }
 }
 
 const RCON: [u8; 11] = [0x00, 0x01, 0x02, 0x04, 0x08, 0x10, 0x20, 0x40, 0x80, 0x1b, 0x36];

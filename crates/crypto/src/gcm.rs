@@ -17,7 +17,7 @@ use crate::ct::ct_eq;
 use crate::engine::ct::{CtAes, CtGhash};
 #[cfg(target_arch = "x86_64")]
 use crate::engine::hw::{HwAes, HwGhash};
-use crate::engine::{crypto_backend, CryptoBackend};
+use crate::engine::{crypto_backend, CryptoBackend, CtWidth};
 use crate::CryptoError;
 
 /// GCM nonce length in bytes (the 96-bit fast path).
@@ -101,11 +101,7 @@ impl AesGcm {
     /// [`CryptoBackend::is_available`]).
     pub fn with_backend(backend: CryptoBackend, key: &[u8]) -> Result<Self, CryptoError> {
         let imp = match backend {
-            CryptoBackend::Ct => {
-                let aes = CtAes::new(key)?;
-                let h = hash_subkey(|b| aes.encrypt_block(b));
-                GcmImpl::Ct(aes, CtGhash::new(h))
-            }
+            CryptoBackend::Ct => ct_impl(key, CtWidth::best())?,
             #[cfg(target_arch = "x86_64")]
             CryptoBackend::Hw => {
                 let aes = HwAes::new(key)?;
@@ -191,6 +187,13 @@ impl AesGcm {
         self.ctr_xor(&j0, &mut out);
         Ok(out)
     }
+}
+
+/// The `ct` backend's key state, its counter mode on `width` planes.
+fn ct_impl(key: &[u8], width: CtWidth) -> Result<GcmImpl, CryptoError> {
+    let aes = CtAes::new(key, width)?;
+    let h = hash_subkey(|b| aes.encrypt_block(b));
+    Ok(GcmImpl::Ct(aes, CtGhash::new(h)))
 }
 
 /// The hash subkey H = E_K(0¹²⁸), under the block cipher `encrypt_block`.
@@ -300,81 +303,105 @@ mod tests {
         b.iter().map(|x| format!("{x:02x}")).collect()
     }
 
-    // NIST GCM spec (Appendix B) test cases 1-4 for AES-128 and case 13/14
-    // for AES-256.
+    /// NIST GCM spec (Appendix B) cases 1–4 (AES-128) and 16 (AES-256):
+    /// key, nonce, plaintext, AAD, ciphertext ‖ tag.
+    const NIST: [[&str; 5]; 5] = [
+        [
+            "00000000000000000000000000000000",
+            "000000000000000000000000",
+            "",
+            "",
+            "58e2fccefa7e3061367f1d57a4e7455a",
+        ],
+        [
+            "00000000000000000000000000000000",
+            "000000000000000000000000",
+            "00000000000000000000000000000000",
+            "",
+            "0388dace60b6a392f328c2b971b2fe78ab6e47d42cec13bdf53a67b21257bddf",
+        ],
+        [
+            "feffe9928665731c6d6a8f9467308308",
+            "cafebabefacedbaddecaf888",
+            "d9313225f88406e5a55909c5aff5269a86a7a9531534f7da2e4c303d8a318a72\
+             1c3c0c95956809532fcf0e2449a6b525b16aedf5aa0de657ba637b391aafd255",
+            "",
+            "42831ec2217774244b7221b784d0d49ce3aa212f2c02a4e035c17e2329aca12e\
+             21d514b25466931c7d8f6a5aac84aa051ba30b396a0aac973d58e091473f5985\
+             4d5c2af327cd64a62cf35abd2ba6fab4",
+        ],
+        [
+            "feffe9928665731c6d6a8f9467308308",
+            "cafebabefacedbaddecaf888",
+            "d9313225f88406e5a55909c5aff5269a86a7a9531534f7da2e4c303d8a318a72\
+             1c3c0c95956809532fcf0e2449a6b525b16aedf5aa0de657ba637b39",
+            "feedfacedeadbeeffeedfacedeadbeefabaddad2",
+            "42831ec2217774244b7221b784d0d49ce3aa212f2c02a4e035c17e2329aca12e\
+             21d514b25466931c7d8f6a5aac84aa051ba30b396a0aac973d58e091\
+             5bc94fbc3221a5db94fae95ae7121a47",
+        ],
+        [
+            "feffe9928665731c6d6a8f9467308308feffe9928665731c6d6a8f9467308308",
+            "cafebabefacedbaddecaf888",
+            "d9313225f88406e5a55909c5aff5269a86a7a9531534f7da2e4c303d8a318a72\
+             1c3c0c95956809532fcf0e2449a6b525b16aedf5aa0de657ba637b39",
+            "feedfacedeadbeeffeedfacedeadbeefabaddad2",
+            "522dc1f099567d07f47f37a32a84427d643a8cdcbfe5c0c97598a2bd2555d1aa\
+             8cb08e48590dbb3da7b08b1056828838c5f61e6393ba7a0abcc9f662\
+             76fc6ece0f4e1768cddf8853bb2d551b",
+        ],
+    ];
+
+    /// Seals NIST case `case` under the key `gcm` builds from its key
+    /// bytes, checks the output, and opens it back.
+    fn assert_nist(case: usize, what: &str, gcm: impl Fn(&[u8]) -> AesGcm) {
+        let [key, nonce, pt, aad, out] = NIST[case].map(from_hex);
+        let g = gcm(&key);
+        let nonce: [u8; 12] = nonce.try_into().unwrap();
+        let sealed = g.seal(&nonce, &pt, &aad);
+        assert_eq!(hex(&sealed), hex(&out), "NIST case {case}, {what}");
+        assert_eq!(g.open(&nonce, &sealed, &aad).unwrap(), pt, "NIST case {case}, {what}");
+    }
+
+    fn process_default(key: &[u8]) -> AesGcm {
+        AesGcm::new(key).unwrap()
+    }
+
     #[test]
     fn nist_case_1_empty() {
-        let g = AesGcm::new(&[0u8; 16]).unwrap();
-        let nonce = [0u8; 12];
-        let out = g.seal(&nonce, b"", b"");
-        assert_eq!(hex(&out), "58e2fccefa7e3061367f1d57a4e7455a");
+        assert_nist(0, "process default", process_default);
     }
 
     #[test]
     fn nist_case_2_single_block() {
-        let g = AesGcm::new(&[0u8; 16]).unwrap();
-        let nonce = [0u8; 12];
-        let out = g.seal(&nonce, &from_hex("00000000000000000000000000000000"), b"");
-        assert_eq!(hex(&out), "0388dace60b6a392f328c2b971b2fe78ab6e47d42cec13bdf53a67b21257bddf");
+        assert_nist(1, "process default", process_default);
     }
 
     #[test]
     fn nist_case_3_four_blocks() {
-        let key = from_hex("feffe9928665731c6d6a8f9467308308");
-        let nonce: [u8; 12] = from_hex("cafebabefacedbaddecaf888").try_into().unwrap();
-        let pt = from_hex(
-            "d9313225f88406e5a55909c5aff5269a86a7a9531534f7da2e4c303d8a318a72\
-             1c3c0c95956809532fcf0e2449a6b525b16aedf5aa0de657ba637b391aafd255",
-        );
-        let g = AesGcm::new(&key).unwrap();
-        let out = g.seal(&nonce, &pt, b"");
-        assert_eq!(
-            hex(&out),
-            "42831ec2217774244b7221b784d0d49ce3aa212f2c02a4e035c17e2329aca12e\
-             21d514b25466931c7d8f6a5aac84aa051ba30b396a0aac973d58e091473f5985\
-             4d5c2af327cd64a62cf35abd2ba6fab4"
-        );
+        assert_nist(2, "process default", process_default);
     }
 
     #[test]
     fn nist_case_4_with_aad() {
-        let key = from_hex("feffe9928665731c6d6a8f9467308308");
-        let nonce: [u8; 12] = from_hex("cafebabefacedbaddecaf888").try_into().unwrap();
-        let pt = from_hex(
-            "d9313225f88406e5a55909c5aff5269a86a7a9531534f7da2e4c303d8a318a72\
-             1c3c0c95956809532fcf0e2449a6b525b16aedf5aa0de657ba637b39",
-        );
-        let aad = from_hex("feedfacedeadbeeffeedfacedeadbeefabaddad2");
-        let g = AesGcm::new(&key).unwrap();
-        let out = g.seal(&nonce, &pt, &aad);
-        assert_eq!(
-            hex(&out),
-            "42831ec2217774244b7221b784d0d49ce3aa212f2c02a4e035c17e2329aca12e\
-             21d514b25466931c7d8f6a5aac84aa051ba30b396a0aac973d58e091\
-             5bc94fbc3221a5db94fae95ae7121a47"
-        );
-        let back = g.open(&nonce, &out, &aad).unwrap();
-        assert_eq!(back, pt);
+        assert_nist(3, "process default", process_default);
     }
 
     #[test]
     fn nist_aes256_with_aad() {
-        // GCM spec test case 16.
-        let key = from_hex("feffe9928665731c6d6a8f9467308308feffe9928665731c6d6a8f9467308308");
-        let nonce: [u8; 12] = from_hex("cafebabefacedbaddecaf888").try_into().unwrap();
-        let pt = from_hex(
-            "d9313225f88406e5a55909c5aff5269a86a7a9531534f7da2e4c303d8a318a72\
-             1c3c0c95956809532fcf0e2449a6b525b16aedf5aa0de657ba637b39",
-        );
-        let aad = from_hex("feedfacedeadbeeffeedfacedeadbeefabaddad2");
-        let g = AesGcm::new(&key).unwrap();
-        let out = g.seal(&nonce, &pt, &aad);
-        assert_eq!(
-            hex(&out),
-            "522dc1f099567d07f47f37a32a84427d643a8cdcbfe5c0c97598a2bd2555d1aa\
-             8cb08e48590dbb3da7b08b1056828838c5f61e6393ba7a0abcc9f662\
-             76fc6ece0f4e1768cddf8853bb2d551b"
-        );
+        assert_nist(4, "process default", process_default);
+    }
+
+    /// The vectors through the `ct` backend's counter mode at every plane
+    /// width this CPU runs.
+    #[test]
+    fn ct_width_nist_vectors() {
+        for width in CtWidth::runnable() {
+            for case in 0..NIST.len() {
+                let what = format!("ct at {width:?}");
+                assert_nist(case, &what, |key| AesGcm { imp: ct_impl(key, width).unwrap() });
+            }
+        }
     }
 
     #[test]
@@ -406,8 +433,9 @@ mod tests {
 
     /// The 32-bit counter wraps without carrying into the nonce, wherever
     /// the wrap falls in a backend's batch: start counters chosen so it
-    /// lands inside, on the first and on the last block of the `ct`
-    /// backend's 4-block and the `hw` backend's 8- and 16-block batches.
+    /// lands inside, on the first and on the last block of 4-, 8- and
+    /// 16-block batches. `ct` runs here at this CPU's widest plane;
+    /// `ct_width_ctr_agrees_across_the_counter_wrap` runs every width.
     #[test]
     fn ctr_backends_agree_across_the_counter_wrap() {
         let key = [0x3cu8; 32];

@@ -29,7 +29,9 @@
 //! bitsliced constant-time software fallback (`OLIVE_CRYPTO=hw|ct`). The
 //! textbook lookup-table AES and GHASH they are tested against are
 //! compiled into test builds only. Unsafe code is denied crate-wide and
-//! allowed only in the intrinsics-backed `engine::hw` module.
+//! allowed only in the intrinsics-backed `engine::hw` and
+//! `engine::ct_x86` modules and in the call that enters the latter's
+//! `#[target_feature]` bodies once the CPU feature is detected.
 
 #![deny(unsafe_code)]
 #![warn(missing_docs)]

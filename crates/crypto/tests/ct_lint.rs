@@ -14,8 +14,10 @@
 //! implementation is straight-line code over fixed-trip `for` loops, so
 //! `if`, `match`, `while`, `loop`, division and remainder are banned there
 //! outright — public or secret operand alike (division is variable-time on
-//! most cores). `engine/hw.rs` keeps the shared list: it has CPU-feature
-//! and length checks.
+//! most cores). `engine/ct_x86.rs`, the vector planes the same body runs
+//! on, is held to the same rules (the CPU-feature choice of a width lives
+//! in `engine/mod.rs`). `engine/hw.rs` keeps the shared list: it has
+//! CPU-feature and length checks.
 
 use std::path::Path;
 
@@ -81,6 +83,21 @@ fn ct_backend_has_no_secret_indexed_lookups_or_branches() {
     );
     // Sanity: the scan actually covered the implementation.
     for anchor in ["sbox_circuit", "bmul64"] {
+        assert!(src.contains(anchor), "scan target drifted — `{anchor}` not found");
+    }
+}
+
+#[test]
+fn ct_vector_planes_have_no_secret_indexed_lookups_or_branches() {
+    let src = implementation_of("ct_x86.rs");
+    assert_clean("engine/ct_x86.rs", &src);
+    let found = control_flow_in(&src);
+    assert!(
+        found.is_empty(),
+        "engine/ct_x86.rs: found {found:?} — the ct backend's vector planes are straight-line \
+         code like engine/ct.rs; choose the width in engine/mod.rs"
+    );
+    for anchor in ["_mm256_xor_si256", "_mm512_xor_si512", "target_feature"] {
         assert!(src.contains(anchor), "scan target drifted — `{anchor}` not found");
     }
 }
