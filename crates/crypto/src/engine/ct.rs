@@ -30,22 +30,27 @@
 //!   or a column is a rotation inside fixed bit groups. **AddRoundKey** XORs
 //!   round keys that were sliced once at key set-up (the key schedule's
 //!   SubWord goes through the same circuit).
-//! * **GHASH** multiplies by H with six 64 × 64 → 64-bit carry-less
-//!   products (Karatsuba over the two halves; the high half of each
-//!   product is the low half of the bit-reversed operands' product). A
-//!   carry-less product is four groups of integer multiplies of operands
-//!   masked to every fourth bit, so the carries of the integer sums die in
-//!   the three-bit gaps. This adds the module's one hardware assumption:
-//!   **the integer multiplier runs in constant time**, which holds on
-//!   x86-64 and AArch64 application cores and does not on some
-//!   microcontrollers (early-terminating multipliers).
+//! * **GHASH** runs the same way: one body over [`Plane`], one block per
+//!   64-bit lane — ×1 on `u64`, ×4 on AVX2, ×8 on AVX-512F. Aggregated
+//!   reduction (Gueron and Kounavis, 2010) makes the blocks of a group
+//!   independent: y ← Σₗ (Xₗ ⊕ [l = 0]·y)·H^(L−l) over the `L` lanes, with
+//!   H¹ … H⁸ built at key set-up, the 256-bit products XORed across lanes
+//!   unreduced and one shift-and-fold reduction per group. A product is a
+//!   two-level Karatsuba over 32-bit words, nine 32 × 32 → 64-bit
+//!   carry-less products, each four groups of integer multiplies of
+//!   operands masked to every fourth bit (Pornin's BearSSL `ghash_ctmul`),
+//!   so the carries of the integer sums die in the three-bit gaps. This
+//!   adds the module's one hardware assumption: **the integer multiplier
+//!   runs in constant time**, which holds on x86-64 and AArch64
+//!   application cores and does not on some microcontrollers
+//!   (early-terminating multipliers).
 //!
 //! Measured at 3 376 bytes (one k = 421 upload) on the 2-vCPU AVX-512
-//! runner: CTR ≈ 80–100 MiB/s on `u64` planes, 200–240 on AVX2, 470–540
-//! on AVX-512; GHASH ≈ 165–220 MiB/s; seal ≈ 50–66 / 93–112 / 117–147
-//! MiB/s; key set-up ≈ 2 µs. That is some fifteen times below
-//! [`super::hw`], but on every architecture, making it the portable
-//! default wherever AES-NI is absent.
+//! runner, `u64` / AVX2 / AVX-512 planes: CTR ≈ 80–100 / 200–240 /
+//! 470–540 MiB/s; GHASH ≈ 175–215 / 780–1 000 / 1 400–1 600 MiB/s; seal
+//! ≈ 63–83 / 200–265 / 385–445 MiB/s; key set-up ≈ 2 µs. That is some six
+//! times below [`super::hw`], but on every architecture, making it the
+//! portable default wherever AES-NI is absent.
 
 use core::ops::{BitAnd, BitOr, BitXor, Not};
 
@@ -79,6 +84,22 @@ pub(crate) trait Plane:
     fn load(batch: &Self::Batch) -> [Self; 8];
     /// Inverse of [`Plane::load`].
     fn store(words: [Self; 8], batch: &mut Self::Batch);
+
+    /// The blocks one GHASH group hashes: 16 per lane.
+    type Blocks: Copy + AsRef<[u8]> + AsMut<[u8]>;
+    /// An all-zero group.
+    const ZERO_BLOCKS: Self::Blocks;
+    /// Every lane's low 32 bits times `rhs`'s, as a 64-bit product.
+    fn mul32(self, rhs: Self) -> Self;
+    /// `[hi, lo]`: lane `l` of each is the big-endian `u64` at byte `16l`,
+    /// `16l + 8` of the group — block `l`'s stored halves.
+    fn load_blocks(blocks: &Self::Blocks) -> [Self; 2];
+    /// Lane `l` is `words[8 − L + l]`, for `L` lanes.
+    fn load_tail(words: &[u64; 8]) -> Self;
+    /// `x` in lane 0, zero in the others.
+    fn lane0(x: u64) -> Self;
+    /// The XOR of every lane.
+    fn xor_lanes(self) -> u64;
 }
 
 impl Plane for u64 {
@@ -114,6 +135,35 @@ impl Plane for u64 {
         for (w, bytes) in words.iter().zip(batch.as_chunks_mut().0) {
             *bytes = w.to_le_bytes();
         }
+    }
+
+    type Blocks = [u8; 16];
+    const ZERO_BLOCKS: [u8; 16] = [0; 16];
+
+    #[inline(always)]
+    fn mul32(self, rhs: u64) -> u64 {
+        (self & 0xFFFF_FFFF).wrapping_mul(rhs & 0xFFFF_FFFF)
+    }
+
+    #[inline(always)]
+    fn load_blocks(blocks: &[u8; 16]) -> [u64; 2] {
+        let x = u128::from_be_bytes(*blocks);
+        [(x >> 64) as u64, x as u64]
+    }
+
+    #[inline(always)]
+    fn load_tail(words: &[u64; 8]) -> u64 {
+        words[7]
+    }
+
+    #[inline(always)]
+    fn lane0(x: u64) -> u64 {
+        x
+    }
+
+    #[inline(always)]
+    fn xor_lanes(self) -> u64 {
+        self
     }
 }
 
@@ -441,6 +491,11 @@ impl CtAes {
         block.copy_from_slice(&batch[..16]);
     }
 
+    /// The plane width recorded at key set-up.
+    pub(crate) fn width(&self) -> CtWidth {
+        self.width
+    }
+
     /// CTR keystream XOR, bitwise identical to the table reference's
     /// counter mode (32-bit big-endian counter increment in the last word
     /// of `j0`), at the width recorded at key set-up.
@@ -488,89 +543,166 @@ fn sub_word(w: [u8; 4]) -> [u8; 4] {
 }
 
 // ---------------------------------------------------------------------------
-// GHASH from integer multiplies
+// GHASH from integer multiplies, one block per lane
 // ---------------------------------------------------------------------------
 
-/// Every fourth bit, at offsets 0..4: the "holes" operands are split on.
-const HOLES: [u64; 4] =
+/// Every fourth bit of a 32-bit word, at offsets 0..4: the "holes" an
+/// operand is split on.
+const HOLES32: [u64; 4] = [0x1111_1111, 0x2222_2222, 0x4444_4444, 0x8888_8888];
+
+/// The same four classes over a whole 64-bit product.
+const HOLES64: [u64; 4] =
     [0x1111_1111_1111_1111, 0x2222_2222_2222_2222, 0x4444_4444_4444_4444, 0x8888_8888_8888_8888];
 
-/// Low 64 bits of the carry-less product `x ⊗ y`. Each operand is split
-/// into its four hole classes; the integer product of two classes has its
-/// terms on every fourth bit, at most 15 of them on one position (16 only
-/// on the topmost, whose carry leaves the word), so the low bit of each
-/// sum is the XOR of its terms and the carries stay inside the three-bit
-/// gap above it, masked off at the end. Only the low word is safe this
-/// way — in a full 128-bit product up to 16 terms meet mid-word.
+/// Lane-wise carry-less product of the low 32 bits of `x` and the
+/// operand whose hole classes are `y`: all 64 bits of it. The integer
+/// product of two classes has its terms on every fourth bit, at most 8 of
+/// them on one position, so each sum fits in the four bits it starts on:
+/// its low bit is the XOR of the terms and no carry reaches the next
+/// position of the class. `HOLES64` keeps each class's own positions.
 #[inline(always)]
-fn bmul64(x: u64, y: u64) -> u64 {
-    let x = HOLES.map(|m| x & m);
-    let y = HOLES.map(|m| y & m);
-    let mut z = 0;
-    for k in 0..4 {
-        let mut zk = 0;
-        for i in 0..4 {
-            zk ^= x[i].wrapping_mul(y[(k + 4 - i) & 3]);
+fn bmul32<P: Plane>(x: P, y: &[P; 4]) -> P {
+    let mut xs = [x; 4];
+    for (xi, m) in xs.iter_mut().zip(HOLES32) {
+        *xi = *xi & P::splat(m);
+    }
+    let mut z = P::splat(0);
+    for (k, m) in HOLES64.into_iter().enumerate() {
+        let mut zk = xs[0].mul32(y[k]);
+        for i in 1..4 {
+            zk = zk ^ xs[i].mul32(y[(k + 4 - i) & 3]);
         }
-        z |= zk & HOLES[k];
+        z = z | (zk & P::splat(m));
     }
     z
 }
 
-/// The GHASH key: H's two 64-bit halves and their Karatsuba sum, with the
-/// bit-reversals of all three, built once per key.
+/// The nine 32-bit operands of a two-level Karatsuba product, for a
+/// 128-bit value held as its 64-bit halves: for the low half, the high
+/// half and their XOR, the low word, the high word and their XOR. Only
+/// the low 32 bits of each lane count.
+#[inline(always)]
+fn karatsuba_words<P: Plane>(lo: P, hi: P) -> [P; 9] {
+    let mut w = [lo; 9];
+    for (i, half) in [lo, hi, lo ^ hi].into_iter().enumerate() {
+        w[3 * i] = half;
+        w[3 * i + 1] = half.shr::<32>();
+        w[3 * i + 2] = half ^ half.shr::<32>();
+    }
+    w
+}
+
+/// A 64 × 64 carry-less product, low word first, from its low, high and
+/// middle 32 × 32 products.
+#[inline(always)]
+fn karatsuba64<P: Plane>(lo: P, hi: P, mid: P) -> [P; 2] {
+    let mid = mid ^ lo ^ hi;
+    [lo ^ mid.shl::<32>(), hi ^ mid.shr::<32>()]
+}
+
+/// The 256-bit carry-less product, low word first, from the nine
+/// products of [`karatsuba_words`]' operands.
+#[inline(always)]
+fn product256<P: Plane>(z: &[P; 9]) -> [P; 4] {
+    let [a0, a1] = karatsuba64(z[0], z[1], z[2]);
+    let [b0, b1] = karatsuba64(z[3], z[4], z[5]);
+    let [m0, m1] = karatsuba64(z[6], z[7], z[8]);
+    [a0, a1 ^ m0 ^ a0 ^ b0, b0 ^ m1 ^ a1 ^ b1, b1]
+}
+
+/// The field element a 256-bit carry-less product of two stored operands
+/// (the `u128`s from `from_be_bytes`, bit 127 = coefficient of x⁰) stands
+/// for, in the same representation.
+///
+/// That product is the bit-reversal of the true 255-bit one; shifted left
+/// by one, its words `v3 v2 | v1 v0` hold degrees 0..128 | 128..256 in
+/// stored order. Degree 128 + m reduces to m, m+1, m+2, m+7, which in
+/// this layout is "move up 128 bits, then right by 0, 1, 2, 7": `v0`
+/// folds into `v2` (and what the right shifts drop, into `v1`), then `v1`
+/// into `v3` and `v2` the same way.
+#[inline(always)]
+fn reduce(p: [u64; 4]) -> u128 {
+    let v0 = p[0] << 1;
+    let mut v1 = (p[1] << 1) | (p[0] >> 63);
+    let mut v2 = (p[2] << 1) | (p[1] >> 63);
+    let mut v3 = (p[3] << 1) | (p[2] >> 63);
+    v2 ^= v0 ^ (v0 >> 1) ^ (v0 >> 2) ^ (v0 >> 7);
+    v1 ^= (v0 << 63) ^ (v0 << 62) ^ (v0 << 57);
+    v3 ^= v1 ^ (v1 >> 1) ^ (v1 >> 2) ^ (v1 >> 7);
+    v2 ^= (v1 << 63) ^ (v1 << 62) ^ (v1 << 57);
+    (u128::from(v3) << 64) | u128::from(v2)
+}
+
+/// The GHASH key: H¹ … H⁸ as their nine Karatsuba words, built once per
+/// key. Row `t` holds word `t` of H⁸, H⁷, …, H¹, so the last `L` words
+/// of a row are, lane by lane, the powers a group of `L` blocks is
+/// multiplied by ([`Plane::load_tail`]).
 #[derive(Clone)]
 pub(crate) struct CtGhash {
-    /// `[low, high, low ^ high]` of H as stored by `from_be_bytes`.
-    h: [u64; 3],
-    /// `h` with every word bit-reversed.
-    h_rev: [u64; 3],
+    h: [[u64; 8]; 9],
 }
 
 impl CtGhash {
+    /// H¹ … H⁸, each power the one below times H on the `u64` body.
     pub(crate) fn new(h: u128) -> Self {
-        let (lo, hi) = (h as u64, (h >> 64) as u64);
-        let h = [lo, hi, lo ^ hi];
-        CtGhash { h, h_rev: h.map(u64::reverse_bits) }
+        let mut key = CtGhash { h: [[0; 8]; 9] };
+        key.set_power(1, h);
+        let mut power = h;
+        for i in 2..=8 {
+            power = key.mul_h(power);
+            key.set_power(i, power);
+        }
+        key
     }
 
-    /// `x · H` in GF(2¹²⁸), in the SP 800-38D bit-reflected representation
-    /// (the `u128` from `from_be_bytes`, bit 127 = coefficient of x⁰) —
-    /// bitwise identical to the table reference's `gf_mul(x, h)`.
-    ///
-    /// The 256-bit carry-less product of the *stored* patterns is the
-    /// bit-reversal of the true 255-bit product; shifted left by one, its
-    /// limbs `v3 v2 | v1 v0` hold degrees 0..128 | 128..256 in stored
-    /// order. Degree 128 + m reduces to m, m+1, m+2, m+7, which in this
-    /// layout is "move up 128 bits, then right by 0, 1, 2, 7": `v0` folds
-    /// into `v2` (and what the right shifts drop, into `v1`), then `v1`
-    /// into `v3` and `v2` the same way.
-    #[inline]
-    pub(crate) fn mul_h(&self, x: u128) -> u128 {
-        let (x0, x1) = (x as u64, (x >> 64) as u64);
-        let x = [x0, x1, x0 ^ x1];
-        // The three Karatsuba products, low and high 64 bits of each: the
-        // high half is the low half of the reversed operands' product,
-        // reversed back (a 127-bit product leaves that one bit short).
-        let mut lo = [0u64; 3];
-        let mut hi = [0u64; 3];
-        for i in 0..3 {
-            lo[i] = bmul64(x[i], self.h[i]);
-            hi[i] = bmul64(x[i].reverse_bits(), self.h_rev[i]).reverse_bits() >> 1;
+    /// Stores `power` = Hⁱ as column `8 − i`.
+    fn set_power(&mut self, i: usize, power: u128) {
+        let words = karatsuba_words(power as u64, (power >> 64) as u64);
+        for (row, w) in self.h.iter_mut().zip(words) {
+            row[8 - i] = w;
         }
-        let mid_lo = lo[2] ^ lo[0] ^ lo[1];
-        let mid_hi = hi[2] ^ hi[0] ^ hi[1];
-        let p = [lo[0], hi[0] ^ mid_lo, lo[1] ^ mid_hi, hi[1]];
+    }
 
-        let v0 = p[0] << 1;
-        let mut v1 = (p[1] << 1) | (p[0] >> 63);
-        let mut v2 = (p[2] << 1) | (p[1] >> 63);
-        let mut v3 = (p[3] << 1) | (p[2] >> 63);
-        v2 ^= v0 ^ (v0 >> 1) ^ (v0 >> 2) ^ (v0 >> 7);
-        v1 ^= (v0 << 63) ^ (v0 << 62) ^ (v0 << 57);
-        v3 ^= v1 ^ (v1 >> 1) ^ (v1 >> 2) ^ (v1 >> 7);
-        v2 ^= (v1 << 63) ^ (v1 << 62) ^ (v1 << 57);
-        (u128::from(v3) << 64) | u128::from(v2)
+    /// `x · H` in GF(2¹²⁸), in the SP 800-38D bit-reflected
+    /// representation (the `u128` from `from_be_bytes`, bit 127 =
+    /// coefficient of x⁰) — bitwise identical to the table reference's
+    /// `gf_mul(x, h)`. One group of one block on the `u64` body.
+    pub(crate) fn mul_h(&self, x: u128) -> u128 {
+        self.absorb_on::<u64>(0, &x.to_be_bytes())
+    }
+
+    /// Folds `groups` — whole groups of `L` 16-byte blocks, `L` the lanes
+    /// of a `P` — into the GHASH state `y`. Lane `l` holds block `l` of a
+    /// group, and the group step is y ← Σₗ (Xₗ ⊕ [l = 0]·y)·H^(L−l): the
+    /// per-lane products are independent, stay unreduced, and are XORed
+    /// across lanes before one reduction per group.
+    #[inline(always)]
+    pub(crate) fn absorb_on<P: Plane>(&self, mut y: u128, groups: &[u8]) -> u128 {
+        let group_len = core::mem::size_of::<P::Blocks>();
+        // A partial group would go unhashed, and its blocks unauthenticated.
+        assert_eq!(groups.len() & (group_len - 1), 0, "a partial GHASH group");
+        let mut h = [[P::splat(0); 4]; 9];
+        for (split, row) in h.iter_mut().zip(&self.h) {
+            let words = P::load_tail(row);
+            for (s, m) in split.iter_mut().zip(HOLES32) {
+                *s = words & P::splat(m);
+            }
+        }
+        for group in groups.chunks_exact(group_len) {
+            let mut blocks = P::ZERO_BLOCKS;
+            blocks.as_mut().copy_from_slice(group);
+            let [hi, lo] = P::load_blocks(&blocks);
+            let mut z = karatsuba_words(lo ^ P::lane0(y as u64), hi ^ P::lane0((y >> 64) as u64));
+            for (z, h) in z.iter_mut().zip(&h) {
+                *z = bmul32(*z, h);
+            }
+            let mut p = [0u64; 4];
+            for (limb, lanes) in p.iter_mut().zip(product256(&z)) {
+                *limb = lanes.xor_lanes();
+            }
+            y = reduce(p);
+        }
+        y
     }
 }
 
@@ -797,31 +929,101 @@ mod tests {
         }
     }
 
+    /// All-ones and alternating patterns put the most terms on every
+    /// product position — where the integer carries run highest.
+    const DENSE: [u128; 15] = [
+        0,
+        1,
+        3,
+        1 << 127,
+        u128::MAX,
+        u128::MAX >> 1,
+        u128::MAX << 1,
+        0x5555_5555_5555_5555_5555_5555_5555_5555,
+        0xAAAA_AAAA_AAAA_AAAA_AAAA_AAAA_AAAA_AAAA,
+        0x1111_1111_1111_1111_1111_1111_1111_1111,
+        0x8888_8888_8888_8888_8888_8888_8888_8888,
+        0xFFFF_FFFF_FFFF_FFFF_0000_0000_0000_0000,
+        0x0000_0000_0000_0000_FFFF_FFFF_FFFF_FFFF,
+        0x0388_dace_60b6_a392_f328_c2b9_71b2_fe78,
+        0x66e9_4bd4_ef8a_2c3b_884c_fa59_ca34_2b2e,
+    ];
+
     #[test]
     fn gf_mul_ct_matches_reference() {
-        // All-ones and alternating patterns put the most terms on every
-        // product position — where the integer carries run highest.
-        let dense = [
-            0u128,
-            1,
-            3,
-            1 << 127,
-            u128::MAX,
-            u128::MAX >> 1,
-            u128::MAX << 1,
-            0x5555_5555_5555_5555_5555_5555_5555_5555,
-            0xAAAA_AAAA_AAAA_AAAA_AAAA_AAAA_AAAA_AAAA,
-            0x1111_1111_1111_1111_1111_1111_1111_1111,
-            0x8888_8888_8888_8888_8888_8888_8888_8888,
-            0xFFFF_FFFF_FFFF_FFFF_0000_0000_0000_0000,
-            0x0000_0000_0000_0000_FFFF_FFFF_FFFF_FFFF,
-            0x0388_dace_60b6_a392_f328_c2b9_71b2_fe78,
-            0x66e9_4bd4_ef8a_2c3b_884c_fa59_ca34_2b2e,
-        ];
-        for &h in &dense {
+        for h in DENSE {
             let gh = CtGhash::new(h);
-            for &x in &dense {
+            for x in DENSE {
                 assert_eq!(gh.mul_h(x), gf_mul(x, h), "{x:#x} * {h:#x}");
+            }
+        }
+    }
+
+    /// `[H¹, …, H⁸]` by the table multiply.
+    fn reference_powers(h: u128) -> [u128; 8] {
+        let mut powers = [h; 8];
+        for i in 1..8 {
+            powers[i] = gf_mul(powers[i - 1], h);
+        }
+        powers
+    }
+
+    /// One group step at `width` from state `y`, lane `l` holding `xs[l]`.
+    fn group_at(width: CtWidth, gh: &CtGhash, y: u128, xs: &[u128]) -> u128 {
+        assert_eq!(xs.len(), width.ghash_lanes());
+        let bytes: Vec<u8> = xs.iter().flat_map(|x| x.to_be_bytes()).collect();
+        width.ghash(gh, y, &bytes)
+    }
+
+    /// x^j alone in lane l of a group, for every bit pair and every lane
+    /// of every width: the lane must be multiplied by exactly H^(L−l),
+    /// which the key set-up built with the `u64` multiply.
+    #[test]
+    fn ct_width_ghash_single_bit_pairs_in_every_lane() {
+        for i in 0..128 {
+            let h = 1u128 << i;
+            let gh = CtGhash::new(h);
+            let powers = reference_powers(h);
+            for width in CtWidth::runnable() {
+                let lanes = width.ghash_lanes();
+                for j in 0..128 {
+                    for l in 0..lanes {
+                        let mut xs = vec![0; lanes];
+                        xs[l] = 1 << j;
+                        let want = gf_mul(1 << j, powers[lanes - l - 1]);
+                        let got = group_at(width, &gh, 0, &xs);
+                        assert_eq!(got, want, "{width:?}: bits {j} x {i}, lane {l}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// The dense patterns as full groups at every width — every lane busy,
+    /// the state XORed into lane 0 — and as two groups in a row.
+    #[test]
+    fn ct_width_ghash_dense_patterns_as_full_groups() {
+        let n = DENSE.len();
+        for h in DENSE {
+            let gh = CtGhash::new(h);
+            let powers = reference_powers(h);
+            for width in CtWidth::runnable() {
+                let lanes = width.ghash_lanes();
+                for r in 0..n {
+                    let y = DENSE[(r + 5) % n];
+                    let xs: Vec<u128> = (0..lanes).map(|l| DENSE[(r + l) % n]).collect();
+                    let mut want = 0;
+                    for (l, &x) in xs.iter().enumerate() {
+                        let x = if l == 0 { x ^ y } else { x };
+                        want ^= gf_mul(x, powers[lanes - l - 1]);
+                    }
+                    assert_eq!(group_at(width, &gh, y, &xs), want, "{width:?}: h {h:#x}, r {r}");
+                    // Two groups in one call chain through the state.
+                    let mut bytes: Vec<u8> = xs.iter().flat_map(|x| x.to_be_bytes()).collect();
+                    bytes.extend_from_within(..);
+                    let twice = group_at(width, &gh, want, &xs);
+                    assert_eq!(width.ghash(&gh, y, &bytes), twice, "{width:?}: h {h:#x}, r {r}");
+                }
             }
         }
     }

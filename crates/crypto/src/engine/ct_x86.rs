@@ -1,25 +1,30 @@
-//! The `ct` backend's bitsliced AES on x86-64 vector registers: the plane
-//! types `ct.rs`'s generic body runs on beside `u64`, and the two
-//! `#[target_feature]` counter-mode entry points that monomorphize it.
+//! The `ct` backend on x86-64 vector registers: the plane types `ct.rs`'s
+//! generic bodies run on beside `u64`, and the four `#[target_feature]`
+//! entry points (counter mode and GHASH, AVX2 and AVX-512F) that
+//! monomorphize them.
 //!
 //! A plane of [`Avx2Plane`] is four `u64` planes side by side (sixteen
-//! blocks a pass), one of [`Avx512Plane`] eight (thirty-two blocks). Every
-//! lane runs exactly what the `u64` body runs on its own four blocks: the
-//! circuit, the masks and the 8×8 bit transposes are lane-wise logic and
-//! shifts by constant counts, and the round keys are the `u64` planes,
-//! broadcast. The only cross-lane step is [`Plane::load`] / `store`, a
-//! transpose of 64-bit words between the batch's byte order and the lane
-//! order, at fixed offsets.
+//! AES blocks a pass, four GHASH blocks a group), one of [`Avx512Plane`]
+//! eight (thirty-two and eight). Every lane runs exactly what the `u64`
+//! body runs on its own blocks: the circuit, the masks, the 8×8 bit
+//! transposes and the 32 × 32 → 64 multiplies are lane-wise, the shifts
+//! are by constant counts, and the round keys are the `u64` planes,
+//! broadcast. The cross-lane steps are loads and stores at fixed offsets:
+//! [`Plane::load`] / `store`, a transpose of 64-bit words between the
+//! batch's byte order and the lane order; GHASH's block load, a word
+//! byte-swap and deinterleave; the key-power load `load_tail`; `lane0`,
+//! which puts the GHASH state in lane 0; and the lane fold `xor_lanes`.
 //!
 //! Held to `ct.rs`'s rules by `tests/ct_lint.rs`: no branch, no division,
 //! no lookup. `unsafe` is the intrinsics: a plane is only ever built
-//! inside its entry point, whose caller ([`super::CtWidth::ctr_xor`]) has
-//! detected the feature, and the loads and stores stay inside the batch.
+//! inside its entry point, whose caller ([`super::CtWidth`]'s `ctr_xor`
+//! and `ghash`) has detected the feature, and the loads and stores stay
+//! inside the batch, the group or the key's eight-word rows.
 
 use core::arch::x86_64::*;
 use core::ops::{BitAnd, BitOr, BitXor, Not};
 
-use super::ct::{CtAes, Plane};
+use super::ct::{CtAes, CtGhash, Plane};
 
 /// Counter mode on 16-block batches.
 #[target_feature(enable = "avx2")]
@@ -31,6 +36,18 @@ pub(super) fn ctr_xor_avx2(aes: &CtAes, j0: &[u8; 16], data: &mut [u8]) {
 #[target_feature(enable = "avx512f")]
 pub(super) fn ctr_xor_avx512(aes: &CtAes, j0: &[u8; 16], data: &mut [u8]) {
     aes.ctr_xor_on::<Avx512Plane>(j0, data);
+}
+
+/// GHASH on 4-block groups.
+#[target_feature(enable = "avx2")]
+pub(super) fn ghash_avx2(gh: &CtGhash, y: u128, groups: &[u8]) -> u128 {
+    gh.absorb_on::<Avx2Plane>(y, groups)
+}
+
+/// GHASH on 8-block groups.
+#[target_feature(enable = "avx512f")]
+pub(super) fn ghash_avx512(gh: &CtGhash, y: u128, groups: &[u8]) -> u128 {
+    gh.absorb_on::<Avx512Plane>(y, groups)
 }
 
 /// Four `u64` lanes.
@@ -159,6 +176,60 @@ impl Plane for Avx2Plane {
             unsafe { _mm256_storeu_si256(batch.as_mut_ptr().add(32 * q).cast(), row.0) };
         }
     }
+
+    type Blocks = [u8; 64];
+    const ZERO_BLOCKS: [u8; 64] = [0; 64];
+
+    #[inline(always)]
+    fn mul32(self, rhs: Avx2Plane) -> Avx2Plane {
+        // SAFETY: as in `bitand`.
+        Avx2Plane(unsafe { _mm256_mul_epu32(self.0, rhs.0) })
+    }
+
+    /// Each half of the group, byte-reversed inside its words, is
+    /// `[hi, lo, hi, lo]` of two blocks; the unpacks pair the halves up in
+    /// lane order 0, 2, 1, 3 and the permute puts them back.
+    #[inline(always)]
+    fn load_blocks(blocks: &[u8; 64]) -> [Avx2Plane; 2] {
+        // SAFETY: the two loads are bytes 0 .. 32 and 32 .. 64 of the
+        // 64-byte group, unaligned; the rest is as in `bitand`.
+        unsafe {
+            let swap = _mm256_setr_epi8(
+                7, 6, 5, 4, 3, 2, 1, 0, 15, 14, 13, 12, 11, 10, 9, 8, 7, 6, 5, 4, 3, 2, 1, 0, 15,
+                14, 13, 12, 11, 10, 9, 8,
+            );
+            let a = _mm256_shuffle_epi8(_mm256_loadu_si256(blocks.as_ptr().cast()), swap);
+            let b = _mm256_shuffle_epi8(_mm256_loadu_si256(blocks.as_ptr().add(32).cast()), swap);
+            [
+                Avx2Plane(_mm256_permute4x64_epi64::<0xD8>(_mm256_unpacklo_epi64(a, b))),
+                Avx2Plane(_mm256_permute4x64_epi64::<0xD8>(_mm256_unpackhi_epi64(a, b))),
+            ]
+        }
+    }
+
+    #[inline(always)]
+    fn load_tail(words: &[u64; 8]) -> Avx2Plane {
+        // SAFETY: words 4 .. 8 of the 8-word array, unaligned.
+        Avx2Plane(unsafe { _mm256_loadu_si256(words.as_ptr().add(4).cast()) })
+    }
+
+    #[inline(always)]
+    fn lane0(x: u64) -> Avx2Plane {
+        // SAFETY: as in `bitand`.
+        Avx2Plane(unsafe { _mm256_set_epi64x(0, 0, 0, x as i64) })
+    }
+
+    #[inline(always)]
+    fn xor_lanes(self) -> u64 {
+        // SAFETY: as in `bitand`.
+        unsafe {
+            let x = _mm_xor_si128(
+                _mm256_castsi256_si128(self.0),
+                _mm256_extracti128_si256::<1>(self.0),
+            );
+            (_mm_cvtsi128_si64(x) ^ _mm_cvtsi128_si64(_mm_unpackhi_epi64(x, x))) as u64
+        }
+    }
 }
 
 /// Transposes an 8 × 8 matrix of 64-bit words held in eight rows (an
@@ -204,6 +275,20 @@ fn transpose8x8_words(r: [Avx512Plane; 8]) -> [Avx512Plane; 8] {
     }
 }
 
+/// Every 64-bit word byte-reversed: two rotations inside each 32-bit
+/// word, then one of the word pair (AVX-512F has no byte shuffle).
+#[inline(always)]
+fn swap_bytes(v: __m512i) -> __m512i {
+    // SAFETY: as in `bitand`.
+    unsafe {
+        let bytes = _mm512_or_si512(
+            _mm512_and_si512(_mm512_rol_epi32::<8>(v), _mm512_set1_epi32(0x00FF_00FF)),
+            _mm512_and_si512(_mm512_ror_epi32::<8>(v), _mm512_set1_epi32(!0x00FF_00FF)),
+        );
+        _mm512_rol_epi64::<32>(bytes)
+    }
+}
+
 impl Plane for Avx512Plane {
     type Batch = [u8; 512];
     const ZERO: [u8; 512] = [0; 512];
@@ -243,6 +328,58 @@ impl Plane for Avx512Plane {
         for (q, row) in transpose8x8_words(words).into_iter().enumerate() {
             // SAFETY: as in `load`, and the batch is borrowed exclusively.
             unsafe { _mm512_storeu_si512(batch.as_mut_ptr().add(64 * q).cast(), row.0) };
+        }
+    }
+
+    type Blocks = [u8; 128];
+    const ZERO_BLOCKS: [u8; 128] = [0; 128];
+
+    #[inline(always)]
+    fn mul32(self, rhs: Avx512Plane) -> Avx512Plane {
+        // SAFETY: as in `bitand`.
+        Avx512Plane(unsafe { _mm512_mul_epu32(self.0, rhs.0) })
+    }
+
+    /// Each half of the group is `[hi, lo, …]` of four blocks once its
+    /// words are byte-reversed; one two-source permute gathers the even
+    /// words, one the odd.
+    #[inline(always)]
+    fn load_blocks(blocks: &[u8; 128]) -> [Avx512Plane; 2] {
+        // SAFETY: the two loads are bytes 0 .. 64 and 64 .. 128 of the
+        // 128-byte group, unaligned; the rest is as in `bitand`.
+        unsafe {
+            let a = swap_bytes(_mm512_loadu_si512(blocks.as_ptr().cast()));
+            let b = swap_bytes(_mm512_loadu_si512(blocks.as_ptr().add(64).cast()));
+            let even = _mm512_setr_epi64(0, 2, 4, 6, 8, 10, 12, 14);
+            let odd = _mm512_setr_epi64(1, 3, 5, 7, 9, 11, 13, 15);
+            [
+                Avx512Plane(_mm512_permutex2var_epi64(a, even, b)),
+                Avx512Plane(_mm512_permutex2var_epi64(a, odd, b)),
+            ]
+        }
+    }
+
+    #[inline(always)]
+    fn load_tail(words: &[u64; 8]) -> Avx512Plane {
+        // SAFETY: the whole 8-word array, unaligned.
+        Avx512Plane(unsafe { _mm512_loadu_si512(words.as_ptr().cast()) })
+    }
+
+    #[inline(always)]
+    fn lane0(x: u64) -> Avx512Plane {
+        // SAFETY: as in `bitand`.
+        Avx512Plane(unsafe { _mm512_set_epi64(0, 0, 0, 0, 0, 0, 0, x as i64) })
+    }
+
+    /// Halves folded onto each other three times (256, 128, then 64 bits).
+    #[inline(always)]
+    fn xor_lanes(self) -> u64 {
+        // SAFETY: as in `bitand`.
+        unsafe {
+            let x = _mm512_xor_si512(self.0, _mm512_shuffle_i64x2::<0x4E>(self.0, self.0));
+            let x = _mm512_xor_si512(x, _mm512_shuffle_i64x2::<0xB1>(x, x));
+            let x = _mm512_xor_si512(x, _mm512_unpackhi_epi64(x, x));
+            _mm_cvtsi128_si64(_mm512_castsi512_si128(x)) as u64
         }
     }
 }

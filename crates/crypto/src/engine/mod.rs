@@ -10,7 +10,7 @@
 //! | backend | AES-CTR | GHASH | SHA-256 | constant time | needs |
 //! |---------|---------|-------|---------|---------------|-------|
 //! | `hw`    | AES-NI, VAES×16 when available | PCLMULQDQ | SHA-NI | yes (ISA) | x86-64 + aes+pclmulqdq(+sha) |
-//! | `ct`    | bitsliced ×4 (`u64`), ×16 (AVX2), ×32 (AVX-512F); Boyar–Peralta S-box circuit | carry-less products from masked integer multiplies | software | yes (construction; assumes a constant-time integer multiplier) | nothing |
+//! | `ct`    | bitsliced ×4 (`u64`), ×16 (AVX2), ×32 (AVX-512F); Boyar–Peralta S-box circuit | ×1 (`u64`), ×4 (AVX2), ×8 (AVX-512F) blocks a group over H¹…H⁸; carry-less products from masked integer multiplies | software | yes (construction; assumes a constant-time integer multiplier) | nothing |
 //!
 //! `OLIVE_CRYPTO=hw|ct` pins the backend; unset picks `hw` when the CPU
 //! supports it and `ct` otherwise (the portable default). Both produce
@@ -114,19 +114,22 @@ pub fn crypto_backend() -> CryptoBackend {
     })
 }
 
-/// The plane widths the `ct` backend's bitsliced counter mode is compiled
-/// for: one generic body ([`ct::Plane`]), three monomorphizations. The
-/// choice is public (it depends on the CPU alone) and moves no output
+/// The plane widths the `ct` backend's counter mode and GHASH are compiled
+/// for: one generic body each over [`ct::Plane`], three monomorphizations.
+/// The choice is public (it depends on the CPU alone) and moves no output
 /// byte; it lives here because `ct.rs` and `ct_x86.rs` contain no
 /// branches at all.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum CtWidth {
-    /// One `u64` per plane, four blocks a pass: every target.
+    /// One `u64` per plane, four AES blocks a pass, one GHASH block a
+    /// group: every target.
     U64,
-    /// `__m256i` planes, sixteen blocks a pass.
+    /// `__m256i` planes, sixteen AES blocks a pass, four GHASH blocks a
+    /// group.
     #[cfg(target_arch = "x86_64")]
     Avx2,
-    /// `__m512i` planes, thirty-two blocks a pass.
+    /// `__m512i` planes, thirty-two AES blocks a pass, eight GHASH blocks a
+    /// group.
     #[cfg(target_arch = "x86_64")]
     Avx512,
 }
@@ -182,6 +185,34 @@ impl CtWidth {
         }
     }
 
+    /// The blocks one GHASH group holds at this width, one per lane.
+    pub(crate) fn ghash_lanes(self) -> usize {
+        match self {
+            CtWidth::U64 => 1,
+            #[cfg(target_arch = "x86_64")]
+            CtWidth::Avx2 => 4,
+            #[cfg(target_arch = "x86_64")]
+            CtWidth::Avx512 => 8,
+        }
+    }
+
+    /// Folds `groups` (whole groups of [`CtWidth::ghash_lanes`] blocks)
+    /// into the GHASH state `y` through this width's body. Panics if the
+    /// CPU lacks it.
+    #[allow(unsafe_code)]
+    pub(crate) fn ghash(self, gh: &ct::CtGhash, y: u128, groups: &[u8]) -> u128 {
+        assert!(self.available(), "{self:?} ct planes are not supported by this CPU");
+        match self {
+            CtWidth::U64 => gh.absorb_on::<u64>(y, groups),
+            // SAFETY: as in `ctr_xor`.
+            #[cfg(target_arch = "x86_64")]
+            CtWidth::Avx2 => unsafe { ct_x86::ghash_avx2(gh, y, groups) },
+            // SAFETY: as in `ctr_xor`, for `avx512f`.
+            #[cfg(target_arch = "x86_64")]
+            CtWidth::Avx512 => unsafe { ct_x86::ghash_avx512(gh, y, groups) },
+        }
+    }
+
     /// The widths this CPU runs, narrowest first; the first call prints
     /// them and the ones it lacks.
     #[cfg(test)]
@@ -191,7 +222,8 @@ impl CtWidth {
             CtWidth::ALL.iter().partition(|w| w.available());
         REPORT.call_once(|| {
             println!(
-                "ct AES widths exercised on this CPU: {ran:?}; skipped (CPU lacks them): {skipped:?}"
+                "ct AES CTR and GHASH widths exercised on this CPU: {ran:?}; skipped (CPU lacks them): \
+                 {skipped:?}"
             );
         });
         ran

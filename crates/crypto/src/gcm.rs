@@ -6,8 +6,8 @@
 //! and decrypts them inside the trust boundary).
 //!
 //! The GCM composition (J0, CTR layout, GHASH over AAD ∥ ciphertext ∥
-//! lengths, tag masking) lives here once; the block cipher and the field
-//! multiplication dispatch to the backend selected by
+//! lengths, tag masking) lives here once; the block cipher and the GHASH
+//! body dispatch to the backend selected by
 //! [`crate::engine::crypto_backend`] — hardware (AES-NI + PCLMULQDQ) or
 //! bitsliced constant-time software. Both produce bitwise-identical
 //! output, and the unit tests hold both to the lookup-table reference in
@@ -25,27 +25,56 @@ pub const NONCE_LEN: usize = 12;
 /// GCM authentication tag length in bytes.
 pub const TAG_LEN: usize = 16;
 
-fn block_to_u128(b: &[u8]) -> u128 {
-    let mut buf = [0u8; 16];
-    buf[..b.len()].copy_from_slice(b);
-    u128::from_be_bytes(buf)
+/// The GHASH length block: the bit lengths of `aad` and `ciphertext`.
+fn length_block(aad: &[u8], ciphertext: &[u8]) -> u128 {
+    ((aad.len() as u128 * 8) << 64) | (ciphertext.len() as u128 * 8)
 }
 
-/// GHASH over `aad` and `ciphertext`, block by block, with the active
-/// backend's multiplication by the hash subkey.
-fn ghash(aad: &[u8], ciphertext: &[u8], mul_h: impl Fn(u128) -> u128) -> u128 {
-    let mut y = 0u128;
-    for chunk in aad.chunks(16).chain(ciphertext.chunks(16)) {
-        y = mul_h(y ^ block_to_u128(chunk));
+/// GHASH over `aad` and `ciphertext` on the `ct` backend's `width`. The
+/// block stream aad ∥ ciphertext ∥ lengths (the first two zero-padded to
+/// whole blocks) is hashed in groups of the width's lane count, led by as
+/// many zero blocks as make the count whole: with y = 0 they add nothing,
+/// and every later group is full. Whole groups inside a part are hashed
+/// in place; the ones that straddle a part boundary are assembled in a
+/// buffer. Every branch here is on a public length.
+fn ct_ghash(width: CtWidth, gh: &CtGhash, aad: &[u8], ciphertext: &[u8]) -> u128 {
+    let group = 16 * width.ghash_lanes();
+    let blocks = aad.len().div_ceil(16) + ciphertext.len().div_ceil(16) + 1;
+    let lens = length_block(aad, ciphertext).to_be_bytes();
+    // Room for the widest group, eight blocks.
+    let mut buf = [0u8; 16 * 8];
+    let mut fill = (group - 16 * blocks % group) % group;
+    let mut y = 0;
+    for part in [aad, ciphertext, &lens] {
+        let mut rest = part;
+        if fill > 0 {
+            let take = rest.len().min(group - fill);
+            buf[fill..fill + take].copy_from_slice(&rest[..take]);
+            fill += take.next_multiple_of(16);
+            rest = &rest[take..];
+            if fill < group {
+                continue;
+            }
+            y = width.ghash(gh, y, &buf[..group]);
+            buf = [0; 16 * 8];
+        }
+        let whole = rest.len() - rest.len() % group;
+        if whole > 0 {
+            y = width.ghash(gh, y, &rest[..whole]);
+        }
+        let tail = &rest[whole..];
+        buf[..tail.len()].copy_from_slice(tail);
+        fill = tail.len().next_multiple_of(16);
     }
-    let lens = ((aad.len() as u128 * 8) << 64) | (ciphertext.len() as u128 * 8);
-    mul_h(y ^ lens)
+    assert_eq!(fill, 0, "the length block ends the last group");
+    y
 }
 
 /// The backend-specific cipher state behind one GCM key. The `ct` arm's
-/// pre-sliced round keys make it 1 KiB against the `hw` arm's 0.3; a key
-/// is built per message and lives on the caller's stack, so boxing the
-/// arm would buy an allocation per message and nothing else.
+/// pre-sliced round keys (0.95 KiB) and split powers H¹ … H⁸ (0.56 KiB)
+/// make an `AesGcm` 1.5 KiB against the `hw` arm's 0.3; a key is built
+/// per message and lives on the caller's stack, so boxing the arm would
+/// buy an allocation per message and nothing else.
 #[derive(Clone)]
 #[allow(clippy::large_enum_variant)]
 enum GcmImpl {
@@ -131,7 +160,7 @@ impl AesGcm {
 
     fn tag(&self, j0: &[u8; 16], aad: &[u8], ciphertext: &[u8]) -> [u8; TAG_LEN] {
         let s = match &self.imp {
-            GcmImpl::Ct(_, gh) => ghash(aad, ciphertext, |x| gh.mul_h(x)),
+            GcmImpl::Ct(aes, gh) => ct_ghash(aes.width(), gh, aad, ciphertext),
             #[cfg(target_arch = "x86_64")]
             GcmImpl::Hw(_, gh) => gh.ghash(aad, ciphertext),
         };
@@ -219,9 +248,21 @@ fn imp_encrypt_block(imp: &GcmImpl, block: &mut [u8; 16]) {
 /// contain it.
 #[cfg(test)]
 pub(crate) mod table {
-    use super::{ghash, NONCE_LEN};
+    use super::{length_block, NONCE_LEN};
     use crate::aes::Aes;
     use crate::CryptoError;
+
+    /// GHASH over `aad` and `ciphertext`, block by block, with `mul_h` the
+    /// multiplication by the hash subkey.
+    pub(crate) fn ghash(aad: &[u8], ciphertext: &[u8], mul_h: impl Fn(u128) -> u128) -> u128 {
+        let mut y = 0u128;
+        for chunk in aad.chunks(16).chain(ciphertext.chunks(16)) {
+            let mut block = [0u8; 16];
+            block[..chunk.len()].copy_from_slice(chunk);
+            y = mul_h(y ^ u128::from_be_bytes(block));
+        }
+        mul_h(y ^ length_block(aad, ciphertext))
+    }
 
     /// The GHASH reduction constant R = 11100001 || 0^120.
     const R: u128 = 0xE100_0000_0000_0000_0000_0000_0000_0000;
@@ -402,6 +443,94 @@ mod tests {
                 assert_nist(case, &what, |key| AesGcm { imp: ct_impl(key, width).unwrap() });
             }
         }
+    }
+
+    /// A deterministic byte stream (LCG) for the GHASH width tests.
+    fn lcg_bytes(len: usize, state: &mut u64) -> Vec<u8> {
+        (0..len)
+            .map(|_| {
+                *state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                (*state >> 24) as u8
+            })
+            .collect()
+    }
+
+    /// Holds the `ct` GHASH walk at every width this CPU runs to the
+    /// per-block table reference, on `aad` and each prefix `data[..len]`.
+    fn assert_ghash_widths(h: u128, aad: &[u8], data: &[u8], lens: impl Iterator<Item = usize>) {
+        let gh = CtGhash::new(h);
+        for len in lens {
+            let want = table::ghash(aad, &data[..len], |x| table::gf_mul(x, h));
+            for width in CtWidth::runnable() {
+                let got = ct_ghash(width, &gh, aad, &data[..len]);
+                assert_eq!(got, want, "{width:?}: aad {} ciphertext {len}", aad.len());
+            }
+        }
+    }
+
+    /// Every ciphertext length up to 1 100 bytes puts the zero lead, the
+    /// part boundaries and the length block at every lane of a group.
+    #[test]
+    fn ct_width_ghash_matches_reference_at_every_length() {
+        let mut state = 0x6a5a;
+        let h = u128::from_be_bytes(lcg_bytes(16, &mut state).try_into().unwrap());
+        let data = lcg_bytes(1_100, &mut state);
+        for aad_len in [0, 1, 13, 16, 40] {
+            let aad = lcg_bytes(aad_len, &mut state);
+            assert_ghash_widths(h, &aad, &data, 0..=1_100);
+        }
+    }
+
+    #[test]
+    fn ct_width_ghash_matches_reference_on_long_ciphertexts() {
+        let mut state = 0x10_0000;
+        let h = u128::from_be_bytes(lcg_bytes(16, &mut state).try_into().unwrap());
+        let data = lcg_bytes(65_536, &mut state);
+        for aad_len in [0, 13, 40] {
+            let aad = lcg_bytes(aad_len, &mut state);
+            assert_ghash_widths(h, &aad, &data, [3_376, 23_000, 65_536].into_iter());
+        }
+    }
+
+    /// One flipped bit in any block of a sealed k = 421 upload, in its AAD
+    /// or in its tag fails the tag at every width: a dropped lane or a
+    /// wrong power of H would let some block's flip through.
+    #[test]
+    fn ct_width_ghash_tamper_sweep_rejects_every_flip() {
+        let mut state = 0x7a3e;
+        let key = lcg_bytes(32, &mut state);
+        let nonce: [u8; 12] = lcg_bytes(12, &mut state).try_into().unwrap();
+        let pt = lcg_bytes(3_376, &mut state);
+        let aad = lcg_bytes(40, &mut state);
+        for width in CtWidth::runnable() {
+            let g = AesGcm { imp: ct_impl(&key, width).unwrap() };
+            let sealed = g.seal(&nonce, &pt, &aad);
+            assert_eq!(g.open(&nonce, &sealed, &aad).unwrap(), pt, "{width:?}");
+            let rejects = |sealed: &[u8], aad: &[u8]| {
+                g.open(&nonce, sealed, aad).unwrap_err() == CryptoError::BadTag
+            };
+            for (block, start) in (0..sealed.len()).step_by(16).enumerate() {
+                let mut bad = sealed.clone();
+                bad[start + (block & 15)] ^= 1 << (block & 7);
+                assert!(rejects(&bad, &aad), "{width:?}: ciphertext/tag block {block}");
+            }
+            for bit in 0..8 * aad.len() {
+                let mut bad = aad.clone();
+                bad[bit >> 3] ^= 1 << (bit & 7);
+                assert!(rejects(&sealed, &bad), "{width:?}: aad bit {bit}");
+            }
+            for bit in 0..8 * TAG_LEN {
+                let mut bad = sealed.clone();
+                bad[pt.len() + (bit >> 3)] ^= 1 << (bit & 7);
+                assert!(rejects(&bad, &aad), "{width:?}: tag bit {bit}");
+            }
+        }
+    }
+
+    /// A key lives on the caller's stack, one per message.
+    #[test]
+    fn an_aes_gcm_key_stays_under_two_kib() {
+        assert!(core::mem::size_of::<AesGcm>() <= 2048, "{}", core::mem::size_of::<AesGcm>());
     }
 
     #[test]

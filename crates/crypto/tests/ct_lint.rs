@@ -81,8 +81,9 @@ fn ct_backend_has_no_secret_indexed_lookups_or_branches() {
         "engine/ct.rs: found {found:?} — the ct backend is straight-line code; select with masks \
          and index with shifts and ANDs"
     );
-    // Sanity: the scan actually covered the implementation.
-    for anchor in ["sbox_circuit", "bmul64"] {
+    // Sanity: the scan actually covered the implementation — the cipher
+    // and the GHASH body alike.
+    for anchor in ["sbox_circuit", "fn bmul32", "fn absorb_on", "fn reduce", "fn mul32"] {
         assert!(src.contains(anchor), "scan target drifted — `{anchor}` not found");
     }
 }
@@ -97,7 +98,16 @@ fn ct_vector_planes_have_no_secret_indexed_lookups_or_branches() {
         "engine/ct_x86.rs: found {found:?} — the ct backend's vector planes are straight-line \
          code like engine/ct.rs; choose the width in engine/mod.rs"
     );
-    for anchor in ["_mm256_xor_si256", "_mm512_xor_si512", "target_feature"] {
+    for anchor in [
+        "_mm256_xor_si256",
+        "_mm512_xor_si512",
+        "target_feature",
+        "fn ghash_avx2",
+        "fn ghash_avx512",
+        "_mm256_mul_epu32",
+        "_mm512_mul_epu32",
+        "fn xor_lanes",
+    ] {
         assert!(src.contains(anchor), "scan target drifted — `{anchor}` not found");
     }
 }
