@@ -24,16 +24,10 @@
 //! The shard sweep (S ∈ {1, 2, 4, 8}) runs the same round through a
 //! provisioned shard plane: the timed `sharded_s{S}` benches (NonOblivious
 //! fold, like the other timed configs) price the tunnel transport — per
-//! chunk and shard one 24-byte descriptor frame and one sealed shard
-//! checkpoint, then the receipted stripe egress. (A shard's EPC peak is
-//! the closed form `max(24, 4·|stripe|)`, pinned by a unit test, so there
-//! is no per-shard working-set record.)
-//!
-//! At n = 10k the sweep also emits one `recovery_overhead` record — the
-//! cost of one full mid-round shard failover at S = 4 (scripted kill at
-//! chunk 20 → relaunch, re-attest, restore from the sealed shard
-//! checkpoint, resume) on top of the fault-free sharded pass, with the
-//! recovered delta asserted bitwise against the fault-free one in-bench.
+//! chunk and shard one 24-byte descriptor frame, then the receipted
+//! stripe egress. (A shard's EPC peak is the closed form
+//! `max(24, 4·|stripe|)`, pinned by a unit test, so there is no per-shard
+//! working-set record.)
 //!
 //! `OLIVE_BENCH_FULL=1` includes n = 100k; the default sweep stops at
 //! 10k so the CI smoke job stays fast. Timings land in `OLIVE_BENCH_JSON`
@@ -42,9 +36,8 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use olive_bench::ingest::{IngestionRig, PassConfig};
 use olive_core::aggregation::AggregatorKind;
-use olive_memsim::{FaultPlan, RuntimeConfig};
+use olive_memsim::RuntimeConfig;
 use std::cell::RefCell;
-use std::time::Instant;
 
 const K: usize = 128;
 const D: usize = 16_384;
@@ -113,59 +106,6 @@ fn bench_ingestion(c: &mut Criterion) {
                         pass.delta
                     })
                 },
-            );
-        }
-
-        // The recovery-cost story, recorded once at n = 10k: what one
-        // full mid-round shard failover costs on top of the fault-free
-        // sharded pass. Both run in the same pass set and the recovered
-        // delta is asserted bitwise against the fault-free one, so the
-        // record prices *recovery*, not drift.
-        if n == 10_000 {
-            const REPS: u32 = 3;
-            let shards = 4usize;
-            let kill_site = "kill@20.2";
-            let mut rig = rig.borrow_mut();
-            let mut rt = rig.provision_shards(shards);
-            let mut reference: Vec<u32> = Vec::new();
-            let mut totals = [0u64; 2]; // [sharded, failover]
-            for rep in 0..=REPS {
-                for faulted in [false, true] {
-                    let msgs = rig.seal_round();
-                    if faulted {
-                        rt.set_fault_plan(FaultPlan::parse(kill_site).expect("well-formed script"));
-                    }
-                    let t0 = Instant::now();
-                    let pass = rig.pass(&msgs, streaming, Some(rt));
-                    let ns = t0.elapsed().as_nanos() as u64;
-                    rt = pass.shards.expect("the plane comes back");
-                    let bits: Vec<u32> = pass.delta.iter().map(|v| v.to_bits()).collect();
-                    if rep == 0 {
-                        reference = bits; // warm-up pass: discard the timing
-                    } else {
-                        totals[usize::from(faulted)] += ns;
-                        assert_eq!(bits, reference, "recovered delta must match bitwise");
-                    }
-                }
-            }
-            let stats = rt.recovery_stats();
-            RuntimeConfig::process().metrics.bench(
-                "recovery_overhead",
-                &[
-                    ("n", (n as u64).into()),
-                    ("k", (K as u64).into()),
-                    ("d", (D as u64).into()),
-                    ("chunk", (CHUNK as u64).into()),
-                    ("shards", (shards as u64).into()),
-                    ("fault", kill_site.into()),
-                    ("reps", (REPS as u64).into()),
-                    ("relaunches", stats.relaunches.into()),
-                    ("sim_backoff_ms", stats.backoff_ms.into()),
-                ],
-                &[
-                    ("sharded_ns", (totals[0] / REPS as u64).into()),
-                    ("failover_ns", (totals[1] / REPS as u64).into()),
-                ],
             );
         }
     }

@@ -201,8 +201,7 @@ impl IngestionRig {
     /// One round of enclave-side upload processing through the
     /// sealed-round driver, over `shards` when given (chunk descriptors
     /// through the attested tunnels, the finalized delta striped out with
-    /// receipts — the full `OLIVE_SHARDS` round shape; arm fault scripts
-    /// on the runtime beforehand).
+    /// receipts — the full `OLIVE_SHARDS` round shape).
     pub fn pass(
         &mut self,
         msgs: &[SealedMessage],
@@ -222,14 +221,14 @@ impl IngestionRig {
                 cfg.checkpoint.then_some(&mut checkpoints),
                 &mut NullTracer,
             )
-            .unwrap_or_else(|(e, _)| panic!("bench fault scripts stay recoverable: {e}"))
+            .unwrap_or_else(|(e, _)| panic!("the rig's own round must ingest: {e}"))
             .finish(&mut NullTracer);
         let wall_ns = t0.elapsed().as_nanos() as u64;
         let ckpt_ns =
             span_wall_ns(&telemetry.buffer_contents().unwrap_or_default(), "checkpoint_seal");
         self.enclave.epc = end.coordinator;
         Pass {
-            delta: delta.expect("bench fault scripts stay recoverable"),
+            delta: delta.expect("the rig's own round must finish"),
             peak_bytes: end.coordinator.peak,
             shards: end.shards,
             checkpoints,

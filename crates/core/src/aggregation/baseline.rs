@@ -120,23 +120,19 @@ impl Aggregator for BaselineStreamer {
         }
         let workers = if self.threads <= 1 { 1 } else { self.threads.min(self.padded) };
         let (d, c, padded) = (self.d, self.c, self.padded);
-        let data = self.gstar.as_mut_slice_untraced();
-        if workers == 1 {
-            scan_cells(cells, d, c, data, 0);
-        } else {
-            // Contiguous disjoint G* ranges; each worker (the caller
-            // first, then pool threads) applies every cell to its own
-            // range, preserving the serial per-slot accumulation order.
-            let mut rest = data;
-            let mut lo = 0usize;
-            olive_oblivious::pool::join((0..workers).map(|w| {
-                let hi = padded * (w + 1) / workers;
-                let (range, tail) = std::mem::take(&mut rest).split_at_mut(hi - lo);
-                rest = tail;
-                let start = std::mem::replace(&mut lo, hi);
-                move || scan_cells(cells, d, c, range, start)
-            }));
-        }
+        // Contiguous disjoint G* ranges; each worker (the caller first,
+        // then pool threads; a lone worker is the caller alone) applies
+        // every cell to its own range, preserving the serial per-slot
+        // accumulation order.
+        let mut rest = self.gstar.as_mut_slice_untraced();
+        let mut lo = 0usize;
+        olive_oblivious::pool::join((0..workers).map(|w| {
+            let hi = padded * (w + 1) / workers;
+            let (range, tail) = std::mem::take(&mut rest).split_at_mut(hi - lo);
+            rest = tail;
+            let start = std::mem::replace(&mut lo, hi);
+            move || scan_cells(cells, d, c, range, start)
+        }));
     }
 
     /// Averages and returns the dense update (truncated back to `d`).

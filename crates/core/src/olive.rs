@@ -106,7 +106,7 @@ pub struct RoundReport {
     /// Enclave signature over the updated global parameters.
     pub model_signature: [u8; 32],
     /// Deterministic side-band telemetry summary (chunk/checkpoint
-    /// accounting plus the round's shard-recovery delta).
+    /// accounting, and an always-zero recovery record).
     pub telemetry: RoundTelemetry,
 }
 
@@ -125,11 +125,11 @@ pub struct OliveSystem {
     rng: SmallRng,
     round: u64,
     accountant: RdpAccountant,
-    /// The round knobs — workers, chunk size, shard count, the fault
-    /// script a fresh round arms by default, and the side-band metrics
-    /// handle — fixed at provisioning, each overridable by its setter.
-    /// The handle is threaded through the enclave, every client session
-    /// and the shard plane, and re-threaded across every relaunch.
+    /// The round knobs — workers, chunk size, shard count and the
+    /// side-band metrics handle — fixed at provisioning, each overridable
+    /// by its setter. The handle is threaded through the enclave, every
+    /// client session and the shard plane, and re-threaded across every
+    /// relaunch.
     runtime: RuntimeConfig,
     /// The provisioned shard plane when rounds run sharded (S > 1);
     /// `None` on the monolithic path. Lazily (re)built by
@@ -140,16 +140,15 @@ pub struct OliveSystem {
     shard_rt: Option<ShardRuntime>,
     /// Provisioning generation of the shard plane. Mixed into the shard
     /// platform seeds so a re-provisioned plane (after a coordinator
-    /// restore) derives *fresh* sealing keys: the previous incarnation's
-    /// discarded `"shard-ckpt"` blobs and the new plane's could otherwise
-    /// share a (key, label, nonce-counter) triple with different
-    /// plaintexts — an AES-GCM nonce reuse.
+    /// restore) presents *fresh* DH shares: the relaunched coordinator's
+    /// are its old ones, so the same shard keys would re-derive the same
+    /// tunnel keys, and the restarted frame sequence would reuse the
+    /// aborted round's AES-GCM nonces under them.
     shard_provision_epoch: u32,
-    /// The fault script the next call that drives a round arms: an
-    /// explicit one ([`OliveSystem::set_fault_plan`]), or what an
-    /// interrupted round left unfired — `Some`, even when empty, so its
-    /// restore arms that and not [`RuntimeConfig::faults`].
-    pending_faults: Option<FaultPlan>,
+    /// The crash points the next call that drives a round arms: an
+    /// explicit script ([`OliveSystem::set_fault_plan`]), or what an
+    /// interrupted round left unfired.
+    pending_faults: FaultPlan,
     /// The interrupted round awaiting [`OliveSystem::restore_round`]:
     /// untrusted server-side material (public sample, ciphertexts) that
     /// survives an enclave crash.
@@ -172,8 +171,8 @@ struct PendingRound {
     sealed: Vec<SealedMessage>,
     /// Round counter, per-client k, and the chunk geometry and thread
     /// budget the round started with — so a restore, also of a round
-    /// that died *before its first checkpoint* (e.g. a chunk-0 shard
-    /// fault), runs the same schedule.
+    /// that died *before its first checkpoint* (e.g. a refused upload in
+    /// chunk 0), runs the same schedule.
     shape: RoundShape,
     /// Replay floors as of round start (before any upload was opened) —
     /// kept as they were across any number of restores.
@@ -245,7 +244,7 @@ impl OliveSystem {
             runtime,
             shard_rt: None,
             shard_provision_epoch: 0,
-            pending_faults: None,
+            pending_faults: FaultPlan::empty(),
             pending: None,
             ckpts: SealedStore::default(),
         }
@@ -321,9 +320,8 @@ impl OliveSystem {
     ///
     /// Each provisioning generation mixes a fresh epoch into the shard
     /// platform seeds: a re-provisioned plane must not reuse its
-    /// predecessor's sealing keys, or the discarded incarnation's
-    /// checkpoint blobs and the new one's could collide on a sealing
-    /// nonce (same key, same label, restarted counter).
+    /// predecessor's tunnel keys, or the new tunnels' restarted frame
+    /// sequences would repeat AES-GCM nonces under them.
     fn ensure_shard_runtime(&mut self) -> Result<(), RoundError> {
         let s = self.shards().min(self.server.dim());
         if s <= 1 {
@@ -360,23 +358,21 @@ impl OliveSystem {
         Ok(())
     }
 
-    /// Arms a deterministic fault script for the next [`run_round`] — or,
+    /// Arms coordinator crash points for the next [`run_round`] — or,
     /// while a round is interrupted, for its next [`restore_round`]
-    /// (replacing what is left of that round's script). Shard transport
-    /// faults need a shard plane (on the monolithic path they are simply
-    /// never consumed); a coordinator crash (`crash@<chunk>`) fires at
-    /// every S.
+    /// (replacing what is left of that round's script). A crash fires at
+    /// every S, right after its chunk is folded and checkpointed, as
+    /// [`RoundError::CoordinatorKilled`].
     ///
-    /// The one arming rule: a fresh round arms this script if one is
-    /// pending, else [`RuntimeConfig::faults`]; what has not
-    /// fired when the round is interrupted spans its restores; whatever
-    /// is left when the round completes is dropped with it, so the next
-    /// fresh round arms afresh.
+    /// This is the only way to arm a crash. The crash points that have
+    /// not fired when the round is interrupted span its restores;
+    /// whatever is left when the round completes is dropped with it, so
+    /// the next round starts with nothing armed.
     ///
     /// [`run_round`]: OliveSystem::run_round
     /// [`restore_round`]: OliveSystem::restore_round
     pub fn set_fault_plan(&mut self, plan: FaultPlan) {
-        self.pending_faults = Some(plan);
+        self.pending_faults = plan;
     }
 
     /// Live EPC bytes on the coordinator's budget followed by every shard
@@ -418,16 +414,14 @@ impl OliveSystem {
     /// seals a restore point (round counter, replay floors, RNG state,
     /// and whatever of the aggregator cannot be recomputed from the
     /// round's own sealed uploads) under `"round-ckpt"`, so a crashed
-    /// round — a scripted `crash@<chunk>` fault surfaces as
-    /// [`RoundError::CoordinatorKilled`] — resumes via
+    /// round — a scripted crash ([`OliveSystem::set_fault_plan`])
+    /// surfaces as [`RoundError::CoordinatorKilled`] — resumes via
     /// [`OliveSystem::restore_round`] instead of restarting, bitwise
     /// identical in output and trace to an uninterrupted run.
     ///
-    /// Sharded rounds (S > 1) are additionally **fault-tolerant**: shard
-    /// deaths and tunnel corruption recover in-band (bounded retries,
-    /// mid-round shard relaunch + re-attestation + checkpoint restore)
-    /// without perturbing output, signature or trace. Only *exhausted*
-    /// recovery surfaces, as [`RoundError::Shard`].
+    /// Sharded rounds (S > 1) do not heal in-band: a shard tunnel frame
+    /// that does not open, or a stripe receipt that does not match, ends
+    /// the round at once with [`RoundError::Shard`].
     ///
     /// An upload the enclave refuses (tampered, replayed, malformed) ends
     /// the round with [`RoundError::Upload`] naming its slot — after the
@@ -450,8 +444,6 @@ impl OliveSystem {
         if pending.sampled.is_empty() {
             return Ok(self.finish_empty_round(pending.shape.round));
         }
-        // The arming rule (`set_fault_plan`), at every S.
-        self.pending_faults.get_or_insert_with(|| self.runtime.faults.clone());
         self.drive(pending, tr)
     }
 
@@ -518,12 +510,12 @@ impl OliveSystem {
     /// way it is the same two calls.
     ///
     /// The engine takes the coordinator's budget, the shard plane and the
-    /// round's fault script for the round and hands them back when it
+    /// round's crash points for the round and hands them back when it
     /// ends — so there is one exit for every abort (stored material that
-    /// does not resume, a refused upload, exhausted shard recovery at
-    /// ingress or egress, a scripted coordinator crash): the round goes
-    /// back to pending, the invocation's counters are flushed, and the
-    /// error surfaces.
+    /// does not resume, a refused upload, a shard failure at ingress or
+    /// egress, a scripted coordinator crash): the round goes back to
+    /// pending, the invocation's counters are flushed, and the error
+    /// surfaces.
     fn drive<TR: ParallelTracer>(
         &mut self,
         pending: PendingRound,
@@ -534,7 +526,7 @@ impl OliveSystem {
             StreamingAggregator::new(self.cfg.aggregator, self.server.dim(), pending.shape.threads);
         let mut ledger =
             Ledger::new(self.enclave.epc, self.shard_rt.take(), self.runtime.metrics.clone());
-        ledger.arm(self.pending_faults.take().unwrap_or_default());
+        ledger.arm(std::mem::take(&mut self.pending_faults));
         let round = SealedRound {
             shape: pending.shape,
             uploads: &pending.sealed,
@@ -572,7 +564,7 @@ impl OliveSystem {
                     // against the relaunched coordinator.
                     self.relaunch_enclave();
                 }
-                self.pending_faults = Some(end.faults);
+                self.pending_faults = end.faults;
                 self.pending = Some(pending);
                 self.runtime.metrics.flush_stats();
                 return Err(e);
@@ -603,7 +595,8 @@ impl OliveSystem {
 
         self.round += 1;
         // The round is durable in the model now; the checkpoint is dead
-        // weight (and so is what is left of the round's fault script).
+        // weight (and so is what is left of the round's crash points,
+        // dropped with `end`).
         self.ckpts.newest = None;
         let rt = self.shard_rt.as_ref();
         let report = RoundReport {
@@ -656,8 +649,8 @@ impl OliveSystem {
     /// a crashed deployment does: relaunch the enclave (same platform
     /// seed ⇒ same sealing key and DH keypair, so existing client
     /// sessions stay valid), re-attest, re-register the session keys,
-    /// and re-provision the shard plane (fresh tunnels, fresh shard
-    /// sealing keys via the provisioning epoch). From there it is
+    /// and re-provision the shard plane (fresh tunnel keys via the
+    /// provisioning epoch). From there it is
     /// [`OliveSystem::run_round`]'s path: [`RoundEngine::open`] unseals
     /// the stored blob against the rollback-protected floor, rebuilds the
     /// aggregator, and rewinds the replay floors to cover only *folded*
@@ -666,7 +659,8 @@ impl OliveSystem {
     /// which must be exactly the prefix the checkpoint sealed (a flipped,
     /// dropped or substituted upload never yields a different aggregate)
     /// — and ingestion continues from the next chunk. A round that died
-    /// *before its first checkpoint* (a chunk-0 shard fault) has no blob
+    /// *before its first checkpoint* (a refused upload or shard failure
+    /// in chunk 0) has no blob
     /// and is restarted whole from the untrusted round material — nothing
     /// was folded, so that too is exact. Output and trace are bitwise
     /// identical to the uninterrupted round. On error — including a
@@ -737,12 +731,8 @@ impl OliveSystem {
             session.seal_upload(round, buf)
         };
         let mut sessions = sessions_of(&mut self.sessions, sampled);
-        if sampled.len() < 4 || n_threads == 1 {
-            let (model, mut buf) = (&mut self.scratch, Vec::new());
-            return sessions.into_iter().map(|s| step(model, &mut buf, s)).collect();
-        }
         let (template, step) = (&self.scratch, &step);
-        let chunk = sampled.len().div_ceil(n_threads);
+        let chunk = sampled.len().div_ceil(n_threads).max(1);
         let mut parts: Vec<Vec<SealedMessage>> = vec![Vec::new(); sampled.len().div_ceil(chunk)];
         olive_oblivious::pool::join(parts.iter_mut().zip(sessions.chunks_mut(chunk)).map(
             |(part, mine)| {
@@ -1172,7 +1162,7 @@ mod tests {
 
             let mut sys = system();
             let mut tr = RecordingTracer::new(Granularity::Element);
-            sys.set_fault_plan(FaultPlan::parse("crash@2").expect("well-formed script"));
+            sys.set_fault_plan(FaultPlan::crash_after([2]));
             let killed = RoundError::CoordinatorKilled { after_chunk: 2 };
             assert_eq!(sys.run_round(&mut tr).unwrap_err(), killed);
             let genuine = sys.pending.as_ref().expect("pending").sealed.clone();
@@ -1211,34 +1201,76 @@ mod tests {
         }
     }
 
+    /// Every budget's EPC charges and frees in the counter records flushed
+    /// to `stream` so far, summed over the flushes: `(charged, freed)` by
+    /// budget key.
+    fn epc_counter_totals(stream: &str) -> std::collections::BTreeMap<String, (u64, u64)> {
+        let mut totals = std::collections::BTreeMap::<String, (u64, u64)>::new();
+        for line in stream.lines().filter(|l| l.contains("\"record\":\"counter\"")) {
+            let field = |key: &str| line.split(key).nth(1)?.split(['"', '}']).nth(1);
+            let (Some(name), Some(key)) = (field("\"name\":"), field("\"key\":")) else {
+                continue;
+            };
+            let charged = match name {
+                "epc_charge_bytes" => true,
+                "epc_free_bytes" => false,
+                _ => continue,
+            };
+            let total = line.split("\"total\":").nth(1).and_then(|t| t.split('}').next());
+            let total: u64 = total.expect("a counter total").parse().expect("an integer total");
+            let entry = totals.entry(key.to_string()).or_default();
+            *(if charged { &mut entry.0 } else { &mut entry.1 }) += total;
+        }
+        totals
+    }
+
     /// One upload the enclave cannot authenticate (it holds a wrong key
     /// for the user: to the enclave, a tampered ciphertext) ends `run_round`
-    /// with the slot named, the round pending and every budget balanced, on
-    /// one worker and across two alike. The chunks before it
-    /// are checkpointed, so once the slot verifies (a restore re-registers
-    /// every session) the round finishes bitwise, one tracer over both legs.
+    /// with the slot named, the round pending, every budget balanced and
+    /// the invocation's own counters flushed balanced, on one worker and
+    /// across two alike. The chunks before it are checkpointed — in chunk
+    /// 0 there are none, and no blob is sealed — so once the slot verifies
+    /// (a restore re-registers every session) the round finishes bitwise,
+    /// one tracer over both legs, whole from the untrusted round material
+    /// when there was no blob.
     #[test]
     fn a_refused_upload_leaves_the_round_pending_and_restorable() {
         use olive_memsim::{Granularity, RecordingTracer};
-        for (threads, shards) in [(1usize, 1usize), (2, 4)] {
+        for (threads, shards, slot) in [(1usize, 1usize, 5usize), (2, 4, 5), (1, 4, 0), (2, 1, 1)] {
+            let ctx = format!("threads={threads} S={shards} slot={slot}");
             let system = || full_sample_system(AggregatorKind::Advanced, threads, shards);
             let mut reference = system();
             let mut ref_tr = RecordingTracer::new(Granularity::Element);
             let ref_report = reference.run_round(&mut ref_tr).expect("round");
-            let slot = 5;
             let victim = ref_report.processed_users[slot];
 
             let mut sys = system();
+            let telemetry = Telemetry::to_buffer();
+            sys.set_telemetry(telemetry.clone());
             let mut tr = RecordingTracer::new(Granularity::Element);
             sys.enclave.register_client(victim, 0xBAD).expect("attested at provisioning");
             let refused = RoundError::Upload { slot, error: TeeError::AuthFailure };
-            assert_eq!(sys.run_round(&mut tr).unwrap_err(), refused, "threads={threads}");
-            assert!(sys.interrupted(), "the round stays pending");
-            assert!(sys.epc_live().iter().all(|&b| b == 0), "S={shards}: budgets balance");
+            assert_eq!(sys.run_round(&mut tr).unwrap_err(), refused, "{ctx}");
+            assert!(sys.interrupted(), "{ctx}: the round stays pending");
+            assert!(sys.epc_live().iter().all(|&b| b == 0), "{ctx}: budgets balance");
+            assert_eq!(sys.checkpoint_blob().is_none(), slot < 2, "{ctx}: chunk 0 seals nothing");
+            // A refusal in chunk 0 comes before any descriptor reaches a
+            // shard; the restore charges every budget.
+            let balanced = |what: &str, budgets: usize| {
+                let totals = epc_counter_totals(&telemetry.buffer_contents().expect("buffer"));
+                assert_eq!(totals.len(), budgets, "{ctx} {what}: {totals:?}");
+                assert!(totals.contains_key("coordinator"), "{ctx} {what}");
+                for (key, (charged, freed)) in totals {
+                    assert_eq!(charged, freed, "{ctx} {what}: {key} charge != free");
+                }
+            };
+            let shard_budgets = if shards > 1 { shards } else { 0 };
+            balanced("after the abort", 1 + if slot < 2 { 0 } else { shard_budgets });
             let report = sys.restore_round(&mut tr).expect("the slot verifies now");
-            assert_eq!(sys.global_params(), reference.global_params(), "S={shards}");
-            assert_eq!(report.model_signature, ref_report.model_signature);
-            assert_eq!(tr.digest(), ref_tr.digest(), "S={shards}: chunks 0-1 folded once");
+            balanced("after the restore", 1 + shard_budgets);
+            assert_eq!(sys.global_params(), reference.global_params(), "{ctx}");
+            assert_eq!(report.model_signature, ref_report.model_signature, "{ctx}");
+            assert_eq!(tr.digest(), ref_tr.digest(), "{ctx}: every folded chunk folded once");
         }
     }
 

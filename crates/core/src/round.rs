@@ -65,12 +65,11 @@
 
 use olive_fl::SparseGradient;
 use olive_memsim::{
-    FaultKind, FaultPlan, ParallelTracer, RecoveryStats, StateError, StateReader, StateWriter,
+    FaultPlan, ParallelTracer, RecoveryStats, StateError, StateReader, StateWriter,
 };
 use olive_tee::{Enclave, EpcBudget, SealedMessage, SealedStore, TeeError, UserId};
 use olive_telemetry::Telemetry;
 
-use crate::aggregation::sharded::note_fault;
 use crate::aggregation::{Aggregator, ShardError, ShardRuntime, StreamingAggregator};
 
 /// Telemetry key of the coordinator enclave's budget.
@@ -105,8 +104,9 @@ pub enum RoundError {
     /// checkpoint committed to ([`TeeError::AuthFailure`]); or a rollback
     /// below the pinned counter floor ([`TeeError::StaleSeal`]).
     Checkpoint(TeeError),
-    /// The shard transport plane failed after its retry/failover budget
-    /// was exhausted (which shard, how many attempts, terminal failure).
+    /// A shard tunnel frame did not open or a stripe receipt did not
+    /// match (which shard, and how). The plane does not retry: the round
+    /// aborts and restores over a re-provisioned plane.
     Shard(ShardError),
     /// The upload in position `slot` of the round failed to verify or
     /// decode (tampered, replayed, stale, from an unsampled user, or a
@@ -119,7 +119,7 @@ pub enum RoundError {
         error: TeeError,
     },
     /// The coordinator enclave died right after chunk `after_chunk` was
-    /// folded and checkpointed (a scripted [`FaultKind::CoordinatorKill`]):
+    /// folded and checkpointed (a crash point of the round's [`FaultPlan`]):
     /// aggregator, staged plaintexts, session keys, replay floors and
     /// seal counters are gone; the sealed checkpoint is not.
     CoordinatorKilled {
@@ -158,9 +158,7 @@ impl From<ShardError> for RoundError {
 /// Deterministic per-round telemetry summary embedded in every
 /// [`RoundReport`](crate::olive::RoundReport). Always populated — armed
 /// or not, it is plain accounting over the round's schedule, not sink
-/// output — and zeroed for empty/monolithic aspects that did not occur
-/// (an unsharded round reports an explicit all-zero [`RecoveryStats`],
-/// never an absence).
+/// output.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct RoundTelemetry {
     /// Ingestion chunks folded by the completing invocation (a restored
@@ -170,24 +168,19 @@ pub struct RoundTelemetry {
     pub ckpt_seals: u64,
     /// Total bytes of the sealed coordinator checkpoint blobs.
     pub ckpt_bytes: u64,
-    /// Shard-plane recovery work (retries, relaunches, simulated
-    /// backoff) performed during this round; zeroed on the monolithic
-    /// path and for fault-free sharded rounds.
+    /// In-band recovery work: always zero, since the shard plane fails
+    /// loudly instead of recovering. Kept only because the benchmark
+    /// package reads it (`core.recovery_attempts`).
     pub recovery: RecoveryStats,
 }
 
 /// What the engine borrows for the round (module docs): the coordinator's
 /// budget with the running total charged to it, and — carried, never
-/// charged from here — the shard plane and the round's fault script.
+/// charged from here — the shard plane and the round's crash script.
 pub struct Ledger {
     coordinator: EpcBudget,
     shards: Option<ShardRuntime>,
-    /// The shard plane's monotone recovery counters as the round found
-    /// them; the round's recovery work is what they grow by. Unsharded
-    /// rounds keep the explicit zeroes.
-    recovery_base: RecoveryStats,
-    /// Fault script of an unsharded round; a sharded round's lives in its
-    /// [`ShardRuntime`], next to the transport hooks that fire it.
+    /// The round's crash points, at every S.
     faults: FaultPlan,
     telemetry: Telemetry,
     /// Bytes charged and not yet released.
@@ -196,26 +189,16 @@ pub struct Ledger {
 
 impl Ledger {
     /// A ledger over the coordinator's budget (as the enclave holds it at
-    /// round start) and, for a sharded round, the provisioned shard plane
-    /// (with whatever fault script is armed on it).
+    /// round start) and, for a sharded round, the provisioned shard plane;
+    /// no crash point is armed.
     pub fn new(coordinator: EpcBudget, shards: Option<ShardRuntime>, telemetry: Telemetry) -> Self {
-        let recovery_base = shards.as_ref().map(|rt| rt.recovery_stats()).unwrap_or_default();
-        let faults = FaultPlan::empty();
-        Ledger { coordinator, shards, recovery_base, faults, telemetry, outstanding: 0 }
+        Ledger { coordinator, shards, faults: FaultPlan::empty(), telemetry, outstanding: 0 }
     }
 
-    /// Arms the round's fault script at every S, replacing whatever the
-    /// shard plane held; the unfired remainder comes back in
+    /// Arms the round's crash points; the unfired remainder comes back in
     /// [`RoundEnd::faults`].
     pub fn arm(&mut self, plan: FaultPlan) {
-        *self.faults_mut() = plan;
-    }
-
-    fn faults_mut(&mut self) -> &mut FaultPlan {
-        match self.shards.as_mut() {
-            Some(rt) => rt.faults_mut(),
-            None => &mut self.faults,
-        }
+        self.faults = plan;
     }
 
     fn charge(&mut self, bytes: u64) {
@@ -247,15 +230,12 @@ impl Ledger {
     /// The end of a round, finished or aborted: releases everything still
     /// charged and hands the borrowed pieces back, with the engine's
     /// generator state and tallies.
-    fn end(mut self, rng_state: [u64; 4], mut telemetry: RoundTelemetry) -> RoundEnd {
+    fn end(mut self, rng_state: [u64; 4], telemetry: RoundTelemetry) -> RoundEnd {
         self.release(self.outstanding);
-        let faults = std::mem::take(self.faults_mut());
-        let recovery = self.shards.as_ref().map(|rt| rt.recovery_stats().since(self.recovery_base));
-        telemetry.recovery = recovery.unwrap_or_default();
         RoundEnd {
             coordinator: self.coordinator,
             shards: self.shards,
-            faults,
+            faults: self.faults,
             rng_state,
             telemetry,
         }
@@ -309,7 +289,7 @@ pub struct SealedRound<'a> {
 /// plaintext's size is known before a byte of it is written.
 struct Checkpoint {
     /// Absolute number of chunks folded (a restored engine starts above
-    /// zero), the coordinate fault events are addressed by.
+    /// zero), the coordinate crash points are addressed by.
     chunks_done: usize,
     /// The enclave's DP/sampling generator: the post-restore noise draw
     /// must be the exact draw the uninterrupted round would have made.
@@ -480,13 +460,13 @@ pub struct RoundEnd {
     pub coordinator: EpcBudget,
     /// The shard plane, reusable for the next round.
     pub shards: Option<ShardRuntime>,
-    /// The unfired remainder of the round's fault script, at every S —
-    /// what an interrupted round's restore re-arms.
+    /// The unfired remainder of the round's crash points — what an
+    /// interrupted round's restore re-arms.
     pub faults: FaultPlan,
     /// The DP/sampling generator as the engine's restore point holds it:
     /// what the enclave draws the round's noise from.
     pub rng_state: [u64; 4],
-    /// What this engine folded and sealed, and what recovery cost.
+    /// What this engine folded and sealed.
     pub telemetry: RoundTelemetry,
 }
 
@@ -548,8 +528,8 @@ impl RoundEngine {
     fn start(&mut self) {
         if let Some(rt) = self.ledger.shards.as_mut() {
             rt.begin_round();
-            // Keep scripted fault coordinates absolute: the resumed half
-            // of a round continues the original chunk numbering.
+            // Keep descriptor chunk indices absolute: the resumed half of
+            // a round continues the original chunk numbering.
             rt.skip_to_chunk(self.ckpt.chunks_done);
         }
         self.resident = self.agg.resident_bytes();
@@ -754,10 +734,10 @@ impl RoundEngine {
     ///
     /// A sharded round first hands every shard the chunk's public
     /// descriptor (a pure function of the chunk schedule; no cell leaves
-    /// the coordinator). Recovery from shard faults happens inside that
-    /// call; only *exhausted* recovery fails the fold — with the chunk
-    /// unfolded, so the sealed checkpoint of the previous chunk (or the
-    /// untrusted round material, at chunk 0) restores the round exactly.
+    /// the coordinator). A frame that does not open fails the fold — with
+    /// the chunk unfolded, so the sealed checkpoint of the previous chunk
+    /// (or the untrusted round material, at chunk 0) restores the round
+    /// exactly.
     /// A `prefetch` that can fail hands its own `Result` back through
     /// `T`: by then this chunk *is* folded, so the driver checkpoints it
     /// before it looks.
@@ -816,24 +796,28 @@ impl RoundEngine {
     }
 
     /// The crash hook, called once the chunk just folded is checkpointed:
-    /// fires a scripted [`FaultKind::CoordinatorKill`] at that chunk
+    /// fires a scripted crash point at that chunk
     /// ([`RoundError::CoordinatorKilled`]; enclave memory dies with the
-    /// coordinator, and aborting releases its charges).
+    /// coordinator, and aborting releases its charges), labelled
+    /// `crash@<chunk>` on a `fault_fired` telemetry event.
     pub(crate) fn crash_point(&mut self) -> Result<(), RoundError> {
         let after_chunk = self.ckpt.chunks_done - 1;
-        if !self.ledger.faults_mut().fire(FaultKind::CoordinatorKill, after_chunk as u32, 0) {
+        if !self.ledger.faults.fire(after_chunk) {
             return Ok(());
         }
-        note_fault(&self.ledger.telemetry, FaultKind::CoordinatorKill, after_chunk as u32, 0);
+        let telemetry = &self.ledger.telemetry;
+        if telemetry.is_armed() {
+            let site = FaultPlan::site(after_chunk);
+            telemetry.event("fault_fired", &[("site", site.as_str().into())]);
+        }
         Err(RoundError::CoordinatorKilled { after_chunk })
     }
 
     /// Completes the round: finalizes the aggregator and — sharded —
     /// stripes the delta out to the shards and folds the shard-held
     /// stripes back in ascending shard order (the deterministic merge,
-    /// bitwise the canonical delta). An exhausted egress recovery fails
-    /// the round; the final checkpoint (all chunks folded) restores it at
-    /// this step.
+    /// bitwise the canonical delta). A failed egress fails the round; the
+    /// final checkpoint (all chunks folded) restores it at this step.
     pub fn finish<TR: ParallelTracer>(
         mut self,
         tr: &mut TR,
@@ -967,16 +951,21 @@ mod tests {
 
     /// A ledger over a 1 MiB coordinator budget and, at S > 1, a shard
     /// plane, with `plan` armed.
-    fn armed(d: usize, shards: usize, plan: &str) -> Ledger {
+    fn armed(d: usize, shards: usize, plan: FaultPlan) -> Ledger {
         let plane = (shards > 1).then(|| shard_runtime(d, shards, 3));
         let budget = EpcBudget { limit: 1 << 20, ..Default::default() };
         let mut ledger = Ledger::new(budget, plane, Telemetry::off());
-        ledger.arm(FaultPlan::parse(plan).expect("well-formed script"));
+        ledger.arm(plan);
         ledger
     }
 
+    /// [`armed`] with no crash point.
+    fn plain(d: usize, shards: usize) -> Ledger {
+        armed(d, shards, FaultPlan::empty())
+    }
+
     fn monolithic() -> Ledger {
-        armed(0, 1, "")
+        plain(0, 1)
     }
 
     fn same_bits(a: &[f32], b: &[f32]) -> bool {
@@ -1000,7 +989,7 @@ mod tests {
         for kind in all_kinds() {
             for (threads, shards) in [(1usize, 1usize), (1, 4), (2, 1), (2, 4)] {
                 let ctx = format!("{kind:?} threads={threads} S={shards}");
-                let ledger = || armed(d, shards, "");
+                let ledger = || plain(d, shards);
                 let mut want_tr = RecordingTracer::new(Granularity::Element);
                 let want = aggregate_with_threads(kind, &updates, d, threads, &mut want_tr);
 
@@ -1059,33 +1048,24 @@ mod tests {
         assert!(!end.coordinator.would_page());
     }
 
-    /// One fault script spans a round's restores, at every S. Armed on
-    /// the ledger it replaces whatever the shard plane held (the explicit
-    /// script wins); each scripted crash fires once, after its chunk is
-    /// sealed, on monolithic and sharded engines alike and with every
-    /// budget released; the unfired remainder comes back to be re-armed
-    /// on the reopened engine; and an event the round never reaches never
-    /// fires. Three legs, one store: the round finishes on the
-    /// uninterrupted bits.
+    /// One crash script spans a round's restores, at every S: each
+    /// scripted crash fires once, after its chunk is sealed, on monolithic
+    /// and sharded engines alike and with every budget released; the
+    /// unfired remainder comes back to be re-armed on the reopened engine;
+    /// and a crash point the round never reaches never fires. Three legs,
+    /// one store: the round finishes on the uninterrupted bits.
     #[test]
     fn scripted_crash_fires_after_its_chunk_and_releases_every_charge() {
         let (d, n, k, chunk) = (32, 10, 4, 2);
         let updates = random_updates(n, k, d, 13);
         for shards in [1usize, 4] {
-            let ledger = |plan: FaultPlan| {
-                let mut ledger = armed(d, shards, "");
-                if let Some(rt) = ledger.shards.as_mut() {
-                    rt.set_fault_plan(FaultPlan::parse("crash@0").expect("well-formed script"));
-                }
-                ledger.arm(plan);
-                ledger
-            };
+            let ledger = |plan: FaultPlan| armed(d, shards, plan);
             let mut round = Sealed::new(AggregatorKind::Advanced, &updates, d, 1, chunk);
-            let (want, _) = round.drive(None, ledger(FaultPlan::empty()), &mut NullTracer);
-            let want = want.expect("the empty script replaced the plane's");
+            let (want, _) = round.drive(None, plain(d, shards), &mut NullTracer);
+            let want = want.expect("nothing armed");
 
             let mut store = SealedStore::default();
-            let mut plan = FaultPlan::parse("crash@1,crash@3,crash@9").expect("well-formed script");
+            let mut plan = FaultPlan::crash_after([1, 3, 9]);
             for (after_chunk, remaining) in [(1, 2), (3, 1)] {
                 let (out, end) = round.drive(Some(&mut store), ledger(plan), &mut NullTracer);
                 assert_eq!(out, Err(RoundError::CoordinatorKilled { after_chunk }), "S={shards}");
@@ -1173,7 +1153,7 @@ mod tests {
             let mut round = Sealed::new(AggregatorKind::Advanced, &updates, d, threads, chunk);
             round.uploads[bad].ciphertext[9] ^= 0x10;
             let mut store = SealedStore::default();
-            let (out, end) = round.drive(Some(&mut store), armed(d, shards, ""), &mut NullTracer);
+            let (out, end) = round.drive(Some(&mut store), plain(d, shards), &mut NullTracer);
             let refused = RoundError::Upload { slot: bad, error: TeeError::AuthFailure };
             assert_eq!(out, Err(refused), "{ctx}");
             let before = (bad / chunk) as u64;
@@ -1210,15 +1190,13 @@ mod tests {
                 let want = genuine.drive(None, monolithic(), &mut NullTracer).0.expect("genuine");
                 let mut round = Sealed::new(kind, &forged, d, threads, chunk);
                 let mut store = SealedStore::default();
-                let (out, end) =
-                    round.drive(Some(&mut store), armed(d, shards, ""), &mut NullTracer);
+                let (out, end) = round.drive(Some(&mut store), plain(d, shards), &mut NullTracer);
                 let refused = RoundError::Upload { slot: bad, error: TeeError::AuthFailure };
                 assert_eq!(out, Err(refused), "{ctx}");
                 assert!(balanced(&end), "{ctx}");
                 assert_eq!(end.telemetry.ckpt_seals, (bad / chunk) as u64, "{ctx}");
                 round.uploads[bad] = genuine.uploads[bad].clone();
-                let (got, end) =
-                    round.drive(Some(&mut store), armed(d, shards, ""), &mut NullTracer);
+                let (got, end) = round.drive(Some(&mut store), plain(d, shards), &mut NullTracer);
                 assert!(same_bits(&want, &got.expect("the slot verifies now")), "{ctx}");
                 assert!(balanced(&end), "{ctx}");
             }
@@ -1326,14 +1304,13 @@ mod tests {
             let mut store = SealedStore::default();
             let mut blobs = Vec::new();
             for after_chunk in [0, 1] {
-                let ledger = armed(d, shards, &format!("crash@{after_chunk}"));
+                let ledger = armed(d, shards, FaultPlan::crash_after([after_chunk]));
                 let (killed, _) = round.drive(Some(&mut store), ledger, &mut NullTracer);
                 assert_eq!(killed, Err(RoundError::CoordinatorKilled { after_chunk }), "{ctx}");
                 blobs.push(store.newest.clone().expect("sealed before the crash"));
             }
             let refused = |round: &mut Sealed, store: &SealedStore, why: TeeError| {
-                let (e, end) =
-                    round.open(Some(store), armed(d, shards, "")).err().expect("refused");
+                let (e, end) = round.open(Some(store), plain(d, shards)).err().expect("refused");
                 assert_eq!(e, RoundError::Checkpoint(why), "{ctx}");
                 assert!(balanced(&end), "{ctx}: a failed open releases everything");
             };
@@ -1350,12 +1327,12 @@ mod tests {
             if kind == AggregatorKind::Advanced {
                 refused(&mut round, &store, TeeError::AuthFailure);
             } else {
-                let opened = round.open(Some(&store), armed(d, shards, ""));
+                let opened = round.open(Some(&store), plain(d, shards));
                 opened.expect("an accumulating kind never reads the prefix").abort();
             }
             round.uploads.swap(1, 2 * chunk);
 
-            let eng = round.open(Some(&store), armed(d, shards, "")).expect("genuine prefix");
+            let eng = round.open(Some(&store), plain(d, shards)).expect("genuine prefix");
             assert_eq!(eng.chunks_done(), 2, "{ctx}");
             assert_eq!(round.enclave.replay_floors(), eng.ckpt.floors, "{ctx}: floors cover it");
             assert_eq!(eng.ledger.coordinator.live, eng.agg.resident_bytes(), "{ctx}");

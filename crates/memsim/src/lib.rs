@@ -24,10 +24,10 @@
 //! * [`check`] — test harnesses (`assert_oblivious`, `assert_not_oblivious`)
 //!   that turn Propositions 3.1, 3.2, 5.1 and 5.2 into executable tests.
 //! * [`RuntimeConfig`] — the process's round knobs (`OLIVE_THREADS`,
-//!   `OLIVE_CHUNK`, `OLIVE_SHARDS`, `OLIVE_FAULTS`, `OLIVE_METRICS`),
-//!   parsed from the environment once, in one place, by
-//!   [`RuntimeConfig::process`]; the [`faults`] chaos plane's scripts are
-//!   one of them.
+//!   `OLIVE_CHUNK`, `OLIVE_SHARDS`, `OLIVE_METRICS`), parsed from the
+//!   environment once, in one place, by [`RuntimeConfig::process`];
+//! * [`FaultPlan`] — the scripted coordinator crashes ([`faults`]) a
+//!   round's crash hook fires.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -49,7 +49,7 @@ pub use check::{assert_not_oblivious, assert_oblivious, trace_of};
 pub use codec::{StateError, StateReader, StateWriter};
 pub use digest::TraceDigest;
 pub use epc::{CostModel, EpcSim, EpcStats, SgxCostEstimate};
-pub use faults::{FaultEvent, FaultKind, FaultPlan, RecoveryStats, RetryPolicy, EGRESS_CHUNK};
+pub use faults::{FaultPlan, RecoveryStats};
 pub use runtime::RuntimeConfig;
 pub use shard::ShardPlan;
 pub use tracer::{

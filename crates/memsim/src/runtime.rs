@@ -1,6 +1,6 @@
-//! The process's runtime configuration: the five `OLIVE_*` variables that
-//! set a round's public schedule (worker count, chunk size, shard count),
-//! its fault script and its side-band telemetry sink, parsed in one place.
+//! The process's runtime configuration: the four `OLIVE_*` variables that
+//! set a round's public schedule (worker count, chunk size, shard count)
+//! and its side-band telemetry sink, parsed in one place.
 //!
 //! * [`RuntimeConfig::parse`] is a pure function of `(name, value)` pairs:
 //!   every grammar, default and fallback is testable in-process;
@@ -23,28 +23,27 @@
 //! Lives in `olive-memsim` (rather than `olive-core`) because every crate
 //! that reads a knob — the grouped aggregation in `olive-core`, the
 //! intra-sort parallelism in `olive-oblivious`, the benches — already
-//! depends on this crate for its tracer, and this crate owns the fault
-//! grammar.
+//! depends on this crate for its tracer.
+//!
+//! There is no fault knob: a coordinator crash is armed in-process
+//! (`OliveSystem::set_fault_plan`).
 
 use std::sync::OnceLock;
 
 use olive_telemetry::Telemetry;
-
-use crate::faults::FaultPlan;
 
 /// Hard cap on the default worker count (matching SGX enclave TCS budgets,
 /// and past which the memory-bound sort shows no gain). Explicit values
 /// may exceed it.
 const MAX_DEFAULT_THREADS: usize = 8;
 
-/// Every `OLIVE_*` variable the workspace reads: the five parsed here,
+/// Every `OLIVE_*` variable the workspace reads: the four parsed here,
 /// then the crypto backend pin (read by `olive-crypto`) and the three
 /// bench-harness knobs. Any other `OLIVE_*` name draws a warning.
-const KNOWN: [&str; 9] = [
+const KNOWN: [&str; 8] = [
     "OLIVE_THREADS",
     "OLIVE_CHUNK",
     "OLIVE_SHARDS",
-    "OLIVE_FAULTS",
     "OLIVE_METRICS",
     "OLIVE_CRYPTO",
     "OLIVE_BENCH_FULL",
@@ -67,10 +66,6 @@ pub struct RuntimeConfig {
     /// Stripes of the `G` dimension, one enclave each (`OLIVE_SHARDS`;
     /// default 1, the monolithic path).
     pub shards: usize,
-    /// The fault script a fresh round arms when no explicit one is
-    /// pending (`OLIVE_FAULTS`, the [`FaultPlan::parse`] grammar; default
-    /// empty).
-    pub faults: FaultPlan,
     /// The side-band telemetry handle (`OLIVE_METRICS=<path|stdout|off>`;
     /// default off). Clones share one stream.
     pub metrics: Telemetry,
@@ -107,14 +102,6 @@ impl RuntimeConfig {
         });
         let chunk = positive("OLIVE_CHUNK", "default").unwrap_or(64);
         let shards = positive("OLIVE_SHARDS", "default").unwrap_or(1);
-        let faults = match get("OLIVE_FAULTS").map(FaultPlan::parse) {
-            None => FaultPlan::empty(),
-            Some(Ok(plan)) => plan,
-            Some(Err(e)) => {
-                warnings.push(format!("OLIVE_FAULTS ignored ({e})"));
-                FaultPlan::empty()
-            }
-        };
         let metrics = match get("OLIVE_METRICS") {
             None | Some("" | "off") => Telemetry::off(),
             Some("stdout") => Telemetry::stdout(),
@@ -134,7 +121,7 @@ impl RuntimeConfig {
         warnings.extend(unknown.into_iter().map(|k| {
             format!("{k} is not a known variable and is ignored (known: {})", KNOWN.join(", "))
         }));
-        (RuntimeConfig { threads, chunk, shards, faults, metrics }, warnings)
+        (RuntimeConfig { threads, chunk, shards, metrics }, warnings)
     }
 
     /// The process's configuration: the environment, parsed on first call
@@ -173,7 +160,6 @@ mod tests {
         assert_eq!(cfg.threads, auto_threads());
         assert!((1..=MAX_DEFAULT_THREADS).contains(&cfg.threads));
         assert_eq!((cfg.chunk, cfg.shards), (64, 1));
-        assert!(cfg.faults.is_empty());
         assert!(!cfg.metrics.is_armed());
     }
 
@@ -200,23 +186,6 @@ mod tests {
         // The last value of a repeated name wins, as a later `export` would.
         let (cfg, _) = parse(&[("OLIVE_CHUNK", "5"), ("OLIVE_CHUNK", "7")]);
         assert_eq!(cfg.chunk, 7);
-    }
-
-    #[test]
-    fn fault_scripts_parse_or_warn_and_arm_nothing() {
-        let (cfg, warnings) = parse(&[("OLIVE_FAULTS", "kill@2.0, crash@3")]);
-        assert!(warnings.is_empty(), "{warnings:?}");
-        assert_eq!(cfg.faults, FaultPlan::parse("kill@2.0,crash@3").unwrap());
-        assert_eq!(cfg.faults.remaining(), 2);
-        let (cfg, _) = parse(&[("OLIVE_FAULTS", "seed:1337x5@6.4")]);
-        assert_eq!(cfg.faults, FaultPlan::scripted(1337, 5, 6, 4));
-        let (cfg, warnings) = parse(&[("OLIVE_FAULTS", "")]);
-        assert!(cfg.faults.is_empty() && warnings.is_empty());
-
-        let (cfg, warnings) = parse(&[("OLIVE_FAULTS", "bogus")]);
-        assert!(cfg.faults.is_empty());
-        let e = FaultPlan::parse("bogus").unwrap_err();
-        assert_eq!(warnings, [format!("OLIVE_FAULTS ignored ({e})")]);
     }
 
     #[test]
@@ -264,6 +233,18 @@ mod tests {
         assert!(warnings[0].starts_with("OLIVE_SHARD is not a known variable"), "{warnings:?}");
         assert!(warnings[1].starts_with("OLIVE_THREAD is not a known variable"), "{warnings:?}");
         assert!(warnings[1].contains("OLIVE_THREADS"), "the warning lists the known names");
+    }
+
+    /// The fault knob is gone: `OLIVE_FAULTS` is an unknown name like any
+    /// typo, warned about once, and the parsed configuration is the
+    /// default one (there is no field left for it to set).
+    #[test]
+    fn olive_faults_warns_as_an_unknown_variable() {
+        let (cfg, warnings) = parse(&[("OLIVE_FAULTS", "crash@0"), ("OLIVE_CHUNK", "2")]);
+        assert_eq!((cfg.chunk, cfg.shards), (2, 1));
+        assert_eq!(warnings.len(), 1, "{warnings:?}");
+        assert!(warnings[0].starts_with("OLIVE_FAULTS is not a known variable"), "{warnings:?}");
+        assert!(!KNOWN.contains(&"OLIVE_FAULTS"));
     }
 
     #[test]

@@ -79,10 +79,7 @@ impl core::fmt::Display for AttestationError {
 
 impl std::error::Error for AttestationError {}
 
-/// The simulated EPID/IAS: holds the platform signing key. `Clone` lets
-/// the shard runtime keep its own handle for mid-round re-attestation of
-/// a relaunched shard enclave (one platform, many quote requests).
-#[derive(Clone)]
+/// The simulated EPID/IAS: holds the platform signing key.
 pub struct AttestationService {
     platform_key: DhKeyPair,
 }

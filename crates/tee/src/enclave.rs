@@ -121,23 +121,9 @@ impl Enclave {
     /// Creates and "launches" an enclave: computes its measurement and an
     /// ephemeral DH key pair from `seed`.
     pub fn launch(config: &EnclaveConfig, seed: [u8; 32]) -> Self {
-        Self::launch_with_dh_epoch(config, seed, 0)
-    }
-
-    /// [`Enclave::launch`] with a DH-key epoch, the mid-round shard
-    /// *relaunch* flow: a restarted enclave must present a **fresh**
-    /// ephemeral DH share (so new tunnel keys never repeat the dead
-    /// instance's AEAD nonce sequence) while keeping the same sealing
-    /// key (seed + measurement only), so it can still unseal the state
-    /// its previous incarnation checkpointed. Epoch 0 is identical to
-    /// [`Enclave::launch`].
-    pub fn launch_with_dh_epoch(config: &EnclaveConfig, seed: [u8; 32], dh_epoch: u32) -> Self {
         let measurement = measure(&config.code_identity, &config.epc_bytes.to_be_bytes());
         let mut dh_seed = seed;
         dh_seed[31] ^= 0x3C;
-        for (b, e) in dh_seed[24..28].iter_mut().zip(dh_epoch.to_be_bytes()) {
-            *b ^= e;
-        }
         let dh = DhKeyPair::from_seed(&dh_seed);
         let sealing_key: [u8; 32] = hkdf::derive(&measurement, &seed, b"olive-sealing-v1", 32)
             .try_into()
@@ -160,8 +146,8 @@ impl Enclave {
 
     /// Arms (or swaps) this enclave's side-band telemetry handle. The
     /// default is the disarmed no-op handle; the owning system threads
-    /// its own handle through after launch (and after every relaunch,
-    /// which constructs a fresh disarmed enclave).
+    /// its own handle through after launch (and after a coordinator
+    /// relaunch, which constructs a fresh disarmed enclave).
     pub fn set_telemetry(&mut self, telemetry: Telemetry) {
         self.telemetry = telemetry;
     }
@@ -179,9 +165,9 @@ impl Enclave {
         self.attested.then_some(self.transcript_salt)
     }
 
-    /// The enclave's DH key pair, for tunnel key agreement and
-    /// [`crate::TunnelAnchor`] snapshots (the client-session path goes
-    /// through [`Enclave::register_client`] instead).
+    /// The enclave's DH key pair, for tunnel key agreement (the
+    /// client-session path goes through [`Enclave::register_client`]
+    /// instead).
     pub(crate) fn dh_keypair(&self) -> DhKeyPair {
         self.dh
     }
@@ -621,33 +607,6 @@ mod tests {
         sealed[7] ^= 1;
         assert_eq!(e.unseal(&sealed, b"l").unwrap_err(), TeeError::AuthFailure);
         assert_eq!(e.unseal(&sealed[..4], b"l").unwrap_err(), TeeError::AuthFailure);
-    }
-
-    /// The relaunch contract: a new DH epoch rotates the ephemeral key
-    /// (fresh tunnel keys for the restarted shard) without touching the
-    /// sealing key (its checkpoints must still unseal) or the
-    /// measurement (it must still attest as the same code).
-    #[test]
-    fn dh_epoch_rotates_tunnel_keys_but_not_sealing() {
-        let cfg = EnclaveConfig::default();
-        let mut e0 = Enclave::launch(&cfg, [3; 32]);
-        let e1 = Enclave::launch_with_dh_epoch(&cfg, [3; 32], 1);
-        let e2 = Enclave::launch_with_dh_epoch(&cfg, [3; 32], 2);
-        assert_eq!(
-            Enclave::launch_with_dh_epoch(&cfg, [3; 32], 0).dh.public,
-            e0.dh.public,
-            "epoch 0 is plain launch"
-        );
-        assert_ne!(e0.dh.public, e1.dh.public, "each epoch presents a fresh DH share");
-        assert_ne!(e1.dh.public, e2.dh.public);
-        assert_eq!(e0.measurement(), e1.measurement(), "epoch never enters the measurement");
-        let sealed = e0.seal(b"stripe checkpoint", b"shard-ckpt");
-        let mut relaunched = Enclave::launch_with_dh_epoch(&cfg, [3; 32], 7);
-        assert_eq!(
-            relaunched.unseal(&sealed, b"shard-ckpt").unwrap(),
-            b"stripe checkpoint",
-            "sealing key survives the epoch bump"
-        );
     }
 
     #[test]

@@ -39,7 +39,7 @@ pub use attestation::{AttestationError, AttestationService, Quote, Report};
 pub use channel::{ClientSession, SealedMessage};
 pub use enclave::{Enclave, EnclaveConfig, SealedStore, TeeError};
 pub use epc::EpcBudget;
-pub use shard::{ShardId, ShardTunnel, TunnelAnchor, TunnelError, TunnelMessage, TunnelRole};
+pub use shard::{ShardId, ShardTunnel, TunnelError, TunnelMessage, TunnelRole};
 
 /// User identifier type used across the FL protocol.
 pub type UserId = u32;

@@ -3,13 +3,13 @@
 //! The sharded round topology splits the aggregation plane across `S`
 //! shard enclaves, each owning one contiguous stripe of the `G` region
 //! under its own EPC budget. The coordinator enclave (the one clients
-//! attest) forwards staged upload cells to the shards and collects each
-//! shard's stripe of the round output — so the coordinator↔shard link
-//! must be as trustworthy as the client↔enclave link: each endpoint
-//! verifies the *other's* platform quote before any key material is
-//! derived (the TNG ingress/egress shape: two peer gateways, a secure
-//! channel established by remote attestation in both directions, then a
-//! duplex encrypted stream).
+//! attest) forwards each chunk's public descriptor to the shards and
+//! collects each shard's stripe of the round output — so the
+//! coordinator↔shard link must be as trustworthy as the client↔enclave
+//! link: each endpoint verifies the *other's* platform quote before any
+//! key material is derived (the TNG ingress/egress shape: two peer
+//! gateways, a secure channel established by remote attestation in both
+//! directions, then a duplex encrypted stream).
 //!
 //! Key schedule (mirrors [`crate::ClientSession::establish`], extended to
 //! mutual attestation):
@@ -28,7 +28,6 @@
 //! direction keeps its own monotone sequence counter with a receiver-side
 //! replay floor.
 
-use olive_crypto::dh::DhKeyPair;
 use olive_crypto::gcm::{AesGcm, NONCE_LEN};
 use olive_crypto::{hkdf, sha256};
 use olive_telemetry::Telemetry;
@@ -111,17 +110,6 @@ pub struct TunnelMessage {
     pub ciphertext: Vec<u8>,
 }
 
-impl TunnelMessage {
-    /// Flips one ciphertext bit — the fault-injection model of in-flight
-    /// frame corruption by the untrusted host. The receiver's AEAD open
-    /// must fail; the sender retries with a fresh sequence number.
-    pub fn tamper(&mut self) {
-        if let Some(b) = self.ciphertext.first_mut() {
-            *b ^= 1;
-        }
-    }
-}
-
 fn tunnel_info(shard_id: ShardId) -> Vec<u8> {
     let mut v = b"olive-shard-tunnel-v1:".to_vec();
     v.extend_from_slice(&shard_id.to_be_bytes());
@@ -192,15 +180,34 @@ impl ShardTunnel {
         peer_quote: &Quote,
         shard_id: ShardId,
     ) -> Result<Self, TunnelError> {
-        derive(
-            role,
-            own.attested_transcript(),
-            &own.dh_keypair(),
-            platform_public,
-            expected_peer_measurement,
-            peer_quote,
+        // The peer's quote first: a forged peer must never learn whether
+        // we are attested.
+        verify_quote(platform_public, expected_peer_measurement, peer_quote)
+            .map_err(TunnelError::Attestation)?;
+        let own_transcript = own.attested_transcript().ok_or(TunnelError::NotAttested)?;
+        let peer_transcript = peer_quote.report.transcript_hash();
+        // Canonical transcript order: coordinator first, shard second —
+        // both endpoints compute the same salt.
+        let (coord_t, shard_t) = match role {
+            TunnelRole::Coordinator => (own_transcript, peer_transcript),
+            TunnelRole::Shard => (peer_transcript, own_transcript),
+        };
+        let mut salt_input = b"olive-shard-tunnel-salt-v1".to_vec();
+        salt_input.extend_from_slice(&coord_t);
+        salt_input.extend_from_slice(&shard_t);
+        let salt = sha256(&salt_input);
+        let ikm = own.dh_keypair().shared_secret(peer_quote.report.enclave_dh_public);
+        let key: [u8; 32] = hkdf::derive(&salt, &ikm, &tunnel_info(shard_id), 32)
+            .try_into()
+            .expect("hkdf returns requested length");
+        Ok(ShardTunnel {
             shard_id,
-        )
+            role,
+            key,
+            send_seq: 0,
+            recv_floor: 0,
+            telemetry: Telemetry::off(),
+        })
     }
 
     /// The stripe this tunnel serves.
@@ -209,8 +216,8 @@ impl ShardTunnel {
     }
 
     /// Arms side-band telemetry on this endpoint. Tunnels come up with a
-    /// disarmed handle; the shard runtime re-threads its own after
-    /// `establish` (and after every failover re-establishment).
+    /// disarmed handle; the shard runtime threads its own after
+    /// `establish`.
     pub fn set_telemetry(&mut self, telemetry: Telemetry) {
         self.telemetry = telemetry;
     }
@@ -254,99 +261,6 @@ impl ShardTunnel {
             gcm.open(&nonce, &msg.ciphertext, &aad).map_err(|_| TunnelError::AuthFailure)?;
         self.recv_floor = msg.seq;
         Ok(plain)
-    }
-}
-
-/// Shared key-derivation path for [`ShardTunnel::establish`] and
-/// [`TunnelAnchor::establish`]: verify the peer's quote *first* (a forged
-/// peer must never learn whether we are attested), then require a local
-/// transcript, then derive the tunnel key from both transcripts and the
-/// DH secret.
-fn derive(
-    role: TunnelRole,
-    own_transcript: Option<[u8; 32]>,
-    dh: &DhKeyPair,
-    platform_public: u64,
-    expected_peer_measurement: &Measurement,
-    peer_quote: &Quote,
-    shard_id: ShardId,
-) -> Result<ShardTunnel, TunnelError> {
-    verify_quote(platform_public, expected_peer_measurement, peer_quote)
-        .map_err(TunnelError::Attestation)?;
-    let own_transcript = own_transcript.ok_or(TunnelError::NotAttested)?;
-    let peer_transcript = peer_quote.report.transcript_hash();
-    // Canonical transcript order: coordinator first, shard second —
-    // both endpoints compute the same salt.
-    let (coord_t, shard_t) = match role {
-        TunnelRole::Coordinator => (own_transcript, peer_transcript),
-        TunnelRole::Shard => (peer_transcript, own_transcript),
-    };
-    let mut salt_input = b"olive-shard-tunnel-salt-v1".to_vec();
-    salt_input.extend_from_slice(&coord_t);
-    salt_input.extend_from_slice(&shard_t);
-    let salt = sha256(&salt_input);
-    let ikm = dh.shared_secret(peer_quote.report.enclave_dh_public);
-    let key: [u8; 32] = hkdf::derive(&salt, &ikm, &tunnel_info(shard_id), 32)
-        .try_into()
-        .expect("hkdf returns requested length");
-    Ok(ShardTunnel { shard_id, role, key, send_seq: 0, recv_floor: 0, telemetry: Telemetry::off() })
-}
-
-/// A snapshot of the coordinator enclave's tunnel-establishment identity —
-/// its attestation transcript and DH key pair — taken at provisioning
-/// time.
-///
-/// Mid-round shard failover needs the coordinator end of a *fresh* tunnel
-/// to a relaunched shard, but at that point the shard runtime does not
-/// hold a borrow of the coordinator [`Enclave`] (the round driver owns
-/// it, and is in the middle of ingesting a chunk through it). The anchor
-/// carries exactly the two launch-time-stable values key derivation
-/// needs, so [`TunnelAnchor::establish`] can bring up the replacement
-/// tunnel autonomously. The relaunched shard presents a fresh DH share
-/// (new [`Enclave::launch_with_dh_epoch`] epoch) and a fresh quote, so
-/// the derived key differs from every key of the dead instance even
-/// though the coordinator's half of the handshake is fixed.
-pub struct TunnelAnchor {
-    transcript: [u8; 32],
-    dh: DhKeyPair,
-}
-
-impl core::fmt::Debug for TunnelAnchor {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        // Key material is intentionally redacted.
-        f.debug_struct("TunnelAnchor").finish_non_exhaustive()
-    }
-}
-
-impl TunnelAnchor {
-    /// Captures the coordinator's tunnel identity. Fails with
-    /// [`TunnelError::NotAttested`] before [`Enclave::attest`] — an
-    /// unattested coordinator has no transcript to bind tunnel keys to.
-    pub fn capture(own: &Enclave) -> Result<Self, TunnelError> {
-        let transcript = own.attested_transcript().ok_or(TunnelError::NotAttested)?;
-        Ok(TunnelAnchor { transcript, dh: own.dh_keypair() })
-    }
-
-    /// Brings up the coordinator end of a tunnel to a (re)launched shard,
-    /// exactly as [`ShardTunnel::establish`] would with the live enclave:
-    /// the peer quote is verified against the pinned platform key and
-    /// shard measurement before any key material is derived.
-    pub fn establish(
-        &self,
-        platform_public: u64,
-        expected_peer_measurement: &Measurement,
-        peer_quote: &Quote,
-        shard_id: ShardId,
-    ) -> Result<ShardTunnel, TunnelError> {
-        derive(
-            TunnelRole::Coordinator,
-            Some(self.transcript),
-            &self.dh,
-            platform_public,
-            expected_peer_measurement,
-            peer_quote,
-            shard_id,
-        )
     }
 }
 
@@ -522,62 +436,6 @@ mod tests {
         let mut m = c0.seal(1, b"stripe 0 cells");
         m.shard_id = 1;
         assert_eq!(s1.open(&m).unwrap_err(), TunnelError::AuthFailure);
-    }
-
-    #[test]
-    fn anchor_rebuilds_coordinator_end_and_relaunch_rekeys() {
-        let (service, coord, coord_quote, shard, shard_quote) = setup();
-        let anchor = TunnelAnchor::capture(&coord).expect("attested coordinator");
-        let mut c = anchor
-            .establish(service.public_key(), &shard.measurement(), &shard_quote, 0)
-            .expect("genuine shard quote");
-        let mut s = ShardTunnel::establish(
-            TunnelRole::Shard,
-            &shard,
-            service.public_key(),
-            &coord.measurement(),
-            &coord_quote,
-            0,
-        )
-        .expect("genuine coordinator quote");
-        let m = c.seal(1, b"via anchor");
-        assert_eq!(s.open(&m).unwrap(), b"via anchor", "anchor end interoperates");
-        // The failover flow: the shard relaunches under a fresh DH epoch
-        // and re-attests; the anchor brings up the replacement tunnel.
-        let mut shard2 = Enclave::launch_with_dh_epoch(&shard_cfg(), [8u8; 32], 1);
-        let shard2_quote = shard2.attest(&service, b"tunnel-test");
-        let mut c2 = anchor
-            .establish(service.public_key(), &shard2.measurement(), &shard2_quote, 0)
-            .expect("relaunched shard re-attests");
-        let mut s2 = ShardTunnel::establish(
-            TunnelRole::Shard,
-            &shard2,
-            service.public_key(),
-            &coord.measurement(),
-            &coord_quote,
-            0,
-        )
-        .unwrap();
-        let m2 = c2.seal(1, b"fresh keys");
-        assert_eq!(s2.open(&m2).unwrap(), b"fresh keys");
-        // The dead instance's key is gone: its frames do not open on the
-        // rekeyed tunnel (fresh DH share → fresh HKDF output).
-        let stale = c.seal(1, b"stale");
-        assert_eq!(s2.open(&stale).unwrap_err(), TunnelError::AuthFailure);
-        // And an unattested coordinator has nothing to anchor.
-        let cold = Enclave::launch(&EnclaveConfig::default(), [2u8; 32]);
-        assert_eq!(TunnelAnchor::capture(&cold).unwrap_err(), TunnelError::NotAttested);
-    }
-
-    #[test]
-    fn tamper_hook_breaks_authentication() {
-        let (mut c, mut s) = pair(1);
-        let mut m = c.seal(1, b"payload");
-        m.tamper();
-        assert_eq!(s.open(&m).unwrap_err(), TunnelError::AuthFailure);
-        // Floor did not advance: the sender's retry (fresh seq) opens.
-        let retry = c.seal(1, b"payload");
-        assert_eq!(s.open(&retry).unwrap(), b"payload");
     }
 
     #[test]

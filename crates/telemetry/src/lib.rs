@@ -644,7 +644,7 @@ mod tests {
             let mut s = t.span("round", &[("round", 9u64.into())]);
             s.field("clients", 17u64.into());
             t.count("sealed_bytes", "ct", 4096);
-            t.event("recovery_attempt", &[("site", "in@3.1".into()), ("attempt", 2u64.into())]);
+            t.event("fault_fired", &[("site", "crash@3".into()), ("chunk", 3u64.into())]);
             s.end();
             t.flush_stats();
             deterministic_projection(&t.buffer_contents().unwrap())

@@ -17,11 +17,10 @@ use olive_core::round::{Ledger, RoundEngine, RoundShape, SealedRound};
 use olive_data::synthetic::{Dataset, Generator, SyntheticConfig};
 use olive_data::{partition, ClientData, LabelAssignment};
 use olive_fl::{local_update, ClientConfig, SparseGradient, Sparsifier};
-use olive_memsim::ParallelTracer;
-use olive_memsim::ShardPlan;
+use olive_memsim::{FaultPlan, ParallelTracer, ShardPlan};
 use olive_nn::zoo::mlp;
 use olive_nn::Model;
-use olive_tee::{AttestationService, Enclave, EnclaveConfig, SealedMessage};
+use olive_tee::{AttestationService, Enclave, EnclaveConfig, SealedMessage, SealedStore};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -118,6 +117,24 @@ pub fn engine_round<TR: ParallelTracer>(
     rt: ShardRuntime,
     tr: &mut TR,
 ) -> (Result<Vec<f32>, RoundError>, ShardRuntime) {
+    let (out, rt, _) = crashing_engine_round(kind, updates, d, chunk, rt, FaultPlan::empty(), tr);
+    (out, rt)
+}
+
+/// [`engine_round`] with `plan`'s coordinator crashes armed: each crash
+/// aborts the engine, and the round reopens from the restore point it
+/// sealed into its store — over the plane the aborted engine handed back,
+/// with the unfired crash points re-armed — until it ends some other
+/// way. Also returns how many crashes fired.
+pub fn crashing_engine_round<TR: ParallelTracer>(
+    kind: AggregatorKind,
+    updates: &[SparseGradient],
+    d: usize,
+    chunk: usize,
+    mut rt: ShardRuntime,
+    mut plan: FaultPlan,
+    tr: &mut TR,
+) -> (Result<Vec<f32>, RoundError>, ShardRuntime, usize) {
     let service = AttestationService::new([5; 32]);
     let mut enclave = Enclave::launch(&EnclaveConfig::default(), [6; 32]);
     let users: Vec<u32> = (0..updates.len() as u32).collect();
@@ -134,16 +151,26 @@ pub fn engine_round<TR: ParallelTracer>(
         base_floors: &base_floors,
         rng_state: [0; 4],
     };
-    let ledger = Ledger::new(enclave.epc, Some(rt), olive_telemetry::Telemetry::off());
-    let agg = StreamingAggregator::new(kind, d, 1);
-    let (out, end) = match RoundEngine::open(agg, &round, &mut enclave, None, ledger)
-        .and_then(|engine| engine.ingest(&uploads, &mut enclave, None, tr))
-    {
-        Ok(engine) => engine.finish(tr),
-        Err((e, end)) => (Err(e), *end),
-    };
-    assert_eq!(end.coordinator.live, 0, "{kind:?}: the coordinator budget must balance");
-    (out, end.shards.expect("the plane comes back"))
+    let mut store = SealedStore::default();
+    let mut crashes = 0;
+    loop {
+        let mut ledger = Ledger::new(enclave.epc, Some(rt), olive_telemetry::Telemetry::off());
+        ledger.arm(plan);
+        let agg = StreamingAggregator::new(kind, d, 1);
+        let (out, end) = match RoundEngine::open(agg, &round, &mut enclave, Some(&store), ledger)
+            .and_then(|engine| engine.ingest(&uploads, &mut enclave, Some(&mut store), tr))
+        {
+            Ok(engine) => engine.finish(tr),
+            Err((e, end)) => (Err(e), *end),
+        };
+        assert_eq!(end.coordinator.live, 0, "{kind:?}: the coordinator budget must balance");
+        rt = end.shards.expect("the plane comes back");
+        if !matches!(out, Err(RoundError::CoordinatorKilled { .. })) {
+            return (out, rt, crashes);
+        }
+        crashes += 1;
+        plan = end.faults;
+    }
 }
 
 /// Random sparse updates for the engine-level suites: `n` clients, `k` of

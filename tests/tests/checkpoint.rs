@@ -8,9 +8,8 @@
 //! `RecordingTracer` spans the kill and the restore, so any extra or
 //! missing adversary-visible access would break the digest.
 //!
-//! Kills are scripted through the fault plane: a `crash@<chunk>` event
-//! ([`FaultKind::CoordinatorKill`](olive_memsim::FaultKind)) tears the
-//! coordinator enclave down right after that chunk is folded and
+//! Kills are scripted crash points ([`FaultPlan::crash_after`]): each
+//! tears the coordinator enclave down right after its chunk is folded and
 //! checkpointed, surfacing as [`RoundError::CoordinatorKilled`].
 
 use olive_core::aggregation::AggregatorKind;
@@ -22,7 +21,7 @@ use olive_tee::TeeError;
 /// Arms a coordinator crash right after chunk `chunk` (0-based) is
 /// folded and checkpointed.
 fn crash_after(sys: &mut OliveSystem, chunk: usize) {
-    sys.set_fault_plan(FaultPlan::parse(&format!("crash@{chunk}")).expect("well-formed script"));
+    sys.set_fault_plan(FaultPlan::crash_after([chunk]));
 }
 
 /// The structured error a crash scripted after chunk `chunk` surfaces as.
@@ -178,7 +177,7 @@ fn double_kill_and_restore_is_bitwise_identical() {
             sys.set_shards(shards);
             let mut tr = RecordingTracer::new(Granularity::Element);
             if one_script {
-                sys.set_fault_plan(FaultPlan::parse("crash@1,crash@3").expect("well-formed"));
+                sys.set_fault_plan(FaultPlan::crash_after([1, 3]));
             } else {
                 crash_after(&mut sys, 1);
             }

@@ -200,116 +200,50 @@ proptest! {
         }
     }
 
-    /// The fault-recovery contract as a property: for an *arbitrary* fault
-    /// script (any kinds, any chunk/egress sites, any shard targets) over
-    /// an arbitrary input at S ∈ {1, 2, 4}, the sharded round either
-    /// recovers — bitwise the monolithic output and trace digest, budgets
-    /// balanced — or fails with a *structured* [`ShardError`] carrying the
-    /// exhausted attempt budget. Never a panic, never a silently wrong
-    /// answer.
+    /// The crash contract as a property: for an *arbitrary* script of
+    /// coordinator crash points over an arbitrary input at S ∈ {1, 2, 4},
+    /// the round — killed at every scripted chunk it reaches and reopened
+    /// from its sealed restore point each time — is bitwise the monolithic
+    /// output and trace digest, with every budget balanced. Each distinct
+    /// crash point inside the round fires exactly once: a resumed round
+    /// never folds the chunk it died after again.
     #[test]
     fn faults_never_change_the_result(
         updates in updates_strategy(6, 32),
-        raw_events in vec((0usize..5, 0u32..7, 0u32..4), 0..6),
+        crash_points in vec(0usize..7, 0..4),
         shards_sel in 0usize..3,
         chunk in 1usize..7,
     ) {
-        use olive_core::aggregation::ShardFailure;
-        use olive_memsim::{FaultEvent, FaultKind, FaultPlan, RetryPolicy, ShardPlan, EGRESS_CHUNK};
+        use olive_integration_tests::crashing_engine_round;
+        use olive_memsim::{FaultPlan, ShardPlan};
         let d = 32;
         let shards = [1usize, 2, 4][shards_sel];
-        const KINDS: [FaultKind; 5] = [
-            FaultKind::ShardKill,
-            FaultKind::TunnelTamper,
-            FaultKind::TunnelDrop,
-            FaultKind::ReceiptCorrupt,
-            FaultKind::StaleSeal,
-        ];
-        let events: Vec<FaultEvent> = raw_events
+        let mut reached: Vec<usize> = crash_points
             .iter()
-            .map(|&(k, c, s)| FaultEvent {
-                kind: KINDS[k],
-                chunk: if c == 6 { EGRESS_CHUNK } else { c },
-                shard: s % shards as u32,
-            })
+            .copied()
+            .filter(|&c| c < updates.len().div_ceil(chunk))
             .collect();
+        reached.sort_unstable();
+        reached.dedup();
         for kind in [AggregatorKind::Advanced, AggregatorKind::Grouped { h: 2 }] {
             let mut one_tr = RecordingTracer::new(Granularity::Element);
             let one = aggregate_with_threads(kind, &updates, d, 1, &mut one_tr);
-            let mut rt = shard_runtime(ShardPlan::even(d, shards));
-            rt.set_fault_plan(FaultPlan::from_events(events.clone()));
+            let rt = shard_runtime(ShardPlan::even(d, shards));
+            let plan = FaultPlan::crash_after(crash_points.iter().copied());
             let mut tr = RecordingTracer::new(Granularity::Element);
-            let (got, rt) = engine_round(kind, &updates, d, chunk, rt, &mut tr);
-            // Recovered or aborted, the ledger leaves every budget empty.
+            let (got, rt, crashes) =
+                crashing_engine_round(kind, &updates, d, chunk, rt, plan, &mut tr);
             prop_assert!(rt.live().iter().all(|&b| b == 0),
-                "{:?} events={:?}: shard budgets must balance", kind, events);
-            match got {
-                Ok(got) => {
-                    let one_bits: Vec<u32> = one.iter().map(|v| v.to_bits()).collect();
-                    let got_bits: Vec<u32> = got.iter().map(|v| v.to_bits()).collect();
-                    prop_assert_eq!(got_bits, one_bits,
-                        "{:?} S={} events={:?}: output drifted", kind, shards, events);
-                    prop_assert_eq!(tr.digest(), one_tr.digest(),
-                        "{:?} S={} events={:?}: trace drifted", kind, shards, events);
-                }
-                Err(e) => {
-                    // Recovery only gives up when a site stacks enough
-                    // delivery failures to exhaust the whole retry budget
-                    // (shards checkpoint every chunk, so kills are absorbed).
-                    prop_assert_eq!(e.attempts, RetryPolicy::MAX_ATTEMPTS,
-                        "{:?} events={:?}: gave up early: {}", kind, events, e);
-                    prop_assert!((e.shard as usize) < shards);
-                    prop_assert!(matches!(
-                        e.failure,
-                        ShardFailure::Tunnel(_)
-                            | ShardFailure::Dropped
-                            | ShardFailure::ReceiptMismatch
-                    ), "{:?} events={:?}: unstructured terminal failure {}", kind, events, e);
-                }
-            }
-        }
-    }
-
-    /// Recovery exhaustion as a property: stacking exactly the retry
-    /// budget of delivery failures at *any* single site fails cleanly and
-    /// structurally — correct shard, exhausted attempts, matching failure
-    /// kind — for any input geometry.
-    #[test]
-    fn stacked_faults_exhaust_into_structured_errors(
-        updates in updates_strategy(6, 32),
-        site_chunk in 0u32..3,
-        site_shard in 0u32..4,
-        fail_sel in 0usize..3,
-        chunk in 1usize..5,
-    ) {
-        use olive_core::aggregation::ShardFailure;
-        use olive_memsim::{FaultEvent, FaultKind, FaultPlan, RetryPolicy, ShardPlan, EGRESS_CHUNK};
-        let d = 32;
-        let n_chunks = updates.len().div_ceil(chunk) as u32;
-        prop_assume!(site_chunk < n_chunks);
-        let (fault, expect_egress) = [
-            (FaultKind::TunnelTamper, false),
-            (FaultKind::TunnelDrop, false),
-            (FaultKind::ReceiptCorrupt, true),
-        ][fail_sel];
-        let site_chunk = if expect_egress { EGRESS_CHUNK } else { site_chunk };
-        let events = vec![
-            FaultEvent { kind: fault, chunk: site_chunk, shard: site_shard % 4 };
-            RetryPolicy::MAX_ATTEMPTS as usize
-        ];
-        let mut rt = shard_runtime(ShardPlan::even(d, 4));
-        rt.set_fault_plan(FaultPlan::from_events(events));
-        let mut tr = RecordingTracer::new(Granularity::Element);
-        let (got, rt) = engine_round(AggregatorKind::Advanced, &updates, d, chunk, rt, &mut tr);
-        let e = got.expect_err("the stacked script must exhaust");
-        prop_assert!(rt.live().iter().all(|&b| b == 0), "an aborted round must balance");
-        prop_assert_eq!(e.shard, site_shard % 4);
-        prop_assert_eq!(e.attempts, RetryPolicy::MAX_ATTEMPTS);
-        match fault {
-            FaultKind::TunnelDrop => prop_assert_eq!(e.failure, ShardFailure::Dropped),
-            FaultKind::ReceiptCorrupt =>
-                prop_assert_eq!(e.failure, ShardFailure::ReceiptMismatch),
-            _ => prop_assert!(matches!(e.failure, ShardFailure::Tunnel(_))),
+                "{:?} crashes={:?}: shard budgets must balance", kind, crash_points);
+            prop_assert_eq!(crashes, reached.len(),
+                "{:?} crashes={:?} chunk={}", kind, crash_points, chunk);
+            let got = got.expect("only crashes are scripted");
+            let one_bits: Vec<u32> = one.iter().map(|v| v.to_bits()).collect();
+            let got_bits: Vec<u32> = got.iter().map(|v| v.to_bits()).collect();
+            prop_assert_eq!(got_bits, one_bits,
+                "{:?} S={} crashes={:?}: output drifted", kind, shards, crash_points);
+            prop_assert_eq!(tr.digest(), one_tr.digest(),
+                "{:?} S={} crashes={:?}: trace drifted", kind, shards, crash_points);
         }
     }
 

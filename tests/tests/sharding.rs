@@ -116,7 +116,7 @@ fn kill_and_restore_composes_with_sharding() {
         sys.set_chunk(2);
         sys.set_shards(4);
         let mut tr = RecordingTracer::new(Granularity::Element);
-        sys.set_fault_plan(FaultPlan::parse("crash@1").expect("well-formed script"));
+        sys.set_fault_plan(FaultPlan::crash_after([1]));
         let err = sys.run_round(&mut tr).expect_err("the scripted crash must fire");
         assert_eq!(err, RoundError::CoordinatorKilled { after_chunk: 1 });
         assert!(sys.interrupted(), "kill point must fire");
