@@ -2,7 +2,7 @@
 
 use std::collections::HashMap;
 
-use olive_nn::zoo::{attacker_nn, attacker_nn_single};
+use olive_nn::zoo::attacker_nn;
 use olive_nn::Sgd;
 use olive_tee::UserId;
 
@@ -179,7 +179,7 @@ pub fn score_all_users(
         AttackMethod::NnSingle(params) => {
             let t_rounds = teacher.per_round.len();
             let dim = obs.feature_dim * t_rounds;
-            let mut model = attacker_nn_single(dim, params.hidden, labels, seed ^ 0x5176);
+            let mut model = attacker_nn(dim, params.hidden, labels, seed ^ 0x5176);
             let mut opt = Sgd::new(params.lr, 0.9, model.param_count());
             let mut xs = Vec::with_capacity(labels * dim);
             let mut ys = Vec::with_capacity(labels);

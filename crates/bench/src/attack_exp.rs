@@ -2,10 +2,11 @@
 //!
 //! The paper's scale is (N, q, T) = (1000, 0.1, 3) with 45k–200k-parameter
 //! models on the real datasets. The default scale here is reduced (fewer
-//! clients, narrower hidden layers, synthetic data — `DESIGN.md` §1/§5)
-//! but preserves every *shape*: non-IID label skew, top-k sparsification,
-//! the (α, #labels, dataset-size, granularity, σ) sweeps, and the three
-//! scoring methods. `--paper-scale` restores N = 1000, q = 0.1.
+//! clients, narrower hidden layers, synthetic data — README, "Substitutions"
+//! and "Benchmarks and paper figures") but preserves every *shape*: non-IID
+//! label skew, top-k sparsification, the (α, #labels, dataset-size,
+//! granularity, σ) sweeps, and the three scoring methods. `--paper-scale`
+//! restores N = 1000, q = 0.1 ([`crate::Mode`]).
 
 use olive_attack::{run_attack, AttackMethod, AttackPipelineConfig, NnParams};
 use olive_core::aggregation::AggregatorKind;
@@ -20,7 +21,8 @@ use olive_nn::Model;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
-/// The five evaluation workloads (dataset × model, Table 1 rows).
+/// The five evaluation workloads (dataset × model): the rows of Table 1,
+/// and the one catalog of them.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Workload {
     /// MNIST-like + MLP.
@@ -36,14 +38,36 @@ pub enum Workload {
 }
 
 impl Workload {
-    /// Display name matching the paper's figure legends.
-    pub fn name(&self) -> &'static str {
+    /// Table 1's dataset name.
+    pub fn dataset_name(&self) -> &'static str {
         match self {
-            Workload::MnistMlp => "MNIST (MLP)",
-            Workload::Cifar10Mlp => "CIFAR10 (MLP)",
-            Workload::Cifar10Cnn => "CIFAR10 (CNN)",
-            Workload::Purchase100Mlp => "Purchase100 (MLP)",
-            Workload::Cifar100Cnn => "CIFAR100 (CNN)",
+            Workload::MnistMlp => "MNIST",
+            Workload::Cifar10Mlp | Workload::Cifar10Cnn => "CIFAR10",
+            Workload::Purchase100Mlp => "Purchase100",
+            Workload::Cifar100Cnn => "CIFAR100",
+        }
+    }
+
+    /// The global model's architecture: `MLP` or `CNN`.
+    pub fn arch(&self) -> &'static str {
+        match self {
+            Workload::MnistMlp | Workload::Cifar10Mlp | Workload::Purchase100Mlp => "MLP",
+            Workload::Cifar10Cnn | Workload::Cifar100Cnn => "CNN",
+        }
+    }
+
+    /// Display name matching the paper's figure legends, e.g. `MNIST (MLP)`.
+    pub fn name(&self) -> String {
+        format!("{} ({})", self.dataset_name(), self.arch())
+    }
+
+    /// The paper's record count and test-set size for the dataset (Table
+    /// 1); the synthetic generators are unbounded samplers.
+    pub fn paper_records(&self) -> (usize, usize) {
+        match self {
+            Workload::MnistMlp => (70_000, 10_000),
+            Workload::Cifar10Mlp | Workload::Cifar10Cnn | Workload::Cifar100Cnn => (60_000, 10_000),
+            Workload::Purchase100Mlp => (144_000, 24_000),
         }
     }
 
@@ -66,7 +90,9 @@ impl Workload {
         ]
     }
 
-    fn synthetic_config(&self, paper_scale: bool) -> SyntheticConfig {
+    /// The synthetic generator standing in for the dataset: at paper scale
+    /// the real feature dimension, else a reduced one.
+    pub fn synthetic_config(&self, paper_scale: bool) -> SyntheticConfig {
         if paper_scale {
             match self {
                 Workload::MnistMlp => SyntheticConfig::mnist_like(),
@@ -84,14 +110,7 @@ impl Workload {
                     noise_std: 0.25,
                     binary: false,
                 },
-                Workload::Cifar10Mlp => SyntheticConfig {
-                    feature_dim: 3 * 16 * 16,
-                    num_classes: 10,
-                    active_fraction: 0.10,
-                    noise_std: 0.40,
-                    binary: false,
-                },
-                Workload::Cifar10Cnn => SyntheticConfig {
+                Workload::Cifar10Mlp | Workload::Cifar10Cnn => SyntheticConfig {
                     feature_dim: 3 * 16 * 16,
                     num_classes: 10,
                     active_fraction: 0.10,
@@ -213,15 +232,6 @@ impl Scale {
             server_lr: 1.0,
             nn: NnParams { hidden: 1000, epochs: 100, lr: 0.1 },
             paper: true,
-        }
-    }
-
-    /// Reduced or paper scale from the `--paper-scale` flag.
-    pub fn from_flags() -> Self {
-        if crate::has_flag("--paper-scale") {
-            Self::paper()
-        } else {
-            Self::reduced()
         }
     }
 }
@@ -355,6 +365,74 @@ mod tests {
         for w in Workload::all() {
             let m = w.build_model(false, 1);
             assert!(m.param_count() > 0, "{}", w.name());
+        }
+    }
+
+    #[test]
+    fn paper_scale_matches_table1() {
+        let rows: Vec<_> = Workload::all()
+            .iter()
+            .map(|w| {
+                let cfg = w.synthetic_config(true);
+                (w.dataset_name(), cfg.feature_dim, cfg.num_classes, w.paper_records())
+            })
+            .collect();
+        assert_eq!(
+            rows,
+            [
+                ("MNIST", 784, 10, (70_000, 10_000)),
+                ("CIFAR10", 3072, 10, (60_000, 10_000)),
+                ("CIFAR10", 3072, 10, (60_000, 10_000)),
+                ("Purchase100", 600, 100, (144_000, 24_000)),
+                ("CIFAR100", 3072, 100, (60_000, 10_000)),
+            ]
+        );
+    }
+
+    #[test]
+    fn paper_scale_configs_match_workloads() {
+        // Every workload's paper-scale dataset carries the workload's label
+        // count, and the workloads sharing a dataset share its config.
+        for w in Workload::all() {
+            let cfg = w.synthetic_config(true);
+            assert_eq!(cfg.num_classes, w.num_classes(), "{}", w.name());
+            for v in Workload::all() {
+                if v.dataset_name() == w.dataset_name() {
+                    let other = v.synthetic_config(true);
+                    assert_eq!(
+                        (other.feature_dim, other.num_classes),
+                        (cfg.feature_dim, cfg.num_classes),
+                        "{} vs {}",
+                        w.name(),
+                        v.name()
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn paper_scale_models_fit_their_datasets() {
+        // One forward pass per model: the dataset's feature dimension is
+        // the model's input (the layers assert it) and its label count the
+        // model's output.
+        for w in Workload::all() {
+            let cfg = w.synthetic_config(true);
+            let mut m = w.build_model(true, 1);
+            assert_eq!(m.num_classes, w.num_classes(), "{}", w.name());
+            let logits = m.forward(&vec![0.1f32; 2 * cfg.feature_dim], 2, false);
+            assert_eq!(logits.len(), 2 * w.num_classes(), "{}", w.name());
+        }
+    }
+
+    #[test]
+    fn paper_scale_generators_produce_the_schema() {
+        for w in Workload::all() {
+            let cfg = w.synthetic_config(true);
+            let gen = Generator::new(cfg, 1);
+            let ds = gen.sample_balanced(1, &mut SmallRng::seed_from_u64(0));
+            assert_eq!(ds.feature_dim, cfg.feature_dim, "{}", w.name());
+            assert_eq!((ds.num_classes, ds.len()), (w.num_classes(), w.num_classes()));
         }
     }
 

@@ -6,14 +6,14 @@
 //! per-index shifted-Laplace padding (∝ k·d·ln(1/δ)/ε) makes DO *slower*
 //! than fully oblivious aggregation in the FL regime.
 
-use olive_bench::perf::{time_aggregation_prebuilt, PerfMode};
-use olive_bench::synthetic_updates;
+use olive_bench::perf::time_aggregation_prebuilt;
 use olive_bench::table::{print_table, secs};
+use olive_bench::{synthetic_updates, Mode};
 use olive_core::aggregation::dobliv::expected_padding;
 use olive_core::aggregation::AggregatorKind;
 
 fn main() {
-    let mode = PerfMode::from_flags();
+    let mode = Mode::from_args();
     let all = &[1_000, 10_000, 50_000];
     let sizes = mode.table(&[1_000, 10_000], all, all);
     let n = 50;

@@ -7,7 +7,7 @@
 //!
 //! Already seconds-scale; `--quick` trims the printed access prefix.
 
-use olive_bench::perf::PerfMode;
+use olive_bench::Mode;
 use olive_core::aggregation::linear::aggregate_dense_linear;
 use olive_core::aggregation::{aggregate, AggregatorKind};
 use olive_core::regions::{REGION_G, REGION_G_STAR};
@@ -35,7 +35,7 @@ fn show(events: &[olive_memsim::Access], limit: usize) {
 }
 
 fn main() {
-    let mode = PerfMode::from_flags();
+    let mode = Mode::from_args();
     let shown = mode.pick(6, 12, 12);
     println!("=== Figure 2: dense gradients → uniform access pattern ===");
     let dense = vec![0.5f32; 2 * 4]; // 2 users, d = 4

@@ -11,23 +11,23 @@
 //! `--paper-scale`.
 
 use olive_attack::AttackMethod;
-use olive_bench::attack_exp::{run_experiment, AttackExperiment, Scale, Workload};
-use olive_bench::has_flag;
+use olive_bench::attack_exp::{run_experiment, AttackExperiment, Workload};
 use olive_bench::table::{pct, print_table};
+use olive_bench::{has_flag, Mode};
 use olive_data::LabelAssignment;
 use olive_memsim::Granularity;
 
 fn main() {
-    let scale = Scale::from_flags();
-    let quick = has_flag("--quick");
-    let workloads: Vec<Workload> = if quick {
+    let mode = Mode::from_args();
+    let scale = mode.scale();
+    let workloads: Vec<Workload> = if mode.quick {
         vec![Workload::MnistMlp]
     } else if has_flag("--all-datasets") {
         Workload::all().to_vec()
     } else {
         vec![Workload::MnistMlp, Workload::Cifar10Cnn, Workload::Purchase100Mlp]
     };
-    let methods: &[(&str, AttackMethod)] = if quick {
+    let methods: &[(&str, AttackMethod)] = if mode.quick {
         &[("Jac", AttackMethod::Jaccard)]
     } else {
         &[
@@ -36,7 +36,7 @@ fn main() {
             ("NN-single", AttackMethod::NnSingle(olive_attack::NnParams::default())),
         ]
     };
-    let label_counts: &[usize] = if quick { &[1, 2] } else { &[1, 2, 3] };
+    let label_counts: &[usize] = if mode.quick { &[1, 2] } else { &[1, 2, 3] };
 
     for workload in &workloads {
         let mut rows = Vec::new();

@@ -6,21 +6,21 @@
 //! for small maxima; `top-1` barely affected.
 
 use olive_attack::AttackMethod;
-use olive_bench::attack_exp::{run_experiment, AttackExperiment, Scale, Workload};
-use olive_bench::has_flag;
+use olive_bench::attack_exp::{run_experiment, AttackExperiment, Workload};
 use olive_bench::table::{pct, print_table};
+use olive_bench::Mode;
 use olive_data::LabelAssignment;
 use olive_memsim::Granularity;
 
 fn main() {
-    let scale = Scale::from_flags();
-    let quick = has_flag("--quick");
-    let workloads: Vec<Workload> = if quick {
+    let mode = Mode::from_args();
+    let scale = mode.scale();
+    let workloads: Vec<Workload> = if mode.quick {
         vec![Workload::MnistMlp]
     } else {
         vec![Workload::MnistMlp, Workload::Cifar10Cnn, Workload::Purchase100Mlp]
     };
-    let methods: &[(&str, AttackMethod)] = if quick {
+    let methods: &[(&str, AttackMethod)] = if mode.quick {
         &[("Jac", AttackMethod::Jaccard)]
     } else {
         &[
@@ -28,7 +28,7 @@ fn main() {
             ("NN", AttackMethod::Nn(olive_attack::NnParams::default())),
         ]
     };
-    let maxima: &[usize] = if quick { &[2] } else { &[2, 3, 4] };
+    let maxima: &[usize] = if mode.quick { &[2] } else { &[2, 3, 4] };
     for workload in &workloads {
         let mut rows = Vec::new();
         for &(mname, method) in methods {

@@ -6,21 +6,21 @@
 //! α = 0.3%).
 
 use olive_attack::AttackMethod;
-use olive_bench::attack_exp::{run_experiment, AttackExperiment, Scale, Workload};
-use olive_bench::has_flag;
+use olive_bench::attack_exp::{run_experiment, AttackExperiment, Workload};
 use olive_bench::table::{pct, print_table};
+use olive_bench::Mode;
 use olive_data::LabelAssignment;
 use olive_memsim::Granularity;
 
 fn main() {
-    let scale = Scale::from_flags();
-    let quick = has_flag("--quick");
-    let workloads: Vec<Workload> = if quick {
+    let mode = Mode::from_args();
+    let scale = mode.scale();
+    let workloads: Vec<Workload> = if mode.quick {
         vec![Workload::MnistMlp]
     } else {
         vec![Workload::MnistMlp, Workload::Cifar100Cnn]
     };
-    let alphas: &[f64] = if quick { &[0.01, 0.1] } else { &[0.003, 0.01, 0.03, 0.1, 0.3] };
+    let alphas: &[f64] = if mode.quick { &[0.01, 0.1] } else { &[0.003, 0.01, 0.03, 0.1, 0.3] };
     for workload in &workloads {
         let mut rows = Vec::new();
         for &alpha in alphas {

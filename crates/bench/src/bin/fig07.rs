@@ -6,16 +6,16 @@
 //! channel is sufficient.
 
 use olive_attack::AttackMethod;
-use olive_bench::attack_exp::{run_experiment, AttackExperiment, Scale, Workload};
-use olive_bench::has_flag;
+use olive_bench::attack_exp::{run_experiment, AttackExperiment, Workload};
 use olive_bench::table::{pct, print_table};
+use olive_bench::Mode;
 use olive_data::LabelAssignment;
 use olive_memsim::Granularity;
 
 fn main() {
-    let scale = Scale::from_flags();
-    let quick = has_flag("--quick");
-    let methods: &[(&str, AttackMethod)] = if quick {
+    let mode = Mode::from_args();
+    let scale = mode.scale();
+    let methods: &[(&str, AttackMethod)] = if mode.quick {
         &[("Jac", AttackMethod::Jaccard)]
     } else {
         &[

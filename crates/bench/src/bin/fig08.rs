@@ -8,19 +8,17 @@
 //! MNIST), weakening the attacker-knowledge assumption.
 
 use olive_attack::AttackMethod;
-use olive_bench::attack_exp::{
-    run_experiment_with_pool_override, AttackExperiment, Scale, Workload,
-};
-use olive_bench::has_flag;
+use olive_bench::attack_exp::{run_experiment_with_pool_override, AttackExperiment, Workload};
 use olive_bench::table::{pct, print_table};
+use olive_bench::Mode;
 use olive_data::LabelAssignment;
 use olive_memsim::Granularity;
 
 fn main() {
-    let scale = Scale::from_flags();
-    let quick = has_flag("--quick");
-    let pools: &[usize] = if quick { &[4, 24] } else { &[2, 4, 8, 16, 24] };
-    let cases: &[(&str, Workload, LabelAssignment)] = if quick {
+    let mode = Mode::from_args();
+    let scale = mode.scale();
+    let pools: &[usize] = if mode.quick { &[4, 24] } else { &[2, 4, 8, 16, 24] };
+    let cases: &[(&str, Workload, LabelAssignment)] = if mode.quick {
         &[("MNIST fixed-2", Workload::MnistMlp, LabelAssignment::Fixed(2))]
     } else {
         &[

@@ -8,20 +8,20 @@
 //! Baseline and >10× faster than PathORAM; Baseline wins only at very
 //! small d; Advanced stays at seconds even at d = 10⁶.
 //!
-//! Flags: `--quick` caps d at 10⁵; `--full` runs the slow methods at every
-//! size (hours); default caps Baseline at 3·10⁵ and PathORAM at 10⁵
+//! Flags: `--quick` caps d at 10⁵; `--paper-scale` runs the slow methods at
+//! every size (hours); default caps Baseline at 3·10⁵ and PathORAM at 10⁵
 //! (raised from 3·10⁴ once the batched eviction kernel and the fused
 //! recursive position map landed — a d = 10⁵ round is now minutes, not
 //! tens of minutes).
 
-use olive_bench::perf::{time_aggregation_prebuilt, PerfMode};
-use olive_bench::synthetic_updates;
+use olive_bench::perf::time_aggregation_prebuilt;
 use olive_bench::table::{print_table, secs};
+use olive_bench::{synthetic_updates, Mode};
 use olive_core::aggregation::AggregatorKind;
 use olive_oram::PosMapKind;
 
 fn main() {
-    let mode = PerfMode::from_flags();
+    let mode = Mode::from_args();
     let alpha = 0.01;
     let n = 100;
     let all = &[10_000, 30_000, 100_000, 300_000, 1_000_000];
@@ -31,7 +31,7 @@ fn main() {
         let k = ((d as f64) * alpha) as usize;
         let updates = synthetic_updates(n, k, d, 42);
         let (t_lin, _) = time_aggregation_prebuilt(AggregatorKind::NonOblivious, &updates, d);
-        let t_base = if mode.full || d <= 300_000 {
+        let t_base = if mode.paper || d <= 300_000 {
             Some(
                 time_aggregation_prebuilt(
                     AggregatorKind::Baseline { cacheline_weights: 16 },
@@ -44,7 +44,7 @@ fn main() {
             None
         };
         let (t_adv, _) = time_aggregation_prebuilt(AggregatorKind::Advanced, &updates, d);
-        let t_oram = if mode.full || d <= 100_000 {
+        let t_oram = if mode.paper || d <= 100_000 {
             Some(
                 time_aggregation_prebuilt(
                     AggregatorKind::PathOram { posmap: PosMapKind::Recursive },

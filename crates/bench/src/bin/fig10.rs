@@ -7,17 +7,18 @@
 //! competes; the Figure 11 grouping fixes it.
 //!
 //! Scales: `--quick` n ∈ {10, 100} with Baseline only at n = 10; default
-//! n ∈ {10, 100, 1000} with Baseline capped at n ≤ 100 (O(nkd)); `--full`
-//! adds n = 3000, matching the paper's N = 10⁴ round, and uncaps Baseline.
+//! n ∈ {10, 100, 1000} with Baseline capped at n ≤ 100 (O(nkd));
+//! `--paper-scale` adds n = 3000, matching the paper's N = 10⁴ round, and
+//! uncaps Baseline.
 
-use olive_bench::perf::{time_aggregation_prebuilt, PerfMode};
-use olive_bench::synthetic_updates;
+use olive_bench::perf::time_aggregation_prebuilt;
 use olive_bench::table::{print_table, secs};
+use olive_bench::{synthetic_updates, Mode};
 use olive_core::aggregation::AggregatorKind;
 use olive_core::olive::working_set_bytes;
 
 fn main() {
-    let mode = PerfMode::from_flags();
+    let mode = Mode::from_args();
     let d = 50_890;
     let k = 5_089; // α = 0.1
     let ns = mode.table(&[10, 100], &[10, 100, 1000], &[10, 100, 1000, 3000]);
@@ -56,7 +57,7 @@ fn main() {
     );
     println!(
         "\nPaper's 122 MB check at n=3000: working_set = {:.0} MB",
-        working_set_bytes(AggregatorKind::Advanced, 3000, k, d) as f64 / (1 << 20) as f64
+        working_set_bytes(AggregatorKind::Advanced, 3000, k, d, 1) as f64 / (1 << 20) as f64
     );
     println!(
         "Shape claims: Advanced time grows super-linearly once the sort vector exceeds L3/EPC;\n\

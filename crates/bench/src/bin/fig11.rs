@@ -9,11 +9,11 @@
 //! Also replays a scaled-down trace through the cache/EPC cost simulator
 //! to show the same U-curve under the paper's hardware constants
 //! (`--no-sim` to skip). `--quick` shrinks n and the h grid to seconds
-//! scale; `--full` uses the paper's n = 3000.
+//! scale; `--paper-scale` uses the paper's n = 3000.
 
-use olive_bench::perf::{time_aggregation_prebuilt, PerfMode};
+use olive_bench::perf::time_aggregation_prebuilt;
 use olive_bench::table::{print_table, secs};
-use olive_bench::{has_flag, synthetic_updates};
+use olive_bench::{has_flag, synthetic_updates, Mode};
 use olive_core::aggregation::{aggregate_with_threads, AggregatorKind};
 use olive_memsim::{CacheConfig, RecordingTracer, SgxCostEstimate};
 
@@ -79,7 +79,7 @@ fn simulated_panel(d: usize, k: usize, n: usize, hs: &[usize]) {
 }
 
 fn main() {
-    let mode = PerfMode::from_flags();
+    let mode = Mode::from_args();
     let n = mode.pick(128, 1000, 3000);
     // Left: MNIST MLP, α = 0.1.
     let mnist_hs = mode.table(

@@ -7,17 +7,17 @@
 //! for Olive in CDP-FL (Appendix D.3).
 
 use olive_attack::AttackMethod;
-use olive_bench::attack_exp::{run_experiment, AttackExperiment, Scale, Workload};
-use olive_bench::has_flag;
+use olive_bench::attack_exp::{run_experiment, AttackExperiment, Workload};
 use olive_bench::table::{pct, print_table};
+use olive_bench::Mode;
 use olive_data::LabelAssignment;
 use olive_memsim::Granularity;
 
 fn main() {
-    let scale = Scale::from_flags();
-    let quick = has_flag("--quick");
+    let mode = Mode::from_args();
+    let scale = mode.scale();
     let sigma = 1.12;
-    let workloads: Vec<Workload> = if quick {
+    let workloads: Vec<Workload> = if mode.quick {
         vec![Workload::MnistMlp]
     } else {
         vec![Workload::MnistMlp, Workload::Purchase100Mlp]

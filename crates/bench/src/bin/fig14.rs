@@ -9,16 +9,16 @@
 
 use olive_attack::metrics::random_guess_all;
 use olive_attack::AttackMethod;
-use olive_bench::attack_exp::{run_experiment, AttackExperiment, Scale, Workload};
-use olive_bench::has_flag;
+use olive_bench::attack_exp::{run_experiment, AttackExperiment, Workload};
 use olive_bench::table::{pct, print_table};
+use olive_bench::Mode;
 use olive_data::LabelAssignment;
 use olive_memsim::Granularity;
 
 fn main() {
-    let scale = Scale::from_flags();
-    let quick = has_flag("--quick");
-    let sigmas: &[f64] = if quick { &[0.0, 1.12] } else { &[0.0, 0.5, 1.12, 2.0, 4.0, 8.0] };
+    let mode = Mode::from_args();
+    let scale = mode.scale();
+    let sigmas: &[f64] = if mode.quick { &[0.0, 1.12] } else { &[0.0, 0.5, 1.12, 2.0, 4.0, 8.0] };
     let mut rows = Vec::new();
     for &sigma in sigmas {
         let exp = AttackExperiment {

@@ -7,18 +7,18 @@
 //! large σ. Conclusion (Appendix D.3): DP cannot substitute for Olive's
 //! oblivious aggregation.
 
-use olive_bench::attack_exp::{utility_run, Scale, Workload};
-use olive_bench::has_flag;
+use olive_bench::attack_exp::{utility_run, Workload};
 use olive_bench::table::{pct, print_table};
+use olive_bench::Mode;
 
 /// Per-round `(test_loss, test_accuracy, epsilon)` series from [`utility_run`].
 type LossSeries = Vec<(f32, f32, f64)>;
 
 fn main() {
-    let scale = Scale::from_flags();
-    let quick = has_flag("--quick");
-    let sigmas: &[f64] = if quick { &[0.0, 4.0] } else { &[0.0, 0.5, 1.12, 2.0, 4.0, 8.0] };
-    let rounds = if quick { 8 } else { 24 };
+    let mode = Mode::from_args();
+    let scale = mode.scale();
+    let sigmas: &[f64] = if mode.quick { &[0.0, 4.0] } else { &[0.0, 0.5, 1.12, 2.0, 4.0, 8.0] };
+    let rounds = if mode.quick { 8 } else { 24 };
 
     let mut acc_rows = Vec::new();
     let mut loss_tables: Vec<(f64, LossSeries)> = Vec::new();

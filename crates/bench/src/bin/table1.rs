@@ -7,30 +7,20 @@
 //! The table is static and already sub-second; `--quick` is accepted for
 //! CI-sweep uniformity and runs the identical table.
 
-use olive_bench::perf::PerfMode;
+use olive_bench::attack_exp::Workload;
 use olive_bench::table::print_table;
-use olive_data::DatasetKind;
-use olive_nn::zoo::ModelSpec;
 
 fn main() {
-    let _mode = PerfMode::from_flags();
-    let rows: Vec<Vec<String>> = ModelSpec::all()
+    let rows: Vec<Vec<String>> = Workload::all()
         .iter()
-        .map(|m| {
-            let ds = match m {
-                ModelSpec::MnistMlp => DatasetKind::Mnist,
-                ModelSpec::Cifar10Mlp | ModelSpec::Cifar10Cnn => DatasetKind::Cifar10,
-                ModelSpec::Purchase100Mlp => DatasetKind::Purchase100,
-                ModelSpec::Cifar100Cnn => DatasetKind::Cifar100,
-            }
-            .spec();
-            let params = m.build(0).param_count();
+        .map(|w| {
+            let (records, test) = w.paper_records();
             vec![
-                ds.name.to_string(),
-                m.name().to_string(),
-                params.to_string(),
-                ds.num_classes.to_string(),
-                format!("{} ({})", ds.paper_records, ds.paper_test_records),
+                w.dataset_name().to_string(),
+                format!("{} {}", w.dataset_name(), w.arch()),
+                w.build_model(true, 0).param_count().to_string(),
+                w.num_classes().to_string(),
+                format!("{records} ({test})"),
             ]
         })
         .collect();

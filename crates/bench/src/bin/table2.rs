@@ -9,8 +9,8 @@
 //! Flags: `--quick` (fewer training rounds), `--paper-scale`.
 
 use olive_bench::attack_exp::{Scale, Workload};
-use olive_bench::perf::PerfMode;
 use olive_bench::table::{pct, print_table};
+use olive_bench::Mode;
 use olive_core::aggregation::AggregatorKind;
 use olive_data::synthetic::Generator;
 use olive_data::{partition, LabelAssignment};
@@ -24,16 +24,7 @@ use rand::SeedableRng;
 /// Gaussian noise; returns final test accuracy.
 fn run_fl(central: bool, sigma: f64, scale: &Scale, rounds: usize, seed: u64) -> f64 {
     let workload = Workload::MnistMlp;
-    let gen = Generator::new(
-        olive_data::synthetic::SyntheticConfig {
-            feature_dim: 28 * 28,
-            num_classes: 10,
-            active_fraction: 0.15,
-            noise_std: 0.25,
-            binary: false,
-        },
-        seed,
-    );
+    let gen = Generator::new(workload.synthetic_config(false), seed);
     let clients =
         partition(&gen, scale.n_clients, LabelAssignment::Fixed(2), scale.samples_per_client, seed);
     let model = workload.build_model(false, seed);
@@ -92,8 +83,8 @@ fn run_fl(central: bool, sigma: f64, scale: &Scale, rounds: usize, seed: u64) ->
 }
 
 fn main() {
-    let scale = Scale::from_flags();
-    let mode = PerfMode::from_flags();
+    let mode = Mode::from_args();
+    let scale = mode.scale();
     // --quick keeps all three trust-model runs but trains fewer rounds
     // (the CDP-vs-LDP gap is visible after a handful).
     let rounds = mode.pick(4, 12, 12);

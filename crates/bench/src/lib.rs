@@ -1,11 +1,12 @@
 //! # olive-bench
 //!
 //! The experiment harness: one binary per table/figure of the paper
-//! (see `DESIGN.md` §4 for the full index), plus Criterion microbenches.
+//! (indexed in README's "Benchmarks and paper figures"), plus Criterion
+//! microbenches.
 //!
-//! Scale policy (`DESIGN.md` §5): attack experiments default to a reduced
-//! but shape-preserving scale and accept `--paper-scale`; performance
-//! experiments run at exact paper dimensions but accept `--quick`.
+//! Scale policy ([`Mode`]): every binary runs a reduced but
+//! shape-preserving scale by default, `--quick` for a seconds-scale smoke
+//! sweep and `--paper-scale` for the paper's dimensions.
 
 #![forbid(unsafe_code)]
 
@@ -17,6 +18,8 @@ pub mod table;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
+use crate::attack_exp::Scale;
+
 /// `OLIVE_BENCH_FULL=1`: the Criterion benches add their expensive gated
 /// sizes (PathORAM at d = 100 000, n = 100 000 ingestion), which the
 /// default sweep skips with a note saying so.
@@ -24,9 +27,67 @@ pub fn bench_full() -> bool {
     std::env::var("OLIVE_BENCH_FULL").as_deref() == Ok("1")
 }
 
-/// Simple flag check over `std::env::args` (`--quick`, `--paper-scale`…).
+/// Simple flag check over `std::env::args` (`--no-sim`, `--all-datasets`).
 pub fn has_flag(name: &str) -> bool {
     std::env::args().any(|a| a == name)
+}
+
+/// How large an experiment binary runs, read once from the command line:
+///
+/// * `--quick` — seconds-scale sweep for CI smoke coverage;
+/// * default — reduced but shape-preserving scale;
+/// * `--paper-scale` — the paper's dimensions (minutes to hours).
+///
+/// A size table takes the quick entry when both flags are given; the
+/// attack experiments' [`Scale`] follows `--paper-scale` alone, so
+/// `--quick --paper-scale` runs the quick sweep at paper dimensions.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct Mode {
+    /// `--quick` was passed.
+    pub quick: bool,
+    /// `--paper-scale` was passed.
+    pub paper: bool,
+}
+
+impl Mode {
+    /// Parses `--quick` / `--paper-scale` from `std::env::args`.
+    pub fn from_args() -> Self {
+        Mode { quick: has_flag("--quick"), paper: has_flag("--paper-scale") }
+    }
+
+    /// Selects the size table (or any per-mode slice) for the current
+    /// scale: `quick` under `--quick`, `paper` under `--paper-scale`, else
+    /// `default`.
+    pub fn table<'a, T>(&self, quick: &'a [T], default: &'a [T], paper: &'a [T]) -> &'a [T] {
+        if self.quick {
+            quick
+        } else if self.paper {
+            paper
+        } else {
+            default
+        }
+    }
+
+    /// Scalar counterpart of [`Mode::table`].
+    pub fn pick<T>(&self, quick: T, default: T, paper: T) -> T {
+        if self.quick {
+            quick
+        } else if self.paper {
+            paper
+        } else {
+            default
+        }
+    }
+
+    /// The attack experiments' scale: [`Scale::paper`] under
+    /// `--paper-scale`, else [`Scale::reduced`].
+    pub fn scale(&self) -> Scale {
+        if self.paper {
+            Scale::paper()
+        } else {
+            Scale::reduced()
+        }
+    }
 }
 
 /// Synthetic sparse updates at exact paper dimensions for the performance
@@ -72,6 +133,21 @@ mod tests {
             assert_eq!(u.k(), 10);
             assert!(u.indices.windows(2).all(|w| w[0] < w[1]));
         }
+    }
+
+    #[test]
+    fn mode_selects_tables() {
+        let quick = Mode { quick: true, paper: false };
+        let deflt = Mode::default();
+        let paper = Mode { quick: false, paper: true };
+        let both = Mode { quick: true, paper: true };
+        let (q, d, p) = (&[1][..], &[1, 2][..], &[1, 2, 3][..]);
+        assert_eq!(quick.table(q, d, p), q);
+        assert_eq!(deflt.table(q, d, p), d);
+        assert_eq!(paper.table(q, d, p), p);
+        assert_eq!(both.table(q, d, p), q, "--quick wins");
+        assert_eq!(deflt.pick(10, 20, 30), 20);
+        assert!(!quick.scale().paper && both.scale().paper);
     }
 
     #[test]

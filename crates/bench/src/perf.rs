@@ -1,5 +1,4 @@
-//! Shared driver for the performance figures (9–11) and the DO ablation,
-//! plus the `--quick`/`--full` scale policy every experiment binary uses.
+//! Shared driver for the performance figures (9–11) and the DO ablation.
 
 use olive_core::aggregation::{aggregate, AggregatorKind};
 use olive_core::olive::working_set_bytes;
@@ -7,57 +6,6 @@ use olive_fl::SparseGradient;
 use olive_memsim::NullTracer;
 
 use crate::time_once;
-
-/// The three run scales of the experiment binaries (`DESIGN.md` §5),
-/// parsed once from the command line. Hoisted here so each binary stops
-/// re-implementing the `has_flag("--quick")` + size-table dance.
-///
-/// * `--quick` — seconds-scale sweep for CI smoke coverage;
-/// * default — reduced but shape-preserving scale;
-/// * `--full` — the paper's exact dimensions (minutes to hours).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct PerfMode {
-    /// `--quick` was passed (wins over `--full` if both are present).
-    pub quick: bool,
-    /// `--full` was passed.
-    pub full: bool,
-}
-
-impl PerfMode {
-    /// Parses `--quick` / `--full` from `std::env::args`.
-    pub fn from_flags() -> Self {
-        let quick = crate::has_flag("--quick");
-        let full = crate::has_flag("--full");
-        if quick && full {
-            eprintln!("both --quick and --full given; --quick takes precedence");
-        }
-        PerfMode { quick, full }
-    }
-
-    /// Selects the size table (or any per-mode slice) for the current
-    /// scale: `quick` under `--quick`, `full` under `--full`, else
-    /// `default`.
-    pub fn table<'a, T>(&self, quick: &'a [T], default: &'a [T], full: &'a [T]) -> &'a [T] {
-        if self.quick {
-            quick
-        } else if self.full {
-            full
-        } else {
-            default
-        }
-    }
-
-    /// Scalar counterpart of [`PerfMode::table`].
-    pub fn pick<T>(&self, quick: T, default: T, full: T) -> T {
-        if self.quick {
-            quick
-        } else if self.full {
-            full
-        } else {
-            default
-        }
-    }
-}
 
 /// Times one aggregation of `updates` into dimension `d` with the given
 /// algorithm (untraced, i.e. the enclave's real compute; the paper's
@@ -76,27 +24,13 @@ pub fn time_aggregation_prebuilt(
         sink += out[0];
     });
     std::hint::black_box(sink);
-    (secs, working_set_bytes(kind, n, k, d))
+    (secs, working_set_bytes(kind, n, k, d, 1))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::synthetic_updates;
-
-    #[test]
-    fn perf_mode_selects_tables() {
-        let quick = PerfMode { quick: true, full: false };
-        let deflt = PerfMode::default();
-        let full = PerfMode { quick: false, full: true };
-        let both = PerfMode { quick: true, full: true };
-        let (q, d, f) = (&[1][..], &[1, 2][..], &[1, 2, 3][..]);
-        assert_eq!(quick.table(q, d, f), q);
-        assert_eq!(deflt.table(q, d, f), d);
-        assert_eq!(full.table(q, d, f), f);
-        assert_eq!(both.table(q, d, f), q, "--quick wins");
-        assert_eq!(deflt.pick(10, 20, 30), 20);
-    }
 
     #[test]
     fn timing_runs_for_every_kind() {

@@ -294,7 +294,7 @@ impl Aggregator for AdvancedStreamer {
         sum_advanced_bytes(self.staged.len(), self.d) - self.resident_bytes()
     }
 
-    /// Configuration plus the [`StagedCells`] descriptor — constant size.
+    /// Configuration plus the staged-cell descriptor — constant size.
     fn write_state(&self, w: &mut StateWriter) {
         w.put_usize(self.d);
         w.put_usize(self.threads);

@@ -133,7 +133,7 @@ impl Aggregator for DoblivStreamer {
         (padded * 2.0 * 8.0) as u64 + self.d as u64 * 4
     }
 
-    /// Configuration plus the [`StagedCells`] descriptor — constant size.
+    /// Configuration plus the staged-cell descriptor — constant size.
     /// The padding/shuffle seed is configuration, so finalize draws the
     /// same dummies after a restore.
     fn write_state(&self, w: &mut StateWriter) {

@@ -805,9 +805,11 @@ pub fn provision_clients(
 /// Working-set estimate (bytes) for each aggregator in closed form — what
 /// the enclave holds at the round's peak (drives the EPC/grouping analysis
 /// of Sections 5.3 and 5.5, e.g. the paper's 122 MB at n = 3000 on the
-/// MNIST MLP). `n` is the participant count and `k` the per-client cell
-/// count; the serial (`threads = 1`) case of
-/// [`working_set_bytes_threaded`]. For Advanced this is to the byte the
+/// MNIST MLP). `n` is the participant count, `k` the per-client cell
+/// count and `threads` the worker budget: the grouped algorithm keeps up
+/// to `threads` group sort vectors (plus their partial sums) in flight per
+/// wave, so its footprint scales with the worker count; the serial
+/// algorithms ignore it. For Advanced this is to the byte the
 /// `RoundReport::working_set_bytes` of a round — finalize is its peak,
 /// and a checkpointed round can exceed it by at most the plaintext being
 /// sealed beside the staged cells (header + 12 B per replay floor + a
@@ -822,15 +824,7 @@ pub fn provision_clients(
 /// measured 1,195,640 B is the closed form's 548,984 B plus three
 /// 64-client runs of 215,552 B — the folded chunk, the look-ahead and the
 /// group pending from the chunk before — not two.
-pub fn working_set_bytes(kind: AggregatorKind, n: usize, k: usize, d: usize) -> u64 {
-    working_set_bytes_threaded(kind, n, k, d, 1)
-}
-
-/// [`working_set_bytes`] under a worker-thread budget: the grouped
-/// algorithm keeps up to `threads` group sort vectors (plus their partial
-/// sums) in flight per wave, so its enclave footprint scales with the
-/// worker count. Serial algorithms are unaffected.
-pub fn working_set_bytes_threaded(
+pub fn working_set_bytes(
     kind: AggregatorKind,
     n: usize,
     k: usize,
@@ -964,17 +958,16 @@ mod tests {
     #[test]
     fn threaded_working_set_scales_with_workers() {
         let kind = AggregatorKind::Grouped { h: 4 };
-        let serial = working_set_bytes(kind, 16, 8, 256);
-        assert_eq!(working_set_bytes_threaded(kind, 16, 8, 256, 1), serial);
-        let w2 = working_set_bytes_threaded(kind, 16, 8, 256, 2);
-        let w4 = working_set_bytes_threaded(kind, 16, 8, 256, 4);
+        let serial = working_set_bytes(kind, 16, 8, 256, 1);
+        let w2 = working_set_bytes(kind, 16, 8, 256, 2);
+        let w4 = working_set_bytes(kind, 16, 8, 256, 4);
         assert!(serial < w2 && w2 < w4, "{serial} < {w2} < {w4}");
         // Capped at the group count: 16 clients / h=4 → 4 groups.
-        assert_eq!(w4, working_set_bytes_threaded(kind, 16, 8, 256, 64));
+        assert_eq!(w4, working_set_bytes(kind, 16, 8, 256, 64));
         // Serial algorithms are unaffected by the worker count.
         assert_eq!(
-            working_set_bytes_threaded(AggregatorKind::Advanced, 16, 8, 256, 8),
-            working_set_bytes(AggregatorKind::Advanced, 16, 8, 256)
+            working_set_bytes(AggregatorKind::Advanced, 16, 8, 256, 8),
+            working_set_bytes(AggregatorKind::Advanced, 16, 8, 256, 1)
         );
     }
 
@@ -1105,7 +1098,7 @@ mod tests {
             delta.expect("fault-free");
             end.coordinator.peak
         };
-        let closed = working_set_bytes(AggregatorKind::Advanced, n, k, d);
+        let closed = working_set_bytes(AggregatorKind::Advanced, n, k, d, 1);
         assert_eq!(
             measured(AggregatorKind::Advanced, 1, 3),
             closed,
@@ -1129,7 +1122,7 @@ mod tests {
             let kind = AggregatorKind::Grouped { h: 2 };
             let chunk = 2 * threads;
             let staged = 2 * (chunk * k) as u64 * 8;
-            let closed = working_set_bytes_threaded(kind, n, k, d, threads);
+            let closed = working_set_bytes(kind, n, k, d, threads);
             assert_eq!(measured(kind, threads, chunk), closed + staged, "threads={threads}");
         }
     }

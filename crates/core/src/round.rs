@@ -393,10 +393,10 @@ impl Checkpoint {
 }
 
 /// Bytes of one upload's decoded `(index, value)` pairs — 8 per
-/// transmitted cell, read off the public ciphertext length: payload =
-/// 8-byte header + 8k, ciphertext = payload + 16-byte tag.
+/// transmitted cell, read off the public ciphertext length: the plaintext
+/// is the encoding's header then 8k bytes of cells.
 pub(crate) fn upload_cell_bytes(msg: &SealedMessage) -> usize {
-    msg.ciphertext.len().saturating_sub(8 + 16)
+    msg.plaintext_len().saturating_sub(SparseGradient::HEADER_LEN)
 }
 
 /// Enclave-resident bytes of one *staged* upload chunk.

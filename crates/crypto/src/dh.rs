@@ -6,7 +6,7 @@
 //! attestation (Section 2.2 of the paper): the enclave proves its identity
 //! with a platform-signed quote and completes an authenticated key exchange,
 //! exactly as the Intel EPID + IAS flow does. Production deployments would
-//! use X25519 and Ed25519; that substitution is recorded in `DESIGN.md` §1.
+//! use X25519 and Ed25519; README's "Substitutions" records the swap.
 //!
 //! Exponents are sampled and all group arithmetic is done in `u128`, so no
 //! bignum dependency is required.

@@ -7,9 +7,9 @@ use crate::sha256::{Sha256, BLOCK_LEN, DIGEST_LEN};
 /// (override with [`HmacSha256::with_backend`]).
 ///
 /// Used by [`crate::hkdf`] for session-key derivation after remote
-/// attestation, and by the simulated attestation service to authenticate
-/// quotes (the symmetric stand-in for EPID group signatures, see
-/// `DESIGN.md` §1).
+/// attestation, and by the simulated enclave to sign its output (a
+/// symmetric stand-in for a public-key signature, see README's
+/// "Substitutions").
 #[derive(Clone)]
 pub struct HmacSha256 {
     inner: Sha256,

@@ -18,7 +18,7 @@
 //!   Schnorr-style signature used to model EPID quotes. The group is a
 //!   61-bit Mersenne prime field: adequate to exercise the attestation
 //!   protocol shape, *cryptographically worthless*. Production code would use
-//!   X25519/Ed25519; see `DESIGN.md` §1 for the substitution rationale.
+//!   X25519/Ed25519; see README's "Substitutions" for the rationale.
 //!
 //! The primitives used on the *data path* (SHA-256, AES-GCM) are real,
 //! full-strength implementations; only the asymmetric pieces are simulation

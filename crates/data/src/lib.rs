@@ -3,9 +3,9 @@
 //! Synthetic datasets and federated (non-IID) partitioning.
 //!
 //! The paper evaluates on MNIST, CIFAR-10/100 and Purchase100 (Table 1).
-//! This environment has no network access to those datasets, so per the
-//! substitution policy (`DESIGN.md` §1) we generate *label-structured
-//! synthetic equivalents*: each class has a random prototype in feature
+//! The reproduction has no access to those datasets, so (README,
+//! "Substitutions") we generate *label-structured synthetic
+//! equivalents*: each class has a random prototype in feature
 //! space and samples are prototype + noise. What the attack of Section 4
 //! exploits is exactly the property this construction preserves — gradients
 //! of a model trained on a client's label subset concentrate their top-k
@@ -20,10 +20,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod catalog;
 pub mod federated;
 pub mod synthetic;
 
-pub use catalog::{DatasetKind, DatasetSpec};
 pub use federated::{partition, ClientData, LabelAssignment};
 pub use synthetic::{Dataset, SyntheticConfig};

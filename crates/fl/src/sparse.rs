@@ -116,21 +116,11 @@ impl SparseGradient {
         olive_dp::l2_norm(&self.values)
     }
 
-    /// Scales all values in place (used for clipping).
-    pub fn scale(&mut self, s: f32) {
-        for v in &mut self.values {
-            *v *= s;
-        }
-    }
-
     /// Clips the value vector to ℓ2 norm at most `c` (Algorithm 6 line 22;
     /// with sparsification only the k kept values contribute to the norm —
     /// the utility observation of Appendix D.2).
     pub fn clip_l2(&mut self, c: f32) {
-        let norm = self.l2_norm();
-        if norm > c {
-            self.scale(c / norm);
-        }
+        olive_dp::clip_l2(&mut self.values, c);
     }
 
     /// Serializes to the wire format the client encrypts:
@@ -141,9 +131,12 @@ impl SparseGradient {
         out
     }
 
-    /// Bytes of the wire format: 8 + 8k.
+    /// Bytes of the wire format's `d:u32 ‖ k:u32` header.
+    pub const HEADER_LEN: usize = 8;
+
+    /// Bytes of the wire format: [`SparseGradient::HEADER_LEN`] + 8k.
     pub fn encoded_len(&self) -> usize {
-        8 + 8 * self.k()
+        Self::HEADER_LEN + 8 * self.k()
     }
 
     /// [`SparseGradient::encode`] into a caller's buffer of exactly
@@ -151,7 +144,7 @@ impl SparseGradient {
     /// 8-byte store, `value bits << 32 | index` little-endian.
     pub fn encode_to(&self, out: &mut [u8]) {
         assert_eq!(out.len(), self.encoded_len(), "encode buffer length");
-        let (head, cells) = out.split_at_mut(8);
+        let (head, cells) = out.split_at_mut(Self::HEADER_LEN);
         head[..4].copy_from_slice(&(self.dense_dim as u32).to_le_bytes());
         head[4..].copy_from_slice(&(self.k() as u32).to_le_bytes());
         for ((dst, &i), &v) in cells.chunks_exact_mut(8).zip(&self.indices).zip(&self.values) {
@@ -161,18 +154,18 @@ impl SparseGradient {
 
     /// Parses the wire format. Returns `None` on malformed input.
     pub fn decode(bytes: &[u8]) -> Option<Self> {
-        if bytes.len() < 8 {
+        if bytes.len() < Self::HEADER_LEN {
             return None;
         }
         let d = u32::from_le_bytes(bytes[0..4].try_into().ok()?) as usize;
         let k = u32::from_le_bytes(bytes[4..8].try_into().ok()?) as usize;
-        if bytes.len() != 8 + k * 8 {
+        if bytes.len() != Self::HEADER_LEN + k * 8 {
             return None;
         }
         let mut indices = Vec::with_capacity(k);
         let mut values = Vec::with_capacity(k);
         for c in 0..k {
-            let off = 8 + c * 8;
+            let off = Self::HEADER_LEN + c * 8;
             let i = u32::from_le_bytes(bytes[off..off + 4].try_into().ok()?);
             if i as usize >= d {
                 return None;

@@ -43,7 +43,4 @@ pub use layers::{Conv2d, Dense, Dropout, Layer, MaxPool2d, Relu};
 pub use loss::softmax_cross_entropy;
 pub use model::Model;
 pub use optim::Sgd;
-pub use zoo::{
-    attacker_nn, attacker_nn_single, cifar100_cnn, cifar10_cnn, cifar10_mlp, mnist_mlp,
-    purchase100_mlp, ModelSpec,
-};
+pub use zoo::{attacker_nn, cifar100_cnn, cifar10_cnn, cifar10_mlp, mnist_mlp, purchase100_mlp};

@@ -1,84 +1,18 @@
-//! The paper's model catalog (Tables 1, 3 and 4).
+//! The paper's models (Tables 1, 3 and 4); `olive_bench::attack_exp::Workload`
+//! pairs each global model with its dataset.
 //!
 //! Parameter counts reproduce the paper where the architecture is fully
 //! specified: MNIST MLP = 50,890, CIFAR10 CNN = 62,006, Purchase100 MLP =
 //! 44,964. The CIFAR100 model is a small CNN with ≈ 204k parameters
 //! standing in for the paper's ResNet-18-derived 201,588 (a from-scratch
 //! ResNet with batch-norm is out of scope and irrelevant to the attack
-//! mechanics — see `DESIGN.md` §1).
+//! mechanics — see README's "Substitutions").
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
 use crate::layers::{Conv2d, Dense, Dropout, Layer, MaxPool2d, Relu};
 use crate::model::Model;
-
-/// Identifies a catalogued global model (Table 1).
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum ModelSpec {
-    /// MNIST MLP: 784 → 64 → 10 with dropout 0.5 (50,890 params).
-    MnistMlp,
-    /// CIFAR10 MLP: 3072 → 64 → 10 with dropout 0.5 (197,322 params).
-    Cifar10Mlp,
-    /// CIFAR10 CNN: LeNet-style conv stack (62,006 params).
-    Cifar10Cnn,
-    /// Purchase100 MLP: 600 → 64 → 100 with dropout 0.5 (44,964 params).
-    Purchase100Mlp,
-    /// CIFAR100 CNN: small conv stack, ≈ 204k params (ResNet-18 stand-in).
-    Cifar100Cnn,
-}
-
-impl ModelSpec {
-    /// Human-readable name matching Table 1.
-    pub fn name(&self) -> &'static str {
-        match self {
-            ModelSpec::MnistMlp => "MNIST MLP",
-            ModelSpec::Cifar10Mlp => "CIFAR10 MLP",
-            ModelSpec::Cifar10Cnn => "CIFAR10 CNN",
-            ModelSpec::Purchase100Mlp => "Purchase100 MLP",
-            ModelSpec::Cifar100Cnn => "CIFAR100 CNN",
-        }
-    }
-
-    /// Input feature dimension.
-    pub fn input_dim(&self) -> usize {
-        match self {
-            ModelSpec::MnistMlp => 28 * 28,
-            ModelSpec::Cifar10Mlp | ModelSpec::Cifar10Cnn | ModelSpec::Cifar100Cnn => 3 * 32 * 32,
-            ModelSpec::Purchase100Mlp => 600,
-        }
-    }
-
-    /// Number of classes.
-    pub fn num_classes(&self) -> usize {
-        match self {
-            ModelSpec::MnistMlp | ModelSpec::Cifar10Mlp | ModelSpec::Cifar10Cnn => 10,
-            ModelSpec::Purchase100Mlp | ModelSpec::Cifar100Cnn => 100,
-        }
-    }
-
-    /// Builds the model with seeded initialization.
-    pub fn build(&self, seed: u64) -> Model {
-        match self {
-            ModelSpec::MnistMlp => mnist_mlp(seed),
-            ModelSpec::Cifar10Mlp => cifar10_mlp(seed),
-            ModelSpec::Cifar10Cnn => cifar10_cnn(seed),
-            ModelSpec::Purchase100Mlp => purchase100_mlp(seed),
-            ModelSpec::Cifar100Cnn => cifar100_cnn(seed),
-        }
-    }
-
-    /// All catalogued models, Table 1 order.
-    pub fn all() -> [ModelSpec; 5] {
-        [
-            ModelSpec::MnistMlp,
-            ModelSpec::Cifar10Mlp,
-            ModelSpec::Cifar10Cnn,
-            ModelSpec::Purchase100Mlp,
-            ModelSpec::Cifar100Cnn,
-        ]
-    }
-}
 
 /// Generic 2-layer MLP: `input → hidden (ReLU, dropout 0.5) → classes`,
 /// the architecture of every MLP row of Table 3. Used directly for
@@ -154,17 +88,12 @@ pub fn cifar100_cnn(seed: u64) -> Model {
     )
 }
 
-/// The attacker's per-round classifier (Table 4, `NN`): `d → 1000 → |L|`
-/// with dropout 0.5, where `d` is the multi-hot index-vector dimension.
-/// `hidden` is parameterized so reduced-scale experiments stay faithful in
-/// shape.
+/// The attacker's classifier (Table 4) with dropout 0.5: `NN` is
+/// `d → 1000 → |L|` per round, where `d` is the multi-hot index-vector
+/// dimension; `NN-single` is `T·d → 2000 → |L|` over the concatenated
+/// rounds. `hidden` is parameterized so reduced-scale experiments stay
+/// faithful in shape.
 pub fn attacker_nn(input_dim: usize, hidden: usize, labels: usize, seed: u64) -> Model {
-    mlp(input_dim, hidden, labels, 0.5, seed)
-}
-
-/// The attacker's all-rounds classifier (Table 4, `NN-single`):
-/// `d → 2000 → |L|` over concatenated rounds.
-pub fn attacker_nn_single(input_dim: usize, hidden: usize, labels: usize, seed: u64) -> Model {
     mlp(input_dim, hidden, labels, 0.5, seed)
 }
 
@@ -183,18 +112,6 @@ mod tests {
         // CIFAR100 stand-in lands near the paper's 201,588.
         let c100 = cifar100_cnn(0).param_count();
         assert!((190_000..220_000).contains(&c100), "got {c100}");
-    }
-
-    #[test]
-    fn spec_metadata_consistent() {
-        for spec in ModelSpec::all() {
-            let mut m = spec.build(1);
-            assert_eq!(m.num_classes, spec.num_classes(), "{}", spec.name());
-            // Forward pass shape sanity.
-            let x = vec![0.1f32; spec.input_dim() * 2];
-            let logits = m.forward(&x, 2, false);
-            assert_eq!(logits.len(), 2 * spec.num_classes(), "{}", spec.name());
-        }
     }
 
     #[test]

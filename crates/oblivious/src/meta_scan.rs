@@ -4,7 +4,8 @@
 //! slot, and every stash decision — is this the key? is this slot free?
 //! how deep can this block evict along the current path? — reads only
 //! that word. These kernels scan a contiguous mirror of the meta words
-//! with the same mask-select accumulator idiom as [`crate::sort_kernel`]:
+//! with the same mask-select accumulator idiom as
+//! [`sort_kernel`](mod@crate::sort_kernel):
 //! no data-dependent control flow inside the loops, so LLVM
 //! autovectorizes them, and the AVX2/AVX-512 monomorphizations (selected
 //! once at runtime, like the sort kernel's) let it use 256-/512-bit
@@ -171,13 +172,15 @@ macro_rules! isa_dispatch {
     };
 }
 
-/// [`key_scan_body`] at the detected ISA width.
+/// `(found, slot)` of the slot whose meta key equals `key`, at the
+/// detected ISA width.
 #[inline]
 pub fn key_scan(meta: &[u64], key: u32) -> (bool, usize) {
     isa_dispatch!(key_scan_portable, key_scan_avx2, key_scan_avx512, (meta, key))
 }
 
-/// [`collect_free_body`] at the detected ISA width.
+/// Writes the free slots (key `invalid_key`), ascending, into `out` and
+/// returns their count, at the detected ISA width.
 #[inline]
 pub fn collect_free(meta: &[u64], invalid_key: u32, out: &mut [u32]) -> usize {
     isa_dispatch!(
@@ -188,7 +191,8 @@ pub fn collect_free(meta: &[u64], invalid_key: u32, out: &mut [u32]) -> usize {
     )
 }
 
-/// [`eviction_depths_body`] at the detected ISA width.
+/// Each slot's deepest eviction level on the path to `leaf` (−1 for a
+/// free slot) into `depth`, at the detected ISA width.
 #[inline]
 pub fn eviction_depths(meta: &[u64], invalid_key: u32, leaf: u32, levels: u32, depth: &mut [i32]) {
     isa_dispatch!(
@@ -199,7 +203,9 @@ pub fn eviction_depths(meta: &[u64], invalid_key: u32, leaf: u32, levels: u32, d
     )
 }
 
-/// [`pick_eligible_body`] at the detected ISA width.
+/// Writes the first up-to-`out.len() − 1` slots whose depth admits
+/// `level` into `out` (the last entry is a sentinel) and returns how many,
+/// at the detected ISA width.
 #[inline]
 pub fn pick_eligible(depth: &[i32], level: i32, out: &mut [u32]) -> usize {
     isa_dispatch!(

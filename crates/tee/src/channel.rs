@@ -5,7 +5,7 @@
 //! sparsified gradient encoding under that key with a monotone nonce.
 
 use olive_crypto::dh::DhKeyPair;
-use olive_crypto::gcm::AesGcm;
+use olive_crypto::gcm::{AesGcm, TAG_LEN};
 use olive_crypto::{crypto_backend, hkdf};
 use olive_telemetry::Telemetry;
 
@@ -39,6 +39,13 @@ impl SealedMessage {
         aad[16..20].copy_from_slice(&self.user.to_be_bytes());
         aad[20..].copy_from_slice(&self.round.to_be_bytes());
         aad
+    }
+
+    /// Bytes of the plaintext under the ciphertext: its length without the
+    /// AES-GCM tag (0 for a ciphertext too short to hold one). Public, like
+    /// the ciphertext length it is read from.
+    pub fn plaintext_len(&self) -> usize {
+        self.ciphertext.len().saturating_sub(TAG_LEN)
     }
 }
 

@@ -301,8 +301,7 @@ impl Enclave {
         }
         let plain = decrypted?;
         self.last_nonce.insert(msg.user, msg.nonce_counter);
-        let plain_len = msg.ciphertext.len().saturating_sub(TAG_LEN);
-        self.telemetry.count("opened_bytes", crypto_backend().name(), plain_len as u64);
+        self.telemetry.count("opened_bytes", crypto_backend().name(), msg.plaintext_len() as u64);
         Ok(plain)
     }
 

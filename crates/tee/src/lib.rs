@@ -6,7 +6,7 @@
 //! the enclave via remote attestation, establish per-user AES-GCM session
 //! keys, and upload encrypted sparsified gradients that only the enclave
 //! can decrypt. This crate reproduces that machinery in software, with the
-//! explicit substitutions documented in `DESIGN.md` §1:
+//! explicit substitutions listed in README's "Substitutions":
 //!
 //! * enclave **measurement** — SHA-256 over the enclave's code identity,
 //!   standing in for MRENCLAVE;
