@@ -20,14 +20,15 @@ use olive_memsim::NullTracer;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
-/// Runs reduced-scale FL with either central (enclave) or local (client)
-/// Gaussian noise; returns final test accuracy.
+/// Runs FL at `scale` (its client counts and hyperparameters, and its
+/// dataset and model dimensions) with either central (enclave) or local
+/// (client) Gaussian noise; returns final test accuracy.
 fn run_fl(central: bool, sigma: f64, scale: &Scale, rounds: usize, seed: u64) -> f64 {
     let workload = Workload::MnistMlp;
-    let gen = Generator::new(workload.synthetic_config(false), seed);
+    let gen = Generator::new(workload.synthetic_config(scale.paper), seed);
     let clients =
         partition(&gen, scale.n_clients, LabelAssignment::Fixed(2), scale.samples_per_client, seed);
-    let model = workload.build_model(false, seed);
+    let model = workload.build_model(scale.paper, seed);
     let d = model.param_count();
     let k = d / 10;
     let clip = 1.0f32;

@@ -1,8 +1,8 @@
 //! # olive-bench
 //!
 //! The experiment harness: one binary per table/figure of the paper
-//! (indexed in README's "Benchmarks and paper figures"), plus Criterion
-//! microbenches.
+//! (indexed in README's "Benchmarks and paper figures"). Round
+//! performance is measured by the separate `benchmark/` package.
 //!
 //! Scale policy ([`Mode`]): every binary runs a reduced but
 //! shape-preserving scale by default, `--quick` for a seconds-scale smoke
@@ -11,7 +11,6 @@
 #![forbid(unsafe_code)]
 
 pub mod attack_exp;
-pub mod ingest;
 pub mod perf;
 pub mod table;
 
@@ -19,13 +18,6 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 use crate::attack_exp::Scale;
-
-/// `OLIVE_BENCH_FULL=1`: the Criterion benches add their expensive gated
-/// sizes (PathORAM at d = 100 000, n = 100 000 ingestion), which the
-/// default sweep skips with a note saying so.
-pub fn bench_full() -> bool {
-    std::env::var("OLIVE_BENCH_FULL").as_deref() == Ok("1")
-}
 
 /// Simple flag check over `std::env::args` (`--no-sim`, `--all-datasets`).
 pub fn has_flag(name: &str) -> bool {

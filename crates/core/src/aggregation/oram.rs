@@ -52,8 +52,8 @@ impl OramStreamer {
     /// update — and rewinds the streamer to its fresh state *keeping the
     /// ORAM*: slots are zeroed as they are read, so the next round folds
     /// into the same long-lived structure. This is [`Aggregator::finalize`]
-    /// for a deployment (or a bench loop) that pays the O(d) construction
-    /// once rather than per round.
+    /// for a deployment that pays the O(d) construction once rather than
+    /// per round.
     pub fn drain<TR: ParallelTracer>(&mut self, tr: &mut TR) -> Vec<f32> {
         assert!(self.n > 0, "no updates to aggregate");
         let mut gstar = TrackedBuf::<f32>::zeroed(REGION_G_STAR, self.d);
@@ -181,7 +181,7 @@ mod tests {
     #[test]
     fn reused_oram_computes_fresh_aggregates() {
         // The read-and-clear read-back must leave the ORAM ready for the
-        // next round (the amortized-setup bench depends on this).
+        // next round.
         let updates_a = random_updates(3, 4, 16, 60);
         let updates_b = random_updates(3, 4, 16, 61);
         let mut streamer = OramStreamer::init(16, PosMapKind::LinearScan);

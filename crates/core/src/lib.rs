@@ -26,8 +26,8 @@
 //! * [`round`] — the enclave-side round as one engine that owns its
 //!   restore point: the one driver over sealed uploads (open from the
 //!   checkpoint store → ingest → finish) with a single EPC ledger, behind
-//!   `run_round`, `restore_round` and the bench rig, and its fold loop on
-//!   its own for the pre-decoded shard equivalence suites;
+//!   `run_round` and `restore_round`, and its fold loop on its own for the
+//!   pre-decoded shard equivalence suites;
 //! * [`olive`] — the full system of Algorithm 1 / Algorithm 6: remote
 //!   attestation, encrypted gradient upload, in-enclave verification and
 //!   decryption, oblivious aggregation, optional central-DP noising, and

@@ -1086,6 +1086,9 @@ mod tests {
     /// of a fold's resident state: the plaintext being sealed, header +
     /// floors + aggregator state, which for Advanced (a descriptor) is the
     /// only thing a round's peak may exceed the closed form by.
+    /// The linear fold's closed form is the materialize-all round (one
+    /// chunk of all n clients); streaming it in chunks of two holds two
+    /// chunks of plaintext instead, on the same bits.
     #[test]
     fn closed_form_working_set_matches_the_measured_round() {
         let (n, k, d) = (8, 10, 106);
@@ -1095,15 +1098,22 @@ mod tests {
                 crate::round::test_support::Sealed::new(kind, &updates, d, threads, chunk);
             let ledger = Ledger::new(olive_tee::EpcBudget::default(), None, Telemetry::off());
             let (delta, end) = round.drive(None, ledger, &mut NullTracer);
-            delta.expect("fault-free");
-            end.coordinator.peak
+            let bits: Vec<u32> = delta.expect("fault-free").iter().map(|v| v.to_bits()).collect();
+            (bits, end.coordinator.peak)
         };
         let closed = working_set_bytes(AggregatorKind::Advanced, n, k, d, 1);
         assert_eq!(
-            measured(AggregatorKind::Advanced, 1, 3),
+            measured(AggregatorKind::Advanced, 1, 3).1,
             closed,
             "nk + d = 186: no power of two"
         );
+        let linear = AggregatorKind::NonOblivious;
+        let (whole, whole_peak) = measured(linear, 1, n);
+        assert_eq!(whole_peak, working_set_bytes(linear, n, k, d, 1), "materialize-all");
+        let (streamed, streamed_peak) = measured(linear, 1, 2);
+        assert_eq!(streamed, whole, "streaming changes no bit");
+        assert_eq!(streamed_peak, d as u64 * 4 + 2 * (2 * k) as u64 * 8, "two chunks staged");
+        assert!(streamed_peak < whole_peak);
         let mut sys = full_sample_system(AggregatorKind::Advanced, 1, 1);
         sys.set_chunk(3);
         let report = sys.run_round(&mut NullTracer).expect("round");
@@ -1123,7 +1133,7 @@ mod tests {
             let chunk = 2 * threads;
             let staged = 2 * (chunk * k) as u64 * 8;
             let closed = working_set_bytes(kind, n, k, d, threads);
-            assert_eq!(measured(kind, threads, chunk), closed + staged, "threads={threads}");
+            assert_eq!(measured(kind, threads, chunk).1, closed + staged, "threads={threads}");
         }
     }
 

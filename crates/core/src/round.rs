@@ -21,8 +21,8 @@
 //! A fresh round is the degenerate restore — a store with nothing in it —
 //! so [`OliveSystem::run_round`] and [`OliveSystem::restore_round`] make
 //! the same two calls after their own preambles (sample–train–seal vs.
-//! relaunch–re-attest–re-provision), and the bench rig and the
-//! integration suites make them over their own sealed uploads. There is no
+//! relaunch–re-attest–re-provision), and the integration suites make them
+//! over their own sealed uploads. There is no
 //! other driver: the loop body (`fold`) is crate-private, and the
 //! clear-text driver over pre-decoded updates (`new` → `run`) exists for
 //! this crate's unit tests alone.
@@ -854,11 +854,6 @@ impl RoundEngine {
     pub fn abort(self) -> RoundEnd {
         self.ledger.end(self.ckpt.rng_state, self.tally)
     }
-
-    /// Absolute number of chunks folded so far.
-    pub fn chunks_done(&self) -> usize {
-        self.ckpt.chunks_done
-    }
 }
 
 #[cfg(test)]
@@ -998,7 +993,7 @@ mod tests {
                 // A non-zero look-ahead is charged through the fold.
                 let fetched = eng.fold(&updates, 8, || 7u8, &mut tr).expect("fault-free");
                 assert_eq!(fetched, 7, "fold hands back what the prefetch produced");
-                assert_eq!((eng.chunks_done(), eng.agg.clients()), (1, n));
+                assert_eq!((eng.ckpt.chunks_done, eng.agg.clients()), (1, n));
                 let (got, end) = eng.finish(&mut tr);
                 assert!(same_bits(&want, &got.expect("fault-free")), "{ctx}: output bits drifted");
                 assert_eq!(tr.digest(), want_tr.digest(), "{ctx}: trace");
@@ -1161,7 +1156,7 @@ mod tests {
             assert!(balanced(&end), "{ctx}");
             if before > 0 {
                 let reopened = round.open(Some(&store), monolithic()).expect("sealed before it");
-                assert_eq!(reopened.chunks_done() as u64, before, "{ctx}");
+                assert_eq!(reopened.ckpt.chunks_done as u64, before, "{ctx}");
             } else {
                 assert!(store.newest.is_none(), "{ctx}: nothing was folded");
             }
@@ -1333,7 +1328,7 @@ mod tests {
             round.uploads.swap(1, 2 * chunk);
 
             let eng = round.open(Some(&store), plain(d, shards)).expect("genuine prefix");
-            assert_eq!(eng.chunks_done(), 2, "{ctx}");
+            assert_eq!(eng.ckpt.chunks_done, 2, "{ctx}");
             assert_eq!(round.enclave.replay_floors(), eng.ckpt.floors, "{ctx}: floors cover it");
             assert_eq!(eng.ledger.coordinator.live, eng.agg.resident_bytes(), "{ctx}");
             if kind == AggregatorKind::Advanced {

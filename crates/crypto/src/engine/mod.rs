@@ -25,7 +25,7 @@
 //! backend inherits it, so one knob governs the whole deployment — the
 //! enclave, the client sessions and the shard tunnels all call the plain
 //! constructors. The `with_backend` constructors exist for the
-//! differential suites and benches that compare backends in one process.
+//! differential suites that compare backends in one process.
 //!
 //! [`AesGcm`]: crate::gcm::AesGcm
 //! [`Sha256`]: crate::sha256::Sha256

@@ -22,8 +22,8 @@
 //!
 //! Lives in `olive-memsim` (rather than `olive-core`) because every crate
 //! that reads a knob — the grouped aggregation in `olive-core`, the
-//! intra-sort parallelism in `olive-oblivious`, the benches — already
-//! depends on this crate for its tracer.
+//! intra-sort parallelism in `olive-oblivious`, the experiment binaries —
+//! already depends on this crate for its tracer.
 //!
 //! There is no fault knob: a coordinator crash is armed in-process
 //! (`OliveSystem::set_fault_plan`).
@@ -38,18 +38,10 @@ use olive_telemetry::Telemetry;
 const MAX_DEFAULT_THREADS: usize = 8;
 
 /// Every `OLIVE_*` variable the workspace reads: the four parsed here,
-/// then the crypto backend pin (read by `olive-crypto`) and the three
-/// bench-harness knobs. Any other `OLIVE_*` name draws a warning.
-const KNOWN: [&str; 8] = [
-    "OLIVE_THREADS",
-    "OLIVE_CHUNK",
-    "OLIVE_SHARDS",
-    "OLIVE_METRICS",
-    "OLIVE_CRYPTO",
-    "OLIVE_BENCH_FULL",
-    "OLIVE_BENCH_MS",
-    "OLIVE_BENCH_JSON",
-];
+/// then the crypto backend pin (read by `olive-crypto`). Any other
+/// `OLIVE_*` name draws a warning.
+const KNOWN: [&str; 5] =
+    ["OLIVE_THREADS", "OLIVE_CHUNK", "OLIVE_SHARDS", "OLIVE_METRICS", "OLIVE_CRYPTO"];
 
 /// The round knobs of one process (or of one `OliveSystem`, which holds
 /// its own copy and overrides fields through its setters).
@@ -214,6 +206,8 @@ mod tests {
         assert!(warnings[0].ends_with("); telemetry disarmed"), "{warnings:?}");
     }
 
+    /// Typos and retired knobs (the three `OLIVE_BENCH_*`) are unknown
+    /// names alike.
     #[test]
     fn unknown_olive_names_warn_once_each_and_change_nothing() {
         let vars = [
@@ -229,10 +223,19 @@ mod tests {
         let (cfg, warnings) = parse(&vars);
         let (defaults, _) = parse(&[]);
         assert_eq!((cfg.threads, cfg.chunk, cfg.shards), (defaults.threads, 64, 1));
-        assert_eq!(warnings.len(), 2, "{warnings:?}");
-        assert!(warnings[0].starts_with("OLIVE_SHARD is not a known variable"), "{warnings:?}");
-        assert!(warnings[1].starts_with("OLIVE_THREAD is not a known variable"), "{warnings:?}");
-        assert!(warnings[1].contains("OLIVE_THREADS"), "the warning lists the known names");
+        let unknown = [
+            "OLIVE_BENCH_FULL",
+            "OLIVE_BENCH_JSON",
+            "OLIVE_BENCH_MS",
+            "OLIVE_SHARD",
+            "OLIVE_THREAD",
+        ];
+        assert_eq!(warnings.len(), unknown.len(), "{warnings:?}");
+        for (warning, name) in warnings.iter().zip(unknown) {
+            let prefix = format!("{name} is not a known variable");
+            assert!(warning.starts_with(&prefix), "{warnings:?}");
+        }
+        assert!(warnings[0].contains("OLIVE_THREADS"), "the warning lists the known names");
     }
 
     /// The fault knob is gone: `OLIVE_FAULTS` is an unknown name like any

@@ -1,7 +1,6 @@
-//! Source lint: the process environment is read in four places only.
+//! Source lint: the process environment is read in two places only.
 //! `olive_memsim::RuntimeConfig::process` (`src/runtime.rs`) parses the
-//! round knobs once; `olive-crypto` pins its backend from `OLIVE_CRYPTO`;
-//! the bench harness reads `OLIVE_BENCH_FULL` and the CI job summary path.
+//! round knobs once; `olive-crypto` pins its backend from `OLIVE_CRYPTO`.
 //! A `std::env::var` anywhere else under `crates/*/src` would bring back a
 //! second parser with its own cache and its own fallback rule, testable
 //! only from a child process. Test modules (everything from a file's first
@@ -13,12 +12,7 @@ use std::path::{Path, PathBuf};
 const BANNED: &str = "env::var";
 
 /// The files allowed to read it, relative to `crates/`.
-const ALLOWED: [&str; 4] = [
-    "memsim/src/runtime.rs",
-    "crypto/src/engine/mod.rs",
-    "bench/src/lib.rs",
-    "bench/src/bin/bench_gate.rs",
-];
+const ALLOWED: [&str; 2] = ["memsim/src/runtime.rs", "crypto/src/engine/mod.rs"];
 
 /// Every `.rs` file under `dir`, recursively.
 fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {

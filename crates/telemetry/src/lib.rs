@@ -16,8 +16,6 @@
 //!   threads may contribute) and flushed in sorted key order.
 //! * **Events** — immediate records with deterministic fields only
 //!   (fault firings, recovery attempts).
-//! * **Bench records** — one-shot reports migrating the historical
-//!   `ingestion_ws:`-style `println!` side channels onto one schema.
 //!
 //! Every record is a single JSON object per line. Wall-clock data lives
 //! exclusively in a `"wall"` object that is **always the last key**, so
@@ -370,35 +368,6 @@ impl Telemetry {
         }
     }
 
-    /// Emits a one-shot bench record: deterministic fields (config,
-    /// sizes, measured byte counts) plus optional wall-clock fields
-    /// (timings). This is the schema the historical `ingestion_ws:` /
-    /// `checkpoint_overhead:` / `recovery_overhead:` `println!` side
-    /// channels migrate onto.
-    pub fn bench(&self, name: &str, det: &[(&str, Value)], wall: &[(&str, Value)]) {
-        let Some(inner) = &self.inner else {
-            return;
-        };
-        let mut line = String::with_capacity(160);
-        line.push_str("{\"record\":\"bench\",\"name\":\"");
-        escape_into(&mut line, name);
-        line.push_str("\",\"deterministic\":{");
-        let mut det_buf = String::new();
-        fields_into(&mut det_buf, det);
-        line.push_str(det_buf.strip_prefix(',').unwrap_or(&det_buf));
-        line.push('}');
-        if !wall.is_empty() {
-            line.push_str(",\"wall\":{");
-            let mut wall_buf = String::new();
-            fields_into(&mut wall_buf, wall);
-            line.push_str(wall_buf.strip_prefix(',').unwrap_or(&wall_buf));
-            line.push('}');
-        }
-        line.push('}');
-        let mut st = inner.state.lock().expect("telemetry mutex");
-        Inner::write_line(&mut st, &line);
-    }
-
     /// The accumulated stream, when this handle writes to the in-memory
     /// buffer sink; `None` otherwise. Leaves the buffer intact.
     pub fn buffer_contents(&self) -> Option<String> {
@@ -498,7 +467,6 @@ mod tests {
         t.count("bytes", "hw", 10);
         t.observe("blob", "coordinator", 7);
         t.flush_stats();
-        t.bench("ws", &[("n", 1u64.into())], &[]);
         assert_eq!(t.buffer_contents(), None);
     }
 
@@ -593,28 +561,6 @@ mod tests {
     }
 
     #[test]
-    fn bench_records_carry_det_and_wall_sections() {
-        let t = Telemetry::to_buffer();
-        t.bench(
-            "ingestion_ws",
-            &[("config", "streaming".into()), ("peak_bytes", 327_680u64.into())],
-            &[("ns", 1234u64.into())],
-        );
-        t.bench("ingestion_ws", &[("n", 10u64.into())], &[]);
-        let out = t.buffer_contents().unwrap();
-        let lines: Vec<&str> = out.lines().collect();
-        assert_eq!(
-            lines[0],
-            "{\"record\":\"bench\",\"name\":\"ingestion_ws\",\"deterministic\":\
-             {\"config\":\"streaming\",\"peak_bytes\":327680},\"wall\":{\"ns\":1234}}"
-        );
-        assert_eq!(
-            lines[1],
-            "{\"record\":\"bench\",\"name\":\"ingestion_ws\",\"deterministic\":{\"n\":10}}"
-        );
-    }
-
-    #[test]
     fn projection_strips_exactly_the_wall_suffix() {
         let t = Telemetry::to_buffer();
         let s = t.span("round", &[("round", 1u64.into())]);
@@ -655,7 +601,7 @@ mod tests {
     #[test]
     fn strings_are_json_escaped() {
         let t = Telemetry::to_buffer();
-        t.bench("b", &[("label", "a\"b\\c\nd".into())], &[]);
+        t.event("b", &[("label", "a\"b\\c\nd".into())]);
         let out = t.buffer_contents().unwrap();
         assert!(out.contains("\"label\":\"a\\\"b\\\\c\\u000ad\""));
     }
@@ -681,11 +627,11 @@ mod tests {
         let _ = std::fs::remove_file(&path);
         {
             let t = Telemetry::to_file(&path).unwrap();
-            t.bench("a", &[("n", 1u64.into())], &[]);
+            t.event("a", &[("n", 1u64.into())]);
         }
         {
             let t = Telemetry::to_file(&path).unwrap();
-            t.bench("b", &[("n", 2u64.into())], &[]);
+            t.event("b", &[("n", 2u64.into())]);
         }
         let text = std::fs::read_to_string(&path).unwrap();
         assert_eq!(text.lines().count(), 2, "append mode must keep earlier records");
