@@ -49,7 +49,7 @@
 //! ```
 
 use olive_fl::SparseGradient;
-use olive_memsim::{ParallelTracer, StateError, StateReader, StateWriter, Tracer, TrackedBuf};
+use olive_memsim::{ParallelTracer, Tracer, TrackedBuf};
 use olive_oblivious::compact::compact_u64;
 use olive_oblivious::primitives::Oblivious;
 use olive_oblivious::sort_kernel::bitonic_sort_u64_with;
@@ -147,66 +147,31 @@ fn emit_gstar<TR: Tracer>(g: &TrackedBuf<u64>, d: usize, tr: &mut TR) -> Tracked
     gstar
 }
 
-/// The cell buffer of the two *staged* kinds (Advanced, DiffOblivious).
-///
-/// Staging is an untraced linear copy of decoded uploads, so the buffer
-/// after chunk i is a pure function of uploads `[0, i]` — ciphertexts
-/// untrusted storage already holds, authenticated under the clients'
-/// session keys. A checkpoint therefore carries only a constant-size
-/// descriptor (`n`, cell count); a restored buffer **owes** that many
-/// cells, and the round driver pays them back by re-opening the folded
-/// prefix and handing it to [`StagedCells::restage`] before anything else
-/// may touch the buffer.
+/// The cell buffer of the two *staged* kinds (Advanced, DiffOblivious):
+/// an untraced linear copy of decoded uploads, sorted or shuffled only at
+/// finalize.
 pub(crate) struct StagedCells {
     cells: Vec<u64>,
-    /// Clients staged (a restored buffer already counts the owed prefix).
+    /// Clients staged.
     n: usize,
-    /// Cells a loaded descriptor promised that have not been re-staged.
-    owed: usize,
 }
-
-/// Panic message of any use of a buffer that still owes cells.
-pub(crate) const OWED: &str = "staged cells are still owed: restage the folded prefix first";
 
 impl StagedCells {
     pub(crate) fn new() -> Self {
-        StagedCells { cells: Vec::new(), n: 0, owed: 0 }
-    }
-
-    fn push(&mut self, chunk: &[SparseGradient]) {
-        for u in chunk {
-            push_cells(&mut self.cells, u);
-        }
+        StagedCells { cells: Vec::new(), n: 0 }
     }
 
     /// Appends one chunk's cells and counts its clients.
     pub(crate) fn stage(&mut self, chunk: &[SparseGradient], d: usize) {
-        assert_eq!(self.owed, 0, "{OWED}");
         assert!(chunk.iter().all(|u| u.dense_dim == d), "update dimension mismatch");
-        self.push(chunk);
-        self.n += chunk.len();
-    }
-
-    /// Pays back owed cells with a chunk of the folded prefix, without
-    /// counting its clients again. Fails — leaving the buffer untouched —
-    /// on a chunk the descriptor cannot have covered (more cells than
-    /// owed, or the wrong dimension).
-    pub(crate) fn restage(&mut self, chunk: &[SparseGradient], d: usize) -> Result<(), StateError> {
-        let cells: usize = chunk.iter().map(SparseGradient::k).sum();
-        if cells > self.owed || chunk.iter().any(|u| u.dense_dim != d) {
-            return Err(StateError::Mismatch);
+        for u in chunk {
+            push_cells(&mut self.cells, u);
         }
-        self.push(chunk);
-        self.owed -= cells;
-        Ok(())
+        self.n += chunk.len();
     }
 
     pub(crate) fn clients(&self) -> usize {
         self.n
-    }
-
-    pub(crate) fn owed(&self) -> usize {
-        self.owed
     }
 
     pub(crate) fn len(&self) -> usize {
@@ -217,24 +182,9 @@ impl StagedCells {
         self.cells.len() as u64 * 8
     }
 
-    /// The descriptor: client count and staged cell count.
-    pub(crate) fn save(&self, w: &mut StateWriter) {
-        w.put_usize(self.n);
-        w.put_usize(self.cells.len() + self.owed);
-    }
-
-    /// Bytes [`StagedCells::save`] writes: two words.
-    pub(crate) const SAVED_LEN: usize = 2 * 8;
-
-    pub(crate) fn load(&mut self, r: &mut StateReader) -> Result<(), StateError> {
-        *self = StagedCells { cells: Vec::new(), n: r.get_usize()?, owed: r.get_usize()? };
-        r.expect_end()
-    }
-
     /// The whole round's cells, for finalize.
     pub(crate) fn into_cells(self) -> Vec<u64> {
         assert!(self.n > 0, "no updates to aggregate");
-        assert_eq!(self.owed, 0, "{OWED}");
         self.cells
     }
 }
@@ -292,33 +242,6 @@ impl Aggregator for AdvancedStreamer {
     /// the `d` initialization cells and the dense output.
     fn finalize_scratch_bytes(&self) -> u64 {
         sum_advanced_bytes(self.staged.len(), self.d) - self.resident_bytes()
-    }
-
-    /// Configuration plus the staged-cell descriptor — constant size.
-    fn write_state(&self, w: &mut StateWriter) {
-        w.put_usize(self.d);
-        w.put_usize(self.threads);
-        self.staged.save(w);
-    }
-
-    fn state_len(&self) -> usize {
-        2 * 8 + StagedCells::SAVED_LEN
-    }
-
-    fn load_state(&mut self, bytes: &[u8]) -> Result<(), StateError> {
-        let mut r = StateReader::new(bytes);
-        if r.get_usize()? != self.d || r.get_usize()? != self.threads {
-            return Err(StateError::Mismatch);
-        }
-        self.staged.load(&mut r)
-    }
-
-    fn owed_cells(&self) -> usize {
-        self.staged.owed()
-    }
-
-    fn restage(&mut self, chunk: &[SparseGradient]) -> Result<(), StateError> {
-        self.staged.restage(chunk, self.d)
     }
 }
 

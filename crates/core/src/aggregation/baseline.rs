@@ -18,7 +18,7 @@
 //! so output **and trace** are invariant across thread counts.
 
 use olive_fl::SparseGradient;
-use olive_memsim::{ParallelTracer, StateError, StateReader, StateWriter, TrackedBuf};
+use olive_memsim::{ParallelTracer, TrackedBuf};
 use olive_oblivious::o_select;
 
 use crate::cell::{cell_index, cell_value, concat_cells};
@@ -156,35 +156,6 @@ impl Aggregator for BaselineStreamer {
     /// The chunk's staged cell copy built for the stripe scans.
     fn ingest_scratch_bytes(&self, chunk_clients: usize, k: usize) -> u64 {
         (chunk_clients * k) as u64 * 8
-    }
-
-    fn write_state(&self, w: &mut StateWriter) {
-        w.put_usize(self.d);
-        w.put_usize(self.c);
-        w.put_usize(self.threads);
-        w.put_usize(self.next_cell);
-        w.put_usize(self.n);
-        w.put_f32s(self.gstar.as_slice_untraced());
-    }
-
-    /// Five words, then the length-prefixed padded accumulator.
-    fn state_len(&self) -> usize {
-        5 * 8 + 8 + WEIGHT_BYTES * self.padded
-    }
-
-    fn load_state(&mut self, bytes: &[u8]) -> Result<(), StateError> {
-        let mut r = StateReader::new(bytes);
-        if r.get_usize()? != self.d || r.get_usize()? != self.c || r.get_usize()? != self.threads {
-            return Err(StateError::Mismatch);
-        }
-        self.next_cell = r.get_usize()?;
-        self.n = r.get_usize()?;
-        let gstar = r.get_f32s()?;
-        if gstar.len() != self.padded {
-            return Err(StateError::Mismatch);
-        }
-        self.gstar.as_mut_slice_untraced().copy_from_slice(&gstar);
-        r.expect_end()
     }
 }
 

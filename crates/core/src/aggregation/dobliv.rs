@@ -14,7 +14,7 @@
 //! which for ML-scale `d` exceeds the nk + d working set of Algorithm 4.
 
 use olive_fl::SparseGradient;
-use olive_memsim::{ParallelTracer, StateError, StateReader, StateWriter, TrackedBuf};
+use olive_memsim::{ParallelTracer, TrackedBuf};
 use olive_oblivious::shuffle::oblivious_shuffle_with_threads;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -131,43 +131,6 @@ impl Aggregator for DoblivStreamer {
         let padded =
             self.staged.len() as f64 + expected_padding(self.d, self.k(), self.epsilon, self.delta);
         (padded * 2.0 * 8.0) as u64 + self.d as u64 * 4
-    }
-
-    /// Configuration plus the staged-cell descriptor — constant size.
-    /// The padding/shuffle seed is configuration, so finalize draws the
-    /// same dummies after a restore.
-    fn write_state(&self, w: &mut StateWriter) {
-        w.put_usize(self.d);
-        w.put_f64(self.epsilon);
-        w.put_f64(self.delta);
-        w.put_u64(self.seed);
-        w.put_usize(self.threads);
-        self.staged.save(w);
-    }
-
-    fn state_len(&self) -> usize {
-        5 * 8 + StagedCells::SAVED_LEN
-    }
-
-    fn load_state(&mut self, bytes: &[u8]) -> Result<(), StateError> {
-        let mut r = StateReader::new(bytes);
-        if r.get_usize()? != self.d
-            || r.get_f64()?.to_bits() != self.epsilon.to_bits()
-            || r.get_f64()?.to_bits() != self.delta.to_bits()
-            || r.get_u64()? != self.seed
-            || r.get_usize()? != self.threads
-        {
-            return Err(StateError::Mismatch);
-        }
-        self.staged.load(&mut r)
-    }
-
-    fn owed_cells(&self) -> usize {
-        self.staged.owed()
-    }
-
-    fn restage(&mut self, chunk: &[SparseGradient]) -> Result<(), StateError> {
-        self.staged.restage(chunk, self.d)
     }
 }
 

@@ -52,27 +52,14 @@
 //! for the next unit with its capacity intact: a round allocates
 //! `threads` sort vectors, not two per group, and no upload is cloned or
 //! copied between arrival and its group's sort.
-//!
-//! # State and restore
-//!
-//! A checkpoint carries the running total and a descriptor of the pending
-//! unit — its cell count — never the cells. Which clients are pending is
-//! public: the last `n mod h·threads` of the folded prefix. Their cells
-//! are a pure function of uploads untrusted storage already holds as
-//! authenticated ciphertexts, so, like the staged kinds, a restored
-//! streamer **owes** them: the round driver re-opens the folded prefix,
-//! and [`Aggregator::restage`] keeps the pending suffix — the clients
-//! already in the running total pass through untouched. With nothing
-//! pending the count is 0, nothing is owed, and the restore point loads
-//! whole, like an accumulating kind's.
 
 use olive_fl::SparseGradient;
-use olive_memsim::{ParallelTracer, StateError, StateReader, StateWriter, Tracer, TrackedBuf};
+use olive_memsim::{ParallelTracer, Tracer, TrackedBuf};
 
 use crate::cell::push_cells;
 use crate::regions::REGION_G_STAR;
 
-use super::advanced::{sum_advanced, sum_advanced_bytes, OWED};
+use super::advanced::{sum_advanced, sum_advanced_bytes};
 use super::linear::average_in_place;
 use super::streaming::Aggregator;
 
@@ -146,11 +133,6 @@ pub struct GroupedStreamer {
     /// docs): client `i` of the round stages into buffer
     /// `(i mod h·threads) / h`.
     groups: Vec<Vec<u64>>,
-    /// Cells a loaded descriptor promised that have not been re-staged.
-    owed: usize,
-    /// Folded clients a restore has still to hand back to
-    /// [`Aggregator::restage`]; zero outside a restore.
-    replay: usize,
     pub(super) d: usize,
     h: usize,
     threads: usize,
@@ -168,8 +150,6 @@ impl GroupedStreamer {
         GroupedStreamer {
             total: TrackedBuf::zeroed(REGION_G_STAR, d),
             groups: vec![Vec::new(); threads],
-            owed: 0,
-            replay: 0,
             d,
             h,
             threads,
@@ -182,12 +162,12 @@ impl GroupedStreamer {
         self.h * self.threads
     }
 
-    /// Appends client `i`'s cells to its group's buffer. A group's first
-    /// client sizes the buffer for the whole run of Algorithm 4 —
+    /// Appends the next client's cells to its group's buffer. A group's
+    /// first client sizes the buffer for the whole run of Algorithm 4 —
     /// `h` uploads like it plus the `d` initialization cells — once per
     /// round: after the first unit it already has the room.
-    fn stage(&mut self, i: usize, u: &SparseGradient) {
-        let group = i % self.unit() / self.h;
+    fn stage(&mut self, u: &SparseGradient) {
+        let group = self.n % self.unit() / self.h;
         let cells = &mut self.groups[group];
         if cells.is_empty() {
             cells.reserve(self.h * u.k() + self.d);
@@ -204,12 +184,11 @@ impl Aggregator for GroupedStreamer {
     /// Stages one chunk of client updates, running every processing unit
     /// (group or wave) as it fills.
     fn ingest<TR: ParallelTracer>(&mut self, chunk: &[SparseGradient], tr: &mut TR) {
-        assert_eq!(self.owed, 0, "{OWED}");
         for u in chunk {
             assert_eq!(u.dense_dim, self.d, "update dimension mismatch");
         }
         for u in chunk {
-            self.stage(self.n, u);
+            self.stage(u);
             self.n += 1;
             if !self.n.is_multiple_of(self.unit()) {
                 // A partial trailing unit stays pending — only at
@@ -238,7 +217,6 @@ impl Aggregator for GroupedStreamer {
     /// update.
     fn finalize<TR: ParallelTracer>(mut self, tr: &mut TR) -> Vec<f32> {
         assert!(self.n > 0, "no updates to aggregate");
-        assert_eq!(self.owed, 0, "{OWED}");
         let pending = self.n % self.unit();
         if pending > 0 {
             if self.threads == 1 || self.n <= self.h {
@@ -274,76 +252,15 @@ impl Aggregator for GroupedStreamer {
     fn ingest_scratch_bytes(&self, _chunk_clients: usize, k: usize) -> u64 {
         self.threads as u64 * sum_advanced_bytes(self.h * k, self.d)
     }
-
-    /// Configuration, client count, the running total's bits and the
-    /// pending unit's cell count (module docs) — no term in k.
-    fn write_state(&self, w: &mut StateWriter) {
-        w.put_usize(self.d);
-        w.put_usize(self.h);
-        w.put_usize(self.threads);
-        w.put_usize(self.n);
-        w.put_f32s(self.total.as_slice_untraced());
-        w.put_usize(self.staged_cells() + self.owed);
-    }
-
-    fn state_len(&self) -> usize {
-        4 * 8 + 8 + 4 * self.d + 8
-    }
-
-    fn load_state(&mut self, bytes: &[u8]) -> Result<(), StateError> {
-        let mut r = StateReader::new(bytes);
-        if r.get_usize()? != self.d || r.get_usize()? != self.h || r.get_usize()? != self.threads {
-            return Err(StateError::Mismatch);
-        }
-        let n = r.get_usize()?;
-        let total = r.get_f32s()?;
-        if total.len() != self.total.len() {
-            return Err(StateError::Mismatch);
-        }
-        let owed = r.get_usize()?;
-        r.expect_end()?;
-        self.total.as_mut_slice_untraced().copy_from_slice(&total);
-        self.groups.iter_mut().for_each(Vec::clear);
-        // Nothing owed, nothing to hand back: the accumulating-kind restore.
-        let replay = if owed > 0 { n } else { 0 };
-        (self.n, self.owed, self.replay) = (n, owed, replay);
-        Ok(())
-    }
-
-    fn owed_cells(&self) -> usize {
-        self.owed
-    }
-
-    /// Walks a chunk of the folded prefix past the clients already in the
-    /// running total and stages the pending suffix's cells. Fails —
-    /// leaving the streamer untouched — on a chunk the descriptor cannot
-    /// have covered: clients past the folded prefix, more suffix cells
-    /// than are owed, or the wrong dimension.
-    fn restage(&mut self, chunk: &[SparseGradient]) -> Result<(), StateError> {
-        if self.replay == 0 || chunk.len() > self.replay {
-            return Err(StateError::Mismatch);
-        }
-        let first = self.n - self.replay;
-        let suffix = self.n - self.n % self.unit();
-        let skip = suffix.saturating_sub(first).min(chunk.len());
-        let cells: usize = chunk[skip..].iter().map(SparseGradient::k).sum();
-        if cells > self.owed || chunk.iter().any(|u| u.dense_dim != self.d) {
-            return Err(StateError::Mismatch);
-        }
-        for (i, u) in (first..).zip(chunk).skip(skip) {
-            self.stage(i, u);
-        }
-        self.replay -= chunk.len();
-        self.owed -= cells;
-        Ok(())
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::aggregation::test_support::*;
-    use crate::aggregation::{aggregate_with_threads, reference_average, AggregatorKind};
+    use crate::aggregation::{
+        aggregate_with_threads, reference_average, AggregatorKind, StreamingAggregator,
+    };
     use olive_memsim::{assert_oblivious, Granularity, NullTracer, RecordingTracer, RuntimeConfig};
 
     /// One-shot Grouped with `h` clients per group.
@@ -436,58 +353,29 @@ mod tests {
         assert_eq!(digest(), digest());
     }
 
-    /// The restore contract at unit scale, at every thread count. The
-    /// saved state is the configuration, n, the running total and the
-    /// pending unit's cell count — with nothing pending, the bytes the
-    /// layout that carried pending uploads wrote. A streamer loaded with a
-    /// unit pending owes exactly its cells; handed the whole folded prefix
-    /// back in chunks of four — one spanning the boundary between the
-    /// running total and the pending suffix — it skips the clients already
-    /// in the total and re-stages the rest, and then finishes on the
-    /// uninterrupted bits and trace. A chunk the descriptor cannot have
-    /// covered is refused with the streamer untouched.
+    /// The restore contract at unit scale, at every thread count: a
+    /// descriptor loaded with a partial unit pending (or none) and the
+    /// folded prefix replayed in chunks of four — one spanning the
+    /// boundary between the running total and the pending suffix — holds
+    /// the original's state and finishes on the uninterrupted bits and
+    /// trace.
     #[test]
-    fn a_restore_restages_only_the_pending_unit() {
+    fn a_replayed_restore_finishes_on_the_uninterrupted_bits() {
         let (d, k, h) = (40, 4, 3);
         let updates = random_updates(20, k, d, 41);
-        let mut wrong_dim = updates[0].clone();
-        wrong_dim.dense_dim = d + 1;
-        let bigger = random_updates(1, 2 * k, d, 7).remove(0);
+        let kind = AggregatorKind::Grouped { h };
         for threads in [1usize, 2, 3] {
             let unit = h * threads;
             for folded in [unit, unit + 2, 2 * unit - 1] {
                 let ctx = format!("threads={threads} folded={folded}");
-                let pending = folded % unit;
-                let mut a = GroupedStreamer::init(d, h, threads);
+                let mut a = StreamingAggregator::new(kind, d, threads);
                 a.ingest(&updates[..folded], &mut NullTracer);
-                let blob = a.save_state();
-                let mut w = StateWriter::new();
-                [d, h, threads, folded].into_iter().for_each(|x| w.put_usize(x));
-                w.put_f32s(a.total.as_slice_untraced());
-                w.put_usize(pending * k);
-                assert_eq!(blob, w.into_bytes(), "{ctx}");
-
-                let mut b = GroupedStreamer::init(d, h, threads);
-                b.load_state(&blob).expect("same configuration");
-                assert_eq!((b.clients(), b.owed_cells()), (folded, pending * k), "{ctx}");
-                let mut hostile = updates[..folded].to_vec();
-                if pending > 0 {
-                    for swap in [&wrong_dim, &bigger] {
-                        hostile[folded - 1] = swap.clone();
-                        assert_eq!(b.restage(&hostile), Err(StateError::Mismatch), "{ctx}");
-                    }
-                    let past = &updates[..folded + 1];
-                    assert_eq!(b.restage(past), Err(StateError::Mismatch), "{ctx}: past n");
-                    assert_eq!(b.resident_bytes(), d as u64 * 4, "{ctx}: untouched");
-                    for chunk in updates[..folded].chunks(4) {
-                        b.restage(chunk).expect("a chunk of the folded prefix");
-                    }
-                    assert_eq!(b.owed_cells(), 0, "{ctx}");
-                    assert_eq!(b.resident_bytes(), a.resident_bytes(), "{ctx}");
-                    assert_eq!(b.save_state(), blob, "{ctx}");
+                let mut b = StreamingAggregator::new(kind, d, threads);
+                b.load_state(&a.save_state()).expect("same configuration");
+                for chunk in updates[..folded].chunks(4) {
+                    b.replay(chunk).expect("a chunk of the folded prefix");
                 }
-                let refused = b.restage(&updates[..1]);
-                assert_eq!(refused, Err(StateError::Mismatch), "{ctx}: nothing to hand back");
+                assert_eq!(b.resident_bytes(), a.resident_bytes(), "{ctx}: the pending unit");
 
                 let mut tra = RecordingTracer::new(Granularity::Element);
                 let mut trb = RecordingTracer::new(Granularity::Element);

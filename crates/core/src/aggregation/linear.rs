@@ -8,7 +8,7 @@
 //! implemented here; the sparse variant is the attack surface.
 
 use olive_fl::SparseGradient;
-use olive_memsim::{Op, ParallelTracer, StateError, StateReader, StateWriter, Tracer, TrackedBuf};
+use olive_memsim::{Op, ParallelTracer, Tracer, TrackedBuf};
 
 use crate::regions::{REGION_G, REGION_G_STAR};
 
@@ -108,34 +108,6 @@ impl Aggregator for LinearStreamer {
     /// The dense accumulator.
     fn resident_bytes(&self) -> u64 {
         self.d as u64 * 4
-    }
-
-    /// The accumulator bits, the global `G` offset, and the client count.
-    fn write_state(&self, w: &mut StateWriter) {
-        w.put_usize(self.d);
-        w.put_usize(self.next_cell);
-        w.put_usize(self.n);
-        w.put_f32s(self.gstar.as_slice_untraced());
-    }
-
-    /// Three words, then the length-prefixed accumulator.
-    fn state_len(&self) -> usize {
-        3 * 8 + 8 + 4 * self.d
-    }
-
-    fn load_state(&mut self, bytes: &[u8]) -> Result<(), StateError> {
-        let mut r = StateReader::new(bytes);
-        if r.get_usize()? != self.d {
-            return Err(StateError::Mismatch);
-        }
-        self.next_cell = r.get_usize()?;
-        self.n = r.get_usize()?;
-        let gstar = r.get_f32s()?;
-        if gstar.len() != self.gstar.len() {
-            return Err(StateError::Mismatch);
-        }
-        self.gstar.as_mut_slice_untraced().copy_from_slice(&gstar);
-        r.expect_end()
     }
 }
 

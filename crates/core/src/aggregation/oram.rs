@@ -9,7 +9,7 @@
 //! dwarfing the task-specific Advanced algorithm.
 
 use olive_fl::SparseGradient;
-use olive_memsim::{ParallelTracer, StateError, StateReader, StateWriter, TrackedBuf};
+use olive_memsim::{ParallelTracer, TrackedBuf};
 use olive_oram::{PathOram, PathOramConfig, PosMapKind};
 
 use crate::regions::{REGION_G_STAR, REGION_ORAM_BASE};
@@ -118,32 +118,6 @@ impl Aggregator for OramStreamer {
     fn finalize_scratch_bytes(&self) -> u64 {
         self.d as u64 * 4
     }
-
-    /// The ORAM snapshot includes tree, stash, position map and the path
-    /// RNG, so a restored streamer continues the exact random path
-    /// sequence of the snapshotted one.
-    fn write_state(&self, w: &mut StateWriter) {
-        w.put_usize(self.d);
-        w.put_usize(self.next_cell);
-        w.put_usize(self.n);
-        w.put_bytes(&self.oram.save_state());
-    }
-
-    /// Three words, then the length-prefixed ORAM snapshot.
-    fn state_len(&self) -> usize {
-        3 * 8 + 8 + self.oram.state_len()
-    }
-
-    fn load_state(&mut self, bytes: &[u8]) -> Result<(), StateError> {
-        let mut r = StateReader::new(bytes);
-        if r.get_usize()? != self.d {
-            return Err(StateError::Mismatch);
-        }
-        self.next_cell = r.get_usize()?;
-        self.n = r.get_usize()?;
-        self.oram.load_state(r.get_bytes()?)?;
-        r.expect_end()
-    }
 }
 
 #[cfg(test)]
@@ -157,7 +131,7 @@ mod tests {
     fn matches_reference_all_posmaps() {
         let updates = random_updates(4, 5, 32, 30);
         let expected = reference_average(&updates, 32);
-        for posmap in [PosMapKind::Trusted, PosMapKind::LinearScan, PosMapKind::Recursive] {
+        for posmap in [PosMapKind::LinearScan, PosMapKind::Recursive] {
             let kind = AggregatorKind::PathOram { posmap };
             let got = aggregate(kind, &updates, 32, &mut NullTracer);
             assert_close(&got, &expected, 1e-4);

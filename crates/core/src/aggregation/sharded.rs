@@ -511,10 +511,10 @@ mod tests {
         }
     }
 
-    /// Checkpoint blobs stay shard-agnostic: the canonical aggregator
-    /// state is the round's whole restorable truth, so a round sealed at
-    /// S=4 restores at S=1 (and vice versa) — shard topology is runtime
-    /// configuration, not persisted state.
+    /// Checkpoint blobs stay shard-agnostic: the aggregator's descriptor
+    /// and the folded prefix are the round's whole restorable truth, so a
+    /// round sealed at S=4 restores at S=1 (and vice versa) — shard
+    /// topology is runtime configuration, not persisted state.
     #[test]
     fn state_blob_is_shard_agnostic() {
         let (d, n, k) = (64, 12, 4);
@@ -526,6 +526,7 @@ mod tests {
         // A monolithic aggregator resumes from the sharded blob.
         let mut mono = StreamingAggregator::new(kind, d, 1);
         mono.load_state(&blob).expect("shard topology must not enter the blob");
+        mono.replay(&updates[..6]).expect("the folded prefix");
         mono.ingest(&updates[6..], &mut NullTracer);
         let want = mono.finalize(&mut NullTracer);
         sharded.fold(&updates[6..], 0, || (), &mut NullTracer).expect("fault-free chunk");

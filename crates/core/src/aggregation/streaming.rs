@@ -33,25 +33,35 @@
 //!   unit — a group of h (serial) or a wave of h·threads (parallel) — is
 //!   available, and the unit schedule is a function of the arrival count
 //!   only; each client's cells are staged once, into the buffer its
-//!   group is sorted in, and memory stays O(threads·(hk + d)). Its
-//!   checkpoint is the running total and the pending unit's cell count:
-//!   the pending cells come back as the staged kinds' do;
+//!   group is sorted in, and memory stays O(threads·(hk + d));
 //! * **staged** (Advanced, DiffOblivious): the algorithm is inherently
 //!   monolithic (one sort / one shuffle over the whole round is what its
 //!   security argument is about), so chunks stage into the cell buffer
 //!   and the real work runs at finalize. Memory remains O(nk) — reported
 //!   honestly through [`Aggregator::resident_bytes`]; this is precisely
 //!   the paper's Figure 10 EPC cliff, and why production rounds use the
-//!   Grouped streamer. Their checkpoints do *not* grow: staged cells are
-//!   recomputable from the round's sealed uploads, so `save_state` is a
-//!   constant-size descriptor and a restore re-stages the folded prefix.
+//!   Grouped streamer.
 //!
 //! The `tests/` crate asserts the invariant for every kind at chunk sizes
 //! {1, 7, n} × threads {1, 2, 8}, plus a proptest over arbitrary chunk
 //! partitions.
+//!
+//! # One restore path
+//!
+//! Whatever the strategy, a streamer's state after chunk i is a pure
+//! function of its configuration and the updates of chunks `[0, i]` —
+//! uploads untrusted storage already holds as authenticated ciphertexts.
+//! So a mid-round checkpoint carries no state of any kind, only a
+//! constant-size descriptor ([`StreamingAggregator::save_state`]: kind,
+//! public configuration, client count), and every restore is the same
+//! replay: a descriptor loaded into a fresh aggregator leaves it *owing*
+//! its clients, and the round engine
+//! ([`RoundEngine::open`](crate::round::RoundEngine::open)) re-opens the
+//! folded prefix and re-ingests it untraced before anything else may
+//! touch the aggregator.
 
 use olive_fl::SparseGradient;
-use olive_memsim::{ParallelTracer, StateError, StateWriter};
+use olive_memsim::{NullTracer, ParallelTracer, StateError, StateReader, StateWriter};
 
 use super::advanced::AdvancedStreamer;
 use super::baseline::BaselineStreamer;
@@ -106,70 +116,24 @@ pub trait Aggregator: Sized {
     fn finalize_scratch_bytes(&self) -> u64 {
         0
     }
-
-    /// Appends what a sealed mid-round checkpoint must carry of this
-    /// aggregator: everything that cannot be recomputed from the round's
-    /// own sealed uploads. The accumulating kinds snapshot their whole
-    /// state, and loading the blob (`load_state`) into a freshly
-    /// initialized aggregator of the same configuration reproduces the
-    /// instance exactly. The staged kinds (Advanced, DiffOblivious) write
-    /// a constant-size descriptor — configuration, client count, staged
-    /// cell count: their state *is* the decoded folded prefix, which
-    /// untrusted storage already holds as authenticated ciphertexts, so a
-    /// loaded streamer reports the right `clients()` but **owes** its
-    /// cells ([`Aggregator::owed_cells`]) until the driver re-stages that
-    /// prefix ([`Aggregator::restage`]). Grouped is both: it snapshots its
-    /// running total and describes its pending partial unit — the last
-    /// `n mod h·threads` clients — by cell count, so it owes exactly those
-    /// cells, and nothing when no unit is pending. Either way, ingesting
-    /// the remaining chunks then yields the same output bits and the same
-    /// trace as an uninterrupted run.
-    fn write_state(&self, w: &mut StateWriter);
-
-    /// Bytes [`Aggregator::write_state`] appends, so a restore point is
-    /// allocated once at its final size.
-    fn state_len(&self) -> usize;
-
-    /// [`Aggregator::write_state`] on its own, in a blob of exactly
-    /// [`Aggregator::state_len`] bytes.
-    fn save_state(&self) -> Vec<u8> {
-        let mut w = StateWriter::with_capacity(self.state_len());
-        self.write_state(&mut w);
-        w.into_bytes()
-    }
-
-    /// Restores state captured by [`Aggregator::save_state`]. Fails with
-    /// [`StateError::Mismatch`] if the blob describes a different
-    /// configuration (dimension, group size, thread budget, kind).
-    fn load_state(&mut self, bytes: &[u8]) -> Result<(), StateError>;
-
-    /// Cells a loaded descriptor promised that have not been re-staged
-    /// yet: a staged kind's whole prefix, Grouped's pending unit; zero for
-    /// a fresh aggregator and always for the accumulating kinds. `ingest`
-    /// and `finalize` panic while cells are owed rather than aggregate a
-    /// partial round.
-    fn owed_cells(&self) -> usize {
-        0
-    }
-
-    /// Hands a chunk of the already-folded prefix back, in order, to a
-    /// restored aggregator that owes cells: appends the cells it owes
-    /// (untraced, like the staging `ingest` does) without counting
-    /// clients again — all of them for a staged kind, only the pending
-    /// unit's for Grouped, whose other clients are already in its
-    /// running total. Fails with [`StateError::Mismatch`] on more cells
-    /// than are owed, and always when nothing is owed (an accumulating
-    /// kind, or Grouped with no unit pending: nothing to re-stage).
-    fn restage(&mut self, chunk: &[SparseGradient]) -> Result<(), StateError> {
-        let _ = chunk;
-        Err(StateError::Mismatch)
-    }
 }
 
-/// Runtime-dispatched streaming aggregator: one variant per
-/// [`AggregatorKind`], so the round pipeline holds a single concrete type
-/// while the trait stays generic over the tracer.
-pub enum StreamingAggregator {
+/// Runtime-dispatched streaming aggregator: one streamer per
+/// [`AggregatorKind`] behind a single concrete type, so the round
+/// pipeline holds one type while the trait stays generic over the tracer
+/// — and the one place a restore is described and replayed (module
+/// docs).
+pub struct StreamingAggregator {
+    kind: AggregatorKind,
+    threads: usize,
+    /// Clients a loaded descriptor promised that [`Self::replay`] has not
+    /// re-ingested yet; zero outside a restore.
+    owed: usize,
+    inner: Streamer,
+}
+
+/// The streamer of each [`AggregatorKind`].
+enum Streamer {
     /// Algorithm 5 over sparse cells (not oblivious — the attack surface).
     Linear(LinearStreamer),
     /// Algorithm 3 stripe scans.
@@ -185,42 +149,42 @@ pub enum StreamingAggregator {
 }
 
 macro_rules! dispatch {
-    ($self:expr, $s:ident => $body:expr) => {
-        match $self {
-            StreamingAggregator::Linear($s) => $body,
-            StreamingAggregator::Baseline($s) => $body,
-            StreamingAggregator::Advanced($s) => $body,
-            StreamingAggregator::Grouped($s) => $body,
-            StreamingAggregator::PathOram($s) => $body,
-            StreamingAggregator::DiffOblivious($s) => $body,
+    ($inner:expr, $s:ident => $body:expr) => {
+        match $inner {
+            Streamer::Linear($s) => $body,
+            Streamer::Baseline($s) => $body,
+            Streamer::Advanced($s) => $body,
+            Streamer::Grouped($s) => $body,
+            Streamer::PathOram($s) => $body,
+            Streamer::DiffOblivious($s) => $body,
         }
     };
 }
+
+/// Panic message of any use of an aggregator that still owes clients.
+const OWED: &str = "clients are still owed: replay the folded prefix first";
 
 impl StreamingAggregator {
     /// The issue-facing `init(d, threads)`: builds the streamer for `kind`
     /// over dimension `d` with the given worker-thread budget.
     pub fn new(kind: AggregatorKind, d: usize, threads: usize) -> Self {
-        match kind {
-            AggregatorKind::NonOblivious => StreamingAggregator::Linear(LinearStreamer::init(d)),
+        let inner = match kind {
+            AggregatorKind::NonOblivious => Streamer::Linear(LinearStreamer::init(d)),
             AggregatorKind::Baseline { cacheline_weights } => {
-                StreamingAggregator::Baseline(BaselineStreamer::init(d, cacheline_weights, threads))
+                Streamer::Baseline(BaselineStreamer::init(d, cacheline_weights, threads))
             }
-            AggregatorKind::Advanced => {
-                StreamingAggregator::Advanced(AdvancedStreamer::init(d, threads))
-            }
+            AggregatorKind::Advanced => Streamer::Advanced(AdvancedStreamer::init(d, threads)),
             AggregatorKind::Grouped { h } => {
-                StreamingAggregator::Grouped(GroupedStreamer::init(d, h, threads))
+                Streamer::Grouped(GroupedStreamer::init(d, h, threads))
             }
             AggregatorKind::PathOram { posmap } => {
-                StreamingAggregator::PathOram(OramStreamer::init(d, posmap))
+                Streamer::PathOram(OramStreamer::init(d, posmap))
             }
             AggregatorKind::DiffOblivious { epsilon, delta, seed } => {
-                StreamingAggregator::DiffOblivious(DoblivStreamer::init(
-                    d, epsilon, delta, seed, threads,
-                ))
+                Streamer::DiffOblivious(DoblivStreamer::init(d, epsilon, delta, seed, threads))
             }
-        }
+        };
+        StreamingAggregator { kind, threads, owed: 0, inner }
     }
 
     /// PathORAM usage counters (accesses, stash high-water mark, evicted
@@ -228,79 +192,128 @@ impl StreamingAggregator {
     /// every other kind. The round pipeline samples this per chunk to
     /// feed the `oram_*` telemetry counters.
     pub fn oram_stats(&self) -> Option<olive_oram::OramStats> {
-        match self {
-            StreamingAggregator::PathOram(s) => Some(s.oram_stats()),
+        match &self.inner {
+            Streamer::PathOram(s) => Some(s.oram_stats()),
             _ => None,
         }
     }
 
     /// The model dimension d every update of the round must have.
     pub(crate) fn dim(&self) -> usize {
-        dispatch!(self, s => s.d)
+        dispatch!(&self.inner, s => s.d)
     }
 
-    /// One byte naming the variant, prepended to serialized state so a
-    /// checkpoint can never be loaded into the wrong algorithm.
-    fn kind_tag(&self) -> u8 {
-        match self {
-            StreamingAggregator::Linear(_) => 0,
-            StreamingAggregator::Baseline(_) => 1,
-            StreamingAggregator::Advanced(_) => 2,
-            StreamingAggregator::Grouped(_) => 3,
-            StreamingAggregator::PathOram(_) => 4,
-            StreamingAggregator::DiffOblivious(_) => 5,
+    /// The descriptor's configuration part: a tag naming the kind, the
+    /// kind's own parameters, d and the thread budget — all public.
+    fn write_config(&self, w: &mut StateWriter) {
+        match self.kind {
+            AggregatorKind::NonOblivious => w.put_u8(0),
+            AggregatorKind::Baseline { cacheline_weights } => {
+                w.put_u8(1);
+                w.put_usize(cacheline_weights);
+            }
+            AggregatorKind::Advanced => w.put_u8(2),
+            AggregatorKind::Grouped { h } => {
+                w.put_u8(3);
+                w.put_usize(h);
+            }
+            AggregatorKind::PathOram { posmap } => {
+                w.put_u8(4);
+                w.put_u8(posmap as u8);
+            }
+            AggregatorKind::DiffOblivious { epsilon, delta, seed } => {
+                w.put_u8(5);
+                w.put_f64(epsilon);
+                w.put_f64(delta);
+                w.put_u64(seed);
+            }
         }
+        w.put_usize(self.dim());
+        w.put_usize(self.threads);
+    }
+
+    /// This aggregator's share of a sealed mid-round checkpoint: the
+    /// descriptor of its configuration and client count — a few dozen
+    /// bytes, whatever the kind and however many clients are folded
+    /// (module docs).
+    pub fn save_state(&self) -> Vec<u8> {
+        let mut w = StateWriter::new();
+        self.write_config(&mut w);
+        w.put_usize(self.clients());
+        w.into_bytes()
+    }
+
+    /// Loads a [`StreamingAggregator::save_state`] descriptor into this
+    /// fresh aggregator, which then owes the n clients it describes:
+    /// [`Aggregator::clients`] reports n, and `ingest` and `finalize` panic
+    /// until the round engine has replayed all of them (module docs).
+    /// Fails with [`StateError::Mismatch`] on a descriptor of another
+    /// configuration (kind, parameters, dimension, thread budget), and
+    /// with [`StateError::Truncated`] / [`StateError::Corrupt`] on one
+    /// that is cut short or runs on.
+    pub fn load_state(&mut self, bytes: &[u8]) -> Result<(), StateError> {
+        assert_eq!(self.clients(), 0, "a descriptor loads into a fresh aggregator");
+        let mut config = StateWriter::new();
+        self.write_config(&mut config);
+        let config = config.into_bytes();
+        let Some(rest) = bytes.strip_prefix(config.as_slice()) else {
+            let cut_short = config.starts_with(bytes);
+            return Err(if cut_short { StateError::Truncated } else { StateError::Mismatch });
+        };
+        let mut r = StateReader::new(rest);
+        let n = r.get_usize()?;
+        r.expect_end()?;
+        self.owed = n;
+        Ok(())
+    }
+
+    /// Re-ingests one chunk of the folded prefix, in order, into an
+    /// aggregator that owes clients — untraced: the adversary saw this
+    /// schedule when the chunk was first folded. Fails, leaving the
+    /// aggregator untouched, with [`StateError::Mismatch`] on more clients
+    /// than are owed.
+    pub(crate) fn replay(&mut self, chunk: &[SparseGradient]) -> Result<(), StateError> {
+        if chunk.len() > self.owed {
+            return Err(StateError::Mismatch);
+        }
+        dispatch!(&mut self.inner, s => s.ingest(chunk, &mut NullTracer));
+        self.owed -= chunk.len();
+        Ok(())
+    }
+
+    /// Clients a loaded descriptor still owes ([`StreamingAggregator::replay`]).
+    pub(crate) fn owed(&self) -> usize {
+        self.owed
     }
 }
 
 impl Aggregator for StreamingAggregator {
     fn ingest<TR: ParallelTracer>(&mut self, chunk: &[SparseGradient], tr: &mut TR) {
-        dispatch!(self, s => Aggregator::ingest(s, chunk, tr))
+        assert_eq!(self.owed, 0, "{OWED}");
+        dispatch!(&mut self.inner, s => s.ingest(chunk, tr))
     }
 
     fn finalize<TR: ParallelTracer>(self, tr: &mut TR) -> Vec<f32> {
-        dispatch!(self, s => Aggregator::finalize(s, tr))
+        assert_eq!(self.owed, 0, "{OWED}");
+        dispatch!(self.inner, s => s.finalize(tr))
     }
 
+    /// Clients folded so far — a loaded descriptor's clients included,
+    /// replayed or still owed.
     fn clients(&self) -> usize {
-        dispatch!(self, s => Aggregator::clients(s))
+        dispatch!(&self.inner, s => s.clients()) + self.owed
     }
 
     fn resident_bytes(&self) -> u64 {
-        dispatch!(self, s => Aggregator::resident_bytes(s))
+        dispatch!(&self.inner, s => s.resident_bytes())
     }
 
     fn ingest_scratch_bytes(&self, chunk_clients: usize, k: usize) -> u64 {
-        dispatch!(self, s => Aggregator::ingest_scratch_bytes(s, chunk_clients, k))
+        dispatch!(&self.inner, s => s.ingest_scratch_bytes(chunk_clients, k))
     }
 
     fn finalize_scratch_bytes(&self) -> u64 {
-        dispatch!(self, s => Aggregator::finalize_scratch_bytes(s))
-    }
-
-    fn write_state(&self, w: &mut StateWriter) {
-        w.put_u8(self.kind_tag());
-        dispatch!(self, s => Aggregator::write_state(s, w))
-    }
-
-    fn state_len(&self) -> usize {
-        1 + dispatch!(self, s => Aggregator::state_len(s))
-    }
-
-    fn load_state(&mut self, bytes: &[u8]) -> Result<(), StateError> {
-        let (&tag, rest) = bytes.split_first().ok_or(StateError::Truncated)?;
-        if tag != self.kind_tag() {
-            return Err(StateError::Mismatch);
-        }
-        dispatch!(self, s => Aggregator::load_state(s, rest))
-    }
-
-    fn owed_cells(&self) -> usize {
-        dispatch!(self, s => Aggregator::owed_cells(s))
-    }
-
-    fn restage(&mut self, chunk: &[SparseGradient]) -> Result<(), StateError> {
-        dispatch!(self, s => Aggregator::restage(s, chunk))
+        dispatch!(&self.inner, s => s.finalize_scratch_bytes())
     }
 }
 
@@ -392,12 +405,12 @@ mod tests {
         ]
     }
 
-    /// The checkpoint contract at unit scale: for every kind, snapshot
-    /// after a mid-stream chunk, load into a fresh same-config streamer —
-    /// a staged kind then owes its cells, Grouped its pending unit's, and
-    /// gets the folded prefix re-staged; an accumulating kind, or Grouped
-    /// with nothing pending, owes nothing — and finish both: output bits
-    /// AND the *remaining* trace must match.
+    /// The restore contract at unit scale: for every kind, a descriptor
+    /// saved after a mid-stream chunk loads into a fresh same-config
+    /// streamer that owes those clients; replayed in two steps (the
+    /// prefix's own chunking is free) it holds the same resident state,
+    /// refuses a client more than it owed, and finishes like the original:
+    /// output bits AND the *remaining* trace must match.
     #[test]
     fn state_roundtrip_is_invisible_for_every_kind() {
         let (d, k) = (48, 5);
@@ -408,21 +421,13 @@ mod tests {
             let blob = a.save_state();
             let mut b = StreamingAggregator::new(kind, d, 1);
             b.load_state(&blob).unwrap_or_else(|e| panic!("{kind:?}: load failed: {e}"));
-            assert_eq!(b.clients(), 4, "{kind:?}: client count not restored");
-            let owed = match kind {
-                AggregatorKind::Advanced | AggregatorKind::DiffOblivious { .. } => 4 * k,
-                AggregatorKind::Grouped { h } => 4 % h * k,
-                _ => 0,
-            };
-            assert_eq!(b.owed_cells(), owed, "{kind:?}");
-            if owed > 0 {
-                // Re-staged in two steps: the prefix's own chunking is free.
-                b.restage(&updates[..1]).expect("one owed client");
-                b.restage(&updates[1..4]).expect("the rest of the prefix");
-                assert_eq!((b.owed_cells(), b.clients()), (0, 4), "{kind:?}: clients counted once");
-                assert_eq!(b.resident_bytes(), a.resident_bytes(), "{kind:?}");
-            }
-            assert_eq!(b.restage(&updates[4..5]), Err(StateError::Mismatch), "{kind:?}: not owed");
+            assert_eq!((b.clients(), b.owed()), (4, 4), "{kind:?}: the clients are owed");
+            b.replay(&updates[..1]).expect("one owed client");
+            b.replay(&updates[1..4]).expect("the rest of the prefix");
+            assert_eq!((b.owed(), b.clients()), (0, 4), "{kind:?}: clients counted once");
+            assert_eq!(b.resident_bytes(), a.resident_bytes(), "{kind:?}");
+            assert_eq!(b.save_state(), blob, "{kind:?}");
+            assert_eq!(b.replay(&updates[4..5]), Err(StateError::Mismatch), "{kind:?}: not owed");
             let mut tra = RecordingTracer::new(Granularity::Element);
             let mut trb = RecordingTracer::new(Granularity::Element);
             a.ingest(&updates[4..], &mut tra);
@@ -435,15 +440,17 @@ mod tests {
         }
     }
 
-    /// A staged kind's checkpoint share is a descriptor: the same bytes
-    /// however many clients are staged, where its resident state grows —
-    /// and a descriptor that promises more than a chunk re-stages keeps
-    /// the rest owed, rejecting a chunk of the wrong dimension untouched.
+    /// A staged kind's checkpoint share is a descriptor — the same bytes
+    /// however many clients are staged, where its resident state grows;
+    /// so is every other kind's, and loading one brings no state along.
+    /// A descriptor that promises more than a chunk replays keeps the rest
+    /// owed, and a chunk past what is owed is refused with the streamer
+    /// untouched.
     #[test]
     fn staged_state_is_a_constant_size_descriptor() {
         let (d, k) = (64, 4);
         let updates = random_updates(16, k, d, 9);
-        for kind in staged_kinds() {
+        for kind in all_kinds() {
             let state_after = |n: usize| {
                 let mut agg = StreamingAggregator::new(kind, d, 1);
                 agg.ingest(&updates[..n], &mut NullTracer);
@@ -452,24 +459,20 @@ mod tests {
             let blob = state_after(16);
             assert_eq!(state_after(2).len(), blob.len(), "{kind:?}: state must not grow with n");
             let mut agg = StreamingAggregator::new(kind, d, 1);
+            let fresh = agg.resident_bytes();
             agg.load_state(&blob).expect("same configuration");
-            let mut wrong_dim = updates[0].clone();
-            wrong_dim.dense_dim = d + 1;
-            assert_eq!(agg.restage(&[wrong_dim]), Err(StateError::Mismatch));
-            assert_eq!(
-                (agg.owed_cells(), agg.resident_bytes()),
-                (16 * k, 0),
-                "{kind:?}: untouched"
-            );
-            agg.restage(&updates[..10]).expect("within what is owed");
-            assert_eq!(agg.owed_cells(), 6 * k);
+            assert_eq!(agg.resident_bytes(), fresh, "{kind:?}: a descriptor carries no state");
+            agg.replay(&updates[..10]).expect("within what is owed");
+            let resident = agg.resident_bytes();
+            assert_eq!(agg.replay(&updates[..7]), Err(StateError::Mismatch), "{kind:?}");
+            assert_eq!((agg.owed(), agg.resident_bytes()), (6, resident), "{kind:?}: untouched");
             // A descriptor saved while owing still describes the whole prefix.
             assert_eq!(agg.save_state(), blob, "{kind:?}");
         }
     }
 
     #[test]
-    #[should_panic(expected = "staged cells are still owed")]
+    #[should_panic(expected = "clients are still owed")]
     fn finalize_while_cells_are_owed_panics() {
         let updates = random_updates(3, 4, 16, 2);
         let mut agg = StreamingAggregator::new(AggregatorKind::Advanced, 16, 1);
@@ -477,7 +480,7 @@ mod tests {
         let blob = agg.save_state();
         let mut restored = StreamingAggregator::new(AggregatorKind::Advanced, 16, 1);
         restored.load_state(&blob).expect("same configuration");
-        restored.restage(&updates[..2]).expect("part of the prefix");
+        restored.replay(&updates[..2]).expect("part of the prefix");
         restored.finalize(&mut NullTracer);
     }
 
@@ -489,21 +492,25 @@ mod tests {
         let mut a = StreamingAggregator::new(AggregatorKind::Grouped { h: 2 }, d, 1);
         a.ingest(&updates, &mut NullTracer);
         let blob = a.save_state();
-        // Wrong kind.
-        let mut b = StreamingAggregator::new(AggregatorKind::Advanced, d, 1);
-        assert_eq!(b.load_state(&blob), Err(StateError::Mismatch));
-        // Wrong group size.
-        let mut c = StreamingAggregator::new(AggregatorKind::Grouped { h: 5 }, d, 1);
-        assert_eq!(c.load_state(&blob), Err(StateError::Mismatch));
-        // Wrong dimension.
-        let mut e = StreamingAggregator::new(AggregatorKind::Grouped { h: 2 }, d * 2, 1);
-        assert_eq!(e.load_state(&blob), Err(StateError::Mismatch));
-        // Truncated.
-        let mut f = StreamingAggregator::new(AggregatorKind::Grouped { h: 2 }, d, 1);
-        assert!(f.load_state(&blob[..blob.len() - 3]).is_err());
-        // Empty.
-        let mut g = StreamingAggregator::new(AggregatorKind::Grouped { h: 2 }, d, 1);
-        assert_eq!(g.load_state(&[]), Err(StateError::Truncated));
+        let load = |kind: AggregatorKind, d: usize, threads: usize, bytes: &[u8]| {
+            StreamingAggregator::new(kind, d, threads).load_state(bytes)
+        };
+        let grouped = AggregatorKind::Grouped { h: 2 };
+        assert_eq!(load(grouped, d, 1, &blob), Ok(()));
+        assert_eq!(load(AggregatorKind::Advanced, d, 1, &blob), Err(StateError::Mismatch));
+        assert_eq!(load(AggregatorKind::Grouped { h: 5 }, d, 1, &blob), Err(StateError::Mismatch));
+        assert_eq!(load(grouped, d * 2, 1, &blob), Err(StateError::Mismatch), "dimension");
+        assert_eq!(load(grouped, d, 2, &blob), Err(StateError::Mismatch), "thread budget");
+        let dobliv = |seed| AggregatorKind::DiffOblivious { epsilon: 1.0, delta: 1e-3, seed };
+        let other_seed = StreamingAggregator::new(dobliv(1), d, 1).save_state();
+        assert_eq!(load(dobliv(2), d, 1, &other_seed), Err(StateError::Mismatch));
+        for cut in 0..blob.len() {
+            assert!(load(grouped, d, 1, &blob[..cut]).is_err(), "truncated at {cut}");
+        }
+        assert_eq!(load(grouped, d, 1, &[]), Err(StateError::Truncated));
+        let mut longer = blob.clone();
+        longer.push(0);
+        assert_eq!(load(grouped, d, 1, &longer), Err(StateError::Corrupt));
     }
 
     #[test]

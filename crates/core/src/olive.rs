@@ -812,14 +812,14 @@ pub fn provision_clients(
 /// algorithms ignore it. For Advanced this is to the byte the
 /// `RoundReport::working_set_bytes` of a round — finalize is its peak,
 /// and a checkpointed round can exceed it by at most the plaintext being
-/// sealed beside the staged cells (header + 12 B per replay floor + a
-/// descriptor — and not at all once that is below the 12·d bytes
-/// finalize adds). For Grouped it leaves out the O(chunk·k) plaintext
-/// staged around a fold (the chunk being folded and the look-ahead
-/// chunk) and the pending partial unit resident beside it (fewer than
-/// h·threads clients' cells), which a measured round carries on top — as
-/// it does the checkpoint plaintext (header + floors + the d-sized
-/// running total + one cell count). On the benchmark's `grouped_t2`
+/// sealed beside the staged cells (header + 12 B per replay floor + the
+/// aggregator's descriptor — and not at all once that is below the 12·d
+/// bytes finalize adds). For Grouped it leaves out the O(chunk·k)
+/// plaintext staged around a fold (the chunk being folded and the
+/// look-ahead chunk) and the pending partial unit resident beside it
+/// (fewer than h·threads clients' cells), which a measured round carries
+/// on top — as it does the checkpoint plaintext (header + floors + the
+/// descriptor; no term in d or k). On the benchmark's `grouped_t2`
 /// (n = 5000, k = 421, d = 4210, h = 64, two threads, chunk 64) the
 /// measured 1,195,640 B is the closed form's 548,984 B plus three
 /// 64-client runs of 215,552 B — the folded chunk, the look-ahead and the
@@ -1084,7 +1084,7 @@ mod tests {
     /// `chunk · k` cells each.
     /// Checkpointing — what `run_round` does — adds one transient on top
     /// of a fold's resident state: the plaintext being sealed, header +
-    /// floors + aggregator state, which for Advanced (a descriptor) is the
+    /// floors + the aggregator's descriptor, which for Advanced is the
     /// only thing a round's peak may exceed the closed form by.
     /// The linear fold's closed form is the materialize-all round (one
     /// chunk of all n clients); streaming it in chunks of two holds two
@@ -1121,8 +1121,8 @@ mod tests {
         assert_eq!(shape, (n, k, d), "the round the closed form was taken for");
         let checkpointed = report.working_set_bytes;
         // Header (version, round, five sizes, generator, two length
-        // prefixes), one 12-byte floor per client, the 33-byte descriptor.
-        let ckpt_plain = (1 + 8 + 5 * 8 + 32 + 2 * 8) + 12 * n as u64 + 33;
+        // prefixes), one 12-byte floor per client, the 25-byte descriptor.
+        let ckpt_plain = (1 + 8 + 5 * 8 + 32 + 2 * 8) + 12 * n as u64 + 25;
         assert!(
             (closed..=closed + ckpt_plain).contains(&checkpointed),
             "{checkpointed} vs closed form {closed} + at most {ckpt_plain}"
@@ -1138,23 +1138,26 @@ mod tests {
     }
 
     /// A checkpoint commits to the folded prefix it leaves in untrusted
-    /// storage: a staged round killed after three chunks must refuse to
-    /// resume over a prefix with one ciphertext bit-flipped, one upload
+    /// storage: a round of any kind killed after three chunks must refuse
+    /// to resume over a prefix with one ciphertext bit-flipped, one upload
     /// dropped, or one upload replaced by a *genuine* second upload of
     /// the same user under a later nonce — each a structured error with
     /// the round still pending and every budget balanced, never a
     /// different aggregate — and then restore bitwise from the genuine
     /// material, one tracer spanning every attempt. Grouped with h = 4 is
     /// killed with four clients in its running total and two pending: a
-    /// victim in each part, whose cells the restore skips or re-stages.
+    /// victim in each part.
     #[test]
     fn restore_rejects_any_prefix_but_the_sealed_one() {
         use olive_memsim::{Granularity, RecordingTracer};
         let cases = [
+            (AggregatorKind::NonOblivious, 3),
+            (AggregatorKind::Baseline { cacheline_weights: 16 }, 3),
             (AggregatorKind::Advanced, 3),
             (AggregatorKind::DiffOblivious { epsilon: 8.0, delta: 0.01, seed: 3 }, 3),
             (AggregatorKind::Grouped { h: 4 }, 3),
             (AggregatorKind::Grouped { h: 4 }, 5),
+            (AggregatorKind::PathOram { posmap: olive_oram::PosMapKind::LinearScan }, 3),
         ];
         for ((kind, slot), shards) in cases.into_iter().flat_map(|case| [(case, 1), (case, 4)]) {
             let ctx = format!("{kind:?} S={shards} slot={slot}");

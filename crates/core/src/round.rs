@@ -9,8 +9,8 @@
 //! ```text
 //! RoundEngine::open(aggregator, round, enclave, store, ledger)
 //!   │  a blob in the store: unseal against the pinned floor → decode against
-//!   │  the round's shape → load_state → resume (floors, re-staged prefix);
-//!   │  an empty store: chunk 0 from the round-start floors and generator
+//!   │  the round's shape → load_state; then, blob or not: rewind the floors
+//!   │  to round start → replay chunks [0, chunks_done) → check the floors
 //! .ingest(uploads, enclave, store, tracer)     per remaining chunk i:
 //!   │  fold chunk i, then open chunk i+1 (each on all t workers) →
 //!   │  advance + seal the restore point, pin the rollback floor → crash
@@ -54,11 +54,18 @@
 //! generator and the replay floors of the folded prefix (one running
 //! snapshot, updated with each chunk's entries) live in the engine and
 //! nowhere else, and are sealed — with the round's public shape and the
-//! aggregator's [`Aggregator::save_state`] — under `"round-ckpt"` after
-//! every fold. The blob holds only what cannot be recomputed from the
-//! round's own sealed uploads ([`RoundEngine::open`] says how a staged
-//! kind's cells come back). Untrusted storage is a [`SealedStore`]: the
-//! newest blob and the rollback-protected pin of its seal counter.
+//! aggregator's descriptor ([`StreamingAggregator::save_state`]) — under
+//! `"round-ckpt"` after every fold. The blob holds only what cannot be
+//! recomputed from the round's own sealed uploads: no aggregator state of
+//! any kind, since every kind's state is a pure function of the folded
+//! prefix, which [`RoundEngine::open`] replays. Untrusted storage is a
+//! [`SealedStore`]: the newest blob and the rollback-protected pin of its
+//! seal counter.
+//!
+//! The floor snapshot binds *which* uploads form the folded prefix, not
+//! their order: a prefix reordered within itself restores, to the bits of
+//! a round folded in that order. That is no new power — the host chooses
+//! the processing order at round start anyway.
 //!
 //! [`OliveSystem::run_round`]: crate::olive::OliveSystem::run_round
 //! [`OliveSystem::restore_round`]: crate::olive::OliveSystem::restore_round
@@ -82,7 +89,8 @@ const CKPT_LABEL: &[u8] = b"round-ckpt";
 
 /// Checkpoint plaintext format version (bump on any layout change).
 /// v2: the staged kinds' aggregator state is a descriptor, not cells.
-const CKPT_VERSION: u8 = 2;
+/// v3: every kind's is — every restore replays the folded prefix.
+const CKPT_VERSION: u8 = 3;
 
 /// Checkpoint plaintext bytes ahead of the floor entries: version, round,
 /// five sizes, the generator's four words and the floor count.
@@ -90,6 +98,11 @@ const CKPT_HEADER_LEN: usize = 1 + 8 + 5 * 8 + 4 * 8 + 8;
 
 /// Bytes of one replay-floor entry: user, nonce counter.
 const FLOOR_LEN: usize = 4 + 8;
+
+/// What stored round material that does not restore fails as — tampered,
+/// sealed for another round, or over another prefix — and what a restore
+/// reports for all of them alike.
+const UNUSABLE: RoundError = RoundError::Checkpoint(TeeError::AuthFailure);
 
 /// Why a round could not run (or resume) to completion. Every variant is
 /// recoverable state, not a panic: the interrupted round stays pending
@@ -267,8 +280,8 @@ pub struct SealedRound<'a> {
     /// The sealed uploads, in processing order.
     pub uploads: &'a [SealedMessage],
     /// Replay floors as of round start (before any upload was opened):
-    /// where the floor snapshot starts, and what a restore of a staged
-    /// kind rewinds to before it re-opens the folded prefix.
+    /// where the floor snapshot starts, and what a restore rewinds to
+    /// before it re-opens the folded prefix.
     pub base_floors: &'a [(UserId, u64)],
     /// The enclave's DP/sampling generator as of round start: the restore
     /// point of a round nothing is folded of yet.
@@ -276,13 +289,13 @@ pub struct SealedRound<'a> {
 }
 
 /// The engine's restore point (module docs), and the codec of its sealed
-/// form. Plaintext layout (v2), via `StateWriter`:
+/// form. Plaintext layout (v3), via `StateWriter`:
 ///
 /// ```text
 /// u8 version ‖ u64 round ‖ chunks_done ‖ uploads ‖ chunk_size ‖ threads ‖ k
 ///   ‖ 4 × u64 generator state
 ///   ‖ n_floors ‖ n_floors × (u32 user, u64 nonce counter)   — sorted by user
-///   ‖ bytes StreamingAggregator::save_state()
+///   ‖ bytes StreamingAggregator::save_state()               — the descriptor
 /// ```
 ///
 /// Everything before the floors is [`CKPT_HEADER_LEN`] bytes, so the
@@ -326,11 +339,11 @@ impl Checkpoint {
     }
 
     /// The sealed plaintext, written once into a buffer of its exact size:
-    /// the floors in one bulk pass, the aggregator's state straight after
-    /// its length prefix.
+    /// the floors in one bulk pass, then the aggregator's descriptor.
     fn encode(&self, shape: RoundShape, uploads: usize, agg: &StreamingAggregator) -> Vec<u8> {
-        let (floors_len, agg_len) = (FLOOR_LEN * self.floors.len(), agg.state_len());
-        let mut w = StateWriter::with_capacity(CKPT_HEADER_LEN + floors_len + 8 + agg_len);
+        let (floors_len, descriptor) = (FLOOR_LEN * self.floors.len(), agg.save_state());
+        let len = CKPT_HEADER_LEN + floors_len + 8 + descriptor.len();
+        let mut w = StateWriter::with_capacity(len);
         w.put_u8(CKPT_VERSION);
         w.put_u64(shape.round);
         w.put_usize(self.chunks_done);
@@ -348,13 +361,12 @@ impl Checkpoint {
                 entry[4..].copy_from_slice(&counter.to_le_bytes());
             }
         });
-        w.put_usize(agg_len);
-        agg.write_state(&mut w);
+        w.put_bytes(&descriptor);
         w.into_bytes()
     }
 
-    /// Parses an unsealed checkpoint (and the aggregator state sealed in
-    /// it) and validates it against the round it is asked to resume:
+    /// Parses an unsealed checkpoint (and the aggregator descriptor sealed
+    /// in it) and validates it against the round it is asked to resume:
     /// version, every field of `shape` and the upload count must match,
     /// and the progress must fit the round.
     fn decode(
@@ -488,8 +500,8 @@ pub struct RoundEngine {
     staged_bytes: u64,
     /// ORAM eviction count already reported to the `oram_evicted_blocks`
     /// counter (the ORAM reports a running total; telemetry wants
-    /// per-chunk deltas). A restored ORAM restarts its non-serialized
-    /// counter, so this starts at zero either way.
+    /// per-chunk deltas). A restore starts it at the replayed prefix's
+    /// count, which the invocation that folded the prefix reported.
     oram_evicted_seen: u64,
 }
 
@@ -543,25 +555,21 @@ impl RoundEngine {
     /// ([`TeeError::StaleSeal`] for an older genuine blob,
     /// [`TeeError::AuthFailure`] for a tampered one), decoded against the
     /// round's shape (a blob sealed for another round is as unusable as a
-    /// tampered one), and loaded; then the enclave's replay floors are
-    /// brought level with it. An accumulating kind is whole after
-    /// `load_state`: the floors are set to the sealed folded-prefix
-    /// snapshot and that is all. A staged kind owes its cells, so the
-    /// floors are rewound to round start and chunks `[0, chunks_done)` of
-    /// the uploads are re-opened, decoded and re-staged — untraced, like
-    /// the staging they repeat, away from the shard plane (shards keep
-    /// their own progress), and charged through the ledger like the
-    /// resident growth they are. Two sealed values then decide whether
-    /// that was the prefix the checkpoint was taken over: no cell may be
-    /// owed, and the enclave's floors must equal the sealed snapshot entry
-    /// for entry (an AEAD nonce is used once, so equal floors mean the
-    /// same ciphertexts) — a missing, swapped, substituted or unverifiable
-    /// upload fails one of them or the open itself, as
-    /// [`RoundError::Checkpoint`].
-    ///
-    /// An empty store (or none) is the same path with nothing folded: the
-    /// engine starts at chunk 0 from the round-start floors and generator
-    /// — re-installing the floors it was just handed, a no-op.
+    /// tampered one), and its descriptor loaded, leaving `agg` owing the
+    /// folded clients. Then — for every kind, and for an empty store (or
+    /// none) too, where nothing is folded — the one restore path: the
+    /// enclave's replay floors are rewound to round start and chunks
+    /// `[0, chunks_done)` of the uploads are re-opened, decoded and
+    /// replayed into `agg` — untraced (the adversary saw that schedule
+    /// when the chunks were first folded), away from the shard plane
+    /// (shards keep their own progress), charged through the ledger as a
+    /// fold charges them, and neither sealed nor tallied. Two sealed
+    /// values then decide whether that was the prefix the checkpoint was
+    /// taken over: no client may be owed, and the enclave's floors must
+    /// equal the sealed snapshot entry for entry (an AEAD nonce is used
+    /// once, so equal floors mean the same ciphertexts) — a missing,
+    /// swapped, substituted or unverifiable upload fails one of them or
+    /// the open itself, as [`RoundError::Checkpoint`].
     pub fn open(
         agg: StreamingAggregator,
         round: &SealedRound<'_>,
@@ -594,49 +602,53 @@ impl RoundEngine {
         let sealed = store.and_then(|store| Some((store.newest.as_deref()?, store.floor())));
         if let Some((blob, floor)) = sealed {
             let plain = enclave.unseal_with_floor(blob, CKPT_LABEL, floor)?;
-            let unusable = |_| RoundError::Checkpoint(TeeError::AuthFailure);
-            let (ckpt, agg_state) =
-                Checkpoint::decode(&plain, self.shape, round.uploads.len()).map_err(unusable)?;
-            self.agg.load_state(agg_state).map_err(unusable)?;
+            let (ckpt, descriptor) = Checkpoint::decode(&plain, self.shape, round.uploads.len())
+                .map_err(|_| UNUSABLE)?;
+            self.agg.load_state(descriptor).map_err(|_| UNUSABLE)?;
             self.ckpt = ckpt;
         }
         self.start();
-        let owed = self.agg.owed_cells();
-        if owed == 0 {
-            enclave.restore_replay_floors(&self.ckpt.floors);
-            return Ok(());
-        }
         let chunks_done = self.ckpt.chunks_done;
-        let _span = self.ledger.telemetry.span(
-            "restage_prefix",
-            &[("chunks", (chunks_done as u64).into()), ("cells", (owed as u64).into())],
-        );
+        let prefix =
+            &round.uploads[..(chunks_done * self.shape.chunk_size).min(round.uploads.len())];
+        let _span = (chunks_done > 0).then(|| {
+            let cells = prefix.iter().map(upload_cell_bytes).sum::<usize>() / 8;
+            let fields =
+                [("chunks", (chunks_done as u64).into()), ("cells", (cells as u64).into())];
+            self.ledger.telemetry.span("restage_prefix", &fields)
+        });
         enclave.restore_replay_floors(round.base_floors);
-        let chunk_size = self.shape.chunk_size;
-        let folded = (chunks_done * chunk_size).min(round.uploads.len());
-        let restaged = round.uploads[..folded]
-            .chunks(chunk_size)
-            .all(|msgs| self.restage_chunk(enclave, msgs));
-        if restaged && self.agg.owed_cells() == 0 && enclave.replay_floors() == self.ckpt.floors {
+        for msgs in prefix.chunks(self.shape.chunk_size) {
+            self.replay_chunk(enclave, msgs)?;
+        }
+        if let Some(stats) = self.agg.oram_stats() {
+            self.oram_evicted_seen = stats.evicted_blocks;
+        }
+        if self.agg.owed() == 0 && enclave.replay_floors() == self.ckpt.floors {
             return Ok(());
         }
-        Err(RoundError::Checkpoint(TeeError::AuthFailure))
+        Err(UNUSABLE)
     }
 
-    /// Re-opens one folded chunk and appends its cells to the restored
-    /// aggregator; `false` if an upload does not verify or the cells do
-    /// not fit what is owed.
-    fn restage_chunk(&mut self, enclave: &mut Enclave, msgs: &[SealedMessage]) -> bool {
+    /// Re-opens one folded chunk and replays it into the restored
+    /// aggregator, charged as a fold charges a chunk — its staged
+    /// plaintext and the ingest scratch, released once it is folded.
+    /// An upload that does not verify, or a chunk past what the
+    /// descriptor owes, makes the stored material unusable.
+    fn replay_chunk(
+        &mut self,
+        enclave: &mut Enclave,
+        msgs: &[SealedMessage],
+    ) -> Result<(), RoundError> {
         let (d, threads) = (self.agg.dim(), self.shape.threads);
-        let Ok(chunk) = open_and_decode(enclave, msgs, 0, d, threads) else {
-            return false;
-        };
-        let staged = staged_chunk_bytes(msgs);
-        self.ledger.charge(staged);
-        let appended = self.agg.restage(&chunk).is_ok();
-        self.ledger.release(staged);
+        let chunk = open_and_decode(enclave, msgs, 0, d, threads).map_err(|_| UNUSABLE)?;
+        let charged =
+            staged_chunk_bytes(msgs) + self.agg.ingest_scratch_bytes(msgs.len(), self.shape.k);
+        self.ledger.charge(charged);
+        let replayed = self.agg.replay(&chunk);
+        self.ledger.release(charged);
         self.resize_resident();
-        appended
+        replayed.map_err(|_| UNUSABLE)
     }
 
     /// Ingests every chunk of `uploads` past the restore point: opened,
@@ -781,8 +793,7 @@ impl RoundEngine {
         Ok(next)
     }
 
-    /// The aggregator's serialized state — its share of a sealed restore
-    /// point.
+    /// The aggregator's descriptor — its share of a sealed restore point.
     #[cfg(test)]
     pub(crate) fn checkpoint_state(&self) -> Vec<u8> {
         self.agg.save_state()
@@ -1279,20 +1290,18 @@ mod tests {
     }
 
     /// Kill after chunks 0 and 1, reopen from the store, finish — bitwise
-    /// the uninterrupted run, at every S. An accumulating kind takes the
-    /// sealed floors as they are; a staged kind re-opens the folded prefix
-    /// and its cells land on the budget as resident growth. On the way,
-    /// everything that is not the round's newest restore point is refused
-    /// by the open itself with every budget at `live == 0`: a genuine blob
-    /// from below the pinned floor as a rollback, a blob of another shape
-    /// like a tampered one, and — for the kind that reads it — a prefix
+    /// the uninterrupted run, for every kind at every S: the restore
+    /// re-opens the folded prefix and replays it, charged like the folds
+    /// it repeats. On the way, everything that is not the round's newest
+    /// restore point is refused by the open itself with every budget at
+    /// `live == 0`: a genuine blob from below the pinned floor as a
+    /// rollback, a blob of another shape like a tampered one, and a prefix
     /// that opens but is not the sealed one.
     #[test]
     fn resume_restages_a_staged_prefix_on_the_ledger() {
         let (d, n, k, chunk) = (32, 6, 4, 2);
         let updates = random_updates(n, k, d, 17);
-        let kinds = [AggregatorKind::Grouped { h: 2 }, AggregatorKind::Advanced];
-        for (kind, shards) in kinds.into_iter().flat_map(|kind| [(kind, 1usize), (kind, 4)]) {
+        for (kind, shards) in all_kinds().into_iter().flat_map(|kind| [(kind, 1usize), (kind, 4)]) {
             let ctx = format!("{kind:?} S={shards}");
             let mut round = Sealed::new(kind, &updates, d, 1, chunk);
             let want = round.drive(None, monolithic(), &mut NullTracer).0.expect("fault-free");
@@ -1316,15 +1325,10 @@ mod tests {
             refused(&mut round, &store, TeeError::AuthFailure);
             round.shape.chunk_size = chunk;
             // An unfolded upload swapped into the prefix opens and pays the
-            // owed cells back in full: only the floor commitment tells it
+            // owed clients back in full: only the floor commitment tells it
             // from the prefix the checkpoint was sealed over.
             round.uploads.swap(1, 2 * chunk);
-            if kind == AggregatorKind::Advanced {
-                refused(&mut round, &store, TeeError::AuthFailure);
-            } else {
-                let opened = round.open(Some(&store), plain(d, shards));
-                opened.expect("an accumulating kind never reads the prefix").abort();
-            }
+            refused(&mut round, &store, TeeError::AuthFailure);
             round.uploads.swap(1, 2 * chunk);
 
             let eng = round.open(Some(&store), plain(d, shards)).expect("genuine prefix");
@@ -1333,7 +1337,7 @@ mod tests {
             assert_eq!(eng.ledger.coordinator.live, eng.agg.resident_bytes(), "{ctx}");
             if kind == AggregatorKind::Advanced {
                 let cells = (2 * chunk * k) as u64 * 8;
-                assert_eq!(eng.ledger.coordinator.live, cells, "re-staged cells are charged");
+                assert_eq!(eng.ledger.coordinator.live, cells, "replayed cells are charged");
                 // Charged as a fold charges it: the staged chunk is released
                 // before the resident state it was copied into is resized.
                 assert_eq!(eng.ledger.coordinator.peak, cells);
@@ -1345,6 +1349,31 @@ mod tests {
             assert!(same_bits(&want, &got.expect("fault-free")), "{ctx}");
             assert_eq!(end.telemetry.chunks, 1, "{ctx}: only the last chunk was left to fold");
             assert!(balanced(&end), "{ctx}");
+        }
+    }
+
+    /// The floor snapshot binds which uploads form the folded prefix, not
+    /// their order: a prefix reordered within itself after the crash
+    /// restores — for every kind — to the bits of a round that folded the
+    /// uploads in that order from the start.
+    #[test]
+    fn a_reordered_prefix_restores_to_the_round_folded_in_that_order() {
+        let (d, n, k, chunk) = (32, 6, 4, 2);
+        let updates = random_updates(n, k, d, 29);
+        for kind in all_kinds() {
+            let mut round = Sealed::new(kind, &updates, d, 1, chunk);
+            let mut store = SealedStore::default();
+            let ledger = armed(d, 1, FaultPlan::crash_after([1]));
+            let (killed, _) = round.drive(Some(&mut store), ledger, &mut NullTracer);
+            assert_eq!(killed, Err(RoundError::CoordinatorKilled { after_chunk: 1 }), "{kind:?}");
+            round.uploads.swap(0, 3); // both in the folded chunks 0 and 1
+            let (got, end) = round.drive(Some(&mut store), monolithic(), &mut NullTracer);
+            assert!(balanced(&end), "{kind:?}");
+
+            let mut reordered = Sealed::new(kind, &updates, d, 1, chunk);
+            reordered.uploads.swap(0, 3);
+            let want = reordered.drive(None, monolithic(), &mut NullTracer).0.expect("fault-free");
+            assert!(same_bits(&want, &got.expect("a reordered prefix restores")), "{kind:?}");
         }
     }
 }

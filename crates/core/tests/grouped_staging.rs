@@ -120,15 +120,15 @@ fn a_round_allocates_one_sort_vector_per_worker() {
     }
 }
 
-/// A restore point's Grouped share is the configuration, the client
-/// count, the running total and one cell count: the same bytes after every
-/// chunk — pending wave or not — and at every k.
+/// A restore point's Grouped share is its descriptor — the configuration
+/// and the client count: the same bytes after every chunk — pending wave
+/// or not — and at every k.
 #[test]
 fn checkpoint_bytes_have_no_term_in_k() {
     let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     for threads in [1usize, 2] {
         let n = 4 * H * threads + 5;
-        let per_chunk = 1 + 4 * 8 + 8 + 4 * D + 8; // tag, config + n, total, cell count
+        let per_chunk = 1 + 3 * 8 + 8; // tag, h + d + threads, n
         for k in [4usize, 16, 32] {
             let saved = round(&updates(n, k, D), threads);
             assert_eq!(saved.len(), n.div_ceil(CHUNK));

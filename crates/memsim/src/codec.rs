@@ -1,7 +1,8 @@
 //! A tiny fixed-layout byte codec for checkpoint state blobs.
 //!
-//! Crash-safe rounds serialize aggregator and ORAM state into sealed
-//! checkpoints. The blobs are only ever produced and consumed by the
+//! Crash-safe rounds serialize their restore point — round header,
+//! replay floors, the aggregator's descriptor — into sealed checkpoints.
+//! The blobs are only ever produced and consumed by the
 //! same binary (the sealing key is bound to the enclave measurement),
 //! so the format optimizes for auditability, not evolution: every field
 //! is written little-endian at a fixed offset with explicit lengths,
@@ -104,26 +105,6 @@ impl StateWriter {
         self.put_usize(v.len());
         self.buf.extend_from_slice(v);
     }
-
-    /// Append a length-prefixed `u32` slice.
-    pub fn put_u32s(&mut self, v: &[u32]) {
-        self.put_usize(v.len());
-        self.put_with(4 * v.len(), |out| {
-            for (dst, &x) in out.chunks_exact_mut(4).zip(v) {
-                dst.copy_from_slice(&x.to_le_bytes());
-            }
-        });
-    }
-
-    /// Append a length-prefixed `f32` slice (bit patterns).
-    pub fn put_f32s(&mut self, v: &[f32]) {
-        self.put_usize(v.len());
-        self.put_with(4 * v.len(), |out| {
-            for (dst, &x) in out.chunks_exact_mut(4).zip(v) {
-                dst.copy_from_slice(&x.to_bits().to_le_bytes());
-            }
-        });
-    }
 }
 
 /// Bounds-checked cursor over a state blob.
@@ -170,35 +151,10 @@ impl<'a> StateReader<'a> {
         usize::try_from(self.get_u64()?).map_err(|_| StateError::Corrupt)
     }
 
-    /// Read an `f64` bit pattern.
-    pub fn get_f64(&mut self) -> Result<f64, StateError> {
-        Ok(f64::from_bits(self.get_u64()?))
-    }
-
     /// Read a length-prefixed byte string.
     pub fn get_bytes(&mut self) -> Result<&'a [u8], StateError> {
         let n = self.get_usize()?;
         self.take(n)
-    }
-
-    /// Read a length-prefixed `u32` slice.
-    pub fn get_u32s(&mut self) -> Result<Vec<u32>, StateError> {
-        let n = self.get_usize()?;
-        let raw = self.take(n.checked_mul(4).ok_or(StateError::Truncated)?)?;
-        Ok(raw
-            .chunks_exact(4)
-            .map(|b| u32::from_le_bytes(b.try_into().expect("4 bytes")))
-            .collect())
-    }
-
-    /// Read a length-prefixed `f32` slice (bit patterns).
-    pub fn get_f32s(&mut self) -> Result<Vec<f32>, StateError> {
-        let n = self.get_usize()?;
-        let raw = self.take(n.checked_mul(4).ok_or(StateError::Truncated)?)?;
-        Ok(raw
-            .chunks_exact(4)
-            .map(|b| f32::from_bits(u32::from_le_bytes(b.try_into().expect("4 bytes"))))
-            .collect())
     }
 
     /// Bytes not yet consumed.
@@ -230,8 +186,6 @@ mod tests {
         w.put_usize(12);
         w.put_f64(f64::NAN);
         w.put_bytes(b"abc");
-        w.put_u32s(&[1, 2, 3]);
-        w.put_f32s(&[1.5, -2.25, -0.0]);
         let bytes = w.into_bytes();
 
         let mut r = StateReader::new(&bytes);
@@ -239,13 +193,8 @@ mod tests {
         assert_eq!(r.get_u32().unwrap(), 0xDEAD_BEEF);
         assert_eq!(r.get_u64().unwrap(), u64::MAX - 3);
         assert_eq!(r.get_usize().unwrap(), 12);
-        assert!(r.get_f64().unwrap().is_nan());
+        assert!(f64::from_bits(r.get_u64().unwrap()).is_nan());
         assert_eq!(r.get_bytes().unwrap(), b"abc");
-        assert_eq!(r.get_u32s().unwrap(), vec![1, 2, 3]);
-        assert_eq!(
-            r.get_f32s().unwrap().iter().map(|f| f.to_bits()).collect::<Vec<_>>(),
-            vec![1.5f32.to_bits(), (-2.25f32).to_bits(), (-0.0f32).to_bits()]
-        );
         r.expect_end().unwrap();
     }
 
@@ -280,13 +229,13 @@ mod tests {
 
     #[test]
     fn oversized_length_prefix_is_truncated_not_oom() {
-        // A corrupted length prefix must not drive Vec::with_capacity
-        // into an absurd allocation before the bounds check fires.
+        // A corrupted length prefix must not drive an absurd allocation or
+        // an overflowing bound before the bounds check fires.
         let mut w = StateWriter::new();
         w.put_u64(u64::MAX / 2);
         let bytes = w.into_bytes();
         let mut r = StateReader::new(&bytes);
-        assert_eq!(r.get_f32s().unwrap_err(), StateError::Truncated);
+        assert_eq!(r.get_bytes().unwrap_err(), StateError::Truncated);
     }
 
     #[test]

@@ -12,12 +12,11 @@
 //! task-specific Advanced algorithm beats ORAM by >10× (Section 5.5).
 //!
 //! This crate provides:
-//! * [`PathOram`] — bucketed tree ORAM (Z = 4), oblivious stash, three
-//!   position-map strategies ([`PosMapKind`]): `Trusted` (plain array —
-//!   the client-storage assumption, *invalid* under SGX, kept as an
-//!   ablation), `LinearScan` (ZeroTrace-faithful O(N) oblivious scan),
-//!   and `Recursive` (position map stored in a smaller ORAM, as real
-//!   ZeroTrace deploys). Its access emits the canonical trace as block events and runs every
+//! * [`PathOram`] — bucketed tree ORAM (Z = 4), oblivious stash, two
+//!   position-map strategies ([`PosMapKind`]): `LinearScan`
+//!   (ZeroTrace-faithful O(N) oblivious scan) and `Recursive` (position
+//!   map stored in a smaller ORAM, as real ZeroTrace deploys). Its
+//!   access emits the canonical trace as block events and runs every
 //!   stash decision as an `olive-oblivious::meta_scan` branchless sweep
 //!   over the packed meta words; the unit tests hold it, bit for bit in
 //!   state, outputs and trace, to the textbook per-slot access, which only
@@ -36,7 +35,7 @@ pub mod path_oram;
 pub mod posmap;
 
 pub use path_oram::{
-    predicted_resident_bytes, BlockCodec, OramError, OramStats, PathOram, PathOramConfig,
-    BUCKET_SIZE, INVALID_KEY,
+    predicted_resident_bytes, OramError, OramStats, PathOram, PathOramConfig, BUCKET_SIZE,
+    INVALID_KEY,
 };
 pub use posmap::{PosBlock, PosMapKind, POS_BLOCK_FANOUT};

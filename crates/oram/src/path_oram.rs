@@ -35,36 +35,13 @@
 //! hold this access to it — state, outputs and trace, at every
 //! granularity and through recursive position maps.
 
-use olive_memsim::{Op, StateError, StateReader, StateWriter, Tracer, TrackedBuf};
+use olive_memsim::{Op, Tracer, TrackedBuf};
 use olive_oblivious::meta_scan;
 use olive_oblivious::primitives::Oblivious;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 use crate::posmap::{PosMap, PosMapKind, POS_BLOCK_FANOUT};
-
-/// Fixed-width serialization for ORAM block values, so a whole ORAM
-/// (tree, stash, position map, path RNG) can be snapshotted into a
-/// sealed checkpoint and restored bit-exactly.
-pub trait BlockCodec: Sized {
-    /// Bytes of one encoded value (the width is fixed per type).
-    const ENCODED_LEN: usize;
-    /// Append this value's encoding: exactly [`BlockCodec::ENCODED_LEN`]
-    /// bytes.
-    fn encode_into(&self, w: &mut StateWriter);
-    /// Decode one value back.
-    fn decode_from(r: &mut StateReader<'_>) -> Result<Self, StateError>;
-}
-
-impl BlockCodec for u64 {
-    const ENCODED_LEN: usize = 8;
-    fn encode_into(&self, w: &mut StateWriter) {
-        w.put_u64(*self);
-    }
-    fn decode_from(r: &mut StateReader<'_>) -> Result<Self, StateError> {
-        r.get_u64()
-    }
-}
 
 /// Blocks per bucket (the standard Z = 4).
 pub const BUCKET_SIZE: usize = 4;
@@ -134,22 +111,20 @@ pub struct PathOramConfig {
 }
 
 /// Occupancy / usage counters.
-#[derive(Clone, Copy, Debug, Default)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct OramStats {
     /// Completed accesses.
     pub accesses: u64,
     /// High-water mark of persistent stash occupancy (post-eviction).
     pub max_stash_occupancy: usize,
     /// Valid blocks written back into tree buckets by evictions.
-    /// **Not** serialized (the checkpoint blob layout predates it), so
-    /// restored instances restart it at zero.
     pub evicted_blocks: u64,
 }
 
 /// Reusable per-access scratch — the access's de-amortization:
 /// nothing is allocated inside `access`. Host-side bookkeeping only:
-/// never serialized, never traced (the canonical trace emission stands
-/// in for the scans that read it).
+/// never traced (the canonical trace emission stands in for the scans
+/// that read it).
 struct AccessScratch {
     /// Contiguous mirror of the stash meta words (kept in sync through
     /// every stash mutation during an access).
@@ -483,7 +458,7 @@ pub fn predicted_resident_bytes(
     // Scratch: meta (8 B) + depth (4 B) + free (4 B) per slot + picks.
     let scratch = (stash_slots * 16 + (BUCKET_SIZE + 1) * 4) as u64;
     let posmap_bytes = match posmap {
-        PosMapKind::Trusted | PosMapKind::LinearScan => 4 * capacity as u64,
+        PosMapKind::LinearScan => 4 * capacity as u64,
         PosMapKind::Recursive => {
             let blocks = capacity.div_ceil(POS_BLOCK_FANOUT);
             if blocks <= 16 {
@@ -496,92 +471,6 @@ pub fn predicted_resident_bytes(
         }
     };
     tree_stash + scratch + posmap_bytes
-}
-
-impl<V: Oblivious + Default + BlockCodec> PathOram<V> {
-    /// Serializes the complete ORAM state — tree, stash, position map,
-    /// path RNG, and counters — for a sealed checkpoint. Loading the
-    /// blob into a freshly built ORAM of the *same configuration*
-    /// reproduces the snapshotted instance exactly: every subsequent
-    /// access returns the same value and emits the same trace.
-    ///
-    /// The blob layout is **version-stable across the fast-path
-    /// rewrite**: the access leaves the per-slot oracle's state bit for
-    /// bit, its scratch is never serialized, and
-    /// [`OramStats::evicted_blocks`] is deliberately excluded — so a
-    /// round checkpointed by the pre-fast-path seed restores bitwise
-    /// (`checkpoint_blob_layout_is_stable_across_versions` pins this
-    /// against committed v0 fixture blobs).
-    pub fn save_state(&self) -> Vec<u8> {
-        let mut w = StateWriter::with_capacity(self.state_len());
-        self.save_into(&mut w);
-        w.into_bytes()
-    }
-
-    /// Bytes [`PathOram::save_state`] writes: the geometry, every tree and
-    /// stash slot, the position map, the path RNG and two counters.
-    pub fn state_len(&self) -> usize {
-        let slots = (self.tree.len() + self.stash.len()) * (8 + V::ENCODED_LEN);
-        8 + 4 + 4 + 2 * 8 + slots + self.posmap.saved_len() + 4 * 8 + 8 + 8
-    }
-
-    /// Restores state captured by [`PathOram::save_state`] into this
-    /// instance. `self` must have been built with the same
-    /// configuration (capacity, stash limit, position-map strategy);
-    /// a blob from a differently shaped ORAM fails with
-    /// [`StateError::Mismatch`]. Restoration is untraced: unsealing a
-    /// checkpoint is bulk I/O outside the adversary-observed window.
-    pub fn load_state(&mut self, bytes: &[u8]) -> Result<(), StateError> {
-        let mut r = StateReader::new(bytes);
-        self.load_from(&mut r)?;
-        r.expect_end()
-    }
-
-    pub(crate) fn save_into(&self, w: &mut StateWriter) {
-        w.put_usize(self.config.capacity);
-        w.put_u32(self.leaves);
-        w.put_u32(self.levels);
-        for buf in [&self.tree, &self.stash] {
-            w.put_usize(buf.len());
-            for (meta, value) in buf.as_slice_untraced() {
-                w.put_u64(*meta);
-                value.encode_into(w);
-            }
-        }
-        self.posmap.save_into(w);
-        for word in self.rng.state() {
-            w.put_u64(word);
-        }
-        w.put_u64(self.stats.accesses);
-        w.put_usize(self.stats.max_stash_occupancy);
-    }
-
-    pub(crate) fn load_from(&mut self, r: &mut StateReader<'_>) -> Result<(), StateError> {
-        if r.get_usize()? != self.config.capacity
-            || r.get_u32()? != self.leaves
-            || r.get_u32()? != self.levels
-        {
-            return Err(StateError::Mismatch);
-        }
-        for buf in [&mut self.tree, &mut self.stash] {
-            if r.get_usize()? != buf.len() {
-                return Err(StateError::Mismatch);
-            }
-            for slot in buf.as_mut_slice_untraced() {
-                *slot = (r.get_u64()?, V::decode_from(r)?);
-            }
-        }
-        self.posmap.load_from(r)?;
-        let mut rng_state = [0u64; 4];
-        for word in &mut rng_state {
-            *word = r.get_u64()?;
-        }
-        self.rng = SmallRng::from_state(rng_state);
-        self.stats.accesses = r.get_u64()?;
-        self.stats.max_stash_occupancy = r.get_usize()?;
-        self.stats.evicted_blocks = 0; // not serialized; restart deterministic
-        Ok(())
-    }
 }
 
 #[cfg(test)]
@@ -621,11 +510,11 @@ mod tests {
         assert_eq!(o.read(5, &mut NullTracer), 0, "take clears the block");
     }
 
-    /// The canonical model test: random ops vs a HashMap, across all
+    /// The canonical model test: random ops vs a HashMap, across both
     /// position-map strategies.
     #[test]
     fn matches_reference_model() {
-        for posmap in [PosMapKind::Trusted, PosMapKind::LinearScan, PosMapKind::Recursive] {
+        for posmap in [PosMapKind::LinearScan, PosMapKind::Recursive] {
             let capacity = 64;
             let mut o = oram(capacity, posmap, 42);
             let mut model: HashMap<u32, u64> = HashMap::new();
@@ -647,12 +536,13 @@ mod tests {
 
     /// The tentpole invariant at unit scope: the access and the per-slot
     /// oracle, driven with identical operations, produce bitwise-identical
-    /// values, traces (every granularity), stats, and serialized state —
-    /// across posmap kinds and capacities including 1 and non-powers-of-two.
-    /// (`path_oram_kernels_bitwise_identical` fuzzes the same property.)
+    /// values, traces (every granularity), stats, and state — after every
+    /// operation — across posmap kinds and capacities including 1 and
+    /// non-powers-of-two. (`path_oram_kernels_bitwise_identical` fuzzes the
+    /// same property.)
     #[test]
     fn kernels_agree_bitwise_in_state_trace_and_output() {
-        for posmap in [PosMapKind::Trusted, PosMapKind::LinearScan, PosMapKind::Recursive] {
+        for posmap in [PosMapKind::LinearScan, PosMapKind::Recursive] {
             for capacity in [1usize, 5, 64, 300] {
                 let cfg = PathOramConfig { capacity, stash_limit: 40, posmap, region_base: 10 };
                 let mut a = PathOram::<u64>::new(cfg, 99);
@@ -663,20 +553,25 @@ mod tests {
                     let mut rng = SmallRng::seed_from_u64(13);
                     for step in 0..60 {
                         let key = rng.gen_range(0..capacity as u32);
-                        let (va, vb) = match step % 3 {
+                        let ctx = format!("{posmap:?} cap {capacity} step {step}");
+                        match step % 3 {
                             0 => {
                                 let v = rng.gen::<u64>();
                                 a.access_scalar(key, |_| v, &mut tra);
                                 b.write(key, v, &mut trb);
-                                continue;
                             }
-                            1 => (
+                            1 => assert_eq!(
                                 a.access_scalar(key, |v| v ^ 0x5A, &mut tra),
                                 b.update(key, |v| v ^ 0x5A, &mut trb),
+                                "{ctx}"
                             ),
-                            _ => (a.access_scalar(key, |_| 0, &mut tra), b.take(key, &mut trb)),
-                        };
-                        assert_eq!(va, vb, "{posmap:?} cap {capacity} step {step}");
+                            _ => assert_eq!(
+                                a.access_scalar(key, |_| 0, &mut tra),
+                                b.take(key, &mut trb),
+                                "{ctx}"
+                            ),
+                        }
+                        assert!(a.same_state(&b), "{ctx}: state divergence");
                     }
                     assert_eq!(
                         tra.digest(),
@@ -684,22 +579,14 @@ mod tests {
                         "{posmap:?} cap {capacity} {granularity:?} trace divergence"
                     );
                 }
-                assert_eq!(a.stats().accesses, b.stats().accesses);
-                assert_eq!(a.stats().max_stash_occupancy, b.stats().max_stash_occupancy);
-                assert_eq!(a.stats().evicted_blocks, b.stats().evicted_blocks);
                 assert!(a.stats().evicted_blocks > 0, "evictions must be counted");
-                assert_eq!(
-                    a.save_state(),
-                    b.save_state(),
-                    "{posmap:?} cap {capacity} serialized state divergence"
-                );
             }
         }
     }
 
     #[test]
     fn stash_stays_bounded_under_load() {
-        let mut o = oram(128, PosMapKind::Trusted, 9);
+        let mut o = oram(128, PosMapKind::LinearScan, 9);
         let mut rng = SmallRng::seed_from_u64(11);
         for _ in 0..800 {
             let key = rng.gen_range(0..128u32);
@@ -753,15 +640,15 @@ mod tests {
     fn paths_are_uniformly_distributed() {
         // The remapped leaf after each access is uniform — bucket the
         // accessed paths of a fixed key and check rough uniformity.
-        let mut o = oram(64, PosMapKind::Trusted, 13);
+        let mut o = oram(64, PosMapKind::LinearScan, 13);
         let mut hist = [0u32; 4];
         for _ in 0..400 {
             o.write(5, 1, &mut NullTracer);
-            // Peek the posmap through a read of its trusted variant: the
-            // next access path = current leaf; bucket by quartile.
+            // Peek the posmap untraced: the next access path = current
+            // leaf; bucket by quartile.
             let leaf = match &o.posmap {
-                PosMap::Trusted(v) => v[5],
-                _ => unreachable!(),
+                PosMap::Linear(leaves) => leaves.as_slice_untraced()[5],
+                PosMap::Recursive(_) => unreachable!("a linear-scan map"),
             };
             hist[(leaf / 16) as usize] += 1;
         }
@@ -829,24 +716,24 @@ mod tests {
         }
     }
 
+    /// What a restore relies on: the ORAM's state is a pure function of
+    /// its configuration, its construction seed and the access sequence,
+    /// so a fresh same-seed ORAM that replays the accesses untraced holds
+    /// the exact state of the original — and then continues it: the same
+    /// values and the same trace, the path generator included.
     #[test]
     fn state_roundtrip_resumes_exactly() {
-        // Snapshot mid-stream, restore into a *fresh* same-config ORAM,
-        // then drive both with identical operations: values AND traces
-        // must match (the restored RNG continues the same path stream).
-        for posmap in [PosMapKind::Trusted, PosMapKind::LinearScan, PosMapKind::Recursive] {
+        for posmap in [PosMapKind::LinearScan, PosMapKind::Recursive] {
             let capacity = 300; // recursive: 19 blocks > 16 → a real inner ORAM
             let cfg = PathOramConfig { capacity, stash_limit: 40, posmap, region_base: 10 };
-            let mut a = PathOram::<u64>::new(cfg, 77);
+            let (mut a, mut b) = (PathOram::<u64>::new(cfg, 77), PathOram::<u64>::new(cfg, 77));
             let mut rng = SmallRng::seed_from_u64(3);
             for _ in 0..40 {
                 let key = rng.gen_range(0..capacity as u32);
-                a.write(key, key as u64 + 1000, &mut NullTracer);
+                a.write(key, key as u64 + 1000, &mut RecordingTracer::new(Granularity::Element));
+                b.write(key, key as u64 + 1000, &mut NullTracer);
             }
-            let blob = a.save_state();
-            let mut b = PathOram::<u64>::new(cfg, 12345); // seed irrelevant post-load
-            b.load_state(&blob).unwrap();
-            assert_eq!(b.stats().accesses, a.stats().accesses);
+            assert!(a.same_state(&b), "{posmap:?}: the replay reaches the original's state");
             let mut tra = RecordingTracer::new(Granularity::Element);
             let mut trb = RecordingTracer::new(Granularity::Element);
             for _ in 0..30 {
@@ -854,63 +741,11 @@ mod tests {
                 assert_eq!(
                     a.update(key, |v| v ^ 7, &mut tra),
                     b.update(key, |v| v ^ 7, &mut trb),
-                    "{posmap:?} value divergence after restore"
+                    "{posmap:?} value divergence after the replay"
                 );
             }
-            assert_eq!(tra.digest(), trb.digest(), "{posmap:?} trace divergence after restore");
+            assert_eq!(tra.digest(), trb.digest(), "{posmap:?} trace divergence after the replay");
         }
-    }
-
-    /// Cross-version checkpoint compatibility: the committed fixture
-    /// blobs were generated by the pre-fast-path scalar implementation
-    /// (40 deterministic writes, key = 7j mod 300, value = 1000 + 13j).
-    /// They must restore into today's ORAM and read back every written
-    /// cell — through the access and through the per-slot oracle —
-    /// proving the blob layout stayed stable across the kernel rewrite.
-    #[test]
-    fn checkpoint_blob_layout_is_stable_across_versions() {
-        let fixtures: [(&[u8], PosMapKind, &str); 3] = [
-            (include_bytes!("../fixtures/state_v0_trusted.bin"), PosMapKind::Trusted, "trusted"),
-            (include_bytes!("../fixtures/state_v0_linear.bin"), PosMapKind::LinearScan, "linear"),
-            (
-                include_bytes!("../fixtures/state_v0_recursive.bin"),
-                PosMapKind::Recursive,
-                "recursive",
-            ),
-        ];
-        for (blob, posmap, name) in fixtures {
-            let cfg = PathOramConfig { capacity: 300, stash_limit: 40, posmap, region_base: 10 };
-            for scalar in [true, false] {
-                let mut o = PathOram::<u64>::new(cfg, 1);
-                o.load_state(blob).unwrap_or_else(|e| {
-                    panic!("v0 {name} fixture must restore (scalar: {scalar}): {e:?}")
-                });
-                assert_eq!(o.stats().accesses, 40, "{name}");
-                for j in 0..40u32 {
-                    let key = (j * 7) % 300;
-                    let got = match scalar {
-                        true => o.access_scalar(key, |v| v, &mut NullTracer),
-                        false => o.read(key, &mut NullTracer),
-                    };
-                    assert_eq!(got, 1000 + j as u64 * 13, "{name} scalar: {scalar} write {j}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn state_blob_shape_mismatch_rejected() {
-        let a = oram(64, PosMapKind::LinearScan, 1);
-        let blob = a.save_state();
-        // Different capacity.
-        let mut b = oram(32, PosMapKind::LinearScan, 1);
-        assert_eq!(b.load_state(&blob), Err(olive_memsim::StateError::Mismatch));
-        // Different posmap strategy.
-        let mut c = oram(64, PosMapKind::Trusted, 1);
-        assert_eq!(c.load_state(&blob), Err(olive_memsim::StateError::Mismatch));
-        // Truncation.
-        let mut d = oram(64, PosMapKind::LinearScan, 2);
-        assert_eq!(d.load_state(&blob[..blob.len() - 1]), Err(olive_memsim::StateError::Truncated));
     }
 
     /// The EPC planner's closed-form prediction must equal what a real
@@ -920,7 +755,7 @@ mod tests {
     fn predicted_resident_bytes_matches_instances() {
         for (capacity, posmap) in [
             (1, PosMapKind::LinearScan),
-            (64, PosMapKind::Trusted),
+            (64, PosMapKind::LinearScan),
             (200, PosMapKind::Recursive), // ≤ 16 blocks → linear fallback
             (300, PosMapKind::Recursive), // linear-scan inner map
             (5000, PosMapKind::Recursive), // recursive inner map
@@ -941,19 +776,18 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(32))]
 
         /// The fast-path invariant, fuzzed: the access is bitwise output-,
-        /// trace-digest-, and serialized-state-identical to the per-slot
-        /// oracle for arbitrary op sequences (reads, writes, updates,
-        /// read-and-clear takes) across posmap kind × capacity — including
-        /// capacity 1 and non-powers-of-two.
+        /// trace-digest-, and state-identical (after every operation) to
+        /// the per-slot oracle for arbitrary op sequences (reads, writes,
+        /// updates, read-and-clear takes) across posmap kind × capacity —
+        /// including capacity 1 and non-powers-of-two.
         #[test]
         fn path_oram_kernels_bitwise_identical(
             ops in vec((0u32..97, 0u8..4, 0u64..1000), 1..40),
             cap_sel in 0usize..4,
-            posmap_sel in 0usize..3,
+            posmap_sel in 0usize..2,
         ) {
             let capacity = [1usize, 7, 64, 97][cap_sel];
-            let posmap =
-                [PosMapKind::Trusted, PosMapKind::LinearScan, PosMapKind::Recursive][posmap_sel];
+            let posmap = [PosMapKind::LinearScan, PosMapKind::Recursive][posmap_sel];
             let cfg = PathOramConfig { capacity, stash_limit: 40, posmap, region_base: 0 };
             let mut scalar = PathOram::<u64>::new(cfg, 23);
             let mut batched = PathOram::<u64>::new(cfg, 23);
@@ -965,7 +799,7 @@ mod tests {
                     0 => {
                         scalar.access_scalar(key, move |_| v, &mut tr_s);
                         batched.write(key, v, &mut tr_b);
-                        continue;
+                        (0, 0)
                     }
                     1 => (scalar.access_scalar(key, |x| x, &mut tr_s), batched.read(key, &mut tr_b)),
                     2 => (
@@ -975,14 +809,9 @@ mod tests {
                     _ => (scalar.access_scalar(key, |_| 0, &mut tr_s), batched.take(key, &mut tr_b)),
                 };
                 prop_assert_eq!(a, b, "output divergence at key {}", key);
+                prop_assert!(scalar.same_state(&batched), "state divergence at key {}", key);
             }
             prop_assert_eq!(tr_s.digest(), tr_b.digest(), "trace digest divergence");
-            prop_assert_eq!(scalar.save_state(), batched.save_state(), "state divergence");
-            prop_assert_eq!(
-                scalar.stats().max_stash_occupancy,
-                batched.stats().max_stash_occupancy
-            );
-            prop_assert_eq!(scalar.stats().evicted_blocks, batched.stats().evicted_blocks);
         }
     }
 }

@@ -113,6 +113,27 @@ impl<V: Oblivious + Default> PathOram<V> {
     }
 }
 
+impl<V: Oblivious + Default + PartialEq> PathOram<V> {
+    /// Whether `other` holds this ORAM's exact state — every tree and
+    /// stash slot, the position map (an inner ORAM's state recursively),
+    /// the path generator and the usage counters: the comparison the
+    /// access is held to against the oracle after every operation.
+    pub(crate) fn same_state(&self, other: &Self) -> bool {
+        let posmaps_agree = match (&self.posmap, &other.posmap) {
+            (PosMap::Linear(a), PosMap::Linear(b)) => {
+                a.as_slice_untraced() == b.as_slice_untraced()
+            }
+            (PosMap::Recursive(a), PosMap::Recursive(b)) => a.same_state(b),
+            _ => false,
+        };
+        posmaps_agree
+            && self.tree.as_slice_untraced() == other.tree.as_slice_untraced()
+            && self.stash.as_slice_untraced() == other.stash.as_slice_untraced()
+            && self.rng.state() == other.rng.state()
+            && self.stats == other.stats
+    }
+}
+
 /// [`PosMap::get_and_set`], with a recursive map's inner ORAM on the
 /// textbook access too: one fused read-modify-write of the block holding
 /// `key`, the slot selected branch-free.

@@ -1,10 +1,8 @@
 //! Position-map strategies for PathORAM under SGX.
 
-use olive_memsim::{StateError, StateReader, StateWriter, Tracer, TrackedBuf};
+use olive_memsim::{Tracer, TrackedBuf};
 use olive_oblivious::primitives::Oblivious;
 use olive_oblivious::scan::o_scan_update;
-
-use crate::path_oram::BlockCodec;
 
 /// Number of leaf positions packed into one recursive position-map block.
 /// 16 × u32 = 64 bytes = one cacheline, matching ZeroTrace's layout.
@@ -17,22 +15,6 @@ pub struct PosBlock(pub [u32; POS_BLOCK_FANOUT]);
 impl Default for PosBlock {
     fn default() -> Self {
         PosBlock([0; POS_BLOCK_FANOUT])
-    }
-}
-
-impl BlockCodec for PosBlock {
-    const ENCODED_LEN: usize = 4 * POS_BLOCK_FANOUT;
-    fn encode_into(&self, w: &mut StateWriter) {
-        for &x in &self.0 {
-            w.put_u32(x);
-        }
-    }
-    fn decode_from(r: &mut StateReader<'_>) -> Result<Self, StateError> {
-        let mut out = [0u32; POS_BLOCK_FANOUT];
-        for x in &mut out {
-            *x = r.get_u32()?;
-        }
-        Ok(PosBlock(out))
     }
 }
 
@@ -50,11 +32,6 @@ impl Oblivious for PosBlock {
 /// Which position-map construction to use.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum PosMapKind {
-    /// A plain array with direct indexing. This is classic PathORAM's
-    /// "client storage" assumption — **not oblivious inside an enclave**
-    /// (the index of the touched entry leaks the logical key). Kept for
-    /// the ablation benchmark quantifying what the SGX model costs.
-    Trusted,
     /// One flat tracked array scanned in full per access with `o_select`
     /// (ZeroTrace's base case). Θ(N) per access.
     LinearScan,
@@ -67,7 +44,6 @@ pub enum PosMapKind {
 /// The position map: maps logical key → current leaf label, and assigns a
 /// fresh leaf on every access (the PathORAM invariant).
 pub(crate) enum PosMap {
-    Trusted(Vec<u32>),
     Linear(TrackedBuf<u32>),
     Recursive(Box<crate::path_oram::PathOram<PosBlock>>),
 }
@@ -83,7 +59,6 @@ impl PosMap {
         mut init_leaf: impl FnMut(usize) -> u32,
     ) -> Self {
         match kind {
-            PosMapKind::Trusted => PosMap::Trusted((0..n).map(&mut init_leaf).collect()),
             PosMapKind::LinearScan => {
                 PosMap::Linear(TrackedBuf::new(region, (0..n).map(&mut init_leaf).collect()))
             }
@@ -125,69 +100,9 @@ impl PosMap {
         }
     }
 
-    /// Serializes the map for a sealed checkpoint (tag + payload;
-    /// recursive maps recurse into the inner ORAM's serializer).
-    pub(crate) fn save_into(&self, w: &mut StateWriter) {
-        match self {
-            PosMap::Trusted(v) => {
-                w.put_u8(0);
-                w.put_u32s(v);
-            }
-            PosMap::Linear(buf) => {
-                w.put_u8(1);
-                w.put_u32s(buf.as_slice_untraced());
-            }
-            PosMap::Recursive(oram) => {
-                w.put_u8(2);
-                oram.save_into(w);
-            }
-        }
-    }
-
-    /// Bytes [`PosMap::save_into`] writes.
-    pub(crate) fn saved_len(&self) -> usize {
-        match self {
-            PosMap::Trusted(v) => 1 + 8 + 4 * v.len(),
-            PosMap::Linear(buf) => 1 + 8 + 4 * buf.len(),
-            PosMap::Recursive(oram) => 1 + oram.state_len(),
-        }
-    }
-
-    /// Restores state captured by [`PosMap::save_into`]. The map must
-    /// already be of the same variant and size (same build config).
-    pub(crate) fn load_from(&mut self, r: &mut StateReader<'_>) -> Result<(), StateError> {
-        let tag = r.get_u8()?;
-        match (tag, self) {
-            (0, PosMap::Trusted(v)) => {
-                let leaves = r.get_u32s()?;
-                if leaves.len() != v.len() {
-                    return Err(StateError::Mismatch);
-                }
-                *v = leaves;
-                Ok(())
-            }
-            (1, PosMap::Linear(buf)) => {
-                let leaves = r.get_u32s()?;
-                if leaves.len() != buf.len() {
-                    return Err(StateError::Mismatch);
-                }
-                buf.as_mut_slice_untraced().copy_from_slice(&leaves);
-                Ok(())
-            }
-            (2, PosMap::Recursive(oram)) => oram.load_from(r),
-            (0..=2, _) => Err(StateError::Mismatch),
-            _ => Err(StateError::Corrupt),
-        }
-    }
-
     /// Returns the current leaf of `key` and re-assigns it to `new_leaf`.
     pub(crate) fn get_and_set<TR: Tracer>(&mut self, key: u32, new_leaf: u32, tr: &mut TR) -> u32 {
         match self {
-            PosMap::Trusted(v) => {
-                let old = v[key as usize];
-                v[key as usize] = new_leaf;
-                old
-            }
             PosMap::Linear(buf) => {
                 // One oblivious read-modify-write sweep: every entry is
                 // read and rewritten; the matching one swaps in new_leaf.
@@ -238,7 +153,6 @@ impl PosMap {
     /// the inner ORAM's tree + stash + its own map, recursively.
     pub(crate) fn storage_bytes(&self) -> u64 {
         match self {
-            PosMap::Trusted(v) => (v.len() * 4) as u64,
             PosMap::Linear(buf) => (buf.len() * 4) as u64,
             PosMap::Recursive(oram) => oram.memory_bytes() + oram.posmap.storage_bytes(),
         }
@@ -248,7 +162,7 @@ impl PosMap {
     /// scan in place and hold none).
     pub(crate) fn scratch_bytes(&self) -> u64 {
         match self {
-            PosMap::Trusted(_) | PosMap::Linear(_) => 0,
+            PosMap::Linear(_) => 0,
             PosMap::Recursive(oram) => oram.scratch_bytes(),
         }
     }
@@ -265,13 +179,6 @@ mod tests {
         assert_eq!(pm.get_and_set(3, 99, &mut NullTracer), 30);
         assert_eq!(pm.get_and_set(3, 7, &mut NullTracer), 99);
         assert_eq!(pm.get_and_set(0, 1, &mut NullTracer), 0);
-    }
-
-    #[test]
-    fn trusted_map_get_and_set() {
-        let mut pm = PosMap::build(PosMapKind::Trusted, 4, 0, 1, |i| i as u32);
-        assert_eq!(pm.get_and_set(2, 50, &mut NullTracer), 2);
-        assert_eq!(pm.get_and_set(2, 60, &mut NullTracer), 50);
     }
 
     #[test]

@@ -16,6 +16,7 @@ use olive_core::aggregation::AggregatorKind;
 use olive_core::olive::{DpConfig, OliveSystem, RoundError, RoundReport};
 use olive_integration_tests::{sha256_hex, small_system};
 use olive_memsim::{FaultPlan, Granularity, RecordingTracer, TraceDigest};
+use olive_oram::PosMapKind;
 use olive_tee::TeeError;
 
 /// Arms a coordinator crash right after chunk `chunk` (0-based) is
@@ -67,9 +68,8 @@ fn assert_bitwise_eq(a: &[f32], b: &[f32], ctx: &str) {
     }
 }
 
-/// Kill after chunk i ∈ {0, 1, mid, last} × four aggregator kinds —
-/// two accumulating, whose checkpoints snapshot their state, and the two
-/// staged ones, whose restore re-stages the folded prefix — × chunk sizes
+/// Kill after chunk i ∈ {0, 1, mid, last} × every aggregator kind — each
+/// restoring the one way, by replaying its folded prefix — × chunk sizes
 /// {1, 7, 64} × S ∈ {1, 4}. Restored rounds must match the uninterrupted
 /// (monolithic) round bitwise in output, signature, and trace digest,
 /// and leave every EPC budget — the coordinator's and each shard's —
@@ -87,8 +87,10 @@ fn kill_and_restore_is_bitwise_identical() {
     let threads = 2; // double-buffered opening: the historical crash bug
     for kind in [
         AggregatorKind::NonOblivious,
+        AggregatorKind::Baseline { cacheline_weights: 16 },
         AggregatorKind::Grouped { h: 3 },
         AggregatorKind::Advanced,
+        AggregatorKind::PathOram { posmap: PosMapKind::LinearScan },
         DIFF_OBLIVIOUS,
     ] {
         for chunk in [1usize, 7, 64] {
@@ -125,8 +127,8 @@ fn kill_and_restore_is_bitwise_identical() {
 /// Grouped with a partial wave pending at the kill: h = 3 and chunk 4,
 /// which divides no unit of h·threads clients at threads ∈ {1, 2, 3}, so
 /// most boundaries leave clients staged that are not yet in the running
-/// total. The restore point carries only their cell count; the restore
-/// re-opens the folded prefix and re-stages them. Killed after every
+/// total. The restore replays the folded prefix, which re-runs the full
+/// waves and stages the pending one again. Killed after every
 /// chunk, each restore must match the uninterrupted round bitwise in
 /// output, signature and trace digest, one tracer spanning both legs.
 #[test]
@@ -162,9 +164,8 @@ fn grouped_pending_wave_restores_at_every_chunk_boundary() {
 /// chunk 3, restored a second time — with the second crash armed on the
 /// restore, or both in one script armed once, whose unfired remainder
 /// must survive the first restore's re-provisioning at every S. The
-/// second restore of a staged kind rewinds to the *round-start* floors
-/// once more and re-stages a prefix twice as long; one tracer spans all
-/// three legs.
+/// second restore rewinds to the *round-start* floors once more and
+/// replays a prefix twice as long; one tracer spans all three legs.
 #[test]
 fn double_kill_and_restore_is_bitwise_identical() {
     let (seed, chunk) = (41, 2);
@@ -198,10 +199,10 @@ fn double_kill_and_restore_is_bitwise_identical() {
 }
 
 /// A staged kind's checkpoints stay small however much is staged: every
-/// blob is a header, 12 B per replay floor, the aggregator's descriptor
-/// and the seal's counter and tag, so a round's sealed bytes are linear
-/// in its chunk count — at one client per chunk too, where the O(nk)
-/// blobs this replaces summed to O(n²k).
+/// blob is a header, 12 B per replay floor, the aggregator's 25-byte
+/// descriptor and the seal's counter and tag, so a round's sealed bytes
+/// are linear in its chunk count — at one client per chunk too, where
+/// O(nk) blobs of staged cells would sum to O(n²k).
 #[test]
 fn advanced_checkpoint_bytes_are_linear_in_chunks() {
     for chunk in [1usize, 4] {
@@ -210,7 +211,7 @@ fn advanced_checkpoint_bytes_are_linear_in_chunks() {
         let chunks = n.div_ceil(chunk as u64);
         assert_eq!((report.telemetry.chunks, report.telemetry.ckpt_seals), (chunks, chunks));
         let header = 1 + 8 + 5 * 8 + 32 + 2 * 8; // version … generator, two length prefixes
-        let per_blob = header + 12 * 16 + 33 + (8 + 16); // ≤ 16 registered clients
+        let per_blob = header + 12 * 16 + 25 + (8 + 16); // ≤ 16 registered clients
         assert!(
             report.telemetry.ckpt_bytes <= chunks * per_blob,
             "chunk={chunk}: {} sealed bytes for {chunks} checkpoints",
@@ -223,20 +224,20 @@ fn advanced_checkpoint_bytes_are_linear_in_chunks() {
 /// The sealed restore point pinned byte for byte: the blob a round leaves
 /// in untrusted storage when it is killed after chunk 1 — counter prefix,
 /// ciphertext, tag — hashes to a pinned SHA-256. Grouped on two threads
-/// (parallel clients, a pending partial wave's descriptor in the state)
-/// and Advanced (a descriptor); one shard, whatever `OLIVE_SHARDS` says.
+/// (parallel clients, a partial wave pending) and Advanced; one shard,
+/// whatever `OLIVE_SHARDS` says.
 #[test]
 fn sealed_round_blob_is_pinned() {
     let pinned = [
         (
             AggregatorKind::Grouped { h: 3 },
             2,
-            "ea8024e92d0b2ca9ed1730fa00795f550616b0e20c2ea15bc425681c3e22bcd3",
+            "b66026749100336f0b9c52cecbe35466fd98c45ea1d8db41e2203650dd8081fb",
         ),
         (
             AggregatorKind::Advanced,
             1,
-            "d16eec50f754e281653f1044f56e4f56d92132be2b5d1d0a2146b17b987956cf",
+            "753fe600bde3e2fc84ea05913e32c5052dc99521ad975f71ea95094d21759c5c",
         ),
     ];
     for (kind, threads, digest) in pinned {

@@ -130,6 +130,36 @@ fn oram_rounds_emit_stash_and_eviction_counters() {
     );
 }
 
+/// The sum of every `name` counter record in `stream` — over every flush,
+/// so over every invocation a crashed round took.
+fn counter_total(stream: &str, name: &str) -> u64 {
+    let named = format!("\"name\":\"{name}\"");
+    let counters = stream.lines().filter(|l| l.contains("\"record\":\"counter\""));
+    let totals = counters.filter(|l| l.contains(&named)).map(|l| {
+        let total = l.split("\"total\":").nth(1).expect("a counter record carries its total");
+        let digits: String = total.chars().take_while(char::is_ascii_digit).collect();
+        digits.parse::<u64>().expect("a decimal total")
+    });
+    totals.sum()
+}
+
+/// ORAM counters across a restore: the replayed ORAM's running eviction
+/// total includes the folded prefix, which the killed invocation already
+/// reported, so the restore reports only what it folds after the restore
+/// point — summed over both invocations, `oram_evicted_blocks` is the
+/// uninterrupted round's.
+#[test]
+fn oram_eviction_counter_sums_across_a_restore() {
+    let kind = AggregatorKind::PathOram { posmap: olive_oram::PosMapKind::LinearScan };
+    let evicted = |crash: bool| {
+        let (_, _, _, stream) = run_round(kind, 1, crash, Telemetry::to_buffer());
+        counter_total(&stream.expect("armed buffer sink"), "oram_evicted_blocks")
+    };
+    let uninterrupted = evicted(false);
+    assert!(uninterrupted > 0, "an ORAM round evicts");
+    assert_eq!(evicted(true), uninterrupted, "killed after chunk 1, then restored");
+}
+
 /// The `RoundReport` summary is always populated: the chunk/checkpoint
 /// counts reflect the round that ran, and the recovery record is an
 /// explicit zero at every S — also for a round that crashed and was
