@@ -72,13 +72,15 @@ fn ct_ghash(width: CtWidth, gh: &CtGhash, aad: &[u8], ciphertext: &[u8]) -> u128
 
 /// The backend-specific cipher state behind one GCM key. The `ct` arm's
 /// pre-sliced round keys (0.95 KiB) and split powers H¹ … H⁸ (0.56 KiB)
-/// make an `AesGcm` 1.5 KiB against the `hw` arm's 0.3; a key is built
-/// per message and lives on the caller's stack, so boxing the arm would
-/// buy an allocation per message and nothing else.
+/// are boxed: unboxed they made every `AesGcm` 1.5 KiB against the `hw`
+/// arm's 0.3, and each client session holds one, so a `hw` deployment
+/// paid the `ct` size per client. The boxes cost a `ct` key two
+/// allocations, against a seal of microseconds; the `hw` arm stays inline
+/// (0.3 KiB), so a `hw` key allocates nothing.
 #[derive(Clone)]
 #[allow(clippy::large_enum_variant)]
 enum GcmImpl {
-    Ct(CtAes, CtGhash),
+    Ct(Box<CtAes>, Box<CtGhash>),
     #[cfg(target_arch = "x86_64")]
     Hw(HwAes, HwGhash),
 }
@@ -222,7 +224,7 @@ impl AesGcm {
 fn ct_impl(key: &[u8], width: CtWidth) -> Result<GcmImpl, CryptoError> {
     let aes = CtAes::new(key, width)?;
     let h = hash_subkey(|b| aes.encrypt_block(b));
-    Ok(GcmImpl::Ct(aes, CtGhash::new(h)))
+    Ok(GcmImpl::Ct(Box::new(aes), Box::new(CtGhash::new(h))))
 }
 
 /// The hash subkey H = E_K(0¹²⁸), under the block cipher `encrypt_block`.

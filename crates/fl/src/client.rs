@@ -41,8 +41,10 @@ impl ClientConfig {
 /// sparsified weight delta `Δ = TopkSparse(θ_local − θ_global)`.
 ///
 /// `model` is a scratch model of the right architecture; its parameters
-/// are overwritten. Deterministic in `seed` (batch order + dropout stream
-/// are the only randomness).
+/// are overwritten. θ crosses into the model's storage layout once
+/// (`set_params`), and `Model::delta_from` writes `θ_local − θ_global`
+/// back in θ order without building θ_local. Deterministic in `seed`
+/// (batch order + dropout stream are the only randomness).
 pub fn local_update(
     model: &mut Model,
     global_params: &[f32],
@@ -76,9 +78,8 @@ pub fn local_update(
             model.sgd_step(cfg.lr);
         }
     }
-    let local = model.get_params();
-    let delta: Vec<f32> = local.iter().zip(global_params.iter()).map(|(l, g)| l - g).collect();
-    let mut sparse = SparseGradient::from_dense(&delta, cfg.sparsifier, &mut rng);
+    let delta = model.delta_from(global_params);
+    let mut sparse = SparseGradient::from_dense(delta, cfg.sparsifier, &mut rng);
     if let Some(c) = cfg.clip {
         sparse.clip_l2(c);
     }

@@ -14,7 +14,7 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 use crate::init::{he_uniform, xavier_uniform};
-use crate::kernels::{self, Op};
+use crate::kernels::{self, Aligned, Op, Shape};
 
 /// One layer's passes over caller-owned buffers.
 trait Pass {
@@ -29,36 +29,59 @@ trait Pass {
     fn backward_into(&mut self, gout: &[f32], n: usize, gin: Option<&mut Vec<f32>>);
 }
 
-/// A fully connected layer: `y = W x + b` with `W` stored row-major
-/// `(out_dim, in_dim)`.
+/// A fully connected layer: `y = W x + b`. θ holds `W` row-major
+/// `(out_dim, in_dim)`; the layer stores `Wᵀ`, `in_dim` rows of `out_dim`
+/// weights each padded to a multiple of the kernels' widest lane count
+/// (the bias likewise), so the kernels run with lanes = outputs. The
+/// flat views convert at the boundary.
 #[derive(Clone, Debug)]
 pub struct Dense {
     /// Input feature count.
     pub in_dim: usize,
     /// Output feature count.
     pub out_dim: usize,
-    w: Vec<f32>,
+    wt: Aligned,
     b: Vec<f32>,
-    grad_w: Vec<f32>,
+    grad_wt: Aligned,
     grad_b: Vec<f32>,
     input_cache: Vec<f32>,
-    /// Kernel scratch: the input transposed (lanes = samples).
-    input_t: Vec<f32>,
+    /// Kernel scratch: the output gradient re-laid for the lanes.
+    scratch: Vec<f32>,
 }
 
 impl Dense {
     /// Creates a Xavier-initialized dense layer.
     pub fn new<R: Rng>(in_dim: usize, out_dim: usize, rng: &mut R) -> Self {
-        Dense {
+        let w = xavier_uniform(in_dim, out_dim, in_dim * out_dim, rng);
+        let stride = Shape { in_dim, out_dim }.stride();
+        let mut layer = Dense {
             in_dim,
             out_dim,
-            w: xavier_uniform(in_dim, out_dim, in_dim * out_dim, rng),
-            b: vec![0.0; out_dim],
-            grad_w: vec![0.0; in_dim * out_dim],
-            grad_b: vec![0.0; out_dim],
+            wt: Aligned::zeroed(in_dim * stride),
+            b: vec![0.0; stride],
+            grad_wt: Aligned::zeroed(in_dim * stride),
+            grad_b: vec![0.0; stride],
             input_cache: Vec::new(),
-            input_t: Vec::new(),
+            scratch: Vec::new(),
+        };
+        kernels::run(Op::ToStorage { shape: layer.shape(), w: &w, wt: &mut layer.wt });
+        layer
+    }
+
+    fn shape(&self) -> Shape {
+        Shape { in_dim: self.in_dim, out_dim: self.out_dim }
+    }
+}
+
+/// `out = src` or `out = src − base`.
+fn export_plain(src: &[f32], base: Option<&[f32]>, out: &mut [f32]) {
+    match base {
+        Some(base) => {
+            for ((o, &l), &g) in out.iter_mut().zip(src).zip(base) {
+                *o = l - g;
+            }
         }
+        None => out.copy_from_slice(src),
     }
 }
 
@@ -68,7 +91,7 @@ impl Pass for Dense {
         self.input_cache.clear();
         self.input_cache.extend_from_slice(x);
         out.resize(n * self.out_dim, 0.0);
-        kernels::run(Op::Forward { w: &self.w, b: &self.b, x, xt: &mut self.input_t, out });
+        kernels::run(Op::Forward { shape: self.shape(), wt: &self.wt, b: &self.b, x, out });
     }
 
     fn backward_into(&mut self, gout: &[f32], n: usize, gin: Option<&mut Vec<f32>>) {
@@ -76,13 +99,15 @@ impl Pass for Dense {
         assert_eq!(self.input_cache.len(), n * self.in_dim, "backward without a matching forward");
         let input_grad = gin.map(|gin| {
             gin.resize(n * self.in_dim, 0.0);
-            (&self.w[..], &mut gin[..])
+            (&self.wt[..], &mut gin[..])
         });
         kernels::run(Op::Backward {
+            shape: self.shape(),
             x: &self.input_cache,
             gout,
-            grad_w: &mut self.grad_w,
+            grad_wt: &mut self.grad_wt,
             grad_b: &mut self.grad_b,
+            scratch: &mut self.scratch,
             input_grad,
         });
     }
@@ -422,101 +447,102 @@ impl Layer {
     /// Number of trainable parameters.
     pub fn param_len(&self) -> usize {
         match self {
-            Layer::Dense(l) => l.w.len() + l.b.len(),
+            Layer::Dense(l) => l.in_dim * l.out_dim + l.out_dim,
             Layer::Conv2d(l) => l.weights.len() + l.bias.len(),
             _ => 0,
         }
     }
 
-    /// Appends this layer's parameters to `out` (weights then biases).
+    /// Appends this layer's parameters to `out` (weights then biases, θ
+    /// order).
     pub fn read_params(&self, out: &mut Vec<f32>) {
-        match self {
-            Layer::Dense(l) => {
-                out.extend_from_slice(&l.w);
-                out.extend_from_slice(&l.b);
-            }
-            Layer::Conv2d(l) => {
-                out.extend_from_slice(&l.weights);
-                out.extend_from_slice(&l.bias);
-            }
-            _ => {}
-        }
+        self.append(false, out);
     }
 
     /// Overwrites this layer's parameters from `src`, advancing `offset`.
     pub fn write_params(&mut self, src: &[f32], offset: &mut usize) {
+        let src = &src[*offset..*offset + self.param_len()];
+        *offset += src.len();
         match self {
             Layer::Dense(l) => {
-                let wl = l.w.len();
-                l.w.copy_from_slice(&src[*offset..*offset + wl]);
-                *offset += wl;
-                let bl = l.b.len();
-                l.b.copy_from_slice(&src[*offset..*offset + bl]);
-                *offset += bl;
+                let (w, b) = src.split_at(l.in_dim * l.out_dim);
+                kernels::run(Op::ToStorage { shape: l.shape(), w, wt: &mut l.wt });
+                l.b[..l.out_dim].copy_from_slice(b);
             }
             Layer::Conv2d(l) => {
-                let wl = l.weights.len();
-                l.weights.copy_from_slice(&src[*offset..*offset + wl]);
-                *offset += wl;
-                let bl = l.bias.len();
-                l.bias.copy_from_slice(&src[*offset..*offset + bl]);
-                *offset += bl;
+                let (w, b) = src.split_at(l.weights.len());
+                l.weights.copy_from_slice(w);
+                l.bias.copy_from_slice(b);
             }
             _ => {}
         }
     }
 
-    /// Appends this layer's accumulated gradients to `out`.
+    /// Appends this layer's accumulated gradients to `out` (θ order).
     pub fn read_grads(&self, out: &mut Vec<f32>) {
+        self.append(true, out);
+    }
+
+    /// Writes this layer's parameters minus `base` (both θ order,
+    /// [`Layer::param_len`] long) into `out`.
+    pub(crate) fn write_delta(&self, base: &[f32], out: &mut [f32]) {
+        self.export(false, Some(base), out);
+    }
+
+    fn append(&self, grads: bool, out: &mut Vec<f32>) {
+        let start = out.len();
+        out.resize(start + self.param_len(), 0.0);
+        self.export(grads, None, &mut out[start..]);
+    }
+
+    /// Writes the parameters (or gradients) in θ order into `out`, minus
+    /// `base` if given.
+    fn export(&self, grads: bool, base: Option<&[f32]>, out: &mut [f32]) {
+        let bias_len = match self {
+            Layer::Dense(l) => l.out_dim,
+            Layer::Conv2d(l) => l.bias.len(),
+            _ => return,
+        };
+        let (w_out, b_out) = out.split_at_mut(out.len() - bias_len);
+        let (w_base, b_base) = base.map(|base| base.split_at(w_out.len())).unzip();
         match self {
             Layer::Dense(l) => {
-                out.extend_from_slice(&l.grad_w);
-                out.extend_from_slice(&l.grad_b);
+                let (wt, b) = if grads { (&l.grad_wt, &l.grad_b) } else { (&l.wt, &l.b) };
+                kernels::run(Op::FromStorage { shape: l.shape(), wt, base: w_base, w: w_out });
+                export_plain(&b[..bias_len], b_base, b_out);
             }
             Layer::Conv2d(l) => {
-                out.extend_from_slice(&l.grad_w);
-                out.extend_from_slice(&l.grad_b);
+                let (w, b) = if grads { (&l.grad_w, &l.grad_b) } else { (&l.weights, &l.bias) };
+                export_plain(w, w_base, w_out);
+                export_plain(b, b_base, b_out);
             }
             _ => {}
+        }
+    }
+
+    /// The (parameters, gradients) pairs in storage order — a Dense
+    /// layer's `Wᵀ` with its padding — for updates that treat every
+    /// parameter alike.
+    pub(crate) fn storage_mut(&mut self) -> [(&mut [f32], &mut [f32]); 2] {
+        match self {
+            Layer::Dense(l) => [(&mut l.wt, &mut l.grad_wt), (&mut l.b, &mut l.grad_b)],
+            Layer::Conv2d(l) => [(&mut l.weights, &mut l.grad_w), (&mut l.bias, &mut l.grad_b)],
+            _ => [(&mut [], &mut []), (&mut [], &mut [])],
         }
     }
 
     /// Zeroes accumulated gradients.
     pub fn zero_grads(&mut self) {
-        match self {
-            Layer::Dense(l) => {
-                l.grad_w.iter_mut().for_each(|g| *g = 0.0);
-                l.grad_b.iter_mut().for_each(|g| *g = 0.0);
-            }
-            Layer::Conv2d(l) => {
-                l.grad_w.iter_mut().for_each(|g| *g = 0.0);
-                l.grad_b.iter_mut().for_each(|g| *g = 0.0);
-            }
-            _ => {}
+        for (_, grads) in self.storage_mut() {
+            grads.fill(0.0);
         }
     }
 
-    /// Applies `param -= lr * grad` (plus momentum handled by the caller via
-    /// [`crate::optim::Sgd`], which uses the flat views instead).
+    /// Applies `param -= lr * grad` and clears the gradient, in one pass
+    /// (momentum is [`crate::optim::Sgd`]'s).
     pub fn sgd_step(&mut self, lr: f32) {
-        match self {
-            Layer::Dense(l) => {
-                for (p, g) in l.w.iter_mut().zip(l.grad_w.iter()) {
-                    *p -= lr * g;
-                }
-                for (p, g) in l.b.iter_mut().zip(l.grad_b.iter()) {
-                    *p -= lr * g;
-                }
-            }
-            Layer::Conv2d(l) => {
-                for (p, g) in l.weights.iter_mut().zip(l.grad_w.iter()) {
-                    *p -= lr * g;
-                }
-                for (p, g) in l.bias.iter_mut().zip(l.grad_b.iter()) {
-                    *p -= lr * g;
-                }
-            }
-            _ => {}
+        for (params, grads) in self.storage_mut() {
+            kernels::run(Op::Sgd { lr, params, grads });
         }
     }
 }
@@ -545,9 +571,9 @@ mod tests {
     #[test]
     fn dense_forward_known_values() {
         let mut rng = SmallRng::seed_from_u64(0);
-        let mut d = Dense::new(2, 2, &mut rng);
-        d.w = vec![1.0, 2.0, 3.0, 4.0]; // rows: [1,2], [3,4]
-        d.b = vec![0.5, -0.5];
+        let mut d = Layer::Dense(Dense::new(2, 2, &mut rng));
+        // rows: [1,2], [3,4]; bias [0.5, -0.5]
+        d.write_params(&[1.0, 2.0, 3.0, 4.0, 0.5, -0.5], &mut 0);
         let out = d.forward(&[1.0, 1.0, 2.0, 0.0], 2, false);
         assert_eq!(out, vec![3.5, 6.5, 2.5, 5.5]);
     }
@@ -559,7 +585,7 @@ mod tests {
         d.forward(&[1.0, 2.0, 3.0], 1, true);
         let gin = d.backward(&[1.0, 1.0], 1);
         assert_eq!(gin.len(), 3);
-        assert_eq!(d.grad_b, vec![1.0, 1.0]);
+        assert_eq!(d.grad_b[..2], [1.0, 1.0]);
     }
 
     #[test]

@@ -18,15 +18,18 @@
 //! the unit the paper sparsifies). A training step reuses buffers the
 //! [`Model`] and its layers own, so it allocates nothing once they have
 //! grown to the batch shape, and the first layer skips the input gradient
-//! nobody reads. The Dense passes run at the CPU's vector width (portable,
-//! AVX2 or AVX-512, detected once; no knob) under one rule: every
-//! accumulation chain keeps the order of the scalar loops — multiply then
-//! add, never fused, lanes only ever independent chains — so every width
-//! returns the scalar result bit for bit. Unsafe code is denied crate-wide
-//! and allowed only on the one function that calls into the
-//! `#[target_feature]` monomorphizations. Correctness is pinned by
-//! finite-difference gradient checks and by a differential suite against
-//! the scalar loops, which survive as the `#[cfg(test)]` oracle.
+//! nobody reads. A Dense layer stores `Wᵀ` so its passes put the outputs
+//! in the vector lanes at any batch size; θ keeps its row-major order at
+//! the flat views, which convert. The Dense passes run at the CPU's
+//! vector width (portable, AVX2 or AVX-512, detected once; no knob) under
+//! one rule: every accumulation chain keeps the order of the scalar loops
+//! — multiply then add, never fused, lanes only ever independent chains —
+//! so every width returns the scalar result bit for bit. Unsafe code is
+//! denied crate-wide and allowed only on the function that calls into
+//! the `#[target_feature]` monomorphizations and on the register tiles'
+//! row loads and stores. Correctness is pinned by finite-difference
+//! gradient checks and by a differential suite against the scalar loops,
+//! which survive as the `#[cfg(test)]` oracle.
 
 #![deny(unsafe_code)]
 #![warn(missing_docs)]

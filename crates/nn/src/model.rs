@@ -3,8 +3,12 @@
 //! FL treats the whole model as one parameter vector θ ∈ R^d — sparsify,
 //! clip, encrypt, aggregate all operate on that vector — so [`Model`]
 //! exposes `get_params`/`set_params`/`get_grads` over the concatenation of
-//! all layer parameters in construction order.
+//! all layer parameters in construction order, each Dense weight matrix
+//! row-major `(out_dim, in_dim)`. The layers store their own layout (a
+//! Dense layer keeps `Wᵀ`) and convert at these calls; [`Model::delta_from`]
+//! writes a client's update straight into θ order.
 
+use crate::kernels::Aligned;
 use crate::layers::Layer;
 use crate::loss::{softmax, softmax_cross_entropy_into};
 
@@ -19,12 +23,14 @@ pub struct Model {
     /// and reused across batches.
     cur: Vec<f32>,
     next: Vec<f32>,
+    /// [`Model::delta_from`]'s output.
+    delta: Aligned,
 }
 
 impl Model {
     /// Builds a model from layers; `num_classes` is the logit dimension.
     pub fn new(layers: Vec<Layer>, num_classes: usize) -> Self {
-        Model { layers, num_classes, cur: Vec::new(), next: Vec::new() }
+        Model { layers, num_classes, cur: Vec::new(), next: Vec::new(), delta: Aligned::zeroed(0) }
     }
 
     /// Total trainable parameter count `d`.
@@ -60,7 +66,7 @@ impl Model {
     pub fn train_batch(&mut self, x: &[f32], labels: &[usize]) -> f32 {
         let n = labels.len();
         self.run_forward(x, n, true);
-        let Model { layers, num_classes, cur, next } = self;
+        let Model { layers, num_classes, cur, next, .. } = self;
         let loss = softmax_cross_entropy_into(cur, labels, *num_classes, next);
         std::mem::swap(cur, next);
         for (idx, layer) in layers.iter_mut().enumerate().rev() {
@@ -75,7 +81,11 @@ impl Model {
         for layer in &mut self.layers {
             layer.sgd_step(lr);
         }
-        self.zero_grads();
+    }
+
+    /// Every layer's (parameters, gradients) pairs in storage order.
+    pub(crate) fn storage_mut(&mut self) -> impl Iterator<Item = (&mut [f32], &mut [f32])> {
+        self.layers.iter_mut().flat_map(Layer::storage_mut)
     }
 
     /// Zeroes accumulated gradients.
@@ -103,6 +113,23 @@ impl Model {
             layer.write_params(params, &mut offset);
         }
         debug_assert_eq!(offset, params.len());
+    }
+
+    /// θ − `base` in θ order (`base` is [`Model::param_count`] long): a
+    /// client's update, written from the layers without building θ, into
+    /// a buffer the model keeps (cache-line aligned, reused).
+    pub fn delta_from(&mut self, base: &[f32]) -> &[f32] {
+        assert_eq!(base.len(), self.param_count(), "parameter vector length mismatch");
+        if self.delta.len() != base.len() {
+            self.delta = Aligned::zeroed(base.len());
+        }
+        let mut offset = 0;
+        for layer in &self.layers {
+            let at = offset..offset + layer.param_len();
+            layer.write_delta(&base[at.clone()], &mut self.delta[at]);
+            offset += layer.param_len();
+        }
+        &self.delta
     }
 
     /// The flat accumulated-gradient vector ∇θ.
@@ -304,6 +331,84 @@ mod tests {
             assert!(fast.iter().any(|g| *g != 0.0));
             assert!(fast.iter().zip(&full).all(|(a, b)| a.to_bits() == b.to_bits()));
         }
+    }
+
+    /// The stored `Wᵀ` never shows at the flat views: `set_params` then
+    /// `get_params` returns θ's bits (NaN payloads included), and
+    /// `get_grads` is θ-ordered — the scalar oracle's row-major `grad_w`
+    /// then `grad_b`.
+    #[test]
+    fn dense_flat_views_are_theta_ordered() {
+        use crate::kernels::oracle;
+        let mut rng = SmallRng::seed_from_u64(12);
+        for (in_dim, out_dim) in [(1, 1), (67, 3), (200, 5), (64, 56), (64, 128), (128, 10)] {
+            let mut m = Model::new(vec![Layer::Dense(Dense::new(in_dim, out_dim, &mut rng))], 1);
+            let theta: Vec<f32> = (0..m.param_count()).map(|_| f32::from_bits(rng.gen())).collect();
+            m.set_params(&theta);
+            let back = m.get_params();
+            assert!(back.iter().zip(&theta).all(|(a, b)| a.to_bits() == b.to_bits()));
+
+            let weights: Vec<f32> =
+                (0..m.param_count()).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
+            m.set_params(&weights);
+            let n = 3;
+            let x: Vec<f32> = (0..n * in_dim).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
+            let gout: Vec<f32> = (0..n * out_dim).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
+            m.layers[0].forward(&x, n, true);
+            m.layers[0].backward(&gout, n);
+            let w = &weights[..in_dim * out_dim];
+            let (mut grad_w, mut grad_b) = (vec![0.0; w.len()], vec![0.0; out_dim]);
+            oracle::backward(w, &x, &gout, n, &mut grad_w, &mut grad_b);
+            let want: Vec<u32> = grad_w.iter().chain(&grad_b).map(|g| g.to_bits()).collect();
+            let got: Vec<u32> = m.get_grads().iter().map(|g| g.to_bits()).collect();
+            assert_eq!(got, want, "({in_dim}, {out_dim})");
+        }
+    }
+
+    /// Every zoo model round-trips θ, and its gradients share θ's order:
+    /// `θ − lr·∇θ` taken over the flat views equals, bit for bit, the
+    /// `sgd_step` the layers take over their own storage.
+    #[test]
+    fn zoo_models_keep_theta_order() {
+        use crate::zoo;
+        let mut rng = SmallRng::seed_from_u64(13);
+        let models = [
+            (zoo::mnist_mlp(1), 28 * 28),
+            (zoo::cifar10_mlp(1), 3 * 32 * 32),
+            (zoo::cifar10_cnn(1), 3 * 32 * 32),
+            (zoo::purchase100_mlp(1), 600),
+            (zoo::cifar100_cnn(1), 3 * 32 * 32),
+            (zoo::attacker_nn(300, 40, 7, 1), 300),
+        ];
+        for (mut m, features) in models {
+            let theta: Vec<f32> =
+                (0..m.param_count()).map(|_| rng.gen_range(-0.1f32..0.1)).collect();
+            m.set_params(&theta);
+            assert!(m.get_params().iter().zip(&theta).all(|(a, b)| a.to_bits() == b.to_bits()));
+
+            let x: Vec<f32> = (0..2 * features).map(|_| rng.gen_range(0.0f32..1.0)).collect();
+            m.train_batch(&x, &[1, 3]);
+            let grads = m.get_grads();
+            assert!(grads.iter().any(|g| *g != 0.0));
+            let want: Vec<u32> =
+                theta.iter().zip(&grads).map(|(p, g)| (p - 0.1 * g).to_bits()).collect();
+            m.sgd_step(0.1);
+            let got: Vec<u32> = m.get_params().iter().map(|p| p.to_bits()).collect();
+            assert!(got == want, "{} parameters", m.param_count());
+            assert!(m.get_grads().iter().all(|g| *g == 0.0), "sgd_step clears the gradients");
+        }
+    }
+
+    /// `delta_from` is `get_params() − base`, element for element.
+    #[test]
+    fn delta_from_equals_the_flat_difference() {
+        let mut rng = SmallRng::seed_from_u64(14);
+        let mut m = crate::zoo::mlp(67, 29, 5, 0.0, 2);
+        let base: Vec<f32> = (0..m.param_count()).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
+        let want: Vec<u32> =
+            m.get_params().iter().zip(&base).map(|(l, g)| (l - g).to_bits()).collect();
+        let got: Vec<u32> = m.delta_from(&base).iter().map(|d| d.to_bits()).collect();
+        assert_eq!(got, want);
     }
 
     #[test]

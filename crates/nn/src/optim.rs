@@ -1,4 +1,5 @@
-//! SGD with optional momentum, operating on the model's flat views.
+//! SGD with optional momentum, over the layers' own storage: the update
+//! is element-wise, so it needs no θ-order view.
 
 use crate::model::Model;
 
@@ -12,13 +13,16 @@ pub struct Sgd {
     pub lr: f32,
     /// Momentum coefficient (0 disables).
     pub momentum: f32,
+    param_count: usize,
+    /// One velocity per stored parameter, in the layers' storage order
+    /// (sized at the first momentum step).
     velocity: Vec<f32>,
 }
 
 impl Sgd {
     /// Creates an optimizer for a model with `param_count` parameters.
     pub fn new(lr: f32, momentum: f32, param_count: usize) -> Self {
-        Sgd { lr, momentum, velocity: vec![0.0; param_count] }
+        Sgd { lr, momentum, param_count, velocity: Vec::new() }
     }
 
     /// Applies one update from the model's accumulated gradients, then
@@ -28,15 +32,22 @@ impl Sgd {
             model.sgd_step(self.lr);
             return;
         }
-        let grads = model.get_grads();
-        assert_eq!(grads.len(), self.velocity.len(), "optimizer/model size mismatch");
-        let mut params = model.get_params();
-        for ((v, g), p) in self.velocity.iter_mut().zip(grads.iter()).zip(params.iter_mut()) {
-            *v = self.momentum * *v + g;
-            *p -= self.lr * *v;
+        assert_eq!(model.param_count(), self.param_count, "optimizer/model size mismatch");
+        let (lr, momentum) = (self.lr, self.momentum);
+        let mut offset = 0;
+        for (params, grads) in model.storage_mut() {
+            let end = offset + params.len();
+            if self.velocity.len() < end {
+                self.velocity.resize(end, 0.0);
+            }
+            let velocity = &mut self.velocity[offset..end];
+            for ((v, g), p) in velocity.iter_mut().zip(grads.iter_mut()).zip(params.iter_mut()) {
+                *v = momentum * *v + *g;
+                *p -= lr * *v;
+                *g = 0.0;
+            }
+            offset = end;
         }
-        model.set_params(&params);
-        model.zero_grads();
     }
 }
 
@@ -81,6 +92,38 @@ mod tests {
         opt.step(&mut m);
         let step2: f32 = m.get_params().iter().zip(p1.iter()).map(|(a, b)| (a - b).abs()).sum();
         assert!(step2 > step1, "velocity should build up: {step1} vs {step2}");
+    }
+
+    /// The update over the layers' storage equals, bit for bit, the same
+    /// arithmetic over the θ-order views, through 20 momentum steps.
+    #[test]
+    fn momentum_over_storage_equals_the_theta_order_reference() {
+        use rand::Rng;
+        let mut fast = crate::zoo::mlp(12, 20, 5, 0.0, 3);
+        let mut reference = fast.clone();
+        let (lr, momentum) = (0.05f32, 0.9f32);
+        let mut opt = Sgd::new(lr, momentum, fast.param_count());
+        let mut velocity = vec![0.0f32; reference.param_count()];
+        let mut rng = SmallRng::seed_from_u64(4);
+        for _ in 0..20 {
+            let x: Vec<f32> = (0..4 * 12).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
+            let y = [0, 1, 2, 4];
+            fast.train_batch(&x, &y);
+            opt.step(&mut fast);
+
+            reference.train_batch(&x, &y);
+            let grads = reference.get_grads();
+            let mut params = reference.get_params();
+            for ((v, g), p) in velocity.iter_mut().zip(&grads).zip(&mut params) {
+                *v = momentum * *v + g;
+                *p -= lr * *v;
+            }
+            reference.set_params(&params);
+            reference.zero_grads();
+        }
+        let bits = |m: &Model| m.get_params().iter().map(|p| p.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&fast), bits(&reference));
+        assert!(fast.get_grads().iter().all(|g| *g == 0.0));
     }
 
     #[test]

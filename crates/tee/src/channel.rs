@@ -52,7 +52,9 @@ impl SealedMessage {
 /// A client's attested session with the enclave.
 pub struct ClientSession {
     user: UserId,
-    key: [u8; 32],
+    /// The session key, expanded once at establishment (client memory;
+    /// the enclave expands its copy per message).
+    gcm: AesGcm,
     dh: DhKeyPair,
     nonce_counter: u64,
     /// Side-band metrics handle (disarmed by default): sealed upload
@@ -89,11 +91,9 @@ impl ClientSession {
         dh_seed[29] ^= (user >> 8) as u8;
         let dh = DhKeyPair::from_seed(&dh_seed);
         let shared = dh.shared_secret(quote.report.enclave_dh_public);
-        let key: [u8; 32] =
-            hkdf::derive(&quote.report.transcript_hash(), &shared, &session_info(user), 32)
-                .try_into()
-                .expect("hkdf returns requested length");
-        Ok(ClientSession { user, key, dh, nonce_counter: 0, telemetry: Telemetry::off() })
+        let key = hkdf::derive(&quote.report.transcript_hash(), &shared, &session_info(user), 32);
+        let gcm = AesGcm::new(&key).expect("hkdf returns a 32-byte key");
+        Ok(ClientSession { user, gcm, dh, nonce_counter: 0, telemetry: Telemetry::off() })
     }
 
     /// Arms side-band telemetry on this session (sessions come up with a
@@ -122,8 +122,7 @@ impl ClientSession {
             nonce_counter: self.nonce_counter,
             ciphertext: Vec::new(),
         };
-        let gcm = AesGcm::new(&self.key).expect("32-byte key");
-        msg.ciphertext = gcm.seal(&nonce_bytes(self.nonce_counter), payload, &msg.aad());
+        msg.ciphertext = self.gcm.seal(&nonce_bytes(self.nonce_counter), payload, &msg.aad());
         msg
     }
 }
