@@ -21,17 +21,25 @@
 //! The selection is O(d) and sorts nothing of length d. A sample of 256
 //! keys, spread over the vector by the golden ratio, guesses a lower bound
 //! `lo` on T; one pass over the d cells collects, in index order, the
-//! indices of the keys at or above it — the top k and a few hundred more.
+//! cells whose key is at least `lo` — the top k and a few hundred more.
 //! If fewer than k turn up, the guess was wrong and every cell is a
 //! candidate instead, so the answer never depends on the sample. T is
-//! selected among the candidates' keys, and one branch-free walk over the
-//! candidates writes the k cells in index order straight into vectors of
-//! capacity k. The pass over the d cells builds a 32-bit mask of compares
-//! per block, which the compiler vectorises, then pushes one index per hit.
+//! selected among the candidates' keys, and one walk over the candidates
+//! writes the k cells in index order straight into vectors of capacity k.
+//!
+//! It lives in [`olive_nn::topk`], beside the Dense kernels, because it
+//! has an AVX-512 body (`olive-fl` has no `unsafe`). That body compares
+//! 16 keys a step and compresses the hits' indices and bits in registers,
+//! and emits the k cells by masked compress-stores. The portable body,
+//! for other CPUs, compares 32 keys a block into a mask — the compiler
+//! vectorises that part — but then pushes one index per hit, a loop whose
+//! trip count is the data's and whose pushes cost more than the compares.
+//! Both return the same bits.
 //!
 //! Every call brings new data, so the branch predictor learns nothing
 //! from one client for the next; a benchmark that repeats one input hides
-//! mispredictions this design is built to avoid.
+//! mispredictions. Time a change on deltas dumped from a round, each used
+//! once.
 
 use rand::Rng;
 
@@ -152,146 +160,38 @@ impl SparseGradient {
         }
     }
 
-    /// Parses the wire format. Returns `None` on malformed input.
+    /// Parses the wire format. Returns `None` on malformed input: fewer
+    /// than [`SparseGradient::HEADER_LEN`] bytes, a length other than
+    /// `8 + 8k`, or an index at or above d.
+    ///
+    /// One pass reads each cell as one little-endian `u64` and splits it;
+    /// the indices are checked against d once, by their largest.
     pub fn decode(bytes: &[u8]) -> Option<Self> {
-        if bytes.len() < Self::HEADER_LEN {
+        let (head, cells) = bytes.split_first_chunk::<{ Self::HEADER_LEN }>()?;
+        let d = u32::from_le_bytes([head[0], head[1], head[2], head[3]]) as usize;
+        let k = u32::from_le_bytes([head[4], head[5], head[6], head[7]]) as usize;
+        if cells.len() % 8 != 0 || cells.len() / 8 != k {
             return None;
         }
-        let d = u32::from_le_bytes(bytes[0..4].try_into().ok()?) as usize;
-        let k = u32::from_le_bytes(bytes[4..8].try_into().ok()?) as usize;
-        if bytes.len() != Self::HEADER_LEN + k * 8 {
-            return None;
+        let (mut indices, mut values) = (vec![0; k], vec![0.0; k]);
+        let mut largest = 0;
+        for ((cell, i), v) in cells.chunks_exact(8).zip(&mut indices).zip(&mut values) {
+            let cell = u64::from_le_bytes(cell.try_into().expect("8-byte cell"));
+            (*i, *v) = (cell as u32, f32::from_bits((cell >> 32) as u32));
+            largest = largest.max(*i);
         }
-        let mut indices = Vec::with_capacity(k);
-        let mut values = Vec::with_capacity(k);
-        for c in 0..k {
-            let off = Self::HEADER_LEN + c * 8;
-            let i = u32::from_le_bytes(bytes[off..off + 4].try_into().ok()?);
-            if i as usize >= d {
-                return None;
-            }
-            indices.push(i);
-            values
-                .push(f32::from_bits(u32::from_le_bytes(bytes[off + 4..off + 8].try_into().ok()?)));
-        }
-        Some(SparseGradient { dense_dim: d, indices, values })
+        (k == 0 || (largest as usize) < d).then_some(SparseGradient {
+            dense_dim: d,
+            indices,
+            values,
+        })
     }
 }
 
-/// Keys the guess at the threshold samples.
-const SAMPLE: usize = 256;
-
-/// The ordering key: `|x|` under `f32::total_cmp`, as an integer.
-#[inline(always)]
-fn key(x: f32) -> u32 {
-    x.to_bits() & 0x7FFF_FFFF
-}
-
-/// The top-k selection.
-///
-/// T, the k-th largest key, is at least `lo` exactly when k cells or more
-/// are candidates, the cells whose key is at least `lo`. `lo` comes from a
-/// sample of s = 256 keys, about `s·k/d` of which reach T: it is the
-/// sample key that many ranks from the top, moved down by three binomial
-/// standard deviations and one more rank, so that a few hundred cells
-/// beyond the k kept ones are candidates. A guess that fails the count
-/// falls back to every cell, so the answer never depends on the sample. T
-/// is then selected among the candidates' keys, and one walk over the
-/// candidates, in index order, emits every key above T and the first keys
-/// equal to T until there are k.
+/// [`olive_nn::topk::top_k`] as a sparse gradient.
 fn top_k(dense: &[f32], k: usize) -> SparseGradient {
-    let d = dense.len();
-    let k = k.min(d);
-    if k == 0 || k == d {
-        let (indices, values) = ((0..k as u32).collect(), dense[..k].to_vec());
-        return SparseGradient { dense_dim: d, indices, values };
-    }
-    if let Some((lo, expected)) = guess(dense, k) {
-        let mut above_lo = Vec::with_capacity(expected + 64);
-        candidates(dense, lo, &mut above_lo);
-        if above_lo.len() >= k {
-            return emit(dense, k, above_lo.iter().copied());
-        }
-    }
-    emit(dense, k, 0..d as u32)
-}
-
-/// The cells the guess samples: `s = min(d, 256)` positions of the Weyl
-/// sequence `⌊frac(j·φ)·d⌋`, spread evenly over `0..d` with no period that
-/// could line up with a layer's row length (a plain stride of 16 would see
-/// 4 of a 64-input layer's 64 columns).
-fn sample_positions(d: usize) -> impl Iterator<Item = usize> {
-    (0..d.min(SAMPLE) as u64).map(move |j| {
-        let frac = j.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32;
-        ((frac * d as u64) >> 32) as usize
-    })
-}
-
-/// The sample's guess at a lower bound on T (`0 < k < d`) and the number
-/// of cells it expects to reach it; `None` when the bound would be below
-/// every sampled key.
-fn guess(dense: &[f32], k: usize) -> Option<(u32, usize)> {
-    let d = dense.len();
-    let s = d.min(SAMPLE);
-    let mut sample: Vec<u32> = sample_positions(d).map(|i| key(dense[i])).collect();
-    let p = k as f64 / d as f64;
-    let mid = s as f64 * p;
-    // Ranks from the top of the sample: 0 is its largest key.
-    let rank = (mid + 3.0 * (mid * (1.0 - p)).sqrt() + 1.0).ceil() as usize;
-    (rank < s).then(|| (*sample.select_nth_unstable(s - 1 - rank).1, (rank + 1) * d / s))
-}
-
-/// T among the keys of `candidates` (which hold the top k), then the k
-/// cells: every candidate above T and the lowest-indexed ones equal to T.
-#[inline(always)]
-fn emit(dense: &[f32], k: usize, candidates: impl Iterator<Item = u32> + Clone) -> SparseGradient {
-    let mut keys: Vec<u32> = candidates.clone().map(|i| key(dense[i as usize])).collect();
-    let below_t = keys.len() - k;
-    let (_, &mut t, larger) = keys.select_nth_unstable(below_t);
-    let mut ties = k - larger.iter().filter(|&&key| key > t).count();
-    // Branch-free: about half the candidates are kept, in no pattern a
-    // predictor could learn. Every candidate is written to slot `n`, which
-    // moves on past the kept ones; the k-th kept one ends the walk.
-    let (mut indices, mut values) = (vec![0; k], vec![0.0; k]);
-    let mut n = 0;
-    for i in candidates {
-        let x = dense[i as usize];
-        (indices[n], values[n]) = (i, x);
-        let tied = key(x) == t;
-        let keep = (key(x) > t) | (tied & (ties > 0));
-        ties -= usize::from(tied & keep);
-        n += usize::from(keep);
-        if n == k {
-            break;
-        }
-    }
-    debug_assert_eq!(n, k, "the candidates hold the top k");
+    let (indices, values) = olive_nn::topk::top_k(dense, k);
     SparseGradient { dense_dim: dense.len(), indices, values }
-}
-
-/// Appends to `out`, ascending, the index of every cell whose key is at
-/// least `lo`: a 32-bit mask of compares per block, then one push per hit.
-/// The blocks must have a length the compiler can see, or the compares do
-/// not vectorise.
-fn candidates(dense: &[f32], lo: u32, out: &mut Vec<u32>) {
-    let mut push = |base: usize, mut hits: u32| {
-        while hits != 0 {
-            out.push(base as u32 + hits.trailing_zeros());
-            hits &= hits - 1;
-        }
-    };
-    let blocks = dense.chunks_exact(32);
-    let tail = blocks.remainder();
-    for (b, cells) in blocks.enumerate() {
-        push(b * 32, at_least(cells, lo));
-    }
-    push(dense.len() - tail.len(), at_least(tail, lo));
-}
-
-/// Bit j set when the key of `cells[j]` is at least `lo` (`cells.len() ≤ 32`).
-#[inline(always)]
-fn at_least(cells: &[f32], lo: u32) -> u32 {
-    cells.iter().enumerate().fold(0, |hits, (j, &x)| hits | u32::from(key(x) >= lo) << j)
 }
 
 #[cfg(test)]
@@ -401,6 +301,75 @@ mod tests {
         assert!(SparseGradient::decode(&bytes).is_none());
     }
 
+    /// The decoder [`SparseGradient::decode`] replaced: field by field,
+    /// each index checked as it is read.
+    fn decode_oracle(bytes: &[u8]) -> Option<SparseGradient> {
+        if bytes.len() < SparseGradient::HEADER_LEN {
+            return None;
+        }
+        let d = u32::from_le_bytes(bytes[0..4].try_into().ok()?) as usize;
+        let k = u32::from_le_bytes(bytes[4..8].try_into().ok()?) as usize;
+        if bytes.len() != SparseGradient::HEADER_LEN + k * 8 {
+            return None;
+        }
+        let mut indices = Vec::with_capacity(k);
+        let mut values = Vec::with_capacity(k);
+        for c in 0..k {
+            let off = SparseGradient::HEADER_LEN + c * 8;
+            let i = u32::from_le_bytes(bytes[off..off + 4].try_into().ok()?);
+            if i as usize >= d {
+                return None;
+            }
+            indices.push(i);
+            values
+                .push(f32::from_bits(u32::from_le_bytes(bytes[off + 4..off + 8].try_into().ok()?)));
+        }
+        Some(SparseGradient { dense_dim: d, indices, values })
+    }
+
+    /// Both decoders accept and reject the same inputs, and agree bit for
+    /// bit on what they accept: every truncation of a well-formed upload,
+    /// every wrong k, and an index equal to d (or the largest u32) in the
+    /// first, a middle and the last cell.
+    #[test]
+    fn decode_agrees_with_the_field_by_field_decoder() {
+        let same = |bytes: &[u8]| {
+            let (got, want) = (SparseGradient::decode(bytes), decode_oracle(bytes));
+            let bits = |g: &SparseGradient| {
+                let values: Vec<u32> = g.values.iter().map(|v| v.to_bits()).collect();
+                (g.dense_dim, g.indices.clone(), values)
+            };
+            assert_eq!(got.as_ref().map(bits), want.as_ref().map(bits), "{bytes:?}");
+            got.is_some()
+        };
+        let mut rng = SmallRng::seed_from_u64(8);
+        let d = 97;
+        let mut dense: Vec<f32> = (0..d).map(|_| rng.gen_range(-2.0f32..2.0)).collect();
+        dense[3] = f32::from_bits(0xFFC0_1234);
+        let sg = SparseGradient::from_dense(&dense, Sparsifier::TopK(9), &mut rng);
+        let bytes = sg.encode();
+        assert!(same(&bytes));
+        for len in 0..bytes.len() {
+            assert!(!same(&bytes[..len]), "truncated to {len}");
+        }
+        for k in (0..20u32).chain([u32::MAX / 8, u32::MAX]) {
+            let mut wrong = bytes.clone();
+            wrong[4..8].copy_from_slice(&k.to_le_bytes());
+            assert_eq!(same(&wrong), k == 9, "k = {k}");
+        }
+        for cell in [0, 4, 8] {
+            for (index, accepted) in [(d - 1, true), (d, false), (u32::MAX, false)] {
+                let mut bad = bytes.clone();
+                let at = SparseGradient::HEADER_LEN + 8 * cell;
+                bad[at..at + 4].copy_from_slice(&index.to_le_bytes());
+                assert_eq!(same(&bad), accepted, "index {index} in cell {cell}");
+            }
+        }
+        let empty = SparseGradient { dense_dim: 0, indices: vec![], values: vec![] };
+        assert!(same(&empty.encode()));
+        assert!(same(&[0, 0, 0, 0, 0, 0, 0, 0]) && !same(&[0, 0, 0, 0, 1, 0, 0, 0]));
+    }
+
     #[test]
     fn clip_bounds_norm() {
         let mut sg = SparseGradient { dense_dim: 4, indices: vec![0, 1], values: vec![3.0, 4.0] };
@@ -422,6 +391,11 @@ mod tests {
         order.truncate(k);
         order.sort_unstable();
         order
+    }
+
+    /// The ordering key of the module docs.
+    fn key(x: f32) -> u32 {
+        x.to_bits() & 0x7FFF_FFFF
     }
 
     /// For each k: the selection returns the canonical cells — strictly
@@ -529,34 +503,6 @@ mod tests {
         assert_eq!(sg.values[0].to_bits(), (-0.0f32).to_bits());
         let sg = top_k(&flat, 300);
         assert_eq!(sg.indices, (0..300).collect::<Vec<u32>>());
-    }
-
-    /// Layouts built against the sample. With the top k all off the
-    /// sampled cells the sample sees only small keys, and its guess lets
-    /// nearly every cell through; with only the sampled cells large, fewer
-    /// than k cells reach the guess and the selection falls back to every
-    /// cell. Both return the exact top k.
-    #[test]
-    fn a_guess_the_sample_gets_wrong_costs_time_not_bits() {
-        let (d, k) = (4096, 1000);
-        let mut sampled = vec![false; d];
-        sample_positions(d).for_each(|i| sampled[i] = true);
-        let mut rng = SmallRng::seed_from_u64(16);
-        let base = values(&mut rng, d, 0);
-        let layout = |large_if_sampled: bool| -> Vec<f32> {
-            let large = |i: usize| sampled[i] == large_if_sampled;
-            (0..d).map(|i| if large(i) { 10.0 + base[i] } else { 1e-3 * base[i] }).collect()
-        };
-        let (off_sample, on_sample) = (layout(false), layout(true));
-        let reaching = |dense: &[f32]| {
-            let (lo, _) = guess(dense, k).unwrap();
-            dense.iter().filter(|&&x| key(x) >= lo).count()
-        };
-        let unsampled = sampled.iter().filter(|&&s| !s).count();
-        assert!(reaching(&off_sample) > unsampled, "the guess should let every large cell in");
-        assert!(reaching(&on_sample) < k, "the guess should fall short of k");
-        check(&off_sample, [k]);
-        check(&on_sample, [k]);
     }
 
     #[test]

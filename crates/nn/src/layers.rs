@@ -432,6 +432,13 @@ impl Layer {
         }
     }
 
+    /// Whether the layer passes its input through unchanged in this pass:
+    /// a dropout at eval time, or with p = 0 (which then draws nothing
+    /// from its RNG either), so skipping it changes no bit.
+    pub(crate) fn is_identity(&self, train: bool) -> bool {
+        matches!(self, Layer::Dropout(l) if !train || l.p == 0.0)
+    }
+
     /// [`Layer::backward`] into a reused buffer, or — with `gin = None` —
     /// the parameters-only pass that skips the input gradient.
     pub(crate) fn backward_into(&mut self, gout: &[f32], n: usize, gin: Option<&mut Vec<f32>>) {

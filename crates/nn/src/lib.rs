@@ -24,12 +24,15 @@
 //! vector width (portable, AVX2 or AVX-512, detected once; no knob) under
 //! one rule: every accumulation chain keeps the order of the scalar loops
 //! — multiply then add, never fused, lanes only ever independent chains —
-//! so every width returns the scalar result bit for bit. Unsafe code is
-//! denied crate-wide and allowed only on the function that calls into
-//! the `#[target_feature]` monomorphizations and on the register tiles'
-//! row loads and stores. Correctness is pinned by finite-difference
-//! gradient checks and by a differential suite against the scalar loops,
-//! which survive as the `#[cfg(test)]` oracle.
+//! so every width returns the scalar result bit for bit. [`topk`] is the
+//! exact top-k of a flat vector that FL clients upload, with a portable
+//! and an AVX-512 body (detected once, no knob) that return the same
+//! bits. Unsafe code is denied crate-wide and allowed only on the
+//! functions that call into `#[target_feature]` code, on the register
+//! tiles' row loads and stores, and in the AVX-512 top-k body's vector
+//! loads and stores. Correctness is pinned by finite-difference gradient
+//! checks and by differential suites against the scalar loops and the
+//! canonical top-k rule, which survive as `#[cfg(test)]` oracles.
 
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
@@ -40,6 +43,7 @@ pub mod layers;
 pub mod loss;
 pub mod model;
 pub mod optim;
+pub mod topk;
 pub mod zoo;
 
 pub use layers::{Conv2d, Dense, Dropout, Layer, MaxPool2d, Relu};

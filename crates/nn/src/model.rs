@@ -44,16 +44,17 @@ impl Model {
     }
 
     /// The forward pass over the model's own buffers; the logits borrow
-    /// `self.cur`.
+    /// `self.cur`. Layers that are the identity in this pass are skipped.
     fn run_forward(&mut self, x: &[f32], n: usize, train: bool) -> &[f32] {
         let Model { layers, cur, next, .. } = self;
-        let Some((first, rest)) = layers.split_first_mut() else {
+        let mut active = layers.iter_mut().filter(|l| !l.is_identity(train));
+        let Some(first) = active.next() else {
             cur.clear();
             cur.extend_from_slice(x);
             return cur;
         };
         first.forward_into(x, n, train, cur);
-        for layer in rest {
+        for layer in active {
             layer.forward_into(cur, n, train, next);
             std::mem::swap(cur, next);
         }
@@ -61,17 +62,21 @@ impl Model {
     }
 
     /// Forward + loss + backward; accumulates parameter gradients and
-    /// returns the batch loss. The first layer runs its parameters-only
-    /// backward: nothing reads the gradient with respect to the batch.
+    /// returns the batch loss. The first layer that is not skipped runs
+    /// its parameters-only backward: nothing reads the gradient with
+    /// respect to the batch.
     pub fn train_batch(&mut self, x: &[f32], labels: &[usize]) -> f32 {
         let n = labels.len();
         self.run_forward(x, n, true);
         let Model { layers, num_classes, cur, next, .. } = self;
         let loss = softmax_cross_entropy_into(cur, labels, *num_classes, next);
         std::mem::swap(cur, next);
+        let first = layers.iter().position(|l| !l.is_identity(true)).unwrap_or(0);
         for (idx, layer) in layers.iter_mut().enumerate().rev() {
-            layer.backward_into(cur, n, (idx > 0).then_some(&mut *next));
-            std::mem::swap(cur, next);
+            if !layer.is_identity(true) {
+                layer.backward_into(cur, n, (idx > first).then_some(&mut *next));
+                std::mem::swap(cur, next);
+            }
         }
         loss
     }
@@ -330,6 +335,45 @@ mod tests {
             let (fast, full) = (fast.get_grads(), full.get_grads());
             assert!(fast.iter().any(|g| *g != 0.0));
             assert!(fast.iter().zip(&full).all(|(a, b)| a.to_bits() == b.to_bits()));
+        }
+    }
+
+    /// A dropout with p = 0 is skipped in training and every dropout at
+    /// eval time, with the bits of the unskipped layer-by-layer passes:
+    /// logits, loss, gradients and the parameters after SGD, over batches
+    /// whose sizes differ. A dropout with p > 0 still draws its masks in
+    /// training, so its passes match the layer-by-layer ones too.
+    #[test]
+    fn identity_dropout_is_skipped_with_the_same_bits() {
+        let mut rng = SmallRng::seed_from_u64(15);
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for p in [0.0, 0.5] {
+            let mut fast = crate::zoo::mlp(64, 128, 10, p, 3);
+            let mut full = fast.clone();
+            for n in [10usize, 3, 7] {
+                let x: Vec<f32> = (0..n * 64).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
+                let labels: Vec<usize> = (0..n).map(|s| (s * 7) % 10).collect();
+                let loss = fast.train_batch(&x, &labels);
+                let mut act = x.clone();
+                for layer in full.layers.iter_mut() {
+                    act = layer.forward(&act, n, true);
+                }
+                let (want_loss, mut grad) = softmax_cross_entropy(&act, &labels, 10);
+                for layer in full.layers.iter_mut().rev() {
+                    grad = layer.backward(&grad, n);
+                }
+                assert_eq!(loss.to_bits(), want_loss.to_bits(), "p={p} n={n}");
+                assert_eq!(bits(&fast.get_grads()), bits(&full.get_grads()), "p={p} n={n}");
+                fast.sgd_step(0.1);
+                full.sgd_step(0.1);
+                assert_eq!(bits(&fast.get_params()), bits(&full.get_params()), "p={p} n={n}");
+
+                let mut act = x.clone();
+                for layer in full.layers.iter_mut() {
+                    act = layer.forward(&act, n, false);
+                }
+                assert_eq!(bits(&fast.forward(&x, n, false)), bits(&act), "eval p={p} n={n}");
+            }
         }
     }
 
