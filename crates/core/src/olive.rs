@@ -175,7 +175,8 @@ struct PendingRound {
     /// chunk 0), runs the same schedule.
     shape: RoundShape,
     /// Replay floors as of round start (before any upload was opened) —
-    /// kept as they were across any number of restores.
+    /// kept as they were across any number of restores: the sealed prefix
+    /// digest is seeded with them, so a restore over other floors fails.
     base_floors: Vec<(UserId, u64)>,
     /// DP/sampling generator state right after the sample was drawn
     /// (training seeds are derived per-user, not drawn from this stream,
@@ -411,9 +412,10 @@ impl OliveSystem {
     /// contract), so this changes memory and throughput, never results.
     ///
     /// Rounds are **crash-safe**: after every folded chunk the enclave
-    /// seals a restore point (round counter, replay floors, RNG state,
-    /// and whatever of the aggregator cannot be recomputed from the
-    /// round's own sealed uploads) under `"round-ckpt"`, so a crashed
+    /// seals a restore point (round counter, RNG state, one digest of
+    /// the round-start replay floors and the folded uploads in order, and
+    /// whatever of the aggregator cannot be recomputed from the round's
+    /// own sealed uploads) under `"round-ckpt"`, so a crashed
     /// round — a scripted crash ([`OliveSystem::set_fault_plan`])
     /// surfaces as [`RoundError::CoordinatorKilled`] — resumes via
     /// [`OliveSystem::restore_round`] instead of restarting, bitwise
@@ -653,19 +655,19 @@ impl OliveSystem {
     /// provisioning epoch). From there it is
     /// [`OliveSystem::run_round`]'s path: [`RoundEngine::open`] unseals
     /// the stored blob against the rollback-protected floor, rebuilds the
-    /// aggregator, and rewinds the replay floors to cover only *folded*
-    /// uploads — for a staged kind (Advanced, DiffOblivious) by
-    /// re-opening the folded prefix of the round's own sealed uploads,
-    /// which must be exactly the prefix the checkpoint sealed (a flipped,
-    /// dropped or substituted upload never yields a different aggregate)
-    /// — and ingestion continues from the next chunk. A round that died
-    /// *before its first checkpoint* (a refused upload or shard failure
-    /// in chunk 0) has no blob
-    /// and is restarted whole from the untrusted round material — nothing
-    /// was folded, so that too is exact. Output and trace are bitwise
-    /// identical to the uninterrupted round. On error — including a
-    /// further scripted crash — the interrupted round stays pending, so
-    /// the caller can repair storage and retry.
+    /// aggregator, rewinds the replay floors to round start and replays
+    /// the folded prefix of the round's own sealed uploads, which must be
+    /// exactly the prefix the checkpoint's digest sealed, in order, over
+    /// the round's own round-start floors (a flipped, dropped,
+    /// substituted or reordered upload never yields a different
+    /// aggregate) — and ingestion continues from the next chunk. A round
+    /// that died *before its first checkpoint* (a refused upload or shard
+    /// failure in chunk 0) has no blob and is restarted whole from the
+    /// untrusted round material — nothing was folded, so that too is
+    /// exact. Output and trace are bitwise identical to the uninterrupted
+    /// round. On error — including a further scripted crash — the
+    /// interrupted round stays pending, so the caller can repair storage
+    /// and retry.
     pub fn restore_round<TR: ParallelTracer>(
         &mut self,
         tr: &mut TR,
@@ -812,18 +814,18 @@ pub fn provision_clients(
 /// algorithms ignore it. For Advanced this is to the byte the
 /// `RoundReport::working_set_bytes` of a round — finalize is its peak,
 /// and a checkpointed round can exceed it by at most the plaintext being
-/// sealed beside the staged cells (header + 12 B per replay floor + the
-/// aggregator's descriptor — and not at all once that is below the 12·d
-/// bytes finalize adds). For Grouped it leaves out the O(chunk·k)
-/// plaintext staged around a fold (the chunk being folded and the
-/// look-ahead chunk) and the pending partial unit resident beside it
-/// (fewer than h·threads clients' cells), which a measured round carries
-/// on top — as it does the checkpoint plaintext (header + floors + the
-/// descriptor; no term in d or k). On the benchmark's `grouped_t2`
-/// (n = 5000, k = 421, d = 4210, h = 64, two threads, chunk 64) the
-/// measured 1,195,640 B is the closed form's 548,984 B plus three
-/// 64-client runs of 215,552 B — the folded chunk, the look-ahead and the
-/// group pending from the chunk before — not two.
+/// sealed beside the staged cells (a fixed 113-byte header with the
+/// prefix digest, plus the aggregator's length-prefixed descriptor —
+/// and not at all once that is below the 12·d bytes finalize adds).
+/// For Grouped it leaves out the O(chunk·k) plaintext staged around a
+/// fold (the chunk being folded and the look-ahead chunk) and the pending
+/// partial unit resident beside it (fewer than h·threads clients' cells),
+/// which a measured round carries on top — as it does the checkpoint
+/// plaintext (header + the descriptor; no term in n, d or k). On the
+/// benchmark's `grouped_t2` (n = 5000, k = 421, d = 4210, h = 64, two
+/// threads, chunk 64) the measured 1,195,640 B is the closed form's
+/// 548,984 B plus three 64-client runs of 215,552 B — the folded chunk,
+/// the look-ahead and the group pending from the chunk before — not two.
 pub fn working_set_bytes(
     kind: AggregatorKind,
     n: usize,
@@ -1083,9 +1085,9 @@ mod tests {
     /// chunk being folded and the look-ahead chunk opened beside it,
     /// `chunk · k` cells each.
     /// Checkpointing — what `run_round` does — adds one transient on top
-    /// of a fold's resident state: the plaintext being sealed, header +
-    /// floors + the aggregator's descriptor, which for Advanced is the
-    /// only thing a round's peak may exceed the closed form by.
+    /// of a fold's resident state: the plaintext being sealed (header,
+    /// prefix digest and the aggregator's descriptor), which for Advanced
+    /// is the only thing a round's peak may exceed the closed form by.
     /// The linear fold's closed form is the materialize-all round (one
     /// chunk of all n clients); streaming it in chunks of two holds two
     /// chunks of plaintext instead, on the same bits.
@@ -1120,9 +1122,9 @@ mod tests {
         let shape = (report.processed_users.len(), report.k_per_user, sys.dim());
         assert_eq!(shape, (n, k, d), "the round the closed form was taken for");
         let checkpointed = report.working_set_bytes;
-        // Header (version, round, five sizes, generator, two length
-        // prefixes), one 12-byte floor per client, the 25-byte descriptor.
-        let ckpt_plain = (1 + 8 + 5 * 8 + 32 + 2 * 8) + 12 * n as u64 + 25;
+        // Header (version, round, five sizes, generator, prefix digest),
+        // the descriptor's length prefix and its 25 bytes.
+        let ckpt_plain = (1 + 8 + 5 * 8 + 32 + 32) + 8 + 25;
         assert!(
             (closed..=closed + ckpt_plain).contains(&checkpointed),
             "{checkpointed} vs closed form {closed} + at most {ckpt_plain}"
@@ -1140,9 +1142,10 @@ mod tests {
     /// A checkpoint commits to the folded prefix it leaves in untrusted
     /// storage: a round of any kind killed after three chunks must refuse
     /// to resume over a prefix with one ciphertext bit-flipped, one upload
-    /// dropped, or one upload replaced by a *genuine* second upload of
-    /// the same user under a later nonce — each a structured error with
-    /// the round still pending and every budget balanced, never a
+    /// dropped, one upload replaced by a *genuine* second upload of the
+    /// same user under a later nonce, or two uploads swapped, and over
+    /// round-start floors with an entry added — each a structured error
+    /// with the round still pending and every budget balanced, never a
     /// different aggregate — and then restore bitwise from the genuine
     /// material, one tracer spanning every attempt. Grouped with h = 4 is
     /// killed with four clients in its running total and two pending: a
@@ -1187,8 +1190,21 @@ mod tests {
             substituted[slot] = sys.sessions[victim as usize].seal_upload(t, &other.encode());
             assert!(substituted[slot].nonce_counter > genuine[slot].nonce_counter);
 
-            for (what, stored) in [("flip", flipped), ("drop", dropped), ("swap", substituted)] {
-                sys.pending.as_mut().expect("pending").sealed = stored;
+            let mut reordered = genuine.clone();
+            reordered.swap(0, slot);
+            let floors = sys.pending.as_ref().expect("pending").base_floors.clone();
+            let mut more_floors = floors.clone();
+            more_floors.push((UserId::MAX, 1));
+
+            for (what, stored, base) in [
+                ("flip", flipped, &floors),
+                ("drop", dropped, &floors),
+                ("swap", substituted, &floors),
+                ("reorder", reordered, &floors),
+                ("floors", genuine.clone(), &more_floors),
+            ] {
+                let pending = sys.pending.as_mut().expect("pending");
+                (pending.sealed, pending.base_floors) = (stored, base.clone());
                 assert_eq!(
                     sys.restore_round(&mut tr).unwrap_err(),
                     RoundError::Checkpoint(TeeError::AuthFailure),
@@ -1198,7 +1214,8 @@ mod tests {
                 assert!(sys.epc_live().iter().all(|&b| b == 0), "{ctx} {what}: budgets balance");
             }
 
-            sys.pending.as_mut().expect("pending").sealed = genuine;
+            let pending = sys.pending.as_mut().expect("pending");
+            (pending.sealed, pending.base_floors) = (genuine, floors);
             let report = sys.restore_round(&mut tr).expect("genuine material restores");
             assert_eq!(sys.global_params(), reference.global_params(), "{ctx}");
             assert_eq!(report.model_signature, ref_report.model_signature);

@@ -10,7 +10,7 @@
 //! RoundEngine::open(aggregator, round, enclave, store, ledger)
 //!   │  a blob in the store: unseal against the pinned floor → decode against
 //!   │  the round's shape → load_state; then, blob or not: rewind the floors
-//!   │  to round start → replay chunks [0, chunks_done) → check the floors
+//!   │  to round start → replay chunks [0, chunks_done) → check the digest
 //! .ingest(uploads, enclave, store, tracer)     per remaining chunk i:
 //!   │  fold chunk i, then open chunk i+1 (each on all t workers) →
 //!   │  advance + seal the restore point, pin the rollback floor → crash
@@ -51,21 +51,25 @@
 //! # The restore point
 //!
 //! The engine owns its restore point: chunk progress, the DP/sampling
-//! generator and the replay floors of the folded prefix (one running
-//! snapshot, updated with each chunk's entries) live in the engine and
-//! nowhere else, and are sealed — with the round's public shape and the
-//! aggregator's descriptor ([`StreamingAggregator::save_state`]) — under
-//! `"round-ckpt"` after every fold. The blob holds only what cannot be
-//! recomputed from the round's own sealed uploads: no aggregator state of
-//! any kind, since every kind's state is a pure function of the folded
-//! prefix, which [`RoundEngine::open`] replays. Untrusted storage is a
-//! [`SealedStore`]: the newest blob and the rollback-protected pin of its
-//! seal counter.
+//! generator and the prefix digest — a running SHA-256 seeded with the
+//! round and its round-start replay floors, then extended per folded
+//! chunk with each upload's user, nonce counter and GCM tag, in fold
+//! order — live in the engine and nowhere else, and are sealed — with the
+//! round's public shape and the aggregator's descriptor
+//! ([`StreamingAggregator::save_state`]) — under `"round-ckpt"` after
+//! every fold. The blob holds only what cannot be recomputed from the
+//! round's own sealed uploads: no aggregator state of any kind, since
+//! every kind's state is a pure function of the folded prefix, which
+//! [`RoundEngine::open`] replays; and no per-user entry, so its size
+//! depends on neither the registered N nor the chunks folded. Untrusted
+//! storage is a [`SealedStore`]: the newest blob and the
+//! rollback-protected pin of its seal counter.
 //!
-//! The floor snapshot binds *which* uploads form the folded prefix, not
-//! their order: a prefix reordered within itself restores, to the bits of
-//! a round folded in that order. That is no new power — the host chooses
-//! the processing order at round start anyway.
+//! The digest binds the round-start floors and the folded prefix upload
+//! by upload, in order: a flipped, dropped, substituted or reordered
+//! prefix, or other round-start floors, recompute to another digest. A
+//! GCM tag under one key and nonce authenticates one ciphertext, so the
+//! (user, nonce, tag) triple stands for the upload.
 //!
 //! [`OliveSystem::run_round`]: crate::olive::OliveSystem::run_round
 //! [`OliveSystem::restore_round`]: crate::olive::OliveSystem::restore_round
@@ -90,14 +94,15 @@ const CKPT_LABEL: &[u8] = b"round-ckpt";
 /// Checkpoint plaintext format version (bump on any layout change).
 /// v2: the staged kinds' aggregator state is a descriptor, not cells.
 /// v3: every kind's is — every restore replays the folded prefix.
-const CKPT_VERSION: u8 = 3;
+/// v4: the replay-floor snapshot is a 32-byte prefix digest.
+const CKPT_VERSION: u8 = 4;
 
-/// Checkpoint plaintext bytes ahead of the floor entries: version, round,
-/// five sizes, the generator's four words and the floor count.
-const CKPT_HEADER_LEN: usize = 1 + 8 + 5 * 8 + 4 * 8 + 8;
+/// Checkpoint plaintext bytes ahead of the descriptor: version, round,
+/// five sizes, the generator's four words and the digest's four.
+const CKPT_HEADER_LEN: usize = 1 + 8 + 5 * 8 + 4 * 8 + 4 * 8;
 
-/// Bytes of one replay-floor entry: user, nonce counter.
-const FLOOR_LEN: usize = 4 + 8;
+/// Domain tag of the prefix digest's seed.
+const PREFIX_TAG: &[u8] = b"olive-round-prefix-v1";
 
 /// What stored round material that does not restore fails as — tampered,
 /// sealed for another round, or over another prefix — and what a restore
@@ -280,8 +285,8 @@ pub struct SealedRound<'a> {
     /// The sealed uploads, in processing order.
     pub uploads: &'a [SealedMessage],
     /// Replay floors as of round start (before any upload was opened):
-    /// where the floor snapshot starts, and what a restore rewinds to
-    /// before it re-opens the folded prefix.
+    /// what the prefix digest is seeded with, and what a restore rewinds
+    /// to before it re-opens the folded prefix.
     pub base_floors: &'a [(UserId, u64)],
     /// The enclave's DP/sampling generator as of round start: the restore
     /// point of a round nothing is folded of yet.
@@ -289,16 +294,16 @@ pub struct SealedRound<'a> {
 }
 
 /// The engine's restore point (module docs), and the codec of its sealed
-/// form. Plaintext layout (v3), via `StateWriter`:
+/// form. Plaintext layout (v4), via `StateWriter`:
 ///
 /// ```text
 /// u8 version ‖ u64 round ‖ chunks_done ‖ uploads ‖ chunk_size ‖ threads ‖ k
 ///   ‖ 4 × u64 generator state
-///   ‖ n_floors ‖ n_floors × (u32 user, u64 nonce counter)   — sorted by user
+///   ‖ 4 × u64 prefix digest
 ///   ‖ bytes StreamingAggregator::save_state()               — the descriptor
 /// ```
 ///
-/// Everything before the floors is [`CKPT_HEADER_LEN`] bytes, so the
+/// Everything before the descriptor is [`CKPT_HEADER_LEN`] bytes, so the
 /// plaintext's size is known before a byte of it is written.
 struct Checkpoint {
     /// Absolute number of chunks folded (a restored engine starts above
@@ -307,43 +312,56 @@ struct Checkpoint {
     /// The enclave's DP/sampling generator: the post-restore noise draw
     /// must be the exact draw the uninterrupted round would have made.
     rng_state: [u64; 4],
-    /// Round-start floors overridden by exactly the uploads of the
-    /// *folded and sealed* chunks, sorted by user. Uploads the
-    /// double-buffered opener had opened but not folded get no entry, so
-    /// after a restore they are accepted again, not taken for replays.
-    floors: Vec<(UserId, u64)>,
+    /// The prefix digest of the *folded and sealed* chunks, as the SHA-256
+    /// output's four little-endian words. Uploads the double-buffered
+    /// opener had opened but not folded are not in it, so after a restore
+    /// they are accepted again, not taken for replays.
+    head: [u64; 4],
+}
+
+/// SHA-256 of `bytes` as four little-endian words.
+fn digest_words(bytes: &[u8]) -> [u64; 4] {
+    let digest = olive_tee::attestation::digest(bytes);
+    core::array::from_fn(|i| {
+        u64::from_le_bytes(digest[8 * i..8 * i + 8].try_into().expect("8 bytes"))
+    })
 }
 
 impl Checkpoint {
-    /// The restore point of a round nothing is folded of yet.
-    fn start(rng_state: [u64; 4], base_floors: &[(UserId, u64)]) -> Self {
+    /// The restore point of a round nothing is folded of yet: the digest
+    /// seeded with the round and its round-start floors, sorted by user.
+    fn start(round: u64, rng_state: [u64; 4], base_floors: &[(UserId, u64)]) -> Self {
         let mut floors = base_floors.to_vec();
-        floors.sort_unstable_by_key(|&(user, _)| user);
-        Checkpoint { chunks_done: 0, rng_state, floors }
+        floors.sort_unstable();
+        let mut seed = Vec::with_capacity(PREFIX_TAG.len() + 8 + 12 * floors.len());
+        seed.extend_from_slice(PREFIX_TAG);
+        seed.extend_from_slice(&round.to_le_bytes());
+        for (user, counter) in floors {
+            seed.extend_from_slice(&user.to_le_bytes());
+            seed.extend_from_slice(&counter.to_le_bytes());
+        }
+        Checkpoint { chunks_done: 0, rng_state, head: digest_words(&seed) }
     }
 
-    /// Covers the chunk just folded — the uploads `msgs`: only its
-    /// ≤ `chunk_size` floor entries are touched, never all N users.
+    /// Covers the chunk just folded — the uploads `msgs`, in fold order:
+    /// `head ← SHA-256(head ‖ user ‖ nonce counter ‖ GCM tag …)`.
     fn cover(&mut self, msgs: &[SealedMessage]) {
-        let known = self.floors.len();
+        let mut link = Vec::with_capacity(32 + msgs.len() * (4 + 8 + 16));
+        for word in self.head {
+            link.extend_from_slice(&word.to_le_bytes());
+        }
         for m in msgs {
-            match self.floors[..known].binary_search_by_key(&m.user, |&(user, _)| user) {
-                Ok(at) => self.floors[at].1 = m.nonce_counter,
-                Err(_) => self.floors.push((m.user, m.nonce_counter)),
-            }
+            link.extend_from_slice(&m.user.to_le_bytes());
+            link.extend_from_slice(&m.nonce_counter.to_le_bytes());
+            link.extend_from_slice(&m.ciphertext[m.plaintext_len()..]);
         }
-        if self.floors.len() > known {
-            // First uploads of users the enclave had no floor for yet.
-            self.floors.sort_unstable_by_key(|&(user, _)| user);
-        }
+        self.head = digest_words(&link);
     }
 
-    /// The sealed plaintext, written once into a buffer of its exact size:
-    /// the floors in one bulk pass, then the aggregator's descriptor.
+    /// The sealed plaintext, written once into a buffer of its exact size.
     fn encode(&self, shape: RoundShape, uploads: usize, agg: &StreamingAggregator) -> Vec<u8> {
-        let (floors_len, descriptor) = (FLOOR_LEN * self.floors.len(), agg.save_state());
-        let len = CKPT_HEADER_LEN + floors_len + 8 + descriptor.len();
-        let mut w = StateWriter::with_capacity(len);
+        let descriptor = agg.save_state();
+        let mut w = StateWriter::with_capacity(CKPT_HEADER_LEN + 8 + descriptor.len());
         w.put_u8(CKPT_VERSION);
         w.put_u64(shape.round);
         w.put_usize(self.chunks_done);
@@ -351,16 +369,9 @@ impl Checkpoint {
         w.put_usize(shape.chunk_size);
         w.put_usize(shape.threads);
         w.put_usize(shape.k);
-        for word in self.rng_state {
+        for word in self.rng_state.into_iter().chain(self.head) {
             w.put_u64(word);
         }
-        w.put_usize(self.floors.len());
-        w.put_with(floors_len, |out| {
-            for (entry, &(user, counter)) in out.chunks_exact_mut(FLOOR_LEN).zip(&self.floors) {
-                entry[..4].copy_from_slice(&user.to_le_bytes());
-                entry[4..].copy_from_slice(&counter.to_le_bytes());
-            }
-        });
         w.put_bytes(&descriptor);
         w.into_bytes()
     }
@@ -386,21 +397,16 @@ impl Checkpoint {
         {
             return Err(StateError::Mismatch);
         }
-        let mut rng_state = [0u64; 4];
-        for word in &mut rng_state {
+        let (mut rng_state, mut head) = ([0u64; 4], [0u64; 4]);
+        for word in rng_state.iter_mut().chain(&mut head) {
             *word = r.get_u64()?;
-        }
-        let n_floors = r.get_usize()?;
-        let mut floors = Vec::with_capacity(n_floors.min(plain.len() / 12 + 1));
-        for _ in 0..n_floors {
-            floors.push((r.get_u32()?, r.get_u64()?));
         }
         let agg_state = r.get_bytes()?;
         r.expect_end()?;
         if chunks_done > uploads.div_ceil(shape.chunk_size) {
             return Err(StateError::Corrupt);
         }
-        Ok((Checkpoint { chunks_done, rng_state, floors }, agg_state))
+        Ok((Checkpoint { chunks_done, rng_state, head }, agg_state))
     }
 }
 
@@ -512,7 +518,7 @@ impl RoundEngine {
     #[cfg(test)]
     pub(crate) fn new(agg: StreamingAggregator, k: usize, threads: usize, ledger: Ledger) -> Self {
         let shape = RoundShape { round: 0, chunk_size: 0, threads, k };
-        let mut engine = Self::assemble(agg, shape, Checkpoint::start([0; 4], &[]), ledger);
+        let mut engine = Self::assemble(agg, shape, Checkpoint::start(0, [0; 4], &[]), ledger);
         engine.start();
         engine
     }
@@ -563,13 +569,14 @@ impl RoundEngine {
     /// replayed into `agg` — untraced (the adversary saw that schedule
     /// when the chunks were first folded), away from the shard plane
     /// (shards keep their own progress), charged through the ledger as a
-    /// fold charges them, and neither sealed nor tallied. Two sealed
-    /// values then decide whether that was the prefix the checkpoint was
-    /// taken over: no client may be owed, and the enclave's floors must
-    /// equal the sealed snapshot entry for entry (an AEAD nonce is used
-    /// once, so equal floors mean the same ciphertexts) — a missing,
-    /// swapped, substituted or unverifiable upload fails one of them or
-    /// the open itself, as [`RoundError::Checkpoint`].
+    /// fold charges them, covered into the prefix digest as a fold covers
+    /// them, and neither sealed nor tallied. Two sealed values then decide
+    /// whether that was the prefix the checkpoint was taken over: no
+    /// client may be owed, and the digest — recomputed from the round's
+    /// round-start floors and the replayed uploads — must equal the sealed
+    /// one. A missing, reordered, substituted or unverifiable upload, or
+    /// other round-start floors, fail one of them or the open itself, as
+    /// [`RoundError::Checkpoint`].
     pub fn open(
         agg: StreamingAggregator,
         round: &SealedRound<'_>,
@@ -577,7 +584,7 @@ impl RoundEngine {
         store: Option<&SealedStore>,
         ledger: Ledger,
     ) -> Result<Self, Aborted> {
-        let start = Checkpoint::start(round.rng_state, round.base_floors);
+        let start = Checkpoint::start(round.shape.round, round.rng_state, round.base_floors);
         Self::assemble(agg, round.shape, start, ledger)
             .or_abort(|engine| engine.restore(round, enclave, store))
     }
@@ -599,6 +606,9 @@ impl RoundEngine {
         enclave: &mut Enclave,
         store: Option<&SealedStore>,
     ) -> Result<(), RoundError> {
+        // The digest `open` seeded from the round's own floors: the replay
+        // below must recompute the sealed one from it.
+        let seed = self.ckpt.head;
         let sealed = store.and_then(|store| Some((store.newest.as_deref()?, store.floor())));
         if let Some((blob, floor)) = sealed {
             let plain = enclave.unseal_with_floor(blob, CKPT_LABEL, floor)?;
@@ -617,6 +627,7 @@ impl RoundEngine {
                 [("chunks", (chunks_done as u64).into()), ("cells", (cells as u64).into())];
             self.ledger.telemetry.span("restage_prefix", &fields)
         });
+        let sealed_head = std::mem::replace(&mut self.ckpt.head, seed);
         enclave.restore_replay_floors(round.base_floors);
         for msgs in prefix.chunks(self.shape.chunk_size) {
             self.replay_chunk(enclave, msgs)?;
@@ -624,17 +635,17 @@ impl RoundEngine {
         if let Some(stats) = self.agg.oram_stats() {
             self.oram_evicted_seen = stats.evicted_blocks;
         }
-        if self.agg.owed() == 0 && enclave.replay_floors() == self.ckpt.floors {
+        if self.agg.owed() == 0 && self.ckpt.head == sealed_head {
             return Ok(());
         }
         Err(UNUSABLE)
     }
 
-    /// Re-opens one folded chunk and replays it into the restored
-    /// aggregator, charged as a fold charges a chunk — its staged
-    /// plaintext and the ingest scratch, released once it is folded.
-    /// An upload that does not verify, or a chunk past what the
-    /// descriptor owes, makes the stored material unusable.
+    /// Re-opens one folded chunk, replays it into the restored aggregator
+    /// — charged as a fold charges a chunk: its staged plaintext and the
+    /// ingest scratch, released once it is folded — and covers it into
+    /// the prefix digest. An upload that does not verify, or a chunk past
+    /// what the descriptor owes, makes the stored material unusable.
     fn replay_chunk(
         &mut self,
         enclave: &mut Enclave,
@@ -648,7 +659,9 @@ impl RoundEngine {
         let replayed = self.agg.replay(&chunk);
         self.ledger.release(charged);
         self.resize_resident();
-        replayed.map_err(|_| UNUSABLE)
+        replayed.map_err(|_| UNUSABLE)?;
+        self.ckpt.cover(msgs);
+        Ok(())
     }
 
     /// Ingests every chunk of `uploads` past the restore point: opened,
@@ -891,13 +904,31 @@ pub(crate) mod test_support {
             threads: usize,
             chunk_size: usize,
         ) -> Self {
+            Self::after_round_2(kind, updates, d, threads, chunk_size, 0)
+        }
+
+        /// [`Sealed::new`] on an enclave where clients `0..earlier`
+        /// (registered beside the round's own) each uploaded in round 2,
+        /// so every one of them holds a replay floor at round start.
+        pub(crate) fn after_round_2(
+            kind: AggregatorKind,
+            updates: &[SparseGradient],
+            d: usize,
+            threads: usize,
+            chunk_size: usize,
+            earlier: usize,
+        ) -> Self {
             let seed = [7u8; 32];
             let service = olive_tee::AttestationService::new(seed);
             let mut enclave = Enclave::launch(&olive_tee::EnclaveConfig::default(), seed);
-            let users = 0..updates.len() as UserId;
+            let registered = 0..updates.len().max(earlier) as UserId;
             let mut sessions =
-                crate::olive::provision_clients(&service, &mut enclave, b"t", seed, users.clone());
-            enclave.begin_round(3, users.collect());
+                crate::olive::provision_clients(&service, &mut enclave, b"t", seed, registered);
+            enclave.begin_round(2, (0..earlier as UserId).collect());
+            for session in &mut sessions[..earlier] {
+                enclave.open_upload(&session.seal_upload(2, b"earlier")).expect("genuine");
+            }
+            enclave.begin_round(3, (0..updates.len() as UserId).collect());
             let base_floors = enclave.replay_floors();
             let uploads = sessions
                 .iter_mut()
@@ -1087,34 +1118,60 @@ mod tests {
         }
     }
 
-    /// The running floor snapshot is the per-checkpoint rebuild it
-    /// replaces (round-start floors overridden by every folded upload,
-    /// sorted by user) whether or not the enclave knew the users before;
-    /// the codec round-trips it; and no shape mismatch, version drift or
-    /// truncation decodes.
+    /// The prefix digest is a chain: seeded with the round and the
+    /// round-start floors (in any order: they are sorted), then extended
+    /// chunk by chunk in fold order — so another round, other floors, a
+    /// reordered, shortened or re-tagged prefix all reach another head.
+    /// The codec round-trips it into a plaintext of one size, and no shape
+    /// mismatch, version drift or truncation decodes.
     #[test]
     fn checkpoint_codec_roundtrips_and_rejects_what_it_was_not_sealed_for() {
         let kind = AggregatorKind::NonOblivious;
         let sealed = Sealed::new(kind, &random_updates(7, 2, 16, 17), 16, 1, 3).uploads;
         let base = [(5, 40), (2, 9), (11, 1)]; // user 11 is not in the round
         let shape = RoundShape { round: 3, chunk_size: 3, threads: 1, k: 2 };
-        let mut ckpt = Checkpoint::start([1, 2, 3, 4], &base);
-        for (i, msgs) in sealed.chunks(3).take(2).enumerate() {
+        let head = |round: u64, floors: &[(UserId, u64)], prefix: &[SealedMessage]| {
+            let mut ckpt = Checkpoint::start(round, [0; 4], floors);
+            for msgs in prefix.chunks(3) {
+                ckpt.cover(msgs);
+            }
+            ckpt.head
+        };
+        let want = head(3, &base, &sealed[..6]);
+        assert_eq!(head(3, &[(2, 9), (5, 40), (11, 1)], &sealed[..6]), want, "floors sorted");
+        let mut reordered = sealed[..6].to_vec();
+        reordered.swap(0, 4);
+        let mut within = sealed[..6].to_vec();
+        within.swap(0, 1);
+        let mut retagged = sealed[..6].to_vec();
+        *retagged[2].ciphertext.last_mut().expect("a tag") ^= 1;
+        for (what, other) in [
+            ("round", head(4, &base, &sealed[..6])),
+            ("a floor fewer", head(3, &base[..2], &sealed[..6])),
+            ("a floor moved", head(3, &[(5, 41), (2, 9), (11, 1)], &sealed[..6])),
+            ("reordered across chunks", head(3, &base, &reordered)),
+            ("reordered within a chunk", head(3, &base, &within)),
+            ("an upload short", head(3, &base, &sealed[..5])),
+            ("a tag", head(3, &base, &retagged)),
+        ] {
+            assert_ne!(other, want, "{what}");
+        }
+
+        let mut ckpt = Checkpoint::start(3, [1, 2, 3, 4], &base);
+        for msgs in sealed.chunks(3).take(2) {
             ckpt.cover(msgs);
             ckpt.chunks_done += 1;
-            let mut want: std::collections::BTreeMap<UserId, u64> = base.into_iter().collect();
-            want.extend(sealed[..3 * (i + 1)].iter().map(|m| (m.user, m.nonce_counter)));
-            assert_eq!(ckpt.floors, want.into_iter().collect::<Vec<_>>(), "after chunk {i}");
         }
+        assert_eq!(ckpt.head, want);
         let agg = StreamingAggregator::new(kind, 16, 1);
         let plain = ckpt.encode(shape, 7, &agg);
+        assert_eq!(plain.len(), CKPT_HEADER_LEN + 8 + agg.save_state().len());
         let (back, agg_state) =
             Checkpoint::decode(&plain, shape, 7).expect("sealed for this shape");
         assert_eq!(
-            (back.chunks_done, back.rng_state, agg_state),
-            (2, [1, 2, 3, 4], &agg.save_state()[..])
+            (back.chunks_done, back.rng_state, back.head, agg_state),
+            (2, [1, 2, 3, 4], want, &agg.save_state()[..])
         );
-        assert_eq!(back.floors, ckpt.floors);
         assert_eq!(back.encode(shape, 7, &agg), plain);
 
         let mismatch = |shape, uploads| {
@@ -1295,8 +1352,9 @@ mod tests {
     /// it repeats. On the way, everything that is not the round's newest
     /// restore point is refused by the open itself with every budget at
     /// `live == 0`: a genuine blob from below the pinned floor as a
-    /// rollback, a blob of another shape like a tampered one, and a prefix
-    /// that opens but is not the sealed one.
+    /// rollback, a blob of another shape like a tampered one, a prefix
+    /// that opens but is not the sealed one, and round-start floors that
+    /// are not the round's.
     #[test]
     fn resume_restages_a_staged_prefix_on_the_ledger() {
         let (d, n, k, chunk) = (32, 6, 4, 2);
@@ -1325,15 +1383,25 @@ mod tests {
             refused(&mut round, &store, TeeError::AuthFailure);
             round.shape.chunk_size = chunk;
             // An unfolded upload swapped into the prefix opens and pays the
-            // owed clients back in full: only the floor commitment tells it
+            // owed clients back in full: only the prefix digest tells it
             // from the prefix the checkpoint was sealed over.
             round.uploads.swap(1, 2 * chunk);
             refused(&mut round, &store, TeeError::AuthFailure);
             round.uploads.swap(1, 2 * chunk);
+            // A floor for a user outside the round changes no open: only
+            // the digest's seed sees it.
+            round.base_floors.push((n as UserId + 5, 1));
+            refused(&mut round, &store, TeeError::AuthFailure);
+            round.base_floors.pop();
 
             let eng = round.open(Some(&store), plain(d, shards)).expect("genuine prefix");
             assert_eq!(eng.ckpt.chunks_done, 2, "{ctx}");
-            assert_eq!(round.enclave.replay_floors(), eng.ckpt.floors, "{ctx}: floors cover it");
+            let prefix = &round.uploads[..2 * chunk];
+            let mut want_head = Checkpoint::start(3, [0; 4], &round.base_floors);
+            prefix.chunks(chunk).for_each(|msgs| want_head.cover(msgs));
+            assert_eq!(eng.ckpt.head, want_head.head, "{ctx}: the replay recomputed the digest");
+            let floors: Vec<_> = prefix.iter().map(|m| (m.user, m.nonce_counter)).collect();
+            assert_eq!(round.enclave.replay_floors(), floors, "{ctx}: floors cover the prefix");
             assert_eq!(eng.ledger.coordinator.live, eng.agg.resident_bytes(), "{ctx}");
             if kind == AggregatorKind::Advanced {
                 let cells = (2 * chunk * k) as u64 * 8;
@@ -1352,28 +1420,68 @@ mod tests {
         }
     }
 
-    /// The floor snapshot binds which uploads form the folded prefix, not
-    /// their order: a prefix reordered within itself after the crash
-    /// restores — for every kind — to the bits of a round that folded the
-    /// uploads in that order from the start.
+    /// The prefix digest binds the folded prefix's order: a prefix
+    /// reordered within itself after the crash — across chunks or within
+    /// one — is refused for every kind at every S, with every budget
+    /// released and the blob still in the store, so the round stays
+    /// pending; once the uploads are back in order it restores to the
+    /// uninterrupted bits.
     #[test]
-    fn a_reordered_prefix_restores_to_the_round_folded_in_that_order() {
+    fn a_reordered_prefix_is_refused_and_the_round_stays_pending() {
         let (d, n, k, chunk) = (32, 6, 4, 2);
         let updates = random_updates(n, k, d, 29);
-        for kind in all_kinds() {
+        for (kind, shards) in all_kinds().into_iter().flat_map(|kind| [(kind, 1usize), (kind, 4)]) {
+            let ctx = format!("{kind:?} S={shards}");
             let mut round = Sealed::new(kind, &updates, d, 1, chunk);
+            let want = round.drive(None, monolithic(), &mut NullTracer).0.expect("fault-free");
             let mut store = SealedStore::default();
-            let ledger = armed(d, 1, FaultPlan::crash_after([1]));
+            let ledger = armed(d, shards, FaultPlan::crash_after([1]));
             let (killed, _) = round.drive(Some(&mut store), ledger, &mut NullTracer);
-            assert_eq!(killed, Err(RoundError::CoordinatorKilled { after_chunk: 1 }), "{kind:?}");
-            round.uploads.swap(0, 3); // both in the folded chunks 0 and 1
-            let (got, end) = round.drive(Some(&mut store), monolithic(), &mut NullTracer);
-            assert!(balanced(&end), "{kind:?}");
+            assert_eq!(killed, Err(RoundError::CoordinatorKilled { after_chunk: 1 }), "{ctx}");
+            let blob = store.newest.clone();
+            for (a, b) in [(0, 3), (2, 3)] {
+                // Across the folded chunks 0 and 1, and within chunk 1.
+                round.uploads.swap(a, b);
+                let (got, end) = round.drive(Some(&mut store), plain(d, shards), &mut NullTracer);
+                assert_eq!(got, Err(UNUSABLE), "{ctx}: swap({a}, {b})");
+                assert!(balanced(&end), "{ctx}: swap({a}, {b})");
+                assert_eq!(store.newest, blob, "{ctx}: the restore point stays");
+                round.uploads.swap(a, b);
+            }
+            let (got, end) = round.drive(Some(&mut store), plain(d, shards), &mut NullTracer);
+            assert!(same_bits(&want, &got.expect("the sealed order restores")), "{ctx}");
+            assert!(balanced(&end), "{ctx}");
+        }
+    }
 
-            let mut reordered = Sealed::new(kind, &updates, d, 1, chunk);
-            reordered.uploads.swap(0, 3);
-            let want = reordered.drive(None, monolithic(), &mut NullTracer).0.expect("fault-free");
-            assert!(same_bits(&want, &got.expect("a reordered prefix restores")), "{kind:?}");
+    /// The sealed restore point has one size: the blob a round leaves
+    /// after chunk 0 or after chunk 1 is as long whether no client, 16 or
+    /// 64 registered clients hold a replay floor at round start — and the
+    /// round killed over 64 floors restores to its uninterrupted bits.
+    #[test]
+    fn the_restore_point_has_one_size_whatever_n_and_the_chunks_folded() {
+        let (d, n, k, chunk) = (32, 6, 4, 2);
+        let updates = random_updates(n, k, d, 37);
+        let kind = AggregatorKind::Advanced;
+        let descriptor = StreamingAggregator::new(kind, d, 1).save_state().len();
+        let sealed_len = 8 + CKPT_HEADER_LEN + 8 + descriptor + 16; // counter, plaintext, tag
+        for earlier in [0usize, 16, 64] {
+            let fresh = || Sealed::after_round_2(kind, &updates, d, 1, chunk, earlier);
+            assert_eq!(fresh().base_floors.len(), earlier, "floors at round start");
+            for after_chunk in [0, 1] {
+                let mut round = fresh();
+                let mut store = SealedStore::default();
+                let ledger = armed(d, 1, FaultPlan::crash_after([after_chunk]));
+                let (killed, _) = round.drive(Some(&mut store), ledger, &mut NullTracer);
+                assert_eq!(killed, Err(RoundError::CoordinatorKilled { after_chunk }));
+                let blob = store.newest.as_ref().expect("sealed before the crash");
+                assert_eq!(blob.len(), sealed_len, "earlier={earlier} after_chunk={after_chunk}");
+                if earlier == 64 && after_chunk == 1 {
+                    let want = fresh().drive(None, monolithic(), &mut NullTracer).0;
+                    let (got, _) = round.drive(Some(&mut store), monolithic(), &mut NullTracer);
+                    assert!(same_bits(&want.expect("fault-free"), &got.expect("restores")));
+                }
+            }
         }
     }
 }

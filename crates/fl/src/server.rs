@@ -3,8 +3,6 @@
 use olive_nn::Model;
 use rand::Rng;
 
-use crate::sparse::SparseGradient;
-
 /// Samples each of `n_total` users independently with probability `q`
 /// (Algorithm 6 line 5 — Poisson sampling, which is what the subsampled-RDP
 /// analysis assumes). The sample may be *empty* — with probability
@@ -41,27 +39,6 @@ impl FedAvgServer {
         self.model.param_count()
     }
 
-    /// The *plain* (non-TEE, non-oblivious) reference aggregation: densely
-    /// sums the sparse updates and averages by participant count. This is
-    /// the paper's linear algorithm semantics (Algorithm 5 lines 2–9) and
-    /// the ground truth the oblivious algorithms must reproduce.
-    pub fn aggregate_plain(&self, updates: &[SparseGradient]) -> Vec<f32> {
-        assert!(!updates.is_empty(), "no updates to aggregate");
-        let d = self.dim();
-        let mut sum = vec![0.0f32; d];
-        for u in updates {
-            assert_eq!(u.dense_dim, d, "update dimension mismatch");
-            for (&i, &v) in u.indices.iter().zip(u.values.iter()) {
-                sum[i as usize] += v;
-            }
-        }
-        let inv = 1.0 / updates.len() as f32;
-        for s in &mut sum {
-            *s *= inv;
-        }
-        sum
-    }
-
     /// Applies an aggregated delta: `θ ← θ + η_s Δ̃`.
     pub fn apply_aggregate(&mut self, aggregate: &[f32]) {
         let mut params = self.model.get_params();
@@ -76,7 +53,6 @@ impl FedAvgServer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sparse::Sparsifier;
     use olive_nn::zoo::mlp;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
@@ -101,21 +77,6 @@ mod tests {
     }
 
     #[test]
-    fn aggregate_plain_sums_and_averages() {
-        let server = FedAvgServer::new(mlp(4, 2, 2, 0.0, 0), 1.0);
-        let d = server.dim();
-        let mk = |idx: Vec<u32>, val: Vec<f32>| SparseGradient {
-            dense_dim: d,
-            indices: idx,
-            values: val,
-        };
-        let agg = server.aggregate_plain(&[mk(vec![0, 2], vec![1.0, 2.0]), mk(vec![2], vec![4.0])]);
-        assert_eq!(agg[0], 0.5);
-        assert_eq!(agg[2], 3.0);
-        assert!(agg[1] == 0.0 && agg[3] == 0.0);
-    }
-
-    #[test]
     fn apply_aggregate_moves_params() {
         let mut server = FedAvgServer::new(mlp(4, 2, 2, 0.0, 0), 0.5);
         let before = server.params();
@@ -125,40 +86,5 @@ mod tests {
         for (b, a) in before.iter().zip(after.iter()) {
             assert!((a - b - 0.5).abs() < 1e-6);
         }
-    }
-
-    #[test]
-    fn fed_round_improves_model() {
-        // One coarse FedAvg round on separable data should reduce loss.
-        use crate::client::{local_update, ClientConfig};
-        use olive_data::synthetic::{Generator, SyntheticConfig};
-        let gen = Generator::new(SyntheticConfig::tiny(12, 3), 2);
-        let mut rng = SmallRng::seed_from_u64(3);
-        let test = gen.sample_balanced(30, &mut rng);
-
-        let mut server = FedAvgServer::new(mlp(12, 8, 3, 0.0, 1), 1.0);
-        let cfg = ClientConfig {
-            epochs: 2,
-            batch_size: 5,
-            lr: 0.2,
-            sparsifier: Sparsifier::TopK(40),
-            clip: None,
-        };
-        let (loss_before, _) = server.model.evaluate(&test.features, &test.labels, 16);
-        let mut scratch = mlp(12, 8, 3, 0.0, 1);
-        for round in 0..5 {
-            let params = server.params();
-            let updates: Vec<SparseGradient> = (0..6)
-                .map(|c| {
-                    let data = gen.sample_class(c % 3, 15, &mut rng);
-                    local_update(&mut scratch, &params, &data, &cfg, round * 10 + c as u64)
-                })
-                .collect();
-            let agg = server.aggregate_plain(&updates);
-            server.apply_aggregate(&agg);
-        }
-        let (loss_after, acc) = server.model.evaluate(&test.features, &test.labels, 16);
-        assert!(loss_after < loss_before, "loss {loss_before} -> {loss_after}");
-        assert!(acc > 0.5, "accuracy {acc}");
     }
 }

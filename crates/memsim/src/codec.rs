@@ -1,7 +1,7 @@
 //! A tiny fixed-layout byte codec for checkpoint state blobs.
 //!
 //! Crash-safe rounds serialize their restore point — round header,
-//! replay floors, the aggregator's descriptor — into sealed checkpoints.
+//! prefix digest, the aggregator's descriptor — into sealed checkpoints.
 //! The blobs are only ever produced and consumed by the
 //! same binary (the sealing key is bound to the enclave measurement),
 //! so the format optimizes for auditability, not evolution: every field
@@ -64,15 +64,6 @@ impl StateWriter {
             debug_assert_eq!(self.buf.len(), len, "a state blob must fill its reservation exactly");
         }
         self.buf
-    }
-
-    /// Append `len` bytes in one pass: `fill` writes them into a zeroed
-    /// slice of exactly that length (bulk fields — replay floors, encoded
-    /// updates — without a push per element).
-    pub fn put_with(&mut self, len: usize, fill: impl FnOnce(&mut [u8])) {
-        let start = self.buf.len();
-        self.buf.resize(start + len, 0);
-        fill(&mut self.buf[start..]);
     }
 
     /// Append a single byte (used for tags).
@@ -200,12 +191,12 @@ mod tests {
 
     #[test]
     fn a_reserved_blob_is_allocated_once_and_filled_in_bulk() {
-        let mut w = StateWriter::with_capacity(8 + 6);
+        let mut w = StateWriter::with_capacity(8 + 8 + 6);
         w.put_u64(3);
-        w.put_with(6, |out| out.copy_from_slice(b"bulk!!"));
+        w.put_bytes(b"bulk!!");
         let bytes = w.into_bytes();
-        assert_eq!((bytes.len(), bytes.capacity()), (14, 14));
-        assert_eq!(&bytes[8..], b"bulk!!");
+        assert_eq!((bytes.len(), bytes.capacity()), (22, 22));
+        assert_eq!(&bytes[16..], b"bulk!!");
     }
 
     #[test]

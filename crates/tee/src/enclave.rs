@@ -220,12 +220,12 @@ impl Enclave {
         self.epc.begin_epoch();
     }
 
-    /// Overwrites the replay floors from a checkpoint's snapshot (the
-    /// crash-restore path). The snapshot covers exactly the uploads whose
-    /// chunks were *folded* before the checkpoint: uploads the crashed
-    /// enclave had opened but not folded (the double-buffered next chunk)
-    /// get no entry, so their legitimate re-sends are accepted again,
-    /// while folded uploads still hit [`TeeError::Replay`].
+    /// Overwrites the replay floors (the crash-restore path: the
+    /// round-start floors, which re-opening the *folded* prefix then
+    /// raises). Uploads the crashed enclave had opened but not folded (the
+    /// double-buffered next chunk) are not re-opened, so their legitimate
+    /// re-sends are accepted again, while folded uploads still hit
+    /// [`TeeError::Replay`].
     pub fn restore_replay_floors(&mut self, floors: &[(UserId, u64)]) {
         self.last_nonce = floors.iter().copied().collect();
     }

@@ -78,9 +78,9 @@ fn assert_bitwise_eq(a: &[f32], b: &[f32], ctx: &str) {
 /// This matrix also exercises replay-floor rewinding implicitly: with the
 /// double-buffered opener, the chunk after the kill point was already
 /// *opened* (replay floors advanced) but never folded when the enclave
-/// died. If the restore did not rewind the floors to the checkpoint's
-/// folded-prefix snapshot, re-opening those same ciphertexts would be
-/// misclassified as a replay and the restore would abort.
+/// died. If the restore did not rewind the floors to round start before
+/// it replays the folded prefix, re-opening those same ciphertexts would
+/// be misclassified as a replay and the restore would abort.
 #[test]
 fn kill_and_restore_is_bitwise_identical() {
     let seed = 41;
@@ -199,10 +199,10 @@ fn double_kill_and_restore_is_bitwise_identical() {
 }
 
 /// A staged kind's checkpoints stay small however much is staged: every
-/// blob is a header, 12 B per replay floor, the aggregator's 25-byte
+/// blob is a header with the prefix digest, the aggregator's 25-byte
 /// descriptor and the seal's counter and tag, so a round's sealed bytes
-/// are linear in its chunk count — at one client per chunk too, where
-/// O(nk) blobs of staged cells would sum to O(n²k).
+/// are exactly its chunk count times one blob — at one client per chunk
+/// too, where O(nk) blobs of staged cells would sum to O(n²k).
 #[test]
 fn advanced_checkpoint_bytes_are_linear_in_chunks() {
     for chunk in [1usize, 4] {
@@ -210,14 +210,10 @@ fn advanced_checkpoint_bytes_are_linear_in_chunks() {
         let (n, k) = (report.processed_users.len() as u64, report.k_per_user as u64);
         let chunks = n.div_ceil(chunk as u64);
         assert_eq!((report.telemetry.chunks, report.telemetry.ckpt_seals), (chunks, chunks));
-        let header = 1 + 8 + 5 * 8 + 32 + 2 * 8; // version … generator, two length prefixes
-        let per_blob = header + 12 * 16 + 25 + (8 + 16); // ≤ 16 registered clients
-        assert!(
-            report.telemetry.ckpt_bytes <= chunks * per_blob,
-            "chunk={chunk}: {} sealed bytes for {chunks} checkpoints",
-            report.telemetry.ckpt_bytes
-        );
-        assert!(per_blob < n * k * 8, "the bound is below even one blob of staged cells");
+        let header = 1 + 8 + 5 * 8 + 32 + 32 + 8; // version … generator, digest, length prefix
+        let per_blob = header + 25 + (8 + 16);
+        assert_eq!(report.telemetry.ckpt_bytes, chunks * per_blob, "chunk={chunk}");
+        assert!(per_blob < n * k * 8, "a blob is smaller than one of the staged cells");
     }
 }
 
@@ -232,12 +228,12 @@ fn sealed_round_blob_is_pinned() {
         (
             AggregatorKind::Grouped { h: 3 },
             2,
-            "b66026749100336f0b9c52cecbe35466fd98c45ea1d8db41e2203650dd8081fb",
+            "aa629934348eee71015ebd0deba3cefab82b3df9be4a151736312f6ce7bfe104",
         ),
         (
             AggregatorKind::Advanced,
             1,
-            "753fe600bde3e2fc84ea05913e32c5052dc99521ad975f71ea95094d21759c5c",
+            "66893f1810e586336849803bec4dcc7bcd1b5c6b2863518e609f60528ec74938",
         ),
     ];
     for (kind, threads, digest) in pinned {
