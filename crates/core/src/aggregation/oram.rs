@@ -79,9 +79,8 @@ impl OramStreamer {
 
 impl Aggregator for OramStreamer {
     /// Contract: every cell index must lie in `0..d` (validated upstream
-    /// when updates are decoded). A violation surfaces as the ORAM's
-    /// structured `OramError` rendered through the panicking accessor —
-    /// the trait has no fallible ingest path.
+    /// when updates are decoded). A violation would panic in the ORAM's
+    /// access ("key out of range"); the trait has no fallible ingest path.
     fn ingest<TR: ParallelTracer>(&mut self, chunk: &[SparseGradient], tr: &mut TR) {
         for u in chunk {
             assert_eq!(u.dense_dim, self.d, "update dimension mismatch");

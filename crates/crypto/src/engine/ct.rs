@@ -20,8 +20,9 @@
 //!   every target) and, on x86-64, on `__m256i` (16 blocks, AVX2) and
 //!   `__m512i` (32 blocks, AVX-512F) planes from `super::ct_x86`: each
 //!   lane of a wide plane is one `u64` body's state, and the `u64` round
-//!   keys are broadcast to every lane. [`CtAes`] records the widest width
-//!   at key set-up; single blocks and the key schedule stay on `u64`.
+//!   keys are broadcast to every lane. A GCM key records the widest
+//!   width the CPU runs at set-up; single blocks and the key schedule
+//!   stay on `u64`.
 //! * **SubBytes** is the Boyar–Peralta straight-line circuit (115
 //!   XOR/XNOR/AND gates, 32 of them AND) over the eight planes, all 64
 //!   lanes at once.
@@ -54,7 +55,7 @@
 
 use core::ops::{BitAnd, BitOr, BitXor, Not};
 
-use super::{CtWidth, MAX_ROUND_KEYS};
+use super::MAX_ROUND_KEYS;
 use crate::CryptoError;
 
 // ---------------------------------------------------------------------------
@@ -443,16 +444,13 @@ pub(crate) struct CtAes {
     /// bitsliced; a wider plane broadcasts it to every lane.
     round_keys: [[u64; 8]; MAX_ROUND_KEYS],
     rounds: usize,
-    /// The plane width counter mode runs at.
-    width: CtWidth,
 }
 
 impl CtAes {
     /// FIPS 197 key expansion ([`super::expand_key`]) with SubWord
     /// computed through the S-box circuit — the schedule touches key
-    /// material, so it must be as lookup-free as the data path. `width`
-    /// is the plane [`CtAes::ctr_xor`] runs on.
-    pub(crate) fn new(key: &[u8], width: CtWidth) -> Result<Self, CryptoError> {
+    /// material, so it must be as lookup-free as the data path.
+    pub(crate) fn new(key: &[u8]) -> Result<Self, CryptoError> {
         let (byte_keys, rounds) = super::expand_key(key, sub_word)?;
         let mut round_keys = [[0u64; 8]; MAX_ROUND_KEYS];
         for (sliced, rk) in round_keys.iter_mut().zip(&byte_keys[..=rounds]) {
@@ -462,7 +460,7 @@ impl CtAes {
             }
             *sliced = bitslice::<u64>(&batch);
         }
-        Ok(CtAes { round_keys, rounds, width })
+        Ok(CtAes { round_keys, rounds })
     }
 
     /// Encrypts a batch in place: slice, all rounds, unslice.
@@ -491,20 +489,10 @@ impl CtAes {
         block.copy_from_slice(&batch[..16]);
     }
 
-    /// The plane width recorded at key set-up.
-    pub(crate) fn width(&self) -> CtWidth {
-        self.width
-    }
-
-    /// CTR keystream XOR, bitwise identical to the table reference's
-    /// counter mode (32-bit big-endian counter increment in the last word
-    /// of `j0`), at the width recorded at key set-up.
-    pub(crate) fn ctr_xor(&self, j0: &[u8; 16], data: &mut [u8]) {
-        self.width.ctr_xor(self, j0, data);
-    }
-
-    /// [`CtAes::ctr_xor`] on `P` planes: whole batches, the last one
-    /// computed whole and truncated.
+    /// CTR keystream XOR on `P` planes, bitwise identical to the table
+    /// reference's counter mode (32-bit big-endian counter increment in
+    /// the last word of `j0`): whole batches, the last one computed whole
+    /// and truncated. The engine's one table of plane widths enters it.
     #[inline(always)]
     pub(crate) fn ctr_xor_on<P: Plane>(&self, j0: &[u8; 16], data: &mut [u8]) {
         let mut counter = u32::from_be_bytes(j0[12..16].try_into().unwrap());
@@ -525,10 +513,7 @@ impl CtAes {
 
 impl core::fmt::Debug for CtAes {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        f.debug_struct("CtAes")
-            .field("rounds", &self.rounds)
-            .field("width", &self.width)
-            .finish_non_exhaustive()
+        f.debug_struct("CtAes").field("rounds", &self.rounds).finish_non_exhaustive()
     }
 }
 
@@ -710,6 +695,7 @@ impl CtGhash {
 mod tests {
     use super::*;
     use crate::aes::{Aes, SBOX};
+    use crate::engine::{runnable_planes, Planes};
     use crate::gcm::table::{gf_mul, TableGcm};
     use proptest::prelude::*;
 
@@ -797,7 +783,7 @@ mod tests {
     fn presliced_round_keys_are_the_sliced_schedule() {
         for key_len in [16usize, 24, 32] {
             let key: Vec<u8> = (0..key_len as u8).map(|i| i.wrapping_mul(29) ^ 0xa5).collect();
-            let ct = CtAes::new(&key, CtWidth::U64).unwrap();
+            let ct = CtAes::new(&key).unwrap();
             let (byte_keys, rounds) = crate::engine::expand_key(&key, sub_word).unwrap();
             assert_eq!(ct.rounds, rounds);
             for (r, rk) in byte_keys[..=rounds].iter().enumerate() {
@@ -824,7 +810,7 @@ mod tests {
             (24, 0xdda97ca4_864cdfe0_6eaf70a0_ec0d7191),
             (32, 0x8ea2b7ca_516745bf_eafc4990_4b496089),
         ] {
-            let aes = CtAes::new(&key[..key_len], CtWidth::U64).unwrap();
+            let aes = CtAes::new(&key[..key_len]).unwrap();
             let mut block: [u8; 16] = core::array::from_fn(|i| 0x11 * i as u8);
             aes.encrypt_block(&mut block);
             assert_eq!(block, expected.to_be_bytes(), "AES-{}", 8 * key_len);
@@ -837,7 +823,7 @@ mod tests {
         for key_len in [16usize, 24, 32] {
             let key = &lcg_batch(&mut state)[..key_len];
             let table = Aes::new(key).unwrap();
-            let ct = CtAes::new(key, CtWidth::U64).unwrap();
+            let ct = CtAes::new(key).unwrap();
             // Four different blocks per batch: every block group is checked.
             for _ in 0..4 {
                 let mut batch = lcg_batch(&mut state);
@@ -850,10 +836,10 @@ mod tests {
         }
     }
 
-    /// `data` under `aes`'s counter mode from `j0`, through `width`.
-    fn ctr_at(width: CtWidth, aes: &CtAes, j0: &[u8; 16], data: &[u8]) -> Vec<u8> {
+    /// `data` under `aes`'s counter mode from `j0`, on `planes`.
+    fn ctr_at(planes: Planes, aes: &CtAes, j0: &[u8; 16], data: &[u8]) -> Vec<u8> {
         let mut out = data.to_vec();
-        width.ctr_xor(aes, j0, &mut out);
+        planes.ctr_xor(aes, j0, &mut out);
         out
     }
 
@@ -862,15 +848,16 @@ mod tests {
     /// reference keystream of the whole of `data` is computed once, and a
     /// shorter message's is its prefix.
     fn assert_widths_agree(key: &[u8], j0: &[u8; 16], data: &[u8], lens: &[usize], what: &str) {
-        let aes = CtAes::new(key, CtWidth::U64).unwrap();
+        let widths = runnable_planes();
+        let aes = CtAes::new(key).unwrap();
         let mut want = data.to_vec();
         TableGcm::new(key).unwrap().ctr_xor(j0, &mut want);
         for &len in lens {
-            let body = ctr_at(CtWidth::U64, &aes, j0, &data[..len]);
+            let body = ctr_at(widths[0].1, &aes, j0, &data[..len]);
             assert_eq!(body, want[..len], "u64 body vs table: {what}, len {len}");
-            for width in CtWidth::runnable() {
-                let got = ctr_at(width, &aes, j0, &data[..len]);
-                assert_eq!(got, body, "{width:?} vs u64 body: {what}, len {len}");
+            for &(name, planes) in &widths {
+                let got = ctr_at(planes, &aes, j0, &data[..len]);
+                assert_eq!(got, body, "{name} vs u64 body: {what}, len {len}");
             }
         }
     }
@@ -968,11 +955,11 @@ mod tests {
         powers
     }
 
-    /// One group step at `width` from state `y`, lane `l` holding `xs[l]`.
-    fn group_at(width: CtWidth, gh: &CtGhash, y: u128, xs: &[u128]) -> u128 {
-        assert_eq!(xs.len(), width.ghash_lanes());
+    /// One group step on `planes` from state `y`, lane `l` holding `xs[l]`.
+    fn group_at(planes: Planes, gh: &CtGhash, y: u128, xs: &[u128]) -> u128 {
+        assert_eq!(xs.len(), planes.lanes);
         let bytes: Vec<u8> = xs.iter().flat_map(|x| x.to_be_bytes()).collect();
-        width.ghash(gh, y, &bytes)
+        planes.ghash(gh, y, &bytes)
     }
 
     /// x^j alone in lane l of a group, for every bit pair and every lane
@@ -984,15 +971,15 @@ mod tests {
             let h = 1u128 << i;
             let gh = CtGhash::new(h);
             let powers = reference_powers(h);
-            for width in CtWidth::runnable() {
-                let lanes = width.ghash_lanes();
+            for (name, planes) in runnable_planes() {
+                let lanes = planes.lanes;
                 for j in 0..128 {
                     for l in 0..lanes {
                         let mut xs = vec![0; lanes];
                         xs[l] = 1 << j;
                         let want = gf_mul(1 << j, powers[lanes - l - 1]);
-                        let got = group_at(width, &gh, 0, &xs);
-                        assert_eq!(got, want, "{width:?}: bits {j} x {i}, lane {l}");
+                        let got = group_at(planes, &gh, 0, &xs);
+                        assert_eq!(got, want, "{name}: bits {j} x {i}, lane {l}");
                     }
                 }
             }
@@ -1007,8 +994,8 @@ mod tests {
         for h in DENSE {
             let gh = CtGhash::new(h);
             let powers = reference_powers(h);
-            for width in CtWidth::runnable() {
-                let lanes = width.ghash_lanes();
+            for (name, planes) in runnable_planes() {
+                let lanes = planes.lanes;
                 for r in 0..n {
                     let y = DENSE[(r + 5) % n];
                     let xs: Vec<u128> = (0..lanes).map(|l| DENSE[(r + l) % n]).collect();
@@ -1017,12 +1004,12 @@ mod tests {
                         let x = if l == 0 { x ^ y } else { x };
                         want ^= gf_mul(x, powers[lanes - l - 1]);
                     }
-                    assert_eq!(group_at(width, &gh, y, &xs), want, "{width:?}: h {h:#x}, r {r}");
+                    assert_eq!(group_at(planes, &gh, y, &xs), want, "{name}: h {h:#x}, r {r}");
                     // Two groups in one call chain through the state.
                     let mut bytes: Vec<u8> = xs.iter().flat_map(|x| x.to_be_bytes()).collect();
                     bytes.extend_from_within(..);
-                    let twice = group_at(width, &gh, want, &xs);
-                    assert_eq!(width.ghash(&gh, y, &bytes), twice, "{width:?}: h {h:#x}, r {r}");
+                    let twice = group_at(planes, &gh, want, &xs);
+                    assert_eq!(planes.ghash(&gh, y, &bytes), twice, "{name}: h {h:#x}, r {r}");
                 }
             }
         }

@@ -17,9 +17,10 @@
 //!
 //! Held to `ct.rs`'s rules by `tests/ct_lint.rs`: no branch, no division,
 //! no lookup. `unsafe` is the intrinsics: a plane is only ever built
-//! inside its entry point, whose caller ([`super::CtWidth`]'s `ctr_xor`
-//! and `ghash`) has detected the feature, and the loads and stores stay
-//! inside the batch, the group or the key's eight-word rows.
+//! inside its entry point, which is entered only as an entry of the
+//! engine's one per-width table (`super::PLANES`), handed out only at a
+//! width this CPU runs, and the loads and stores stay inside the batch,
+//! the group or the key's eight-word rows.
 
 use core::arch::x86_64::*;
 use core::ops::{BitAnd, BitOr, BitXor, Not};

@@ -23,30 +23,8 @@
 
 use core::arch::x86_64::*;
 
-use super::MAX_ROUND_KEYS;
+use super::{cpu, MAX_ROUND_KEYS};
 use crate::CryptoError;
-
-/// True when the AES-GCM fast path (AES-NI + PCLMULQDQ + the SSE levels
-/// the kernels use) can run on this CPU.
-pub(crate) fn aes_available() -> bool {
-    std::arch::is_x86_feature_detected!("aes")
-        && std::arch::is_x86_feature_detected!("pclmulqdq")
-        && std::arch::is_x86_feature_detected!("ssse3")
-        && std::arch::is_x86_feature_detected!("sse4.1")
-}
-
-/// True when the VAES 16-block counter-mode path can run (the AES-NI path
-/// remains the fallback for short inputs and older CPUs).
-pub(crate) fn vaes_available() -> bool {
-    std::arch::is_x86_feature_detected!("vaes") && std::arch::is_x86_feature_detected!("avx512f")
-}
-
-/// True when SHA-NI SHA-256 can run on this CPU.
-pub(crate) fn sha_available() -> bool {
-    std::arch::is_x86_feature_detected!("sha")
-        && std::arch::is_x86_feature_detected!("ssse3")
-        && std::arch::is_x86_feature_detected!("sse4.1")
-}
 
 // ---------------------------------------------------------------------------
 // AES key schedule and block encryption
@@ -79,23 +57,23 @@ fn sub_word_ni(w: [u8; 4]) -> [u8; 4] {
 
 /// Safe wrapper with the shared key-expansion signature.
 fn sub_word_hw(w: [u8; 4]) -> [u8; 4] {
-    // SAFETY: HwAes::new asserts aes_available() before expanding.
+    // SAFETY: HwAes::new asserts `cpu().aes` before expanding.
     unsafe { sub_word_ni(w) }
 }
 
 impl HwAes {
     /// FIPS 197 key expansion (the generic Nk loop; `SubWord` in hardware).
     ///
-    /// The caller must have checked [`aes_available`].
+    /// The caller must have checked `cpu().aes`.
     pub(crate) fn new(key: &[u8]) -> Result<Self, CryptoError> {
-        assert!(aes_available(), "hw backend constructed without AES-NI");
+        assert!(cpu().aes, "hw backend constructed without AES-NI");
         let (round_keys, rounds) = super::expand_key(key, sub_word_hw)?;
-        Ok(HwAes { round_keys, rounds, vaes: vaes_available() })
+        Ok(HwAes { round_keys, rounds, vaes: cpu().vaes })
     }
 
     /// Encrypts a single 16-byte block in place.
     pub(crate) fn encrypt_block(&self, block: &mut [u8; 16]) {
-        // SAFETY: aes_available() was checked at construction.
+        // SAFETY: `cpu().aes` was checked at construction.
         unsafe { encrypt_block_ni(&self.round_keys, self.rounds, block) }
     }
 
@@ -103,7 +81,7 @@ impl HwAes {
     /// mode (32-bit big-endian counter increment in the last word of `j0`).
     pub(crate) fn ctr_xor(&self, j0: &[u8; 16], data: &mut [u8]) {
         // SAFETY: feature availability was checked at construction
-        // (vaes_available() for the wide path, aes_available() otherwise).
+        // (`cpu().vaes` for the wide path, `cpu().aes` otherwise).
         unsafe {
             if self.vaes && data.len() >= 16 * VAES_BLOCKS {
                 ctr_xor_vaes(&self.round_keys, self.rounds, j0, data)
@@ -240,7 +218,7 @@ fn ctr_xor_vaes(rks: &[[u8; 16]; MAX_ROUND_KEYS], rounds: usize, j0: &[u8; 16], 
 /// reflected (right shifts, with the seven fall-off bits folded once more
 /// from the top).
 pub(crate) fn gf_mul_hw(x: u128, y: u128) -> u128 {
-    // SAFETY: construction sites check aes_available(), which includes
+    // SAFETY: construction sites check `cpu().aes`, which includes
     // pclmulqdq.
     unsafe { reduce_clmul(clmul256(x, y)) }
 }
@@ -313,7 +291,7 @@ impl HwGhash {
     /// Absorbs one 16-byte-block stream into `y` (partial last block
     /// zero-padded, as in SP 800-38D).
     pub(crate) fn absorb(&self, y: u128, data: &[u8]) -> u128 {
-        // SAFETY: construction sites check aes_available(), which includes
+        // SAFETY: construction sites check `cpu().aes`, which includes
         // pclmulqdq and ssse3.
         unsafe { absorb_simd(&self.h_pow, y, data) }
     }
@@ -430,10 +408,10 @@ unsafe fn reduce_simd(r_hi: __m128i, r_lo: __m128i) -> __m128i {
 /// SHA-256 compression over whole 64-byte blocks with the SHA-NI
 /// extension, bit-identical to the software compressor.
 ///
-/// The caller must have checked [`sha_available`].
+/// The caller must have checked `cpu().sha`.
 pub(crate) fn sha256_compress_ni(state: &mut [u32; 8], blocks: &[u8]) {
     debug_assert!(blocks.len().is_multiple_of(64));
-    // SAFETY: caller contract (dispatch checks sha_available()).
+    // SAFETY: caller contract (dispatch checks `cpu().sha`).
     unsafe { compress_blocks_shani(state, blocks) }
 }
 
@@ -504,7 +482,7 @@ mod tests {
 
     #[test]
     fn hw_cipher_matches_table_cipher() {
-        if !aes_available() {
+        if !cpu().aes {
             eprintln!("skipping: no AES-NI on this CPU");
             return;
         }
@@ -525,7 +503,7 @@ mod tests {
 
     #[test]
     fn hw_ctr_matches_table_ctr_at_odd_lengths() {
-        if !aes_available() {
+        if !cpu().aes {
             eprintln!("skipping: no AES-NI on this CPU");
             return;
         }
@@ -552,7 +530,7 @@ mod tests {
 
     #[test]
     fn gf_mul_hw_matches_reference() {
-        if !aes_available() {
+        if !cpu().aes {
             eprintln!("skipping: no PCLMULQDQ on this CPU");
             return;
         }
@@ -579,7 +557,7 @@ mod tests {
 
     #[test]
     fn aggregated_ghash_matches_per_block_reference() {
-        if !aes_available() {
+        if !cpu().aes {
             eprintln!("skipping: no PCLMULQDQ on this CPU");
             return;
         }
@@ -608,7 +586,7 @@ mod tests {
 
     #[test]
     fn shani_compress_matches_software() {
-        if !sha_available() {
+        if !cpu().sha {
             eprintln!("skipping: no SHA-NI on this CPU");
             return;
         }

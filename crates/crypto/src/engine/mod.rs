@@ -20,6 +20,11 @@
 //! SP 800-38D multiply — which exists only in test builds, so nothing in
 //! a release build can select it.
 //!
+//! The CPU is detected once per process, in this module: the `hw`
+//! backend's features and the widest `ct` plane width are one cached
+//! record, and the `ct` bodies are entered through one table with an
+//! entry per plane width (`PLANES`).
+//!
 //! The decision is read once and cached ([`crypto_backend`]); every
 //! [`AesGcm`], [`Sha256`] and [`HmacSha256`] built without an explicit
 //! backend inherits it, so one knob governs the whole deployment — the
@@ -56,10 +61,7 @@ impl CryptoBackend {
     /// True when this backend can run on the current CPU.
     pub fn is_available(self) -> bool {
         match self {
-            #[cfg(target_arch = "x86_64")]
-            CryptoBackend::Hw => hw::aes_available(),
-            #[cfg(not(target_arch = "x86_64"))]
-            CryptoBackend::Hw => false,
+            CryptoBackend::Hw => cpu().aes,
             CryptoBackend::Ct => true,
         }
     }
@@ -114,120 +116,156 @@ pub fn crypto_backend() -> CryptoBackend {
     })
 }
 
+/// What this CPU offers the engine's bodies.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Cpu {
+    /// The `hw` backend: AES-NI, PCLMULQDQ and the SSE levels its kernels
+    /// use.
+    pub(crate) aes: bool,
+    /// `hw`'s 16-block counter mode: VAES and AVX-512F.
+    pub(crate) vaes: bool,
+    /// SHA-NI SHA-256, with SSSE3 and SSE4.1.
+    pub(crate) sha: bool,
+    /// The widest `ct` plane width.
+    ct: CtWidth,
+}
+
+/// The CPU, detected once per process: the crate's one CPU detection.
+pub(crate) fn cpu() -> Cpu {
+    static CPU: OnceLock<Cpu> = OnceLock::new();
+    *CPU.get_or_init(|| {
+        #[cfg(target_arch = "x86_64")]
+        {
+            let sse = std::arch::is_x86_feature_detected!("ssse3")
+                && std::arch::is_x86_feature_detected!("sse4.1");
+            let avx2 = std::arch::is_x86_feature_detected!("avx2");
+            let avx512f = std::arch::is_x86_feature_detected!("avx512f");
+            Cpu {
+                aes: std::arch::is_x86_feature_detected!("aes")
+                    && std::arch::is_x86_feature_detected!("pclmulqdq")
+                    && sse,
+                vaes: std::arch::is_x86_feature_detected!("vaes") && avx512f,
+                sha: std::arch::is_x86_feature_detected!("sha") && sse,
+                ct: match (avx2, avx512f) {
+                    (true, true) => CtWidth::Avx512,
+                    (true, false) => CtWidth::Avx2,
+                    (false, _) => CtWidth::U64,
+                },
+            }
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        Cpu { aes: false, vaes: false, sha: false, ct: CtWidth::U64 }
+    })
+}
+
 /// The plane widths the `ct` backend's counter mode and GHASH are compiled
-/// for: one generic body each over [`ct::Plane`], three monomorphizations.
-/// The choice is public (it depends on the CPU alone) and moves no output
-/// byte; it lives here because `ct.rs` and `ct_x86.rs` contain no
-/// branches at all.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) enum CtWidth {
-    /// One `u64` per plane, four AES blocks a pass, one GHASH block a
-    /// group: every target.
+/// for, narrowest first: one generic body each over [`ct::Plane`], three
+/// monomorphizations. A width implies the ones below it. The choice is
+/// public (it depends on the CPU alone) and moves no output byte; it
+/// lives here because `ct.rs` and `ct_x86.rs` contain no branches at all.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+enum CtWidth {
+    /// One `u64` per plane: every target.
     U64,
-    /// `__m256i` planes, sixteen AES blocks a pass, four GHASH blocks a
-    /// group.
+    /// `__m256i` planes.
     #[cfg(target_arch = "x86_64")]
     Avx2,
-    /// `__m512i` planes, thirty-two AES blocks a pass, eight GHASH blocks a
-    /// group.
+    /// `__m512i` planes.
     #[cfg(target_arch = "x86_64")]
     Avx512,
 }
 
-impl CtWidth {
-    /// Every width this build knows, narrowest first.
+/// One entry per `ct` plane width: the only way into the `ct` backend's
+/// `#[target_feature]` bodies. The fields are private to this module, so
+/// [`PerWidth::get`] and the tests' [`PerWidth::runnable`] are the only
+/// ways to read an entry, and both hand out only widths this CPU runs.
+pub(crate) struct PerWidth<F> {
+    u64: F,
+    #[cfg(target_arch = "x86_64")]
+    avx2: F,
+    #[cfg(target_arch = "x86_64")]
+    avx512: F,
+}
+
+impl<F: Copy> PerWidth<F> {
+    /// The entry of the widest width this CPU runs.
+    pub(crate) fn get(&self) -> F {
+        match cpu().ct {
+            CtWidth::U64 => self.u64,
+            #[cfg(target_arch = "x86_64")]
+            CtWidth::Avx2 => self.avx2,
+            #[cfg(target_arch = "x86_64")]
+            CtWidth::Avx512 => self.avx512,
+        }
+    }
+
+    /// Every entry this CPU runs, named, narrowest first — what a test
+    /// calls directly, since [`PerWidth::get`] reaches only the widest.
     #[cfg(test)]
-    pub(crate) const ALL: &'static [CtWidth] = &[
-        CtWidth::U64,
-        #[cfg(target_arch = "x86_64")]
-        CtWidth::Avx2,
-        #[cfg(target_arch = "x86_64")]
-        CtWidth::Avx512,
-    ];
-
-    /// Whether this CPU can run the monomorphization.
-    pub(crate) fn available(self) -> bool {
-        match self {
-            CtWidth::U64 => true,
+    pub(crate) fn runnable(&self) -> Vec<(&'static str, F)> {
+        let widths = [
+            (CtWidth::U64, "u64", self.u64),
             #[cfg(target_arch = "x86_64")]
-            CtWidth::Avx2 => std::arch::is_x86_feature_detected!("avx2"),
+            (CtWidth::Avx2, "avx2", self.avx2),
             #[cfg(target_arch = "x86_64")]
-            CtWidth::Avx512 => std::arch::is_x86_feature_detected!("avx512f"),
-        }
+            (CtWidth::Avx512, "avx512", self.avx512),
+        ];
+        let runs = |&(width, ..): &(CtWidth, &str, F)| width <= cpu().ct;
+        widths.into_iter().filter(runs).map(|(_, name, entry)| (name, entry)).collect()
     }
+}
 
-    /// The widest one this CPU runs (std caches the detection).
-    pub(crate) fn best() -> CtWidth {
-        #[cfg(target_arch = "x86_64")]
-        for width in [CtWidth::Avx512, CtWidth::Avx2] {
-            if width.available() {
-                return width;
-            }
-        }
-        CtWidth::U64
-    }
+/// One `ct` plane width's bodies: counter mode and GHASH.
+#[derive(Clone, Copy)]
+pub(crate) struct Planes {
+    /// `u64` lanes per plane: the blocks one GHASH group holds, one per
+    /// lane, and a quarter of the AES blocks of one counter-mode pass.
+    pub(crate) lanes: usize,
+    ctr_xor: unsafe fn(&ct::CtAes, &[u8; 16], &mut [u8]),
+    ghash: unsafe fn(&ct::CtGhash, u128, &[u8]) -> u128,
+}
 
-    /// `aes`'s counter mode through this width's body. Panics if the CPU
-    /// lacks it.
+/// The `ct` backend's bodies, one entry per plane width.
+pub(crate) const PLANES: PerWidth<Planes> = PerWidth {
+    u64: Planes {
+        lanes: 1,
+        ctr_xor: ct::CtAes::ctr_xor_on::<u64>,
+        ghash: ct::CtGhash::absorb_on::<u64>,
+    },
+    #[cfg(target_arch = "x86_64")]
+    avx2: Planes { lanes: 4, ctr_xor: ct_x86::ctr_xor_avx2, ghash: ct_x86::ghash_avx2 },
+    #[cfg(target_arch = "x86_64")]
+    avx512: Planes { lanes: 8, ctr_xor: ct_x86::ctr_xor_avx512, ghash: ct_x86::ghash_avx512 },
+};
+
+impl Planes {
+    /// `aes`'s counter mode on these planes.
     #[allow(unsafe_code)]
     pub(crate) fn ctr_xor(self, aes: &ct::CtAes, j0: &[u8; 16], data: &mut [u8]) {
-        assert!(self.available(), "{self:?} ct planes are not supported by this CPU");
-        match self {
-            CtWidth::U64 => aes.ctr_xor_on::<u64>(j0, data),
-            // SAFETY: the only requirement of a `#[target_feature]` function
-            // is that the CPU has the feature, and `available` just
-            // confirmed it.
-            #[cfg(target_arch = "x86_64")]
-            CtWidth::Avx2 => unsafe { ct_x86::ctr_xor_avx2(aes, j0, data) },
-            // SAFETY: as above, for `avx512f`.
-            #[cfg(target_arch = "x86_64")]
-            CtWidth::Avx512 => unsafe { ct_x86::ctr_xor_avx512(aes, j0, data) },
-        }
+        // SAFETY: a `Planes` is an entry of `PLANES`, read through `get`
+        // or `runnable`, which hand out only the widths this CPU runs; the
+        // only requirement of a `#[target_feature]` body is that feature.
+        unsafe { (self.ctr_xor)(aes, j0, data) }
     }
 
-    /// The blocks one GHASH group holds at this width, one per lane.
-    pub(crate) fn ghash_lanes(self) -> usize {
-        match self {
-            CtWidth::U64 => 1,
-            #[cfg(target_arch = "x86_64")]
-            CtWidth::Avx2 => 4,
-            #[cfg(target_arch = "x86_64")]
-            CtWidth::Avx512 => 8,
-        }
-    }
-
-    /// Folds `groups` (whole groups of [`CtWidth::ghash_lanes`] blocks)
-    /// into the GHASH state `y` through this width's body. Panics if the
-    /// CPU lacks it.
+    /// Folds `groups` (whole groups of [`Planes::lanes`] blocks) into the
+    /// GHASH state `y` on these planes.
     #[allow(unsafe_code)]
     pub(crate) fn ghash(self, gh: &ct::CtGhash, y: u128, groups: &[u8]) -> u128 {
-        assert!(self.available(), "{self:?} ct planes are not supported by this CPU");
-        match self {
-            CtWidth::U64 => gh.absorb_on::<u64>(y, groups),
-            // SAFETY: as in `ctr_xor`.
-            #[cfg(target_arch = "x86_64")]
-            CtWidth::Avx2 => unsafe { ct_x86::ghash_avx2(gh, y, groups) },
-            // SAFETY: as in `ctr_xor`, for `avx512f`.
-            #[cfg(target_arch = "x86_64")]
-            CtWidth::Avx512 => unsafe { ct_x86::ghash_avx512(gh, y, groups) },
-        }
+        // SAFETY: as in `ctr_xor`.
+        unsafe { (self.ghash)(gh, y, groups) }
     }
+}
 
-    /// The widths this CPU runs, narrowest first; the first call prints
-    /// them and the ones it lacks.
-    #[cfg(test)]
-    pub(crate) fn runnable() -> Vec<CtWidth> {
-        static REPORT: std::sync::Once = std::sync::Once::new();
-        let (ran, skipped): (Vec<CtWidth>, Vec<CtWidth>) =
-            CtWidth::ALL.iter().partition(|w| w.available());
-        REPORT.call_once(|| {
-            println!(
-                "ct AES CTR and GHASH widths exercised on this CPU: {ran:?}; skipped (CPU lacks them): \
-                 {skipped:?}"
-            );
-        });
-        ran
-    }
+/// The `ct` plane widths this CPU runs, named, narrowest first; the first
+/// call prints them.
+#[cfg(test)]
+pub(crate) fn runnable_planes() -> Vec<(&'static str, Planes)> {
+    static REPORT: std::sync::Once = std::sync::Once::new();
+    let planes = PLANES.runnable();
+    let names: Vec<&str> = planes.iter().map(|p| p.0).collect();
+    REPORT.call_once(|| println!("ct AES CTR and GHASH widths exercised on this CPU: {names:?}"));
+    planes
 }
 
 const RCON: [u8; 11] = [0x00, 0x01, 0x02, 0x04, 0x08, 0x10, 0x20, 0x40, 0x80, 0x1b, 0x36];

@@ -17,7 +17,7 @@ use crate::ct::ct_eq;
 use crate::engine::ct::{CtAes, CtGhash};
 #[cfg(target_arch = "x86_64")]
 use crate::engine::hw::{HwAes, HwGhash};
-use crate::engine::{crypto_backend, CryptoBackend, CtWidth};
+use crate::engine::{crypto_backend, CryptoBackend, Planes, PLANES};
 use crate::CryptoError;
 
 /// GCM nonce length in bytes (the 96-bit fast path).
@@ -30,15 +30,15 @@ fn length_block(aad: &[u8], ciphertext: &[u8]) -> u128 {
     ((aad.len() as u128 * 8) << 64) | (ciphertext.len() as u128 * 8)
 }
 
-/// GHASH over `aad` and `ciphertext` on the `ct` backend's `width`. The
+/// GHASH over `aad` and `ciphertext` on the `ct` backend's `planes`. The
 /// block stream aad ∥ ciphertext ∥ lengths (the first two zero-padded to
-/// whole blocks) is hashed in groups of the width's lane count, led by as
+/// whole blocks) is hashed in groups of the planes' lane count, led by as
 /// many zero blocks as make the count whole: with y = 0 they add nothing,
 /// and every later group is full. Whole groups inside a part are hashed
 /// in place; the ones that straddle a part boundary are assembled in a
 /// buffer. Every branch here is on a public length.
-fn ct_ghash(width: CtWidth, gh: &CtGhash, aad: &[u8], ciphertext: &[u8]) -> u128 {
-    let group = 16 * width.ghash_lanes();
+fn ct_ghash(planes: Planes, gh: &CtGhash, aad: &[u8], ciphertext: &[u8]) -> u128 {
+    let group = 16 * planes.lanes;
     let blocks = aad.len().div_ceil(16) + ciphertext.len().div_ceil(16) + 1;
     let lens = length_block(aad, ciphertext).to_be_bytes();
     // Room for the widest group, eight blocks.
@@ -55,12 +55,12 @@ fn ct_ghash(width: CtWidth, gh: &CtGhash, aad: &[u8], ciphertext: &[u8]) -> u128
             if fill < group {
                 continue;
             }
-            y = width.ghash(gh, y, &buf[..group]);
+            y = planes.ghash(gh, y, &buf[..group]);
             buf = [0; 16 * 8];
         }
         let whole = rest.len() - rest.len() % group;
         if whole > 0 {
-            y = width.ghash(gh, y, &rest[..whole]);
+            y = planes.ghash(gh, y, &rest[..whole]);
         }
         let tail = &rest[whole..];
         buf[..tail.len()].copy_from_slice(tail);
@@ -70,7 +70,8 @@ fn ct_ghash(width: CtWidth, gh: &CtGhash, aad: &[u8], ciphertext: &[u8]) -> u128
     y
 }
 
-/// The backend-specific cipher state behind one GCM key. The `ct` arm's
+/// The backend-specific cipher state behind one GCM key; the `ct` arm
+/// also records the plane width its counter mode and GHASH run on. Its
 /// pre-sliced round keys (0.95 KiB) and split powers H¹ … H⁸ (0.56 KiB)
 /// are boxed: unboxed they made every `AesGcm` 1.5 KiB against the `hw`
 /// arm's 0.3, and each client session holds one, so a `hw` deployment
@@ -80,7 +81,7 @@ fn ct_ghash(width: CtWidth, gh: &CtGhash, aad: &[u8], ciphertext: &[u8]) -> u128
 #[derive(Clone)]
 #[allow(clippy::large_enum_variant)]
 enum GcmImpl {
-    Ct(Box<CtAes>, Box<CtGhash>),
+    Ct(Planes, Box<CtAes>, Box<CtGhash>),
     #[cfg(target_arch = "x86_64")]
     Hw(HwAes, HwGhash),
 }
@@ -132,7 +133,7 @@ impl AesGcm {
     /// [`CryptoBackend::is_available`]).
     pub fn with_backend(backend: CryptoBackend, key: &[u8]) -> Result<Self, CryptoError> {
         let imp = match backend {
-            CryptoBackend::Ct => ct_impl(key, CtWidth::best())?,
+            CryptoBackend::Ct => ct_impl(key, PLANES.get())?,
             #[cfg(target_arch = "x86_64")]
             CryptoBackend::Hw => {
                 let aes = HwAes::new(key)?;
@@ -154,7 +155,7 @@ impl AesGcm {
 
     fn ctr_xor(&self, j0: &[u8; 16], data: &mut [u8]) {
         match &self.imp {
-            GcmImpl::Ct(aes, _) => aes.ctr_xor(j0, data),
+            GcmImpl::Ct(planes, aes, _) => planes.ctr_xor(aes, j0, data),
             #[cfg(target_arch = "x86_64")]
             GcmImpl::Hw(aes, _) => aes.ctr_xor(j0, data),
         }
@@ -162,7 +163,7 @@ impl AesGcm {
 
     fn tag(&self, j0: &[u8; 16], aad: &[u8], ciphertext: &[u8]) -> [u8; TAG_LEN] {
         let s = match &self.imp {
-            GcmImpl::Ct(aes, gh) => ct_ghash(aes.width(), gh, aad, ciphertext),
+            GcmImpl::Ct(planes, _, gh) => ct_ghash(*planes, gh, aad, ciphertext),
             #[cfg(target_arch = "x86_64")]
             GcmImpl::Hw(_, gh) => gh.ghash(aad, ciphertext),
         };
@@ -220,11 +221,11 @@ impl AesGcm {
     }
 }
 
-/// The `ct` backend's key state, its counter mode on `width` planes.
-fn ct_impl(key: &[u8], width: CtWidth) -> Result<GcmImpl, CryptoError> {
-    let aes = CtAes::new(key, width)?;
+/// The `ct` backend's key state, its counter mode on `planes`.
+fn ct_impl(key: &[u8], planes: Planes) -> Result<GcmImpl, CryptoError> {
+    let aes = CtAes::new(key)?;
     let h = hash_subkey(|b| aes.encrypt_block(b));
-    Ok(GcmImpl::Ct(Box::new(aes), Box::new(CtGhash::new(h))))
+    Ok(GcmImpl::Ct(planes, Box::new(aes), Box::new(CtGhash::new(h))))
 }
 
 /// The hash subkey H = E_K(0¹²⁸), under the block cipher `encrypt_block`.
@@ -237,7 +238,7 @@ fn hash_subkey(encrypt_block: impl Fn(&mut [u8; 16])) -> u128 {
 /// Single-block encryption on whichever backend `imp` wraps.
 fn imp_encrypt_block(imp: &GcmImpl, block: &mut [u8; 16]) {
     match imp {
-        GcmImpl::Ct(aes, _) => aes.encrypt_block(block),
+        GcmImpl::Ct(_, aes, _) => aes.encrypt_block(block),
         #[cfg(target_arch = "x86_64")]
         GcmImpl::Hw(aes, _) => aes.encrypt_block(block),
     }
@@ -335,6 +336,7 @@ pub(crate) mod table {
 mod tests {
     use super::table::TableGcm;
     use super::*;
+    use crate::engine::runnable_planes;
     use proptest::collection::vec;
     use proptest::prelude::*;
 
@@ -439,10 +441,10 @@ mod tests {
     /// width this CPU runs.
     #[test]
     fn ct_width_nist_vectors() {
-        for width in CtWidth::runnable() {
+        for (name, planes) in runnable_planes() {
             for case in 0..NIST.len() {
-                let what = format!("ct at {width:?}");
-                assert_nist(case, &what, |key| AesGcm { imp: ct_impl(key, width).unwrap() });
+                let what = format!("ct at {name}");
+                assert_nist(case, &what, |key| AesGcm { imp: ct_impl(key, planes).unwrap() });
             }
         }
     }
@@ -463,9 +465,9 @@ mod tests {
         let gh = CtGhash::new(h);
         for len in lens {
             let want = table::ghash(aad, &data[..len], |x| table::gf_mul(x, h));
-            for width in CtWidth::runnable() {
-                let got = ct_ghash(width, &gh, aad, &data[..len]);
-                assert_eq!(got, want, "{width:?}: aad {} ciphertext {len}", aad.len());
+            for (name, planes) in runnable_planes() {
+                let got = ct_ghash(planes, &gh, aad, &data[..len]);
+                assert_eq!(got, want, "{name}: aad {} ciphertext {len}", aad.len());
             }
         }
     }
@@ -504,27 +506,27 @@ mod tests {
         let nonce: [u8; 12] = lcg_bytes(12, &mut state).try_into().unwrap();
         let pt = lcg_bytes(3_376, &mut state);
         let aad = lcg_bytes(40, &mut state);
-        for width in CtWidth::runnable() {
-            let g = AesGcm { imp: ct_impl(&key, width).unwrap() };
+        for (name, planes) in runnable_planes() {
+            let g = AesGcm { imp: ct_impl(&key, planes).unwrap() };
             let sealed = g.seal(&nonce, &pt, &aad);
-            assert_eq!(g.open(&nonce, &sealed, &aad).unwrap(), pt, "{width:?}");
+            assert_eq!(g.open(&nonce, &sealed, &aad).unwrap(), pt, "{name}");
             let rejects = |sealed: &[u8], aad: &[u8]| {
                 g.open(&nonce, sealed, aad).unwrap_err() == CryptoError::BadTag
             };
             for (block, start) in (0..sealed.len()).step_by(16).enumerate() {
                 let mut bad = sealed.clone();
                 bad[start + (block & 15)] ^= 1 << (block & 7);
-                assert!(rejects(&bad, &aad), "{width:?}: ciphertext/tag block {block}");
+                assert!(rejects(&bad, &aad), "{name}: ciphertext/tag block {block}");
             }
             for bit in 0..8 * aad.len() {
                 let mut bad = aad.clone();
                 bad[bit >> 3] ^= 1 << (bit & 7);
-                assert!(rejects(&sealed, &bad), "{width:?}: aad bit {bit}");
+                assert!(rejects(&sealed, &bad), "{name}: aad bit {bit}");
             }
             for bit in 0..8 * TAG_LEN {
                 let mut bad = sealed.clone();
                 bad[pt.len() + (bit >> 3)] ^= 1 << (bit & 7);
-                assert!(rejects(&bad, &aad), "{width:?}: tag bit {bit}");
+                assert!(rejects(&bad, &aad), "{name}: tag bit {bit}");
             }
         }
     }

@@ -28,10 +28,12 @@
 //! hardware ISA extensions (AES-NI/VAES, PCLMULQDQ, SHA-NI), or a
 //! bitsliced constant-time software fallback (`OLIVE_CRYPTO=hw|ct`). The
 //! textbook lookup-table AES and GHASH they are tested against are
-//! compiled into test builds only. Unsafe code is denied crate-wide and
-//! allowed only in the intrinsics-backed `engine::hw` and
-//! `engine::ct_x86` modules and in the call that enters the latter's
-//! `#[target_feature]` bodies once the CPU feature is detected.
+//! compiled into test builds only. The engine detects the CPU once, and
+//! the `ct` backend's `#[target_feature]` bodies are entered only through
+//! one table with an entry per plane width. Unsafe code is denied
+//! crate-wide and allowed only in the intrinsics-backed `engine::hw` and
+//! `engine::ct_x86` modules and in the two calls that enter the latter's
+//! bodies out of that table.
 
 #![deny(unsafe_code)]
 #![warn(missing_docs)]

@@ -46,7 +46,7 @@ impl ShaImpl {
     fn for_backend(backend: CryptoBackend) -> ShaImpl {
         match backend {
             #[cfg(target_arch = "x86_64")]
-            CryptoBackend::Hw if crate::engine::hw::sha_available() => ShaImpl::ShaNi,
+            CryptoBackend::Hw if crate::engine::cpu().sha => ShaImpl::ShaNi,
             _ => ShaImpl::Soft,
         }
     }

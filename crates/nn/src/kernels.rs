@@ -23,6 +23,10 @@
 //! `avx2`, `avx512f` — and [`run`] picks the widest one the CPU has. There
 //! is no knob: the width changes speed and nothing else, which the
 //! differential test below checks by `to_bits` against the scalar oracle.
+//!
+//! This module also holds the crate's one CPU detection ([`Width`]) and
+//! its one way into a `#[target_feature]` body, a [`PerWidth`] table: the
+//! Dense kernels here and [`crate::topk`]'s bodies each have one.
 
 use std::sync::OnceLock;
 
@@ -115,82 +119,119 @@ pub(crate) enum Op<'a> {
     FromStorage { shape: Shape, wt: &'a [f32], base: Option<&'a [f32]>, w: &'a mut [f32] },
 }
 
-/// The instruction sets [`body`] is compiled for.
-#[derive(Clone, Copy, Debug)]
-pub(crate) enum Width {
+/// The instruction-set levels the crate's kernels are compiled for,
+/// narrowest first. A level implies the ones below it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+enum Width {
     /// Baseline target features, four lanes.
     Portable,
     /// 256-bit, eight lanes.
     #[cfg(target_arch = "x86_64")]
     Avx2,
-    /// 512-bit, sixteen lanes.
+    /// 512-bit, sixteen lanes: `avx512f`, and `popcnt` for the top-k
+    /// body's mask counts (every AVX-512F CPU has it).
     #[cfg(target_arch = "x86_64")]
     Avx512,
 }
 
-impl Width {
-    /// Every width this build knows, narrowest first.
-    #[cfg(test)]
-    pub(crate) const ALL: &'static [Width] = &[
-        Width::Portable,
+/// The widest level this CPU runs, detected once per process: the
+/// crate's one CPU detection.
+fn width() -> Width {
+    static WIDTH: OnceLock<Width> = OnceLock::new();
+    *WIDTH.get_or_init(|| {
         #[cfg(target_arch = "x86_64")]
-        Width::Avx2,
-        #[cfg(target_arch = "x86_64")]
-        Width::Avx512,
-    ];
+        {
+            let avx2 = std::arch::is_x86_feature_detected!("avx2");
+            if avx2
+                && std::arch::is_x86_feature_detected!("avx512f")
+                && std::arch::is_x86_feature_detected!("popcnt")
+            {
+                return Width::Avx512;
+            }
+            if avx2 {
+                return Width::Avx2;
+            }
+        }
+        Width::Portable
+    })
+}
 
-    /// Whether this CPU can run the monomorphization.
-    pub(crate) fn available(self) -> bool {
-        match self {
-            Width::Portable => true,
+/// One body per level, e.g. the Dense kernels or top-k: the only way
+/// into a `#[target_feature]` body of the crate.
+pub(crate) struct PerWidth<F> {
+    pub(crate) portable: F,
+    #[cfg(target_arch = "x86_64")]
+    pub(crate) avx2: F,
+    #[cfg(target_arch = "x86_64")]
+    pub(crate) avx512: F,
+}
+
+impl<F: Copy> PerWidth<F> {
+    /// The body of the widest level this CPU runs.
+    pub(crate) fn get(&self) -> F {
+        match width() {
+            Width::Portable => self.portable,
             #[cfg(target_arch = "x86_64")]
-            Width::Avx2 => std::arch::is_x86_feature_detected!("avx2"),
+            Width::Avx2 => self.avx2,
             #[cfg(target_arch = "x86_64")]
-            Width::Avx512 => std::arch::is_x86_feature_detected!("avx512f"),
+            Width::Avx512 => self.avx512,
         }
     }
 
-    /// The widest available one, detected once per process.
-    fn best() -> Width {
-        static BEST: OnceLock<Width> = OnceLock::new();
-        *BEST.get_or_init(|| {
+    /// Every body this CPU runs, named, portable first — what a test
+    /// calls directly, since [`PerWidth::get`] reaches only the widest.
+    #[cfg(test)]
+    pub(crate) fn runnable(&self) -> Vec<(&'static str, F)> {
+        let levels = [
+            (Width::Portable, "portable", self.portable),
             #[cfg(target_arch = "x86_64")]
-            for w in [Width::Avx512, Width::Avx2] {
-                if w.available() {
-                    return w;
-                }
-            }
-            Width::Portable
-        })
+            (Width::Avx2, "avx2", self.avx2),
+            #[cfg(target_arch = "x86_64")]
+            (Width::Avx512, "avx512", self.avx512),
+        ];
+        let runs = |&(level, ..): &(Width, &str, F)| level <= width();
+        levels.into_iter().filter(runs).map(|(_, name, body)| (name, body)).collect()
     }
 }
 
+/// A body of the Dense kernels: runs one operation.
+///
+/// # Safety
+///
+/// The CPU supports the body's instruction set.
+type Body = unsafe fn(Op<'_>);
+
+/// The Dense kernels, one body per level.
+const BODIES: PerWidth<Body> = PerWidth {
+    portable: body::<4>,
+    #[cfg(target_arch = "x86_64")]
+    avx2: body_avx2,
+    #[cfg(target_arch = "x86_64")]
+    avx512: body_avx512,
+};
+
 /// Runs `op` at the widest instruction set the CPU supports.
+#[allow(unsafe_code)]
 pub(crate) fn run(op: Op<'_>) {
-    run_at(Width::best(), op);
+    // SAFETY: `get` picks the body of the level this CPU runs.
+    unsafe { run_with(BODIES.get(), op) }
 }
 
-/// Runs `op` through one named monomorphization (the tests call each).
-/// Panics if the CPU lacks it.
+/// [`run`] through one body (the tests call each).
+///
+/// # Safety
+///
+/// The CPU supports the body's instruction set.
 #[allow(unsafe_code)]
-pub(crate) fn run_at(width: Width, op: Op<'_>) {
-    assert!(width.available(), "{width:?} kernels are not supported by this CPU");
+unsafe fn run_with(body: Body, op: Op<'_>) {
     // A layer without weights has nothing to convert.
     if matches!(&op, Op::ToStorage { wt, .. } if wt.is_empty())
         || matches!(&op, Op::FromStorage { wt, .. } if wt.is_empty())
     {
         return;
     }
-    match width {
-        Width::Portable => body::<4>(op),
-        // SAFETY: the only requirement of a `#[target_feature]` function is
-        // that the CPU has the feature, and `available` just confirmed it.
-        #[cfg(target_arch = "x86_64")]
-        Width::Avx2 => unsafe { body_avx2(op) },
-        // SAFETY: as above, for `avx512f`.
-        #[cfg(target_arch = "x86_64")]
-        Width::Avx512 => unsafe { body_avx512(op) },
-    }
+    // SAFETY: the caller's contract.
+    unsafe { body(op) }
 }
 
 /// The eight-lane body; the θ boundary's transposes run on `ymm` tiles.
@@ -871,15 +912,20 @@ mod tests {
             .collect()
     }
 
-    /// The widths this CPU can run; reports the ones it cannot, once.
-    fn widths() -> Vec<Width> {
+    /// The bodies this CPU runs; reports them once.
+    fn bodies() -> Vec<(&'static str, Body)> {
         static REPORT: std::sync::Once = std::sync::Once::new();
-        let (ran, skipped): (Vec<Width>, Vec<Width>) =
-            Width::ALL.iter().partition(|w| w.available());
-        REPORT.call_once(|| {
-            println!("nn kernel widths exercised: {ran:?}; skipped (CPU lacks them): {skipped:?}");
-        });
-        ran
+        let bodies = BODIES.runnable();
+        let names: Vec<&str> = bodies.iter().map(|b| b.0).collect();
+        REPORT.call_once(|| println!("nn kernel widths exercised: {names:?}"));
+        bodies
+    }
+
+    /// `op` through `body`, one of [`bodies`].
+    #[allow(unsafe_code)]
+    fn run_at(body: Body, op: Op<'_>) {
+        // SAFETY: `bodies` lists the bodies this CPU runs.
+        unsafe { run_with(body, op) }
     }
 
     /// Row-major `(out_dim, in_dim)` into the stored `Wᵀ`, with `pad` in
@@ -935,11 +981,11 @@ mod tests {
 
         // Padding lanes hold NaN: a kernel that read one would show it.
         let (wt, bp) = (stored(shape, &w, f32::NAN), padded(shape, &b, f32::NAN));
-        for width in widths() {
-            let ctx = format!("{width:?} n={n} in={in_dim} out={out_dim} seed={seed}");
+        for (name, body) in bodies() {
+            let ctx = format!("{name} n={n} in={in_dim} out={out_dim} seed={seed}");
             let mut out = vec![f32::NAN; n * out_dim];
             let x = &batches[0].0;
-            run_at(width, Op::Forward { shape, wt: &wt, b: &bp, x, out: &mut out });
+            run_at(body, Op::Forward { shape, wt: &wt, b: &bp, x, out: &mut out });
             assert!(same(&out, &want_out), "forward {ctx}");
 
             // Parameters only, then with the input gradient: the same sums.
@@ -951,7 +997,7 @@ mod tests {
                     let input_grad = with_gin.then_some((&wt[..], &mut gin[..]));
                     let (grad_wt, grad_b, scratch) = (&mut gw[..], &mut gb[..], &mut scratch);
                     run_at(
-                        width,
+                        body,
                         Op::Backward { shape, x, gout, grad_wt, grad_b, scratch, input_grad },
                     );
                     assert!(!with_gin || same(&gin, want), "gin {ctx}");
@@ -998,16 +1044,16 @@ mod tests {
         let base = values(&mut rng, in_dim * out_dim, 0.02);
         let wt = stored(shape, &w, 0.0);
         let want_minus: Vec<f32> = w.iter().zip(&base).map(|(l, g)| l - g).collect();
-        for width in widths() {
-            let ctx = format!("{width:?} in={in_dim} out={out_dim}");
+        for (name, body) in bodies() {
+            let ctx = format!("{name} in={in_dim} out={out_dim}");
             let mut got = vec![f32::NAN; wt.len()];
-            run_at(width, Op::ToStorage { shape, w: &w, wt: &mut got });
+            run_at(body, Op::ToStorage { shape, w: &w, wt: &mut got });
             assert!(same(&got, &wt), "to_storage {ctx}");
             let mut back = vec![f32::NAN; w.len()];
-            run_at(width, Op::FromStorage { shape, wt: &wt, base: None, w: &mut back });
+            run_at(body, Op::FromStorage { shape, wt: &wt, base: None, w: &mut back });
             assert!(same(&back, &w), "from_storage {ctx}");
             let base = Some(&base[..]);
-            run_at(width, Op::FromStorage { shape, wt: &wt, base, w: &mut back });
+            run_at(body, Op::FromStorage { shape, wt: &wt, base, w: &mut back });
             assert!(same(&back, &want_minus), "from_storage minus base {ctx}");
         }
     }
@@ -1029,33 +1075,33 @@ mod tests {
         for len in [0, 1, 15, 16, 17, 100] {
             let (p0, g0) = (values(&mut rng, len, 0.02), values(&mut rng, len, 0.02));
             let want: Vec<f32> = p0.iter().zip(&g0).map(|(p, g)| p - 0.1 * g).collect();
-            for width in widths() {
+            for (name, body) in bodies() {
                 let (mut params, mut grads) = (p0.clone(), g0.clone());
                 let (params_r, grads_r) = (&mut params[..], &mut grads[..]);
-                run_at(width, Op::Sgd { lr: 0.1, params: params_r, grads: grads_r });
-                assert!(same(&params, &want), "{width:?} len={len}");
-                assert!(grads.iter().all(|g| g.to_bits() == 0), "{width:?} len={len}");
+                run_at(body, Op::Sgd { lr: 0.1, params: params_r, grads: grads_r });
+                assert!(same(&params, &want), "{name} len={len}");
+                assert!(grads.iter().all(|g| g.to_bits() == 0), "{name} len={len}");
             }
         }
     }
 
     #[test]
     fn empty_batch_and_empty_layer_are_no_ops() {
-        for width in widths() {
+        for (_, body) in bodies() {
             let shape = Shape { in_dim: 3, out_dim: 2 };
             let (wt, b) = (vec![1.0; 3 * PAD], padded(shape, &[0.5; 2], 0.0));
             let mut out = Vec::new();
-            run_at(width, Op::Forward { shape, wt: &wt, b: &b, x: &[], out: &mut out });
+            run_at(body, Op::Forward { shape, wt: &wt, b: &b, x: &[], out: &mut out });
             let (mut gw, mut gb, mut gin) = (vec![1.0; 3 * PAD], vec![1.0; PAD], Vec::new());
             let (input_grad, mut scratch) = (Some((&wt[..], &mut gin[..])), Vec::new());
             let (grad_wt, grad_b, scratch) = (&mut gw[..], &mut gb[..], &mut scratch);
             let op =
                 Op::Backward { shape, x: &[], gout: &[], grad_wt, grad_b, scratch, input_grad };
-            run_at(width, op);
+            run_at(body, op);
             assert_eq!((gw, gb), (vec![1.0; 3 * PAD], vec![1.0; PAD]));
             // in_dim = 0: the output is the bias.
             let (shape, mut out) = (Shape { in_dim: 0, out_dim: 2 }, vec![0.0; 4]);
-            run_at(width, Op::Forward { shape, wt: &[], b: &b, x: &[], out: &mut out });
+            run_at(body, Op::Forward { shape, wt: &[], b: &b, x: &[], out: &mut out });
             assert_eq!(out, vec![0.5; 4]);
         }
     }

@@ -21,14 +21,16 @@
 //! nobody reads. A Dense layer stores `Wᵀ` so its passes put the outputs
 //! in the vector lanes at any batch size; θ keeps its row-major order at
 //! the flat views, which convert. The Dense passes run at the CPU's
-//! vector width (portable, AVX2 or AVX-512, detected once; no knob) under
-//! one rule: every accumulation chain keeps the order of the scalar loops
-//! — multiply then add, never fused, lanes only ever independent chains —
+//! vector width (portable, AVX2 or AVX-512; no knob) under one rule:
+//! every accumulation chain keeps the order of the scalar loops —
+//! multiply then add, never fused, lanes only ever independent chains —
 //! so every width returns the scalar result bit for bit. [`topk`] is the
 //! exact top-k of a flat vector that FL clients upload, with a portable
-//! and an AVX-512 body (detected once, no knob) that return the same
-//! bits. Unsafe code is denied crate-wide and allowed only on the
-//! functions that call into `#[target_feature]` code, on the register
+//! and an AVX-512 body that return the same bits. The crate detects the
+//! CPU once, and one table type with an entry per level is the only way
+//! into a `#[target_feature]` body, for the Dense kernels and top-k
+//! alike. Unsafe code is denied crate-wide and allowed only on the
+//! functions that call a body out of such a table, on the register
 //! tiles' row loads and stores, and in the AVX-512 top-k body's vector
 //! loads and stores. Correctness is pinned by finite-difference gradient
 //! checks and by differential suites against the scalar loops and the

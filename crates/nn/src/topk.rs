@@ -17,8 +17,10 @@
 //! the candidates' keys, and one walk over the candidates writes the k
 //! cells in index order straight into vectors of capacity k.
 //!
-//! Two bodies run that plan, and [`top_k`] picks the AVX-512 one when the
-//! CPU has it (detected once; no knob). The portable body builds a 32-bit
+//! Two bodies run that plan. They sit in a per-level table, the crate's
+//! one way into a `#[target_feature]` body, whose AVX2 entry is the
+//! portable body, and [`top_k`] takes the widest level the CPU runs (the
+//! crate detects it once; no knob). The portable body builds a 32-bit
 //! mask of compares per block of cells, then pushes one index per hit: a
 //! loop whose trip count is the data's, so it is not branch-free, and the
 //! pushes, not the compares, are most of its cost. Its walk carries the
@@ -34,7 +36,7 @@
 //! branch predictor learns a repeated input, and a synthetic vector need
 //! not place its large keys the way a trained model's update does.
 
-use std::sync::OnceLock;
+use crate::kernels::PerWidth;
 
 /// Keys the guess at the threshold samples.
 const SAMPLE: usize = 256;
@@ -50,71 +52,42 @@ fn key(x: f32) -> u32 {
 /// (strictly increasing) and values (bit for bit), each in a vector of
 /// capacity exactly min(k, d). O(d) time whatever the values; the scratch is a few
 /// hundred cells beyond k unless the data fools the sample.
-pub fn top_k(dense: &[f32], k: usize) -> (Vec<u32>, Vec<f32>) {
-    top_k_with(Body::best(), dense, k)
-}
-
-/// The instruction sets a top-k body exists for.
-#[derive(Clone, Copy, Debug, PartialEq)]
-enum Body {
-    /// Baseline target features.
-    Portable,
-    /// 512-bit compares and compresses.
-    #[cfg(target_arch = "x86_64")]
-    Avx512,
-}
-
-impl Body {
-    /// Every body this build knows.
-    #[cfg(test)]
-    const ALL: &'static [Body] = &[
-        Body::Portable,
-        #[cfg(target_arch = "x86_64")]
-        Body::Avx512,
-    ];
-
-    /// Whether this CPU can run the body.
-    fn available(self) -> bool {
-        match self {
-            Body::Portable => true,
-            #[cfg(target_arch = "x86_64")]
-            Body::Avx512 => {
-                std::arch::is_x86_feature_detected!("avx512f")
-                    && std::arch::is_x86_feature_detected!("popcnt")
-            }
-        }
-    }
-
-    /// The widest available one, detected once per process.
-    fn best() -> Body {
-        static BEST: OnceLock<Body> = OnceLock::new();
-        *BEST.get_or_init(|| {
-            #[cfg(target_arch = "x86_64")]
-            if Body::Avx512.available() {
-                return Body::Avx512;
-            }
-            Body::Portable
-        })
-    }
-}
-
-/// [`top_k`] through one named body (the tests call each). Panics if the
-/// CPU lacks it.
 #[allow(unsafe_code)]
-fn top_k_with(body: Body, dense: &[f32], k: usize) -> (Vec<u32>, Vec<f32>) {
-    assert!(body.available(), "the {body:?} top-k body is not supported by this CPU");
+pub fn top_k(dense: &[f32], k: usize) -> (Vec<u32>, Vec<f32>) {
+    // SAFETY: `get` picks the body of the level this CPU runs.
+    unsafe { top_k_with(BODIES.get(), dense, k) }
+}
+
+/// A top-k body: the selection for `0 < k < d`.
+///
+/// # Safety
+///
+/// The CPU supports the body's instruction set.
+type Body = unsafe fn(&[f32], usize) -> (Vec<u32>, Vec<f32>);
+
+/// The bodies, one per level; the AVX2 level runs the portable one.
+const BODIES: PerWidth<Body> = PerWidth {
+    portable: portable::top_k,
+    #[cfg(target_arch = "x86_64")]
+    avx2: portable::top_k,
+    #[cfg(target_arch = "x86_64")]
+    avx512: avx512::top_k,
+};
+
+/// [`top_k`] through one body (the tests call each).
+///
+/// # Safety
+///
+/// The CPU supports the body's instruction set.
+#[allow(unsafe_code)]
+unsafe fn top_k_with(body: Body, dense: &[f32], k: usize) -> (Vec<u32>, Vec<f32>) {
     let d = dense.len();
     let k = k.min(d);
     if k == 0 || k == d {
         return ((0..k as u32).collect(), dense[..k].to_vec());
     }
-    match body {
-        Body::Portable => portable::top_k(dense, k),
-        // SAFETY: the only requirement of a `#[target_feature]` function is
-        // that the CPU has the features, and `available` just confirmed it.
-        #[cfg(target_arch = "x86_64")]
-        Body::Avx512 => unsafe { avx512::top_k(dense, k) },
-    }
+    // SAFETY: the caller's contract.
+    unsafe { body(dense, k) }
 }
 
 /// The cells the guess samples: `s = min(d, 256)` positions of the Weyl
@@ -476,14 +449,13 @@ mod tests {
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
 
-    /// The bodies this CPU can run; reports the ones it cannot, once.
-    fn bodies() -> Vec<Body> {
+    /// The bodies this CPU runs; reports them once.
+    fn bodies() -> Vec<(&'static str, Body)> {
         static REPORT: std::sync::Once = std::sync::Once::new();
-        let (ran, skipped): (Vec<Body>, Vec<Body>) = Body::ALL.iter().partition(|b| b.available());
-        REPORT.call_once(|| {
-            println!("top-k bodies exercised on this CPU: {ran:?}; lacking: {skipped:?}");
-        });
-        ran
+        let bodies = BODIES.runnable();
+        let names: Vec<&str> = bodies.iter().map(|b| b.0).collect();
+        REPORT.call_once(|| println!("top-k bodies exercised on this CPU: {names:?}"));
+        bodies
     }
 
     /// The canonical rule, spelled out: a stable sort by key, largest
@@ -499,13 +471,15 @@ mod tests {
 
     /// Every body the CPU runs returns the oracle's cells, bits and all,
     /// in vectors of capacity min(k, d).
+    #[allow(unsafe_code)]
     fn check(dense: &[f32], ks: impl IntoIterator<Item = usize>) {
         let d = dense.len();
         for k in ks {
             let want = oracle(dense, k);
-            for body in bodies() {
-                let ctx = format!("{body:?} d={d} k={k}");
-                let (indices, values) = top_k_with(body, dense, k);
+            for (name, body) in bodies() {
+                let ctx = format!("{name} d={d} k={k}");
+                // SAFETY: `bodies` lists the bodies this CPU runs.
+                let (indices, values) = unsafe { top_k_with(body, dense, k) };
                 assert_eq!(indices, want, "{ctx}");
                 let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
                 let want_values: Vec<f32> = want.iter().map(|&i| dense[i as usize]).collect();
@@ -594,18 +568,22 @@ mod tests {
         }
     }
 
-    /// The AVX-512 order statistic equals std's on random keys, heavy
-    /// ties, and keys laid out against its pivot rule: each pass's nine
-    /// sampled keys are the set's smallest, so a pass sets aside only
-    /// those nine and the read budget, not the set's size, ends the
-    /// partitions.
-    #[cfg(target_arch = "x86_64")]
+    /// Every order statistic this CPU runs equals std's on random keys,
+    /// heavy ties, and keys laid out against the AVX-512 pivot rule: each
+    /// pass's nine sampled keys are the set's smallest, so a pass sets
+    /// aside only those nine and the read budget, not the set's size,
+    /// ends the partitions.
     #[test]
     #[allow(unsafe_code)]
     fn the_partition_select_matches_std() {
-        if !Body::Avx512.available() {
-            return;
-        }
+        type Largest = unsafe fn(&mut [u32], usize) -> (u32, usize);
+        const LARGEST: PerWidth<Largest> = PerWidth {
+            portable: portable::largest,
+            #[cfg(target_arch = "x86_64")]
+            avx2: portable::largest,
+            #[cfg(target_arch = "x86_64")]
+            avx512: avx512::largest,
+        };
         let mut rng = SmallRng::seed_from_u64(12);
         let against_the_pivots = |len: usize| {
             let (mut keys, mut next) = (vec![0u32; len], 1);
@@ -639,10 +617,14 @@ mod tests {
                 .into_iter()
                 .filter(|&r| r < len)
             {
-                let want = portable::largest(&mut keys.clone(), r);
-                // SAFETY: the CPU has the features, checked above.
-                let got = unsafe { avx512::largest(&mut keys.clone(), r) };
-                assert_eq!(got, want, "len={len} r={r}");
+                let mut sorted = keys.clone();
+                sorted.sort_unstable_by(|a, b| b.cmp(a));
+                let want = (sorted[r], sorted.iter().filter(|&&key| key > sorted[r]).count());
+                for (name, largest) in LARGEST.runnable() {
+                    // SAFETY: `runnable` lists the bodies this CPU runs.
+                    let got = unsafe { largest(&mut keys.clone(), r) };
+                    assert_eq!(got, want, "{name} len={len} r={r}");
+                }
             }
         }
     }

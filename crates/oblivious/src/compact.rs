@@ -106,16 +106,17 @@
 //!
 //! `unsafe` here is of one kind, the `#[target_feature]` code: the AVX2
 //! and AVX-512 `Kernel` methods, and under them the tile, may run only
-//! on a CPU with those features. Every `unsafe` block carries a `SAFETY:`
-//! comment:
+//! on a CPU with those features. They are entered only through `BODIES`,
+//! a `PerIsa` table, the crate's one way into a kernel body. Every
+//! `unsafe` block carries a `SAFETY:` comment:
 //!
-//! * `compact_u64` enters the body `PerIsa::get` picked for the
-//!   instruction set `isa()` detected;
-//! * `compact_with`, `compact_body` and `block` call the body or a
-//!   `Kernel` method under their own callers' contract (the CPU
-//!   supports the kernel's instruction set), which their `# Safety`
-//!   sections state;
-//! * the test calls each body `PerIsa::runnable` lists for this CPU.
+//! * `compact_cells` enters the body `PerIsa::get` picked, the widest
+//!   level the crate's one CPU detection found;
+//! * `compact_body` and `block` call a `Kernel` method under their own
+//!   callers' contract (the CPU supports the kernel's instruction set),
+//!   which their `# Safety` sections state;
+//! * the test calls each body `PerIsa::runnable` lists for this CPU,
+//!   directly and through `compact_with`.
 //!
 //! The tile's unaligned row loads and stores are `crate::avx512`'s, two
 //! blocks bounded by a `[u64; 64]`.
@@ -145,20 +146,15 @@ pub fn compact_swap_count(n: u64) -> u64 {
 /// rest in no particular order. The trace is the canonical one of the
 /// module docs: a pure function of `buf.len()`.
 pub fn compact_u64<TR: Tracer>(buf: &mut TrackedBuf<u64>, tr: &mut TR) -> usize {
-    // SAFETY: `get` picks the body of the instruction set `isa()`
-    // detected on this CPU.
-    unsafe { compact_with(buf, BODIES.get(), tr) }
+    emit_trace(buf.region(), buf.len() as u64, tr);
+    compact_cells(buf.as_mut_slice_untraced())
 }
 
-/// [`compact_u64`] on an explicit body.
-///
-/// # Safety
-///
-/// The CPU supports the body's instruction set.
-unsafe fn compact_with<TR: Tracer>(buf: &mut TrackedBuf<u64>, body: Body, tr: &mut TR) -> usize {
-    emit_trace(buf.region(), buf.len() as u64, tr);
-    // SAFETY: the caller's contract.
-    unsafe { body(buf.as_mut_slice_untraced()) }
+/// [`compact_u64`]'s data movement at the widest level this CPU runs. Not
+/// generic, so the bodies are compiled once, in this crate.
+fn compact_cells(v: &mut [u64]) -> usize {
+    // SAFETY: `get` picks the body of the level this CPU runs.
+    unsafe { BODIES.get()(v) }
 }
 
 /// The smallest cell carrying the dummy index: a cell is marked iff it is
@@ -643,6 +639,21 @@ mod tests {
         indices.sort_unstable();
         out.push(cells(n, |i| i + 1 == n || indices[i] != indices[i + 1]));
         out
+    }
+
+    /// [`compact_u64`] on an explicit body.
+    ///
+    /// # Safety
+    ///
+    /// The CPU supports the body's instruction set.
+    unsafe fn compact_with<TR: Tracer>(
+        buf: &mut TrackedBuf<u64>,
+        body: Body,
+        tr: &mut TR,
+    ) -> usize {
+        emit_trace(buf.region(), buf.len() as u64, tr);
+        // SAFETY: the caller's contract.
+        unsafe { body(buf.as_mut_slice_untraced()) }
     }
 
     fn traced(

@@ -25,16 +25,22 @@
 //!   conditional swaps (Algorithm 4's last step); its module docs state
 //!   the canonical trace and the no-secret-loop-bound rule;
 //! * [`scan`] — oblivious linear-scan read/write of a secret index
-//!   (ZeroTrace's trusted-storage emulation, used by the ORAM stash and
-//!   position map);
+//!   (ZeroTrace's trusted-storage emulation). Only `o_scan_update` has a
+//!   production caller, the ORAM's linear-scan position map; the ORAM
+//!   stash runs on [`meta_scan`];
 //! * [`meta_scan`] — branchless accumulator scans over packed PathORAM
 //!   `(key << 32) | leaf` meta words (the ORAM batched kernel's
-//!   equivalent of the sort kernel's sweeps, with the same runtime
-//!   AVX2/AVX-512 dispatch);
+//!   equivalent of the sort kernel's sweeps);
 //! * [`shuffle`] — oblivious random shuffle via random-key sorting (used by
 //!   the differentially-oblivious ablation, Section 5.4);
 //! * [`pool`] — the process's one worker pool, on which every parallel
 //!   region of the round runs with the calling thread as worker 0.
+//!
+//! The sort, compaction and meta-scan kernels each have a portable, an
+//! AVX2 and an AVX-512 body. The crate detects the CPU once, and one
+//! table type, one entry per level, is the only way into a body: its
+//! `get` picks the widest level the CPU runs, and its `runnable` lists
+//! every level the CPU runs for the tests that call each body.
 //!
 //! [`TrackedBuf`]: olive_memsim::TrackedBuf
 

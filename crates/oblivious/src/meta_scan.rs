@@ -7,9 +7,11 @@
 //! with the same mask-select accumulator idiom as
 //! [`sort_kernel`](mod@crate::sort_kernel):
 //! no data-dependent control flow inside the loops, so LLVM
-//! autovectorizes them, and the AVX2/AVX-512 monomorphizations (selected
-//! once at runtime, like the sort kernel's) let it use 256-/512-bit
-//! compares on the same source.
+//! autovectorizes them, and the AVX2/AVX-512 bodies let it use
+//! 256-/512-bit compares on the same source. Every body is entered
+//! through a `PerIsa` table, as every kernel of the crate is: `get` in
+//! the entry points, `runnable` in the tests. That is the only `unsafe`
+//! here; each block carries a `SAFETY:` comment.
 //!
 //! The scans are *host-side* helpers for the batched ORAM kernel: the
 //! modeled enclave trace is emitted canonically by the caller
@@ -19,7 +21,7 @@
 //!
 //! [`TrackedBuf`]: olive_memsim::TrackedBuf
 
-use crate::isa::{isa, Isa};
+use crate::isa::PerIsa;
 
 // ---------------------------------------------------------------------------
 // Scan bodies (branchless mask-select sweeps)
@@ -94,126 +96,124 @@ fn pick_eligible_body(depth: &[i32], level: i32, out: &mut [u32]) -> usize {
 }
 
 // ---------------------------------------------------------------------------
-// ISA monomorphizations + dispatch
+// The bodies per instruction set, and the entry points
 // ---------------------------------------------------------------------------
 
-macro_rules! kernel_monos {
-    ($body:ident, $portable:ident, $avx2:ident, $avx512:ident,
-     fn($($arg:ident: $ty:ty),*) -> $ret:ty) => {
-        /// Portable monomorphization of the scan body.
-        fn $portable($($arg: $ty),*) -> $ret {
-            $body($($arg),*)
-        }
+/// The scans compiled for AVX2: 256-bit compares and mask selects.
+#[cfg(target_arch = "x86_64")]
+mod avx2 {
+    use super::*;
 
-        /// AVX2 monomorphization (256-bit compares + mask selects).
-        ///
-        /// # Safety
-        ///
-        /// Caller must have verified AVX2 support.
-        #[cfg(target_arch = "x86_64")]
-        #[target_feature(enable = "avx2")]
-        unsafe fn $avx2($($arg: $ty),*) -> $ret {
-            $body($($arg),*)
-        }
+    #[target_feature(enable = "avx2")]
+    pub(super) fn key_scan(meta: &[u64], key: u32) -> (bool, usize) {
+        key_scan_body(meta, key)
+    }
 
-        /// AVX-512 monomorphization (`vplzcntd`, wide mask compares).
-        ///
-        /// # Safety
-        ///
-        /// Caller must have verified AVX-512F support.
-        #[cfg(target_arch = "x86_64")]
-        #[target_feature(enable = "avx512f")]
-        unsafe fn $avx512($($arg: $ty),*) -> $ret {
-            $body($($arg),*)
-        }
-    };
+    #[target_feature(enable = "avx2")]
+    pub(super) fn collect_free(meta: &[u64], invalid_key: u32, out: &mut [u32]) -> usize {
+        collect_free_body(meta, invalid_key, out)
+    }
+
+    #[target_feature(enable = "avx2")]
+    pub(super) fn eviction_depths(m: &[u64], invalid: u32, leaf: u32, levels: u32, d: &mut [i32]) {
+        eviction_depths_body(m, invalid, leaf, levels, d)
+    }
+
+    #[target_feature(enable = "avx2")]
+    pub(super) fn pick_eligible(depth: &[i32], level: i32, out: &mut [u32]) -> usize {
+        pick_eligible_body(depth, level, out)
+    }
 }
 
-kernel_monos!(
-    key_scan_body,
-    key_scan_portable,
-    key_scan_avx2,
-    key_scan_avx512,
-    fn(meta: &[u64], key: u32) -> (bool, usize)
-);
-kernel_monos!(
-    collect_free_body,
-    collect_free_portable,
-    collect_free_avx2,
-    collect_free_avx512,
-    fn(meta: &[u64], invalid_key: u32, out: &mut [u32]) -> usize
-);
-kernel_monos!(
-    eviction_depths_body,
-    eviction_depths_portable,
-    eviction_depths_avx2,
-    eviction_depths_avx512,
-    fn(meta: &[u64], invalid_key: u32, leaf: u32, levels: u32, depth: &mut [i32]) -> ()
-);
-kernel_monos!(
-    pick_eligible_body,
-    pick_eligible_portable,
-    pick_eligible_avx2,
-    pick_eligible_avx512,
-    fn(depth: &[i32], level: i32, out: &mut [u32]) -> usize
-);
+/// The scans compiled for AVX-512F: `vplzcntd`, wide mask compares.
+#[cfg(target_arch = "x86_64")]
+mod avx512 {
+    use super::*;
 
-macro_rules! isa_dispatch {
-    ($portable:ident, $avx2:ident, $avx512:ident, ($($arg:expr),*)) => {
-        match isa() {
-            Isa::Portable => $portable($($arg),*),
-            // SAFETY: the wider monomorphizations run only after feature
-            // detection; the bodies themselves are safe code.
-            #[cfg(target_arch = "x86_64")]
-            Isa::Avx2 => unsafe { $avx2($($arg),*) },
-            #[cfg(target_arch = "x86_64")]
-            Isa::Avx512 => unsafe { $avx512($($arg),*) },
-        }
-    };
+    #[target_feature(enable = "avx512f")]
+    pub(super) fn key_scan(meta: &[u64], key: u32) -> (bool, usize) {
+        key_scan_body(meta, key)
+    }
+
+    #[target_feature(enable = "avx512f")]
+    pub(super) fn collect_free(meta: &[u64], invalid_key: u32, out: &mut [u32]) -> usize {
+        collect_free_body(meta, invalid_key, out)
+    }
+
+    #[target_feature(enable = "avx512f")]
+    pub(super) fn eviction_depths(m: &[u64], invalid: u32, leaf: u32, levels: u32, d: &mut [i32]) {
+        eviction_depths_body(m, invalid, leaf, levels, d)
+    }
+
+    #[target_feature(enable = "avx512f")]
+    pub(super) fn pick_eligible(depth: &[i32], level: i32, out: &mut [u32]) -> usize {
+        pick_eligible_body(depth, level, out)
+    }
 }
+
+/// One level's scans, each a body of the entry point it is named after:
+/// calling one needs a CPU that supports the level's instruction set.
+/// The entry points are not `#[inline]`, so that this table and its
+/// bodies are compiled once, in this crate.
+#[derive(Clone, Copy)]
+struct Scans {
+    key_scan: unsafe fn(&[u64], u32) -> (bool, usize),
+    collect_free: unsafe fn(&[u64], u32, &mut [u32]) -> usize,
+    eviction_depths: unsafe fn(&[u64], u32, u32, u32, &mut [i32]),
+    pick_eligible: unsafe fn(&[i32], i32, &mut [u32]) -> usize,
+}
+
+/// The scans, one set per instruction set.
+const SCANS: PerIsa<Scans> = PerIsa {
+    portable: Scans {
+        key_scan: key_scan_body,
+        collect_free: collect_free_body,
+        eviction_depths: eviction_depths_body,
+        pick_eligible: pick_eligible_body,
+    },
+    #[cfg(target_arch = "x86_64")]
+    avx2: Scans {
+        key_scan: avx2::key_scan,
+        collect_free: avx2::collect_free,
+        eviction_depths: avx2::eviction_depths,
+        pick_eligible: avx2::pick_eligible,
+    },
+    #[cfg(target_arch = "x86_64")]
+    avx512: Scans {
+        key_scan: avx512::key_scan,
+        collect_free: avx512::collect_free,
+        eviction_depths: avx512::eviction_depths,
+        pick_eligible: avx512::pick_eligible,
+    },
+};
 
 /// `(found, slot)` of the slot whose meta key equals `key`, at the
 /// detected ISA width.
-#[inline]
 pub fn key_scan(meta: &[u64], key: u32) -> (bool, usize) {
-    isa_dispatch!(key_scan_portable, key_scan_avx2, key_scan_avx512, (meta, key))
+    // SAFETY: `get` picks the body of the level this CPU runs.
+    unsafe { (SCANS.get().key_scan)(meta, key) }
 }
 
 /// Writes the free slots (key `invalid_key`), ascending, into `out` and
 /// returns their count, at the detected ISA width.
-#[inline]
 pub fn collect_free(meta: &[u64], invalid_key: u32, out: &mut [u32]) -> usize {
-    isa_dispatch!(
-        collect_free_portable,
-        collect_free_avx2,
-        collect_free_avx512,
-        (meta, invalid_key, out)
-    )
+    // SAFETY: as in `key_scan`.
+    unsafe { (SCANS.get().collect_free)(meta, invalid_key, out) }
 }
 
 /// Each slot's deepest eviction level on the path to `leaf` (−1 for a
 /// free slot) into `depth`, at the detected ISA width.
-#[inline]
 pub fn eviction_depths(meta: &[u64], invalid_key: u32, leaf: u32, levels: u32, depth: &mut [i32]) {
-    isa_dispatch!(
-        eviction_depths_portable,
-        eviction_depths_avx2,
-        eviction_depths_avx512,
-        (meta, invalid_key, leaf, levels, depth)
-    )
+    // SAFETY: as in `key_scan`.
+    unsafe { (SCANS.get().eviction_depths)(meta, invalid_key, leaf, levels, depth) }
 }
 
 /// Writes the first up-to-`out.len() − 1` slots whose depth admits
 /// `level` into `out` (the last entry is a sentinel) and returns how many,
 /// at the detected ISA width.
-#[inline]
 pub fn pick_eligible(depth: &[i32], level: i32, out: &mut [u32]) -> usize {
-    isa_dispatch!(
-        pick_eligible_portable,
-        pick_eligible_avx2,
-        pick_eligible_avx512,
-        (depth, level, out)
-    )
+    // SAFETY: as in `key_scan`.
+    unsafe { (SCANS.get().pick_eligible)(depth, level, out) }
 }
 
 #[cfg(test)]
@@ -277,5 +277,81 @@ mod tests {
         assert_eq!((cnt, &out[..cnt]), (4, &[0u32, 2, 4, 5][..]));
         let cnt = pick_eligible(&depth, 4, &mut out);
         assert_eq!(cnt, 0);
+    }
+
+    /// Each body this CPU runs, called directly (the entry points reach
+    /// only the widest), against the portable body and a plain reference,
+    /// on random meta words at lengths that leave a partial vector at
+    /// every width.
+    #[test]
+    fn every_isa_body_matches_the_portable_scans() {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+
+        let bodies = SCANS.runnable();
+        let names: Vec<&str> = bodies.iter().map(|b| b.0).collect();
+        eprintln!("meta_scan bodies exercised on this CPU: {names:?}");
+        let mut rng = SmallRng::seed_from_u64(23);
+        let levels = 9u32;
+        for n in [1usize, 3, 7, 9, 13, 15, 17, 23, 31, 33, 47, 63, 65, 100, 127, 129, 250, 1001] {
+            // Distinct keys (the one-block-per-key invariant), a third of
+            // the slots free, leaves anywhere in the tree.
+            let meta: Vec<u64> = (0..n as u32)
+                .map(|i| {
+                    let key = if rng.gen_range(0..3u32) == 0 { INVALID } else { 5 * i + 1 };
+                    pack(key, rng.gen_range(0..1u32 << levels))
+                })
+                .collect();
+            let keys: Vec<u32> = meta.iter().map(|&m| (m >> 32) as u32).collect();
+            let free: Vec<u32> = (0..n as u32).filter(|&i| keys[i as usize] == INVALID).collect();
+            let leaf = rng.gen_range(0..1u32 << levels);
+            let want_depth: Vec<i32> = meta
+                .iter()
+                .map(|&m| match (m >> 32) as u32 {
+                    INVALID => -1,
+                    _ => levels as i32 - (32 - ((m as u32) ^ leaf).leading_zeros()) as i32,
+                })
+                .collect();
+            // Every key present, and two that are not.
+            let probes = keys.iter().copied().filter(|&k| k != INVALID);
+            let probes: Vec<u32> = probes.chain([5 * n as u32 + 1, INVALID - 1]).collect();
+            for &(name, scans) in &bodies {
+                for &key in &probes {
+                    let at = keys.iter().position(|&k| k == key);
+                    // SAFETY: `runnable` lists the bodies this CPU runs.
+                    let got = unsafe { (scans.key_scan)(&meta, key) };
+                    assert_eq!(got, (at.is_some(), at.unwrap_or(0)), "{name} n={n} key={key}");
+                    assert_eq!(got, key_scan_body(&meta, key), "{name} n={n} key={key}");
+                }
+
+                let mut out = vec![u32::MAX; n];
+                // SAFETY: as above.
+                let cnt = unsafe { (scans.collect_free)(&meta, INVALID, &mut out) };
+                assert_eq!(&out[..cnt], &free[..], "{name} n={n}");
+                let mut portable = vec![u32::MAX; n];
+                assert_eq!(collect_free_body(&meta, INVALID, &mut portable), cnt, "{name} n={n}");
+                assert_eq!(out, portable, "{name} n={n}: the scratch past the count too");
+
+                let mut depth = vec![i32::MIN; n];
+                // SAFETY: as above.
+                unsafe { (scans.eviction_depths)(&meta, INVALID, leaf, levels, &mut depth) };
+                assert_eq!(depth, want_depth, "{name} n={n}");
+
+                for (level, bucket) in [(0, 4), (levels as i32 / 2, 4), (levels as i32, 2), (0, n)]
+                {
+                    let want: Vec<u32> = (0..n as u32)
+                        .filter(|&i| want_depth[i as usize] >= level)
+                        .take(bucket)
+                        .collect();
+                    let mut out = vec![u32::MAX; bucket + 1];
+                    // SAFETY: as above.
+                    let cnt = unsafe { (scans.pick_eligible)(&want_depth, level, &mut out) };
+                    assert_eq!(&out[..cnt], &want[..], "{name} n={n} level={level}");
+                    let mut portable = vec![u32::MAX; bucket + 1];
+                    let portable_cnt = pick_eligible_body(&want_depth, level, &mut portable);
+                    assert_eq!((cnt, out), (portable_cnt, portable), "{name} n={n} level={level}");
+                }
+            }
+        }
     }
 }

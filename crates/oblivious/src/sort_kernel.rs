@@ -123,15 +123,17 @@
 //! `unsafe` here is of two kinds, each block with a `SAFETY:` comment:
 //! workers carve disjoint runs out of one shared base pointer (`run_pass`'s
 //! contract: distinct units of a pass touch disjoint elements), and the
-//! `#[target_feature]` bodies are entered only after CPU feature
-//! detection. The AVX-512 tile's row loads, stores and transpose are
-//! `crate::avx512`'s, shared with the compaction.
+//! `#[target_feature]` bodies, which are entered only through the
+//! crate's one table type (`PerIsa`: `PASSES_U64`, `PASSES_U128`) — its
+//! `get` in the entry points, its `runnable` in the tests, each handing
+//! out only the levels the CPU runs. The AVX-512 tile's row loads, stores
+//! and transpose are `crate::avx512`'s, shared with the compaction.
 
 use std::sync::Barrier;
 
 use olive_memsim::{truncated_stage_len, Tracer, TrackedBuf};
 
-use crate::isa::{isa, Isa};
+use crate::isa::PerIsa;
 
 /// Cells per private block of the pass schedule (a power of two, at least
 /// one register window): 32 KiB of `u64` cells, 64 KiB of packed `u128`
@@ -756,55 +758,61 @@ unsafe fn run_at<'a, W>(base: *mut W, at: usize, len: usize) -> &'a mut [W] {
     unsafe { core::slice::from_raw_parts_mut(base.add(at), len) }
 }
 
-/// The signature workers call a monomorphized [`run_pass`] through.
+/// The signature workers call a pass body through.
+///
+/// # Safety
+///
+/// [`run_pass`]'s contract; the CPU supports the body's instruction set.
 type PassFn<W> = unsafe fn(*mut W, Shape, Pass, usize, usize);
 
-macro_rules! isa_monomorphizations {
-    ($word:ty, $tail512:ty, $dispatch:ident, $avx2:ident, $avx512:ident) => {
-        /// AVX2 monomorphization (256-bit compare+select).
-        ///
-        /// # Safety
-        ///
-        /// [`run_pass`]'s contract; the CPU must support AVX2.
-        #[cfg(target_arch = "x86_64")]
-        #[target_feature(enable = "avx2")]
-        unsafe fn $avx2(base: *mut $word, shape: Shape, pass: Pass, u0: usize, u1: usize) {
-            unsafe { run_pass::<$word, Windows>(base, shape, pass, u0, u1) }
-        }
-
-        /// AVX-512 monomorphization (`vpminuq`/`vpmaxuq` and friends).
-        ///
-        /// # Safety
-        ///
-        /// [`run_pass`]'s contract; the CPU must support AVX-512F.
-        #[cfg(target_arch = "x86_64")]
-        #[target_feature(enable = "avx512f")]
-        unsafe fn $avx512(base: *mut $word, shape: Shape, pass: Pass, u0: usize, u1: usize) {
-            unsafe { run_pass::<$word, $tail512>(base, shape, pass, u0, u1) }
-        }
-
-        /// Runs units `[u0, u1)` of `pass` at the widest instruction set
-        /// the CPU has.
-        ///
-        /// # Safety
-        ///
-        /// [`run_pass`]'s contract.
-        unsafe fn $dispatch(base: *mut $word, shape: Shape, pass: Pass, u0: usize, u1: usize) {
-            match isa() {
-                // SAFETY: the caller's contract is `run_pass`'s; the wider
-                // monomorphizations run only after feature detection.
-                Isa::Portable => unsafe { run_pass::<$word, Windows>(base, shape, pass, u0, u1) },
-                #[cfg(target_arch = "x86_64")]
-                Isa::Avx2 => unsafe { $avx2(base, shape, pass, u0, u1) },
-                #[cfg(target_arch = "x86_64")]
-                Isa::Avx512 => unsafe { $avx512(base, shape, pass, u0, u1) },
-            }
-        }
-    };
+/// [`run_pass`] compiled for AVX2 (256-bit compare+select).
+///
+/// # Safety
+///
+/// [`run_pass`]'s contract; the CPU supports AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn run_pass_avx2<W: Word>(base: *mut W, shape: Shape, pass: Pass, u0: usize, u1: usize) {
+    // SAFETY: the caller's contract.
+    unsafe { run_pass::<W, Windows>(base, shape, pass, u0, u1) }
 }
 
-isa_monomorphizations!(u64, Tile, run_pass_u64, run_pass_u64_avx2, run_pass_u64_avx512);
-isa_monomorphizations!(u128, Windows, run_pass_u128, run_pass_u128_avx2, run_pass_u128_avx512);
+/// [`run_pass`] compiled for AVX-512F (`vpminuq`/`vpmaxuq` and friends),
+/// with `T` as its tail.
+///
+/// # Safety
+///
+/// [`run_pass`]'s contract; the CPU supports AVX-512F.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+unsafe fn run_pass_avx512<W: Word, T: Tail<W>>(
+    base: *mut W,
+    shape: Shape,
+    pass: Pass,
+    u0: usize,
+    u1: usize,
+) {
+    // SAFETY: the caller's contract.
+    unsafe { run_pass::<W, T>(base, shape, pass, u0, u1) }
+}
+
+/// The bodies for packed `u64` cells, one per instruction set.
+const PASSES_U64: PerIsa<PassFn<u64>> = PerIsa {
+    portable: run_pass::<u64, Windows>,
+    #[cfg(target_arch = "x86_64")]
+    avx2: run_pass_avx2::<u64>,
+    #[cfg(target_arch = "x86_64")]
+    avx512: run_pass_avx512::<u64, Tile>,
+};
+
+/// The bodies for tagged `u128` words, one per instruction set.
+const PASSES_U128: PerIsa<PassFn<u128>> = PerIsa {
+    portable: run_pass::<u128, Windows>,
+    #[cfg(target_arch = "x86_64")]
+    avx2: run_pass_avx2::<u128>,
+    #[cfg(target_arch = "x86_64")]
+    avx512: run_pass_avx512::<u128, Windows>,
+};
 
 // ---------------------------------------------------------------------------
 // Pass driver (serial or barrier-synchronized workers)
@@ -832,7 +840,11 @@ unsafe impl<W: Send> Sync for SendPtr<W> {}
 /// The output is identical for every thread count and block size: pass
 /// results do not depend on intra-pass execution order (units of a pass
 /// touch disjoint elements), and the barrier orders passes.
-fn sort_words<W: Word>(v: &mut [W], threads: usize, block: usize, run: PassFn<W>) {
+///
+/// # Safety
+///
+/// The CPU supports `run`'s instruction set.
+unsafe fn sort_words<W: Word>(v: &mut [W], threads: usize, block: usize, run: PassFn<W>) {
     assert!(block.is_power_of_two() && block >= 8, "a block holds whole register windows");
     let shape = Shape { n: v.len(), block };
     let passes = shape.passes();
@@ -848,7 +860,8 @@ fn sort_words<W: Word>(v: &mut [W], threads: usize, block: usize, run: PassFn<W>
                 let (u0, u1) = (units * w / parts, units * (w + 1) / parts);
                 // SAFETY: workers take disjoint unit ranges of a scheduled
                 // pass over `v`, which this function borrows exclusively;
-                // the barrier keeps every worker in the same pass.
+                // the barrier keeps every worker in the same pass; the
+                // caller's contract covers the instruction set.
                 unsafe { run(ptr.0, shape, pass, u0, u1) };
             }
             if workers > 1 {
@@ -869,7 +882,7 @@ fn sort_words<W: Word>(v: &mut [W], threads: usize, block: usize, run: PassFn<W>
 /// every thread count and granularity.
 pub fn bitonic_sort_u64_with<TR: Tracer>(buf: &mut TrackedBuf<u64>, threads: usize, tr: &mut TR) {
     emit_network_trace(buf, tr);
-    sort_words(buf.as_mut_slice_untraced(), threads, BLOCK, run_pass_u64);
+    sort_cells(buf.as_mut_slice_untraced(), threads);
 }
 
 /// Sorts pre-packed `(tag << 64) | payload` words ascending by their
@@ -882,7 +895,20 @@ pub fn bitonic_sort_tagged_with<TR: Tracer>(
     tr: &mut TR,
 ) {
     emit_network_trace(buf, tr);
-    sort_words(buf.as_mut_slice_untraced(), threads, BLOCK, run_pass_u128);
+    sort_tagged(buf.as_mut_slice_untraced(), threads);
+}
+
+/// [`bitonic_sort_u64_with`]'s data movement at the widest level this CPU
+/// runs. Not generic, so the bodies are compiled once, in this crate.
+fn sort_cells(v: &mut [u64], threads: usize) {
+    // SAFETY: `get` picks the body of the level this CPU runs.
+    unsafe { sort_words(v, threads, BLOCK, PASSES_U64.get()) }
+}
+
+/// [`bitonic_sort_tagged_with`]'s data movement, as [`sort_cells`].
+fn sort_tagged(v: &mut [u128], threads: usize) {
+    // SAFETY: as in `sort_cells`.
+    unsafe { sort_words(v, threads, BLOCK, PASSES_U128.get()) }
 }
 
 #[cfg(test)]
@@ -927,33 +953,16 @@ mod tests {
                 let want_tagged = reference(&tagged, |c| (c >> 64) as u64);
                 for threads in [1usize, 2, 3] {
                     let (mut c, mut t) = (cells.clone(), tagged.clone());
-                    sort_words(&mut c, threads, block, run_pass_u64);
-                    sort_words(&mut t, threads, block, run_pass_u128);
+                    // SAFETY: `get` picks the bodies of the level this CPU
+                    // runs.
+                    unsafe { sort_words(&mut c, threads, block, PASSES_U64.get()) };
+                    // SAFETY: as above.
+                    unsafe { sort_words(&mut t, threads, block, PASSES_U128.get()) };
                     assert_eq!(c, want_cells, "u64 n={n} block={block} threads={threads}");
                     assert_eq!(t, want_tagged, "u128 n={n} block={block} threads={threads}");
                 }
             }
         }
-    }
-
-    /// A named body of the kernel, for both word types.
-    type Body = (&'static str, PassFn<u64>, PassFn<u128>);
-
-    /// Every body of the kernel this CPU can run, portable first: the
-    /// dispatcher reaches only the widest.
-    fn bodies() -> Vec<Body> {
-        let mut bodies: Vec<Body> =
-            vec![("portable", run_pass::<u64, Windows>, run_pass::<u128, Windows>)];
-        #[cfg(target_arch = "x86_64")]
-        {
-            if std::arch::is_x86_feature_detected!("avx2") {
-                bodies.push(("avx2", run_pass_u64_avx2, run_pass_u128_avx2));
-            }
-            if std::arch::is_x86_feature_detected!("avx512f") {
-                bodies.push(("avx512", run_pass_u64_avx512, run_pass_u128_avx512));
-            }
-        }
-        bodies
     }
 
     #[test]
@@ -962,8 +971,9 @@ mod tests {
         // global radix-8 rounds at block 8 and 64, tiles and their
         // remainder at 64, and at the real block the in-block radix-8
         // sweeps (strides ≥ 64) and a global one (n > 8·BLOCK).
-        let bodies = bodies();
-        let names: Vec<&str> = bodies.iter().map(|b| b.0).collect();
+        let bodies: Vec<_> =
+            PASSES_U64.runnable().into_iter().zip(PASSES_U128.runnable()).collect();
+        let names: Vec<&str> = bodies.iter().map(|b| b.0 .0).collect();
         eprintln!("sort kernel bodies exercised on this CPU: {names:?}");
         let mut rng = SmallRng::seed_from_u64(22);
         let shapes: [(usize, &[usize]); 3] = [
@@ -978,11 +988,13 @@ mod tests {
                     (0..n).map(|i| ((rng.gen_range(0..4u64) as u128) << 64) | i as u128).collect();
                 let want_cells = reference(&cells, |c| *c);
                 let want_tagged = reference(&tagged, |c| (c >> 64) as u64);
-                for &(name, run_u64, run_u128) in &bodies {
+                for &((name, run_u64), (_, run_u128)) in &bodies {
                     for threads in [1usize, 2, 3] {
                         let (mut c, mut t) = (cells.clone(), tagged.clone());
-                        sort_words(&mut c, threads, block, run_u64);
-                        sort_words(&mut t, threads, block, run_u128);
+                        // SAFETY: `runnable` lists the bodies this CPU runs.
+                        unsafe { sort_words(&mut c, threads, block, run_u64) };
+                        // SAFETY: as above.
+                        unsafe { sort_words(&mut t, threads, block, run_u128) };
                         assert!(
                             c == want_cells,
                             "{name} u64 n={n} block={block} threads={threads}"
@@ -1010,13 +1022,15 @@ mod tests {
         }
         let caller = std::thread::current().id();
         let mut v = random_words(BLOCK, 1);
-        sort_words(&mut v, 3, BLOCK, recording);
+        // SAFETY: `recording` is the portable body.
+        unsafe { sort_words(&mut v, 3, BLOCK, recording) };
         assert!(v.is_sorted());
         assert_eq!(*CALLS.lock().unwrap(), [(caller, Pass::SortBlocks)], "no worker for one block");
         CALLS.lock().unwrap().clear();
         // BLOCK + 1 cells: two blocks, and a flip of one comparator.
         let mut v = random_words(BLOCK + 1, 2);
-        sort_words(&mut v, 3, BLOCK, recording);
+        // SAFETY: as above.
+        unsafe { sort_words(&mut v, 3, BLOCK, recording) };
         assert!(v.is_sorted());
         let calls = CALLS.lock().unwrap();
         assert_eq!(calls.len(), 3, "each pass on one thread: {calls:?}");

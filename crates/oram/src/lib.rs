@@ -35,7 +35,6 @@ pub mod path_oram;
 pub mod posmap;
 
 pub use path_oram::{
-    predicted_resident_bytes, OramError, OramStats, PathOram, PathOramConfig, BUCKET_SIZE,
-    INVALID_KEY,
+    predicted_resident_bytes, OramStats, PathOram, PathOramConfig, BUCKET_SIZE, INVALID_KEY,
 };
 pub use posmap::{PosBlock, PosMapKind, POS_BLOCK_FANOUT};

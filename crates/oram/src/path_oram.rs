@@ -66,34 +66,6 @@ fn path_node_at(leaves: u32, levels: u32, leaf: u32, level: u32) -> u32 {
     (leaves + leaf) >> (levels - level)
 }
 
-/// Structured access errors. Inside an enclave an aborting panic is the
-/// worst failure mode (it tears down the whole attested round), so the
-/// `try_*` entry points surface caller bugs as values; the infallible
-/// entry points keep the documented panic contract for code that has
-/// already range-checked its keys.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum OramError {
-    /// The logical key is outside `0..capacity`.
-    KeyOutOfRange {
-        /// The offending key.
-        key: u32,
-        /// The ORAM's capacity.
-        capacity: usize,
-    },
-}
-
-impl core::fmt::Display for OramError {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        match self {
-            OramError::KeyOutOfRange { key, capacity } => {
-                write!(f, "key out of range: {key} >= capacity {capacity}")
-            }
-        }
-    }
-}
-
-impl std::error::Error for OramError {}
-
 /// ORAM configuration.
 #[derive(Clone, Copy, Debug)]
 pub struct PathOramConfig {
@@ -263,57 +235,21 @@ impl<V: Oblivious + Default> PathOram<V> {
         self.access(key, |_| V::default(), tr)
     }
 
-    /// [`PathOram::read`] returning a structured error on caller bugs.
-    pub fn try_read<TR: Tracer>(&mut self, key: u32, tr: &mut TR) -> Result<V, OramError> {
-        self.try_access(key, |v| v, tr)
-    }
-
-    /// [`PathOram::write`] returning a structured error on caller bugs.
-    pub fn try_write<TR: Tracer>(
-        &mut self,
-        key: u32,
-        value: V,
-        tr: &mut TR,
-    ) -> Result<(), OramError> {
-        self.try_access(key, move |_| value, tr).map(|_| ())
-    }
-
-    /// [`PathOram::update`] returning a structured error on caller bugs.
-    pub fn try_update<TR: Tracer, F: Fn(V) -> V + Copy>(
-        &mut self,
-        key: u32,
-        f: F,
-        tr: &mut TR,
-    ) -> Result<V, OramError> {
-        self.try_access(key, f, tr)
-    }
-
-    /// [`PathOram::take`] returning a structured error on caller bugs.
-    pub fn try_take<TR: Tracer>(&mut self, key: u32, tr: &mut TR) -> Result<V, OramError> {
-        self.try_access(key, |_| V::default(), tr)
-    }
-
-    /// The access with the documented panic contract ("key out of
-    /// range") for the infallible entry points.
-    fn access<TR: Tracer, F: Fn(V) -> V + Copy>(&mut self, key: u32, f: F, tr: &mut TR) -> V {
-        match self.try_access(key, f, tr) {
-            Ok(v) => v,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
     /// Range-checks `key`, then runs the full PathORAM access — remap,
     /// read path into stash, scan-update, greedy evict.
-    fn try_access<TR: Tracer, F: Fn(V) -> V + Copy>(
-        &mut self,
-        key: u32,
-        f: F,
-        tr: &mut TR,
-    ) -> Result<V, OramError> {
-        if key as usize >= self.config.capacity {
-            return Err(OramError::KeyOutOfRange { key, capacity: self.config.capacity });
-        }
-        Ok(self.access_batched(key, f, tr))
+    ///
+    /// The "key out of range" panic is a proven invariant, not an input
+    /// check. The round's ORAM (`olive_core`'s ORAM aggregator) has
+    /// capacity d, and each key it is handed is a cell index of an upload
+    /// that passed `SparseGradient::decode`'s range check (every index
+    /// below the upload's `dense_dim`) and `open_slots`' filter
+    /// (`dense_dim == d`), so it is below d. A recursive position map's
+    /// inner ORAM is handed `key / POS_BLOCK_FANOUT` of such a key, and
+    /// holds `⌈capacity / POS_BLOCK_FANOUT⌉` blocks.
+    fn access<TR: Tracer, F: Fn(V) -> V + Copy>(&mut self, key: u32, f: F, tr: &mut TR) -> V {
+        let capacity = self.config.capacity;
+        assert!((key as usize) < capacity, "key out of range: {key} >= capacity {capacity}");
+        self.access_batched(key, f, tr)
     }
 
     /// The batched access: canonical trace emission (bucket touches +
@@ -669,29 +605,6 @@ mod tests {
     fn out_of_range_key_panics() {
         let mut o = oram(8, PosMapKind::LinearScan, 1);
         o.read(8, &mut NullTracer);
-    }
-
-    /// The structured-error contract of the `try_*` entry points: caller
-    /// bugs come back as values (an enclave must not abort its attested
-    /// round on one), valid keys behave exactly like the panicking API.
-    #[test]
-    fn try_access_surfaces_structured_error() {
-        let mut o = oram(8, PosMapKind::LinearScan, 1);
-        assert_eq!(
-            o.try_read(8, &mut NullTracer),
-            Err(OramError::KeyOutOfRange { key: 8, capacity: 8 })
-        );
-        assert_eq!(
-            o.try_write(1000, 5, &mut NullTracer),
-            Err(OramError::KeyOutOfRange { key: 1000, capacity: 8 })
-        );
-        let e = o.try_update(8, |v| v, &mut NullTracer).unwrap_err();
-        assert_eq!(e.to_string(), "key out of range: 8 >= capacity 8");
-        assert_eq!(o.try_write(3, 33, &mut NullTracer), Ok(()));
-        assert_eq!(o.try_read(3, &mut NullTracer), Ok(33));
-        assert_eq!(o.try_take(3, &mut NullTracer), Ok(33));
-        assert_eq!(o.try_read(3, &mut NullTracer), Ok(0));
-        assert_eq!(o.stats().accesses, 4, "failed accesses must not touch the ORAM");
     }
 
     #[test]
